@@ -29,7 +29,7 @@ pub struct CalibrationConfig {
     pub iter_samples: &'static [usize],
     /// Split factors to sample (the `b`/`d` axis).
     pub split_samples: &'static [usize],
-    /// Repetitions per sample; medians are taken.
+    /// Repetitions per sample; the fastest is kept.
     pub reps: usize,
 }
 
@@ -50,8 +50,12 @@ impl Default for CalibrationConfig {
 ///
 /// Each sample runs a single-tile problem of `iters` MAC-loop
 /// iterations split `s` ways across `s` worker threads and records
-/// the median wall time against the model regressors
-/// `(iters_per_cta, fixup_peers)`.
+/// the fastest wall time against the model regressors
+/// `(iters_per_cta, fixup_peers)`. Whatever else the host is doing
+/// only ever adds to a run's time, so the minimum is the repetition
+/// that measured the launch and not its neighbours; a median of a
+/// few runs on a busy host can rank a short launch above a long one
+/// and fit a negative per-iteration cost.
 #[must_use]
 pub fn calibrate(config: &CalibrationConfig) -> Option<CostModel> {
     let tile = config.tile;
@@ -69,17 +73,15 @@ pub fn calibrate(config: &CalibrationConfig) -> Option<CostModel> {
             let exec = CpuExecutor::with_threads(split.max(1));
             // Warm-up run to touch memory and spin the pool up.
             let _ = exec.gemm::<f64, f64>(&a, &b, &decomp);
-            let mut times: Vec<f64> = (0..config.reps)
+            let fastest = (0..config.reps)
                 .map(|_| {
                     let t0 = Instant::now();
                     let _ = exec.gemm::<f64, f64>(&a, &b, &decomp);
                     t0.elapsed().as_secs_f64()
                 })
-                .collect();
-            times.sort_by(f64::total_cmp);
-            let median = times[times.len() / 2];
+                .fold(f64::INFINITY, f64::min);
             let iters_per_cta = iters.div_ceil(split);
-            samples.push((iters_per_cta, split, median));
+            samples.push((iters_per_cta, split, fastest));
         }
     }
     CostModel::fit(&samples)
@@ -224,13 +226,16 @@ mod tests {
     /// positive per-iteration cost, and it must feed the grid-size
     /// selector without panicking. (Absolute values are
     /// machine-dependent; noisy CI boxes can even fit slightly
-    /// negative overhead terms, which the selector tolerates.)
+    /// negative overhead terms, which the selector tolerates.) The
+    /// iteration counts span 16x so the slope is a few hundred
+    /// microseconds of MAC work, not the few microseconds a thread
+    /// wake-up can swamp.
     #[test]
     fn calibration_produces_positive_iteration_cost() {
         let config = CalibrationConfig {
-            iter_samples: &[4, 8, 16],
+            iter_samples: &[16, 64, 256],
             split_samples: &[1, 2, 4],
-            reps: 3,
+            reps: 5,
             ..CalibrationConfig::default()
         };
         let model = calibrate(&config).expect("fit should be well-determined");

@@ -17,7 +17,7 @@
 //!   dispatched to runtime-detected AVX-512F/AVX2 kernels
 //!   ([`crate::simd`]); unfused multiply-then-add per lane keeps it
 //!   bit-exact with every other generation. [`mac_loop_cached`] is
-//!   the variant that consumes pre-packed full-k panels from the
+//!   the variant that consumes pre-packed panel k-chunks from the
 //!   grid-shared [`crate::packcache::PackCache`] instead of packing
 //!   per segment.
 //!
@@ -368,26 +368,18 @@ fn mac_loop_panels<In, Acc, const MR_: usize, const NR_: usize>(
 /// [`mac_loop_cached`]: each sub-panel covers `[k0, k0 + k_cap)` of
 /// the problem's k-extent in k-major order.
 ///
-/// The grid-shared cache packs full-k panels (`k0 = 0`,
-/// `k_cap = shape.k`); the block-major zero-pack bypass serves the
-/// matrix's own storage (`k0 = 0`, `k_cap` = k padded to the fragment
-/// edge — padding beyond `shape.k` exists but is never read); private
-/// per-segment packs cover exactly the segment's k-range.
+/// The grid-shared cache packs one k-chunk per slot (`k0` = the
+/// chunk's first k, `k_cap` = its length); the block-major zero-pack
+/// bypass serves the matrix's own storage (`k0 = 0`, `k_cap` = k
+/// padded to the fragment edge — padding beyond `shape.k` exists but
+/// is never read); private packs cover exactly the k-range they were
+/// asked for.
 #[derive(Debug, Clone, Copy)]
 pub struct PanelSpan {
     /// First problem-k index the table covers.
     pub k0: usize,
     /// K-steps each sub-panel is strided for.
     pub k_cap: usize,
-}
-
-impl PanelSpan {
-    /// A full-k table (the pack-cache shape).
-    #[inline]
-    #[must_use]
-    pub fn full(k_total: usize) -> Self {
-        Self { k0: 0, k_cap: k_total }
-    }
 }
 
 /// Runs local MAC-loop iterations `[local_begin, local_end)` of

@@ -1,4 +1,5 @@
-//! Grid-shared operand panel cache: pack each panel once per GEMM.
+//! Grid-shared operand panel cache: pack each k-chunk of a panel once
+//! per GEMM, and only the chunks somebody consumes.
 //!
 //! Stream-K deliberately makes many CTAs traverse the same output
 //! tile's k-iterations (that is the whole fixup story of Algorithms
@@ -6,41 +7,60 @@
 //! while every CTA in a tile *column* reads the same B column-panel.
 //! The per-worker [`PackBuffers`] pipeline therefore re-packs each
 //! panel once per CTA segment. [`PackCache`] hoists that work to the
-//! launch level: one lazily-packed, full-k panel per tile row of A
-//! and per tile column of B, shared by every worker.
+//! launch level: lazily-packed panels per tile row of A and per tile
+//! column of B, shared by every worker.
 //!
-//! **Claim/publish protocol.** Each panel slot carries a three-state
+//! **K-chunk slots.** A panel is not one slot but
+//! `⌈k / chunk_k⌉` of them, keyed `(shard, panel, chunk)`. A chunk is
+//! [`CHUNK_K`] k-steps rounded to whole MAC iterations
+//! ([`PackCache::chunk_k`]), so chunk seams always fall *between*
+//! iterations. [`mac_loop_kernel_cached`] walks a segment chunk by
+//! chunk — fetch (or pack) the A and B chunk, run the microkernel on
+//! just that k-window, move on — which buys two things:
+//!
+//! - pack cost is proportional to the iterations a worker *owns*, the
+//!   `c · iters` of the paper's App. A.1 model: a CTA that covers half
+//!   of a split tile packs half of its panels, not all of them;
+//! - a chunk (`blk · chunk_k` elements per operand) is still
+//!   cache-resident when the microkernel reads it back, instead of a
+//!   full-k panel being written out to memory first.
+//!
+//! Every output element still sees the same ascending-k
+//! multiply-then-add sequence — the accumulator tile is stored and
+//! reloaded exactly at each seam — so results are bit-identical to
+//! the unchunked walk.
+//!
+//! **Claim/publish protocol.** Each chunk slot carries a three-state
 //! atomic flag, a sibling of the fixup board's:
 //!
-//! - *empty* → *packing*: the first CTA to touch the panel wins a CAS
+//! - *empty* → *packing*: the first CTA to touch the chunk wins a CAS
 //!   and packs into the slot (under its write lock);
 //! - *packing* → *ready*: the packer publishes with a release-store;
-//!   later CTAs acquire-load the flag and read the shared panel —
+//!   later CTAs acquire-load the flag and read the shared chunk —
 //!   the same happens-before edge the fixup `Signal`/`Wait` uses.
 //! - A CTA that loses the claim race descends the *same*
 //!   spin → yield → park backoff ladder as the fixup wait
 //!   ([`WaitPolicy::wait_until`]). If the packer stalls past the
 //!   watchdog (it shares the executor's deadline), the waiter falls
-//!   back to private per-CTA packing — the cache is a pure
-//!   optimization and can never deadlock a launch or change results.
+//!   back to private packing of *that chunk only* — its neighbours
+//!   stay cached — so the cache is a pure optimization and can never
+//!   deadlock a launch or change results.
 //!
-//! Panels span the problem's **full k-extent** and are k-major, so a
-//! segment's `[k_begin, k_end)` sub-range is one contiguous slice of
-//! each `MR`/`NR` sub-panel — no per-segment copying at all
-//! ([`mac_loop_cached`]). [`PackCache::packs`] counts actual pack
-//! executions so tests can pin the pack-exactly-once property.
+//! [`PackCache::packs`] counts chunk packs actually executed and
+//! [`PackCache::panels`] the chunk slots that exist, so tests can pin
+//! the pack-exactly-once property and `packs ÷ (panels ÷ shards)`
+//! reads as k-steps packed over k-steps that exist.
 //!
 //! **Sharding.** A single grid-shared table makes every worker read
 //! panels another core packed, so each panel line ping-pongs between
 //! caches for the whole launch. [`PackCache::sharded`] keeps one slot
 //! table *per worker group*: workers pass their shard (their pool
-//! `wid`) to [`a_panel`](PackCache::a_panel)/
-//! [`b_panel`](PackCache::b_panel) and pack private copies that stay
-//! resident in their own cache hierarchy. The scheduler hands each
-//! worker a contiguous CTA range, so a shard re-packs only the panels
-//! its own tiles touch — duplicated pack work is bounded by the range
-//! seams — and stolen CTAs use the *thief's* shard, keeping reads
-//! local even under imbalance.
+//! `wid`) to [`mac_loop_kernel_cached`] and pack private copies that
+//! stay resident in their own cache hierarchy. The scheduler hands
+//! each worker a contiguous CTA range, so a shard re-packs only the
+//! chunks its own segments touch — duplicated pack work is bounded by
+//! the range seams — and stolen CTAs use the *thief's* shard, keeping
+//! reads local even under imbalance.
 //!
 //! **Zero-pack bypass.** Block-major operands need no packing at all:
 //! a [`Layout::BlockMajor`](streamk_types::Layout) matrix's storage
@@ -50,6 +70,7 @@
 //! matrix's own storage whenever the kernel's register block and the
 //! tile geometry line up — no cache slot, no copy, no wait.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{RwLock, RwLockReadGuard};
 
@@ -62,24 +83,49 @@ use crate::pad::CachePadded;
 use crate::microkernel::{mac_loop_cached, mac_loop_kernel, KernelKind, PackBuffers, PanelSpan};
 use crate::simd::SimdLevel;
 
+/// Target k-steps per cache chunk, fixed by the sweep in DESIGN.md
+/// §9. Every chunk seam costs a fetch per operand and a store and
+/// reload of each register block, so short chunks show on
+/// compute-bound shapes (+6–8 % at 128); a chunk pair much longer
+/// than this stops fitting in L2 beside the output tile
+/// (`(blk_m + blk_n) · CHUNK_K` elements: 512 KiB for f32 64×64
+/// tiles). The effective length is this rounded down to whole MAC
+/// iterations ([`chunk_iters`]).
+const CHUNK_K: usize = 1024;
+
+/// MAC iterations per chunk for `space`: [`CHUNK_K`] in units of
+/// `blk_k`, at least one. The one place chunk geometry comes from —
+/// the cache's slot tables and the segment walk both derive theirs
+/// here, so a chunk seam is always an iteration boundary.
+fn chunk_iters(space: &IterSpace) -> usize {
+    (CHUNK_K / space.tile().blk_k).max(1)
+}
+
+/// The k-range that chunk `chunk` of any panel of `space` covers (the
+/// last chunk clamped to the problem's k).
+fn chunk_ks(space: &IterSpace, chunk: usize) -> Range<usize> {
+    let chunk_k = chunk_iters(space) * space.tile().blk_k;
+    chunk * chunk_k..space.shape().k.min((chunk + 1) * chunk_k)
+}
+
 const EMPTY: u32 = 0;
 const PACKING: u32 = 1;
 const READY: u32 = 2;
 
-/// One lazily-packed panel: the publish flag plus the panel storage.
+/// One lazily-packed panel chunk: the publish flag plus its storage.
 #[derive(Debug)]
-struct PanelSlot<In> {
+struct ChunkSlot<In> {
     state: AtomicU32,
     data: RwLock<Vec<In>>,
 }
 
-impl<In> PanelSlot<In> {
+impl<In> ChunkSlot<In> {
     fn new() -> Self {
         Self { state: AtomicU32::new(EMPTY), data: RwLock::new(Vec::new()) }
     }
 }
 
-/// A read-locked view of one published panel.
+/// A read-locked view of one published panel chunk.
 pub struct PanelGuard<'c, In>(RwLockReadGuard<'c, Vec<In>>);
 
 impl<In> std::ops::Deref for PanelGuard<'_, In> {
@@ -90,18 +136,23 @@ impl<In> std::ops::Deref for PanelGuard<'_, In> {
     }
 }
 
-/// Per-launch shared tables of packed operand panels: one full-k A
-/// row-panel per tile row, one full-k B column-panel per tile column
-/// *per shard*, each packed exactly once per shard by whichever CTA
-/// claims it first.
+/// Per-launch shared tables of packed operand panels, cut into
+/// k-chunks: `⌈k / chunk_k⌉` slots per A row-panel (one per tile row)
+/// and per B column-panel (one per tile column) *per shard*, each
+/// packed at most once per shard by whichever CTA claims it first and
+/// never packed at all if no CTA of that shard consumes it.
 #[derive(Debug)]
 pub struct PackCache<In> {
     space: IterSpace,
     mr: usize,
     nr: usize,
     shards: usize,
-    a: Vec<CachePadded<PanelSlot<In>>>,
-    b: Vec<CachePadded<PanelSlot<In>>>,
+    /// Chunks per panel.
+    chunks: usize,
+    /// Slots indexed `[shard][tile row][chunk]`.
+    a: Vec<CachePadded<ChunkSlot<In>>>,
+    /// Slots indexed `[shard][tile column][chunk]`.
+    b: Vec<CachePadded<ChunkSlot<In>>>,
     policy: WaitPolicy,
     packs: AtomicUsize,
     fallbacks: AtomicUsize,
@@ -123,7 +174,7 @@ impl<In: Copy + Default> PackCache<In> {
 
     /// A cache with `shards` independent slot tables. Workers address
     /// their own shard (normally their pool `wid`), so published
-    /// panels stay resident in the packer's cache hierarchy instead of
+    /// chunks stay resident in the packer's cache hierarchy instead of
     /// ping-ponging between cores.
     ///
     /// # Panics
@@ -139,13 +190,18 @@ impl<In: Copy + Default> PackCache<In> {
     ) -> Self {
         assert!(mr > 0 && nr > 0, "register block must be positive");
         assert!(shards > 0, "cache needs at least one shard");
+        let chunks = space.iters_per_tile().div_ceil(chunk_iters(space));
+        let table = |panels: usize| {
+            (0..shards * panels * chunks).map(|_| CachePadded::new(ChunkSlot::new())).collect()
+        };
         Self {
             space: space.clone(),
             mr,
             nr,
             shards,
-            a: (0..shards * space.tiles_m()).map(|_| CachePadded::new(PanelSlot::new())).collect(),
-            b: (0..shards * space.tiles_n()).map(|_| CachePadded::new(PanelSlot::new())).collect(),
+            chunks,
+            a: table(space.tiles_m()),
+            b: table(space.tiles_n()),
             policy,
             packs: AtomicUsize::new(0),
             fallbacks: AtomicUsize::new(0),
@@ -184,11 +240,20 @@ impl<In: Copy + Default> PackCache<In> {
         (self.mr, self.nr)
     }
 
-    /// Number of panels actually packed so far (A and B combined,
-    /// across all shards). A single-shard launch that used the cache
-    /// for every segment packs exactly [`panels`](Self::panels); a
-    /// sharded launch packs each panel at most once *per shard that
-    /// touched it*.
+    /// K-steps per chunk slot: the chunk-length constant rounded to
+    /// whole MAC iterations of this cache's tile (never less than one
+    /// iteration). A panel's last chunk holds the remainder.
+    #[must_use]
+    pub fn chunk_k(&self) -> usize {
+        chunk_iters(&self.space) * self.space.tile().blk_k
+    }
+
+    /// Number of chunks actually packed so far (A and B combined,
+    /// across all shards). A single-shard launch that consumed every
+    /// k-step through the cache packs exactly [`panels`](Self::panels);
+    /// a sharded launch packs each chunk at most once *per shard that
+    /// touched it*, so `packs ÷ (panels ÷ shards)` is k-steps packed
+    /// over k-steps that exist.
     #[must_use]
     pub fn packs(&self) -> usize {
         self.packs.load(Ordering::Relaxed)
@@ -201,33 +266,26 @@ impl<In: Copy + Default> PackCache<In> {
         self.fallbacks.load(Ordering::Relaxed)
     }
 
-    /// Total slots this cache manages:
-    /// `shards · (tiles_m + tiles_n)`.
+    /// Total chunk slots this cache manages:
+    /// `shards · (tiles_m + tiles_n) · ⌈k / chunk_k⌉`.
     #[must_use]
     pub fn panels(&self) -> usize {
         self.a.len() + self.b.len()
     }
 
-    /// The A row-panel for tile row `tm` in `shard`'s table, packing
-    /// it first if this caller wins the claim. `shard` wraps modulo
-    /// [`shards`](Self::shards) so callers can pass a raw worker id.
-    /// `None` when a competing packer stalled past the watchdog — the
-    /// caller must pack privately.
+    /// Chunk 0 of the A row-panel for tile row `tm` — the whole panel
+    /// when `k ≤` [`chunk_k`](Self::chunk_k); see
+    /// [`a_chunk`](Self::a_chunk).
     pub fn a_panel<'c>(
         &'c self,
         a: &MatrixView<'_, In>,
         tm: usize,
         shard: usize,
     ) -> Option<PanelGuard<'c, In>> {
-        let shape = self.space.shape();
-        let blk_m = self.space.tile().blk_m;
-        let rows = tm * blk_m..shape.m.min((tm + 1) * blk_m);
-        let mr = self.mr;
-        let slot = &self.a[(shard % self.shards) * self.space.tiles_m() + tm];
-        self.fetch(slot, tm as u32, 0, |out| pack_a_into(a, rows, 0..shape.k, mr, out))
+        self.a_chunk(a, tm, 0, shard)
     }
 
-    /// The B column-panel for tile column `tn` in `shard`'s table; as
+    /// Chunk 0 of the B column-panel for tile column `tn`; as
     /// [`a_panel`](Self::a_panel).
     pub fn b_panel<'c>(
         &'c self,
@@ -235,25 +293,64 @@ impl<In: Copy + Default> PackCache<In> {
         tn: usize,
         shard: usize,
     ) -> Option<PanelGuard<'c, In>> {
-        let shape = self.space.shape();
+        self.b_chunk(b, tn, 0, shard)
+    }
+
+    /// Chunk `chunk` of the A row-panel for tile row `tm` in `shard`'s
+    /// table (`MR`-row sub-panels over that chunk's k-range), packing
+    /// it first if this caller wins the claim. `shard` wraps modulo
+    /// [`shards`](Self::shards) so callers can pass a raw worker id.
+    /// `None` when a competing packer stalled past the watchdog — the
+    /// caller must pack this chunk privately.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tm` or `chunk` is out of range.
+    pub fn a_chunk<'c>(
+        &'c self,
+        a: &MatrixView<'_, In>,
+        tm: usize,
+        chunk: usize,
+        shard: usize,
+    ) -> Option<PanelGuard<'c, In>> {
+        assert!(chunk < self.chunks, "chunk {chunk} out of range");
+        let blk_m = self.space.tile().blk_m;
+        let rows = tm * blk_m..self.space.shape().m.min((tm + 1) * blk_m);
+        let (ks, mr) = (chunk_ks(&self.space, chunk), self.mr);
+        let panel = (shard % self.shards) * self.space.tiles_m() + tm;
+        let slot = &self.a[panel * self.chunks + chunk];
+        self.fetch(slot, tm as u32, 0, |out| pack_a_into(a, rows, ks, mr, out))
+    }
+
+    /// Chunk `chunk` of the B column-panel for tile column `tn` in
+    /// `shard`'s table; as [`a_chunk`](Self::a_chunk).
+    pub fn b_chunk<'c>(
+        &'c self,
+        b: &MatrixView<'_, In>,
+        tn: usize,
+        chunk: usize,
+        shard: usize,
+    ) -> Option<PanelGuard<'c, In>> {
+        assert!(chunk < self.chunks, "chunk {chunk} out of range");
         let blk_n = self.space.tile().blk_n;
-        let cols = tn * blk_n..shape.n.min((tn + 1) * blk_n);
-        let nr = self.nr;
-        let slot = &self.b[(shard % self.shards) * self.space.tiles_n() + tn];
-        self.fetch(slot, tn as u32, 1, |out| pack_b_into(b, 0..shape.k, cols, nr, out))
+        let cols = tn * blk_n..self.space.shape().n.min((tn + 1) * blk_n);
+        let (ks, nr) = (chunk_ks(&self.space, chunk), self.nr);
+        let panel = (shard % self.shards) * self.space.tiles_n() + tn;
+        let slot = &self.b[panel * self.chunks + chunk];
+        self.fetch(slot, tn as u32, 1, |out| pack_b_into(b, ks, cols, nr, out))
     }
 
     /// The claim/publish core shared by both operand tables. `tag` and
     /// `operand` (0 = A, 1 = B) label the pack span in traces.
     fn fetch<'c>(
         &'c self,
-        slot: &'c PanelSlot<In>,
+        slot: &'c ChunkSlot<In>,
         tag: u32,
         operand: u32,
         pack: impl FnOnce(&mut Vec<In>),
     ) -> Option<PanelGuard<'c, In>> {
         // Fast path: already published. The acquire-load pairs with
-        // the packer's release-store, making the panel data visible.
+        // the packer's release-store, making the chunk data visible.
         if slot.state.load(Ordering::Acquire) == READY {
             return Some(Self::read(slot));
         }
@@ -284,7 +381,7 @@ impl<In: Copy + Default> PackCache<In> {
         }
     }
 
-    fn read<'c>(slot: &'c PanelSlot<In>) -> PanelGuard<'c, In> {
+    fn read<'c>(slot: &'c ChunkSlot<In>) -> PanelGuard<'c, In> {
         // By protocol no writer touches a READY slot again, so this
         // read lock is uncontended.
         PanelGuard(slot.data.read().unwrap_or_else(std::sync::PoisonError::into_inner))
@@ -314,7 +411,9 @@ fn bypass_slice<In>(
 
 /// [`mac_loop_kernel`] with packed panels served zero-copy from
 /// block-major operand storage or from `cache` when possible. The one
-/// cached dispatch point behind the executors:
+/// cached dispatch point behind the executors. The segment is walked
+/// one k-chunk at a time (see the module docs), and per chunk each
+/// operand comes from the first source that can serve it:
 ///
 /// - **Zero-pack bypass**: an untransposed full-matrix `BlockMajor` A
 ///   view whose storage is consumable by an `MR == FRAG` kernel (and
@@ -323,14 +422,14 @@ fn bypass_slice<In>(
 ///   storage — nothing is packed and the cache is not touched for
 ///   that operand;
 /// - operands the bypass cannot serve come from `cache`'s `shard`
-///   table (packed once per shard);
-/// - when only **one** operand found a table, the other is packed
-///   privately for just the segment's k-range — so e.g. a block-major
-///   A still skips all A packing even with no cache at all;
+///   table (each chunk packed once per shard that consumes it);
+/// - an operand with **neither** — no cache, or a watchdog-expired
+///   wait on one chunk — is packed privately for just the part of
+///   that chunk the segment covers, so e.g. a block-major A still
+///   skips all A packing even with no cache at all;
 /// - kernels that do not consume panels (scalar / blocked), or a
-///   launch where *neither* operand has a table (no bypass and a
-///   `None`/mismatched cache or watchdog-expired wait), fall back to
-///   [`mac_loop_kernel`]'s private-pack path.
+///   launch with no bypass and a `None`/mismatched cache, fall back
+///   to [`mac_loop_kernel`]'s private-pack path.
 ///
 /// Every path feeds the microkernel the same ascending-k operand
 /// sequence, so the result is bit-exact with the uncached pipeline.
@@ -355,11 +454,8 @@ pub fn mac_loop_kernel_cached<In, Acc>(
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    let fallback = |accum: &mut [Acc], bufs: &mut PackBuffers<In>| {
-        mac_loop_kernel(kind, a, b, space, tile_idx, local_begin, local_end, accum, bufs);
-    };
     let Some((mr, nr)) = kind.register_block() else {
-        return fallback(accum, bufs);
+        return mac_loop_kernel(kind, a, b, space, tile_idx, local_begin, local_end, accum, bufs);
     };
     if local_begin >= local_end {
         return;
@@ -381,62 +477,67 @@ pub fn mac_loop_kernel_cached<In, Acc>(
 
     // The cache covers whatever the bypass could not.
     let cache = cache.filter(|c| c.register_block() == (mr, nr));
-    let a_guard =
-        if a_direct.is_none() { cache.and_then(|c| c.a_panel(a, tm, shard)) } else { None };
-    let b_guard =
-        if b_direct.is_none() { cache.and_then(|c| c.b_panel(b, tn, shard)) } else { None };
-    if a_direct.is_none() && a_guard.is_none() && b_direct.is_none() && b_guard.is_none() {
-        return fallback(accum, bufs);
+    if a_direct.is_none() && b_direct.is_none() && cache.is_none() {
+        return mac_loop_kernel(kind, a, b, space, tile_idx, local_begin, local_end, accum, bufs);
     }
-
-    let k_total = space.shape().k;
-    let k_begin = space.k_extents(local_begin).start;
-    let k_end = space.k_extents(local_end - 1).end;
-    let seg_span = PanelSpan { k0: k_begin, k_cap: k_end - k_begin };
-
-    // Resolve each operand to (slice, span); an operand with neither
-    // bypass nor cache is packed privately for just this segment.
-    let (a_slice, a_span): (&[In], PanelSpan) = if let Some(direct) = a_direct {
-        direct
-    } else if let Some(g) = a_guard.as_deref() {
-        (g, PanelSpan::full(k_total))
-    } else {
-        let t0 = crate::trace::start();
-        pack_a_into(a, rows, k_begin..k_end, mr, &mut bufs.a);
-        crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx as u32, (k_end - k_begin) as u32);
-        (&bufs.a, seg_span)
-    };
-    let (b_slice, b_span): (&[In], PanelSpan) = if let Some(direct) = b_direct {
-        direct
-    } else if let Some(g) = b_guard.as_deref() {
-        (g, PanelSpan::full(k_total))
-    } else {
-        let t0 = crate::trace::start();
-        pack_b_into(b, k_begin..k_end, cols, nr, &mut bufs.b);
-        crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx as u32, (k_end - k_begin) as u32);
-        (&bufs.b, seg_span)
-    };
 
     let level = kind.is_simd().then(SimdLevel::detect);
-    macro_rules! run {
-        ($mr:literal, $nr:literal) => {
-            mac_loop_cached::<In, Acc, $mr, $nr>(
-                level, a_slice, a_span, b_slice, b_span, space, tile_idx, local_begin, local_end,
-                accum,
-            )
+    let per_chunk = chunk_iters(space);
+    for chunk in local_begin / per_chunk..local_end.div_ceil(per_chunk) {
+        // The part of this chunk the segment covers, in iterations
+        // and in k-steps: what a private pack spans. A cached chunk
+        // always spans the whole chunk.
+        let lb = local_begin.max(chunk * per_chunk);
+        let le = local_end.min((chunk + 1) * per_chunk);
+        let ks = space.k_extents(lb).start..space.k_extents(le - 1).end;
+        let private_span = PanelSpan { k0: ks.start, k_cap: ks.len() };
+        let whole = chunk_ks(space, chunk);
+        let cached_span = PanelSpan { k0: whole.start, k_cap: whole.len() };
+
+        let a_guard =
+            if a_direct.is_none() { cache.and_then(|c| c.a_chunk(a, tm, chunk, shard)) } else { None };
+        let (a_slice, a_span): (&[In], PanelSpan) = if let Some(direct) = a_direct {
+            direct
+        } else if let Some(g) = a_guard.as_deref() {
+            (g, cached_span)
+        } else {
+            let t0 = crate::trace::start();
+            pack_a_into(a, rows.clone(), ks.clone(), mr, &mut bufs.a);
+            crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx as u32, ks.len() as u32);
+            (&bufs.a, private_span)
         };
-    }
-    match kind {
-        KernelKind::Packed4x4 => run!(4, 4),
-        KernelKind::Packed8x4 => run!(8, 4),
-        KernelKind::Packed4x8 => run!(4, 8),
-        KernelKind::Packed8x8 => run!(8, 8),
-        KernelKind::Simd4x16 => run!(4, 16),
-        KernelKind::Simd8x16 => run!(8, 16),
-        KernelKind::Simd8x32 => run!(8, 32),
-        // register_block() returned Some above, so Scalar/Blocked
-        // cannot reach here.
-        KernelKind::Scalar | KernelKind::Blocked => unreachable!("non-panel kernels fall back"),
+        let b_guard =
+            if b_direct.is_none() { cache.and_then(|c| c.b_chunk(b, tn, chunk, shard)) } else { None };
+        let (b_slice, b_span): (&[In], PanelSpan) = if let Some(direct) = b_direct {
+            direct
+        } else if let Some(g) = b_guard.as_deref() {
+            (g, cached_span)
+        } else {
+            let t0 = crate::trace::start();
+            pack_b_into(b, ks.clone(), cols.clone(), nr, &mut bufs.b);
+            crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx as u32, ks.len() as u32);
+            (&bufs.b, private_span)
+        };
+
+        macro_rules! run {
+            ($mr:literal, $nr:literal) => {
+                mac_loop_cached::<In, Acc, $mr, $nr>(
+                    level, a_slice, a_span, b_slice, b_span, space, tile_idx, lb, le, accum,
+                )
+            };
+        }
+        match kind {
+            KernelKind::Packed4x4 => run!(4, 4),
+            KernelKind::Packed8x4 => run!(8, 4),
+            KernelKind::Packed4x8 => run!(4, 8),
+            KernelKind::Packed8x8 => run!(8, 8),
+            KernelKind::Simd4x16 => run!(4, 16),
+            KernelKind::Simd8x16 => run!(8, 16),
+            KernelKind::Simd8x32 => run!(8, 32),
+            // register_block() returned Some above, so Scalar/Blocked
+            // cannot reach here.
+            KernelKind::Scalar | KernelKind::Blocked => unreachable!("non-panel kernels fall back"),
+        }
     }
 }
 
@@ -453,44 +554,76 @@ mod tests {
         (space, a, b)
     }
 
+    /// A k that needs three chunks at `blk_k = 8`, the last one ragged
+    /// in both senses: not a whole chunk and not a whole iteration.
+    const DEEP_K: usize = 2 * CHUNK_K + 53;
+
     #[test]
-    fn panels_pack_once_and_match_private_packing() {
-        let (space, a, b) = fixture(GemmShape::new(40, 36, 24), TileShape::new(16, 16, 8));
+    fn chunks_pack_once_and_match_private_packing() {
+        let (space, a, b) = fixture(GemmShape::new(40, 36, DEEP_K), TileShape::new(16, 16, 8));
         let cache = PackCache::new(&space, 8, 4, WaitPolicy::default());
-        assert_eq!(cache.panels(), space.tiles_m() + space.tiles_n());
+        assert_eq!(cache.chunk_k(), CHUNK_K);
+        assert_eq!(cache.panels(), 3 * (space.tiles_m() + space.tiles_n()));
 
         let mut private = Vec::new();
+        for chunk in 0..3 {
+            let ks = chunk * CHUNK_K..DEEP_K.min((chunk + 1) * CHUNK_K);
+            for tm in 0..space.tiles_m() {
+                let panel = cache.a_chunk(&a.view(), tm, chunk, 0).expect("no contention");
+                let rows = tm * 16..space.shape().m.min((tm + 1) * 16);
+                pack_a_into(&a.view(), rows, ks.clone(), 8, &mut private);
+                assert_eq!(&*panel, &private[..], "A panel {tm} chunk {chunk}");
+            }
+            for tn in 0..space.tiles_n() {
+                let panel = cache.b_chunk(&b.view(), tn, chunk, 0).expect("no contention");
+                let cols = tn * 16..space.shape().n.min((tn + 1) * 16);
+                pack_b_into(&b.view(), ks.clone(), cols, 4, &mut private);
+                assert_eq!(&*panel, &private[..], "B panel {tn} chunk {chunk}");
+            }
+        }
+        // Re-fetching packs nothing new; `a_panel` is chunk 0.
         for tm in 0..space.tiles_m() {
-            let panel = cache.a_panel(&a.view(), tm, 0).expect("no contention");
-            let rows = tm * 16..space.shape().m.min((tm + 1) * 16);
-            pack_a_into(&a.view(), rows, 0..space.shape().k, 8, &mut private);
-            assert_eq!(&*panel, &private[..], "A panel {tm}");
+            let whole = cache.a_panel(&a.view(), tm, 0).unwrap();
+            assert_eq!(&*whole, &*cache.a_chunk(&a.view(), tm, 0, 0).unwrap());
         }
-        for tn in 0..space.tiles_n() {
-            let panel = cache.b_panel(&b.view(), tn, 0).expect("no contention");
-            let cols = tn * 16..space.shape().n.min((tn + 1) * 16);
-            pack_b_into(&b.view(), 0..space.shape().k, cols, 4, &mut private);
-            assert_eq!(&*panel, &private[..], "B panel {tn}");
-        }
-        // Re-fetching everything packs nothing new.
-        for tm in 0..space.tiles_m() {
-            let _ = cache.a_panel(&a.view(), tm, 0).unwrap();
-        }
-        assert_eq!(cache.packs(), cache.panels(), "each panel packed exactly once");
+        assert_eq!(cache.packs(), cache.panels(), "each chunk packed exactly once");
         assert_eq!(cache.fallbacks(), 0);
+    }
+
+    /// A tile deeper than one iteration per chunk (`blk_k > CHUNK_K`)
+    /// still gets whole-iteration chunks.
+    #[test]
+    fn chunk_never_splits_an_iteration() {
+        let (space, _, _) =
+            fixture(GemmShape::new(8, 8, 3 * CHUNK_K), TileShape::new(8, 8, CHUNK_K + 8));
+        let cache = PackCache::<f64>::new(&space, 8, 4, WaitPolicy::default());
+        assert_eq!(cache.chunk_k(), CHUNK_K + 8);
+        assert_eq!(cache.panels(), 2 * space.iters_per_tile());
     }
 
     #[test]
     fn cached_dispatch_is_bit_exact_for_every_panel_kernel() {
-        let shape = GemmShape::new(37, 29, 53);
+        let shape = GemmShape::new(21, 19, DEEP_K);
         let tile = TileShape::new(16, 16, 8);
         let (space, a, b) = fixture(shape, tile);
         let len = tile.blk_m * tile.blk_n;
+        let ipt = space.iters_per_tile();
+        let per_chunk = chunk_iters(&space);
         let mut bufs = PackBuffers::new();
         for kind in KernelKind::ALL {
             let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default());
             for tile_idx in 0..space.tiles() {
-                for (lb, le) in [(0, space.iters_per_tile()), (1, space.iters_per_tile()), (0, 1)] {
+                // Whole tile; mid-chunk start; one iteration; a segment
+                // that begins and ends mid-chunk across a seam; exactly
+                // the middle chunk; the ragged tail alone.
+                for (lb, le) in [
+                    (0, ipt),
+                    (1, ipt),
+                    (0, 1),
+                    (per_chunk - 3, per_chunk + 5),
+                    (per_chunk, 2 * per_chunk),
+                    (ipt - 1, ipt),
+                ] {
                     let mut expect = vec![0.0f64; len];
                     mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, lb, le, &mut expect, &mut bufs);
                     let mut got = vec![0.0f64; len];
@@ -540,17 +673,34 @@ mod tests {
         assert_eq!(cache.packs(), 0, "mismatched cache must stay untouched");
     }
 
+    /// One stuck chunk falls back to private packing alone: its
+    /// neighbours are still served from the cache, and the walk over
+    /// the whole tile stays bit-exact.
     #[test]
     fn stalled_packer_times_out_to_private_packing() {
         use std::time::Duration;
-        let (space, a, _) = fixture(GemmShape::new(16, 16, 16), TileShape::new(16, 16, 8));
+        let (space, a, b) = fixture(GemmShape::new(16, 16, DEEP_K), TileShape::new(16, 16, 8));
+        let kind = KernelKind::Packed8x4;
         let cache =
             PackCache::<f64>::new(&space, 8, 4, WaitPolicy::with_watchdog(Duration::from_millis(20)));
-        // Simulate a packer that claimed the slot and died: the flag
-        // sticks at PACKING forever.
-        cache.a[0].state.store(PACKING, Ordering::Release);
-        assert!(cache.a_panel(&a.view(), 0, 0).is_none(), "watchdog must give up");
+        // Simulate a packer that claimed the middle chunk of A's only
+        // panel and died: the flag sticks at PACKING forever.
+        cache.a[1].state.store(PACKING, Ordering::Release);
+        assert!(cache.a_chunk(&a.view(), 0, 1, 0).is_none(), "watchdog must give up");
         assert_eq!(cache.fallbacks(), 1);
+        assert!(cache.a_chunk(&a.view(), 0, 0, 0).is_some(), "neighbouring chunks unaffected");
+
+        let mut bufs = PackBuffers::new();
+        let ipt = space.iters_per_tile();
+        let mut expect = vec![0.0f64; 256];
+        mac_loop_kernel(kind, &a.view(), &b.view(), &space, 0, 0, ipt, &mut expect, &mut bufs);
+        let mut got = vec![0.0f64; 256];
+        mac_loop_kernel_cached(
+            kind, Some(&cache), 0, &a.view(), &b.view(), &space, 0, 0, ipt, &mut got, &mut bufs,
+        );
+        assert_eq!(got, expect);
+        assert_eq!(cache.fallbacks(), 2, "only the stuck chunk fell back again");
+        assert_eq!(cache.packs(), 2 + 3, "A chunks 0 and 2, every B chunk");
     }
 
     /// Shards are independent slot tables: the same panel fetched
@@ -559,7 +709,7 @@ mod tests {
     #[test]
     fn shards_pack_independently() {
         use std::time::Duration;
-        let (space, a, _) = fixture(GemmShape::new(40, 16, 24), TileShape::new(16, 16, 8));
+        let (space, a, _) = fixture(GemmShape::new(40, 16, DEEP_K), TileShape::new(16, 16, 8));
         let cache = PackCache::sharded(
             &space,
             8,
@@ -568,19 +718,64 @@ mod tests {
             3,
         );
         assert_eq!(cache.shards(), 3);
-        assert_eq!(cache.panels(), 3 * (space.tiles_m() + space.tiles_n()));
-        let p0 = cache.a_panel(&a.view(), 1, 0).unwrap().to_vec();
-        let p2 = cache.a_panel(&a.view(), 1, 2).unwrap().to_vec();
-        assert_eq!(p0, p2, "shards must publish identical panels");
+        assert_eq!(cache.panels(), 3 * 3 * (space.tiles_m() + space.tiles_n()));
+        let p0 = cache.a_chunk(&a.view(), 1, 2, 0).unwrap().to_vec();
+        let p2 = cache.a_chunk(&a.view(), 1, 2, 2).unwrap().to_vec();
+        assert_eq!(p0, p2, "shards must publish identical chunks");
         assert_eq!(cache.packs(), 2, "one pack per shard touched");
         // Shard ids wrap, so a raw worker id past the shard count
         // lands on an existing (already-packed) table.
-        let _ = cache.a_panel(&a.view(), 1, 3).unwrap();
+        let _ = cache.a_chunk(&a.view(), 1, 2, 3).unwrap();
         assert_eq!(cache.packs(), 2, "shard 3 wraps onto shard 0's slot");
-        // Poison shard 1's slot: shard 0 stays readable.
-        cache.a[space.tiles_m() + 1].state.store(PACKING, Ordering::Release);
-        assert!(cache.a_panel(&a.view(), 1, 1).is_none(), "stuck shard gives up");
-        assert!(cache.a_panel(&a.view(), 1, 0).is_some(), "other shards unaffected");
+        // Poison shard 1's slot for (panel 1, chunk 2): the same chunk
+        // in shard 0 and the other chunks of shard 1 stay usable.
+        cache.a[(space.tiles_m() + 1) * 3 + 2].state.store(PACKING, Ordering::Release);
+        assert!(cache.a_chunk(&a.view(), 1, 2, 1).is_none(), "stuck shard gives up");
+        assert!(cache.a_chunk(&a.view(), 1, 2, 0).is_some(), "other shards unaffected");
+        assert!(cache.a_chunk(&a.view(), 1, 1, 1).is_some(), "other chunks unaffected");
+    }
+
+    /// Pack cost follows the iterations a worker owns: two workers
+    /// splitting a one-tile deep-k shape under `stream_k(2)` pack
+    /// every k-step of A and of B exactly once across their shards
+    /// when the seam falls on a chunk boundary, and at most one extra
+    /// chunk per operand when it does not.
+    #[test]
+    fn split_tile_packs_each_k_step_once_across_shards() {
+        use streamk_core::Decomposition;
+        let tile = TileShape::new(16, 16, 8);
+        let kind = KernelKind::Packed8x4;
+        // (k, seam on a chunk boundary?)
+        for (k, aligned) in [(4 * CHUNK_K, true), (4 * CHUNK_K + 16, false)] {
+            let shape = GemmShape::new(16, 16, k);
+            let (space, a, b) = fixture(shape, tile);
+            let decomp = Decomposition::stream_k(shape, tile, 2);
+            assert_eq!((decomp.grid_size(), decomp.split_tiles()), (2, 1));
+            let cache =
+                PackCache::for_kernel_sharded(&space, kind, WaitPolicy::default(), 2).unwrap();
+            std::thread::scope(|s| {
+                for (w, cta) in decomp.ctas().iter().enumerate() {
+                    let (cache, space, a, b) = (&cache, &space, &a, &b);
+                    s.spawn(move || {
+                        let mut bufs = PackBuffers::new();
+                        let mut accum = vec![0.0f64; 256];
+                        for seg in cta.segments(space) {
+                            mac_loop_kernel_cached(
+                                kind, Some(cache), w, &a.view(), &b.view(), space, seg.tile_idx,
+                                seg.local_begin, seg.local_end, &mut accum, &mut bufs,
+                            );
+                        }
+                    });
+                }
+            });
+            let distinct = cache.panels() / cache.shards();
+            if aligned {
+                assert_eq!(cache.packs(), distinct, "k={k}: every chunk packed by exactly one shard");
+            } else {
+                assert_eq!(cache.packs(), distinct + 2, "k={k}: only the seam chunk is packed twice");
+            }
+            assert_eq!(cache.fallbacks(), 0);
+        }
     }
 
     /// Block-major operands take the zero-pack bypass: bit-exact with
@@ -588,7 +783,7 @@ mod tests {
     /// bypassed operand.
     #[test]
     fn block_major_bypass_is_bit_exact_and_packs_nothing_for_a() {
-        let shape = GemmShape::new(37, 29, 53);
+        let shape = GemmShape::new(21, 19, DEEP_K);
         let tile = TileShape::new(16, 16, 8);
         let (space, a, b) = fixture(shape, tile);
         let a_blk = a.to_layout(Layout::BlockMajor);
@@ -608,18 +803,18 @@ mod tests {
                     assert_eq!(got, expect, "{kind} tile {tile_idx} [{lb},{le})");
                 }
             }
-            // Only B column-panels were ever packed: A came straight
-            // from block-major storage.
-            assert_eq!(cache.packs(), space.tiles_n(), "{kind}: A must bypass the cache");
+            // Only B column-panel chunks were ever packed: A came
+            // straight from block-major storage.
+            assert_eq!(cache.packs(), 3 * space.tiles_n(), "{kind}: A must bypass the cache");
         }
     }
 
     /// The bypass also works with *no cache at all* (the serve path):
     /// block-major A is consumed zero-copy and B is packed privately
-    /// per segment — still bit-exact.
+    /// chunk by chunk — still bit-exact.
     #[test]
     fn bypass_without_cache_is_bit_exact() {
-        let shape = GemmShape::new(24, 24, 21);
+        let shape = GemmShape::new(24, 24, DEEP_K);
         let tile = TileShape::new(16, 16, 8);
         let (space, a, b) = fixture(shape, tile);
         let a_blk = a.to_layout(Layout::BlockMajor);

@@ -346,16 +346,36 @@ impl ExecTrace {
     #[must_use]
     pub fn metrics(&self) -> Metrics {
         let mut m = Metrics { dropped_spans: self.dropped_spans() as u64, ..Metrics::default() };
-        for (_, span) in self.iter() {
-            let i = span.kind.index();
-            m.kind_count[i] += 1;
-            m.kind_ns[i] += span.dur_ns();
-            match span.kind {
-                SpanKind::Cta => m.cta_duration.record(span.dur_ns()),
-                SpanKind::Wait => m.wait_stall.record(span.dur_ns()),
-                SpanKind::PackPrivate | SpanKind::PackCached => m.pack_time.record(span.dur_ns()),
-                SpanKind::Signal | SpanKind::LoadPartials => m.fixup_latency.record(span.dur_ns()),
-                _ => {}
+        for worker in &self.workers {
+            for (at, span) in worker.spans.iter().enumerate() {
+                let i = span.kind.index();
+                m.kind_count[i] += 1;
+                m.kind_ns[i] += span.dur_ns();
+                match span.kind {
+                    SpanKind::Cta => m.cta_duration.record(span.dur_ns()),
+                    SpanKind::Wait => m.wait_stall.record(span.dur_ns()),
+                    SpanKind::PackPrivate | SpanKind::PackCached => {
+                        m.pack_time.record(span.dur_ns());
+                    }
+                    SpanKind::Signal | SpanKind::LoadPartials => {
+                        m.fixup_latency.record(span.dur_ns());
+                    }
+                    // One `Mac` (or `Recovery`) span encloses the pack
+                    // spans of every chunk its segment walked. A ring
+                    // keeps finish order, so they sit directly before
+                    // it: everything back to the first span that
+                    // started earlier than this one did.
+                    SpanKind::Mac | SpanKind::Recovery => {
+                        m.kind_nested_pack_ns[i] += worker.spans[..at]
+                            .iter()
+                            .rev()
+                            .take_while(|s| s.start_ns >= span.start_ns)
+                            .filter(|s| s.kind.phase() == Phase::Pack)
+                            .map(Span::dur_ns)
+                            .sum::<u64>();
+                    }
+                    _ => {}
+                }
             }
         }
         m
@@ -510,6 +530,9 @@ impl Histogram {
 pub struct Metrics {
     kind_count: [u64; SpanKind::ALL.len()],
     kind_ns: [u64; SpanKind::ALL.len()],
+    /// Per kind, the part of `kind_ns` covered by pack spans nested
+    /// inside spans of that kind (nonzero for `Mac` and `Recovery`).
+    kind_nested_pack_ns: [u64; SpanKind::ALL.len()],
     /// Whole-CTA durations.
     pub cta_duration: Histogram,
     /// Owner wait stalls.
@@ -529,25 +552,31 @@ impl Metrics {
         self.kind_count[kind.index()]
     }
 
-    /// Total busy nanoseconds in spans of `kind`.
+    /// Total busy nanoseconds in spans of `kind`, start to end —
+    /// for [`SpanKind::Mac`] that includes the packing its segment
+    /// did on the way.
     #[must_use]
     pub fn total_ns(&self, kind: SpanKind) -> u64 {
         self.kind_ns[kind.index()]
     }
 
-    /// Total nanoseconds in leaf spans of `phase` (container kinds —
-    /// [`SpanKind::Cta`], [`SpanKind::DeferResume`] — are excluded so
-    /// phases never double-count nested time).
+    /// *Self* time of `phase`: nanoseconds in its leaf spans, less
+    /// what pack spans nested inside them cover — so
+    /// [`Phase::Compute`] is MAC time alone and packing is counted
+    /// once, under [`Phase::Pack`]. Container kinds
+    /// ([`SpanKind::Cta`], [`SpanKind::DeferResume`]) are excluded
+    /// for the same reason: phases never double-count nested time.
     #[must_use]
     pub fn phase_ns(&self, phase: Phase) -> u64 {
         SpanKind::ALL
             .iter()
             .filter(|k| !k.is_container() && k.phase() == phase)
-            .map(|k| self.total_ns(*k))
+            .map(|k| self.total_ns(*k).saturating_sub(self.kind_nested_pack_ns[k.index()]))
             .sum()
     }
 
-    /// Total nanoseconds across all leaf spans.
+    /// Total self time across all leaf spans: at most the worker-time
+    /// of the launch (`workers × wall_ns`).
     #[must_use]
     pub fn leaf_total_ns(&self) -> u64 {
         Phase::ALL.iter().map(|p| self.phase_ns(*p)).sum()
@@ -680,6 +709,35 @@ mod tests {
         assert_eq!(m.dropped_spans, 1);
         assert_eq!(m.cta_duration.count(), 1);
         assert_eq!(m.wait_stall.mean_ns(), 30);
+    }
+
+    /// `Mac` spans enclose their segment's pack spans; the phase fold
+    /// must charge that time to `Pack` once, not to both.
+    #[test]
+    fn compute_phase_is_self_time_net_of_nested_packing() {
+        let trace = ExecTrace {
+            workers: vec![WorkerTrace {
+                // Finish order, as a ring records it: two segments,
+                // the first walking two chunks.
+                spans: vec![
+                    span(SpanKind::PackCached, 0, 10),
+                    span(SpanKind::PackCached, 10, 15),
+                    span(SpanKind::PackPrivate, 40, 50),
+                    span(SpanKind::Mac, 0, 100),
+                    span(SpanKind::Signal, 100, 105),
+                    span(SpanKind::PackCached, 110, 130),
+                    span(SpanKind::Mac, 105, 200),
+                    span(SpanKind::Cta, 0, 200),
+                ],
+                dropped: 0,
+            }],
+            wall_ns: 200,
+        };
+        let m = trace.metrics();
+        assert_eq!(m.total_ns(SpanKind::Mac), 195, "span durations stay as recorded");
+        assert_eq!(m.phase_ns(Phase::Pack), 45);
+        assert_eq!(m.phase_ns(Phase::Compute), 195 - 45);
+        assert_eq!(m.leaf_total_ns(), 200, "every nanosecond attributed once");
     }
 
     #[test]

@@ -24,6 +24,14 @@
 //!    refills from traffic, so cross-thread transfer still converges
 //!    to allocation-free steady state.
 //!
+//! The pool is **bounded**: partials flow one way, contributor to
+//! owner, so a worker that keeps ending up owner is handed a
+//! tile-sized buffer per split tile per launch and would otherwise
+//! hoard them all. It keeps no more than it has ever had taken out at
+//! once (takes minus returns, at its high-water mark) — the most its
+//! own [`take_partial`](Workspace::take_partial) calls can draw before
+//! traffic refills the pool — and drops the rest.
+//!
 //! [`fresh_allocs`](Workspace::fresh_allocs) counts pool misses so
 //! tests can pin the "allocation-free after warm-up" property.
 
@@ -47,6 +55,12 @@ pub struct Workspace<In, Acc> {
     /// Recovery scratch for recomputing a lost peer's contribution.
     pub scratch: Vec<Acc>,
     pool: Vec<Vec<Acc>>,
+    /// Buffers taken and not (yet) given back: takes minus recycles,
+    /// floored at zero. A contributor's hand-offs never come back, so
+    /// for it this only grows — but so does nothing in its pool.
+    taken: usize,
+    /// High-water mark of `taken`: the pool's capacity.
+    peak_taken: usize,
     tile_len: usize,
     fresh_allocs: usize,
 }
@@ -62,6 +76,8 @@ impl<In, Acc: Scalar> Workspace<In, Acc> {
             accum: vec![Acc::ZERO; tile_len],
             scratch: vec![Acc::ZERO; tile_len],
             pool: Vec::new(),
+            taken: 0,
+            peak_taken: 0,
             tile_len,
             fresh_allocs: 2,
         }
@@ -79,8 +95,9 @@ impl<In, Acc: Scalar> Workspace<In, Acc> {
     /// whose decompositions may use different tile shapes. When the
     /// length matches, this is a no-op and every warm buffer survives;
     /// otherwise `accum`/`scratch` are resized and the partial pool is
-    /// cleared (its buffers are the wrong length for the new launch).
-    /// Pack staging is kept either way — [`PackBuffers`] grows to the
+    /// cleared (its buffers are the wrong length for the new launch)
+    /// along with the demand history that sized it. Pack staging is
+    /// kept either way — [`PackBuffers`] grows to the
     /// high-water mark on its own.
     pub fn ensure_tile_len(&mut self, tile_len: usize) {
         if self.tile_len == tile_len {
@@ -92,6 +109,8 @@ impl<In, Acc: Scalar> Workspace<In, Acc> {
         self.scratch.clear();
         self.scratch.resize(tile_len, Acc::ZERO);
         self.pool.clear();
+        self.taken = 0;
+        self.peak_taken = 0;
         self.fresh_allocs += 2;
     }
 
@@ -110,6 +129,8 @@ impl<In, Acc: Scalar> Workspace<In, Acc> {
     /// board); return buffers with [`recycle_partial`].
     #[must_use]
     pub fn take_partial(&mut self) -> Vec<Acc> {
+        self.taken += 1;
+        self.peak_taken = self.peak_taken.max(self.taken);
         match self.pool.pop() {
             Some(mut buf) => {
                 buf.fill(Acc::ZERO);
@@ -124,9 +145,15 @@ impl<In, Acc: Scalar> Workspace<In, Acc> {
 
     /// Returns a tile-sized buffer (ours or one received from a peer
     /// through the fixup board) to the pool. Buffers of any other
-    /// length are dropped — they belong to a different decomposition.
+    /// length are dropped — they belong to a different decomposition —
+    /// and so is one the pool has no use for: it holds at most as many
+    /// as this worker has ever had taken out at once.
     pub fn recycle_partial(&mut self, buf: Vec<Acc>) {
-        if buf.len() == self.tile_len {
+        if buf.len() != self.tile_len {
+            return;
+        }
+        self.taken = self.taken.saturating_sub(1);
+        if self.pool.len() < self.peak_taken {
             self.pool.push(buf);
         }
     }
@@ -181,9 +208,44 @@ mod tests {
         assert_eq!(ws.take_partial(), vec![0.0; 4]);
     }
 
+    /// The benchmark's finding: a worker that is owner launch after
+    /// launch is handed a peer's buffer per split tile and used to keep
+    /// every one. The pool now stops at the worker's own demand, and
+    /// that demand is still served without allocating.
+    #[test]
+    fn owner_only_recycling_leaves_the_pool_bounded() {
+        let mut ws = Ws::new(16);
+        // Warm-up at this worker's real demand: one parked
+        // consolidation at a time.
+        let parked = ws.take_partial();
+        ws.recycle_partial(vec![0.0; 16]); // a peer's partial, folded
+        ws.recycle_partial(parked);
+        assert_eq!(ws.pooled(), 1);
+        let after_warmup = ws.fresh_allocs();
+        for launch in 0..1_000 {
+            // Every tenth launch parks again; every launch folds a
+            // peer's buffer this worker never took.
+            let parked = (launch % 10 == 0).then(|| ws.take_partial());
+            ws.recycle_partial(vec![0.0; 16]);
+            if let Some(buf) = parked {
+                ws.recycle_partial(buf);
+            }
+            assert!(ws.pooled() <= 1, "launch {launch}: pool grew to {}", ws.pooled());
+        }
+        assert_eq!(ws.fresh_allocs(), after_warmup, "bounded pool must still serve every take");
+
+        // A worker that never takes has no use for a pool at all.
+        let mut idle = Ws::new(16);
+        for _ in 0..1_000 {
+            idle.recycle_partial(vec![0.0; 16]);
+        }
+        assert_eq!(idle.pooled(), 0);
+    }
+
     #[test]
     fn foreign_sized_buffers_are_dropped_not_pooled() {
         let mut ws = Ws::new(4);
+        let _handed_off = ws.take_partial();
         ws.recycle_partial(vec![0.0; 8]);
         assert_eq!(ws.pooled(), 0);
         ws.recycle_partial(vec![0.0; 4]);

@@ -5,10 +5,11 @@
 //! order with an *unfused* multiply-then-add, so their results are
 //! bit-identical to the scalar MAC loop — in f64 **and** f32, private
 //! packing or shared cache, fault-free or mid-recovery. These
-//! properties pin that, plus the [`PackCache`] claim/publish
-//! invariant: with far more peers than panels, each panel is packed
-//! exactly once and every reader sees bytes identical to a private
-//! pack.
+//! properties pin that — including on shapes deep enough that the
+//! cache's k-chunk walk crosses chunk seams mid-segment — plus the
+//! [`PackCache`] claim/publish invariant: with far more peers than
+//! chunk slots, each chunk is packed exactly once and every reader
+//! sees bytes identical to a private pack.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -56,6 +57,30 @@ fn tiles() -> impl proptest::strategy::Strategy<Value = TileShape> {
 
 fn layouts() -> impl proptest::strategy::Strategy<Value = Layout> {
     prop_oneof![Just(Layout::RowMajor), Just(Layout::ColMajor)]
+}
+
+/// K-steps per pack-cache chunk at `tile`: the cache's chunk-length
+/// constant rounded to whole `blk_k` iterations.
+fn chunk_k(tile: TileShape) -> usize {
+    let probe = IterSpace::new(GemmShape::new(tile.blk_m, tile.blk_n, tile.blk_k), tile);
+    PackCache::<f64>::new(&probe, 8, 8, WaitPolicy::default()).chunk_k()
+}
+
+/// A shape two to three cache chunks deep at `tile` and a couple of
+/// tiles wide. `k_extra` is arbitrary, so k is a multiple of neither
+/// the chunk nor `blk_k` except by accident.
+fn deep_shape(m: usize, n: usize, k_extra: usize, tile: TileShape) -> GemmShape {
+    GemmShape::new(m, n, chunk_k(tile) + k_extra)
+}
+
+fn strategies() -> impl proptest::strategy::Strategy<Value = Strategy> {
+    prop_oneof![
+        Just(Strategy::DataParallel),
+        (2usize..4).prop_map(|split| Strategy::FixedSplit { split }),
+        (2usize..7).prop_map(|grid| Strategy::StreamK { grid }),
+        (2usize..5).prop_map(|sms| Strategy::DpOneTileStreamK { sms }),
+        (2usize..5).prop_map(|sms| Strategy::TwoTileStreamKDp { sms }),
+    ]
 }
 
 proptest! {
@@ -183,35 +208,122 @@ proptest! {
     }
 }
 
-/// Pack-cache concurrency: 16 peers hammer a cache holding only 8
-/// panels. Every reader must observe bytes identical to a private
-/// pack, and when the dust settles each panel was packed exactly once
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The chunk walk at kernel level: on multi-chunk shapes, any
+    /// segment — beginning and ending mid-chunk included — through
+    /// the cache is bit-identical to the private-pack pipeline and to
+    /// the scalar MAC loop, for every kernel that consumes panels.
+    #[test]
+    fn chunked_cache_bit_exact_on_deep_k_segments(
+        (m, n, k_extra) in (5usize..40, 5usize..40, 18usize..1200),
+        tile in tiles(),
+        layout in layouts(),
+        tile_sel in 0usize..64,
+        range_sel in (0usize..4096, 0usize..4096),
+    ) {
+        let shape = deep_shape(m, n, k_extra, tile);
+        let space = IterSpace::new(shape, tile);
+        let (a, b) = operands64(shape, layout);
+        let tile_idx = tile_sel % space.tiles();
+        let ipt = space.iters_per_tile();
+        let (mut lo, mut hi) = (range_sel.0 % (ipt + 1), range_sel.1 % (ipt + 1));
+        if lo > hi {
+            std::mem::swap(&mut lo, &mut hi);
+        }
+
+        let len = tile.blk_m * tile.blk_n;
+        let mut reference = vec![0.0f64; len];
+        mac_loop_view(&a.view(), &b.view(), &space, tile_idx, lo, hi, &mut reference);
+
+        let mut bufs = PackBuffers::new();
+        for kind in KernelKind::PACKED.into_iter().chain(KernelKind::SIMD) {
+            let mut private = vec![0.0f64; len];
+            mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, lo, hi, &mut private, &mut bufs);
+            prop_assert!(private == reference, "{kind} private diverged on {shape} {tile} [{lo},{hi})");
+
+            let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
+            prop_assert!(cache.chunk_k() < shape.k, "{shape} must span several chunks");
+            let mut cached = vec![0.0f64; len];
+            mac_loop_kernel_cached(kind, Some(&cache), 0, &a.view(), &b.view(), &space, tile_idx, lo, hi, &mut cached, &mut bufs);
+            prop_assert!(cached == reference, "{kind} cached diverged on {shape} {tile} tile {tile_idx} [{lo},{hi})");
+        }
+    }
+
+    /// The chunk walk at executor level: 1-4 workers under every
+    /// strategy on multi-chunk shapes, sharded cache on, agree bit
+    /// for bit with the scalar executor (no panels, no cache).
+    #[test]
+    fn chunked_cache_launches_match_the_scalar_executor(
+        (m, n, k_extra) in (5usize..40, 5usize..40, 18usize..1200),
+        tile in prop_oneof![Just(TileShape::new(16, 16, 8)), Just(TileShape::new(13, 11, 5))],
+        strategy in strategies(),
+        kind in prop_oneof![Just(KernelKind::Packed8x4), Just(KernelKind::Simd4x16), Just(KernelKind::Simd8x32)],
+    ) {
+        let shape = deep_shape(m, n, k_extra, tile);
+        let decomp = Decomposition::from_strategy(shape, tile, strategy);
+        let floor = decomp.fixups().iter().map(|f| f.covering_ctas()).max().unwrap_or(1);
+        prop_assume!(floor <= 4);
+        let (a, b) = operands64(shape, Layout::RowMajor);
+        let reference = CpuExecutor::with_threads(4)
+            .with_kernel(KernelKind::Scalar)
+            .gemm::<f64, f64>(&a, &b, &decomp);
+        for threads in floor..=4 {
+            let c = CpuExecutor::with_threads(threads)
+                .with_kernel(kind)
+                .gemm::<f64, f64>(&a, &b, &decomp);
+            prop_assert!(
+                c.max_abs_diff(&reference) == 0.0,
+                "{kind} at {threads} workers diverged on {shape} {tile} {strategy:?}"
+            );
+        }
+    }
+}
+
+/// Pack-cache concurrency: 16 peers hammer a cache holding only 24
+/// chunk slots (8 panels, three chunks deep). Every reader must observe bytes identical to a private
+/// pack, and when the dust settles each chunk was packed exactly once
 /// — no duplicate packs, no watchdog fallbacks.
 #[test]
-fn pack_cache_packs_each_panel_exactly_once_under_contention() {
+fn pack_cache_packs_each_chunk_exactly_once_under_contention() {
     let tile = TileShape::new(16, 16, 8);
-    let shape = GemmShape::new(61, 58, 96); // ragged: last panels padded
+    let (mr, nr) = (8, 8);
+    let chunk_k = chunk_k(tile);
+    // Ragged every way: last panels padded, last chunk short.
+    let shape = GemmShape::new(61, 58, 2 * chunk_k + 96);
+    let chunks = 3;
     let space = IterSpace::new(shape, tile);
     let (a, b) = operands64(shape, Layout::RowMajor);
-    let (mr, nr) = (8, 8);
     let cache = PackCache::new(&space, mr, nr, WaitPolicy::default());
-    assert_eq!(cache.panels(), space.tiles_m() + space.tiles_n());
+    assert_eq!(cache.panels(), chunks * (space.tiles_m() + space.tiles_n()));
 
-    // Reference panels, packed privately.
-    let mut expect_a = Vec::new();
-    for tm in 0..space.tiles_m() {
-        let rows = tm * tile.blk_m..shape.m.min((tm + 1) * tile.blk_m);
-        let mut p = Vec::new();
-        pack_a_into(&a.view(), rows, 0..shape.k, mr, &mut p);
-        expect_a.push(p);
-    }
-    let mut expect_b = Vec::new();
-    for tn in 0..space.tiles_n() {
-        let cols = tn * tile.blk_n..shape.n.min((tn + 1) * tile.blk_n);
-        let mut p = Vec::new();
-        pack_b_into(&b.view(), 0..shape.k, cols, nr, &mut p);
-        expect_b.push(p);
-    }
+    // Reference chunks, packed privately: `expect[panel][chunk]`.
+    let chunk_ks = |c: usize| c * chunk_k..shape.k.min((c + 1) * chunk_k);
+    let expect_a: Vec<Vec<Vec<f64>>> = (0..space.tiles_m())
+        .map(|tm| {
+            let rows = tm * tile.blk_m..shape.m.min((tm + 1) * tile.blk_m);
+            (0..chunks)
+                .map(|c| {
+                    let mut p = Vec::new();
+                    pack_a_into(&a.view(), rows.clone(), chunk_ks(c), mr, &mut p);
+                    p
+                })
+                .collect()
+        })
+        .collect();
+    let expect_b: Vec<Vec<Vec<f64>>> = (0..space.tiles_n())
+        .map(|tn| {
+            let cols = tn * tile.blk_n..shape.n.min((tn + 1) * tile.blk_n);
+            (0..chunks)
+                .map(|c| {
+                    let mut p = Vec::new();
+                    pack_b_into(&b.view(), chunk_ks(c), cols.clone(), nr, &mut p);
+                    p
+                })
+                .collect()
+        })
+        .collect();
 
     let peers = 2 * THREADS; // peers ≫ panels
     std::thread::scope(|scope| {
@@ -219,25 +331,28 @@ fn pack_cache_packs_each_panel_exactly_once_under_contention() {
             let (cache, space, a, b, expect_a, expect_b) =
                 (&cache, &space, &a, &b, &expect_a, &expect_b);
             scope.spawn(move || {
-                // Each peer walks every panel several times, starting
-                // at a peer-dependent offset so claims interleave.
+                // Each peer walks every chunk of every panel several
+                // times, starting at a peer-dependent offset so the
+                // per-chunk claims interleave.
                 for round in 0..4 {
-                    for step in 0..space.tiles_m() {
-                        let tm = (peer + round + step) % space.tiles_m();
-                        let panel = cache.a_panel(&a.view(), tm, 0).expect("no fallback expected");
-                        assert_eq!(&*panel, &expect_a[tm][..], "A panel {tm} seen by peer {peer}");
+                    for step in 0..space.tiles_m() * chunks {
+                        let slot = (peer + round + step) % (space.tiles_m() * chunks);
+                        let (tm, c) = (slot / chunks, slot % chunks);
+                        let chunk = cache.a_chunk(&a.view(), tm, c, 0).expect("no fallback expected");
+                        assert_eq!(&*chunk, &expect_a[tm][c][..], "A panel {tm} chunk {c} seen by peer {peer}");
                     }
-                    for step in 0..space.tiles_n() {
-                        let tn = (peer + round + step) % space.tiles_n();
-                        let panel = cache.b_panel(&b.view(), tn, 0).expect("no fallback expected");
-                        assert_eq!(&*panel, &expect_b[tn][..], "B panel {tn} seen by peer {peer}");
+                    for step in 0..space.tiles_n() * chunks {
+                        let slot = (peer + round + step) % (space.tiles_n() * chunks);
+                        let (tn, c) = (slot / chunks, slot % chunks);
+                        let chunk = cache.b_chunk(&b.view(), tn, c, 0).expect("no fallback expected");
+                        assert_eq!(&*chunk, &expect_b[tn][c][..], "B panel {tn} chunk {c} seen by peer {peer}");
                     }
                 }
             });
         }
     });
 
-    assert_eq!(cache.packs(), cache.panels(), "each panel packed exactly once");
+    assert_eq!(cache.packs(), cache.panels(), "each chunk packed exactly once");
     assert_eq!(cache.fallbacks(), 0, "no watchdog fallbacks under healthy contention");
 }
 

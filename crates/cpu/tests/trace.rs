@@ -15,17 +15,25 @@
 //!    wall time — the Chrome-trace export inherits well-nestedness
 //!    from this.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-use streamk_core::{Decomposition, SpanKind};
+use streamk_core::{Decomposition, Phase, SpanKind};
 use streamk_cpu::trace::ring_allocations;
 use streamk_cpu::{CpuExecutor, FaultKind, FaultPlan};
 use streamk_matrix::Matrix;
 use streamk_types::{GemmShape, Layout, TileShape};
 
 /// Serializes tests that assert on the process-global ring-allocation
-/// counter against the traced launches in this binary.
+/// counter against the traced launches in this binary: *every* test
+/// that builds a traced executor allocates rings, so every one of
+/// them takes the gate, not just the two that read the counter.
 static ALLOC_GATE: Mutex<()> = Mutex::new(());
+
+/// The gate guards no data, so a test that failed while holding it
+/// must not fail the rest through poisoning.
+fn alloc_gate() -> MutexGuard<'static, ()> {
+    ALLOC_GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn operands(shape: GemmShape, seed: u64) -> (Matrix<f64>, Matrix<f64>) {
     let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::RowMajor, seed);
@@ -45,6 +53,7 @@ fn split_launch() -> (GemmShape, TileShape, Decomposition) {
 
 #[test]
 fn traced_runs_are_bit_exact_across_thread_counts() {
+    let _gate = alloc_gate();
     let (_, _, decomp) = split_launch();
     let (a, b) = operands(GemmShape::new(96, 80, 128), 0x7A0);
     let baseline = CpuExecutor::with_threads(2).gemm::<f64, f64>(&a, &b, &decomp);
@@ -66,6 +75,7 @@ fn traced_runs_are_bit_exact_across_thread_counts() {
 
 #[test]
 fn spans_are_well_nested_and_within_the_launch_per_worker() {
+    let _gate = alloc_gate();
     let (_, _, decomp) = split_launch();
     let (a, b) = operands(GemmShape::new(96, 80, 128), 0x7A2);
     let exec = CpuExecutor::with_threads(4).with_trace(true);
@@ -105,6 +115,7 @@ fn spans_are_well_nested_and_within_the_launch_per_worker() {
 
 #[test]
 fn full_ring_drops_oldest_and_counts_without_blocking() {
+    let _gate = alloc_gate();
     let (_, _, decomp) = split_launch();
     let (a, b) = operands(GemmShape::new(96, 80, 128), 0x7A4);
     let exec = CpuExecutor::with_threads(2).with_trace(true).with_trace_capacity(4);
@@ -126,9 +137,46 @@ fn full_ring_drops_oldest_and_counts_without_blocking() {
     assert_eq!(trace.metrics().dropped_spans, trace.dropped_spans() as u64);
 }
 
+/// Phase times are self times: a `Mac` span encloses the pack spans
+/// of every chunk its segment walked, and on a split deep-k launch —
+/// several chunks per segment, packing a large share of the work —
+/// charging that time to both phases used to make the phases add up
+/// to more worker-time than the launch had.
+#[test]
+fn phase_times_fit_in_the_launch_on_a_split_deep_k_tile() {
+    let _gate = alloc_gate();
+    let shape = GemmShape::new(32, 32, 4096);
+    let tile = TileShape::new(32, 32, 16);
+    let decomp = Decomposition::stream_k(shape, tile, 2);
+    assert_eq!(decomp.split_tiles(), 1, "one tile, split across both CTAs");
+    let (a, b) = operands(shape, 0x7AC);
+    let exec = CpuExecutor::with_threads(2).with_trace(true);
+    let _ = exec.gemm::<f64, f64>(&a, &b, &decomp);
+    let trace = exec.last_trace().unwrap();
+    assert_eq!(trace.dropped_spans(), 0);
+    let m = trace.metrics();
+    // Each worker's segment crosses chunk seams: more pack spans than
+    // the one MAC span that encloses them.
+    assert!(m.count(SpanKind::PackCached) > 2 * m.count(SpanKind::Mac), "{m:?}");
+    let pack = m.phase_ns(Phase::Pack);
+    assert!(pack > 0);
+    assert_eq!(
+        m.phase_ns(Phase::Compute),
+        m.total_ns(SpanKind::Mac) - pack,
+        "compute is MAC time net of the packing nested in it"
+    );
+    assert!(
+        m.leaf_total_ns() <= trace.workers.len() as u64 * trace.wall_ns,
+        "phases claim {} ns of a launch that had {} x {} ns",
+        m.leaf_total_ns(),
+        trace.workers.len(),
+        trace.wall_ns
+    );
+}
+
 #[test]
 fn tracing_off_allocates_no_rings() {
-    let _gate = ALLOC_GATE.lock().unwrap();
+    let _gate = alloc_gate();
     let (_, _, decomp) = split_launch();
     let (a, b) = operands(GemmShape::new(96, 80, 128), 0x7A6);
     let exec = CpuExecutor::with_threads(4);
@@ -141,7 +189,7 @@ fn tracing_off_allocates_no_rings() {
 
 #[test]
 fn traced_launches_reuse_rings_once_warm() {
-    let _gate = ALLOC_GATE.lock().unwrap();
+    let _gate = alloc_gate();
     let (_, _, decomp) = split_launch();
     let (a, b) = operands(GemmShape::new(96, 80, 128), 0x7AA);
     let exec = CpuExecutor::with_threads(4).with_trace(true);
@@ -161,7 +209,7 @@ fn traced_launches_reuse_rings_once_warm() {
 
 #[test]
 fn stats_overwrite_per_launch_and_launches_accumulate() {
-    let _gate = ALLOC_GATE.lock().unwrap();
+    let _gate = alloc_gate();
     let shape = GemmShape::new(96, 80, 128);
     let tile = TileShape::new(32, 32, 16);
     let (a, b) = operands(shape, 0x7A8);

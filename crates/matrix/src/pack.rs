@@ -134,26 +134,10 @@ pub fn pack_a_into<T: Copy + Default>(
     out.reserve(packed_a_len(rows.len(), kc, mr));
     let zero = T::default();
 
-    if a.rows_contiguous() {
-        // Fast path: zero the panel up front (which also pads the
-        // ragged rows), then transpose one source row at a time —
-        // each row is read with unit stride exactly once and scattered
-        // at stride `mr` into the k-major panel, instead of
-        // re-deriving a row slice per element.
-        let mut r = rows.start;
-        while r < rows.end {
-            let height = mr.min(rows.end - r);
-            let base = out.len();
-            out.resize(base + kc * mr, zero);
-            let panel = &mut out[base..];
-            for i in 0..height {
-                let row = &a.row_slice(r + i)[ks.clone()];
-                for (col, &v) in panel.chunks_exact_mut(mr).zip(row) {
-                    col[i] = v;
-                }
-            }
-            r += mr;
-        }
+    if a.rows_contiguous() && mr == 4 {
+        pack_a_rows::<T, 4>(a, rows, ks, out);
+    } else if a.rows_contiguous() && mr == 8 {
+        pack_a_rows::<T, 8>(a, rows, ks, out);
     } else if let Some((data, info)) = a.blocked_parts() {
         pack_panels_blocked(data, info, true, rows, ks, mr, out);
     } else {
@@ -169,6 +153,39 @@ pub fn pack_a_into<T: Copy + Default>(
                 }
             }
             r += mr;
+        }
+    }
+}
+
+/// [`pack_a_into`]'s row-contiguous path for the register heights the
+/// kernels use: one pass over k that reads the panel's `MR` source
+/// rows side by side and appends all `MR` elements of a k-step
+/// together, so every destination byte is written exactly once and in
+/// order. Only the ragged last panel pays for padding.
+#[allow(clippy::needless_range_loop)] // `k` indexes the slices inside `src`, not `src`
+fn pack_a_rows<T: Copy + Default, const MR: usize>(
+    a: &MatrixView<'_, T>,
+    rows: Range<usize>,
+    ks: Range<usize>,
+    out: &mut Vec<T>,
+) {
+    let zero = T::default();
+    for r in rows.clone().step_by(MR) {
+        let height = MR.min(rows.end - r);
+        // Lanes past the ragged edge alias the last real row so the
+        // array stays full; they are replaced by zeros below.
+        let src: [&[T]; MR] =
+            std::array::from_fn(|i| &a.row_slice(r + i.min(height - 1))[ks.clone()]);
+        if height == MR {
+            for k in 0..ks.len() {
+                out.extend_from_slice(&std::array::from_fn::<T, MR, _>(|i| src[i][k]));
+            }
+        } else {
+            for k in 0..ks.len() {
+                out.extend_from_slice(&std::array::from_fn::<T, MR, _>(|i| {
+                    if i < height { src[i][k] } else { zero }
+                }));
+            }
         }
     }
 }
@@ -292,6 +309,30 @@ mod tests {
         pack_a_into(&row.t(), 0..5, 0..7, 4, &mut pt);
         assert_eq!(pt[0], row.get(0, 0));
         assert_eq!(pt[1], row.get(0, 1)); // logical row 1 of Aᵀ
+    }
+
+    /// The single-pass row-contiguous A path against the element-wise
+    /// `get()` path (reached through a column-major copy): identical
+    /// bytes for every ragged panel height, both kernel register
+    /// heights, and k sub-ranges — with a dirty, oversized `out` so a
+    /// pad lane that is skipped rather than written would show.
+    #[test]
+    fn single_pass_a_path_matches_the_generic_path() {
+        let row = counting(21, 37, Layout::RowMajor);
+        let col = row.to_layout(Layout::ColMajor);
+        assert!(row.view().rows_contiguous() && !col.view().rows_contiguous());
+        for mr in [4, 8] {
+            for rows in [0..21, 0..8, 3..4, 5..18, 16..21, 7..7] {
+                for ks in [0..37, 0..1, 5..29, 36..37, 11..11] {
+                    let mut fast = vec![-1.0; 4096];
+                    let mut generic = Vec::new();
+                    pack_a_into(&row.view(), rows.clone(), ks.clone(), mr, &mut fast);
+                    pack_a_into(&col.view(), rows.clone(), ks.clone(), mr, &mut generic);
+                    assert_eq!(fast.len(), packed_a_len(rows.len(), ks.len(), mr));
+                    assert_eq!(fast, generic, "mr {mr} rows {rows:?} ks {ks:?}");
+                }
+            }
+        }
     }
 
     #[test]
