@@ -7,9 +7,9 @@
 //! batch size.
 
 use crate::executor::CpuExecutor;
-use crate::fixup::{FixupBoard, WaitPolicy};
+use crate::fixup::FixupBoard;
 use crate::output::TileWriter;
-use crate::packcache::{mac_loop_kernel_cached, PackCache};
+use crate::packcache::mac_loop_instance_cached;
 use crate::sched::GridCursor;
 use crate::workspace::Workspace;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,16 +77,11 @@ impl CpuExecutor {
         let ipt = space.iters_per_tile();
 
         let kind = self.kernel();
-        // One pack cache per instance (instances have distinct
-        // operands); empty when caching is off or the kernel does not
-        // consume panels, in which case `get` hands the dispatcher
-        // `None` and it packs privately.
-        let policy = WaitPolicy::with_watchdog(self.watchdog());
-        let caches: Vec<PackCache<In>> = if self.pack_cache() {
-            (0..space.batch()).filter_map(|_| PackCache::for_kernel(instance, kind, policy)).collect()
-        } else {
-            Vec::new()
-        };
+        // One slot table spanning the instances (they have distinct
+        // operands), grid-shared; `None` when caching is off or the
+        // kernel does not consume panels, and the dispatcher packs
+        // privately.
+        let cache = self.launch_pack_cache::<In>(std::iter::repeat_n(instance, space.batch()), 1);
         // Round-robin cursor claiming (not the single-GEMM path's
         // static ranges): batched owners *block* in `wait_and_take`,
         // and the round-robin order guarantees a blocked owner's peers
@@ -98,7 +93,7 @@ impl CpuExecutor {
             // store: accumulator, pack panels, and the fixup-partial
             // pool stay warm across segments *and* across launches.
             let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(tile_len));
-            ws.ensure_tile_len(tile_len);
+            ws.begin_launch(tile_len);
             while let Some(id) = cursor.claim() {
                 let cta = &ctas[id];
                 // Walk the CTA's global range tile by tile (the
@@ -114,9 +109,10 @@ impl CpuExecutor {
                     let ends = seg_end == tile_first + ipt;
                     if !starts {
                         let mut partial = ws.take_partial();
-                        mac_loop_kernel_cached(
+                        mac_loop_instance_cached(
                             kind,
-                            caches.get(instance_idx),
+                            cache.as_ref(),
+                            instance_idx,
                             wid,
                             &a[instance_idx].view(),
                             &b[instance_idx].view(),
@@ -132,9 +128,10 @@ impl CpuExecutor {
                             .expect("fault-free batched schedule");
                     } else {
                         ws.reset_accum();
-                        mac_loop_kernel_cached(
+                        mac_loop_instance_cached(
                             kind,
-                            caches.get(instance_idx),
+                            cache.as_ref(),
+                            instance_idx,
                             wid,
                             &a[instance_idx].view(),
                             &b[instance_idx].view(),
@@ -167,6 +164,7 @@ impl CpuExecutor {
             }
         });
         self.record_stats(0, 0, Duration::from_nanos(wait_ns.load(Ordering::Relaxed)), 0);
+        self.retire_pack_cache(cache);
         drop(writers);
         outputs
     }

@@ -16,6 +16,7 @@
 //!   order, so the recovered output is bit-identical to the
 //!   fault-free run.
 
+use crate::arena::{ArenaStats, PackArena};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::fixup::{FixupBoard, TryTake, WaitOutcome, WaitPolicy};
 use crate::microkernel::KernelKind;
@@ -30,7 +31,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use streamk_core::{
-    peer_contribution, CtaWork, Decomposition, ExecutorError, FixupError, PeerTable,
+    peer_contribution, CtaWork, Decomposition, ExecutorError, FixupError, IterSpace, PeerTable,
 };
 use streamk_matrix::{Matrix, MatrixView, Promote, Scalar};
 
@@ -252,6 +253,16 @@ pub struct CpuExecutor {
     trace_sink: Arc<Mutex<Option<ExecTrace>>>,
 }
 
+/// Runs `f` on the pack arena for input type `In` that `pool` keeps
+/// in its launch-level scratch store (empty until a launch has put
+/// one back).
+fn with_pack_arena<In: Send + 'static, R>(
+    pool: &WorkerPool,
+    f: impl FnOnce(&mut PackArena<In>) -> R,
+) -> R {
+    f(pool.launch_scratch().get_or_insert_with(PackArena::<In>::default))
+}
+
 impl CpuExecutor {
     /// Creates an executor with `config`.
     #[must_use]
@@ -391,6 +402,51 @@ impl CpuExecutor {
     #[must_use]
     pub fn last_trace(&self) -> Option<ExecTrace> {
         self.trace_sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+    }
+
+    /// What this executor's pack arena for input type `In` holds: the
+    /// storage every launch's [`PackCache`] packs into, kept in the
+    /// pool's launch-level scratch store from one launch to the next
+    /// and freed with the pool. All zero before the first cached
+    /// launch of that type (and while one is in flight: the launch has
+    /// the arena).
+    #[must_use]
+    pub fn pack_arena_stats<In: Copy + Default + Send + Sync + 'static>(&self) -> ArenaStats {
+        self.pool
+            .get()
+            .map_or_else(ArenaStats::default, |pool| with_pack_arena::<In, _>(pool, |a| a.stats()))
+    }
+
+    /// The launch's pack cache: one slot table over `spaces` (one per
+    /// problem instance) with `shards` shards, storing its chunks in
+    /// the executor's arena. `None` when caching is off or the kernel
+    /// does not consume panels — the dispatcher then packs privately.
+    /// Hand the cache back with [`retire_pack_cache`] so the next
+    /// launch reuses the storage.
+    ///
+    /// [`retire_pack_cache`]: Self::retire_pack_cache
+    pub(crate) fn launch_pack_cache<'s, In: Copy + Default + Send + Sync + 'static>(
+        &self,
+        spaces: impl IntoIterator<Item = &'s IterSpace>,
+        shards: usize,
+    ) -> Option<PackCache<In>> {
+        let block = self.config.kernel.register_block().filter(|_| self.config.pack_cache)?;
+        // Taken out, not borrowed: a launch on a clone that overlaps
+        // this one finds an empty arena and allocates, nothing worse.
+        let arena = with_pack_arena(self.worker_pool(), std::mem::take);
+        let policy = WaitPolicy::with_watchdog(self.config.watchdog);
+        Some(PackCache::in_arena(arena, spaces, block, policy, shards))
+    }
+
+    /// Ends a launch's use of its pack cache, returning the storage
+    /// to the executor.
+    pub(crate) fn retire_pack_cache<In: Copy + Default + Send + Sync + 'static>(
+        &self,
+        cache: Option<PackCache<In>>,
+    ) {
+        if let Some(cache) = cache {
+            with_pack_arena(self.worker_pool(), |slot| *slot = cache.into_arena());
+        }
     }
 
     /// Records one finished launch's counters: the per-launch fields
@@ -579,11 +635,7 @@ impl CpuExecutor {
         // every CTA touching a tile row/column reuses its own shard's
         // packing work, and published panels stay cache-resident on
         // the core that packed them.
-        let cache = if self.config.pack_cache {
-            PackCache::for_kernel_sharded(space, self.config.kernel, policy, self.pack_shards())
-        } else {
-            None
-        };
+        let cache = self.launch_pack_cache([space], self.pack_shards());
         let workers = self.config.threads;
         let ctx = GridCtx {
             decomp,
@@ -629,11 +681,11 @@ impl CpuExecutor {
                 // no new rings.
                 trace::reinstall(epoch, capacity);
             }
-            // The arena survives in the worker's scratch store across
-            // launches: pack panels, accumulator tile, and the fixup
-            // partial pool stay warm from GEMM to GEMM.
+            // The workspace survives in the worker's scratch store
+            // across launches: pack staging, accumulator tile, and the
+            // fixup partial pool stay warm from GEMM to GEMM.
             let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(tile_len));
-            ws.ensure_tile_len(tile_len);
+            ws.begin_launch(tile_len);
             let mut deferred = Vec::new();
             let mut events = Vec::new();
             if let Err(e) =
@@ -690,6 +742,7 @@ impl CpuExecutor {
             *sink = Some(ExecTrace { workers, wall_ns });
         }
 
+        self.retire_pack_cache(ctx.cache);
         if let Some(e) = ctx.error.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
             return Err(e);
         }

@@ -1,9 +1,9 @@
 //! Grouped GEMM execution — one grid, many problem shapes.
 
 use crate::executor::CpuExecutor;
-use crate::fixup::{FixupBoard, WaitPolicy};
+use crate::fixup::FixupBoard;
 use crate::output::TileWriter;
-use crate::packcache::{mac_loop_kernel_cached, PackCache};
+use crate::packcache::mac_loop_instance_cached;
 use crate::sched::GridCursor;
 use crate::workspace::Workspace;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,17 +74,12 @@ impl CpuExecutor {
         let cursor = GridCursor::new(decomp.grid_size());
         let ctas = decomp.ctas();
         let kind = self.kernel();
-        // One pack cache per instance, keyed by that instance's own
-        // iteration space (grouped instances have unrelated shapes).
-        // Empty when caching is off or the kernel doesn't consume
-        // panels; `get` then yields `None` and the dispatcher packs
-        // privately.
-        let policy = WaitPolicy::with_watchdog(self.watchdog());
-        let caches: Vec<PackCache<In>> = if self.pack_cache() {
-            space.instances().iter().filter_map(|inst| PackCache::for_kernel(inst, kind, policy)).collect()
-        } else {
-            Vec::new()
-        };
+        // One slot table spanning the instances, each corner keyed by
+        // that instance's own iteration space (grouped instances have
+        // unrelated shapes), grid-shared. `None` when caching is off
+        // or the kernel doesn't consume panels; the dispatcher then
+        // packs privately.
+        let cache = self.launch_pack_cache::<In>(space.instances(), 1);
 
         // Round-robin cursor claiming (owners block in
         // `wait_and_take`): the interleave keeps a blocked owner's
@@ -98,7 +93,7 @@ impl CpuExecutor {
             // instance's layout (packed kernels normalize it, Blocked
             // falls back to scalar when strided).
             let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(tile_len));
-            ws.ensure_tile_len(tile_len);
+            ws.begin_launch(tile_len);
             while let Some(id) = cursor.claim() {
                 let cta = &ctas[id];
                 for seg in space.segments(cta) {
@@ -107,14 +102,14 @@ impl CpuExecutor {
 
                     if !seg.starts_tile {
                         let mut partial = ws.take_partial();
-                        mac_loop_kernel_cached(kind, caches.get(seg.instance), wid, &av, &bv, inst, seg.local_tile, seg.local_begin, seg.local_end, &mut partial, &mut ws.pack);
+                        mac_loop_instance_cached(kind, cache.as_ref(), seg.instance, wid, &av, &bv, inst, seg.local_tile, seg.local_begin, seg.local_end, &mut partial, &mut ws.pack);
                         board
                             .store_and_signal(cta.cta_id, partial)
                             .expect("fault-free grouped schedule");
                         continue;
                     }
                     ws.reset_accum();
-                    mac_loop_kernel_cached(kind, caches.get(seg.instance), wid, &av, &bv, inst, seg.local_tile, seg.local_begin, seg.local_end, &mut ws.accum, &mut ws.pack);
+                    mac_loop_instance_cached(kind, cache.as_ref(), seg.instance, wid, &av, &bv, inst, seg.local_tile, seg.local_begin, seg.local_end, &mut ws.accum, &mut ws.pack);
                     if !seg.ends_tile {
                         for &peer in owner_peers.peers(cta.cta_id) {
                             let t0 = Instant::now();
@@ -132,6 +127,7 @@ impl CpuExecutor {
             }
         });
         self.record_stats(0, 0, Duration::from_nanos(wait_ns.load(Ordering::Relaxed)), 0);
+        self.retire_pack_cache(cache);
         drop(writers);
         outputs
     }

@@ -29,6 +29,12 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+// Hands disjoint ranges of long-lived slabs to concurrent packers and
+// shares published ranges with readers; the safety argument sits with
+// the two `unsafe` blocks, and everything they rely on is private to
+// the module.
+#[allow(unsafe_code)]
+mod arena;
 pub mod batched;
 pub mod calibrate;
 pub mod executor;
@@ -57,6 +63,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod workspace;
 
+pub use arena::ArenaStats;
 pub use calibrate::{select_kernel, select_kernel_on, KernelSelection};
 pub use executor::{
     CpuExecutor, ExecStats, ExecutorConfig, RecoveryCause, RecoveryEvent, RecoveryReport,

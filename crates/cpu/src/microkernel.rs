@@ -31,7 +31,9 @@
 
 use std::fmt;
 use streamk_core::IterSpace;
-use streamk_matrix::{pack_a_into, pack_b_into, MatrixView, Promote, Scalar};
+use streamk_matrix::{
+    pack_a_slice, pack_b_slice, packed_a_len, packed_b_len, MatrixView, Promote, Scalar,
+};
 
 use crate::macloop::mac_loop_view;
 use crate::simd::{simd_block, SimdLevel};
@@ -57,6 +59,17 @@ impl<In> PackBuffers<In> {
     pub fn new() -> Self {
         Self { a: Vec::new(), b: Vec::new() }
     }
+}
+
+/// The first `len` elements of the staging buffer `buf`, grown on
+/// demand and never shrunk, so segments of alternating sizes re-fill
+/// nothing. The contents are whatever the last pack left: the slice
+/// packers write every lane.
+pub(crate) fn stage<In: Copy + Default>(buf: &mut Vec<In>, len: usize) -> &mut [In] {
+    if buf.len() < len {
+        buf.resize(len, In::default());
+    }
+    &mut buf[..len]
 }
 
 /// The inner-kernel implementations the executors can run.
@@ -345,8 +358,10 @@ fn mac_loop_panels<In, Acc, const MR_: usize, const NR_: usize>(
     let kc = k_end - k_begin;
 
     let t0 = crate::trace::start();
-    pack_a_into(a, rows, k_begin..k_end, MR_, &mut bufs.a);
-    pack_b_into(b, k_begin..k_end, cols, NR_, &mut bufs.b);
+    let a_out = stage(&mut bufs.a, packed_a_len(m_extent, kc, MR_));
+    pack_a_slice(a, rows, k_begin..k_end, MR_, a_out);
+    let b_out = stage(&mut bufs.b, packed_b_len(kc, n_extent, NR_));
+    pack_b_slice(b, k_begin..k_end, cols, NR_, b_out);
     crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx as u32, kc as u32);
 
     let a_panel = kc * MR_;

@@ -33,11 +33,12 @@
 //! **Claim/publish protocol.** Each chunk slot carries a three-state
 //! atomic flag, a sibling of the fixup board's:
 //!
-//! - *empty* → *packing*: the first CTA to touch the chunk wins a CAS
-//!   and packs into the slot (under its write lock);
+//! - *empty* → *packing*: the first CTA to touch the chunk wins a CAS,
+//!   takes a range of its shard's arena storage and packs into it;
 //! - *packing* → *ready*: the packer publishes with a release-store;
 //!   later CTAs acquire-load the flag and read the shared chunk —
-//!   the same happens-before edge the fixup `Signal`/`Wait` uses.
+//!   the same happens-before edge the fixup `Signal`/`Wait` uses. The
+//!   flag is the only lock a chunk has.
 //! - A CTA that loses the claim race descends the *same*
 //!   spin → yield → park backoff ladder as the fixup wait
 //!   ([`WaitPolicy::wait_until`]). If the packer stalls past the
@@ -45,6 +46,13 @@
 //!   back to private packing of *that chunk only* — its neighbours
 //!   stay cached — so the cache is a pure optimization and can never
 //!   deadlock a launch or change results.
+//!
+//! **Storage.** Chunks live in a pack arena (`arena.rs`) that the
+//! executor owns and lends to each launch's cache, so a steady-state
+//! launch allocates no pack storage and touches no fresh pages; the
+//! constructors here build a private arena for callers without an
+//! executor. A batched or grouped launch is *one* cache whose slot
+//! table spans its instances, not one cache per instance.
 //!
 //! [`PackCache::packs`] counts chunk packs actually executed and
 //! [`PackCache::panels`] the chunk slots that exist, so tests can pin
@@ -71,16 +79,19 @@
 //! tile geometry line up — no cache slot, no copy, no wait.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use streamk_core::IterSpace;
-use streamk_matrix::{pack_a_into, pack_b_into, MatrixView, Promote, Scalar};
+use streamk_matrix::{
+    pack_a_slice, pack_b_slice, packed_a_len, packed_b_len, MatrixView, Promote, Scalar,
+};
 use streamk_types::FRAG;
 
+use crate::arena::{PackArena, SlotTable};
 use crate::fixup::WaitPolicy;
-use crate::pad::CachePadded;
-use crate::microkernel::{mac_loop_cached, mac_loop_kernel, KernelKind, PackBuffers, PanelSpan};
+use crate::microkernel::{
+    mac_loop_cached, mac_loop_kernel, stage, KernelKind, PackBuffers, PanelSpan,
+};
 use crate::simd::SimdLevel;
 
 /// Target k-steps per cache chunk, fixed by the sweep in DESIGN.md
@@ -108,57 +119,51 @@ fn chunk_ks(space: &IterSpace, chunk: usize) -> Range<usize> {
     chunk * chunk_k..space.shape().k.min((chunk + 1) * chunk_k)
 }
 
-const EMPTY: u32 = 0;
-const PACKING: u32 = 1;
-const READY: u32 = 2;
-
-/// One lazily-packed panel chunk: the publish flag plus its storage.
+/// A published panel chunk: a view into the launch's pack storage,
+/// valid as long as the cache it came from.
 #[derive(Debug)]
-struct ChunkSlot<In> {
-    state: AtomicU32,
-    data: RwLock<Vec<In>>,
-}
-
-impl<In> ChunkSlot<In> {
-    fn new() -> Self {
-        Self { state: AtomicU32::new(EMPTY), data: RwLock::new(Vec::new()) }
-    }
-}
-
-/// A read-locked view of one published panel chunk.
-pub struct PanelGuard<'c, In>(RwLockReadGuard<'c, Vec<In>>);
+pub struct PanelGuard<'c, In>(&'c [In]);
 
 impl<In> std::ops::Deref for PanelGuard<'_, In> {
     type Target = [In];
 
     fn deref(&self) -> &[In] {
-        &self.0
+        self.0
     }
 }
 
-/// Per-launch shared tables of packed operand panels, cut into
+/// One problem instance's corner of the slot table.
+#[derive(Debug)]
+struct Instance {
+    space: IterSpace,
+    /// Chunks per panel.
+    chunks: usize,
+    /// First A slot; slots are indexed `[shard][tile row][chunk]`.
+    a_base: usize,
+    /// First B slot; slots are indexed `[shard][tile column][chunk]`.
+    b_base: usize,
+}
+
+/// Per-launch shared table of packed operand panels, cut into
 /// k-chunks: `⌈k / chunk_k⌉` slots per A row-panel (one per tile row)
 /// and per B column-panel (one per tile column) *per shard*, each
 /// packed at most once per shard by whichever CTA claims it first and
-/// never packed at all if no CTA of that shard consumes it.
+/// never packed at all if no CTA of that shard consumes it. A batched
+/// or grouped launch has one such set of slots per instance, all in
+/// one table.
 #[derive(Debug)]
 pub struct PackCache<In> {
-    space: IterSpace,
+    instances: Vec<Instance>,
     mr: usize,
     nr: usize,
     shards: usize,
-    /// Chunks per panel.
-    chunks: usize,
-    /// Slots indexed `[shard][tile row][chunk]`.
-    a: Vec<CachePadded<ChunkSlot<In>>>,
-    /// Slots indexed `[shard][tile column][chunk]`.
-    b: Vec<CachePadded<ChunkSlot<In>>>,
+    table: SlotTable<In>,
     policy: WaitPolicy,
     packs: AtomicUsize,
     fallbacks: AtomicUsize,
 }
 
-impl<In: Copy + Default> PackCache<In> {
+impl<In: Copy + Default + Send + Sync> PackCache<In> {
     /// A single-shard (grid-shared) cache for `space` with register
     /// block `(mr, nr)`; waiters on an in-flight pack follow
     /// `policy`'s backoff ladder and give up (falling back to private
@@ -188,24 +193,7 @@ impl<In: Copy + Default> PackCache<In> {
         policy: WaitPolicy,
         shards: usize,
     ) -> Self {
-        assert!(mr > 0 && nr > 0, "register block must be positive");
-        assert!(shards > 0, "cache needs at least one shard");
-        let chunks = space.iters_per_tile().div_ceil(chunk_iters(space));
-        let table = |panels: usize| {
-            (0..shards * panels * chunks).map(|_| CachePadded::new(ChunkSlot::new())).collect()
-        };
-        Self {
-            space: space.clone(),
-            mr,
-            nr,
-            shards,
-            chunks,
-            a: table(space.tiles_m()),
-            b: table(space.tiles_n()),
-            policy,
-            packs: AtomicUsize::new(0),
-            fallbacks: AtomicUsize::new(0),
-        }
+        Self::in_arena(PackArena::default(), [space], (mr, nr), policy, shards)
     }
 
     /// A single-shard cache serving `kind`'s register block, or `None`
@@ -228,6 +216,48 @@ impl<In: Copy + Default> PackCache<In> {
         kind.register_block().map(|(mr, nr)| Self::sharded(space, mr, nr, policy, shards))
     }
 
+    /// The constructor behind all the others: one slot table spanning
+    /// `spaces` (one entry per problem instance of the launch), its
+    /// chunks stored in `arena`. The executors pass the arena they
+    /// keep between launches and take it back with
+    /// [`into_arena`](Self::into_arena).
+    pub(crate) fn in_arena<'s>(
+        arena: PackArena<In>,
+        spaces: impl IntoIterator<Item = &'s IterSpace>,
+        (mr, nr): (usize, usize),
+        policy: WaitPolicy,
+        shards: usize,
+    ) -> Self {
+        assert!(mr > 0 && nr > 0, "register block must be positive");
+        assert!(shards > 0, "cache needs at least one shard");
+        let mut slots = 0;
+        let instances = spaces
+            .into_iter()
+            .map(|space| {
+                let chunks = space.iters_per_tile().div_ceil(chunk_iters(space));
+                let a_base = slots;
+                let b_base = a_base + shards * space.tiles_m() * chunks;
+                slots = b_base + shards * space.tiles_n() * chunks;
+                Instance { space: space.clone(), chunks, a_base, b_base }
+            })
+            .collect();
+        Self {
+            instances,
+            mr,
+            nr,
+            shards,
+            table: SlotTable::new(arena, shards, slots),
+            policy,
+            packs: AtomicUsize::new(0),
+            fallbacks: AtomicUsize::new(0),
+        }
+    }
+
+    /// Ends the launch, keeping the storage for the next one.
+    pub(crate) fn into_arena(self) -> PackArena<In> {
+        self.table.into_arena()
+    }
+
     /// Number of independent slot tables.
     #[must_use]
     pub fn shards(&self) -> usize {
@@ -245,7 +275,8 @@ impl<In: Copy + Default> PackCache<In> {
     /// iteration). A panel's last chunk holds the remainder.
     #[must_use]
     pub fn chunk_k(&self) -> usize {
-        chunk_iters(&self.space) * self.space.tile().blk_k
+        let space = &self.instances[0].space;
+        chunk_iters(space) * space.tile().blk_k
     }
 
     /// Number of chunks actually packed so far (A and B combined,
@@ -267,10 +298,11 @@ impl<In: Copy + Default> PackCache<In> {
     }
 
     /// Total chunk slots this cache manages:
-    /// `shards · (tiles_m + tiles_n) · ⌈k / chunk_k⌉`.
+    /// `shards · (tiles_m + tiles_n) · ⌈k / chunk_k⌉`, summed over
+    /// its instances.
     #[must_use]
     pub fn panels(&self) -> usize {
-        self.a.len() + self.b.len()
+        self.table.len()
     }
 
     /// Chunk 0 of the A row-panel for tile row `tm` — the whole panel
@@ -313,13 +345,7 @@ impl<In: Copy + Default> PackCache<In> {
         chunk: usize,
         shard: usize,
     ) -> Option<PanelGuard<'c, In>> {
-        assert!(chunk < self.chunks, "chunk {chunk} out of range");
-        let blk_m = self.space.tile().blk_m;
-        let rows = tm * blk_m..self.space.shape().m.min((tm + 1) * blk_m);
-        let (ks, mr) = (chunk_ks(&self.space, chunk), self.mr);
-        let panel = (shard % self.shards) * self.space.tiles_m() + tm;
-        let slot = &self.a[panel * self.chunks + chunk];
-        self.fetch(slot, tm as u32, 0, |out| pack_a_into(a, rows, ks, mr, out))
+        self.a_chunk_of(0, a, tm, chunk, shard)
     }
 
     /// Chunk `chunk` of the B column-panel for tile column `tn` in
@@ -331,60 +357,83 @@ impl<In: Copy + Default> PackCache<In> {
         chunk: usize,
         shard: usize,
     ) -> Option<PanelGuard<'c, In>> {
-        assert!(chunk < self.chunks, "chunk {chunk} out of range");
-        let blk_n = self.space.tile().blk_n;
-        let cols = tn * blk_n..self.space.shape().n.min((tn + 1) * blk_n);
-        let (ks, nr) = (chunk_ks(&self.space, chunk), self.nr);
-        let panel = (shard % self.shards) * self.space.tiles_n() + tn;
-        let slot = &self.b[panel * self.chunks + chunk];
-        self.fetch(slot, tn as u32, 1, |out| pack_b_into(b, ks, cols, nr, out))
+        self.b_chunk_of(0, b, tn, chunk, shard)
+    }
+
+    /// [`a_chunk`](Self::a_chunk) for instance `instance` of a
+    /// batched or grouped launch, `a` being that instance's operand.
+    fn a_chunk_of<'c>(
+        &'c self,
+        instance: usize,
+        a: &MatrixView<'_, In>,
+        tm: usize,
+        chunk: usize,
+        shard: usize,
+    ) -> Option<PanelGuard<'c, In>> {
+        let inst = &self.instances[instance];
+        assert!(tm < inst.space.tiles_m() && chunk < inst.chunks, "A chunk ({tm}, {chunk}) out of range");
+        let blk_m = inst.space.tile().blk_m;
+        let rows = tm * blk_m..inst.space.shape().m.min((tm + 1) * blk_m);
+        let (ks, mr, shard) = (chunk_ks(&inst.space, chunk), self.mr, shard % self.shards);
+        let slot = inst.a_base + (shard * inst.space.tiles_m() + tm) * inst.chunks + chunk;
+        let len = packed_a_len(rows.len(), ks.len(), mr);
+        self.fetch(slot, shard, len, tm as u32, 0, |out| pack_a_slice(a, rows, ks, mr, out))
+    }
+
+    /// [`b_chunk`](Self::b_chunk) for instance `instance`; as
+    /// [`a_chunk_of`](Self::a_chunk_of).
+    fn b_chunk_of<'c>(
+        &'c self,
+        instance: usize,
+        b: &MatrixView<'_, In>,
+        tn: usize,
+        chunk: usize,
+        shard: usize,
+    ) -> Option<PanelGuard<'c, In>> {
+        let inst = &self.instances[instance];
+        assert!(tn < inst.space.tiles_n() && chunk < inst.chunks, "B chunk ({tn}, {chunk}) out of range");
+        let blk_n = inst.space.tile().blk_n;
+        let cols = tn * blk_n..inst.space.shape().n.min((tn + 1) * blk_n);
+        let (ks, nr, shard) = (chunk_ks(&inst.space, chunk), self.nr, shard % self.shards);
+        let slot = inst.b_base + (shard * inst.space.tiles_n() + tn) * inst.chunks + chunk;
+        let len = packed_b_len(ks.len(), cols.len(), nr);
+        self.fetch(slot, shard, len, tn as u32, 1, |out| pack_b_slice(b, ks, cols, nr, out))
     }
 
     /// The claim/publish core shared by both operand tables. `tag` and
     /// `operand` (0 = A, 1 = B) label the pack span in traces.
     fn fetch<'c>(
         &'c self,
-        slot: &'c ChunkSlot<In>,
+        slot: usize,
+        shard: usize,
+        len: usize,
         tag: u32,
         operand: u32,
-        pack: impl FnOnce(&mut Vec<In>),
+        pack: impl FnOnce(&mut [In]),
     ) -> Option<PanelGuard<'c, In>> {
-        // Fast path: already published. The acquire-load pairs with
-        // the packer's release-store, making the chunk data visible.
-        if slot.state.load(Ordering::Acquire) == READY {
-            return Some(Self::read(slot));
+        // Fast path: already published.
+        if let Some(chunk) = self.table.get(slot) {
+            return Some(PanelGuard(chunk));
         }
-        if slot.state.compare_exchange(EMPTY, PACKING, Ordering::AcqRel, Ordering::Acquire).is_ok() {
+        let packed = self.table.claim_and_pack(slot, shard, len, |out| {
             // This CTA won the claim: pack, then publish.
             let t0 = crate::trace::start();
-            {
-                let mut guard =
-                    slot.data.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-                pack(&mut guard);
-            }
+            pack(out);
             self.packs.fetch_add(1, Ordering::Relaxed);
-            slot.state.store(READY, Ordering::Release);
             crate::trace::finish(crate::trace::SpanKind::PackCached, t0, tag, operand);
-            return Some(Self::read(slot));
+        });
+        if let Some(chunk) = packed {
+            return Some(PanelGuard(chunk));
         }
         // Lost the race: another CTA is packing (or just published).
         // Descend the fixup board's backoff ladder on the flag.
-        match self
-            .policy
-            .wait_until(|| (slot.state.load(Ordering::Acquire) == READY).then_some(()))
-        {
-            Ok(()) => Some(Self::read(slot)),
+        match self.policy.wait_until(|| self.table.get(slot)) {
+            Ok(chunk) => Some(PanelGuard(chunk)),
             Err(_) => {
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
-    }
-
-    fn read<'c>(slot: &'c ChunkSlot<In>) -> PanelGuard<'c, In> {
-        // By protocol no writer touches a READY slot again, so this
-        // read lock is uncontended.
-        PanelGuard(slot.data.read().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
 }
 
@@ -454,6 +503,32 @@ pub fn mac_loop_kernel_cached<In, Acc>(
     In: Promote<Acc>,
     Acc: Scalar,
 {
+    mac_loop_instance_cached(
+        kind, cache, 0, shard, a, b, space, tile_idx, local_begin, local_end, accum, bufs,
+    );
+}
+
+/// [`mac_loop_kernel_cached`] for instance `instance` of a batched or
+/// grouped launch: `a`, `b` and `space` are that instance's, and
+/// `cache` is the launch's one table spanning every instance.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mac_loop_instance_cached<In, Acc>(
+    kind: KernelKind,
+    cache: Option<&PackCache<In>>,
+    instance: usize,
+    shard: usize,
+    a: &MatrixView<'_, In>,
+    b: &MatrixView<'_, In>,
+    space: &IterSpace,
+    tile_idx: usize,
+    local_begin: usize,
+    local_end: usize,
+    accum: &mut [Acc],
+    bufs: &mut PackBuffers<In>,
+) where
+    In: Promote<Acc>,
+    Acc: Scalar,
+{
     let Some((mr, nr)) = kind.register_block() else {
         return mac_loop_kernel(kind, a, b, space, tile_idx, local_begin, local_end, accum, bufs);
     };
@@ -494,29 +569,37 @@ pub fn mac_loop_kernel_cached<In, Acc>(
         let whole = chunk_ks(space, chunk);
         let cached_span = PanelSpan { k0: whole.start, k_cap: whole.len() };
 
-        let a_guard =
-            if a_direct.is_none() { cache.and_then(|c| c.a_chunk(a, tm, chunk, shard)) } else { None };
+        let a_cached = if a_direct.is_none() {
+            cache.and_then(|c| c.a_chunk_of(instance, a, tm, chunk, shard))
+        } else {
+            None
+        };
         let (a_slice, a_span): (&[In], PanelSpan) = if let Some(direct) = a_direct {
             direct
-        } else if let Some(g) = a_guard.as_deref() {
+        } else if let Some(g) = a_cached.as_deref() {
             (g, cached_span)
         } else {
             let t0 = crate::trace::start();
-            pack_a_into(a, rows.clone(), ks.clone(), mr, &mut bufs.a);
+            let out = stage(&mut bufs.a, packed_a_len(rows.len(), ks.len(), mr));
+            pack_a_slice(a, rows.clone(), ks.clone(), mr, out);
             crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx as u32, ks.len() as u32);
-            (&bufs.a, private_span)
+            (&*out, private_span)
         };
-        let b_guard =
-            if b_direct.is_none() { cache.and_then(|c| c.b_chunk(b, tn, chunk, shard)) } else { None };
+        let b_cached = if b_direct.is_none() {
+            cache.and_then(|c| c.b_chunk_of(instance, b, tn, chunk, shard))
+        } else {
+            None
+        };
         let (b_slice, b_span): (&[In], PanelSpan) = if let Some(direct) = b_direct {
             direct
-        } else if let Some(g) = b_guard.as_deref() {
+        } else if let Some(g) = b_cached.as_deref() {
             (g, cached_span)
         } else {
             let t0 = crate::trace::start();
-            pack_b_into(b, ks.clone(), cols.clone(), nr, &mut bufs.b);
+            let out = stage(&mut bufs.b, packed_b_len(ks.len(), cols.len(), nr));
+            pack_b_slice(b, ks.clone(), cols.clone(), nr, out);
             crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx as u32, ks.len() as u32);
-            (&bufs.b, private_span)
+            (&*out, private_span)
         };
 
         macro_rules! run {
@@ -544,7 +627,7 @@ pub fn mac_loop_kernel_cached<In, Acc>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamk_matrix::Matrix;
+    use streamk_matrix::{pack_a_into, pack_b_into, Matrix};
     use streamk_types::{GemmShape, Layout, TileShape};
 
     fn fixture(shape: GemmShape, tile: TileShape) -> (IterSpace, Matrix<f64>, Matrix<f64>) {
@@ -685,7 +768,7 @@ mod tests {
             PackCache::<f64>::new(&space, 8, 4, WaitPolicy::with_watchdog(Duration::from_millis(20)));
         // Simulate a packer that claimed the middle chunk of A's only
         // panel and died: the flag sticks at PACKING forever.
-        cache.a[1].state.store(PACKING, Ordering::Release);
+        cache.table.stick(1);
         assert!(cache.a_chunk(&a.view(), 0, 1, 0).is_none(), "watchdog must give up");
         assert_eq!(cache.fallbacks(), 1);
         assert!(cache.a_chunk(&a.view(), 0, 0, 0).is_some(), "neighbouring chunks unaffected");
@@ -729,7 +812,7 @@ mod tests {
         assert_eq!(cache.packs(), 2, "shard 3 wraps onto shard 0's slot");
         // Poison shard 1's slot for (panel 1, chunk 2): the same chunk
         // in shard 0 and the other chunks of shard 1 stay usable.
-        cache.a[(space.tiles_m() + 1) * 3 + 2].state.store(PACKING, Ordering::Release);
+        cache.table.stick((space.tiles_m() + 1) * 3 + 2);
         assert!(cache.a_chunk(&a.view(), 1, 2, 1).is_none(), "stuck shard gives up");
         assert!(cache.a_chunk(&a.view(), 1, 2, 0).is_some(), "other shards unaffected");
         assert!(cache.a_chunk(&a.view(), 1, 1, 1).is_some(), "other chunks unaffected");

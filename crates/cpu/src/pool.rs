@@ -14,7 +14,10 @@
 //! launches workers park on a condvar; across launches each worker
 //! keeps a [`ScratchStore`] of warm per-worker state (the executor
 //! stashes its `Workspace` arenas there), so the steady state allocates
-//! nothing and touches only resident pages.
+//! nothing and touches only resident pages. State that outlives
+//! launches but belongs to no one worker — the executor's pack arena —
+//! lives in one more store on the pool itself
+//! ([`WorkerPool::launch_scratch`]) and is freed with it.
 //!
 //! **Launch protocol.** [`WorkerPool::run`] publishes one job — a
 //! `Fn(worker_id, &mut ScratchStore)` — under the pool mutex, bumps the
@@ -105,6 +108,8 @@ pub struct WorkerPool {
     handles: Vec<JoinHandle<()>>,
     /// Serializes launches: one job in flight per pool.
     launch_lock: Mutex<()>,
+    /// Launch-level scratch; see [`WorkerPool::launch_scratch`].
+    launch_scratch: Mutex<ScratchStore>,
     launches: AtomicUsize,
 }
 
@@ -147,7 +152,13 @@ impl WorkerPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        Self { shared, handles, launch_lock: Mutex::new(()), launches: AtomicUsize::new(0) }
+        Self {
+            shared,
+            handles,
+            launch_lock: Mutex::new(()),
+            launch_scratch: Mutex::default(),
+            launches: AtomicUsize::new(0),
+        }
     }
 
     /// Number of worker threads in this pool.
@@ -160,6 +171,16 @@ impl WorkerPool {
     #[must_use]
     pub fn launches(&self) -> usize {
         self.launches.load(Ordering::Relaxed)
+    }
+
+    /// The launch-level [`ScratchStore`]: typed state a launcher keeps
+    /// from one launch to the next that no single worker owns, beside
+    /// the per-worker stores the job closure sees. It lives exactly as
+    /// long as the pool. Take what a launch needs out of the store and
+    /// put it back afterwards rather than holding this guard across
+    /// [`run`](Self::run).
+    pub fn launch_scratch(&self) -> MutexGuard<'_, ScratchStore> {
+        self.launch_scratch.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Pools constructed process-wide since program start.

@@ -6,12 +6,16 @@
 //! recomputation tile per recovery. [`Workspace`] owns all of that
 //! per worker thread and recycles it, so once each buffer reaches its
 //! high-water mark the steady-state hot path performs **zero heap
-//! allocation** — pack panels, accumulator tiles, and fixup partials
-//! are all pool-and-recycle.
+//! allocation** for accumulator tiles, fixup partials and the private
+//! pack staging. (The shared panel chunks a cached launch packs are
+//! not here: they live in the executor's pack arena, `arena.rs`,
+//! which is what makes *them* allocation-free in steady state.)
 //!
 //! Lifecycle per worker:
 //!
-//! 1. [`Workspace::new`] once, sized to the decomposition's tile.
+//! 1. [`Workspace::new`] once, sized to the decomposition's tile;
+//!    [`begin_launch`](Workspace::begin_launch) at the start of every
+//!    launch after that.
 //! 2. Per segment: kernels write into [`accum`](Workspace::accum)
 //!    (reset via [`reset_accum`](Workspace::reset_accum)), packing
 //!    goes through [`pack`](Workspace::pack).
@@ -28,9 +32,13 @@
 //! owner, so a worker that keeps ending up owner is handed a
 //! tile-sized buffer per split tile per launch and would otherwise
 //! hoard them all. It keeps no more than it has ever had taken out at
-//! once (takes minus returns, at its high-water mark) — the most its
-//! own [`take_partial`](Workspace::take_partial) calls can draw before
-//! traffic refills the pool — and drops the rest.
+//! once *within one launch* (takes minus returns, at its high-water
+//! mark) — the most its own [`take_partial`](Workspace::take_partial)
+//! calls can draw before traffic refills the pool — and drops the
+//! rest. The count restarts with each launch because a contributor's
+//! hand-offs never come back: carried over, they would raise the
+//! bound by one per launch and the worker would hoard that many
+//! partials the next time it is an owner.
 //!
 //! [`fresh_allocs`](Workspace::fresh_allocs) counts pool misses so
 //! tests can pin the "allocation-free after warm-up" property.
@@ -55,9 +63,9 @@ pub struct Workspace<In, Acc> {
     /// Recovery scratch for recomputing a lost peer's contribution.
     pub scratch: Vec<Acc>,
     pool: Vec<Vec<Acc>>,
-    /// Buffers taken and not (yet) given back: takes minus recycles,
-    /// floored at zero. A contributor's hand-offs never come back, so
-    /// for it this only grows — but so does nothing in its pool.
+    /// Buffers taken this launch and not (yet) given back: takes minus
+    /// recycles, floored at zero. A contributor's hand-offs never come
+    /// back, so within a launch this only grows for it.
     taken: usize,
     /// High-water mark of `taken`: the pool's capacity.
     peak_taken: usize,
@@ -112,6 +120,15 @@ impl<In, Acc: Scalar> Workspace<In, Acc> {
         self.taken = 0;
         self.peak_taken = 0;
         self.fresh_allocs += 2;
+    }
+
+    /// Starts a launch with tiles of `tile_len` elements:
+    /// [`ensure_tile_len`](Self::ensure_tile_len), and the count of
+    /// outstanding partials starts over (the pool's capacity, its
+    /// high-water mark, is kept).
+    pub fn begin_launch(&mut self, tile_len: usize) {
+        self.ensure_tile_len(tile_len);
+        self.taken = 0;
     }
 
     /// Zeroes the accumulator tile for the next CTA.
@@ -240,6 +257,31 @@ mod tests {
             idle.recycle_partial(vec![0.0; 16]);
         }
         assert_eq!(idle.pooled(), 0);
+    }
+
+    /// With `GridCursor` claiming a worker's role alternates from
+    /// launch to launch. What it handed off as a contributor is gone
+    /// for good and must not count against later launches: carried
+    /// over, the bound rose by one per round and the final owner
+    /// launch here kept all eight of its peers' buffers.
+    #[test]
+    fn alternating_roles_keep_the_bound_at_one_launchs_high_water() {
+        let mut ws = Ws::new(16);
+        for round in 0..100 {
+            // Contributor only: two seams, both partials handed to
+            // the board.
+            ws.begin_launch(16);
+            let _handed_off = (ws.take_partial(), ws.take_partial());
+            // Owner only: folds one peer's partial it never took.
+            ws.begin_launch(16);
+            ws.recycle_partial(vec![0.0; 16]);
+            assert!(ws.pooled() <= 2, "round {round}: pool grew to {}", ws.pooled());
+        }
+        ws.begin_launch(16);
+        for _ in 0..8 {
+            ws.recycle_partial(vec![0.0; 16]);
+        }
+        assert_eq!(ws.pooled(), 2, "two out at once is the most any launch had");
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod view;
 
 pub use bhalf::bf16;
 pub use half::f16;
-pub use pack::{pack_a_into, pack_b_into, packed_a_len, packed_b_len};
+pub use pack::{pack_a_into, pack_a_slice, pack_b_into, pack_b_slice, packed_a_len, packed_b_len};
 pub use matrix::Matrix;
 pub use scalar::{Promote, Scalar};
 pub use view::{MatOp, MatrixView};

@@ -34,35 +34,35 @@ use streamk_types::FRAG;
 /// `BlockMajorZ`) per element. This walks the storage *fragments*
 /// covering the requested window instead — one swizzle lookup per
 /// 8×8 fragment, unit-stride reads inside it — and scatters into the
-/// same k-major panel layout the strided packers produce.
-///
-/// `p_is_rows` selects the panel axis in view coordinates: `true`
-/// packs A-style `pw`-row panels over `p_range` rows × `k_range` ks
-/// (`panel[k·pw + i]`), `false` packs B-style `pw`-column panels over
-/// `k_range` ks × `p_range` cols (`panel[k·pw + j]`). Ragged panel
-/// edges are zero-padded exactly like the strided paths.
+/// same k-major panel layout the strided packers produce: `pw`-row
+/// panels over `p_range` view rows × `k_range` view columns
+/// (`panel[k·pw + i]`). Ragged panel edges are zero-padded exactly
+/// like the strided paths.
 fn pack_panels_blocked<T: Copy + Default>(
     data: &[T],
     info: BlockInfo,
-    p_is_rows: bool,
     p_range: Range<usize>,
     k_range: Range<usize>,
     pw: usize,
-    out: &mut Vec<T>,
+    dst: &mut [T],
 ) {
     let klen = k_range.len();
-    let panels = p_range.len().div_ceil(pw);
-    let base = out.len();
-    out.resize(base + panels * klen * pw, T::default());
-    let dst = &mut out[base..];
+    // The scatter below only visits real elements; the pad lanes get
+    // their zeros here.
+    dst.fill(T::default());
 
     // The view window in storage coordinates (view (r, c) reads
     // storage (c, r) when transposed).
-    let (vr, vc) = if p_is_rows { (p_range.clone(), k_range.clone()) } else { (k_range.clone(), p_range.clone()) };
     let (sr, sc) = if info.transposed {
-        (info.origin_row + vc.start..info.origin_row + vc.end, info.origin_col + vr.start..info.origin_col + vr.end)
+        (
+            info.origin_row + k_range.start..info.origin_row + k_range.end,
+            info.origin_col + p_range.start..info.origin_col + p_range.end,
+        )
     } else {
-        (info.origin_row + vr.start..info.origin_row + vr.end, info.origin_col + vc.start..info.origin_col + vc.end)
+        (
+            info.origin_row + p_range.start..info.origin_row + p_range.end,
+            info.origin_col + k_range.start..info.origin_col + k_range.end,
+        )
     };
 
     for fr in sr.start / FRAG..sr.end.div_ceil(FRAG) {
@@ -82,12 +82,11 @@ fn pack_panels_blocked<T: Copy + Default>(
                     if row < sr.start || row >= sr.end {
                         continue;
                     }
-                    let (r, c) = if info.transposed {
+                    let (p, k) = if info.transposed {
                         (col - info.origin_col, row - info.origin_row)
                     } else {
                         (row - info.origin_row, col - info.origin_col)
                     };
-                    let (p, k) = if p_is_rows { (r, c) } else { (c, r) };
                     let (p_rel, k_rel) = (p - p_range.start, k - k_range.start);
                     dst[(p_rel / pw) * klen * pw + k_rel * pw + p_rel % pw] = frag[cc * FRAG + rr];
                 }
@@ -114,8 +113,8 @@ pub fn packed_b_len(ks: usize, cols: usize, nr: usize) -> usize {
 
 /// Packs `a[rows, ks]` into `MR`-row panels, k-major within each
 /// panel, zero-padding the final panel's missing rows. `out` is
-/// cleared and reused — steady-state callers pay no allocation once
-/// the buffer has grown to its high-water mark.
+/// resized to [`packed_a_len`] and reused — steady-state callers pay
+/// no allocation once the buffer has grown to its high-water mark.
 ///
 /// # Panics
 ///
@@ -128,71 +127,33 @@ pub fn pack_a_into<T: Copy + Default>(
     out: &mut Vec<T>,
 ) {
     assert!(mr > 0, "panel height must be positive");
-    assert!(rows.end <= a.rows() && ks.end <= a.cols(), "pack_a range out of bounds");
-    let kc = ks.len();
-    out.clear();
-    out.reserve(packed_a_len(rows.len(), kc, mr));
-    let zero = T::default();
-
-    if a.rows_contiguous() && mr == 4 {
-        pack_a_rows::<T, 4>(a, rows, ks, out);
-    } else if a.rows_contiguous() && mr == 8 {
-        pack_a_rows::<T, 8>(a, rows, ks, out);
-    } else if let Some((data, info)) = a.blocked_parts() {
-        pack_panels_blocked(data, info, true, rows, ks, mr, out);
-    } else {
-        let mut r = rows.start;
-        while r < rows.end {
-            let height = mr.min(rows.end - r);
-            for k in ks.clone() {
-                for i in 0..height {
-                    out.push(a.get(r + i, k));
-                }
-                for _ in height..mr {
-                    out.push(zero);
-                }
-            }
-            r += mr;
-        }
-    }
+    out.resize(packed_a_len(rows.len(), ks.len(), mr), T::default());
+    pack_a_slice(a, rows, ks, mr, out);
 }
 
-/// [`pack_a_into`]'s row-contiguous path for the register heights the
-/// kernels use: one pass over k that reads the panel's `MR` source
-/// rows side by side and appends all `MR` elements of a k-step
-/// together, so every destination byte is written exactly once and in
-/// order. Only the ragged last panel pays for padding.
-#[allow(clippy::needless_range_loop)] // `k` indexes the slices inside `src`, not `src`
-fn pack_a_rows<T: Copy + Default, const MR: usize>(
+/// [`pack_a_into`] into caller-provided storage of exactly
+/// [`packed_a_len`] elements. Every element of `out` is written, pad
+/// lanes included, so the storage may be dirty (the executor's pack
+/// arena recycles it from launch to launch).
+///
+/// # Panics
+///
+/// As [`pack_a_into`], or if `out` has the wrong length.
+pub fn pack_a_slice<T: Copy + Default>(
     a: &MatrixView<'_, T>,
     rows: Range<usize>,
     ks: Range<usize>,
-    out: &mut Vec<T>,
+    mr: usize,
+    out: &mut [T],
 ) {
-    let zero = T::default();
-    for r in rows.clone().step_by(MR) {
-        let height = MR.min(rows.end - r);
-        // Lanes past the ragged edge alias the last real row so the
-        // array stays full; they are replaced by zeros below.
-        let src: [&[T]; MR] =
-            std::array::from_fn(|i| &a.row_slice(r + i.min(height - 1))[ks.clone()]);
-        if height == MR {
-            for k in 0..ks.len() {
-                out.extend_from_slice(&std::array::from_fn::<T, MR, _>(|i| src[i][k]));
-            }
-        } else {
-            for k in 0..ks.len() {
-                out.extend_from_slice(&std::array::from_fn::<T, MR, _>(|i| {
-                    if i < height { src[i][k] } else { zero }
-                }));
-            }
-        }
-    }
+    assert!(mr > 0, "panel height must be positive");
+    assert!(rows.end <= a.rows() && ks.end <= a.cols(), "pack_a range out of bounds");
+    pack_panels(a, rows, ks, mr, out);
 }
 
 /// Packs `b[ks, cols]` into `NR`-column panels, k-major within each
 /// panel, zero-padding the final panel's missing columns. `out` is
-/// cleared and reused like [`pack_a_into`].
+/// resized and reused like [`pack_a_into`].
 ///
 /// # Panics
 ///
@@ -205,40 +166,115 @@ pub fn pack_b_into<T: Copy + Default>(
     out: &mut Vec<T>,
 ) {
     assert!(nr > 0, "panel width must be positive");
-    assert!(ks.end <= b.rows() && cols.end <= b.cols(), "pack_b range out of bounds");
-    let kc = ks.len();
-    out.clear();
-    out.reserve(packed_b_len(kc, cols.len(), nr));
-    let zero = T::default();
+    out.resize(packed_b_len(ks.len(), cols.len(), nr), T::default());
+    pack_b_slice(b, ks, cols, nr, out);
+}
 
-    if b.rows_contiguous() {
-        let mut c = cols.start;
-        while c < cols.end {
-            let width = nr.min(cols.end - c);
-            for k in ks.clone() {
-                let brow = &b.row_slice(k)[c..c + width];
-                out.extend_from_slice(brow);
-                for _ in width..nr {
-                    out.push(zero);
-                }
-            }
-            c += nr;
+/// [`pack_b_into`] into caller-provided storage of exactly
+/// [`packed_b_len`] elements; as [`pack_a_slice`].
+///
+/// # Panics
+///
+/// As [`pack_b_into`], or if `out` has the wrong length.
+pub fn pack_b_slice<T: Copy + Default>(
+    b: &MatrixView<'_, T>,
+    ks: Range<usize>,
+    cols: Range<usize>,
+    nr: usize,
+    out: &mut [T],
+) {
+    assert!(nr > 0, "panel width must be positive");
+    assert!(ks.end <= b.rows() && cols.end <= b.cols(), "pack_b range out of bounds");
+    // A B column-panel is an A row-panel of Bᵀ: same k-major layout,
+    // panel axis along the view's rows.
+    pack_panels(&b.t(), cols, ks, nr, out);
+}
+
+/// The one packer behind both operands: `pw`-row panels of
+/// `v[ps, ks]`, `panel[k·pw + i] = v[ps.start + p·pw + i, k]`, every
+/// lane of `out` written. The source orientation picks the routine:
+///
+/// - k runs along storage (`v` row-contiguous: a row-major A, or a B
+///   given as the transpose of a row-major matrix) — [`pack_rows`]
+///   reads the panel's `pw` source rows side by side, for the register
+///   widths the kernels use;
+/// - the panel axis runs along storage (`vᵀ` row-contiguous: a
+///   row-major B, a column-major or transposed A) — each k-step's
+///   `pw` elements are one contiguous run, copied as such;
+/// - blocked storage walks fragments; anything else (two real
+///   strides) reads element by element.
+fn pack_panels<T: Copy + Default>(
+    v: &MatrixView<'_, T>,
+    ps: Range<usize>,
+    ks: Range<usize>,
+    pw: usize,
+    out: &mut [T],
+) {
+    let kc = ks.len();
+    assert_eq!(out.len(), ps.len().div_ceil(pw) * kc * pw, "packed storage has the wrong length");
+    if out.is_empty() {
+        return;
+    }
+    if v.rows_contiguous() {
+        match pw {
+            4 => return pack_rows::<T, 4>(v, ps, ks, out),
+            8 => return pack_rows::<T, 8>(v, ps, ks, out),
+            16 => return pack_rows::<T, 16>(v, ps, ks, out),
+            32 => return pack_rows::<T, 32>(v, ps, ks, out),
+            _ => {}
         }
-    } else if let Some((data, info)) = b.blocked_parts() {
-        pack_panels_blocked(data, info, false, cols, ks, nr, out);
-    } else {
-        let mut c = cols.start;
-        while c < cols.end {
-            let width = nr.min(cols.end - c);
-            for k in ks.clone() {
-                for j in 0..width {
-                    out.push(b.get(k, c + j));
-                }
-                for _ in width..nr {
-                    out.push(zero);
+    }
+    if let Some((data, info)) = v.blocked_parts() {
+        return pack_panels_blocked(data, info, ps, ks, pw, out);
+    }
+    let zero = T::default();
+    let vt = v.t();
+    let runs = vt.rows_contiguous();
+    for (p0, panel) in ps.clone().step_by(pw).zip(out.chunks_exact_mut(kc * pw)) {
+        let height = pw.min(ps.end - p0);
+        for (k, lanes) in ks.clone().zip(panel.chunks_exact_mut(pw)) {
+            if runs {
+                lanes[..height].copy_from_slice(&vt.row_slice(k)[p0..p0 + height]);
+            } else {
+                for (i, lane) in lanes[..height].iter_mut().enumerate() {
+                    *lane = v.get(p0 + i, k);
                 }
             }
-            c += nr;
+            lanes[height..].fill(zero);
+        }
+    }
+}
+
+/// [`pack_panels`]' k-contiguous path: one pass over k that reads the
+/// panel's `PW` source rows side by side and writes all `PW` elements
+/// of a k-step together, so every destination byte is written exactly
+/// once and in order. Only the ragged last panel pays for padding.
+#[allow(clippy::needless_range_loop)] // `k` indexes the slices inside `src`, not `src`
+fn pack_rows<T: Copy + Default, const PW: usize>(
+    v: &MatrixView<'_, T>,
+    ps: Range<usize>,
+    ks: Range<usize>,
+    out: &mut [T],
+) {
+    let zero = T::default();
+    let kc = ks.len();
+    for (p0, panel) in ps.clone().step_by(PW).zip(out.chunks_exact_mut(kc * PW)) {
+        let height = PW.min(ps.end - p0);
+        // Lanes past the ragged edge alias the last real row so the
+        // array stays full; they are replaced by zeros below.
+        let src: [&[T]; PW] =
+            std::array::from_fn(|i| &v.row_slice(p0 + i.min(height - 1))[ks.clone()]);
+        let steps = panel.chunks_exact_mut(PW);
+        if height == PW {
+            for (k, lanes) in steps.enumerate() {
+                lanes.copy_from_slice(&std::array::from_fn::<T, PW, _>(|i| src[i][k]));
+            }
+        } else {
+            for (k, lanes) in steps.enumerate() {
+                lanes.copy_from_slice(&std::array::from_fn::<T, PW, _>(|i| {
+                    if i < height { src[i][k] } else { zero }
+                }));
+            }
         }
     }
 }
@@ -311,25 +347,41 @@ mod tests {
         assert_eq!(pt[1], row.get(0, 1)); // logical row 1 of Aᵀ
     }
 
-    /// The single-pass row-contiguous A path against the element-wise
-    /// `get()` path (reached through a column-major copy): identical
-    /// bytes for every ragged panel height, both kernel register
-    /// heights, and k sub-ranges — with a dirty, oversized `out` so a
-    /// pad lane that is skipped rather than written would show.
+    /// Every fast path against the element-wise `get()` path (reached
+    /// through a view with two real strides): identical bytes for both
+    /// operands, both source orientations, every register width the
+    /// kernels use plus one they do not, every ragged panel edge and k
+    /// sub-range — with a dirty, oversized `out` so a pad lane that is
+    /// skipped rather than written would show.
     #[test]
     fn single_pass_a_path_matches_the_generic_path() {
-        let row = counting(21, 37, Layout::RowMajor);
+        // Every second row and column of a larger matrix: neither
+        // orientation is contiguous.
+        let big = counting(42, 74, Layout::RowMajor);
+        let strided = MatrixView::from_parts(big.as_slice(), 21, 37, 2 * 74, 2);
+        let row = strided.to_matrix();
         let col = row.to_layout(Layout::ColMajor);
-        assert!(row.view().rows_contiguous() && !col.view().rows_contiguous());
-        for mr in [4, 8] {
-            for rows in [0..21, 0..8, 3..4, 5..18, 16..21, 7..7] {
+        assert!(!strided.rows_contiguous() && !strided.t().rows_contiguous());
+        assert!(row.view().rows_contiguous() && col.t().rows_contiguous());
+        for pw in [4, 8, 16, 32, 3] {
+            for ps in [0..21, 0..8, 3..4, 5..18, 16..21, 7..7] {
                 for ks in [0..37, 0..1, 5..29, 36..37, 11..11] {
-                    let mut fast = vec![-1.0; 4096];
+                    let what = format!("pw {pw} panels {ps:?} ks {ks:?}");
                     let mut generic = Vec::new();
-                    pack_a_into(&row.view(), rows.clone(), ks.clone(), mr, &mut fast);
-                    pack_a_into(&col.view(), rows.clone(), ks.clone(), mr, &mut generic);
-                    assert_eq!(fast.len(), packed_a_len(rows.len(), ks.len(), mr));
-                    assert_eq!(fast, generic, "mr {mr} rows {rows:?} ks {ks:?}");
+                    pack_a_into(&strided, ps.clone(), ks.clone(), pw, &mut generic);
+                    assert_eq!(generic.len(), packed_a_len(ps.len(), ks.len(), pw));
+                    for a in [row.view(), col.view()] {
+                        let mut fast = vec![-1.0; 8192];
+                        pack_a_into(&a, ps.clone(), ks.clone(), pw, &mut fast);
+                        assert_eq!(fast, generic, "A {what}");
+                    }
+                    pack_b_into(&strided.t(), ks.clone(), ps.clone(), pw, &mut generic);
+                    assert_eq!(generic.len(), packed_b_len(ks.len(), ps.len(), pw));
+                    for b in [row.t(), col.t()] {
+                        let mut fast = vec![-1.0; generic.len()];
+                        pack_b_slice(&b, ks.clone(), ps.clone(), pw, &mut fast);
+                        assert_eq!(fast, generic, "B {what}");
+                    }
                 }
             }
         }
