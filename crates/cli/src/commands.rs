@@ -1347,6 +1347,17 @@ fn run_profile(
         metrics.fixup_latency.count(),
         metrics.fixup_latency.mean_ns() as f64 / 1e9
     );
+    // The handshake's share of `schedule`: every worker's wake (launch
+    // epoch to entering the job), worker 0's join, and the whole
+    // launch for a helper that arrived after the close.
+    let (launches, launch_ns) = (metrics.count(SpanKind::Launch), metrics.total_ns(SpanKind::Launch));
+    let _ = writeln!(
+        out,
+        "launch handshake: n={launches} total {:.3e}s ({:.1}% of leaf time) mean {:.3e}s",
+        launch_ns as f64 / 1e9,
+        launch_ns as f64 / leaf_ns as f64 * 100.0,
+        launch_ns as f64 / launches.max(1) as f64 / 1e9
+    );
 
     // Calibrate a GPU spec from the measured MAC rate: each worker is
     // one "SM" whose peak is the iteration throughput it actually

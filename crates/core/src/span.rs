@@ -43,11 +43,17 @@ pub enum SpanKind {
     /// A serve-layer request waiting in its admission lane before the
     /// first CTA claim (admit → first claim).
     QueueWait,
+    /// The launch handshake, where a worker is in no other span: from
+    /// the launch epoch to the worker's entry into the job, on worker
+    /// 0 (the launching thread) from the end of its share until the
+    /// launch returns, and the whole launch on a helper that arrived
+    /// after worker 0 closed it and so never entered.
+    Launch,
 }
 
 impl SpanKind {
     /// Every kind, in a fixed order usable for dense indexing.
-    pub const ALL: [Self; 13] = [
+    pub const ALL: [Self; 14] = [
         Self::Claim,
         Self::Steal,
         Self::Cta,
@@ -61,6 +67,7 @@ impl SpanKind {
         Self::DeferResume,
         Self::Recovery,
         Self::QueueWait,
+        Self::Launch,
     ];
 
     /// Stable display name (also the event name in Chrome traces).
@@ -80,6 +87,7 @@ impl SpanKind {
             Self::DeferResume => "defer_resume",
             Self::Recovery => "recovery",
             Self::QueueWait => "queue_wait",
+            Self::Launch => "launch",
         }
     }
 
@@ -93,7 +101,9 @@ impl SpanKind {
     #[must_use]
     pub fn phase(self) -> Phase {
         match self {
-            Self::Claim | Self::Steal | Self::DeferPark | Self::DeferResume => Phase::Schedule,
+            Self::Claim | Self::Steal | Self::DeferPark | Self::DeferResume | Self::Launch => {
+                Phase::Schedule
+            }
             Self::Cta | Self::Mac => Phase::Compute,
             Self::PackPrivate | Self::PackCached => Phase::Pack,
             Self::Signal | Self::LoadPartials => Phase::Fixup,
@@ -117,7 +127,8 @@ impl SpanKind {
 /// Coarse activity classes for per-phase time breakdowns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Phase {
-    /// Claiming, stealing, and deferral bookkeeping.
+    /// Claiming, stealing, deferral bookkeeping, and the launch
+    /// handshake.
     Schedule,
     /// MAC-loop iterations (useful flops).
     Compute,

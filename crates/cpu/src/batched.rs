@@ -85,7 +85,12 @@ impl CpuExecutor {
         // Round-robin cursor claiming (not the single-GEMM path's
         // static ranges): batched owners *block* in `wait_and_take`,
         // and the round-robin order guarantees a blocked owner's peers
-        // are already claimed by other workers.
+        // are claimed by other workers — already, or as soon as a
+        // helper still on its way arrives: the pool keeps the launch
+        // open for as long as the launcher (worker 0) is inside this
+        // loop, blocked or not, and closes it only once the cursor is
+        // drained, when every peer is claimed by a worker that signals
+        // before it can block (DESIGN.md §10).
         let tile_len = tile.blk_m * tile.blk_n;
         let wait_ns = AtomicU64::new(0);
         self.worker_pool().run(&|wid, scratch| {

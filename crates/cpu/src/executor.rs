@@ -25,7 +25,7 @@ use crate::packcache::{mac_loop_kernel_cached, PackCache};
 use crate::pad::CachePadded;
 use crate::pool::WorkerPool;
 use crate::sched::CtaScheduler;
-use crate::trace::{self, ExecTrace, SpanKind, WorkerTrace};
+use crate::trace::{self, ExecTrace, SpanKind, WorkerTrace, WorkerTracer};
 use crate::workspace::Workspace;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -49,7 +49,9 @@ fn default_threads() -> usize {
 /// Executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
-    /// Worker threads — the executor's "SM count". Each worker holds
+    /// Workers — the executor's "SM count" — *counting the calling
+    /// thread*: whoever launches is worker 0, so the pool spawns
+    /// `threads - 1` helper threads. Each worker holds
     /// one CTA at a time and claims from its own static contiguous
     /// range of the dispatch order (stealing from the richest
     /// neighbour when it drains), mirroring the GPU's per-SM work
@@ -370,8 +372,9 @@ impl CpuExecutor {
 
     /// The executor's persistent [`WorkerPool`], spawning it on first
     /// use. One pool serves every launch of this executor (and its
-    /// clones) for its whole lifetime; workers park between launches
-    /// and keep their workspace arenas warm.
+    /// clones) for its whole lifetime; the launching thread is its
+    /// worker 0, helpers spin briefly then park between launches, and
+    /// every worker keeps its workspace arenas warm.
     #[must_use]
     pub fn worker_pool(&self) -> &WorkerPool {
         self.pool.get_or_init(|| WorkerPool::new(self.config.threads))
@@ -447,6 +450,75 @@ impl CpuExecutor {
         if let Some(cache) = cache {
             with_pack_arena(self.worker_pool(), |slot| *slot = cache.into_arena());
         }
+    }
+
+    /// One armed tracer per worker id for a launch starting at
+    /// `epoch`. The rings are the ones the previous traced launch left
+    /// in the pool's launch-level store, rebased — rings belong to
+    /// worker ids, never to threads, so worker 0 costs one ring however
+    /// many threads launch — or fresh ones on the first traced launch
+    /// (and for a clone tracing at another capacity). As with the pack
+    /// arena, a launch on a clone that overlaps this one finds the
+    /// store empty and allocates, nothing worse.
+    fn arm_tracers(&self, epoch: Instant) -> Vec<TracerSlot> {
+        let capacity = self.config.trace_capacity;
+        let rested = std::mem::take(
+            self.worker_pool().launch_scratch().get_or_insert_with(Vec::<WorkerTracer>::new),
+        );
+        let mut rested = rested.into_iter().filter(|t| t.capacity() == capacity);
+        (0..self.config.threads)
+            .map(|_| {
+                let tracer = match rested.next() {
+                    Some(mut tracer) => {
+                        tracer.reset(epoch);
+                        tracer
+                    }
+                    None => WorkerTracer::new(epoch, capacity),
+                };
+                CachePadded::new(Mutex::new(Some(tracer)))
+            })
+            .collect()
+    }
+
+    /// Ends a traced launch: completes each worker's timeline with the
+    /// [`SpanKind::Launch`] spans only the launcher can time — worker
+    /// 0's join (`share_end` to `end`), and the whole launch for a
+    /// helper that recorded nothing because it arrived after the close
+    /// — drains the rings into the launch's [`ExecTrace`], and rests
+    /// them in the pool for the next traced launch.
+    fn retire_tracers(
+        &self,
+        slots: Vec<TracerSlot>,
+        epoch: Instant,
+        share_end: Option<Instant>,
+        end: Instant,
+    ) -> ExecTrace {
+        let mut rested = Vec::with_capacity(slots.len());
+        let workers = slots
+            .into_iter()
+            .enumerate()
+            .map(|(wid, slot)| {
+                // An empty slot: the worker panicked with its tracer
+                // installed, and its spans went with it.
+                let Some(mut tracer) =
+                    slot.0.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
+                else {
+                    return WorkerTrace::default();
+                };
+                if wid == 0 {
+                    if let Some(share_end) = share_end {
+                        tracer.record(SpanKind::Launch, share_end, end, trace::LAUNCH_JOIN, 0);
+                    }
+                } else if tracer.is_empty() {
+                    tracer.record(SpanKind::Launch, epoch, end, trace::LAUNCH_SKIPPED, 0);
+                }
+                let trace = tracer.drain();
+                rested.push(tracer);
+                trace
+            })
+            .collect();
+        *self.worker_pool().launch_scratch().get_or_insert_with(Vec::new) = rested;
+        ExecTrace { workers, wall_ns: end.duration_since(epoch).as_nanos() as u64 }
     }
 
     /// Records one finished launch's counters: the per-launch fields
@@ -664,22 +736,20 @@ impl CpuExecutor {
         let tile = space.tile();
         let tile_len = tile.blk_m * tile.blk_n;
         // One shared epoch so every worker's span timestamps (and the
-        // wall clock below) share a zero; each worker gets a private
-        // ring, collected through its own uncontended slot at exit.
+        // wall clock below) share a zero; each worker id gets a
+        // private ring through its own uncontended slot.
         let tracing = self.config.trace;
-        let capacity = self.config.trace_capacity;
         let epoch = Instant::now();
-        let trace_slots: Vec<CachePadded<Mutex<Option<WorkerTrace>>>> = if tracing {
-            (0..workers).map(|_| CachePadded::new(Mutex::new(None))).collect()
-        } else {
-            Vec::new()
-        };
+        let tracers = if tracing { self.arm_tracers(epoch) } else { Vec::new() };
+        // When worker 0 (this thread) finished its share: the start of
+        // the launch's join, which only the launcher can time.
+        let share_end = OnceLock::new();
         self.worker_pool().run(&|wid, scratch| {
             if tracing {
-                // Reuses the ring a previous launch left on this
-                // pool worker: steady-state traced launches allocate
-                // no new rings.
-                trace::reinstall(epoch, capacity);
+                if let Some(tracer) = lock_slot(&tracers[wid]).take() {
+                    trace::install(tracer);
+                }
+                trace::finish_at(SpanKind::Launch, epoch, trace::LAUNCH_WAKE, 0);
             }
             // The workspace survives in the worker's scratch store
             // across launches: pack staging, accumulator tile, and the
@@ -706,15 +776,13 @@ impl CpuExecutor {
                 sink.append(&mut events);
             }
             if tracing {
-                if let Some(trace) = trace::collect() {
-                    let mut slot = trace_slots[wid]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    *slot = Some(trace);
+                if wid == 0 {
+                    let _ = share_end.set(Instant::now());
                 }
+                *lock_slot(&tracers[wid]) = trace::take();
             }
         });
-        let wall_ns = epoch.elapsed().as_nanos() as u64;
+        let end = Instant::now();
 
         let mut events = Vec::new();
         for slot in &ctx.events {
@@ -728,18 +796,10 @@ impl CpuExecutor {
             events.len(),
         );
         if tracing {
-            let workers: Vec<WorkerTrace> = trace_slots
-                .into_iter()
-                .map(|slot| {
-                    slot.0
-                        .into_inner()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .unwrap_or_default()
-                })
-                .collect();
+            let trace = self.retire_tracers(tracers, epoch, share_end.get().copied(), end);
             let mut sink =
                 self.trace_sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            *sink = Some(ExecTrace { workers, wall_ns });
+            *sink = Some(trace);
         }
 
         self.retire_pack_cache(ctx.cache);
@@ -748,6 +808,14 @@ impl CpuExecutor {
         }
         Ok(RecoveryReport { events })
     }
+}
+
+/// Where a traced launch hands worker `id` its tracer and takes it
+/// back: locked once at each end of that worker's job, by nobody else.
+type TracerSlot = CachePadded<Mutex<Option<WorkerTracer>>>;
+
+fn lock_slot(slot: &TracerSlot) -> std::sync::MutexGuard<'_, Option<WorkerTracer>> {
+    slot.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn check_shape(
@@ -1538,6 +1606,7 @@ mod tests {
         // Detonate a worker mid-launch, directly on the executor's own
         // pool (the serve path catches per-CTA panics before they get
         // this far; this pins the *pool-level* guarantee they rest on).
+        // Worker 0 is the launching thread, the one id sure to run.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             exec.worker_pool().run(&|wid, _| {
                 assert!(wid != 0, "worker 0 detonates mid-launch");

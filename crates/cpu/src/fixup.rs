@@ -102,8 +102,10 @@ impl WaitPolicy {
     ///
     /// This is the one ladder implementation in the crate: the fixup
     /// board's owner-side `Wait` and the pack cache's
-    /// publish-flag wait both descend it, so backoff behaviour under
-    /// oversubscription is identical everywhere.
+    /// publish-flag wait both descend it, and the worker pool's launch
+    /// handshake descends its non-sleeping rungs
+    /// ([`poll`](Self::poll)) before parking on a condvar, so backoff
+    /// behaviour under oversubscription is identical everywhere.
     ///
     /// # Errors
     ///
@@ -129,11 +131,7 @@ impl WaitPolicy {
             if let Some(hit) = probe() {
                 return (Ok(hit), iter);
             }
-            if iter < self.spin_iters {
-                std::hint::spin_loop();
-            } else if iter < self.spin_iters + self.yield_iters {
-                std::thread::yield_now();
-            } else {
+            if !self.relax(iter) {
                 // From here each probe costs a park interval, so the
                 // deadline check is effectively free.
                 if start.elapsed() >= self.watchdog {
@@ -144,6 +142,40 @@ impl WaitPolicy {
             }
             iter = iter.saturating_add(1);
         }
+    }
+
+    /// Descends only the ladder's non-sleeping rungs: probes, spins,
+    /// then yields, and returns `None` once both rungs are spent with
+    /// `probe` still yielding `None`. For waiters that have a better
+    /// way to sleep than the ladder's timed park — the worker pool
+    /// parks on a condvar its counterpart notifies — and no deadline.
+    /// Costs the caller's core at most `spin_iters` spin hints plus
+    /// `yield_iters` yields.
+    pub fn poll<T>(&self, mut probe: impl FnMut() -> Option<T>) -> Option<T> {
+        let mut iter = 0u32;
+        loop {
+            if let Some(hit) = probe() {
+                return Some(hit);
+            }
+            if !self.relax(iter) {
+                return None;
+            }
+            iter += 1;
+        }
+    }
+
+    /// The non-sleeping rung for backoff round `iter`: a spin hint
+    /// for the first `spin_iters` rounds, a yield for the next
+    /// `yield_iters`. `false` (and nothing done) once both are spent.
+    fn relax(&self, iter: u32) -> bool {
+        if iter < self.spin_iters {
+            std::hint::spin_loop();
+        } else if iter < self.spin_iters + self.yield_iters {
+            std::thread::yield_now();
+        } else {
+            return false;
+        }
+        true
     }
 }
 
@@ -437,6 +469,29 @@ mod tests {
             rounds > policy.spin_iters + policy.yield_iters,
             "a timed-out wait descended past the spin and yield phases ({rounds} rounds)"
         );
+    }
+
+    /// `poll` is the ladder without its sleeping rung: it gives up
+    /// after exactly the spin and yield rounds instead of parking.
+    #[test]
+    fn poll_descends_only_the_non_sleeping_rungs() {
+        let policy = WaitPolicy::default();
+        assert_eq!(policy.poll(|| Some(7)), Some(7), "a ready probe costs no backoff");
+        let mut probes = 0u32;
+        let hit = policy.poll(|| {
+            probes += 1;
+            (probes == 100).then_some(probes)
+        });
+        assert_eq!(hit, Some(100), "a probe that turns ready mid-ladder is returned");
+        let mut probes = 0u32;
+        let start = Instant::now();
+        let missed: Option<()> = policy.poll(|| {
+            probes += 1;
+            None
+        });
+        assert_eq!(missed, None);
+        assert_eq!(probes, policy.spin_iters + policy.yield_iters + 1);
+        assert!(start.elapsed() < policy.watchdog, "no sleeping rung, no deadline");
     }
 
     /// The owner observes exactly the values the contributor wrote —

@@ -84,7 +84,10 @@ impl CpuExecutor {
         // Round-robin cursor claiming (owners block in
         // `wait_and_take`): the interleave keeps a blocked owner's
         // peers claimed by other workers, which static ranges would
-        // not guarantee.
+        // not guarantee. A peer no one has claimed yet is waiting for
+        // a helper that has not arrived: the launch stays open while
+        // the launcher is inside this loop, so it will (see
+        // `batched.rs` and DESIGN.md §10).
         let tile_len = tile.blk_m * tile.blk_n;
         let wait_ns = AtomicU64::new(0);
         self.worker_pool().run(&|wid, scratch| {

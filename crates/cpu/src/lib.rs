@@ -1,9 +1,11 @@
 //! A multithreaded CPU executor for Stream-K decompositions.
 //!
 //! Where `streamk-sim` *times* a decomposition, this crate *runs* it:
-//! a persistent pool of worker threads ([`pool`]) plays the role of
-//! the SM array — spawned once per executor, parked between launches
-//! with warm per-worker arenas. Each worker claims CTAs from its own
+//! a persistent pool of workers ([`pool`]: the launching thread as
+//! worker 0 plus helper threads) plays the role of the SM array —
+//! built once per executor, warm per-worker arenas between launches,
+//! and a launch handshake that costs no more than the work it
+//! launches. Each worker claims CTAs from its own
 //! static contiguous range of the dispatch order, stealing from the
 //! richest neighbour when it drains ([`sched`]), executes the
 //! CTA-wide `MacLoop` of Algorithm 3 over real matrices, and carries
@@ -48,7 +50,9 @@ pub mod packcache;
 pub mod pad;
 // The worker pool erases the launch closure's lifetime to hand it to
 // persistent threads; the one `transmute` carries its safety argument
-// (the launch blocks until every worker is done) inline.
+// (no helper enters a launch after its launcher closed it, and the
+// launch returns only after every helper that entered has left)
+// inline.
 #[allow(unsafe_code)]
 pub mod pool;
 pub mod sched;

@@ -1,38 +1,67 @@
-//! The persistent worker pool — spawn once, launch many.
-//!
-//! The executor used to build its "SM array" from scratch on every
-//! GEMM: `thread::scope` spawned `threads` fresh OS threads, each
-//! allocated a cold [`Workspace`](crate::Workspace), ran the grid,
-//! and was joined and destroyed. At microkernel speeds (PRs 2-3) that
-//! per-launch cost — thread creation, first-touch page faults on every
-//! arena, scheduler migration — dominates small and medium problems
-//! and is paid *per problem* by the batched/grouped paths.
+//! The persistent worker pool — spawn once, launch many, and launch
+//! at the cost of the work.
 //!
 //! [`WorkerPool`] is the persistent-thread-block analogue the paper's
 //! kernels rely on: one pool per [`CpuExecutor`](crate::CpuExecutor),
-//! spawned on first use, reused for every subsequent launch. Between
-//! launches workers park on a condvar; across launches each worker
-//! keeps a [`ScratchStore`] of warm per-worker state (the executor
-//! stashes its `Workspace` arenas there), so the steady state allocates
-//! nothing and touches only resident pages. State that outlives
-//! launches but belongs to no one worker — the executor's pack arena —
+//! built on first use, reused for every subsequent launch. A pool of
+//! `W` workers is the launching thread plus `W - 1` *helper* threads:
+//! whoever calls [`WorkerPool::run`] **is worker 0** for that launch,
+//! so a launch never starts by putting its caller to sleep and a
+//! one-worker pool owns no thread at all.
+//!
+//! Across launches each worker keeps a [`ScratchStore`] of warm
+//! per-worker state (the executor stashes its `Workspace` arenas
+//! there), so the steady state allocates nothing and touches only
+//! resident pages. A helper's store lives on its thread; worker 0's
+//! lives in the pool, behind the launch lock, so every launcher thread
+//! finds the same warm store. State that outlives launches but belongs
+//! to no one worker — the executor's pack arena, its trace rings —
 //! lives in one more store on the pool itself
 //! ([`WorkerPool::launch_scratch`]) and is freed with it.
 //!
-//! **Launch protocol.** [`WorkerPool::run`] publishes one job — a
-//! `Fn(worker_id, &mut ScratchStore)` — under the pool mutex, bumps the
-//! epoch, and wakes every worker. Each worker runs the job exactly once
-//! and decrements the outstanding count; `run` returns only when the
-//! count reaches zero. Worker panics are caught, the first one is
-//! re-raised on the launching thread after the epoch completes, so a
-//! panicking grid cannot poison the pool for later launches.
+//! **Launch protocol.** One launch is one *epoch*:
+//!
+//! 1. **Open.** `run` publishes the job — a
+//!    `Fn(worker_id, &mut ScratchStore)` — under the state mutex,
+//!    bumps the epoch counter, and notifies helpers that are parked
+//!    (none are, when launches come back to back).
+//! 2. **Share.** The launcher runs `job(0, ..)` itself. A helper that
+//!    sees the new epoch *enters* — under the mutex, while the job is
+//!    still published — and runs `job(id, ..)`.
+//! 3. **Close.** When the launcher's share returns it unpublishes the
+//!    job under the mutex. A helper that arrives later finds the epoch
+//!    closed and **skips it**: nobody waits for a worker that has not
+//!    started, so a grid the launcher drained alone costs no wake-up.
+//!    Every job is therefore a *claim loop* — work is taken from a
+//!    shared scheduler or cursor, never assumed from "my id runs" —
+//!    and an id that never ran is covered by the ids that did.
+//! 4. **Drain.** `run` waits for the helpers that did enter, then
+//!    re-raises the first panic of the epoch (the launcher's own share
+//!    runs under `catch_unwind` like a helper's), so a panicking grid
+//!    cannot poison the pool for later launches.
+//!
+//! The epoch stays open for as long as the launcher is inside its
+//! share, so a job whose workers block on each other (the batched and
+//! grouped owners in `wait_and_take`) still gets every helper: they
+//! are skipped only once the launcher, and with it the claim loop, is
+//! done.
+//!
+//! **Waiting.** Both waits — a helper for the next epoch, the launcher
+//! for entered helpers — first descend the spin and yield rungs of the
+//! crate's one backoff ladder ([`WaitPolicy::poll`]) on an atomic, and
+//! only then park on a condvar. Back-to-back launches therefore hand
+//! work over through a cache line instead of two futex wake-ups of a
+//! halted core; an idle host pays at most the ladder's spin + yield
+//! rungs per helper after the last launch, then nothing.
 
+use crate::fixup::WaitPolicy;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Pools constructed process-wide — lets tests pin the "one executor,
 /// one pool, N launches" property.
@@ -43,11 +72,12 @@ type Job = dyn Fn(usize, &mut ScratchStore) + Sync;
 
 /// Typed per-worker scratch that survives across launches.
 ///
-/// One store lives on each worker thread for the worker's whole
-/// lifetime. Launch code fetches (or lazily builds) a typed slot —
-/// e.g. `Workspace<f32, f32>` — so arenas stay warm between GEMMs:
-/// pack panels, accumulator tiles, and partial pools are allocated on
-/// the worker that will use them and never again.
+/// One store belongs to each worker for the pool's whole lifetime (a
+/// helper's on its thread, worker 0's in the pool). Launch code
+/// fetches (or lazily builds) a typed slot — e.g.
+/// `Workspace<f32, f32>` — so arenas stay warm between GEMMs: pack
+/// panels, accumulator tiles, and partial pools are allocated for the
+/// worker that will use them and never again.
 #[derive(Debug, Default)]
 pub struct ScratchStore {
     slots: HashMap<TypeId, Box<dyn Any + Send>>,
@@ -77,20 +107,31 @@ impl ScratchStore {
 }
 
 struct PoolState {
-    /// The current job, lifetime-erased; `None` between launches.
+    /// The open epoch's job, lifetime-erased. `Some` from the moment
+    /// `run` opens an epoch until its launcher closes it; a helper may
+    /// enter only while it is `Some`.
     job: Option<&'static Job>,
-    /// Bumped per launch; workers run the job once per epoch.
-    epoch: u64,
-    /// Workers still executing the current epoch's job.
-    active: usize,
-    /// First worker panic of the epoch, re-raised by [`WorkerPool::run`].
+    /// Helpers parked on `work_cv` (so `run` can skip the notify when
+    /// every helper is still on the ladder's spin rungs).
+    parked: usize,
+    /// First panic of the epoch, re-raised by [`WorkerPool::run`].
     panic: Option<Box<dyn Any + Send>>,
     shutdown: bool,
+    /// Injected entry delays by worker id; empty outside fault
+    /// campaigns (see [`WorkerPool::inject_stragglers`]).
+    stragglers: Vec<Duration>,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
-    /// Workers park here between launches.
+    /// Launches opened so far. Written only under `state`; helpers
+    /// between launches probe it lock-free from the ladder.
+    epoch: AtomicU64,
+    /// Helpers inside the current epoch's job. Incremented only under
+    /// `state` and only while the epoch is open; the launcher probes
+    /// it lock-free after closing.
+    active: AtomicUsize,
+    /// Helpers park here between launches.
     work_cv: Condvar,
     /// The launcher parks here until `active` drains to zero.
     done_cv: Condvar,
@@ -98,16 +139,78 @@ struct PoolShared {
 
 impl PoolShared {
     fn lock(&self) -> MutexGuard<'_, PoolState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A helper's attempt to join the current epoch, `st` held: marks
+    /// the epoch seen and, if the launcher has not closed it yet,
+    /// counts the helper in and hands it the job. `None` means the
+    /// epoch is closed (or there is none): the helper skips it.
+    fn try_enter(&self, st: &mut PoolState, seen: &mut u64) -> Option<&'static Job> {
+        *seen = self.epoch.load(Ordering::Relaxed);
+        let job = st.job?;
+        self.active.fetch_add(1, Ordering::Relaxed);
+        Some(job)
+    }
+
+    /// Blocks helper `id` until it has entered an epoch it has not
+    /// seen (skipping every epoch that closed before it arrived);
+    /// `None` on shutdown.
+    fn next_job(&self, id: usize, seen: &mut u64) -> Option<&'static Job> {
+        loop {
+            // Acquire pairs with the Release bump in `run`; the job
+            // itself is read under the mutex below.
+            let fresh = || (self.epoch.load(Ordering::Acquire) != *seen).then_some(());
+            let _ = WaitPolicy::default().poll(fresh);
+            let mut st = self.lock();
+            while !st.shutdown && self.epoch.load(Ordering::Relaxed) == *seen {
+                st.parked += 1;
+                st = self.work_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st.parked -= 1;
+            }
+            if st.shutdown {
+                return None;
+            }
+            if let Some(&delay) = st.stragglers.get(id).filter(|d| !d.is_zero()) {
+                drop(st);
+                std::thread::sleep(delay);
+                st = self.lock();
+            }
+            if let Some(job) = self.try_enter(&mut st, seen) {
+                return Some(job);
+            }
+        }
+    }
+
+    /// A helper's exit from the epoch it entered: records its panic,
+    /// counts it out, and wakes the launcher if it may be parked.
+    fn leave(&self, outcome: std::thread::Result<()>) {
+        let mut st = self.lock();
+        if let Err(payload) = outcome {
+            st.panic.get_or_insert(payload);
+        }
+        // Release pairs with the launcher's Acquire probe in `run`:
+        // everything this helper did inside the job happens-before
+        // `run` returning.
+        let left = self.active.fetch_sub(1, Ordering::Release) - 1;
+        // The launcher waits only after closing, so an open epoch has
+        // nobody to wake.
+        if left == 0 && st.job.is_none() {
+            self.done_cv.notify_one();
+        }
     }
 }
 
-/// A fixed-size pool of persistent worker threads (see module docs).
+/// A fixed-size pool of persistent workers: the launching thread plus
+/// `workers - 1` helper threads (see module docs).
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
+    /// The helper threads, ids `1..workers`.
     handles: Vec<JoinHandle<()>>,
-    /// Serializes launches: one job in flight per pool.
-    launch_lock: Mutex<()>,
+    /// Worker 0's scratch store. Its lock is the launch lock: holding
+    /// it serializes launches (one epoch in flight per pool) and is
+    /// what lets any launcher thread find the same warm store.
+    launcher: Mutex<ScratchStore>,
     /// Launch-level scratch; see [`WorkerPool::launch_scratch`].
     launch_scratch: Mutex<ScratchStore>,
     launches: AtomicUsize,
@@ -116,14 +219,17 @@ pub struct WorkerPool {
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
+            .field("workers", &self.workers())
             .field("launches", &self.launches.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl WorkerPool {
-    /// Spawns a pool of exactly `workers` persistent threads.
+    /// Builds a pool of exactly `workers` workers: the thread that
+    /// calls [`run`](Self::run) is worker 0, so this spawns
+    /// `workers - 1` persistent helper threads (none for a one-worker
+    /// pool).
     ///
     /// # Panics
     ///
@@ -135,36 +241,38 @@ impl WorkerPool {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 job: None,
-                epoch: 0,
-                active: 0,
+                parked: 0,
                 panic: None,
                 shutdown: false,
+                stragglers: Vec::new(),
             }),
+            epoch: AtomicU64::new(0),
+            active: AtomicUsize::new(0),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
-        let handles = (0..workers)
+        let handles = (1..workers)
             .map(|id| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("streamk-worker-{id}"))
-                    .spawn(move || worker_main(&shared, id))
-                    .expect("spawn pool worker")
+                    .spawn(move || helper_main(&shared, id))
+                    .expect("spawn pool helper")
             })
             .collect();
         Self {
             shared,
             handles,
-            launch_lock: Mutex::new(()),
+            launcher: Mutex::default(),
             launch_scratch: Mutex::default(),
             launches: AtomicUsize::new(0),
         }
     }
 
-    /// Number of worker threads in this pool.
+    /// Number of workers in this pool, the launching thread included.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.handles.len()
+        self.handles.len() + 1
     }
 
     /// Launches completed by this pool so far.
@@ -180,7 +288,7 @@ impl WorkerPool {
     /// put it back afterwards rather than holding this guard across
     /// [`run`](Self::run).
     pub fn launch_scratch(&self) -> MutexGuard<'_, ScratchStore> {
-        self.launch_scratch.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.launch_scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Pools constructed process-wide since program start.
@@ -189,44 +297,86 @@ impl WorkerPool {
         POOL_BUILDS.load(Ordering::Relaxed)
     }
 
-    /// Runs `job` once on every worker, blocking until all complete.
+    /// Fault injection for the launch handshake: from the next launch
+    /// on, worker `id` sleeps `delays[id]` at the top of every epoch —
+    /// a helper before it tries to enter (so a long delay makes it
+    /// arrive after the close and skip), worker 0 after opening the
+    /// epoch and before its share (so the helpers drain the grid). An
+    /// empty vector, the default, switches injection off. Results must
+    /// not depend on it: that is what the straggler campaigns in
+    /// `tests/sched.rs` pin.
+    pub fn inject_stragglers(&self, delays: Vec<Duration>) {
+        self.shared.lock().stragglers = delays;
+    }
+
+    /// Runs `job` as one launch: the calling thread executes
+    /// `job(0, ..)` with worker 0's scratch, every helper that arrives
+    /// before that share returns executes `job(id, ..)` with its own,
+    /// and `run` returns once all of them are done. A helper that
+    /// arrives later skips the launch, so `job` must not assume any
+    /// id other than 0 runs — claim work, do not index it by worker.
     /// Concurrent callers are serialized (one launch in flight).
     ///
     /// # Panics
     ///
-    /// Re-raises the first worker panic of the launch after every
-    /// worker has finished the epoch, so the pool stays consistent.
+    /// Re-raises the first panic of the launch — the launcher's own
+    /// share included — after every worker that entered has left, so
+    /// the pool stays consistent.
     pub fn run(&self, job: &(dyn Fn(usize, &mut ScratchStore) + Sync)) {
-        let guard = self.launch_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        // SAFETY: the only thing done with this reference is calling it
-        // from the worker threads during the current epoch. `run` does
-        // not return before every worker has finished the job and
-        // decremented `active` to zero under the state mutex (and the
-        // job slot is cleared below, also under the mutex), so the
-        // erased reference never outlives the borrow it came from.
+        let mut scratch = self.launcher.lock().unwrap_or_else(PoisonError::into_inner);
+        // SAFETY: the erased reference is reachable only through
+        // `PoolState::job`, and only while the epoch opened below is
+        // open. (1) No helper enters after the close: a helper obtains
+        // the reference in `try_enter`, under the state mutex, only
+        // while `job` is `Some`, and counts itself into `active` in
+        // the same critical section; the close below sets `job` to
+        // `None` under that mutex, so every entry either precedes the
+        // close (and is already counted) or finds `None`. (2) `run`
+        // returns after every entered helper left: after the close
+        // `active` can only fall, and `run` does not return before it
+        // has read zero with Acquire, pairing with the Release
+        // decrement each helper performs in `leave` after its last use
+        // of the reference. Nothing between open and close can unwind
+        // — the one fallible call, the launcher's share, runs under
+        // `catch_unwind` — so the close is always reached. The erased
+        // reference therefore never outlives the borrow it came from.
         #[allow(clippy::missing_transmute_annotations)]
-        let job: &'static Job = unsafe { std::mem::transmute(job) };
-        {
+        let erased: &'static Job = unsafe { std::mem::transmute(job) };
+        let delay = {
             let mut st = self.shared.lock();
-            st.job = Some(job);
-            st.epoch += 1;
-            st.active = self.handles.len();
-            self.shared.work_cv.notify_all();
+            st.job = Some(erased);
+            self.shared.epoch.fetch_add(1, Ordering::Release);
+            if st.parked > 0 {
+                self.shared.work_cv.notify_all();
+            }
+            st.stragglers.first().copied().filter(|d| !d.is_zero())
+        };
+        if let Some(delay) = delay {
+            std::thread::sleep(delay);
         }
+        let outcome = catch_unwind(AssertUnwindSafe(|| job(0, &mut scratch)));
         let panic = {
             let mut st = self.shared.lock();
-            while st.active > 0 {
-                st = self
-                    .shared
-                    .done_cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
             st.job = None;
+            if let Err(payload) = outcome {
+                st.panic.get_or_insert(payload);
+            }
+            let drained =
+                || (self.shared.active.load(Ordering::Acquire) == 0).then_some(());
+            if drained().is_none() {
+                // Helpers are still inside: spin and yield off the
+                // lock, and park only if the ladder runs out.
+                drop(st);
+                let _ = WaitPolicy::default().poll(drained);
+                st = self.shared.lock();
+                while drained().is_none() {
+                    st = self.shared.done_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+                }
+            }
             st.panic.take()
         };
         self.launches.fetch_add(1, Ordering::Relaxed);
-        drop(guard);
+        drop(scratch);
         if let Some(payload) = panic {
             std::panic::resume_unwind(payload);
         }
@@ -246,118 +396,247 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_main(shared: &PoolShared, id: usize) {
+fn helper_main(shared: &PoolShared, id: usize) {
     let mut scratch = ScratchStore::new();
-    let mut seen_epoch = 0u64;
-    loop {
-        let job = {
-            let mut st = shared.lock();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch > seen_epoch {
-                    if let Some(job) = st.job {
-                        seen_epoch = st.epoch;
-                        break job;
-                    }
-                }
-                st = shared
-                    .work_cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
+    let mut seen = 0u64;
+    while let Some(job) = shared.next_job(id, &mut seen) {
         // Catch panics so one bad launch cannot take the pool down;
         // `run` re-raises the first payload on the launching thread.
-        let outcome = catch_unwind(AssertUnwindSafe(|| job(id, &mut scratch)));
-        let mut st = shared.lock();
-        if let Err(payload) = outcome {
-            st.panic.get_or_insert(payload);
-        }
-        st.active -= 1;
-        if st.active == 0 {
-            shared.done_cv.notify_all();
-        }
+        shared.leave(catch_unwind(AssertUnwindSafe(|| job(id, &mut scratch))));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+
+    /// Spins (yielding) until `flag` is set.
+    fn await_flag(flag: &AtomicBool) {
+        while !flag.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Runs one launch in which every worker rendezvouses at a
+    /// barrier: the launcher cannot leave its share — so the epoch
+    /// cannot close — before every helper has entered. Returns the
+    /// thread each id ran on and the address of a buffer in its
+    /// scratch store.
+    fn rendezvous(pool: &WorkerPool) -> Vec<(ThreadId, usize)> {
+        let barrier = Barrier::new(pool.workers());
+        let seen = Mutex::new(vec![None; pool.workers()]);
+        pool.run(&|id, scratch| {
+            barrier.wait();
+            let buf = scratch.get_or_insert_with(|| vec![0u8; 4096]);
+            seen.lock().unwrap()[id] = Some((std::thread::current().id(), buf.as_ptr() as usize));
+        });
+        seen.into_inner().unwrap().into_iter().map(|s| s.expect("every id ran")).collect()
+    }
 
     #[test]
-    fn every_worker_runs_the_job_once() {
+    fn the_launcher_runs_as_worker_zero_on_its_own_thread() {
         let pool = WorkerPool::new(4);
-        let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(&|id, _| {
-            hits[id].fetch_add(1, Ordering::Relaxed);
-        });
-        for (id, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "worker {id}");
+        assert_eq!(pool.workers(), 4, "workers() counts the launching thread");
+        assert_eq!(pool.handles.len(), 3, "a pool of W spawns W - 1 helpers");
+        let ran = rendezvous(&pool);
+        assert_eq!(ran[0].0, std::thread::current().id(), "id 0 is the calling thread");
+        for (id, (thread, _)) in ran.iter().enumerate().skip(1) {
+            assert_ne!(*thread, ran[0].0, "helper {id} must not run on the launcher");
         }
         assert_eq!(pool.launches(), 1);
     }
 
     #[test]
-    fn scratch_survives_across_launches() {
+    fn a_one_worker_pool_spawns_no_thread() {
+        let pool = WorkerPool::new(1);
+        assert_eq!(pool.workers(), 1);
+        assert!(pool.handles.is_empty());
+        let ran = rendezvous(&pool);
+        assert_eq!(ran, vec![(std::thread::current().id(), ran[0].1)]);
+    }
+
+    #[test]
+    fn scratch_is_warm_across_launches_and_launcher_threads() {
         let pool = WorkerPool::new(3);
-        let ptrs = Mutex::new(vec![0usize; 3]);
-        pool.run(&|id, scratch| {
-            let buf = scratch.get_or_insert_with(|| vec![0u8; 4096]);
-            ptrs.lock().unwrap()[id] = buf.as_ptr() as usize;
-        });
-        let first: Vec<usize> = ptrs.lock().unwrap().clone();
-        pool.run(&|id, scratch| {
-            let buf = scratch.get_or_insert_with(|| vec![0u8; 4096]);
-            ptrs.lock().unwrap()[id] = buf.as_ptr() as usize;
-        });
-        let second: Vec<usize> = ptrs.lock().unwrap().clone();
-        assert_eq!(first, second, "warm scratch must be reused, not reallocated");
+        // Two different launcher threads, then this one: worker 0's
+        // store lives in the pool, so all three find the same buffer;
+        // each helper keeps its own.
+        let first = std::thread::scope(|s| s.spawn(|| rendezvous(&pool)).join().unwrap());
+        let second = std::thread::scope(|s| s.spawn(|| rendezvous(&pool)).join().unwrap());
+        let third = rendezvous(&pool);
+        assert_ne!(first[0].0, second[0].0, "two distinct launcher threads");
+        let buffers = |ran: &[(ThreadId, usize)]| ran.iter().map(|r| r.1).collect::<Vec<_>>();
+        assert_eq!(buffers(&first), buffers(&second), "warm scratch must be reused, not reallocated");
+        assert_eq!(buffers(&first), buffers(&third));
     }
 
+    /// The close/skip rule, with the test thread playing helper 1 of a
+    /// pool that has no real helpers, so every interleaving is forced.
     #[test]
-    fn borrowed_state_is_visible_and_complete_on_return() {
-        let pool = WorkerPool::new(4);
-        // Borrowed (non-'static) accumulator: proves the lifetime
-        // erasure contract — run() returns only after all workers
-        // finished touching it.
-        let sum = AtomicUsize::new(0);
-        for round in 1..=10usize {
-            pool.run(&|id, _| {
-                sum.fetch_add(id + round, Ordering::Relaxed);
+    fn a_helper_held_back_past_the_close_skips_that_epoch_and_runs_the_next() {
+        let pool = WorkerPool::new(1);
+        let shared = &pool.shared;
+        let hits = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let mut seen = 0u64;
+
+        // Epoch 1: the helper arrives only after `run` returned.
+        pool.run(&|id, _| {
+            hits[id].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(shared.try_enter(&mut shared.lock(), &mut seen).is_none(), "a closed epoch is skipped");
+        assert_eq!(seen, 1, "the skipped epoch is marked seen");
+        assert_eq!(shared.active.load(Ordering::Relaxed), 0, "a skip is not an entry");
+
+        // Epoch 2: the helper enters while the launcher is inside its
+        // share, and `run` must not return before the helper leaves.
+        let helper_ran = AtomicBool::new(false);
+        let returned = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.run(&|id, _| {
+                    hits[id].fetch_add(1, Ordering::Relaxed);
+                    if id == 0 {
+                        await_flag(&helper_ran);
+                    }
+                });
+                returned.store(true, Ordering::Release);
             });
-        }
-        // Σ rounds Σ ids: 10 rounds of (0+1+2+3) + 4 * Σ 1..=10.
-        assert_eq!(sum.load(Ordering::Relaxed), 10 * 6 + 4 * 55);
-        assert_eq!(pool.launches(), 10);
+            let job = loop {
+                if let Some(job) = shared.try_enter(&mut shared.lock(), &mut seen) {
+                    break job;
+                }
+                std::thread::yield_now();
+            };
+            assert_eq!(seen, 2);
+            let outcome = catch_unwind(AssertUnwindSafe(|| job(1, &mut ScratchStore::new())));
+            helper_ran.store(true, Ordering::Release);
+            // The launcher now closes and waits for this helper.
+            for _ in 0..1_000 {
+                std::thread::yield_now();
+            }
+            assert!(!returned.load(Ordering::Acquire), "run returned with a helper still inside");
+            shared.leave(outcome);
+        });
+        assert!(returned.load(Ordering::Acquire));
+        assert_eq!(hits[0].load(Ordering::Relaxed), 2);
+        assert_eq!(hits[1].load(Ordering::Relaxed), 1, "skipped epoch 1, ran epoch 2");
+        assert_eq!(pool.launches(), 2);
     }
 
     #[test]
-    fn worker_panic_is_reraised_and_pool_survives() {
+    fn a_launcher_panic_is_reraised_after_the_epoch_drains() {
         let pool = WorkerPool::new(2);
+        let helper_inside = AtomicBool::new(false);
+        let helper_finished = AtomicBool::new(false);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             pool.run(&|id, _| {
-                assert!(id != 0, "worker 0 detonates");
+                if id == 0 {
+                    await_flag(&helper_inside);
+                    panic!("the launcher's share detonates");
+                }
+                helper_inside.store(true, Ordering::Release);
+                for _ in 0..1_000 {
+                    std::thread::yield_now();
+                }
+                helper_finished.store(true, Ordering::Release);
             });
         }));
-        assert!(caught.is_err(), "panic must propagate to the launcher");
+        assert!(caught.is_err(), "the panic must propagate out of run");
+        assert!(helper_finished.load(Ordering::Acquire), "re-raised before the helper left");
         // The pool must still be serviceable afterwards.
-        let ok = AtomicUsize::new(0);
-        pool.run(&|_, _| {
-            ok.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(rendezvous(&pool).len(), 2);
+    }
+
+    #[test]
+    fn a_helper_panic_is_reraised_and_the_pool_survives() {
+        let pool = WorkerPool::new(2);
+        let helper_inside = AtomicBool::new(false);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(&|id, _| {
+                if id == 0 {
+                    // Hold the epoch open until the helper is in.
+                    await_flag(&helper_inside);
+                } else {
+                    helper_inside.store(true, Ordering::Release);
+                    panic!("helper {id} detonates");
+                }
+            });
+        }));
+        assert!(caught.is_err(), "the panic must propagate to the launcher");
+        assert_eq!(rendezvous(&pool).len(), 2);
+    }
+
+    /// The lifetime-erasure contract: every launch borrows state from
+    /// its launcher's stack frame, and that state is complete — every
+    /// item claimed exactly once, by whichever workers showed up —
+    /// when `run` returns.
+    #[test]
+    fn borrowed_state_is_complete_on_return_across_alternating_launchers() {
+        const ITEMS: usize = 16;
+        let launches = if cfg!(miri) { 100 } else { 10_000 };
+        let pool = WorkerPool::new(3);
+        let turn = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for me in 0..2 {
+                let (pool, turn) = (&pool, &turn);
+                s.spawn(move || loop {
+                    let now = turn.load(Ordering::Acquire);
+                    if now >= launches {
+                        return;
+                    }
+                    if now % 2 != me {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    let cursor = AtomicUsize::new(0);
+                    let cells: [AtomicUsize; ITEMS] = std::array::from_fn(|_| AtomicUsize::new(0));
+                    pool.run(&|_, _| loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= ITEMS {
+                            break;
+                        }
+                        cells[i].fetch_add(now + 1, Ordering::Relaxed);
+                    });
+                    for (i, cell) in cells.iter().enumerate() {
+                        assert_eq!(cell.load(Ordering::Relaxed), now + 1, "launch {now}, item {i}");
+                    }
+                    turn.store(now + 1, Ordering::Release);
+                });
+            }
         });
-        assert_eq!(ok.load(Ordering::Relaxed), 2);
+        assert_eq!(pool.launches(), launches);
+    }
+
+    #[test]
+    fn an_injected_helper_straggler_misses_the_epoch() {
+        let pool = WorkerPool::new(2);
+        let _ = rendezvous(&pool); // the helper is up and between launches
+        pool.inject_stragglers(vec![Duration::ZERO, Duration::from_millis(250)]);
+        let ran = Mutex::new(Vec::new());
+        pool.run(&|id, _| ran.lock().unwrap().push(id));
+        assert_eq!(*ran.lock().unwrap(), vec![0], "the launcher drains alone, the late helper skips");
+        pool.inject_stragglers(Vec::new());
+        assert_eq!(rendezvous(&pool).len(), 2, "the straggler is back for the next launch");
     }
 
     #[test]
     fn build_counter_counts_pools_not_launches() {
         let before = WorkerPool::total_builds();
         let pool = WorkerPool::new(2);
-        for _ in 0..5 {
-            pool.run(&|_, _| {});
-        }
-        assert_eq!(WorkerPool::total_builds() - before, 1);
+        assert!(WorkerPool::total_builds() > before, "building a pool is counted");
+        // The counter is process-wide and tests running beside this
+        // one build pools too, so one quiet window is the claim: a
+        // launch that built a pool would move it in every window.
+        let quiet = (0..100).any(|_| {
+            let before = WorkerPool::total_builds();
+            for _ in 0..5 {
+                pool.run(&|_, _| {});
+            }
+            WorkerPool::total_builds() == before
+        });
+        assert!(quiet, "launches must not build pools");
     }
 }

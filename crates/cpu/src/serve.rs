@@ -50,7 +50,11 @@
 //! `tests/serve.rs` pins this.
 //!
 //! The service occupies the pool with one long-running job for its
-//! whole lifetime (submitted from a coordinator thread), so legacy
+//! whole lifetime, launched from a coordinator thread — which, being
+//! the launching thread, *is* service worker 0: a service on `W`
+//! workers is the coordinator plus the pool's `W − 1` helpers, and
+//! every helper joins because the launch stays open until the
+//! coordinator's own sweep sees the service drained. Legacy
 //! single-launch calls on the same executor block until
 //! [`GemmService::shutdown`] — by design: the pool's launch lock is
 //! the tenancy boundary.
@@ -1566,9 +1570,10 @@ where
             let job = |wid: usize, scratch: &mut ScratchStore| {
                 serve_worker::<In, Acc>(wid, &shared_for_pool, scratch);
             };
-            // Per-CTA catch_unwind means no panic should reach the
-            // pool; this catch is the backstop that keeps the
-            // coordinator from dying silently if one does.
+            // This thread launches, so it serves as worker 0 until the
+            // service drains. Per-CTA catch_unwind means no panic
+            // should reach the pool; this catch is the backstop that
+            // keeps the coordinator from dying silently if one does.
             if catch_unwind(AssertUnwindSafe(|| executor.worker_pool().run(&job))).is_err() {
                 let t = &shared_for_pool.telemetry;
                 t.inc(ServiceCounter::PoolPoisonings);

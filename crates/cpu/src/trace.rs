@@ -10,17 +10,27 @@
 //! [`SpanRing`].
 //!
 //! **Overhead discipline.** The recording path is lock-free and
-//! allocation-free: each worker owns its ring (a thread-local, so no
-//! sharing, no atomics, no locks), timestamps are taken once per event
-//! boundary with [`Instant::now`], and a full ring *drops the oldest
-//! span* and counts it — it never blocks and never grows. When tracing
-//! is off, [`start`] is a thread-local flag check returning `None`, and
+//! allocation-free: for the length of a launch each worker has its
+//! ring [`install`]ed in a thread-local (so no sharing, no atomics, no
+//! locks), timestamps are taken once per event boundary with
+//! [`Instant::now`], and a full ring *drops the oldest span* and
+//! counts it — it never blocks and never grows. When tracing is off,
+//! [`start`] is a thread-local flag check returning `None`, and
 //! [`finish`] on `None` is a no-op; nothing is allocated
 //! ([`ring_allocations`] lets tests and CI pin that to exactly zero).
 //! Tracing never changes results: spans observe the computation,
 //! bit-exactness is pinned by tests.
 //!
-//! After a traced launch the executor collects each worker's ring into
+//! **Where rings live.** Between launches the rings belong to worker
+//! *ids*, not to threads: the executor keeps one [`WorkerTracer`] per
+//! worker in the pool's launch-level store and hands each to whichever
+//! thread runs that id, for that launch only. Worker 0 is the calling
+//! thread — any thread — so a ring left behind in a thread-local
+//! would cost one allocation per launcher thread; this way a warm
+//! executor allocates exactly `workers` rings however many threads
+//! launch on it.
+//!
+//! After a traced launch the executor drains each worker's ring into
 //! an [`ExecTrace`] (see
 //! [`CpuExecutor::last_trace`](crate::CpuExecutor::last_trace)), which
 //! aggregates into [`Metrics`] (per-kind counters plus fixed-bucket
@@ -179,7 +189,9 @@ impl WorkerTracer {
         Self { epoch, ring: SpanRing::new(capacity) }
     }
 
-    fn record(&mut self, kind: SpanKind, start: Instant, end: Instant, arg: u32, arg2: u32) {
+    /// Records one span directly (no thread-local involved): how the
+    /// launcher adds the [`SpanKind::Launch`] spans it alone can time.
+    pub fn record(&mut self, kind: SpanKind, start: Instant, end: Instant, arg: u32, arg2: u32) {
         let rel = |t: Instant| t.saturating_duration_since(self.epoch).as_nanos() as u64;
         self.ring.push(Span { kind, start_ns: rel(start), end_ns: rel(end), arg, arg2 });
     }
@@ -191,18 +203,32 @@ impl WorkerTracer {
         WorkerTrace { spans: self.ring.into_spans(), dropped }
     }
 
-    /// Copies the recorded spans out and rearms the tracer for a new
-    /// launch starting at `epoch`, keeping the ring allocation.
-    fn drain(&mut self) -> WorkerTrace {
+    /// Copies the recorded spans out and empties the ring, keeping its
+    /// allocation for the next launch.
+    #[must_use]
+    pub fn drain(&mut self) -> WorkerTrace {
         let dropped = self.ring.dropped();
         WorkerTrace { spans: self.ring.drain_spans(), dropped }
     }
 
     /// Rebases the tracer on a new launch epoch, discarding any spans
     /// left from the previous launch but keeping the ring allocation.
-    fn reset(&mut self, epoch: Instant) {
+    pub fn reset(&mut self, epoch: Instant) {
         self.epoch = epoch;
         self.ring.clear();
+    }
+
+    /// The ring's capacity in spans.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.ring.capacity()
+    }
+
+    /// Whether nothing has been recorded since the last
+    /// [`reset`](Self::reset) or [`drain`](Self::drain).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
     }
 }
 
@@ -220,32 +246,10 @@ pub fn install(tracer: WorkerTracer) {
 }
 
 /// Removes and returns the current thread's tracer, disabling
-/// recording.
+/// recording. `None` when none was installed.
 pub fn take() -> Option<WorkerTracer> {
     ACTIVE.with(|a| a.set(false));
     TRACER.with(|t| t.borrow_mut().take())
-}
-
-/// Arms tracing for a launch starting at `epoch`, reusing the ring
-/// left behind by [`collect`] when its capacity matches — on a warm
-/// persistent-pool worker, a traced launch allocates no new ring.
-pub fn reinstall(epoch: Instant, capacity: usize) {
-    TRACER.with(|t| {
-        let mut slot = t.borrow_mut();
-        match slot.as_mut() {
-            Some(tracer) if tracer.ring.capacity() == capacity => tracer.reset(epoch),
-            _ => *slot = Some(WorkerTracer::new(epoch, capacity)),
-        }
-    });
-    ACTIVE.with(|a| a.set(true));
-}
-
-/// Disables recording and copies this launch's spans out, leaving the
-/// (now empty) ring installed so [`reinstall`] can reuse it. `None`
-/// when no tracer was armed.
-pub fn collect() -> Option<WorkerTrace> {
-    ACTIVE.with(|a| a.set(false));
-    TRACER.with(|t| t.borrow_mut().as_mut().map(WorkerTracer::drain))
 }
 
 /// Whether a tracer is installed on the current thread.
@@ -419,8 +423,19 @@ fn arg_names(kind: SpanKind) -> (Option<&'static str>, Option<&'static str>) {
         SpanKind::DeferResume => (Some("tile"), None),
         SpanKind::Recovery => (Some("peer"), Some("iters")),
         SpanKind::QueueWait => (Some("lane"), Some("request")),
+        SpanKind::Launch => (Some("stage"), None),
     }
 }
+
+/// `arg` of a [`SpanKind::Launch`] span — epoch to the worker's entry
+/// into the job.
+pub const LAUNCH_WAKE: u32 = 0;
+/// `arg` of a [`SpanKind::Launch`] span — end of worker 0's share to
+/// the launch returning (waiting for helpers still inside).
+pub const LAUNCH_JOIN: u32 = 1;
+/// `arg` of a [`SpanKind::Launch`] span — a whole launch on a helper
+/// that arrived after the close and never entered.
+pub const LAUNCH_SKIPPED: u32 = 2;
 
 /// Upper bucket bounds (exclusive, nanoseconds) of [`Histogram`]:
 /// decades from 1 µs to 10 s, plus a catch-all.

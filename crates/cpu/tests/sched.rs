@@ -15,11 +15,22 @@
 //!    inline, deferred, or in the final blocking drain.
 //! 3. **The pool is built once** per executor and reused by every
 //!    launch, keeping per-worker arenas warm.
+//! 4. **Who shows up never matters**: the launching thread is worker
+//!    0 and a helper that arrives after the launcher's share is done
+//!    skips the launch, so any subset of workers may execute a grid.
+//!    With the helpers held back (the launcher drains the grid alone)
+//!    and with the launcher held back (the helpers drain it), `gemm`,
+//!    `gemm_batched` and `gemm_grouped` are bit-identical to the
+//!    undisturbed run.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use std::time::Duration;
-use streamk_core::{Decomposition, Strategy};
+use streamk_core::{
+    BatchedDecomposition, BatchedSpace, Decomposition, GroupedDecomposition, GroupedSpace, Strategy,
+};
 use streamk_cpu::{CpuExecutor, FaultKind, FaultPlan, WorkerPool};
 use streamk_matrix::reference::gemm_naive;
 use streamk_matrix::Matrix;
@@ -275,4 +286,134 @@ fn clones_share_the_pool() {
     let c2 = clone.gemm::<f64, f64>(&a, &b, &decomp);
     assert_eq!(c1.max_abs_diff(&c2), 0.0);
     assert_eq!(exec.worker_pool().launches(), 2);
+}
+
+/// Which side of the launch handshake a straggler campaign holds back.
+#[derive(Debug, Clone, Copy)]
+enum Late {
+    /// Every helper: they arrive after the launcher drained the grid
+    /// and skip the launch.
+    Helpers,
+    /// The launcher: it opens the launch, then the helpers drain the
+    /// grid before its share starts.
+    Launcher,
+}
+
+/// Seeded straggler delays for the pool's handshake fault injection:
+/// each late worker sleeps 30–60 ms — an order of magnitude longer
+/// than any launch in this file takes, debug build included.
+fn stragglers(seed: u64, workers: usize, late: Late) -> Vec<Duration> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..workers)
+        .map(|id| match (late, id) {
+            (Late::Helpers, 0) | (Late::Launcher, 1..) => Duration::ZERO,
+            _ => Duration::from_millis(30 + rng.next_u64() % 31),
+        })
+        .collect()
+}
+
+/// Runs `launch` undisturbed, then under both straggler campaigns,
+/// and requires all three results to be identical.
+fn assert_launch_ignores_stragglers<C: PartialEq>(
+    exec: &CpuExecutor,
+    seed: u64,
+    what: &str,
+    launch: impl Fn() -> C,
+) {
+    let baseline = launch();
+    for late in [Late::Helpers, Late::Launcher] {
+        exec.worker_pool().inject_stragglers(stragglers(seed, exec.threads(), late));
+        let disturbed = launch();
+        exec.worker_pool().inject_stragglers(Vec::new());
+        assert!(disturbed == baseline, "{what}: output changed with {late:?} late");
+    }
+}
+
+/// Every strategy on 1–8 workers: the single-launch path defers
+/// instead of blocking, so whichever workers show up drain the grid by
+/// range stealing — f64 output is bit-identical whoever was late.
+#[test]
+fn gemm_is_bit_exact_whichever_side_of_the_handshake_is_late() {
+    let shape = GemmShape::new(48, 40, 64);
+    let (a, b) = operands(shape, 41);
+    let strategies = [
+        Strategy::DataParallel,
+        Strategy::FixedSplit { split: 2 },
+        Strategy::StreamK { grid: 5 },
+        Strategy::DpOneTileStreamK { sms: 4 },
+        Strategy::TwoTileStreamKDp { sms: 4 },
+    ];
+    for (s, &strategy) in strategies.iter().enumerate() {
+        let decomp = Decomposition::from_strategy(shape, TILE, strategy);
+        for threads in residency_floor(&decomp).max(1)..=8 {
+            let exec = CpuExecutor::with_threads(threads);
+            let seed = (s * 8 + threads) as u64;
+            assert_launch_ignores_stragglers(&exec, seed, &format!("{strategy} on {threads}"), || {
+                exec.gemm::<f64, f64>(&a, &b, &decomp)
+            });
+        }
+    }
+}
+
+/// Batched and grouped owners *block* in `wait_and_take`. With the
+/// helpers late, the launcher claims CTA 0, owns its split tile, and
+/// blocks on a peer CTA nobody has claimed — the worker that will
+/// claim it has not arrived yet. The launch stays open for as long as
+/// the launcher is inside its share, so the helper does arrive, claims
+/// the peer, and signals: no deadlock, same bits.
+#[test]
+fn batched_and_grouped_are_bit_exact_whichever_side_of_the_handshake_is_late() {
+    let shape = GemmShape::new(32, 32, 48);
+    let shapes = [GemmShape::new(32, 32, 48), GemmShape::new(48, 16, 96), GemmShape::new(16, 64, 16)];
+    let instances = |shapes: &[GemmShape], seed: u64| -> (Vec<Matrix<f64>>, Vec<Matrix<f64>>) {
+        shapes.iter().enumerate().map(|(i, &s)| operands(s, seed + 2 * i as u64)).unzip()
+    };
+    let (ba, bb) = instances(&[shape; 4], 51);
+    let (ga, gb) = instances(&shapes, 61);
+    for threads in 1..=8usize {
+        let exec = CpuExecutor::with_threads(threads);
+        // Data-parallel (no seams, any worker count) and Stream-K with
+        // one CTA per worker (seams; at most two CTAs cover a tile).
+        let batched = [
+            BatchedDecomposition::data_parallel(BatchedSpace::new(4, shape, TILE)),
+            BatchedDecomposition::stream_k(BatchedSpace::new(4, shape, TILE), threads),
+        ];
+        for (d, decomp) in batched.iter().enumerate() {
+            let seed = (100 + d * 8 + threads) as u64;
+            assert_launch_ignores_stragglers(&exec, seed, &format!("batched #{d} on {threads}"), || {
+                exec.gemm_batched::<f64, f64>(&ba, &bb, decomp)
+            });
+        }
+        let grouped = [
+            GroupedDecomposition::data_parallel(GroupedSpace::new(&shapes, TILE)),
+            GroupedDecomposition::stream_k(GroupedSpace::new(&shapes, TILE), threads),
+        ];
+        for (d, decomp) in grouped.iter().enumerate() {
+            let seed = (200 + d * 8 + threads) as u64;
+            assert_launch_ignores_stragglers(&exec, seed, &format!("grouped #{d} on {threads}"), || {
+                exec.gemm_grouped::<f64, f64>(&ga, &gb, decomp)
+            });
+        }
+    }
+
+    // The blocked-owner case, pinned: two workers, two CTAs, nine
+    // tiles — CTA 0 owns the middle tile, CTA 1 finishes it. With the
+    // helper 40 ms late the launcher must have sat in `wait_and_take`
+    // for most of that.
+    let exec = CpuExecutor::with_threads(2);
+    let odd = GemmShape::new(16, 48, 48);
+    let decomp = BatchedDecomposition::stream_k(BatchedSpace::new(3, odd, TILE), 2);
+    assert!(!decomp.fixups().is_empty(), "an odd tile count over two CTAs splits a tile");
+    let late = Duration::from_millis(40);
+    exec.worker_pool().inject_stragglers(vec![Duration::ZERO, late]);
+    let (a3, b3) = instances(&[odd; 3], 71);
+    let disturbed = exec.gemm_batched::<f64, f64>(&a3, &b3, &decomp);
+    exec.worker_pool().inject_stragglers(Vec::new());
+    assert!(
+        exec.last_stats().wait_stall >= late / 4,
+        "the owner should have blocked for its late peer's worker, stalled {:?}",
+        exec.last_stats().wait_stall
+    );
+    let calm = exec.gemm_batched::<f64, f64>(&a3, &b3, &decomp);
+    assert!(disturbed == calm, "the late helper changed the output");
 }

@@ -18,7 +18,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use streamk_core::{Decomposition, Phase, SpanKind};
-use streamk_cpu::trace::ring_allocations;
+use streamk_cpu::trace::{ring_allocations, LAUNCH_JOIN, LAUNCH_SKIPPED, LAUNCH_WAKE};
 use streamk_cpu::{CpuExecutor, FaultKind, FaultPlan};
 use streamk_matrix::Matrix;
 use streamk_types::{GemmShape, Layout, TileShape};
@@ -205,6 +205,69 @@ fn traced_launches_reuse_rings_once_warm() {
         trace.workers.iter().all(|w| w.spans.iter().all(|s| s.end_ns <= trace.wall_ns)),
         "reused rings must be rebased on the new launch epoch"
     );
+}
+
+/// Worker 0 is whichever thread launches, so its ring must belong to
+/// the worker id, not to the thread: a ring left in the launcher's
+/// thread-local would cost one allocation per launcher thread.
+#[test]
+fn launcher_threads_share_worker_zeros_ring() {
+    let _gate = alloc_gate();
+    let (_, _, decomp) = split_launch();
+    let (a, b) = operands(GemmShape::new(96, 80, 128), 0x7AE);
+    let threads = 4;
+    let baseline = CpuExecutor::with_threads(threads).gemm::<f64, f64>(&a, &b, &decomp);
+    let exec = CpuExecutor::with_threads(threads).with_trace(true);
+    let before = ring_allocations();
+    for launcher in 0..8 {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let traced = exec.gemm::<f64, f64>(&a, &b, &decomp);
+                assert_eq!(traced.max_abs_diff(&baseline), 0.0, "launcher thread {launcher}");
+                let trace = exec.last_trace().expect("traced launch yields a trace");
+                assert_eq!(trace.workers.len(), threads);
+                assert!(!trace.workers[0].spans.is_empty(), "worker 0 is the launcher: it always runs");
+            });
+        });
+    }
+    assert_eq!(
+        ring_allocations() - before,
+        threads,
+        "eight launcher threads must share one ring per worker id"
+    );
+}
+
+/// The launch handshake is a span: every worker accounts for the
+/// stretch from the launch epoch to its entry into the job, worker 0
+/// for the join at the end, and a helper that arrived after the close
+/// for the whole launch — no worker's timeline is silently blank.
+#[test]
+fn every_worker_accounts_for_the_launch_handshake() {
+    let _gate = alloc_gate();
+    let (_, _, decomp) = split_launch();
+    let (a, b) = operands(GemmShape::new(96, 80, 128), 0x7B0);
+    let exec = CpuExecutor::with_threads(4).with_trace(true);
+    let _ = exec.gemm::<f64, f64>(&a, &b, &decomp);
+    let trace = exec.last_trace().unwrap();
+    for (wid, worker) in trace.workers.iter().enumerate() {
+        let stages: Vec<u32> =
+            worker.spans.iter().filter(|s| s.kind == SpanKind::Launch).map(|s| s.arg).collect();
+        if wid == 0 {
+            assert_eq!(stages, vec![LAUNCH_WAKE, LAUNCH_JOIN], "worker 0 wakes first and joins last");
+            let join = worker.spans.last().unwrap();
+            assert_eq!(join.end_ns, trace.wall_ns, "the join ends when the launch returns");
+        } else if stages == [LAUNCH_SKIPPED] {
+            assert_eq!(worker.spans.len(), 1, "worker {wid} never entered: nothing but the skip");
+            assert_eq!((worker.spans[0].start_ns, worker.spans[0].end_ns), (0, trace.wall_ns));
+        } else {
+            assert_eq!(stages, vec![LAUNCH_WAKE], "worker {wid} entered once");
+            assert_eq!(worker.spans[0].kind, SpanKind::Launch, "the wake precedes all work");
+            assert_eq!(worker.spans[0].start_ns, 0, "the wake starts at the launch epoch");
+        }
+    }
+    let m = trace.metrics();
+    assert!(m.count(SpanKind::Launch) >= 5, "one wake or skip per worker plus the join");
+    assert!(m.phase_ns(Phase::Schedule) >= m.total_ns(SpanKind::Launch), "launch is a schedule span");
 }
 
 #[test]
