@@ -10,7 +10,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use streamk_core::IterSpace;
-use streamk_cpu::{mac_loop_blocked, mac_loop_kernel, macloop::mac_loop_view, KernelKind, PackBuffers};
+use streamk_cpu::{
+    mac_loop_blocked, mac_loop_kernel, mac_loop_kernel_cached, macloop::mac_loop_view, KernelKind,
+    PackBuffers,
+};
 use streamk_matrix::Matrix;
 use streamk_types::{GemmShape, Layout, TileShape};
 
@@ -107,5 +110,51 @@ fn packed_vs_blocked_512_f32(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, inner_kernels, packed_vs_blocked_512_f32);
+/// What the copy costs where a packed element is reused only a few
+/// dozen times: every 32×32 tile of a service-sized f32 problem through
+/// the default kernel, once always packing privately per tile
+/// (`mac_loop_kernel`, how the service ran every request before
+/// operands were read in place) and once through the source rule with
+/// no cache (`mac_loop_kernel_cached`), which reads a row-major A and
+/// a row-major B this narrow where they lie. 128 and 512 columns put
+/// B's k-stride at 512 B and at the 2 KiB limit; wider B is packed by
+/// both, so there is nothing to compare.
+fn in_place_vs_packed_f32(c: &mut Criterion) {
+    let kind = KernelKind::default();
+    let tile = TileShape::new(32, 32, 16);
+    let mut group = c.benchmark_group("in_place_vs_packed_32x32_tiles_f32");
+    group.sample_size(30);
+    for n in [128, 512] {
+        let shape = GemmShape::new(64, n, 256);
+        let space = IterSpace::new(shape, tile);
+        let a = Matrix::<f32>::random::<f32>(shape.m, shape.k, Layout::RowMajor, 5);
+        let b = Matrix::<f32>::random::<f32>(shape.k, shape.n, Layout::RowMajor, 6);
+        let iters = space.iters_per_tile();
+        group.bench_function(&format!("packed_n{n}"), |bencher| {
+            let mut accum = vec![0.0f32; tile.blk_m * tile.blk_n];
+            let mut bufs = PackBuffers::new();
+            bencher.iter(|| {
+                for t in 0..space.tiles() {
+                    accum.fill(0.0);
+                    mac_loop_kernel(kind, &a.view(), &b.view(), &space, t, 0, iters, black_box(&mut accum), &mut bufs);
+                }
+            });
+        });
+        group.bench_function(&format!("in_place_n{n}"), |bencher| {
+            let mut accum = vec![0.0f32; tile.blk_m * tile.blk_n];
+            let mut bufs = PackBuffers::new();
+            bencher.iter(|| {
+                for t in 0..space.tiles() {
+                    accum.fill(0.0);
+                    mac_loop_kernel_cached(
+                        kind, None, 0, &a.view(), &b.view(), &space, t, 0, iters, black_box(&mut accum), &mut bufs,
+                    );
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, inner_kernels, packed_vs_blocked_512_f32, in_place_vs_packed_f32);
 criterion_main!(benches);

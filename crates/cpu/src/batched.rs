@@ -78,10 +78,11 @@ impl CpuExecutor {
 
         let kind = self.kernel();
         // One slot table spanning the instances (they have distinct
-        // operands), grid-shared; `None` when caching is off or the
-        // kernel does not consume panels, and the dispatcher packs
-        // privately.
-        let cache = self.launch_pack_cache::<In>(std::iter::repeat_n(instance, space.batch()), 1);
+        // operands), grid-shared; `None` when nothing packs (every
+        // operand is read in place), caching is off or the kernel does
+        // not consume panels, and the dispatcher packs privately.
+        let cache = self
+            .launch_pack_cache((0..space.batch()).map(|i| (instance, a[i].view(), b[i].view())), 1);
         // Round-robin cursor claiming (not the single-GEMM path's
         // static ranges): batched owners *block* in `wait_and_take`,
         // and the round-robin order guarantees a blocked owner's peers

@@ -21,7 +21,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::fixup::{FixupBoard, TryTake, WaitOutcome, WaitPolicy};
 use crate::microkernel::KernelKind;
 use crate::output::TileWriter;
-use crate::packcache::{mac_loop_kernel_cached, PackCache};
+use crate::packcache::{mac_loop_kernel_cached, operands_pack, PackCache};
 use crate::pad::CachePadded;
 use crate::pool::WorkerPool;
 use crate::sched::CtaScheduler;
@@ -420,25 +420,37 @@ impl CpuExecutor {
             .map_or_else(ArenaStats::default, |pool| with_pack_arena::<In, _>(pool, |a| a.stats()))
     }
 
-    /// The launch's pack cache: one slot table over `spaces` (one per
-    /// problem instance) with `shards` shards, storing its chunks in
-    /// the executor's arena. `None` when caching is off or the kernel
-    /// does not consume panels — the dispatcher then packs privately.
-    /// Hand the cache back with [`retire_pack_cache`] so the next
-    /// launch reuses the storage.
+    /// The launch's pack cache: one slot table over `instances` (per
+    /// problem instance its space and operand views) with `shards`
+    /// shards, storing its chunks in the executor's arena and sized
+    /// for the operands that pack. `None` — nothing built, the arena
+    /// left where it is — when no tile of the launch reads a packed
+    /// operand (every view is consumed in place or bypassed), caching
+    /// is off, or the kernel does not consume panels; the dispatcher
+    /// then packs privately whatever it still has to. Hand the cache
+    /// back with [`retire_pack_cache`] so the next launch reuses the
+    /// storage.
     ///
     /// [`retire_pack_cache`]: Self::retire_pack_cache
-    pub(crate) fn launch_pack_cache<'s, In: Copy + Default + Send + Sync + 'static>(
-        &self,
-        spaces: impl IntoIterator<Item = &'s IterSpace>,
-        shards: usize,
-    ) -> Option<PackCache<In>> {
+    pub(crate) fn launch_pack_cache<'s, In, I>(&self, instances: I, shards: usize) -> Option<PackCache<In>>
+    where
+        In: Copy + Default + Send + Sync + 'static,
+        I: IntoIterator<Item = (&'s IterSpace, MatrixView<'s, In>, MatrixView<'s, In>)>,
+        I::IntoIter: Clone,
+    {
         let block = self.config.kernel.register_block().filter(|_| self.config.pack_cache)?;
+        let instances = instances.into_iter().map(|(space, a, b)| {
+            let (a_packs, b_packs) = operands_pack(&a, &b, block, space.tile());
+            (space, a_packs, b_packs)
+        });
+        if !instances.clone().any(|(_, a_packs, b_packs)| a_packs || b_packs) {
+            return None;
+        }
         // Taken out, not borrowed: a launch on a clone that overlaps
         // this one finds an empty arena and allocates, nothing worse.
         let arena = with_pack_arena(self.worker_pool(), std::mem::take);
         let policy = WaitPolicy::with_watchdog(self.config.watchdog);
-        Some(PackCache::in_arena(arena, spaces, block, policy, shards))
+        Some(PackCache::in_arena(arena, instances, block, policy, shards))
     }
 
     /// Ends a launch's use of its pack cache, returning the storage
@@ -707,7 +719,7 @@ impl CpuExecutor {
         // every CTA touching a tile row/column reuses its own shard's
         // packing work, and published panels stay cache-resident on
         // the core that packed them.
-        let cache = self.launch_pack_cache([space], self.pack_shards());
+        let cache = self.launch_pack_cache([(space, *a, *b)], self.pack_shards());
         let workers = self.config.threads;
         let ctx = GridCtx {
             decomp,

@@ -76,10 +76,14 @@ impl CpuExecutor {
         let kind = self.kernel();
         // One slot table spanning the instances, each corner keyed by
         // that instance's own iteration space (grouped instances have
-        // unrelated shapes), grid-shared. `None` when caching is off
-        // or the kernel doesn't consume panels; the dispatcher then
-        // packs privately.
-        let cache = self.launch_pack_cache::<In>(space.instances(), 1);
+        // unrelated shapes), grid-shared. `None` when nothing packs
+        // (every operand is read in place), caching is off or the
+        // kernel doesn't consume panels; the dispatcher then packs
+        // privately.
+        let cache = self.launch_pack_cache(
+            space.instances().iter().enumerate().map(|(i, inst)| (inst, a[i].view(), b[i].view())),
+            1,
+        );
 
         // Round-robin cursor claiming (owners block in
         // `wait_and_take`): the interleave keeps a blocked owner's

@@ -10,33 +10,49 @@
 //! - [`mac_loop_packed`] — the packed-panel pipeline: operands are
 //!   first copied into BLIS-style `MR`/`NR` panels
 //!   ([`streamk_matrix::pack`]), then a const-generic `MR × NR`
-//!   register block walks both panels with unit stride. Ragged edges
-//!   are zero-padded at pack time, so there is no scalar edge path —
-//!   padded lanes are computed and discarded;
+//!   register block walks both panels. Ragged edges are zero-padded at
+//!   pack time, so there is no scalar edge path — padded lanes are
+//!   computed and discarded;
 //! - [`mac_loop_simd`] — the same panel walk with the inner block
 //!   dispatched to runtime-detected AVX-512F/AVX2 kernels
 //!   ([`crate::simd`]); unfused multiply-then-add per lane keeps it
-//!   bit-exact with every other generation. [`mac_loop_cached`] is
-//!   the variant that consumes pre-packed panel k-chunks from the
-//!   grid-shared [`crate::packcache::PackCache`] instead of packing
-//!   per segment.
+//!   bit-exact with every other generation.
+//!
+//! **One register block, addressed by strides.** The block — vector
+//! or scalar — reads A as `a[i·rs + k·ks]` and B as `b[k·ks + j]`
+//! ([`Strided`]) and accumulates into `MR` rows of `c` a row stride
+//! apart. A packed panel is the case `(rs, ks) = (1, MR)` / `ks = NR`;
+//! an operand whose own strides the block can address is read *where
+//! it lies* and never copied, the way the paper's `MacLoop` streams
+//! fragments straight from the operands. [`PanelSpan`] describes
+//! either source for a whole tile, and [`mac_loop_cached`] walks a
+//! tile's register blocks over two of them: full `MR × NR` blocks
+//! accumulate directly in the tile's accumulator, ragged corners
+//! through a zero-padded stack tile. Which source serves an operand —
+//! block-major bypass, in place, the grid-shared
+//! [`crate::packcache::PackCache`], a private pack — is decided in
+//! [`crate::packcache::mac_loop_kernel_cached`], per operand per
+//! k-chunk.
 //!
 //! Every kernel accumulates each output element in ascending-k order,
 //! so all of them — and the scalar
 //! [`mac_loop_view`](crate::macloop::mac_loop_view) — produce
-//! bit-identical results; property tests pin that. [`KernelKind`]
-//! names each variant for runtime selection (see
-//! [`crate::calibrate::select_kernel`]), and [`mac_loop_kernel`] is
-//! the one dispatch point the executors call.
+//! bit-identical results whatever the operands' source; property tests
+//! pin that. [`KernelKind`] names each variant for runtime selection
+//! (see [`crate::calibrate::select_kernel`]), and [`mac_loop_kernel`]
+//! is the always-pack dispatch point (the reference the source rule is
+//! tested against).
 
 use std::fmt;
+use std::ops::Range;
+
 use streamk_core::IterSpace;
 use streamk_matrix::{
     pack_a_slice, pack_b_slice, packed_a_len, packed_b_len, MatrixView, Promote, Scalar,
 };
 
 use crate::macloop::mac_loop_view;
-use crate::simd::{simd_block, SimdLevel};
+use crate::simd::{assert_block_bounds, simd_block, SimdLevel, Strided};
 
 /// Register block height of the legacy unpacked kernel.
 pub const MR: usize = 4;
@@ -324,10 +340,10 @@ pub fn mac_loop_simd<In, Acc, const MR_: usize, const NR_: usize>(
     );
 }
 
-/// The shared packed-panel walk: packs the segment's operand block
-/// into `bufs`, then runs one register block per `MR × NR` sub-tile —
-/// vectorized when `level` is `Some` and a SIMD kernel matches,
-/// scalar otherwise.
+/// The always-pack pipeline: packs the segment's whole operand block
+/// into `bufs`, then hands the two packed tables to
+/// [`mac_loop_cached`] — vectorized when `level` is `Some` and a SIMD
+/// kernel matches, scalar otherwise.
 #[allow(clippy::too_many_arguments)]
 fn mac_loop_panels<In, Acc, const MR_: usize, const NR_: usize>(
     level: Option<SimdLevel>,
@@ -350,76 +366,118 @@ fn mac_loop_panels<In, Acc, const MR_: usize, const NR_: usize>(
         return;
     }
     let (rows, cols) = space.tile_extents(tile_idx);
-    let (m_extent, n_extent) = (rows.len(), cols.len());
     // Local iterations are contiguous k-chunks, so their union is one
     // contiguous k-range (the last chunk clamped to the problem's k).
-    let k_begin = space.k_extents(local_begin).start;
-    let k_end = space.k_extents(local_end - 1).end;
-    let kc = k_end - k_begin;
+    let ks = space.k_extents(local_begin).start..space.k_extents(local_end - 1).end;
 
     let t0 = crate::trace::start();
-    let a_out = stage(&mut bufs.a, packed_a_len(m_extent, kc, MR_));
-    pack_a_slice(a, rows, k_begin..k_end, MR_, a_out);
-    let b_out = stage(&mut bufs.b, packed_b_len(kc, n_extent, NR_));
-    pack_b_slice(b, k_begin..k_end, cols, NR_, b_out);
-    crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx as u32, kc as u32);
+    let a_out = stage(&mut bufs.a, packed_a_len(rows.len(), ks.len(), MR_));
+    pack_a_slice(a, rows, ks.clone(), MR_, a_out);
+    let b_out = stage(&mut bufs.b, packed_b_len(ks.len(), cols.len(), NR_));
+    pack_b_slice(b, ks.clone(), cols, NR_, b_out);
+    crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx as u32, ks.len() as u32);
 
-    let a_panel = kc * MR_;
-    let b_panel = kc * NR_;
-    // q-outer / p-inner, as in `mac_loop_cached`: keeps the B
-    // sub-panel L1-resident across the column of blocks.
-    for q in 0..n_extent.div_ceil(NR_) {
-        let bpanel = &bufs.b[q * b_panel..(q + 1) * b_panel];
-        let jw = NR_.min(n_extent - q * NR_);
-        for p in 0..m_extent.div_ceil(MR_) {
-            let apanel = &bufs.a[p * a_panel..(p + 1) * a_panel];
-            let ih = MR_.min(m_extent - p * MR_);
-            apply_block::<In, Acc, MR_, NR_>(level, apanel, bpanel, kc, ih, jw, p, q, tile.blk_n, accum);
+    mac_loop_cached::<In, Acc, MR_, NR_>(
+        level,
+        PanelSpan::packed(a_out, MR_, ks.clone()),
+        PanelSpan::packed(b_out, NR_, ks),
+        space,
+        tile_idx,
+        local_begin,
+        local_end,
+        accum,
+    );
+}
+
+/// Where the register blocks of one tile read one operand from, over
+/// the k-window `ks`: the one operand-source descriptor behind every
+/// panel-consuming path. The operand is cut into panels of `MR` lanes
+/// (A's rows) or `NR` lanes (B's columns); lane `i` of panel `p` at
+/// problem-k `k` is
+/// `data[p · panel_stride + i · lane_stride + (k − ks.start) · k_stride]`.
+///
+/// - A **packed table** ([`packed`](Self::packed)) — a cache chunk, a
+///   private pack, or block-major storage taken by the zero-pack
+///   bypass — is k-major with adjacent lanes: strides
+///   `(ks.len() · width, 1, width)`, its ragged last panel zero-padded
+///   in the table itself.
+/// - An operand read **in place** ([`in_place`](Self::in_place))
+///   carries its view's strides. The view has no padding, so when the
+///   tile's extent is not a whole number of panels the ragged last one
+///   comes from `edge` — that panel alone, packed and zero-padded over
+///   the same k-window — and nothing outside the view's window is ever
+///   addressed.
+#[derive(Debug, Clone)]
+pub struct PanelSpan<'a, In> {
+    data: &'a [In],
+    ks: Range<usize>,
+    panel_stride: usize,
+    lane_stride: usize,
+    k_stride: usize,
+    edge: Option<&'a [In]>,
+}
+
+impl<'a, In> PanelSpan<'a, In> {
+    /// A table of packed `width`-lane panels, each covering `ks`.
+    #[must_use]
+    pub fn packed(table: &'a [In], width: usize, ks: Range<usize>) -> Self {
+        let panel_stride = ks.len() * width;
+        Self { data: table, ks, panel_stride, lane_stride: 1, k_stride: width, edge: None }
+    }
+
+    /// An operand's own storage: `data` starts at lane 0 of panel 0 at
+    /// k-step `ks.start`, lanes `lane_stride` apart, k-steps
+    /// `k_stride` apart, `width` lanes to a panel. `edge` is the
+    /// packed ragged last panel, required exactly when the tile has
+    /// one.
+    #[must_use]
+    pub fn in_place(
+        data: &'a [In],
+        width: usize,
+        lane_stride: usize,
+        k_stride: usize,
+        ks: Range<usize>,
+        edge: Option<&'a [In]>,
+    ) -> Self {
+        Self { data, ks, panel_stride: width * lane_stride, lane_stride, k_stride, edge }
+    }
+
+    /// Panel `p`'s `width` lanes over `kc` k-steps from problem-k
+    /// `k_begin`, cut to exactly the elements a register block reads;
+    /// a `ragged` panel is served from the packed edge when there is
+    /// one.
+    fn block(&self, p: usize, ragged: bool, width: usize, k_begin: usize, kc: usize) -> Strided<'a, In> {
+        let k_off = k_begin - self.ks.start;
+        if let (true, Some(edge)) = (ragged, self.edge) {
+            return Strided::packed(&edge[k_off * width..(k_off + kc) * width], width);
         }
+        let first = p * self.panel_stride + k_off * self.k_stride;
+        let last = first + (width - 1) * self.lane_stride + (kc - 1) * self.k_stride;
+        Strided { data: &self.data[first..=last], lane_stride: self.lane_stride, k_stride: self.k_stride }
     }
 }
 
-/// The k-window geometry of a panel table handed to
-/// [`mac_loop_cached`]: each sub-panel covers `[k0, k0 + k_cap)` of
-/// the problem's k-extent in k-major order.
-///
-/// The grid-shared cache packs one k-chunk per slot (`k0` = the
-/// chunk's first k, `k_cap` = its length); the block-major zero-pack
-/// bypass serves the matrix's own storage (`k0 = 0`, `k_cap` = k
-/// padded to the fragment edge — padding beyond `shape.k` exists but
-/// is never read); private packs cover exactly the k-range they were
-/// asked for.
-#[derive(Debug, Clone, Copy)]
-pub struct PanelSpan {
-    /// First problem-k index the table covers.
-    pub k0: usize,
-    /// K-steps each sub-panel is strided for.
-    pub k_cap: usize,
-}
-
 /// Runs local MAC-loop iterations `[local_begin, local_end)` of
-/// `tile_idx` against *pre-packed panel tables* — the
-/// [`crate::packcache::PackCache`] / zero-pack-bypass fast path.
-/// `a_panels` is the tile's A row-panel table (every `MR` sub-panel
-/// spanning `a_span`'s k-window) and `b_panels` its B column-panel
-/// table; the segment's k-sub-range is a contiguous slice of each
-/// sub-panel because the panel layout is k-major. No packing happens
-/// here — that is the point.
+/// `tile_idx` against the operand sources `a` and `b` — packed tables
+/// from the [`crate::packcache::PackCache`], a private pack or the
+/// zero-pack bypass, or the operands' own storage ([`PanelSpan`]). The
+/// segment's k-sub-range must lie inside both spans' k-windows. No
+/// packing happens here — that is the point.
 ///
-/// Accumulation order is identical to [`mac_loop_packed`], so neither
-/// caching nor the bypass ever changes results.
+/// Each register block accumulates its output elements in ascending-k
+/// order whatever the source, so the choice of source never changes
+/// results.
 ///
 /// # Panics
 ///
-/// Panics if `accum` or either panel has the wrong size, the local
-/// range is out of bounds, or the segment's k-range leaves a span.
+/// Panics if `accum` has the wrong size, the local range is out of
+/// bounds, the segment's k-range leaves a span, or a span is too short
+/// for the tile.
 #[allow(clippy::too_many_arguments)]
 pub fn mac_loop_cached<In, Acc, const MR_: usize, const NR_: usize>(
     level: Option<SimdLevel>,
-    a_panels: &[In],
-    a_span: PanelSpan,
-    b_panels: &[In],
-    b_span: PanelSpan,
+    a: PanelSpan<'_, In>,
+    b: PanelSpan<'_, In>,
     space: &IterSpace,
     tile_idx: usize,
     local_begin: usize,
@@ -440,21 +498,12 @@ pub fn mac_loop_cached<In, Acc, const MR_: usize, const NR_: usize>(
     let k_begin = space.k_extents(local_begin).start;
     let k_end = space.k_extents(local_end - 1).end;
     let kc = k_end - k_begin;
-    assert!(
-        a_span.k0 <= k_begin && k_end <= a_span.k0 + a_span.k_cap,
-        "segment k-range [{k_begin},{k_end}) outside A panel span"
-    );
-    assert!(
-        b_span.k0 <= k_begin && k_end <= b_span.k0 + b_span.k_cap,
-        "segment k-range [{k_begin},{k_end}) outside B panel span"
-    );
-
-    let a_stride = a_span.k_cap * MR_;
-    let b_stride = b_span.k_cap * NR_;
-    assert_eq!(a_panels.len(), m_extent.div_ceil(MR_) * a_stride, "A panel table size");
-    assert_eq!(b_panels.len(), n_extent.div_ceil(NR_) * b_stride, "B panel table size");
-    let (ak0, ak1) = (k_begin - a_span.k0, k_end - a_span.k0);
-    let (bk0, bk1) = (k_begin - b_span.k0, k_end - b_span.k0);
+    for (name, span) in [("A", &a), ("B", &b)] {
+        assert!(
+            span.ks.start <= k_begin && k_end <= span.ks.end,
+            "segment k-range [{k_begin},{k_end}) outside {name} panel span"
+        );
+    }
 
     // q-outer / p-inner: the B sub-panel (the operand every k-step
     // loads a fresh vector from) stays hot in L1 across the whole
@@ -462,31 +511,36 @@ pub fn mac_loop_cached<In, Acc, const MR_: usize, const NR_: usize>(
     // stream. Block order does not affect results — each output
     // element's k-accumulation happens inside a single block call.
     for q in 0..n_extent.div_ceil(NR_) {
-        let bpanel = &b_panels[q * b_stride + bk0 * NR_..q * b_stride + bk1 * NR_];
         let jw = NR_.min(n_extent - q * NR_);
+        let bq = b.block(q, jw < NR_, NR_, k_begin, kc);
         for p in 0..m_extent.div_ceil(MR_) {
-            let apanel = &a_panels[p * a_stride + ak0 * MR_..p * a_stride + ak1 * MR_];
             let ih = MR_.min(m_extent - p * MR_);
-            apply_block::<In, Acc, MR_, NR_>(level, apanel, bpanel, kc, ih, jw, p, q, tile.blk_n, accum);
+            let ap = a.block(p, ih < MR_, MR_, k_begin, kc);
+            let origin = p * MR_ * tile.blk_n + q * NR_;
+            if ih == MR_ && jw == NR_ {
+                // A full block accumulates where the tile keeps it.
+                let c = &mut accum[origin..origin + (MR_ - 1) * tile.blk_n + NR_];
+                register_block::<In, Acc, MR_, NR_>(level, ap, bq, kc, c, tile.blk_n);
+            } else {
+                edge_block::<In, Acc, MR_, NR_>(level, ap, bq, kc, ih, jw, tile.blk_n, &mut accum[origin..]);
+            }
         }
     }
 }
 
-/// Loads the live `ih × jw` window of one `MR × NR` sub-tile into a
-/// register-block accumulator, runs the SIMD or scalar block, and
-/// stores the live window back. Padded lanes start at zero and are
-/// never stored.
+/// A ragged `ih × jw` corner of the tile: its live window goes through
+/// a full `MR × NR` stack tile, because the operands' padded lanes
+/// compute into lanes `accum` has no room for. Padded lanes start at
+/// zero and are never stored.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn apply_block<In, Acc, const MR_: usize, const NR_: usize>(
+fn edge_block<In, Acc, const MR_: usize, const NR_: usize>(
     level: Option<SimdLevel>,
-    apanel: &[In],
-    bpanel: &[In],
+    a: Strided<'_, In>,
+    b: Strided<'_, In>,
     kc: usize,
     ih: usize,
     jw: usize,
-    p: usize,
-    q: usize,
     blk_n: usize,
     accum: &mut [Acc],
 ) where
@@ -494,46 +548,97 @@ fn apply_block<In, Acc, const MR_: usize, const NR_: usize>(
     Acc: Scalar,
 {
     let mut c = [[Acc::ZERO; NR_]; MR_];
-    for (i, crow) in c.iter_mut().enumerate().take(ih) {
-        let base = (p * MR_ + i) * blk_n + q * NR_;
-        crow[..jw].copy_from_slice(&accum[base..base + jw]);
+    for (crow, arow) in c.iter_mut().zip(accum.chunks(blk_n)).take(ih) {
+        crow[..jw].copy_from_slice(&arow[..jw]);
     }
-    let vectorized = match level {
-        Some(lv) => simd_block::<In, Acc, MR_, NR_>(lv, apanel, bpanel, kc, &mut c),
-        None => false,
-    };
-    if !vectorized {
-        packed_block::<In, Acc, MR_, NR_>(apanel, bpanel, kc, &mut c);
-    }
-    for (i, crow) in c.iter().enumerate().take(ih) {
-        let base = (p * MR_ + i) * blk_n + q * NR_;
-        accum[base..base + jw].copy_from_slice(&crow[..jw]);
+    register_block::<In, Acc, MR_, NR_>(level, a, b, kc, c.as_flattened_mut(), NR_);
+    for (crow, arow) in c.iter().zip(accum.chunks_mut(blk_n)).take(ih) {
+        arow[..jw].copy_from_slice(&crow[..jw]);
     }
 }
 
-/// The register-resident core: one `MR × NR` block over `kc` packed
-/// k-steps, both panels walked with unit stride.
+/// One `MR × NR` block over `kc` k-steps, added into the `MR` rows of
+/// `c` that start `c_stride` apart: the host's vector kernel when
+/// `level` names one for this shape and element type, the portable
+/// scalar block otherwise.
 #[inline]
-fn packed_block<In, Acc, const MR_: usize, const NR_: usize>(
-    apanel: &[In],
-    bpanel: &[In],
+fn register_block<In, Acc, const MR_: usize, const NR_: usize>(
+    level: Option<SimdLevel>,
+    a: Strided<'_, In>,
+    b: Strided<'_, In>,
     kc: usize,
-    c: &mut [[Acc; NR_]; MR_],
+    c: &mut [Acc],
+    c_stride: usize,
 ) where
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    // chunks_exact tells LLVM each k-step's operand slices are
-    // exactly MR/NR long: no bounds checks survive in the inner
-    // loop, and the NR-wide update vectorizes.
-    for (acol, brow) in apanel.chunks_exact(MR_).zip(bpanel.chunks_exact(NR_)).take(kc) {
-        let av: [Acc; MR_] = std::array::from_fn(|i| acol[i].promote());
-        let bv: [Acc; NR_] = std::array::from_fn(|j| brow[j].promote());
-        for (crow, &ai) in c.iter_mut().zip(&av) {
-            for (cv, &bj) in crow.iter_mut().zip(&bv) {
-                *cv = cv.mac(ai, bj);
+    let vectorized = level.is_some_and(|lv| simd_block::<In, Acc, MR_, NR_>(lv, a, b, kc, c, c_stride));
+    if !vectorized {
+        packed_block::<In, Acc, MR_, NR_>(a, b, kc, c, c_stride);
+    }
+}
+
+/// The portable register block: the strided walk of
+/// [`crate::simd`]'s kernels in safe scalar code, with the same bounds
+/// asserted before the k-loop. The block's `MR × NR` accumulators live
+/// in a stack tile across the loop so the `NR`-wide update vectorizes.
+#[inline]
+pub(crate) fn packed_block<In, Acc, const MR_: usize, const NR_: usize>(
+    a: Strided<'_, In>,
+    b: Strided<'_, In>,
+    kc: usize,
+    c: &mut [Acc],
+    c_stride: usize,
+) where
+    In: Promote<Acc>,
+    Acc: Scalar,
+{
+    assert_block_bounds(&a, &b, kc, MR_, NR_, c, c_stride);
+    if kc == 0 {
+        return;
+    }
+    let mut acc: [[Acc; NR_]; MR_] =
+        std::array::from_fn(|i| std::array::from_fn(|j| c[i * c_stride + j]));
+    // The k-loop over `$steps`, which yields each k-step's A lanes
+    // (promoted) and B row. Safe indexing checks every access against
+    // its slice, and in this loop a check per element doubles the
+    // instruction count, so the two walks that matter first cut
+    // slices whose lengths say what the loop needs.
+    macro_rules! walk {
+        ($steps:expr) => {
+            for (av, brow) in $steps {
+                let av: [Acc; MR_] = av;
+                let bv: [Acc; NR_] = std::array::from_fn(|j| brow[j].promote());
+                for (crow, &ai) in acc.iter_mut().zip(&av) {
+                    for (cv, &bj) in crow.iter_mut().zip(&bv) {
+                        *cv = cv.mac(ai, bj);
+                    }
+                }
             }
+        };
+    }
+    let b_row = |k: usize| &b.data[k * b.k_stride..][..NR_];
+    match (a.lane_stride, a.k_stride) {
+        // Packed panels: chunks_exact tells LLVM each k-step's operand
+        // slices are exactly MR/NR long, and no check survives.
+        (1, ks) if ks == MR_ && b.k_stride == NR_ => walk!(a
+            .data
+            .chunks_exact(MR_)
+            .zip(b.data.chunks_exact(NR_))
+            .take(kc)
+            .map(|(acol, brow)| (std::array::from_fn(|i| acol[i].promote()), brow))),
+        // A row-major A read in place: each lane is one run of k.
+        (ls, 1) => {
+            let lanes: [&[In]; MR_] = std::array::from_fn(|i| &a.data[i * ls..][..kc]);
+            walk!((0..kc).map(|k| (std::array::from_fn(|i| lanes[i][k].promote()), b_row(k))));
         }
+        (ls, ks) => walk!(
+            (0..kc).map(|k| (std::array::from_fn(|i| a.data[i * ls + k * ks].promote()), b_row(k)))
+        ),
+    }
+    for (i, row) in acc.iter().enumerate() {
+        c[i * c_stride..i * c_stride + NR_].copy_from_slice(row);
     }
 }
 

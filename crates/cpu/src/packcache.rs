@@ -70,13 +70,31 @@
 //! the range seams — and stolen CTAs use the *thief's* shard, keeping
 //! reads local even under imbalance.
 //!
-//! **Zero-pack bypass.** Block-major operands need no packing at all:
-//! a [`Layout::BlockMajor`](streamk_types::Layout) matrix's storage
-//! *is* the packed-A panel table with `MR = FRAG` (and a transposed
-//! block-major view is the packed-B table with `NR = FRAG`), so
-//! [`mac_loop_kernel_cached`] hands the microkernel slices of the
-//! matrix's own storage whenever the kernel's register block and the
-//! tile geometry line up — no cache slot, no copy, no wait.
+//! **Operand sources.** The cache is the *third* place
+//! [`mac_loop_kernel_cached`] looks. Per operand, per chunk, it takes
+//! the first source that can serve it — block-major bypass → in place
+//! → this cache → a private pack:
+//!
+//! - *Zero-pack bypass.* A
+//!   [`Layout::BlockMajor`](streamk_types::Layout) matrix's storage
+//!   *is* the packed-A panel table with `MR = FRAG` (and a transposed
+//!   block-major view is the packed-B table with `NR = FRAG`), so the
+//!   microkernel gets slices of the matrix's own storage whenever the
+//!   kernel's register block and the tile geometry line up.
+//! - *In place.* The register block addresses operands by strides
+//!   ([`crate::simd::Strided`]), so a strided view is read where it
+//!   lies — no slot, no copy, no wait — when the kernel can address
+//!   it (A: any strided view; B: unit column stride, its `NR` lanes
+//!   being one vector load) and its k-stride in bytes is at most
+//!   `IN_PLACE_K_STRIDE`: a row-major A always, a row-major f32 B up
+//!   to 512 columns wide. Packing pays for itself only by reuse, and a
+//!   packed element of a 32-wide tile is read back a few dozen times
+//!   at most; past the limit the copy buys back the locality a long
+//!   k-stride loses (DESIGN.md §9 has the sweep). This is a predicate
+//!   of the view, not an option: every path through the dispatcher
+//!   reads the same view the same way, and an executor's launch cache
+//!   is built without slots for an operand that never packs — or not
+//!   built at all (`CpuExecutor::launch_pack_cache`).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,7 +103,7 @@ use streamk_core::IterSpace;
 use streamk_matrix::{
     pack_a_slice, pack_b_slice, packed_a_len, packed_b_len, MatrixView, Promote, Scalar,
 };
-use streamk_types::FRAG;
+use streamk_types::{TileShape, FRAG};
 
 use crate::arena::{PackArena, SlotTable};
 use crate::fixup::WaitPolicy;
@@ -139,9 +157,12 @@ struct Instance {
     /// Chunks per panel.
     chunks: usize,
     /// First A slot; slots are indexed `[shard][tile row][chunk]`.
-    a_base: usize,
+    /// `None` when the launch never packs this instance's A (it is
+    /// read in place or through the bypass) and so keeps no slots.
+    /// (`u32`, so that the option costs an instance no extra bytes.)
+    a_base: Option<u32>,
     /// First B slot; slots are indexed `[shard][tile column][chunk]`.
-    b_base: usize,
+    b_base: Option<u32>,
 }
 
 /// Per-launch shared table of packed operand panels, cut into
@@ -193,7 +214,7 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
         policy: WaitPolicy,
         shards: usize,
     ) -> Self {
-        Self::in_arena(PackArena::default(), [space], (mr, nr), policy, shards)
+        Self::in_arena(PackArena::default(), [(space, true, true)], (mr, nr), policy, shards)
     }
 
     /// A single-shard cache serving `kind`'s register block, or `None`
@@ -217,13 +238,14 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
     }
 
     /// The constructor behind all the others: one slot table spanning
-    /// `spaces` (one entry per problem instance of the launch), its
-    /// chunks stored in `arena`. The executors pass the arena they
-    /// keep between launches and take it back with
-    /// [`into_arena`](Self::into_arena).
+    /// `instances` — per problem instance of the launch its space and
+    /// whether its A and its B pack at all ([`operands_pack`]); an
+    /// operand that does not gets no slots — its chunks stored in
+    /// `arena`. The executors pass the arena they keep between
+    /// launches and take it back with [`into_arena`](Self::into_arena).
     pub(crate) fn in_arena<'s>(
         arena: PackArena<In>,
-        spaces: impl IntoIterator<Item = &'s IterSpace>,
+        instances: impl IntoIterator<Item = (&'s IterSpace, bool, bool)>,
         (mr, nr): (usize, usize),
         policy: WaitPolicy,
         shards: usize,
@@ -231,13 +253,19 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
         assert!(mr > 0 && nr > 0, "register block must be positive");
         assert!(shards > 0, "cache needs at least one shard");
         let mut slots = 0;
-        let instances = spaces
+        let instances = instances
             .into_iter()
-            .map(|space| {
+            .map(|(space, a_packs, b_packs)| {
                 let chunks = space.iters_per_tile().div_ceil(chunk_iters(space));
-                let a_base = slots;
-                let b_base = a_base + shards * space.tiles_m() * chunks;
-                slots = b_base + shards * space.tiles_n() * chunks;
+                let mut take = |packs: bool, tiles: usize| {
+                    packs.then(|| {
+                        let base = u32::try_from(slots).expect("a launch has fewer than 2^32 chunk slots");
+                        slots += shards * tiles * chunks;
+                        base
+                    })
+                };
+                let a_base = take(a_packs, space.tiles_m());
+                let b_base = take(b_packs, space.tiles_n());
                 Instance { space: space.clone(), chunks, a_base, b_base }
             })
             .collect();
@@ -299,7 +327,8 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
 
     /// Total chunk slots this cache manages:
     /// `shards · (tiles_m + tiles_n) · ⌈k / chunk_k⌉`, summed over
-    /// its instances.
+    /// its instances (an executor's launch cache leaves out operands
+    /// it never packs).
     #[must_use]
     pub fn panels(&self) -> usize {
         self.table.len()
@@ -375,7 +404,7 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
         let blk_m = inst.space.tile().blk_m;
         let rows = tm * blk_m..inst.space.shape().m.min((tm + 1) * blk_m);
         let (ks, mr, shard) = (chunk_ks(&inst.space, chunk), self.mr, shard % self.shards);
-        let slot = inst.a_base + (shard * inst.space.tiles_m() + tm) * inst.chunks + chunk;
+        let slot = inst.a_base? as usize + (shard * inst.space.tiles_m() + tm) * inst.chunks + chunk;
         let len = packed_a_len(rows.len(), ks.len(), mr);
         self.fetch(slot, shard, len, tm as u32, 0, |out| pack_a_slice(a, rows, ks, mr, out))
     }
@@ -395,7 +424,7 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
         let blk_n = inst.space.tile().blk_n;
         let cols = tn * blk_n..inst.space.shape().n.min((tn + 1) * blk_n);
         let (ks, nr, shard) = (chunk_ks(&inst.space, chunk), self.nr, shard % self.shards);
-        let slot = inst.b_base + (shard * inst.space.tiles_n() + tn) * inst.chunks + chunk;
+        let slot = inst.b_base? as usize + (shard * inst.space.tiles_n() + tn) * inst.chunks + chunk;
         let len = packed_b_len(ks.len(), cols.len(), nr);
         self.fetch(slot, shard, len, tn as u32, 1, |out| pack_b_slice(b, ks, cols, nr, out))
     }
@@ -437,50 +466,173 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
     }
 }
 
-/// The slice of a full-matrix block-major panel table covering one
-/// output tile's sub-panels, plus its k-window. Returns `None` unless
-/// the tile grid lands on fragment boundaries (`blk % FRAG == 0`), so
-/// a tile's sub-panels are a contiguous run of the matrix's fragment
-/// row-panels.
-fn bypass_slice<In>(
-    table: &[In],
-    k_pad: usize,
-    tile_origin: usize,
-    extent: usize,
-    blk: usize,
-) -> Option<(&[In], PanelSpan)> {
-    if !blk.is_multiple_of(FRAG) {
-        return None;
-    }
-    let stride = k_pad * FRAG;
-    let p0 = tile_origin * blk / FRAG;
-    let count = extent.div_ceil(FRAG);
-    Some((&table[p0 * stride..(p0 + count) * stride], PanelSpan { k0: 0, k_cap: k_pad }))
+/// Largest k-stride, in bytes, at which a register block reads an
+/// operand where it lies, fixed by the sweep in DESIGN.md §9. Every
+/// k-step of a block touches the operand one k-stride further on. Up
+/// to here that costs less than the copy it saves; at a page (a
+/// row-major f32 B 1024 columns wide) every k-step opens a new page
+/// and lands in the same L1 set as the one before, the B sub-panel no
+/// longer survives the column of register blocks that reuses it, and
+/// packing wins again (the 1024³ shape ran 2.1× slower read in place).
+const IN_PLACE_K_STRIDE: usize = 2048;
+
+/// How a launch reads one operand, decided by the view alone (and the
+/// kernel's fixed geometry) — the first of bypass → in place → packed
+/// that can serve it. Never an option: the same view is always read
+/// the same way, by every path that funnels through
+/// [`mac_loop_kernel_cached`].
+enum Source<'a, In> {
+    /// Block-major storage that already *is* the packed panel table
+    /// (see `pack.rs`'s pinning tests): the whole matrix's table and
+    /// its padded k-stride.
+    Bypass(&'a [In], usize),
+    /// Strided storage the register block addresses directly.
+    InPlace { lane_stride: usize, k_stride: usize },
+    /// Anything else is copied into panels: the launch cache when
+    /// there is one, a private pack otherwise.
+    Packed,
 }
 
-/// [`mac_loop_kernel`] with packed panels served zero-copy from
-/// block-major operand storage or from `cache` when possible. The one
-/// cached dispatch point behind the executors. The segment is walked
-/// one k-chunk at a time (see the module docs), and per chunk each
-/// operand comes from the first source that can serve it:
+impl<'a, In: Copy> Source<'a, In> {
+    /// The source for `v` — A itself, or `Bᵀ`, so that in both cases
+    /// rows are the operand's lanes and columns its k-steps — cut into
+    /// `width`-lane panels for tiles `blk` lanes tall.
+    ///
+    /// - **Bypass** needs an untransposed full `BlockMajor` view, a
+    ///   register block as wide as a fragment, and a tile grid that
+    ///   lands on fragment boundaries, so that a tile's panels are a
+    ///   contiguous run of the matrix's fragment row-panels.
+    /// - **In place** needs strides the kernel can address — any for
+    ///   A; adjacent lanes for B (`unit_lanes`), whose `NR` lanes are
+    ///   one vector load — and a k-stride of at most
+    ///   [`IN_PLACE_K_STRIDE`] bytes.
+    fn of(v: &MatrixView<'a, In>, width: usize, blk: usize, unit_lanes: bool) -> Self {
+        if width == FRAG && blk.is_multiple_of(FRAG) {
+            if let Some((table, k_pad)) = v.block_panels() {
+                return Source::Bypass(table, k_pad);
+            }
+        }
+        match (v.row_stride(), v.col_stride()) {
+            (Some(lane_stride), Some(k_stride))
+                if k_stride * std::mem::size_of::<In>() <= IN_PLACE_K_STRIDE
+                    && (lane_stride == 1 || !unit_lanes) =>
+            {
+                Source::InPlace { lane_stride, k_stride }
+            }
+            _ => Source::Packed,
+        }
+    }
+}
+
+/// Whether a launch of `a · b` at register block `(mr, nr)` and
+/// `tile` copies A, and B, into panels at all — what the executors
+/// size their launch cache by.
+pub(crate) fn operands_pack<In: Copy>(
+    a: &MatrixView<'_, In>,
+    b: &MatrixView<'_, In>,
+    (mr, nr): (usize, usize),
+    tile: TileShape,
+) -> (bool, bool) {
+    (
+        matches!(Source::of(a, mr, tile.blk_m, false), Source::Packed),
+        matches!(Source::of(&b.t(), nr, tile.blk_n, true), Source::Packed),
+    )
+}
+
+/// Packs `v[lanes, ks]` into the staging buffer `buf` and returns the
+/// panels.
+fn pack_private<'b, In: Copy + Default>(
+    v: &MatrixView<'_, In>,
+    lanes: Range<usize>,
+    ks: Range<usize>,
+    width: usize,
+    buf: &'b mut Vec<In>,
+    tile_idx: u32,
+) -> &'b [In] {
+    let t0 = crate::trace::start();
+    let out = stage(buf, packed_a_len(lanes.len(), ks.len(), width));
+    let kc = ks.len() as u32;
+    pack_a_slice(v, lanes, ks, width, out);
+    crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx, kc);
+    out
+}
+
+/// One operand of one tile over one chunk: the [`PanelSpan`] its
+/// [`Source`] yields. `v` is A or `Bᵀ`; `lanes` the tile's rows of it; `ks`
+/// the k-range the segment covers inside the chunk, which is what a
+/// private pack or an in-place window spans; `cached` fetches the
+/// launch cache's copy of the whole chunk `chunk_ks`, if there is a
+/// cache and the chunk's packer did not stall.
+#[allow(clippy::too_many_arguments)]
+fn operand_span<'x, In: Copy + Default>(
+    source: &Source<'x, In>,
+    v: &MatrixView<'x, In>,
+    width: usize,
+    lanes: Range<usize>,
+    ks: Range<usize>,
+    chunk_ks: Range<usize>,
+    cached: impl FnOnce() -> Option<&'x [In]>,
+    buf: &'x mut Vec<In>,
+    tile_idx: u32,
+) -> PanelSpan<'x, In> {
+    match *source {
+        Source::Bypass(table, k_pad) => {
+            // Tiles start on fragment boundaries (`Source::of`).
+            let stride = k_pad * FRAG;
+            let first = lanes.start / FRAG;
+            let tile_panels = &table[first * stride..(first + lanes.len().div_ceil(FRAG)) * stride];
+            // Padding beyond the problem's k exists but is never read.
+            PanelSpan::packed(tile_panels, FRAG, 0..k_pad)
+        }
+        Source::InPlace { lane_stride, k_stride } => {
+            let span = v.strided_span().expect("only strided views are read in place");
+            let origin = lanes.start * lane_stride + ks.start * k_stride;
+            // The view has no padding to read: the ragged last panel,
+            // and only that, keeps the zero-padded packed path.
+            let ragged = lanes.len() % width;
+            let edge = (ragged != 0)
+                .then(|| pack_private(v, lanes.end - ragged..lanes.end, ks.clone(), width, buf, tile_idx));
+            PanelSpan::in_place(&span[origin..], width, lane_stride, k_stride, ks, edge)
+        }
+        Source::Packed => match cached() {
+            Some(chunk) => PanelSpan::packed(chunk, width, chunk_ks),
+            None => PanelSpan::packed(pack_private(v, lanes, ks.clone(), width, buf, tile_idx), width, ks),
+        },
+    }
+}
+
+/// [`mac_loop_kernel`] with each operand read from the cheapest place
+/// that holds it. The one dispatch point behind the executors, the
+/// batched and grouped launches, the Strassen leaves and the service.
+/// The segment is walked one k-chunk at a time (see the module docs),
+/// and per chunk each operand comes from the first source that can
+/// serve it:
 ///
 /// - **Zero-pack bypass**: an untransposed full-matrix `BlockMajor` A
 ///   view whose storage is consumable by an `MR == FRAG` kernel (and
 ///   likewise a transposed block-major B view for `NR == FRAG`
 ///   kernels) is handed to the microkernel as slices of its own
-///   storage — nothing is packed and the cache is not touched for
-///   that operand;
-/// - operands the bypass cannot serve come from `cache`'s `shard`
-///   table (each chunk packed once per shard that consumes it);
-/// - an operand with **neither** — no cache, or a watchdog-expired
-///   wait on one chunk — is packed privately for just the part of
-///   that chunk the segment covers, so e.g. a block-major A still
-///   skips all A packing even with no cache at all;
-/// - kernels that do not consume panels (scalar / blocked), or a
-///   launch with no bypass and a `None`/mismatched cache, fall back
-///   to [`mac_loop_kernel`]'s private-pack path.
+///   storage;
+/// - **in place**: a strided view the register block can address —
+///   any A; a B with unit column stride — whose k-stride is at most
+///   one private constant is read where it lies (a row-major A
+///   always; a row-major B up to 512 f32 columns wide). Nothing is
+///   copied, no cache slot is touched and no pack span is recorded;
+///   only a ragged last panel (an `m` extent that is not a multiple of
+///   `MR`, an `n` extent not a multiple of `NR`) is still packed,
+///   privately and zero-padded, because the view has no padding to
+///   read;
+/// - operands neither can serve come from `cache`'s `shard` table
+///   (each chunk packed once per shard that consumes it);
+/// - an operand with **none** of these — no cache, or a
+///   watchdog-expired wait on one chunk — is packed privately for just
+///   the part of that chunk the segment covers.
 ///
-/// Every path feeds the microkernel the same ascending-k operand
+/// Which of the first two applies is a property of the view, not an
+/// option. Kernels that do not consume panels (scalar / blocked) fall
+/// back to [`mac_loop_kernel`].
+///
+/// Every source feeds the register block the same ascending-k operand
 /// sequence, so the result is bit-exact with the uncached pipeline.
 ///
 /// # Panics
@@ -538,74 +690,49 @@ pub(crate) fn mac_loop_instance_cached<In, Acc>(
     let tile = space.tile();
     let (tm, tn) = space.tile_coords(tile_idx);
     let (rows, cols) = space.tile_extents(tile_idx);
-
-    // Zero-pack bypass: block-major storage already *is* the panel
-    // table (see `pack.rs`'s pinning tests), so slice it directly.
-    let a_direct = (mr == FRAG)
-        .then(|| a.block_panels())
-        .flatten()
-        .and_then(|(t, k_pad)| bypass_slice(t, k_pad, tm, rows.len(), tile.blk_m));
-    let b_direct = (nr == FRAG)
-        .then(|| b.t_block_panels())
-        .flatten()
-        .and_then(|(t, k_pad)| bypass_slice(t, k_pad, tn, cols.len(), tile.blk_n));
-
-    // The cache covers whatever the bypass could not.
+    // B's column panels are row panels of Bᵀ: one routine serves both.
+    let bt = b.t();
+    let a_source = Source::of(a, mr, tile.blk_m, false);
+    let b_source = Source::of(&bt, nr, tile.blk_n, true);
     let cache = cache.filter(|c| c.register_block() == (mr, nr));
-    if a_direct.is_none() && b_direct.is_none() && cache.is_none() {
-        return mac_loop_kernel(kind, a, b, space, tile_idx, local_begin, local_end, accum, bufs);
-    }
 
     let level = kind.is_simd().then(SimdLevel::detect);
     let per_chunk = chunk_iters(space);
     for chunk in local_begin / per_chunk..local_end.div_ceil(per_chunk) {
         // The part of this chunk the segment covers, in iterations
-        // and in k-steps: what a private pack spans. A cached chunk
-        // always spans the whole chunk.
+        // and in k-steps. A cached chunk always spans the whole chunk.
         let lb = local_begin.max(chunk * per_chunk);
         let le = local_end.min((chunk + 1) * per_chunk);
         let ks = space.k_extents(lb).start..space.k_extents(le - 1).end;
-        let private_span = PanelSpan { k0: ks.start, k_cap: ks.len() };
         let whole = chunk_ks(space, chunk);
-        let cached_span = PanelSpan { k0: whole.start, k_cap: whole.len() };
 
-        let a_cached = if a_direct.is_none() {
-            cache.and_then(|c| c.a_chunk_of(instance, a, tm, chunk, shard))
-        } else {
-            None
-        };
-        let (a_slice, a_span): (&[In], PanelSpan) = if let Some(direct) = a_direct {
-            direct
-        } else if let Some(g) = a_cached.as_deref() {
-            (g, cached_span)
-        } else {
-            let t0 = crate::trace::start();
-            let out = stage(&mut bufs.a, packed_a_len(rows.len(), ks.len(), mr));
-            pack_a_slice(a, rows.clone(), ks.clone(), mr, out);
-            crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx as u32, ks.len() as u32);
-            (&*out, private_span)
-        };
-        let b_cached = if b_direct.is_none() {
-            cache.and_then(|c| c.b_chunk_of(instance, b, tn, chunk, shard))
-        } else {
-            None
-        };
-        let (b_slice, b_span): (&[In], PanelSpan) = if let Some(direct) = b_direct {
-            direct
-        } else if let Some(g) = b_cached.as_deref() {
-            (g, cached_span)
-        } else {
-            let t0 = crate::trace::start();
-            let out = stage(&mut bufs.b, packed_b_len(ks.len(), cols.len(), nr));
-            pack_b_slice(b, ks.clone(), cols.clone(), nr, out);
-            crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx as u32, ks.len() as u32);
-            (&*out, private_span)
-        };
+        let a_span = operand_span(
+            &a_source,
+            a,
+            mr,
+            rows.clone(),
+            ks.clone(),
+            whole.clone(),
+            || cache.and_then(|c| c.a_chunk_of(instance, a, tm, chunk, shard)).map(|g| g.0),
+            &mut bufs.a,
+            tile_idx as u32,
+        );
+        let b_span = operand_span(
+            &b_source,
+            &bt,
+            nr,
+            cols.clone(),
+            ks,
+            whole,
+            || cache.and_then(|c| c.b_chunk_of(instance, b, tn, chunk, shard)).map(|g| g.0),
+            &mut bufs.b,
+            tile_idx as u32,
+        );
 
         macro_rules! run {
             ($mr:literal, $nr:literal) => {
                 mac_loop_cached::<In, Acc, $mr, $nr>(
-                    level, a_slice, a_span, b_slice, b_span, space, tile_idx, lb, le, accum,
+                    level, a_span, b_span, space, tile_idx, lb, le, accum,
                 )
             };
         }
@@ -627,14 +754,56 @@ pub(crate) fn mac_loop_instance_cached<In, Acc>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::macloop::mac_loop_view;
     use streamk_matrix::{pack_a_into, pack_b_into, Matrix};
     use streamk_types::{GemmShape, Layout, TileShape};
 
+    /// Narrow row-major operands: both are read in place.
     fn fixture(shape: GemmShape, tile: TileShape) -> (IterSpace, Matrix<f64>, Matrix<f64>) {
         let space = IterSpace::new(shape, tile);
         let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::RowMajor, 3);
         let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::RowMajor, 4);
         (space, a, b)
+    }
+
+    /// Operands the source rule still packs: A a column-major window
+    /// of a matrix tall enough that its k-stride is past
+    /// [`IN_PLACE_K_STRIDE`], B column-major (no unit column stride).
+    struct Packing {
+        space: IterSpace,
+        a_tall: Matrix<f64>,
+        b: Matrix<f64>,
+    }
+
+    impl Packing {
+        fn new(shape: GemmShape, tile: TileShape) -> Self {
+            let tall = IN_PLACE_K_STRIDE / std::mem::size_of::<f64>() + 8;
+            assert!(shape.m <= tall);
+            // Only the window is filled: the rows below it are never
+            // read, and Miri runs some of these tests.
+            let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::ColMajor, 3);
+            let mut a_tall = Matrix::<f64>::zeros(tall, shape.k, Layout::ColMajor);
+            for (window, column) in a_tall.as_mut_slice().chunks_mut(tall).zip(a.as_slice().chunks(shape.m)) {
+                window[..shape.m].copy_from_slice(column);
+            }
+            let this = Self {
+                space: IterSpace::new(shape, tile),
+                a_tall,
+                b: Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::ColMajor, 4),
+            };
+            let block = (8, 4);
+            assert_eq!(operands_pack(&this.a(), &this.b(), block, tile), (true, true));
+            this
+        }
+
+        fn a(&self) -> MatrixView<'_, f64> {
+            let shape = self.space.shape();
+            self.a_tall.view().submatrix(0..shape.m, 0..shape.k)
+        }
+
+        fn b(&self) -> MatrixView<'_, f64> {
+            self.b.view()
+        }
     }
 
     /// A k that needs three chunks at `blk_k = 8`, the last one ragged
@@ -684,17 +853,33 @@ mod tests {
         assert_eq!(cache.panels(), 2 * space.iters_per_tile());
     }
 
+    /// Whichever source serves the operands — in place (narrow
+    /// row-major, ragged edges included) or the cache (operands that
+    /// pack) — the dispatch agrees with the always-pack pipeline.
     #[test]
     fn cached_dispatch_is_bit_exact_for_every_panel_kernel() {
         let shape = GemmShape::new(21, 19, DEEP_K);
         let tile = TileShape::new(16, 16, 8);
         let (space, a, b) = fixture(shape, tile);
+        let packing = Packing::new(shape, tile);
+        for (a, b, packs) in [(a.view(), b.view(), false), (packing.a(), packing.b(), true)] {
+            every_panel_kernel_is_bit_exact(&space, &a, &b, packs);
+        }
+    }
+
+    fn every_panel_kernel_is_bit_exact(
+        space: &IterSpace,
+        a: &MatrixView<'_, f64>,
+        b: &MatrixView<'_, f64>,
+        packs: bool,
+    ) {
+        let tile = space.tile();
         let len = tile.blk_m * tile.blk_n;
         let ipt = space.iters_per_tile();
-        let per_chunk = chunk_iters(&space);
+        let per_chunk = chunk_iters(space);
         let mut bufs = PackBuffers::new();
         for kind in KernelKind::ALL {
-            let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default());
+            let cache = PackCache::for_kernel(space, kind, WaitPolicy::default());
             for tile_idx in 0..space.tiles() {
                 // Whole tile; mid-chunk start; one iteration; a segment
                 // that begins and ends mid-chunk across a seam; exactly
@@ -708,15 +893,15 @@ mod tests {
                     (ipt - 1, ipt),
                 ] {
                     let mut expect = vec![0.0f64; len];
-                    mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, lb, le, &mut expect, &mut bufs);
+                    mac_loop_kernel(kind, a, b, space, tile_idx, lb, le, &mut expect, &mut bufs);
                     let mut got = vec![0.0f64; len];
                     mac_loop_kernel_cached(
                         kind,
                         cache.as_ref(),
                         0,
-                        &a.view(),
-                        &b.view(),
-                        &space,
+                        a,
+                        b,
+                        space,
                         tile_idx,
                         lb,
                         le,
@@ -726,26 +911,92 @@ mod tests {
                     assert_eq!(got, expect, "{kind} tile {tile_idx} [{lb},{le})");
                 }
             }
+            if let Some(cache) = cache {
+                assert_eq!(cache.packs() > 0, packs, "{kind}: only operands that pack reach the cache");
+            }
+        }
+    }
+
+    /// The source rule, pinned: a row-major A is always read in place,
+    /// a row-major B up to [`IN_PLACE_K_STRIDE`] bytes a row; a
+    /// transposed B never; a transposed or column-major A follows the
+    /// same k-stride rule; blocked storage is not strided at all.
+    #[test]
+    fn the_in_place_predicate_is_the_k_stride_rule() {
+        let tile = TileShape::new(16, 16, 8);
+        let block = (8, 32);
+        let narrow = IN_PLACE_K_STRIDE / std::mem::size_of::<f32>();
+        let row = |r, c| Matrix::<f32>::zeros(r, c, Layout::RowMajor);
+        let (a, b_narrow, b_wide) = (row(16, 4096), row(64, narrow), row(64, narrow + 1));
+        assert_eq!(operands_pack(&a.view(), &b_narrow.view(), block, tile), (false, false));
+        assert_eq!(operands_pack(&a.view(), &b_wide.view(), block, tile), (false, true));
+        // The rule is in bytes: f64 rows reach the limit at half the width.
+        let b64 = Matrix::<f64>::zeros(8, narrow / 2 + 1, Layout::RowMajor);
+        let a64 = Matrix::<f64>::zeros(8, 8, Layout::RowMajor);
+        assert_eq!(operands_pack(&a64.view(), &b64.view(), block, tile), (false, true));
+        // A window keeps its parent's stride.
+        let window = b_wide.view().submatrix(0..64, 3..35);
+        assert_eq!(operands_pack(&a.view(), &window, block, tile), (false, true));
+        // Transposed: Aᵀ's k-stride is the stored row length; Bᵀ has
+        // no unit column stride whatever its size.
+        let (at_short, at_long) = (row(64, narrow), row(64, narrow + 1));
+        let bt = row(16, 64);
+        assert_eq!(operands_pack(&at_short.t(), &bt.t(), block, tile), (false, true));
+        assert_eq!(operands_pack(&at_long.t(), &b_narrow.view(), block, tile), (true, false));
+        // Blocked storage has no strides; the bypass needs MR == FRAG
+        // (A) / NR == FRAG (B), which an 8x32 block has only for A.
+        let blocked = row(16, 64).to_layout(Layout::BlockMajor);
+        assert_eq!(operands_pack(&blocked.view(), &b_narrow.view(), block, tile), (false, false));
+        assert_eq!(operands_pack(&blocked.view(), &b_narrow.view(), (4, 16), tile), (true, false));
+        let morton = row(16, 64).to_layout(Layout::BlockMajorZ);
+        assert_eq!(operands_pack(&morton.view(), &blocked.view().t(), block, tile), (true, true));
+    }
+
+    /// An in-place operand's ragged last panel — and nothing else — is
+    /// still packed, privately: the cache is never touched, and a view
+    /// that ends at its allocation's last element is never over-read
+    /// (its span stops there, so an over-read would fail to slice).
+    #[test]
+    fn ragged_edges_of_in_place_operands_pack_privately() {
+        let shape = GemmShape::new(21, 19, 37);
+        let tile = TileShape::new(16, 16, 8);
+        let (space, a, b) = fixture(shape, tile);
+        let len = tile.blk_m * tile.blk_n;
+        let mut bufs = PackBuffers::new();
+        for kind in KernelKind::PACKED.into_iter().chain(KernelKind::SIMD) {
+            let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
+            for tile_idx in 0..space.tiles() {
+                let mut expect = vec![0.0f64; len];
+                mac_loop_view(&a.view(), &b.view(), &space, tile_idx, 0, space.iters_per_tile(), &mut expect);
+                let mut got = vec![0.0f64; len];
+                mac_loop_kernel_cached(
+                    kind, Some(&cache), 0, &a.view(), &b.view(), &space, tile_idx, 0,
+                    space.iters_per_tile(), &mut got, &mut bufs,
+                );
+                assert_eq!(got, expect, "{kind} tile {tile_idx}");
+            }
+            assert_eq!(cache.packs(), 0, "{kind}: in-place operands never reach the cache");
         }
     }
 
     #[test]
     fn mismatched_register_block_falls_back() {
-        let (space, a, b) = fixture(GemmShape::new(16, 16, 16), TileShape::new(16, 16, 8));
+        let p = Packing::new(GemmShape::new(16, 16, 16), TileShape::new(16, 16, 8));
+        let space = &p.space;
         // Cache built for 4x4 but the kernel wants 8x4: must fall
         // back to private packing rather than mis-slice panels.
-        let cache = PackCache::new(&space, 4, 4, WaitPolicy::default());
+        let cache = PackCache::new(space, 4, 4, WaitPolicy::default());
         let mut bufs = PackBuffers::new();
         let mut expect = vec![0.0f64; 256];
-        mac_loop_kernel(KernelKind::Packed8x4, &a.view(), &b.view(), &space, 0, 0, 2, &mut expect, &mut bufs);
+        mac_loop_kernel(KernelKind::Packed8x4, &p.a(), &p.b(), space, 0, 0, 2, &mut expect, &mut bufs);
         let mut got = vec![0.0f64; 256];
         mac_loop_kernel_cached(
             KernelKind::Packed8x4,
             Some(&cache),
             0,
-            &a.view(),
-            &b.view(),
-            &space,
+            &p.a(),
+            &p.b(),
+            space,
             0,
             0,
             2,
@@ -762,25 +1013,24 @@ mod tests {
     #[test]
     fn stalled_packer_times_out_to_private_packing() {
         use std::time::Duration;
-        let (space, a, b) = fixture(GemmShape::new(16, 16, DEEP_K), TileShape::new(16, 16, 8));
+        let p = Packing::new(GemmShape::new(16, 16, DEEP_K), TileShape::new(16, 16, 8));
+        let (space, a, b) = (&p.space, p.a(), p.b());
         let kind = KernelKind::Packed8x4;
         let cache =
-            PackCache::<f64>::new(&space, 8, 4, WaitPolicy::with_watchdog(Duration::from_millis(20)));
+            PackCache::<f64>::new(space, 8, 4, WaitPolicy::with_watchdog(Duration::from_millis(20)));
         // Simulate a packer that claimed the middle chunk of A's only
         // panel and died: the flag sticks at PACKING forever.
         cache.table.stick(1);
-        assert!(cache.a_chunk(&a.view(), 0, 1, 0).is_none(), "watchdog must give up");
+        assert!(cache.a_chunk(&a, 0, 1, 0).is_none(), "watchdog must give up");
         assert_eq!(cache.fallbacks(), 1);
-        assert!(cache.a_chunk(&a.view(), 0, 0, 0).is_some(), "neighbouring chunks unaffected");
+        assert!(cache.a_chunk(&a, 0, 0, 0).is_some(), "neighbouring chunks unaffected");
 
         let mut bufs = PackBuffers::new();
         let ipt = space.iters_per_tile();
         let mut expect = vec![0.0f64; 256];
-        mac_loop_kernel(kind, &a.view(), &b.view(), &space, 0, 0, ipt, &mut expect, &mut bufs);
+        mac_loop_kernel(kind, &a, &b, space, 0, 0, ipt, &mut expect, &mut bufs);
         let mut got = vec![0.0f64; 256];
-        mac_loop_kernel_cached(
-            kind, Some(&cache), 0, &a.view(), &b.view(), &space, 0, 0, ipt, &mut got, &mut bufs,
-        );
+        mac_loop_kernel_cached(kind, Some(&cache), 0, &a, &b, space, 0, 0, ipt, &mut got, &mut bufs);
         assert_eq!(got, expect);
         assert_eq!(cache.fallbacks(), 2, "only the stuck chunk fell back again");
         assert_eq!(cache.packs(), 2 + 3, "A chunks 0 and 2, every B chunk");
@@ -831,20 +1081,21 @@ mod tests {
         // (k, seam on a chunk boundary?)
         for (k, aligned) in [(4 * CHUNK_K, true), (4 * CHUNK_K + 16, false)] {
             let shape = GemmShape::new(16, 16, k);
-            let (space, a, b) = fixture(shape, tile);
+            let p = Packing::new(shape, tile);
+            let (space, a, b) = (&p.space, p.a(), p.b());
             let decomp = Decomposition::stream_k(shape, tile, 2);
             assert_eq!((decomp.grid_size(), decomp.split_tiles()), (2, 1));
             let cache =
-                PackCache::for_kernel_sharded(&space, kind, WaitPolicy::default(), 2).unwrap();
+                PackCache::for_kernel_sharded(space, kind, WaitPolicy::default(), 2).unwrap();
             std::thread::scope(|s| {
                 for (w, cta) in decomp.ctas().iter().enumerate() {
-                    let (cache, space, a, b) = (&cache, &space, &a, &b);
+                    let (cache, a, b) = (&cache, &a, &b);
                     s.spawn(move || {
                         let mut bufs = PackBuffers::new();
                         let mut accum = vec![0.0f64; 256];
                         for seg in cta.segments(space) {
                             mac_loop_kernel_cached(
-                                kind, Some(cache), w, &a.view(), &b.view(), space, seg.tile_idx,
+                                kind, Some(cache), w, a, b, space, seg.tile_idx,
                                 seg.local_begin, seg.local_end, &mut accum, &mut bufs,
                             );
                         }
@@ -870,6 +1121,9 @@ mod tests {
         let tile = TileShape::new(16, 16, 8);
         let (space, a, b) = fixture(shape, tile);
         let a_blk = a.to_layout(Layout::BlockMajor);
+        // Column-major, so that B still packs and the count below
+        // separates the operands.
+        let b = b.to_layout(Layout::ColMajor);
         let len = tile.blk_m * tile.blk_n;
         let mut bufs = PackBuffers::new();
         for kind in [KernelKind::Packed8x4, KernelKind::Packed8x8, KernelKind::Simd8x16, KernelKind::Simd8x32] {
@@ -893,14 +1147,15 @@ mod tests {
     }
 
     /// The bypass also works with *no cache at all* (the serve path):
-    /// block-major A is consumed zero-copy and B is packed privately
-    /// chunk by chunk — still bit-exact.
+    /// block-major A is consumed zero-copy and a column-major B is
+    /// packed privately chunk by chunk — still bit-exact.
     #[test]
     fn bypass_without_cache_is_bit_exact() {
         let shape = GemmShape::new(24, 24, DEEP_K);
         let tile = TileShape::new(16, 16, 8);
         let (space, a, b) = fixture(shape, tile);
         let a_blk = a.to_layout(Layout::BlockMajor);
+        let b = b.to_layout(Layout::ColMajor);
         let len = tile.blk_m * tile.blk_n;
         let mut bufs = PackBuffers::new();
         for kind in [KernelKind::Packed8x8, KernelKind::Simd8x32] {
@@ -923,19 +1178,20 @@ mod tests {
     fn transposed_block_major_b_bypasses_for_nr8_kernels() {
         let shape = GemmShape::new(32, 29, 24);
         let tile = TileShape::new(16, 16, 8);
-        let (space, a, b) = fixture(shape, tile);
+        let p = Packing::new(shape, tile);
+        let (space, a, b) = (&p.space, p.a(), p.b());
         // Store Bᵀ block-major; its transposed view is logically B.
-        let bt_blk = b.transposed().to_layout(Layout::BlockMajor);
+        let bt_blk = p.b.transposed().to_layout(Layout::BlockMajor);
         let kind = KernelKind::Packed8x8;
-        let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
+        let cache = PackCache::for_kernel(space, kind, WaitPolicy::default()).unwrap();
         let len = tile.blk_m * tile.blk_n;
         let mut bufs = PackBuffers::new();
         for tile_idx in 0..space.tiles() {
             let mut expect = vec![0.0f64; len];
-            mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, 0, space.iters_per_tile(), &mut expect, &mut bufs);
+            mac_loop_kernel(kind, &a, &b, space, tile_idx, 0, space.iters_per_tile(), &mut expect, &mut bufs);
             let mut got = vec![0.0f64; len];
             mac_loop_kernel_cached(
-                kind, Some(&cache), 0, &a.view(), &bt_blk.view().t(), &space, tile_idx, 0,
+                kind, Some(&cache), 0, &a, &bt_blk.view().t(), space, tile_idx, 0,
                 space.iters_per_tile(), &mut got, &mut bufs,
             );
             assert_eq!(got, expect, "tile {tile_idx}");
@@ -951,7 +1207,7 @@ mod tests {
         let tile = TileShape::new(12, 12, 8);
         let space = IterSpace::new(shape, tile);
         let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::RowMajor, 3);
-        let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::RowMajor, 4);
+        let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::ColMajor, 4);
         let a_blk = a.to_layout(Layout::BlockMajor);
         let kind = KernelKind::Packed8x8;
         let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();

@@ -1,6 +1,6 @@
-//! Runtime-dispatched SIMD register blocks for the packed pipeline.
+//! Runtime-dispatched SIMD register blocks, addressed by strides.
 //!
-//! The packed scalar microkernels ([`crate::mac_loop_packed`]) leave
+//! The scalar register block (`microkernel::packed_block`) leaves
 //! vectorization to LLVM; this module writes the vector code by hand
 //! with `std::arch::x86_64` intrinsics and picks the widest
 //! instruction set the host supports at run time
@@ -29,6 +29,22 @@
 //! `(level, MR, NR)` selects a monomorphized kernel whose accumulator
 //! tile `[[vector; NVEC]; MR]` stays in registers across the whole
 //! k-loop.
+//!
+//! **One walk for packed and in-place operands.** A kernel reads A as
+//! `a[i·rs + k·ks]` and B as `b[k·ks + j]` ([`Strided`]): a packed
+//! panel is the strides `(1, MR)` / `NR`, an operand read where it
+//! lies carries its view's strides, and there is no second kernel for
+//! either. The k-order and the unfused multiply-then-add do not depend
+//! on the strides, so neither does a single result bit.
+//!
+//! **Bounds.** All pointer arithmetic is in the macro-generated
+//! kernels, each of which first runs `assert_block_bounds`:
+//! `(MR−1)·rs + (kc−1)·ks < a.len()`, `(kc−1)·ks + NR ≤ b.len()` and
+//! `(MR−1)·c_stride + NR ≤ c.len()`, in checked arithmetic. The slices
+//! themselves are cut in safe code (`MatrixView::strided_span`,
+//! `PanelSpan`) to exactly the elements a block may touch, so a kernel
+//! that would read a lane outside a view's window fails the assert
+//! instead of reading it.
 
 use std::any::TypeId;
 
@@ -97,21 +113,112 @@ unsafe fn cast_slice<T, U>(s: &[T]) -> &[U] {
     std::slice::from_raw_parts(s.as_ptr().cast::<U>(), s.len())
 }
 
-/// Attempts one `MR × NR` register block over `kc` packed k-steps
-/// with the host's vector unit. Returns `false` when no specialized
-/// kernel exists for this `(level, element type, MR, NR)` combination
-/// — the caller must then run the portable scalar block on the
-/// *unmodified* `c` (the dispatcher never partially updates it).
+/// [`cast_slice`] for an exclusive borrow.
 ///
-/// Panel layout matches [`streamk_matrix::pack_a_into`] /
-/// [`streamk_matrix::pack_b_into`]: k-major, `apanel[k·MR + i]`,
-/// `bpanel[k·NR + j]`, both at least `kc` k-steps long.
+/// # Safety
+///
+/// As [`cast_slice`].
+#[cfg(target_arch = "x86_64")]
+unsafe fn cast_slice_mut<T, U>(s: &mut [T]) -> &mut [U] {
+    std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<U>(), s.len())
+}
+
+/// One operand of a register block, addressed by strides: lane `i` at
+/// k-step `k` is `data[i · lane_stride + k · k_stride]`. A is read as
+/// `MR` lanes (its rows), B as `NR` lanes of unit stride (its
+/// columns). A packed panel is the case `(lane_stride, k_stride) =
+/// (1, MR)` for A and `k_stride = NR` for B; an operand read where it
+/// lies carries its view's strides.
+#[derive(Debug, Clone, Copy)]
+pub struct Strided<'a, T> {
+    /// Storage from lane 0 of the block's first k-step on.
+    pub data: &'a [T],
+    /// Elements between adjacent lanes (ignored for B: always 1).
+    pub lane_stride: usize,
+    /// Elements between consecutive k-steps.
+    pub k_stride: usize,
+}
+
+impl<'a, T> Strided<'a, T> {
+    /// A packed `width`-lane panel: k-major, lanes adjacent.
+    #[must_use]
+    pub fn packed(data: &'a [T], width: usize) -> Self {
+        Self { data, lane_stride: 1, k_stride: width }
+    }
+
+    /// The same operand with its element type renamed.
+    ///
+    /// # Safety
+    ///
+    /// As [`cast_slice`]: `T` and `U` must be the same type.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn cast<U>(self) -> Strided<'a, U> {
+        Strided { data: cast_slice(self.data), lane_stride: self.lane_stride, k_stride: self.k_stride }
+    }
+}
+
+/// The bounds every register block — vector or scalar — asserts before
+/// its k-loop, so that no k-step can read or write outside the slices
+/// it was handed: the last A element `(MR−1)·rs + (kc−1)·ks` lies
+/// inside `a`, the last B vector ends at `(kc−1)·ks + NR ≤ b.len()`,
+/// and the last C row ends inside `c`. Offsets are computed with
+/// checked arithmetic: a stride large enough to wrap is out of bounds,
+/// not in.
+///
+/// # Panics
+///
+/// Panics if any of the three does not hold. With `kc == 0` no operand
+/// element is read and only `c` is checked.
+pub(crate) fn assert_block_bounds<T, U>(
+    a: &Strided<'_, T>,
+    b: &Strided<'_, T>,
+    kc: usize,
+    mr: usize,
+    nr: usize,
+    c: &[U],
+    c_stride: usize,
+) {
+    let offset = |lanes: usize, ls: usize, steps: usize, ks: usize| {
+        lanes.checked_mul(ls)?.checked_add(steps.checked_mul(ks)?)
+    };
+    let c_end = offset(mr - 1, c_stride, 1, nr);
+    assert!(c_end.is_some_and(|end| end <= c.len()), "c is shorter than MR rows of NR at stride {c_stride}");
+    let Some(steps) = kc.checked_sub(1) else { return };
+    let a_last = offset(mr - 1, a.lane_stride, steps, a.k_stride);
+    assert!(
+        a_last.is_some_and(|last| last < a.data.len()),
+        "A block reads past its slice: {mr} lanes at stride {}, {kc} k-steps at stride {}, len {}",
+        a.lane_stride,
+        a.k_stride,
+        a.data.len()
+    );
+    let b_end = offset(steps, b.k_stride, 1, nr);
+    assert!(
+        b_end.is_some_and(|end| end <= b.data.len()),
+        "B block reads past its slice: {nr} lanes, {kc} k-steps at stride {}, len {}",
+        b.k_stride,
+        b.data.len()
+    );
+}
+
+/// Attempts one `MR × NR` register block over `kc` k-steps with the
+/// host's vector unit, accumulating into the `MR` rows of `c` that
+/// start `c_stride` elements apart. Returns `false` when no
+/// specialized kernel exists for this `(level, element type, MR, NR)`
+/// combination — the caller must then run the portable scalar block on
+/// the *unmodified* `c` (the dispatcher never partially updates it).
+///
+/// # Panics
+///
+/// Panics if a k-step would leave `a`, `b` or `c`: the bounds in the
+/// module docs are asserted before the k-loop.
 pub fn simd_block<In, Acc, const MR_: usize, const NR_: usize>(
     level: SimdLevel,
-    apanel: &[In],
-    bpanel: &[In],
+    a: Strided<'_, In>,
+    b: Strided<'_, In>,
     kc: usize,
-    c: &mut [[Acc; NR_]; MR_],
+    c: &mut [Acc],
+    c_stride: usize,
 ) -> bool
 where
     In: Promote<Acc>,
@@ -125,31 +232,31 @@ where
         if same::<In, f32>() && same::<Acc, f32>() {
             // SAFETY: In = f32 and Acc = f32 (TypeId equality just
             // checked), so these casts only rename the element type.
-            let (ap, bp, cf) = unsafe {
+            let (a, b, c) = unsafe {
                 (
-                    cast_slice::<In, f32>(apanel),
-                    cast_slice::<In, f32>(bpanel),
-                    &mut *std::ptr::from_mut(c).cast::<[[f32; NR_]; MR_]>(),
+                    a.cast::<f32>(),
+                    b.cast::<f32>(),
+                    cast_slice_mut::<Acc, f32>(c),
                 )
             };
-            return dispatch_f32::<MR_, NR_>(level, ap, bp, kc, cf);
+            return dispatch_f32::<MR_, NR_>(level, a, b, kc, c, c_stride);
         }
         if same::<In, f64>() && same::<Acc, f64>() {
             // SAFETY: as above with In = Acc = f64.
-            let (ap, bp, cf) = unsafe {
+            let (a, b, c) = unsafe {
                 (
-                    cast_slice::<In, f64>(apanel),
-                    cast_slice::<In, f64>(bpanel),
-                    &mut *std::ptr::from_mut(c).cast::<[[f64; NR_]; MR_]>(),
+                    a.cast::<f64>(),
+                    b.cast::<f64>(),
+                    cast_slice_mut::<Acc, f64>(c),
                 )
             };
-            return dispatch_f64::<MR_, NR_>(level, ap, bp, kc, cf);
+            return dispatch_f64::<MR_, NR_>(level, a, b, kc, c, c_stride);
         }
         false
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (apanel, bpanel, kc, c);
+        let _ = (a, b, kc, c, c_stride);
         false
     }
 }
@@ -159,50 +266,75 @@ where
 /// across the whole k-loop, loads/stores of `c` only at the block
 /// boundaries. Each k-step broadcasts one A element per row and
 /// issues a separate vector multiply and add per accumulator — the
-/// unfused two-rounding sequence the scalar `mac` performs.
+/// unfused two-rounding sequence the scalar `mac` performs. Operands
+/// are addressed by their strides; the walk over a packed panel is
+/// this walk with strides `(1, MR)` / `NR`.
 #[cfg(target_arch = "x86_64")]
 macro_rules! simd_block_kernel {
     ($name:ident, $feature:literal, $elem:ty, $lanes:expr,
      $setzero:ident, $loadu:ident, $storeu:ident, $set1:ident, $mul:ident, $add:ident) => {
+        /// # Safety
+        ///
+        /// The host must support the enabled target feature.
         #[target_feature(enable = $feature)]
         unsafe fn $name<const MR_: usize, const NVEC: usize>(
-            apanel: &[$elem],
-            bpanel: &[$elem],
+            a: Strided<'_, $elem>,
+            b: Strided<'_, $elem>,
             kc: usize,
             c: &mut [$elem],
+            c_stride: usize,
         ) {
             use std::arch::x86_64::*;
             let nr = NVEC * $lanes;
-            assert!(apanel.len() >= kc * MR_, "A panel shorter than kc k-steps");
-            assert!(bpanel.len() >= kc * nr, "B panel shorter than kc k-steps");
-            assert_eq!(c.len(), MR_ * nr, "c must be an MR x NR tile");
-            let ap = apanel.as_ptr();
-            let bp = bpanel.as_ptr();
+            assert_block_bounds(&a, &b, kc, MR_, nr, c, c_stride);
+            let (ap, a_ls, a_ks) = (a.data.as_ptr(), a.lane_stride, a.k_stride);
+            let (bp, b_ks) = (b.data.as_ptr(), b.k_stride);
+            // SAFETY (every pointer access below): `assert_block_bounds`
+            // just proved that row `i < MR_` of `c` holds `nr` elements
+            // from `i · c_stride`, and that for every `k < kc` the A
+            // element `i · a_ls + k · a_ks` and the `nr` B elements from
+            // `k · b_ks` lie inside their slices (offsets grow with `i`
+            // and `k`, so the checked last one bounds them all).
             let mut acc = [[$setzero(); NVEC]; MR_];
             for (i, row) in acc.iter_mut().enumerate() {
                 for (v, reg) in row.iter_mut().enumerate() {
-                    *reg = $loadu(c.as_ptr().add(i * nr + v * $lanes));
+                    *reg = $loadu(c.as_ptr().add(i * c_stride + v * $lanes));
                 }
             }
-            for k in 0..kc {
-                let acol = ap.add(k * MR_);
-                let brow = bp.add(k * nr);
-                let mut bv = [$setzero(); NVEC];
-                for (v, reg) in bv.iter_mut().enumerate() {
-                    *reg = $loadu(brow.add(v * $lanes));
-                }
-                for (i, row) in acc.iter_mut().enumerate() {
-                    let ai = $set1(*acol.add(i));
-                    for (reg, &b) in row.iter_mut().zip(&bv) {
-                        // Separate mul then add: no FMA contraction,
-                        // each lane bit-identical to the scalar mac.
-                        *reg = $add(*reg, $mul(ai, b));
+            // The one k-loop, expanded twice: over packed panels the
+            // three strides are the constants `(1, MR, NR)`, which the
+            // narrow blocks need folded into their addressing (4×16
+            // ran a tenth slower on runtime strides); anything else
+            // walks the strides it was given.
+            macro_rules! walk {
+                ($a_ls:expr, $a_ks:expr, $b_ks:expr) => {
+                    for k in 0..kc {
+                        let acol = ap.add(k * $a_ks);
+                        let brow = bp.add(k * $b_ks);
+                        let mut bv = [$setzero(); NVEC];
+                        for (v, reg) in bv.iter_mut().enumerate() {
+                            *reg = $loadu(brow.add(v * $lanes));
+                        }
+                        for (i, row) in acc.iter_mut().enumerate() {
+                            let ai = $set1(*acol.add(i * $a_ls));
+                            for (reg, &b) in row.iter_mut().zip(&bv) {
+                                // Separate mul then add: no FMA
+                                // contraction, each lane bit-identical
+                                // to the scalar mac.
+                                *reg = $add(*reg, $mul(ai, b));
+                            }
+                        }
                     }
-                }
+                };
+            }
+            if (a_ls, a_ks, b_ks) == (1, MR_, nr) {
+                walk!(1, MR_, nr);
+            } else {
+                walk!(a_ls, a_ks, b_ks);
             }
             for (i, row) in acc.iter().enumerate() {
                 for (v, &reg) in row.iter().enumerate() {
-                    $storeu(c.as_mut_ptr().add(i * nr + v * $lanes), reg);
+                    $storeu(c.as_mut_ptr().add(i * c_stride + v * $lanes), reg);
                 }
             }
         }
@@ -221,23 +353,23 @@ simd_block_kernel!(avx512_f64, "avx512f", f64, 8, _mm512_setzero_pd, _mm512_load
 #[cfg(target_arch = "x86_64")]
 fn dispatch_f32<const MR_: usize, const NR_: usize>(
     level: SimdLevel,
-    ap: &[f32],
-    bp: &[f32],
+    a: Strided<'_, f32>,
+    b: Strided<'_, f32>,
     kc: usize,
-    c: &mut [[f32; NR_]; MR_],
+    c: &mut [f32],
+    cs: usize,
 ) -> bool {
-    let flat = c.as_flattened_mut();
     // SAFETY: each arm runs only at the level `detect` confirmed the
-    // host supports, and NVEC · lanes always equals NR (re-checked by
-    // the kernels' own asserts against flat.len()).
+    // host supports; NVEC · lanes always equals NR, and the kernels
+    // assert every slice bound themselves.
     unsafe {
         match (level, MR_, NR_) {
-            (SimdLevel::Avx512, 4, 16) => avx512_f32::<4, 1>(ap, bp, kc, flat),
-            (SimdLevel::Avx512, 8, 16) => avx512_f32::<8, 1>(ap, bp, kc, flat),
-            (SimdLevel::Avx512, 8, 32) => avx512_f32::<8, 2>(ap, bp, kc, flat),
-            (SimdLevel::Avx2, 4, 16) => avx2_f32::<4, 2>(ap, bp, kc, flat),
-            (SimdLevel::Avx2, 8, 16) => avx2_f32::<8, 2>(ap, bp, kc, flat),
-            (SimdLevel::Avx2, 8, 32) => avx2_f32::<8, 4>(ap, bp, kc, flat),
+            (SimdLevel::Avx512, 4, 16) => avx512_f32::<4, 1>(a, b, kc, c, cs),
+            (SimdLevel::Avx512, 8, 16) => avx512_f32::<8, 1>(a, b, kc, c, cs),
+            (SimdLevel::Avx512, 8, 32) => avx512_f32::<8, 2>(a, b, kc, c, cs),
+            (SimdLevel::Avx2, 4, 16) => avx2_f32::<4, 2>(a, b, kc, c, cs),
+            (SimdLevel::Avx2, 8, 16) => avx2_f32::<8, 2>(a, b, kc, c, cs),
+            (SimdLevel::Avx2, 8, 32) => avx2_f32::<8, 4>(a, b, kc, c, cs),
             _ => return false,
         }
     }
@@ -247,21 +379,21 @@ fn dispatch_f32<const MR_: usize, const NR_: usize>(
 #[cfg(target_arch = "x86_64")]
 fn dispatch_f64<const MR_: usize, const NR_: usize>(
     level: SimdLevel,
-    ap: &[f64],
-    bp: &[f64],
+    a: Strided<'_, f64>,
+    b: Strided<'_, f64>,
     kc: usize,
-    c: &mut [[f64; NR_]; MR_],
+    c: &mut [f64],
+    cs: usize,
 ) -> bool {
-    let flat = c.as_flattened_mut();
     // SAFETY: see dispatch_f32.
     unsafe {
         match (level, MR_, NR_) {
-            (SimdLevel::Avx512, 4, 16) => avx512_f64::<4, 2>(ap, bp, kc, flat),
-            (SimdLevel::Avx512, 8, 16) => avx512_f64::<8, 2>(ap, bp, kc, flat),
-            (SimdLevel::Avx512, 8, 32) => avx512_f64::<8, 4>(ap, bp, kc, flat),
-            (SimdLevel::Avx2, 4, 16) => avx2_f64::<4, 4>(ap, bp, kc, flat),
-            (SimdLevel::Avx2, 8, 16) => avx2_f64::<8, 4>(ap, bp, kc, flat),
-            (SimdLevel::Avx2, 8, 32) => avx2_f64::<8, 8>(ap, bp, kc, flat),
+            (SimdLevel::Avx512, 4, 16) => avx512_f64::<4, 2>(a, b, kc, c, cs),
+            (SimdLevel::Avx512, 8, 16) => avx512_f64::<8, 2>(a, b, kc, c, cs),
+            (SimdLevel::Avx512, 8, 32) => avx512_f64::<8, 4>(a, b, kc, c, cs),
+            (SimdLevel::Avx2, 4, 16) => avx2_f64::<4, 4>(a, b, kc, c, cs),
+            (SimdLevel::Avx2, 8, 16) => avx2_f64::<8, 4>(a, b, kc, c, cs),
+            (SimdLevel::Avx2, 8, 32) => avx2_f64::<8, 8>(a, b, kc, c, cs),
             _ => return false,
         }
     }
@@ -271,64 +403,83 @@ fn dispatch_f64<const MR_: usize, const NR_: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microkernel::packed_block;
 
-    /// The portable reference: the same scalar block the packed
-    /// pipeline falls back to.
-    fn scalar_block<T: Scalar, const MR_: usize, const NR_: usize>(
-        apanel: &[T],
-        bpanel: &[T],
-        kc: usize,
-        c: &mut [[T; NR_]; MR_],
-    ) {
-        for (acol, brow) in apanel.chunks_exact(MR_).zip(bpanel.chunks_exact(NR_)).take(kc) {
-            for (crow, &ai) in c.iter_mut().zip(acol) {
-                for (cv, &bj) in crow.iter_mut().zip(brow) {
-                    *cv = cv.mac(ai, bj);
+    fn values(len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            })
+            .collect()
+    }
+
+    /// The operand layouts a block meets: `(A lane stride, A k-stride,
+    /// B k-stride)` as functions of the block shape — packed panels, a
+    /// row-major A beside a row-major B wider than the block, a
+    /// transposed A, and two real strides.
+    fn layouts(mr: usize, nr: usize, kc: usize) -> [(usize, usize, usize); 4] {
+        [(1, mr, nr), (kc + 3, 1, nr + 5), (1, mr + 2, nr), (kc * 2 + 1, 2, 2 * nr)]
+    }
+
+    /// Exactly the elements a block with these strides may touch.
+    fn operand(lanes: usize, ls: usize, kc: usize, ks: usize, seed: u64) -> Vec<f64> {
+        values(if kc == 0 { 0 } else { (lanes - 1) * ls + (kc - 1) * ks + 1 }, seed)
+    }
+
+    fn check_level<const MR_: usize, const NR_: usize>(level: SimdLevel) {
+        for kc in [0usize, 1, 3, 17, 64] {
+            for (a_ls, a_ks, b_ks) in layouts(MR_, NR_, kc) {
+                for c_stride in [NR_, NR_ + 7] {
+                    let a64 = operand(MR_, a_ls, kc, a_ks, (kc + MR_ * NR_) as u64);
+                    // B's lanes are adjacent: its last k-step ends NR in.
+                    let b64 = operand(NR_, 1, kc, b_ks, (kc + a_ls) as u64);
+                    let c64 = values((MR_ - 1) * c_stride + NR_, 99);
+                    let what = format!("{level} {MR_}x{NR_} kc={kc} a=({a_ls},{a_ks}) b={b_ks} c={c_stride}");
+                    fn strided<'a, T>(
+                        (a, a_ls, a_ks): (&'a [T], usize, usize),
+                        (b, b_ks): (&'a [T], usize),
+                    ) -> (Strided<'a, T>, Strided<'a, T>) {
+                        (
+                            Strided { data: a, lane_stride: a_ls, k_stride: a_ks },
+                            Strided { data: b, lane_stride: 1, k_stride: b_ks },
+                        )
+                    }
+
+                    let (a, b) = strided((&a64, a_ls, a_ks), (&b64, b_ks));
+                    let mut expect = c64.clone();
+                    packed_block::<f64, f64, MR_, NR_>(a, b, kc, &mut expect, c_stride);
+                    let mut got = c64.clone();
+                    if simd_block::<f64, f64, MR_, NR_>(level, a, b, kc, &mut got, c_stride) {
+                        assert_eq!(got, expect, "f64 {what}");
+                    } else {
+                        assert_eq!(got, c64, "failed dispatch must leave c untouched");
+                    }
+
+                    let a32: Vec<f32> = a64.iter().map(|&v| v as f32).collect();
+                    let b32: Vec<f32> = b64.iter().map(|&v| v as f32).collect();
+                    let c32: Vec<f32> = c64.iter().map(|&v| v as f32).collect();
+                    let (a, b) = strided((&a32, a_ls, a_ks), (&b32, b_ks));
+                    let mut expect = c32.clone();
+                    packed_block::<f32, f32, MR_, NR_>(a, b, kc, &mut expect, c_stride);
+                    let mut got = c32.clone();
+                    if simd_block::<f32, f32, MR_, NR_>(level, a, b, kc, &mut got, c_stride) {
+                        assert_eq!(got, expect, "f32 {what}");
+                    }
                 }
             }
         }
     }
 
-    fn panels_f64(kc: usize, mr: usize, nr: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        let a = (0..kc * mr).map(|_| next()).collect();
-        let b = (0..kc * nr).map(|_| next()).collect();
-        (a, b)
-    }
-
-    fn check_level<const MR_: usize, const NR_: usize>(level: SimdLevel) {
-        for kc in [0usize, 1, 3, 17, 64] {
-            let (a64, b64) = panels_f64(kc, MR_, NR_, (kc + MR_ * NR_) as u64);
-            let mut expect = [[0.25f64; NR_]; MR_];
-            scalar_block::<f64, MR_, NR_>(&a64, &b64, kc, &mut expect);
-            let mut got = [[0.25f64; NR_]; MR_];
-            if simd_block::<f64, f64, MR_, NR_>(level, &a64, &b64, kc, &mut got) {
-                assert_eq!(got, expect, "f64 {level} {MR_}x{NR_} kc={kc}");
-            } else {
-                assert_eq!(got, [[0.25f64; NR_]; MR_], "failed dispatch must leave c untouched");
-            }
-
-            let a32: Vec<f32> = a64.iter().map(|&v| v as f32).collect();
-            let b32: Vec<f32> = b64.iter().map(|&v| v as f32).collect();
-            let mut expect = [[0.25f32; NR_]; MR_];
-            scalar_block::<f32, MR_, NR_>(&a32, &b32, kc, &mut expect);
-            let mut got = [[0.25f32; NR_]; MR_];
-            if simd_block::<f32, f32, MR_, NR_>(level, &a32, &b32, kc, &mut got) {
-                assert_eq!(got, expect, "f32 {level} {MR_}x{NR_} kc={kc}");
-            }
-        }
-    }
-
     #[test]
-    fn every_block_shape_matches_scalar_at_every_level() {
+    fn every_block_shape_matches_scalar_at_every_level_and_stride() {
         // Exercise every level the host supports (an AVX-512 host can
-        // and should also run the AVX2 kernels).
+        // and should also run the AVX2 kernels). Every operand slice
+        // ends at the last element the block may read, so a kernel
+        // that reads one lane further fails its own bounds assert.
         let host = SimdLevel::detect();
         let mut levels = vec![SimdLevel::None];
         if matches!(host, SimdLevel::Avx2 | SimdLevel::Avx512) {
@@ -344,13 +495,56 @@ mod tests {
         }
     }
 
+    /// One element short on any of the three slices is refused before
+    /// the k-loop, by the vector kernels and the scalar block alike.
+    #[test]
+    fn a_block_that_would_leave_its_slices_is_refused() {
+        const MR_: usize = 8;
+        const NR_: usize = 32;
+        let (kc, a_ls, a_ks, b_ks, c_stride) = (5, 9, 1, 40, 48);
+        let a = vec![1.0f32; (MR_ - 1) * a_ls + (kc - 1) * a_ks + 1];
+        let b = vec![1.0f32; (kc - 1) * b_ks + NR_];
+        let c = vec![0.0f32; (MR_ - 1) * c_stride + NR_];
+        let run = |a: &[f32], b: &[f32], c: &[f32], scalar: bool| {
+            let (a, b) = (
+                Strided { data: a, lane_stride: a_ls, k_stride: a_ks },
+                Strided { data: b, lane_stride: 1, k_stride: b_ks },
+            );
+            let mut c = c.to_vec();
+            std::panic::catch_unwind(move || {
+                if scalar || !simd_block::<f32, f32, MR_, NR_>(SimdLevel::detect(), a, b, kc, &mut c, c_stride) {
+                    packed_block::<f32, f32, MR_, NR_>(a, b, kc, &mut c, c_stride);
+                }
+            })
+            .is_ok()
+        };
+        for scalar in [false, true] {
+            assert!(run(&a, &b, &c, scalar), "exact slices are in bounds");
+            assert!(!run(&a[..a.len() - 1], &b, &c, scalar), "short A");
+            assert!(!run(&a, &b[..b.len() - 1], &c, scalar), "short B");
+            assert!(!run(&a, &b, &c[..c.len() - 1], scalar), "short C");
+        }
+        // A stride that wraps the offset arithmetic is out of bounds.
+        let huge = Strided { data: &a[..], lane_stride: usize::MAX / 2, k_stride: 1 };
+        let b = Strided { data: &b[..], lane_stride: 1, k_stride: b_ks };
+        let refused = std::panic::catch_unwind(|| assert_block_bounds(&huge, &b, kc, MR_, NR_, &c, c_stride));
+        assert!(refused.is_err(), "wrapping offsets must not pass");
+    }
+
     #[test]
     fn unsupported_shapes_report_false() {
         let a = [1.0f64; 8];
         let b = [2.0f64; 8];
-        let mut c = [[0.0f64; 4]; 2];
-        assert!(!simd_block::<f64, f64, 2, 4>(SimdLevel::detect(), &a, &b, 2, &mut c));
-        assert_eq!(c, [[0.0f64; 4]; 2], "failed dispatch must not touch c");
+        let mut c = [0.0f64; 8];
+        assert!(!simd_block::<f64, f64, 2, 4>(
+            SimdLevel::detect(),
+            Strided::packed(&a, 2),
+            Strided::packed(&b, 4),
+            2,
+            &mut c,
+            4
+        ));
+        assert_eq!(c, [0.0f64; 8], "failed dispatch must not touch c");
     }
 
     #[test]
@@ -365,9 +559,16 @@ mod tests {
         use streamk_matrix::f16;
         let a = [f16::from_f32(1.0); 8];
         let b = [f16::from_f32(2.0); 32];
-        let mut c = [[0.0f32; 16]; 4];
+        let mut c = [0.0f32; 64];
         // f16 inputs have no vector kernel: must report false so the
         // caller runs the scalar promote path.
-        assert!(!simd_block::<f16, f32, 4, 16>(SimdLevel::detect(), &a, &b, 2, &mut c));
+        assert!(!simd_block::<f16, f32, 4, 16>(
+            SimdLevel::detect(),
+            Strided::packed(&a, 4),
+            Strided::packed(&b, 16),
+            2,
+            &mut c,
+            16
+        ));
     }
 }

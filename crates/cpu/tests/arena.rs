@@ -1,5 +1,6 @@
 //! The executor's pack arena from outside: a steady-state launch
-//! allocates no pack storage, retention follows one launch's
+//! allocates no pack storage, a launch that reads every operand in
+//! place never touches it, retention follows one launch's
 //! consumption, the storage goes with the executor, and recycling
 //! dirty storage across launches of different kinds and shapes never
 //! shows in a result.
@@ -80,11 +81,17 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
 const TILE: TileShape = TileShape { blk_m: 32, blk_n: 32, blk_k: 16 };
 const WORKERS: usize = 2;
 
+/// Operands in `layout`. The executor reads a narrow row-major operand
+/// where it lies and packs nothing for it, so the tests of the pack
+/// storage pass [`Layout::ColMajor`]: a column-major B has no unit
+/// column stride and always packs; a column-major A packs once its
+/// height (its k-stride) passes 2 KiB — 256 `f64` rows.
 fn operands<T: streamk_matrix::Promote<T> + streamk_matrix::Scalar>(
     shapes: &[GemmShape],
+    layout: Layout,
     seed: u64,
 ) -> (Vec<Matrix<T>>, Vec<Matrix<T>>) {
-    let fill = |rows, cols, s| Matrix::<T>::random::<T>(rows, cols, Layout::RowMajor, s);
+    let fill = |rows, cols, s| Matrix::<T>::random::<T>(rows, cols, layout, s);
     let a = shapes.iter().enumerate().map(|(i, s)| fill(s.m, s.k, seed + i as u64)).collect();
     let b = shapes.iter().enumerate().map(|(i, s)| fill(s.k, s.n, seed + 100 + i as u64)).collect();
     (a, b)
@@ -103,12 +110,19 @@ struct Problems<T> {
 }
 
 impl<T: streamk_matrix::Promote<T> + streamk_matrix::Scalar> Problems<T> {
-    fn new(direct: GemmShape, batch: usize, instance: GemmShape, group: &[GemmShape], seed: u64) -> Self {
+    fn new(
+        direct: GemmShape,
+        batch: usize,
+        instance: GemmShape,
+        group: &[GemmShape],
+        layout: Layout,
+        seed: u64,
+    ) -> Self {
         let shapes: Vec<GemmShape> = std::iter::once(direct)
             .chain(std::iter::repeat_n(instance, batch))
             .chain(group.iter().copied())
             .collect();
-        let (a, b) = operands(&shapes, seed);
+        let (a, b) = operands(&shapes, layout, seed);
         Self {
             direct: Decomposition::stream_k(direct, TILE, WORKERS),
             batched: BatchedDecomposition::stream_k(BatchedSpace::new(batch, instance, TILE), WORKERS),
@@ -147,12 +161,13 @@ impl<T: streamk_matrix::Promote<T> + streamk_matrix::Scalar> Problems<T> {
     }
 }
 
-fn mixed_problems(seed: u64) -> Problems<f32> {
+fn mixed_problems(layout: Layout, seed: u64) -> Problems<f32> {
     Problems::new(
         GemmShape::new(200, 168, 1100),
         6,
         GemmShape::new(96, 80, 72),
         &[GemmShape::new(72, 136, 264), GemmShape::new(40, 200, 1500), GemmShape::new(130, 50, 90)],
+        layout,
         seed,
     )
 }
@@ -160,7 +175,7 @@ fn mixed_problems(seed: u64) -> Problems<f32> {
 #[test]
 fn steady_state_launches_allocate_no_pack_storage() {
     let _gate = alloc_gate();
-    let p = mixed_problems(0xA0);
+    let p = mixed_problems(Layout::ColMajor, 0xA0);
     // One shard, so where a chunk lands does not depend on which
     // worker claimed what. (With a shard per worker a stolen range's
     // chunks continue in a neighbour's slab, which can strand a tail
@@ -184,7 +199,7 @@ fn steady_state_launches_allocate_no_pack_storage() {
     // What is left is per launch (boards, tables, the scheduler, the
     // decomposition's own validation and segment lists) or per
     // instance (an output matrix and its writer): 12, 20 and 42–43 as
-    // written, against the hundred-odd chunks these launches pack.
+    // written, against the dozens of B chunks these launches pack.
     let bound = |instances: usize| 32 + 8 * instances;
     assert!(direct <= bound(1), "gemm made {direct} allocations");
     assert!(batched <= bound(p.batch), "gemm_batched made {batched} allocations");
@@ -194,12 +209,52 @@ fn steady_state_launches_allocate_no_pack_storage() {
     );
 }
 
+/// Nobody builds what nobody reads: launches whose operands are all
+/// consumed in place (narrow row-major) make no pack cache — no slot
+/// table, no arena taken out or handed back — so they leave the arena
+/// exactly as they found it, cold or warm, and allocate less than the
+/// launches above.
+#[test]
+fn in_place_launches_leave_the_arena_alone() {
+    let _gate = alloc_gate();
+    let p = mixed_problems(Layout::RowMajor, 0xA1);
+    let exec = CpuExecutor::with_threads(WORKERS).with_pack_shards(1);
+    for _ in 0..3 {
+        let _ = p.all(&exec);
+    }
+    let cold = exec.pack_arena_stats::<f32>();
+    assert_eq!((cold.fresh, cold.consumed_bytes, cold.retained_bytes), (0, 0, 0), "{cold:?}");
+
+    // The same on an arena a packing launch left warm: the in-place
+    // launches neither consume nor settle it.
+    let packing = mixed_problems(Layout::ColMajor, 0xA2);
+    let _ = packing.gemm(&exec);
+    let warm = exec.pack_arena_stats::<f32>();
+    assert!(warm.fresh > 0 && warm.consumed_bytes > 0, "{warm:?}");
+    let (direct, _) = allocs_during(|| p.gemm(&exec));
+    let (batched, _) = allocs_during(|| p.gemm_batched(&exec));
+    let (grouped, _) = allocs_during(|| p.gemm_grouped(&exec));
+    let after = exec.pack_arena_stats::<f32>();
+    assert_eq!(after.fresh, warm.fresh, "an in-place launch allocated pack storage");
+    assert_eq!(after.consumed_bytes, warm.consumed_bytes, "an in-place launch touched the arena");
+    assert_eq!(after.retained_bytes, warm.retained_bytes);
+
+    // 10, 18 and 40–41 as written: the cache's instance list and its
+    // slot table are gone from each count of the test above.
+    assert!(direct <= 10, "gemm made {direct} allocations");
+    assert!(batched <= 18, "gemm_batched made {batched} allocations");
+    assert!(grouped <= 41, "gemm_grouped made {grouped} allocations");
+}
+
 #[test]
 fn retention_is_one_launchs_consumption_and_dies_with_the_executor() {
     let _gate = alloc_gate();
-    let large = GemmShape::new(256, 192, 2200);
-    let small = GemmShape::new(128, 160, 160);
-    let (a, b) = operands::<f64>(&[large, small], 0xB0);
+    // Column-major and, for the large launch, tall: both operands
+    // pack. The small launch packs its B only, which is still more
+    // than the arena's retention floor.
+    let large = GemmShape::new(264, 192, 2200);
+    let small = GemmShape::new(128, 160, 360);
+    let (a, b) = operands::<f64>(&[large, small], Layout::ColMajor, 0xB0);
     // Process-wide lazies (thread-count probe, SIMD detection) are
     // allocated by whichever executor comes first: not this one.
     drop(CpuExecutor::with_threads(WORKERS).gemm::<f64, f64>(
@@ -259,6 +314,7 @@ fn results_on_recycled_storage_match_a_fresh_executors_bit_for_bit() {
             3,
             GemmShape::new(45, 51, 70),
             &[GemmShape::new(19, 23, 31), GemmShape::new(7, 53, 1100), GemmShape::new(41, 13, 67)],
+            Layout::ColMajor,
             0xC0,
         ),
         // Smaller everywhere: every range is a dirty prefix of a
@@ -268,14 +324,17 @@ fn results_on_recycled_storage_match_a_fresh_executors_bit_for_bit() {
             5,
             GemmShape::new(13, 17, 97),
             &[GemmShape::new(61, 58, 40), GemmShape::new(5, 5, 5)],
+            Layout::ColMajor,
             0xC1,
         ),
-        // Larger again: the arena outgrows what it kept.
+        // Larger again, and tall enough that A packs too: the arena
+        // outgrows what it kept.
         Problems::<f64>::new(
-            GemmShape::new(130, 71, 2100),
+            GemmShape::new(270, 71, 2100),
             4,
             GemmShape::new(70, 66, 130),
             &[GemmShape::new(96, 33, 1030), GemmShape::new(37, 129, 64), GemmShape::new(64, 64, 64)],
+            Layout::ColMajor,
             0xC2,
         ),
     ];

@@ -130,6 +130,7 @@ proptest! {
     #[test]
     fn packed_fixup_recovers_bit_exact_under_faults(
         shape in shapes(),
+        layout in layouts(),
         strategy in prop_oneof![
             (2usize..5).prop_map(|split| Strategy::FixedSplit { split }),
             (2usize..8).prop_map(|grid| Strategy::StreamK { grid }),
@@ -144,7 +145,7 @@ proptest! {
         prop_assume!(max_cover <= THREADS);
 
         let kernel = KernelKind::PACKED[kind_sel];
-        let (a, b) = operands(shape, Layout::RowMajor);
+        let (a, b) = operands(shape, layout);
         let e = CpuExecutor::with_threads(THREADS)
             .with_kernel(kernel)
             .with_watchdog(Duration::from_millis(150));

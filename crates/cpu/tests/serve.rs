@@ -157,6 +157,49 @@ proptest! {
     }
 }
 
+/// The service reads each operand the way its stride allows: of two
+/// requests in flight together, one has a narrow row-major B (read in
+/// place by `execute_cta` and `recover_peer` alike) and the other a B
+/// whose rows are past the in-place k-stride limit (packed privately
+/// by both). Each loses a partial and recovers it through the same
+/// source choice, bit-exact with its sequential launch.
+#[test]
+fn narrow_and_wide_b_requests_recover_side_by_side_bit_exact() {
+    let tile = TileShape::new(16, 16, 8);
+    let e = exec(4);
+    // f64 rows of 33 columns are 264 B apart; of 290, 2320 B. Both
+    // shapes are ragged against the tile and the register block.
+    let jobs: Vec<_> = [GemmShape::new(40, 33, 96), GemmShape::new(24, 290, 64)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, shape)| {
+            let decomp = Decomposition::stream_k(shape, tile, 4);
+            assert!(!FaultPlan::contributors(&decomp).is_empty(), "{shape} must have a seam to lose");
+            let (a, b) = operands(shape, 40 + i as u64);
+            let sequential = e.gemm::<f64, f64>(&a, &b, &decomp);
+            (a, b, decomp, sequential)
+        })
+        .collect();
+
+    let service = GemmService::<f64, f64>::start(&e, ServeConfig::default().with_window(2));
+    for round in 0..4 {
+        let handles: Vec<_> = jobs
+            .iter()
+            .map(|(a, b, decomp, _)| {
+                let req = LaunchRequest::new(a.clone(), b.clone(), decomp.clone())
+                    .with_serve_fault(ServeFaultKind::Protocol(FaultKind::Lose));
+                service.submit(req).expect("valid request admitted")
+            })
+            .collect();
+        for (handle, (_, b, _, sequential)) in handles.into_iter().zip(&jobs) {
+            let (c, stats) = handle.wait().expect("a lost partial is recovered, not fatal");
+            assert_eq!(c.max_abs_diff(sequential), 0.0, "round {round}, B {} wide", b.cols());
+            assert!(stats.recoveries >= 1, "round {round}: the lost partial was never recomputed");
+        }
+    }
+    assert_eq!(service.shutdown().pool_poisonings, 0);
+}
+
 #[test]
 fn panic_is_isolated_to_its_request_and_pool_survives() {
     let shape = GemmShape::new(48, 40, 32);

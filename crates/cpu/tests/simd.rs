@@ -20,7 +20,7 @@ use streamk_cpu::{
     mac_loop_kernel, mac_loop_kernel_cached, CpuExecutor, FaultKind, FaultPlan, KernelKind,
     PackBuffers, PackCache, WaitPolicy,
 };
-use streamk_matrix::{pack_a_into, pack_b_into, Matrix};
+use streamk_matrix::{f16, pack_a_into, pack_b_into, Matrix, MatrixView, Promote, Scalar};
 use streamk_types::{GemmShape, Layout, TileShape};
 
 const THREADS: usize = 8;
@@ -71,6 +71,104 @@ fn chunk_k(tile: TileShape) -> usize {
 /// the chunk nor `blk_k` except by accident.
 fn deep_shape(m: usize, n: usize, k_extra: usize, tile: TileShape) -> GemmShape {
     GemmShape::new(m, n, chunk_k(tile) + k_extra)
+}
+
+/// How a logical `rows × cols` operand is stored and viewed. Which of
+/// these the dispatcher reads in place and which it packs is the
+/// source rule's business (DESIGN.md §8); the results may not differ.
+#[derive(Debug, Clone, Copy)]
+enum Presented {
+    RowMajor,
+    ColMajor,
+    /// The `.t()` of a row-major `cols × rows` matrix.
+    Transposed,
+    /// A `submatrix` window at a non-zero origin of a row-major parent
+    /// `pad` columns wider than the window and, unless `to_the_end`,
+    /// two rows taller — `to_the_end` puts the window's last entry on
+    /// the allocation's last element, where reading one lane too many
+    /// has nowhere to land. A `pad` of several hundred puts the
+    /// k-stride of a B window past what is read in place.
+    Window { pad: usize, to_the_end: bool },
+}
+
+impl Presented {
+    /// The stored matrix behind a logical `rows × cols` operand.
+    fn store<T: Promote<Acc>, Acc: Scalar>(self, rows: usize, cols: usize, seed: u64) -> Matrix<T> {
+        let (r, c, layout) = match self {
+            Presented::RowMajor => (rows, cols, Layout::RowMajor),
+            Presented::ColMajor => (rows, cols, Layout::ColMajor),
+            Presented::Transposed => (cols, rows, Layout::RowMajor),
+            Presented::Window { pad, to_the_end } => {
+                (rows + if to_the_end { 1 } else { 3 }, cols + 2 + pad, Layout::RowMajor)
+            }
+        };
+        Matrix::<T>::random::<Acc>(r, c, layout, seed)
+    }
+
+    fn view<T: Copy + Default>(self, stored: &Matrix<T>, rows: usize, cols: usize) -> MatrixView<'_, T> {
+        match self {
+            Presented::RowMajor | Presented::ColMajor => stored.view(),
+            Presented::Transposed => stored.t(),
+            Presented::Window { pad, .. } => stored.view().submatrix(1..1 + rows, 2 + pad..2 + pad + cols),
+        }
+    }
+}
+
+fn presentations() -> impl proptest::strategy::Strategy<Value = Presented> {
+    prop_oneof![
+        Just(Presented::RowMajor),
+        Just(Presented::ColMajor),
+        Just(Presented::Transposed),
+        (prop_oneof![Just(0usize), Just(3), Just(600)], 0usize..2)
+            .prop_map(|(pad, end)| Presented::Window { pad, to_the_end: end == 1 }),
+    ]
+}
+
+/// One tile segment through every panel-consuming kernel three ways —
+/// always packed ([`mac_loop_kernel`]), the source rule with no cache
+/// (the service's path) and with one (the executors') — against the
+/// scalar MAC loop, for one element type.
+#[allow(clippy::too_many_arguments)]
+fn sources_agree<In, Acc>(
+    shape: GemmShape,
+    tile: TileShape,
+    (pa, pb): (Presented, Presented),
+    tile_sel: usize,
+    range_sel: (usize, usize),
+) -> Result<(), TestCaseError>
+where
+    In: Promote<Acc>,
+    Acc: Scalar,
+{
+    let space = IterSpace::new(shape, tile);
+    let seed = ((shape.m * 73 + shape.n) * 37 + shape.k) as u64;
+    let a_store = pa.store::<In, Acc>(shape.m, shape.k, seed);
+    let b_store = pb.store::<In, Acc>(shape.k, shape.n, seed + 1);
+    let (a, b) = (pa.view(&a_store, shape.m, shape.k), pb.view(&b_store, shape.k, shape.n));
+    let tile_idx = tile_sel % space.tiles();
+    let ipt = space.iters_per_tile();
+    let (mut lo, mut hi) = (range_sel.0 % (ipt + 1), range_sel.1 % (ipt + 1));
+    if lo > hi {
+        std::mem::swap(&mut lo, &mut hi);
+    }
+
+    let len = tile.blk_m * tile.blk_n;
+    let mut reference = vec![Acc::ZERO; len];
+    mac_loop_view(&a, &b, &space, tile_idx, lo, hi, &mut reference);
+    let mut bufs = PackBuffers::new();
+    for kind in KernelKind::PACKED.into_iter().chain(KernelKind::SIMD) {
+        let what = format!("{kind} on {shape} {tile} {pa:?} x {pb:?} tile {tile_idx} [{lo},{hi})");
+        let mut packed = vec![Acc::ZERO; len];
+        mac_loop_kernel(kind, &a, &b, &space, tile_idx, lo, hi, &mut packed, &mut bufs);
+        prop_assert!(packed == reference, "packed diverged: {what}");
+        let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default());
+        for cache in [None, cache.as_ref()] {
+            let mut got = vec![Acc::ZERO; len];
+            mac_loop_kernel_cached(kind, cache, 0, &a, &b, &space, tile_idx, lo, hi, &mut got, &mut bufs);
+            prop_assert!(got == reference, "source rule (cache: {}) diverged: {what}", cache.is_some());
+        }
+    }
+    Ok(())
 }
 
 fn strategies() -> impl proptest::strategy::Strategy<Value = Strategy> {
@@ -160,16 +258,41 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Wherever an operand is read from — in place, a private pack, a
+    /// cache chunk — every panel-consuming kernel agrees bit for bit
+    /// with the scalar MAC loop: over row-major, column-major,
+    /// transposed and windowed operands (windows that end on their
+    /// allocation's last element included), ragged edges, and f64,
+    /// f32 and f16→f32 elements.
+    #[test]
+    fn in_place_packed_and_scalar_agree_on_every_view(
+        shape in shapes(),
+        tile in tiles(),
+        presented in (presentations(), presentations()),
+        tile_sel in 0usize..64,
+        range_sel in (0usize..64, 0usize..64),
+    ) {
+        sources_agree::<f64, f64>(shape, tile, presented, tile_sel, range_sel)?;
+        sources_agree::<f32, f32>(shape, tile, presented, tile_sel, range_sel)?;
+        sources_agree::<f16, f32>(shape, tile, presented, tile_sel, range_sel)?;
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Fault level: split-tile fixup under injected faults with the
     /// SIMD kernels and the shared pack cache enabled — owner-side
-    /// recovery recomputes through the same vector kernel and cache,
-    /// so the recovered output stays bit-exact against the fault-free
-    /// run.
+    /// recovery recomputes through the same vector kernel and operand
+    /// sources (row-major operands in place, column-major B through
+    /// the cache), so the recovered output stays bit-exact against the
+    /// fault-free run.
     #[test]
     fn simd_fixup_recovers_bit_exact_under_faults(
         shape in shapes(),
+        layout in layouts(),
         strategy in prop_oneof![
             (2usize..5).prop_map(|split| Strategy::FixedSplit { split }),
             (2usize..8).prop_map(|grid| Strategy::StreamK { grid }),
@@ -184,7 +307,7 @@ proptest! {
         prop_assume!(max_cover <= THREADS);
 
         let kernel = KernelKind::SIMD[kind_sel];
-        let (a, b) = operands64(shape, Layout::RowMajor);
+        let (a, b) = operands64(shape, layout);
         let e = CpuExecutor::with_threads(THREADS)
             .with_kernel(kernel)
             .with_pack_cache(true)
@@ -252,12 +375,15 @@ proptest! {
     }
 
     /// The chunk walk at executor level: 1-4 workers under every
-    /// strategy on multi-chunk shapes, sharded cache on, agree bit
-    /// for bit with the scalar executor (no panels, no cache).
+    /// strategy on multi-chunk shapes, sharded cache on (it serves
+    /// the column-major B; row-major operands are read in place),
+    /// agree bit for bit with the scalar executor (no panels, no
+    /// cache).
     #[test]
     fn chunked_cache_launches_match_the_scalar_executor(
         (m, n, k_extra) in (5usize..40, 5usize..40, 18usize..1200),
         tile in prop_oneof![Just(TileShape::new(16, 16, 8)), Just(TileShape::new(13, 11, 5))],
+        layout in layouts(),
         strategy in strategies(),
         kind in prop_oneof![Just(KernelKind::Packed8x4), Just(KernelKind::Simd4x16), Just(KernelKind::Simd8x32)],
     ) {
@@ -265,7 +391,7 @@ proptest! {
         let decomp = Decomposition::from_strategy(shape, tile, strategy);
         let floor = decomp.fixups().iter().map(|f| f.covering_ctas()).max().unwrap_or(1);
         prop_assume!(floor <= 4);
-        let (a, b) = operands64(shape, Layout::RowMajor);
+        let (a, b) = operands64(shape, layout);
         let reference = CpuExecutor::with_threads(4)
             .with_kernel(KernelKind::Scalar)
             .gemm::<f64, f64>(&a, &b, &decomp);
@@ -294,7 +420,7 @@ fn pack_cache_packs_each_chunk_exactly_once_under_contention() {
     let shape = GemmShape::new(61, 58, 2 * chunk_k + 96);
     let chunks = 3;
     let space = IterSpace::new(shape, tile);
-    let (a, b) = operands64(shape, Layout::RowMajor);
+    let (a, b) = operands64(shape, Layout::ColMajor);
     let cache = PackCache::new(&space, mr, nr, WaitPolicy::default());
     assert_eq!(cache.panels(), chunks * (space.tiles_m() + space.tiles_n()));
 
@@ -365,7 +491,8 @@ fn executor_with_cache_is_bit_exact_across_thread_counts() {
     let tile = TileShape::new(16, 16, 8);
     let shape = GemmShape::new(67, 59, 83);
     let kind = KernelKind::default();
-    let (a, b) = operands64(shape, Layout::RowMajor);
+    // Column-major: B goes through the cache this test is about.
+    let (a, b) = operands64(shape, Layout::ColMajor);
 
     // Stream-K with fixups needs co-resident peers: sweep 2..=8.
     let decomp = Decomposition::stream_k(shape, tile, 6);

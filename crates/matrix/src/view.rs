@@ -218,6 +218,36 @@ impl<'a, T: Copy> MatrixView<'a, T> {
         self.block.is_none() && self.col_stride == 1
     }
 
+    /// Elements between vertically adjacent entries — `(r, c)` and
+    /// `(r + 1, c)` — of a strided view; `None` over block-major
+    /// storage, which two strides cannot describe.
+    #[inline]
+    #[must_use]
+    pub fn row_stride(&self) -> Option<usize> {
+        self.block.is_none().then_some(self.row_stride)
+    }
+
+    /// Elements between horizontally adjacent entries of a strided
+    /// view; `None` over block-major storage.
+    #[inline]
+    #[must_use]
+    pub fn col_stride(&self) -> Option<usize> {
+        self.block.is_none().then_some(self.col_stride)
+    }
+
+    /// The storage a strided view spans, from its `(0, 0)` entry to
+    /// its last one inclusive: entry `(r, c)` is
+    /// `strided_span()[r · row_stride + c · col_stride]`. Anything the
+    /// backing allocation holds past the view's last entry is cut off,
+    /// so safe indexing into the span can never reach it. `None` over
+    /// block-major storage.
+    #[inline]
+    #[must_use]
+    pub fn strided_span(&self) -> Option<&'a [T]> {
+        let last = (self.rows - 1) * self.row_stride + (self.cols - 1) * self.col_stride;
+        self.block.is_none().then(|| &self.data[..=last])
+    }
+
     /// The storage layout behind this view when it is block-major.
     #[inline]
     #[must_use]
@@ -240,6 +270,10 @@ impl<'a, T: Copy> MatrixView<'a, T> {
     /// packed-A panels — together with the padded k-stride
     /// (`cols` rounded up to `FRAG`). Sub-windows, transposes, and the
     /// Morton variant return `None` (their panels are not contiguous).
+    ///
+    /// A **B** operand is probed through its transpose: when the
+    /// caller stored Bᵀ block-major and views it back as `k × n`,
+    /// `b.t().block_panels()` is the packed-B table with `NR = FRAG`.
     #[inline]
     #[must_use]
     pub fn block_panels(&self) -> Option<(&'a [T], usize)> {
@@ -253,30 +287,6 @@ impl<'a, T: Copy> MatrixView<'a, T> {
                     && self.cols == b.base_cols =>
             {
                 Some((self.data, self.cols.div_ceil(FRAG) * FRAG))
-            }
-            _ => None,
-        }
-    }
-
-    /// The zero-pack bypass probe for a **B** operand: when this view
-    /// is a full *transposed* window over `BlockMajor` storage (i.e.
-    /// the caller stored Bᵀ block-major and views it back as `k × n`),
-    /// returns the raw panel table and padded k-stride. Each `FRAG`-row
-    /// panel of the Bᵀ storage is bit-identical to a BLIS packed-B
-    /// column panel of B with `NR = FRAG`.
-    #[inline]
-    #[must_use]
-    pub fn t_block_panels(&self) -> Option<(&'a [T], usize)> {
-        match self.block {
-            Some(b)
-                if b.layout == Layout::BlockMajor
-                    && b.transposed
-                    && b.origin_row == 0
-                    && b.origin_col == 0
-                    && self.rows == b.base_cols
-                    && self.cols == b.base_rows =>
-            {
-                Some((self.data, self.rows.div_ceil(FRAG) * FRAG))
             }
             _ => None,
         }
@@ -394,6 +404,29 @@ mod tests {
     }
 
     #[test]
+    fn strides_and_span_describe_the_window() {
+        let m = counting(6, 8, Layout::RowMajor);
+        let v = m.view();
+        assert_eq!((v.row_stride(), v.col_stride()), (Some(8), Some(1)));
+        assert_eq!((m.t().row_stride(), m.t().col_stride()), (Some(1), Some(8)));
+        assert_eq!(v.strided_span().unwrap().len(), 48);
+        // A window that stops short of the allocation: the span ends
+        // at the window's last entry, not the allocation's.
+        let s = v.submatrix(1..4, 2..5);
+        assert_eq!((s.row_stride(), s.col_stride()), (Some(8), Some(1)));
+        let span = s.strided_span().unwrap();
+        assert_eq!(span.len(), 2 * 8 + 2 + 1);
+        assert_eq!((span[0], span[span.len() - 1]), (m.get(1, 2), m.get(3, 4)));
+        let st = m.t().submatrix(2..5, 1..4);
+        let span = st.strided_span().unwrap();
+        assert_eq!(span[2 + 2 * 8], st.get(2, 2));
+        assert_eq!(span.len(), 2 + 2 * 8 + 1);
+        let blocked = m.to_layout(Layout::BlockMajor);
+        let b = blocked.view();
+        assert!(b.row_stride().is_none() && b.col_stride().is_none() && b.strided_span().is_none());
+    }
+
+    #[test]
     fn to_matrix_round_trip() {
         let m = counting(4, 3, Layout::ColMajor);
         let owned = m.t().to_matrix();
@@ -432,9 +465,10 @@ mod tests {
         let (panels, k_pad) = v.block_panels().expect("full linear blocked view bypasses");
         assert_eq!(k_pad, 24);
         assert_eq!(panels.len(), m.as_slice().len());
-        // Transposed full view flips to the B-side probe.
+        // A transposed full view is a B operand: it probes through
+        // its own transpose.
         assert!(v.t().block_panels().is_none());
-        let (tp, tk) = v.t().t_block_panels().expect("transposed blocked view is a B panel table");
+        let (tp, tk) = v.t().t().block_panels().expect("transposed blocked view is a B panel table");
         assert_eq!((tp.len(), tk), (panels.len(), 24));
         // Sub-windows and Morton order do not bypass.
         assert!(v.submatrix(0..8, 0..24).block_panels().is_none());
