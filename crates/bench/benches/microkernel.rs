@@ -11,8 +11,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use streamk_core::IterSpace;
 use streamk_cpu::{
-    mac_loop_blocked, mac_loop_kernel, mac_loop_kernel_cached, macloop::mac_loop_view, KernelKind,
-    PackBuffers,
+    mac_loop_blocked, mac_loop_kernel, mac_loop_kernel_cached, macloop::mac_loop_view,
+    output::store_every_tile, KernelKind, PackBuffers,
 };
 use streamk_matrix::Matrix;
 use streamk_types::{GemmShape, Layout, TileShape};
@@ -156,5 +156,36 @@ fn in_place_vs_packed_f32(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, inner_kernels, packed_vs_blocked_512_f32, in_place_vs_packed_f32);
+/// The tile epilogue on its own (`StoreTile`, the step every tile of
+/// every schedule pays): all 64 or 16 tiles of a cache-resident
+/// 256×256 output stored from one warm accumulator tile, so a figure
+/// divided by the tile count is one tile's store. β = 0 writes
+/// `α·acc`; β = 1 also reads C. Row-major destinations take a tile
+/// row per run, column-major ones a tile column fed by a strided read
+/// of the accumulator.
+fn epilogue(c: &mut Criterion) {
+    fn cells<T: streamk_matrix::Scalar>(c: &mut Criterion, ty: &str) {
+        let mut group = c.benchmark_group(&format!("epilogue_256x256_{ty}"));
+        group.sample_size(30);
+        for blk in [32, 64] {
+            let space = IterSpace::new(GemmShape::new(256, 256, 16), TileShape::new(blk, blk, 16));
+            let accum: Vec<T> = (0..blk * blk).map(|i| T::from_f64(i as f64 * 0.25)).collect();
+            for (layout, tag) in [(Layout::RowMajor, "row"), (Layout::ColMajor, "col")] {
+                for beta in [T::ZERO, T::ONE] {
+                    let mut out = Matrix::<T>::zeros(256, 256, layout);
+                    group.bench_function(&format!("tile{blk}_{tag}_beta{}", beta.to_f64()), |bencher| {
+                        bencher.iter(|| {
+                            store_every_tile(black_box(&mut out), &space, black_box(&accum), T::ONE, beta);
+                        });
+                    });
+                }
+            }
+        }
+        group.finish();
+    }
+    cells::<f32>(c, "f32");
+    cells::<f64>(c, "f64");
+}
+
+criterion_group!(benches, inner_kernels, packed_vs_blocked_512_f32, in_place_vs_packed_f32, epilogue);
 criterion_main!(benches);

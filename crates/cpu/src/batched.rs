@@ -8,7 +8,7 @@
 
 use crate::executor::CpuExecutor;
 use crate::fixup::FixupBoard;
-use crate::output::TileWriter;
+use crate::output::OwnedTileWriter;
 use crate::packcache::mac_loop_instance_cached;
 use crate::sched::GridCursor;
 use crate::workspace::Workspace;
@@ -59,16 +59,12 @@ impl CpuExecutor {
         let owner_peers = PeerTable::new(decomp.grid_size(), &fixups);
 
         let tile = instance.tile();
-        let mut outputs: Vec<Matrix<Acc>> = (0..space.batch())
-            .map(|i| Matrix::<Acc>::zeros(shape.m, shape.n, a[i].layout()))
-            .collect();
+        // One output per instance, born from its tiles: reserved
+        // unfilled, each element first written by the worker that
+        // computed its tile.
         let tiles_per_instance = space.tiles_per_instance();
-        let writers: Vec<TileWriter<'_, Acc>> = outputs
-            .iter_mut()
-            .map(|c| {
-                let (rows, cols, layout) = (c.rows(), c.cols(), c.layout());
-                TileWriter::new(c.as_mut_slice(), rows, cols, layout, tiles_per_instance)
-            })
+        let outputs: Vec<OwnedTileWriter<Acc>> = (0..space.batch())
+            .map(|i| OwnedTileWriter::new(shape.m, shape.n, a[i].layout(), tiles_per_instance))
             .collect();
 
         let board = FixupBoard::<Acc>::new(decomp.grid_size());
@@ -163,7 +159,7 @@ impl CpuExecutor {
                             }
                         }
                         let (rows, cols) = instance.tile_extents(local_tile);
-                        writers[instance_idx].store_tile(local_tile, rows, cols, tile.blk_n, &ws.accum);
+                        outputs[instance_idx].store_tile(local_tile, rows, cols, tile.blk_n, &ws.accum);
                     }
                     iter = seg_end;
                 }
@@ -171,8 +167,7 @@ impl CpuExecutor {
         });
         self.record_stats(0, 0, Duration::from_nanos(wait_ns.load(Ordering::Relaxed)), 0);
         self.retire_pack_cache(cache);
-        drop(writers);
-        outputs
+        outputs.iter().map(OwnedTileWriter::take).collect()
     }
 }
 

@@ -20,7 +20,7 @@ use crate::arena::{ArenaStats, PackArena};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::fixup::{FixupBoard, TryTake, WaitOutcome, WaitPolicy};
 use crate::microkernel::KernelKind;
-use crate::output::TileWriter;
+use crate::output::{OwnedTileWriter, TileWriter};
 use crate::packcache::{mac_loop_kernel_cached, operands_pack, PackCache};
 use crate::pad::CachePadded;
 use crate::pool::WorkerPool;
@@ -618,10 +618,7 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        let shape = decomp.space().shape();
-        let mut c = Matrix::<Acc>::zeros(shape.m, shape.n, a.layout());
-        self.try_gemm_ex(Acc::ONE, &a.view(), &b.view(), Acc::ZERO, &mut c, decomp)?;
-        Ok(c)
+        self.gemm_fresh(a, b, decomp, &FaultPlan::none(), false).map(|(c, _)| c)
     }
 
     /// Fallible [`gemm_ex`](Self::gemm_ex).
@@ -642,7 +639,11 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        self.run_grid(alpha, a, b, beta, c, decomp, &FaultPlan::none(), false).map(|_| ())
+        let space = decomp.space();
+        check_shape("C", (space.shape().m, space.shape().n), (c.rows(), c.cols()))?;
+        let (rows, cols, layout) = (c.rows(), c.cols(), c.layout());
+        let writer = TileWriter::new(c.as_mut_slice(), rows, cols, layout, space.tiles());
+        self.run_grid(alpha, a, b, beta, &writer, decomp, &FaultPlan::none(), false).map(|_| ())
     }
 
     /// Computes `C = A · B` while injecting `plan`'s faults into the
@@ -669,10 +670,31 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        let shape = decomp.space().shape();
-        let mut c = Matrix::<Acc>::zeros(shape.m, shape.n, a.layout());
-        let report = self.run_grid(Acc::ONE, &a.view(), &b.view(), Acc::ZERO, &mut c, decomp, plan, true)?;
-        Ok((c, report))
+        self.gemm_fresh(a, b, decomp, plan, true)
+    }
+
+    /// `C = A · B` into an output born from its tiles: the buffer is
+    /// reserved unfilled, each worker's tile store is the first write
+    /// its elements see, and it becomes a matrix only once the launch
+    /// succeeded and every tile is stored. A launch that returns `Err`
+    /// drops it unread.
+    fn gemm_fresh<In, Acc>(
+        &self,
+        a: &Matrix<In>,
+        b: &Matrix<In>,
+        decomp: &Decomposition,
+        plan: &FaultPlan,
+        recover: bool,
+    ) -> Result<(Matrix<Acc>, RecoveryReport), ExecutorError>
+    where
+        In: Promote<Acc>,
+        Acc: Scalar,
+    {
+        let space = decomp.space();
+        let out = OwnedTileWriter::new(space.shape().m, space.shape().n, a.layout(), space.tiles());
+        let report =
+            self.run_grid(Acc::ONE, &a.view(), &b.view(), Acc::ZERO, out.writer(), decomp, plan, recover)?;
+        Ok((out.take(), report))
     }
 
     /// The one grid loop behind every public entry.
@@ -683,7 +705,7 @@ impl CpuExecutor {
         a: &MatrixView<'_, In>,
         b: &MatrixView<'_, In>,
         beta: Acc,
-        c: &mut Matrix<Acc>,
+        writer: &TileWriter<'_, Acc>,
         decomp: &Decomposition,
         plan: &FaultPlan,
         recover: bool,
@@ -696,7 +718,6 @@ impl CpuExecutor {
         let shape = space.shape();
         check_shape("op(A)", (shape.m, shape.k), (a.rows(), a.cols()))?;
         check_shape("op(B)", (shape.k, shape.n), (b.rows(), b.cols()))?;
-        check_shape("C", (shape.m, shape.n), (c.rows(), c.cols()))?;
         decomp.validate().map_err(|e| ExecutorError::InvalidDecomposition(e.to_string()))?;
 
         // Residency requirement, kept for GPU fidelity: on the device
@@ -743,8 +764,6 @@ impl CpuExecutor {
         // Locality-aware dispatch: static contiguous per-worker ranges
         // of the (swizzled) CTA order, rebalanced by range-stealing.
         let sched = CtaScheduler::new(ctx.ctas.len(), workers);
-        let (rows, cols, layout) = (c.rows(), c.cols(), c.layout());
-        let writer = TileWriter::new(c.as_mut_slice(), rows, cols, layout, space.tiles());
         let tile = space.tile();
         let tile_len = tile.blk_m * tile.blk_n;
         // One shared epoch so every worker's span timestamps (and the
@@ -771,7 +790,7 @@ impl CpuExecutor {
             let mut deferred = Vec::new();
             let mut events = Vec::new();
             if let Err(e) =
-                worker_loop(&ctx, &sched, wid, a, b, &writer, alpha, beta, ws, &mut deferred, &mut events)
+                worker_loop(&ctx, &sched, wid, a, b, writer, alpha, beta, ws, &mut deferred, &mut events)
             {
                 let mut slot = ctx.error.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 slot.get_or_insert(e);
@@ -1565,25 +1584,15 @@ mod tests {
 
     #[test]
     fn lost_peer_without_recovery_is_a_watchdog_error() {
-        // try_gemm has no fault injection, so force the equivalent: a
-        // 2-way fixed split run with recovery off and a watchdog so
-        // short the peer cannot make it... instead, verify through the
-        // fault path that recovery disabled surfaces the timeout.
+        // try_gemm has no fault injection, so go through the entry it
+        // shares with gemm_with_faults, recovery off: the lost peer
+        // surfaces as the owner's watchdog timeout, and the output —
+        // whose split tile was never stored — is dropped unread (the
+        // `Err` carries no matrix; `take` would have refused it).
         let (a, b, decomp, exec) = chaos_fixture();
         let victim = FaultPlan::contributors(&decomp)[0];
         let plan = FaultPlan::single(victim, FaultKind::Lose);
-        let err = exec
-            .run_grid(
-                1.0f64,
-                &a.view(),
-                &b.view(),
-                0.0,
-                &mut Matrix::<f64>::zeros(96, 80, Layout::RowMajor),
-                &decomp,
-                &plan,
-                false,
-            )
-            .unwrap_err();
+        let err = exec.gemm_fresh::<f64, f64>(&a, &b, &decomp, &plan, false).unwrap_err();
         match err {
             ExecutorError::Fixup(FixupError::WatchdogTimeout { peer, .. }) => assert_eq!(peer, victim),
             other => panic!("expected watchdog timeout, got {other:?}"),

@@ -2,7 +2,7 @@
 
 use crate::executor::CpuExecutor;
 use crate::fixup::FixupBoard;
-use crate::output::TileWriter;
+use crate::output::OwnedTileWriter;
 use crate::packcache::mac_loop_instance_cached;
 use crate::sched::GridCursor;
 use crate::workspace::Workspace;
@@ -55,19 +55,13 @@ impl CpuExecutor {
         // One blocking factor for all instances — the shared
         // accumulator size.
         let tile = space.instances()[0].tile();
-        let mut outputs: Vec<Matrix<Acc>> = space
+        // One output per instance, born from its tiles (see
+        // `batched.rs`).
+        let outputs: Vec<OwnedTileWriter<Acc>> = space
             .instances()
             .iter()
             .enumerate()
-            .map(|(i, inst)| Matrix::<Acc>::zeros(inst.shape().m, inst.shape().n, a[i].layout()))
-            .collect();
-        let writers: Vec<TileWriter<'_, Acc>> = outputs
-            .iter_mut()
-            .zip(space.instances())
-            .map(|(c, inst)| {
-                let (rows, cols, layout) = (c.rows(), c.cols(), c.layout());
-                TileWriter::new(c.as_mut_slice(), rows, cols, layout, inst.tiles())
-            })
+            .map(|(i, inst)| OwnedTileWriter::new(inst.shape().m, inst.shape().n, a[i].layout(), inst.tiles()))
             .collect();
 
         let board = FixupBoard::<Acc>::new(decomp.grid_size());
@@ -129,14 +123,13 @@ impl CpuExecutor {
                         }
                     }
                     let (rows, cols) = inst.tile_extents(seg.local_tile);
-                    writers[seg.instance].store_tile(seg.local_tile, rows, cols, tile.blk_n, &ws.accum);
+                    outputs[seg.instance].store_tile(seg.local_tile, rows, cols, tile.blk_n, &ws.accum);
                 }
             }
         });
         self.record_stats(0, 0, Duration::from_nanos(wait_ns.load(Ordering::Relaxed)), 0);
         self.retire_pack_cache(cache);
-        drop(writers);
-        outputs
+        outputs.iter().map(OwnedTileWriter::take).collect()
     }
 }
 

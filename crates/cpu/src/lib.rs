@@ -45,7 +45,12 @@ pub mod fixup;
 pub mod grouped;
 pub mod macloop;
 pub mod microkernel;
-mod output;
+// The raw-pointer window into an output matrix that workers store
+// disjoint tiles through, and the unfilled buffer a β = 0 output is
+// born in; the safety argument (one writer per tile, no read before
+// every tile is stored) sits with the `unsafe` blocks.
+#[allow(unsafe_code)]
+pub mod output;
 pub mod packcache;
 pub mod pad;
 // The worker pool erases the launch closure's lifetime to hand it to

@@ -1,4 +1,4 @@
-//! Concurrent output-tile stores.
+//! Concurrent output-tile stores: the one tile epilogue.
 //!
 //! `StoreTile` writes each finished output tile directly into the
 //! shared **C** buffer from whichever worker thread owns the tile —
@@ -8,91 +8,121 @@
 //! `Decomposition::validate` before execution) guarantees no two
 //! threads ever write the same element.
 //!
-//! Rust cannot prove that disjointness through types, so this module
-//! contains the workspace's only `unsafe` code: a raw-pointer window
-//! into **C** with the safety argument above. Debug builds
-//! additionally assert the one-writer-per-tile invariant at runtime.
-
-#![allow(unsafe_code)]
+//! Every engine (single launch, batched, grouped, service) stores
+//! through one routine, [`TileWriter::store_runs`]. It cuts the tile's
+//! destination into the contiguous *runs* the layout has — a row of
+//! the tile for `RowMajor`, a column for `ColMajor`, the part of a
+//! column inside one `FRAG × FRAG` fragment for the block-major
+//! layouts — asks `Layout::index` for each run's first offset only,
+//! proves the run's first and last offset inside the storage with
+//! checked arithmetic, and then applies `α·acc (+ β·c)` over the run
+//! as one slice loop, reading **C** only when `β ≠ 0`.
+//!
+//! Rust cannot prove the tiles' disjointness through types, so this
+//! module holds the raw-pointer window into **C** and its `unsafe`
+//! (the crate's other exemptions from `deny(unsafe_code)` — `arena`,
+//! `pool`, `simd` — are listed in `lib.rs`; none of them touches an
+//! output). The one-writer-per-tile invariant is asserted at run time
+//! in every build: a per-tile flag is swapped on entry, and a second
+//! store to the same tile panics before it writes.
+//!
+//! A `β = 0` output needs no prior contents, so [`OwnedTileWriter`]
+//! does not fill the buffer it allocates for the strided layouts: the
+//! tiles partition the storage, every element is written exactly once
+//! by the worker that computed it, and the buffer only becomes a
+//! `Matrix` in [`OwnedTileWriter::take`], which refuses unless every
+//! tile's flag says *stored*. A launch that fails, is cancelled or
+//! times out drops the buffer without ever reading it. Block-major
+//! storage has fragment padding no tile writes, so it keeps its zero
+//! fill.
 
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use streamk_types::Layout;
+use streamk_core::IterSpace;
+use streamk_matrix::{Matrix, Scalar};
+use streamk_types::{Layout, FRAG};
 
-/// A write-only window over the output matrix's backing storage,
-/// shareable across worker threads.
+/// Tile flag states. `CLAIMED` is swapped in (relaxed: it publishes
+/// nothing, it only elects the tile's one writer) before the first
+/// element is written; `STORED` is release-stored after the last, so
+/// an acquire load that reads it has every element of the tile.
+const UNTOUCHED: u8 = 0;
+const CLAIMED: u8 = 1;
+const STORED: u8 = 2;
+
+/// A write window over an output matrix's backing storage, shareable
+/// across worker threads.
 pub(crate) struct TileWriter<'a, Acc> {
     ptr: *mut Acc,
+    /// Elements `ptr` is valid for: `layout.storage_len(rows, cols)`.
+    len: usize,
     rows: usize,
     cols: usize,
     layout: Layout,
-    /// One byte per tile, flipped on first store (debug protocol
-    /// check).
+    /// Whether the storage already holds values (a caller's **C**).
+    /// `β ≠ 0` reads the destination and is refused when it does not.
+    filled: bool,
+    /// One flag per tile: the one-writer check, and for an owned
+    /// buffer the proof that every tile was stored.
     written: Vec<AtomicU8>,
-    _marker: PhantomData<&'a mut [Acc]>,
+    /// The exclusive borrow of the storage behind `ptr`.
+    _marker: PhantomData<&'a mut ()>,
 }
 
-// SAFETY: `TileWriter` only writes through `ptr`, and the execution
-// protocol guarantees each element is written by exactly one thread
-// (disjoint tile ownership). The borrow of the underlying slice is
-// held for `'a`, preventing any other access to the buffer while the
-// writer exists.
+// SAFETY: `TileWriter` only accesses memory through `ptr`, and the
+// execution protocol guarantees each element is accessed by exactly
+// one thread (disjoint tile ownership, one store per tile checked by
+// `written`). The borrow of the underlying slice is held for `'a` (an
+// owned buffer lives in the `OwnedTileWriter` around this writer),
+// preventing any other access to the buffer while the writer exists.
+// `Acc: Send` because values cross threads; `rows`/`cols`/`layout`/
+// `filled` are plain data and `written` is atomics.
 unsafe impl<Acc: Send> Send for TileWriter<'_, Acc> {}
 unsafe impl<Acc: Send> Sync for TileWriter<'_, Acc> {}
 
-impl<'a, Acc: Copy> TileWriter<'a, Acc> {
-    /// Wraps the output buffer. `data` must be the `rows × cols`
-    /// backing storage in `layout` order; `tiles` is the output-tile
-    /// count (for the debug one-writer check).
+impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
+    /// Wraps a caller's output buffer. `data` must be the
+    /// `rows × cols` backing storage in `layout` order; `tiles` is the
+    /// output-tile count (for the one-writer check).
     pub(crate) fn new(data: &'a mut [Acc], rows: usize, cols: usize, layout: Layout, tiles: usize) -> Self {
         assert_eq!(data.len(), layout.storage_len(rows, cols), "backing storage size mismatch");
-        Self {
-            ptr: data.as_mut_ptr(),
-            rows,
-            cols,
-            layout,
-            written: (0..tiles).map(|_| AtomicU8::new(0)).collect(),
-            _marker: PhantomData,
-        }
+        Self::over(data.as_mut_ptr(), data.len(), rows, cols, layout, true, tiles)
     }
 
-    /// Stores a finished tile: `accum` is a row-major `blk_m × blk_n`
-    /// scratch tile; only the clamped `row_range × col_range` region is
-    /// written.
+    fn over(
+        ptr: *mut Acc,
+        len: usize,
+        rows: usize,
+        cols: usize,
+        layout: Layout,
+        filled: bool,
+        tiles: usize,
+    ) -> Self {
+        let written = (0..tiles).map(|_| AtomicU8::new(UNTOUCHED)).collect();
+        Self { ptr, len, rows, cols, layout, filled, written, _marker: PhantomData }
+    }
+
+    /// Stores a finished tile unscaled: `C_tile = accum`. `accum` is a
+    /// row-major `blk_m × blk_n` scratch tile; only the clamped
+    /// `row_range × col_range` region is written.
     ///
     /// # Panics
     ///
-    /// Panics if the same tile is stored twice (protocol violation) or
-    /// the ranges exceed the matrix extents.
+    /// As [`store_tile_ex`](Self::store_tile_ex).
     pub(crate) fn store_tile(
         &self,
         tile_idx: usize,
-        row_range: std::ops::Range<usize>,
-        col_range: std::ops::Range<usize>,
+        row_range: Range<usize>,
+        col_range: Range<usize>,
         blk_n: usize,
         accum: &[Acc],
     ) {
-        assert!(row_range.end <= self.rows && col_range.end <= self.cols, "tile range out of bounds");
-        let prev = self.written[tile_idx].swap(1, Ordering::Relaxed);
-        assert_eq!(prev, 0, "tile {tile_idx} stored twice");
-
-        for (ti, r) in row_range.clone().enumerate() {
-            for (tj, c) in col_range.clone().enumerate() {
-                let offset = self.layout.index(r, c, self.rows, self.cols);
-                // SAFETY: offset < the layout's storage length by the bounds assertions;
-                // no other thread writes this element (unique tile
-                // ownership, asserted above); no readers exist while
-                // the exclusive borrow is held.
-                unsafe {
-                    *self.ptr.add(offset) = accum[ti * blk_n + tj];
-                }
-            }
-        }
+        self.store_tile_ex(tile_idx, row_range, col_range, blk_n, accum, Acc::ONE, Acc::ZERO);
     }
-}
 
-impl<Acc: streamk_matrix::Scalar> TileWriter<'_, Acc> {
     /// Epilogue store: `C_tile = α·accum + β·C_tile`. Reading the old
     /// tile value is safe for the same reason writing is: this thread
     /// is the tile's sole owner and no other access to the buffer
@@ -102,143 +132,254 @@ impl<Acc: streamk_matrix::Scalar> TileWriter<'_, Acc> {
     ///
     /// # Panics
     ///
-    /// As [`store_tile`](Self::store_tile).
+    /// Panics — before anything is written — if the same tile is
+    /// stored twice (protocol violation), the ranges exceed the matrix
+    /// extents, `col_range` is wider than `blk_n`, `accum` is shorter
+    /// than the region read from it, or `β ≠ 0` on a buffer that holds
+    /// no values yet.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn store_tile_ex(
         &self,
         tile_idx: usize,
-        row_range: std::ops::Range<usize>,
-        col_range: std::ops::Range<usize>,
+        row_range: Range<usize>,
+        col_range: Range<usize>,
         blk_n: usize,
         accum: &[Acc],
         alpha: Acc,
         beta: Acc,
     ) {
         assert!(row_range.end <= self.rows && col_range.end <= self.cols, "tile range out of bounds");
-        let prev = self.written[tile_idx].swap(1, Ordering::Relaxed);
-        assert_eq!(prev, 0, "tile {tile_idx} stored twice");
+        assert!(col_range.len() <= blk_n, "tile is {} columns wide but blk_n is {blk_n}", col_range.len());
+        // The last element read is (rows − 1, cols − 1) of the tile.
+        let empty = row_range.is_empty() || col_range.is_empty();
+        let needed = if empty { 0 } else { (row_range.len() - 1) * blk_n + col_range.len() };
+        assert!(accum.len() >= needed, "accumulator holds {} elements, the tile reads {needed}", accum.len());
+        assert!(beta == Acc::ZERO || self.filled, "β ≠ 0 reads an output that holds no values yet");
+        let prev = self.written[tile_idx].swap(CLAIMED, Ordering::Relaxed);
+        assert_eq!(prev, UNTOUCHED, "tile {tile_idx} stored twice");
 
-        for (ti, r) in row_range.clone().enumerate() {
-            for (tj, c) in col_range.clone().enumerate() {
-                let offset = self.layout.index(r, c, self.rows, self.cols);
-                let scaled = alpha * accum[ti * blk_n + tj];
-                // SAFETY: see store_tile — unique tile ownership makes
-                // this thread the only accessor of the element.
-                unsafe {
-                    let cell = self.ptr.add(offset);
-                    *cell = if beta == Acc::ZERO { scaled } else { scaled + beta * *cell };
+        if !empty {
+            self.store_runs(row_range, col_range, blk_n, accum, alpha, beta);
+        }
+        self.written[tile_idx].store(STORED, Ordering::Release);
+    }
+
+    /// The tile epilogue: cuts the (non-empty) `row_range × col_range`
+    /// into the contiguous runs this layout stores it as and hands
+    /// each, with the accumulator elements that feed it, to
+    /// [`store_run`](Self::store_run). Rows of the tile are unit-stride
+    /// in `accum`; columns and fragment columns step by `blk_n`.
+    fn store_runs(
+        &self,
+        row_range: Range<usize>,
+        col_range: Range<usize>,
+        blk_n: usize,
+        accum: &[Acc],
+        alpha: Acc,
+        beta: Acc,
+    ) {
+        let (r0, c0) = (row_range.start, col_range.start);
+        let (nrows, ncols) = (row_range.len(), col_range.len());
+        match self.layout {
+            Layout::RowMajor => {
+                for (ti, r) in row_range.enumerate() {
+                    let src = &accum[ti * blk_n..][..ncols];
+                    self.store_run(r, c0, ncols, src.iter().copied(), alpha, beta);
                 }
+            }
+            Layout::ColMajor => {
+                for (tj, c) in col_range.enumerate() {
+                    let src = accum[tj..].iter().step_by(blk_n).copied();
+                    self.store_run(r0, c, nrows, src, alpha, beta);
+                }
+            }
+            Layout::BlockMajor | Layout::BlockMajorZ => {
+                for (tj, c) in col_range.enumerate() {
+                    let mut r = r0;
+                    while r < row_range.end {
+                        // A fragment's interior is column-major: rows
+                        // `r ..` of column `c` are contiguous up to the
+                        // fragment's last row.
+                        let n = (FRAG - r % FRAG).min(row_range.end - r);
+                        let src = accum[(r - r0) * blk_n + tj..].iter().step_by(blk_n).copied();
+                        self.store_run(r, c, n, src, alpha, beta);
+                        r += n;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Stores one run: `n ≥ 1` destination elements starting at
+    /// `(r, c)` that this layout keeps contiguous, `dst = α·src` or
+    /// `dst = α·src + β·dst`.
+    #[inline(always)]
+    fn store_run(&self, r: usize, c: usize, n: usize, src: impl Iterator<Item = Acc>, alpha: Acc, beta: Acc) {
+        let first = self.layout.index(r, c, self.rows, self.cols);
+        let in_bounds = first.checked_add(n - 1).is_some_and(|last| last < self.len);
+        assert!(in_bounds, "run of {n} at ({r},{c}) leaves the output storage");
+        // SAFETY: `ptr` is valid for `len` elements for as long as
+        // `self` lives (a borrow held for `'a`, or the buffer of the
+        // `OwnedTileWriter` around `self`), and `first ..= first + n −
+        // 1` lies inside it by the checked assertion above. The run is
+        // `n` consecutive elements of one row (`RowMajor`), one column
+        // (`ColMajor`) or one fragment column (block-major) of this
+        // tile's `row_range × col_range`, which the layout stores
+        // contiguously, so it covers this tile's elements only; this
+        // thread is their only accessor (it swapped the tile's flag
+        // from `UNTOUCHED`, and tiles are disjoint). `MaybeUninit`
+        // because an owned buffer holds no values until its tiles are
+        // stored.
+        let dst = unsafe { std::slice::from_raw_parts_mut(self.ptr.add(first).cast::<MaybeUninit<Acc>>(), n) };
+        if beta == Acc::ZERO {
+            for (d, s) in dst.iter_mut().zip(src) {
+                d.write(alpha * s);
+            }
+        } else {
+            for (d, s) in dst.iter_mut().zip(src) {
+                // SAFETY: `β ≠ 0` is only admitted on a `filled`
+                // writer — a caller's `&mut [Acc]`, initialised
+                // throughout.
+                let old = unsafe { d.assume_init_read() };
+                d.write(alpha * s + beta * old);
             }
         }
     }
 }
 
-/// A tile writer that *owns* its output buffer — the serve layer's
-/// variant of [`TileWriter`].
+/// A tile writer that *owns* its output buffer: where every `β = 0`
+/// entry (`gemm`, `gemm_batched`, `gemm_grouped`, a service request)
+/// gets its **C** from.
 ///
-/// The borrowing writer works when one launcher thread owns the
-/// output matrix for the whole launch. The serve path has no such
-/// thread: a request's output must outlive the submitting caller's
-/// stack frame and be finished by whichever worker stores the last
-/// tile. `OwnedTileWriter` therefore owns the buffer, accepts
-/// concurrent disjoint-tile stores through `&self` exactly like
-/// [`TileWriter`], and releases the buffer once through
-/// [`take`](Self::take).
+/// For the strided layouts the buffer is reserved, not filled: each
+/// element's first write is the store of the tile it belongs to, by
+/// the worker that computed it, and nothing reads the buffer until
+/// [`take`](Self::take) turns it into a `Matrix`. The block-major
+/// layouts pad their storage to whole fragments, which no tile
+/// writes, so their buffer starts zero-filled.
 ///
 /// # Safety protocol
 ///
-/// Stores rely on the same "every tile has exactly one owner"
-/// decomposition invariant as [`TileWriter`]. `take` is safe because
-/// the caller only invokes it after *all* tiles are stored and a
-/// happens-before edge from every store exists (in the serve layer: a
-/// `fetch_add(AcqRel)` tiles-done counter reaching the total, then a
-/// compare-and-swap on the request state that only one thread can
-/// win). The `taken` flag additionally makes a second `take` panic
-/// instead of racing.
+/// Stores rely on the "every tile has exactly one owner" decomposition
+/// invariant, exactly as on a borrowed [`TileWriter`]. `take` exposes
+/// the buffer only after it has read *stored* from every tile's flag
+/// with an acquire load — each pairs with the release store that ends
+/// that tile's [`TileWriter::store_tile_ex`], so every element write
+/// happens-before the buffer is handed out (the engines synchronise
+/// more strongly anyway: the pool's join, or the service's `AcqRel`
+/// tiles-done counter followed by the state CAS that elects one
+/// finalizer). The tiles of an iteration space partition the matrix,
+/// and a strided layout stores the matrix in exactly `rows · cols`
+/// elements, so "every tile stored" is "every element initialised".
+/// The `taken` flag makes a second `take` panic instead of exposing an
+/// empty vector as full.
 pub(crate) struct OwnedTileWriter<Acc> {
+    /// The storage, kept at length 0 (its contents live in the spare
+    /// capacity) until `take` sets the length.
     buf: UnsafeCell<Vec<Acc>>,
-    /// Cached data pointer of `buf` — stable because the buffer is
-    /// never grown, only written in place and finally swapped out.
-    ptr: *mut Acc,
-    rows: usize,
-    cols: usize,
-    layout: Layout,
-    written: Vec<AtomicU8>,
+    /// The window over `buf`'s capacity — stable because the buffer
+    /// is never grown, only written in place and finally moved out.
+    writer: TileWriter<'static, Acc>,
     taken: AtomicBool,
 }
 
-// SAFETY: all mutation goes through raw-pointer tile stores guarded
-// by the one-writer-per-tile invariant (checked by `written`), and
-// `take` swaps the buffer out exactly once (guarded by `taken`) after
-// the caller has established happens-before with every store. `Acc:
-// Send` is required because buffers move across threads.
+// SAFETY: `buf` is only touched in `take`, by the one thread that
+// wins the `taken` swap, after every store is complete (see the
+// type-level protocol); `writer` is `Send + Sync` by its own
+// argument. `Acc: Send` is required because buffers move across
+// threads.
 unsafe impl<Acc: Send> Send for OwnedTileWriter<Acc> {}
 unsafe impl<Acc: Send> Sync for OwnedTileWriter<Acc> {}
 
-impl<Acc: Copy + Default> OwnedTileWriter<Acc> {
-    /// A zero-filled `rows × cols` output buffer in `layout` order,
-    /// accepting `tiles` tile stores.
+impl<Acc: Scalar> OwnedTileWriter<Acc> {
+    /// A `rows × cols` output buffer in `layout` order, accepting
+    /// `tiles` tile stores that together cover the matrix.
     pub(crate) fn new(rows: usize, cols: usize, layout: Layout, tiles: usize) -> Self {
-        let mut data = vec![Acc::default(); layout.storage_len(rows, cols)];
-        let ptr = data.as_mut_ptr();
-        Self {
-            buf: UnsafeCell::new(data),
-            ptr,
-            rows,
-            cols,
-            layout,
-            written: (0..tiles).map(|_| AtomicU8::new(0)).collect(),
-            taken: AtomicBool::new(false),
-        }
+        let len = layout.storage_len(rows, cols);
+        let mut buf = if layout.is_blocked() {
+            // Fragment padding is never stored; `clear` resets the
+            // length and leaves the zeros where they are.
+            let mut zeroed = vec![Acc::default(); len];
+            zeroed.clear();
+            zeroed
+        } else {
+            Vec::with_capacity(len)
+        };
+        let writer = TileWriter::over(buf.as_mut_ptr(), len, rows, cols, layout, false, tiles);
+        Self { buf: UnsafeCell::new(buf), writer, taken: AtomicBool::new(false) }
+    }
+
+    /// The window the launch's workers store through. It accepts
+    /// `β = 0` stores only: the buffer holds nothing to blend with.
+    pub(crate) fn writer(&self) -> &TileWriter<'_, Acc> {
+        &self.writer
     }
 
     /// Stores a finished tile; semantics of [`TileWriter::store_tile`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the same tile is stored twice, the ranges exceed the
-    /// matrix extents, or the buffer was already taken.
+    /// A store after [`take`](Self::take) finds its tile's flag set
+    /// and panics before it writes.
     pub(crate) fn store_tile(
         &self,
         tile_idx: usize,
-        row_range: std::ops::Range<usize>,
-        col_range: std::ops::Range<usize>,
+        row_range: Range<usize>,
+        col_range: Range<usize>,
         blk_n: usize,
         accum: &[Acc],
     ) {
-        assert!(row_range.end <= self.rows && col_range.end <= self.cols, "tile range out of bounds");
-        assert!(!self.taken.load(Ordering::Relaxed), "store after take");
-        let prev = self.written[tile_idx].swap(1, Ordering::Relaxed);
-        assert_eq!(prev, 0, "tile {tile_idx} stored twice");
-
-        for (ti, r) in row_range.clone().enumerate() {
-            for (tj, c) in col_range.clone().enumerate() {
-                let offset = self.layout.index(r, c, self.rows, self.cols);
-                // SAFETY: offset < the layout's storage length by the bounds assertions;
-                // no other thread writes this element (unique tile
-                // ownership, asserted above) and no reader exists
-                // until `take`, which happens-after every store.
-                unsafe {
-                    *self.ptr.add(offset) = accum[ti * blk_n + tj];
-                }
-            }
-        }
+        self.writer.store_tile(tile_idx, row_range, col_range, blk_n, accum);
     }
 
-    /// Releases the finished buffer. Callable exactly once, and only
-    /// after the caller has synchronized with every store (see the
-    /// type-level safety protocol).
+    /// Releases the finished output. Callable exactly once, and only
+    /// once every tile is stored.
     ///
     /// # Panics
     ///
-    /// Panics on a second take.
-    pub(crate) fn take(&self) -> Vec<Acc> {
+    /// Panics on a second take, or if any tile has not been stored
+    /// (the buffer is then dropped unread with the writer).
+    pub(crate) fn take(&self) -> Matrix<Acc> {
         let prev = self.taken.swap(true, Ordering::AcqRel);
         assert!(!prev, "output buffer taken twice");
-        // SAFETY: the swap above admits exactly one thread; the caller
-        // guarantees all tile stores happen-before this point, so no
-        // concurrent access to the cell exists.
-        unsafe { std::mem::take(&mut *self.buf.get()) }
+        for (tile_idx, flag) in self.writer.written.iter().enumerate() {
+            assert_eq!(flag.load(Ordering::Acquire), STORED, "tile {tile_idx} not stored: output withheld");
+        }
+        let w = &self.writer;
+        // SAFETY: the swap above admits exactly one thread, and no
+        // store is running or can start (every tile's flag is
+        // `STORED`), so nothing else touches the cell. `set_len`:
+        // `len` is the capacity requested in `new`, and every element
+        // below it is initialised — by the zero fill (block-major), or
+        // by the tile stores, which the acquire loads above
+        // synchronised with and which cover a strided layout's
+        // storage exactly (see the type-level protocol).
+        let data = unsafe {
+            let mut data = std::mem::take(&mut *self.buf.get());
+            data.set_len(w.len);
+            data
+        };
+        Matrix::from_vec(w.rows, w.cols, w.layout, data)
+    }
+}
+
+/// Runs the tile epilogue over every output tile of `space`, each fed
+/// from the same row-major `blk_m × blk_n` accumulator tile `accum`:
+/// `C_tile = α·accum + β·C_tile`, clamped at the ragged edges. This is
+/// the store every executor performs once per finished tile, callable
+/// on its own so that tests can compare it with the per-element index
+/// math and benches can time it without a MAC loop in front.
+///
+/// # Panics
+///
+/// Panics if `c` is not `space`'s `m × n` or `accum` is shorter than
+/// `blk_m · blk_n`.
+pub fn store_every_tile<Acc: Scalar>(c: &mut Matrix<Acc>, space: &IterSpace, accum: &[Acc], alpha: Acc, beta: Acc) {
+    let (shape, tile) = (space.shape(), space.tile());
+    let (rows, cols, layout) = (c.rows(), c.cols(), c.layout());
+    assert_eq!((rows, cols), (shape.m, shape.n), "C must be m x n");
+    assert!(accum.len() >= tile.blk_m * tile.blk_n, "accumulator shorter than a tile");
+    let writer = TileWriter::new(c.as_mut_slice(), rows, cols, layout, space.tiles());
+    for tile_idx in 0..space.tiles() {
+        let (row_range, col_range) = space.tile_extents(tile_idx);
+        writer.store_tile_ex(tile_idx, row_range, col_range, tile.blk_n, accum, alpha, beta);
     }
 }
 
@@ -267,6 +408,27 @@ mod tests {
         assert!(buf[..8].iter().all(|&v| v == 9.0));
     }
 
+    /// Every layout's runs against the per-element index math, over a
+    /// tile that starts and ends off the fragment grid.
+    #[test]
+    fn runs_match_the_element_index_in_every_layout() {
+        let (rows, cols, blk_n) = (13, 11, 9);
+        let (row_range, col_range) = (3..13, 2..9);
+        let accum: Vec<f64> = (0..10 * blk_n).map(|i| i as f64 + 0.5).collect();
+        for layout in [Layout::RowMajor, Layout::ColMajor, Layout::BlockMajor, Layout::BlockMajorZ] {
+            let mut got = Matrix::from_vec(rows, cols, layout, vec![-1.0f64; layout.storage_len(rows, cols)]);
+            let mut want = got.clone();
+            TileWriter::new(got.as_mut_slice(), rows, cols, layout, 1)
+                .store_tile_ex(0, row_range.clone(), col_range.clone(), blk_n, &accum, -0.5, 2.0);
+            for (ti, r) in row_range.clone().enumerate() {
+                for (tj, c) in col_range.clone().enumerate() {
+                    want.set(r, c, -0.5 * accum[ti * blk_n + tj] + 2.0 * want.get(r, c));
+                }
+            }
+            assert_eq!(got, want, "{layout}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "stored twice")]
     fn double_store_panics() {
@@ -277,29 +439,85 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "columns wide but blk_n is 2")]
+    fn tile_wider_than_its_accumulator_row_is_refused() {
+        let mut buf = vec![0.0f64; 9];
+        let w = TileWriter::new(&mut buf, 3, 3, Layout::RowMajor, 1);
+        // Column 2 of row 0 would silently read row 1's first element.
+        w.store_tile(0, 0..2, 0..3, 2, &[1.0; 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "accumulator holds 5 elements, the tile reads 6")]
+    fn short_accumulator_is_refused() {
+        let mut buf = vec![0.0f64; 9];
+        let w = TileWriter::new(&mut buf, 3, 3, Layout::RowMajor, 1);
+        w.store_tile(0, 0..2, 0..2, 4, &[1.0; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no values yet")]
+    fn blending_into_an_unfilled_buffer_is_refused() {
+        let w = OwnedTileWriter::<f64>::new(2, 2, Layout::RowMajor, 1);
+        w.writer().store_tile_ex(0, 0..2, 0..2, 2, &[1.0; 4], 1.0, 1.0);
+    }
+
+    /// The one place uninitialised capacity becomes a `Vec`: an
+    /// unfilled buffer written tile by tile through raw pointers, then
+    /// read back whole.
+    #[test]
+    fn fresh_buffer_is_born_from_its_tiles() {
+        for layout in [Layout::RowMajor, Layout::ColMajor, Layout::BlockMajor, Layout::BlockMajorZ] {
+            // 5 × 7 in 2 × 4 tiles: a 3 × 2 grid, ragged on both edges.
+            let (rows, cols, blk_m, blk_n) = (5usize, 7usize, 2usize, 4usize);
+            let tiles_n = cols.div_ceil(blk_n);
+            let w = OwnedTileWriter::<f64>::new(rows, cols, layout, rows.div_ceil(blk_m) * tiles_n);
+            for t in 0..rows.div_ceil(blk_m) * tiles_n {
+                let (r0, c0) = (t / tiles_n * blk_m, t % tiles_n * blk_n);
+                let (r1, c1) = ((r0 + blk_m).min(rows), (c0 + blk_n).min(cols));
+                let accum: Vec<f64> =
+                    (0..blk_m * blk_n).map(|i| ((r0 + i / blk_n) * 100 + c0 + i % blk_n) as f64).collect();
+                w.store_tile(t, r0..r1, c0..c1, blk_n, &accum);
+            }
+            let c = w.take();
+            assert_eq!(c, Matrix::from_fn(rows, cols, layout, |r, c| (r * 100 + c) as f64), "{layout}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tile 2 not stored")]
+    fn take_is_refused_while_a_tile_is_missing() {
+        let w = OwnedTileWriter::<f64>::new(4, 4, Layout::RowMajor, 4);
+        for t in [0, 1, 3] {
+            let (r0, c0) = (t / 2 * 2, t % 2 * 2);
+            w.store_tile(t, r0..r0 + 2, c0..c0 + 2, 2, &[t as f64; 4]);
+        }
+        let _ = w.take();
+    }
+
+    #[test]
     fn owned_writer_round_trips_concurrent_stores() {
         let w = OwnedTileWriter::<f64>::new(4, 4, Layout::RowMajor, 4);
         std::thread::scope(|scope| {
-            for t in 0..4 {
+            for half in 0..2 {
                 let w = &w;
                 scope.spawn(move || {
-                    let (r0, c0) = (t / 2 * 2, t % 2 * 2);
-                    w.store_tile(t, r0..r0 + 2, c0..c0 + 2, 2, &[t as f64; 4]);
+                    for t in [half, half + 2] {
+                        let (r0, c0) = (t / 2 * 2, t % 2 * 2);
+                        w.store_tile(t, r0..r0 + 2, c0..c0 + 2, 2, &[t as f64; 4]);
+                    }
                 });
             }
         });
-        let buf = w.take();
-        assert_eq!(buf.len(), 16);
-        assert_eq!(buf[0], 0.0);
-        assert_eq!(buf[2], 1.0);
-        assert_eq!(buf[8], 2.0);
-        assert_eq!(buf[10], 3.0);
+        let c = w.take();
+        assert_eq!(c, Matrix::from_fn(4, 4, Layout::RowMajor, |r, c| (r / 2 * 2 + c / 2) as f64));
     }
 
     #[test]
     #[should_panic(expected = "taken twice")]
     fn owned_writer_double_take_panics() {
         let w = OwnedTileWriter::<f64>::new(2, 2, Layout::RowMajor, 1);
+        w.store_tile(0, 0..2, 0..2, 2, &[1.0; 4]);
         let _ = w.take();
         let _ = w.take();
     }

@@ -81,7 +81,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use streamk_core::{peer_contribution, CtaWork, Decomposition, ExecutorError, PeerTable};
 use streamk_matrix::{Matrix, Promote, Scalar};
-use streamk_types::Layout;
 
 /// Request priority class. Admission is weighted round-robin over
 /// classes — High:Normal:Bulk = 4:2:1 — so latency-sensitive requests
@@ -479,9 +478,6 @@ struct RequestCell<In, Acc> {
     tiles_done: AtomicUsize,
     total_tiles: usize,
     tile_len: usize,
-    out_rows: usize,
-    out_cols: usize,
-    layout: Layout,
     kernel: KernelKind,
     state: AtomicU8,
     submitted_at: Instant,
@@ -1450,8 +1446,7 @@ fn store_owned_tile<In, Acc>(
     cell.writer.store_tile(tile_idx, rows, cols, blk_n, accum);
     let done = cell.tiles_done.fetch_add(1, Ordering::AcqRel) + 1;
     if done == cell.total_tiles && cell.transition(RUNNING, DONE) {
-        let data = cell.writer.take();
-        let c = Matrix::from_vec(cell.out_rows, cell.out_cols, cell.layout, data);
+        let c = cell.writer.take();
         // `finish` also wakes parked workers, so admission sees the
         // freed window slot promptly.
         shared.finish(cell, DONE, Ok(c));
@@ -1770,7 +1765,6 @@ where
 
         let tile = space.tile();
         let peers = PeerTable::new(grid, &fixups);
-        let (out_rows, out_cols, layout) = (shape.m, shape.n, a.layout());
         Ok(RequestCell {
             id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
             priority,
@@ -1779,14 +1773,11 @@ where
             spans: self.shared.trace.then(|| Mutex::new(SpanRing::new(self.shared.trace_capacity))),
             peers,
             board: FixupBoard::new(grid),
-            writer: OwnedTileWriter::new(out_rows, out_cols, layout, space.tiles()),
+            writer: OwnedTileWriter::new(shape.m, shape.n, a.layout(), space.tiles()),
             cursor: GridCursor::new(grid),
             tiles_done: AtomicUsize::new(0),
             total_tiles: space.tiles(),
             tile_len: tile.blk_m * tile.blk_n,
-            out_rows,
-            out_cols,
-            layout,
             kernel: kernel.unwrap_or(self.shared.kernel),
             state: AtomicU8::new(QUEUED),
             submitted_at: now,
@@ -1888,7 +1879,7 @@ impl<In, Acc> Drop for GemmService<In, Acc> {
 mod tests {
     use super::*;
     use streamk_matrix::reference::gemm_naive;
-    use streamk_types::{GemmShape, TileShape};
+    use streamk_types::{GemmShape, Layout, TileShape};
 
     fn operands(shape: GemmShape, seed: u64) -> (Matrix<f64>, Matrix<f64>) {
         (
