@@ -88,8 +88,9 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
     /// `rows × cols` backing storage in `layout` order; `tiles` is the
     /// output-tile count (for the one-writer check).
     pub(crate) fn new(data: &'a mut [Acc], rows: usize, cols: usize, layout: Layout, tiles: usize) -> Self {
-        assert_eq!(data.len(), layout.storage_len(rows, cols), "backing storage size mismatch");
-        Self::over(data.as_mut_ptr(), data.len(), rows, cols, layout, true, tiles)
+        let len = data.len();
+        assert_eq!(len, layout.storage_len(rows, cols), "backing storage size mismatch");
+        Self::over(data.as_mut_ptr(), len, rows, cols, layout, true, tiles)
     }
 
     fn over(
