@@ -24,7 +24,7 @@ use proptest::strategy::Strategy as _;
 use std::time::Duration;
 use streamk_core::{
     BatchedDecomposition, BatchedSpace, Decomposition, GroupedDecomposition, GroupedSpace, IterSpace,
-    Strategy,
+    Strategy, TileFixup,
 };
 use streamk_cpu::output::store_every_tile;
 use streamk_cpu::{CpuExecutor, FaultKind, FaultPlan, GemmService, LaunchRequest, ServeConfig};
@@ -69,8 +69,8 @@ fn strategies() -> impl proptest::strategy::Strategy<Value = Strategy> {
 }
 
 /// The widest owner+peers group — the executor's residency floor.
-fn residency_floor(decomp: &Decomposition) -> usize {
-    decomp.fixups().iter().map(|f| f.covering_ctas()).max().unwrap_or(1)
+fn residency_floor(fixups: &[TileFixup]) -> usize {
+    fixups.iter().map(|f| f.covering_ctas()).max().unwrap_or(1)
 }
 
 fn bits<T: Scalar>(storage: &[T]) -> Vec<u64> {
@@ -158,10 +158,7 @@ proptest! {
         let decomp = Decomposition::from_strategy(shape, tile, strategy);
         let (a, b) = operands(shape, layout, 21);
         let mut baseline: Option<Matrix<f64>> = None;
-        for threads in 1..=8 {
-            if threads < residency_floor(&decomp) {
-                continue;
-            }
+        for threads in residency_floor(&decomp.fixups())..=8 {
             let exec = CpuExecutor::with_threads(threads);
             let mut borrowed = Matrix::<f64>::zeros(shape.m, shape.n, layout);
             exec.gemm_ex(1.0, &a.view(), &b.view(), 0.0, &mut borrowed, &decomp);
@@ -214,9 +211,8 @@ proptest! {
         ];
 
         for decomp in &batched {
-            let floor = decomp.fixups().iter().map(|f| f.covering_ctas()).max().unwrap_or(1);
             let mut baseline: Option<Vec<Matrix<f64>>> = None;
-            for threads in floor.max(1)..=8 {
+            for threads in residency_floor(&decomp.fixups())..=8 {
                 let c = CpuExecutor::with_threads(threads).gemm_batched::<f64, f64>(&a, &b, decomp);
                 match &baseline {
                     None => {
@@ -231,9 +227,8 @@ proptest! {
             }
         }
         for decomp in &grouped {
-            let floor = decomp.fixups().iter().map(|f| f.covering_ctas()).max().unwrap_or(1);
             let mut baseline: Option<Vec<Matrix<f64>>> = None;
-            for threads in floor.max(1)..=8 {
+            for threads in residency_floor(&decomp.fixups())..=8 {
                 let c = CpuExecutor::with_threads(threads).gemm_grouped::<f64, f64>(&ga, &gb, decomp);
                 match &baseline {
                     None => {

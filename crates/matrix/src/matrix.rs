@@ -182,9 +182,9 @@ const DRAW_BLOCK: usize = 256;
 /// compiled once, in this crate, whoever calls `random`. Inlined into
 /// a caller's fill loop, its four state words are at the mercy of that
 /// caller's optimisation context — seen SLP-vectorised into XMM ↔ GPR
-/// round trips, 4.7 ns a draw against 2.2 (EXPERIMENTS.md, PR 16).
-/// Split in two, the first loop is integer-only and the second
-/// vectorises.
+/// round trips every draw, a fifth on top of a benchmark set-up that
+/// is mostly `random` (EXPERIMENTS.md, "Tile epilogue"). Split in
+/// two, the first loop is integer-only and the second vectorises.
 #[inline(never)]
 fn draw_uniform(rng: &mut StdRng, out: &mut [f64]) {
     // The high 53 bits of each draw, parked in the slot they become a
