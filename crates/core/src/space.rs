@@ -249,6 +249,29 @@ mod tests {
         assert_eq!((rows, cols), (256..300, 128..200));
     }
 
+    /// The executors' unfilled outputs rest on this: the tiles'
+    /// extents cover every element of the output exactly once, in
+    /// every traversal order, ragged edges included.
+    #[test]
+    fn tile_extents_partition_the_output() {
+        for (m, n, tile) in [(300, 200, TileShape::new(128, 128, 16)), (13, 11, TileShape::new(5, 3, 1)), (7, 64, TileShape::new(8, 16, 4))] {
+            for order in [TileOrder::RowMajor, TileOrder::ColumnGrouped(2), TileOrder::Morton] {
+                let s = IterSpace::with_order(GemmShape::new(m, n, 32), tile, order);
+                let mut covered = vec![0u8; m * n];
+                for t in 0..s.tiles() {
+                    let (rows, cols) = s.tile_extents(t);
+                    assert!(!rows.is_empty() && !cols.is_empty(), "{order:?}: tile {t} is empty");
+                    for r in rows {
+                        for c in cols.clone() {
+                            covered[r * n + c] += 1;
+                        }
+                    }
+                }
+                assert!(covered.iter().all(|&hits| hits == 1), "{order:?} {m}x{n} {tile:?}");
+            }
+        }
+    }
+
     #[test]
     fn k_extents_clamped() {
         let s = IterSpace::new(GemmShape::new(300, 200, 50), TileShape::new(128, 128, 16));

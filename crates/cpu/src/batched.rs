@@ -62,10 +62,8 @@ impl CpuExecutor {
         // One output per instance, born from its tiles: reserved
         // unfilled, each element first written by the worker that
         // computed its tile.
-        let tiles_per_instance = space.tiles_per_instance();
-        let outputs: Vec<OwnedTileWriter<Acc>> = (0..space.batch())
-            .map(|i| OwnedTileWriter::new(shape.m, shape.n, a[i].layout(), tiles_per_instance))
-            .collect();
+        let outputs: Vec<OwnedTileWriter<Acc>> =
+            a.iter().map(|ai| OwnedTileWriter::new(ai.layout(), instance)).collect();
 
         let board = FixupBoard::<Acc>::new(decomp.grid_size());
         let cursor = GridCursor::new(decomp.grid_size());
@@ -158,8 +156,7 @@ impl CpuExecutor {
                                 ws.recycle_partial(partial);
                             }
                         }
-                        let (rows, cols) = instance.tile_extents(local_tile);
-                        outputs[instance_idx].store_tile(local_tile, rows, cols, tile.blk_n, &ws.accum);
+                        outputs[instance_idx].writer().store_tile(local_tile, tile.blk_n, &ws.accum);
                     }
                     iter = seg_end;
                 }

@@ -641,8 +641,8 @@ impl CpuExecutor {
     {
         let space = decomp.space();
         check_shape("C", (space.shape().m, space.shape().n), (c.rows(), c.cols()))?;
-        let (rows, cols, layout) = (c.rows(), c.cols(), c.layout());
-        let writer = TileWriter::new(c.as_mut_slice(), rows, cols, layout, space.tiles());
+        let layout = c.layout();
+        let writer = TileWriter::new(c.as_mut_slice(), layout, space);
         self.run_grid(alpha, a, b, beta, &writer, decomp, &FaultPlan::none(), false).map(|_| ())
     }
 
@@ -690,8 +690,7 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        let space = decomp.space();
-        let out = OwnedTileWriter::new(space.shape().m, space.shape().n, a.layout(), space.tiles());
+        let out = OwnedTileWriter::new(a.layout(), decomp.space());
         let report =
             self.run_grid(Acc::ONE, &a.view(), &b.view(), Acc::ZERO, out.writer(), decomp, plan, recover)?;
         Ok((out.take(), report))
@@ -968,8 +967,7 @@ where
         )?;
         if done {
             let d = deferred.swap_remove(i);
-            let (row_range, col_range) = space.tile_extents(d.tile_idx);
-            writer.store_tile_ex(d.tile_idx, row_range, col_range, blk_n, &d.accum, alpha, beta);
+            writer.store_tile_ex(d.tile_idx, blk_n, &d.accum, alpha, beta);
             // The resumption span is recorded only when the parked
             // consolidation actually completes; fruitless polls (the
             // peer still pending) would flood the ring.
@@ -1225,8 +1223,7 @@ where
             ws.accum = accum;
         }
 
-        let (row_range, col_range) = space.tile_extents(seg.tile_idx);
-        writer.store_tile_ex(seg.tile_idx, row_range, col_range, tile.blk_n, &ws.accum, alpha, beta);
+        writer.store_tile_ex(seg.tile_idx, tile.blk_n, &ws.accum, alpha, beta);
     }
     trace::finish(SpanKind::Cta, cta_t0, id as u32, 0);
     Ok(())

@@ -61,7 +61,7 @@ impl CpuExecutor {
             .instances()
             .iter()
             .enumerate()
-            .map(|(i, inst)| OwnedTileWriter::new(inst.shape().m, inst.shape().n, a[i].layout(), inst.tiles()))
+            .map(|(i, inst)| OwnedTileWriter::new(a[i].layout(), inst))
             .collect();
 
         let board = FixupBoard::<Acc>::new(decomp.grid_size());
@@ -122,8 +122,7 @@ impl CpuExecutor {
                             ws.recycle_partial(partial);
                         }
                     }
-                    let (rows, cols) = inst.tile_extents(seg.local_tile);
-                    outputs[seg.instance].store_tile(seg.local_tile, rows, cols, tile.blk_n, &ws.accum);
+                    outputs[seg.instance].writer().store_tile(seg.local_tile, tile.blk_n, &ws.accum);
                 }
             }
         });

@@ -48,8 +48,11 @@ pub mod microkernel;
 // The raw-pointer window into an output matrix that workers store
 // disjoint tiles through, and the unfilled buffer a β = 0 output is
 // born in; the safety argument (one writer per tile, no read before
-// every tile is stored) sits with the `unsafe` blocks.
+// every tile is stored) sits with the `unsafe` blocks. Public only
+// for `store_every_tile`, which the epilogue's oracle test and bench
+// drive; neither is API.
 #[allow(unsafe_code)]
+#[doc(hidden)]
 pub mod output;
 pub mod packcache;
 pub mod pad;

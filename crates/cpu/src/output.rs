@@ -31,10 +31,12 @@
 //! tiles partition the storage, every element is written exactly once
 //! by the worker that computed it, and the buffer only becomes a
 //! `Matrix` in [`OwnedTileWriter::take`], which refuses unless every
-//! tile's flag says *stored*. A launch that fails, is cancelled or
-//! times out drops the buffer without ever reading it. Block-major
-//! storage has fragment padding no tile writes, so it keeps its zero
-//! fill.
+//! tile's flag says *stored*. A writer keeps the launch's [`IterSpace`]
+//! and takes a tile's extents from it, never from the caller, so a set
+//! flag means the whole tile was written. A launch that fails, is
+//! cancelled or times out drops the buffer without ever reading it.
+//! Block-major storage has fragment padding no tile writes, so it
+//! keeps its zero fill.
 
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
@@ -57,16 +59,17 @@ const STORED: u8 = 2;
 /// across worker threads.
 pub(crate) struct TileWriter<'a, Acc> {
     ptr: *mut Acc,
-    /// Elements `ptr` is valid for: `layout.storage_len(rows, cols)`.
+    /// Elements `ptr` is valid for: `layout.storage_len(m, n)`.
     len: usize,
-    rows: usize,
-    cols: usize,
+    /// The launch's tiling of the `m × n` output: where each tile's
+    /// extents come from.
+    space: IterSpace,
     layout: Layout,
     /// Whether the storage already holds values (a caller's **C**).
     /// `β ≠ 0` reads the destination and is refused when it does not.
     filled: bool,
-    /// One flag per tile: the one-writer check, and for an owned
-    /// buffer the proof that every tile was stored.
+    /// One flag per tile of `space`: the one-writer check, and for an
+    /// owned buffer the proof that every tile was stored.
     written: Vec<AtomicU8>,
     /// The exclusive borrow of the storage behind `ptr`.
     _marker: PhantomData<&'a mut ()>,
@@ -78,50 +81,34 @@ pub(crate) struct TileWriter<'a, Acc> {
 // `written`). The borrow of the underlying slice is held for `'a` (an
 // owned buffer lives in the `OwnedTileWriter` around this writer),
 // preventing any other access to the buffer while the writer exists.
-// `Acc: Send` because values cross threads; `rows`/`cols`/`layout`/
-// `filled` are plain data and `written` is atomics.
+// `Acc: Send` because values cross threads; `space`/`layout`/`filled`
+// are immutable data and `written` is atomics.
 unsafe impl<Acc: Send> Send for TileWriter<'_, Acc> {}
 unsafe impl<Acc: Send> Sync for TileWriter<'_, Acc> {}
 
 impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
-    /// Wraps a caller's output buffer. `data` must be the
-    /// `rows × cols` backing storage in `layout` order; `tiles` is the
-    /// output-tile count (for the one-writer check).
-    pub(crate) fn new(data: &'a mut [Acc], rows: usize, cols: usize, layout: Layout, tiles: usize) -> Self {
-        let len = data.len();
-        assert_eq!(len, layout.storage_len(rows, cols), "backing storage size mismatch");
-        Self::over(data.as_mut_ptr(), len, rows, cols, layout, true, tiles)
+    /// Wraps a caller's output buffer: `data` must be the backing
+    /// storage, in `layout` order, of the `m × n` matrix `space` tiles.
+    pub(crate) fn new(data: &'a mut [Acc], layout: Layout, space: &IterSpace) -> Self {
+        let shape = space.shape();
+        assert_eq!(data.len(), layout.storage_len(shape.m, shape.n), "backing storage size mismatch");
+        Self::over(data.as_mut_ptr(), data.len(), layout, space, true)
     }
 
-    fn over(
-        ptr: *mut Acc,
-        len: usize,
-        rows: usize,
-        cols: usize,
-        layout: Layout,
-        filled: bool,
-        tiles: usize,
-    ) -> Self {
-        let written = (0..tiles).map(|_| AtomicU8::new(UNTOUCHED)).collect();
-        Self { ptr, len, rows, cols, layout, filled, written, _marker: PhantomData }
+    fn over(ptr: *mut Acc, len: usize, layout: Layout, space: &IterSpace, filled: bool) -> Self {
+        let written = (0..space.tiles()).map(|_| AtomicU8::new(UNTOUCHED)).collect();
+        Self { ptr, len, space: space.clone(), layout, filled, written, _marker: PhantomData }
     }
 
     /// Stores a finished tile unscaled: `C_tile = accum`. `accum` is a
-    /// row-major `blk_m × blk_n` scratch tile; only the clamped
-    /// `row_range × col_range` region is written.
+    /// row-major scratch tile of row stride `blk_n`; the region written
+    /// is `space.tile_extents(tile_idx)`, clamped at the matrix edges.
     ///
     /// # Panics
     ///
     /// As [`store_tile_ex`](Self::store_tile_ex).
-    pub(crate) fn store_tile(
-        &self,
-        tile_idx: usize,
-        row_range: Range<usize>,
-        col_range: Range<usize>,
-        blk_n: usize,
-        accum: &[Acc],
-    ) {
-        self.store_tile_ex(tile_idx, row_range, col_range, blk_n, accum, Acc::ONE, Acc::ZERO);
+    pub(crate) fn store_tile(&self, tile_idx: usize, blk_n: usize, accum: &[Acc]) {
+        self.store_tile_ex(tile_idx, blk_n, accum, Acc::ONE, Acc::ZERO);
     }
 
     /// Epilogue store: `C_tile = α·accum + β·C_tile`. Reading the old
@@ -133,35 +120,23 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
     ///
     /// # Panics
     ///
-    /// Panics — before anything is written — if the same tile is
-    /// stored twice (protocol violation), the ranges exceed the matrix
-    /// extents, `col_range` is wider than `blk_n`, `accum` is shorter
-    /// than the region read from it, or `β ≠ 0` on a buffer that holds
-    /// no values yet.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn store_tile_ex(
-        &self,
-        tile_idx: usize,
-        row_range: Range<usize>,
-        col_range: Range<usize>,
-        blk_n: usize,
-        accum: &[Acc],
-        alpha: Acc,
-        beta: Acc,
-    ) {
-        assert!(row_range.end <= self.rows && col_range.end <= self.cols, "tile range out of bounds");
+    /// Panics — before anything is written — if `tile_idx` is not a
+    /// tile of the space or is stored twice (protocol violation), the
+    /// tile is wider than `blk_n`, `accum` is shorter than the region
+    /// read from it, or `β ≠ 0` on a buffer that holds no values yet.
+    pub(crate) fn store_tile_ex(&self, tile_idx: usize, blk_n: usize, accum: &[Acc], alpha: Acc, beta: Acc) {
+        // Never empty: a space has no tile outside its matrix.
+        let (row_range, col_range) = self.space.tile_extents(tile_idx);
         assert!(col_range.len() <= blk_n, "tile is {} columns wide but blk_n is {blk_n}", col_range.len());
-        // The last element read is (rows − 1, cols − 1) of the tile.
-        let empty = row_range.is_empty() || col_range.is_empty();
-        let needed = if empty { 0 } else { (row_range.len() - 1) * blk_n + col_range.len() };
+        // The last element read is (rows − 1, cols − 1) of the tile;
+        // with it in reach no run's source ends before its destination.
+        let needed = (row_range.len() - 1) * blk_n + col_range.len();
         assert!(accum.len() >= needed, "accumulator holds {} elements, the tile reads {needed}", accum.len());
         assert!(beta == Acc::ZERO || self.filled, "β ≠ 0 reads an output that holds no values yet");
         let prev = self.written[tile_idx].swap(CLAIMED, Ordering::Relaxed);
         assert_eq!(prev, UNTOUCHED, "tile {tile_idx} stored twice");
 
-        if !empty {
-            self.store_runs(row_range, col_range, blk_n, accum, alpha, beta);
-        }
+        self.store_runs(row_range, col_range, blk_n, accum, alpha, beta);
         self.written[tile_idx].store(STORED, Ordering::Release);
     }
 
@@ -216,7 +191,8 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
     /// `dst = α·src + β·dst`.
     #[inline(always)]
     fn store_run(&self, r: usize, c: usize, n: usize, src: impl Iterator<Item = Acc>, alpha: Acc, beta: Acc) {
-        let first = self.layout.index(r, c, self.rows, self.cols);
+        let shape = self.space.shape();
+        let first = self.layout.index(r, c, shape.m, shape.n);
         let in_bounds = first.checked_add(n - 1).is_some_and(|last| last < self.len);
         assert!(in_bounds, "run of {n} at ({r},{c}) leaves the output storage");
         // SAFETY: `ptr` is valid for `len` elements for as long as
@@ -269,9 +245,12 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
 /// happens-before the buffer is handed out (the engines synchronise
 /// more strongly anyway: the pool's join, or the service's `AcqRel`
 /// tiles-done counter followed by the state CAS that elects one
-/// finalizer). The tiles of an iteration space partition the matrix,
-/// and a strided layout stores the matrix in exactly `rows · cols`
-/// elements, so "every tile stored" is "every element initialised".
+/// finalizer). A store writes the whole of
+/// `IterSpace::tile_extents(tile_idx)` — the writer computes it, the
+/// caller cannot narrow it — those extents partition the matrix
+/// (`streamk-core`'s `tile_extents_partition_the_output` test), and a
+/// strided layout stores the matrix in exactly `m · n` elements, so
+/// "every tile stored" is "every element initialised".
 /// The `taken` flag makes a second `take` panic instead of exposing an
 /// empty vector as full.
 pub(crate) struct OwnedTileWriter<Acc> {
@@ -293,10 +272,10 @@ unsafe impl<Acc: Send> Send for OwnedTileWriter<Acc> {}
 unsafe impl<Acc: Send> Sync for OwnedTileWriter<Acc> {}
 
 impl<Acc: Scalar> OwnedTileWriter<Acc> {
-    /// A `rows × cols` output buffer in `layout` order, accepting
-    /// `tiles` tile stores that together cover the matrix.
-    pub(crate) fn new(rows: usize, cols: usize, layout: Layout, tiles: usize) -> Self {
-        let len = layout.storage_len(rows, cols);
+    /// An output buffer in `layout` order for the `m × n` matrix
+    /// `space` tiles.
+    pub(crate) fn new(layout: Layout, space: &IterSpace) -> Self {
+        let len = layout.storage_len(space.shape().m, space.shape().n);
         let mut buf = if layout.is_blocked() {
             // Fragment padding is never stored; `clear` resets the
             // length and leaves the zeros where they are.
@@ -306,28 +285,16 @@ impl<Acc: Scalar> OwnedTileWriter<Acc> {
         } else {
             Vec::with_capacity(len)
         };
-        let writer = TileWriter::over(buf.as_mut_ptr(), len, rows, cols, layout, false, tiles);
+        let writer = TileWriter::over(buf.as_mut_ptr(), len, layout, space, false);
         Self { buf: UnsafeCell::new(buf), writer, taken: AtomicBool::new(false) }
     }
 
     /// The window the launch's workers store through. It accepts
-    /// `β = 0` stores only: the buffer holds nothing to blend with.
+    /// `β = 0` stores only: the buffer holds nothing to blend with. A
+    /// store after [`take`](Self::take) finds its tile's flag set and
+    /// panics before it writes.
     pub(crate) fn writer(&self) -> &TileWriter<'_, Acc> {
         &self.writer
-    }
-
-    /// Stores a finished tile; semantics of [`TileWriter::store_tile`].
-    /// A store after [`take`](Self::take) finds its tile's flag set
-    /// and panics before it writes.
-    pub(crate) fn store_tile(
-        &self,
-        tile_idx: usize,
-        row_range: Range<usize>,
-        col_range: Range<usize>,
-        blk_n: usize,
-        accum: &[Acc],
-    ) {
-        self.writer.store_tile(tile_idx, row_range, col_range, blk_n, accum);
     }
 
     /// Releases the finished output. Callable exactly once, and only
@@ -357,7 +324,7 @@ impl<Acc: Scalar> OwnedTileWriter<Acc> {
             data.set_len(w.len);
             data
         };
-        Matrix::from_vec(w.rows, w.cols, w.layout, data)
+        Matrix::from_vec(w.space.shape().m, w.space.shape().n, w.layout, data)
     }
 }
 
@@ -367,65 +334,83 @@ impl<Acc: Scalar> OwnedTileWriter<Acc> {
 /// the store every executor performs once per finished tile, callable
 /// on its own so that tests can compare it with the per-element index
 /// math and benches can time it without a MAC loop in front.
+/// Scaffolding for `tests/output.rs` and the criterion `epilogue`
+/// group, not part of the crate's API.
 ///
 /// # Panics
 ///
 /// Panics if `c` is not `space`'s `m × n` or `accum` is shorter than
 /// `blk_m · blk_n`.
+#[doc(hidden)]
 pub fn store_every_tile<Acc: Scalar>(c: &mut Matrix<Acc>, space: &IterSpace, accum: &[Acc], alpha: Acc, beta: Acc) {
     let (shape, tile) = (space.shape(), space.tile());
-    let (rows, cols, layout) = (c.rows(), c.cols(), c.layout());
-    assert_eq!((rows, cols), (shape.m, shape.n), "C must be m x n");
+    assert_eq!((c.rows(), c.cols()), (shape.m, shape.n), "C must be m x n");
     assert!(accum.len() >= tile.blk_m * tile.blk_n, "accumulator shorter than a tile");
-    let writer = TileWriter::new(c.as_mut_slice(), rows, cols, layout, space.tiles());
+    let layout = c.layout();
+    let writer = TileWriter::new(c.as_mut_slice(), layout, space);
     for tile_idx in 0..space.tiles() {
-        let (row_range, col_range) = space.tile_extents(tile_idx);
-        writer.store_tile_ex(tile_idx, row_range, col_range, tile.blk_n, accum, alpha, beta);
+        writer.store_tile_ex(tile_idx, tile.blk_n, accum, alpha, beta);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamk_types::{GemmShape, TileShape};
+
+    const ALL_LAYOUTS: [Layout; 4] = [Layout::RowMajor, Layout::ColMajor, Layout::BlockMajor, Layout::BlockMajorZ];
+
+    /// An `m × n` output in `blk_m × blk_n` tiles.
+    fn space(m: usize, n: usize, blk_m: usize, blk_n: usize) -> IterSpace {
+        IterSpace::new(GemmShape::new(m, n, 1), TileShape::new(blk_m, blk_n, 1))
+    }
 
     #[test]
     fn writes_land_in_layout_order() {
         let mut buf = vec![0.0f64; 6];
         {
-            let w = TileWriter::new(&mut buf, 2, 3, Layout::RowMajor, 1);
-            w.store_tile(0, 0..2, 0..3, 4, &[1.0, 2.0, 3.0, 0.0, 4.0, 5.0, 6.0, 0.0]);
+            // One 2 × 3 tile out of an accumulator four elements a row.
+            let w = TileWriter::new(&mut buf, Layout::RowMajor, &space(2, 3, 2, 3));
+            w.store_tile(0, 4, &[1.0, 2.0, 3.0, 0.0, 4.0, 5.0, 6.0, 0.0]);
         }
         assert_eq!(buf, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]
-    fn partial_tile_leaves_rest_untouched() {
+    fn ragged_corner_tile_leaves_rest_untouched() {
         let mut buf = vec![9.0f64; 9];
         {
-            let w = TileWriter::new(&mut buf, 3, 3, Layout::RowMajor, 4);
-            w.store_tile(3, 2..3, 2..3, 2, &[7.0, 0.0, 0.0, 0.0]);
+            // 3 × 3 in 2 × 2 tiles: tile 3 is the single element (2, 2).
+            let w = TileWriter::new(&mut buf, Layout::RowMajor, &space(3, 3, 2, 2));
+            w.store_tile(3, 2, &[7.0, 0.0, 0.0, 0.0]);
         }
         assert_eq!(buf[8], 7.0);
         assert!(buf[..8].iter().all(|&v| v == 9.0));
     }
 
-    /// Every layout's runs against the per-element index math, over a
-    /// tile that starts and ends off the fragment grid.
+    /// Every layout's runs against the per-element index math, over
+    /// tiles that start and end off the fragment grid.
     #[test]
     fn runs_match_the_element_index_in_every_layout() {
-        let (rows, cols, blk_n) = (13, 11, 9);
-        let (row_range, col_range) = (3..13, 2..9);
-        let accum: Vec<f64> = (0..10 * blk_n).map(|i| i as f64 + 0.5).collect();
-        for layout in [Layout::RowMajor, Layout::ColMajor, Layout::BlockMajor, Layout::BlockMajorZ] {
+        let (rows, cols, blk_m, blk_n) = (13, 11, 5, 3);
+        let space = space(rows, cols, blk_m, blk_n);
+        // Nine elements a row: wider than the tile.
+        let stride = 9;
+        let accum: Vec<f64> = (0..blk_m * stride).map(|i| i as f64 + 0.5).collect();
+        for layout in ALL_LAYOUTS {
             let mut got = Matrix::from_vec(rows, cols, layout, vec![-1.0f64; layout.storage_len(rows, cols)]);
             let mut want = got.clone();
-            TileWriter::new(got.as_mut_slice(), rows, cols, layout, 1)
-                .store_tile_ex(0, row_range.clone(), col_range.clone(), blk_n, &accum, -0.5, 2.0);
-            for (ti, r) in row_range.clone().enumerate() {
-                for (tj, c) in col_range.clone().enumerate() {
-                    want.set(r, c, -0.5 * accum[ti * blk_n + tj] + 2.0 * want.get(r, c));
+            let w = TileWriter::new(got.as_mut_slice(), layout, &space);
+            for t in 0..space.tiles() {
+                w.store_tile_ex(t, stride, &accum, -0.5, 2.0);
+                let (row_range, col_range) = space.tile_extents(t);
+                for (ti, r) in row_range.enumerate() {
+                    for (tj, c) in col_range.clone().enumerate() {
+                        want.set(r, c, -0.5 * accum[ti * stride + tj] + 2.0 * want.get(r, c));
+                    }
                 }
             }
+            drop(w);
             assert_eq!(got, want, "{layout}");
         }
     }
@@ -434,33 +419,33 @@ mod tests {
     #[should_panic(expected = "stored twice")]
     fn double_store_panics() {
         let mut buf = vec![0.0f64; 4];
-        let w = TileWriter::new(&mut buf, 2, 2, Layout::RowMajor, 1);
-        w.store_tile(0, 0..1, 0..1, 1, &[1.0]);
-        w.store_tile(0, 0..1, 0..1, 1, &[2.0]);
+        let w = TileWriter::new(&mut buf, Layout::RowMajor, &space(2, 2, 2, 2));
+        w.store_tile(0, 2, &[1.0; 4]);
+        w.store_tile(0, 2, &[2.0; 4]);
     }
 
     #[test]
     #[should_panic(expected = "columns wide but blk_n is 2")]
     fn tile_wider_than_its_accumulator_row_is_refused() {
         let mut buf = vec![0.0f64; 9];
-        let w = TileWriter::new(&mut buf, 3, 3, Layout::RowMajor, 1);
+        let w = TileWriter::new(&mut buf, Layout::RowMajor, &space(3, 3, 3, 3));
         // Column 2 of row 0 would silently read row 1's first element.
-        w.store_tile(0, 0..2, 0..3, 2, &[1.0; 6]);
+        w.store_tile(0, 2, &[1.0; 9]);
     }
 
     #[test]
     #[should_panic(expected = "accumulator holds 5 elements, the tile reads 6")]
     fn short_accumulator_is_refused() {
         let mut buf = vec![0.0f64; 9];
-        let w = TileWriter::new(&mut buf, 3, 3, Layout::RowMajor, 1);
-        w.store_tile(0, 0..2, 0..2, 4, &[1.0; 5]);
+        let w = TileWriter::new(&mut buf, Layout::RowMajor, &space(3, 3, 2, 2));
+        w.store_tile(0, 4, &[1.0; 5]);
     }
 
     #[test]
     #[should_panic(expected = "holds no values yet")]
     fn blending_into_an_unfilled_buffer_is_refused() {
-        let w = OwnedTileWriter::<f64>::new(2, 2, Layout::RowMajor, 1);
-        w.writer().store_tile_ex(0, 0..2, 0..2, 2, &[1.0; 4], 1.0, 1.0);
+        let w = OwnedTileWriter::<f64>::new(Layout::RowMajor, &space(2, 2, 2, 2));
+        w.writer().store_tile_ex(0, 2, &[1.0; 4], 1.0, 1.0);
     }
 
     /// The one place uninitialised capacity becomes a `Vec`: an
@@ -468,17 +453,17 @@ mod tests {
     /// read back whole.
     #[test]
     fn fresh_buffer_is_born_from_its_tiles() {
-        for layout in [Layout::RowMajor, Layout::ColMajor, Layout::BlockMajor, Layout::BlockMajorZ] {
-            // 5 × 7 in 2 × 4 tiles: a 3 × 2 grid, ragged on both edges.
-            let (rows, cols, blk_m, blk_n) = (5usize, 7usize, 2usize, 4usize);
-            let tiles_n = cols.div_ceil(blk_n);
-            let w = OwnedTileWriter::<f64>::new(rows, cols, layout, rows.div_ceil(blk_m) * tiles_n);
-            for t in 0..rows.div_ceil(blk_m) * tiles_n {
-                let (r0, c0) = (t / tiles_n * blk_m, t % tiles_n * blk_n);
-                let (r1, c1) = ((r0 + blk_m).min(rows), (c0 + blk_n).min(cols));
-                let accum: Vec<f64> =
-                    (0..blk_m * blk_n).map(|i| ((r0 + i / blk_n) * 100 + c0 + i % blk_n) as f64).collect();
-                w.store_tile(t, r0..r1, c0..c1, blk_n, &accum);
+        // 5 × 7 in 2 × 4 tiles: a 3 × 2 grid, ragged on both edges.
+        let (rows, cols, blk_n) = (5, 7, 4);
+        let space = space(rows, cols, 2, blk_n);
+        for layout in ALL_LAYOUTS {
+            let w = OwnedTileWriter::<f64>::new(layout, &space);
+            for t in 0..space.tiles() {
+                let (row_range, col_range) = space.tile_extents(t);
+                let accum: Vec<f64> = (0..2 * blk_n)
+                    .map(|i| ((row_range.start + i / blk_n) * 100 + col_range.start + i % blk_n) as f64)
+                    .collect();
+                w.writer().store_tile(t, blk_n, &accum);
             }
             let c = w.take();
             assert_eq!(c, Matrix::from_fn(rows, cols, layout, |r, c| (r * 100 + c) as f64), "{layout}");
@@ -488,24 +473,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "tile 2 not stored")]
     fn take_is_refused_while_a_tile_is_missing() {
-        let w = OwnedTileWriter::<f64>::new(4, 4, Layout::RowMajor, 4);
+        let w = OwnedTileWriter::<f64>::new(Layout::RowMajor, &space(4, 4, 2, 2));
         for t in [0, 1, 3] {
-            let (r0, c0) = (t / 2 * 2, t % 2 * 2);
-            w.store_tile(t, r0..r0 + 2, c0..c0 + 2, 2, &[t as f64; 4]);
+            w.writer().store_tile(t, 2, &[t as f64; 4]);
         }
         let _ = w.take();
     }
 
     #[test]
     fn owned_writer_round_trips_concurrent_stores() {
-        let w = OwnedTileWriter::<f64>::new(4, 4, Layout::RowMajor, 4);
+        let w = OwnedTileWriter::<f64>::new(Layout::RowMajor, &space(4, 4, 2, 2));
         std::thread::scope(|scope| {
             for half in 0..2 {
                 let w = &w;
                 scope.spawn(move || {
                     for t in [half, half + 2] {
-                        let (r0, c0) = (t / 2 * 2, t % 2 * 2);
-                        w.store_tile(t, r0..r0 + 2, c0..c0 + 2, 2, &[t as f64; 4]);
+                        w.writer().store_tile(t, 2, &[t as f64; 4]);
                     }
                 });
             }
@@ -517,32 +500,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "taken twice")]
     fn owned_writer_double_take_panics() {
-        let w = OwnedTileWriter::<f64>::new(2, 2, Layout::RowMajor, 1);
-        w.store_tile(0, 0..2, 0..2, 2, &[1.0; 4]);
+        let w = OwnedTileWriter::<f64>::new(Layout::RowMajor, &space(2, 2, 2, 2));
+        w.writer().store_tile(0, 2, &[1.0; 4]);
         let _ = w.take();
         let _ = w.take();
     }
 
     #[test]
     #[should_panic(expected = "stored twice")]
-    fn owned_writer_double_store_panics() {
-        let w = OwnedTileWriter::<f64>::new(2, 2, Layout::RowMajor, 1);
-        w.store_tile(0, 0..1, 0..1, 1, &[1.0]);
-        w.store_tile(0, 0..1, 0..1, 1, &[2.0]);
+    fn store_after_take_panics() {
+        let w = OwnedTileWriter::<f64>::new(Layout::RowMajor, &space(2, 2, 2, 2));
+        w.writer().store_tile(0, 2, &[1.0; 4]);
+        let _ = w.take();
+        w.writer().store_tile(0, 2, &[2.0; 4]);
     }
 
     #[test]
     fn concurrent_disjoint_tiles() {
         let mut buf = vec![0.0f64; 16];
         {
-            let w = TileWriter::new(&mut buf, 4, 4, Layout::RowMajor, 4);
+            let w = TileWriter::new(&mut buf, Layout::RowMajor, &space(4, 4, 2, 2));
             std::thread::scope(|scope| {
                 for t in 0..4 {
                     let w = &w;
-                    scope.spawn(move || {
-                        let (r0, c0) = (t / 2 * 2, t % 2 * 2);
-                        w.store_tile(t, r0..r0 + 2, c0..c0 + 2, 2, &[t as f64; 4]);
-                    });
+                    scope.spawn(move || w.store_tile(t, 2, &[t as f64; 4]));
                 }
             });
         }

@@ -473,7 +473,7 @@ struct RequestCell<In, Acc> {
     decomp: Decomposition,
     peers: PeerTable,
     board: FixupBoard<Acc>,
-    writer: OwnedTileWriter<Acc>,
+    out: OwnedTileWriter<Acc>,
     cursor: GridCursor,
     tiles_done: AtomicUsize,
     total_tiles: usize,
@@ -1442,11 +1442,10 @@ fn store_owned_tile<In, Acc>(
 ) where
     Acc: Scalar,
 {
-    let (rows, cols) = cell.decomp.space().tile_extents(tile_idx);
-    cell.writer.store_tile(tile_idx, rows, cols, blk_n, accum);
+    cell.out.writer().store_tile(tile_idx, blk_n, accum);
     let done = cell.tiles_done.fetch_add(1, Ordering::AcqRel) + 1;
     if done == cell.total_tiles && cell.transition(RUNNING, DONE) {
-        let c = cell.writer.take();
+        let c = cell.out.take();
         // `finish` also wakes parked workers, so admission sees the
         // freed window slot promptly.
         shared.finish(cell, DONE, Ok(c));
@@ -1773,7 +1772,7 @@ where
             spans: self.shared.trace.then(|| Mutex::new(SpanRing::new(self.shared.trace_capacity))),
             peers,
             board: FixupBoard::new(grid),
-            writer: OwnedTileWriter::new(shape.m, shape.n, a.layout(), space.tiles()),
+            out: OwnedTileWriter::new(a.layout(), space),
             cursor: GridCursor::new(grid),
             tiles_done: AtomicUsize::new(0),
             total_tiles: space.tiles(),

@@ -171,31 +171,18 @@ impl<T> Matrix<T> {
     }
 }
 
-/// Draws [`Matrix::random`] takes per call of [`draw_uniform`].
-const DRAW_BLOCK: usize = 256;
-
-/// Fills `out` with the generator's next `out.len()` uniform draws from
-/// `[-1, 1)` — each bit for bit what `rng.random_range(-1.0..1.0)`
-/// returns (the `random_is_the_generators_draw_sequence` test).
+/// The generator's next uniform draw from `[-1, 1)`.
 ///
-/// Out of line and not generic on purpose: the generator's loop is
-/// compiled once, in this crate, whoever calls `random`. Inlined into
-/// a caller's fill loop, its four state words are at the mercy of that
-/// caller's optimisation context — seen SLP-vectorised into XMM ↔ GPR
-/// round trips every draw, a fifth on top of a benchmark set-up that
-/// is mostly `random` (EXPERIMENTS.md, "Tile epilogue"). Split in
-/// two, the first loop is integer-only and the second vectorises.
+/// Out of line and not generic on purpose: the generator is compiled
+/// once, in this crate, whoever instantiates [`Matrix::random`].
+/// Inlined into a caller's fill loop, its four state words are at the
+/// mercy of that caller's optimisation context — seen SLP-vectorised
+/// into XMM ↔ GPR round trips every draw, a fifth on top of a
+/// benchmark set-up that is mostly `random` (EXPERIMENTS.md, "Tile
+/// epilogue").
 #[inline(never)]
-fn draw_uniform(rng: &mut StdRng, out: &mut [f64]) {
-    // The high 53 bits of each draw, parked in the slot they become a
-    // value in.
-    for v in out.iter_mut() {
-        *v = f64::from_bits(rng.next_u64() >> 11);
-    }
-    for v in out.iter_mut() {
-        let unit = v.to_bits() as f64 * (1.0 / (1u64 << 53) as f64);
-        *v = -1.0 + unit * 2.0;
-    }
+fn draw_uniform(rng: &mut StdRng) -> f64 {
+    rng.random_range(-1.0..1.0)
 }
 
 impl<T: Copy + Default> Matrix<T> {
@@ -210,21 +197,7 @@ impl<T: Copy + Default> Matrix<T> {
         T: Promote<Acc>,
     {
         let mut rng = StdRng::seed_from_u64(seed);
-        if layout != Layout::RowMajor {
-            return Self::from_fn(rows, cols, layout, |_, _| T::demote_from_f64(rng.random_range(-1.0..1.0)));
-        }
-        // Row-major storage order is draw order: the matrix is one
-        // run, filled a block of draws at a time.
-        let mut m = Self::zeros(rows, cols, layout);
-        let mut block = [0.0f64; DRAW_BLOCK];
-        for run in m.data.chunks_mut(DRAW_BLOCK) {
-            let draws = &mut block[..run.len()];
-            draw_uniform(&mut rng, draws);
-            for (slot, &v) in run.iter_mut().zip(draws.iter()) {
-                *slot = T::demote_from_f64(v);
-            }
-        }
-        m
+        Self::from_fn(rows, cols, layout, |_, _| T::demote_from_f64(draw_uniform(&mut rng)))
     }
 
     /// Fills with the deterministic pattern
@@ -353,21 +326,6 @@ mod tests {
         m.set(2, 3, 7.5);
         assert_eq!(m.get(2, 3), 7.5);
         assert_eq!(m.as_slice()[2 * 4 + 3], 7.5);
-    }
-
-    /// `random` draws in blocks; the values must stay the generator's
-    /// plain draw sequence in row-by-row order, in every layout and
-    /// across block boundaries (700 draws: two full blocks and a
-    /// ragged third).
-    #[test]
-    fn random_is_the_generators_draw_sequence() {
-        for layout in [Layout::RowMajor, Layout::ColMajor, Layout::BlockMajor, Layout::BlockMajorZ] {
-            let mut rng = StdRng::seed_from_u64(9);
-            let want64 = Matrix::<f64>::from_fn(7, 100, layout, |_, _| rng.random_range(-1.0..1.0));
-            assert_eq!(Matrix::<f64>::random::<f64>(7, 100, layout, 9), want64, "{layout}");
-            let want32 = Matrix::<f32>::from_fn(7, 100, layout, |r, c| want64.get(r, c) as f32);
-            assert_eq!(Matrix::<f32>::random::<f32>(7, 100, layout, 9), want32, "{layout}");
-        }
     }
 
     #[test]
