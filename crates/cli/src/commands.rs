@@ -5,15 +5,16 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use streamk_core::{
-    CostModel, Decomposition, GridSizeModel, IterSpace, Phase, SpanKind, TraceWriter,
+    BatchedDecomposition, BatchedSpace, CostModel, Decomposition, ExecutorError, GridSizeModel,
+    GroupedDecomposition, GroupedSpace, IterSpace, Phase, SpanKind, TileFixup, TraceWriter,
 };
 use streamk_corpus::{Corpus, CorpusConfig};
 use streamk_cpu::trace::ring_allocations;
 use streamk_cpu::{
     leaf_decomposition, mac_loop_kernel, mac_loop_kernel_cached, machine_epsilon, max_abs,
     select_kernel_on, strassen_error_bound, CpuExecutor, FaultKind, FaultPlan, GemmService,
-    KernelKind, LaunchRequest, PackBuffers, PackCache, Priority, ServeConfig, ServeError,
-    ServeFaultKind, ServeFaultPlan, ServiceCounter, SimdLevel, StrassenArena, StrassenConfig,
+    KernelKind, LaunchRequest, PackBuffers, PackCache, Priority, RecoveryReport, ServeConfig,
+    ServeError, ServeFaultKind, ServeFaultPlan, ServiceCounter, SimdLevel, StrassenArena, StrassenConfig,
     TelemetryRegistry, WaitPolicy,
 };
 use streamk_cpu::macloop::mac_loop_view;
@@ -1538,9 +1539,10 @@ fn run_profile(
 }
 
 /// The seeded fault campaign behind `streamk chaos`: every strategy
-/// × every fault kind × every seed through the recovering executor,
-/// with bit-exactness checked against the fault-free run, followed by
-/// the simulator's straggler-SM injection.
+/// — and a batched and a grouped launch — × every fault kind × every
+/// seed through the recovering executor, with bit-exactness checked
+/// against the fault-free run, followed by the simulator's
+/// straggler-SM injection.
 /// What a serve-bench request is contracted to do: complete
 /// bit-exactly, or fail typed with the matching error.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -1957,15 +1959,50 @@ fn run_chaos(shape: GemmShape, tile: TileShape, seeds: u64, threads: usize, watc
         "strategy", "fault", "runs", "survived", "recoveries", "recomputed", "bit-exact"
     );
 
+    // The batched and grouped entries launch through the same grid
+    // loop: three instances of the shape, and the shape with two
+    // relatives of it, under one Stream-K grid each.
+    let operands = |shapes: &[GemmShape]| -> (Vec<Matrix<f64>>, Vec<Matrix<f64>>) {
+        let fill = |rows, cols, seed| Matrix::<f64>::random::<f64>(rows, cols, Layout::RowMajor, seed);
+        shapes.iter().zip(0u64..).map(|(s, i)| (fill(s.m, s.k, 0xC0FFEE + i), fill(s.k, s.n, 0xBEEF + i))).unzip()
+    };
+    let batched = BatchedDecomposition::stream_k(BatchedSpace::new(3, shape, tile), threads);
+    let (batch_a, batch_b) = operands(&[shape; 3]);
+    let group = [shape, GemmShape::new(shape.n, shape.m, shape.k), GemmShape::new(shape.m, shape.n, 2 * shape.k)];
+    let grouped = GroupedDecomposition::stream_k(GroupedSpace::new(&group, tile), threads);
+    let (group_a, group_b) = operands(&group);
+
+    // One row group of the table: its contributors, and how to run it
+    // under a plan.
+    type Outcome = Result<(Vec<Matrix<f64>>, RecoveryReport), ExecutorError>;
+    type Cell<'a> = (&'a str, Vec<usize>, Box<dyn Fn(&FaultPlan) -> Outcome + 'a>);
+    let peers = |fixups: Vec<TileFixup>| -> Vec<usize> {
+        let mut peers: Vec<usize> = fixups.iter().flat_map(|f| f.peers.iter().copied()).collect();
+        peers.sort_unstable();
+        peers
+    };
+    let mut cells: Vec<Cell<'_>> = Vec::new();
     for (name, decomp) in &strategies {
-        let baseline = match exec.try_gemm::<f64, f64>(&a, &b, decomp) {
-            Ok(c) => c,
+        let (exec, a, b) = (&exec, &a, &b);
+        cells.push((name, peers(decomp.fixups()), Box::new(move |plan| {
+            exec.gemm_with_faults::<f64, f64>(a, b, decomp, plan).map(|(c, report)| (vec![c], report))
+        })));
+    }
+    cells.push(("batched", peers(batched.fixups()), Box::new(|plan| {
+        exec.gemm_batched_with_faults::<f64, f64>(&batch_a, &batch_b, &batched, plan)
+    })));
+    cells.push(("grouped", peers(grouped.fixups()), Box::new(|plan| {
+        exec.gemm_grouped_with_faults::<f64, f64>(&group_a, &group_b, &grouped, plan)
+    })));
+
+    for (name, contributors, run) in &cells {
+        let baseline = match run(&FaultPlan::none()) {
+            Ok((c, _)) => c,
             Err(e) => {
                 let _ = writeln!(out, "{name:<16} skipped: {e}");
                 continue;
             }
         };
-        let contributors = FaultPlan::contributors(decomp);
         for (kind_name, make_kind) in &kinds {
             let mut survived = 0u64;
             let mut recoveries = 0usize;
@@ -1980,12 +2017,12 @@ fn run_chaos(shape: GemmShape, tile: TileShape, seeds: u64, threads: usize, watc
                     let victim = contributors[(seed as usize) % contributors.len()];
                     FaultPlan::single(victim, make_kind(watchdog))
                 };
-                match exec.gemm_with_faults::<f64, f64>(&a, &b, decomp, &plan) {
+                match run(&plan) {
                     Ok((c, report)) => {
                         survived += 1;
                         recoveries += report.recoveries();
                         recomputed += report.recomputed_iters();
-                        bit_exact &= c.max_abs_diff(&baseline) == 0.0;
+                        bit_exact &= c == baseline;
                     }
                     Err(_) => bit_exact = false,
                 }
@@ -1997,6 +2034,7 @@ fn run_chaos(shape: GemmShape, tile: TileShape, seeds: u64, threads: usize, watc
             );
         }
     }
+    drop(cells);
 
     let _ = writeln!(out, "\nsim straggler injection (A100 fp64, 2x slowdown on SM 1):");
     let _ = writeln!(out, "{:<16} {:>11} {:>19}", "strategy", "makespan x", "fixup-stall delta");
@@ -2153,8 +2191,8 @@ mod tests {
         // Small problem, short watchdog: the full campaign in well
         // under a second per lost-CTA cell.
         let out = run("chaos 96 80 64 --tile 32x32x16 --seeds 2 --threads 8 --watchdog-ms 100");
-        for strategy in ["dp", "splitk:3", "streamk", "dp+1t-streamk", "2t-streamk+dp"] {
-            assert!(out.contains(strategy), "missing {strategy}: {out}");
+        for row in ["dp", "splitk:3", "streamk", "dp+1t-streamk", "2t-streamk+dp", "batched", "grouped"] {
+            assert!(out.contains(&format!("\n{row} ")), "missing {row}: {out}");
         }
         for kind in ["straggler", "lost", "poison"] {
             assert!(out.contains(kind), "missing {kind}: {out}");

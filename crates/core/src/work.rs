@@ -169,23 +169,28 @@ impl PeerTable {
     /// Panics if a fixup names an owner outside the grid.
     #[must_use]
     pub fn new(grid: usize, fixups: &[TileFixup]) -> Self {
-        let mut counts = vec![0usize; grid + 1];
+        // One table does both jobs. Peer counts go in two slots past
+        // their owner, so after the prefix sum slot `i + 1` holds where
+        // owner `i`'s list *starts*; filling advances it to where the
+        // list ends — which is where owner `i + 1`'s starts, the
+        // offset layout `peers` reads.
+        let mut offsets = vec![0usize; grid + 2];
         for f in fixups {
             assert!(f.owner < grid, "fixup owner {} outside grid of {grid}", f.owner);
-            counts[f.owner + 1] += f.peers.len();
+            offsets[f.owner + 2] += f.peers.len();
         }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
+        for i in 2..offsets.len() {
+            offsets[i] += offsets[i - 1];
         }
-        let mut peers = vec![0usize; counts[grid]];
-        let mut cursor = counts.clone();
+        let mut peers = vec![0usize; offsets[grid + 1]];
         for f in fixups {
             for &p in &f.peers {
-                peers[cursor[f.owner]] = p;
-                cursor[f.owner] += 1;
+                peers[offsets[f.owner + 1]] = p;
+                offsets[f.owner + 1] += 1;
             }
         }
-        Self { offsets: counts, peers }
+        offsets.truncate(grid + 1);
+        Self { offsets, peers }
     }
 
     /// The fixup peers of CTA `owner`, in ascending id order (empty

@@ -4,17 +4,14 @@
 //! processes the batch's aggregate iteration space, crossing instance
 //! boundaries exactly as single-GEMM Stream-K crosses tile
 //! boundaries. One launch, one consolidation board, regardless of
-//! batch size.
+//! batch size — and the same launch as any other: to the executor's
+//! grid loop a batch is a uniform group of instances, so it schedules,
+//! defers, recovers from faults and traces exactly as a single GEMM
+//! does.
 
-use crate::executor::CpuExecutor;
-use crate::fixup::FixupBoard;
-use crate::output::OwnedTileWriter;
-use crate::packcache::mac_loop_instance_cached;
-use crate::sched::GridCursor;
-use crate::workspace::Workspace;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-use streamk_core::{BatchedDecomposition, PeerTable};
+use crate::executor::{CpuExecutor, RecoveryReport};
+use crate::fault::FaultPlan;
+use streamk_core::{BatchedDecomposition, ExecutorError};
 use streamk_matrix::{Matrix, Promote, Scalar};
 
 impl CpuExecutor {
@@ -24,8 +21,8 @@ impl CpuExecutor {
     /// # Panics
     ///
     /// Panics if the operand counts or shapes don't match the
-    /// decomposition, or if the fixup structure needs more co-resident
-    /// CTAs than there are workers.
+    /// decomposition, if the decomposition is invalid, or if the fixup
+    /// structure needs more co-resident CTAs than there are workers.
     #[must_use]
     pub fn gemm_batched<In, Acc>(
         &self,
@@ -37,134 +34,49 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        let space = decomp.space();
-        let instance = space.instance();
-        let shape = instance.shape();
-        assert_eq!(a.len(), space.batch(), "need one A per instance");
-        assert_eq!(b.len(), space.batch(), "need one B per instance");
-        for (i, (ai, bi)) in a.iter().zip(b).enumerate() {
-            assert_eq!((ai.rows(), ai.cols()), (shape.m, shape.k), "A[{i}] must be m x k");
-            assert_eq!((bi.rows(), bi.cols()), (shape.k, shape.n), "B[{i}] must be k x n");
-        }
-        decomp.validate().expect("invalid batched decomposition");
+        self.batched_fresh(a, b, decomp, &FaultPlan::none(), false).map_or_else(|e| panic!("{e}"), |(c, _)| c)
+    }
 
-        let fixups = decomp.fixups();
-        let max_covering = fixups.iter().map(|f| f.covering_ctas()).max().unwrap_or(1);
-        assert!(
-            max_covering <= self.threads(),
-            "decomposition needs {max_covering} co-resident CTAs but the executor has {} threads",
-            self.threads()
-        );
-        // Flat CSR peer table — no per-launch Vec-of-Vec cloning.
-        let owner_peers = PeerTable::new(decomp.grid_size(), &fixups);
+    /// [`gemm_batched`](Self::gemm_batched) while injecting `plan`'s
+    /// faults into the fixup protocol and recovering from each, exactly
+    /// as [`gemm_with_faults`](Self::gemm_with_faults) does for a
+    /// single GEMM: outputs bit-identical to the fault-free launch's,
+    /// and a [`RecoveryReport`] of what recovery had to do.
+    ///
+    /// # Errors
+    ///
+    /// As [`gemm_with_faults`](Self::gemm_with_faults), except that
+    /// operand counts or shapes that don't match the decomposition
+    /// panic.
+    pub fn gemm_batched_with_faults<In, Acc>(
+        &self,
+        a: &[Matrix<In>],
+        b: &[Matrix<In>],
+        decomp: &BatchedDecomposition,
+        plan: &FaultPlan,
+    ) -> Result<(Vec<Matrix<Acc>>, RecoveryReport), ExecutorError>
+    where
+        In: Promote<Acc>,
+        Acc: Scalar,
+    {
+        self.batched_fresh(a, b, decomp, plan, true)
+    }
 
-        let tile = instance.tile();
-        // One output per instance, born from its tiles: reserved
-        // unfilled, each element first written by the worker that
-        // computed its tile.
-        let outputs: Vec<OwnedTileWriter<Acc>> =
-            a.iter().map(|ai| OwnedTileWriter::new(ai.layout(), instance)).collect();
-
-        let board = FixupBoard::<Acc>::new(decomp.grid_size());
-        let cursor = GridCursor::new(decomp.grid_size());
-        let ctas = decomp.ctas();
-        let ipt = space.iters_per_tile();
-
-        let kind = self.kernel();
-        // One slot table spanning the instances (they have distinct
-        // operands), grid-shared; `None` when nothing packs (every
-        // operand is read in place), caching is off or the kernel does
-        // not consume panels, and the dispatcher packs privately.
-        let cache = self
-            .launch_pack_cache((0..space.batch()).map(|i| (instance, a[i].view(), b[i].view())), 1);
-        // Round-robin cursor claiming (not the single-GEMM path's
-        // static ranges): batched owners *block* in `wait_and_take`,
-        // and the round-robin order guarantees a blocked owner's peers
-        // are claimed by other workers — already, or as soon as a
-        // helper still on its way arrives: the pool keeps the launch
-        // open for as long as the launcher (worker 0) is inside this
-        // loop, blocked or not, and closes it only once the cursor is
-        // drained, when every peer is claimed by a worker that signals
-        // before it can block (DESIGN.md §10).
-        let tile_len = tile.blk_m * tile.blk_n;
-        let wait_ns = AtomicU64::new(0);
-        self.worker_pool().run(&|wid, scratch| {
-            // Per-worker arena from the persistent pool's scratch
-            // store: accumulator, pack panels, and the fixup-partial
-            // pool stay warm across segments *and* across launches.
-            let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(tile_len));
-            ws.begin_launch(tile_len);
-            while let Some(id) = cursor.claim() {
-                let cta = &ctas[id];
-                // Walk the CTA's global range tile by tile (the
-                // batched analogue of Algorithm 5's outer loop).
-                let mut iter = cta.iter_begin;
-                while iter < cta.iter_end {
-                    let global_tile = iter / ipt;
-                    let tile_first = global_tile * ipt;
-                    let seg_end = cta.iter_end.min(tile_first + ipt);
-                    let (instance_idx, local_tile) = space.locate(global_tile);
-
-                    let starts = iter == tile_first;
-                    let ends = seg_end == tile_first + ipt;
-                    if !starts {
-                        let mut partial = ws.take_partial();
-                        mac_loop_instance_cached(
-                            kind,
-                            cache.as_ref(),
-                            instance_idx,
-                            wid,
-                            &a[instance_idx].view(),
-                            &b[instance_idx].view(),
-                            instance,
-                            local_tile,
-                            iter - tile_first,
-                            seg_end - tile_first,
-                            &mut partial,
-                            &mut ws.pack,
-                        );
-                        board
-                            .store_and_signal(cta.cta_id, partial)
-                            .expect("fault-free batched schedule");
-                    } else {
-                        ws.reset_accum();
-                        mac_loop_instance_cached(
-                            kind,
-                            cache.as_ref(),
-                            instance_idx,
-                            wid,
-                            &a[instance_idx].view(),
-                            &b[instance_idx].view(),
-                            instance,
-                            local_tile,
-                            iter - tile_first,
-                            seg_end - tile_first,
-                            &mut ws.accum,
-                            &mut ws.pack,
-                        );
-                        if !ends {
-                            for &peer in owner_peers.peers(cta.cta_id) {
-                                let t0 = Instant::now();
-                                let partial = board.wait_and_take(peer);
-                                wait_ns.fetch_add(
-                                    t0.elapsed().as_nanos() as u64,
-                                    Ordering::Relaxed,
-                                );
-                                for (acc, p) in ws.accum.iter_mut().zip(&partial) {
-                                    *acc += *p;
-                                }
-                                ws.recycle_partial(partial);
-                            }
-                        }
-                        outputs[instance_idx].writer().store_tile(local_tile, tile.blk_n, &ws.accum);
-                    }
-                    iter = seg_end;
-                }
-            }
-        });
-        self.record_stats(0, 0, Duration::from_nanos(wait_ns.load(Ordering::Relaxed)), 0);
-        self.retire_pack_cache(cache);
-        outputs.iter().map(OwnedTileWriter::take).collect()
+    fn batched_fresh<In, Acc>(
+        &self,
+        a: &[Matrix<In>],
+        b: &[Matrix<In>],
+        decomp: &BatchedDecomposition,
+        plan: &FaultPlan,
+        recover: bool,
+    ) -> Result<(Vec<Matrix<Acc>>, RecoveryReport), ExecutorError>
+    where
+        In: Promote<Acc>,
+        Acc: Scalar,
+    {
+        decomp.validate().map_err(ExecutorError::InvalidDecomposition)?;
+        let spaces = std::iter::repeat_n(decomp.space().instance(), decomp.space().batch());
+        self.run_group(a, b, spaces, decomp.ctas(), &decomp.fixups(), plan, recover)
     }
 }
 
@@ -234,6 +146,24 @@ mod tests {
         let c = CpuExecutor::with_threads(6).gemm_batched::<f64, f64>(&a, &b, &decomp);
         for i in 0..3 {
             c[i].assert_close(&gemm_naive::<f64, f64>(&a[i], &b[i]), 1e-11);
+        }
+    }
+
+    /// With recovery off — the entry `gemm_batched` shares with
+    /// `gemm_batched_with_faults` — a lost peer is the owner's watchdog
+    /// timeout, typed, and the outputs are dropped unread.
+    #[test]
+    fn lost_peer_without_recovery_is_a_watchdog_error() {
+        use streamk_core::FixupError;
+        let shape = GemmShape::new(16, 16, 48);
+        let (a, b) = instances(5, shape, 6);
+        let decomp = BatchedDecomposition::stream_k(BatchedSpace::new(5, shape, TileShape::new(16, 16, 8)), 4);
+        let victim = decomp.fixups().iter().find_map(|f| f.peers.first().copied()).expect("a split tile");
+        let plan = FaultPlan::single(victim, crate::FaultKind::Lose);
+        let exec = CpuExecutor::with_threads(4).with_watchdog(std::time::Duration::from_millis(100));
+        match exec.batched_fresh::<f64, f64>(&a, &b, &decomp, &plan, false) {
+            Err(ExecutorError::Fixup(FixupError::WatchdogTimeout { peer, .. })) => assert_eq!(peer, victim),
+            other => panic!("expected a watchdog timeout, got {:?}", other.map(|(_, report)| report)),
         }
     }
 

@@ -1,6 +1,9 @@
 //! The grid executor.
 //!
-//! Three entry tiers share one grid loop:
+//! Three entry tiers share one grid loop — which the batched and
+//! grouped entries (`batched.rs`, `grouped.rs`) launch through as
+//! well — and every worker of it runs the one CTA cycle in
+//! `engine.rs`:
 //!
 //! - [`CpuExecutor::gemm`] / [`CpuExecutor::gemm_ex`] — the legacy
 //!   panicking surface (validation bugs are programmer errors);
@@ -17,11 +20,12 @@
 //!   fault-free run.
 
 use crate::arena::{ArenaStats, PackArena};
-use crate::fault::{FaultKind, FaultPlan};
-use crate::fixup::{FixupBoard, TryTake, WaitOutcome, WaitPolicy};
+use crate::engine::{Grid, Instance, Launch, Output, Worker};
+use crate::fault::FaultPlan;
+use crate::fixup::WaitPolicy;
 use crate::microkernel::KernelKind;
 use crate::output::{OwnedTileWriter, TileWriter};
-use crate::packcache::{mac_loop_kernel_cached, operands_pack, PackCache};
+use crate::packcache::{operands_pack, PackCache};
 use crate::pad::CachePadded;
 use crate::pool::WorkerPool;
 use crate::sched::CtaScheduler;
@@ -30,9 +34,7 @@ use crate::workspace::Workspace;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use streamk_core::{
-    peer_contribution, CtaWork, Decomposition, ExecutorError, FixupError, IterSpace, PeerTable,
-};
+use streamk_core::{CtaWork, Decomposition, ExecutorError, IterSpace, TileFixup};
 use streamk_matrix::{Matrix, MatrixView, Promote, Scalar};
 
 /// The process-wide default worker count, resolved exactly once:
@@ -131,12 +133,14 @@ pub struct ExecStats {
     pub steals: usize,
     /// Owner consolidations parked cooperatively during the most
     /// recent launch because a peer had not signaled yet (the worker
-    /// claimed other work instead of blocking). Per-launch.
+    /// claimed other work instead of blocking) — in a batched or
+    /// grouped launch exactly as in a single GEMM. Per-launch.
     pub deferrals: usize,
     /// Total wall time workers of the most recent launch spent
     /// blocked in fixup `Wait` on unfinished peers, summed across
     /// workers (so it can exceed the launch's wall time). Cooperative
-    /// deferrals do not count — only genuine blocking waits.
+    /// deferrals do not count — only genuine blocking waits, and no
+    /// entry's owners wait before the grid is fully claimed.
     /// Per-launch.
     pub wait_stall: Duration,
     /// Peer contributions recomputed by fault recovery during the
@@ -185,8 +189,9 @@ pub struct RecoveryEvent {
 /// What fault recovery did during one execution.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Every recovery action, grouped by the worker that performed it
-    /// (in execution order within each worker).
+    /// Every recovery action, in the order recovery performed them.
+    /// `tile_idx` counts tiles launch-wide: in a batched or grouped
+    /// launch, across the instances in order.
     pub events: Vec<RecoveryEvent>,
 }
 
@@ -533,22 +538,6 @@ impl CpuExecutor {
         ExecTrace { workers, wall_ns: end.duration_since(epoch).as_nanos() as u64 }
     }
 
-    /// Records one finished launch's counters: the per-launch fields
-    /// are overwritten, `launches` accumulates.
-    pub(crate) fn record_stats(
-        &self,
-        steals: usize,
-        deferrals: usize,
-        wait_stall: Duration,
-        recoveries: usize,
-    ) {
-        self.stats.steals.store(steals, Ordering::Relaxed);
-        self.stats.deferrals.store(deferrals, Ordering::Relaxed);
-        self.stats.wait_stall_ns.store(wait_stall.as_nanos() as u64, Ordering::Relaxed);
-        self.stats.recoveries.store(recoveries, Ordering::Relaxed);
-        self.stats.launches.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Computes `C = A · B` by executing `decomp`'s grid.
     ///
     /// The result is produced in `a`'s storage layout. Accumulation
@@ -643,7 +632,8 @@ impl CpuExecutor {
         check_shape("C", (space.shape().m, space.shape().n), (c.rows(), c.cols()))?;
         let layout = c.layout();
         let writer = TileWriter::new(c.as_mut_slice(), layout, space);
-        self.run_grid(alpha, a, b, beta, &writer, decomp, &FaultPlan::none(), false).map(|_| ())
+        let instance = [Instance::new(*a, *b, Output::Window(&writer), 0)];
+        self.run_single(alpha, beta, &instance, decomp, &FaultPlan::none(), false).map(|_| ())
     }
 
     /// Computes `C = A · B` while injecting `plan`'s faults into the
@@ -690,21 +680,18 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        let out = OwnedTileWriter::new(a.layout(), decomp.space());
-        let report =
-            self.run_grid(Acc::ONE, &a.view(), &b.view(), Acc::ZERO, out.writer(), decomp, plan, recover)?;
-        Ok((out.take(), report))
+        let out = Output::Owned(OwnedTileWriter::new(a.layout(), decomp.space()));
+        let instance = [Instance::new(a.view(), b.view(), out, 0)];
+        let report = self.run_single(Acc::ONE, Acc::ZERO, &instance, decomp, plan, recover)?;
+        Ok((instance[0].take(), report))
     }
 
-    /// The one grid loop behind every public entry.
-    #[allow(clippy::too_many_arguments)]
-    fn run_grid<In, Acc>(
+    /// A single-GEMM launch: a group of one, checked against `decomp`.
+    fn run_single<In, Acc>(
         &self,
         alpha: Acc,
-        a: &MatrixView<'_, In>,
-        b: &MatrixView<'_, In>,
         beta: Acc,
-        writer: &TileWriter<'_, Acc>,
+        instance: &[Instance<'_, In, Acc>; 1],
         decomp: &Decomposition,
         plan: &FaultPlan,
         recover: bool,
@@ -713,58 +700,94 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        let space = decomp.space();
-        let shape = space.shape();
-        check_shape("op(A)", (shape.m, shape.k), (a.rows(), a.cols()))?;
-        check_shape("op(B)", (shape.k, shape.n), (b.rows(), b.cols()))?;
-        decomp.validate().map_err(|e| ExecutorError::InvalidDecomposition(e.to_string()))?;
+        check_single(&instance[0].a, &instance[0].b, decomp)?;
+        let grid = Grid { ctas: decomp.ctas(), instances: instance, alpha, beta };
+        // One pack-cache shard per worker by default: every CTA
+        // touching a tile row/column reuses its own shard's packing
+        // work, and published panels stay cache-resident on the core
+        // that packed them.
+        self.run_grid(&grid, &decomp.fixups(), plan, recover, self.pack_shards())
+    }
 
-        // Residency requirement, kept for GPU fidelity: on the device
-        // a waiting owner occupies an SM, so the largest owner+peers
-        // group must be co-resident. The CPU path's cooperative
-        // deferral would tolerate narrower pools, but refusing keeps
-        // the launch contract identical to the simulator's and the
-        // batched/grouped executors' (whose owners do block).
-        let fixups = decomp.fixups();
-        let max_covering = fixups.iter().map(|f| f.covering_ctas()).max().unwrap_or(1);
-        if max_covering > self.config.threads {
-            return Err(ExecutorError::InsufficientResidency {
-                needed: max_covering,
-                threads: self.config.threads,
-            });
-        }
+    /// A `β = 0` launch of one grid over many instances — a batch or a
+    /// group — under `ctas`, already validated: instance `i` computes
+    /// `a[i] · b[i]` in the `i`-th of `spaces`, the launch's iteration
+    /// space being theirs concatenated in order. Each output is born
+    /// from its tiles (reserved unfilled, every element first written
+    /// by the worker that computed its tile); one grid-shared
+    /// pack-cache table spans the instances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operand counts or shapes don't match `spaces`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_group<'s, In, Acc>(
+        &self,
+        a: &[Matrix<In>],
+        b: &[Matrix<In>],
+        spaces: impl ExactSizeIterator<Item = &'s IterSpace>,
+        ctas: &[CtaWork],
+        fixups: &[TileFixup],
+        plan: &FaultPlan,
+        recover: bool,
+    ) -> Result<(Vec<Matrix<Acc>>, RecoveryReport), ExecutorError>
+    where
+        In: Promote<Acc>,
+        Acc: Scalar,
+    {
+        assert_eq!(a.len(), spaces.len(), "need one A per instance");
+        assert_eq!(b.len(), spaces.len(), "need one B per instance");
+        let mut first_iter = 0;
+        let instances: Vec<Instance<'_, In, Acc>> = spaces
+            .zip(a.iter().zip(b))
+            .enumerate()
+            .map(|(i, (space, (ai, bi)))| {
+                let shape = space.shape();
+                assert_eq!((ai.rows(), ai.cols()), (shape.m, shape.k), "A[{i}] must be m x k");
+                assert_eq!((bi.rows(), bi.cols()), (shape.k, shape.n), "B[{i}] must be k x n");
+                let out = Output::Owned(OwnedTileWriter::new(ai.layout(), space));
+                let instance = Instance::new(ai.view(), bi.view(), out, first_iter);
+                first_iter += space.total_iters();
+                instance
+            })
+            .collect();
+        let grid = Grid { ctas, instances: &instances, alpha: Acc::ONE, beta: Acc::ZERO };
+        let report = self.run_grid(&grid, fixups, plan, recover, 1)?;
+        Ok((instances.iter().map(Instance::take).collect(), report))
+    }
+
+    /// The one grid loop behind every launch entry — `gemm*`,
+    /// `gemm_batched`, `gemm_grouped`: residency check, the launch's
+    /// pack cache (`shards` tables) and protocol state, locality-aware
+    /// dispatch, one [`Worker::run`] per pool worker, and the
+    /// launch's counters and trace. `grid`'s CTAs are validated by the
+    /// caller, whose decomposition type knows how; `fixups` is their
+    /// consolidation structure.
+    fn run_grid<In, Acc>(
+        &self,
+        grid: &Grid<'_, In, Acc>,
+        fixups: &[TileFixup],
+        plan: &FaultPlan,
+        recover: bool,
+        shards: usize,
+    ) -> Result<RecoveryReport, ExecutorError>
+    where
+        In: Promote<Acc>,
+        Acc: Scalar,
+    {
+        let workers = self.config.threads;
+        check_residency(fixups, workers)?;
 
         let policy = WaitPolicy::with_watchdog(self.config.watchdog);
-        // Per-launch panel tables, one shard per worker by default:
-        // every CTA touching a tile row/column reuses its own shard's
-        // packing work, and published panels stay cache-resident on
-        // the core that packed them.
-        let cache = self.launch_pack_cache([(space, *a, *b)], self.pack_shards());
-        let workers = self.config.threads;
-        let ctx = GridCtx {
-            decomp,
-            ctas: decomp.ctas(),
-            // Per-owner peer lists in one flat CSR table — built once
-            // from the fixup structure, no per-launch Vec-of-Vec
-            // cloning.
-            peers: PeerTable::new(decomp.grid_size(), &fixups),
-            board: FixupBoard::<Acc>::new(decomp.grid_size()),
-            plan,
-            policy,
-            kernel: self.config.kernel,
-            cache,
-            recover,
-            deferrals: AtomicUsize::new(0),
-            wait_ns: AtomicU64::new(0),
-            events: (0..workers).map(|_| CachePadded::new(Mutex::new(Vec::new()))).collect(),
-            error: Mutex::new(None),
-        };
+        let cache = self.launch_pack_cache(grid.instances.iter().map(|i| (i.space(), i.a, i.b)), shards);
+        let launch =
+            Launch::new(grid.ctas.len(), fixups, plan.clone(), policy, self.config.kernel, cache, recover, None);
+        let error = Mutex::new(None);
 
         // Locality-aware dispatch: static contiguous per-worker ranges
         // of the (swizzled) CTA order, rebalanced by range-stealing.
-        let sched = CtaScheduler::new(ctx.ctas.len(), workers);
-        let tile = space.tile();
-        let tile_len = tile.blk_m * tile.blk_n;
+        let sched = CtaScheduler::new(grid.ctas.len(), workers);
+        let tile_len = grid.tile_len();
         // One shared epoch so every worker's span timestamps (and the
         // wall clock below) share a zero; each worker id gets a
         // private ring through its own uncontended slot.
@@ -782,28 +805,16 @@ impl CpuExecutor {
                 trace::finish_at(SpanKind::Launch, epoch, trace::LAUNCH_WAKE, 0);
             }
             // The workspace survives in the worker's scratch store
-            // across launches: pack staging, accumulator tile, and the
-            // fixup partial pool stay warm from GEMM to GEMM.
+            // across launches: pack staging and the pool of tile-sized
+            // buffers stay warm from GEMM to GEMM.
             let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(tile_len));
             ws.begin_launch(tile_len);
-            let mut deferred = Vec::new();
-            let mut events = Vec::new();
-            if let Err(e) =
-                worker_loop(&ctx, &sched, wid, a, b, writer, alpha, beta, ws, &mut deferred, &mut events)
-            {
-                let mut slot = ctx.error.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                slot.get_or_insert(e);
-                // Stop claiming work; owners waiting on CTAs this
-                // worker abandoned will hit their own watchdogs, so
-                // the launch still terminates.
-            }
-            if !events.is_empty() {
-                // One uncontended lock per worker per launch: events
-                // were buffered locally, not pushed through a global
-                // mutex on the hot path.
-                let mut sink =
-                    ctx.events[wid].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                sink.append(&mut events);
+            if let Err(e) = (Worker { launch: &launch, grid, wid }).run(&sched, ws) {
+                // The launch has failed: the other workers stop at
+                // their next segment or fold step instead of finishing
+                // (or waiting a watchdog out for) a result nobody gets.
+                launch.kill();
+                error.lock().unwrap_or_else(std::sync::PoisonError::into_inner).get_or_insert(e);
             }
             if tracing {
                 if wid == 0 {
@@ -814,17 +825,14 @@ impl CpuExecutor {
         });
         let end = Instant::now();
 
-        let mut events = Vec::new();
-        for slot in &ctx.events {
-            let mut sink = slot.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            events.append(&mut sink);
-        }
-        self.record_stats(
-            sched.steals(),
-            ctx.deferrals.load(Ordering::Relaxed),
-            Duration::from_nanos(ctx.wait_ns.load(Ordering::Relaxed)),
-            events.len(),
-        );
+        // The launch's counters: the per-launch fields are overwritten,
+        // `launches` accumulates.
+        let stats = &self.stats;
+        stats.steals.store(sched.steals(), Ordering::Relaxed);
+        stats.deferrals.store(launch.deferrals(), Ordering::Relaxed);
+        stats.wait_stall_ns.store(launch.wait_stall().as_nanos() as u64, Ordering::Relaxed);
+        stats.recoveries.store(launch.recoveries(), Ordering::Relaxed);
+        stats.launches.fetch_add(1, Ordering::Relaxed);
         if tracing {
             let trace = self.retire_tracers(tracers, epoch, share_end.get().copied(), end);
             let mut sink =
@@ -832,11 +840,12 @@ impl CpuExecutor {
             *sink = Some(trace);
         }
 
-        self.retire_pack_cache(ctx.cache);
-        if let Some(e) = ctx.error.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
-            return Err(e);
+        let (cache, events) = launch.into_parts();
+        self.retire_pack_cache(cache);
+        match error.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
+            Some(e) => Err(e),
+            None => Ok(RecoveryReport { events }),
         }
-        Ok(RecoveryReport { events })
     }
 }
 
@@ -860,379 +869,39 @@ fn check_shape(
     }
 }
 
-/// Shared per-launch state every worker reads.
-struct GridCtx<'a, In, Acc> {
-    decomp: &'a Decomposition,
-    ctas: &'a [CtaWork],
-    peers: PeerTable,
-    board: FixupBoard<Acc>,
-    plan: &'a FaultPlan,
-    policy: WaitPolicy,
-    kernel: KernelKind,
-    cache: Option<PackCache<In>>,
-    recover: bool,
-    /// Owner consolidations parked cooperatively this launch.
-    deferrals: AtomicUsize,
-    /// Nanoseconds workers spent blocked in fixup waits this launch
-    /// (summed across workers; the final drain is the only site that
-    /// blocks). Always measured — tracing on or off — to feed
-    /// [`ExecStats::wait_stall`].
-    wait_ns: AtomicU64,
-    /// Per-worker recovery-event sinks (each written once, at worker
-    /// exit), merged in worker order after the launch.
-    events: Vec<CachePadded<Mutex<Vec<RecoveryEvent>>>>,
-    error: Mutex<Option<ExecutorError>>,
-}
-
-/// One parked owner consolidation: the owner's own accumulated
-/// contribution plus the index of the first peer still pending.
-/// Folding resumes in strict ascending peer order from `next_peer`,
-/// so a deferred consolidation combines partials in exactly the order
-/// a blocking one would — bit-identical output.
-struct Deferred<Acc> {
-    owner: usize,
-    tile_idx: usize,
-    accum: Vec<Acc>,
-    next_peer: usize,
-}
-
-/// One worker's launch loop: drain any ready deferred consolidations,
-/// claim the next CTA from the scheduler (own range first, then
-/// steal), and finally drain the remaining deferred tiles blocking.
-///
-/// The final drain cannot deadlock: `sched.next` returned `None`, so
-/// every CTA is claimed; claimed contributors run to their signal
-/// without ever waiting (owners *defer* instead of blocking inside
-/// the claim loop), so every pending peer either signals in bounded
-/// time or trips the watchdog.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<In, Acc>(
-    ctx: &GridCtx<'_, In, Acc>,
-    sched: &CtaScheduler,
-    wid: usize,
+/// What a launch and a service submission check of a single GEMM
+/// alike: the operands have `decomp`'s shape, and `decomp` is
+/// structurally valid.
+pub(crate) fn check_single<In: Copy>(
     a: &MatrixView<'_, In>,
     b: &MatrixView<'_, In>,
-    writer: &TileWriter<'_, Acc>,
-    alpha: Acc,
-    beta: Acc,
-    ws: &mut Workspace<In, Acc>,
-    deferred: &mut Vec<Deferred<Acc>>,
-    events: &mut Vec<RecoveryEvent>,
-) -> Result<(), ExecutorError>
-where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    loop {
-        drain_deferred(ctx, wid, deferred, events, a, b, writer, alpha, beta, ws, false)?;
-        let t0 = trace::start();
-        let Some(claim) = sched.next_claim(wid) else { break };
-        let kind = if claim.stolen { SpanKind::Steal } else { SpanKind::Claim };
-        trace::finish(kind, t0, claim.id as u32, 0);
-        run_cta(ctx, wid, claim.id, a, b, writer, alpha, beta, ws, deferred, events)?;
+    decomp: &Decomposition,
+) -> Result<(), ExecutorError> {
+    let shape = decomp.space().shape();
+    check_shape("op(A)", (shape.m, shape.k), (a.rows(), a.cols()))?;
+    check_shape("op(B)", (shape.k, shape.n), (b.rows(), b.cols()))?;
+    decomp.validate().map_err(ExecutorError::InvalidDecomposition)
+}
+
+/// The residency requirement, kept for GPU fidelity: on the device a
+/// waiting owner occupies an SM, so the largest owner+peers group must
+/// be co-resident. Cooperative deferral would tolerate narrower pools
+/// — no entry's owners block while work remains — but refusing keeps
+/// the contract of every entry (launches and service admission)
+/// identical to the simulator's.
+pub(crate) fn check_residency(fixups: &[TileFixup], workers: usize) -> Result<(), ExecutorError> {
+    let needed = fixups.iter().map(TileFixup::covering_ctas).max().unwrap_or(1);
+    if needed > workers {
+        return Err(ExecutorError::InsufficientResidency { needed, threads: workers });
     }
-    drain_deferred(ctx, wid, deferred, events, a, b, writer, alpha, beta, ws, true)
-}
-
-/// Advances every parked consolidation as far as its peers allow,
-/// storing each completed tile. Non-blocking when `block` is false
-/// (a still-pending peer just parks the tile again); the final drain
-/// passes `block = true` and descends the watchdog ladder.
-#[allow(clippy::too_many_arguments)]
-fn drain_deferred<In, Acc>(
-    ctx: &GridCtx<'_, In, Acc>,
-    wid: usize,
-    deferred: &mut Vec<Deferred<Acc>>,
-    events: &mut Vec<RecoveryEvent>,
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    writer: &TileWriter<'_, Acc>,
-    alpha: Acc,
-    beta: Acc,
-    ws: &mut Workspace<In, Acc>,
-    block: bool,
-) -> Result<(), ExecutorError>
-where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    let space = ctx.decomp.space();
-    let blk_n = space.tile().blk_n;
-    let mut i = 0;
-    while i < deferred.len() {
-        let d = &mut deferred[i];
-        let t0 = trace::start();
-        let done = advance_consolidation(
-            ctx, wid, d.owner, d.tile_idx, &mut d.accum, &mut d.next_peer, a, b, ws, events, block,
-        )?;
-        if done {
-            let d = deferred.swap_remove(i);
-            writer.store_tile_ex(d.tile_idx, blk_n, &d.accum, alpha, beta);
-            // The resumption span is recorded only when the parked
-            // consolidation actually completes; fruitless polls (the
-            // peer still pending) would flood the ring.
-            trace::finish(SpanKind::DeferResume, t0, d.tile_idx as u32, 0);
-            ws.recycle_partial(d.accum);
-        } else {
-            i += 1;
-        }
-    }
-    Ok(())
-}
-
-/// Folds peers into `accum` in ascending order starting at
-/// `*next_peer`. Returns `Ok(true)` when every peer has been folded;
-/// `Ok(false)` (only when `block` is false) when a peer is still
-/// pending — the caller parks the consolidation and does other work.
-///
-/// Missing records (watchdog timeout when blocking, or a poisoned
-/// slot either way) are recomputed from the peer's static work
-/// descriptor when recovery is on, and surface as typed errors when
-/// it is off — identical semantics to the old blocking-only path.
-#[allow(clippy::too_many_arguments)]
-fn advance_consolidation<In, Acc>(
-    ctx: &GridCtx<'_, In, Acc>,
-    wid: usize,
-    owner: usize,
-    tile_idx: usize,
-    accum: &mut [Acc],
-    next_peer: &mut usize,
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    ws: &mut Workspace<In, Acc>,
-    events: &mut Vec<RecoveryEvent>,
-    block: bool,
-) -> Result<bool, ExecutorError>
-where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    let peers = ctx.peers.peers(owner);
-    while *next_peer < peers.len() {
-        let peer = peers[*next_peer];
-        let cause = if block {
-            // The timestamp is taken unconditionally (not via
-            // `trace::start`) because the blocked duration also feeds
-            // `ExecStats::wait_stall`; `finish_at` is still a no-op
-            // when tracing is off.
-            let wait_t0 = Instant::now();
-            let (outcome, rounds) = ctx.board.wait_with_rounds(peer, &ctx.policy);
-            ctx.wait_ns.fetch_add(wait_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            trace::finish_at(SpanKind::Wait, wait_t0, peer as u32, rounds);
-            match outcome {
-                WaitOutcome::Signaled(partial) => {
-                    let t0 = trace::start();
-                    for (acc, p) in accum.iter_mut().zip(&partial) {
-                        *acc += *p;
-                    }
-                    // The peer's buffer now feeds this worker's pool —
-                    // cross-thread transfer still converges to an
-                    // allocation-free steady state.
-                    ws.recycle_partial(partial);
-                    trace::finish(SpanKind::LoadPartials, t0, peer as u32, 0);
-                    *next_peer += 1;
-                    continue;
-                }
-                WaitOutcome::Poisoned => RecoveryCause::Poisoned,
-                WaitOutcome::TimedOut { waited } => {
-                    if !ctx.recover {
-                        return Err(FixupError::WatchdogTimeout { peer, waited }.into());
-                    }
-                    RecoveryCause::Timeout(waited)
-                }
-            }
-        } else {
-            match ctx.board.try_take(peer) {
-                TryTake::Ready(partial) => {
-                    let t0 = trace::start();
-                    for (acc, p) in accum.iter_mut().zip(&partial) {
-                        *acc += *p;
-                    }
-                    ws.recycle_partial(partial);
-                    trace::finish(SpanKind::LoadPartials, t0, peer as u32, 0);
-                    *next_peer += 1;
-                    continue;
-                }
-                TryTake::Poisoned => RecoveryCause::Poisoned,
-                TryTake::Pending => return Ok(false),
-            }
-        };
-        if cause == RecoveryCause::Poisoned && !ctx.recover {
-            return Err(FixupError::PoisonedPartials { cta: peer }.into());
-        }
-        // Recovery: reconstruct the peer's contribution from its
-        // static work descriptor. Recomputing the same local range
-        // with the same kernel and folding at the same point in peer
-        // order keeps the final output bit-identical to the
-        // fault-free run.
-        let t0 = trace::start();
-        let recomputed_iters = recompute_peer(ctx, wid, peer, tile_idx, a, b, ws)?;
-        for (acc, p) in accum.iter_mut().zip(&ws.scratch) {
-            *acc += *p;
-        }
-        trace::finish(SpanKind::Recovery, t0, peer as u32, recomputed_iters as u32);
-        events.push(RecoveryEvent { peer, tile_idx, cause, recomputed_iters });
-        *next_peer += 1;
-    }
-    Ok(true)
-}
-
-/// Recomputes `peer`'s contribution to `tile_idx` into `ws.scratch`,
-/// returning the number of MAC-loop iterations re-executed.
-fn recompute_peer<In, Acc>(
-    ctx: &GridCtx<'_, In, Acc>,
-    wid: usize,
-    peer: usize,
-    tile_idx: usize,
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    ws: &mut Workspace<In, Acc>,
-) -> Result<usize, ExecutorError>
-where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    let space = ctx.decomp.space();
-    let seg_p = peer_contribution(&ctx.ctas[peer], space, tile_idx).ok_or_else(|| {
-        ExecutorError::InvalidDecomposition(format!(
-            "fixup lists CTA {peer} as a peer of tile {tile_idx} but it contributes nothing",
-        ))
-    })?;
-    ws.reset_scratch();
-    mac_loop_kernel_cached(
-        ctx.kernel,
-        ctx.cache.as_ref(),
-        wid,
-        a,
-        b,
-        space,
-        tile_idx,
-        seg_p.local_begin,
-        seg_p.local_end,
-        &mut ws.scratch,
-        &mut ws.pack,
-    );
-    Ok(seg_p.len())
-}
-
-/// Executes one CTA: the iteration-processing outer loop of
-/// Algorithm 5, with fault injection on the contributor side and
-/// recovery on the owner side.
-///
-/// All scratch comes from the worker's [`Workspace`]: the tile
-/// accumulator, the packed operand panels, and every partial-sum
-/// buffer handed to the fixup board are pooled and recycled, so the
-/// steady-state loop performs no heap allocation.
-///
-/// An owner whose peers have not all signaled does **not** block
-/// here: it parks the consolidation in `deferred` (cooperative wait)
-/// and returns to the claim loop. With static per-worker CTA ranges
-/// an owner can sit *ahead of its own peers* in the dispatch order —
-/// a blocking wait would deadlock the launch, not just waste a core.
-#[allow(clippy::too_many_arguments)]
-fn run_cta<In, Acc>(
-    ctx: &GridCtx<'_, In, Acc>,
-    wid: usize,
-    id: usize,
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    writer: &TileWriter<'_, Acc>,
-    alpha: Acc,
-    beta: Acc,
-    ws: &mut Workspace<In, Acc>,
-    deferred: &mut Vec<Deferred<Acc>>,
-    events: &mut Vec<RecoveryEvent>,
-) -> Result<(), ExecutorError>
-where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    let cta = &ctx.ctas[id];
-    let space = ctx.decomp.space();
-    let tile = space.tile();
-    // All KernelKinds accumulate in identical ascending-k order, so
-    // the choice never changes results (Blocked falls back to the
-    // scalar path internally when operands are not row-contiguous).
-    let kind = ctx.kernel;
-    let cache = ctx.cache.as_ref();
-    let cta_t0 = trace::start();
-
-    for seg in cta.segments(space) {
-        let iters = (seg.local_end - seg.local_begin) as u32;
-        if !seg.starts_tile {
-            // This CTA joined the tile mid-stream: publish partials
-            // for the owner and move on. Partials are exchanged
-            // *unscaled*; the epilogue is applied exactly once, by
-            // the owner at store time. The buffer comes from the
-            // pool; ownership passes through the board to the owner.
-            let mut partial = ws.take_partial();
-            let t0 = trace::start();
-            mac_loop_kernel_cached(kind, cache, wid, a, b, space, seg.tile_idx, seg.local_begin, seg.local_end, &mut partial, &mut ws.pack);
-            trace::finish(SpanKind::Mac, t0, seg.tile_idx as u32, iters);
-            match ctx.plan.fault_for(cta.cta_id) {
-                None => {
-                    let t0 = trace::start();
-                    ctx.board.store_and_signal(cta.cta_id, partial)?;
-                    trace::finish(SpanKind::Signal, t0, cta.cta_id as u32, 0);
-                }
-                Some(FaultKind::Straggle(delay)) => {
-                    std::thread::sleep(delay);
-                    let t0 = trace::start();
-                    ctx.board.store_and_signal(cta.cta_id, partial)?;
-                    trace::finish(SpanKind::Signal, t0, cta.cta_id as u32, 0);
-                }
-                Some(FaultKind::Lose) => {
-                    // The consolidation message vanishes: no signal,
-                    // ever. The owner's watchdog must fire.
-                    ws.recycle_partial(partial);
-                }
-                Some(FaultKind::Poison) => {
-                    // The record arrives detectably corrupted.
-                    ws.recycle_partial(partial);
-                    ctx.board.poison(cta.cta_id)?;
-                }
-            }
-            continue;
-        }
-
-        ws.reset_accum();
-        let t0 = trace::start();
-        mac_loop_kernel_cached(kind, cache, wid, a, b, space, seg.tile_idx, seg.local_begin, seg.local_end, &mut ws.accum, &mut ws.pack);
-        trace::finish(SpanKind::Mac, t0, seg.tile_idx as u32, iters);
-
-        if !seg.ends_tile {
-            // Owner of a split tile: fold every peer that has already
-            // signaled (in ascending order); if one is still pending,
-            // park the consolidation and go claim other work instead
-            // of blocking a worker on it.
-            let mut accum = std::mem::take(&mut ws.accum);
-            let mut next_peer = 0;
-            let done = advance_consolidation(
-                ctx, wid, id, seg.tile_idx, &mut accum, &mut next_peer, a, b, ws, events, false,
-            )?;
-            if !done {
-                ctx.deferrals.fetch_add(1, Ordering::Relaxed);
-                trace::instant(SpanKind::DeferPark, seg.tile_idx as u32, next_peer as u32);
-                deferred.push(Deferred { owner: id, tile_idx: seg.tile_idx, accum, next_peer });
-                // Give the workspace a fresh (pooled) accumulator for
-                // the next segment; the parked one travels with the
-                // deferred record.
-                ws.accum = ws.take_partial();
-                continue;
-            }
-            ws.accum = accum;
-        }
-
-        writer.store_tile_ex(seg.tile_idx, tile.blk_n, &ws.accum, alpha, beta);
-    }
-    trace::finish(SpanKind::Cta, cta_t0, id as u32, 0);
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamk_core::Strategy;
+    use crate::fault::FaultKind;
+    use streamk_core::{FixupError, Strategy};
     use streamk_matrix::f16;
     use streamk_matrix::reference::gemm_naive;
     use streamk_types::{GemmShape, Layout, TileShape};

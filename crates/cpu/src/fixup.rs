@@ -328,26 +328,6 @@ impl<Acc: Send> FixupBoard<Acc> {
         (outcome, rounds)
     }
 
-    /// [`wait_with`](Self::wait_with) under the default policy,
-    /// expecting a clean signal — the fault-free fast path used where
-    /// no faults can be injected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is poisoned or the 30-second default
-    /// watchdog expires (both indicate a bug in a fault-free
-    /// schedule; a bounded panic beats the former unbounded spin).
-    #[must_use]
-    pub fn wait_and_take(&self, peer: usize) -> Vec<Acc> {
-        match self.wait_with(peer, &WaitPolicy::default()) {
-            WaitOutcome::Signaled(partials) => partials,
-            WaitOutcome::Poisoned => panic!("CTA {peer}'s partials poisoned in a fault-free schedule"),
-            WaitOutcome::TimedOut { waited } => {
-                panic!("watchdog expired after {waited:?} waiting for CTA {peer}")
-            }
-        }
-    }
-
     /// The current state of `cta`'s flag (non-blocking).
     ///
     /// # Panics
@@ -388,13 +368,21 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Waits for `peer`'s record under the default policy.
+    fn take(board: &FixupBoard<f64>, peer: usize) -> Vec<f64> {
+        match board.wait_with(peer, &WaitPolicy::default()) {
+            WaitOutcome::Signaled(partial) => partial,
+            other => panic!("CTA {peer} did not signal: {other:?}"),
+        }
+    }
+
     #[test]
     fn single_thread_round_trip() {
         let board = FixupBoard::<f64>::new(4);
         assert_eq!(board.state(2), FlagState::Pending);
         board.store_and_signal(2, vec![1.0, 2.0]).unwrap();
         assert!(board.has_signaled(2));
-        assert_eq!(board.wait_and_take(2), vec![1.0, 2.0]);
+        assert_eq!(take(&board, 2), vec![1.0, 2.0]);
     }
 
     #[test]
@@ -403,7 +391,7 @@ mod tests {
         board.store_and_signal(0, vec![1.0]).unwrap();
         assert_eq!(board.store_and_signal(0, vec![2.0]), Err(FixupError::DoubleSignal { cta: 0 }));
         // The first record survives the failed second signal.
-        assert_eq!(board.wait_and_take(0), vec![1.0]);
+        assert_eq!(take(&board, 0), vec![1.0]);
     }
 
     #[test]
@@ -509,7 +497,7 @@ mod tests {
                 board.store_and_signal(1, payload).unwrap();
             })
         };
-        let got = board.wait_and_take(1);
+        let got = take(&board, 1);
         producer.join().unwrap();
         assert_eq!(got, expected);
     }
@@ -553,7 +541,7 @@ mod tests {
                 .collect();
             let mut sum = [0.0f64; 16];
             for p in 1..=peers {
-                for (s, v) in sum.iter_mut().zip(board.wait_and_take(p)) {
+                for (s, v) in sum.iter_mut().zip(take(&board, p)) {
                     *s += v;
                 }
             }

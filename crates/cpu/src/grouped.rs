@@ -1,14 +1,13 @@
 //! Grouped GEMM execution — one grid, many problem shapes.
+//!
+//! The executor's grid loop is written over a list of instances with
+//! concatenated iteration spaces, which is exactly what a
+//! [`GroupedDecomposition`] describes: this entry validates it and
+//! hands over its instance spaces.
 
-use crate::executor::CpuExecutor;
-use crate::fixup::FixupBoard;
-use crate::output::OwnedTileWriter;
-use crate::packcache::mac_loop_instance_cached;
-use crate::sched::GridCursor;
-use crate::workspace::Workspace;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-use streamk_core::{GroupedDecomposition, PeerTable};
+use crate::executor::{CpuExecutor, RecoveryReport};
+use crate::fault::FaultPlan;
+use streamk_core::{ExecutorError, GroupedDecomposition};
 use streamk_matrix::{Matrix, Promote, Scalar};
 
 impl CpuExecutor {
@@ -19,8 +18,8 @@ impl CpuExecutor {
     /// # Panics
     ///
     /// Panics if the operand counts or shapes don't match the
-    /// decomposition, or if the fixup structure needs more co-resident
-    /// CTAs than there are workers.
+    /// decomposition, if the decomposition is invalid, or if the fixup
+    /// structure needs more co-resident CTAs than there are workers.
     #[must_use]
     pub fn gemm_grouped<In, Acc>(
         &self,
@@ -32,103 +31,49 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        let space = decomp.space();
-        assert_eq!(a.len(), space.groups(), "need one A per instance");
-        assert_eq!(b.len(), space.groups(), "need one B per instance");
-        for (i, inst) in space.instances().iter().enumerate() {
-            let shape = inst.shape();
-            assert_eq!((a[i].rows(), a[i].cols()), (shape.m, shape.k), "A[{i}] must be m x k");
-            assert_eq!((b[i].rows(), b[i].cols()), (shape.k, shape.n), "B[{i}] must be k x n");
-        }
-        decomp.validate().expect("invalid grouped decomposition");
+        self.grouped_fresh(a, b, decomp, &FaultPlan::none(), false).map_or_else(|e| panic!("{e}"), |(c, _)| c)
+    }
 
-        let fixups = decomp.fixups();
-        let max_covering = fixups.iter().map(|f| f.covering_ctas()).max().unwrap_or(1);
-        assert!(
-            max_covering <= self.threads(),
-            "decomposition needs {max_covering} co-resident CTAs but the executor has {} threads",
-            self.threads()
-        );
-        // Flat CSR peer table — no per-launch Vec-of-Vec cloning.
-        let owner_peers = PeerTable::new(decomp.grid_size(), &fixups);
+    /// [`gemm_grouped`](Self::gemm_grouped) while injecting `plan`'s
+    /// faults into the fixup protocol and recovering from each, exactly
+    /// as [`gemm_with_faults`](Self::gemm_with_faults) does for a
+    /// single GEMM: outputs bit-identical to the fault-free launch's,
+    /// and a [`RecoveryReport`] of what recovery had to do.
+    ///
+    /// # Errors
+    ///
+    /// As [`gemm_with_faults`](Self::gemm_with_faults), except that
+    /// operand counts or shapes that don't match the decomposition
+    /// panic.
+    pub fn gemm_grouped_with_faults<In, Acc>(
+        &self,
+        a: &[Matrix<In>],
+        b: &[Matrix<In>],
+        decomp: &GroupedDecomposition,
+        plan: &FaultPlan,
+    ) -> Result<(Vec<Matrix<Acc>>, RecoveryReport), ExecutorError>
+    where
+        In: Promote<Acc>,
+        Acc: Scalar,
+    {
+        self.grouped_fresh(a, b, decomp, plan, true)
+    }
 
-        // One blocking factor for all instances — the shared
-        // accumulator size.
-        let tile = space.instances()[0].tile();
-        // One output per instance, born from its tiles (see
-        // `batched.rs`).
-        let outputs: Vec<OwnedTileWriter<Acc>> = space
-            .instances()
-            .iter()
-            .enumerate()
-            .map(|(i, inst)| OwnedTileWriter::new(a[i].layout(), inst))
-            .collect();
-
-        let board = FixupBoard::<Acc>::new(decomp.grid_size());
-        let cursor = GridCursor::new(decomp.grid_size());
-        let ctas = decomp.ctas();
-        let kind = self.kernel();
-        // One slot table spanning the instances, each corner keyed by
-        // that instance's own iteration space (grouped instances have
-        // unrelated shapes), grid-shared. `None` when nothing packs
-        // (every operand is read in place), caching is off or the
-        // kernel doesn't consume panels; the dispatcher then packs
-        // privately.
-        let cache = self.launch_pack_cache(
-            space.instances().iter().enumerate().map(|(i, inst)| (inst, a[i].view(), b[i].view())),
-            1,
-        );
-
-        // Round-robin cursor claiming (owners block in
-        // `wait_and_take`): the interleave keeps a blocked owner's
-        // peers claimed by other workers, which static ranges would
-        // not guarantee. A peer no one has claimed yet is waiting for
-        // a helper that has not arrived: the launch stays open while
-        // the launcher is inside this loop, so it will (see
-        // `batched.rs` and DESIGN.md §10).
-        let tile_len = tile.blk_m * tile.blk_n;
-        let wait_ns = AtomicU64::new(0);
-        self.worker_pool().run(&|wid, scratch| {
-            // Per-worker arena from the persistent pool's scratch
-            // store, warm across launches; the dispatcher handles each
-            // instance's layout (packed kernels normalize it, Blocked
-            // falls back to scalar when strided).
-            let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(tile_len));
-            ws.begin_launch(tile_len);
-            while let Some(id) = cursor.claim() {
-                let cta = &ctas[id];
-                for seg in space.segments(cta) {
-                    let inst = &space.instances()[seg.instance];
-                    let (av, bv) = (a[seg.instance].view(), b[seg.instance].view());
-
-                    if !seg.starts_tile {
-                        let mut partial = ws.take_partial();
-                        mac_loop_instance_cached(kind, cache.as_ref(), seg.instance, wid, &av, &bv, inst, seg.local_tile, seg.local_begin, seg.local_end, &mut partial, &mut ws.pack);
-                        board
-                            .store_and_signal(cta.cta_id, partial)
-                            .expect("fault-free grouped schedule");
-                        continue;
-                    }
-                    ws.reset_accum();
-                    mac_loop_instance_cached(kind, cache.as_ref(), seg.instance, wid, &av, &bv, inst, seg.local_tile, seg.local_begin, seg.local_end, &mut ws.accum, &mut ws.pack);
-                    if !seg.ends_tile {
-                        for &peer in owner_peers.peers(cta.cta_id) {
-                            let t0 = Instant::now();
-                            let partial = board.wait_and_take(peer);
-                            wait_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            for (acc, p) in ws.accum.iter_mut().zip(&partial) {
-                                *acc += *p;
-                            }
-                            ws.recycle_partial(partial);
-                        }
-                    }
-                    outputs[seg.instance].writer().store_tile(seg.local_tile, tile.blk_n, &ws.accum);
-                }
-            }
-        });
-        self.record_stats(0, 0, Duration::from_nanos(wait_ns.load(Ordering::Relaxed)), 0);
-        self.retire_pack_cache(cache);
-        outputs.iter().map(OwnedTileWriter::take).collect()
+    fn grouped_fresh<In, Acc>(
+        &self,
+        a: &[Matrix<In>],
+        b: &[Matrix<In>],
+        decomp: &GroupedDecomposition,
+        plan: &FaultPlan,
+        recover: bool,
+    ) -> Result<(Vec<Matrix<Acc>>, RecoveryReport), ExecutorError>
+    where
+        In: Promote<Acc>,
+        Acc: Scalar,
+    {
+        decomp.validate().map_err(ExecutorError::InvalidDecomposition)?;
+        let spaces = decomp.space().instances().iter();
+        self.run_group(a, b, spaces, decomp.ctas(), &decomp.fixups(), plan, recover)
     }
 }
 
@@ -213,6 +158,24 @@ mod tests {
         let c = CpuExecutor::with_threads(4).gemm_grouped::<f64, f64>(&a, &b, &decomp);
         for i in 0..2 {
             c[i].assert_close(&gemm_naive::<f64, f64>(&a[i], &b[i]), 1e-12);
+        }
+    }
+
+    /// With recovery off — the entry `gemm_grouped` shares with
+    /// `gemm_grouped_with_faults` — a lost peer is the owner's watchdog
+    /// timeout, typed, and the outputs are dropped unread.
+    #[test]
+    fn lost_peer_without_recovery_is_a_watchdog_error() {
+        use streamk_core::FixupError;
+        let shapes = [GemmShape::new(32, 32, 48), GemmShape::new(48, 16, 96), GemmShape::new(16, 64, 16)];
+        let (a, b) = operands(&shapes, 6);
+        let decomp = GroupedDecomposition::stream_k(GroupedSpace::new(&shapes, TileShape::new(16, 16, 8)), 4);
+        let victim = decomp.fixups().iter().find_map(|f| f.peers.first().copied()).expect("a split tile");
+        let plan = FaultPlan::single(victim, crate::FaultKind::Lose);
+        let exec = CpuExecutor::with_threads(4).with_watchdog(std::time::Duration::from_millis(100));
+        match exec.grouped_fresh::<f64, f64>(&a, &b, &decomp, &plan, false) {
+            Err(ExecutorError::Fixup(FixupError::WatchdogTimeout { peer, .. })) => assert_eq!(peer, victim),
+            other => panic!("expected a watchdog timeout, got {:?}", other.map(|(_, report)| report)),
         }
     }
 

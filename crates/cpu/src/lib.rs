@@ -39,6 +39,7 @@
 mod arena;
 pub mod batched;
 pub mod calibrate;
+mod engine;
 pub mod executor;
 pub mod fault;
 pub mod fixup;

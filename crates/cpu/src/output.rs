@@ -100,6 +100,11 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
         Self { ptr, len, space: space.clone(), layout, filled, written, _marker: PhantomData }
     }
 
+    /// The tiling of the output this writer stores by.
+    pub(crate) fn space(&self) -> &IterSpace {
+        &self.space
+    }
+
     /// Stores a finished tile unscaled: `C_tile = accum`. `accum` is a
     /// row-major scratch tile of row stride `blk_n`; the region written
     /// is `space.tile_extents(tile_idx)`, clamped at the matrix edges.
@@ -107,6 +112,7 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
     /// # Panics
     ///
     /// As [`store_tile_ex`](Self::store_tile_ex).
+    #[cfg(test)]
     pub(crate) fn store_tile(&self, tile_idx: usize, blk_n: usize, accum: &[Acc]) {
         self.store_tile_ex(tile_idx, blk_n, accum, Acc::ONE, Acc::ZERO);
     }

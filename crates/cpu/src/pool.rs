@@ -41,10 +41,10 @@
 //!    cannot poison the pool for later launches.
 //!
 //! The epoch stays open for as long as the launcher is inside its
-//! share, so a job whose workers block on each other (the batched and
-//! grouped owners in `wait_and_take`) still gets every helper: they
-//! are skipped only once the launcher, and with it the claim loop, is
-//! done.
+//! share, so a job whose workers wait on each other (the service's
+//! sweep, a launch's final blocking drain) still gets every helper:
+//! they are skipped only once the launcher, and with it the claim
+//! loop, is done.
 //!
 //! **Waiting.** Both waits — a helper for the next epoch, the launcher
 //! for entered helpers — first descend the spin and yield rungs of the

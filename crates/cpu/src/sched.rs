@@ -25,7 +25,7 @@
 
 use crate::pad::CachePadded;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use streamk_core::contiguous_ranges;
+use streamk_core::contiguous_range;
 
 const FIELD_BITS: u32 = 24;
 const FIELD_MASK: u64 = (1 << FIELD_BITS) - 1;
@@ -125,16 +125,12 @@ impl RangeQueue {
 /// The round-robin CTA cursor: one shared counter, one `fetch_add`
 /// per claim.
 ///
-/// This is the claim discipline [`CtaScheduler`] replaced on the
-/// single-launch hot path, promoted to a named type because three
-/// executors still *want* it: the grouped and batched paths (whose
-/// owners block in `wait_and_take`, so the round-robin interleave is
-/// what guarantees a blocked owner's peers are already claimed by
-/// other workers) and the serve layer (where each in-flight request
-/// carries its own cursor and fairness across claimants matters more
-/// than locality). Compared to the inline `AtomicUsize` each of those
-/// paths used to roll by hand, the cursor adds nothing but a bounds
-/// check and a name for the invariant.
+/// This is the claim discipline [`CtaScheduler`] replaced for launches
+/// — single, batched and grouped alike, whose owners park instead of
+/// blocking and so need no interleave to stay live. The serve layer
+/// still wants it: each in-flight request carries its own cursor as
+/// its work source, where a worker takes whatever CTA comes next and
+/// fairness across claimants matters more than locality.
 #[derive(Debug)]
 pub struct GridCursor {
     next: AtomicUsize,
@@ -201,8 +197,9 @@ impl CtaScheduler {
     #[must_use]
     pub fn new(total: usize, workers: usize) -> Self {
         assert!(total as u64 <= FIELD_MASK, "grid too large for the packed queue word");
-        let queues = contiguous_ranges(total, workers)
-            .into_iter()
+        assert!(workers > 0, "need at least one worker");
+        let queues = (0..workers)
+            .map(|w| contiguous_range(total, workers, w))
             .map(|r| CachePadded::new(RangeQueue::new(r.start, r.end)))
             .collect();
         Self { queues, steals: CachePadded::new(AtomicUsize::new(0)) }

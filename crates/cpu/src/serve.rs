@@ -21,16 +21,17 @@
 //!   takes the next CTA from the first running request that still
 //!   has unclaimed work — exactly the single-launch claim loop with
 //!   the request list as an outer dimension.
-//! - **Consolidation** reuses the cooperative-deferral discipline of
-//!   the single-launch executor: owners never block while claimable
-//!   work exists *anywhere*, parked consolidations are resumed
-//!   opportunistically, and blocking waits are bounded by the
+//! - **Execution** is the single-launch executor's: every claimed CTA
+//!   runs through the one Algorithm 5 cycle in `engine.rs`, each
+//!   request carrying the cycle's per-launch state. Owners never block
+//!   while claimable work exists *anywhere*, parked consolidations are
+//!   resumed opportunistically, and blocking waits are bounded by the
 //!   watchdog with owner-side recovery
 //!   ([`streamk_core::peer_contribution`]) recomputing lost or
-//!   poisoned partials bit-exactly. Blocking owners (the grouped/
-//!   batched discipline) would deadlock here: two workers blocked as
-//!   owners of *different* requests can each hold the worker the
-//!   other's peer needs.
+//!   poisoned partials bit-exactly. (An owner that blocked with work
+//!   outstanding would deadlock here: two workers blocked as owners of
+//!   *different* requests can each hold the worker the other's peer
+//!   needs.)
 //! - **Isolation**: every CTA executes under `catch_unwind`. A panic
 //!   (or an unmaskable protocol failure) fails *that request's*
 //!   [`CompletionHandle`] and nothing else — the pool stays up, the
@@ -59,18 +60,18 @@
 //! [`GemmService::shutdown`] — by design: the pool's launch lock is
 //! the tenancy boundary.
 
-use crate::executor::CpuExecutor;
-use crate::fault::{FaultKind, FaultPlan, ServeFaultKind};
-use crate::fixup::{FixupBoard, TryTake, WaitPolicy};
+use crate::engine::{Deferred, Grid, Instance, Launch, Output, Progress, Worker};
+use crate::executor::{check_residency, check_single, CpuExecutor};
+use crate::fault::{FaultPlan, ServeFaultKind};
+use crate::fixup::WaitPolicy;
 use crate::microkernel::KernelKind;
 use crate::output::OwnedTileWriter;
-use crate::packcache::mac_loop_kernel_cached;
 use crate::pool::ScratchStore;
 use crate::sched::GridCursor;
 use crate::telemetry::{
     IncidentReport, RequestTrace, ServeTrace, ServiceCounter, ServiceEventKind, TelemetryRegistry,
 };
-use crate::trace::{Span, SpanKind, SpanRing};
+use crate::trace::{SpanKind, WorkerTracer};
 use crate::workspace::Workspace;
 use std::collections::VecDeque;
 use std::fmt;
@@ -79,7 +80,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use streamk_core::{peer_contribution, CtaWork, Decomposition, ExecutorError, PeerTable};
+use streamk_core::{Decomposition, ExecutorError};
 use streamk_matrix::{Matrix, Promote, Scalar};
 
 /// Request priority class. Admission is weighted round-robin over
@@ -462,23 +463,21 @@ struct RequestCell<In, Acc> {
     priority: Priority,
     /// Group id when submitted via `submit_group`.
     group: Option<u64>,
-    /// The service epoch every span timestamp is relative to.
-    epoch: Instant,
-    /// The request-scoped span ring (`Some` only when the service was
-    /// started with `ServeConfig::trace`); every recording site is a
-    /// cheap `None` check when tracing is off.
-    spans: Option<Mutex<SpanRing>>,
     a: Matrix<In>,
     b: Matrix<In>,
     decomp: Decomposition,
-    peers: PeerTable,
-    board: FixupBoard<Acc>,
+    /// The engine's per-launch state, for this request's whole life:
+    /// peers, fixup board, fault plan, kernel, the deferral / wait /
+    /// recovery counters, the request-scoped span ring (only when the
+    /// service was started with `ServeConfig::trace`), and the
+    /// liveness flag — set by the transition into any terminal state,
+    /// so workers stop spending cycles on the request.
+    launch: Launch<In, Acc>,
     out: OwnedTileWriter<Acc>,
     cursor: GridCursor,
     tiles_done: AtomicUsize,
     total_tiles: usize,
     tile_len: usize,
-    kernel: KernelKind,
     state: AtomicU8,
     submitted_at: Instant,
     /// Earliest admission time (submission-time straggler injection).
@@ -489,12 +488,8 @@ struct RequestCell<In, Acc> {
     cancel_at_claim: Option<usize>,
     /// Injected panic: the worker executing this CTA panics.
     panic_at_cta: Option<usize>,
-    cta_faults: FaultPlan,
     started: Mutex<Option<(Instant, u64)>>,
-    deferrals: AtomicUsize,
-    recoveries: AtomicUsize,
     ctas_run: AtomicUsize,
-    wait_ns: AtomicU64,
     outcome: Mutex<Option<Outcome<Acc>>>,
     done_cv: Condvar,
 }
@@ -505,13 +500,17 @@ impl<In, Acc: Scalar> RequestCell<In, Acc> {
     }
 
     fn transition(&self, from: u8, to: u8) -> bool {
-        self.state.compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire).is_ok()
+        let won = self.state.compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire).is_ok();
+        if won && to >= DONE {
+            self.launch.kill();
+        }
+        won
     }
 
     /// `true` once the request is in a terminal state — workers must
     /// stop spending cycles on it.
     fn is_dead(&self) -> bool {
-        self.state() >= DONE
+        self.launch.is_dead()
     }
 
     /// Records the first-claim instant; `true` only for the call that
@@ -525,48 +524,12 @@ impl<In, Acc: Scalar> RequestCell<In, Acc> {
         false
     }
 
-    /// Opens a span: a timestamp when this request is traced, `None`
-    /// (a field check, no syscall) when not.
-    fn tstart(&self) -> Option<Instant> {
-        if self.spans.is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Closes a span opened by [`tstart`](Self::tstart).
-    fn record_span(&self, kind: SpanKind, t0: Option<Instant>, arg: u32, arg2: u32) {
-        if let Some(t0) = t0 {
-            self.record_span_between(kind, t0, Instant::now(), arg, arg2);
-        }
-    }
-
-    /// Records a `[t0, t1)` span into the request's ring (no-op when
-    /// untraced). Timestamps are rebased on the service epoch so all
-    /// request tracks share one timeline.
-    fn record_span_between(&self, kind: SpanKind, t0: Instant, t1: Instant, arg: u32, arg2: u32) {
-        let Some(ring) = &self.spans else { return };
-        let rel = |t: Instant| t.saturating_duration_since(self.epoch).as_nanos() as u64;
-        ring.lock().unwrap_or_else(PoisonError::into_inner).push(Span {
-            kind,
-            start_ns: rel(t0),
-            end_ns: rel(t1),
-            arg,
-            arg2,
-        });
-    }
-
-    /// Drains the request's recorded spans (empty when untraced).
-    fn drain_spans(&self) -> (Vec<Span>, usize) {
-        match &self.spans {
-            None => (Vec::new(), 0),
-            Some(ring) => {
-                let mut ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
-                let dropped = ring.dropped();
-                (ring.drain_spans(), dropped)
-            }
-        }
+    /// What the request's span ring holds, drained, as its track of
+    /// the service trace; `None` for an untraced request.
+    fn drain_trace(&self) -> Option<RequestTrace> {
+        let (id, lane, group) = (self.id, self.priority.lane(), self.group);
+        let trace = self.launch.drain_spans()?;
+        Some(RequestTrace { id, lane, group, spans: trace.spans, dropped: trace.dropped })
     }
 
     fn stats_snapshot(&self, now: Instant) -> RequestStats {
@@ -579,9 +542,9 @@ impl<In, Acc: Scalar> RequestCell<In, Acc> {
         };
         RequestStats {
             ctas: self.ctas_run.load(Ordering::Relaxed),
-            deferrals: self.deferrals.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            wait_stall: Duration::from_nanos(self.wait_ns.load(Ordering::Relaxed)),
+            deferrals: self.launch.deferrals(),
+            recoveries: self.launch.recoveries(),
+            wait_stall: self.launch.wait_stall(),
             queued,
             service,
             latency: now.saturating_duration_since(self.submitted_at),
@@ -599,6 +562,18 @@ impl<In, Acc: Scalar> RequestCell<In, Acc> {
             *slot = Some(outcome);
             self.done_cv.notify_all();
         }
+    }
+}
+
+impl<In: Promote<Acc>, Acc: Scalar> RequestCell<In, Acc> {
+    /// Runs `f` on worker `wid`'s view of the request as the engine
+    /// sees it: a grid of one instance, stored unscaled into the
+    /// request's own buffer.
+    fn with_worker<R>(&self, wid: usize, f: impl FnOnce(Worker<'_, In, Acc>) -> R) -> R {
+        let window = Output::Window(self.out.writer());
+        let instance = [Instance::new(self.a.view(), self.b.view(), window, 0)];
+        let grid = Grid { ctas: self.decomp.ctas(), instances: &instance, alpha: Acc::ONE, beta: Acc::ZERO };
+        f(Worker { launch: &self.launch, grid: &grid, wid })
     }
 }
 
@@ -870,23 +845,17 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
         // Per-request counters fold in exactly once, at resolution —
         // increments racing past this point (a straggling claimed CTA
         // of a timed-out request) are deliberately not chased.
-        t.add(ServiceCounter::Deferrals, cell.deferrals.load(Ordering::Relaxed) as u64);
-        t.add(ServiceCounter::Recoveries, cell.recoveries.load(Ordering::Relaxed) as u64);
-        t.add(ServiceCounter::WaitStallNs, cell.wait_ns.load(Ordering::Relaxed));
+        t.add(ServiceCounter::Deferrals, cell.launch.deferrals() as u64);
+        t.add(ServiceCounter::Recoveries, cell.launch.recoveries() as u64);
+        t.add(ServiceCounter::WaitStallNs, cell.launch.wait_stall().as_nanos() as u64);
         t.record_latency(lane, cell.submitted_at.elapsed().as_nanos() as u64);
         t.flight().record(event, cell.id, lane, 0);
-        let (spans, dropped) = cell.drain_spans();
+        let trace = cell.drain_trace();
         if let Some(reason) = anomaly {
-            t.incident(reason, cell.id, lane, spans.clone());
+            t.incident(reason, cell.id, lane, trace.as_ref().map_or_else(Vec::new, |t| t.spans.clone()));
         }
-        if cell.spans.is_some() {
-            t.harvest_trace(RequestTrace {
-                id: cell.id,
-                lane,
-                group: cell.group,
-                spans,
-                dropped,
-            });
+        if let Some(trace) = trace {
+            t.harvest_trace(trace);
         }
         cell.complete(result);
         self.work_cv.notify_all();
@@ -899,20 +868,49 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
     /// fragment that `TelemetryRegistry::take_trace` merges back into
     /// the request's track, so timelines stay complete.
     fn harvest_remnant(&self, cell: &Arc<RequestCell<In, Acc>>) {
-        if cell.spans.is_none() || !cell.is_dead() {
+        if !cell.is_dead() {
             return;
         }
-        let (spans, dropped) = cell.drain_spans();
-        if spans.is_empty() && dropped == 0 {
-            return;
+        if let Some(trace) = cell.drain_trace().filter(|t| !t.spans.is_empty() || t.dropped > 0) {
+            self.telemetry.harvest_trace(trace);
         }
-        self.telemetry.harvest_trace(RequestTrace {
-            id: cell.id,
-            lane: cell.priority.lane(),
-            group: cell.group,
-            spans,
-            dropped,
-        });
+    }
+
+    /// Books what one engine call, run under `catch_unwind`, did for
+    /// `cell`: tiles stored count toward completion — the `AcqRel`
+    /// counter gives the finalizer happens-before with every store,
+    /// the state CAS elects exactly one finalizer, and the owned
+    /// buffer becomes the caller's output matrix without a copy — a
+    /// protocol failure recovery could not mask fails the request, and
+    /// so does a panic: this request's handle, nothing else.
+    fn settle(
+        &self,
+        cell: &Arc<RequestCell<In, Acc>>,
+        outcome: std::thread::Result<Result<usize, ExecutorError>>,
+    ) {
+        match outcome {
+            Ok(Ok(0)) => {}
+            Ok(Ok(stored)) => {
+                let done = cell.tiles_done.fetch_add(stored, Ordering::AcqRel) + stored;
+                if done == cell.total_tiles && cell.transition(RUNNING, DONE) {
+                    // `finish` also wakes parked workers, so admission
+                    // sees the freed window slot promptly.
+                    self.finish(cell, DONE, Ok(cell.out.take()));
+                }
+            }
+            Ok(Err(e)) => {
+                if cell.transition(RUNNING, FAILED) {
+                    self.finish(cell, FAILED, Err(ServeError::Failed(e)));
+                }
+            }
+            Err(payload) => {
+                if cell.transition(RUNNING, PANICKED) {
+                    let message = panic_message(payload.as_ref());
+                    self.finish(cell, PANICKED, Err(ServeError::Panicked { message }));
+                }
+            }
+        }
+        self.harvest_remnant(cell);
     }
 
     /// Publishes the queue-depth gauges from the current queue state.
@@ -1026,7 +1024,7 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
                     );
                     // Queue wait is a first-class phase: submission →
                     // first claim, one span per request.
-                    cell.record_span_between(
+                    cell.launch.record(
                         SpanKind::QueueWait,
                         cell.submitted_at,
                         now,
@@ -1075,24 +1073,9 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
 // Worker loop
 // ---------------------------------------------------------------------------
 
-/// An owner consolidation parked because a peer had not signaled:
-/// the multi-request form of the executor's `Deferred`.
-struct ServeDeferred<In, Acc> {
-    cell: Arc<RequestCell<In, Acc>>,
-    owner: usize,
-    tile_idx: usize,
-    accum: Vec<Acc>,
-    next_peer: usize,
-}
-
-enum Progress {
-    /// All peers folded; the tile is ready to store.
-    Done,
-    /// A peer is still pending; the consolidation parks.
-    Parked,
-    /// The request died; drop the consolidation.
-    Abandoned,
-}
+/// A consolidation this worker parked, with the request it belongs
+/// to: one worker's list spans every request it has owned a tile of.
+type Parked<In, Acc> = (Arc<RequestCell<In, Acc>>, Deferred<Acc>);
 
 /// The per-worker serve loop: runs until the service is told to shut
 /// down *and* every request has resolved.
@@ -1104,11 +1087,11 @@ fn serve_worker<In, Acc>(
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    let mut deferred: Vec<ServeDeferred<In, Acc>> = Vec::new();
+    let mut deferred: Vec<Parked<In, Acc>> = Vec::new();
     loop {
         // Opportunistic pass: resume any parked consolidation whose
         // peers have signaled since, without blocking.
-        advance_deferred(shared, &mut deferred, scratch, false);
+        advance_deferred(shared, &mut deferred, wid, scratch, false);
         match shared.claim_next() {
             Claimed::Cta(cell, id) => execute_claim(shared, &cell, id, wid, scratch, &mut deferred),
             Claimed::Idle => {
@@ -1118,7 +1101,7 @@ fn serve_worker<In, Acc>(
                     // so a bounded blocking drain cannot deadlock —
                     // and the watchdog + recovery bound it even if a
                     // peer's worker died.
-                    advance_deferred(shared, &mut deferred, scratch, true);
+                    advance_deferred(shared, &mut deferred, wid, scratch, true);
                     continue;
                 }
                 let q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1132,7 +1115,7 @@ fn serve_worker<In, Acc>(
             Claimed::Drained => {
                 // Any leftover deferred work belongs to dead requests
                 // (the window is empty); drop it and exit.
-                advance_deferred(shared, &mut deferred, scratch, true);
+                advance_deferred(shared, &mut deferred, wid, scratch, true);
                 if deferred.is_empty() {
                     return;
                 }
@@ -1141,52 +1124,38 @@ fn serve_worker<In, Acc>(
     }
 }
 
-/// Executes one claimed CTA under panic isolation: a panic (injected
-/// or real) fails only this request's handle, and the worker returns
-/// to the sweep.
+/// Executes one claimed CTA — the engine's body — under panic
+/// isolation: a panic (injected or real) fails only this request's
+/// handle, and the worker returns to the sweep.
 fn execute_claim<In, Acc>(
     shared: &Arc<ServeShared<In, Acc>>,
     cell: &Arc<RequestCell<In, Acc>>,
     id: usize,
     wid: usize,
     scratch: &mut ScratchStore,
-    deferred: &mut Vec<ServeDeferred<In, Acc>>,
+    deferred: &mut Vec<Parked<In, Acc>>,
 ) where
     In: Promote<Acc>,
     Acc: Scalar,
 {
     let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(cell.tile_len));
     ws.ensure_tile_len(cell.tile_len);
-    // Counted before the body runs: the request completes inside the
-    // owner's CTA body (final tile store, possibly on another worker
-    // via a deferred consolidation), and every peer's claim
-    // happens-before the signals the owner consumes — so counting at
-    // claim time is the only order under which the completion-time
-    // stats snapshot cannot miss a straggling increment.
+    // Counted before the body runs: every peer's claim happens-before
+    // the signals the owner consumes, and the request completes only
+    // after the owner's body, so counting at claim time is the only
+    // order under which the completion-time stats snapshot cannot miss
+    // a straggling increment.
     cell.ctas_run.fetch_add(1, Ordering::Relaxed);
     shared.telemetry.inc(ServiceCounter::Ctas);
-    let t0 = cell.tstart();
-    let outcome =
-        catch_unwind(AssertUnwindSafe(|| execute_cta(shared, cell, id, &mut *ws, &mut *deferred)));
-    cell.record_span(SpanKind::Cta, t0, id as u32, wid as u32);
-    match outcome {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => {
-            if cell.transition(RUNNING, FAILED) {
-                shared.finish(cell, FAILED, Err(ServeError::Failed(e)));
-            }
+    let t0 = cell.launch.start();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if cell.panic_at_cta == Some(id) {
+            panic!("injected serve fault: panic in CTA {id} of request {}", cell.id);
         }
-        Err(payload) => {
-            if cell.transition(RUNNING, PANICKED) {
-                shared.finish(
-                    cell,
-                    PANICKED,
-                    Err(ServeError::Panicked { message: panic_message(payload.as_ref()) }),
-                );
-            }
-        }
-    }
-    shared.harvest_remnant(cell);
+        cell.with_worker(wid, |worker| worker.run_cta(id, ws, |d| deferred.push((Arc::clone(cell), d))))
+    }));
+    cell.launch.finish(SpanKind::Cta, t0, id as u32, wid as u32);
+    shared.settle(cell, outcome);
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1199,264 +1168,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The serve-path CTA body: the single-launch `run_cta` with three
-/// adaptations — owner accumulators come from the pooled partials
-/// (never `ws.accum`, so a panic can't leave the shared workspace
-/// torn), deferred records carry their request, and every segment
-/// re-checks request liveness.
-fn execute_cta<In, Acc>(
-    shared: &ServeShared<In, Acc>,
-    cell: &Arc<RequestCell<In, Acc>>,
-    id: usize,
-    ws: &mut Workspace<In, Acc>,
-    deferred: &mut Vec<ServeDeferred<In, Acc>>,
-) -> Result<(), ExecutorError>
-where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    if cell.panic_at_cta == Some(id) {
-        panic!("injected serve fault: panic in CTA {id} of request {}", cell.id);
-    }
-    let cta: &CtaWork = &cell.decomp.ctas()[id];
-    let space = cell.decomp.space();
-    let blk_n = space.tile().blk_n;
-    let (av, bv) = (cell.a.view(), cell.b.view());
-    let kind = cell.kernel;
-
-    for seg in cta.segments(space) {
-        if cell.is_dead() {
-            return Ok(());
-        }
-        if !seg.starts_tile {
-            let mut partial = ws.take_partial();
-            let t0 = cell.tstart();
-            mac_loop_kernel_cached(kind, None, 0, &av, &bv, space, seg.tile_idx, seg.local_begin, seg.local_end, &mut partial, &mut ws.pack);
-            cell.record_span(
-                SpanKind::Mac,
-                t0,
-                seg.tile_idx as u32,
-                (seg.local_end - seg.local_begin) as u32,
-            );
-            let t_sig = cell.tstart();
-            match cell.cta_faults.fault_for(cta.cta_id) {
-                None => cell.board.store_and_signal(cta.cta_id, partial).map_err(ExecutorError::Fixup)?,
-                Some(FaultKind::Straggle(delay)) => {
-                    std::thread::sleep(delay);
-                    cell.board.store_and_signal(cta.cta_id, partial).map_err(ExecutorError::Fixup)?;
-                }
-                Some(FaultKind::Lose) => ws.recycle_partial(partial),
-                Some(FaultKind::Poison) => {
-                    ws.recycle_partial(partial);
-                    cell.board.poison(cta.cta_id).map_err(ExecutorError::Fixup)?;
-                }
-            }
-            cell.record_span(SpanKind::Signal, t_sig, cta.cta_id as u32, 0);
-            continue;
-        }
-
-        let mut accum = ws.take_partial();
-        let t0 = cell.tstart();
-        mac_loop_kernel_cached(kind, None, 0, &av, &bv, space, seg.tile_idx, seg.local_begin, seg.local_end, &mut accum, &mut ws.pack);
-        cell.record_span(
-            SpanKind::Mac,
-            t0,
-            seg.tile_idx as u32,
-            (seg.local_end - seg.local_begin) as u32,
-        );
-        if !seg.ends_tile {
-            let mut next_peer = 0;
-            match advance_consolidation(shared, cell, id, seg.tile_idx, &mut accum, &mut next_peer, ws, false)? {
-                Progress::Done => {}
-                Progress::Parked => {
-                    cell.deferrals.fetch_add(1, Ordering::Relaxed);
-                    if cell.spans.is_some() {
-                        let now = Instant::now();
-                        cell.record_span_between(
-                            SpanKind::DeferPark,
-                            now,
-                            now,
-                            seg.tile_idx as u32,
-                            next_peer as u32,
-                        );
-                    }
-                    deferred.push(ServeDeferred {
-                        cell: Arc::clone(cell),
-                        owner: id,
-                        tile_idx: seg.tile_idx,
-                        accum,
-                        next_peer,
-                    });
-                    continue;
-                }
-                Progress::Abandoned => {
-                    ws.recycle_partial(accum);
-                    return Ok(());
-                }
-            }
-        }
-        store_owned_tile(shared, cell, seg.tile_idx, blk_n, &accum);
-        ws.recycle_partial(accum);
-    }
-    Ok(())
-}
-
-/// Folds signaled peers of `(owner, tile_idx)` into `accum` in
-/// ascending peer order — the bit-exactness invariant. Non-blocking
-/// mode parks on the first pending peer; blocking mode probes under
-/// the watchdog, recovering (recomputing the peer's exact
-/// contribution) on expiry or poison, and abandoning if the request
-/// dies.
-#[allow(clippy::too_many_arguments)]
-fn advance_consolidation<In, Acc>(
-    shared: &ServeShared<In, Acc>,
-    cell: &Arc<RequestCell<In, Acc>>,
-    owner: usize,
-    tile_idx: usize,
-    accum: &mut [Acc],
-    next_peer: &mut usize,
-    ws: &mut Workspace<In, Acc>,
-    block: bool,
-) -> Result<Progress, ExecutorError>
-where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    enum Probe<Acc> {
-        Ready(Vec<Acc>),
-        Poisoned,
-        Dead,
-    }
-    let peers = cell.peers.peers(owner);
-    while *next_peer < peers.len() {
-        if cell.is_dead() {
-            return Ok(Progress::Abandoned);
-        }
-        let peer = peers[*next_peer];
-        let taken = if block {
-            let t0 = Instant::now();
-            let policy = WaitPolicy::with_watchdog(shared.watchdog);
-            let probed = policy.wait_until(|| {
-                if cell.is_dead() {
-                    return Some(Probe::Dead);
-                }
-                match cell.board.try_take(peer) {
-                    TryTake::Ready(p) => Some(Probe::Ready(p)),
-                    TryTake::Poisoned => Some(Probe::Poisoned),
-                    TryTake::Pending => None,
-                }
-            });
-            let waited = t0.elapsed();
-            cell.wait_ns.fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-            if cell.spans.is_some() {
-                cell.record_span_between(SpanKind::Wait, t0, t0 + waited, peer as u32, 0);
-            }
-            match probed {
-                Ok(Probe::Ready(p)) => Some(p),
-                Ok(Probe::Dead) => return Ok(Progress::Abandoned),
-                // Poisoned record or watchdog expiry: recover. The
-                // serve path always recovers — a lost peer must never
-                // wedge a multi-tenant pool.
-                Ok(Probe::Poisoned) | Err(_) => None,
-            }
-        } else {
-            match cell.board.try_take(peer) {
-                TryTake::Ready(p) => Some(p),
-                TryTake::Pending => return Ok(Progress::Parked),
-                TryTake::Poisoned => None,
-            }
-        };
-        match taken {
-            Some(partial) => {
-                let t_fold = cell.tstart();
-                for (acc, p) in accum.iter_mut().zip(&partial) {
-                    *acc += *p;
-                }
-                cell.record_span(SpanKind::LoadPartials, t_fold, peer as u32, 0);
-                ws.recycle_partial(partial);
-            }
-            None => recover_peer(cell, peer, tile_idx, accum, ws)?,
-        }
-        *next_peer += 1;
-    }
-    Ok(Progress::Done)
-}
-
-/// Owner-side recovery: recomputes `peer`'s exact contribution to
-/// `tile_idx` with the same kernel over the same k-range, folding it
-/// at the same position — the bit-exact identity of `core::recovery`.
-fn recover_peer<In, Acc>(
-    cell: &Arc<RequestCell<In, Acc>>,
-    peer: usize,
-    tile_idx: usize,
-    accum: &mut [Acc],
-    ws: &mut Workspace<In, Acc>,
-) -> Result<(), ExecutorError>
-where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    let space = cell.decomp.space();
-    let seg = peer_contribution(&cell.decomp.ctas()[peer], space, tile_idx).ok_or_else(|| {
-        ExecutorError::InvalidDecomposition(format!(
-            "fixup lists CTA {peer} as a peer of tile {tile_idx} but it contributes nothing",
-        ))
-    })?;
-    // A private scratch tile, not `ws.scratch`: recovery is the cold
-    // path, and the workspace may be sized for a different request's
-    // tile while this worker drains a parked consolidation.
-    let t0 = cell.tstart();
-    let mut partial = vec![Acc::ZERO; cell.tile_len];
-    mac_loop_kernel_cached(
-        cell.kernel,
-        None,
-        0,
-        &cell.a.view(),
-        &cell.b.view(),
-        space,
-        tile_idx,
-        seg.local_begin,
-        seg.local_end,
-        &mut partial,
-        &mut ws.pack,
-    );
-    for (acc, p) in accum.iter_mut().zip(&partial) {
-        *acc += *p;
-    }
-    cell.record_span(SpanKind::Recovery, t0, peer as u32, (seg.local_end - seg.local_begin) as u32);
-    cell.recoveries.fetch_add(1, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Stores a finished tile and, when it is the request's last,
-/// finalizes: the `AcqRel` counter gives the finalizer happens-before
-/// with every store, the state CAS elects exactly one finalizer, and
-/// the owned buffer becomes the caller's output matrix without a
-/// copy.
-fn store_owned_tile<In, Acc>(
-    shared: &ServeShared<In, Acc>,
-    cell: &Arc<RequestCell<In, Acc>>,
-    tile_idx: usize,
-    blk_n: usize,
-    accum: &[Acc],
-) where
-    Acc: Scalar,
-{
-    cell.out.writer().store_tile(tile_idx, blk_n, accum);
-    let done = cell.tiles_done.fetch_add(1, Ordering::AcqRel) + 1;
-    if done == cell.total_tiles && cell.transition(RUNNING, DONE) {
-        let c = cell.out.take();
-        // `finish` also wakes parked workers, so admission sees the
-        // freed window slot promptly.
-        shared.finish(cell, DONE, Ok(c));
-    }
-}
-
-/// Advances every parked consolidation this worker holds; drops
-/// entries of dead requests, stores tiles that finished.
+/// Advances every parked consolidation this worker holds, each under
+/// the same isolation as a claimed CTA; entries that finished, failed
+/// or belong to a dead request leave the list.
 fn advance_deferred<In, Acc>(
     shared: &Arc<ServeShared<In, Acc>>,
-    deferred: &mut Vec<ServeDeferred<In, Acc>>,
+    deferred: &mut Vec<Parked<In, Acc>>,
+    wid: usize,
     scratch: &mut ScratchStore,
     block: bool,
 ) where
@@ -1465,49 +1183,18 @@ fn advance_deferred<In, Acc>(
 {
     let mut i = 0;
     while i < deferred.len() {
-        if deferred[i].cell.is_dead() {
-            drop(deferred.swap_remove(i));
+        let (cell, d) = &mut deferred[i];
+        let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(cell.tile_len));
+        ws.ensure_tile_len(cell.tile_len);
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| cell.with_worker(wid, |worker| worker.resume(d, &mut *ws, block))));
+        if matches!(outcome, Ok(Ok(Progress::Parked))) {
+            i += 1;
             continue;
         }
-        let ws = scratch
-            .get_or_insert_with(|| Workspace::<In, Acc>::new(deferred[i].cell.tile_len));
-        ws.ensure_tile_len(deferred[i].cell.tile_len);
-        let d = &mut deferred[i];
-        let (cell, owner, tile_idx) = (Arc::clone(&d.cell), d.owner, d.tile_idx);
-        let t0 = cell.tstart();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            advance_consolidation(shared, &cell, owner, tile_idx, &mut d.accum, &mut d.next_peer, &mut *ws, block)
-        }));
-        match outcome {
-            Ok(Ok(Progress::Done)) => {
-                let d = deferred.swap_remove(i);
-                cell.record_span(SpanKind::DeferResume, t0, tile_idx as u32, 0);
-                shared.harvest_remnant(&cell);
-                let blk_n = cell.decomp.space().tile().blk_n;
-                store_owned_tile(shared, &cell, tile_idx, blk_n, &d.accum);
-                ws.recycle_partial(d.accum);
-            }
-            Ok(Ok(Progress::Parked)) => i += 1,
-            Ok(Ok(Progress::Abandoned)) => {
-                drop(deferred.swap_remove(i));
-            }
-            Ok(Err(e)) => {
-                drop(deferred.swap_remove(i));
-                if cell.transition(RUNNING, FAILED) {
-                    shared.finish(&cell, FAILED, Err(ServeError::Failed(e)));
-                }
-            }
-            Err(payload) => {
-                drop(deferred.swap_remove(i));
-                if cell.transition(RUNNING, PANICKED) {
-                    shared.finish(
-                        &cell,
-                        PANICKED,
-                        Err(ServeError::Panicked { message: panic_message(payload.as_ref()) }),
-                    );
-                }
-            }
-        }
+        let (cell, d) = deferred.swap_remove(i);
+        ws.recycle_partial(d.accum);
+        shared.settle(&cell, outcome.map(|r| r.map(|progress| usize::from(progress == Progress::Done))));
     }
 }
 
@@ -1715,31 +1402,9 @@ where
     ) -> Result<RequestCell<In, Acc>, AdmissionError> {
         let LaunchRequest { a, b, decomp, priority, deadline, kernel, mut cta_faults, serve_fault } =
             request;
-        let space = decomp.space();
-        let shape = space.shape();
-        for (operand, expected, got) in [
-            ("op(A)", (shape.m, shape.k), (a.rows(), a.cols())),
-            ("op(B)", (shape.k, shape.n), (b.rows(), b.cols())),
-        ] {
-            if expected != got {
-                return Err(AdmissionError::Rejected(ExecutorError::ShapeMismatch {
-                    operand,
-                    expected,
-                    got,
-                }));
-            }
-        }
-        decomp
-            .validate()
-            .map_err(|e| AdmissionError::Rejected(ExecutorError::InvalidDecomposition(e.to_string())))?;
+        check_single(&a.view(), &b.view(), &decomp).map_err(AdmissionError::Rejected)?;
         let fixups = decomp.fixups();
-        let max_covering = fixups.iter().map(|f| f.covering_ctas()).max().unwrap_or(1);
-        if max_covering > self.shared.workers {
-            return Err(AdmissionError::Rejected(ExecutorError::InsufficientResidency {
-                needed: max_covering,
-                threads: self.shared.workers,
-            }));
-        }
+        check_residency(&fixups, self.shared.workers).map_err(AdmissionError::Rejected)?;
 
         let now = Instant::now();
         let grid = decomp.grid_size();
@@ -1762,34 +1427,45 @@ where
             None => {}
         }
 
+        let space = decomp.space();
         let tile = space.tile();
-        let peers = PeerTable::new(grid, &fixups);
+        // Span timestamps are relative to the service epoch, so all
+        // request tracks share one timeline.
+        let spans = self
+            .shared
+            .trace
+            .then(|| WorkerTracer::new(self.shared.telemetry.epoch(), self.shared.trace_capacity));
+        // No pack cache (a request's operands are packed privately),
+        // and recovery always on: a lost peer must never wedge a
+        // multi-tenant pool.
+        let launch = Launch::new(
+            grid,
+            &fixups,
+            cta_faults,
+            WaitPolicy::with_watchdog(self.shared.watchdog),
+            kernel.unwrap_or(self.shared.kernel),
+            None,
+            true,
+            spans,
+        );
         Ok(RequestCell {
             id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
             priority,
             group,
-            epoch: self.shared.telemetry.epoch(),
-            spans: self.shared.trace.then(|| Mutex::new(SpanRing::new(self.shared.trace_capacity))),
-            peers,
-            board: FixupBoard::new(grid),
+            launch,
             out: OwnedTileWriter::new(a.layout(), space),
             cursor: GridCursor::new(grid),
             tiles_done: AtomicUsize::new(0),
             total_tiles: space.tiles(),
             tile_len: tile.blk_m * tile.blk_n,
-            kernel: kernel.unwrap_or(self.shared.kernel),
             state: AtomicU8::new(QUEUED),
             submitted_at: now,
             admit_at,
             deadline: deadline.map(|d| (now + d, d)),
             cancel_at_claim,
             panic_at_cta,
-            cta_faults,
             started: Mutex::new(None),
-            deferrals: AtomicUsize::new(0),
-            recoveries: AtomicUsize::new(0),
             ctas_run: AtomicUsize::new(0),
-            wait_ns: AtomicU64::new(0),
             outcome: Mutex::new(None),
             done_cv: Condvar::new(),
             a,

@@ -283,27 +283,30 @@ pub fn finish(kind: SpanKind, t0: Option<Instant>, arg: u32, arg2: u32) {
 /// records only when tracing is on.
 #[inline]
 pub fn finish_at(kind: SpanKind, t0: Instant, arg: u32, arg2: u32) {
-    if !active() {
-        return;
+    if active() {
+        record(kind, t0, Instant::now(), arg, arg2);
     }
-    let end = Instant::now();
-    TRACER.with(|t| {
-        if let Some(tracer) = t.borrow_mut().as_mut() {
-            tracer.record(kind, t0, end, arg, arg2);
-        }
-    });
 }
 
 /// Records a zero-duration marker span at "now".
 #[inline]
 pub fn instant(kind: SpanKind, arg: u32, arg2: u32) {
+    if active() {
+        let now = Instant::now();
+        record(kind, now, now, arg, arg2);
+    }
+}
+
+/// Records the span `[t0, t1)` into the current thread's tracer; a
+/// no-op when none is installed.
+#[inline]
+pub(crate) fn record(kind: SpanKind, t0: Instant, t1: Instant, arg: u32, arg2: u32) {
     if !active() {
         return;
     }
-    let now = Instant::now();
     TRACER.with(|t| {
         if let Some(tracer) = t.borrow_mut().as_mut() {
-            tracer.record(kind, now, now, arg, arg2);
+            tracer.record(kind, t0, t1, arg, arg2);
         }
     });
 }

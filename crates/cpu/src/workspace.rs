@@ -16,15 +16,18 @@
 //! 1. [`Workspace::new`] once, sized to the decomposition's tile;
 //!    [`begin_launch`](Workspace::begin_launch) at the start of every
 //!    launch after that.
-//! 2. Per segment: kernels write into [`accum`](Workspace::accum)
-//!    (reset via [`reset_accum`](Workspace::reset_accum)), packing
-//!    goes through [`pack`](Workspace::pack).
-//! 3. A contributor CTA computes into a pooled buffer from
-//!    [`take_partial`](Workspace::take_partial) and hands it to the
-//!    fixup board (ownership transfers to the waiting owner).
+//! 2. Per segment: the engine's kernels write into a pooled tile from
+//!    [`take_partial`](Workspace::take_partial) — a buffer that can be
+//!    parked with a deferred consolidation or handed to another worker
+//!    without leaving the workspace short of one — and packing goes
+//!    through [`pack`](Workspace::pack). ([`accum`](Workspace::accum)
+//!    is a spare tile for a caller that runs a kernel itself.)
+//! 3. A contributor CTA hands its tile to the fixup board (ownership
+//!    transfers to the waiting owner).
 //! 4. An owner CTA receives peers' partial vectors from the board,
-//!    folds them in, and returns them to its own pool via
-//!    [`recycle_partial`](Workspace::recycle_partial) — the pool
+//!    folds them in, and returns them — and, once the tile is stored,
+//!    its own — to its pool via
+//!    [`recycle_partial`](Workspace::recycle_partial): the pool
 //!    refills from traffic, so cross-thread transfer still converges
 //!    to allocation-free steady state.
 //!
@@ -259,11 +262,13 @@ mod tests {
         assert_eq!(idle.pooled(), 0);
     }
 
-    /// With `GridCursor` claiming a worker's role alternates from
-    /// launch to launch. What it handed off as a contributor is gone
-    /// for good and must not count against later launches: carried
-    /// over, the bound rose by one per round and the final owner
-    /// launch here kept all eight of its peers' buffers.
+    /// A worker's role alternates from launch to launch — with who
+    /// shows up and what it steals in a direct launch, with the
+    /// requests it happens to sweep in the service. What it handed off
+    /// as a contributor is gone for good and must not count against
+    /// later launches: carried over, the bound rose by one per round
+    /// and the final owner launch here kept all eight of its peers'
+    /// buffers.
     #[test]
     fn alternating_roles_keep_the_bound_at_one_launchs_high_water() {
         let mut ws = Ws::new(16);

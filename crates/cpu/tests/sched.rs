@@ -22,6 +22,9 @@
 //!    and with the launcher held back (the helpers drain it), `gemm`,
 //!    `gemm_batched` and `gemm_grouped` are bit-identical to the
 //!    undisturbed run.
+//! 5. **Every launch counts**: a batched or grouped launch reports its
+//!    real steals, deferrals, recoveries and wait stall in
+//!    `ExecStats`, like a single GEMM.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -30,6 +33,7 @@ use rand::{RngExt, SeedableRng};
 use std::time::Duration;
 use streamk_core::{
     BatchedDecomposition, BatchedSpace, Decomposition, GroupedDecomposition, GroupedSpace, Strategy,
+    TileFixup,
 };
 use streamk_cpu::{CpuExecutor, FaultKind, FaultPlan, WorkerPool};
 use streamk_matrix::reference::gemm_naive;
@@ -47,6 +51,11 @@ fn operands(shape: GemmShape, seed: u64) -> (Matrix<f64>, Matrix<f64>) {
 /// The widest owner+peers group — the executor's residency floor.
 fn residency_floor(decomp: &Decomposition) -> usize {
     decomp.fixups().iter().map(|f| f.covering_ctas()).max().unwrap_or(1)
+}
+
+/// The CTAs that contribute partials under `fixups`.
+fn contributors(fixups: &[TileFixup]) -> Vec<usize> {
+    fixups.iter().flat_map(|f| f.peers.iter().copied()).collect()
 }
 
 fn shapes() -> impl proptest::strategy::Strategy<Value = GemmShape> {
@@ -355,12 +364,11 @@ fn gemm_is_bit_exact_whichever_side_of_the_handshake_is_late() {
     }
 }
 
-/// Batched and grouped owners *block* in `wait_and_take`. With the
-/// helpers late, the launcher claims CTA 0, owns its split tile, and
-/// blocks on a peer CTA nobody has claimed — the worker that will
-/// claim it has not arrived yet. The launch stays open for as long as
-/// the launcher is inside its share, so the helper does arrive, claims
-/// the peer, and signals: no deadlock, same bits.
+/// Batched and grouped launches go through the same grid loop: owners
+/// park instead of blocking, and a worker that drained its range steals
+/// from the ones that have not shown up. With the helpers late the
+/// launcher runs the whole grid; with the launcher late the helpers do:
+/// no deadlock, same bits.
 #[test]
 fn batched_and_grouped_are_bit_exact_whichever_side_of_the_handshake_is_late() {
     let shape = GemmShape::new(32, 32, 48);
@@ -396,10 +404,10 @@ fn batched_and_grouped_are_bit_exact_whichever_side_of_the_handshake_is_late() {
         }
     }
 
-    // The blocked-owner case, pinned: two workers, two CTAs, nine
-    // tiles — CTA 0 owns the middle tile, CTA 1 finishes it. With the
-    // helper 40 ms late the launcher must have sat in `wait_and_take`
-    // for most of that.
+    // The split tile, pinned: two workers, two CTAs, nine tiles — CTA 0
+    // owns the middle tile, CTA 1 finishes it. With the helper 40 ms
+    // late the launcher parks the split tile, steals the absent
+    // worker's range — CTA 1 — and finishes without waiting for it.
     let exec = CpuExecutor::with_threads(2);
     let odd = GemmShape::new(16, 48, 48);
     let decomp = BatchedDecomposition::stream_k(BatchedSpace::new(3, odd, TILE), 2);
@@ -409,11 +417,42 @@ fn batched_and_grouped_are_bit_exact_whichever_side_of_the_handshake_is_late() {
     let (a3, b3) = instances(&[odd; 3], 71);
     let disturbed = exec.gemm_batched::<f64, f64>(&a3, &b3, &decomp);
     exec.worker_pool().inject_stragglers(Vec::new());
-    assert!(
-        exec.last_stats().wait_stall >= late / 4,
-        "the owner should have blocked for its late peer's worker, stalled {:?}",
-        exec.last_stats().wait_stall
-    );
+    let stats = exec.last_stats();
+    assert!(stats.wait_stall < late / 4, "the owner waited for its late peer's worker: {stats:?}");
+    assert!(stats.deferrals >= 1, "the owner should have parked the split tile: {stats:?}");
+    assert!(stats.steals >= 1, "the launcher should have stolen the absent worker's range: {stats:?}");
     let calm = exec.gemm_batched::<f64, f64>(&a3, &b3, &decomp);
     assert!(disturbed == calm, "the late helper changed the output");
+}
+
+/// `ExecStats` after a batched launch are that launch's own: a late
+/// helper shows as parked owners or stolen ranges, and a lost
+/// contributor as exactly the recoveries the report lists.
+#[test]
+fn batched_launches_report_their_real_counters() {
+    let shape = GemmShape::new(16, 48, 48);
+    let decomp = BatchedDecomposition::stream_k(BatchedSpace::new(3, shape, TILE), 2);
+    let (a, b): (Vec<_>, Vec<_>) = (0..3).map(|i| operands(shape, 81 + 2 * i)).unzip();
+    let exec = CpuExecutor::with_threads(2).with_watchdog(Duration::from_millis(100));
+    let calm = exec.gemm_batched::<f64, f64>(&a, &b, &decomp);
+
+    exec.worker_pool().inject_stragglers(vec![Duration::ZERO, Duration::from_millis(40)]);
+    let late = exec.gemm_batched::<f64, f64>(&a, &b, &decomp);
+    exec.worker_pool().inject_stragglers(Vec::new());
+    let stats = exec.last_stats();
+    assert!(stats.deferrals + stats.steals > 0, "a late helper must show in the counters: {stats:?}");
+    assert!(late == calm);
+
+    let mut plan = FaultPlan::none();
+    for cta in contributors(&decomp.fixups()) {
+        plan = plan.with_fault(cta, FaultKind::Lose);
+    }
+    assert!(!plan.is_empty(), "the split tile has a contributor to lose");
+    let (lost, report) =
+        exec.gemm_batched_with_faults::<f64, f64>(&a, &b, &decomp, &plan).expect("recovery masks the loss");
+    let stats = exec.last_stats();
+    assert_eq!(report.recoveries(), plan.len(), "{report:?}");
+    assert_eq!(stats.recoveries, report.recoveries(), "{stats:?}");
+    assert!(stats.wait_stall >= Duration::from_millis(100), "a lost peer costs its owner a watchdog: {stats:?}");
+    assert!(lost == calm, "recovery changed the output");
 }

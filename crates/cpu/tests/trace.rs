@@ -17,9 +17,12 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-use streamk_core::{Decomposition, Phase, SpanKind};
+use streamk_core::{
+    BatchedDecomposition, BatchedSpace, Decomposition, GroupedDecomposition, GroupedSpace, Phase,
+    SpanKind,
+};
 use streamk_cpu::trace::{ring_allocations, LAUNCH_JOIN, LAUNCH_SKIPPED, LAUNCH_WAKE};
-use streamk_cpu::{CpuExecutor, FaultKind, FaultPlan};
+use streamk_cpu::{CpuExecutor, ExecTrace, FaultKind, FaultPlan};
 use streamk_matrix::Matrix;
 use streamk_types::{GemmShape, Layout, TileShape};
 
@@ -51,49 +54,75 @@ fn split_launch() -> (GemmShape, TileShape, Decomposition) {
     (shape, tile, decomp)
 }
 
-#[test]
-fn traced_runs_are_bit_exact_across_thread_counts() {
-    let _gate = alloc_gate();
-    let (_, _, decomp) = split_launch();
-    let (a, b) = operands(GemmShape::new(96, 80, 128), 0x7A0);
-    let baseline = CpuExecutor::with_threads(2).gemm::<f64, f64>(&a, &b, &decomp);
-    // Split seams need two co-resident CTAs, so two workers is the
-    // floor for this grid.
-    for threads in 2..=8 {
-        let exec = CpuExecutor::with_threads(threads).with_trace(true);
-        let traced = exec.gemm::<f64, f64>(&a, &b, &decomp);
-        assert_eq!(
-            traced.max_abs_diff(&baseline),
-            0.0,
-            "tracing perturbed the result at {threads} threads"
-        );
-        let trace = exec.last_trace().expect("traced launch yields a trace");
-        assert_eq!(trace.workers.len(), threads);
-        assert!(trace.total_spans() > 0, "traced launch recorded nothing");
-    }
+type Outputs = Vec<Matrix<f64>>;
+
+/// The same kind of launch through each of the three entries: what it
+/// computes, and how many MAC iterations that takes in all.
+struct Entry {
+    name: &'static str,
+    total_iters: usize,
+    launch: Box<dyn Fn(&CpuExecutor) -> Outputs>,
+}
+
+/// A single, a batched and a grouped launch, each with split tiles.
+fn entries(seed: u64) -> Vec<Entry> {
+    let (shape, tile, decomp) = split_launch();
+    let (a, b) = operands(shape, seed);
+    let single = Entry {
+        name: "gemm",
+        total_iters: decomp.space().total_iters(),
+        launch: Box::new(move |exec| vec![exec.gemm::<f64, f64>(&a, &b, &decomp)]),
+    };
+
+    let instance = GemmShape::new(64, 48, 80);
+    let batched = BatchedDecomposition::stream_k(BatchedSpace::new(3, instance, tile), 7);
+    assert!(batched.fixups().iter().any(|f| !f.is_data_parallel()), "the batch must cross tile seams");
+    let (a, b): (Vec<_>, Vec<_>) = (0..3).map(|i| operands(instance, seed + 10 + 2 * i)).unzip();
+    let batch = Entry {
+        name: "gemm_batched",
+        total_iters: batched.space().total_iters(),
+        launch: Box::new(move |exec| exec.gemm_batched::<f64, f64>(&a, &b, &batched)),
+    };
+
+    let shapes = [GemmShape::new(64, 48, 80), GemmShape::new(40, 96, 48), GemmShape::new(32, 32, 144)];
+    let grouped = GroupedDecomposition::stream_k(GroupedSpace::new(&shapes, tile), 6);
+    assert!(grouped.fixups().iter().any(|f| !f.is_data_parallel()), "the group must cross tile seams");
+    let (a, b): (Vec<_>, Vec<_>) =
+        shapes.iter().zip(0..).map(|(&s, i)| operands(s, seed + 20 + 2 * i)).unzip();
+    let group = Entry {
+        name: "gemm_grouped",
+        total_iters: grouped.space().total_iters(),
+        launch: Box::new(move |exec| exec.gemm_grouped::<f64, f64>(&a, &b, &grouped)),
+    };
+    vec![single, batch, group]
 }
 
 #[test]
-fn spans_are_well_nested_and_within_the_launch_per_worker() {
+fn traced_runs_are_bit_exact_across_thread_counts() {
     let _gate = alloc_gate();
-    let (_, _, decomp) = split_launch();
-    let (a, b) = operands(GemmShape::new(96, 80, 128), 0x7A2);
-    let exec = CpuExecutor::with_threads(4).with_trace(true);
-    let _ = exec.gemm::<f64, f64>(&a, &b, &decomp);
-    let trace = exec.last_trace().unwrap();
-    assert_eq!(trace.dropped_spans(), 0, "default ring must hold this launch");
-    let mut macs = 0usize;
+    for entry in entries(0x7A0) {
+        let baseline = (entry.launch)(&CpuExecutor::with_threads(2));
+        // Split seams need two co-resident CTAs, so two workers is the
+        // floor for these grids.
+        for threads in 2..=8 {
+            let exec = CpuExecutor::with_threads(threads).with_trace(true);
+            let traced = (entry.launch)(&exec);
+            assert!(traced == baseline, "{}: tracing perturbed the result at {threads} threads", entry.name);
+            let trace = exec.last_trace().expect("traced launch yields a trace");
+            assert_eq!(trace.workers.len(), threads, "{}", entry.name);
+            assert!(trace.total_spans() > 0, "{}: traced launch recorded nothing", entry.name);
+        }
+    }
+}
+
+/// Per worker: every span inside the launch, and any two either nested
+/// or disjoint. O(n²) is fine at test scale.
+fn assert_laminar_within_the_launch(name: &str, trace: &ExecTrace) {
     for (wid, worker) in trace.workers.iter().enumerate() {
         for s in &worker.spans {
-            assert!(s.start_ns <= s.end_ns, "worker {wid}: inverted span {s:?}");
-            assert!(
-                s.end_ns <= trace.wall_ns,
-                "worker {wid}: span ends after the launch: {s:?}"
-            );
-            macs += usize::from(s.kind == SpanKind::Mac);
+            assert!(s.start_ns <= s.end_ns, "{name} worker {wid}: inverted span {s:?}");
+            assert!(s.end_ns <= trace.wall_ns, "{name} worker {wid}: span ends after the launch: {s:?}");
         }
-        // Laminar family: any two spans of one worker either nest or
-        // are disjoint. O(n²) is fine at test scale.
         for (i, x) in worker.spans.iter().enumerate() {
             for y in &worker.spans[i + 1..] {
                 let disjoint = x.end_ns <= y.start_ns || y.end_ns <= x.start_ns;
@@ -101,16 +130,61 @@ fn spans_are_well_nested_and_within_the_launch_per_worker() {
                 let y_in_x = x.start_ns <= y.start_ns && y.end_ns <= x.end_ns;
                 assert!(
                     disjoint || x_in_y || y_in_x,
-                    "worker {wid}: partially overlapping spans {x:?} / {y:?}"
+                    "{name} worker {wid}: partially overlapping spans {x:?} / {y:?}"
                 );
             }
         }
     }
-    assert!(macs > 0, "a GEMM launch must record MAC spans");
-    // Every split seam signals: the fixup protocol shows up as spans.
-    let metrics = trace.metrics();
-    assert!(metrics.count(SpanKind::Signal) > 0, "split launch recorded no signals");
-    assert!(metrics.count(SpanKind::LoadPartials) > 0, "owner folds recorded no loads");
+}
+
+#[test]
+fn spans_are_well_nested_and_within_the_launch_per_worker() {
+    let _gate = alloc_gate();
+    for entry in entries(0x7A2) {
+        let name = entry.name;
+        let exec = CpuExecutor::with_threads(4).with_trace(true);
+        let _ = (entry.launch)(&exec);
+        let trace = exec.last_trace().unwrap_or_else(|| panic!("{name}: traced launch yields a trace"));
+        assert_eq!(trace.dropped_spans(), 0, "{name}: default ring must hold this launch");
+        assert_laminar_within_the_launch(name, &trace);
+        // Every worker that entered accounts for its wake, and took
+        // each CTA it ran by a claim or a steal.
+        for (wid, worker) in trace.workers.iter().enumerate() {
+            let count = |kind: SpanKind| worker.spans.iter().filter(|s| s.kind == kind).count();
+            if worker.spans.iter().any(|s| s.kind == SpanKind::Launch && s.arg == LAUNCH_SKIPPED) {
+                continue;
+            }
+            assert!(count(SpanKind::Launch) >= 1, "{name} worker {wid}: no launch span");
+            assert_eq!(
+                count(SpanKind::Claim) + count(SpanKind::Steal),
+                count(SpanKind::Cta),
+                "{name} worker {wid}: a CTA without its claim"
+            );
+        }
+        let metrics = trace.metrics();
+        assert!(metrics.count(SpanKind::Cta) > 0, "{name}: a launch must record its CTAs");
+        assert!(metrics.count(SpanKind::Mac) > 0, "{name}: a GEMM launch must record MAC spans");
+        // Every split seam signals: the fixup protocol shows up as spans.
+        assert!(metrics.count(SpanKind::Signal) > 0, "{name}: split launch recorded no signals");
+        assert!(metrics.count(SpanKind::LoadPartials) > 0, "{name}: owner folds recorded no loads");
+    }
+}
+
+/// A `Mac` span carries its segment's iteration count: over a launch
+/// they add up to the whole iteration space — of every instance, for a
+/// batch or a group — each iteration executed exactly once.
+#[test]
+fn mac_spans_account_for_every_iteration_of_the_combined_space() {
+    let _gate = alloc_gate();
+    for entry in entries(0x7B2) {
+        let exec = CpuExecutor::with_threads(3).with_trace(true);
+        let _ = (entry.launch)(&exec);
+        let trace = exec.last_trace().expect("traced launch yields a trace");
+        assert_eq!(trace.dropped_spans(), 0);
+        let iters: usize =
+            trace.iter().filter(|(_, s)| s.kind == SpanKind::Mac).map(|(_, s)| s.arg2 as usize).sum();
+        assert_eq!(iters, entry.total_iters, "{}", entry.name);
+    }
 }
 
 #[test]
