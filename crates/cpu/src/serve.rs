@@ -11,7 +11,8 @@
 //!
 //! - **Submission** is a bounded queue of [`LaunchRequest`]s. A full
 //!   queue rejects with a typed [`AdmissionError`] immediately —
-//!   backpressure, never unbounded growth, never a blocked caller.
+//!   backpressure, never unbounded growth, never a caller blocked in
+//!   `submit`.
 //! - **Admission** drains the queue into a bounded *active window*
 //!   under weighted round-robin over [`Priority`] classes (4:2:1),
 //!   so small latency-sensitive requests are not starved behind bulk
@@ -21,6 +22,14 @@
 //!   takes the next CTA from the first running request that still
 //!   has unclaimed work — exactly the single-launch claim loop with
 //!   the request list as an outer dimension.
+//! - **Waiting is working.** A caller inside
+//!   [`CompletionHandle::wait`] is a free core, so it runs the same
+//!   sweep as a *guest* until its own request has resolved: same
+//!   claiming policy (admission order — never "my request first"),
+//!   same isolated execution, and it sleeps only when the sweep finds
+//!   nothing claimable. At most as many callers as the pool has
+//!   workers compute at once; the rest sleep until their request
+//!   resolves.
 //! - **Execution** is the single-launch executor's: every claimed CTA
 //!   runs through the one Algorithm 5 cycle in `engine.rs`, each
 //!   request carrying the cycle's per-launch state. Owners never block
@@ -55,10 +64,12 @@
 //! the launching thread, *is* service worker 0: a service on `W`
 //! workers is the coordinator plus the pool's `W − 1` helpers, and
 //! every helper joins because the launch stays open until the
-//! coordinator's own sweep sees the service drained. Legacy
-//! single-launch calls on the same executor block until
-//! [`GemmService::shutdown`] — by design: the pool's launch lock is
-//! the tenancy boundary.
+//! coordinator's own sweep sees the service drained. Waiting callers
+//! are not pool workers: they come and go with their `wait`, under
+//! worker ids `W..2W`, and the residency check a submission must pass
+//! counts the pool's `W` alone. Legacy single-launch calls on the same
+//! executor block until [`GemmService::shutdown`] — by design: the
+//! pool's launch lock is the tenancy boundary.
 
 use crate::engine::{Deferred, Grid, Instance, Launch, Output, Progress, Worker};
 use crate::executor::{check_residency, check_single, CpuExecutor};
@@ -77,7 +88,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use streamk_core::{Decomposition, ExecutorError};
@@ -426,6 +437,9 @@ pub struct ServiceStats {
     /// CTAs claimed and executed across all requests (live: counted
     /// at claim time).
     pub ctas: usize,
+    /// Of [`ctas`](Self::ctas), those executed by a caller inside
+    /// [`CompletionHandle::wait`] rather than by a pool worker.
+    pub guest_ctas: usize,
     /// Cross-request claims — a worker took work from a request other
     /// than the sweep head, the serve analogue of single-launch range
     /// stealing (live: counted at claim time).
@@ -563,6 +577,25 @@ impl<In, Acc: Scalar> RequestCell<In, Acc> {
             self.done_cv.notify_all();
         }
     }
+
+    /// `true` once the handle holds its outcome. Later than
+    /// [`is_dead`](Self::is_dead): the terminal CAS comes first, the
+    /// outcome when the winner has booked it.
+    fn is_resolved(&self) -> bool {
+        self.is_dead() && self.outcome.lock().unwrap_or_else(PoisonError::into_inner).is_some()
+    }
+
+    /// Sleeps until the handle is resolved and returns its slot.
+    /// `complete` is reached with the queue lock held (deadlines and
+    /// injected cancellations fire inside the sweep), so the lock order
+    /// is queue → outcome: never claim while holding this guard.
+    fn resolved_slot(&self) -> MutexGuard<'_, Option<Outcome<Acc>>> {
+        let mut slot = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
+        while slot.is_none() {
+            slot = self.done_cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
+        }
+        slot
+    }
 }
 
 impl<In: Promote<Acc>, Acc: Scalar> RequestCell<In, Acc> {
@@ -631,21 +664,43 @@ impl<In, Acc: Scalar> CompletionHandle<In, Acc> {
         let won =
             self.cell.transition(QUEUED, CANCELLED) || self.cell.transition(RUNNING, CANCELLED);
         if won {
-            self.shared.finish(&self.cell, CANCELLED, Err(ServeError::Cancelled));
+            self.shared.resolve(&self.cell, CANCELLED, Err(ServeError::Cancelled));
         }
         won
     }
+}
 
-    /// Blocks until the request resolves, returning the output matrix
+impl<In: Promote<Acc>, Acc: Scalar> CompletionHandle<In, Acc> {
+    /// Waits until the request resolves, returning the output matrix
     /// and its per-request statistics, or the typed failure.
+    ///
+    /// The wait **computes**: a blocked caller is a free core, so until
+    /// its request resolves the calling thread runs the service's own
+    /// claim loop as a guest — the same sweep (admission order, not
+    /// "my request first"), the same isolated CTA execution — and
+    /// sleeps only when nothing is claimable. At most
+    /// [`workers`](GemmService::workers) callers compute at a time; one
+    /// more simply sleeps until its request resolves.
+    ///
+    /// Two consequences. `wait` may return up to one CTA *after* the
+    /// request resolved — or later still if the caller has parked a
+    /// split tile's consolidation, which it sees through before it
+    /// leaves; [`RequestStats::latency`] is taken at resolution and
+    /// does not include that. And a panic in a CTA the caller happens
+    /// to run, of any request, is caught there like on a pool worker:
+    /// it fails *that* request's handle, and this call still returns
+    /// its own request's outcome — it never unwinds.
     pub fn wait(self) -> Outcome<Acc> {
-        let mut slot = self.cell.outcome.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(out) = slot.take() {
-                return out;
+        let (cell, shared) = (&self.cell, &self.shared);
+        let lock = || shared.guests.lock().unwrap_or_else(PoisonError::into_inner);
+        if !cell.is_resolved() {
+            let slot = lock().take(shared.workers);
+            if let Some((slot, mut scratch)) = slot {
+                serve_loop(shared.workers + slot, shared, &mut scratch, Some(cell));
+                lock().free.push((slot, scratch));
             }
-            slot = self.cell.done_cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
         }
+        cell.resolved_slot().take().expect("resolved_slot returns a resolved handle")
     }
 }
 
@@ -706,9 +761,15 @@ impl<In, Acc: Scalar> GroupHandle<In, Acc> {
     pub fn cancel_all(&self) -> usize {
         self.members.iter().filter(|m| m.cancel()).count()
     }
+}
 
-    /// Blocks until every member resolves, returning the outputs and
-    /// per-member statistics in submission order.
+impl<In: Promote<Acc>, Acc: Scalar> GroupHandle<In, Acc> {
+    /// Waits until every member resolves, returning the outputs and
+    /// per-member statistics in submission order. Each member is
+    /// awaited with [`CompletionHandle::wait`], so the calling thread
+    /// computes CTAs — the group's and anyone else's, in admission
+    /// order — while members are outstanding, and never unwinds on a
+    /// member's panic.
     ///
     /// On the first member failure the remaining members are
     /// cancelled (deadline expiry, cancellation, and panics thereby
@@ -765,6 +826,7 @@ fn stats_from_registry(t: &TelemetryRegistry) -> ServiceStats {
         failed: g(ServiceCounter::Failed),
         pool_poisonings: g(ServiceCounter::PoolPoisonings),
         ctas: g(ServiceCounter::Ctas),
+        guest_ctas: g(ServiceCounter::GuestCtas),
         steals: g(ServiceCounter::Steals),
         deferrals: g(ServiceCounter::Deferrals),
         recoveries: g(ServiceCounter::Recoveries),
@@ -796,10 +858,37 @@ struct ServeShared<In, Acc> {
     /// Workers park here when nothing is claimable; submission,
     /// completion, and cancellation notify it.
     work_cv: Condvar,
+    guests: Mutex<GuestSlots>,
     start_seq: AtomicU64,
     next_id: AtomicU64,
     next_group: AtomicU64,
     telemetry: Arc<TelemetryRegistry>,
+}
+
+/// What callers compute with while they wait on a handle: one
+/// [`ScratchStore`] per guest of the serve loop, like a pool worker's.
+/// A slot is created the first time a caller needs one no free slot
+/// covers — never more slots than the pool has workers, so at most
+/// `2 × workers` threads ever compute — and is handed back, warm, when
+/// its caller leaves. Slot `s` runs under worker id `workers + s`;
+/// anything indexed by worker id takes it modulo its own size.
+#[derive(Default)]
+struct GuestSlots {
+    free: Vec<(usize, ScratchStore)>,
+    created: usize,
+}
+
+impl GuestSlots {
+    /// A free slot, or a new one while fewer than `limit` exist.
+    fn take(&mut self, limit: usize) -> Option<(usize, ScratchStore)> {
+        self.free.pop().or_else(|| {
+            let slot = self.created;
+            (slot < limit).then(|| {
+                self.created += 1;
+                (slot, ScratchStore::new())
+            })
+        })
+    }
 }
 
 /// How long an idle worker parks between queue polls. Bounds the
@@ -825,7 +914,9 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
     /// fires an incident dump on anomalies (timeout, panic,
     /// unmaskable failure), harvests the request's span timeline, and
     /// resolves the handle. The caller must have *won* the CAS into
-    /// `to`.
+    /// `to`, and the queue must no longer hold the request: the sweep
+    /// removes the entry it is standing on, every other site goes
+    /// through [`resolve`](Self::resolve).
     fn finish(
         &self,
         cell: &Arc<RequestCell<In, Acc>>,
@@ -861,6 +952,35 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
         self.work_cv.notify_all();
     }
 
+    /// A terminal transition made without the queue lock — a settled
+    /// CTA, [`CompletionHandle::cancel`]: retire at resolution. The
+    /// request leaves the queue, and the slot it frees is admitted,
+    /// *before* its handle resolves, so by the time a caller can see an
+    /// outcome the service holds no reference to that request's
+    /// operands, and a freed window slot never waits for the next
+    /// sweep.
+    fn resolve(
+        &self,
+        cell: &Arc<RequestCell<In, Acc>>,
+        to: u8,
+        result: Result<Matrix<Acc>, ServeError>,
+    ) {
+        {
+            let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let same = |c: &Arc<RequestCell<In, Acc>>| Arc::ptr_eq(c, cell);
+            let lane = cell.priority.lane();
+            if let Some(i) = q.active.iter().position(same) {
+                q.active.remove(i);
+            } else if let Some(i) = q.pending[lane].iter().position(same) {
+                // Cancelled while still queued.
+                q.pending[lane].remove(i);
+                q.pending_len -= 1;
+            }
+            self.admit(&mut q, Instant::now());
+        }
+        self.finish(cell, to, result);
+    }
+
     /// Harvests spans recorded *after* [`finish`](Self::finish)
     /// drained the request's ring — the claim that completes a
     /// request closes its own CTA span on the way out, strictly after
@@ -893,20 +1013,18 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
             Ok(Ok(stored)) => {
                 let done = cell.tiles_done.fetch_add(stored, Ordering::AcqRel) + stored;
                 if done == cell.total_tiles && cell.transition(RUNNING, DONE) {
-                    // `finish` also wakes parked workers, so admission
-                    // sees the freed window slot promptly.
-                    self.finish(cell, DONE, Ok(cell.out.take()));
+                    self.resolve(cell, DONE, Ok(cell.out.take()));
                 }
             }
             Ok(Err(e)) => {
                 if cell.transition(RUNNING, FAILED) {
-                    self.finish(cell, FAILED, Err(ServeError::Failed(e)));
+                    self.resolve(cell, FAILED, Err(ServeError::Failed(e)));
                 }
             }
             Err(payload) => {
                 if cell.transition(RUNNING, PANICKED) {
                     let message = panic_message(payload.as_ref());
-                    self.finish(cell, PANICKED, Err(ServeError::Panicked { message }));
+                    self.resolve(cell, PANICKED, Err(ServeError::Panicked { message }));
                 }
             }
         }
@@ -983,9 +1101,9 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
         while i < q.active.len() {
             let cell = &q.active[i];
             if cell.state() != RUNNING {
-                // Reached a terminal state (completed, cancelled,
-                // panicked, ...): drop it from the window, freeing an
-                // admission slot.
+                // Won its terminal CAS a moment ago and is on its way
+                // to `resolve`, which wants this lock: drop it from
+                // the window here, freeing an admission slot.
                 q.active.remove(i);
                 self.admit(&mut q, now);
                 continue;
@@ -1044,6 +1162,11 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
             // it in the window until it resolves.
             i += 1;
         }
+        // Requests retire at resolution, so `Drained` can be observed
+        // while a straggling CTA of a dead request is still running on
+        // another thread. That thread holds its own `Arc`s, a pool
+        // worker among them is joined by the pool regardless, and
+        // nothing it does from here on is claimable.
         if !q.accepting && q.pending_len == 0 && q.active.is_empty() {
             return Claimed::Drained;
         }
@@ -1077,12 +1200,29 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
 /// to: one worker's list spans every request it has owned a tile of.
 type Parked<In, Acc> = (Arc<RequestCell<In, Acc>>, Deferred<Acc>);
 
-/// The per-worker serve loop: runs until the service is told to shut
-/// down *and* every request has resolved.
-fn serve_worker<In, Acc>(
+/// The serve loop, written once over *when may this thread leave*:
+/// resume parked consolidations, claim, execute, and — when the sweep
+/// finds nothing — finish what is parked blocking, or sleep.
+///
+/// A pool worker (`guest` is `None`) leaves when the service has been
+/// told to shut down *and* every request has resolved. A caller inside
+/// [`CompletionHandle::wait`] runs it as a guest of `guest`'s request
+/// and leaves once that request has resolved **and** it holds no
+/// parked consolidation — a guest never walks away with a tile only it
+/// can finish. Nothing else differs: one claiming policy, one
+/// execution path.
+///
+/// Both kinds sleep only when the sweep is idle and they hold nothing
+/// parked, so a sleeping thread never stands between a request and its
+/// completion: a worker on `work_cv` (bounded by [`IDLE_PARK`], which
+/// is what fires time-driven transitions), a guest on its request's
+/// `done_cv` until it resolves — by then the request is in the hands
+/// of threads that are awake, or queued for the pool's workers.
+fn serve_loop<In, Acc>(
     wid: usize,
     shared: &Arc<ServeShared<In, Acc>>,
     scratch: &mut ScratchStore,
+    guest: Option<&Arc<RequestCell<In, Acc>>>,
 ) where
     In: Promote<Acc>,
     Acc: Scalar,
@@ -1092,18 +1232,33 @@ fn serve_worker<In, Acc>(
         // Opportunistic pass: resume any parked consolidation whose
         // peers have signaled since, without blocking.
         advance_deferred(shared, &mut deferred, wid, scratch, false);
-        match shared.claim_next() {
-            Claimed::Cta(cell, id) => execute_claim(shared, &cell, id, wid, scratch, &mut deferred),
-            Claimed::Idle => {
-                if !deferred.is_empty() {
-                    // No claimable work anywhere: every CTA of the
-                    // parked requests is claimed and being executed,
-                    // so a bounded blocking drain cannot deadlock —
-                    // and the watchdog + recovery bound it even if a
-                    // peer's worker died.
-                    advance_deferred(shared, &mut deferred, wid, scratch, true);
-                    continue;
-                }
+        if deferred.is_empty() && guest.is_some_and(|cell| cell.is_resolved()) {
+            return;
+        }
+        let drained = match shared.claim_next() {
+            Claimed::Cta(cell, id) => {
+                execute_claim(shared, &cell, id, wid, scratch, &mut deferred);
+                continue;
+            }
+            Claimed::Idle => false,
+            Claimed::Drained => true,
+        };
+        if !deferred.is_empty() {
+            // No claimable work anywhere: every CTA of the parked
+            // requests is claimed and being executed — or, past
+            // `Drained`, the requests are dead — so a bounded blocking
+            // drain cannot deadlock, and the watchdog + recovery bound
+            // it even if a peer's thread died.
+            advance_deferred(shared, &mut deferred, wid, scratch, true);
+            continue;
+        }
+        match guest {
+            // Not resolved a moment ago, and nothing to do for anyone:
+            // sleep until it is. (Past `Drained` too — its finisher
+            // has retired it and is about to resolve it.)
+            Some(cell) => drop(cell.resolved_slot()),
+            None if drained => return,
+            None => {
                 let q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
                 drop(
                     shared
@@ -1112,21 +1267,14 @@ fn serve_worker<In, Acc>(
                         .unwrap_or_else(PoisonError::into_inner),
                 );
             }
-            Claimed::Drained => {
-                // Any leftover deferred work belongs to dead requests
-                // (the window is empty); drop it and exit.
-                advance_deferred(shared, &mut deferred, wid, scratch, true);
-                if deferred.is_empty() {
-                    return;
-                }
-            }
         }
     }
 }
 
 /// Executes one claimed CTA — the engine's body — under panic
 /// isolation: a panic (injected or real) fails only this request's
-/// handle, and the worker returns to the sweep.
+/// handle, and the worker — or the waiting caller: ids from
+/// `shared.workers` up are guests — returns to the sweep.
 fn execute_claim<In, Acc>(
     shared: &Arc<ServeShared<In, Acc>>,
     cell: &Arc<RequestCell<In, Acc>>,
@@ -1147,6 +1295,9 @@ fn execute_claim<In, Acc>(
     // a straggling increment.
     cell.ctas_run.fetch_add(1, Ordering::Relaxed);
     shared.telemetry.inc(ServiceCounter::Ctas);
+    if wid >= shared.workers {
+        shared.telemetry.inc(ServiceCounter::GuestCtas);
+    }
     let t0 = cell.launch.start();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if cell.panic_at_cta == Some(id) {
@@ -1240,6 +1391,7 @@ where
                 admit_clock: 0,
             }),
             work_cv: Condvar::new(),
+            guests: Mutex::default(),
             start_seq: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
             next_group: AtomicU64::new(0),
@@ -1249,7 +1401,7 @@ where
         let shared_for_pool = Arc::clone(&shared);
         let coordinator = std::thread::spawn(move || {
             let job = |wid: usize, scratch: &mut ScratchStore| {
-                serve_worker::<In, Acc>(wid, &shared_for_pool, scratch);
+                serve_loop::<In, Acc>(wid, &shared_for_pool, scratch, None);
             };
             // This thread launches, so it serves as worker 0 until the
             // service drains. Per-CTA catch_unwind means no panic

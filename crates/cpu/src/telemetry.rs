@@ -89,6 +89,10 @@ pub enum ServiceCounter {
     PoolPoisonings,
     /// CTAs claimed and executed across all requests.
     Ctas,
+    /// CTAs executed by a caller inside `CompletionHandle::wait` — a
+    /// guest of the serve loop, worker id `≥ workers()` — rather than
+    /// by a pool worker. A subset of [`Ctas`](Self::Ctas).
+    GuestCtas,
     /// Cross-request claims: a worker took work from a request other
     /// than the sweep head — the serve layer's work-conservation
     /// analogue of single-launch range stealing.
@@ -105,7 +109,7 @@ pub enum ServiceCounter {
 
 impl ServiceCounter {
     /// Every counter, in dense-index (and render) order.
-    pub const ALL: [Self; 14] = [
+    pub const ALL: [Self; 15] = [
         Self::Submitted,
         Self::Rejected,
         Self::Completed,
@@ -115,6 +119,7 @@ impl ServiceCounter {
         Self::Failed,
         Self::PoolPoisonings,
         Self::Ctas,
+        Self::GuestCtas,
         Self::Steals,
         Self::Deferrals,
         Self::Recoveries,
@@ -141,6 +146,7 @@ impl ServiceCounter {
             Self::Failed => "streamk_serve_failed_total",
             Self::PoolPoisonings => "streamk_serve_pool_poisonings_total",
             Self::Ctas => "streamk_serve_ctas_total",
+            Self::GuestCtas => "streamk_serve_guest_ctas_total",
             Self::Steals => "streamk_serve_steals_total",
             Self::Deferrals => "streamk_serve_deferrals_total",
             Self::Recoveries => "streamk_serve_recoveries_total",
@@ -162,6 +168,7 @@ impl ServiceCounter {
             Self::Failed => "Requests failed by an unmaskable protocol error",
             Self::PoolPoisonings => "Panics that escaped per-CTA isolation",
             Self::Ctas => "CTAs claimed and executed across all requests",
+            Self::GuestCtas => "CTAs executed by callers waiting on a handle (subset of ctas)",
             Self::Steals => "Cross-request claims (work conservation across tenants)",
             Self::Deferrals => "Owner consolidations parked cooperatively",
             Self::Recoveries => "Peer contributions recomputed by recovery",
@@ -572,7 +579,10 @@ pub struct RequestTrace {
     pub group: Option<u64>,
     /// The request's spans, in recording order. Timestamps are
     /// relative to the service (registry) epoch, so tracks from
-    /// different requests align on one timeline.
+    /// different requests align on one timeline. A `Cta` span's `arg2`
+    /// is the id of the thread that executed it: below
+    /// `GemmService::workers()` a pool worker, from there up a caller
+    /// computing inside `CompletionHandle::wait`.
     pub spans: Vec<Span>,
     /// Spans lost to per-request ring overflow.
     pub dropped: usize,

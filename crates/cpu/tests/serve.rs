@@ -5,15 +5,18 @@
 //! **byte-identical** whether it ran alone through the single-launch
 //! executor or interleaved with arbitrary other requests — across
 //! worker counts, priority mixes, injected faults, and mid-flight
-//! cancellations. Everything else (backpressure, deadlines, panic
-//! isolation, weighted admission) is pinned by deterministic tests.
+//! cancellations, and whoever computes: the pool alone, or the
+//! callers waiting on the handles, who run the same claim loop while
+//! they wait. Everything else (backpressure, deadlines, panic
+//! isolation, weighted admission, what a waiting caller may and may
+//! not do) is pinned by deterministic tests.
 
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
-use streamk_core::Decomposition;
+use streamk_core::{Decomposition, Strategy};
 use streamk_cpu::{
-    AdmissionError, CpuExecutor, FaultKind, FaultPlan, GemmService, LaunchRequest, Priority,
-    ServeConfig, ServeError, ServeFaultKind, WorkerPool,
+    AdmissionError, CompletionHandle, CpuExecutor, FaultKind, FaultPlan, GemmService,
+    LaunchRequest, Priority, RequestStats, ServeConfig, ServeError, ServeFaultKind, WorkerPool,
 };
 use streamk_matrix::Matrix;
 use streamk_types::{GemmShape, Layout, TileShape};
@@ -36,6 +39,28 @@ const SHAPES: [GemmShape; 3] = [
     GemmShape { m: 32, n: 32, k: 64 },
     GemmShape { m: 64, n: 24, k: 40 },
 ];
+
+type Outcome = Result<(Matrix<f64>, RequestStats), ServeError>;
+
+/// Awaits `handles` from `callers` threads at once (handle `i` on
+/// thread `i % callers`, each thread in submission order) and returns
+/// the outcomes in submission order. Every one of those threads
+/// computes while it waits.
+fn wait_from(callers: usize, handles: Vec<CompletionHandle<f64, f64>>) -> Vec<Outcome> {
+    let mut lanes: Vec<Vec<_>> = (0..callers).map(|_| Vec::new()).collect();
+    for (i, handle) in handles.into_iter().enumerate() {
+        lanes[i % callers].push((i, handle));
+    }
+    let mut outcomes: Vec<_> = std::thread::scope(|s| {
+        let threads: Vec<_> = lanes
+            .into_iter()
+            .map(|lane| s.spawn(move || lane.into_iter().map(|(i, h)| (i, h.wait())).collect::<Vec<_>>()))
+            .collect();
+        threads.into_iter().flat_map(|t| t.join().expect("a waiting caller never unwinds")).collect()
+    });
+    outcomes.sort_by_key(|(i, _)| *i);
+    outcomes.into_iter().map(|(_, outcome)| outcome).collect()
+}
 
 fn priority_for(idx: u8) -> Priority {
     Priority::ALL[idx as usize % Priority::ALL.len()]
@@ -70,12 +95,15 @@ proptest! {
     /// N concurrent launches vs the same launches run sequentially:
     /// bit-exact, for every worker count, priority mix, window size,
     /// and maskable-fault assignment — with some requests cancelled
-    /// mid-flight, which must fail typed without disturbing the rest.
+    /// mid-flight, which must fail typed without disturbing the rest —
+    /// whether the handles are awaited from one thread, two, or one
+    /// each (more waiting callers than guest slots, on small pools).
     #[test]
     fn concurrent_launches_match_sequential_bit_exact(
         threads in 2usize..9,
         window in 1usize..5,
         n in 2usize..7,
+        callers in 0usize..3,
         seed in 0u64..1_000_000,
     ) {
         let mut state = seed;
@@ -124,10 +152,10 @@ proptest! {
             }
             handles.push(service.submit(req).expect("valid request admitted"));
         }
-        for (handle, (_, _, decomp, baseline, _, fault_idx, cancel)) in
-            handles.into_iter().zip(&jobs)
+        let callers = [1, 2, handles.len()][callers];
+        for (outcome, (_, _, decomp, baseline, _, fault_idx, cancel)) in
+            wait_from(callers, handles).into_iter().zip(&jobs)
         {
-            let outcome = handle.wait();
             if *cancel {
                 prop_assert_eq!(outcome.unwrap_err(), ServeError::Cancelled);
                 continue;
@@ -249,6 +277,236 @@ fn panic_is_isolated_to_its_request_and_pool_survives() {
     assert_eq!(again.max_abs_diff(&baseline), 0.0);
 }
 
+/// How long the tests below keep the pool's own workers out of a
+/// launch (`WorkerPool::inject_stragglers`), so that whatever computes
+/// in the meantime is a caller inside `wait`.
+const HELD_BACK: Duration = Duration::from_millis(300);
+
+/// Every decomposition strategy × 1–4 service workers × who computes —
+/// the pool alone (handles collected after shutdown), one waiting
+/// caller, or one per handle (more callers than guest slots on the
+/// small pools): the same bits as the single-launch executor.
+#[test]
+fn every_strategy_is_bit_exact_whoever_computes() {
+    let shape = GemmShape::new(48, 40, 32);
+    let tile = TileShape::new(16, 16, 8);
+    let (a, b) = operands(shape, 31);
+    for workers in 1..=4usize {
+        let e = exec(workers);
+        let strategies = [
+            Strategy::DataParallel,
+            Strategy::FixedSplit { split: workers.max(2) },
+            Strategy::StreamK { grid: 3 },
+            Strategy::StreamK { grid: 5 },
+            Strategy::StreamK { grid: 7 },
+            Strategy::DpOneTileStreamK { sms: 4 },
+            Strategy::TwoTileStreamKDp { sms: 4 },
+        ];
+        let mut admitted = 0;
+        for strategy in strategies {
+            let decomp = Decomposition::from_strategy(shape, tile, strategy);
+            // What the service would reject for residency is not a case.
+            if decomp.fixups().iter().any(|f| f.covering_ctas() > workers) {
+                continue;
+            }
+            admitted += 1;
+            let baseline = e.gemm::<f64, f64>(&a, &b, &decomp);
+            for callers in [0usize, 1, 3] {
+                let service = GemmService::<f64, f64>::start(&e, ServeConfig::default().with_window(2));
+                let handles: Vec<_> = (0..3)
+                    .map(|_| service.submit(LaunchRequest::new(a.clone(), b.clone(), decomp.clone())).unwrap())
+                    .collect();
+                let outcomes = if callers == 0 {
+                    let stats = service.shutdown();
+                    assert_eq!(stats.guest_ctas, 0, "nobody waited, so nobody but the pool computed");
+                    wait_from(1, handles)
+                } else {
+                    let outcomes = wait_from(callers, handles);
+                    let stats = service.shutdown();
+                    assert!(stats.guest_ctas <= stats.ctas);
+                    assert_eq!(stats.pool_poisonings, 0);
+                    outcomes
+                };
+                for outcome in outcomes {
+                    let (c, _) = outcome.expect("request completes");
+                    assert_eq!(
+                        c.max_abs_diff(&baseline),
+                        0.0,
+                        "{strategy} on {workers} worker(s), {callers} waiting caller(s)"
+                    );
+                }
+            }
+        }
+        assert!(admitted >= 2, "only {admitted} strategies fit {workers} worker(s)");
+    }
+}
+
+/// The caller alone finishes its request: with the service's one
+/// worker held back, `submit` + `wait` returns well inside the delay,
+/// every CTA having run on the waiting thread.
+#[test]
+fn a_waiting_caller_finishes_its_request_alone() {
+    let shape = GemmShape::new(48, 40, 32);
+    let e = exec(1);
+    // Nine tiles on three CTAs: no seams, as one worker requires.
+    let decomp = Decomposition::stream_k(shape, TileShape::new(16, 16, 8), 3);
+    let (a, b) = operands(shape, 37);
+    let baseline = e.gemm::<f64, f64>(&a, &b, &decomp);
+
+    e.worker_pool().inject_stragglers(vec![HELD_BACK]);
+    let service = GemmService::<f64, f64>::start(&e, ServeConfig::default());
+    let t0 = Instant::now();
+    let handle = service.submit(LaunchRequest::new(a.clone(), b.clone(), decomp)).unwrap();
+    let (c, stats) = handle.wait().expect("the caller computes its own request");
+    let took = t0.elapsed();
+    assert!(took < HELD_BACK / 2, "wait took {took:?}: it slept until the pool's worker showed up");
+    // Retired at resolution, not at some worker's next sweep (the one
+    // worker there is has yet to make its first).
+    assert_eq!(service.queue_depth(), (0, 0), "a resolved request has left the window");
+    assert_eq!(c.max_abs_diff(&baseline), 0.0);
+    assert_eq!(stats.ctas, 3);
+
+    let final_stats = service.shutdown();
+    e.worker_pool().inject_stragglers(Vec::new());
+    assert_eq!((final_stats.ctas, final_stats.guest_ctas), (3, 3), "every CTA ran inside wait");
+    assert_eq!(final_stats.completed, 1);
+}
+
+/// A guest never walks away with parked work. Stream-K request `sk`
+/// is a chain — CTA 0 owns tile 0 and waits for CTA 1, which owns
+/// tile 1 and waits for CTA 2 — and both contributions straggle. The
+/// pool's workers are held back, so the caller waiting on `short` is
+/// the one that runs CTAs 0 and 1 and parks both consolidations, and a
+/// second caller (released once those two are claimed) is the one
+/// asleep inside CTA 2. `short` resolves long before CTA 2 signals —
+/// and `wait` on it must not return until tile 1, which only its
+/// caller can finish, is stored.
+#[test]
+fn a_guest_sees_its_parked_consolidations_through_before_it_leaves() {
+    let tile = TileShape::new(16, 16, 8);
+    // Recovery must not be what resolves the seam: the straggler is.
+    let e = CpuExecutor::with_threads(2).with_watchdog(Duration::from_secs(5));
+    // Two tiles of six iterations on three CTAs of four.
+    let sk_shape = GemmShape::new(16, 32, 48);
+    let sk_decomp = Decomposition::stream_k(sk_shape, tile, 3);
+    assert_eq!(FaultPlan::contributors(&sk_decomp), vec![1, 2], "CTAs 1 and 2 each join a tile mid-stream");
+    let (sk_a, sk_b) = operands(sk_shape, 41);
+    let sk_baseline = e.gemm::<f64, f64>(&sk_a, &sk_b, &sk_decomp);
+    let short_shape = GemmShape::new(16, 16, 16);
+    let short_decomp = Decomposition::data_parallel(short_shape, tile);
+    let (short_a, short_b) = operands(short_shape, 43);
+    let short_baseline = e.gemm::<f64, f64>(&short_a, &short_b, &short_decomp);
+
+    e.worker_pool().inject_stragglers(vec![HELD_BACK, HELD_BACK]);
+    let service = GemmService::<f64, f64>::start(&e, ServeConfig::default());
+    let stragglers = FaultPlan::none()
+        .with_fault(1, FaultKind::Straggle(HELD_BACK / 5))
+        .with_fault(2, FaultKind::Straggle(HELD_BACK / 2));
+    let sk = service
+        .submit(LaunchRequest::new(sk_a, sk_b, sk_decomp).with_cta_faults(stragglers))
+        .unwrap();
+    let short_request = || LaunchRequest::new(short_a.clone(), short_b.clone(), short_decomp.clone());
+    let short = service.submit(short_request()).unwrap();
+    let other = service.submit(short_request()).unwrap();
+
+    let (short_outcome, other_outcome) = std::thread::scope(|s| {
+        let second_caller = s.spawn(|| {
+            while sk.stats().ctas < 2 {
+                std::thread::yield_now();
+            }
+            other.wait()
+        });
+        let outcome = short.wait();
+        let seen_through = sk.is_finished();
+        if !seen_through {
+            // Nobody holds that tile any more: let the service drain.
+            sk.cancel();
+        }
+        assert!(seen_through, "wait returned while its caller still held a parked tile of `sk`");
+        (outcome, second_caller.join().expect("the second caller never unwinds"))
+    });
+    assert_eq!(service.queue_depth(), (0, 0), "nothing outstanding");
+    let (c, _) = short_outcome.expect("the short request completes");
+    assert_eq!(c.max_abs_diff(&short_baseline), 0.0);
+    let (c, _) = other_outcome.expect("the second caller's request completes");
+    assert_eq!(c.max_abs_diff(&short_baseline), 0.0);
+    let (c, stats) = sk.wait().expect("the chain completes");
+    assert_eq!(c.max_abs_diff(&sk_baseline), 0.0);
+    assert!(stats.deferrals >= 1, "the owner parked instead of blocking");
+    assert_eq!(stats.recoveries, 0, "the stragglers signaled; nothing was recomputed");
+
+    let final_stats = service.shutdown();
+    e.worker_pool().inject_stragglers(Vec::new());
+    assert_eq!(final_stats.completed, 3);
+    assert_eq!(final_stats.pool_poisonings, 0);
+}
+
+/// Isolation holds on the caller's thread: the caller waiting on `y`
+/// is the only thread computing, so it is the one that runs the CTA of
+/// `x` that panics. `x` fails typed, `y` returns its result, and the
+/// waiting thread — this test — does not unwind.
+#[test]
+fn a_panic_in_a_cta_the_caller_runs_fails_only_that_request() {
+    let shape = GemmShape::new(48, 40, 32);
+    let e = exec(1);
+    let decomp = Decomposition::stream_k(shape, TileShape::new(16, 16, 8), 3);
+    let (a, b) = operands(shape, 47);
+    let baseline = e.gemm::<f64, f64>(&a, &b, &decomp);
+
+    e.worker_pool().inject_stragglers(vec![HELD_BACK]);
+    let service = GemmService::<f64, f64>::start(&e, ServeConfig::default());
+    let x = service
+        .submit(
+            LaunchRequest::new(a.clone(), b.clone(), decomp.clone())
+                .with_serve_fault(ServeFaultKind::PanicCta),
+        )
+        .unwrap();
+    let y = service.submit(LaunchRequest::new(a.clone(), b.clone(), decomp)).unwrap();
+
+    let (c, _) = y.wait().expect("the caller's own request is untouched by the panic it caught");
+    assert_eq!(c.max_abs_diff(&baseline), 0.0);
+    assert!(x.is_finished(), "x is ahead of y in admission order: the caller ran it first");
+    assert!(matches!(x.wait(), Err(ServeError::Panicked { .. })));
+
+    let final_stats = service.shutdown();
+    e.worker_pool().inject_stragglers(Vec::new());
+    assert_eq!((final_stats.panicked, final_stats.completed), (1, 1));
+    assert_eq!(final_stats.guest_ctas, final_stats.ctas, "the held-back worker computed nothing");
+    assert_eq!(final_stats.pool_poisonings, 0);
+}
+
+/// `wait_all` on a burst with more members than there are guest
+/// slots: the one waiting thread takes a slot per member and hands it
+/// back, so with the pool held back it computes the whole burst.
+#[test]
+fn wait_all_computes_a_burst_larger_than_the_guest_stack() {
+    let shape = GemmShape::new(48, 40, 32);
+    let e = exec(1);
+    let decomp = Decomposition::stream_k(shape, TileShape::new(16, 16, 8), 3);
+    let pairs: Vec<_> = (0..5).map(|i| operands(shape, 50 + i)).collect();
+    let baselines: Vec<_> = pairs.iter().map(|(a, b)| e.gemm::<f64, f64>(a, b, &decomp)).collect();
+
+    e.worker_pool().inject_stragglers(vec![HELD_BACK]);
+    let service = GemmService::<f64, f64>::start(&e, ServeConfig::default().with_window(2));
+    assert!(pairs.len() > service.workers());
+    let t0 = Instant::now();
+    let group = service
+        .submit_group(
+            pairs.iter().map(|(a, b)| LaunchRequest::new(a.clone(), b.clone(), decomp.clone())).collect(),
+        )
+        .unwrap();
+    let results = group.wait_all().expect("the burst completes");
+    let took = t0.elapsed();
+    assert!(took < HELD_BACK / 2, "wait_all took {took:?}: some member waited for the pool");
+    for ((c, _), baseline) in results.iter().zip(&baselines) {
+        assert_eq!(c.max_abs_diff(baseline), 0.0);
+    }
+
+    let final_stats = service.shutdown();
+    e.worker_pool().inject_stragglers(Vec::new());
+    assert_eq!((final_stats.ctas, final_stats.guest_ctas), (15, 15));
+}
+
 #[test]
 fn zero_deadline_times_out_typed_never_silently_dropped() {
     let shape = GemmShape::new(48, 40, 32);
@@ -337,6 +595,7 @@ fn cancel_resolves_queued_and_running_requests() {
         )
         .unwrap();
     assert!(queued.cancel(), "first cancel wins");
+    assert_eq!(service.queue_depth().0, 0, "a cancelled request gives its queue slot back at once");
     assert!(!queued.cancel(), "second cancel is a no-op");
     assert!(queued.is_finished());
     assert_eq!(queued.wait().unwrap_err(), ServeError::Cancelled);

@@ -135,6 +135,8 @@ fn prometheus_export_reconciles_exactly_with_service_stats() {
     assert_eq!(field("streamk_serve_failed_total"), stats.failed);
     assert_eq!(field("streamk_serve_pool_poisonings_total"), stats.pool_poisonings);
     assert_eq!(field("streamk_serve_ctas_total"), stats.ctas);
+    assert_eq!(field("streamk_serve_guest_ctas_total"), stats.guest_ctas);
+    assert!(stats.guest_ctas <= stats.ctas, "callers' CTAs are a subset: {stats:?}");
     assert_eq!(field("streamk_serve_steals_total"), stats.steals);
     assert_eq!(field("streamk_serve_deferrals_total"), stats.deferrals);
     assert_eq!(field("streamk_serve_recoveries_total"), stats.recoveries);
