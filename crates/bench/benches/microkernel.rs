@@ -12,9 +12,11 @@ use std::hint::black_box;
 use streamk_core::IterSpace;
 use streamk_cpu::{
     mac_loop_blocked, mac_loop_kernel, mac_loop_kernel_cached, macloop::mac_loop_view,
-    output::store_every_tile, KernelKind, PackBuffers,
+    output::store_every_tile,
+    simd::{simd_block, Strided},
+    KernelKind, PackBuffers, SimdLevel,
 };
-use streamk_matrix::Matrix;
+use streamk_matrix::{Matrix, Promote, Scalar};
 use streamk_types::{GemmShape, Layout, TileShape};
 
 fn inner_kernels(c: &mut Criterion) {
@@ -156,6 +158,54 @@ fn in_place_vs_packed_f32(c: &mut Criterion) {
     group.finish();
 }
 
+/// The register block on its own: the host's vector block
+/// ([`simd_block`]) over one pair of packed panels, at a k-depth whose
+/// panels stay in L1 (`kc64`) and at the pack cache's chunk depth
+/// (`kc1024`: 160–320 KiB of panels, streamed from L2 on every call).
+/// Every cell runs 2²⁵ MACs per iteration, so GF/s = 0.0671 / (s/iter).
+/// This is the MAC ceiling the tile and executor figures sit under —
+/// EXPERIMENTS.md "One fused MAC" has the table, with the parent
+/// commit's multiply-then-add block measured by this same group.
+fn register_block(c: &mut Criterion) {
+    const MACS: usize = 1 << 25;
+    fn cells<T: Promote<T> + Scalar, const MR: usize, const NR: usize>(
+        group: &mut criterion::BenchmarkGroup<'_>,
+        ty: &str,
+    ) {
+        let level = SimdLevel::detect();
+        for kc in [64usize, 1024] {
+            let id = format!("{ty}_{MR}x{NR}_kc{kc}");
+            let panel = |lanes: usize, seed: usize| -> Vec<T> {
+                (0..lanes * kc).map(|i| T::from_f64(((i * 37 + seed) % 61) as f64 / 61.0 - 0.5)).collect()
+            };
+            let (a, b) = (panel(MR, 1), panel(NR, 2));
+            let mut acc = vec![T::ZERO; MR * NR];
+            let mut block =
+                || simd_block::<T, T, MR, NR>(level, Strided::packed(&a, MR), Strided::packed(&b, NR), kc, &mut acc, NR);
+            if !block() {
+                println!("  {id:<32} (no vector block at level {level})");
+                continue;
+            }
+            group.bench_function(&id, |bencher| {
+                bencher.iter(|| {
+                    for _ in 0..MACS / (MR * NR * kc) {
+                        black_box(block());
+                    }
+                });
+            });
+        }
+    }
+    let mut group = c.benchmark_group("register_block");
+    group.sample_size(15);
+    cells::<f32, 4, 16>(&mut group, "f32");
+    cells::<f32, 8, 16>(&mut group, "f32");
+    cells::<f32, 8, 32>(&mut group, "f32");
+    cells::<f64, 4, 16>(&mut group, "f64");
+    cells::<f64, 8, 16>(&mut group, "f64");
+    cells::<f64, 8, 32>(&mut group, "f64");
+    group.finish();
+}
+
 /// The tile epilogue on its own (`StoreTile`, the step every tile of
 /// every schedule pays): all 64 or 16 tiles of a cache-resident
 /// 256×256 output stored from one warm accumulator tile, so a figure
@@ -187,5 +237,12 @@ fn epilogue(c: &mut Criterion) {
     cells::<f64>(c, "f64");
 }
 
-criterion_group!(benches, inner_kernels, packed_vs_blocked_512_f32, in_place_vs_packed_f32, epilogue);
+criterion_group!(
+    benches,
+    inner_kernels,
+    packed_vs_blocked_512_f32,
+    in_place_vs_packed_f32,
+    register_block,
+    epilogue
+);
 criterion_main!(benches);

@@ -1288,7 +1288,7 @@ mod tests {
         let (a, b, decomp, exec) = chaos_fixture();
         let baseline = exec.gemm::<f64, f64>(&a, &b, &decomp);
         let launches_before = exec.last_stats().launches;
-        let builds_before = WorkerPool::total_builds();
+        let pool_before: *const WorkerPool = exec.worker_pool();
 
         // Detonate a worker mid-launch, directly on the executor's own
         // pool (the serve path catches per-CTA panics before they get
@@ -1303,7 +1303,7 @@ mod tests {
 
         // Same pool object, not a respawn, and the next launch is
         // bit-exact: the panic poisoned nothing that outlives it.
-        assert_eq!(WorkerPool::total_builds(), builds_before, "pool must not be rebuilt");
+        assert!(std::ptr::eq(exec.worker_pool(), pool_before), "pool must not be rebuilt");
         let again = exec.gemm::<f64, f64>(&a, &b, &decomp);
         assert_eq!(again.max_abs_diff(&baseline), 0.0);
         assert_eq!(exec.last_stats().launches, launches_before + 1);

@@ -15,8 +15,9 @@
 //!   computed and discarded;
 //! - [`mac_loop_simd`] — the same panel walk with the inner block
 //!   dispatched to runtime-detected AVX-512F/AVX2 kernels
-//!   ([`crate::simd`]); unfused multiply-then-add per lane keeps it
-//!   bit-exact with every other generation.
+//!   ([`crate::simd`]); one fused multiply-add per lane per k-step —
+//!   the same [`Scalar::mac`] every generation performs — keeps it
+//!   bit-exact with all of them.
 //!
 //! **One register block, addressed by strides.** The block — vector
 //! or scalar — reads A as `a[i·rs + k·ks]` and B as `b[k·ks + j]`
@@ -34,8 +35,9 @@
 //! [`crate::packcache::mac_loop_kernel_cached`], per operand per
 //! k-chunk.
 //!
-//! Every kernel accumulates each output element in ascending-k order,
-//! so all of them — and the scalar
+//! Every kernel accumulates each output element in ascending-k order
+//! with the one fused MAC ([`Scalar::mac`], DESIGN.md §9), so all of
+//! them — and the scalar
 //! [`mac_loop_view`](crate::macloop::mac_loop_view) — produce
 //! bit-identical results whatever the operands' source; property tests
 //! pin that. [`KernelKind`] names each variant for runtime selection
@@ -114,8 +116,9 @@ pub enum KernelKind {
     /// SIMD `8 × 16` block (eight accumulator vectors on AVX-512).
     Simd8x16,
     /// SIMD `8 × 32` block (sixteen AVX-512 accumulator vectors —
-    /// the default: enough independent accumulation chains to cover
-    /// the add latency of both FP ports, and the widest measured
+    /// the default: sixteen independent `vfmadd` chains cover the FMA
+    /// latency of both FP ports (4 cycles × 2 ports needs eight) with
+    /// room for the loads between them, and the widest measured
     /// throughput on AVX-512 hosts; non-x86 builds fall back to the
     /// scalar block at the same shape).
     #[default]
@@ -598,8 +601,14 @@ pub(crate) fn packed_block<In, Acc, const MR_: usize, const NR_: usize>(
     if kc == 0 {
         return;
     }
-    let mut acc: [[Acc; NR_]; MR_] =
-        std::array::from_fn(|i| std::array::from_fn(|j| c[i * c_stride + j]));
+    // Loaded a row at a time, as they are stored below: element-wise
+    // loads leave LLVM with accumulators it vectorizes only in part
+    // once the update is an `fma` call (half of an 8 × 8 block's MACs
+    // stayed scalar, 2× slower).
+    let mut acc = [[Acc::ZERO; NR_]; MR_];
+    for (i, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[i * c_stride..i * c_stride + NR_]);
+    }
     // The k-loop over `$steps`, which yields each k-step's A lanes
     // (promoted) and B row. Safe indexing checks every access against
     // its slice, and in this loop a check per element doubles the

@@ -25,8 +25,8 @@
 //!   cache-resident when the microkernel reads it back, instead of a
 //!   full-k panel being written out to memory first.
 //!
-//! Every output element still sees the same ascending-k
-//! multiply-then-add sequence — the accumulator tile is stored and
+//! Every output element still sees the same ascending-k fused
+//! multiply-add sequence — the accumulator tile is stored and
 //! reloaded exactly at each seam — so results are bit-identical to
 //! the unchunked walk.
 //!
@@ -467,13 +467,14 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
 }
 
 /// Largest k-stride, in bytes, at which a register block reads an
-/// operand where it lies, fixed by the sweep in DESIGN.md §9. Every
+/// operand where it lies, fixed by the sweep in DESIGN.md §9 (and
+/// kept by its re-run on the fused kernel). Every
 /// k-step of a block touches the operand one k-stride further on. Up
 /// to here that costs less than the copy it saves; at a page (a
 /// row-major f32 B 1024 columns wide) every k-step opens a new page
 /// and lands in the same L1 set as the one before, the B sub-panel no
 /// longer survives the column of register blocks that reuses it, and
-/// packing wins again (the 1024³ shape ran 2.1× slower read in place).
+/// packing wins again (the 1024³ shape ran 2.3× slower read in place).
 const IN_PLACE_K_STRIDE: usize = 2048;
 
 /// How a launch reads one operand, decided by the view alone (and the

@@ -10,18 +10,20 @@
 //! the portable scalar block.
 //!
 //! **Bit-exactness.** The repo's invariant is that every kernel
-//! accumulates each output element in ascending-k order with an
-//! *unfused* multiply-then-add. These kernels keep both properties:
+//! accumulates each output element in ascending-k order with one
+//! *fused* multiply-add per MAC (DESIGN.md §9). These kernels keep
+//! both properties:
 //!
 //! - vectorization is across the `NR` output *columns* — each lane
 //!   owns one output element and still sees its k-terms in ascending
 //!   order, one per k-step;
-//! - each k-step issues a separate vector multiply and vector add
-//!   (never an FMA), so every lane performs exactly the two IEEE-754
-//!   roundings the scalar [`Scalar::mac`] performs. No
-//!   `#[target_feature]` here enables `fma`, and Rust never contracts
-//!   mul+add implicitly, so f64 results are bit-identical to the
-//!   scalar MAC loop — the property tests pin this.
+//! - each k-step issues one `vfmadd` per accumulator, so every lane
+//!   performs exactly the single IEEE-754 rounding the scalar
+//!   [`Scalar::mac`] (`mul_add`) performs, and f64 results are
+//!   bit-identical to the scalar MAC loop — the property tests pin
+//!   this. There is no vector multiply feeding a vector add anywhere
+//!   in this module, and no level without FMA: [`SimdLevel::detect`]
+//!   reports `Avx2` only where `fma` is present too.
 //!
 //! Dispatch is two-level: a `TypeId` check narrows the generic
 //! `In`/`Acc` pair to a concrete element type (f32×f32 or f64×f64 —
@@ -34,8 +36,8 @@
 //! `a[i·rs + k·ks]` and B as `b[k·ks + j]` ([`Strided`]): a packed
 //! panel is the strides `(1, MR)` / `NR`, an operand read where it
 //! lies carries its view's strides, and there is no second kernel for
-//! either. The k-order and the unfused multiply-then-add do not depend
-//! on the strides, so neither does a single result bit.
+//! either. The k-order and the fused multiply-add do not depend on the
+//! strides, so neither does a single result bit.
 //!
 //! **Bounds.** All pointer arithmetic is in the macro-generated
 //! kernels, each of which first runs `assert_block_bounds`:
@@ -55,7 +57,7 @@ use streamk_matrix::{Promote, Scalar};
 pub enum SimdLevel {
     /// No usable vector extension: always fall back to scalar code.
     None,
-    /// 256-bit AVX2 (8 × f32 or 4 × f64 lanes).
+    /// 256-bit AVX2 with FMA3 (8 × f32 or 4 × f64 lanes).
     Avx2,
     /// 512-bit AVX-512F (16 × f32 or 8 × f64 lanes).
     Avx512,
@@ -64,7 +66,10 @@ pub enum SimdLevel {
 impl SimdLevel {
     /// Detects the widest level this host supports. The underlying
     /// `is_x86_feature_detected!` result is cached by `std`, so this
-    /// is cheap enough to call per MAC-loop invocation.
+    /// is cheap enough to call per MAC-loop invocation. Every level
+    /// above `None` has a fused multiply-add: AVX-512F carries its own,
+    /// and an AVX2 host without FMA3 reports `None` (the portable
+    /// block computes the same bits through `mul_add`).
     #[must_use]
     pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
@@ -72,7 +77,7 @@ impl SimdLevel {
             if is_x86_feature_detected!("avx512f") {
                 return SimdLevel::Avx512;
             }
-            if is_x86_feature_detected!("avx2") {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
                 return SimdLevel::Avx2;
             }
         }
@@ -265,14 +270,14 @@ where
 /// `NVEC` vector registers of output, accumulators held in registers
 /// across the whole k-loop, loads/stores of `c` only at the block
 /// boundaries. Each k-step broadcasts one A element per row and
-/// issues a separate vector multiply and add per accumulator — the
-/// unfused two-rounding sequence the scalar `mac` performs. Operands
+/// issues one fused multiply-add per accumulator — the single
+/// rounding the scalar `mac` performs. Operands
 /// are addressed by their strides; the walk over a packed panel is
 /// this walk with strides `(1, MR)` / `NR`.
 #[cfg(target_arch = "x86_64")]
 macro_rules! simd_block_kernel {
     ($name:ident, $feature:literal, $elem:ty, $lanes:expr,
-     $setzero:ident, $loadu:ident, $storeu:ident, $set1:ident, $mul:ident, $add:ident) => {
+     $setzero:ident, $loadu:ident, $storeu:ident, $set1:ident, $fmadd:ident) => {
         /// # Safety
         ///
         /// The host must support the enabled target feature.
@@ -318,10 +323,9 @@ macro_rules! simd_block_kernel {
                         for (i, row) in acc.iter_mut().enumerate() {
                             let ai = $set1(*acol.add(i * $a_ls));
                             for (reg, &b) in row.iter_mut().zip(&bv) {
-                                // Separate mul then add: no FMA
-                                // contraction, each lane bit-identical
-                                // to the scalar mac.
-                                *reg = $add(*reg, $mul(ai, b));
+                                // One rounding per lane per k-step:
+                                // bit-identical to the scalar mac.
+                                *reg = $fmadd(ai, b, *reg);
                             }
                         }
                     }
@@ -342,13 +346,13 @@ macro_rules! simd_block_kernel {
 }
 
 #[cfg(target_arch = "x86_64")]
-simd_block_kernel!(avx2_f32, "avx2", f32, 8, _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_mul_ps, _mm256_add_ps);
+simd_block_kernel!(avx2_f32, "avx2,fma", f32, 8, _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_fmadd_ps);
 #[cfg(target_arch = "x86_64")]
-simd_block_kernel!(avx2_f64, "avx2", f64, 4, _mm256_setzero_pd, _mm256_loadu_pd, _mm256_storeu_pd, _mm256_set1_pd, _mm256_mul_pd, _mm256_add_pd);
+simd_block_kernel!(avx2_f64, "avx2,fma", f64, 4, _mm256_setzero_pd, _mm256_loadu_pd, _mm256_storeu_pd, _mm256_set1_pd, _mm256_fmadd_pd);
 #[cfg(target_arch = "x86_64")]
-simd_block_kernel!(avx512_f32, "avx512f", f32, 16, _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_mul_ps, _mm512_add_ps);
+simd_block_kernel!(avx512_f32, "avx512f", f32, 16, _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_fmadd_ps);
 #[cfg(target_arch = "x86_64")]
-simd_block_kernel!(avx512_f64, "avx512f", f64, 8, _mm512_setzero_pd, _mm512_loadu_pd, _mm512_storeu_pd, _mm512_set1_pd, _mm512_mul_pd, _mm512_add_pd);
+simd_block_kernel!(avx512_f64, "avx512f", f64, 8, _mm512_setzero_pd, _mm512_loadu_pd, _mm512_storeu_pd, _mm512_set1_pd, _mm512_fmadd_pd);
 
 #[cfg(target_arch = "x86_64")]
 fn dispatch_f32<const MR_: usize, const NR_: usize>(
@@ -430,7 +434,75 @@ mod tests {
         values(if kc == 0 { 0 } else { (lanes - 1) * ls + (kc - 1) * ks + 1 }, seed)
     }
 
+    /// The contract from outside [`Scalar::mac`]: one block's update
+    /// written with the element type's own `mul_add` (`fused`) or as
+    /// `c + a * b`, ascending k per output element.
+    trait Chain: Copy {
+        fn step(self, a: Self, b: Self, fused: bool) -> Self;
+    }
+    impl Chain for f64 {
+        fn step(self, a: f64, b: f64, fused: bool) -> f64 {
+            if fused { f64::mul_add(a, b, self) } else { self + a * b }
+        }
+    }
+    impl Chain for f32 {
+        fn step(self, a: f32, b: f32, fused: bool) -> f32 {
+            if fused { f32::mul_add(a, b, self) } else { self + a * b }
+        }
+    }
+
+    fn oracle_block<T: Chain>(
+        a: Strided<'_, T>,
+        b: Strided<'_, T>,
+        kc: usize,
+        (mr, nr): (usize, usize),
+        c: &mut [T],
+        c_stride: usize,
+        fused: bool,
+    ) {
+        for i in 0..mr {
+            for j in 0..nr {
+                let cv = &mut c[i * c_stride + j];
+                for k in 0..kc {
+                    *cv = cv.step(a.data[i * a.lane_stride + k * a.k_stride], b.data[k * b.k_stride + j], fused);
+                }
+            }
+        }
+    }
+
+    /// One element type through the `mul_add` oracle, the portable
+    /// block and `level`'s vector block. Returns whether the `c + a * b`
+    /// chain gave different bits on this data.
+    fn check_block<T, const MR_: usize, const NR_: usize>(
+        level: SimdLevel,
+        a: Strided<'_, T>,
+        b: Strided<'_, T>,
+        kc: usize,
+        c0: &[T],
+        c_stride: usize,
+        what: &str,
+    ) -> bool
+    where
+        T: Chain + Promote<T> + Scalar,
+    {
+        let mut oracle = c0.to_vec();
+        oracle_block(a, b, kc, (MR_, NR_), &mut oracle, c_stride, true);
+        let mut portable = c0.to_vec();
+        packed_block::<T, T, MR_, NR_>(a, b, kc, &mut portable, c_stride);
+        assert_eq!(portable, oracle, "portable block is not the mul_add chain: {what}");
+        let mut got = c0.to_vec();
+        if simd_block::<T, T, MR_, NR_>(level, a, b, kc, &mut got, c_stride) {
+            assert_eq!(got, oracle, "vector block is not the mul_add chain: {what}");
+        } else {
+            assert_eq!(got, c0, "failed dispatch must leave c untouched");
+        }
+        let mut unfused = c0.to_vec();
+        oracle_block(a, b, kc, (MR_, NR_), &mut unfused, c_stride, false);
+        unfused != oracle
+    }
+
     fn check_level<const MR_: usize, const NR_: usize>(level: SimdLevel) {
+        let mut told_apart = [false; 2];
         for kc in [0usize, 1, 3, 17, 64] {
             for (a_ls, a_ks, b_ks) in layouts(MR_, NR_, kc) {
                 for c_stride in [NR_, NR_ + 7] {
@@ -450,36 +522,29 @@ mod tests {
                     }
 
                     let (a, b) = strided((&a64, a_ls, a_ks), (&b64, b_ks));
-                    let mut expect = c64.clone();
-                    packed_block::<f64, f64, MR_, NR_>(a, b, kc, &mut expect, c_stride);
-                    let mut got = c64.clone();
-                    if simd_block::<f64, f64, MR_, NR_>(level, a, b, kc, &mut got, c_stride) {
-                        assert_eq!(got, expect, "f64 {what}");
-                    } else {
-                        assert_eq!(got, c64, "failed dispatch must leave c untouched");
-                    }
+                    told_apart[0] |= check_block::<f64, MR_, NR_>(level, a, b, kc, &c64, c_stride, &what);
 
                     let a32: Vec<f32> = a64.iter().map(|&v| v as f32).collect();
                     let b32: Vec<f32> = b64.iter().map(|&v| v as f32).collect();
                     let c32: Vec<f32> = c64.iter().map(|&v| v as f32).collect();
                     let (a, b) = strided((&a32, a_ls, a_ks), (&b32, b_ks));
-                    let mut expect = c32.clone();
-                    packed_block::<f32, f32, MR_, NR_>(a, b, kc, &mut expect, c_stride);
-                    let mut got = c32.clone();
-                    if simd_block::<f32, f32, MR_, NR_>(level, a, b, kc, &mut got, c_stride) {
-                        assert_eq!(got, expect, "f32 {what}");
-                    }
+                    told_apart[1] |= check_block::<f32, MR_, NR_>(level, a, b, kc, &c32, c_stride, &what);
                 }
             }
         }
+        assert_eq!(told_apart, [true; 2], "this data cannot tell a fused MAC from an unfused one (f64, f32)");
     }
 
     #[test]
     fn every_block_shape_matches_scalar_at_every_level_and_stride() {
         // Exercise every level the host supports (an AVX-512 host can
-        // and should also run the AVX2 kernels). Every operand slice
-        // ends at the last element the block may read, so a kernel
-        // that reads one lane further fails its own bounds assert.
+        // and should also run the AVX2 kernels: AVX-512F implies FMA3).
+        // Every operand slice ends at the last element the block may
+        // read, so a kernel that reads one lane further fails its own
+        // bounds assert. The expected bits come from `oracle_block`,
+        // which never calls `Scalar::mac`: the portable block (all
+        // Miri runs) and every vector block must *be* the `mul_add`
+        // chain, on data where the `c + a * b` chain is not.
         let host = SimdLevel::detect();
         let mut levels = vec![SimdLevel::None];
         if matches!(host, SimdLevel::Avx2 | SimdLevel::Avx512) {

@@ -236,7 +236,7 @@ fn panic_is_isolated_to_its_request_and_pool_survives() {
     let decomp = Decomposition::stream_k(shape, tile, 4);
     let (a, b) = operands(shape, 7);
     let baseline = e.gemm::<f64, f64>(&a, &b, &decomp);
-    let builds_before = WorkerPool::total_builds();
+    let pool_before: *const WorkerPool = e.worker_pool();
 
     let service = GemmService::<f64, f64>::start(&e, ServeConfig::default());
     let good_before = service
@@ -271,8 +271,9 @@ fn panic_is_isolated_to_its_request_and_pool_survives() {
     assert_eq!(stats.pool_poisonings, 0, "panic must never reach the pool");
 
     // The same pool object serves the legacy path afterwards — no
-    // respawn, still bit-exact.
-    assert_eq!(WorkerPool::total_builds(), builds_before, "pool must not be rebuilt");
+    // respawn, still bit-exact. Identity, not the process-wide build
+    // counter: sibling tests build pools of their own meanwhile.
+    assert!(std::ptr::eq(e.worker_pool(), pool_before), "pool must not be rebuilt");
     let again = e.gemm::<f64, f64>(&a, &b, &decomp);
     assert_eq!(again.max_abs_diff(&baseline), 0.0);
 }

@@ -2,10 +2,12 @@
 //!
 //! The SIMD kernels promise the same contract as every other
 //! [`KernelKind`]: each output element accumulates in ascending-k
-//! order with an *unfused* multiply-then-add, so their results are
+//! order with one *fused* multiply-add per MAC, so their results are
 //! bit-identical to the scalar MAC loop — in f64 **and** f32, private
-//! packing or shared cache, fault-free or mid-recovery. These
-//! properties pin that — including on shapes deep enough that the
+//! packing or shared cache, fault-free or mid-recovery — and the
+//! scalar MAC loop is bit-identical to a `mul_add` chain written here,
+//! outside [`Scalar::mac`], on data where a `c + a * b` chain is not.
+//! These properties pin that — including on shapes deep enough that the
 //! cache's k-chunk walk crosses chunk seams mid-segment — plus the
 //! [`PackCache`] claim/publish invariant: with far more peers than
 //! chunk slots, each chunk is packed exactly once and every reader
@@ -20,7 +22,9 @@ use streamk_cpu::{
     mac_loop_kernel, mac_loop_kernel_cached, CpuExecutor, FaultKind, FaultPlan, KernelKind,
     PackBuffers, PackCache, WaitPolicy,
 };
-use streamk_matrix::{f16, pack_a_into, pack_b_into, Matrix, MatrixView, Promote, Scalar};
+use streamk_matrix::{
+    f16, gemm_ex_reference, pack_a_into, pack_b_into, Matrix, MatrixView, Promote, Scalar,
+};
 use streamk_types::{GemmShape, Layout, TileShape};
 
 const THREADS: usize = 8;
@@ -124,10 +128,54 @@ fn presentations() -> impl proptest::strategy::Strategy<Value = Presented> {
     ]
 }
 
+/// The arithmetic contract written from outside [`Scalar::mac`]: one
+/// step of an accumulation chain, either the element type's own
+/// `mul_add` (`fused`, the contract) or `c + a * b` (what it replaced).
+trait Chain: Scalar {
+    fn step(self, a: Self, b: Self, fused: bool) -> Self;
+}
+
+impl Chain for f64 {
+    fn step(self, a: f64, b: f64, fused: bool) -> f64 {
+        if fused { f64::mul_add(a, b, self) } else { self + a * b }
+    }
+}
+
+impl Chain for f32 {
+    fn step(self, a: f32, b: f32, fused: bool) -> f32 {
+        if fused { f32::mul_add(a, b, self) } else { self + a * b }
+    }
+}
+
+/// Ascending-k chains over `ks` for the `rows × cols` window of
+/// `a · b`, row-major at row stride `stride`, from zero.
+fn oracle<In: Promote<Acc>, Acc: Chain>(
+    a: &MatrixView<'_, In>,
+    b: &MatrixView<'_, In>,
+    (rows, cols): (std::ops::Range<usize>, std::ops::Range<usize>),
+    ks: std::ops::Range<usize>,
+    (stride, len): (usize, usize),
+    fused: bool,
+) -> Vec<Acc> {
+    let mut out = vec![Acc::ZERO; len];
+    for i in rows.clone() {
+        for j in cols.clone() {
+            let acc = &mut out[(i - rows.start) * stride + (j - cols.start)];
+            for k in ks.clone() {
+                *acc = acc.step(a.get(i, k).promote(), b.get(k, j).promote(), fused);
+            }
+        }
+    }
+    out
+}
+
 /// One tile segment through every panel-consuming kernel three ways —
 /// always packed ([`mac_loop_kernel`]), the source rule with no cache
 /// (the service's path) and with one (the executors') — against the
-/// scalar MAC loop, for one element type.
+/// scalar MAC loop, for one element type; and the scalar MAC loop and
+/// [`gemm_ex_reference`] against the `mul_add` [`oracle`]. With
+/// `rounds` (products of this `In` do not fit `Acc`: not f16 → f32)
+/// the `c + a * b` oracle must give other bits on the same operands.
 #[allow(clippy::too_many_arguments)]
 fn sources_agree<In, Acc>(
     shape: GemmShape,
@@ -135,10 +183,11 @@ fn sources_agree<In, Acc>(
     (pa, pb): (Presented, Presented),
     tile_sel: usize,
     range_sel: (usize, usize),
+    rounds: bool,
 ) -> Result<(), TestCaseError>
 where
     In: Promote<Acc>,
-    Acc: Scalar,
+    Acc: Chain,
 {
     let space = IterSpace::new(shape, tile);
     let seed = ((shape.m * 73 + shape.n) * 37 + shape.k) as u64;
@@ -155,6 +204,20 @@ where
     let len = tile.blk_m * tile.blk_n;
     let mut reference = vec![Acc::ZERO; len];
     mac_loop_view(&a, &b, &space, tile_idx, lo, hi, &mut reference);
+    let ks = if lo < hi { space.k_extents(lo).start..space.k_extents(hi - 1).end } else { 0..0 };
+    let fused = oracle::<In, Acc>(&a, &b, space.tile_extents(tile_idx), ks, (tile.blk_n, len), true);
+    prop_assert!(reference == fused, "mac_loop_view is not the mul_add chain: {shape} {tile} {pa:?} x {pb:?}");
+
+    let whole = |fused| {
+        oracle::<In, Acc>(&a, &b, (0..shape.m, 0..shape.n), 0..shape.k, (shape.n, shape.m * shape.n), fused)
+    };
+    let mut c = Matrix::<Acc>::zeros(shape.m, shape.n, Layout::RowMajor);
+    gemm_ex_reference(Acc::ONE, &a, &b, Acc::ZERO, &mut c);
+    prop_assert!(c.as_slice() == whole(true), "gemm_ex_reference is not the mul_add chain: {shape} {pa:?} x {pb:?}");
+    if rounds {
+        prop_assert!(c.as_slice() != whole(false), "operands cannot tell fused from unfused: {shape}");
+    }
+
     let mut bufs = PackBuffers::new();
     for kind in KernelKind::PACKED.into_iter().chain(KernelKind::SIMD) {
         let what = format!("{kind} on {shape} {tile} {pa:?} x {pb:?} tile {tile_idx} [{lo},{hi})");
@@ -262,7 +325,8 @@ proptest! {
 
     /// Wherever an operand is read from — in place, a private pack, a
     /// cache chunk — every panel-consuming kernel agrees bit for bit
-    /// with the scalar MAC loop: over row-major, column-major,
+    /// with the scalar MAC loop, and the scalar MAC loop with a
+    /// `mul_add` chain written in this file: over row-major, column-major,
     /// transposed and windowed operands (windows that end on their
     /// allocation's last element included), ragged edges, and f64,
     /// f32 and f16→f32 elements.
@@ -274,9 +338,10 @@ proptest! {
         tile_sel in 0usize..64,
         range_sel in (0usize..64, 0usize..64),
     ) {
-        sources_agree::<f64, f64>(shape, tile, presented, tile_sel, range_sel)?;
-        sources_agree::<f32, f32>(shape, tile, presented, tile_sel, range_sel)?;
-        sources_agree::<f16, f32>(shape, tile, presented, tile_sel, range_sel)?;
+        sources_agree::<f64, f64>(shape, tile, presented, tile_sel, range_sel, true)?;
+        sources_agree::<f32, f32>(shape, tile, presented, tile_sel, range_sel, true)?;
+        // Two f16 values multiply exactly in f32: nothing to tell apart.
+        sources_agree::<f16, f32>(shape, tile, presented, tile_sel, range_sel, false)?;
     }
 }
 

@@ -41,13 +41,15 @@ pub trait Scalar:
     /// Converts to `f64` (exact for f32/f64).
     fn to_f64(self) -> f64;
 
-    /// Fused or unfused multiply-add `self + a * b`. The default is
-    /// unfused, matching how GPU MAC pipelines accumulate tile
-    /// fragments at accumulator precision.
-    #[inline]
-    fn mac(self, a: Self, b: Self) -> Self {
-        self + a * b
-    }
+    /// The workspace's one multiply-accumulate: the IEEE-754 fused
+    /// multiply-add `a * b + self`, rounded once — what the paper's
+    /// `mma` / DFMA pipelines compute per MAC. Every path that
+    /// accumulates a dot product (the references, the scalar oracle,
+    /// the portable block, the vector blocks' `vfmadd`) performs this
+    /// operation in ascending-k order, which is why any of them can
+    /// recompute any other's segment bit-exactly. There is no default
+    /// body: an implementor cannot inherit an unfused `self + a * b`.
+    fn mac(self, a: Self, b: Self) -> Self;
 }
 
 impl Scalar for f32 {
@@ -63,6 +65,11 @@ impl Scalar for f32 {
     fn to_f64(self) -> f64 {
         f64::from(self)
     }
+
+    #[inline]
+    fn mac(self, a: Self, b: Self) -> Self {
+        a.mul_add(b, self)
+    }
 }
 
 impl Scalar for f64 {
@@ -77,6 +84,11 @@ impl Scalar for f64 {
     #[inline]
     fn to_f64(self) -> f64 {
         self
+    }
+
+    #[inline]
+    fn mac(self, a: Self, b: Self) -> Self {
+        a.mul_add(b, self)
     }
 }
 
@@ -147,6 +159,19 @@ mod tests {
     fn mac_computes_fma_shape() {
         assert_eq!(2.0f64.mac(3.0, 4.0), 14.0);
         assert_eq!(1.5f32.mac(0.5, 2.0), 2.5);
+    }
+
+    /// `(1 + e)(1 − e) = 1 − e²` needs more bits than the type has: a
+    /// multiply rounds it to 1 before the add sees it, a fused MAC
+    /// keeps the `−e²`. These triples tell the two contracts apart.
+    #[test]
+    fn mac_rounds_once() {
+        let e = 2.0f64.powi(-27);
+        assert_eq!((1.0 + e) * (1.0 - e), 1.0, "the product alone rounds to 1");
+        assert_eq!((-1.0f64).mac(1.0 + e, 1.0 - e), -(2.0f64.powi(-54)));
+        let e = 2.0f32.powi(-13);
+        assert_eq!((1.0 + e) * (1.0 - e), 1.0, "the product alone rounds to 1");
+        assert_eq!((-1.0f32).mac(1.0 + e, 1.0 - e), -(2.0f32.powi(-26)));
     }
 
     #[test]
