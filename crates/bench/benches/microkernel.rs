@@ -14,9 +14,9 @@ use streamk_cpu::{
     mac_loop_blocked, mac_loop_kernel, mac_loop_kernel_cached, macloop::mac_loop_view,
     output::store_every_tile,
     simd::{simd_block, Strided},
-    KernelKind, PackBuffers, SimdLevel,
+    KernelKind, PackBuffers, PackCache, SimdLevel, WaitPolicy,
 };
-use streamk_matrix::{Matrix, Promote, Scalar};
+use streamk_matrix::{Matrix, MatrixView, Promote, Scalar};
 use streamk_types::{GemmShape, Layout, TileShape};
 
 fn inner_kernels(c: &mut Criterion) {
@@ -158,6 +158,51 @@ fn in_place_vs_packed_f32(c: &mut Criterion) {
     group.finish();
 }
 
+/// What split loads cost a B read in place: one warm deep-k tile
+/// (64×192×8192 f32, the default 8×32 block, A row-major and read in
+/// place) with B's rows 768 bytes apart — twelve whole lines — starting
+/// on a line (`b_on_lines`, what every allocating constructor gives
+/// since storage is line-aligned), 16 bytes off it (`b_16b_off`, what
+/// a 16-byte aligned allocation gave: every 64-byte load of a B row
+/// spans two lines), and column-major so that it is packed, with the
+/// chunks already in the cache (`b_packed`). 0.201 GFLOP per
+/// iteration: GF/s = 0.201 / (s/iter). DESIGN.md §8 "Storage starts on
+/// a line" has the numbers.
+fn in_place_alignment(c: &mut Criterion) {
+    let kind = KernelKind::default();
+    let shape = GemmShape::new(64, 192, 8192);
+    let tile = TileShape::new(64, 192, 32);
+    let space = IterSpace::new(shape, tile);
+    let iters = space.iters_per_tile();
+    let a = Matrix::<f32>::random::<f32>(shape.m, shape.k, Layout::RowMajor, 7);
+    // One spare line in front of B's elements: views at offsets 16 and
+    // 4 are B on a line and B 16 bytes off it.
+    let stored = Matrix::<f32>::random::<f32>(shape.k + 1, shape.n, Layout::RowMajor, 8);
+    let at = |offset: usize| MatrixView::from_parts(&stored.as_slice()[offset..], shape.k, shape.n, shape.n, 1);
+    let b_col = at(16).to_matrix().to_layout(Layout::ColMajor);
+    let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default());
+
+    let mut group = c.benchmark_group("in_place_alignment");
+    group.sample_size(15);
+    for (id, b, cache) in [
+        ("b_on_lines", at(16), None),
+        ("b_16b_off", at(4), None),
+        ("b_packed", b_col.view(), cache.as_ref()),
+    ] {
+        group.bench_function(id, |bencher| {
+            let mut accum = vec![0.0f32; tile.blk_m * tile.blk_n];
+            let mut bufs = PackBuffers::new();
+            let mut run = |accum: &mut [f32]| {
+                accum.fill(0.0);
+                mac_loop_kernel_cached(kind, cache, 0, &a.view(), &b, &space, 0, 0, iters, black_box(accum), &mut bufs);
+            };
+            run(&mut accum); // warm: the packed cell's chunks are in the cache from here on
+            bencher.iter(|| run(&mut accum));
+        });
+    }
+    group.finish();
+}
+
 /// The register block on its own: the host's vector block
 /// ([`simd_block`]) over one pair of packed panels, at a k-depth whose
 /// panels stay in L1 (`kc64`) and at the pack cache's chunk depth
@@ -242,6 +287,7 @@ criterion_group!(
     inner_kernels,
     packed_vs_blocked_512_f32,
     in_place_vs_packed_f32,
+    in_place_alignment,
     register_block,
     epilogue
 );

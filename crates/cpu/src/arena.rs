@@ -37,6 +37,15 @@
 //! did: +11 % live heap on the benchmark's deep-k set-up, which meets
 //! its largest shape first).
 //!
+//! **Lines.** Every range starts on a cache line: slabs and overflow
+//! allocations are [`AlignedVec`]s, and a range takes a whole number
+//! of lines out of its slab, so the next one starts on a line too. A
+//! packed k-step of a 16-wide f64 or 32-wide f32 panel is then two
+//! whole lines rather than three part-lines (DESIGN.md §8). Ranges are
+//! counted in lines everywhere — consumption, retention, the longest
+//! range — so a slab sized from one launch fits the same launch again
+//! whatever order its ranges are claimed in.
+//!
 //! **Dirty storage.** Starting a launch rewinds the bump pointers; it
 //! does not clear. A recycled range holds an earlier launch's panels,
 //! so the packers write every lane they are handed, pad lanes included
@@ -55,6 +64,8 @@
 
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use streamk_matrix::{AlignedVec, LINE};
 
 use crate::pad::CachePadded;
 
@@ -87,17 +98,25 @@ const WINDOW: usize = 8;
 /// workload, whose whole pack footprint is 110–140 KB).
 const RETAIN_MIN_BYTES: usize = 256 << 10;
 
+/// `len` elements rounded up to whole cache lines: what a range of
+/// `len` takes out of a slab, so that the next one starts on a line
+/// too (every slab and overflow range does).
+fn lined<In>(len: usize) -> usize {
+    len.next_multiple_of((LINE / size_of::<In>()).max(1))
+}
+
 /// One shard's storage.
 #[derive(Debug)]
 struct Slab<In> {
-    /// The retained slab. Resized only by [`Slab::settle`].
-    main: Vec<In>,
+    /// The retained slab, starting on a line. Resized only by
+    /// [`Slab::settle`].
+    main: AlignedVec<In>,
     /// Ranges handed out this launch when no slab had room, one
-    /// exact-size allocation each.
-    overflow: Vec<Vec<In>>,
-    /// Elements of `main` handed out this launch.
+    /// exact-size allocation each, each on a line.
+    overflow: Vec<AlignedVec<In>>,
+    /// Elements of `main` handed out this launch: whole lines.
     bump: usize,
-    /// The longest range handed out this launch.
+    /// The longest range handed out this launch, in whole lines.
     largest: usize,
     fresh: usize,
 }
@@ -106,16 +125,16 @@ struct Slab<In> {
 // does not need.
 impl<In> Default for Slab<In> {
     fn default() -> Self {
-        Self { main: Vec::new(), overflow: Vec::new(), bump: 0, largest: 0, fresh: 0 }
+        Self { main: AlignedVec::new(), overflow: Vec::new(), bump: 0, largest: 0, fresh: 0 }
     }
 }
 
 impl<In: Copy + Default> Slab<In> {
-    /// Elements this launch has needed of the slab so far: what it
-    /// handed out of `main`, to its own shard or a neighbour, plus
-    /// the overflow.
+    /// Elements this launch has needed of the slab so far, in whole
+    /// lines per range: what it handed out of `main`, to its own shard
+    /// or a neighbour, plus the overflow.
     fn in_use(&self) -> usize {
-        self.bump + self.overflow.iter().map(Vec::len).sum::<usize>()
+        self.bump + self.overflow.iter().map(|range| lined::<In>(range.len())).sum::<usize>()
     }
 
     /// Ends a launch: frees the overflow, resizes `main` to `keep`
@@ -128,31 +147,32 @@ impl<In: Copy + Default> Slab<In> {
             self.fresh += 1;
             // The contents are dead, so free before allocating: a
             // `resize` may hold both buffers while it copies one.
-            self.main = Vec::new();
-            self.main = vec![In::default(); keep];
+            self.main = AlignedVec::new();
+            self.main = AlignedVec::zeroed(keep);
         } else if keep < self.main.len() {
-            self.main.truncate(keep);
-            self.main.shrink_to_fit();
+            self.main.shrink_to(keep);
         }
     }
 
-    /// The next `len` elements of `main`, if it has that many left.
+    /// The next `len` elements of `main`, starting on a line, if it
+    /// has that many left; the range takes whole lines of it.
     fn bump(&mut self, len: usize) -> Option<*mut In> {
-        (len <= self.main.len() - self.bump).then(|| {
+        let lines = lined::<In>(len);
+        (lines <= self.main.len() - self.bump).then(|| {
             let at = self.bump;
-            self.bump += len;
-            self.largest = self.largest.max(len);
-            // `as_mut_ptr` does not materialise a reference to the
-            // buffer, so ranges handed out earlier stay valid.
+            self.bump += lines;
+            self.largest = self.largest.max(lines);
+            // Neither `as_mut_ptr` nor `len` materialises a reference
+            // to the buffer, so ranges handed out earlier stay valid.
             self.main.as_mut_ptr().wrapping_add(at)
         })
     }
 
-    /// `len` freshly allocated elements.
+    /// `len` freshly allocated elements, starting on a line.
     fn spill(&mut self, len: usize) -> *mut In {
         self.fresh += 1;
-        self.largest = self.largest.max(len);
-        self.overflow.push(vec![In::default(); len]);
+        self.largest = self.largest.max(lined::<In>(len));
+        self.overflow.push(AlignedVec::zeroed(len));
         self.overflow.last_mut().expect("just pushed").as_mut_ptr()
     }
 }
@@ -237,7 +257,8 @@ impl<In: Copy + Default> PackArena<In> {
         for shard in 0..self.shards.len() {
             let slab = self.slab(shard);
             stats.fresh += slab.fresh;
-            stats.retained_bytes += (slab.main.len() + slab.in_use() - slab.bump) * size_of::<In>();
+            let overflow = slab.overflow.iter().map(AlignedVec::len).sum::<usize>();
+            stats.retained_bytes += (slab.main.len() + overflow) * size_of::<In>();
         }
         stats
     }
@@ -418,6 +439,34 @@ mod tests {
         assert_eq!(table.arena().stats(), settled, "a warm launch allocates no pack storage");
     }
 
+    /// Every range starts on a line, whether it is an overflow
+    /// allocation, a range of its own shard's slab or of a neighbour's,
+    /// and whatever its length: none here is a whole number of lines.
+    #[test]
+    fn every_range_starts_on_a_line() {
+        fn on_line(chunk: &[f64]) -> bool {
+            (chunk.as_ptr() as usize).is_multiple_of(LINE)
+        }
+        let lens = [MIN + 1, 3, MIN / 2 + 5, 7001];
+        let cold = SlotTable::<f64>::new(PackArena::default(), 2, lens.len());
+        for (slot, &len) in lens.iter().enumerate() {
+            assert!(on_line(cold.claim_and_pack(slot, slot % 2, len, fill(1.0)).unwrap()), "overflow {slot}");
+        }
+        // Settled: shard 0 keeps ranges 0 and 2, shard 1 ranges 1 and 3.
+        let warm = SlotTable::new(cold.into_arena(), 2, lens.len() + 1);
+        let (fresh, next_door) = (warm.arena().stats().fresh, warm.arena().slab(1).main.as_ptr());
+        for slot in [0, 2, 1, 3] {
+            let range = warm.claim_and_pack(slot, 0, lens[slot], fill(2.0)).unwrap();
+            assert!(on_line(range), "shard 0's range {slot}");
+            if slot == 1 {
+                assert_eq!(range.as_ptr(), next_door, "shard 0 continues in shard 1's slab");
+            }
+        }
+        assert_eq!(warm.arena().stats().fresh, fresh, "all four came out of the slabs");
+        assert!(on_line(warm.claim_and_pack(lens.len(), 0, MIN, fill(3.0)).unwrap()), "a mid-launch spill");
+        assert_eq!(warm.arena().stats().fresh, fresh + 1);
+    }
+
     /// One launch in which `shard` packs `chunks` chunks of `len`
     /// elements; returns what the arena held while it ran.
     fn launch(
@@ -450,15 +499,18 @@ mod tests {
         let stats = arena.stats();
         assert_eq!(
             stats.retained_bytes,
-            3 * (MIN + WINDOW - 2) * 8,
-            "the most the last {WINDOW} consumed, and one chunk"
+            3 * lined::<f64>(MIN + WINDOW - 2) * 8,
+            "the most the last {WINDOW} consumed, and one chunk, in whole lines"
         );
         assert_eq!(stats.fresh, 9, "shrinking allocates nothing");
 
         // Under the floor nothing is kept: the launch's chunks are
-        // its own allocations, freed when it ends.
-        let (arena, held) = launch(PackArena::default(), 1, 0, 1, MIN / 2 - 1);
-        assert_eq!((held, arena.stats().retained_bytes), ((MIN / 2 - 1) * 8, 0));
+        // its own allocations, freed when it ends. (One line short of
+        // half the floor: a chunk and the slack for one more, both in
+        // whole lines, stay under it.)
+        let short = MIN / 2 - LINE / 8;
+        let (arena, held) = launch(PackArena::default(), 1, 0, 1, short);
+        assert_eq!((held, arena.stats().retained_bytes), (short * 8, 0));
     }
 
     /// The first worker to wake can run a short launch alone, and a

@@ -443,7 +443,7 @@ impl CpuExecutor {
         I: IntoIterator<Item = (&'s IterSpace, MatrixView<'s, In>, MatrixView<'s, In>)>,
         I::IntoIter: Clone,
     {
-        let block = self.config.kernel.register_block().filter(|_| self.config.pack_cache)?;
+        let block = self.config.kernel.panel_geometry::<In>().filter(|_| self.config.pack_cache)?;
         let instances = instances.into_iter().map(|(space, a, b)| {
             let (a_packs, b_packs) = operands_pack(&a, &b, block, space.tile());
             (space, a_packs, b_packs)

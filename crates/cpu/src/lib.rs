@@ -92,7 +92,7 @@ pub use serve::{
     Priority, RequestStats, ServeConfig, ServeError, ServiceStats,
 };
 pub use microkernel::{
-    mac_loop_blocked, mac_loop_cached, mac_loop_kernel, mac_loop_packed, mac_loop_simd, KernelKind,
+    mac_loop_blocked, mac_loop_cached, mac_loop_kernel, KernelKind,
     PanelSpan,
     PackBuffers,
 };

@@ -7,17 +7,21 @@
 //!
 //! - [`mac_loop_blocked`] — a `4 × 4` register-blocked update over
 //!   *unpacked* row-contiguous views, with a scalar edge path;
-//! - [`mac_loop_packed`] — the packed-panel pipeline: operands are
-//!   first copied into BLIS-style `MR`/`NR` panels
+//! - the packed-panel pipeline ([`KernelKind::is_packed`]): operands
+//!   are first copied into BLIS-style `MR`/`NR` panels
 //!   ([`streamk_matrix::pack`]), then a const-generic `MR × NR`
 //!   register block walks both panels. Ragged edges are zero-padded at
 //!   pack time, so there is no scalar edge path — padded lanes are
 //!   computed and discarded;
-//! - [`mac_loop_simd`] — the same panel walk with the inner block
-//!   dispatched to runtime-detected AVX-512F/AVX2 kernels
-//!   ([`crate::simd`]); one fused multiply-add per lane per k-step —
-//!   the same [`Scalar::mac`] every generation performs — keeps it
-//!   bit-exact with all of them.
+//! - the SIMD variants ([`KernelKind::is_simd`]) — the same panel walk
+//!   with the inner block dispatched to runtime-detected AVX-512F/AVX2
+//!   kernels ([`crate::simd`]); one fused multiply-add per lane per
+//!   k-step — the same [`Scalar::mac`] every generation performs —
+//!   keeps it bit-exact with all of them.
+//!
+//! Both panel generations run through [`mac_loop_kernel`] at the block
+//! [`KernelKind::panel_geometry`] gives for the element type — the one
+//! place a panel width is chosen.
 //!
 //! **One register block, addressed by strides.** The block — vector
 //! or scalar — reads A as `a[i·rs + k·ks]` and B as `b[k·ks + j]`
@@ -50,7 +54,7 @@ use std::ops::Range;
 
 use streamk_core::IterSpace;
 use streamk_matrix::{
-    pack_a_slice, pack_b_slice, packed_a_len, packed_b_len, MatrixView, Promote, Scalar,
+    pack_a_slice, pack_b_slice, packed_a_len, packed_b_len, AlignedVec, MatrixView, Promote, Scalar,
 };
 
 use crate::macloop::mac_loop_view;
@@ -61,34 +65,65 @@ pub const MR: usize = 4;
 /// Register block width of the legacy unpacked kernel.
 pub const NR: usize = 4;
 
+/// The most packed operand one k-step of a register block may span:
+/// two 512-bit vectors. Past it the block's `MR · NR` accumulators no
+/// longer fit the register file beside its operands — f64 at 8 × 32
+/// needs all 32 vector registers for accumulators and spilled every
+/// k-step — so [`KernelKind::panel_geometry`] narrows `NR` to fit.
+const PANEL_BYTES: usize = 128;
+
 /// Reusable staging buffers for packed operands — one pair per
-/// worker, grown once and reused for every segment thereafter.
+/// worker, grown once and reused for every segment thereafter. Both
+/// start on a cache line, like every pack range of the arena.
 #[derive(Debug, Default)]
 pub struct PackBuffers<In> {
     /// A packed into `MR`-row panels.
-    pub a: Vec<In>,
+    pub a: AlignedVec<In>,
     /// B packed into `NR`-column panels.
-    pub b: Vec<In>,
+    pub b: AlignedVec<In>,
 }
 
 impl<In> PackBuffers<In> {
     /// Empty buffers; they grow to the high-water mark on first use.
     #[must_use]
     pub fn new() -> Self {
-        Self { a: Vec::new(), b: Vec::new() }
+        Self { a: AlignedVec::new(), b: AlignedVec::new() }
     }
 }
 
 /// The first `len` elements of the staging buffer `buf`, grown on
-/// demand and never shrunk, so segments of alternating sizes re-fill
-/// nothing. The contents are whatever the last pack left: the slice
-/// packers write every lane.
-pub(crate) fn stage<In: Copy + Default>(buf: &mut Vec<In>, len: usize) -> &mut [In] {
+/// demand — at least doubling, like a `Vec` — and never shrunk, so
+/// segments of alternating sizes re-fill nothing. The contents are
+/// whatever the last pack left: the slice packers write every lane,
+/// so growing allocates a new line-aligned buffer instead of copying.
+pub(crate) fn stage<In: Copy + Default>(buf: &mut AlignedVec<In>, len: usize) -> &mut [In] {
     if buf.len() < len {
-        buf.resize(len, In::default());
+        let grown = len.max(2 * buf.len());
+        // Free before allocating: nothing in the old buffer is kept.
+        *buf = AlignedVec::new();
+        *buf = AlignedVec::zeroed(grown);
     }
     &mut buf[..len]
 }
+
+/// Expands `$run!(MR, NR)` at the register block `$block`: the one
+/// list of `(MR, NR)` shapes the panel pipeline is compiled for, shared
+/// by the always-pack and the source-rule dispatch.
+macro_rules! at_block {
+    ($block:expr, $run:ident) => {
+        match $block {
+            (4, 4) => $run!(4, 4),
+            (8, 4) => $run!(8, 4),
+            (4, 8) => $run!(4, 8),
+            (8, 8) => $run!(8, 8),
+            (4, 16) => $run!(4, 16),
+            (8, 16) => $run!(8, 16),
+            (8, 32) => $run!(8, 32),
+            (mr, nr) => unreachable!("no register block is {mr}x{nr}"),
+        }
+    };
+}
+pub(crate) use at_block;
 
 /// The inner-kernel implementations the executors can run.
 ///
@@ -120,7 +155,9 @@ pub enum KernelKind {
     /// latency of both FP ports (4 cycles × 2 ports needs eight) with
     /// room for the loads between them, and the widest measured
     /// throughput on AVX-512 hosts; non-x86 builds fall back to the
-    /// scalar block at the same shape).
+    /// scalar block at the same shape). Over f64 it packs 16-wide
+    /// panels and runs `8 × 16`, again sixteen accumulator vectors
+    /// ([`panel_geometry`](Self::panel_geometry)).
     #[default]
     Simd8x32,
 }
@@ -193,19 +230,34 @@ impl KernelKind {
         self.is_packed() || self.is_simd()
     }
 
-    /// Register block `(MR, NR)` of the panel-consuming variants.
+    /// The register block `(MR, NR)` this variant runs, and the panel
+    /// widths it packs, over input elements of type `In`: its nominal
+    /// shape with `NR` capped at `PANEL_BYTES` (128 bytes, two 512-bit
+    /// vectors) of packed operand. The cap moves exactly one cell —
+    /// [`Simd8x32`](Self::Simd8x32) over f64 is `(8, 16)` — and every
+    /// path that sizes a panel (the pack caches, the executors' launch
+    /// cache, both dispatchers) asks here. `None` for the variants that
+    /// consume no panels (scalar / blocked).
+    #[must_use]
+    pub fn panel_geometry<In>(self) -> Option<(usize, usize)> {
+        let (mr, nr) = match self {
+            KernelKind::Packed4x4 => (4, 4),
+            KernelKind::Packed8x4 => (8, 4),
+            KernelKind::Packed4x8 => (4, 8),
+            KernelKind::Packed8x8 => (8, 8),
+            KernelKind::Simd4x16 => (4, 16),
+            KernelKind::Simd8x16 => (8, 16),
+            KernelKind::Simd8x32 => (8, 32),
+            KernelKind::Scalar | KernelKind::Blocked => return None,
+        };
+        Some((mr, nr.min(PANEL_BYTES / size_of::<In>())))
+    }
+
+    /// The nominal register block: [`panel_geometry`](Self::panel_geometry)
+    /// over 4-byte elements, where no variant reaches the cap.
     #[must_use]
     pub fn register_block(self) -> Option<(usize, usize)> {
-        match self {
-            KernelKind::Packed4x4 => Some((4, 4)),
-            KernelKind::Packed8x4 => Some((8, 4)),
-            KernelKind::Packed4x8 => Some((4, 8)),
-            KernelKind::Packed8x8 => Some((8, 8)),
-            KernelKind::Simd4x16 => Some((4, 16)),
-            KernelKind::Simd8x16 => Some((8, 16)),
-            KernelKind::Simd8x32 => Some((8, 32)),
-            _ => None,
-        }
+        self.panel_geometry::<f32>()
     }
 }
 
@@ -221,7 +273,8 @@ impl fmt::Display for KernelKind {
 ///
 /// `bufs` is the caller's pack staging; untouched by the unpacked
 /// variants. [`KernelKind::Blocked`] falls back to the scalar path on
-/// non-row-contiguous operands.
+/// non-row-contiguous operands. The panel variants pack and run at
+/// [`KernelKind::panel_geometry`] for `In`.
 ///
 /// # Panics
 ///
@@ -243,110 +296,29 @@ pub fn mac_loop_kernel<In, Acc>(
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    match kind {
-        KernelKind::Scalar => mac_loop_view(a, b, space, tile_idx, local_begin, local_end, accum),
-        KernelKind::Blocked => {
-            if a.rows_contiguous() && b.rows_contiguous() {
-                mac_loop_blocked(a, b, space, tile_idx, local_begin, local_end, accum);
-            } else {
-                mac_loop_view(a, b, space, tile_idx, local_begin, local_end, accum);
-            }
+    let Some(block) = kind.panel_geometry::<In>() else {
+        if kind == KernelKind::Blocked && a.rows_contiguous() && b.rows_contiguous() {
+            return mac_loop_blocked(a, b, space, tile_idx, local_begin, local_end, accum);
         }
-        KernelKind::Packed4x4 => {
-            mac_loop_packed::<In, Acc, 4, 4>(a, b, space, tile_idx, local_begin, local_end, accum, bufs);
-        }
-        KernelKind::Packed8x4 => {
-            mac_loop_packed::<In, Acc, 8, 4>(a, b, space, tile_idx, local_begin, local_end, accum, bufs);
-        }
-        KernelKind::Packed4x8 => {
-            mac_loop_packed::<In, Acc, 4, 8>(a, b, space, tile_idx, local_begin, local_end, accum, bufs);
-        }
-        KernelKind::Packed8x8 => {
-            mac_loop_packed::<In, Acc, 8, 8>(a, b, space, tile_idx, local_begin, local_end, accum, bufs);
-        }
-        KernelKind::Simd4x16 => {
-            mac_loop_simd::<In, Acc, 4, 16>(a, b, space, tile_idx, local_begin, local_end, accum, bufs);
-        }
-        KernelKind::Simd8x16 => {
-            mac_loop_simd::<In, Acc, 8, 16>(a, b, space, tile_idx, local_begin, local_end, accum, bufs);
-        }
-        KernelKind::Simd8x32 => {
-            mac_loop_simd::<In, Acc, 8, 32>(a, b, space, tile_idx, local_begin, local_end, accum, bufs);
-        }
+        return mac_loop_view(a, b, space, tile_idx, local_begin, local_end, accum);
+    };
+    let level = kind.is_simd().then(SimdLevel::detect);
+    macro_rules! run {
+        ($mr:literal, $nr:literal) => {
+            mac_loop_panels::<In, Acc, $mr, $nr>(level, a, b, space, tile_idx, local_begin, local_end, accum, bufs)
+        };
     }
+    at_block!(block, run)
 }
 
-/// Executes local MAC-loop iterations `[local_begin, local_end)` of
-/// `tile_idx` through the packed-panel pipeline with an `MR × NR`
-/// register block, adding into `accum` (row-major `BLK_M × BLK_N`).
-///
-/// Both operands are first packed (zero-padded) into `bufs`; the
-/// register block then walks the panels with unit stride and no edge
-/// path. Works on any operand strides. Accumulation per output
+/// The always-pack pipeline behind [`mac_loop_kernel`]'s panel
+/// variants, at the `MR × NR` block [`KernelKind::panel_geometry`]
+/// picked: packs the segment's whole operand block (zero-padded) into
+/// `bufs`, then hands the two packed tables to [`mac_loop_cached`] —
+/// vectorized when `level` is `Some` and a SIMD kernel matches, scalar
+/// otherwise. Works on any operand strides; accumulation per output
 /// element is ascending-k with only genuine operand values, so the
 /// result is bit-identical to [`mac_loop_view`].
-///
-/// # Panics
-///
-/// Panics if `accum` has the wrong size or the local range is out of
-/// bounds.
-#[allow(clippy::too_many_arguments)]
-pub fn mac_loop_packed<In, Acc, const MR_: usize, const NR_: usize>(
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    space: &IterSpace,
-    tile_idx: usize,
-    local_begin: usize,
-    local_end: usize,
-    accum: &mut [Acc],
-    bufs: &mut PackBuffers<In>,
-) where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    mac_loop_panels::<In, Acc, MR_, NR_>(None, a, b, space, tile_idx, local_begin, local_end, accum, bufs);
-}
-
-/// [`mac_loop_packed`] with the inner block handed to the host's
-/// SIMD unit ([`crate::simd`]) when a vector kernel exists for this
-/// `(instruction set, element type, MR, NR)` combination; the scalar
-/// block otherwise. Bit-exact either way.
-///
-/// # Panics
-///
-/// As [`mac_loop_packed`].
-#[allow(clippy::too_many_arguments)]
-pub fn mac_loop_simd<In, Acc, const MR_: usize, const NR_: usize>(
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    space: &IterSpace,
-    tile_idx: usize,
-    local_begin: usize,
-    local_end: usize,
-    accum: &mut [Acc],
-    bufs: &mut PackBuffers<In>,
-) where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    let level = SimdLevel::detect();
-    mac_loop_panels::<In, Acc, MR_, NR_>(
-        Some(level),
-        a,
-        b,
-        space,
-        tile_idx,
-        local_begin,
-        local_end,
-        accum,
-        bufs,
-    );
-}
-
-/// The always-pack pipeline: packs the segment's whole operand block
-/// into `bufs`, then hands the two packed tables to
-/// [`mac_loop_cached`] — vectorized when `level` is `Some` and a SIMD
-/// kernel matches, scalar otherwise.
 #[allow(clippy::too_many_arguments)]
 fn mac_loop_panels<In, Acc, const MR_: usize, const NR_: usize>(
     level: Option<SimdLevel>,
@@ -860,10 +832,11 @@ mod tests {
         let mut bufs = PackBuffers::new();
         // Split accumulation [0,1) then [1,2) must equal [0,2).
         let mut whole = vec![0.0f64; 64];
-        mac_loop_packed::<f64, f64, 8, 4>(&a.view(), &b.view(), &space, 0, 0, 2, &mut whole, &mut bufs);
+        let kind = KernelKind::Packed8x4;
+        mac_loop_kernel(kind, &a.view(), &b.view(), &space, 0, 0, 2, &mut whole, &mut bufs);
         let mut parts = vec![0.0f64; 64];
-        mac_loop_packed::<f64, f64, 8, 4>(&a.view(), &b.view(), &space, 0, 0, 1, &mut parts, &mut bufs);
-        mac_loop_packed::<f64, f64, 8, 4>(&a.view(), &b.view(), &space, 0, 1, 2, &mut parts, &mut bufs);
+        mac_loop_kernel(kind, &a.view(), &b.view(), &space, 0, 0, 1, &mut parts, &mut bufs);
+        mac_loop_kernel(kind, &a.view(), &b.view(), &space, 0, 1, 2, &mut parts, &mut bufs);
         assert_eq!(whole, parts);
     }
 
@@ -898,6 +871,34 @@ mod tests {
         assert_eq!(KernelKind::Packed8x4.register_block(), Some((8, 4)));
         assert_eq!(KernelKind::Simd8x32.register_block(), Some((8, 32)));
         assert_eq!(KernelKind::Scalar.register_block(), None);
+    }
+
+    /// `NR` is capped at 128 bytes of packed operand: one cell moves,
+    /// the default block over f64; f16 (promoted to f32), f32 and
+    /// every other kind keep their nominal shape.
+    #[test]
+    fn panel_geometry_caps_nr_at_two_512_bit_vectors() {
+        use streamk_matrix::{bf16, f16};
+        for kind in KernelKind::ALL {
+            let nominal = kind.register_block();
+            assert_eq!(kind.panel_geometry::<f32>(), nominal, "{kind} f32");
+            assert_eq!(kind.panel_geometry::<f16>(), nominal, "{kind} f16");
+            assert_eq!(kind.panel_geometry::<bf16>(), nominal, "{kind} bf16");
+            let f64_block = if kind == KernelKind::Simd8x32 { Some((8, 16)) } else { nominal };
+            assert_eq!(kind.panel_geometry::<f64>(), f64_block, "{kind} f64");
+        }
+    }
+
+    /// Staging grows and shrinks its use from segment to segment; every
+    /// slice it hands out starts on a cache line.
+    #[test]
+    fn staging_starts_on_a_line() {
+        let (mut a, mut b) = (AlignedVec::<f64>::new(), AlignedVec::<f32>::new());
+        for len in [1, 7, 100, 3, 4096, 5000, 17, 12_001] {
+            assert_eq!(stage(&mut a, len).as_ptr() as usize % streamk_matrix::LINE, 0, "f64 {len}");
+            assert_eq!(stage(&mut b, len).as_ptr() as usize % streamk_matrix::LINE, 0, "f32 {len}");
+            assert_eq!(stage(&mut a, len).len(), len);
+        }
     }
 
     #[test]

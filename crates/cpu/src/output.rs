@@ -36,7 +36,10 @@
 //! flag means the whole tile was written. A launch that fails, is
 //! cancelled or times out drops the buffer without ever reading it.
 //! Block-major storage has fragment padding no tile writes, so it
-//! keeps its zero fill.
+//! keeps its zero fill. The buffer is reserved with a cache line of
+//! slack and the matrix starts on the line inside it, like every
+//! allocating `Matrix` constructor; `take` writes the few slack
+//! elements in front and hands the window over without a copy.
 
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
@@ -44,7 +47,8 @@ use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use streamk_core::IterSpace;
-use streamk_matrix::{Matrix, Scalar};
+use streamk_matrix::aligned::{line_offset, slack};
+use streamk_matrix::{AlignedVec, Matrix, Scalar};
 use streamk_types::{Layout, FRAG};
 
 /// Tile flag states. `CLAIMED` is swapped in (relaxed: it publishes
@@ -261,10 +265,13 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
 /// empty vector as full.
 pub(crate) struct OwnedTileWriter<Acc> {
     /// The storage, kept at length 0 (its contents live in the spare
-    /// capacity) until `take` sets the length.
+    /// capacity) until `take` sets the length. Reserved with a line's
+    /// slack: the matrix starts `offset` elements in, on a line.
     buf: UnsafeCell<Vec<Acc>>,
-    /// The window over `buf`'s capacity — stable because the buffer
-    /// is never grown, only written in place and finally moved out.
+    offset: usize,
+    /// The window over `buf`'s capacity from `offset` on — stable
+    /// because the buffer is never grown, only written in place and
+    /// finally moved out.
     writer: TileWriter<'static, Acc>,
     taken: AtomicBool,
 }
@@ -279,20 +286,22 @@ unsafe impl<Acc: Send> Sync for OwnedTileWriter<Acc> {}
 
 impl<Acc: Scalar> OwnedTileWriter<Acc> {
     /// An output buffer in `layout` order for the `m × n` matrix
-    /// `space` tiles.
+    /// `space` tiles, starting on a cache line.
     pub(crate) fn new(layout: Layout, space: &IterSpace) -> Self {
         let len = layout.storage_len(space.shape().m, space.shape().n);
+        let reserve = len + slack::<Acc>();
         let mut buf = if layout.is_blocked() {
             // Fragment padding is never stored; `clear` resets the
             // length and leaves the zeros where they are.
-            let mut zeroed = vec![Acc::default(); len];
+            let mut zeroed = vec![Acc::default(); reserve];
             zeroed.clear();
             zeroed
         } else {
-            Vec::with_capacity(len)
+            Vec::with_capacity(reserve)
         };
-        let writer = TileWriter::over(buf.as_mut_ptr(), len, layout, space, false);
-        Self { buf: UnsafeCell::new(buf), writer, taken: AtomicBool::new(false) }
+        let offset = line_offset(buf.as_ptr()).unwrap_or(0);
+        let writer = TileWriter::over(buf.as_mut_ptr().wrapping_add(offset), len, layout, space, false);
+        Self { buf: UnsafeCell::new(buf), offset, writer, taken: AtomicBool::new(false) }
     }
 
     /// The window the launch's workers store through. It accepts
@@ -316,21 +325,27 @@ impl<Acc: Scalar> OwnedTileWriter<Acc> {
         for (tile_idx, flag) in self.writer.written.iter().enumerate() {
             assert_eq!(flag.load(Ordering::Acquire), STORED, "tile {tile_idx} not stored: output withheld");
         }
-        let w = &self.writer;
+        let (w, offset) = (&self.writer, self.offset);
         // SAFETY: the swap above admits exactly one thread, and no
         // store is running or can start (every tile's flag is
-        // `STORED`), so nothing else touches the cell. `set_len`:
-        // `len` is the capacity requested in `new`, and every element
-        // below it is initialised — by the zero fill (block-major), or
-        // by the tile stores, which the acquire loads above
-        // synchronised with and which cover a strided layout's
-        // storage exactly (see the type-level protocol).
+        // `STORED`), so nothing else touches the cell. The slack in
+        // front of the window, `offset ≤ slack` elements, is written
+        // here. `set_len`: `offset + len` is at most the capacity
+        // requested in `new`, and every element below it is
+        // initialised — the slack just now; the window by the zero
+        // fill (block-major), or by the tile stores, which the acquire
+        // loads above synchronised with and which cover a strided
+        // layout's storage exactly (see the type-level protocol).
         let data = unsafe {
             let mut data = std::mem::take(&mut *self.buf.get());
-            data.set_len(w.len);
+            for i in 0..offset {
+                data.as_mut_ptr().add(i).write(Acc::default());
+            }
+            data.set_len(offset + w.len);
             data
         };
-        Matrix::from_vec(w.space.shape().m, w.space.shape().n, w.layout, data)
+        let storage = AlignedVec::from_parts(data, offset);
+        Matrix::from_storage(w.space.shape().m, w.space.shape().n, w.layout, storage)
     }
 }
 

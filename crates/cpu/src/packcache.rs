@@ -101,14 +101,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use streamk_core::IterSpace;
 use streamk_matrix::{
-    pack_a_slice, pack_b_slice, packed_a_len, packed_b_len, MatrixView, Promote, Scalar,
+    pack_a_slice, pack_b_slice, packed_a_len, packed_b_len, AlignedVec, MatrixView, Promote,
+    Scalar,
 };
 use streamk_types::{TileShape, FRAG};
 
 use crate::arena::{PackArena, SlotTable};
 use crate::fixup::WaitPolicy;
 use crate::microkernel::{
-    mac_loop_cached, mac_loop_kernel, stage, KernelKind, PackBuffers, PanelSpan,
+    at_block, mac_loop_cached, mac_loop_kernel, stage, KernelKind, PackBuffers, PanelSpan,
 };
 use crate::simd::SimdLevel;
 
@@ -217,9 +218,9 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
         Self::in_arena(PackArena::default(), [(space, true, true)], (mr, nr), policy, shards)
     }
 
-    /// A single-shard cache serving `kind`'s register block, or `None`
-    /// for kernels that do not consume packed panels (scalar /
-    /// blocked).
+    /// A single-shard cache serving `kind`'s register block over `In`
+    /// ([`KernelKind::panel_geometry`]), or `None` for kernels that do
+    /// not consume packed panels (scalar / blocked).
     #[must_use]
     pub fn for_kernel(space: &IterSpace, kind: KernelKind, policy: WaitPolicy) -> Option<Self> {
         Self::for_kernel_sharded(space, kind, policy, 1)
@@ -234,7 +235,7 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
         policy: WaitPolicy,
         shards: usize,
     ) -> Option<Self> {
-        kind.register_block().map(|(mr, nr)| Self::sharded(space, mr, nr, policy, shards))
+        kind.panel_geometry::<In>().map(|(mr, nr)| Self::sharded(space, mr, nr, policy, shards))
     }
 
     /// The constructor behind all the others: one slot table spanning
@@ -547,7 +548,7 @@ fn pack_private<'b, In: Copy + Default>(
     lanes: Range<usize>,
     ks: Range<usize>,
     width: usize,
-    buf: &'b mut Vec<In>,
+    buf: &'b mut AlignedVec<In>,
     tile_idx: u32,
 ) -> &'b [In] {
     let t0 = crate::trace::start();
@@ -573,7 +574,7 @@ fn operand_span<'x, In: Copy + Default>(
     ks: Range<usize>,
     chunk_ks: Range<usize>,
     cached: impl FnOnce() -> Option<&'x [In]>,
-    buf: &'x mut Vec<In>,
+    buf: &'x mut AlignedVec<In>,
     tile_idx: u32,
 ) -> PanelSpan<'x, In> {
     match *source {
@@ -630,8 +631,10 @@ fn operand_span<'x, In: Copy + Default>(
 ///   the part of that chunk the segment covers.
 ///
 /// Which of the first two applies is a property of the view, not an
-/// option. Kernels that do not consume panels (scalar / blocked) fall
-/// back to [`mac_loop_kernel`].
+/// option. Panels are cut, and the register block run, at
+/// [`KernelKind::panel_geometry`] for `In`; a `cache` built for any
+/// other block is ignored. Kernels that do not consume panels
+/// (scalar / blocked) fall back to [`mac_loop_kernel`].
 ///
 /// Every source feeds the register block the same ascending-k operand
 /// sequence, so the result is bit-exact with the uncached pipeline.
@@ -682,7 +685,7 @@ pub(crate) fn mac_loop_instance_cached<In, Acc>(
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    let Some((mr, nr)) = kind.register_block() else {
+    let Some((mr, nr)) = kind.panel_geometry::<In>() else {
         return mac_loop_kernel(kind, a, b, space, tile_idx, local_begin, local_end, accum, bufs);
     };
     if local_begin >= local_end {
@@ -737,18 +740,7 @@ pub(crate) fn mac_loop_instance_cached<In, Acc>(
                 )
             };
         }
-        match kind {
-            KernelKind::Packed4x4 => run!(4, 4),
-            KernelKind::Packed8x4 => run!(8, 4),
-            KernelKind::Packed4x8 => run!(4, 8),
-            KernelKind::Packed8x8 => run!(8, 8),
-            KernelKind::Simd4x16 => run!(4, 16),
-            KernelKind::Simd8x16 => run!(8, 16),
-            KernelKind::Simd8x32 => run!(8, 32),
-            // register_block() returned Some above, so Scalar/Blocked
-            // cannot reach here.
-            KernelKind::Scalar | KernelKind::Blocked => unreachable!("non-panel kernels fall back"),
-        }
+        at_block!((mr, nr), run);
     }
 }
 
@@ -841,6 +833,72 @@ mod tests {
         }
         assert_eq!(cache.packs(), cache.panels(), "each chunk packed exactly once");
         assert_eq!(cache.fallbacks(), 0);
+    }
+
+    /// Every published chunk starts on a cache line: out of a private
+    /// arena, cold (each chunk an allocation of its own) and warm (bump
+    /// ranges of the slabs), and out of an executor's arena, with the
+    /// k = 1000 chunk ragged against its whole-iteration length and
+    /// every panel ragged against the register block.
+    #[test]
+    fn every_chunk_starts_on_a_line() {
+        fn on_line(chunk: &[f64]) -> bool {
+            (chunk.as_ptr() as usize).is_multiple_of(streamk_matrix::LINE)
+        }
+        fn check(cache: &PackCache<f64>, p: &Packing, what: &str) {
+            let space = &p.space;
+            let chunks = space.iters_per_tile().div_ceil(chunk_iters(space));
+            for chunk in 0..chunks {
+                for tm in 0..space.tiles_m() {
+                    assert!(on_line(&cache.a_chunk(&p.a(), tm, chunk, 0).unwrap()), "{what}: A {tm} chunk {chunk}");
+                }
+                for tn in 0..space.tiles_n() {
+                    assert!(on_line(&cache.b_chunk(&p.b(), tn, chunk, 0).unwrap()), "{what}: B {tn} chunk {chunk}");
+                }
+            }
+        }
+        let tile = TileShape::new(16, 16, 8);
+        for k in [1000, DEEP_K] {
+            let p = Packing::new(GemmShape::new(21, 19, k), tile);
+            let cold = PackCache::new(&p.space, 8, 4, WaitPolicy::default());
+            check(&cold, &p, "cold private arena");
+            let warm = PackCache::in_arena(cold.into_arena(), [(&p.space, true, true)], (8, 4), WaitPolicy::default(), 1);
+            check(&warm, &p, "warm private arena");
+
+            // Warmed by a launch, then lent to a cache as a launch would.
+            let exec = crate::CpuExecutor::with_threads(2);
+            let shape = p.space.shape();
+            let mut c = Matrix::<f64>::zeros(shape.m, shape.n, Layout::RowMajor);
+            exec.gemm_ex(1.0, &p.a(), &p.b(), 0.0, &mut c, &streamk_core::Decomposition::data_parallel(shape, tile));
+            assert!(exec.pack_arena_stats::<f64>().retained_bytes > 0, "k = {k}: the launch left its chunks");
+            let cache = exec.launch_pack_cache([(&p.space, p.a(), p.b())], 2).expect("both operands pack");
+            assert_eq!(exec.pack_arena_stats::<f64>(), crate::arena::ArenaStats::default(), "the cache holds the arena");
+            check(&cache, &p, "executor arena");
+            exec.retire_pack_cache(Some(cache));
+        }
+    }
+
+    /// `PackCache::for_kernel` packs at the kernel's geometry for the
+    /// element type: the default block runs 8 × 16 over f64, whose
+    /// 8 × 32 would need every vector register for accumulators, and
+    /// 8 × 32 over f32; nothing else moves.
+    #[test]
+    fn caches_pack_at_the_element_types_panel_width() {
+        let space = IterSpace::new(GemmShape::new(64, 64, 64), TileShape::new(64, 64, 16));
+        let block = |kind, f64_elems: bool| {
+            let policy = WaitPolicy::default();
+            if f64_elems {
+                PackCache::<f64>::for_kernel(&space, kind, policy).map(|c| c.register_block())
+            } else {
+                PackCache::<f32>::for_kernel(&space, kind, policy).map(|c| c.register_block())
+            }
+        };
+        assert_eq!(block(KernelKind::Simd8x32, true), Some((8, 16)));
+        assert_eq!(block(KernelKind::Simd8x32, false), Some((8, 32)));
+        for kind in KernelKind::ALL.into_iter().filter(|&k| k != KernelKind::Simd8x32) {
+            assert_eq!(block(kind, true), kind.register_block(), "{kind} over f64");
+            assert_eq!(block(kind, false), kind.register_block(), "{kind} over f32");
+        }
     }
 
     /// A tile deeper than one iteration per chunk (`blk_k > CHUNK_K`)

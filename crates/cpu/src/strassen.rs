@@ -62,7 +62,7 @@ use crate::fault::FaultPlan;
 use crate::serve::{AdmissionError, GemmService, GroupError, LaunchRequest};
 use std::collections::HashMap;
 use streamk_core::{Decomposition, GroupedDecomposition, GroupedSpace, TileFixup};
-use streamk_matrix::{Matrix, Promote, Scalar};
+use streamk_matrix::{AlignedVec, Matrix, Promote, Scalar};
 use streamk_types::{GemmShape, Layout, TileShape};
 
 // ---------------------------------------------------------------------------
@@ -161,10 +161,12 @@ pub struct StrassenReport {
 // ---------------------------------------------------------------------------
 
 /// One pool of same-typed, length-keyed buffers with the
-/// take-zeroed / recycle discipline of [`crate::Workspace`].
+/// take-zeroed / recycle discipline of [`crate::Workspace`]. Buffers
+/// start on a cache line, so the leaf operands built from them are as
+/// aligned as any allocating `Matrix` constructor's.
 #[derive(Debug)]
 struct BufferPool<T> {
-    pools: HashMap<usize, Vec<Vec<T>>>,
+    pools: HashMap<usize, Vec<AlignedVec<T>>>,
     fresh: usize,
 }
 
@@ -176,17 +178,17 @@ impl<T: Scalar> BufferPool<T> {
     /// A buffer of exactly `len` elements with *unspecified*
     /// contents — for callers that overwrite every element before
     /// reading. Skips the zero-fill pass [`take`](Self::take) pays.
-    fn take_full(&mut self, len: usize) -> Vec<T> {
+    fn take_full(&mut self, len: usize) -> AlignedVec<T> {
         match self.pools.get_mut(&len).and_then(Vec::pop) {
             Some(buf) => buf,
             None => {
                 self.fresh += 1;
-                vec![T::ZERO; len]
+                AlignedVec::zeroed(len)
             }
         }
     }
 
-    fn recycle(&mut self, buf: Vec<T>) {
+    fn recycle(&mut self, buf: AlignedVec<T>) {
         if !buf.is_empty() {
             self.pools.entry(buf.len()).or_default().push(buf);
         }
@@ -377,7 +379,7 @@ fn combine_quadrants<T: Scalar>(
     for &(qi, qj, sign) in rest {
         accumulate_quadrant(&mut buf, src, half_rows, half_cols, qi, qj, sign);
     }
-    Matrix::from_vec(half_rows, half_cols, Layout::RowMajor, buf)
+    Matrix::from_storage(half_rows, half_cols, Layout::RowMajor, buf)
 }
 
 /// Splits `src` into its four zero-padded quadrants (row-major),
@@ -465,9 +467,9 @@ fn winograd_recombine<Acc: Scalar>(
     add_assign(&mut m6, &m5); // U4 = U2 + M5
     add_assign(&mut m6, &m3); // C12 = U4 + M3
     add_assign(&mut m1, &m2); // C11 = M1 + M2
-    pool.recycle(m2.into_vec());
-    pool.recycle(m3.into_vec());
-    pool.recycle(m5.into_vec());
+    pool.recycle(m2.into_storage());
+    pool.recycle(m3.into_storage());
+    pool.recycle(m5.into_storage());
     [m1, m6, m4, m7] // C11, C12, C21, C22
 }
 
@@ -490,7 +492,7 @@ fn assemble_from_pool<Acc: Scalar>(
 fn assemble_into<Acc: Scalar>(
     quads: [Matrix<Acc>; 4],
     pool: &mut BufferPool<Acc>,
-    mut buf: Vec<Acc>,
+    mut buf: AlignedVec<Acc>,
 ) -> Matrix<Acc> {
     let (hm, hn) = (quads[0].rows(), quads[0].cols());
     debug_assert_eq!(buf.len(), 4 * hm * hn);
@@ -506,9 +508,9 @@ fn assemble_into<Acc: Scalar>(
         }
     }
     for q in quads {
-        pool.recycle(q.into_vec());
+        pool.recycle(q.into_storage());
     }
-    Matrix::from_vec(2 * hm, 2 * hn, Layout::RowMajor, buf)
+    Matrix::from_storage(2 * hm, 2 * hn, Layout::RowMajor, buf)
 }
 
 /// Crops a row-major padded product down to `rows × cols` in
@@ -587,8 +589,8 @@ fn expand<In: Scalar>(
             children.push(Node::Leaf(pairs.len() - 1));
         } else {
             let child = expand(&a_op, &b_op, hm, hn, hk, depth - 1, inputs, pairs);
-            inputs.recycle(a_op.into_vec());
-            inputs.recycle(b_op.into_vec());
+            inputs.recycle(a_op.into_storage());
+            inputs.recycle(b_op.into_storage());
             children.push(child);
         }
     }
@@ -795,7 +797,7 @@ impl CpuExecutor {
             self.gemm_grouped(&a_ops, &b_ops, &decomp)
         };
         for op in a_ops.into_iter().chain(b_ops) {
-            arena.inputs.recycle(op.into_vec());
+            arena.inputs.recycle(op.into_storage());
         }
 
         let mut slots: Vec<Option<Matrix<Acc>>> = products.into_iter().map(Some).collect();
@@ -811,11 +813,11 @@ impl CpuExecutor {
                     // assembly's native one — assemble straight into
                     // the launch's own output allocation (the one
                     // buffer per launch that must leave the arena).
-                    assemble_into(quads, &mut arena.accs, vec![Acc::ZERO; pm * pn])
+                    assemble_into(quads, &mut arena.accs, AlignedVec::zeroed(pm * pn))
                 } else {
                     let padded = assemble_from_pool(quads, &mut arena.accs);
                     let c = crop_to_output(&padded, shape.m, shape.n, a.layout());
-                    arena.accs.recycle(padded.into_vec());
+                    arena.accs.recycle(padded.into_storage());
                     c
                 }
             }

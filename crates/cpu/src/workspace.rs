@@ -20,8 +20,7 @@
 //!    [`take_partial`](Workspace::take_partial) — a buffer that can be
 //!    parked with a deferred consolidation or handed to another worker
 //!    without leaving the workspace short of one — and packing goes
-//!    through [`pack`](Workspace::pack). ([`accum`](Workspace::accum)
-//!    is a spare tile for a caller that runs a kernel itself.)
+//!    through [`pack`](Workspace::pack).
 //! 3. A contributor CTA hands its tile to the fixup board (ownership
 //!    transfers to the waiting owner).
 //! 4. An owner CTA receives peers' partial vectors from the board,
@@ -50,8 +49,8 @@ use streamk_matrix::Scalar;
 
 use crate::microkernel::PackBuffers;
 
-/// Reusable per-worker buffers: pack panels, accumulator tile,
-/// recovery scratch, and a pool of fixup partial buffers.
+/// Reusable per-worker buffers: pack panels, recovery scratch, and a
+/// pool of fixup partial buffers (the accumulator tiles).
 #[derive(Debug)]
 pub struct Workspace<In, Acc> {
     /// Operand pack staging shared by every packed-kernel call. When
@@ -61,8 +60,6 @@ pub struct Workspace<In, Acc> {
     /// wait) — the steady state reads the cache's shared panels and
     /// never touches this staging at all.
     pub pack: PackBuffers<In>,
-    /// The tile accumulator (`BLK_M × BLK_N`) kernels add into.
-    pub accum: Vec<Acc>,
     /// Recovery scratch for recomputing a lost peer's contribution.
     pub scratch: Vec<Acc>,
     pool: Vec<Vec<Acc>>,
@@ -78,19 +75,18 @@ pub struct Workspace<In, Acc> {
 
 impl<In, Acc: Scalar> Workspace<In, Acc> {
     /// A workspace for tiles of `tile_len = BLK_M · BLK_N` elements.
-    /// `accum` and `scratch` are allocated eagerly (they are always
-    /// needed); the partial pool starts empty and grows on demand.
+    /// `scratch` is allocated eagerly; the partial pool starts empty
+    /// and grows on demand.
     #[must_use]
     pub fn new(tile_len: usize) -> Self {
         Self {
             pack: PackBuffers::new(),
-            accum: vec![Acc::ZERO; tile_len],
             scratch: vec![Acc::ZERO; tile_len],
             pool: Vec::new(),
             taken: 0,
             peak_taken: 0,
             tile_len,
-            fresh_allocs: 2,
+            fresh_allocs: 1,
         }
     }
 
@@ -105,7 +101,7 @@ impl<In, Acc: Scalar> Workspace<In, Acc> {
     /// A persistent pool worker keeps one workspace across launches
     /// whose decompositions may use different tile shapes. When the
     /// length matches, this is a no-op and every warm buffer survives;
-    /// otherwise `accum`/`scratch` are resized and the partial pool is
+    /// otherwise `scratch` is resized and the partial pool is
     /// cleared (its buffers are the wrong length for the new launch)
     /// along with the demand history that sized it. Pack staging is
     /// kept either way — [`PackBuffers`] grows to the
@@ -115,14 +111,12 @@ impl<In, Acc: Scalar> Workspace<In, Acc> {
             return;
         }
         self.tile_len = tile_len;
-        self.accum.clear();
-        self.accum.resize(tile_len, Acc::ZERO);
         self.scratch.clear();
         self.scratch.resize(tile_len, Acc::ZERO);
         self.pool.clear();
         self.taken = 0;
         self.peak_taken = 0;
-        self.fresh_allocs += 2;
+        self.fresh_allocs += 1;
     }
 
     /// Starts a launch with tiles of `tile_len` elements:
@@ -132,11 +126,6 @@ impl<In, Acc: Scalar> Workspace<In, Acc> {
     pub fn begin_launch(&mut self, tile_len: usize) {
         self.ensure_tile_len(tile_len);
         self.taken = 0;
-    }
-
-    /// Zeroes the accumulator tile for the next CTA.
-    pub fn reset_accum(&mut self) {
-        self.accum.fill(Acc::ZERO);
     }
 
     /// Zeroes the recovery scratch tile.
@@ -179,8 +168,8 @@ impl<In, Acc: Scalar> Workspace<In, Acc> {
     }
 
     /// Number of heap allocations performed since construction
-    /// (including the eager `accum`/`scratch` pair). A warmed-up
-    /// workspace stops incrementing this.
+    /// (including the eager `scratch`). A warmed-up workspace stops
+    /// incrementing this.
     #[must_use]
     pub fn fresh_allocs(&self) -> usize {
         self.fresh_allocs
@@ -310,7 +299,6 @@ mod tests {
         assert_eq!(ws.pooled(), 1);
         ws.ensure_tile_len(9);
         assert_eq!(ws.tile_len(), 9);
-        assert_eq!(ws.accum.len(), 9);
         assert_eq!(ws.scratch.len(), 9);
         assert_eq!(ws.pooled(), 0, "stale-length pool buffers must be dropped");
         assert_eq!(ws.take_partial().len(), 9);
@@ -319,14 +307,10 @@ mod tests {
     #[test]
     fn reset_helpers_zero_in_place() {
         let mut ws = Ws::new(4);
-        ws.accum.fill(1.0);
         ws.scratch.fill(2.0);
-        let (ap, sp) = (ws.accum.as_ptr(), ws.scratch.as_ptr());
-        ws.reset_accum();
+        let sp = ws.scratch.as_ptr();
         ws.reset_scratch();
-        assert_eq!(ws.accum, vec![0.0; 4]);
         assert_eq!(ws.scratch, vec![0.0; 4]);
-        assert_eq!(ws.accum.as_ptr(), ap);
         assert_eq!(ws.scratch.as_ptr(), sp);
         assert_eq!(ws.tile_len(), 4);
     }

@@ -18,6 +18,7 @@
 //!    withheld, and that a failed launch drops its buffer unread, is
 //!    pinned next to the private types: `output::tests` and
 //!    `executor::tests::lost_peer_without_recovery_is_a_watchdog_error`.)
+//!    And it starts on a cache line, from every entry.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -29,7 +30,7 @@ use streamk_core::{
 use streamk_cpu::output::store_every_tile;
 use streamk_cpu::{CpuExecutor, FaultKind, FaultPlan, GemmService, LaunchRequest, ServeConfig};
 use streamk_matrix::reference::gemm_naive;
-use streamk_matrix::{Matrix, Scalar};
+use streamk_matrix::{Matrix, Scalar, LINE};
 use streamk_types::{GemmShape, Layout, TileShape};
 
 const ALL_LAYOUTS: [Layout; 4] = [Layout::RowMajor, Layout::ColMajor, Layout::BlockMajor, Layout::BlockMajorZ];
@@ -241,6 +242,55 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+fn on_line<T>(c: &Matrix<T>) -> bool
+where
+    T: Copy + Default,
+{
+    (c.as_slice().as_ptr() as usize).is_multiple_of(LINE)
+}
+
+/// Every output an executor allocates starts on a cache line, like an
+/// allocating `Matrix` constructor: `gemm`, `gemm_batched`,
+/// `gemm_grouped` and a service request, 1–4 workers, f32 and f64, in
+/// every layout, with shapes whose rows are no whole number of lines.
+#[test]
+fn born_outputs_start_on_a_line() {
+    fn check<T: Scalar + streamk_matrix::Promote<T>>(layout: Layout) {
+        let tile = TileShape::new(16, 16, 8);
+        let shapes = [GemmShape::new(37, 21, 40), GemmShape::new(3, 5, 9), GemmShape::new(1, 1, 1)];
+        let fill = |rows, cols, seed| Matrix::<T>::random::<T>(rows, cols, layout, seed);
+        let a: Vec<_> = shapes.iter().map(|s| fill(s.m, s.k, 3)).collect();
+        let b: Vec<_> = shapes.iter().map(|s| fill(s.k, s.n, 4)).collect();
+        let what = |entry: &str, threads| format!("{entry} {} {layout} at {threads} workers", std::any::type_name::<T>());
+        for threads in 1..=4 {
+            let exec = CpuExecutor::with_threads(threads);
+            for (i, &shape) in shapes.iter().enumerate() {
+                let decomp = Decomposition::data_parallel(shape, tile);
+                assert!(on_line(&exec.gemm::<T, T>(&a[i], &b[i], &decomp)), "{}", what("gemm", threads));
+            }
+            let batched = BatchedDecomposition::stream_k(BatchedSpace::new(2, shapes[0], tile), threads);
+            let pair = |m: &Matrix<T>| vec![m.clone(), m.clone()];
+            for c in exec.gemm_batched::<T, T>(&pair(&a[0]), &pair(&b[0]), &batched) {
+                assert!(on_line(&c), "{}", what("gemm_batched", threads));
+            }
+            let grouped = GroupedDecomposition::data_parallel(GroupedSpace::new(&shapes, tile));
+            for c in exec.gemm_grouped::<T, T>(&a, &b, &grouped) {
+                assert!(on_line(&c), "{}", what("gemm_grouped", threads));
+            }
+            let service = GemmService::<T, T>::start(&exec, ServeConfig::default());
+            let decomp = Decomposition::data_parallel(shapes[0], tile);
+            let handle = service.submit(LaunchRequest::new(a[0].clone(), b[0].clone(), decomp)).expect("admitted");
+            let (served, _) = handle.wait().expect("request completes");
+            assert!(on_line(&served), "{}", what("service request", threads));
+            let _ = service.shutdown();
+        }
+    }
+    for layout in ALL_LAYOUTS {
+        check::<f32>(layout);
+        check::<f64>(layout);
     }
 }
 

@@ -173,7 +173,8 @@ fn oracle<In: Promote<Acc>, Acc: Chain>(
 /// always packed ([`mac_loop_kernel`]), the source rule with no cache
 /// (the service's path) and with one (the executors') — against the
 /// scalar MAC loop, for one element type; and the scalar MAC loop and
-/// [`gemm_ex_reference`] against the `mul_add` [`oracle`]. With
+/// [`gemm_ex_reference`] against the `mul_add` [`oracle`] (and, for a
+/// segment over all of k, against each other element by element). With
 /// `rounds` (products of this `In` do not fit `Acc`: not f16 → f32)
 /// the `c + a * b` oracle must give other bits on the same operands.
 #[allow(clippy::too_many_arguments)]
@@ -216,6 +217,16 @@ where
     prop_assert!(c.as_slice() == whole(true), "gemm_ex_reference is not the mul_add chain: {shape} {pa:?} x {pb:?}");
     if rounds {
         prop_assert!(c.as_slice() != whole(false), "operands cannot tell fused from unfused: {shape}");
+    }
+
+    // A segment over all of k is the tile of C itself (α = 1, β = 0).
+    if (lo, hi) == (0, ipt) {
+        let (rows, cols) = space.tile_extents(tile_idx);
+        for (i, r) in rows.enumerate() {
+            for (j, col) in cols.clone().enumerate() {
+                prop_assert!(reference[i * tile.blk_n + j] == c.get(r, col), "tile {tile_idx} is not gemm_ex_reference's ({r},{col})");
+            }
+        }
     }
 
     let mut bufs = PackBuffers::new();
@@ -342,6 +353,39 @@ proptest! {
         sources_agree::<f32, f32>(shape, tile, presented, tile_sel, range_sel, true)?;
         // Two f16 values multiply exactly in f32: nothing to tell apart.
         sources_agree::<f16, f32>(shape, tile, presented, tile_sel, range_sel, false)?;
+    }
+}
+
+/// The default block packs 16-wide panels over f64 (at 8 × 32 its
+/// accumulators alone would fill the vector register file): on tiles
+/// 16 wider than a multiple of 32 every panel is whole at 16 where 32
+/// would leave a ragged one. Whole-tile segments through every source
+/// — packed, in place, cached — and every presentation of A and B are
+/// `==` to the scalar MAC loop, to the `mul_add` chain and to
+/// [`gemm_ex_reference`].
+#[test]
+fn f64_sixteen_wide_panels_agree_with_the_reference() {
+    let presented = [
+        Presented::RowMajor,
+        Presented::ColMajor,
+        Presented::Transposed,
+        Presented::Window { pad: 600, to_the_end: true },
+    ];
+    for (shape, tile) in [
+        (GemmShape::new(37, 48, 70), TileShape::new(32, 48, 16)),
+        (GemmShape::new(21, 80, 1100), TileShape::new(16, 80, 8)),
+    ] {
+        assert_eq!(shape.n % 32, 16);
+        let space = IterSpace::new(shape, tile);
+        for pa in presented {
+            for pb in presented {
+                for tile_sel in 0..space.tiles() {
+                    let whole = (0, space.iters_per_tile());
+                    sources_agree::<f64, f64>(shape, tile, (pa, pb), tile_sel, whole, true)
+                        .unwrap_or_else(|e| panic!("{shape} {tile} {pa:?} x {pb:?}: {e:?}"));
+                }
+            }
+        }
     }
 }
 

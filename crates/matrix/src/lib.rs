@@ -11,7 +11,8 @@
 //!   generic GEMM cover f64 (FP64), f32, and f16-in/f32-accumulate
 //!   (FP16→32).
 //! - [`Matrix`] — an owned dense matrix with row- or column-major
-//!   layout.
+//!   layout, its elements in an [`AlignedVec`] that starts on a cache
+//!   line.
 //! - [`reference::gemm_naive`] — the ground-truth triple loop.
 //! - [`blocked::gemm_blocked`] — the sequential cache-blocked GEMM of
 //!   the paper's Algorithm 1.
@@ -22,6 +23,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod aligned;
 mod bhalf;
 pub mod blocked;
 pub mod gemm_ex;
@@ -32,6 +34,7 @@ pub mod reference;
 pub mod scalar;
 pub mod view;
 
+pub use aligned::{AlignedVec, LINE};
 pub use bhalf::bf16;
 pub use half::f16;
 pub use pack::{pack_a_into, pack_a_slice, pack_b_into, pack_b_slice, packed_a_len, packed_b_len};

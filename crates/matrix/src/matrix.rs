@@ -1,5 +1,18 @@
 //! Owned dense matrix container.
+//!
+//! Storage starts on a cache line. Every constructor that allocates —
+//! [`Matrix::zeros`], [`Matrix::from_fn`], [`Matrix::random`], `clone`,
+//! [`Matrix::to_layout`], [`Matrix::transposed`] — puts the first
+//! element at a 64-byte boundary ([`AlignedVec`]), so a row-major row of
+//! a multiple of 64 bytes is whole lines and a register block's vector
+//! load of it never splits across two. The allocator alone gives 16
+//! bytes, and on a calm host split loads made a B operand read in
+//! place up to 15 % slower than the same B on lines (DESIGN.md §8).
+//! [`Matrix::from_vec`] keeps
+//! the caller's buffer where it is; equality and `Debug` see the
+//! elements only, never where they start.
 
+use crate::aligned::AlignedVec;
 use crate::scalar::{Promote, Scalar};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -12,7 +25,8 @@ use streamk_types::Layout;
 /// consumes and produces. It deliberately stays simple: contiguous
 /// storage, bounds-checked accessors, and fill/compare utilities for
 /// tests and experiments. Kernels access the raw slice plus layout
-/// index math for speed.
+/// index math for speed; the slice starts on a cache line unless the
+/// caller supplied the buffer ([`from_vec`](Self::from_vec)).
 ///
 /// ```
 /// use streamk_matrix::Matrix;
@@ -32,7 +46,7 @@ pub struct Matrix<T> {
     rows: usize,
     cols: usize,
     layout: Layout,
-    data: Vec<T>,
+    data: AlignedVec<T>,
 }
 
 impl<T: Copy + Default> Matrix<T> {
@@ -45,16 +59,22 @@ impl<T: Copy + Default> Matrix<T> {
     #[must_use]
     pub fn zeros(rows: usize, cols: usize, layout: Layout) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero: {rows}x{cols}");
-        Self { rows, cols, layout, data: vec![T::default(); layout.storage_len(rows, cols)] }
+        Self { rows, cols, layout, data: AlignedVec::zeroed(layout.storage_len(rows, cols)) }
     }
 
-    /// Creates a matrix whose `(r, c)` element is `f(r, c)`.
+    /// Creates a matrix whose `(r, c)` element is `f(r, c)`, calling
+    /// `f` in row-major order whatever the layout.
     #[must_use]
     pub fn from_fn(rows: usize, cols: usize, layout: Layout, mut f: impl FnMut(usize, usize) -> T) -> Self {
         let mut m = Self::zeros(rows, cols, layout);
+        // The window is borrowed once for the whole fill: through
+        // `set`, every element re-derived it around an opaque `f` (the
+        // generator, in `random`), and a benchmark set-up that is
+        // mostly `random` took 40 % longer (DESIGN.md §8).
+        let data = m.as_mut_slice();
         for r in 0..rows {
             for c in 0..cols {
-                m.set(r, c, f(r, c));
+                data[layout.index(r, c, rows, cols)] = f(r, c);
             }
         }
         m
@@ -143,15 +163,36 @@ impl<T> Matrix<T> {
         self.layout
     }
 
-    /// Consumes the matrix, returning its backing storage.
+    /// Consumes the matrix, returning its elements in layout order
+    /// (moved down over the line slack in front of them, if any; see
+    /// [`AlignedVec::into_vec`]).
     #[must_use]
     pub fn into_vec(self) -> Vec<T> {
+        self.data.into_vec()
+    }
+
+    /// Consumes the matrix, returning its storage as it is — on its
+    /// line, without moving an element.
+    #[must_use]
+    pub fn into_storage(self) -> AlignedVec<T> {
         self.data
     }
 
     /// Builds a matrix around existing backing storage in `layout`
-    /// order — the inverse of [`into_vec`](Self::into_vec). Lets an
-    /// executor assemble its output in a buffer it owns and hand it
+    /// order — the inverse of [`into_vec`](Self::into_vec). The buffer
+    /// keeps its address, aligned or not.
+    ///
+    /// # Panics
+    ///
+    /// As [`from_storage`](Self::from_storage).
+    #[must_use]
+    pub fn from_vec(rows: usize, cols: usize, layout: Layout, data: Vec<T>) -> Self {
+        Self::from_storage(rows, cols, layout, data.into())
+    }
+
+    /// Builds a matrix around storage in `layout` order — the inverse
+    /// of [`into_storage`](Self::into_storage). Lets an executor
+    /// assemble its output in a buffer it owns, on a line, and hand it
     /// over without a copy.
     ///
     /// # Panics
@@ -160,7 +201,7 @@ impl<T> Matrix<T> {
     /// `layout.storage_len(rows, cols)` (`rows * cols` for the strided
     /// layouts; fragment-padded for the block-major ones).
     #[must_use]
-    pub fn from_vec(rows: usize, cols: usize, layout: Layout, data: Vec<T>) -> Self {
+    pub fn from_storage(rows: usize, cols: usize, layout: Layout, data: AlignedVec<T>) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero: {rows}x{cols}");
         assert_eq!(
             data.len(),
@@ -282,7 +323,7 @@ impl<T: Scalar> Matrix<T> {
     #[must_use]
     pub fn frobenius_norm(&self) -> f64 {
         let mut sum = 0.0f64;
-        for &v in &self.data {
+        for &v in self.as_slice() {
             let x = v.to_f64();
             sum += x * x;
         }
@@ -318,6 +359,60 @@ impl<T: Copy + Default + fmt::Debug> fmt::Debug for Matrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lined<T: Copy + Default>(m: &Matrix<T>) -> bool {
+        (m.as_slice().as_ptr() as usize).is_multiple_of(crate::LINE)
+    }
+
+    /// Every constructor that allocates starts the storage on a line,
+    /// whatever the element size and shape; an empty window of the
+    /// same storage type does too.
+    fn constructors_start_on_a_line<T: Promote<Acc>, Acc: Scalar>() {
+        let ty = std::any::type_name::<T>();
+        assert_eq!(crate::AlignedVec::<T>::zeroed(0).as_ptr() as usize % crate::LINE, 0, "{ty} empty");
+        for (rows, cols) in [(1, 1), (3, 5), (17, 9)] {
+            for layout in [Layout::RowMajor, Layout::ColMajor, Layout::BlockMajor] {
+                let what = format!("{ty} {rows}x{cols} {layout}");
+                let m = Matrix::<T>::random::<Acc>(rows, cols, layout, 5);
+                assert!(lined(&Matrix::<T>::zeros(rows, cols, layout)), "zeros {what}");
+                assert!(lined(&Matrix::<T>::from_fn(rows, cols, layout, |r, _| m.get(r, 0))), "from_fn {what}");
+                assert!(lined(&m), "random {what}");
+                assert!(lined(&m.clone()), "clone {what}");
+                assert!(lined(&m.to_layout(layout)) && lined(&m.to_layout(Layout::RowMajor)), "to_layout {what}");
+                assert!(lined(&m.transposed()), "transposed {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn allocating_constructors_start_on_a_line() {
+        constructors_start_on_a_line::<crate::f16, f32>();
+        constructors_start_on_a_line::<f32, f32>();
+        constructors_start_on_a_line::<f64, f64>();
+    }
+
+    /// Where the storage starts is not part of the value: the same
+    /// elements on a line and off it compare equal and print the same,
+    /// and `from_vec` keeps the caller's buffer.
+    #[test]
+    fn slack_is_invisible() {
+        let on_line = Matrix::<f32>::random::<f32>(3, 5, Layout::RowMajor, 9);
+        let copy = on_line.as_slice().to_vec();
+        let ptr = copy.as_ptr();
+        let plain = Matrix::from_vec(3, 5, Layout::RowMajor, copy);
+        assert_eq!(plain.as_slice().as_ptr(), ptr, "from_vec keeps the buffer");
+        assert_eq!(plain, on_line);
+        // Three elements of slack in front of the same values: 12
+        // bytes, off the line on any 16-byte aligned allocator.
+        let mut buf = vec![7.0f32; 3];
+        buf.extend_from_slice(on_line.as_slice());
+        let off = Matrix::from_storage(3, 5, Layout::RowMajor, crate::AlignedVec::from_parts(buf, 3));
+        assert!(lined(&on_line));
+        assert_eq!(off, on_line);
+        assert_eq!(format!("{off:?}"), format!("{on_line:?}"));
+        assert_eq!(off.clone().into_vec(), on_line.clone().into_vec());
+        assert_eq!(off.into_storage(), on_line.into_storage());
+    }
 
     #[test]
     fn zeros_and_set_get() {

@@ -349,10 +349,12 @@ mod tests {
 
     /// Every fast path against the element-wise `get()` path (reached
     /// through a view with two real strides): identical bytes for both
-    /// operands, both source orientations, every register width the
-    /// kernels use plus one they do not, every ragged panel edge and k
-    /// sub-range — with a dirty, oversized `out` so a pad lane that is
-    /// skipped rather than written would show.
+    /// operands, both source orientations — k along storage
+    /// ([`pack_rows`]) and the panel axis along storage (the run copy)
+    /// — every register width the kernels use plus one they do not,
+    /// every ragged panel edge and k sub-range, with a dirty `out` (an
+    /// oversized one for A) so a pad lane that is skipped rather than
+    /// written would show.
     #[test]
     fn single_pass_a_path_matches_the_generic_path() {
         // Every second row and column of a larger matrix: neither
@@ -363,6 +365,15 @@ mod tests {
         let col = row.to_layout(Layout::ColMajor);
         assert!(!strided.rows_contiguous() && !strided.t().rows_contiguous());
         assert!(row.view().rows_contiguous() && col.t().rows_contiguous());
+        // The source each operand's packer sees: A as given, B as Bᵀ.
+        let a_sources = [("rows", row.view()), ("runs", col.view())];
+        let b_sources = [("rows", row.t()), ("runs", col.t())];
+        for (path, a) in a_sources {
+            assert_eq!(a.rows_contiguous(), path == "rows");
+        }
+        for (path, b) in b_sources {
+            assert_eq!(b.t().rows_contiguous(), path == "rows");
+        }
         for pw in [4, 8, 16, 32, 3] {
             for ps in [0..21, 0..8, 3..4, 5..18, 16..21, 7..7] {
                 for ks in [0..37, 0..1, 5..29, 36..37, 11..11] {
@@ -370,17 +381,17 @@ mod tests {
                     let mut generic = Vec::new();
                     pack_a_into(&strided, ps.clone(), ks.clone(), pw, &mut generic);
                     assert_eq!(generic.len(), packed_a_len(ps.len(), ks.len(), pw));
-                    for a in [row.view(), col.view()] {
+                    for (path, a) in a_sources {
                         let mut fast = vec![-1.0; 8192];
                         pack_a_into(&a, ps.clone(), ks.clone(), pw, &mut fast);
-                        assert_eq!(fast, generic, "A {what}");
+                        assert_eq!(fast, generic, "A {path} {what}");
                     }
                     pack_b_into(&strided.t(), ks.clone(), ps.clone(), pw, &mut generic);
                     assert_eq!(generic.len(), packed_b_len(ks.len(), ps.len(), pw));
-                    for b in [row.t(), col.t()] {
+                    for (path, b) in b_sources {
                         let mut fast = vec![-1.0; generic.len()];
                         pack_b_slice(&b, ks.clone(), ps.clone(), pw, &mut fast);
-                        assert_eq!(fast, generic, "B {what}");
+                        assert_eq!(fast, generic, "B {path} {what}");
                     }
                 }
             }
