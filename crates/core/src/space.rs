@@ -31,6 +31,10 @@ pub struct IterSpace {
     /// Schedule-tile → output-tile coordinates, present for non
     /// row-major orders (shared so clones stay cheap).
     perm: Option<Arc<[(usize, usize)]>>,
+    /// This is the transpose of the space `order` and `perm` were
+    /// built for: schedule tile `s` lands on the swap of that space's
+    /// tile `s` ([`transposed`](Self::transposed)).
+    transposed: bool,
 }
 
 impl IterSpace {
@@ -62,6 +66,30 @@ impl IterSpace {
             iters_per_tile: tile.iters_per_tile(shape),
             order,
             perm,
+            transposed: false,
+        }
+    }
+
+    /// The space of the transposed product `Cᵀ = Bᵀ·Aᵀ`: shape
+    /// `(n, m, k)`, tile `(blk_n, blk_m, blk_k)`, and schedule tile `s`
+    /// on the transpose of this space's tile `s`, in every traversal
+    /// order. Iteration ranges, tile numbering and so every CTA range,
+    /// fixup and seam of a decomposition over this space carry over
+    /// unchanged; only which operand a tile reads as its left one
+    /// does. Allocates nothing (the permutation is shared), and
+    /// transposing twice gives this space back.
+    #[must_use]
+    pub fn transposed(&self) -> Self {
+        let (shape, tile) = (self.shape, self.tile);
+        Self {
+            shape: GemmShape::new(shape.n, shape.m, shape.k),
+            tile: TileShape::new(tile.blk_n, tile.blk_m, tile.blk_k),
+            tiles_m: self.tiles_n,
+            tiles_n: self.tiles_m,
+            iters_per_tile: self.iters_per_tile,
+            order: self.order,
+            perm: self.perm.clone(),
+            transposed: !self.transposed,
         }
     }
 
@@ -143,14 +171,17 @@ impl IterSpace {
     #[must_use]
     pub fn tile_coords(&self, tile_idx: usize) -> (usize, usize) {
         assert!(tile_idx < self.tiles(), "tile {tile_idx} out of range");
-        match &self.perm {
-            None => (tile_idx / self.tiles_n, tile_idx % self.tiles_n),
+        // The order walks the untransposed grid.
+        let across = if self.transposed { self.tiles_m } else { self.tiles_n };
+        let (tm, tn) = match &self.perm {
+            None => (tile_idx / across, tile_idx % across),
             Some(perm) => perm[tile_idx],
-        }
+        };
+        if self.transposed { (tn, tm) } else { (tm, tn) }
     }
 
     /// Inverse of [`tile_coords`](Self::tile_coords) for the default
-    /// row-major order.
+    /// row-major order (of this space, or of the one it transposes).
     ///
     /// # Panics
     ///
@@ -162,7 +193,7 @@ impl IterSpace {
     pub fn tile_index(&self, tile_m: usize, tile_n: usize) -> usize {
         assert!(self.perm.is_none(), "tile_index requires the row-major order");
         assert!(tile_m < self.tiles_m && tile_n < self.tiles_n, "tile coords ({tile_m},{tile_n}) out of range");
-        tile_m * self.tiles_n + tile_n
+        if self.transposed { tile_n * self.tiles_m + tile_m } else { tile_m * self.tiles_n + tile_n }
     }
 
     /// The element extents covered by `tile_idx` in the output matrix:
@@ -251,24 +282,90 @@ mod tests {
 
     /// The executors' unfilled outputs rest on this: the tiles'
     /// extents cover every element of the output exactly once, in
-    /// every traversal order, ragged edges included.
+    /// every traversal order, ragged edges included — and over the
+    /// transposed space a swapped launch stores by.
     #[test]
     fn tile_extents_partition_the_output() {
         for (m, n, tile) in [(300, 200, TileShape::new(128, 128, 16)), (13, 11, TileShape::new(5, 3, 1)), (7, 64, TileShape::new(8, 16, 4))] {
             for order in [TileOrder::RowMajor, TileOrder::ColumnGrouped(2), TileOrder::Morton] {
-                let s = IterSpace::with_order(GemmShape::new(m, n, 32), tile, order);
-                let mut covered = vec![0u8; m * n];
-                for t in 0..s.tiles() {
-                    let (rows, cols) = s.tile_extents(t);
-                    assert!(!rows.is_empty() && !cols.is_empty(), "{order:?}: tile {t} is empty");
-                    for r in rows {
-                        for c in cols.clone() {
-                            covered[r * n + c] += 1;
+                let space = IterSpace::with_order(GemmShape::new(m, n, 32), tile, order);
+                for s in [space.clone(), space.transposed()] {
+                    let (rows_of, cols_of) = (s.shape().m, s.shape().n);
+                    let mut covered = vec![0u8; rows_of * cols_of];
+                    for t in 0..s.tiles() {
+                        let (rows, cols) = s.tile_extents(t);
+                        assert!(!rows.is_empty() && !cols.is_empty(), "{order:?}: tile {t} is empty");
+                        for r in rows {
+                            for c in cols.clone() {
+                                covered[r * cols_of + c] += 1;
+                            }
                         }
                     }
+                    assert!(covered.iter().all(|&hits| hits == 1), "{order:?} {rows_of}x{cols_of} {:?}", s.tile());
                 }
-                assert!(covered.iter().all(|&hits| hits == 1), "{order:?} {m}x{n} {tile:?}");
             }
+        }
+    }
+
+    /// Every order of the transposition proptest below, plus the
+    /// ragged grids and non-square tiles it draws from.
+    fn orders() -> impl Iterator<Item = TileOrder> {
+        [TileOrder::RowMajor, TileOrder::Morton].into_iter().chain((1..6).map(TileOrder::ColumnGrouped))
+    }
+
+    /// A swapped launch runs the caller's decomposition over
+    /// `transposed()`: schedule tile `s` must be the caller's tile `s`
+    /// seen from the other side, in every order, ragged or not.
+    #[test]
+    fn transposed_tiles_are_the_swap_of_the_callers() {
+        for (m, n, tile) in [
+            (300, 200, TileShape::new(128, 64, 16)),
+            (13, 11, TileShape::new(5, 3, 2)),
+            (7, 64, TileShape::new(8, 16, 4)),
+            (64, 7, TileShape::new(16, 8, 4)),
+            (40, 40, TileShape::new(8, 8, 8)),
+        ] {
+            for order in orders() {
+                let s = IterSpace::with_order(GemmShape::new(m, n, 37), tile, order);
+                let t = s.transposed();
+                assert_eq!(t.shape(), GemmShape::new(n, m, 37));
+                assert_eq!(t.tile(), TileShape::new(tile.blk_n, tile.blk_m, tile.blk_k));
+                assert_eq!((t.tiles_m(), t.tiles_n()), (s.tiles_n(), s.tiles_m()));
+                assert_eq!((t.tiles(), t.iters_per_tile(), t.total_iters()), (s.tiles(), s.iters_per_tile(), s.total_iters()));
+                assert_eq!(t.order(), order);
+                for idx in 0..s.tiles() {
+                    let ((rows, cols), (t_rows, t_cols)) = (s.tile_extents(idx), t.tile_extents(idx));
+                    assert_eq!((t_rows, t_cols), (cols, rows), "{order:?} {m}x{n} tile {idx}");
+                    let (tm, tn) = s.tile_coords(idx);
+                    assert_eq!(t.tile_coords(idx), (tn, tm));
+                }
+                for local in 0..s.iters_per_tile() {
+                    assert_eq!(t.k_extents(local), s.k_extents(local));
+                }
+                assert_eq!(t.transposed(), s, "{order:?}: transposing twice");
+            }
+        }
+    }
+
+    /// `transposed()` shares the permutation of a non-row-major order
+    /// instead of building one: no allocation.
+    #[test]
+    fn transposing_shares_the_permutation() {
+        for order in orders().filter(|&o| o != TileOrder::RowMajor) {
+            let s = IterSpace::with_order(GemmShape::new(40, 72, 8), TileShape::new(8, 16, 4), order);
+            let t = s.transposed();
+            let (Some(a), Some(b)) = (&s.perm, &t.perm) else { panic!("{order:?} keeps a permutation") };
+            assert!(Arc::ptr_eq(a, b), "{order:?}");
+        }
+        assert!(space().transposed().perm.is_none());
+    }
+
+    #[test]
+    fn transposed_row_major_coords_round_trip() {
+        let t = IterSpace::new(GemmShape::new(300, 200, 50), TileShape::new(128, 64, 16)).transposed();
+        for idx in 0..t.tiles() {
+            let (tm, tn) = t.tile_coords(idx);
+            assert_eq!(t.tile_index(tm, tn), idx);
         }
     }
 

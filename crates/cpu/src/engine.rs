@@ -30,13 +30,21 @@
 //! between callers stays with them: where CTAs come from
 //! ([`Worker::run`]'s [`CtaScheduler`], or the service's request
 //! sweep), panic isolation, and what completing a tile means.
+//!
+//! An instance runs the caller's product `C = op(A)·op(B)` or its
+//! transpose `Cᵀ = op(B)ᵀ·op(A)ᵀ` into C's own storage, whichever
+//! packs less ([`Orientation`]). The cycle cannot tell: it walks the
+//! caller's CTAs over the instance's iteration space, which for a
+//! transposed instance is [`IterSpace::transposed`] — schedule tile
+//! `s` on the transpose of the caller's tile `s` — so fixups, seams,
+//! fault plans and recovery events are the caller's.
 
 use crate::executor::{RecoveryCause, RecoveryEvent};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::fixup::{FixupBoard, TryTake, WaitPolicy};
 use crate::microkernel::{KernelKind, PackBuffers};
 use crate::output::{OwnedTileWriter, TileWriter};
-use crate::packcache::{mac_loop_instance_cached, PackCache};
+use crate::packcache::{mac_loop_instance_cached, transpose_pays, PackCache};
 use crate::sched::CtaScheduler;
 use crate::trace::{self, SpanKind, WorkerTrace, WorkerTracer};
 use crate::workspace::Workspace;
@@ -48,6 +56,7 @@ use streamk_core::{
     TileSegment,
 };
 use streamk_matrix::{Matrix, MatrixView, Promote, Scalar};
+use streamk_types::Layout;
 
 /// Where an instance's finished tiles go. An instance holds its output,
 /// so the instance list of a batch or group is its output list too:
@@ -61,26 +70,77 @@ pub(crate) enum Output<'a, Acc> {
     Owned(OwnedTileWriter<Acc>),
 }
 
+/// Which way round a problem runs the caller's `C = op(A)·op(B)`: as
+/// called, or as `Cᵀ = op(B)ᵀ·op(A)ᵀ` stored over C's own storage
+/// (DESIGN.md §9, "Orientation"). Decided once per problem by
+/// [`transpose_pays`]; the engine runs the same code either way, over
+/// the caller's decomposition, its schedule tile `s` on the transpose
+/// of the caller's tile `s` ([`IterSpace::transposed`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Orientation {
+    transposed: bool,
+}
+
+impl Orientation {
+    /// The orientation for `a · b` into a `c`-ordered output tiled by
+    /// `space` under `kernel`, with the layout and the tiling the
+    /// output is then stored by: C's own, or `Cᵀ`'s — `c.flipped()`
+    /// over the same storage, tiled by `space.transposed()`.
+    pub(crate) fn choose<In: Copy>(
+        kernel: KernelKind,
+        a: &MatrixView<'_, In>,
+        b: &MatrixView<'_, In>,
+        c: Layout,
+        space: &IterSpace,
+    ) -> (Self, Layout, IterSpace) {
+        if transpose_pays(kernel.panel_geometry::<In>(), a, b, c, space.tile()) {
+            (Self { transposed: true }, c.flipped(), space.transposed())
+        } else {
+            (Self::default(), c, space.clone())
+        }
+    }
+
+    /// The caller's `C` from the matrix its output was born as: `Cᵀ`'s
+    /// storage read the other way round, without a copy.
+    pub(crate) fn restore<Acc>(self, c: Matrix<Acc>) -> Matrix<Acc> {
+        if !self.transposed {
+            return c;
+        }
+        let (rows, cols, layout) = (c.cols(), c.rows(), c.layout().flipped());
+        Matrix::from_storage(rows, cols, layout, c.into_storage())
+    }
+}
+
 /// One problem of a launch: its operands, its output, and where its
 /// iterations sit in the launch's concatenated iteration space.
 pub(crate) struct Instance<'a, In, Acc> {
+    /// The left and right operand of the product the engine runs:
+    /// `op(A)` and `op(B)`, or `op(B)ᵀ` and `op(A)ᵀ`.
     pub(crate) a: MatrixView<'a, In>,
     pub(crate) b: MatrixView<'a, In>,
     out: Output<'a, Acc>,
+    orientation: Orientation,
     /// The launch-wide number of this instance's first iteration.
     first_iter: usize,
 }
 
-impl<'a, In, Acc: Scalar> Instance<'a, In, Acc> {
+impl<'a, In: Copy, Acc: Scalar> Instance<'a, In, Acc> {
+    /// The caller's `op(A) · op(B)` in `orientation`, stored through
+    /// `out` — built on the layout and tiling
+    /// [`Orientation::choose`] returned.
     pub(crate) fn new(
+        orientation: Orientation,
         a: MatrixView<'a, In>,
         b: MatrixView<'a, In>,
         out: Output<'a, Acc>,
         first_iter: usize,
     ) -> Self {
-        Self { a, b, out, first_iter }
+        let (a, b) = if orientation.transposed { (b.t(), a.t()) } else { (a, b) };
+        Self { a, b, out, orientation, first_iter }
     }
+}
 
+impl<In, Acc: Scalar> Instance<'_, In, Acc> {
     fn writer(&self) -> &TileWriter<'_, Acc> {
         match &self.out {
             Output::Window(writer) => writer,
@@ -94,7 +154,7 @@ impl<'a, In, Acc: Scalar> Instance<'a, In, Acc> {
         self.writer().space()
     }
 
-    /// Releases an [`Output::Owned`] output.
+    /// Releases an [`Output::Owned`] output as the caller's `C`.
     ///
     /// # Panics
     ///
@@ -102,7 +162,7 @@ impl<'a, In, Acc: Scalar> Instance<'a, In, Acc> {
     /// which has nothing to release.
     pub(crate) fn take(&self) -> Matrix<Acc> {
         match &self.out {
-            Output::Owned(out) => out.take(),
+            Output::Owned(out) => self.orientation.restore(out.take()),
             Output::Window(_) => panic!("a borrowed output has no matrix to release"),
         }
     }
@@ -625,6 +685,17 @@ mod tests {
     /// (no pool: `Worker::run` is the whole of a worker), portable
     /// kernel, recovery on: the outputs and what recovery did.
     fn run(workers: usize, ctas: usize, plan: FaultPlan) -> (Vec<Matrix<f64>>, Vec<RecoveryEvent>) {
+        run_oriented(workers, ctas, plan, [false; 2])
+    }
+
+    /// [`run`] with instance `i` computing its transpose where
+    /// `transposed[i]`, into a column-major `Cᵀ` over its row-major C.
+    fn run_oriented(
+        workers: usize,
+        ctas: usize,
+        plan: FaultPlan,
+        transposed: [bool; 2],
+    ) -> (Vec<Matrix<f64>>, Vec<RecoveryEvent>) {
         let decomp = GroupedDecomposition::stream_k(GroupedSpace::new(&SHAPES, TILE), ctas);
         decomp.validate().expect("a valid grid");
         let (a, b) = operands();
@@ -635,8 +706,13 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, space)| {
-                let out = Output::Owned(OwnedTileWriter::new(Layout::RowMajor, space));
-                let instance = Instance::new(a[i].view(), b[i].view(), out, first_iter);
+                let orientation = Orientation { transposed: transposed[i] };
+                let out = if transposed[i] {
+                    OwnedTileWriter::new(Layout::ColMajor, &space.transposed())
+                } else {
+                    OwnedTileWriter::new(Layout::RowMajor, space)
+                };
+                let instance = Instance::new(orientation, a[i].view(), b[i].view(), Output::Owned(out), first_iter);
                 first_iter += space.total_iters();
                 instance
             })
@@ -706,6 +782,28 @@ mod tests {
                 (event.peer, event.tile_idx, event.cause, event.recomputed_iters),
                 (3, 2, RecoveryCause::Poisoned, 2)
             );
+        }
+    }
+
+    /// Either instance, or both, run as `Cᵀ = Bᵀ·Aᵀ` over the caller's
+    /// CTAs: the same C bits, and recovery recomputes the same peer,
+    /// tile and iterations, because schedule tile `s` is still the
+    /// caller's tile `s`.
+    #[test]
+    fn a_transposed_instance_runs_the_callers_schedule_bit_for_bit() {
+        for plan in [FaultPlan::none(), FaultPlan::single(1, FaultKind::Lose), FaultPlan::single(3, FaultKind::Poison)] {
+            let (calm, calm_events) = run(2, 4, plan.clone());
+            let key = |events: &[RecoveryEvent]| -> Vec<_> {
+                events.iter().map(|e| (e.peer, e.tile_idx, e.recomputed_iters)).collect()
+            };
+            for transposed in [[true, false], [false, true], [true, true]] {
+                let (c, events) = run_oriented(2, 4, plan.clone(), transposed);
+                for (got, want) in c.iter().zip(&calm) {
+                    assert_eq!((got.rows(), got.cols(), got.layout()), (want.rows(), want.cols(), Layout::RowMajor));
+                    assert!(got == want, "{transposed:?} under {plan:?}: the transpose changed C");
+                }
+                assert_eq!(key(&events), key(&calm_events), "{transposed:?} under {plan:?}");
+            }
         }
     }
 }

@@ -20,7 +20,7 @@
 //!   fault-free run.
 
 use crate::arena::{ArenaStats, PackArena};
-use crate::engine::{Grid, Instance, Launch, Output, Worker};
+use crate::engine::{Grid, Instance, Launch, Orientation, Output, Worker};
 use crate::fault::FaultPlan;
 use crate::fixup::WaitPolicy;
 use crate::microkernel::KernelKind;
@@ -568,6 +568,11 @@ impl CpuExecutor {
     /// With `β = 0` the prior contents of `C` are never read, per
     /// BLAS convention.
     ///
+    /// Like every entry, the launch may run as `Cᵀ = op(B)ᵀ·op(A)ᵀ`,
+    /// storing `Cᵀ` over `c`'s own storage, when that packs fewer
+    /// operand bytes (DESIGN.md §9, "Orientation"); it runs `decomp`
+    /// either way, and the result is the same bit for bit.
+    ///
     /// # Panics
     ///
     /// As [`gemm`](Self::gemm), plus a shape check on `c`.
@@ -630,9 +635,10 @@ impl CpuExecutor {
     {
         let space = decomp.space();
         check_shape("C", (space.shape().m, space.shape().n), (c.rows(), c.cols()))?;
-        let layout = c.layout();
-        let writer = TileWriter::new(c.as_mut_slice(), layout, space);
-        let instance = [Instance::new(*a, *b, Output::Window(&writer), 0)];
+        check_single(a, b, decomp)?;
+        let (orientation, layout, space) = Orientation::choose(self.config.kernel, a, b, c.layout(), space);
+        let writer = TileWriter::new(c.as_mut_slice(), layout, &space);
+        let instance = [Instance::new(orientation, *a, *b, Output::Window(&writer), 0)];
         self.run_single(alpha, beta, &instance, decomp, &FaultPlan::none(), false).map(|_| ())
     }
 
@@ -680,13 +686,18 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        let out = Output::Owned(OwnedTileWriter::new(a.layout(), decomp.space()));
-        let instance = [Instance::new(a.view(), b.view(), out, 0)];
+        let (av, bv) = (a.view(), b.view());
+        check_single(&av, &bv, decomp)?;
+        let (orientation, layout, space) =
+            Orientation::choose(self.config.kernel, &av, &bv, a.layout(), decomp.space());
+        let out = Output::Owned(OwnedTileWriter::new(layout, &space));
+        let instance = [Instance::new(orientation, av, bv, out, 0)];
         let report = self.run_single(Acc::ONE, Acc::ZERO, &instance, decomp, plan, recover)?;
         Ok((instance[0].take(), report))
     }
 
-    /// A single-GEMM launch: a group of one, checked against `decomp`.
+    /// A single-GEMM launch: a group of one, whose operands the caller
+    /// checked against `decomp`.
     fn run_single<In, Acc>(
         &self,
         alpha: Acc,
@@ -700,7 +711,6 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        check_single(&instance[0].a, &instance[0].b, decomp)?;
         let grid = Grid { ctas: decomp.ctas(), instances: instance, alpha, beta };
         // One pack-cache shard per worker by default: every CTA
         // touching a tile row/column reuses its own shard's packing
@@ -745,8 +755,11 @@ impl CpuExecutor {
                 let shape = space.shape();
                 assert_eq!((ai.rows(), ai.cols()), (shape.m, shape.k), "A[{i}] must be m x k");
                 assert_eq!((bi.rows(), bi.cols()), (shape.k, shape.n), "B[{i}] must be k x n");
-                let out = Output::Owned(OwnedTileWriter::new(ai.layout(), space));
-                let instance = Instance::new(ai.view(), bi.view(), out, first_iter);
+                let (av, bv) = (ai.view(), bi.view());
+                let (orientation, layout, space) =
+                    Orientation::choose(self.config.kernel, &av, &bv, ai.layout(), space);
+                let out = Output::Owned(OwnedTileWriter::new(layout, &space));
+                let instance = Instance::new(orientation, av, bv, out, first_iter);
                 first_iter += space.total_iters();
                 instance
             })

@@ -16,7 +16,16 @@
 //! layouts — asks `Layout::index` for each run's first offset only,
 //! proves the run's first and last offset inside the storage with
 //! checked arithmetic, and then applies `α·acc (+ β·c)` over the run
-//! as one slice loop, reading **C** only when `β ≠ 0`.
+//! as one slice loop, reading **C** only when `β ≠ 0`. A column of the
+//! row-major accumulator is strided, so a column-major run first
+//! gathers its sources into a small stack array and reads that.
+//!
+//! A launch that runs transposed (DESIGN.md §9, "Orientation") stores
+//! `Cᵀ` through a writer over C's own storage in the flipped layout —
+//! `ColMajor` `n × m` over a row-major C, `RowMajor` over a
+//! column-major one — tiled by the transposed iteration space, and a
+//! born `Cᵀ` is handed back as the caller's C by reading its storage
+//! the other way round. Nothing here is special to it.
 //!
 //! Rust cannot prove the tiles' disjointness through types, so this
 //! module holds the raw-pointer window into **C** and its `unsafe`
@@ -58,6 +67,10 @@ use streamk_types::{Layout, FRAG};
 const UNTOUCHED: u8 = 0;
 const CLAIMED: u8 = 1;
 const STORED: u8 = 2;
+
+/// Rows of an accumulator column a `ColMajor` run gathers into a stack
+/// array on its way out ([`TileWriter::store_runs`]).
+const STAGE: usize = 16;
 
 /// A write window over an output matrix's backing storage, shareable
 /// across worker threads.
@@ -154,7 +167,11 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
     /// into the contiguous runs this layout stores it as and hands
     /// each, with the accumulator elements that feed it, to
     /// [`store_run`](Self::store_run). Rows of the tile are unit-stride
-    /// in `accum`; columns and fragment columns step by `blk_n`.
+    /// in `accum`; columns and fragment columns step by `blk_n`. A
+    /// `ColMajor` column is gathered [`STAGE`] rows at a time into a
+    /// stack array and each such run stored from that contiguous slice,
+    /// a quarter to a third faster than a strided read (EXPERIMENTS.md,
+    /// "Orientation"); only its ragged rest is read strided.
     fn store_runs(
         &self,
         row_range: Range<usize>,
@@ -175,8 +192,17 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
             }
             Layout::ColMajor => {
                 for (tj, c) in col_range.enumerate() {
-                    let src = accum[tj..].iter().step_by(blk_n).copied();
-                    self.store_run(r0, c, nrows, src, alpha, beta);
+                    for ti in (0..nrows).step_by(STAGE) {
+                        let column = &accum[ti * blk_n + tj..];
+                        let n = STAGE.min(nrows - ti);
+                        if n == STAGE {
+                            let column = &column[..(STAGE - 1) * blk_n + 1];
+                            let stage: [Acc; STAGE] = std::array::from_fn(|i| column[i * blk_n]);
+                            self.store_run(r0 + ti, c, STAGE, stage.iter().copied(), alpha, beta);
+                        } else {
+                            self.store_run(r0 + ti, c, n, column.iter().step_by(blk_n).copied(), alpha, beta);
+                        }
+                    }
                 }
             }
             Layout::BlockMajor | Layout::BlockMajorZ => {
@@ -433,6 +459,52 @@ mod tests {
             }
             drop(w);
             assert_eq!(got, want, "{layout}");
+        }
+    }
+
+    /// A transposed launch stores `Cᵀ` through the transposed space in
+    /// the flipped layout, over the caller's own storage: each C
+    /// element gets the bits the caller's orientation stores, through
+    /// staged and strided column runs, blending or not — and a born
+    /// output is the same storage.
+    #[test]
+    fn a_transposed_store_writes_the_callers_bits() {
+        // Tiles of 16 × 20, ragged on both edges of a 21 × 37 C: the
+        // column runs of C (16 rows, then 5) and of Cᵀ (20 and 17 rows)
+        // take a staged run of 16 rows, a strided rest, or both.
+        let (rows, cols, blk_m, blk_n) = (21, 37, 16, 20);
+        let space = space(rows, cols, blk_m, blk_n);
+        let flipped = space.transposed();
+        let accum: Vec<f64> = (0..blk_m * blk_n).map(|i| i as f64 * 0.75 - 40.0).collect();
+        // The same tile seen from the other side: blk_n rows of blk_m.
+        let accum_t: Vec<f64> = (0..blk_n * blk_m).map(|i| accum[(i % blk_m) * blk_n + i / blk_m]).collect();
+        for layout in [Layout::RowMajor, Layout::ColMajor] {
+            for (alpha, beta) in [(1.0, 0.0), (-0.5, 2.0)] {
+                let start = Matrix::from_fn(rows, cols, layout, |r, c| (r * 31 + c) as f64);
+                let (mut want, mut got) = (start.clone(), start);
+                let w = TileWriter::new(want.as_mut_slice(), layout, &space);
+                let t = TileWriter::new(got.as_mut_slice(), layout.flipped(), &flipped);
+                for s in 0..space.tiles() {
+                    w.store_tile_ex(s, blk_n, &accum, alpha, beta);
+                    t.store_tile_ex(s, blk_m, &accum_t, alpha, beta);
+                }
+                drop((w, t));
+                assert_eq!(got, want, "{layout} α = {alpha} β = {beta}");
+            }
+            let born = OwnedTileWriter::<f64>::new(layout.flipped(), &flipped);
+            for s in 0..space.tiles() {
+                born.writer().store_tile(s, blk_m, &accum_t);
+            }
+            let ct = born.take();
+            assert_eq!((ct.rows(), ct.cols(), ct.layout()), (cols, rows, layout.flipped()));
+            let c = Matrix::from_storage(rows, cols, layout, ct.into_storage());
+            let mut want = Matrix::from_fn(rows, cols, layout, |_, _| 0.0);
+            let w = TileWriter::new(want.as_mut_slice(), layout, &space);
+            for s in 0..space.tiles() {
+                w.store_tile(s, blk_n, &accum);
+            }
+            drop(w);
+            assert_eq!(c, want, "born {layout}");
         }
     }
 

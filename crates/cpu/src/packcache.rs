@@ -95,6 +95,16 @@
 //!   reads the same view the same way, and an executor's launch cache
 //!   is built without slots for an operand that never packs — or not
 //!   built at all (`CpuExecutor::launch_pack_cache`).
+//!
+//! **Orientation.** The two operands are not read alike — A in place
+//! with any lane stride, B only with adjacent lanes — so which one is
+//! A is worth choosing. Every entry asks [`transpose_pays`] once per
+//! problem whether `Cᵀ = op(B)ᵀ·op(A)ᵀ` packs fewer operand bytes by
+//! this same rule than `C = op(A)·op(B)`, after pricing the
+//! column-major store that costs (or saves) in the epilogue, and if so
+//! hands the engine the transposed problem (DESIGN.md §9,
+//! "Orientation"). Nothing here knows: the cache sees an ordinary
+//! instance whose A is `op(B)ᵀ` and whose B is `op(A)ᵀ`.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -104,7 +114,7 @@ use streamk_matrix::{
     pack_a_slice, pack_b_slice, packed_a_len, packed_b_len, AlignedVec, MatrixView, Promote,
     Scalar,
 };
-use streamk_types::{TileShape, FRAG};
+use streamk_types::{Layout, TileShape, FRAG};
 
 use crate::arena::{PackArena, SlotTable};
 use crate::fixup::WaitPolicy;
@@ -539,6 +549,46 @@ pub(crate) fn operands_pack<In: Copy>(
         matches!(Source::of(a, mr, tile.blk_m, false), Source::Packed),
         matches!(Source::of(&b.t(), nr, tile.blk_n, true), Source::Packed),
     )
+}
+
+/// What storing one element of **C** through a column-major run costs
+/// over storing it through a row-major one, in bytes of operand packing
+/// that take as long: the epilogue's price in [`transpose_pays`].
+/// Fixed by the probe in EXPERIMENTS.md ("Orientation").
+const COLUMN_STORE_BYTES: usize = 2;
+
+/// Whether a launch of `C = a·b` into a `c`-ordered **C** should run
+/// as `Cᵀ = bᵀ·aᵀ` instead, storing `Cᵀ` over C's own storage read as
+/// `c.flipped()`: the one orientation rule (DESIGN.md §9,
+/// "Orientation").
+///
+/// Each orientation is priced at the operand bytes it packs — what
+/// [`operands_pack`] says at register block `block` and `tile` (the
+/// transposed launch's tile is `blk_n × blk_m`) — plus
+/// [`COLUMN_STORE_BYTES`] per element it stores column-major: a
+/// row-major C becomes a column-major `Cᵀ`, which costs more to store,
+/// a column-major C a row-major `Cᵀ`, which costs less. The transpose
+/// wins only when it is strictly cheaper; a tie, a block-major C
+/// (which no reinterpretation transposes) and a kernel that reads no
+/// panels (`block` is `None`) keep the caller's orientation.
+pub(crate) fn transpose_pays<In: Copy>(
+    block: Option<(usize, usize)>,
+    a: &MatrixView<'_, In>,
+    b: &MatrixView<'_, In>,
+    c: Layout,
+    tile: TileShape,
+) -> bool {
+    let Some(block) = block.filter(|_| !c.is_blocked()) else {
+        return false;
+    };
+    let cost = |a: &MatrixView<'_, In>, b: &MatrixView<'_, In>, tile: TileShape, c: Layout| {
+        let (a_packs, b_packs) = operands_pack(a, b, block, tile);
+        let packed = usize::from(a_packs) * a.rows() * a.cols() + usize::from(b_packs) * b.rows() * b.cols();
+        let column_stores = if c == Layout::ColMajor { a.rows() * b.cols() } else { 0 };
+        packed * std::mem::size_of::<In>() + column_stores * COLUMN_STORE_BYTES
+    };
+    let flipped = TileShape::new(tile.blk_n, tile.blk_m, tile.blk_k);
+    cost(&b.t(), &a.t(), flipped, c.flipped()) < cost(a, b, tile, c)
 }
 
 /// Packs `v[lanes, ks]` into the staging buffer `buf` and returns the
@@ -1009,6 +1059,76 @@ mod tests {
         assert_eq!(operands_pack(&blocked.view(), &b_narrow.view(), (4, 16), tile), (true, false));
         let morton = row(16, 64).to_layout(Layout::BlockMajorZ);
         assert_eq!(operands_pack(&morton.view(), &blocked.view().t(), block, tile), (true, true));
+    }
+
+    /// The orientation rule, pinned on the benchmark's shapes at the
+    /// default kernel's geometry. Row-major operands never gain by the
+    /// transpose — the right operand's lanes would be the row-major A's
+    /// rows, which are not adjacent — so every row-major workload keeps
+    /// the caller's orientation; `direct-f64-tt`'s two `.t()` views
+    /// swap, trading a packed B for a column-major store of C.
+    #[test]
+    fn the_orientation_rule_on_the_benchmark_shapes() {
+        let kernel = KernelKind::default();
+        fn swaps<In: Copy + Default>(kernel: KernelKind, a: &Matrix<In>, b: &Matrix<In>, tile: TileShape) -> bool {
+            transpose_pays(kernel.panel_geometry::<In>(), &a.view(), &b.view(), Layout::RowMajor, tile)
+        }
+        let row = |m, k| Matrix::<f32>::zeros(m, k, Layout::RowMajor);
+        let (tile, small_tile) = (TileShape::new(64, 64, 16), TileShape::new(32, 32, 16));
+        let (m, n, k) = (1024, 1024, 1024);
+        assert!(!swaps(kernel, &row(m, k), &row(k, n), tile), "direct-square");
+        for (m, n, k) in [(64, 64, 32768), (64, 192, 8192), (64, 320, 4096), (64, 448, 4096), (192, 192, 4096)] {
+            assert!(!swaps(kernel, &row(m, k), &row(k, n), tile), "direct-deepk {m}x{n}x{k}");
+        }
+        for (m, n, k) in [(256, 256, 64), (384, 1152, 384), (384, 384, 384), (384, 1536, 384), (384, 384, 1536), (200, 120, 520), (72, 648, 264)] {
+            assert!(!swaps(kernel, &row(m, k), &row(k, n), tile), "grouped-batched {m}x{n}x{k}");
+        }
+        for (m, n, k) in [(64, 64, 64), (96, 96, 96), (128, 128, 128), (160, 128, 96)] {
+            assert!(!swaps(kernel, &row(m, k), &row(k, n), small_tile), "direct-small {m}x{n}x{k}");
+        }
+        for (m, n, k) in [(96, 96, 96), (128, 128, 128), (64, 192, 256), (256, 256, 192)] {
+            assert!(!swaps(kernel, &row(m, k), &row(k, n), small_tile), "serve-closed {m}x{n}x{k}");
+        }
+        // direct-f64-tt: A and B stored transposed, read as `.t()`.
+        let stored = Matrix::<f64>::zeros(768, 768, Layout::RowMajor);
+        let block = kernel.panel_geometry::<f64>();
+        assert_eq!(operands_pack(&stored.t(), &stored.t(), block.unwrap(), tile), (true, true));
+        assert!(transpose_pays(block, &stored.t(), &stored.t(), Layout::RowMajor, tile), "direct-f64-tt");
+        // Into a column-major C the same launch swaps too — and the
+        // epilogue gets cheaper; into a block-major one it never does.
+        assert!(transpose_pays(block, &stored.t(), &stored.t(), Layout::ColMajor, tile));
+        assert!(!transpose_pays(block, &stored.t(), &stored.t(), Layout::BlockMajor, tile));
+        // A kernel that reads no panels packs nothing either way.
+        assert!(!transpose_pays(KernelKind::Scalar.panel_geometry::<f64>(), &stored.t(), &stored.t(), Layout::RowMajor, tile));
+    }
+
+    /// The transpose has to win outright: a tie — both operands packing
+    /// either way round, or neither — keeps the caller's orientation,
+    /// and so does a small-k, wide-output launch where the swap would
+    /// pack a smaller operand but store a large C column-major.
+    #[test]
+    fn ties_and_dear_epilogues_keep_the_callers_orientation() {
+        let block = KernelKind::default().panel_geometry::<f32>();
+        let tile = TileShape::new(64, 64, 16);
+        let (tall, wide) = (Matrix::<f32>::zeros(600, 64, Layout::ColMajor), Matrix::<f32>::zeros(64, 600, Layout::RowMajor));
+        assert_eq!(operands_pack(&tall.view(), &wide.view(), block.unwrap(), tile), (true, true));
+        assert_eq!(operands_pack(&wide.t(), &tall.t(), block.unwrap(), tile), (true, true));
+        assert!(!transpose_pays(block, &tall.view(), &wide.view(), Layout::RowMajor, tile), "both pack both ways");
+        // The same packing into a column-major C is no tie: the
+        // transpose stores it row-major, which is cheaper.
+        assert!(transpose_pays(block, &tall.view(), &wide.view(), Layout::ColMajor, tile));
+        let (a, b) = (Matrix::<f32>::zeros(64, 64, Layout::RowMajor), Matrix::<f32>::zeros(64, 64, Layout::RowMajor));
+        assert!(!transpose_pays(block, &a.view(), &b.view(), Layout::RowMajor, tile), "neither packs either way");
+        // k = 8: the caller's way packs the column-major B (8 × 1024),
+        // the transpose the row-major A (512 × 8) — half the bytes, but
+        // its C is 512 × 1024 column-major.
+        let (a, b) = (Matrix::<f32>::zeros(512, 8, Layout::RowMajor), Matrix::<f32>::zeros(8, 1024, Layout::ColMajor));
+        assert_eq!(operands_pack(&a.view(), &b.view(), block.unwrap(), tile), (false, true));
+        assert_eq!(operands_pack(&b.t(), &a.t(), block.unwrap(), tile), (false, true));
+        assert!(!transpose_pays(block, &a.view(), &b.view(), Layout::RowMajor, tile), "small k, wide output");
+        // The same saving with k deep enough to pay for the store swaps.
+        let (a, b) = (Matrix::<f32>::zeros(512, 4096, Layout::RowMajor), Matrix::<f32>::zeros(4096, 1024, Layout::ColMajor));
+        assert!(transpose_pays(block, &a.view(), &b.view(), Layout::RowMajor, tile), "deep k");
     }
 
     /// An in-place operand's ragged last panel — and nothing else — is

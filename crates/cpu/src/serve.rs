@@ -71,7 +71,7 @@
 //! executor block until [`GemmService::shutdown`] — by design: the
 //! pool's launch lock is the tenancy boundary.
 
-use crate::engine::{Deferred, Grid, Instance, Launch, Output, Progress, Worker};
+use crate::engine::{Deferred, Grid, Instance, Launch, Orientation, Output, Progress, Worker};
 use crate::executor::{check_residency, check_single, CpuExecutor};
 use crate::fault::{FaultPlan, ServeFaultKind};
 use crate::fixup::WaitPolicy;
@@ -488,6 +488,8 @@ struct RequestCell<In, Acc> {
     /// so workers stop spending cycles on the request.
     launch: Launch<In, Acc>,
     out: OwnedTileWriter<Acc>,
+    /// Which way round the request runs; `out` is tiled accordingly.
+    orientation: Orientation,
     cursor: GridCursor,
     tiles_done: AtomicUsize,
     total_tiles: usize,
@@ -604,7 +606,7 @@ impl<In: Promote<Acc>, Acc: Scalar> RequestCell<In, Acc> {
     /// request's own buffer.
     fn with_worker<R>(&self, wid: usize, f: impl FnOnce(Worker<'_, In, Acc>) -> R) -> R {
         let window = Output::Window(self.out.writer());
-        let instance = [Instance::new(self.a.view(), self.b.view(), window, 0)];
+        let instance = [Instance::new(self.orientation, self.a.view(), self.b.view(), window, 0)];
         let grid = Grid { ctas: self.decomp.ctas(), instances: &instance, alpha: Acc::ONE, beta: Acc::ZERO };
         f(Worker { launch: &self.launch, grid: &grid, wid })
     }
@@ -1013,7 +1015,7 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
             Ok(Ok(stored)) => {
                 let done = cell.tiles_done.fetch_add(stored, Ordering::AcqRel) + stored;
                 if done == cell.total_tiles && cell.transition(RUNNING, DONE) {
-                    self.resolve(cell, DONE, Ok(cell.out.take()));
+                    self.resolve(cell, DONE, Ok(cell.orientation.restore(cell.out.take())));
                 }
             }
             Ok(Err(e)) => {
@@ -1579,7 +1581,9 @@ where
             None => {}
         }
 
-        let space = decomp.space();
+        let kernel = kernel.unwrap_or(self.shared.kernel);
+        let (orientation, layout, space) =
+            Orientation::choose(kernel, &a.view(), &b.view(), a.layout(), decomp.space());
         let tile = space.tile();
         // Span timestamps are relative to the service epoch, so all
         // request tracks share one timeline.
@@ -1595,7 +1599,7 @@ where
             &fixups,
             cta_faults,
             WaitPolicy::with_watchdog(self.shared.watchdog),
-            kernel.unwrap_or(self.shared.kernel),
+            kernel,
             None,
             true,
             spans,
@@ -1605,7 +1609,8 @@ where
             priority,
             group,
             launch,
-            out: OwnedTileWriter::new(a.layout(), space),
+            out: OwnedTileWriter::new(layout, &space),
+            orientation,
             cursor: GridCursor::new(grid),
             tiles_done: AtomicUsize::new(0),
             total_tiles: space.tiles(),

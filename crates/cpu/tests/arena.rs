@@ -81,21 +81,34 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
 const TILE: TileShape = TileShape { blk_m: 32, blk_n: 32, blk_k: 16 };
 const WORKERS: usize = 2;
 
-/// Operands in `layout`. The executor reads a narrow row-major operand
-/// where it lies and packs nothing for it, so the tests of the pack
-/// storage pass [`Layout::ColMajor`]: a column-major B has no unit
-/// column stride and always packs; a column-major A packs once its
-/// height (its k-stride) passes 2 KiB — 256 `f64` rows.
+/// Operands with A in the first layout and B in the second. The
+/// executor reads a narrow row-major operand where it lies and packs
+/// nothing for it, and runs a launch as `Cᵀ = Bᵀ·Aᵀ` when that packs
+/// less (DESIGN.md §9, "Orientation"), so the tests of the pack
+/// storage pick operands that pack whichever way round a launch runs:
+/// [`PACKING`] packs exactly one of its operands, [`BOTH_PACK`] both.
 fn operands<T: streamk_matrix::Promote<T> + streamk_matrix::Scalar>(
     shapes: &[GemmShape],
-    layout: Layout,
+    (a_layout, b_layout): (Layout, Layout),
     seed: u64,
 ) -> (Vec<Matrix<T>>, Vec<Matrix<T>>) {
-    let fill = |rows, cols, s| Matrix::<T>::random::<T>(rows, cols, layout, s);
-    let a = shapes.iter().enumerate().map(|(i, s)| fill(s.m, s.k, seed + i as u64)).collect();
-    let b = shapes.iter().enumerate().map(|(i, s)| fill(s.k, s.n, seed + 100 + i as u64)).collect();
+    let fill = |rows, cols, layout, s| Matrix::<T>::random::<T>(rows, cols, layout, s);
+    let a = shapes.iter().enumerate().map(|(i, s)| fill(s.m, s.k, a_layout, seed + i as u64)).collect();
+    let b = shapes.iter().enumerate().map(|(i, s)| fill(s.k, s.n, b_layout, seed + 100 + i as u64)).collect();
     (a, b)
 }
+
+/// Narrow row-major operands: both read in place, either way round.
+const IN_PLACE: (Layout, Layout) = (Layout::RowMajor, Layout::RowMajor);
+/// A row-major A and a column-major B: in either orientation one of
+/// them is the right operand, whose lanes are not adjacent in storage
+/// — so exactly one operand packs, whichever way round the launch runs.
+const PACKING: (Layout, Layout) = (Layout::RowMajor, Layout::ColMajor);
+/// A column-major A more than 2 KiB tall and a row-major B more than
+/// 2 KiB wide (256 `f64`): both k-strides are past the in-place limit,
+/// so both operands pack in either orientation — a tie, which keeps
+/// the caller's.
+const BOTH_PACK: (Layout, Layout) = (Layout::ColMajor, Layout::RowMajor);
 
 /// One direct, one batched and one grouped problem with their
 /// operands, all ragged against [`TILE`].
@@ -115,14 +128,14 @@ impl<T: streamk_matrix::Promote<T> + streamk_matrix::Scalar> Problems<T> {
         batch: usize,
         instance: GemmShape,
         group: &[GemmShape],
-        layout: Layout,
+        layouts: (Layout, Layout),
         seed: u64,
     ) -> Self {
         let shapes: Vec<GemmShape> = std::iter::once(direct)
             .chain(std::iter::repeat_n(instance, batch))
             .chain(group.iter().copied())
             .collect();
-        let (a, b) = operands(&shapes, layout, seed);
+        let (a, b) = operands(&shapes, layouts, seed);
         Self {
             direct: Decomposition::stream_k(direct, TILE, WORKERS),
             batched: BatchedDecomposition::stream_k(BatchedSpace::new(batch, instance, TILE), WORKERS),
@@ -161,13 +174,13 @@ impl<T: streamk_matrix::Promote<T> + streamk_matrix::Scalar> Problems<T> {
     }
 }
 
-fn mixed_problems(layout: Layout, seed: u64) -> Problems<f32> {
+fn mixed_problems(layouts: (Layout, Layout), seed: u64) -> Problems<f32> {
     Problems::new(
         GemmShape::new(200, 168, 1100),
         6,
         GemmShape::new(96, 80, 72),
         &[GemmShape::new(72, 136, 264), GemmShape::new(40, 200, 1500), GemmShape::new(130, 50, 90)],
-        layout,
+        layouts,
         seed,
     )
 }
@@ -175,7 +188,7 @@ fn mixed_problems(layout: Layout, seed: u64) -> Problems<f32> {
 #[test]
 fn steady_state_launches_allocate_no_pack_storage() {
     let _gate = alloc_gate();
-    let p = mixed_problems(Layout::ColMajor, 0xA0);
+    let p = mixed_problems(PACKING, 0xA0);
     // One shard, so where a chunk lands does not depend on which
     // worker claimed what. (With a shard per worker a stolen range's
     // chunks continue in a neighbour's slab, which can strand a tail
@@ -217,7 +230,7 @@ fn steady_state_launches_allocate_no_pack_storage() {
 #[test]
 fn in_place_launches_leave_the_arena_alone() {
     let _gate = alloc_gate();
-    let p = mixed_problems(Layout::RowMajor, 0xA1);
+    let p = mixed_problems(IN_PLACE, 0xA1);
     let exec = CpuExecutor::with_threads(WORKERS).with_pack_shards(1);
     for _ in 0..3 {
         let _ = p.all(&exec);
@@ -227,7 +240,7 @@ fn in_place_launches_leave_the_arena_alone() {
 
     // The same on an arena a packing launch left warm: the in-place
     // launches neither consume nor settle it.
-    let packing = mixed_problems(Layout::ColMajor, 0xA2);
+    let packing = mixed_problems(PACKING, 0xA2);
     let _ = packing.gemm(&exec);
     let warm = exec.pack_arena_stats::<f32>();
     assert!(warm.fresh > 0 && warm.consumed_bytes > 0, "{warm:?}");
@@ -246,15 +259,58 @@ fn in_place_launches_leave_the_arena_alone() {
     assert!(grouped <= 41, "gemm_grouped made {grouped} allocations");
 }
 
+/// A launch that runs transposed hands its born output back without a
+/// copy. A `β = 0` `gemm` of column-major operands runs as
+/// `Cᵀ = Bᵀ·Aᵀ` — which reads both operands in place here, where the
+/// caller's way round would pack B — into a row-major `Cᵀ` that is C's
+/// column-major storage. It makes no more allocations than the same
+/// product launched that way round by the caller (row-major `Bᵀ` and
+/// `Aᵀ` over the same storage, which never swap), and its storage is
+/// that launch's, bit for bit.
+#[test]
+fn a_transposed_launch_allocates_no_more_than_its_twin() {
+    let _gate = alloc_gate();
+    let shape = GemmShape::new(200, 168, 1100);
+    let (a, b) = operands::<f32>(&[shape], (Layout::ColMajor, Layout::ColMajor), 0xD0);
+    let (a, b) = (&a[0], &b[0]);
+    let bt = Matrix::from_storage(shape.n, shape.k, Layout::RowMajor, b.clone().into_storage());
+    let at = Matrix::from_storage(shape.k, shape.m, Layout::RowMajor, a.clone().into_storage());
+    // Data-parallel: no split seam, so the two launches' tiles need not
+    // line up for their bits to.
+    let decomp = Decomposition::data_parallel(shape, TILE);
+    let twin = Decomposition::data_parallel(
+        GemmShape::new(shape.n, shape.m, shape.k),
+        TileShape { blk_m: TILE.blk_n, blk_n: TILE.blk_m, blk_k: TILE.blk_k },
+    );
+    let exec = CpuExecutor::with_threads(WORKERS);
+    for _ in 0..3 {
+        let _ = exec.gemm::<f32, f32>(a, b, &decomp);
+        let _ = exec.gemm::<f32, f32>(&bt, &at, &twin);
+    }
+    let (swapped, c) = allocs_during(|| exec.gemm::<f32, f32>(a, b, &decomp));
+    let (straight, ct) = allocs_during(|| exec.gemm::<f32, f32>(&bt, &at, &twin));
+    let stats = exec.pack_arena_stats::<f32>();
+    assert_eq!((stats.fresh, stats.consumed_bytes), (0, 0), "the column-major launch packed: {stats:?}");
+    assert!(swapped <= straight, "the transposed launch made {swapped} allocations, its twin {straight}");
+    assert_eq!((c.rows(), c.cols(), c.layout()), (shape.m, shape.n, Layout::ColMajor));
+    assert_eq!((ct.rows(), ct.cols(), ct.layout()), (shape.n, shape.m, Layout::RowMajor));
+    let bits = |m: &Matrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&c), bits(&ct), "C is not its twin's Cᵀ storage");
+}
+
 #[test]
 fn retention_is_one_launchs_consumption_and_dies_with_the_executor() {
     let _gate = alloc_gate();
-    // Column-major and, for the large launch, tall: both operands
-    // pack. The small launch packs its B only, which is still more
-    // than the arena's retention floor.
-    let large = GemmShape::new(264, 192, 2200);
+    // The large launch packs both operands ([`BOTH_PACK`]: 264 rows of
+    // A, 264 columns of B). The small one packs one of its operands
+    // ([`PACKING`]), which is still more than the arena's retention
+    // floor.
+    let large = GemmShape::new(264, 264, 2200);
     let small = GemmShape::new(128, 160, 360);
-    let (a, b) = operands::<f64>(&[large, small], Layout::ColMajor, 0xB0);
+    let (mut a, mut b) = operands::<f64>(&[large], BOTH_PACK, 0xB0);
+    let (a_small, b_small) = operands::<f64>(&[small], PACKING, 0xB1);
+    a.extend(a_small);
+    b.extend(b_small);
     // Process-wide lazies (thread-count probe, SIMD detection) are
     // allocated by whichever executor comes first: not this one.
     drop(CpuExecutor::with_threads(WORKERS).gemm::<f64, f64>(
@@ -314,7 +370,7 @@ fn results_on_recycled_storage_match_a_fresh_executors_bit_for_bit() {
             3,
             GemmShape::new(45, 51, 70),
             &[GemmShape::new(19, 23, 31), GemmShape::new(7, 53, 1100), GemmShape::new(41, 13, 67)],
-            Layout::ColMajor,
+            PACKING,
             0xC0,
         ),
         // Smaller everywhere: every range is a dirty prefix of a
@@ -324,17 +380,17 @@ fn results_on_recycled_storage_match_a_fresh_executors_bit_for_bit() {
             5,
             GemmShape::new(13, 17, 97),
             &[GemmShape::new(61, 58, 40), GemmShape::new(5, 5, 5)],
-            Layout::ColMajor,
+            PACKING,
             0xC1,
         ),
-        // Larger again, and tall enough that A packs too: the arena
-        // outgrows what it kept.
+        // Larger again — the direct launch packs 2100 k-steps of a
+        // 71- or 270-lane operand: the arena outgrows what it kept.
         Problems::<f64>::new(
             GemmShape::new(270, 71, 2100),
             4,
             GemmShape::new(70, 66, 130),
             &[GemmShape::new(96, 33, 1030), GemmShape::new(37, 129, 64), GemmShape::new(64, 64, 64)],
-            Layout::ColMajor,
+            PACKING,
             0xC2,
         ),
     ];

@@ -223,16 +223,20 @@ fn phase_times_fit_in_the_launch_on_a_split_deep_k_tile() {
     let tile = TileShape::new(32, 32, 16);
     let decomp = Decomposition::stream_k(shape, tile, 2);
     assert_eq!(decomp.split_tiles(), 1, "one tile, split across both CTAs");
-    // Operands the executor still packs (narrow row-major ones are
-    // read in place and record no pack span): a column-major B, and an
-    // A whose k-stride — the row length of the stored Aᵀ — is past
-    // 2 KiB.
+    // Operands the executor still packs, whichever way round it runs
+    // the launch (narrow row-major ones are read in place and record
+    // no pack span; DESIGN.md §9, "Orientation"): an A whose k-stride —
+    // the row length of the stored Aᵀ — is past 2 KiB, and a B that is
+    // a window of a row-major matrix as wide. Both have adjacent lanes
+    // and a long k-stride, so each packs as either operand: a tie,
+    // which keeps the caller's orientation.
     let at = Matrix::<f64>::random::<f64>(shape.k, 264, Layout::RowMajor, 0x7AC);
     let a = at.t().submatrix(0..shape.m, 0..shape.k);
-    let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::ColMajor, 0x7AD);
+    let wide = Matrix::<f64>::random::<f64>(shape.k, 264, Layout::RowMajor, 0x7AD);
+    let b = wide.view().submatrix(0..shape.k, 0..shape.n);
     let mut c = Matrix::<f64>::zeros(shape.m, shape.n, Layout::RowMajor);
     let exec = CpuExecutor::with_threads(2).with_trace(true);
-    exec.gemm_ex::<f64, f64>(1.0, &a, &b.view(), 0.0, &mut c, &decomp);
+    exec.gemm_ex::<f64, f64>(1.0, &a, &b, 0.0, &mut c, &decomp);
     let trace = exec.last_trace().unwrap();
     assert_eq!(trace.dropped_spans(), 0);
     let m = trace.metrics();
