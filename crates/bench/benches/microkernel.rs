@@ -1,17 +1,12 @@
-//! Criterion benches of the inner kernels: scalar `MacLoop` vs the
-//! 4×4 register-blocked microkernel vs the packed-panel pipeline, and
-//! the strided (generic) path.
-//!
-//! `packed_vs_blocked_512_f32` is the acceptance bench for the packed
-//! pipeline: a 512×512×512 f32→f32 single-thread sweep where the best
-//! packed variant must beat `mac_loop_blocked` (the `streamk bench`
-//! CLI records the ratio in `BENCH_cpu.json`).
+//! Criterion benches of the inner kernels: the scalar `MacLoop`
+//! against the register block (packed, read in place, and on its own),
+//! the strided (generic) path, and the tile epilogue.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use streamk_core::IterSpace;
 use streamk_cpu::{
-    mac_loop_blocked, mac_loop_kernel, mac_loop_kernel_cached, macloop::mac_loop_view,
+    mac_loop_kernel, mac_loop_kernel_cached, macloop::mac_loop_view,
     output::store_every_tile,
     simd::{simd_block, Strided},
     KernelKind, PackBuffers, PackCache, SimdLevel, WaitPolicy,
@@ -38,23 +33,14 @@ fn inner_kernels(c: &mut Criterion) {
             mac_loop_view(&a.view(), &b.view(), &space, 0, 0, iters, black_box(&mut accum));
         });
     });
-    group.bench_function("register_blocked_4x4", |bencher| {
+    group.bench_function("block", |bencher| {
         let mut accum = vec![0.0f64; tile.blk_m * tile.blk_n];
+        let mut bufs = PackBuffers::new();
         bencher.iter(|| {
             accum.fill(0.0);
-            mac_loop_blocked(&a.view(), &b.view(), &space, 0, 0, iters, black_box(&mut accum));
+            mac_loop_kernel(KernelKind::Block, &a.view(), &b.view(), &space, 0, 0, iters, black_box(&mut accum), &mut bufs);
         });
     });
-    for kind in KernelKind::PACKED {
-        group.bench_function(kind.name(), |bencher| {
-            let mut accum = vec![0.0f64; tile.blk_m * tile.blk_n];
-            let mut bufs = PackBuffers::new();
-            bencher.iter(|| {
-                accum.fill(0.0);
-                mac_loop_kernel(kind, &a.view(), &b.view(), &space, 0, 0, iters, black_box(&mut accum), &mut bufs);
-            });
-        });
-    }
     group.bench_function("scalar_strided", |bencher| {
         let mut accum = vec![0.0f64; tile.blk_m * tile.blk_n];
         bencher.iter(|| {
@@ -62,7 +48,7 @@ fn inner_kernels(c: &mut Criterion) {
             mac_loop_view(&a_t.view(), &b_t.view(), &space, 0, 0, iters, black_box(&mut accum));
         });
     });
-    group.bench_function("packed_strided_8x4", |bencher| {
+    group.bench_function("block_strided", |bencher| {
         // Packing normalizes layout: the strided penalty is paid once
         // per operand element, not once per MAC.
         let mut accum = vec![0.0f64; tile.blk_m * tile.blk_n];
@@ -70,7 +56,7 @@ fn inner_kernels(c: &mut Criterion) {
         bencher.iter(|| {
             accum.fill(0.0);
             mac_loop_kernel(
-                KernelKind::Packed8x4,
+                KernelKind::Block,
                 &a_t.view(),
                 &b_t.view(),
                 &space,
@@ -82,33 +68,6 @@ fn inner_kernels(c: &mut Criterion) {
             );
         });
     });
-    group.finish();
-}
-
-/// The acceptance bench: full 512³ f32 GEMM, one thread, every tile
-/// through the kernel under test.
-fn packed_vs_blocked_512_f32(c: &mut Criterion) {
-    let shape = GemmShape::new(512, 512, 512);
-    let tile = TileShape::new(64, 64, 16);
-    let space = IterSpace::new(shape, tile);
-    let a = Matrix::<f32>::random::<f32>(shape.m, shape.k, Layout::RowMajor, 3);
-    let b = Matrix::<f32>::random::<f32>(shape.k, shape.n, Layout::RowMajor, 4);
-    let iters = space.iters_per_tile();
-
-    let mut group = c.benchmark_group("gemm_512x512x512_f32_1thread");
-    group.sample_size(10);
-    for kind in [KernelKind::Blocked, KernelKind::Packed8x4, KernelKind::Packed4x8, KernelKind::Packed8x8] {
-        group.bench_function(kind.name(), |bencher| {
-            let mut accum = vec![0.0f32; tile.blk_m * tile.blk_n];
-            let mut bufs = PackBuffers::new();
-            bencher.iter(|| {
-                for t in 0..space.tiles() {
-                    accum.fill(0.0);
-                    mac_loop_kernel(kind, &a.view(), &b.view(), &space, t, 0, iters, black_box(&mut accum), &mut bufs);
-                }
-            });
-        });
-    }
     group.finish();
 }
 
@@ -204,7 +163,8 @@ fn in_place_alignment(c: &mut Criterion) {
 }
 
 /// The register block on its own: the host's vector block
-/// ([`simd_block`]) over one pair of packed panels, at a k-depth whose
+/// ([`simd_block`]) at each element type's shape (8 × 32 over f32,
+/// 8 × 16 over f64) over one pair of packed panels, at a k-depth whose
 /// panels stay in L1 (`kc64`) and at the pack cache's chunk depth
 /// (`kc1024`: 160–320 KiB of panels, streamed from L2 on every call).
 /// Every cell runs 2²⁵ MACs per iteration, so GF/s = 0.0671 / (s/iter).
@@ -242,12 +202,8 @@ fn register_block(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("register_block");
     group.sample_size(15);
-    cells::<f32, 4, 16>(&mut group, "f32");
-    cells::<f32, 8, 16>(&mut group, "f32");
     cells::<f32, 8, 32>(&mut group, "f32");
-    cells::<f64, 4, 16>(&mut group, "f64");
     cells::<f64, 8, 16>(&mut group, "f64");
-    cells::<f64, 8, 32>(&mut group, "f64");
     group.finish();
 }
 
@@ -285,7 +241,6 @@ fn epilogue(c: &mut Criterion) {
 criterion_group!(
     benches,
     inner_kernels,
-    packed_vs_blocked_512_f32,
     in_place_vs_packed_f32,
     in_place_alignment,
     register_block,

@@ -12,7 +12,7 @@ use streamk_corpus::{Corpus, CorpusConfig};
 use streamk_cpu::trace::ring_allocations;
 use streamk_cpu::{
     leaf_decomposition, mac_loop_kernel, mac_loop_kernel_cached, machine_epsilon, max_abs,
-    select_kernel_on, strassen_error_bound, CpuExecutor, FaultKind, FaultPlan, GemmService,
+    strassen_error_bound, CpuExecutor, FaultKind, FaultPlan, GemmService,
     KernelKind, LaunchRequest, PackBuffers, PackCache, Priority, RecoveryReport, ServeConfig,
     ServeError, ServeFaultKind, ServeFaultPlan, ServiceCounter, SimdLevel, StrassenArena, StrassenConfig,
     TelemetryRegistry, WaitPolicy,
@@ -232,7 +232,8 @@ pub fn execute(cli: &Cli) -> String {
 /// With `cached`, each run builds a fresh [`PackCache`] and drives the
 /// tiles through the cached dispatcher — panels are packed once per
 /// run instead of once per tile, which is exactly what the executor's
-/// grid does. Kernels without a register block ignore the flag.
+/// grid does. The scalar kernel, which has no register block, ignores
+/// the flag.
 #[allow(clippy::too_many_arguments)]
 fn time_kernel_f32(
     kind: KernelKind,
@@ -268,7 +269,7 @@ fn time_kernel_f32(
     times[times.len() / 2]
 }
 
-/// The bit-exactness gate, layer 1: every kernel's f64 output —
+/// The bit-exactness gate, layer 1: the register block's f64 output —
 /// privately packed *and* through a shared [`PackCache`] — must be
 /// *identical* to the scalar `mac_loop_view` on a ragged problem.
 /// Returns an error description on the first mismatch.
@@ -351,17 +352,15 @@ fn json_timings(timings: &[(KernelKind, f64)]) -> String {
     format!("{{{}}}", fields.join(", "))
 }
 
-/// The kernel sweep behind `streamk bench`: times every kernel
-/// generation (scalar, blocked, packed, SIMD) on the headline `size³`
-/// f32 problem — privately packed and through the shared
-/// [`PackCache`] — plus a corpus slice and a thread-scaling sweep,
-/// runs the two-layer f64 bit-exactness gate, reports
-/// `select_kernel_on`'s pick and the shape it was calibrated on, and
-/// writes the whole record to `out` as JSON.
+/// The kernel sweep behind `streamk bench`: times the register block
+/// against the scalar kernel on the headline `size³` f32 problem —
+/// privately packed and through the shared [`PackCache`] — plus a
+/// corpus slice and a thread-scaling sweep, runs the two-layer f64
+/// bit-exactness gate, and writes the whole record to `out` as JSON.
 ///
 /// # Panics
 ///
-/// Panics if any kernel or executor configuration fails the
+/// Panics if the kernel or an executor configuration fails the
 /// bit-exactness gates — CI treats that as a hard failure.
 fn run_bench(
     size: usize,
@@ -376,6 +375,7 @@ fn run_bench(
     let mut accum = Vec::new();
     let mut bufs = PackBuffers::new();
     let simd_level = SimdLevel::detect();
+    let block = KernelKind::Block;
 
     // Gates first: timings of wrong kernels are worthless.
     if let Err(e) = bit_exact_gate(tile) {
@@ -384,12 +384,13 @@ fn run_bench(
     if let Err(e) = executor_exact_gate(tile) {
         panic!("executor bit-exactness gate failed: {e}");
     }
-    let _ = writeln!(out, "bit-exactness gate: every kernel (packed + cached) identical to mac_loop_view (f64)");
+    let _ = writeln!(out, "bit-exactness gate: register block (packed + cached) identical to mac_loop_view (f64)");
     let _ = writeln!(out, "executor gate: pack cache on/off, 2..6 threads, and fault recovery all bit-identical (f64)");
     let _ = writeln!(out, "simd level: {simd_level}");
 
-    // Headline: size³ f32 -> f32, single thread, full kernel sweep,
-    // private per-tile packing vs one shared pack per GEMM.
+    // Headline: size³ f32 -> f32, single thread, scalar vs the
+    // register block, private per-tile packing vs one shared pack per
+    // GEMM.
     let shape = GemmShape::new(size, size, size);
     let space = IterSpace::new(shape, tile);
     let a = Matrix::<f32>::random::<f32>(shape.m, shape.k, layout, 1);
@@ -400,13 +401,9 @@ fn run_bench(
     let mut headline_cached: Vec<(KernelKind, f64)> = Vec::new();
     for kind in KernelKind::ALL {
         let t = time_kernel_f32(kind, false, &a, &b, &space, reps, &mut accum, &mut bufs);
-        // Kernels without panels take the identical path either way —
-        // don't time them twice.
-        let tc = if kind.uses_panels() {
-            time_kernel_f32(kind, true, &a, &b, &space, reps, &mut accum, &mut bufs)
-        } else {
-            t
-        };
+        // The scalar kernel takes the identical path either way —
+        // don't time it twice.
+        let tc = if kind == block { time_kernel_f32(kind, true, &a, &b, &space, reps, &mut accum, &mut bufs) } else { t };
         let _ = writeln!(
             out,
             "  {:<10} private {t:>10.3e} s ({:>6.2} GF/s)   cached {tc:>10.3e} s ({:>6.2} GF/s)",
@@ -417,35 +414,13 @@ fn run_bench(
         headline.push((kind, t));
         headline_cached.push((kind, tc));
     }
-    let scalar = headline.iter().find(|(k, _)| *k == KernelKind::Scalar).map_or(0.0, |&(_, t)| t);
-    let blocked = headline.iter().find(|(k, _)| *k == KernelKind::Blocked).map_or(0.0, |&(_, t)| t);
-    let best_packed = headline
-        .iter()
-        .filter(|(k, _)| k.is_packed())
-        .min_by(|x, y| x.1.total_cmp(&y.1))
-        .copied()
-        .unwrap_or((KernelKind::default(), f64::INFINITY));
-    let best_simd = headline_cached
-        .iter()
-        .filter(|(k, _)| k.is_simd())
-        .min_by(|x, y| x.1.total_cmp(&y.1))
-        .copied()
-        .unwrap_or((KernelKind::default(), f64::INFINITY));
-    let speedup = blocked / best_packed.1;
-    let simd_speedup = scalar / best_simd.1;
-    let _ = writeln!(
-        out,
-        "  packed vs blocked: {} is {speedup:.2}x the blocked4x4 kernel",
-        best_packed.0.name()
-    );
-    let _ = writeln!(
-        out,
-        "  simd vs scalar: {} (cached) is {simd_speedup:.2}x the scalar kernel",
-        best_simd.0.name()
-    );
+    let scalar_s = headline[0].1;
+    let block_s = headline_cached[1].1;
+    let speedup = scalar_s / block_s;
+    let _ = writeln!(out, "  block vs scalar: the register block (cached) is {speedup:.2}x the scalar kernel");
 
     // Corpus slice: clamp the log-uniform shapes so the sweep stays
-    // tractable, then time the kernel generations on each.
+    // tractable, then time both kernels on each.
     let cap = if smoke { 128 } else { 320 };
     let shapes: Vec<GemmShape> = Corpus::generate(CorpusConfig::smoke(corpus.max(1) * 3))
         .shapes()
@@ -453,49 +428,28 @@ fn run_bench(
         .map(|s| GemmShape::new(s.m.min(cap), s.n.min(cap), s.k.min(cap)))
         .take(corpus)
         .collect();
-    let corpus_kinds = [KernelKind::Scalar, KernelKind::Blocked, KernelKind::Packed8x8, KernelKind::default()];
     let mut corpus_rows: Vec<(GemmShape, Vec<(KernelKind, f64)>)> = Vec::new();
     let _ = writeln!(out, "\ncorpus slice ({} shapes, dims clamped to {cap}):", shapes.len());
     for s in &shapes {
         let sp = IterSpace::new(*s, tile);
         let ca = Matrix::<f32>::random::<f32>(s.m, s.k, Layout::RowMajor, 3);
         let cb = Matrix::<f32>::random::<f32>(s.k, s.n, Layout::RowMajor, 4);
-        let row: Vec<(KernelKind, f64)> = corpus_kinds
+        let row: Vec<(KernelKind, f64)> = KernelKind::ALL
             .iter()
-            .map(|&k| (k, time_kernel_f32(k, k.uses_panels(), &ca, &cb, &sp, reps, &mut accum, &mut bufs)))
+            .map(|&k| (k, time_kernel_f32(k, k == block, &ca, &cb, &sp, reps, &mut accum, &mut bufs)))
             .collect();
-        let _ = writeln!(
-            out,
-            "  {s}: scalar {:.3e}s  blocked {:.3e}s  packed8x8 {:.3e}s  {} {:.3e}s",
-            row[0].1,
-            row[1].1,
-            row[2].1,
-            corpus_kinds[3].name(),
-            row[3].1
-        );
+        let _ = writeln!(out, "  {s}: scalar {:.3e}s  block {:.3e}s", row[0].1, row[1].1);
         corpus_rows.push((*s, row));
     }
 
-    // Calibrated selection on the *headline* shape — the selection is
-    // only meaningful for the blocking it will actually run with, so
-    // the recorded calibration shape matches the configured tile.
-    let sel = select_kernel_on::<f32, f32>(tile, shape, reps);
-    let _ = writeln!(
-        out,
-        "\nselect_kernel_on {}: best = {} ({:.2} GFLOP/s)",
-        sel.shape,
-        sel.best.name(),
-        sel.gflops_of(sel.best).unwrap_or(0.0)
-    );
-
     // Thread-scaling sweep: the executor's grid at 1/2/4/N workers,
-    // best SIMD kernel, pack cache on vs off. Grid = worker count
+    // the register block, pack cache on vs off. Grid = worker count
     // (one CTA per worker, the Stream-K ideal).
     let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut thread_counts = vec![1usize, 2, 4, nproc];
     thread_counts.sort_unstable();
     thread_counts.dedup();
-    let _ = writeln!(out, "\nthread scaling ({shape} f32, kernel {}, grid = workers):", best_simd.0.name());
+    let _ = writeln!(out, "\nthread scaling ({shape} f32, kernel {block}, grid = workers):");
     let _ = writeln!(out, "  threads   private(s)    cached(s)   cache speedup");
     let mut sweep_rows: Vec<(usize, f64, f64)> = Vec::new();
     let mut sweep_stats: Vec<(usize, usize)> = Vec::new();
@@ -506,7 +460,7 @@ fn run_bench(
         // what is measured; returns (median, steals, deferrals of the
         // last rep).
         let time_exec = |cache: bool| -> (f64, usize, usize) {
-            let exec = CpuExecutor::with_threads(threads).with_kernel(best_simd.0).with_pack_cache(cache);
+            let exec = CpuExecutor::with_threads(threads).with_pack_cache(cache);
             let _ = exec.gemm::<f32, f32>(&a, &b, &decomp); // warm-up
             let mut times: Vec<f64> = (0..reps.max(1))
                 .map(|_| {
@@ -633,16 +587,13 @@ fn run_bench(
     let b_row = b.to_layout(Layout::RowMajor);
     let a_blk = a.to_layout(Layout::BlockMajor);
     let b_blk = b.to_layout(Layout::BlockMajor);
-    let _ = writeln!(out, "\nlayout comparison ({shape} f32, kernel {}, grid = workers):", best_simd.0.name());
+    let _ = writeln!(out, "\nlayout comparison ({shape} f32, kernel {block}, grid = workers):");
     let _ = writeln!(out, "  threads  row+shared(s)  row+sharded(s)  block+cache(s)  block+bypass(s)  best");
     let mut layout_json: Vec<String> = Vec::new();
     for &threads in &thread_counts {
         let decomp = Decomposition::stream_k(shape, tile, threads);
         let time_cfg = |am: &Matrix<f32>, bm: &Matrix<f32>, cache: bool, shards: usize| -> (f64, Matrix<f32>) {
-            let exec = CpuExecutor::with_threads(threads)
-                .with_kernel(best_simd.0)
-                .with_pack_cache(cache)
-                .with_pack_shards(shards);
+            let exec = CpuExecutor::with_threads(threads).with_pack_cache(cache).with_pack_shards(shards);
             let c = exec.gemm::<f32, f32>(am, bm, &decomp); // warm-up, kept for the exactness gate
             let mut times: Vec<f64> = (0..reps.max(1))
                 .map(|_| {
@@ -700,20 +651,14 @@ fn run_bench(
         .collect();
     let generated_by = provenance("bench");
     let json = format!(
-        "{{\n  \"generated_by\": \"{generated_by}\",\n  \"smoke\": {smoke},\n  \"tile\": \"{tile}\",\n  \"simd_level\": \"{simd_level}\",\n  \"nproc\": {nproc},\n  \"bit_exact_f64\": true,\n  \"headline\": {{\n    \"shape\": \"{shape}\",\n    \"dtype\": \"f32\",\n    \"reps\": {reps},\n    \"timings_s\": {},\n    \"cached_timings_s\": {},\n    \"best_packed\": \"{}\",\n    \"speedup_packed_vs_blocked\": {speedup:.3},\n    \"best_simd\": \"{}\",\n    \"best_simd_gflops\": {:.2},\n    \"speedup_simd_vs_scalar\": {simd_speedup:.3}\n  }},\n  \"thread_scaling\": [\n{}\n  ],\n  \"parallel_efficiency\": [\n{}\n  ],\n  \"tracing_overhead\": {{\"shape\": \"{t_shape}\", \"threads\": {t_threads}, \"trace_off_s\": {trace_off:.6e}, \"trace_on_s\": {trace_on:.6e}, \"overhead_pct\": {overhead_pct:.2}, \"overhead_raw_pct\": {overhead_raw_pct:.2}, \"gate_pct\": 5.0, \"within_gate\": {trace_within_gate}}},\n  \"layout_comparison\": {{\n    \"shape\": \"{shape}\",\n    \"dtype\": \"f32\",\n    \"kernel\": \"{}\",\n    \"headline_layout\": \"{layout}\",\n    \"bit_exact\": true,\n    \"rows\": [\n{}\n    ]\n  }},\n  \"corpus\": [\n{}\n  ],\n  \"selection\": {{\"best\": \"{}\", \"shape\": \"{}\", \"timings_s\": {}}}\n}}\n",
+        "{{\n  \"generated_by\": \"{generated_by}\",\n  \"smoke\": {smoke},\n  \"tile\": \"{tile}\",\n  \"simd_level\": \"{simd_level}\",\n  \"nproc\": {nproc},\n  \"bit_exact_f64\": true,\n  \"headline\": {{\n    \"shape\": \"{shape}\",\n    \"dtype\": \"f32\",\n    \"reps\": {reps},\n    \"timings_s\": {},\n    \"cached_timings_s\": {},\n    \"block_gflops\": {:.2},\n    \"speedup_block_vs_scalar\": {speedup:.3}\n  }},\n  \"thread_scaling\": [\n{}\n  ],\n  \"parallel_efficiency\": [\n{}\n  ],\n  \"tracing_overhead\": {{\"shape\": \"{t_shape}\", \"threads\": {t_threads}, \"trace_off_s\": {trace_off:.6e}, \"trace_on_s\": {trace_on:.6e}, \"overhead_pct\": {overhead_pct:.2}, \"overhead_raw_pct\": {overhead_raw_pct:.2}, \"gate_pct\": 5.0, \"within_gate\": {trace_within_gate}}},\n  \"layout_comparison\": {{\n    \"shape\": \"{shape}\",\n    \"dtype\": \"f32\",\n    \"kernel\": \"{block}\",\n    \"headline_layout\": \"{layout}\",\n    \"bit_exact\": true,\n    \"rows\": [\n{}\n    ]\n  }},\n  \"corpus\": [\n{}\n  ]\n}}\n",
         json_timings(&headline),
         json_timings(&headline_cached),
-        best_packed.0.name(),
-        best_simd.0.name(),
-        flops / best_simd.1 / 1e9,
+        flops / block_s / 1e9,
         sweep_json.join(",\n"),
         eff_json.join(",\n"),
-        best_simd.0.name(),
         layout_json.join(",\n"),
         corpus_json.join(",\n"),
-        sel.best.name(),
-        sel.shape,
-        json_timings(&sel.timings),
     );
     match std::fs::write(out_path, &json) {
         Ok(()) => {
@@ -771,8 +716,7 @@ fn measure_candidate(
 ) -> MeasuredCell {
     let decomp = candidate.decompose(shape);
     let reference = base.clone().with_kernel(KernelKind::Scalar).gemm::<f64, f64>(a, b, &decomp);
-    let exec = base.clone().with_kernel(candidate.kernel);
-    let c = exec.gemm::<f64, f64>(a, b, &decomp); // warm-up + exactness probe
+    let c = base.gemm::<f64, f64>(a, b, &decomp); // warm-up + exactness probe
     assert!(
         c.max_abs_diff(&reference) == 0.0,
         "select-bench: candidate {candidate} on {shape} diverged from the scalar run of its own decomposition"
@@ -780,7 +724,7 @@ fn measure_candidate(
     let mut times: Vec<f64> = (0..reps.max(1))
         .map(|_| {
             let t0 = Instant::now();
-            let _ = exec.gemm::<f64, f64>(a, b, &decomp);
+            let _ = base.gemm::<f64, f64>(a, b, &decomp);
             t0.elapsed().as_secs_f64()
         })
         .collect();
@@ -788,7 +732,7 @@ fn measure_candidate(
     MeasuredCell {
         candidate: *candidate,
         median_s: times[times.len() / 2],
-        wait_s: exec.last_stats().wait_stall.as_secs_f64(),
+        wait_s: base.last_stats().wait_stall.as_secs_f64(),
     }
 }
 
@@ -1069,7 +1013,7 @@ fn wave_skews(mut spans: Vec<(f64, f64)>, width: usize) -> Vec<f64> {
 }
 
 /// The Strassen–Winograd crossover study behind `streamk
-/// strassen-bench`: for each cubic size, the classical simd8x32
+/// strassen-bench`: for each cubic size, the classical register-block
 /// executor races a forced depth-1 hybrid and an adaptive-depth
 /// hybrid (recursing under `cutoff`), every hybrid result is gated
 /// against the DESIGN.md §15 forward-error bound, and the section
@@ -1086,7 +1030,7 @@ fn run_strassen_bench(
     out_path: &str,
 ) -> String {
     let mut out = String::new();
-    let exec = CpuExecutor::with_threads(threads).with_kernel(KernelKind::Simd8x32);
+    let exec = CpuExecutor::with_threads(threads);
     let sizes: &[usize] = if smoke { &[128, 256] } else { &[512, 768, 1024, 1536, 2048] };
     let eps32 = machine_epsilon::<f32>();
 
@@ -1251,7 +1195,7 @@ fn run_strassen_bench(
 
     let generated_by = provenance("strassen-bench");
     let section = format!(
-        "{{\n    \"generated_by\": \"{generated_by}\",\n    \"smoke\": {smoke},\n    \"dtype\": \"f32\",\n    \"kernel\": \"simd8x32\",\n    \"threads\": {threads},\n    \"tile\": \"{tile}\",\n    \"cutoff\": {cutoff},\n    \"reps\": {reps},\n    \"rows\": [\n{}\n    ],\n    \"classical_f64_bit_exact\": {classical_f64_bit_exact},\n    \"fallback_below_cutoff\": {fallback_below_cutoff},\n    \"service_group_ok\": {service_group_ok},\n    \"all_within_bound\": {all_within},\n    \"crossover_size\": {},\n    \"largest_size\": {largest_size},\n    \"classical_s_at_largest\": {largest_classical:.6e},\n    \"hybrid_s_at_largest\": {largest_hybrid:.6e},\n    \"hybrid_speedup_at_largest\": {speedup_at_largest:.4},\n    \"hybrid_beats_classical_at_largest\": {}\n  }}",
+        "{{\n    \"generated_by\": \"{generated_by}\",\n    \"smoke\": {smoke},\n    \"dtype\": \"f32\",\n    \"kernel\": \"block\",\n    \"threads\": {threads},\n    \"tile\": \"{tile}\",\n    \"cutoff\": {cutoff},\n    \"reps\": {reps},\n    \"rows\": [\n{}\n    ],\n    \"classical_f64_bit_exact\": {classical_f64_bit_exact},\n    \"fallback_below_cutoff\": {fallback_below_cutoff},\n    \"service_group_ok\": {service_group_ok},\n    \"all_within_bound\": {all_within},\n    \"crossover_size\": {},\n    \"largest_size\": {largest_size},\n    \"classical_s_at_largest\": {largest_classical:.6e},\n    \"hybrid_s_at_largest\": {largest_hybrid:.6e},\n    \"hybrid_speedup_at_largest\": {speedup_at_largest:.4},\n    \"hybrid_beats_classical_at_largest\": {}\n  }}",
         rows.join(",\n"),
         crossover.map_or("null".to_string(), |n| n.to_string()),
         speedup_at_largest >= 1.0,
@@ -2242,15 +2186,14 @@ mod tests {
         ));
         assert!(out.contains("bit-exactness gate"), "{out}");
         assert!(out.contains("executor gate"), "{out}");
-        assert!(out.contains("packed vs blocked"), "{out}");
-        assert!(out.contains("simd vs scalar"), "{out}");
-        assert!(out.contains("select_kernel_on"), "{out}");
+        assert!(out.contains("block vs scalar"), "{out}");
+        assert!(!out.contains("select_kernel_on"), "{out}");
         assert!(out.contains("thread scaling"), "{out}");
         assert!(out.contains("wrote"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"bit_exact_f64\": true"), "{json}");
-        assert!(json.contains("\"speedup_packed_vs_blocked\""), "{json}");
-        assert!(json.contains("\"speedup_simd_vs_scalar\""), "{json}");
+        assert!(json.contains("\"speedup_block_vs_scalar\""), "{json}");
+        assert!(json.contains("\"block_gflops\""), "{json}");
         assert!(json.contains("\"cached_timings_s\""), "{json}");
         assert!(json.contains("\"thread_scaling\""), "{json}");
         assert!(json.contains("\"simd_level\""), "{json}");
@@ -2272,12 +2215,11 @@ mod tests {
             assert!(json.contains(cell), "missing {cell}: {json}");
         }
         assert!(out.contains("layout comparison"), "{out}");
-        // The selection records the shape it calibrated on.
-        assert!(json.contains("\"selection\": {\"best\""), "{json}");
+        // No kernel contest: the headline times the two kinds there are.
+        assert!(!json.contains("\"selection\""), "{json}");
         assert!(json.contains("\"shape\": \"96x96x96\""), "{json}");
-        for name in ["scalar", "blocked4x4", "packed8x4", "packed4x8", "simd4x16", "simd8x32"] {
-            assert!(json.contains(name), "missing {name}: {json}");
-        }
+        assert!(json.contains("\"timings_s\": {\"scalar\": "), "{json}");
+        assert!(json.contains("\"block\": "), "{json}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -682,8 +682,9 @@ mod tests {
     }
 
     /// The group under `ctas` Stream-K CTAs on `workers` plain threads
-    /// (no pool: `Worker::run` is the whole of a worker), portable
-    /// kernel, recovery on: the outputs and what recovery did.
+    /// (no pool: `Worker::run` is the whole of a worker), the register
+    /// block (portable under Miri), recovery on: the outputs and what
+    /// recovery did.
     fn run(workers: usize, ctas: usize, plan: FaultPlan) -> (Vec<Matrix<f64>>, Vec<RecoveryEvent>) {
         run_oriented(workers, ctas, plan, [false; 2])
     }
@@ -720,7 +721,7 @@ mod tests {
         let grid = Grid { ctas: decomp.ctas(), instances: &instances, alpha: 1.0, beta: 0.0 };
         let policy = WaitPolicy::with_watchdog(Duration::from_millis(50));
         let launch =
-            Launch::new(ctas, &decomp.fixups(), plan, policy, KernelKind::Packed8x8, None, true, None);
+            Launch::new(ctas, &decomp.fixups(), plan, policy, KernelKind::Block, None, true, None);
         let sched = CtaScheduler::new(ctas, workers);
         std::thread::scope(|scope| {
             for wid in 0..workers {

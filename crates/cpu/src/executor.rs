@@ -62,16 +62,16 @@ pub struct ExecutorConfig {
     /// Watchdog deadline for each owner-side `Wait`: a peer that has
     /// not signaled within this budget is treated as lost.
     pub watchdog: Duration,
-    /// Inner MAC-loop kernel every worker runs. All [`KernelKind`]s
-    /// are bit-exact against each other, so this is a pure speed
-    /// knob; [`crate::calibrate::select_kernel`] can pick it
-    /// empirically.
+    /// Inner MAC-loop kernel every worker runs: the register block
+    /// (the default) or the scalar oracle. The two are bit-exact
+    /// against each other; the scalar kernel is the reference tests
+    /// compare launches with.
     pub kernel: KernelKind,
     /// Serve packed panels from the grid-shared [`PackCache`] (each
     /// panel packed exactly once per launch) instead of re-packing
     /// per CTA segment. Results are bit-identical either way; this is
-    /// a pure speed knob. Ignored by kernels that do not consume
-    /// panels.
+    /// a pure speed knob. Ignored by the scalar kernel, which consumes
+    /// no panels.
     pub pack_cache: bool,
     /// Shard count for the pack cache: `0` (the default) means one
     /// shard per worker, so each worker packs into — and reads from —
@@ -1009,8 +1009,9 @@ mod tests {
 
     /// End-to-end block-major launches: operands (and therefore C)
     /// stored natively blocked are bit-exact against the row-major
-    /// run, for the zero-pack bypass kernel, a cache-fed kernel, and
-    /// the Morton variant, across shard configurations.
+    /// run, for the register block (A through the zero-pack bypass, B
+    /// through the cache), the scalar kernel, and the Morton variant,
+    /// across shard configurations.
     #[test]
     fn block_major_operands_are_bit_exact_end_to_end() {
         let shape = GemmShape::new(61, 53, 80);
@@ -1018,7 +1019,7 @@ mod tests {
         let decomp = Decomposition::stream_k(shape, tile, 4);
         let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::RowMajor, 43);
         let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::RowMajor, 44);
-        for kind in [KernelKind::Simd8x32, KernelKind::Packed8x8, KernelKind::Scalar] {
+        for kind in KernelKind::ALL {
             let reference =
                 CpuExecutor::with_threads(4).with_kernel(kind).gemm::<f64, f64>(&a, &b, &decomp);
             for layout in [Layout::BlockMajor, Layout::BlockMajorZ] {

@@ -77,7 +77,6 @@ pub mod trace;
 pub mod workspace;
 
 pub use arena::ArenaStats;
-pub use calibrate::{select_kernel, select_kernel_on, KernelSelection};
 pub use executor::{
     CpuExecutor, ExecStats, ExecutorConfig, RecoveryCause, RecoveryEvent, RecoveryReport,
 };
@@ -91,11 +90,7 @@ pub use serve::{
     AdmissionError, CompletionHandle, GemmService, GroupError, GroupHandle, LaunchRequest,
     Priority, RequestStats, ServeConfig, ServeError, ServiceStats,
 };
-pub use microkernel::{
-    mac_loop_blocked, mac_loop_cached, mac_loop_kernel, KernelKind,
-    PanelSpan,
-    PackBuffers,
-};
+pub use microkernel::{mac_loop_cached, mac_loop_kernel, KernelKind, PackBuffers, PanelSpan};
 pub use packcache::{mac_loop_kernel_cached, PackCache, PanelGuard};
 pub use simd::SimdLevel;
 pub use strassen::{

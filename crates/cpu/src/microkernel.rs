@@ -2,26 +2,22 @@
 //!
 //! The paper's `MacLoop` implementations "fully unroll the per-thread
 //! MAC-loop iteration [and] implement additional blocking at the warp
-//! and/or thread levels" (§3.2). This module is the CPU analogue, in
-//! three generations:
+//! and/or thread levels" (§3.2). This module is the CPU analogue: one
+//! register block per element type. Operands are read as BLIS-style
+//! `MR`/`NR` panels ([`streamk_matrix::pack`]) and a const-generic
+//! `MR × NR` block walks both; ragged edges are zero-padded at pack
+//! time, so there is no scalar edge path — padded lanes are computed
+//! and discarded. The block is dispatched to a runtime-detected
+//! AVX-512F/AVX2 kernel ([`crate::simd`]) where one exists and runs
+//! the portable scalar block otherwise (f16 inputs, non-x86 hosts,
+//! Miri); one fused multiply-add per lane per k-step — the same
+//! [`Scalar::mac`] the scalar oracle performs — keeps the two
+//! bit-exact.
 //!
-//! - [`mac_loop_blocked`] — a `4 × 4` register-blocked update over
-//!   *unpacked* row-contiguous views, with a scalar edge path;
-//! - the packed-panel pipeline ([`KernelKind::is_packed`]): operands
-//!   are first copied into BLIS-style `MR`/`NR` panels
-//!   ([`streamk_matrix::pack`]), then a const-generic `MR × NR`
-//!   register block walks both panels. Ragged edges are zero-padded at
-//!   pack time, so there is no scalar edge path — padded lanes are
-//!   computed and discarded;
-//! - the SIMD variants ([`KernelKind::is_simd`]) — the same panel walk
-//!   with the inner block dispatched to runtime-detected AVX-512F/AVX2
-//!   kernels ([`crate::simd`]); one fused multiply-add per lane per
-//!   k-step — the same [`Scalar::mac`] every generation performs —
-//!   keeps it bit-exact with all of them.
-//!
-//! Both panel generations run through [`mac_loop_kernel`] at the block
-//! [`KernelKind::panel_geometry`] gives for the element type — the one
-//! place a panel width is chosen.
+//! Which block runs is a function of the element type alone:
+//! [`KernelKind::panel_geometry`] is the one place a panel width is
+//! chosen, and [`KernelKind`] names only the block and the scalar
+//! oracle ([`mac_loop_view`]) the tests compare it against.
 //!
 //! **One register block, addressed by strides.** The block — vector
 //! or scalar — reads A as `a[i·rs + k·ks]` and B as `b[k·ks + j]`
@@ -31,23 +27,21 @@
 //! it lies* and never copied, the way the paper's `MacLoop` streams
 //! fragments straight from the operands. [`PanelSpan`] describes
 //! either source for a whole tile, and [`mac_loop_cached`] walks a
-//! tile's register blocks over two of them: full `MR × NR` blocks
-//! accumulate directly in the tile's accumulator, ragged corners
-//! through a zero-padded stack tile. Which source serves an operand —
-//! block-major bypass, in place, the grid-shared
+//! tile's register blocks over two of them at any `MR × NR`: full
+//! blocks accumulate directly in the tile's accumulator, ragged
+//! corners through a zero-padded stack tile. Which source serves an
+//! operand — block-major bypass, in place, the grid-shared
 //! [`crate::packcache::PackCache`], a private pack — is decided in
 //! [`crate::packcache::mac_loop_kernel_cached`], per operand per
 //! k-chunk.
 //!
-//! Every kernel accumulates each output element in ascending-k order
-//! with the one fused MAC ([`Scalar::mac`], DESIGN.md §9), so all of
-//! them — and the scalar
-//! [`mac_loop_view`](crate::macloop::mac_loop_view) — produce
+//! Every path accumulates each output element in ascending-k order
+//! with the one fused MAC ([`Scalar::mac`], DESIGN.md §9), so the
+//! block — at every geometry the tests drive it at — and the scalar
+//! [`mac_loop_view`](crate::macloop::mac_loop_view) produce
 //! bit-identical results whatever the operands' source; property tests
-//! pin that. [`KernelKind`] names each variant for runtime selection
-//! (see [`crate::calibrate::select_kernel`]), and [`mac_loop_kernel`]
-//! is the always-pack dispatch point (the reference the source rule is
-//! tested against).
+//! pin that. [`mac_loop_kernel`] is the always-pack dispatch point
+//! (the reference the source rule is tested against).
 
 use std::fmt;
 use std::ops::Range;
@@ -59,11 +53,6 @@ use streamk_matrix::{
 
 use crate::macloop::mac_loop_view;
 use crate::simd::{assert_block_bounds, simd_block, SimdLevel, Strided};
-
-/// Register block height of the legacy unpacked kernel.
-pub const MR: usize = 4;
-/// Register block width of the legacy unpacked kernel.
-pub const NR: usize = 4;
 
 /// The most packed operand one k-step of a register block may span:
 /// two 512-bit vectors. Past it the block's `MR · NR` accumulators no
@@ -108,15 +97,11 @@ pub(crate) fn stage<In: Copy + Default>(buf: &mut AlignedVec<In>, len: usize) ->
 
 /// Expands `$run!(MR, NR)` at the register block `$block`: the one
 /// list of `(MR, NR)` shapes the panel pipeline is compiled for, shared
-/// by the always-pack and the source-rule dispatch.
+/// by the always-pack and the source-rule dispatch — the two
+/// [`KernelKind::panel_geometry`] gives.
 macro_rules! at_block {
     ($block:expr, $run:ident) => {
         match $block {
-            (4, 4) => $run!(4, 4),
-            (8, 4) => $run!(8, 4),
-            (4, 8) => $run!(4, 8),
-            (8, 8) => $run!(8, 8),
-            (4, 16) => $run!(4, 16),
             (8, 16) => $run!(8, 16),
             (8, 32) => $run!(8, 32),
             (mr, nr) => unreachable!("no register block is {mr}x{nr}"),
@@ -125,136 +110,60 @@ macro_rules! at_block {
 }
 pub(crate) use at_block;
 
-/// The inner-kernel implementations the executors can run.
+/// The inner kernels the executors can run: the register block, and
+/// the scalar oracle it is tested against.
 ///
-/// All variants are bit-exact against each other (identical
-/// ascending-k accumulation per output element); they differ only in
-/// speed. `Blocked` requires row-contiguous operands and silently
-/// falls back to `Scalar` otherwise; the packed variants normalize
-/// any operand layout at pack time.
+/// Both are bit-exact against each other (identical ascending-k
+/// accumulation per output element); they differ only in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
-    /// The scalar `MacLoop` ([`mac_loop_view`]); works on any strides.
+    /// The scalar `MacLoop` ([`mac_loop_view`]); works on any strides
+    /// and packs nothing. The reference every other path is compared
+    /// with.
     Scalar,
-    /// The legacy unpacked `4 × 4` register block.
-    Blocked,
-    /// Packed panels with a `4 × 4` register block.
-    Packed4x4,
-    /// Packed panels with an `8 × 4` register block.
-    Packed8x4,
-    /// Packed panels with a `4 × 8` register block.
-    Packed4x8,
-    /// Packed panels with an `8 × 8` register block.
-    Packed8x8,
-    /// SIMD `4 × 16` block (one AVX-512 / two AVX2 vectors wide).
-    Simd4x16,
-    /// SIMD `8 × 16` block (eight accumulator vectors on AVX-512).
-    Simd8x16,
-    /// SIMD `8 × 32` block (sixteen AVX-512 accumulator vectors —
-    /// the default: sixteen independent `vfmadd` chains cover the FMA
-    /// latency of both FP ports (4 cycles × 2 ports needs eight) with
-    /// room for the loads between them, and the widest measured
-    /// throughput on AVX-512 hosts; non-x86 builds fall back to the
-    /// scalar block at the same shape). Over f64 it packs 16-wide
-    /// panels and runs `8 × 16`, again sixteen accumulator vectors
-    /// ([`panel_geometry`](Self::panel_geometry)).
+    /// The register block, at the shape
+    /// [`panel_geometry`](Self::panel_geometry) gives for the element
+    /// type: `8 × 32` over 4-byte and 2-byte elements (sixteen
+    /// AVX-512 accumulator vectors: sixteen independent `vfmadd`
+    /// chains cover the FMA latency of both FP ports — 4 cycles × 2
+    /// ports needs eight — with room for the loads between them),
+    /// `8 × 16` over f64, again sixteen accumulator vectors. The
+    /// vector kernel runs where [`SimdLevel::detect`] finds one, the
+    /// portable block at the same shape otherwise.
     #[default]
-    Simd8x32,
+    Block,
 }
 
 impl KernelKind {
-    /// Every selectable kernel.
-    pub const ALL: [KernelKind; 9] = [
-        KernelKind::Scalar,
-        KernelKind::Blocked,
-        KernelKind::Packed4x4,
-        KernelKind::Packed8x4,
-        KernelKind::Packed4x8,
-        KernelKind::Packed8x8,
-        KernelKind::Simd4x16,
-        KernelKind::Simd8x16,
-        KernelKind::Simd8x32,
-    ];
-
-    /// The scalar packed-panel variants.
-    pub const PACKED: [KernelKind; 4] =
-        [KernelKind::Packed4x4, KernelKind::Packed8x4, KernelKind::Packed4x8, KernelKind::Packed8x8];
-
-    /// The SIMD packed-panel variants (scalar fallback on hosts
-    /// without the vector unit or for unsupported element types).
-    pub const SIMD: [KernelKind; 3] =
-        [KernelKind::Simd4x16, KernelKind::Simd8x16, KernelKind::Simd8x32];
+    /// Every kernel.
+    pub const ALL: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Block];
 
     /// Stable lowercase name (used by the CLI and `BENCH_cpu.json`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::Blocked => "blocked4x4",
-            KernelKind::Packed4x4 => "packed4x4",
-            KernelKind::Packed8x4 => "packed8x4",
-            KernelKind::Packed4x8 => "packed4x8",
-            KernelKind::Packed8x8 => "packed8x8",
-            KernelKind::Simd4x16 => "simd4x16",
-            KernelKind::Simd8x16 => "simd8x16",
-            KernelKind::Simd8x32 => "simd8x32",
+            KernelKind::Block => "block",
         }
     }
 
-    /// Parses [`name`](Self::name)'s output back into a kind.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.name() == s)
-    }
-
-    /// Whether this variant runs the scalar packed-panel pipeline.
-    #[must_use]
-    pub fn is_packed(self) -> bool {
-        matches!(
-            self,
-            KernelKind::Packed4x4 | KernelKind::Packed8x4 | KernelKind::Packed4x8 | KernelKind::Packed8x8
-        )
-    }
-
-    /// Whether this variant runs the SIMD packed-panel pipeline.
-    #[must_use]
-    pub fn is_simd(self) -> bool {
-        matches!(self, KernelKind::Simd4x16 | KernelKind::Simd8x16 | KernelKind::Simd8x32)
-    }
-
-    /// Whether this variant consumes packed panels at all — i.e.
-    /// whether the grid-shared [`crate::packcache::PackCache`] can
-    /// serve it.
-    #[must_use]
-    pub fn uses_panels(self) -> bool {
-        self.is_packed() || self.is_simd()
-    }
-
-    /// The register block `(MR, NR)` this variant runs, and the panel
-    /// widths it packs, over input elements of type `In`: its nominal
-    /// shape with `NR` capped at `PANEL_BYTES` (128 bytes, two 512-bit
-    /// vectors) of packed operand. The cap moves exactly one cell —
-    /// [`Simd8x32`](Self::Simd8x32) over f64 is `(8, 16)` — and every
-    /// path that sizes a panel (the pack caches, the executors' launch
-    /// cache, both dispatchers) asks here. `None` for the variants that
-    /// consume no panels (scalar / blocked).
+    /// The register block `(MR, NR)` this kind runs, and the panel
+    /// widths it packs, over input elements of type `In`: `8 × 32` with
+    /// `NR` capped at `PANEL_BYTES` (128 bytes, two 512-bit vectors) of
+    /// packed operand, so f64 runs `8 × 16`. Every path that sizes a
+    /// panel (the pack caches, the executors' launch cache, both
+    /// dispatchers) asks here. `None` for [`Scalar`](Self::Scalar),
+    /// which consumes no panels.
     #[must_use]
     pub fn panel_geometry<In>(self) -> Option<(usize, usize)> {
-        let (mr, nr) = match self {
-            KernelKind::Packed4x4 => (4, 4),
-            KernelKind::Packed8x4 => (8, 4),
-            KernelKind::Packed4x8 => (4, 8),
-            KernelKind::Packed8x8 => (8, 8),
-            KernelKind::Simd4x16 => (4, 16),
-            KernelKind::Simd8x16 => (8, 16),
-            KernelKind::Simd8x32 => (8, 32),
-            KernelKind::Scalar | KernelKind::Blocked => return None,
-        };
-        Some((mr, nr.min(PANEL_BYTES / size_of::<In>())))
+        match self {
+            KernelKind::Block => Some((8, 32usize.min(PANEL_BYTES / size_of::<In>()))),
+            KernelKind::Scalar => None,
+        }
     }
 
     /// The nominal register block: [`panel_geometry`](Self::panel_geometry)
-    /// over 4-byte elements, where no variant reaches the cap.
+    /// over 4-byte elements, where the cap does not bind.
     #[must_use]
     pub fn register_block(self) -> Option<(usize, usize)> {
         self.panel_geometry::<f32>()
@@ -271,9 +180,8 @@ impl fmt::Display for KernelKind {
 /// `tile_idx` with `kind`'s kernel, adding into `accum` (row-major
 /// `BLK_M × BLK_N`). The one dispatch point behind every executor.
 ///
-/// `bufs` is the caller's pack staging; untouched by the unpacked
-/// variants. [`KernelKind::Blocked`] falls back to the scalar path on
-/// non-row-contiguous operands. The panel variants pack and run at
+/// `bufs` is the caller's pack staging; untouched by
+/// [`KernelKind::Scalar`]. [`KernelKind::Block`] packs and runs at
 /// [`KernelKind::panel_geometry`] for `In`.
 ///
 /// # Panics
@@ -297,12 +205,9 @@ pub fn mac_loop_kernel<In, Acc>(
     Acc: Scalar,
 {
     let Some(block) = kind.panel_geometry::<In>() else {
-        if kind == KernelKind::Blocked && a.rows_contiguous() && b.rows_contiguous() {
-            return mac_loop_blocked(a, b, space, tile_idx, local_begin, local_end, accum);
-        }
         return mac_loop_view(a, b, space, tile_idx, local_begin, local_end, accum);
     };
-    let level = kind.is_simd().then(SimdLevel::detect);
+    let level = Some(SimdLevel::detect());
     macro_rules! run {
         ($mr:literal, $nr:literal) => {
             mac_loop_panels::<In, Acc, $mr, $nr>(level, a, b, space, tile_idx, local_begin, local_end, accum, bufs)
@@ -311,8 +216,8 @@ pub fn mac_loop_kernel<In, Acc>(
     at_block!(block, run)
 }
 
-/// The always-pack pipeline behind [`mac_loop_kernel`]'s panel
-/// variants, at the `MR × NR` block [`KernelKind::panel_geometry`]
+/// The always-pack pipeline behind [`mac_loop_kernel`]'s register
+/// block, at the `MR × NR` block [`KernelKind::panel_geometry`]
 /// picked: packs the segment's whole operand block (zero-padded) into
 /// `bufs`, then hands the two packed tables to [`mac_loop_cached`] —
 /// vectorized when `level` is `Some` and a SIMD kernel matches, scalar
@@ -623,128 +528,6 @@ pub(crate) fn packed_block<In, Acc, const MR_: usize, const NR_: usize>(
     }
 }
 
-/// Executes local MAC-loop iterations `[local_begin, local_end)` of
-/// `tile_idx` with `MR × NR` register blocking, adding into `accum`
-/// (row-major `BLK_M × BLK_N`).
-///
-/// Requires row-contiguous operand views; falls back to the scalar
-/// path for the ragged edges of the tile.
-///
-/// # Panics
-///
-/// Panics if the views are not row-contiguous, `accum` has the wrong
-/// size, or the local range is out of bounds.
-#[inline]
-pub fn mac_loop_blocked<In, Acc>(
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    space: &IterSpace,
-    tile_idx: usize,
-    local_begin: usize,
-    local_end: usize,
-    accum: &mut [Acc],
-) where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    assert!(a.rows_contiguous() && b.rows_contiguous(), "blocked microkernel requires row-contiguous operands");
-    let tile = space.tile();
-    assert_eq!(accum.len(), tile.blk_m * tile.blk_n, "accumulator must be BLK_M x BLK_N");
-    assert!(local_end <= space.iters_per_tile(), "local range out of bounds");
-    let (rows, cols) = space.tile_extents(tile_idx);
-    let (r0, c0) = (rows.start, cols.start);
-    let m_extent = rows.end - rows.start;
-    let n_extent = cols.end - cols.start;
-    let m_main = m_extent - m_extent % MR;
-    let n_main = n_extent - n_extent % NR;
-
-    for local in local_begin..local_end {
-        let ks = space.k_extents(local);
-
-        // Main MR x NR blocks.
-        let mut i = 0;
-        while i < m_main {
-            let mut j = 0;
-            while j < n_main {
-                // Sixteen live accumulators.
-                let mut c = [[Acc::ZERO; NR]; MR];
-                for (bi, row) in c.iter_mut().enumerate() {
-                    let base = (i + bi) * tile.blk_n + j;
-                    for (bj, v) in row.iter_mut().enumerate() {
-                        *v = accum[base + bj];
-                    }
-                }
-                // A's four row windows are hoisted out of the k-loop:
-                // re-deriving them per k-step costs four stride
-                // multiplies and slice bounds checks per iteration,
-                // which is what made this kernel lose to the plain
-                // scalar loop.
-                let ar: [&[In]; MR] = std::array::from_fn(|bi| &a.row_slice(r0 + i + bi)[ks.clone()]);
-                for (kk, k) in ks.clone().enumerate() {
-                    let a0 = ar[0][kk].promote();
-                    let a1 = ar[1][kk].promote();
-                    let a2 = ar[2][kk].promote();
-                    let a3 = ar[3][kk].promote();
-                    let brow = &b.row_slice(k)[c0 + j..c0 + j + NR];
-                    for bj in 0..NR {
-                        let bv = brow[bj].promote();
-                        c[0][bj] = c[0][bj].mac(a0, bv);
-                        c[1][bj] = c[1][bj].mac(a1, bv);
-                        c[2][bj] = c[2][bj].mac(a2, bv);
-                        c[3][bj] = c[3][bj].mac(a3, bv);
-                    }
-                }
-                for (bi, row) in c.iter().enumerate() {
-                    let base = (i + bi) * tile.blk_n + j;
-                    accum[base..base + NR].copy_from_slice(row);
-                }
-                j += NR;
-            }
-            // Right edge of the main rows.
-            for bi in 0..MR {
-                scalar_row(a, b, r0 + i + bi, c0, n_main..n_extent, ks.clone(), &mut accum[(i + bi) * tile.blk_n..]);
-            }
-            i += MR;
-        }
-        // Bottom edge rows.
-        for bi in m_main..m_extent {
-            scalar_row(a, b, r0 + bi, c0, 0..n_extent, ks.clone(), &mut accum[bi * tile.blk_n..]);
-        }
-    }
-}
-
-/// Scalar update of one output row over a column range — the ragged
-/// edge path, same accumulation order as the blocked body. A's row
-/// slice and the accumulator window are hoisted out of the k-loop so
-/// the inner loop carries no per-iteration bounds re-derivation.
-#[inline]
-fn scalar_row<In, Acc>(
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    row: usize,
-    c0: usize,
-    cols: std::ops::Range<usize>,
-    ks: std::ops::Range<usize>,
-    acc_row: &mut [Acc],
-) where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    if cols.is_empty() {
-        return;
-    }
-    let arow = a.row_slice(row);
-    let (b0, b1) = (c0 + cols.start, c0 + cols.end);
-    let acc = &mut acc_row[cols];
-    for k in ks {
-        let av = arow[k].promote();
-        let brow = &b.row_slice(k)[b0..b1];
-        for (cv, &bv) in acc.iter_mut().zip(brow) {
-            *cv = cv.mac(av, bv.promote());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -775,8 +558,7 @@ mod tests {
 
     #[test]
     fn every_kernel_matches_scalar_on_ragged_tiles() {
-        // Edge tiles exercise the blocked kernel's scalar edge path
-        // and the packed kernels' zero-padded panels.
+        // Edge tiles exercise the block's zero-padded panels.
         compare(GemmShape::new(30, 27, 19), TileShape::new(16, 16, 8), 2);
         compare(GemmShape::new(7, 5, 11), TileShape::new(8, 8, 4), 3);
         compare(GemmShape::new(13, 14, 15), TileShape::new(13, 14, 5), 4);
@@ -814,11 +596,9 @@ mod tests {
         for tile_idx in 0..space.tiles() {
             let mut scalar = vec![0.0f64; tile.blk_m * tile.blk_n];
             mac_loop_view(&a.view(), &b.view(), &space, tile_idx, 0, space.iters_per_tile(), &mut scalar);
-            for kind in KernelKind::PACKED {
-                let mut got = vec![0.0f64; tile.blk_m * tile.blk_n];
-                mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, 0, space.iters_per_tile(), &mut got, &mut bufs);
-                assert_eq!(got, scalar, "{kind} tile {tile_idx}");
-            }
+            let mut got = vec![0.0f64; tile.blk_m * tile.blk_n];
+            mac_loop_kernel(KernelKind::Block, &a.view(), &b.view(), &space, tile_idx, 0, space.iters_per_tile(), &mut got, &mut bufs);
+            assert_eq!(got, scalar, "tile {tile_idx}");
         }
     }
 
@@ -832,7 +612,7 @@ mod tests {
         let mut bufs = PackBuffers::new();
         // Split accumulation [0,1) then [1,2) must equal [0,2).
         let mut whole = vec![0.0f64; 64];
-        let kind = KernelKind::Packed8x4;
+        let kind = KernelKind::Block;
         mac_loop_kernel(kind, &a.view(), &b.view(), &space, 0, 0, 2, &mut whole, &mut bufs);
         let mut parts = vec![0.0f64; 64];
         mac_loop_kernel(kind, &a.view(), &b.view(), &space, 0, 0, 1, &mut parts, &mut bufs);
@@ -840,53 +620,23 @@ mod tests {
         assert_eq!(whole, parts);
     }
 
-    #[test]
-    fn accumulates_into_existing_values() {
-        let shape = GemmShape::new(8, 8, 16);
-        let tile = TileShape::new(8, 8, 8);
-        let space = IterSpace::new(shape, tile);
-        let a = Matrix::<f64>::random::<f64>(8, 16, Layout::RowMajor, 7);
-        let b = Matrix::<f64>::random::<f64>(16, 8, Layout::RowMajor, 8);
-        // Split accumulation [0,1) then [1,2) must equal [0,2).
-        let mut whole = vec![0.0f64; 64];
-        mac_loop_blocked(&a.view(), &b.view(), &space, 0, 0, 2, &mut whole);
-        let mut parts = vec![0.0f64; 64];
-        mac_loop_blocked(&a.view(), &b.view(), &space, 0, 0, 1, &mut parts);
-        mac_loop_blocked(&a.view(), &b.view(), &space, 0, 1, 2, &mut parts);
-        assert_eq!(whole, parts);
-    }
-
-    #[test]
-    fn kernel_kind_names_round_trip() {
-        for kind in KernelKind::ALL {
-            assert_eq!(KernelKind::parse(kind.name()), Some(kind), "{kind}");
-        }
-        assert_eq!(KernelKind::parse("bogus"), None);
-        assert_eq!(KernelKind::default(), KernelKind::Simd8x32);
-        assert!(KernelKind::Packed4x8.is_packed());
-        assert!(!KernelKind::Blocked.is_packed());
-        assert!(KernelKind::Simd8x16.is_simd() && !KernelKind::Simd8x16.is_packed());
-        assert!(KernelKind::Simd4x16.uses_panels() && KernelKind::Packed8x8.uses_panels());
-        assert!(!KernelKind::Scalar.uses_panels() && !KernelKind::Blocked.uses_panels());
-        assert_eq!(KernelKind::Packed8x4.register_block(), Some((8, 4)));
-        assert_eq!(KernelKind::Simd8x32.register_block(), Some((8, 32)));
-        assert_eq!(KernelKind::Scalar.register_block(), None);
-    }
-
-    /// `NR` is capped at 128 bytes of packed operand: one cell moves,
-    /// the default block over f64; f16 (promoted to f32), f32 and
-    /// every other kind keep their nominal shape.
+    /// Two kinds, one block: the default is the register block, and
+    /// `NR` is capped at 128 bytes of packed operand, so it runs
+    /// 8 × 16 over f64 and 8 × 32 over everything narrower (f16 and
+    /// bf16 promoted to f32 included).
     #[test]
     fn panel_geometry_caps_nr_at_two_512_bit_vectors() {
         use streamk_matrix::{bf16, f16};
-        for kind in KernelKind::ALL {
-            let nominal = kind.register_block();
-            assert_eq!(kind.panel_geometry::<f32>(), nominal, "{kind} f32");
-            assert_eq!(kind.panel_geometry::<f16>(), nominal, "{kind} f16");
-            assert_eq!(kind.panel_geometry::<bf16>(), nominal, "{kind} bf16");
-            let f64_block = if kind == KernelKind::Simd8x32 { Some((8, 16)) } else { nominal };
-            assert_eq!(kind.panel_geometry::<f64>(), f64_block, "{kind} f64");
-        }
+        assert_eq!(KernelKind::ALL.len(), 2);
+        assert_eq!(KernelKind::default(), KernelKind::Block);
+        let block = KernelKind::Block;
+        assert_eq!(block.panel_geometry::<f32>(), Some((8, 32)));
+        assert_eq!(block.panel_geometry::<f16>(), Some((8, 32)));
+        assert_eq!(block.panel_geometry::<bf16>(), Some((8, 32)));
+        assert_eq!(block.panel_geometry::<f64>(), Some((8, 16)));
+        assert_eq!(block.register_block(), Some((8, 32)));
+        assert_eq!(KernelKind::Scalar.panel_geometry::<f64>(), None);
+        assert_eq!(KernelKind::Scalar.register_block(), None);
     }
 
     /// Staging grows and shrinks its use from segment to segment; every
@@ -899,17 +649,5 @@ mod tests {
             assert_eq!(stage(&mut b, len).as_ptr() as usize % streamk_matrix::LINE, 0, "f32 {len}");
             assert_eq!(stage(&mut a, len).len(), len);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "row-contiguous")]
-    fn rejects_strided_views() {
-        let shape = GemmShape::new(8, 8, 8);
-        let tile = TileShape::new(8, 8, 8);
-        let space = IterSpace::new(shape, tile);
-        let a = Matrix::<f64>::zeros(8, 8, Layout::ColMajor);
-        let b = Matrix::<f64>::zeros(8, 8, Layout::RowMajor);
-        let mut acc = vec![0.0f64; 64];
-        mac_loop_blocked(&a.view(), &b.view(), &space, 0, 0, 1, &mut acc);
     }
 }

@@ -118,9 +118,8 @@ use streamk_types::{Layout, TileShape, FRAG};
 
 use crate::arena::{PackArena, SlotTable};
 use crate::fixup::WaitPolicy;
-use crate::microkernel::{
-    at_block, mac_loop_cached, mac_loop_kernel, stage, KernelKind, PackBuffers, PanelSpan,
-};
+use crate::macloop::mac_loop_view;
+use crate::microkernel::{at_block, mac_loop_cached, stage, KernelKind, PackBuffers, PanelSpan};
 use crate::simd::SimdLevel;
 
 /// Target k-steps per cache chunk, fixed by the sweep in DESIGN.md
@@ -229,8 +228,8 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
     }
 
     /// A single-shard cache serving `kind`'s register block over `In`
-    /// ([`KernelKind::panel_geometry`]), or `None` for kernels that do
-    /// not consume packed panels (scalar / blocked).
+    /// ([`KernelKind::panel_geometry`]), or `None` for
+    /// [`KernelKind::Scalar`], which consumes no packed panels.
     #[must_use]
     pub fn for_kernel(space: &IterSpace, kind: KernelKind, policy: WaitPolicy) -> Option<Self> {
         Self::for_kernel_sharded(space, kind, policy, 1)
@@ -513,7 +512,11 @@ impl<'a, In: Copy> Source<'a, In> {
     /// - **Bypass** needs an untransposed full `BlockMajor` view, a
     ///   register block as wide as a fragment, and a tile grid that
     ///   lands on fragment boundaries, so that a tile's panels are a
-    ///   contiguous run of the matrix's fragment row-panels.
+    ///   contiguous run of the matrix's fragment row-panels. The
+    ///   library's one block has `MR == FRAG` but no `NR == FRAG`, so
+    ///   a launch takes the bypass for A only; the B side (a
+    ///   transposed block-major B) is reachable only from tests, which
+    ///   drive the chunk walk at `NR == FRAG` directly.
     /// - **In place** needs strides the kernel can address — any for
     ///   A; adjacent lanes for B (`unit_lanes`), whose `NR` lanes are
     ///   one vector load — and a k-stride of at most
@@ -653,7 +656,7 @@ fn operand_span<'x, In: Copy + Default>(
     }
 }
 
-/// [`mac_loop_kernel`] with each operand read from the cheapest place
+/// [`crate::microkernel::mac_loop_kernel`] with each operand read from the cheapest place
 /// that holds it. The one dispatch point behind the executors, the
 /// batched and grouped launches, the Strassen leaves and the service.
 /// The segment is walked one k-chunk at a time (see the module docs),
@@ -683,15 +686,15 @@ fn operand_span<'x, In: Copy + Default>(
 /// Which of the first two applies is a property of the view, not an
 /// option. Panels are cut, and the register block run, at
 /// [`KernelKind::panel_geometry`] for `In`; a `cache` built for any
-/// other block is ignored. Kernels that do not consume panels
-/// (scalar / blocked) fall back to [`mac_loop_kernel`].
+/// other block is ignored. [`KernelKind::Scalar`] consumes no panels
+/// and runs [`mac_loop_view`].
 ///
 /// Every source feeds the register block the same ascending-k operand
 /// sequence, so the result is bit-exact with the uncached pipeline.
 ///
 /// # Panics
 ///
-/// As [`mac_loop_kernel`].
+/// As [`crate::microkernel::mac_loop_kernel`].
 #[allow(clippy::too_many_arguments)]
 pub fn mac_loop_kernel_cached<In, Acc>(
     kind: KernelKind,
@@ -735,9 +738,40 @@ pub(crate) fn mac_loop_instance_cached<In, Acc>(
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    let Some((mr, nr)) = kind.panel_geometry::<In>() else {
-        return mac_loop_kernel(kind, a, b, space, tile_idx, local_begin, local_end, accum, bufs);
+    let Some(block) = kind.panel_geometry::<In>() else {
+        return mac_loop_view(a, b, space, tile_idx, local_begin, local_end, accum);
     };
+    let level = Some(SimdLevel::detect());
+    macro_rules! run {
+        ($mr:literal, $nr:literal) => {
+            walk_chunks::<In, Acc, $mr, $nr>(
+                level, cache, instance, shard, a, b, space, tile_idx, local_begin, local_end, accum, bufs,
+            )
+        };
+    }
+    at_block!(block, run)
+}
+
+/// The chunk walk behind [`mac_loop_instance_cached`] at register block
+/// `MR × NR`, vectorized when `level` names a kernel for that shape.
+#[allow(clippy::too_many_arguments)]
+fn walk_chunks<In, Acc, const MR_: usize, const NR_: usize>(
+    level: Option<SimdLevel>,
+    cache: Option<&PackCache<In>>,
+    instance: usize,
+    shard: usize,
+    a: &MatrixView<'_, In>,
+    b: &MatrixView<'_, In>,
+    space: &IterSpace,
+    tile_idx: usize,
+    local_begin: usize,
+    local_end: usize,
+    accum: &mut [Acc],
+    bufs: &mut PackBuffers<In>,
+) where
+    In: Promote<Acc>,
+    Acc: Scalar,
+{
     if local_begin >= local_end {
         return;
     }
@@ -746,11 +780,10 @@ pub(crate) fn mac_loop_instance_cached<In, Acc>(
     let (rows, cols) = space.tile_extents(tile_idx);
     // B's column panels are row panels of Bᵀ: one routine serves both.
     let bt = b.t();
-    let a_source = Source::of(a, mr, tile.blk_m, false);
-    let b_source = Source::of(&bt, nr, tile.blk_n, true);
-    let cache = cache.filter(|c| c.register_block() == (mr, nr));
+    let a_source = Source::of(a, MR_, tile.blk_m, false);
+    let b_source = Source::of(&bt, NR_, tile.blk_n, true);
+    let cache = cache.filter(|c| c.register_block() == (MR_, NR_));
 
-    let level = kind.is_simd().then(SimdLevel::detect);
     let per_chunk = chunk_iters(space);
     for chunk in local_begin / per_chunk..local_end.div_ceil(per_chunk) {
         // The part of this chunk the segment covers, in iterations
@@ -763,7 +796,7 @@ pub(crate) fn mac_loop_instance_cached<In, Acc>(
         let a_span = operand_span(
             &a_source,
             a,
-            mr,
+            MR_,
             rows.clone(),
             ks.clone(),
             whole.clone(),
@@ -774,7 +807,7 @@ pub(crate) fn mac_loop_instance_cached<In, Acc>(
         let b_span = operand_span(
             &b_source,
             &bt,
-            nr,
+            NR_,
             cols.clone(),
             ks,
             whole,
@@ -783,21 +816,14 @@ pub(crate) fn mac_loop_instance_cached<In, Acc>(
             tile_idx as u32,
         );
 
-        macro_rules! run {
-            ($mr:literal, $nr:literal) => {
-                mac_loop_cached::<In, Acc, $mr, $nr>(
-                    level, a_span, b_span, space, tile_idx, lb, le, accum,
-                )
-            };
-        }
-        at_block!((mr, nr), run);
+        mac_loop_cached::<In, Acc, MR_, NR_>(level, a_span, b_span, space, tile_idx, lb, le, accum);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::macloop::mac_loop_view;
+    use crate::microkernel::mac_loop_kernel;
     use streamk_matrix::{pack_a_into, pack_b_into, Matrix};
     use streamk_types::{GemmShape, Layout, TileShape};
 
@@ -928,27 +954,19 @@ mod tests {
         }
     }
 
-    /// `PackCache::for_kernel` packs at the kernel's geometry for the
-    /// element type: the default block runs 8 × 16 over f64, whose
-    /// 8 × 32 would need every vector register for accumulators, and
-    /// 8 × 32 over f32; nothing else moves.
+    /// `PackCache::for_kernel` packs at the block's geometry for the
+    /// element type: 8 × 16 over f64, whose 8 × 32 would need every
+    /// vector register for accumulators, and 8 × 32 over f32; the
+    /// scalar kernel gets no cache.
     #[test]
     fn caches_pack_at_the_element_types_panel_width() {
         let space = IterSpace::new(GemmShape::new(64, 64, 64), TileShape::new(64, 64, 16));
-        let block = |kind, f64_elems: bool| {
-            let policy = WaitPolicy::default();
-            if f64_elems {
-                PackCache::<f64>::for_kernel(&space, kind, policy).map(|c| c.register_block())
-            } else {
-                PackCache::<f32>::for_kernel(&space, kind, policy).map(|c| c.register_block())
-            }
-        };
-        assert_eq!(block(KernelKind::Simd8x32, true), Some((8, 16)));
-        assert_eq!(block(KernelKind::Simd8x32, false), Some((8, 32)));
-        for kind in KernelKind::ALL.into_iter().filter(|&k| k != KernelKind::Simd8x32) {
-            assert_eq!(block(kind, true), kind.register_block(), "{kind} over f64");
-            assert_eq!(block(kind, false), kind.register_block(), "{kind} over f32");
-        }
+        let policy = WaitPolicy::default();
+        let block = KernelKind::Block;
+        assert_eq!(PackCache::<f64>::for_kernel(&space, block, policy).map(|c| c.register_block()), Some((8, 16)));
+        assert_eq!(PackCache::<f32>::for_kernel(&space, block, policy).map(|c| c.register_block()), Some((8, 32)));
+        assert!(PackCache::<f64>::for_kernel(&space, KernelKind::Scalar, policy).is_none());
+        assert!(PackCache::<f32>::for_kernel(&space, KernelKind::Scalar, policy).is_none());
     }
 
     /// A tile deeper than one iteration per chunk (`blk_k > CHUNK_K`)
@@ -1142,35 +1160,34 @@ mod tests {
         let (space, a, b) = fixture(shape, tile);
         let len = tile.blk_m * tile.blk_n;
         let mut bufs = PackBuffers::new();
-        for kind in KernelKind::PACKED.into_iter().chain(KernelKind::SIMD) {
-            let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
-            for tile_idx in 0..space.tiles() {
-                let mut expect = vec![0.0f64; len];
-                mac_loop_view(&a.view(), &b.view(), &space, tile_idx, 0, space.iters_per_tile(), &mut expect);
-                let mut got = vec![0.0f64; len];
-                mac_loop_kernel_cached(
-                    kind, Some(&cache), 0, &a.view(), &b.view(), &space, tile_idx, 0,
-                    space.iters_per_tile(), &mut got, &mut bufs,
-                );
-                assert_eq!(got, expect, "{kind} tile {tile_idx}");
-            }
-            assert_eq!(cache.packs(), 0, "{kind}: in-place operands never reach the cache");
+        let kind = KernelKind::Block;
+        let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
+        for tile_idx in 0..space.tiles() {
+            let mut expect = vec![0.0f64; len];
+            mac_loop_view(&a.view(), &b.view(), &space, tile_idx, 0, space.iters_per_tile(), &mut expect);
+            let mut got = vec![0.0f64; len];
+            mac_loop_kernel_cached(
+                kind, Some(&cache), 0, &a.view(), &b.view(), &space, tile_idx, 0,
+                space.iters_per_tile(), &mut got, &mut bufs,
+            );
+            assert_eq!(got, expect, "tile {tile_idx}");
         }
+        assert_eq!(cache.packs(), 0, "in-place operands never reach the cache");
     }
 
     #[test]
     fn mismatched_register_block_falls_back() {
         let p = Packing::new(GemmShape::new(16, 16, 16), TileShape::new(16, 16, 8));
         let space = &p.space;
-        // Cache built for 4x4 but the kernel wants 8x4: must fall
-        // back to private packing rather than mis-slice panels.
-        let cache = PackCache::new(space, 4, 4, WaitPolicy::default());
+        // Cache built for 8x8 but the block runs 8x16 over f64: must
+        // fall back to private packing rather than mis-slice panels.
+        let cache = PackCache::new(space, 8, 8, WaitPolicy::default());
         let mut bufs = PackBuffers::new();
         let mut expect = vec![0.0f64; 256];
-        mac_loop_kernel(KernelKind::Packed8x4, &p.a(), &p.b(), space, 0, 0, 2, &mut expect, &mut bufs);
+        mac_loop_view(&p.a(), &p.b(), space, 0, 0, 2, &mut expect);
         let mut got = vec![0.0f64; 256];
         mac_loop_kernel_cached(
-            KernelKind::Packed8x4,
+            KernelKind::Block,
             Some(&cache),
             0,
             &p.a(),
@@ -1194,9 +1211,9 @@ mod tests {
         use std::time::Duration;
         let p = Packing::new(GemmShape::new(16, 16, DEEP_K), TileShape::new(16, 16, 8));
         let (space, a, b) = (&p.space, p.a(), p.b());
-        let kind = KernelKind::Packed8x4;
+        let kind = KernelKind::Block;
         let cache =
-            PackCache::<f64>::new(space, 8, 4, WaitPolicy::with_watchdog(Duration::from_millis(20)));
+            PackCache::<f64>::new(space, 8, 16, WaitPolicy::with_watchdog(Duration::from_millis(20)));
         // Simulate a packer that claimed the middle chunk of A's only
         // panel and died: the flag sticks at PACKING forever.
         cache.table.stick(1);
@@ -1207,7 +1224,7 @@ mod tests {
         let mut bufs = PackBuffers::new();
         let ipt = space.iters_per_tile();
         let mut expect = vec![0.0f64; 256];
-        mac_loop_kernel(kind, &a, &b, space, 0, 0, ipt, &mut expect, &mut bufs);
+        mac_loop_view(&a, &b, space, 0, 0, ipt, &mut expect);
         let mut got = vec![0.0f64; 256];
         mac_loop_kernel_cached(kind, Some(&cache), 0, &a, &b, space, 0, 0, ipt, &mut got, &mut bufs);
         assert_eq!(got, expect);
@@ -1256,7 +1273,7 @@ mod tests {
     fn split_tile_packs_each_k_step_once_across_shards() {
         use streamk_core::Decomposition;
         let tile = TileShape::new(16, 16, 8);
-        let kind = KernelKind::Packed8x4;
+        let kind = KernelKind::Block;
         // (k, seam on a chunk boundary?)
         for (k, aligned) in [(4 * CHUNK_K, true), (4 * CHUNK_K + 16, false)] {
             let shape = GemmShape::new(16, 16, k);
@@ -1305,24 +1322,23 @@ mod tests {
         let b = b.to_layout(Layout::ColMajor);
         let len = tile.blk_m * tile.blk_n;
         let mut bufs = PackBuffers::new();
-        for kind in [KernelKind::Packed8x4, KernelKind::Packed8x8, KernelKind::Simd8x16, KernelKind::Simd8x32] {
-            let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
-            for tile_idx in 0..space.tiles() {
-                for (lb, le) in [(0, space.iters_per_tile()), (1, space.iters_per_tile()), (0, 1)] {
-                    let mut expect = vec![0.0f64; len];
-                    mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, lb, le, &mut expect, &mut bufs);
-                    let mut got = vec![0.0f64; len];
-                    mac_loop_kernel_cached(
-                        kind, Some(&cache), 0, &a_blk.view(), &b.view(), &space, tile_idx, lb,
-                        le, &mut got, &mut bufs,
-                    );
-                    assert_eq!(got, expect, "{kind} tile {tile_idx} [{lb},{le})");
-                }
+        let kind = KernelKind::Block;
+        let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
+        for tile_idx in 0..space.tiles() {
+            for (lb, le) in [(0, space.iters_per_tile()), (1, space.iters_per_tile()), (0, 1)] {
+                let mut expect = vec![0.0f64; len];
+                mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, lb, le, &mut expect, &mut bufs);
+                let mut got = vec![0.0f64; len];
+                mac_loop_kernel_cached(
+                    kind, Some(&cache), 0, &a_blk.view(), &b.view(), &space, tile_idx, lb,
+                    le, &mut got, &mut bufs,
+                );
+                assert_eq!(got, expect, "tile {tile_idx} [{lb},{le})");
             }
-            // Only B column-panel chunks were ever packed: A came
-            // straight from block-major storage.
-            assert_eq!(cache.packs(), 3 * space.tiles_n(), "{kind}: A must bypass the cache");
         }
+        // Only B column-panel chunks were ever packed: A came
+        // straight from block-major storage.
+        assert_eq!(cache.packs(), 3 * space.tiles_n(), "A must bypass the cache");
     }
 
     /// The bypass also works with *no cache at all* (the serve path):
@@ -1337,45 +1353,46 @@ mod tests {
         let b = b.to_layout(Layout::ColMajor);
         let len = tile.blk_m * tile.blk_n;
         let mut bufs = PackBuffers::new();
-        for kind in [KernelKind::Packed8x8, KernelKind::Simd8x32] {
-            for tile_idx in 0..space.tiles() {
-                let mut expect = vec![0.0f64; len];
-                mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, 0, space.iters_per_tile(), &mut expect, &mut bufs);
-                let mut got = vec![0.0f64; len];
-                mac_loop_kernel_cached(
-                    kind, None, 0, &a_blk.view(), &b.view(), &space, tile_idx, 0,
-                    space.iters_per_tile(), &mut got, &mut bufs,
-                );
-                assert_eq!(got, expect, "{kind} tile {tile_idx}");
-            }
+        let kind = KernelKind::Block;
+        for tile_idx in 0..space.tiles() {
+            let mut expect = vec![0.0f64; len];
+            mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, 0, space.iters_per_tile(), &mut expect, &mut bufs);
+            let mut got = vec![0.0f64; len];
+            mac_loop_kernel_cached(
+                kind, None, 0, &a_blk.view(), &b.view(), &space, tile_idx, 0,
+                space.iters_per_tile(), &mut got, &mut bufs,
+            );
+            assert_eq!(got, expect, "tile {tile_idx}");
         }
     }
 
-    /// B-side bypass: an `NR == FRAG` kernel consuming a transposed
-    /// block-major B view reads the packed-B table zero-copy.
+    /// B-side bypass: the chunk walk at an `NR == FRAG` block — which
+    /// no library kind runs — consuming a transposed block-major B view
+    /// reads the packed-B table zero-copy, with and without a detected
+    /// vector level.
     #[test]
-    fn transposed_block_major_b_bypasses_for_nr8_kernels() {
+    fn transposed_block_major_b_bypasses_for_nr8_blocks() {
         let shape = GemmShape::new(32, 29, 24);
         let tile = TileShape::new(16, 16, 8);
         let p = Packing::new(shape, tile);
         let (space, a, b) = (&p.space, p.a(), p.b());
         // Store Bᵀ block-major; its transposed view is logically B.
         let bt_blk = p.b.transposed().to_layout(Layout::BlockMajor);
-        let kind = KernelKind::Packed8x8;
-        let cache = PackCache::for_kernel(space, kind, WaitPolicy::default()).unwrap();
-        let len = tile.blk_m * tile.blk_n;
+        let (len, ipt) = (tile.blk_m * tile.blk_n, space.iters_per_tile());
         let mut bufs = PackBuffers::new();
-        for tile_idx in 0..space.tiles() {
-            let mut expect = vec![0.0f64; len];
-            mac_loop_kernel(kind, &a, &b, space, tile_idx, 0, space.iters_per_tile(), &mut expect, &mut bufs);
-            let mut got = vec![0.0f64; len];
-            mac_loop_kernel_cached(
-                kind, Some(&cache), 0, &a, &bt_blk.view().t(), space, tile_idx, 0,
-                space.iters_per_tile(), &mut got, &mut bufs,
-            );
-            assert_eq!(got, expect, "tile {tile_idx}");
+        for level in [None, Some(SimdLevel::detect())] {
+            let cache = PackCache::new(space, 8, 8, WaitPolicy::default());
+            for tile_idx in 0..space.tiles() {
+                let mut expect = vec![0.0f64; len];
+                mac_loop_view(&a, &b, space, tile_idx, 0, ipt, &mut expect);
+                let mut got = vec![0.0f64; len];
+                walk_chunks::<f64, f64, 8, 8>(
+                    level, Some(&cache), 0, 0, &a, &bt_blk.view().t(), space, tile_idx, 0, ipt, &mut got, &mut bufs,
+                );
+                assert_eq!(got, expect, "{level:?} tile {tile_idx}");
+            }
+            assert_eq!(cache.packs(), space.tiles_m(), "{level:?}: B must bypass the cache");
         }
-        assert_eq!(cache.packs(), space.tiles_m(), "B must bypass the cache");
     }
 
     /// A ragged tile grid (`blk_m % FRAG != 0`) must refuse the bypass
@@ -1388,7 +1405,7 @@ mod tests {
         let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::RowMajor, 3);
         let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::ColMajor, 4);
         let a_blk = a.to_layout(Layout::BlockMajor);
-        let kind = KernelKind::Packed8x8;
+        let kind = KernelKind::Block;
         let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
         let len = tile.blk_m * tile.blk_n;
         let mut bufs = PackBuffers::new();

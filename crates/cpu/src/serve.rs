@@ -208,15 +208,14 @@ pub struct LaunchRequest<In> {
     decomp: Decomposition,
     priority: Priority,
     deadline: Option<Duration>,
-    kernel: Option<KernelKind>,
     cta_faults: FaultPlan,
     serve_fault: Option<ServeFaultKind>,
 }
 
 impl<In> LaunchRequest<In> {
     /// A request computing `C = A · B` under `decomp`, at
-    /// [`Priority::Normal`] with no deadline, using the service's
-    /// default kernel.
+    /// [`Priority::Normal`] with no deadline. Every request runs the
+    /// kernel of the executor the service was started on.
     #[must_use]
     pub fn new(a: Matrix<In>, b: Matrix<In>, decomp: Decomposition) -> Self {
         Self {
@@ -225,7 +224,6 @@ impl<In> LaunchRequest<In> {
             decomp,
             priority: Priority::Normal,
             deadline: None,
-            kernel: None,
             cta_faults: FaultPlan::none(),
             serve_fault: None,
         }
@@ -244,18 +242,6 @@ impl<In> LaunchRequest<In> {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Overrides the microkernel for this request alone. Every CTA of
-    /// the request — including fault recovery — runs `kernel`, while
-    /// concurrently active requests keep their own choice; all kernels
-    /// produce bit-identical output for a fixed decomposition, so the
-    /// override is a pure performance knob (per-request adaptive
-    /// selection hooks in here).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = Some(kernel);
         self
     }
 
@@ -1554,8 +1540,7 @@ where
         request: LaunchRequest<In>,
         group: Option<u64>,
     ) -> Result<RequestCell<In, Acc>, AdmissionError> {
-        let LaunchRequest { a, b, decomp, priority, deadline, kernel, mut cta_faults, serve_fault } =
-            request;
+        let LaunchRequest { a, b, decomp, priority, deadline, mut cta_faults, serve_fault } = request;
         check_single(&a.view(), &b.view(), &decomp).map_err(AdmissionError::Rejected)?;
         let fixups = decomp.fixups();
         check_residency(&fixups, self.shared.workers).map_err(AdmissionError::Rejected)?;
@@ -1581,7 +1566,7 @@ where
             None => {}
         }
 
-        let kernel = kernel.unwrap_or(self.shared.kernel);
+        let kernel = self.shared.kernel;
         let (orientation, layout, space) =
             Orientation::choose(kernel, &a.view(), &b.view(), a.layout(), decomp.space());
         let tile = space.tile();

@@ -30,7 +30,9 @@
 //! mixed-precision f16 inputs fall back to scalar), then a match on
 //! `(level, MR, NR)` selects a monomorphized kernel whose accumulator
 //! tile `[[vector; NVEC]; MR]` stays in registers across the whole
-//! k-loop.
+//! k-loop. Only the shapes `KernelKind::panel_geometry` gives have an
+//! arm — `8 × 32` over f32, `8 × 16` over f64; any other shape reports
+//! no match and runs the portable block.
 //!
 //! **One walk for packed and in-place operands.** A kernel reads A as
 //! `a[i·rs + k·ks]` and B as `b[k·ks + j]` ([`Strided`]): a packed
@@ -368,11 +370,7 @@ fn dispatch_f32<const MR_: usize, const NR_: usize>(
     // assert every slice bound themselves.
     unsafe {
         match (level, MR_, NR_) {
-            (SimdLevel::Avx512, 4, 16) => avx512_f32::<4, 1>(a, b, kc, c, cs),
-            (SimdLevel::Avx512, 8, 16) => avx512_f32::<8, 1>(a, b, kc, c, cs),
             (SimdLevel::Avx512, 8, 32) => avx512_f32::<8, 2>(a, b, kc, c, cs),
-            (SimdLevel::Avx2, 4, 16) => avx2_f32::<4, 2>(a, b, kc, c, cs),
-            (SimdLevel::Avx2, 8, 16) => avx2_f32::<8, 2>(a, b, kc, c, cs),
             (SimdLevel::Avx2, 8, 32) => avx2_f32::<8, 4>(a, b, kc, c, cs),
             _ => return false,
         }
@@ -392,12 +390,8 @@ fn dispatch_f64<const MR_: usize, const NR_: usize>(
     // SAFETY: see dispatch_f32.
     unsafe {
         match (level, MR_, NR_) {
-            (SimdLevel::Avx512, 4, 16) => avx512_f64::<4, 2>(a, b, kc, c, cs),
             (SimdLevel::Avx512, 8, 16) => avx512_f64::<8, 2>(a, b, kc, c, cs),
-            (SimdLevel::Avx512, 8, 32) => avx512_f64::<8, 4>(a, b, kc, c, cs),
-            (SimdLevel::Avx2, 4, 16) => avx2_f64::<4, 4>(a, b, kc, c, cs),
             (SimdLevel::Avx2, 8, 16) => avx2_f64::<8, 4>(a, b, kc, c, cs),
-            (SimdLevel::Avx2, 8, 32) => avx2_f64::<8, 8>(a, b, kc, c, cs),
             _ => return false,
         }
     }
@@ -554,7 +548,10 @@ mod tests {
             levels.push(SimdLevel::Avx512);
         }
         for level in levels {
-            check_level::<4, 16>(level);
+            check_level::<4, 4>(level);
+            check_level::<8, 4>(level);
+            check_level::<4, 8>(level);
+            check_level::<8, 8>(level);
             check_level::<8, 16>(level);
             check_level::<8, 32>(level);
         }
@@ -596,20 +593,26 @@ mod tests {
         assert!(refused.is_err(), "wrapping offsets must not pass");
     }
 
+    /// Only the register block's own shapes have a vector kernel:
+    /// every other `(MR, NR)` — 4 × 16, f32 at the f64 shape and the
+    /// converse, and a shape no block has — reports no match and leaves
+    /// `c` alone.
     #[test]
     fn unsupported_shapes_report_false() {
-        let a = [1.0f64; 8];
-        let b = [2.0f64; 8];
-        let mut c = [0.0f64; 8];
-        assert!(!simd_block::<f64, f64, 2, 4>(
-            SimdLevel::detect(),
-            Strided::packed(&a, 2),
-            Strided::packed(&b, 4),
-            2,
-            &mut c,
-            4
-        ));
-        assert_eq!(c, [0.0f64; 8], "failed dispatch must not touch c");
+        fn refused<T: Promote<T> + Scalar, const MR_: usize, const NR_: usize>() {
+            let a = vec![T::ONE; 2 * MR_];
+            let b = vec![T::ONE; 2 * NR_];
+            let mut c = vec![T::ZERO; MR_ * NR_];
+            let level = SimdLevel::detect();
+            let ran = simd_block::<T, T, MR_, NR_>(level, Strided::packed(&a, MR_), Strided::packed(&b, NR_), 2, &mut c, NR_);
+            assert!(!ran, "{level} has no {MR_}x{NR_} kernel");
+            assert!(c.iter().all(|&v| v == T::ZERO), "failed dispatch must not touch c");
+        }
+        refused::<f64, 2, 4>();
+        refused::<f32, 4, 16>();
+        refused::<f32, 8, 16>();
+        refused::<f64, 4, 16>();
+        refused::<f64, 8, 32>();
     }
 
     #[test]
@@ -624,16 +627,16 @@ mod tests {
         use streamk_matrix::f16;
         let a = [f16::from_f32(1.0); 8];
         let b = [f16::from_f32(2.0); 32];
-        let mut c = [0.0f32; 64];
+        let mut c = [0.0f32; 256];
         // f16 inputs have no vector kernel: must report false so the
         // caller runs the scalar promote path.
-        assert!(!simd_block::<f16, f32, 4, 16>(
+        assert!(!simd_block::<f16, f32, 8, 32>(
             SimdLevel::detect(),
-            Strided::packed(&a, 4),
-            Strided::packed(&b, 16),
-            2,
+            Strided::packed(&a, 8),
+            Strided::packed(&b, 32),
+            1,
             &mut c,
-            16
+            32
         ));
     }
 }

@@ -55,9 +55,8 @@ use crate::microkernel::PackBuffers;
 pub struct Workspace<In, Acc> {
     /// Operand pack staging shared by every packed-kernel call. When
     /// the launch carries a shared [`PackCache`](crate::PackCache)
-    /// these buffers serve only the *fallback* path (non-panel
-    /// kernels, register-block mismatch, or a watchdog-expired panel
-    /// wait) — the steady state reads the cache's shared panels and
+    /// these buffers serve only the *fallback* path (register-block
+    /// mismatch, or a watchdog-expired panel wait) — the steady state reads the cache's shared panels and
     /// never touches this staging at all.
     pub pack: PackBuffers<In>,
     /// Recovery scratch for recomputing a lost peer's contribution.

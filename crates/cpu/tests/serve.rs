@@ -681,68 +681,75 @@ fn weighted_admission_starts_high_priority_first() {
     service.shutdown();
 }
 
+/// A request runs its service executor's kernel — there is no
+/// per-request override — so the kernel is a property of the service.
+/// The same seeded request mix, every request carrying a lost or a
+/// poisoned CTA, through a service over the scalar oracle and one over
+/// the default register block: outputs `==`, the same recoveries per
+/// request, and the same `RecoveryReport` events when each executor
+/// launches the mix directly under the same faults.
 #[test]
-fn per_request_kernel_override_is_bit_exact_and_isolated() {
-    use streamk_cpu::KernelKind;
-    let shape = GemmShape::new(48, 40, 32);
+fn scalar_and_block_services_agree_under_cta_faults() {
+    use streamk_cpu::{KernelKind, RecoveryCause, RecoveryReport};
+    // Long enough that no live peer outlasts it on a loaded host: every
+    // recovery below is one of the injected faults.
+    let watchdog = Duration::from_millis(500);
     let tile = TileShape::new(16, 16, 8);
-    let e = exec(4);
-    let decomp = Decomposition::stream_k(shape, tile, 4);
-    let (a, b) = operands(shape, 23);
-    let baseline = e.gemm::<f64, f64>(&a, &b, &decomp);
-
-    // Mixed kernels in flight at once: each request pins its own, the
-    // service default covers the rest. Every kernel computes the same
-    // ascending-k accumulation, so all results must be bit-identical
-    // to the single-launch baseline.
-    let service = GemmService::<f64, f64>::start(&e, ServeConfig::default());
-    let handles: Vec<_> = [
-        None,
-        Some(KernelKind::Scalar),
-        Some(KernelKind::Packed4x8),
-        Some(KernelKind::Simd8x32),
-        Some(KernelKind::Blocked),
-    ]
-    .into_iter()
-    .map(|kernel| {
-        let mut req = LaunchRequest::new(a.clone(), b.clone(), decomp.clone());
-        if let Some(k) = kernel {
-            req = req.with_kernel(k);
-        }
-        service.submit(req).unwrap()
-    })
-    .collect();
-    for handle in handles {
-        let (c, _) = handle.wait().expect("request completes");
-        assert_eq!(c.max_abs_diff(&baseline), 0.0);
+    let mix: Vec<_> = (0..6u64)
+        .map(|i| {
+            let shape = SHAPES[i as usize % SHAPES.len()];
+            // Five CTAs split a tile of every shape in the palette.
+            let decomp = Decomposition::stream_k(shape, tile, 5);
+            let (a, b) = operands(shape, 300 + i);
+            let contributors = FaultPlan::contributors(&decomp);
+            let victim = contributors[(i as usize * 7) % contributors.len()];
+            let kind = if i % 2 == 0 { FaultKind::Lose } else { FaultKind::Poison };
+            (a, b, decomp, FaultPlan::single(victim, kind))
+        })
+        .collect();
+    // Timeouts carry how long the owner waited; the rest must match.
+    let events = |report: &RecoveryReport| -> Vec<_> {
+        let events = report.events.iter();
+        events.map(|e| (e.peer, e.tile_idx, matches!(e.cause, RecoveryCause::Poisoned), e.recomputed_iters)).collect()
+    };
+    let runs: Vec<_> = [KernelKind::Scalar, KernelKind::default()]
+        .into_iter()
+        .map(|kernel| {
+            let e = CpuExecutor::with_threads(4).with_watchdog(watchdog).with_kernel(kernel);
+            let service = GemmService::<f64, f64>::start(&e, ServeConfig::default());
+            let handles: Vec<_> = mix
+                .iter()
+                .map(|(a, b, decomp, plan)| {
+                    let request = LaunchRequest::new(a.clone(), b.clone(), decomp.clone()).with_cta_faults(plan.clone());
+                    service.submit(request).expect("admitted")
+                })
+                .collect();
+            let served: Vec<_> = handles
+                .into_iter()
+                .map(|h| {
+                    let (c, stats) = h.wait().expect("recovery masks the fault");
+                    assert!(stats.recoveries >= 1, "{kernel}: the injected fault must be recovered");
+                    (c, stats.recoveries)
+                })
+                .collect();
+            let stats = service.shutdown();
+            assert_eq!(stats.pool_poisonings, 0);
+            let direct: Vec<_> = mix
+                .iter()
+                .zip(&served)
+                .map(|((a, b, decomp, plan), (c, _))| {
+                    let (direct, report) = e.gemm_with_faults::<f64, f64>(a, b, decomp, plan).expect("survives");
+                    assert_eq!(direct.max_abs_diff(c), 0.0, "{kernel}: served and direct launches differ");
+                    events(&report)
+                })
+                .collect();
+            (served, direct)
+        })
+        .collect();
+    let [(scalar, scalar_events), (block, block_events)] = <[_; 2]>::try_from(runs).expect("two kernels");
+    for (i, ((cs, rs), (cb, rb))) in scalar.iter().zip(&block).enumerate() {
+        assert_eq!(cs.max_abs_diff(cb), 0.0, "request {i}: scalar and block services differ");
+        assert_eq!(rs, rb, "request {i}: recoveries differ");
     }
-    let stats = service.shutdown();
-    assert_eq!(stats.completed, 5);
-    assert_eq!(stats.pool_poisonings, 0);
-}
-
-#[test]
-fn kernel_override_survives_fault_recovery() {
-    use streamk_cpu::KernelKind;
-    let shape = GemmShape::new(48, 40, 32);
-    let tile = TileShape::new(16, 16, 8);
-    let e = exec(4);
-    let decomp = Decomposition::stream_k(shape, tile, 4);
-    let (a, b) = operands(shape, 29);
-    let baseline = e.gemm::<f64, f64>(&a, &b, &decomp);
-
-    // A lost peer forces owner-side recovery, which must recompute
-    // the contribution with the *request's* kernel to stay bit-exact.
-    let service = GemmService::<f64, f64>::start(&e, ServeConfig::default());
-    let handle = service
-        .submit(
-            LaunchRequest::new(a.clone(), b.clone(), decomp.clone())
-                .with_kernel(KernelKind::Packed8x8)
-                .with_serve_fault(ServeFaultKind::Protocol(FaultKind::Lose)),
-        )
-        .unwrap();
-    let (c, stats) = handle.wait().expect("request completes despite the lost peer");
-    assert_eq!(c.max_abs_diff(&baseline), 0.0);
-    assert!(stats.recoveries >= 1, "the lost contribution must be recovered");
-    service.shutdown();
+    assert_eq!(scalar_events, block_events, "recovery events differ between the kernels");
 }

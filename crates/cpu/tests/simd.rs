@@ -1,10 +1,12 @@
-//! SIMD-backend and pack-cache property suite.
+//! Operand-source and pack-cache property suite.
 //!
-//! The SIMD kernels promise the same contract as every other
-//! [`KernelKind`]: each output element accumulates in ascending-k
-//! order with one *fused* multiply-add per MAC, so their results are
-//! bit-identical to the scalar MAC loop — in f64 **and** f32, private
-//! packing or shared cache, fault-free or mid-recovery — and the
+//! The register block — vector or portable — promises the scalar MAC
+//! loop's contract: each output element accumulates in ascending-k
+//! order with one *fused* multiply-add per MAC, so its results are
+//! bit-identical to the scalar MAC loop — in f64, f32 and f16 → f32,
+//! wherever the operands are read from (in place, a private pack, the
+//! shared cache), at every geometry the `geometry` harness drives it
+//! at, fault-free or mid-recovery — and the
 //! scalar MAC loop is bit-identical to a `mul_add` chain written here,
 //! outside [`Scalar::mac`], on data where a `c + a * b` chain is not.
 //! These properties pin that — including on shapes deep enough that the
@@ -12,6 +14,8 @@
 //! [`PackCache`] claim/publish invariant: with far more peers than
 //! chunk slots, each chunk is packed exactly once and every reader
 //! sees bytes identical to a private pack.
+
+mod geometry;
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -33,13 +37,6 @@ fn operands64(shape: GemmShape, layout: Layout) -> (Matrix<f64>, Matrix<f64>) {
     let seed = ((shape.m * 73 + shape.n) * 37 + shape.k) as u64;
     let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, layout, seed);
     let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, layout, seed + 1);
-    (a, b)
-}
-
-fn operands32(shape: GemmShape, layout: Layout) -> (Matrix<f32>, Matrix<f32>) {
-    let seed = ((shape.m * 73 + shape.n) * 37 + shape.k) as u64;
-    let a = Matrix::<f32>::random::<f32>(shape.m, shape.k, layout, seed);
-    let b = Matrix::<f32>::random::<f32>(shape.k, shape.n, layout, seed + 1);
     (a, b)
 }
 
@@ -169,10 +166,11 @@ fn oracle<In: Promote<Acc>, Acc: Chain>(
     out
 }
 
-/// One tile segment through every panel-consuming kernel three ways —
-/// always packed ([`mac_loop_kernel`]), the source rule with no cache
-/// (the service's path) and with one (the executors') — against the
-/// scalar MAC loop, for one element type; and the scalar MAC loop and
+/// One tile segment through the register block three ways — always
+/// packed ([`mac_loop_kernel`]), the source rule with no cache (the
+/// service's path) and with one (the executors') — and through the
+/// `geometry` harness at every tested block shape, against the scalar
+/// MAC loop, for one element type; and the scalar MAC loop and
 /// [`gemm_ex_reference`] against the `mul_add` [`oracle`] (and, for a
 /// segment over all of k, against each other element by element). With
 /// `rounds` (products of this `In` do not fit `Acc`: not f16 → f32)
@@ -230,19 +228,19 @@ where
     }
 
     let mut bufs = PackBuffers::new();
-    for kind in KernelKind::PACKED.into_iter().chain(KernelKind::SIMD) {
-        let what = format!("{kind} on {shape} {tile} {pa:?} x {pb:?} tile {tile_idx} [{lo},{hi})");
-        let mut packed = vec![Acc::ZERO; len];
-        mac_loop_kernel(kind, &a, &b, &space, tile_idx, lo, hi, &mut packed, &mut bufs);
-        prop_assert!(packed == reference, "packed diverged: {what}");
-        let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default());
-        for cache in [None, cache.as_ref()] {
-            let mut got = vec![Acc::ZERO; len];
-            mac_loop_kernel_cached(kind, cache, 0, &a, &b, &space, tile_idx, lo, hi, &mut got, &mut bufs);
-            prop_assert!(got == reference, "source rule (cache: {}) diverged: {what}", cache.is_some());
-        }
+    let kind = KernelKind::Block;
+    let what = format!("{shape} {tile} {pa:?} x {pb:?} tile {tile_idx} [{lo},{hi})");
+    let mut packed = vec![Acc::ZERO; len];
+    mac_loop_kernel(kind, &a, &b, &space, tile_idx, lo, hi, &mut packed, &mut bufs);
+    prop_assert!(packed == reference, "packed diverged: {what}");
+    let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default());
+    for cache in [None, cache.as_ref()] {
+        let mut got = vec![Acc::ZERO; len];
+        mac_loop_kernel_cached(kind, cache, 0, &a, &b, &space, tile_idx, lo, hi, &mut got, &mut bufs);
+        prop_assert!(got == reference, "source rule (cache: {}) diverged: {what}", cache.is_some());
     }
-    Ok(())
+    geometry::every_geometry_agrees(&a, &b, &space, tile_idx, (lo, hi), &reference)
+        .map_err(|e| TestCaseError::Fail(format!("{e}: {pa:?} x {pb:?}")))
 }
 
 fn strategies() -> impl proptest::strategy::Strategy<Value = Strategy> {
@@ -256,87 +254,11 @@ fn strategies() -> impl proptest::strategy::Strategy<Value = Strategy> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// f64: every SIMD kernel, private packing *and* shared cache,
-    /// is bit-identical to the scalar MAC loop on arbitrary shapes,
-    /// tiles, layouts, and iteration sub-ranges (ragged edges
-    /// included).
-    #[test]
-    fn simd_kernels_bit_exact_vs_scalar_f64(
-        shape in shapes(),
-        tile in tiles(),
-        layout in layouts(),
-        tile_sel in 0usize..64,
-        range_sel in (0usize..64, 0usize..64),
-    ) {
-        let space = IterSpace::new(shape, tile);
-        let (a, b) = operands64(shape, layout);
-        let tile_idx = tile_sel % space.tiles();
-        let ipt = space.iters_per_tile();
-        let (mut lo, mut hi) = (range_sel.0 % (ipt + 1), range_sel.1 % (ipt + 1));
-        if lo > hi {
-            std::mem::swap(&mut lo, &mut hi);
-        }
-
-        let len = tile.blk_m * tile.blk_n;
-        let mut reference = vec![0.0f64; len];
-        mac_loop_view(&a.view(), &b.view(), &space, tile_idx, lo, hi, &mut reference);
-
-        let mut bufs = PackBuffers::new();
-        for kind in KernelKind::SIMD {
-            let mut got = vec![0.0f64; len];
-            mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, lo, hi, &mut got, &mut bufs);
-            prop_assert!(got == reference, "{kind} private diverged on {shape} {tile} tile {tile_idx} [{lo},{hi})");
-
-            let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default());
-            let mut cached = vec![0.0f64; len];
-            mac_loop_kernel_cached(kind, cache.as_ref(), 0, &a.view(), &b.view(), &space, tile_idx, lo, hi, &mut cached, &mut bufs);
-            prop_assert!(cached == reference, "{kind} cached diverged on {shape} {tile} tile {tile_idx} [{lo},{hi})");
-        }
-    }
-
-    /// f32: the SIMD kernels must match the *packed scalar* kernels
-    /// bit-for-bit too — identical operation order means identical
-    /// f32 rounding, vector lanes or not.
-    #[test]
-    fn simd_kernels_bit_exact_vs_packed_f32(
-        shape in shapes(),
-        tile in tiles(),
-        layout in layouts(),
-        tile_sel in 0usize..64,
-    ) {
-        let space = IterSpace::new(shape, tile);
-        let (a, b) = operands32(shape, layout);
-        let tile_idx = tile_sel % space.tiles();
-        let ipt = space.iters_per_tile();
-
-        let len = tile.blk_m * tile.blk_n;
-        let mut bufs = PackBuffers::new();
-        let mut reference = vec![0.0f32; len];
-        mac_loop_kernel(
-            KernelKind::Packed8x8, &a.view(), &b.view(), &space, tile_idx, 0, ipt, &mut reference, &mut bufs,
-        );
-
-        for kind in KernelKind::SIMD {
-            let mut got = vec![0.0f32; len];
-            mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, 0, ipt, &mut got, &mut bufs);
-            prop_assert!(got == reference, "{kind} f32 diverged from packed scalar on {shape} {tile} tile {tile_idx}");
-
-            let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default());
-            let mut cached = vec![0.0f32; len];
-            mac_loop_kernel_cached(kind, cache.as_ref(), 0, &a.view(), &b.view(), &space, tile_idx, 0, ipt, &mut cached, &mut bufs);
-            prop_assert!(cached == reference, "{kind} f32 cached diverged on {shape} {tile} tile {tile_idx}");
-        }
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Wherever an operand is read from — in place, a private pack, a
-    /// cache chunk — every panel-consuming kernel agrees bit for bit
-    /// with the scalar MAC loop, and the scalar MAC loop with a
+    /// cache chunk — the register block, at the library's geometry and
+    /// every tested one, agrees bit for bit with the scalar MAC loop, and the scalar MAC loop with a
     /// `mul_add` chain written in this file: over row-major, column-major,
     /// transposed and windowed operands (windows that end on their
     /// allocation's last element included), ragged edges, and f64,
@@ -393,8 +315,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Fault level: split-tile fixup under injected faults with the
-    /// SIMD kernels and the shared pack cache enabled — owner-side
-    /// recovery recomputes through the same vector kernel and operand
+    /// register block and the shared pack cache enabled — owner-side
+    /// recovery recomputes through the same block and operand
     /// sources (row-major operands in place, column-major B through
     /// the cache), so the recovered output stays bit-exact against the
     /// fault-free run.
@@ -406,7 +328,6 @@ proptest! {
             (2usize..5).prop_map(|split| Strategy::FixedSplit { split }),
             (2usize..8).prop_map(|grid| Strategy::StreamK { grid }),
         ],
-        kind_sel in 0usize..KernelKind::SIMD.len(),
         fault_idx in 0u8..2,
         victim_idx in 0usize..64,
     ) {
@@ -415,10 +336,8 @@ proptest! {
         let max_cover = decomp.fixups().iter().map(|f| f.covering_ctas()).max().unwrap_or(1);
         prop_assume!(max_cover <= THREADS);
 
-        let kernel = KernelKind::SIMD[kind_sel];
         let (a, b) = operands64(shape, layout);
         let e = CpuExecutor::with_threads(THREADS)
-            .with_kernel(kernel)
             .with_pack_cache(true)
             .with_watchdog(Duration::from_millis(150));
         let baseline = e.try_gemm::<f64, f64>(&a, &b, &decomp).expect("fault-free run");
@@ -436,7 +355,7 @@ proptest! {
         if !plan.is_empty() {
             prop_assert!(report.recoveries() >= 1, "no recovery for {plan:?}");
         }
-        prop_assert!(c.max_abs_diff(&baseline) == 0.0, "{kernel} recovery diverged");
+        prop_assert!(c.max_abs_diff(&baseline) == 0.0, "recovery diverged");
     }
 }
 
@@ -446,7 +365,7 @@ proptest! {
     /// The chunk walk at kernel level: on multi-chunk shapes, any
     /// segment — beginning and ending mid-chunk included — through
     /// the cache is bit-identical to the private-pack pipeline and to
-    /// the scalar MAC loop, for every kernel that consumes panels.
+    /// the scalar MAC loop.
     #[test]
     fn chunked_cache_bit_exact_on_deep_k_segments(
         (m, n, k_extra) in (5usize..40, 5usize..40, 18usize..1200),
@@ -470,17 +389,16 @@ proptest! {
         mac_loop_view(&a.view(), &b.view(), &space, tile_idx, lo, hi, &mut reference);
 
         let mut bufs = PackBuffers::new();
-        for kind in KernelKind::PACKED.into_iter().chain(KernelKind::SIMD) {
-            let mut private = vec![0.0f64; len];
-            mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, lo, hi, &mut private, &mut bufs);
-            prop_assert!(private == reference, "{kind} private diverged on {shape} {tile} [{lo},{hi})");
+        let kind = KernelKind::Block;
+        let mut private = vec![0.0f64; len];
+        mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, lo, hi, &mut private, &mut bufs);
+        prop_assert!(private == reference, "private diverged on {shape} {tile} [{lo},{hi})");
 
-            let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
-            prop_assert!(cache.chunk_k() < shape.k, "{shape} must span several chunks");
-            let mut cached = vec![0.0f64; len];
-            mac_loop_kernel_cached(kind, Some(&cache), 0, &a.view(), &b.view(), &space, tile_idx, lo, hi, &mut cached, &mut bufs);
-            prop_assert!(cached == reference, "{kind} cached diverged on {shape} {tile} tile {tile_idx} [{lo},{hi})");
-        }
+        let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
+        prop_assert!(cache.chunk_k() < shape.k, "{shape} must span several chunks");
+        let mut cached = vec![0.0f64; len];
+        mac_loop_kernel_cached(kind, Some(&cache), 0, &a.view(), &b.view(), &space, tile_idx, lo, hi, &mut cached, &mut bufs);
+        prop_assert!(cached == reference, "cached diverged on {shape} {tile} tile {tile_idx} [{lo},{hi})");
     }
 
     /// The chunk walk at executor level: 1-4 workers under every
@@ -494,7 +412,6 @@ proptest! {
         tile in prop_oneof![Just(TileShape::new(16, 16, 8)), Just(TileShape::new(13, 11, 5))],
         layout in layouts(),
         strategy in strategies(),
-        kind in prop_oneof![Just(KernelKind::Packed8x4), Just(KernelKind::Simd4x16), Just(KernelKind::Simd8x32)],
     ) {
         let shape = deep_shape(m, n, k_extra, tile);
         let decomp = Decomposition::from_strategy(shape, tile, strategy);
@@ -505,12 +422,10 @@ proptest! {
             .with_kernel(KernelKind::Scalar)
             .gemm::<f64, f64>(&a, &b, &decomp);
         for threads in floor..=4 {
-            let c = CpuExecutor::with_threads(threads)
-                .with_kernel(kind)
-                .gemm::<f64, f64>(&a, &b, &decomp);
+            let c = CpuExecutor::with_threads(threads).gemm::<f64, f64>(&a, &b, &decomp);
             prop_assert!(
                 c.max_abs_diff(&reference) == 0.0,
-                "{kind} at {threads} workers diverged on {shape} {tile} {strategy:?}"
+                "{threads} workers diverged on {shape} {tile} {strategy:?}"
             );
         }
     }

@@ -11,9 +11,8 @@
 //!   [`feedback_request`](SelectingExecutor::feedback_request)) keyed
 //!   by each request's own shape class.
 //!
-//! Kernel switching is free: `CpuExecutor::clone().with_kernel(..)`
-//! shares the persistent worker pool, so per-launch kernel choice
-//! never respawns threads.
+//! A selection is a schedule — strategy and tile — and every launch
+//! runs the wrapped executor's own kernel.
 
 use crate::selector::{AdaptiveSelector, Selection, SelectorConfig};
 use std::sync::{Mutex, PoisonError};
@@ -72,7 +71,6 @@ impl SelectingExecutor {
         let shape = GemmShape::new(a.rows(), b.cols(), a.cols());
         let selection = self
             .with_selector(|s| s.select(shape, a.layout()));
-        let exec = self.executor.clone().with_kernel(selection.candidate.kernel);
         let depth = selection.candidate.strassen_depth;
         if depth > 0 {
             let base = self
@@ -81,17 +79,17 @@ impl SelectingExecutor {
             let config = StrassenConfig { enabled: true, max_depth: depth as usize, ..base };
             let start = Instant::now();
             let (c, _report) =
-                exec.gemm_strassen(a, b, selection.candidate.tile, &config);
+                self.executor.gemm_strassen(a, b, selection.candidate.tile, &config);
             let secs = start.elapsed().as_secs_f64();
-            let stats = exec.last_stats();
+            let stats = self.executor.last_stats();
             self.with_selector(|s| s.feedback(&selection, secs, &stats));
             return (c, selection);
         }
         let decomp = selection.candidate.decompose(shape);
         let start = Instant::now();
-        let c = exec.gemm(a, b, &decomp);
+        let c = self.executor.gemm(a, b, &decomp);
         let secs = start.elapsed().as_secs_f64();
-        let stats = exec.last_stats();
+        let stats = self.executor.last_stats();
         self.with_selector(|s| s.feedback(&selection, secs, &stats));
         (c, selection)
     }
@@ -99,8 +97,8 @@ impl SelectingExecutor {
     /// Adaptive uniform batch. Selection is keyed by the *instance*
     /// shape; the chosen strategy maps onto the batched decomposition
     /// forms (`DataParallel` stays data-parallel, everything else
-    /// becomes batched Stream-K over the workers), and tile + kernel
-    /// carry over as-is.
+    /// becomes batched Stream-K over the workers), and the tile carries
+    /// over as-is.
     ///
     /// # Panics
     ///
@@ -125,11 +123,10 @@ impl SelectingExecutor {
             _ => BatchedDecomposition::stream_k(space, workers),
         };
         let decomp = residency_guard_batched(decomp, shape, a.len(), selection.candidate.tile, workers);
-        let exec = self.executor.clone().with_kernel(selection.candidate.kernel);
         let start = Instant::now();
-        let c = exec.gemm_batched(a, b, &decomp);
+        let c = self.executor.gemm_batched(a, b, &decomp);
         let secs = start.elapsed().as_secs_f64();
-        let stats = exec.last_stats();
+        let stats = self.executor.last_stats();
         self.with_selector(|s| s.feedback(&selection, secs, &stats));
         (c, selection)
     }
@@ -184,18 +181,17 @@ impl SelectingExecutor {
                 decomp
             }
         };
-        let exec = self.executor.clone().with_kernel(selection.candidate.kernel);
         let start = Instant::now();
-        let c = exec.gemm_grouped(a, b, &decomp);
+        let c = self.executor.gemm_grouped(a, b, &decomp);
         let secs = start.elapsed().as_secs_f64();
-        let stats = exec.last_stats();
+        let stats = self.executor.last_stats();
         self.with_selector(|s| s.feedback(&selection, secs, &stats));
         (c, selection)
     }
 
     /// Builds a service request with per-request selection: the
-    /// request carries the decomposition *and* the kernel the
-    /// selector chose for its shape class. Pair with
+    /// request carries the decomposition the selector chose for its
+    /// shape class. Pair with
     /// [`feedback_request`](Self::feedback_request) once the
     /// completion handle resolves. Hybrid candidates degrade to
     /// their classical base schedule here — a single service request
@@ -206,7 +202,7 @@ impl SelectingExecutor {
         let shape = GemmShape::new(a.rows(), b.cols(), a.cols());
         let selection = self.with_selector(|s| s.select(shape, a.layout()));
         let decomp = selection.candidate.decompose(shape);
-        let request = LaunchRequest::new(a, b, decomp).with_kernel(selection.candidate.kernel);
+        let request = LaunchRequest::new(a, b, decomp);
         (request, selection)
     }
 
@@ -265,8 +261,8 @@ mod tests {
         let shape = GemmShape::new(96, 64, 48);
         let (a, b) = operands(shape);
         // Reference through the same decomposition the selection
-        // will pick is not knowable up front; use the scalar
-        // kernel on a fixed decomposition and compare numerically.
+        // will pick is not knowable up front; use a fixed
+        // decomposition and compare numerically.
         let reference: Matrix<f64> = e
             .executor()
             .gemm(&a, &b, &Decomposition::data_parallel(shape, streamk_types::TileShape::new(32, 32, 16)));

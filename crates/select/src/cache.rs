@@ -23,8 +23,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format magic; bump [`CACHE_VERSION`] on any layout change.
 const CACHE_MAGIC: &str = "streamk-select-cache";
-/// Current format version.
-pub const CACHE_VERSION: u32 = 1;
+/// Current format version. Version 1 carried a kernel token in every
+/// candidate; its images load as a cold start.
+pub const CACHE_VERSION: u32 = 2;
 
 /// Running measurement statistics for one candidate of one class.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -177,16 +178,14 @@ impl SelectionCache {
             let mut entry = ClassEntry::default();
             for _ in 0..count {
                 let cand_line = lines.next()?.strip_prefix("cand ")?;
-                // candidate encodings contain exactly two spaces
-                // (strategy, tile, kernel), then three stat fields.
+                // The candidate's encoding (strategy, tile, an optional
+                // Strassen token), then three stat fields.
                 let fields: Vec<&str> = cand_line.split(' ').collect();
-                if fields.len() != 6 {
-                    return None;
-                }
-                let candidate = Candidate::decode(&fields[..3].join(" "))?;
-                let trials: u32 = fields[3].parse().ok()?;
-                let mean_s = f64::from_bits(u64::from_str_radix(fields[4], 16).ok()?);
-                let wait_s = f64::from_bits(u64::from_str_radix(fields[5], 16).ok()?);
+                let (encoded, stats) = fields.split_at(fields.len().checked_sub(3)?);
+                let candidate = Candidate::decode(&encoded.join(" "))?;
+                let trials: u32 = stats[0].parse().ok()?;
+                let mean_s = f64::from_bits(u64::from_str_radix(stats[1], 16).ok()?);
+                let wait_s = f64::from_bits(u64::from_str_radix(stats[2], 16).ok()?);
                 if !mean_s.is_finite() || !wait_s.is_finite() || mean_s < 0.0 || wait_s < 0.0 {
                     return None;
                 }
@@ -248,7 +247,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use streamk_core::Strategy;
-    use streamk_cpu::KernelKind;
     use streamk_types::{GemmShape, Layout, Precision, TileShape};
 
     fn sample_cache() -> SelectionCache {
@@ -261,14 +259,12 @@ mod tests {
                 Candidate {
                     strategy: Strategy::DataParallel,
                     tile: TileShape::new(64, 64, 16),
-                    kernel: KernelKind::Simd8x32,
                     strassen_depth: 0,
                 },
                 Candidate {
                     strategy: Strategy::StreamK { grid: 4 },
                     tile: TileShape::new(32, 32, 16),
-                    kernel: KernelKind::Packed4x8,
-                    strassen_depth: 0,
+                    strassen_depth: 2,
                 },
             ]);
             entry.stats[0].record(1e-3 * (i + 1) as f64, 1e-5);
@@ -324,13 +320,11 @@ mod tests {
             Candidate {
                 strategy: Strategy::DataParallel,
                 tile: TileShape::new(64, 64, 16),
-                kernel: KernelKind::Simd8x32,
                 strassen_depth: 0,
             },
             Candidate {
                 strategy: Strategy::StreamK { grid: 4 },
                 tile: TileShape::new(64, 64, 16),
-                kernel: KernelKind::Simd8x32,
                 strassen_depth: 0,
             },
         ]);

@@ -1,28 +1,27 @@
 //! The per-class candidate slate.
 //!
 //! Candidates cross the `streamk-tune` tile space with the
-//! decomposition strategies of the paper and a small microkernel
-//! palette, then keep the model-ranked top K. The App. A.1 heuristic
+//! decomposition strategies of the paper, then keep the model-ranked
+//! top K. There is no kernel axis: every candidate runs the
+//! executor's one register block. The App. A.1 heuristic
 //! pick is always seeded at the front of the slate, so the epsilon-
 //! greedy loop starts from the static decision and can only improve
 //! on it.
 
 use streamk_core::{Decomposition, Strategy};
-use streamk_cpu::{KernelKind, StrassenConfig};
+use streamk_cpu::StrassenConfig;
 use streamk_ensemble::HeuristicSelector;
 use streamk_tune::{candidate_tiles, estimated_efficiency};
 use streamk_types::{GemmShape, Precision, TileShape};
 
-/// One selectable schedule: strategy × tile × microkernel, plus an
-/// optional Strassen–Winograd recursion depth on top.
+/// One selectable schedule: strategy × tile, plus an optional
+/// Strassen–Winograd recursion depth on top.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// The decomposition strategy.
     pub strategy: Strategy,
     /// The blocking factor.
     pub tile: TileShape,
-    /// The microkernel executing every MAC-loop segment.
-    pub kernel: KernelKind,
     /// Strassen–Winograd recursion depth; `0` is the classical
     /// (bit-exact) path. Non-zero candidates only enter slates when
     /// the selector was built with an enabled
@@ -47,13 +46,11 @@ impl Candidate {
             Strategy::DpOneTileStreamK { sms } => format!("dp1.{sms}"),
             Strategy::TwoTileStreamKDp { sms } => format!("sk2.{sms}"),
         };
-        // The Strassen token is appended only when present so
-        // classical encodings — and every cache image written before
-        // the hybrid existed — stay byte-identical.
+        // The Strassen token is appended only when present.
         if self.strassen_depth > 0 {
-            format!("{strategy} {} {} sw.{}", self.tile, self.kernel.name(), self.strassen_depth)
+            format!("{strategy} {} sw.{}", self.tile, self.strassen_depth)
         } else {
-            format!("{strategy} {} {}", self.tile, self.kernel.name())
+            format!("{strategy} {}", self.tile)
         }
     }
 
@@ -63,7 +60,6 @@ impl Candidate {
         let mut parts = s.split(' ');
         let strat = parts.next()?;
         let tile: TileShape = parts.next()?.parse().ok()?;
-        let kernel = KernelKind::parse(parts.next()?)?;
         let strassen_depth = match parts.next() {
             None => 0,
             Some(token) => {
@@ -85,13 +81,13 @@ impl Candidate {
             Some(("sk2", v)) => Strategy::TwoTileStreamKDp { sms: v.parse().ok()? },
             _ => return None,
         };
-        Some(Self { strategy, tile, kernel, strassen_depth })
+        Some(Self { strategy, tile, strassen_depth })
     }
 }
 
 impl std::fmt::Display for Candidate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} @ {} [{}]", self.strategy, self.tile, self.kernel.name())?;
+        write!(f, "{} @ {}", self.strategy, self.tile)?;
         if self.strassen_depth > 0 {
             write!(f, " sw.{}", self.strassen_depth)?;
         }
@@ -110,19 +106,8 @@ pub fn feasible(candidate: &Candidate, shape: GemmShape, workers: usize) -> bool
     d.fixups().iter().map(streamk_core::TileFixup::covering_ctas).max().unwrap_or(1) <= workers
 }
 
-/// The microkernel palette the selector explores. Kept deliberately
-/// small — the SIMD default, the best packed block (the corpus shows
-/// `packed4x8` and `simd8x32` trading the lead shape-by-shape), and
-/// the wide-n SIMD variant for skinny-m shapes.
-#[must_use]
-pub fn kernel_palette() -> Vec<KernelKind> {
-    let mut palette = vec![KernelKind::default(), KernelKind::Packed4x8, KernelKind::Simd8x16];
-    palette.dedup();
-    palette
-}
-
 /// A crude CPU makespan proxy for ranking only: list-scheduling lower
-/// bound over the workers, derated by tile and kernel efficiency,
+/// bound over the workers, derated by tile efficiency,
 /// plus a per-seam consolidation term. Measurement corrects any
 /// ranking error inside the top K; this only has to keep obviously
 /// bad candidates out of the slate.
@@ -137,26 +122,14 @@ fn proxy_cost(candidate: &Candidate, shape: GemmShape, workers: usize, precision
     let ctas = d.ctas().iter().filter(|c| !c.is_empty()).count();
     let waves = ctas.div_ceil(workers) as f64;
     let lower = (total / workers as f64).max(critical).max(waves * d.min_iters_per_cta().max(1) as f64 * per_iter);
-    let eff = estimated_efficiency(candidate.tile, precision) * kernel_derate(candidate.kernel);
+    let eff = estimated_efficiency(candidate.tile, precision);
     let seam_cost = (candidate.tile.blk_m * candidate.tile.blk_n) as f64 * 2.0;
     lower / eff + d.split_tiles() as f64 * seam_cost
 }
 
-/// Relative throughput weight of each microkernel, for ranking only.
-fn kernel_derate(kernel: KernelKind) -> f64 {
-    match kernel {
-        KernelKind::Simd8x32 => 1.0,
-        KernelKind::Simd8x16 | KernelKind::Simd4x16 => 0.95,
-        KernelKind::Packed4x8 | KernelKind::Packed8x8 => 0.85,
-        KernelKind::Packed8x4 | KernelKind::Packed4x4 => 0.75,
-        KernelKind::Blocked => 0.45,
-        KernelKind::Scalar => 0.35,
-    }
-}
-
 /// Builds the candidate slate for `shape`: the heuristic App. A.1
-/// pick first, then the proxy-ranked top of the strategy × tile ×
-/// kernel cross product, feasibility-filtered, at most `top_k`
+/// pick first, then the proxy-ranked top of the strategy × tile
+/// cross product, feasibility-filtered, at most `top_k`
 /// entries (the heuristic seed does not count against `top_k` when it
 /// would have been cut).
 ///
@@ -176,8 +149,8 @@ pub fn candidates_for(
 /// [`candidates_for`] plus the opt-in Strassen–Winograd hybrid: when
 /// `strassen` is enabled and the shape class is large enough to
 /// recurse (its [`StrassenConfig::effective_depth`] is non-zero),
-/// one hybrid candidate — the slate seed's tile and kernel at that
-/// depth — is appended after the classical slate. It rides outside
+/// one hybrid candidate — the slate seed's tile at that depth — is
+/// appended after the classical slate. It rides outside
 /// `top_k` like the heuristic seed does, so enabling the hybrid
 /// never evicts a classical candidate; the epsilon-greedy loop then
 /// measures whether sub-cubic actually wins on this machine.
@@ -199,8 +172,7 @@ pub fn candidates_for_with(
     let heuristic =
         HeuristicSelector::new(streamk_ensemble::TileEnsemble::for_precision(precision), workers);
     let (config, strategy) = heuristic.select(shape);
-    let seed =
-        Candidate { strategy, tile: config.tile, kernel: KernelKind::default(), strassen_depth: 0 };
+    let seed = Candidate { strategy, tile: config.tile, strassen_depth: 0 };
 
     let mut strategies = vec![
         Strategy::DataParallel,
@@ -215,13 +187,11 @@ pub fn candidates_for_with(
     let mut scored: Vec<(f64, Candidate)> = Vec::new();
     for tile in candidate_tiles(precision) {
         for &strategy in &strategies {
-            for &kernel in &kernel_palette() {
-                let candidate = Candidate { strategy, tile, kernel, strassen_depth: 0 };
-                if candidate == seed || !feasible(&candidate, shape, workers) {
-                    continue;
-                }
-                scored.push((proxy_cost(&candidate, shape, workers, precision), candidate));
+            let candidate = Candidate { strategy, tile, strassen_depth: 0 };
+            if candidate == seed || !feasible(&candidate, shape, workers) {
+                continue;
             }
+            scored.push((proxy_cost(&candidate, shape, workers, precision), candidate));
         }
     }
     scored.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -237,8 +207,7 @@ pub fn candidates_for_with(
     if let Some(cfg) = strassen {
         let depth = cfg.effective_depth(shape);
         if depth > 0 {
-            // The hybrid reuses the seed's tile and kernel for its
-            // leaf launches; its own residency guard degrades the
+            // The hybrid reuses the seed's tile for its leaf launches; its own residency guard degrades the
             // grouped burst to data-parallel when Stream-K would
             // oversubscribe the workers, so the candidate is always
             // runnable.
@@ -263,37 +232,31 @@ mod tests {
             Strategy::DpOneTileStreamK { sms: 3 },
             Strategy::TwoTileStreamKDp { sms: 8 },
         ] {
-            for kernel in KernelKind::ALL {
-                for strassen_depth in [0u8, 1, 2] {
-                    let c = Candidate {
-                        strategy,
-                        tile: TileShape::new(32, 64, 8),
-                        kernel,
-                        strassen_depth,
-                    };
-                    assert_eq!(Candidate::decode(&c.encode()), Some(c), "{c}");
-                }
+            for strassen_depth in [0u8, 1, 2] {
+                let c = Candidate { strategy, tile: TileShape::new(32, 64, 8), strassen_depth };
+                assert_eq!(Candidate::decode(&c.encode()), Some(c), "{c}");
             }
         }
-        assert_eq!(Candidate::decode("nope 32x32x8 scalar"), None);
-        assert_eq!(Candidate::decode("dp 32x32x8"), None);
-        assert_eq!(Candidate::decode("dp 32x32x8 scalar extra"), None);
+        assert_eq!(Candidate::decode("nope 32x32x8"), None);
+        assert_eq!(Candidate::decode("dp"), None);
+        assert_eq!(Candidate::decode("dp 32x32x8 extra"), None);
         // The Strassen token must be well-formed and non-zero.
-        assert_eq!(Candidate::decode("dp 32x32x8 scalar sw.0"), None);
-        assert_eq!(Candidate::decode("dp 32x32x8 scalar sw.x"), None);
-        assert_eq!(Candidate::decode("dp 32x32x8 scalar sw.1 extra"), None);
+        assert_eq!(Candidate::decode("dp 32x32x8 sw.0"), None);
+        assert_eq!(Candidate::decode("dp 32x32x8 sw.x"), None);
+        assert_eq!(Candidate::decode("dp 32x32x8 sw.1 extra"), None);
+        // Nor does a kernel token (the version-1 cache format).
+        assert_eq!(Candidate::decode("dp 64x64x16 simd8x32"), None);
     }
 
     #[test]
     fn classical_encoding_has_no_strassen_token() {
-        // Pre-hybrid cache images must keep round-tripping.
         let c = Candidate {
             strategy: Strategy::DataParallel,
             tile: TileShape::new(64, 64, 16),
-            kernel: KernelKind::Simd8x32,
             strassen_depth: 0,
         };
-        assert_eq!(c.encode(), "dp 64x64x16 simd8x32");
+        assert_eq!(c.encode(), "dp 64x64x16");
+        assert_eq!(Candidate { strassen_depth: 2, ..c }.encode(), "dp 64x64x16 sw.2");
     }
 
     #[test]
@@ -330,7 +293,6 @@ mod tests {
         let (config, strategy) = heuristic.select(shape);
         assert_eq!(slate[0].tile, config.tile);
         assert_eq!(slate[0].strategy, strategy);
-        assert_eq!(slate[0].kernel, KernelKind::default());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's App. A.1 heuristic picks a decomposition *statically*
 //! from a grid-size model; the corpus results show no single
-//! strategy × kernel × tile wins everywhere, and the static rules
+//! strategy × tile wins everywhere, and the static rules
 //! mis-select on a long tail of shapes. Stream-K++ (arXiv:2408.11417)
 //! replaces the static decision with an *online* selector that caches
 //! measured per-shape winners. This crate rebuilds that loop for the
@@ -12,8 +12,8 @@
 //!   layout + worker count, so measurements generalize across nearby
 //!   shapes instead of memoizing every exact triple;
 //! - [`candidates`] — the per-class candidate slate, top-K of the
-//!   `streamk-tune` tile space crossed with decomposition strategies
-//!   and microkernels, always seeded with the App. A.1 pick;
+//!   `streamk-tune` tile space crossed with decomposition strategies,
+//!   always seeded with the App. A.1 pick;
 //! - [`cache::SelectionCache`] — the persistent measurement table:
 //!   versioned, checksummed, corruption degrades to a silent cold
 //!   start, written via temp-file + atomic rename so concurrent

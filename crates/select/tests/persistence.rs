@@ -4,7 +4,8 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use streamk_select::{AdaptiveSelector, SelectionCache, SelectorConfig};
+use streamk_select::cache::CACHE_VERSION;
+use streamk_select::{AdaptiveSelector, SelectionCache, SelectorConfig, ShapeClass};
 use streamk_types::{GemmShape, Layout, Precision};
 
 /// A unique scratch directory per test (process id + test name), so
@@ -86,13 +87,51 @@ fn version_mismatch_falls_back_to_cold_without_error() {
     // Rewrite the header with a future version; the payload stays
     // intact, so only the version gate can reject it.
     let text = std::fs::read_to_string(&path).expect("read cache");
-    let bumped = text.replacen(" v1\n", " v999\n", 1);
+    let bumped = text.replacen(&format!(" v{CACHE_VERSION}\n"), " v999\n", 1);
     assert_ne!(text, bumped, "header rewrite must take effect");
     std::fs::write(&path, bumped).expect("rewrite cache");
 
     let reloaded = AdaptiveSelector::new(config(&path));
     assert!(!reloaded.loaded_from_disk(), "future version must be rejected");
     assert_eq!(reloaded.total_trials(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a 64-bit, the cache file's payload checksum, written out here
+/// so that the images below fail on their content and not on a
+/// checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// A version-1 image, byte for byte the format that carried a kernel
+/// token in every candidate, loads as a cold start — and so does the
+/// same payload under the current header, whose candidates do not
+/// decode. Neither panics, and the selector runs on from the heuristic.
+#[test]
+fn a_version_one_image_with_kernel_tokens_loads_cold() {
+    let dir = scratch_dir("v1");
+    let path = dir.join("cache");
+    let shape = GemmShape::new(256, 256, 256);
+    let class = ShapeClass::of(shape, Precision::Fp64, Layout::RowMajor, 4).encode();
+    let payload = format!(
+        "class {class} 2\n\
+         cand dp 64x64x16 simd8x32 3 {:016x} {:016x}\n\
+         cand sk.4 32x32x16 packed4x8 1 {:016x} {:016x}\n",
+        1.0e-3f64.to_bits(),
+        1.0e-5f64.to_bits(),
+        2.0e-3f64.to_bits(),
+        0.0f64.to_bits(),
+    );
+    for version in [1, CACHE_VERSION] {
+        let image = format!("streamk-select-cache v{version}\nchecksum {:016x}\n{payload}", fnv1a(payload.as_bytes()));
+        std::fs::write(&path, image).expect("write cache");
+        let mut s = AdaptiveSelector::new(config(&path));
+        assert!(!s.loaded_from_disk(), "a v{version} header over kernel tokens must load cold");
+        assert_eq!(s.total_trials(), 0);
+        let pick = s.select(shape, Layout::RowMajor);
+        assert_eq!(pick.source, streamk_select::SelectionSource::ColdHeuristic);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -21,8 +21,8 @@ use std::fmt;
 
 /// Fragment edge length of the block-major layouts: fragments are
 /// `FRAG × FRAG` elements with a column-major interior. 8 matches the
-/// widest packed/SIMD kernel `MR` in `streamk-cpu`, which is what makes
-/// the zero-pack bypass possible.
+/// register block's `MR` in `streamk-cpu`, which is what makes the
+/// zero-pack bypass possible.
 pub const FRAG: usize = 8;
 
 /// The storage order of a dense matrix.

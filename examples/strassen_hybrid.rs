@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 use streamk::cpu::{
-    leaf_decomposition, machine_epsilon, max_abs, strassen_error_bound, KernelKind, StrassenArena,
+    leaf_decomposition, machine_epsilon, max_abs, strassen_error_bound, StrassenArena,
     StrassenConfig,
 };
 use streamk::prelude::*;
@@ -31,7 +31,7 @@ fn main() {
     let threads = 8;
     let reps = 3;
 
-    let exec = CpuExecutor::with_threads(threads).with_kernel(KernelKind::Simd8x32);
+    let exec = CpuExecutor::with_threads(threads);
     let a = Matrix::<f32>::random::<f32>(shape.m, shape.k, Layout::RowMajor, 1);
     let b = Matrix::<f32>::random::<f32>(shape.k, shape.n, Layout::RowMajor, 2);
 
