@@ -1,7 +1,7 @@
 //! Hand-rolled argument parsing (no external dependencies).
 
 use std::fmt;
-use streamk_types::{GemmShape, Layout, Precision, TileShape};
+use streamk_types::{GemmShape, Precision, TileShape};
 
 /// A parse/usage failure, displayed to the user.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,9 +105,6 @@ pub enum Command {
         reps: usize,
         /// Cut the sweep down for CI smoke runs.
         smoke: bool,
-        /// Operand storage layout for the headline runs (the layout
-        /// comparison always sweeps every layout).
-        layout: Layout,
         /// Output path for the JSON report.
         out: String,
     },
@@ -178,8 +175,6 @@ pub enum Command {
         threads: usize,
         /// Which decomposition.
         strategy: StrategyArg,
-        /// Operand storage layout for the traced run.
-        layout: Layout,
         /// Output path for the merged Chrome trace JSON.
         out: String,
         /// Optional output path for the measured-timeline SVG.
@@ -214,11 +209,11 @@ USAGE:
   streamk compare  <m> <n> <k> [--precision fp64|fp16]
   streamk corpus   [count]
   streamk chaos    <m> <n> <k> [--tile MxNxK] [--seeds N] [--threads T] [--watchdog-ms MS] [--serve]
-  streamk bench    [--size N] [--tile MxNxK] [--corpus C] [--reps R] [--layout L] [--out FILE] [--smoke]
+  streamk bench    [--size N] [--tile MxNxK] [--corpus C] [--reps R] [--out FILE] [--smoke]
   streamk serve-bench [--threads T] [--requests N] [--window W] [--capacity C] [--watchdog-ms MS] [--out FILE] [--metrics-out FILE] [--smoke]
   streamk select-bench [--shapes N] [--rounds R] [--reps P] [--threads T] [--select-cache FILE] [--out FILE] [--smoke]
   streamk strassen-bench [--cutoff N] [--tile MxNxK] [--reps R] [--threads T] [--out FILE] [--smoke]
-  streamk profile  <m> <n> <k> [--tile MxNxK] [--threads T] [--strategy S] [--layout L] [--out FILE] [--svg FILE] [--serve]
+  streamk profile  <m> <n> <k> [--tile MxNxK] [--threads T] [--strategy S] [--out FILE] [--svg FILE] [--serve]
   streamk svg      <m> <n> <k> --out FILE [--tile MxNxK] [--sms P] [--strategy S]
   streamk help
 
@@ -228,22 +223,10 @@ STRATEGIES (for --strategy):
   streamk:G   basic Stream-K with grid G (Algorithm 5)
   hybrid      two-tile Stream-K + data-parallel (§5.2)   [default]
   auto        Appendix A.1 model picks the launch
-
-LAYOUTS (for --layout):
-  row         row-major storage (default)
-  col         column-major storage
-  block       native block-major fragments (zero-pack fast path)
-  blockz      block-major with Morton (Z-order) fragment order
 ";
 
 fn parse_tile(s: &str) -> Result<TileShape, ParseError> {
     s.parse::<TileShape>().map_err(|e| ParseError(format!("--tile: {e} (expected MxNxK)")))
-}
-
-fn parse_layout(s: &str) -> Result<Layout, ParseError> {
-    Layout::parse(s).ok_or_else(|| {
-        ParseError(format!("--layout expects row, col, block, or blockz, got '{s}'"))
-    })
 }
 
 fn parse_precision(s: &str) -> Result<Precision, ParseError> {
@@ -499,7 +482,6 @@ impl Cli {
                     corpus: parse_usize("corpus", if smoke { 2 } else { 6 }, &flags)?,
                     reps: parse_usize("reps", if smoke { 2 } else { 5 }, &flags)?,
                     smoke,
-                    layout: get_flag(&flags, "layout").map_or(Ok(Layout::RowMajor), parse_layout)?,
                     out: get_flag(&flags, "out").unwrap_or("BENCH_cpu.json").to_string(),
                 }
             }
@@ -515,7 +497,6 @@ impl Cli {
                             .ok_or_else(|| ParseError(format!("--threads expects a positive integer, got '{v}'")))
                     })?,
                     strategy: get_flag(&flags, "strategy").map_or(Ok(StrategyArg::Hybrid), parse_strategy)?,
-                    layout: get_flag(&flags, "layout").map_or(Ok(Layout::RowMajor), parse_layout)?,
                     out: get_flag(&flags, "out").unwrap_or("TRACE_profile.json").to_string(),
                     svg: get_flag(&flags, "svg").map(String::from),
                     serve: get_flag(&flags, "serve") == Some("true"),
@@ -663,16 +644,9 @@ mod tests {
                 corpus: 6,
                 reps: 5,
                 smoke: false,
-                layout: Layout::RowMajor,
                 out: "BENCH_cpu.json".into(),
             }
         );
-        let cli = Cli::parse(&argv("bench --layout block")).unwrap();
-        match cli.command {
-            Command::Bench { layout, .. } => assert_eq!(layout, Layout::BlockMajor),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(Cli::parse(&argv("bench --layout diagonal")).is_err());
         // --smoke is a boolean flag: it consumes no value and shrinks
         // the default sweep.
         let cli = Cli::parse(&argv("bench --smoke --out /tmp/b.json")).unwrap();
@@ -809,7 +783,6 @@ mod tests {
                 tile: TileShape::new(32, 32, 16),
                 threads: 4,
                 strategy: StrategyArg::Hybrid,
-                layout: Layout::RowMajor,
                 out: "TRACE_profile.json".into(),
                 svg: None,
                 serve: false,
@@ -818,11 +791,6 @@ mod tests {
         let cli = Cli::parse(&argv("profile 64 64 64 --serve")).unwrap();
         match cli.command {
             Command::Profile { serve, .. } => assert!(serve),
-            other => panic!("unexpected {other:?}"),
-        }
-        let cli = Cli::parse(&argv("profile 64 64 64 --layout morton")).unwrap();
-        match cli.command {
-            Command::Profile { layout, .. } => assert_eq!(layout, Layout::BlockMajorZ),
             other => panic!("unexpected {other:?}"),
         }
         let cli = Cli::parse(&argv(

@@ -177,8 +177,8 @@ pub fn execute(cli: &Cli) -> String {
         Command::Chaos { shape, tile, seeds, threads, watchdog_ms, serve } => {
             run_chaos(*shape, *tile, *seeds, *threads, *watchdog_ms, *serve)
         }
-        Command::Bench { size, tile, corpus, reps, smoke, layout, out } => {
-            run_bench(*size, *tile, *corpus, *reps, *smoke, *layout, out)
+        Command::Bench { size, tile, corpus, reps, smoke, out } => {
+            run_bench(*size, *tile, *corpus, *reps, *smoke, out)
         }
         Command::ServeBench {
             threads,
@@ -205,8 +205,8 @@ pub fn execute(cli: &Cli) -> String {
         Command::StrassenBench { cutoff, tile, reps, threads, smoke, out } => {
             run_strassen_bench(*cutoff, *tile, *reps, *threads, *smoke, out)
         }
-        Command::Profile { shape, tile, threads, strategy, layout, out, svg, serve } => {
-            run_profile(*shape, *tile, *threads, *strategy, *layout, out, svg.as_deref(), *serve)
+        Command::Profile { shape, tile, threads, strategy, out, svg, serve } => {
+            run_profile(*shape, *tile, *threads, *strategy, out, svg.as_deref(), *serve)
         }
         Command::Svg { shape, tile, sms, strategy, out } => {
             let decomp = build(*strategy, *shape, *tile, *sms, Precision::Fp64);
@@ -368,7 +368,6 @@ fn run_bench(
     corpus: usize,
     reps: usize,
     smoke: bool,
-    layout: Layout,
     out_path: &str,
 ) -> String {
     let mut out = String::new();
@@ -393,10 +392,10 @@ fn run_bench(
     // GEMM.
     let shape = GemmShape::new(size, size, size);
     let space = IterSpace::new(shape, tile);
-    let a = Matrix::<f32>::random::<f32>(shape.m, shape.k, layout, 1);
-    let b = Matrix::<f32>::random::<f32>(shape.k, shape.n, layout, 2);
+    let a = Matrix::<f32>::random::<f32>(shape.m, shape.k, Layout::RowMajor, 1);
+    let b = Matrix::<f32>::random::<f32>(shape.k, shape.n, Layout::RowMajor, 2);
     let flops = shape.flops() as f64;
-    let _ = writeln!(out, "\nheadline {shape} f32 ({layout} operands), blocking {tile}, single thread, {reps} reps:");
+    let _ = writeln!(out, "\nheadline {shape} f32, blocking {tile}, single thread, {reps} reps:");
     let mut headline: Vec<(KernelKind, f64)> = Vec::new();
     let mut headline_cached: Vec<(KernelKind, f64)> = Vec::new();
     for kind in KernelKind::ALL {
@@ -576,65 +575,6 @@ fn run_bench(
         if trace_within_gate { "ok" } else { "MISS" }
     );
 
-    // Layout comparison: the same headline GEMM with row-major
-    // operands through the pack cache (one grid-shared table vs
-    // per-worker sharded tables) against native block-major operands
-    // (zero-pack bypass, cache on and off), at every sweep width.
-    // Every cell is asserted bit-identical to the row-major
-    // shared-cache run — same kernel, same ascending-k order, so the
-    // storage layout must not change a single bit.
-    let a_row = a.to_layout(Layout::RowMajor);
-    let b_row = b.to_layout(Layout::RowMajor);
-    let a_blk = a.to_layout(Layout::BlockMajor);
-    let b_blk = b.to_layout(Layout::BlockMajor);
-    let _ = writeln!(out, "\nlayout comparison ({shape} f32, kernel {block}, grid = workers):");
-    let _ = writeln!(out, "  threads  row+shared(s)  row+sharded(s)  block+cache(s)  block+bypass(s)  best");
-    let mut layout_json: Vec<String> = Vec::new();
-    for &threads in &thread_counts {
-        let decomp = Decomposition::stream_k(shape, tile, threads);
-        let time_cfg = |am: &Matrix<f32>, bm: &Matrix<f32>, cache: bool, shards: usize| -> (f64, Matrix<f32>) {
-            let exec = CpuExecutor::with_threads(threads).with_pack_cache(cache).with_pack_shards(shards);
-            let c = exec.gemm::<f32, f32>(am, bm, &decomp); // warm-up, kept for the exactness gate
-            let mut times: Vec<f64> = (0..reps.max(1))
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let _ = exec.gemm::<f32, f32>(am, bm, &decomp);
-                    t0.elapsed().as_secs_f64()
-                })
-                .collect();
-            times.sort_by(f64::total_cmp);
-            (times[times.len() / 2], c)
-        };
-        let (row_shared, c_ref) = time_cfg(&a_row, &b_row, true, 1);
-        let (row_sharded, c_sharded) = time_cfg(&a_row, &b_row, true, 0);
-        let (blk_cached, c_blk_cached) = time_cfg(&a_blk, &b_blk, true, 0);
-        let (blk_bypass, c_blk_bypass) = time_cfg(&a_blk, &b_blk, false, 0);
-        for (name, c) in [
-            ("row-major sharded cache", &c_sharded),
-            ("block-major cached", &c_blk_cached),
-            ("block-major bypass", &c_blk_bypass),
-        ] {
-            assert!(
-                c.max_abs_diff(&c_ref) == 0.0,
-                "layout comparison: {name} diverged from the row-major shared-cache baseline at {threads} threads"
-            );
-        }
-        let cells =
-            [("row-shared", row_shared), ("row-sharded", row_sharded), ("block-cached", blk_cached), ("block-bypass", blk_bypass)];
-        let best = cells.iter().min_by(|x, y| x.1.total_cmp(&y.1)).expect("four cells");
-        let _ = writeln!(
-            out,
-            "  {threads:>7} {row_shared:>14.3e} {row_sharded:>15.3e} {blk_cached:>15.3e} {blk_bypass:>16.3e}  {}",
-            best.0
-        );
-        layout_json.push(format!(
-            "      {{\"threads\": {threads}, \"oversubscribed\": {}, \"row_shared_s\": {row_shared:.6e}, \"row_sharded_s\": {row_sharded:.6e}, \"block_cached_s\": {blk_cached:.6e}, \"block_bypass_s\": {blk_bypass:.6e}, \"best\": \"{}\", \"block_vs_row_speedup\": {:.3}}}",
-            threads > nproc,
-            best.0,
-            row_shared / blk_cached.min(blk_bypass)
-        ));
-    }
-
     let corpus_json: Vec<String> = corpus_rows
         .iter()
         .map(|(s, row)| format!("    {{\"shape\": \"{s}\", \"timings_s\": {}}}", json_timings(row)))
@@ -651,13 +591,12 @@ fn run_bench(
         .collect();
     let generated_by = provenance("bench");
     let json = format!(
-        "{{\n  \"generated_by\": \"{generated_by}\",\n  \"smoke\": {smoke},\n  \"tile\": \"{tile}\",\n  \"simd_level\": \"{simd_level}\",\n  \"nproc\": {nproc},\n  \"bit_exact_f64\": true,\n  \"headline\": {{\n    \"shape\": \"{shape}\",\n    \"dtype\": \"f32\",\n    \"reps\": {reps},\n    \"timings_s\": {},\n    \"cached_timings_s\": {},\n    \"block_gflops\": {:.2},\n    \"speedup_block_vs_scalar\": {speedup:.3}\n  }},\n  \"thread_scaling\": [\n{}\n  ],\n  \"parallel_efficiency\": [\n{}\n  ],\n  \"tracing_overhead\": {{\"shape\": \"{t_shape}\", \"threads\": {t_threads}, \"trace_off_s\": {trace_off:.6e}, \"trace_on_s\": {trace_on:.6e}, \"overhead_pct\": {overhead_pct:.2}, \"overhead_raw_pct\": {overhead_raw_pct:.2}, \"gate_pct\": 5.0, \"within_gate\": {trace_within_gate}}},\n  \"layout_comparison\": {{\n    \"shape\": \"{shape}\",\n    \"dtype\": \"f32\",\n    \"kernel\": \"{block}\",\n    \"headline_layout\": \"{layout}\",\n    \"bit_exact\": true,\n    \"rows\": [\n{}\n    ]\n  }},\n  \"corpus\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"generated_by\": \"{generated_by}\",\n  \"smoke\": {smoke},\n  \"tile\": \"{tile}\",\n  \"simd_level\": \"{simd_level}\",\n  \"nproc\": {nproc},\n  \"bit_exact_f64\": true,\n  \"headline\": {{\n    \"shape\": \"{shape}\",\n    \"dtype\": \"f32\",\n    \"reps\": {reps},\n    \"timings_s\": {},\n    \"cached_timings_s\": {},\n    \"block_gflops\": {:.2},\n    \"speedup_block_vs_scalar\": {speedup:.3}\n  }},\n  \"thread_scaling\": [\n{}\n  ],\n  \"parallel_efficiency\": [\n{}\n  ],\n  \"tracing_overhead\": {{\"shape\": \"{t_shape}\", \"threads\": {t_threads}, \"trace_off_s\": {trace_off:.6e}, \"trace_on_s\": {trace_on:.6e}, \"overhead_pct\": {overhead_pct:.2}, \"overhead_raw_pct\": {overhead_raw_pct:.2}, \"gate_pct\": 5.0, \"within_gate\": {trace_within_gate}}},\n  \"corpus\": [\n{}\n  ]\n}}\n",
         json_timings(&headline),
         json_timings(&headline_cached),
         flops / block_s / 1e9,
         sweep_json.join(",\n"),
         eff_json.join(",\n"),
-        layout_json.join(",\n"),
         corpus_json.join(",\n"),
     );
     match std::fs::write(out_path, &json) {
@@ -1226,18 +1165,17 @@ fn run_profile(
     tile: TileShape,
     threads: usize,
     strategy: StrategyArg,
-    layout: Layout,
     out_path: &str,
     svg_path: Option<&str>,
     serve: bool,
 ) -> String {
     let mut out = String::new();
     let decomp = build(strategy, shape, tile, threads, Precision::Fp64);
-    let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, layout, 0x9A0F);
-    let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, layout, 0x9A0E);
+    let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::RowMajor, 0x9A0F);
+    let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::RowMajor, 0x9A0E);
     let _ = writeln!(
         out,
-        "profile: {shape} GEMM, blocking {tile}, {} on {threads} workers ({} CTAs), {layout} operands",
+        "profile: {shape} GEMM, blocking {tile}, {} on {threads} workers ({} CTAs)",
         decomp.strategy(),
         decomp.grid_size()
     );
@@ -2209,12 +2147,9 @@ mod tests {
         // The gated overhead figure is clamped at zero — only the raw
         // delta may go negative.
         assert!(!json.contains("\"overhead_pct\": -"), "{json}");
-        assert!(json.contains("\"layout_comparison\""), "{json}");
-        assert!(json.contains("\"bit_exact\": true"), "{json}");
-        for cell in ["row_shared_s", "row_sharded_s", "block_cached_s", "block_bypass_s"] {
-            assert!(json.contains(cell), "missing {cell}: {json}");
-        }
-        assert!(out.contains("layout comparison"), "{out}");
+        // Two storage orders and no contest between them.
+        assert!(!json.contains("\"layout_comparison\""), "{json}");
+        assert!(!out.contains("layout comparison"), "{out}");
         // No kernel contest: the headline times the two kinds there are.
         assert!(!json.contains("\"selection\""), "{json}");
         assert!(json.contains("\"shape\": \"96x96x96\""), "{json}");
@@ -2264,7 +2199,7 @@ mod tests {
         let path = std::env::temp_dir().join("streamk_cli_profile_test.json");
         let svg = std::env::temp_dir().join("streamk_cli_profile_test.svg");
         let out = run(&format!(
-            "profile 96 96 128 --tile 32x32x16 --threads 4 --strategy streamk:6 --layout block --out {} --svg {}",
+            "profile 96 96 128 --tile 32x32x16 --threads 4 --strategy streamk:6 --out {} --svg {}",
             path.display(),
             svg.display()
         ));

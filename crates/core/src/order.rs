@@ -90,57 +90,6 @@ pub fn tile_permutation(order: TileOrder, tiles_m: usize, tiles_n: usize) -> Vec
     }
 }
 
-/// Fragment-level swizzle: the storage slot of fragment `(p, q)` on a
-/// `frags_m × frags_n` fragment grid under `order`.
-///
-/// This extends the tile permutation one level down, to the
-/// `FRAG × FRAG` fragments of the native block-major matrix layouts
-/// (`streamk_types::Layout::BlockMajor{,Z}`). Unlike
-/// [`tile_permutation`], which materializes a sorted vector, fragment
-/// slots must be O(1) both ways — `Layout::index` evaluates them per
-/// element — so the Morton variant uses the *dense* z-order rank
-/// ([`streamk_types::zorder_rank`]) and is only available when the
-/// fragment grid is a power of two in both dimensions. On ragged grids
-/// every order degrades to linear row-panel order: compact Morton
-/// (sort-by-`morton_code`, as `tile_permutation` does) has no O(1)
-/// inverse without a rank table. `ColumnGrouped` at fragment
-/// granularity would break the packed-panel equivalence that gives
-/// block-major its zero-pack bypass, so it also maps to linear order.
-///
-/// # Panics
-///
-/// Panics (debug) if `(p, q)` is outside the grid.
-#[inline]
-#[must_use]
-pub fn fragment_slot(order: TileOrder, p: usize, q: usize, frags_m: usize, frags_n: usize) -> usize {
-    debug_assert!(p < frags_m && q < frags_n, "fragment ({p},{q}) outside {frags_m}x{frags_n}");
-    match order {
-        TileOrder::Morton if frags_m.is_power_of_two() && frags_n.is_power_of_two() => {
-            streamk_types::zorder_rank(p, q, frags_m, frags_n)
-        }
-        _ => p * frags_n + q,
-    }
-}
-
-/// Inverse of [`fragment_slot`]: the fragment coordinates stored at
-/// `slot`.
-#[inline]
-#[must_use]
-pub fn fragment_coords(
-    order: TileOrder,
-    slot: usize,
-    frags_m: usize,
-    frags_n: usize,
-) -> (usize, usize) {
-    debug_assert!(slot < frags_m * frags_n);
-    match order {
-        TileOrder::Morton if frags_m.is_power_of_two() && frags_n.is_power_of_two() => {
-            streamk_types::zorder_unrank(slot, frags_m, frags_n)
-        }
-        _ => (slot / frags_n, slot % frags_n),
-    }
-}
-
 /// [`tile_permutation`] shared behind an `Arc` (the form `IterSpace`
 /// stores).
 #[must_use]
@@ -299,78 +248,6 @@ mod tests {
             assert_eq!(row, (0..n).map(|tn| (0, tn)).collect::<Vec<_>>(), "1x{n}");
             let col = tile_permutation(TileOrder::Morton, n, 1);
             assert_eq!(col, (0..n).map(|tm| (tm, 0)).collect::<Vec<_>>(), "{n}x1");
-        }
-    }
-
-    #[test]
-    fn fragment_slot_matches_tile_permutation_on_pow2_grids() {
-        // At tile granularity the dense fragment rank and the sorted
-        // compact permutation agree wherever both are defined (square
-        // and rectangular pow2 grids).
-        for (fm, fn_) in [(1, 1), (2, 2), (4, 4), (8, 8), (2, 8), (8, 2), (1, 4), (4, 1)] {
-            let perm = tile_permutation(TileOrder::Morton, fm, fn_);
-            for (slot, &(p, q)) in perm.iter().enumerate() {
-                assert_eq!(
-                    fragment_slot(TileOrder::Morton, p, q, fm, fn_),
-                    slot,
-                    "({p},{q}) on {fm}x{fn_}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fragment_slot_ragged_grids_degrade_to_linear() {
-        for order in [TileOrder::RowMajor, TileOrder::ColumnGrouped(3), TileOrder::Morton] {
-            for (p, q) in [(0, 0), (2, 4), (6, 1)] {
-                assert_eq!(fragment_slot(order, p, q, 7, 5), p * 5 + q, "{order:?}");
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod fragment_swizzle_props {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn orders() -> impl proptest::strategy::Strategy<Value = TileOrder> {
-        prop_oneof![
-            Just(TileOrder::RowMajor),
-            (1usize..6).prop_map(TileOrder::ColumnGrouped),
-            Just(TileOrder::Morton),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Round trip: index → fragment slot → index, for every order
-        /// on arbitrary (pow2 and ragged) fragment grids.
-        #[test]
-        fn slot_round_trips(order in orders(), fm in 1usize..40, fn_ in 1usize..40) {
-            for p in 0..fm {
-                for q in 0..fn_ {
-                    let slot = fragment_slot(order, p, q, fm, fn_);
-                    prop_assert!(slot < fm * fn_, "{order:?}: slot {slot} out of range");
-                    prop_assert_eq!(fragment_coords(order, slot, fm, fn_), (p, q));
-                }
-            }
-        }
-
-        /// Density: slots are a bijection onto 0 .. fm·fn for every
-        /// order and grid — the layouts built on them waste no storage.
-        #[test]
-        fn slots_are_dense(order in orders(), fm in 1usize..32, fn_ in 1usize..32) {
-            let mut seen = vec![false; fm * fn_];
-            for p in 0..fm {
-                for q in 0..fn_ {
-                    let slot = fragment_slot(order, p, q, fm, fn_);
-                    prop_assert!(!seen[slot], "{:?}: duplicate slot {}", order, slot);
-                    seen[slot] = true;
-                }
-            }
-            prop_assert!(seen.iter().all(|&s| s));
         }
     }
 }

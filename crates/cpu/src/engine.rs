@@ -93,7 +93,7 @@ impl Orientation {
         c: Layout,
         space: &IterSpace,
     ) -> (Self, Layout, IterSpace) {
-        if transpose_pays(kernel.panel_geometry::<In>(), a, b, c, space.tile()) {
+        if transpose_pays(kernel.panel_geometry::<In>(), a, b, c) {
             (Self { transposed: true }, c.flipped(), space.transposed())
         } else {
             (Self::default(), c, space.clone())

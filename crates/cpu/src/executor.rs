@@ -76,8 +76,9 @@ pub struct ExecutorConfig {
     /// Shard count for the pack cache: `0` (the default) means one
     /// shard per worker, so each worker packs into — and reads from —
     /// its own slot table and published panels never migrate between
-    /// cores; `1` restores the single grid-shared table. Block-major
-    /// operands bypass the cache entirely regardless of sharding.
+    /// cores; `1` restores the single grid-shared table. An operand
+    /// read in place (DESIGN.md §8) gets no slots, whatever the
+    /// sharding.
     pub pack_shards: usize,
     /// Record per-worker event spans during each launch (see
     /// [`crate::trace`]); collect them with
@@ -430,7 +431,7 @@ impl CpuExecutor {
     /// shards, storing its chunks in the executor's arena and sized
     /// for the operands that pack. `None` — nothing built, the arena
     /// left where it is — when no tile of the launch reads a packed
-    /// operand (every view is consumed in place or bypassed), caching
+    /// operand (every view is read in place), caching
     /// is off, or the kernel does not consume panels; the dispatcher
     /// then packs privately whatever it still has to. Hand the cache
     /// back with [`retire_pack_cache`] so the next launch reuses the
@@ -445,7 +446,7 @@ impl CpuExecutor {
     {
         let block = self.config.kernel.panel_geometry::<In>().filter(|_| self.config.pack_cache)?;
         let instances = instances.into_iter().map(|(space, a, b)| {
-            let (a_packs, b_packs) = operands_pack(&a, &b, block, space.tile());
+            let (a_packs, b_packs) = operands_pack(&a, &b);
             (space, a_packs, b_packs)
         });
         if !instances.clone().any(|(_, a_packs, b_packs)| a_packs || b_packs) {
@@ -1007,43 +1008,8 @@ mod tests {
         c.assert_close(&gemm_naive::<f64, f64>(&a, &b), 1e-12);
     }
 
-    /// End-to-end block-major launches: operands (and therefore C)
-    /// stored natively blocked are bit-exact against the row-major
-    /// run, for the register block (A through the zero-pack bypass, B
-    /// through the cache), the scalar kernel, and the Morton variant,
-    /// across shard configurations.
-    #[test]
-    fn block_major_operands_are_bit_exact_end_to_end() {
-        let shape = GemmShape::new(61, 53, 80);
-        let tile = TileShape::new(16, 16, 8);
-        let decomp = Decomposition::stream_k(shape, tile, 4);
-        let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::RowMajor, 43);
-        let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::RowMajor, 44);
-        for kind in KernelKind::ALL {
-            let reference =
-                CpuExecutor::with_threads(4).with_kernel(kind).gemm::<f64, f64>(&a, &b, &decomp);
-            for layout in [Layout::BlockMajor, Layout::BlockMajorZ] {
-                let ab = a.to_layout(layout);
-                let bb = b.to_layout(layout);
-                for shards in [1, 4] {
-                    let c = CpuExecutor::with_threads(4)
-                        .with_kernel(kind)
-                        .with_pack_shards(shards)
-                        .gemm::<f64, f64>(&ab, &bb, &decomp);
-                    assert_eq!(c.layout(), layout, "C inherits A's layout");
-                    assert_eq!(
-                        c.max_abs_diff(&reference),
-                        0.0,
-                        "{kind} {layout} shards={shards} diverged from row-major"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Mixed layouts: block-major A against row-major B (the bypass +
-    /// cache split) and the converse, with a row-major C target via
-    /// `gemm_ex`.
+    /// Mixed layouts: column-major A against row-major B and the
+    /// converse, with a row-major C target via `gemm_ex`.
     #[test]
     fn mixed_layout_operands_are_bit_exact() {
         let shape = GemmShape::new(48, 56, 40);
@@ -1052,36 +1018,12 @@ mod tests {
         let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::RowMajor, 45);
         let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::RowMajor, 46);
         let reference = CpuExecutor::with_threads(4).gemm::<f64, f64>(&a, &b, &decomp);
-        let ab = a.to_layout(Layout::BlockMajor);
-        let bb = b.to_layout(Layout::BlockMajor);
-        for (av, bv) in [(ab.view(), b.view()), (a.view(), bb.view())] {
+        let ac = a.to_layout(Layout::ColMajor);
+        let bc = b.to_layout(Layout::ColMajor);
+        for (av, bv) in [(ac.view(), b.view()), (a.view(), bc.view())] {
             let mut c = Matrix::<f64>::zeros(shape.m, shape.n, Layout::RowMajor);
             CpuExecutor::with_threads(4).gemm_ex(1.0, &av, &bv, 0.0, &mut c, &decomp);
             assert_eq!(c.max_abs_diff(&reference), 0.0, "mixed layouts diverged");
-        }
-    }
-
-    /// Fault injection with block-major operands: owner-side
-    /// recomputation must rebuild lost/poisoned partials from blocked
-    /// storage bit-exactly.
-    #[test]
-    fn fault_recovery_from_block_major_operands() {
-        let shape = GemmShape::new(32, 32, 256);
-        let tile = TileShape::new(16, 16, 8);
-        let decomp = Decomposition::stream_k(shape, tile, 6);
-        let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::RowMajor, 47)
-            .to_layout(Layout::BlockMajor);
-        let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::RowMajor, 48)
-            .to_layout(Layout::BlockMajor);
-        let exec = CpuExecutor::with_threads(6).with_watchdog(Duration::from_millis(200));
-        let baseline = exec.gemm::<f64, f64>(&a, &b, &decomp);
-        let victim = FaultPlan::contributors(&decomp)[0];
-        for fault in [FaultKind::Lose, FaultKind::Poison] {
-            let plan = FaultPlan::single(victim, fault);
-            let (c, report) =
-                exec.gemm_with_faults::<f64, f64>(&a, &b, &decomp, &plan).expect("recovers");
-            assert!(report.recoveries() >= 1, "no recovery under {fault:?}");
-            assert_eq!(c.max_abs_diff(&baseline), 0.0, "{fault:?} recovery diverged");
         }
     }
 

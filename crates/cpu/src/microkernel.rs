@@ -30,7 +30,7 @@
 //! tile's register blocks over two of them at any `MR × NR`: full
 //! blocks accumulate directly in the tile's accumulator, ragged
 //! corners through a zero-padded stack tile. Which source serves an
-//! operand — block-major bypass, in place, the grid-shared
+//! operand — in place, the grid-shared
 //! [`crate::packcache::PackCache`], a private pack — is decided in
 //! [`crate::packcache::mac_loop_kernel_cached`], per operand per
 //! k-chunk.
@@ -276,9 +276,8 @@ fn mac_loop_panels<In, Acc, const MR_: usize, const NR_: usize>(
 /// problem-k `k` is
 /// `data[p · panel_stride + i · lane_stride + (k − ks.start) · k_stride]`.
 ///
-/// - A **packed table** ([`packed`](Self::packed)) — a cache chunk, a
-///   private pack, or block-major storage taken by the zero-pack
-///   bypass — is k-major with adjacent lanes: strides
+/// - A **packed table** ([`packed`](Self::packed)) — a cache chunk or
+///   a private pack — is k-major with adjacent lanes: strides
 ///   `(ks.len() · width, 1, width)`, its ragged last panel zero-padded
 ///   in the table itself.
 /// - An operand read **in place** ([`in_place`](Self::in_place))
@@ -339,8 +338,8 @@ impl<'a, In> PanelSpan<'a, In> {
 
 /// Runs local MAC-loop iterations `[local_begin, local_end)` of
 /// `tile_idx` against the operand sources `a` and `b` — packed tables
-/// from the [`crate::packcache::PackCache`], a private pack or the
-/// zero-pack bypass, or the operands' own storage ([`PanelSpan`]). The
+/// from the [`crate::packcache::PackCache`] or a private pack, or the
+/// operands' own storage ([`PanelSpan`]). The
 /// segment's k-sub-range must lie inside both spans' k-windows. No
 /// packing happens here — that is the point.
 ///

@@ -11,9 +11,8 @@
 //! Every engine (single launch, batched, grouped, service) stores
 //! through one routine, [`TileWriter::store_runs`]. It cuts the tile's
 //! destination into the contiguous *runs* the layout has — a row of
-//! the tile for `RowMajor`, a column for `ColMajor`, the part of a
-//! column inside one `FRAG × FRAG` fragment for the block-major
-//! layouts — asks `Layout::index` for each run's first offset only,
+//! the tile for `RowMajor`, a column for `ColMajor` — asks
+//! `Layout::index` for each run's first offset only,
 //! proves the run's first and last offset inside the storage with
 //! checked arithmetic, and then applies `α·acc (+ β·c)` over the run
 //! as one slice loop, reading **C** only when `β ≠ 0`. A column of the
@@ -36,16 +35,15 @@
 //! store to the same tile panics before it writes.
 //!
 //! A `β = 0` output needs no prior contents, so [`OwnedTileWriter`]
-//! does not fill the buffer it allocates for the strided layouts: the
-//! tiles partition the storage, every element is written exactly once
+//! does not fill the buffer it allocates: the tiles partition the
+//! storage, every element is written exactly once
 //! by the worker that computed it, and the buffer only becomes a
 //! `Matrix` in [`OwnedTileWriter::take`], which refuses unless every
 //! tile's flag says *stored*. A writer keeps the launch's [`IterSpace`]
 //! and takes a tile's extents from it, never from the caller, so a set
 //! flag means the whole tile was written. A launch that fails, is
 //! cancelled or times out drops the buffer without ever reading it.
-//! Block-major storage has fragment padding no tile writes, so it
-//! keeps its zero fill. The buffer is reserved with a cache line of
+//! The buffer is reserved with a cache line of
 //! slack and the matrix starts on the line inside it, like every
 //! allocating `Matrix` constructor; `take` writes the few slack
 //! elements in front and hands the window over without a copy.
@@ -58,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use streamk_core::IterSpace;
 use streamk_matrix::aligned::{line_offset, slack};
 use streamk_matrix::{AlignedVec, Matrix, Scalar};
-use streamk_types::{Layout, FRAG};
+use streamk_types::Layout;
 
 /// Tile flag states. `CLAIMED` is swapped in (relaxed: it publishes
 /// nothing, it only elects the tile's one writer) before the first
@@ -76,7 +74,7 @@ const STAGE: usize = 16;
 /// across worker threads.
 pub(crate) struct TileWriter<'a, Acc> {
     ptr: *mut Acc,
-    /// Elements `ptr` is valid for: `layout.storage_len(m, n)`.
+    /// Elements `ptr` is valid for: `m · n`.
     len: usize,
     /// The launch's tiling of the `m × n` output: where each tile's
     /// extents come from.
@@ -108,7 +106,7 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
     /// storage, in `layout` order, of the `m × n` matrix `space` tiles.
     pub(crate) fn new(data: &'a mut [Acc], layout: Layout, space: &IterSpace) -> Self {
         let shape = space.shape();
-        assert_eq!(data.len(), layout.storage_len(shape.m, shape.n), "backing storage size mismatch");
+        assert_eq!(data.len(), shape.m * shape.n, "backing storage size mismatch");
         Self::over(data.as_mut_ptr(), data.len(), layout, space, true)
     }
 
@@ -167,7 +165,7 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
     /// into the contiguous runs this layout stores it as and hands
     /// each, with the accumulator elements that feed it, to
     /// [`store_run`](Self::store_run). Rows of the tile are unit-stride
-    /// in `accum`; columns and fragment columns step by `blk_n`. A
+    /// in `accum`; columns step by `blk_n`. A
     /// `ColMajor` column is gathered [`STAGE`] rows at a time into a
     /// stack array and each such run stored from that contiguous slice,
     /// a quarter to a third faster than a strided read (EXPERIMENTS.md,
@@ -205,20 +203,6 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
                     }
                 }
             }
-            Layout::BlockMajor | Layout::BlockMajorZ => {
-                for (tj, c) in col_range.enumerate() {
-                    let mut r = r0;
-                    while r < row_range.end {
-                        // A fragment's interior is column-major: rows
-                        // `r ..` of column `c` are contiguous up to the
-                        // fragment's last row.
-                        let n = (FRAG - r % FRAG).min(row_range.end - r);
-                        let src = accum[(r - r0) * blk_n + tj..].iter().step_by(blk_n).copied();
-                        self.store_run(r, c, n, src, alpha, beta);
-                        r += n;
-                    }
-                }
-            }
         }
     }
 
@@ -235,9 +219,9 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
         // `self` lives (a borrow held for `'a`, or the buffer of the
         // `OwnedTileWriter` around `self`), and `first ..= first + n −
         // 1` lies inside it by the checked assertion above. The run is
-        // `n` consecutive elements of one row (`RowMajor`), one column
-        // (`ColMajor`) or one fragment column (block-major) of this
-        // tile's `row_range × col_range`, which the layout stores
+        // `n` consecutive elements of one row (`RowMajor`) or one
+        // column (`ColMajor`) of this tile's `row_range × col_range`,
+        // which the layout stores
         // contiguously, so it covers this tile's elements only; this
         // thread is their only accessor (it swapped the tile's flag
         // from `UNTOUCHED`, and tiles are disjoint). `MaybeUninit`
@@ -264,12 +248,10 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
 /// entry (`gemm`, `gemm_batched`, `gemm_grouped`, a service request)
 /// gets its **C** from.
 ///
-/// For the strided layouts the buffer is reserved, not filled: each
-/// element's first write is the store of the tile it belongs to, by
-/// the worker that computed it, and nothing reads the buffer until
-/// [`take`](Self::take) turns it into a `Matrix`. The block-major
-/// layouts pad their storage to whole fragments, which no tile
-/// writes, so their buffer starts zero-filled.
+/// The buffer is reserved, not filled: each element's first write is
+/// the store of the tile it belongs to, by the worker that computed
+/// it, and nothing reads the buffer until [`take`](Self::take) turns
+/// it into a `Matrix`.
 ///
 /// # Safety protocol
 ///
@@ -284,8 +266,8 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
 /// finalizer). A store writes the whole of
 /// `IterSpace::tile_extents(tile_idx)` — the writer computes it, the
 /// caller cannot narrow it — those extents partition the matrix
-/// (`streamk-core`'s `tile_extents_partition_the_output` test), and a
-/// strided layout stores the matrix in exactly `m · n` elements, so
+/// (`streamk-core`'s `tile_extents_partition_the_output` test), and
+/// both layouts store the matrix in exactly `m · n` elements, so
 /// "every tile stored" is "every element initialised".
 /// The `taken` flag makes a second `take` panic instead of exposing an
 /// empty vector as full.
@@ -314,17 +296,8 @@ impl<Acc: Scalar> OwnedTileWriter<Acc> {
     /// An output buffer in `layout` order for the `m × n` matrix
     /// `space` tiles, starting on a cache line.
     pub(crate) fn new(layout: Layout, space: &IterSpace) -> Self {
-        let len = layout.storage_len(space.shape().m, space.shape().n);
-        let reserve = len + slack::<Acc>();
-        let mut buf = if layout.is_blocked() {
-            // Fragment padding is never stored; `clear` resets the
-            // length and leaves the zeros where they are.
-            let mut zeroed = vec![Acc::default(); reserve];
-            zeroed.clear();
-            zeroed
-        } else {
-            Vec::with_capacity(reserve)
-        };
+        let len = space.shape().m * space.shape().n;
+        let mut buf = Vec::<Acc>::with_capacity(len + slack::<Acc>());
         let offset = line_offset(buf.as_ptr()).unwrap_or(0);
         let writer = TileWriter::over(buf.as_mut_ptr().wrapping_add(offset), len, layout, space, false);
         Self { buf: UnsafeCell::new(buf), offset, writer, taken: AtomicBool::new(false) }
@@ -358,10 +331,10 @@ impl<Acc: Scalar> OwnedTileWriter<Acc> {
         // front of the window, `offset ≤ slack` elements, is written
         // here. `set_len`: `offset + len` is at most the capacity
         // requested in `new`, and every element below it is
-        // initialised — the slack just now; the window by the zero
-        // fill (block-major), or by the tile stores, which the acquire
-        // loads above synchronised with and which cover a strided
-        // layout's storage exactly (see the type-level protocol).
+        // initialised — the slack just now; the window by the tile
+        // stores, which the acquire loads above synchronised with and
+        // which cover the storage exactly (see the type-level
+        // protocol).
         let data = unsafe {
             let mut data = std::mem::take(&mut *self.buf.get());
             for i in 0..offset {
@@ -405,7 +378,7 @@ mod tests {
     use super::*;
     use streamk_types::{GemmShape, TileShape};
 
-    const ALL_LAYOUTS: [Layout; 4] = [Layout::RowMajor, Layout::ColMajor, Layout::BlockMajor, Layout::BlockMajorZ];
+    const ALL_LAYOUTS: [Layout; 2] = [Layout::RowMajor, Layout::ColMajor];
 
     /// An `m × n` output in `blk_m × blk_n` tiles.
     fn space(m: usize, n: usize, blk_m: usize, blk_n: usize) -> IterSpace {
@@ -436,7 +409,7 @@ mod tests {
     }
 
     /// Every layout's runs against the per-element index math, over
-    /// tiles that start and end off the fragment grid.
+    /// ragged tiles.
     #[test]
     fn runs_match_the_element_index_in_every_layout() {
         let (rows, cols, blk_m, blk_n) = (13, 11, 5, 3);
@@ -445,7 +418,7 @@ mod tests {
         let stride = 9;
         let accum: Vec<f64> = (0..blk_m * stride).map(|i| i as f64 + 0.5).collect();
         for layout in ALL_LAYOUTS {
-            let mut got = Matrix::from_vec(rows, cols, layout, vec![-1.0f64; layout.storage_len(rows, cols)]);
+            let mut got = Matrix::from_vec(rows, cols, layout, vec![-1.0f64; rows * cols]);
             let mut want = got.clone();
             let w = TileWriter::new(got.as_mut_slice(), layout, &space);
             for t in 0..space.tiles() {

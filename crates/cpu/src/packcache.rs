@@ -70,17 +70,11 @@
 //! the range seams — and stolen CTAs use the *thief's* shard, keeping
 //! reads local even under imbalance.
 //!
-//! **Operand sources.** The cache is the *third* place
+//! **Operand sources.** The cache is the *second* place
 //! [`mac_loop_kernel_cached`] looks. Per operand, per chunk, it takes
-//! the first source that can serve it — block-major bypass → in place
-//! → this cache → a private pack:
+//! the first source that can serve it — in place → this cache → a
+//! private pack:
 //!
-//! - *Zero-pack bypass.* A
-//!   [`Layout::BlockMajor`](streamk_types::Layout) matrix's storage
-//!   *is* the packed-A panel table with `MR = FRAG` (and a transposed
-//!   block-major view is the packed-B table with `NR = FRAG`), so the
-//!   microkernel gets slices of the matrix's own storage whenever the
-//!   kernel's register block and the tile geometry line up.
 //! - *In place.* The register block addresses operands by strides
 //!   ([`crate::simd::Strided`]), so a strided view is read where it
 //!   lies — no slot, no copy, no wait — when the kernel can address
@@ -114,7 +108,7 @@ use streamk_matrix::{
     pack_a_slice, pack_b_slice, packed_a_len, packed_b_len, AlignedVec, MatrixView, Promote,
     Scalar,
 };
-use streamk_types::{Layout, TileShape, FRAG};
+use streamk_types::Layout;
 
 use crate::arena::{PackArena, SlotTable};
 use crate::fixup::WaitPolicy;
@@ -168,7 +162,7 @@ struct Instance {
     chunks: usize,
     /// First A slot; slots are indexed `[shard][tile row][chunk]`.
     /// `None` when the launch never packs this instance's A (it is
-    /// read in place or through the bypass) and so keeps no slots.
+    /// read in place) and so keeps no slots.
     /// (`u32`, so that the option costs an instance no extra bytes.)
     a_base: Option<u32>,
     /// First B slot; slots are indexed `[shard][tile column][chunk]`.
@@ -487,16 +481,11 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
 /// packing wins again (the 1024³ shape ran 2.3× slower read in place).
 const IN_PLACE_K_STRIDE: usize = 2048;
 
-/// How a launch reads one operand, decided by the view alone (and the
-/// kernel's fixed geometry) — the first of bypass → in place → packed
-/// that can serve it. Never an option: the same view is always read
-/// the same way, by every path that funnels through
-/// [`mac_loop_kernel_cached`].
-enum Source<'a, In> {
-    /// Block-major storage that already *is* the packed panel table
-    /// (see `pack.rs`'s pinning tests): the whole matrix's table and
-    /// its padded k-stride.
-    Bypass(&'a [In], usize),
+/// How a launch reads one operand, decided by the view alone — in
+/// place when it can be, packed otherwise. Never an option: the same
+/// view is always read the same way, by every path that funnels
+/// through [`mac_loop_kernel_cached`].
+enum Source {
     /// Strided storage the register block addresses directly.
     InPlace { lane_stride: usize, k_stride: usize },
     /// Anything else is copied into panels: the launch cache when
@@ -504,54 +493,27 @@ enum Source<'a, In> {
     Packed,
 }
 
-impl<'a, In: Copy> Source<'a, In> {
+impl Source {
     /// The source for `v` — A itself, or `Bᵀ`, so that in both cases
-    /// rows are the operand's lanes and columns its k-steps — cut into
-    /// `width`-lane panels for tiles `blk` lanes tall.
-    ///
-    /// - **Bypass** needs an untransposed full `BlockMajor` view, a
-    ///   register block as wide as a fragment, and a tile grid that
-    ///   lands on fragment boundaries, so that a tile's panels are a
-    ///   contiguous run of the matrix's fragment row-panels. The
-    ///   library's one block has `MR == FRAG` but no `NR == FRAG`, so
-    ///   a launch takes the bypass for A only; the B side (a
-    ///   transposed block-major B) is reachable only from tests, which
-    ///   drive the chunk walk at `NR == FRAG` directly.
-    /// - **In place** needs strides the kernel can address — any for
-    ///   A; adjacent lanes for B (`unit_lanes`), whose `NR` lanes are
-    ///   one vector load — and a k-stride of at most
-    ///   [`IN_PLACE_K_STRIDE`] bytes.
-    fn of(v: &MatrixView<'a, In>, width: usize, blk: usize, unit_lanes: bool) -> Self {
-        if width == FRAG && blk.is_multiple_of(FRAG) {
-            if let Some((table, k_pad)) = v.block_panels() {
-                return Source::Bypass(table, k_pad);
-            }
-        }
-        match (v.row_stride(), v.col_stride()) {
-            (Some(lane_stride), Some(k_stride))
-                if k_stride * std::mem::size_of::<In>() <= IN_PLACE_K_STRIDE
-                    && (lane_stride == 1 || !unit_lanes) =>
-            {
-                Source::InPlace { lane_stride, k_stride }
-            }
-            _ => Source::Packed,
+    /// rows are the operand's lanes and columns its k-steps. **In
+    /// place** needs strides the kernel can address — any for A;
+    /// adjacent lanes for B (`unit_lanes`), whose `NR` lanes are one
+    /// vector load — and a k-stride of at most [`IN_PLACE_K_STRIDE`]
+    /// bytes.
+    fn of<In: Copy>(v: &MatrixView<'_, In>, unit_lanes: bool) -> Self {
+        let (lane_stride, k_stride) = (v.row_stride(), v.col_stride());
+        if k_stride * std::mem::size_of::<In>() <= IN_PLACE_K_STRIDE && (lane_stride == 1 || !unit_lanes) {
+            Source::InPlace { lane_stride, k_stride }
+        } else {
+            Source::Packed
         }
     }
 }
 
-/// Whether a launch of `a · b` at register block `(mr, nr)` and
-/// `tile` copies A, and B, into panels at all — what the executors
-/// size their launch cache by.
-pub(crate) fn operands_pack<In: Copy>(
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    (mr, nr): (usize, usize),
-    tile: TileShape,
-) -> (bool, bool) {
-    (
-        matches!(Source::of(a, mr, tile.blk_m, false), Source::Packed),
-        matches!(Source::of(&b.t(), nr, tile.blk_n, true), Source::Packed),
-    )
+/// Whether a launch of `a · b` copies A, and B, into panels at all —
+/// what the executors size their launch cache by.
+pub(crate) fn operands_pack<In: Copy>(a: &MatrixView<'_, In>, b: &MatrixView<'_, In>) -> (bool, bool) {
+    (matches!(Source::of(a, false), Source::Packed), matches!(Source::of(&b.t(), true), Source::Packed))
 }
 
 /// What storing one element of **C** through a column-major run costs
@@ -566,32 +528,28 @@ const COLUMN_STORE_BYTES: usize = 2;
 /// "Orientation").
 ///
 /// Each orientation is priced at the operand bytes it packs — what
-/// [`operands_pack`] says at register block `block` and `tile` (the
-/// transposed launch's tile is `blk_n × blk_m`) — plus
-/// [`COLUMN_STORE_BYTES`] per element it stores column-major: a
-/// row-major C becomes a column-major `Cᵀ`, which costs more to store,
-/// a column-major C a row-major `Cᵀ`, which costs less. The transpose
-/// wins only when it is strictly cheaper; a tie, a block-major C
-/// (which no reinterpretation transposes) and a kernel that reads no
-/// panels (`block` is `None`) keep the caller's orientation.
+/// [`operands_pack`] says — plus [`COLUMN_STORE_BYTES`] per element it
+/// stores column-major: a row-major C becomes a column-major `Cᵀ`,
+/// which costs more to store, a column-major C a row-major `Cᵀ`, which
+/// costs less. The transpose wins only when it is strictly cheaper; a
+/// tie and a kernel that reads no panels (`block` is `None`) keep the
+/// caller's orientation.
 pub(crate) fn transpose_pays<In: Copy>(
     block: Option<(usize, usize)>,
     a: &MatrixView<'_, In>,
     b: &MatrixView<'_, In>,
     c: Layout,
-    tile: TileShape,
 ) -> bool {
-    let Some(block) = block.filter(|_| !c.is_blocked()) else {
+    if block.is_none() {
         return false;
-    };
-    let cost = |a: &MatrixView<'_, In>, b: &MatrixView<'_, In>, tile: TileShape, c: Layout| {
-        let (a_packs, b_packs) = operands_pack(a, b, block, tile);
+    }
+    let cost = |a: &MatrixView<'_, In>, b: &MatrixView<'_, In>, c: Layout| {
+        let (a_packs, b_packs) = operands_pack(a, b);
         let packed = usize::from(a_packs) * a.rows() * a.cols() + usize::from(b_packs) * b.rows() * b.cols();
         let column_stores = if c == Layout::ColMajor { a.rows() * b.cols() } else { 0 };
         packed * std::mem::size_of::<In>() + column_stores * COLUMN_STORE_BYTES
     };
-    let flipped = TileShape::new(tile.blk_n, tile.blk_m, tile.blk_k);
-    cost(&b.t(), &a.t(), flipped, c.flipped()) < cost(a, b, tile, c)
+    cost(&b.t(), &a.t(), c.flipped()) < cost(a, b, c)
 }
 
 /// Packs `v[lanes, ks]` into the staging buffer `buf` and returns the
@@ -620,7 +578,7 @@ fn pack_private<'b, In: Copy + Default>(
 /// cache and the chunk's packer did not stall.
 #[allow(clippy::too_many_arguments)]
 fn operand_span<'x, In: Copy + Default>(
-    source: &Source<'x, In>,
+    source: &Source,
     v: &MatrixView<'x, In>,
     width: usize,
     lanes: Range<usize>,
@@ -631,16 +589,8 @@ fn operand_span<'x, In: Copy + Default>(
     tile_idx: u32,
 ) -> PanelSpan<'x, In> {
     match *source {
-        Source::Bypass(table, k_pad) => {
-            // Tiles start on fragment boundaries (`Source::of`).
-            let stride = k_pad * FRAG;
-            let first = lanes.start / FRAG;
-            let tile_panels = &table[first * stride..(first + lanes.len().div_ceil(FRAG)) * stride];
-            // Padding beyond the problem's k exists but is never read.
-            PanelSpan::packed(tile_panels, FRAG, 0..k_pad)
-        }
         Source::InPlace { lane_stride, k_stride } => {
-            let span = v.strided_span().expect("only strided views are read in place");
+            let span = v.strided_span();
             let origin = lanes.start * lane_stride + ks.start * k_stride;
             // The view has no padding to read: the ragged last panel,
             // and only that, keeps the zero-padded packed path.
@@ -663,11 +613,6 @@ fn operand_span<'x, In: Copy + Default>(
 /// and per chunk each operand comes from the first source that can
 /// serve it:
 ///
-/// - **Zero-pack bypass**: an untransposed full-matrix `BlockMajor` A
-///   view whose storage is consumable by an `MR == FRAG` kernel (and
-///   likewise a transposed block-major B view for `NR == FRAG`
-///   kernels) is handed to the microkernel as slices of its own
-///   storage;
 /// - **in place**: a strided view the register block can address —
 ///   any A; a B with unit column stride — whose k-stride is at most
 ///   one private constant is read where it lies (a row-major A
@@ -677,14 +622,14 @@ fn operand_span<'x, In: Copy + Default>(
 ///   `MR`, an `n` extent not a multiple of `NR`) is still packed,
 ///   privately and zero-padded, because the view has no padding to
 ///   read;
-/// - operands neither can serve come from `cache`'s `shard` table
+/// - operands it cannot serve come from `cache`'s `shard` table
 ///   (each chunk packed once per shard that consumes it);
-/// - an operand with **none** of these — no cache, or a
+/// - an operand with neither — no cache, or a
 ///   watchdog-expired wait on one chunk — is packed privately for just
 ///   the part of that chunk the segment covers.
 ///
-/// Which of the first two applies is a property of the view, not an
-/// option. Panels are cut, and the register block run, at
+/// Whether an operand is read in place is a property of the view, not
+/// an option. Panels are cut, and the register block run, at
 /// [`KernelKind::panel_geometry`] for `In`; a `cache` built for any
 /// other block is ignored. [`KernelKind::Scalar`] consumes no panels
 /// and runs [`mac_loop_view`].
@@ -775,13 +720,12 @@ fn walk_chunks<In, Acc, const MR_: usize, const NR_: usize>(
     if local_begin >= local_end {
         return;
     }
-    let tile = space.tile();
     let (tm, tn) = space.tile_coords(tile_idx);
     let (rows, cols) = space.tile_extents(tile_idx);
     // B's column panels are row panels of Bᵀ: one routine serves both.
     let bt = b.t();
-    let a_source = Source::of(a, MR_, tile.blk_m, false);
-    let b_source = Source::of(&bt, NR_, tile.blk_n, true);
+    let a_source = Source::of(a, false);
+    let b_source = Source::of(&bt, true);
     let cache = cache.filter(|c| c.register_block() == (MR_, NR_));
 
     let per_chunk = chunk_iters(space);
@@ -860,8 +804,7 @@ mod tests {
                 a_tall,
                 b: Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::ColMajor, 4),
             };
-            let block = (8, 4);
-            assert_eq!(operands_pack(&this.a(), &this.b(), block, tile), (true, true));
+            assert_eq!(operands_pack(&this.a(), &this.b()), (true, true));
             this
         }
 
@@ -1047,36 +990,27 @@ mod tests {
     /// The source rule, pinned: a row-major A is always read in place,
     /// a row-major B up to [`IN_PLACE_K_STRIDE`] bytes a row; a
     /// transposed B never; a transposed or column-major A follows the
-    /// same k-stride rule; blocked storage is not strided at all.
+    /// same k-stride rule.
     #[test]
     fn the_in_place_predicate_is_the_k_stride_rule() {
-        let tile = TileShape::new(16, 16, 8);
-        let block = (8, 32);
         let narrow = IN_PLACE_K_STRIDE / std::mem::size_of::<f32>();
         let row = |r, c| Matrix::<f32>::zeros(r, c, Layout::RowMajor);
         let (a, b_narrow, b_wide) = (row(16, 4096), row(64, narrow), row(64, narrow + 1));
-        assert_eq!(operands_pack(&a.view(), &b_narrow.view(), block, tile), (false, false));
-        assert_eq!(operands_pack(&a.view(), &b_wide.view(), block, tile), (false, true));
+        assert_eq!(operands_pack(&a.view(), &b_narrow.view()), (false, false));
+        assert_eq!(operands_pack(&a.view(), &b_wide.view()), (false, true));
         // The rule is in bytes: f64 rows reach the limit at half the width.
         let b64 = Matrix::<f64>::zeros(8, narrow / 2 + 1, Layout::RowMajor);
         let a64 = Matrix::<f64>::zeros(8, 8, Layout::RowMajor);
-        assert_eq!(operands_pack(&a64.view(), &b64.view(), block, tile), (false, true));
+        assert_eq!(operands_pack(&a64.view(), &b64.view()), (false, true));
         // A window keeps its parent's stride.
         let window = b_wide.view().submatrix(0..64, 3..35);
-        assert_eq!(operands_pack(&a.view(), &window, block, tile), (false, true));
+        assert_eq!(operands_pack(&a.view(), &window), (false, true));
         // Transposed: Aᵀ's k-stride is the stored row length; Bᵀ has
         // no unit column stride whatever its size.
         let (at_short, at_long) = (row(64, narrow), row(64, narrow + 1));
         let bt = row(16, 64);
-        assert_eq!(operands_pack(&at_short.t(), &bt.t(), block, tile), (false, true));
-        assert_eq!(operands_pack(&at_long.t(), &b_narrow.view(), block, tile), (true, false));
-        // Blocked storage has no strides; the bypass needs MR == FRAG
-        // (A) / NR == FRAG (B), which an 8x32 block has only for A.
-        let blocked = row(16, 64).to_layout(Layout::BlockMajor);
-        assert_eq!(operands_pack(&blocked.view(), &b_narrow.view(), block, tile), (false, false));
-        assert_eq!(operands_pack(&blocked.view(), &b_narrow.view(), (4, 16), tile), (true, false));
-        let morton = row(16, 64).to_layout(Layout::BlockMajorZ);
-        assert_eq!(operands_pack(&morton.view(), &blocked.view().t(), block, tile), (true, true));
+        assert_eq!(operands_pack(&at_short.t(), &bt.t()), (false, true));
+        assert_eq!(operands_pack(&at_long.t(), &b_narrow.view()), (true, false));
     }
 
     /// The orientation rule, pinned on the benchmark's shapes at the
@@ -1088,36 +1022,34 @@ mod tests {
     #[test]
     fn the_orientation_rule_on_the_benchmark_shapes() {
         let kernel = KernelKind::default();
-        fn swaps<In: Copy + Default>(kernel: KernelKind, a: &Matrix<In>, b: &Matrix<In>, tile: TileShape) -> bool {
-            transpose_pays(kernel.panel_geometry::<In>(), &a.view(), &b.view(), Layout::RowMajor, tile)
+        fn swaps<In: Copy + Default>(kernel: KernelKind, a: &Matrix<In>, b: &Matrix<In>) -> bool {
+            transpose_pays(kernel.panel_geometry::<In>(), &a.view(), &b.view(), Layout::RowMajor)
         }
         let row = |m, k| Matrix::<f32>::zeros(m, k, Layout::RowMajor);
-        let (tile, small_tile) = (TileShape::new(64, 64, 16), TileShape::new(32, 32, 16));
         let (m, n, k) = (1024, 1024, 1024);
-        assert!(!swaps(kernel, &row(m, k), &row(k, n), tile), "direct-square");
+        assert!(!swaps(kernel, &row(m, k), &row(k, n)), "direct-square");
         for (m, n, k) in [(64, 64, 32768), (64, 192, 8192), (64, 320, 4096), (64, 448, 4096), (192, 192, 4096)] {
-            assert!(!swaps(kernel, &row(m, k), &row(k, n), tile), "direct-deepk {m}x{n}x{k}");
+            assert!(!swaps(kernel, &row(m, k), &row(k, n)), "direct-deepk {m}x{n}x{k}");
         }
         for (m, n, k) in [(256, 256, 64), (384, 1152, 384), (384, 384, 384), (384, 1536, 384), (384, 384, 1536), (200, 120, 520), (72, 648, 264)] {
-            assert!(!swaps(kernel, &row(m, k), &row(k, n), tile), "grouped-batched {m}x{n}x{k}");
+            assert!(!swaps(kernel, &row(m, k), &row(k, n)), "grouped-batched {m}x{n}x{k}");
         }
         for (m, n, k) in [(64, 64, 64), (96, 96, 96), (128, 128, 128), (160, 128, 96)] {
-            assert!(!swaps(kernel, &row(m, k), &row(k, n), small_tile), "direct-small {m}x{n}x{k}");
+            assert!(!swaps(kernel, &row(m, k), &row(k, n)), "direct-small {m}x{n}x{k}");
         }
         for (m, n, k) in [(96, 96, 96), (128, 128, 128), (64, 192, 256), (256, 256, 192)] {
-            assert!(!swaps(kernel, &row(m, k), &row(k, n), small_tile), "serve-closed {m}x{n}x{k}");
+            assert!(!swaps(kernel, &row(m, k), &row(k, n)), "serve-closed {m}x{n}x{k}");
         }
         // direct-f64-tt: A and B stored transposed, read as `.t()`.
         let stored = Matrix::<f64>::zeros(768, 768, Layout::RowMajor);
         let block = kernel.panel_geometry::<f64>();
-        assert_eq!(operands_pack(&stored.t(), &stored.t(), block.unwrap(), tile), (true, true));
-        assert!(transpose_pays(block, &stored.t(), &stored.t(), Layout::RowMajor, tile), "direct-f64-tt");
+        assert_eq!(operands_pack(&stored.t(), &stored.t()), (true, true));
+        assert!(transpose_pays(block, &stored.t(), &stored.t(), Layout::RowMajor), "direct-f64-tt");
         // Into a column-major C the same launch swaps too — and the
-        // epilogue gets cheaper; into a block-major one it never does.
-        assert!(transpose_pays(block, &stored.t(), &stored.t(), Layout::ColMajor, tile));
-        assert!(!transpose_pays(block, &stored.t(), &stored.t(), Layout::BlockMajor, tile));
+        // epilogue gets cheaper.
+        assert!(transpose_pays(block, &stored.t(), &stored.t(), Layout::ColMajor));
         // A kernel that reads no panels packs nothing either way.
-        assert!(!transpose_pays(KernelKind::Scalar.panel_geometry::<f64>(), &stored.t(), &stored.t(), Layout::RowMajor, tile));
+        assert!(!transpose_pays(KernelKind::Scalar.panel_geometry::<f64>(), &stored.t(), &stored.t(), Layout::RowMajor));
     }
 
     /// The transpose has to win outright: a tie — both operands packing
@@ -1127,26 +1059,25 @@ mod tests {
     #[test]
     fn ties_and_dear_epilogues_keep_the_callers_orientation() {
         let block = KernelKind::default().panel_geometry::<f32>();
-        let tile = TileShape::new(64, 64, 16);
         let (tall, wide) = (Matrix::<f32>::zeros(600, 64, Layout::ColMajor), Matrix::<f32>::zeros(64, 600, Layout::RowMajor));
-        assert_eq!(operands_pack(&tall.view(), &wide.view(), block.unwrap(), tile), (true, true));
-        assert_eq!(operands_pack(&wide.t(), &tall.t(), block.unwrap(), tile), (true, true));
-        assert!(!transpose_pays(block, &tall.view(), &wide.view(), Layout::RowMajor, tile), "both pack both ways");
+        assert_eq!(operands_pack(&tall.view(), &wide.view()), (true, true));
+        assert_eq!(operands_pack(&wide.t(), &tall.t()), (true, true));
+        assert!(!transpose_pays(block, &tall.view(), &wide.view(), Layout::RowMajor), "both pack both ways");
         // The same packing into a column-major C is no tie: the
         // transpose stores it row-major, which is cheaper.
-        assert!(transpose_pays(block, &tall.view(), &wide.view(), Layout::ColMajor, tile));
+        assert!(transpose_pays(block, &tall.view(), &wide.view(), Layout::ColMajor));
         let (a, b) = (Matrix::<f32>::zeros(64, 64, Layout::RowMajor), Matrix::<f32>::zeros(64, 64, Layout::RowMajor));
-        assert!(!transpose_pays(block, &a.view(), &b.view(), Layout::RowMajor, tile), "neither packs either way");
+        assert!(!transpose_pays(block, &a.view(), &b.view(), Layout::RowMajor), "neither packs either way");
         // k = 8: the caller's way packs the column-major B (8 × 1024),
         // the transpose the row-major A (512 × 8) — half the bytes, but
         // its C is 512 × 1024 column-major.
         let (a, b) = (Matrix::<f32>::zeros(512, 8, Layout::RowMajor), Matrix::<f32>::zeros(8, 1024, Layout::ColMajor));
-        assert_eq!(operands_pack(&a.view(), &b.view(), block.unwrap(), tile), (false, true));
-        assert_eq!(operands_pack(&b.t(), &a.t(), block.unwrap(), tile), (false, true));
-        assert!(!transpose_pays(block, &a.view(), &b.view(), Layout::RowMajor, tile), "small k, wide output");
+        assert_eq!(operands_pack(&a.view(), &b.view()), (false, true));
+        assert_eq!(operands_pack(&b.t(), &a.t()), (false, true));
+        assert!(!transpose_pays(block, &a.view(), &b.view(), Layout::RowMajor), "small k, wide output");
         // The same saving with k deep enough to pay for the store swaps.
         let (a, b) = (Matrix::<f32>::zeros(512, 4096, Layout::RowMajor), Matrix::<f32>::zeros(4096, 1024, Layout::ColMajor));
-        assert!(transpose_pays(block, &a.view(), &b.view(), Layout::RowMajor, tile), "deep k");
+        assert!(transpose_pays(block, &a.view(), &b.view(), Layout::RowMajor), "deep k");
     }
 
     /// An in-place operand's ragged last panel — and nothing else — is
@@ -1306,121 +1237,5 @@ mod tests {
             }
             assert_eq!(cache.fallbacks(), 0);
         }
-    }
-
-    /// Block-major operands take the zero-pack bypass: bit-exact with
-    /// the private-pack pipeline while the cache packs nothing for the
-    /// bypassed operand.
-    #[test]
-    fn block_major_bypass_is_bit_exact_and_packs_nothing_for_a() {
-        let shape = GemmShape::new(21, 19, DEEP_K);
-        let tile = TileShape::new(16, 16, 8);
-        let (space, a, b) = fixture(shape, tile);
-        let a_blk = a.to_layout(Layout::BlockMajor);
-        // Column-major, so that B still packs and the count below
-        // separates the operands.
-        let b = b.to_layout(Layout::ColMajor);
-        let len = tile.blk_m * tile.blk_n;
-        let mut bufs = PackBuffers::new();
-        let kind = KernelKind::Block;
-        let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
-        for tile_idx in 0..space.tiles() {
-            for (lb, le) in [(0, space.iters_per_tile()), (1, space.iters_per_tile()), (0, 1)] {
-                let mut expect = vec![0.0f64; len];
-                mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, lb, le, &mut expect, &mut bufs);
-                let mut got = vec![0.0f64; len];
-                mac_loop_kernel_cached(
-                    kind, Some(&cache), 0, &a_blk.view(), &b.view(), &space, tile_idx, lb,
-                    le, &mut got, &mut bufs,
-                );
-                assert_eq!(got, expect, "tile {tile_idx} [{lb},{le})");
-            }
-        }
-        // Only B column-panel chunks were ever packed: A came
-        // straight from block-major storage.
-        assert_eq!(cache.packs(), 3 * space.tiles_n(), "A must bypass the cache");
-    }
-
-    /// The bypass also works with *no cache at all* (the serve path):
-    /// block-major A is consumed zero-copy and a column-major B is
-    /// packed privately chunk by chunk — still bit-exact.
-    #[test]
-    fn bypass_without_cache_is_bit_exact() {
-        let shape = GemmShape::new(24, 24, DEEP_K);
-        let tile = TileShape::new(16, 16, 8);
-        let (space, a, b) = fixture(shape, tile);
-        let a_blk = a.to_layout(Layout::BlockMajor);
-        let b = b.to_layout(Layout::ColMajor);
-        let len = tile.blk_m * tile.blk_n;
-        let mut bufs = PackBuffers::new();
-        let kind = KernelKind::Block;
-        for tile_idx in 0..space.tiles() {
-            let mut expect = vec![0.0f64; len];
-            mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, 0, space.iters_per_tile(), &mut expect, &mut bufs);
-            let mut got = vec![0.0f64; len];
-            mac_loop_kernel_cached(
-                kind, None, 0, &a_blk.view(), &b.view(), &space, tile_idx, 0,
-                space.iters_per_tile(), &mut got, &mut bufs,
-            );
-            assert_eq!(got, expect, "tile {tile_idx}");
-        }
-    }
-
-    /// B-side bypass: the chunk walk at an `NR == FRAG` block — which
-    /// no library kind runs — consuming a transposed block-major B view
-    /// reads the packed-B table zero-copy, with and without a detected
-    /// vector level.
-    #[test]
-    fn transposed_block_major_b_bypasses_for_nr8_blocks() {
-        let shape = GemmShape::new(32, 29, 24);
-        let tile = TileShape::new(16, 16, 8);
-        let p = Packing::new(shape, tile);
-        let (space, a, b) = (&p.space, p.a(), p.b());
-        // Store Bᵀ block-major; its transposed view is logically B.
-        let bt_blk = p.b.transposed().to_layout(Layout::BlockMajor);
-        let (len, ipt) = (tile.blk_m * tile.blk_n, space.iters_per_tile());
-        let mut bufs = PackBuffers::new();
-        for level in [None, Some(SimdLevel::detect())] {
-            let cache = PackCache::new(space, 8, 8, WaitPolicy::default());
-            for tile_idx in 0..space.tiles() {
-                let mut expect = vec![0.0f64; len];
-                mac_loop_view(&a, &b, space, tile_idx, 0, ipt, &mut expect);
-                let mut got = vec![0.0f64; len];
-                walk_chunks::<f64, f64, 8, 8>(
-                    level, Some(&cache), 0, 0, &a, &bt_blk.view().t(), space, tile_idx, 0, ipt, &mut got, &mut bufs,
-                );
-                assert_eq!(got, expect, "{level:?} tile {tile_idx}");
-            }
-            assert_eq!(cache.packs(), space.tiles_m(), "{level:?}: B must bypass the cache");
-        }
-    }
-
-    /// A ragged tile grid (`blk_m % FRAG != 0`) must refuse the bypass
-    /// and still produce exact results through the cache/generic path.
-    #[test]
-    fn ragged_tile_grid_declines_bypass_but_stays_exact() {
-        let shape = GemmShape::new(24, 24, 16);
-        let tile = TileShape::new(12, 12, 8);
-        let space = IterSpace::new(shape, tile);
-        let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::RowMajor, 3);
-        let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::ColMajor, 4);
-        let a_blk = a.to_layout(Layout::BlockMajor);
-        let kind = KernelKind::Block;
-        let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
-        let len = tile.blk_m * tile.blk_n;
-        let mut bufs = PackBuffers::new();
-        for tile_idx in 0..space.tiles() {
-            let mut expect = vec![0.0f64; len];
-            mac_loop_kernel(kind, &a.view(), &b.view(), &space, tile_idx, 0, space.iters_per_tile(), &mut expect, &mut bufs);
-            let mut got = vec![0.0f64; len];
-            mac_loop_kernel_cached(
-                kind, Some(&cache), 0, &a_blk.view(), &b.view(), &space, tile_idx, 0,
-                space.iters_per_tile(), &mut got, &mut bufs,
-            );
-            assert_eq!(got, expect, "tile {tile_idx}");
-        }
-        // Bypass declined: A panels flow through the cache (packed
-        // from the blocked view via the generic path).
-        assert_eq!(cache.packs(), space.tiles_m() + space.tiles_n());
     }
 }

@@ -26,8 +26,8 @@ fn packed<In: Copy + Default>(v: &MatrixView<'_, In>, lanes: Range<usize>, ks: R
 /// `v` (A, or `Bᵀ`) where it lies, for a block `width` lanes wide: its
 /// storage from lane `lanes.start` at k-step `ks.start`, its lane and
 /// k strides, and the packed ragged last panel when the tile has one.
-/// `None` without strides (block-major storage) or, with `unit_lanes`
-/// (B, whose lanes are one vector load), without adjacent lanes.
+/// `None` when, with `unit_lanes` (B, whose lanes are one vector
+/// load), its lanes are not adjacent.
 #[allow(clippy::type_complexity)]
 fn in_place<'v, In: Copy + Default>(
     v: &MatrixView<'v, In>,
@@ -36,11 +36,11 @@ fn in_place<'v, In: Copy + Default>(
     width: usize,
     unit_lanes: bool,
 ) -> Option<(&'v [In], usize, usize, Option<Vec<In>>)> {
-    let (lane_stride, k_stride) = (v.row_stride()?, v.col_stride()?);
+    let (lane_stride, k_stride) = (v.row_stride(), v.col_stride());
     if unit_lanes && lane_stride != 1 {
         return None;
     }
-    let span = v.strided_span()?;
+    let span = v.strided_span();
     let ragged = lanes.len() % width;
     let edge = (ragged != 0).then(|| packed(v, lanes.end - ragged..lanes.end, ks.clone(), width));
     Some((&span[lanes.start * lane_stride + ks.start * k_stride..], lane_stride, k_stride, edge))

@@ -33,18 +33,14 @@ use streamk_matrix::reference::gemm_naive;
 use streamk_matrix::{Matrix, Scalar, LINE};
 use streamk_types::{GemmShape, Layout, TileShape};
 
-const ALL_LAYOUTS: [Layout; 4] = [Layout::RowMajor, Layout::ColMajor, Layout::BlockMajor, Layout::BlockMajorZ];
+const ALL_LAYOUTS: [Layout; 2] = [Layout::RowMajor, Layout::ColMajor];
 
 /// `(α, β)`: a plain store, an accumulate, and a general blend.
 const SCALINGS: [(f64, f64); 3] = [(1.0, 0.0), (1.0, 1.0), (-0.5, 2.0)];
 
-fn all_layouts() -> impl proptest::strategy::Strategy<Value = Layout> {
-    (0usize..ALL_LAYOUTS.len()).prop_map(|i| ALL_LAYOUTS[i])
-}
-
-/// Operand layouts (the output takes A's).
+/// Output layouts, and operand layouts (the output takes A's).
 fn layouts() -> impl proptest::strategy::Strategy<Value = Layout> {
-    prop_oneof![Just(Layout::RowMajor), Just(Layout::ColMajor)]
+    (0usize..ALL_LAYOUTS.len()).prop_map(|i| ALL_LAYOUTS[i])
 }
 
 fn tiles() -> impl proptest::strategy::Strategy<Value = TileShape> {
@@ -52,8 +48,7 @@ fn tiles() -> impl proptest::strategy::Strategy<Value = TileShape> {
         Just(TileShape::new(16, 16, 8)),
         Just(TileShape::new(32, 32, 16)),
         Just(TileShape::new(8, 32, 4)),
-        // Off the fragment grid of the block-major layouts and off
-        // every vector width.
+        // Off every vector width.
         Just(TileShape::new(13, 11, 5)),
         Just(TileShape::new(9, 17, 3)),
     ]
@@ -80,7 +75,7 @@ fn bits<T: Scalar>(storage: &[T]) -> Vec<u64> {
 
 /// Stores one accumulator tile as every tile of an `m × n` output, by
 /// runs and by the element loop, and compares the whole backing
-/// storage (block-major padding included: neither may touch it).
+/// storage.
 fn check_epilogue<T: Scalar + streamk_matrix::Promote<T>>(m: usize, n: usize, tile: TileShape, layout: Layout, alpha: f64, beta: f64, seed: u64) {
     let space = IterSpace::new(GemmShape::new(m, n, tile.blk_k), tile);
     let accum = Matrix::<T>::random::<T>(tile.blk_m, tile.blk_n, Layout::RowMajor, seed).into_vec();
@@ -124,7 +119,7 @@ proptest! {
         m in 1usize..70,
         n in 1usize..70,
         tile in tiles(),
-        layout in all_layouts(),
+        layout in layouts(),
         scaling in 0usize..SCALINGS.len(),
         seed in 0u64..1_000_000,
     ) {

@@ -112,11 +112,9 @@ proptest! {
 
     /// The layout matrix: worker count × operand layout × pack-cache
     /// mode must never change a single output bit. `RowMajor` operands
-    /// exercise the private-pack and shared-cache paths; `BlockMajor`
-    /// exercises the zero-pack bypass (cache on or off — the bypass
-    /// engages either way for the default kernel's `MR == FRAG` A
-    /// side); `BlockMajorZ` exercises the Morton fragment swizzle
-    /// through the generic paths.
+    /// are read in place; `ColMajor` ones run transposed (DESIGN.md
+    /// §9, "Orientation") and store a column-major C, through the
+    /// private-pack and shared-cache paths whenever an operand packs.
     #[test]
     fn output_is_bit_exact_across_layout_matrix(
         shape in shapes(),
@@ -130,7 +128,7 @@ proptest! {
             if threads < floor {
                 continue;
             }
-            for layout in [Layout::RowMajor, Layout::BlockMajor, Layout::BlockMajorZ] {
+            for layout in [Layout::RowMajor, Layout::ColMajor] {
                 let (al, bl) = (a.to_layout(layout), b.to_layout(layout));
                 for cache in [true, false] {
                     let exec = CpuExecutor::with_threads(threads).with_pack_cache(cache);
@@ -153,12 +151,12 @@ proptest! {
         prop_assert!(baseline.is_some(), "at least one worker count must be admissible");
     }
 
-    /// Fault recovery from block-major operands: the owner's
+    /// Fault recovery from column-major operands: the owner's
     /// recomputation path must rebuild a lost or poisoned peer's
-    /// contribution from blocked storage (through the bypass or the
-    /// generic view path) bit-exactly.
+    /// contribution from column-major storage, on a launch that runs
+    /// transposed, bit-exactly.
     #[test]
-    fn single_fault_recovery_from_block_major_operands(
+    fn single_fault_recovery_from_col_major_operands(
         shape in shapes(),
         grid in 3usize..8,
         victim_idx in 0usize..64,
@@ -172,7 +170,7 @@ proptest! {
         let victim = contributors[victim_idx % contributors.len()];
         let kind = if poison == 1 { FaultKind::Poison } else { FaultKind::Lose };
         let (a, b) = operands(shape, 13);
-        let (a, b) = (a.to_layout(Layout::BlockMajor), b.to_layout(Layout::BlockMajor));
+        let (a, b) = (a.to_layout(Layout::ColMajor), b.to_layout(Layout::ColMajor));
         let exec = CpuExecutor::with_threads(8).with_watchdog(Duration::from_millis(150));
         let baseline = exec.gemm::<f64, f64>(&a, &b, &decomp);
         let (c, report) = exec

@@ -59,7 +59,7 @@ impl<T: Copy + Default> Matrix<T> {
     #[must_use]
     pub fn zeros(rows: usize, cols: usize, layout: Layout) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero: {rows}x{cols}");
-        Self { rows, cols, layout, data: AlignedVec::zeroed(layout.storage_len(rows, cols)) }
+        Self { rows, cols, layout, data: AlignedVec::zeroed(rows * cols) }
     }
 
     /// Creates a matrix whose `(r, c)` element is `f(r, c)`, calling
@@ -198,16 +198,11 @@ impl<T> Matrix<T> {
     /// # Panics
     ///
     /// Panics if either dimension is zero or `data.len()` is not
-    /// `layout.storage_len(rows, cols)` (`rows * cols` for the strided
-    /// layouts; fragment-padded for the block-major ones).
+    /// `rows * cols`.
     #[must_use]
     pub fn from_storage(rows: usize, cols: usize, layout: Layout, data: AlignedVec<T>) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero: {rows}x{cols}");
-        assert_eq!(
-            data.len(),
-            layout.storage_len(rows, cols),
-            "backing storage must be layout.storage_len(rows, cols)"
-        );
+        assert_eq!(data.len(), rows * cols, "backing storage must be rows * cols");
         Self { rows, cols, layout, data }
     }
 }
@@ -371,7 +366,7 @@ mod tests {
         let ty = std::any::type_name::<T>();
         assert_eq!(crate::AlignedVec::<T>::zeroed(0).as_ptr() as usize % crate::LINE, 0, "{ty} empty");
         for (rows, cols) in [(1, 1), (3, 5), (17, 9)] {
-            for layout in [Layout::RowMajor, Layout::ColMajor, Layout::BlockMajor] {
+            for layout in [Layout::RowMajor, Layout::ColMajor] {
                 let what = format!("{ty} {rows}x{cols} {layout}");
                 let m = Matrix::<T>::random::<Acc>(rows, cols, layout, 5);
                 assert!(lined(&Matrix::<T>::zeros(rows, cols, layout)), "zeros {what}");
@@ -440,43 +435,6 @@ mod tests {
             }
         }
         assert_ne!(m.as_slice(), t.as_slice());
-    }
-
-    #[test]
-    fn block_major_round_trips_through_every_layout() {
-        let m = Matrix::<f64>::from_fn(13, 21, Layout::RowMajor, |r, c| (r * 100 + c) as f64);
-        for layout in [Layout::BlockMajor, Layout::BlockMajorZ] {
-            let b = m.to_layout(layout);
-            assert_eq!(b.as_slice().len(), layout.storage_len(13, 21));
-            for r in 0..13 {
-                for c in 0..21 {
-                    assert_eq!(b.get(r, c), m.get(r, c), "{layout} ({r},{c})");
-                }
-            }
-            let back = b.to_layout(Layout::RowMajor);
-            assert_eq!(back, m);
-        }
-    }
-
-    #[test]
-    fn block_major_padding_stays_zero() {
-        // from_fn only writes logical elements; the fragment padding
-        // must remain T::default() so packed-equivalence (and norms)
-        // hold.
-        let b = Matrix::<f64>::from_fn(5, 5, Layout::BlockMajor, |_, _| 1.0);
-        assert_eq!(b.as_slice().len(), 64);
-        let written: f64 = b.as_slice().iter().sum();
-        assert_eq!(written, 25.0);
-        assert!((b.frobenius_norm() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_vec_blocked_requires_padded_len() {
-        let b = Matrix::<f32>::zeros(5, 7, Layout::BlockMajor);
-        let data = b.clone().into_vec();
-        assert_eq!(data.len(), 64);
-        let rebuilt = Matrix::<f32>::from_vec(5, 7, Layout::BlockMajor, data);
-        assert_eq!(rebuilt, b);
     }
 
     #[test]

@@ -23,77 +23,8 @@
 //! operands are normalized to the same panel layout — after packing,
 //! the microkernel no longer cares how the operand was stored.
 
-use crate::view::{BlockInfo, MatrixView};
+use crate::view::MatrixView;
 use std::ops::Range;
-use streamk_types::FRAG;
-
-/// Fragment-wise panel packer for views over blocked storage.
-///
-/// The generic element path pays a full swizzle-index computation
-/// (`Layout::index`: four div/mods, plus a Morton interleave for
-/// `BlockMajorZ`) per element. This walks the storage *fragments*
-/// covering the requested window instead — one swizzle lookup per
-/// 8×8 fragment, unit-stride reads inside it — and scatters into the
-/// same k-major panel layout the strided packers produce: `pw`-row
-/// panels over `p_range` view rows × `k_range` view columns
-/// (`panel[k·pw + i]`). Ragged panel edges are zero-padded exactly
-/// like the strided paths.
-fn pack_panels_blocked<T: Copy + Default>(
-    data: &[T],
-    info: BlockInfo,
-    p_range: Range<usize>,
-    k_range: Range<usize>,
-    pw: usize,
-    dst: &mut [T],
-) {
-    let klen = k_range.len();
-    // The scatter below only visits real elements; the pad lanes get
-    // their zeros here.
-    dst.fill(T::default());
-
-    // The view window in storage coordinates (view (r, c) reads
-    // storage (c, r) when transposed).
-    let (sr, sc) = if info.transposed {
-        (
-            info.origin_row + k_range.start..info.origin_row + k_range.end,
-            info.origin_col + p_range.start..info.origin_col + p_range.end,
-        )
-    } else {
-        (
-            info.origin_row + p_range.start..info.origin_row + p_range.end,
-            info.origin_col + k_range.start..info.origin_col + k_range.end,
-        )
-    };
-
-    for fr in sr.start / FRAG..sr.end.div_ceil(FRAG) {
-        for fc in sc.start / FRAG..sc.end.div_ceil(FRAG) {
-            // The fragment's aligned corner has interior offset 0, so
-            // its base is one swizzle lookup — shared by all 64
-            // elements.
-            let fb = info.layout.index(fr * FRAG, fc * FRAG, info.base_rows, info.base_cols);
-            let frag = &data[fb..fb + FRAG * FRAG];
-            for cc in 0..FRAG {
-                let col = fc * FRAG + cc;
-                if col < sc.start || col >= sc.end {
-                    continue;
-                }
-                for rr in 0..FRAG {
-                    let row = fr * FRAG + rr;
-                    if row < sr.start || row >= sr.end {
-                        continue;
-                    }
-                    let (p, k) = if info.transposed {
-                        (col - info.origin_col, row - info.origin_row)
-                    } else {
-                        (row - info.origin_row, col - info.origin_col)
-                    };
-                    let (p_rel, k_rel) = (p - p_range.start, k - k_range.start);
-                    dst[(p_rel / pw) * klen * pw + k_rel * pw + p_rel % pw] = frag[cc * FRAG + rr];
-                }
-            }
-        }
-    }
-}
 
 /// Length in elements of A packed over `rows × ks` with panel height
 /// `mr`: `⌈rows/mr⌉` panels of `ks · mr` elements each.
@@ -201,8 +132,7 @@ pub fn pack_b_slice<T: Copy + Default>(
 /// - the panel axis runs along storage (`vᵀ` row-contiguous: a
 ///   row-major B, a column-major or transposed A) — each k-step's
 ///   `pw` elements are one contiguous run, copied as such;
-/// - blocked storage walks fragments; anything else (two real
-///   strides) reads element by element.
+/// - anything else (two real strides) reads element by element.
 fn pack_panels<T: Copy + Default>(
     v: &MatrixView<'_, T>,
     ps: Range<usize>,
@@ -223,9 +153,6 @@ fn pack_panels<T: Copy + Default>(
             32 => return pack_rows::<T, 32>(v, ps, ks, out),
             _ => {}
         }
-    }
-    if let Some((data, info)) = v.blocked_parts() {
-        return pack_panels_blocked(data, info, ps, ks, pw, out);
     }
     let zero = T::default();
     let vt = v.t();
@@ -418,70 +345,5 @@ mod tests {
         let a = counting(4, 4, Layout::RowMajor);
         let mut out = Vec::new();
         pack_a_into(&a.view(), 0..5, 0..4, 4, &mut out);
-    }
-
-    /// The invariant the zero-pack bypass rests on: a `BlockMajor`
-    /// matrix's backing storage IS the packed-A panel table with
-    /// `MR = FRAG` — bitwise, including the zero-padded ragged rows —
-    /// whenever the k-extent is fragment-aligned.
-    #[test]
-    fn block_major_storage_is_packed_a_table() {
-        use streamk_types::FRAG;
-        for (rows, cols) in [(16, 16), (13, 24), (8, 8), (24, 40), (7, 16)] {
-            let row = counting(rows, cols, Layout::RowMajor);
-            let blocked = row.to_layout(Layout::BlockMajor);
-            let mut packed = Vec::new();
-            pack_a_into(&row.view(), 0..rows, 0..cols, FRAG, &mut packed);
-            assert_eq!(
-                blocked.as_slice(),
-                &packed[..],
-                "{rows}x{cols}: blocked storage != packed-A panels"
-            );
-        }
-    }
-
-    /// The B-side twin: Bᵀ stored `BlockMajor` is the packed-B column
-    /// panel table of B with `NR = FRAG` when k is fragment-aligned.
-    #[test]
-    fn transposed_block_major_storage_is_packed_b_table() {
-        use streamk_types::FRAG;
-        for (k, n) in [(16, 16), (24, 13), (8, 8), (40, 21)] {
-            let b = counting(k, n, Layout::RowMajor);
-            let bt_blocked = b.transposed().to_layout(Layout::BlockMajor);
-            let mut packed = Vec::new();
-            pack_b_into(&b.view(), 0..k, 0..n, FRAG, &mut packed);
-            assert_eq!(
-                bt_blocked.as_slice(),
-                &packed[..],
-                "{k}x{n}: Bᵀ blocked storage != packed-B panels"
-            );
-        }
-    }
-
-    /// Packing *from* a block-major view must produce the same panels
-    /// as packing from the row-major original (generic path).
-    #[test]
-    fn packing_from_blocked_views_matches_row_major() {
-        for layout in [Layout::BlockMajor, Layout::BlockMajorZ] {
-            let row = counting(19, 21, Layout::RowMajor);
-            let blocked = row.to_layout(layout);
-            let (mut pr, mut pb) = (Vec::new(), Vec::new());
-            pack_a_into(&row.view(), 0..19, 3..17, 8, &mut pr);
-            pack_a_into(&blocked.view(), 0..19, 3..17, 8, &mut pb);
-            assert_eq!(pr, pb, "{layout} pack_a");
-            pack_b_into(&row.view(), 0..19, 0..21, 16, &mut pr);
-            pack_b_into(&blocked.view(), 0..19, 0..21, 16, &mut pb);
-            assert_eq!(pr, pb, "{layout} pack_b");
-            // Transposed and sub-window blocked views route through
-            // the same fragment walker with remapped coordinates.
-            pack_a_into(&row.t(), 0..21, 2..15, 4, &mut pr);
-            pack_a_into(&blocked.t(), 0..21, 2..15, 4, &mut pb);
-            assert_eq!(pr, pb, "{layout} pack_a transposed");
-            let rs = row.view().submatrix(2..17, 1..20);
-            let bs = blocked.view().submatrix(2..17, 1..20);
-            pack_b_into(&rs, 3..15, 0..19, 8, &mut pr);
-            pack_b_into(&bs, 3..15, 0..19, 8, &mut pb);
-            assert_eq!(pr, pb, "{layout} pack_b sub-window");
-        }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::matrix::Matrix;
 use std::ops::Range;
-use streamk_types::{Layout, FRAG};
+use streamk_types::Layout;
 
 /// Whether an operand enters the product as itself or transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,32 +31,8 @@ impl MatOp {
     }
 }
 
-/// Indexing metadata for a view over block-major storage, which two
-/// strides cannot express. The view keeps the *whole* fragment-padded
-/// storage slice and maps logical coordinates through
-/// `Layout::index` — transposition and sub-windows are coordinate
-/// remappings, not pointer offsets.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BlockInfo {
-    /// `Layout::BlockMajor` or `Layout::BlockMajorZ`.
-    pub(crate) layout: Layout,
-    /// Storage-logical dimensions (before any transpose).
-    pub(crate) base_rows: usize,
-    pub(crate) base_cols: usize,
-    /// View `(r, c)` reads storage `(c, r)` when set.
-    pub(crate) transposed: bool,
-    /// Sub-window origin in storage coordinates.
-    pub(crate) origin_row: usize,
-    pub(crate) origin_col: usize,
-}
-
 /// A borrowed, possibly strided, possibly transposed window over a
 /// matrix's storage.
-///
-/// Views over the block-major layouts carry a [`BlockInfo`] instead of
-/// meaningful strides; all element access routes through
-/// [`get`](Self::get), and [`rows_contiguous`](Self::rows_contiguous)
-/// reports `false` so strided fast paths never engage.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixView<'a, T> {
     data: &'a [T],
@@ -64,7 +40,6 @@ pub struct MatrixView<'a, T> {
     cols: usize,
     row_stride: usize,
     col_stride: usize,
-    block: Option<BlockInfo>,
 }
 
 impl<'a, T: Copy> MatrixView<'a, T> {
@@ -79,35 +54,7 @@ impl<'a, T: Copy> MatrixView<'a, T> {
         assert!(rows > 0 && cols > 0, "view dimensions must be non-zero");
         let last = (rows - 1) * row_stride + (cols - 1) * col_stride;
         assert!(last < data.len(), "view extends past the backing storage: last offset {last}, len {}", data.len());
-        Self { data, rows, cols, row_stride, col_stride, block: None }
-    }
-
-    /// Builds a view over block-major storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layout` is not block-major or `data` is not exactly
-    /// the fragment-padded storage of a `rows × cols` matrix.
-    #[must_use]
-    pub fn from_blocked(data: &'a [T], rows: usize, cols: usize, layout: Layout) -> Self {
-        assert!(rows > 0 && cols > 0, "view dimensions must be non-zero");
-        assert!(layout.is_blocked(), "from_blocked requires a block-major layout, got {layout}");
-        assert_eq!(data.len(), layout.storage_len(rows, cols), "blocked storage length mismatch");
-        Self {
-            data,
-            rows,
-            cols,
-            row_stride: 0,
-            col_stride: 0,
-            block: Some(BlockInfo {
-                layout,
-                base_rows: rows,
-                base_cols: cols,
-                transposed: false,
-                origin_row: 0,
-                origin_col: 0,
-            }),
-        }
+        Self { data, rows, cols, row_stride, col_stride }
     }
 
     /// Rows of the view.
@@ -135,17 +82,7 @@ impl<'a, T: Copy> MatrixView<'a, T> {
     #[must_use]
     pub fn get(&self, row: usize, col: usize) -> T {
         assert!(row < self.rows && col < self.cols, "view index ({row},{col}) out of bounds for {}x{}", self.rows, self.cols);
-        match self.block {
-            None => self.data[row * self.row_stride + col * self.col_stride],
-            Some(b) => {
-                let (sr, sc) = if b.transposed {
-                    (b.origin_row + col, b.origin_col + row)
-                } else {
-                    (b.origin_row + row, b.origin_col + col)
-                };
-                self.data[b.layout.index(sr, sc, b.base_rows, b.base_cols)]
-            }
-        }
+        self.data[row * self.row_stride + col * self.col_stride]
     }
 
     /// The transposed view (no data movement).
@@ -157,7 +94,6 @@ impl<'a, T: Copy> MatrixView<'a, T> {
             cols: self.rows,
             row_stride: self.col_stride,
             col_stride: self.row_stride,
-            block: self.block.map(|b| BlockInfo { transposed: !b.transposed, ..b }),
         }
     }
 
@@ -179,117 +115,48 @@ impl<'a, T: Copy> MatrixView<'a, T> {
     pub fn submatrix(&self, rows: Range<usize>, cols: Range<usize>) -> MatrixView<'a, T> {
         assert!(rows.end <= self.rows && cols.end <= self.cols, "submatrix out of bounds");
         assert!(!rows.is_empty() && !cols.is_empty(), "submatrix must be non-empty");
-        match self.block {
-            None => MatrixView {
-                data: &self.data[rows.start * self.row_stride + cols.start * self.col_stride..],
-                rows: rows.len(),
-                cols: cols.len(),
-                row_stride: self.row_stride,
-                col_stride: self.col_stride,
-                block: None,
-            },
-            Some(b) => {
-                // Blocked storage has no pointer-offset sub-windows;
-                // shift the coordinate origin instead.
-                let (dr, dc) =
-                    if b.transposed { (cols.start, rows.start) } else { (rows.start, cols.start) };
-                MatrixView {
-                    data: self.data,
-                    rows: rows.len(),
-                    cols: cols.len(),
-                    row_stride: 0,
-                    col_stride: 0,
-                    block: Some(BlockInfo {
-                        origin_row: b.origin_row + dr,
-                        origin_col: b.origin_col + dc,
-                        ..b
-                    }),
-                }
-            }
+        MatrixView {
+            data: &self.data[rows.start * self.row_stride + cols.start * self.col_stride..],
+            rows: rows.len(),
+            cols: cols.len(),
+            row_stride: self.row_stride,
+            col_stride: self.col_stride,
         }
     }
 
     /// `true` when rows are contiguous (`col_stride == 1`) — the fast
-    /// path condition for the executor's microkernel. Always `false`
-    /// for views over block-major storage.
+    /// path condition for the executor's microkernel.
     #[inline]
     #[must_use]
     pub fn rows_contiguous(&self) -> bool {
-        self.block.is_none() && self.col_stride == 1
+        self.col_stride == 1
     }
 
     /// Elements between vertically adjacent entries — `(r, c)` and
-    /// `(r + 1, c)` — of a strided view; `None` over block-major
-    /// storage, which two strides cannot describe.
+    /// `(r + 1, c)` — of the view.
     #[inline]
     #[must_use]
-    pub fn row_stride(&self) -> Option<usize> {
-        self.block.is_none().then_some(self.row_stride)
+    pub fn row_stride(&self) -> usize {
+        self.row_stride
     }
 
-    /// Elements between horizontally adjacent entries of a strided
-    /// view; `None` over block-major storage.
+    /// Elements between horizontally adjacent entries of the view.
     #[inline]
     #[must_use]
-    pub fn col_stride(&self) -> Option<usize> {
-        self.block.is_none().then_some(self.col_stride)
+    pub fn col_stride(&self) -> usize {
+        self.col_stride
     }
 
-    /// The storage a strided view spans, from its `(0, 0)` entry to
-    /// its last one inclusive: entry `(r, c)` is
+    /// The storage the view spans, from its `(0, 0)` entry to its last
+    /// one inclusive: entry `(r, c)` is
     /// `strided_span()[r · row_stride + c · col_stride]`. Anything the
     /// backing allocation holds past the view's last entry is cut off,
-    /// so safe indexing into the span can never reach it. `None` over
-    /// block-major storage.
+    /// so safe indexing into the span can never reach it.
     #[inline]
     #[must_use]
-    pub fn strided_span(&self) -> Option<&'a [T]> {
+    pub fn strided_span(&self) -> &'a [T] {
         let last = (self.rows - 1) * self.row_stride + (self.cols - 1) * self.col_stride;
-        self.block.is_none().then(|| &self.data[..=last])
-    }
-
-    /// The storage layout behind this view when it is block-major.
-    #[inline]
-    #[must_use]
-    pub fn block_layout(&self) -> Option<Layout> {
-        self.block.map(|b| b.layout)
-    }
-
-    /// The backing slice and block metadata for views over blocked
-    /// storage — the packers iterate fragments directly instead of
-    /// paying a full swizzle-index computation per element.
-    #[inline]
-    pub(crate) fn blocked_parts(&self) -> Option<(&'a [T], BlockInfo)> {
-        self.block.map(|b| (self.data, b))
-    }
-
-    /// The zero-pack bypass probe for an **A** operand: when this view
-    /// is a full, untransposed window over `BlockMajor` (linear
-    /// fragment order) storage, returns the raw panel table — the
-    /// backing slice, whose `FRAG`-row panels are bit-identical BLIS
-    /// packed-A panels — together with the padded k-stride
-    /// (`cols` rounded up to `FRAG`). Sub-windows, transposes, and the
-    /// Morton variant return `None` (their panels are not contiguous).
-    ///
-    /// A **B** operand is probed through its transpose: when the
-    /// caller stored Bᵀ block-major and views it back as `k × n`,
-    /// `b.t().block_panels()` is the packed-B table with `NR = FRAG`.
-    #[inline]
-    #[must_use]
-    pub fn block_panels(&self) -> Option<(&'a [T], usize)> {
-        match self.block {
-            Some(b)
-                if b.layout == Layout::BlockMajor
-                    && !b.transposed
-                    && b.origin_row == 0
-                    && b.origin_col == 0
-                    && self.rows == b.base_rows
-                    && self.cols == b.base_cols =>
-            {
-                Some((self.data, self.cols.div_ceil(FRAG) * FRAG))
-            }
-            _ => None,
-        }
+        &self.data[..=last]
     }
 
     /// The contiguous slice of row `row`, when
@@ -324,9 +191,6 @@ impl<T: Copy + Default> Matrix<T> {
         let (rs, cs) = match self.layout() {
             Layout::RowMajor => (self.cols(), 1),
             Layout::ColMajor => (1, self.rows()),
-            blocked => {
-                return MatrixView::from_blocked(self.as_slice(), self.rows(), self.cols(), blocked)
-            }
         };
         MatrixView::from_parts(self.as_slice(), self.rows(), self.cols(), rs, cs)
     }
@@ -407,23 +271,20 @@ mod tests {
     fn strides_and_span_describe_the_window() {
         let m = counting(6, 8, Layout::RowMajor);
         let v = m.view();
-        assert_eq!((v.row_stride(), v.col_stride()), (Some(8), Some(1)));
-        assert_eq!((m.t().row_stride(), m.t().col_stride()), (Some(1), Some(8)));
-        assert_eq!(v.strided_span().unwrap().len(), 48);
+        assert_eq!((v.row_stride(), v.col_stride()), (8, 1));
+        assert_eq!((m.t().row_stride(), m.t().col_stride()), (1, 8));
+        assert_eq!(v.strided_span().len(), 48);
         // A window that stops short of the allocation: the span ends
         // at the window's last entry, not the allocation's.
         let s = v.submatrix(1..4, 2..5);
-        assert_eq!((s.row_stride(), s.col_stride()), (Some(8), Some(1)));
-        let span = s.strided_span().unwrap();
+        assert_eq!((s.row_stride(), s.col_stride()), (8, 1));
+        let span = s.strided_span();
         assert_eq!(span.len(), 2 * 8 + 2 + 1);
         assert_eq!((span[0], span[span.len() - 1]), (m.get(1, 2), m.get(3, 4)));
         let st = m.t().submatrix(2..5, 1..4);
-        let span = st.strided_span().unwrap();
+        let span = st.strided_span();
         assert_eq!(span[2 + 2 * 8], st.get(2, 2));
         assert_eq!(span.len(), 2 + 2 * 8 + 1);
-        let blocked = m.to_layout(Layout::BlockMajor);
-        let b = blocked.view();
-        assert!(b.row_stride().is_none() && b.col_stride().is_none() && b.strided_span().is_none());
     }
 
     #[test]
@@ -432,54 +293,6 @@ mod tests {
         let owned = m.t().to_matrix();
         assert_eq!(owned.rows(), 3);
         assert_eq!(owned.get(2, 3), m.get(3, 2));
-    }
-
-    #[test]
-    fn blocked_views_read_like_strided_views() {
-        for layout in [Layout::BlockMajor, Layout::BlockMajorZ] {
-            let row = counting(13, 21, Layout::RowMajor);
-            let blocked = row.to_layout(layout);
-            let v = blocked.view();
-            assert!(!v.rows_contiguous());
-            assert_eq!(v.block_layout(), Some(layout));
-            for r in 0..13 {
-                for c in 0..21 {
-                    assert_eq!(v.get(r, c), row.get(r, c), "{layout} ({r},{c})");
-                }
-            }
-            // Transpose and sub-window are coordinate remappings.
-            let t = v.t();
-            assert_eq!(t.get(20, 12), row.get(12, 20));
-            let s = v.submatrix(2..9, 5..18);
-            assert_eq!(s.get(0, 0), row.get(2, 5));
-            assert_eq!(s.get(6, 12), row.get(8, 17));
-            let st = t.submatrix(1..4, 2..6);
-            assert_eq!(st.get(0, 0), row.get(2, 1));
-        }
-    }
-
-    #[test]
-    fn block_panel_probes_gate_correctly() {
-        let m = counting(16, 24, Layout::RowMajor).to_layout(Layout::BlockMajor);
-        let v = m.view();
-        let (panels, k_pad) = v.block_panels().expect("full linear blocked view bypasses");
-        assert_eq!(k_pad, 24);
-        assert_eq!(panels.len(), m.as_slice().len());
-        // A transposed full view is a B operand: it probes through
-        // its own transpose.
-        assert!(v.t().block_panels().is_none());
-        let (tp, tk) = v.t().t().block_panels().expect("transposed blocked view is a B panel table");
-        assert_eq!((tp.len(), tk), (panels.len(), 24));
-        // Sub-windows and Morton order do not bypass.
-        assert!(v.submatrix(0..8, 0..24).block_panels().is_none());
-        assert!(counting(16, 24, Layout::RowMajor)
-            .to_layout(Layout::BlockMajorZ)
-            .view()
-            .block_panels()
-            .is_none());
-        // Ragged k pads the stride up to the fragment edge.
-        let ragged = counting(16, 21, Layout::RowMajor).to_layout(Layout::BlockMajor);
-        assert_eq!(ragged.view().block_panels().unwrap().1, 24);
     }
 
     #[test]

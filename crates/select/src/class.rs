@@ -151,8 +151,6 @@ fn layout_code(l: Layout) -> u32 {
     match l {
         Layout::RowMajor => 0,
         Layout::ColMajor => 1,
-        Layout::BlockMajor => 2,
-        Layout::BlockMajorZ => 3,
     }
 }
 
@@ -160,8 +158,6 @@ fn layout_from_code(c: u32) -> Option<Layout> {
     match c {
         0 => Some(Layout::RowMajor),
         1 => Some(Layout::ColMajor),
-        2 => Some(Layout::BlockMajor),
-        3 => Some(Layout::BlockMajorZ),
         _ => None,
     }
 }
@@ -198,13 +194,13 @@ mod tests {
         let s = GemmShape::new(256, 256, 256);
         let base = ShapeClass::of(s, Precision::Fp64, Layout::RowMajor, 4);
         assert_ne!(base, ShapeClass::of(s, Precision::Fp16To32, Layout::RowMajor, 4));
-        assert_ne!(base, ShapeClass::of(s, Precision::Fp64, Layout::BlockMajor, 4));
+        assert_ne!(base, ShapeClass::of(s, Precision::Fp64, Layout::ColMajor, 4));
         assert_ne!(base, ShapeClass::of(s, Precision::Fp64, Layout::RowMajor, 2));
     }
 
     #[test]
     fn encode_decode_round_trips() {
-        for layout in [Layout::RowMajor, Layout::ColMajor, Layout::BlockMajor, Layout::BlockMajorZ] {
+        for layout in [Layout::RowMajor, Layout::ColMajor] {
             for precision in [Precision::Fp64, Precision::Fp16To32] {
                 let c = ShapeClass::of(GemmShape::new(384, 96, 2048), precision, layout, 8);
                 assert_eq!(ShapeClass::decode(&c.encode()), Some(c));

@@ -104,30 +104,54 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
-/// A version-1 image, byte for byte the format that carried a kernel
-/// token in every candidate, loads as a cold start — and so does the
-/// same payload under the current header, whose candidates do not
-/// decode. Neither panics, and the selector runs on from the heuristic.
+/// Images an older build could have written load as a cold start:
+///
+/// - a version-1 image, byte for byte the format that carried a kernel
+///   token in every candidate, and the same payload under the current
+///   header, whose candidates do not decode;
+/// - a current-version image whose class carries layout code 2 or 3,
+///   the block-major storage orders a `gemm_adaptive` over such
+///   operands keyed its classes by before they were deleted.
+///
+/// None panics, and the selector runs on from the heuristic.
 #[test]
-fn a_version_one_image_with_kernel_tokens_loads_cold() {
-    let dir = scratch_dir("v1");
+fn obsolete_images_load_cold() {
+    let dir = scratch_dir("obsolete");
     let path = dir.join("cache");
     let shape = GemmShape::new(256, 256, 256);
     let class = ShapeClass::of(shape, Precision::Fp64, Layout::RowMajor, 4).encode();
-    let payload = format!(
+    let stats = |mean: f64, wait: f64| format!("{:016x} {:016x}", mean.to_bits(), wait.to_bits());
+    let kernel_tokens = format!(
         "class {class} 2\n\
-         cand dp 64x64x16 simd8x32 3 {:016x} {:016x}\n\
-         cand sk.4 32x32x16 packed4x8 1 {:016x} {:016x}\n",
-        1.0e-3f64.to_bits(),
-        1.0e-5f64.to_bits(),
-        2.0e-3f64.to_bits(),
-        0.0f64.to_bits(),
+         cand dp 64x64x16 simd8x32 3 {}\n\
+         cand sk.4 32x32x16 packed4x8 1 {}\n",
+        stats(1.0e-3, 1.0e-5),
+        stats(2.0e-3, 0.0),
     );
-    for version in [1, CACHE_VERSION] {
-        let image = format!("streamk-select-cache v{version}\nchecksum {:016x}\n{payload}", fnv1a(payload.as_bytes()));
-        std::fs::write(&path, image).expect("write cache");
+    let with_layout_code = |code: u32| {
+        // The class key is `m:n:k:precision:layout:workers`.
+        let mut fields: Vec<String> = class.split(':').map(str::to_string).collect();
+        fields[4] = code.to_string();
+        format!("class {} 1\ncand dp 64x64x16 3 {}\n", fields.join(":"), stats(1.0e-3, 1.0e-5))
+    };
+    let image = |version: u32, payload: &str| {
+        format!("streamk-select-cache v{version}\nchecksum {:016x}\n{payload}", fnv1a(payload.as_bytes()))
+    };
+    // The control: the same image over the row-major code loads warm.
+    std::fs::write(&path, image(CACHE_VERSION, &with_layout_code(0))).expect("write cache");
+    let s = AdaptiveSelector::new(config(&path));
+    assert!(s.loaded_from_disk() && s.total_trials() == 3, "the row-major control must load");
+
+    let images = [
+        (1, kernel_tokens.clone()),
+        (CACHE_VERSION, kernel_tokens),
+        (CACHE_VERSION, with_layout_code(2)),
+        (CACHE_VERSION, with_layout_code(3)),
+    ];
+    for (version, payload) in images {
+        std::fs::write(&path, image(version, &payload)).expect("write cache");
         let mut s = AdaptiveSelector::new(config(&path));
-        assert!(!s.loaded_from_disk(), "a v{version} header over kernel tokens must load cold");
+        assert!(!s.loaded_from_disk(), "a v{version} image must load cold:\n{payload}");
         assert_eq!(s.total_trials(), 0);
         let pick = s.select(shape, Layout::RowMajor);
         assert_eq!(pick.source, streamk_select::SelectionSource::ColdHeuristic);

@@ -22,7 +22,7 @@ pub mod shape;
 pub mod tile;
 
 pub use grid::{ceil_div, quantization_efficiency, waves};
-pub use layout::{zorder_rank, zorder_unrank, Layout, FRAG};
+pub use layout::Layout;
 pub use precision::Precision;
 pub use shape::GemmShape;
 pub use tile::TileShape;

@@ -20,8 +20,6 @@
 //!   and a cuBLAS-like heuristic selector.
 //! - [`corpus`] — the paper's 32,824-shape evaluation corpus and the
 //!   statistics used by its tables.
-//! - [`conv`] — convolution as implicit GEMM, scheduled by Stream-K
-//!   (the paper's motivating deep-learning operator).
 //!
 //! ## Quickstart
 //!
@@ -40,7 +38,6 @@
 //! assert!(report.utilization() > 0.9);
 //! ```
 
-pub use streamk_conv as conv;
 pub use streamk_core as core;
 pub use streamk_corpus as corpus;
 pub use streamk_cpu as cpu;
