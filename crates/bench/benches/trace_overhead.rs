@@ -3,9 +3,9 @@
 //!
 //! The observability contract is that tracing costs ≤5% wall time —
 //! recording is a thread-local ring write plus two `Instant::now`
-//! calls per span, no locks, no allocation. `streamk bench` measures
-//! and gates the same ratio into `BENCH_cpu.json`; this bench is the
-//! statistically careful version of that number.
+//! calls per span, no locks, no allocation. The gated figure is the
+//! service's (`crates/cpu/tests/timing.rs`, run with `--ignored`); this
+//! bench is the statistically careful look at a direct launch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -93,77 +93,6 @@ pub enum Command {
         /// through `GemmService`.
         serve: bool,
     },
-    /// CPU kernel benchmark sweep, emitting `BENCH_cpu.json`.
-    Bench {
-        /// Side of the headline `size³` f32 problem.
-        size: usize,
-        /// Blocking factor.
-        tile: TileShape,
-        /// Corpus shapes to sweep in addition to the headline.
-        corpus: usize,
-        /// Timing repetitions per cell; medians are reported.
-        reps: usize,
-        /// Cut the sweep down for CI smoke runs.
-        smoke: bool,
-        /// Output path for the JSON report.
-        out: String,
-    },
-    /// Concurrent-launch service benchmark, emitting `BENCH_serve.json`.
-    ServeBench {
-        /// Service worker threads.
-        threads: usize,
-        /// Requests per mix.
-        requests: usize,
-        /// Active-window size (concurrently running requests).
-        window: usize,
-        /// Pending-queue capacity before admission rejects.
-        capacity: usize,
-        /// Owner-side watchdog deadline, milliseconds.
-        watchdog_ms: u64,
-        /// Cut the campaign down for CI smoke runs.
-        smoke: bool,
-        /// Output path for the JSON report.
-        out: String,
-        /// Optional output path for a Prometheus text snapshot of the
-        /// service's telemetry registry, taken at shutdown.
-        metrics_out: Option<String>,
-    },
-    /// Strassen–Winograd hybrid crossover benchmark, splicing a
-    /// `strassen_hybrid` section into `BENCH_cpu.json`.
-    StrassenBench {
-        /// Crossover cutoff of the hybrid under test.
-        cutoff: usize,
-        /// Blocking factor of the leaf sub-products.
-        tile: TileShape,
-        /// Timing repetitions per cell; medians are reported.
-        reps: usize,
-        /// Executor worker threads.
-        threads: usize,
-        /// Cut the sweep down for CI smoke runs.
-        smoke: bool,
-        /// Report path; an existing `BENCH_cpu.json` gains the
-        /// section, anything else is created.
-        out: String,
-    },
-    /// Adaptive-selector replay benchmark: cold / warm / distilled
-    /// regret vs a measured oracle, spliced into `BENCH_cpu.json`.
-    SelectBench {
-        /// Corpus shapes replayed (in addition to the fixed anchors).
-        shapes: usize,
-        /// Adaptation rounds between the cold and warm passes.
-        rounds: usize,
-        /// Timing repetitions per oracle cell; medians are reported.
-        reps: usize,
-        /// Executor worker threads.
-        threads: usize,
-        /// Cut the replay down for CI smoke runs.
-        smoke: bool,
-        /// Selector cache file (persisted across invocations).
-        cache: String,
-        /// Report path; an existing `BENCH_cpu.json` gains a
-        /// `selection_adaptive` section, anything else is created.
-        out: String,
-    },
     /// Traced executor run + matching simulation: merged Chrome
     /// trace, phase breakdown, and model-vs-measured residuals.
     Profile {
@@ -209,10 +138,6 @@ USAGE:
   streamk compare  <m> <n> <k> [--precision fp64|fp16]
   streamk corpus   [count]
   streamk chaos    <m> <n> <k> [--tile MxNxK] [--seeds N] [--threads T] [--watchdog-ms MS] [--serve]
-  streamk bench    [--size N] [--tile MxNxK] [--corpus C] [--reps R] [--out FILE] [--smoke]
-  streamk serve-bench [--threads T] [--requests N] [--window W] [--capacity C] [--watchdog-ms MS] [--out FILE] [--metrics-out FILE] [--smoke]
-  streamk select-bench [--shapes N] [--rounds R] [--reps P] [--threads T] [--select-cache FILE] [--out FILE] [--smoke]
-  streamk strassen-bench [--cutoff N] [--tile MxNxK] [--reps R] [--threads T] [--out FILE] [--smoke]
   streamk profile  <m> <n> <k> [--tile MxNxK] [--threads T] [--strategy S] [--out FILE] [--svg FILE] [--serve]
   streamk svg      <m> <n> <k> --out FILE [--tile MxNxK] [--sms P] [--strategy S]
   streamk help
@@ -274,15 +199,21 @@ struct Flags<'a> {
 }
 
 /// Flags that take no value; their presence means "true".
-const BOOL_FLAGS: &[&str] = &["smoke", "serve"];
+const BOOL_FLAGS: &[&str] = &["serve"];
 
-fn split_flags(rest: &[String]) -> Result<Flags<'_>, ParseError> {
+/// Splits `rest` into positionals and `--name value` pairs. A flag
+/// outside `accepted` is refused rather than silently ignored, so a
+/// misspelled option never runs the command at its default.
+fn split_flags<'a>(command: &str, rest: &'a [String], accepted: &[&str]) -> Result<Flags<'a>, ParseError> {
     let mut positional = Vec::new();
     let mut named = Vec::new();
     let mut i = 0;
     while i < rest.len() {
         let a = rest[i].as_str();
         if let Some(name) = a.strip_prefix("--") {
+            if !accepted.contains(&name) {
+                return Err(ParseError(format!("unknown flag --{name} for {command}")));
+            }
             if BOOL_FLAGS.contains(&name) {
                 named.push((name, "true"));
                 i += 1;
@@ -330,7 +261,7 @@ impl Cli {
         let command = match cmd.as_str() {
             "help" | "--help" | "-h" => Command::Help,
             "schedule" => {
-                let flags = split_flags(rest)?;
+                let flags = split_flags("schedule", rest, &["tile", "sms", "strategy"])?;
                 Command::Schedule {
                     shape: parse_shape(&flags)?,
                     tile: get_flag(&flags, "tile").map_or(Ok(TileShape::new(128, 128, 32)), parse_tile)?,
@@ -341,7 +272,7 @@ impl Cli {
                 }
             }
             "bestgrid" => {
-                let flags = split_flags(rest)?;
+                let flags = split_flags("bestgrid", rest, &["tile", "sms", "precision"])?;
                 let precision = get_flag(&flags, "precision").map_or(Ok(Precision::Fp16To32), parse_precision)?;
                 Command::BestGrid {
                     shape: parse_shape(&flags)?,
@@ -354,14 +285,14 @@ impl Cli {
                 }
             }
             "compare" => {
-                let flags = split_flags(rest)?;
+                let flags = split_flags("compare", rest, &["precision"])?;
                 Command::Compare {
                     shape: parse_shape(&flags)?,
                     precision: get_flag(&flags, "precision").map_or(Ok(Precision::Fp16To32), parse_precision)?,
                 }
             }
             "corpus" => {
-                let flags = split_flags(rest)?;
+                let flags = split_flags("corpus", rest, &[])?;
                 let count = flags
                     .positional
                     .first()
@@ -371,7 +302,7 @@ impl Cli {
                 Command::Corpus { count }
             }
             "chaos" => {
-                let flags = split_flags(rest)?;
+                let flags = split_flags("chaos", rest, &["tile", "seeds", "threads", "watchdog-ms", "serve"])?;
                 let parse_u64 = |name: &str, default: u64, flags: &Flags<'_>| {
                     get_flag(flags, name).map_or(Ok(default), |v| {
                         v.parse::<u64>()
@@ -392,101 +323,9 @@ impl Cli {
                     serve: get_flag(&flags, "serve") == Some("true"),
                 }
             }
-            "serve-bench" => {
-                let flags = split_flags(rest)?;
-                let parse_usize = |name: &str, default: usize, flags: &Flags<'_>| {
-                    get_flag(flags, name).map_or(Ok(default), |v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&x| x > 0)
-                            .ok_or_else(|| ParseError(format!("--{name} expects a positive integer, got '{v}'")))
-                    })
-                };
-                let smoke = get_flag(&flags, "smoke") == Some("true");
-                Command::ServeBench {
-                    threads: parse_usize("threads", 8, &flags)?,
-                    requests: parse_usize("requests", if smoke { 16 } else { 64 }, &flags)?,
-                    window: parse_usize("window", 4, &flags)?,
-                    capacity: parse_usize("capacity", 64, &flags)?,
-                    watchdog_ms: get_flag(&flags, "watchdog-ms").map_or(Ok(200), |v| {
-                        v.parse::<u64>()
-                            .map_err(|_| ParseError(format!("--watchdog-ms expects an integer, got '{v}'")))
-                    })?,
-                    smoke,
-                    out: get_flag(&flags, "out").unwrap_or("BENCH_serve.json").to_string(),
-                    metrics_out: get_flag(&flags, "metrics-out").map(String::from),
-                }
-            }
-            "strassen-bench" => {
-                let flags = split_flags(rest)?;
-                let parse_usize = |name: &str, default: usize, flags: &Flags<'_>| {
-                    get_flag(flags, name).map_or(Ok(default), |v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&x| x > 0)
-                            .ok_or_else(|| ParseError(format!("--{name} expects a positive integer, got '{v}'")))
-                    })
-                };
-                let smoke = get_flag(&flags, "smoke") == Some("true");
-                Command::StrassenBench {
-                    cutoff: parse_usize("cutoff", if smoke { 64 } else { 512 }, &flags)?,
-                    tile: get_flag(&flags, "tile").map_or(Ok(TileShape::new(64, 64, 16)), parse_tile)?,
-                    reps: parse_usize("reps", if smoke { 1 } else { 3 }, &flags)?,
-                    threads: parse_usize("threads", 1, &flags)?,
-                    smoke,
-                    out: get_flag(&flags, "out").unwrap_or("BENCH_cpu.json").to_string(),
-                }
-            }
-            "select-bench" => {
-                let flags = split_flags(rest)?;
-                let parse_usize = |name: &str, default: usize, flags: &Flags<'_>| {
-                    get_flag(flags, name).map_or(Ok(default), |v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&x| x > 0)
-                            .ok_or_else(|| ParseError(format!("--{name} expects a positive integer, got '{v}'")))
-                    })
-                };
-                let smoke = get_flag(&flags, "smoke") == Some("true");
-                Command::SelectBench {
-                    shapes: parse_usize("shapes", if smoke { 2 } else { 8 }, &flags)?,
-                    rounds: parse_usize("rounds", if smoke { 2 } else { 4 }, &flags)?,
-                    reps: parse_usize("reps", if smoke { 2 } else { 3 }, &flags)?,
-                    threads: parse_usize("threads", 4, &flags)?,
-                    smoke,
-                    // --select-cache is the documented spelling;
-                    // --cache stays accepted for compatibility. The
-                    // default lives under target/ so scratch state
-                    // never lands in the working tree.
-                    cache: get_flag(&flags, "select-cache")
-                        .or_else(|| get_flag(&flags, "cache"))
-                        .unwrap_or("target/SELECT_cache")
-                        .to_string(),
-                    out: get_flag(&flags, "out").unwrap_or("BENCH_cpu.json").to_string(),
-                }
-            }
-            "bench" => {
-                let flags = split_flags(rest)?;
-                let parse_usize = |name: &str, default: usize, flags: &Flags<'_>| {
-                    get_flag(flags, name).map_or(Ok(default), |v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&x| x > 0)
-                            .ok_or_else(|| ParseError(format!("--{name} expects a positive integer, got '{v}'")))
-                    })
-                };
-                let smoke = get_flag(&flags, "smoke") == Some("true");
-                Command::Bench {
-                    size: parse_usize("size", if smoke { 128 } else { 512 }, &flags)?,
-                    tile: get_flag(&flags, "tile").map_or(Ok(TileShape::new(64, 64, 16)), parse_tile)?,
-                    corpus: parse_usize("corpus", if smoke { 2 } else { 6 }, &flags)?,
-                    reps: parse_usize("reps", if smoke { 2 } else { 5 }, &flags)?,
-                    smoke,
-                    out: get_flag(&flags, "out").unwrap_or("BENCH_cpu.json").to_string(),
-                }
-            }
             "profile" => {
-                let flags = split_flags(rest)?;
+                let flags =
+                    split_flags("profile", rest, &["tile", "threads", "strategy", "out", "svg", "serve"])?;
                 Command::Profile {
                     shape: parse_shape(&flags)?,
                     tile: get_flag(&flags, "tile").map_or(Ok(TileShape::new(32, 32, 16)), parse_tile)?,
@@ -503,7 +342,7 @@ impl Cli {
                 }
             }
             "svg" => {
-                let flags = split_flags(rest)?;
+                let flags = split_flags("svg", rest, &["tile", "sms", "strategy", "out"])?;
                 Command::Svg {
                     shape: parse_shape(&flags)?,
                     tile: get_flag(&flags, "tile").map_or(Ok(TileShape::new(128, 128, 32)), parse_tile)?,
@@ -634,146 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_defaults_and_smoke() {
-        let cli = Cli::parse(&argv("bench")).unwrap();
-        assert_eq!(
-            cli.command,
-            Command::Bench {
-                size: 512,
-                tile: TileShape::new(64, 64, 16),
-                corpus: 6,
-                reps: 5,
-                smoke: false,
-                out: "BENCH_cpu.json".into(),
-            }
-        );
-        // --smoke is a boolean flag: it consumes no value and shrinks
-        // the default sweep.
-        let cli = Cli::parse(&argv("bench --smoke --out /tmp/b.json")).unwrap();
-        match cli.command {
-            Command::Bench { size, corpus, reps, smoke, out, .. } => {
-                assert!(smoke);
-                assert_eq!(size, 128);
-                assert_eq!(corpus, 2);
-                assert_eq!(reps, 2);
-                assert_eq!(out, "/tmp/b.json");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Explicit values override the smoke defaults regardless of
-        // flag order.
-        let cli = Cli::parse(&argv("bench --size 256 --smoke --reps 3")).unwrap();
-        match cli.command {
-            Command::Bench { size, reps, smoke, .. } => {
-                assert!(smoke);
-                assert_eq!(size, 256);
-                assert_eq!(reps, 3);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(Cli::parse(&argv("bench --size 0")).is_err());
-        assert!(Cli::parse(&argv("bench --reps x")).is_err());
-    }
-
-    #[test]
-    fn serve_bench_defaults_and_smoke() {
-        let cli = Cli::parse(&argv("serve-bench")).unwrap();
-        assert_eq!(
-            cli.command,
-            Command::ServeBench {
-                threads: 8,
-                requests: 64,
-                window: 4,
-                capacity: 64,
-                watchdog_ms: 200,
-                smoke: false,
-                out: "BENCH_serve.json".into(),
-                metrics_out: None,
-            }
-        );
-        let cli = Cli::parse(&argv(
-            "serve-bench --smoke --threads 4 --out /tmp/s.json --metrics-out /tmp/m.prom",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::ServeBench { threads, requests, smoke, out, metrics_out, .. } => {
-                assert!(smoke);
-                assert_eq!(threads, 4);
-                assert_eq!(requests, 16);
-                assert_eq!(out, "/tmp/s.json");
-                assert_eq!(metrics_out.as_deref(), Some("/tmp/m.prom"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(Cli::parse(&argv("serve-bench --requests 0")).is_err());
-        assert!(Cli::parse(&argv("serve-bench --window x")).is_err());
-    }
-
-    #[test]
-    fn select_bench_defaults_and_smoke() {
-        let cli = Cli::parse(&argv("select-bench")).unwrap();
-        assert_eq!(
-            cli.command,
-            Command::SelectBench {
-                shapes: 8,
-                rounds: 4,
-                reps: 3,
-                threads: 4,
-                smoke: false,
-                cache: "target/SELECT_cache".into(),
-                out: "BENCH_cpu.json".into(),
-            }
-        );
-        let cli = Cli::parse(&argv("select-bench --select-cache /tmp/sc")).unwrap();
-        match cli.command {
-            Command::SelectBench { cache, .. } => assert_eq!(cache, "/tmp/sc"),
-            other => panic!("unexpected {other:?}"),
-        }
-        let cli = Cli::parse(&argv("select-bench --smoke --cache /tmp/c --out /tmp/b.json")).unwrap();
-        match cli.command {
-            Command::SelectBench { shapes, rounds, reps, smoke, cache, out, .. } => {
-                assert!(smoke);
-                assert_eq!(shapes, 2);
-                assert_eq!(rounds, 2);
-                assert_eq!(reps, 2);
-                assert_eq!(cache, "/tmp/c");
-                assert_eq!(out, "/tmp/b.json");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(Cli::parse(&argv("select-bench --shapes 0")).is_err());
-        assert!(Cli::parse(&argv("select-bench --rounds x")).is_err());
-    }
-
-    #[test]
-    fn strassen_bench_defaults_and_smoke() {
-        let cli = Cli::parse(&argv("strassen-bench")).unwrap();
-        assert_eq!(
-            cli.command,
-            Command::StrassenBench {
-                cutoff: 512,
-                tile: TileShape::new(64, 64, 16),
-                reps: 3,
-                threads: 1,
-                smoke: false,
-                out: "BENCH_cpu.json".into(),
-            }
-        );
-        let cli = Cli::parse(&argv("strassen-bench --smoke --cutoff 32 --out /tmp/b.json")).unwrap();
-        match cli.command {
-            Command::StrassenBench { cutoff, reps, smoke, out, .. } => {
-                assert!(smoke);
-                assert_eq!(cutoff, 32);
-                assert_eq!(reps, 1);
-                assert_eq!(out, "/tmp/b.json");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(Cli::parse(&argv("strassen-bench --cutoff 0")).is_err());
-        assert!(Cli::parse(&argv("strassen-bench --reps x")).is_err());
-    }
-
-    #[test]
     fn profile_defaults_and_flags() {
         let cli = Cli::parse(&argv("profile 96 96 128")).unwrap();
         assert_eq!(
@@ -808,6 +507,31 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(Cli::parse(&argv("profile 64 64 64 --threads 0")).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_and_commands_are_refused() {
+        for (cmd, flag) in [
+            ("profile 96 96 128 --layout block", "--layout for profile"),
+            ("profile 96 96 128 --thread 2", "--thread for profile"),
+            ("chaos 96 80 64 --smoke", "--smoke for chaos"),
+            ("corpus 200 --count 5", "--count for corpus"),
+            ("compare 64 64 64 --tile 32x32x16", "--tile for compare"),
+        ] {
+            let e = Cli::parse(&argv(cmd)).unwrap_err();
+            assert_eq!(e.0, format!("unknown flag {flag}"), "{cmd}");
+        }
+        for cmd in ["bench", "serve-bench", "select-bench", "strassen-bench"] {
+            let e = Cli::parse(&argv(cmd)).unwrap_err();
+            assert!(e.0.contains("unknown command"), "{cmd}: {e}");
+        }
+        // Every invocation the CI workflow makes still parses.
+        for cmd in [
+            "profile 96 96 128 --tile 32x32x16 --threads 4 --out TRACE_profile.json --svg docs_profile_smoke.svg",
+            "profile 96 96 128 --tile 32x32x16 --threads 4 --serve --out TRACE_obs_serve.json",
+        ] {
+            assert!(matches!(Cli::parse(&argv(cmd)).unwrap().command, Command::Profile { .. }), "{cmd}");
+        }
     }
 
     #[test]

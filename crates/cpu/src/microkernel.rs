@@ -138,7 +138,8 @@ impl KernelKind {
     /// Every kernel.
     pub const ALL: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Block];
 
-    /// Stable lowercase name (used by the CLI and `BENCH_cpu.json`).
+    /// Stable lowercase name (the `Display` form, used in test and
+    /// panic messages).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

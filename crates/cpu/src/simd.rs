@@ -86,7 +86,7 @@ impl SimdLevel {
         SimdLevel::None
     }
 
-    /// Stable lowercase name (reported in `BENCH_cpu.json`).
+    /// Stable lowercase name (the `Display` form).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use streamk_core::{Decomposition, SpanKind};
 use streamk_cpu::telemetry::SERVE_SPAN_KINDS;
 use streamk_cpu::{
-    CpuExecutor, FlightRecorder, GemmService, LaunchRequest, Priority, ServeConfig, ServeError,
-    ServeFaultKind, ServeFaultPlan, ServiceCounter, ServiceEventKind, ServiceStats,
+    CpuExecutor, FlightRecorder, GemmService, LaunchRequest, Priority, SelectOutcome, ServeConfig,
+    ServeError, ServeFaultKind, ServeFaultPlan, ServiceCounter, ServiceEventKind, ServiceStats,
 };
 use streamk_matrix::Matrix;
 use streamk_types::{GemmShape, Layout, TileShape};
@@ -171,6 +171,12 @@ fn prometheus_export_reconciles_exactly_with_service_stats() {
         assert!(text.contains(&format!("streamk_serve_latency_p50_ns{{lane=\"{lane}\"}}")));
         assert!(text.contains(&format!("streamk_serve_latency_p99_ns{{lane=\"{lane}\"}}")));
     }
+    // A service's registry carries the selector's decision counters
+    // too, zero until a selector reports into it.
+    for outcome in SelectOutcome::ALL {
+        let sample = format!("streamk_select_decisions_total{{source=\"{}\"}} 0", outcome.name());
+        assert!(text.contains(&sample), "missing {sample}");
+    }
 
     // The timeout and the panic each dumped an incident.
     assert!(incidents.iter().any(|r| r.reason == "timeout"), "no timeout incident");
@@ -234,42 +240,49 @@ fn pool_poisoning_incident_dumps_structured_report_to_disk() {
 
 /// One seeded fault campaign: submits `n` requests with
 /// `ServeFaultPlan::seeded` faults plus one guaranteed timeout and
-/// one guaranteed panic, and returns the deterministic verdict —
-/// sorted incident reasons and the lifecycle counters.
+/// one guaranteed panic, checks that every request kept its contract
+/// (a cancelled or panicked request fails typed, every other one
+/// completes bit-exact with the sequential launch), and returns the
+/// deterministic verdict — sorted incident reasons and the lifecycle
+/// counters.
 fn run_seeded_campaign(seed: u64) -> (Vec<String>, ServiceStats) {
     let e = exec(4);
     let d = decomp(4);
     let (a, b) = operands(23);
+    let baseline = e.gemm::<f64, f64>(&a, &b, &d);
     let n = 15;
     let plan = ServeFaultPlan::seeded(seed, n, WATCHDOG);
     let service = GemmService::<f64, f64>::start(&e, ServeConfig::default());
     let mut handles = Vec::new();
     for i in 0..n {
+        let fault = plan.fault_for(i);
         let mut req = LaunchRequest::new(a.clone(), b.clone(), d.clone());
-        if let Some(kind) = plan.fault_for(i) {
+        if let Some(kind) = fault {
             req = req.with_serve_fault(kind);
         }
-        handles.push(service.submit(req).unwrap());
+        handles.push((fault, service.submit(req).unwrap()));
     }
-    handles.push(
-        service
-            .submit(
-                LaunchRequest::new(a.clone(), b.clone(), d.clone())
-                    .with_deadline(Duration::ZERO),
-            )
-            .unwrap(),
-    );
-    handles.push(
-        service
-            .submit(
-                LaunchRequest::new(a.clone(), b.clone(), d.clone())
-                    .with_serve_fault(ServeFaultKind::PanicCta),
-            )
-            .unwrap(),
-    );
-    for h in handles {
-        let _ = h.wait();
+    let doomed = service
+        .submit(LaunchRequest::new(a.clone(), b.clone(), d.clone()).with_deadline(Duration::ZERO))
+        .unwrap();
+    let bomb = service
+        .submit(
+            LaunchRequest::new(a.clone(), b.clone(), d.clone())
+                .with_serve_fault(ServeFaultKind::PanicCta),
+        )
+        .unwrap();
+    for (fault, h) in handles {
+        match (fault, h.wait()) {
+            (Some(ServeFaultKind::Cancel), Err(ServeError::Cancelled))
+            | (Some(ServeFaultKind::PanicCta), Err(ServeError::Panicked { .. })) => {}
+            (None | Some(ServeFaultKind::AdmitDelay(_) | ServeFaultKind::Protocol(_)), Ok((c, _))) => {
+                assert!(c.max_abs_diff(&baseline) == 0.0, "seed {seed}: a {fault:?} request diverged");
+            }
+            (fault, outcome) => panic!("seed {seed}: a {fault:?} request broke its contract: {:?}", outcome.err()),
+        }
     }
+    assert_eq!(doomed.wait().unwrap_err(), ServeError::Timeout { deadline: Duration::ZERO });
+    assert!(matches!(bomb.wait().unwrap_err(), ServeError::Panicked { .. }));
     let mut reasons: Vec<String> =
         service.incidents().iter().map(|r| r.reason.clone()).collect();
     reasons.sort_unstable();

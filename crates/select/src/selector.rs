@@ -351,8 +351,8 @@ impl AdaptiveSelector {
     }
 
     /// Feedback with an explicit wait-stall figure (the common core;
-    /// also the entry point for replay-style benches that measure
-    /// outside the executor).
+    /// also the entry point for a replay that measures outside the
+    /// executor).
     pub fn feedback_raw(&mut self, selection: &Selection, secs: f64, wait_s: f64) {
         if !secs.is_finite() || secs < 0.0 {
             return;
@@ -426,25 +426,10 @@ impl AdaptiveSelector {
         Some(classes)
     }
 
-    /// The distilled tree's prediction for `shape`, bypassing the
-    /// ladder and the table entirely — the zero-lookup path a regret
-    /// bench scores. `None` until [`distill`](Self::distill) has run.
-    #[must_use]
-    pub fn predict_distilled(&self, shape: GemmShape, layout: Layout) -> Option<Candidate> {
-        let class = self.class_of(shape, layout);
-        let model = self.distilled.as_ref()?;
-        Some(model.labels[model.tree.predict(&class.features())])
-    }
-
     /// `true` once a distilled tree is active.
     #[must_use]
     pub fn is_distilled(&self) -> bool {
         self.distilled.is_some()
-    }
-
-    /// Drops the distilled tree (selection falls back to the ladder).
-    pub fn clear_distilled(&mut self) {
-        self.distilled = None;
     }
 
     /// Read access to the underlying table (reporting, tests).
