@@ -75,21 +75,6 @@ impl GroupedSpace {
         Self { instances, iter_offsets, tile_offsets }
     }
 
-    /// A group of `count` identically-shaped instances — the burst a
-    /// recursive algorithm emits when every sub-problem has the same
-    /// extents (Strassen's seven half-size products per level). The
-    /// aggregate iteration count quantizes exactly like any other
-    /// group; uniformity just makes the per-instance spaces identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count == 0`.
-    #[must_use]
-    pub fn uniform(shape: GemmShape, count: usize, tile: TileShape) -> Self {
-        assert!(count > 0, "grouped GEMM needs at least one instance");
-        Self::new(&vec![shape; count], tile)
-    }
-
     /// The per-instance spaces.
     #[must_use]
     pub fn instances(&self) -> &[IterSpace] {
@@ -382,21 +367,5 @@ mod tests {
     #[should_panic(expected = "at least one instance")]
     fn empty_group_panics() {
         let _ = GroupedSpace::new(&[], TileShape::new(8, 8, 8));
-    }
-
-    #[test]
-    fn uniform_matches_repeated_new() {
-        let shape = GemmShape::new(48, 32, 64);
-        let tile = TileShape::new(16, 16, 8);
-        let uniform = GroupedSpace::uniform(shape, 7, tile);
-        assert_eq!(uniform, GroupedSpace::new(&[shape; 7], tile));
-        assert_eq!(uniform.groups(), 7);
-        assert_eq!(uniform.total_iters(), 7 * IterSpace::new(shape, tile).total_iters());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one instance")]
-    fn uniform_zero_count_panics() {
-        let _ = GroupedSpace::uniform(GemmShape::new(8, 8, 8), 0, TileShape::new(8, 8, 8));
     }
 }

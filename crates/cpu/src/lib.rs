@@ -66,7 +66,6 @@ pub mod pad;
 pub mod pool;
 pub mod sched;
 pub mod serve;
-pub mod strassen;
 // The one module allowed to hold unsafe code: the `std::arch` SIMD
 // kernels plus the TypeId-guarded slice casts that feed them. Every
 // unsafe block carries its safety argument inline.
@@ -93,10 +92,6 @@ pub use serve::{
 pub use microkernel::{mac_loop_cached, mac_loop_kernel, KernelKind, PackBuffers, PanelSpan};
 pub use packcache::{mac_loop_kernel_cached, PackCache, PanelGuard};
 pub use simd::SimdLevel;
-pub use strassen::{
-    leaf_decomposition, machine_epsilon, max_abs, recombine_quadrants, split_quadrants,
-    strassen_error_bound, StrassenArena, StrassenConfig, StrassenReport, StrassenServeError,
-};
 pub use telemetry::{
     FlightRecorder, IncidentReport, RequestTrace, SelectEvent, SelectOutcome, ServeTrace,
     ServiceCounter, ServiceEvent, ServiceEventKind, TelemetryRegistry,

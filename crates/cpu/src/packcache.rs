@@ -608,7 +608,7 @@ fn operand_span<'x, In: Copy + Default>(
 
 /// [`crate::microkernel::mac_loop_kernel`] with each operand read from the cheapest place
 /// that holds it. The one dispatch point behind the executors, the
-/// batched and grouped launches, the Strassen leaves and the service.
+/// batched and grouped launches and the service.
 /// The segment is walked one k-chunk at a time (see the module docs),
 /// and per chunk each operand comes from the first source that can
 /// serve it:

@@ -1447,12 +1447,12 @@ where
     }
 
     /// Submits a burst of related requests as one atomically-admitted
-    /// group (the seven Strassen sub-products, a layer's batched
-    /// projections, …). Either **every** request is queued — and a
-    /// [`GroupHandle`] tracks them as a completion unit — or **none**
-    /// are: the first structural rejection, a full queue (the whole
-    /// burst must fit), or shutdown refuses the entire group, so a
-    /// caller never ends up with half a burst in flight.
+    /// group (a layer's batched projections, …). Either **every**
+    /// request is queued — and a [`GroupHandle`] tracks them as a
+    /// completion unit — or **none** are: the first structural
+    /// rejection, a full queue (the whole burst must fit), or shutdown
+    /// refuses the entire group, so a caller never ends up with half a
+    /// burst in flight.
     ///
     /// Members are queued back-to-back in submission order and then
     /// scheduled under the service's normal admission and claiming
@@ -1790,20 +1790,27 @@ mod tests {
 
     #[test]
     fn group_completes_as_a_unit_in_submission_order() {
-        let shape = GemmShape::new(64, 64, 48);
+        use crate::fault::{FaultKind, FaultPlan};
+        // Six tiles over four CTAs: the grid has split seams, so a
+        // member can lose a partial.
+        let shape = GemmShape::new(96, 64, 48);
         let tile = TileShape::new(32, 32, 16);
-        let exec = CpuExecutor::with_threads(4);
+        let decomp = Decomposition::stream_k(shape, tile, 4);
+        let exec = CpuExecutor::with_threads(4).with_watchdog(Duration::from_millis(200));
         let pairs: Vec<_> = (0..5).map(|g| operands(shape, 10 + g)).collect();
-        let sequentials: Vec<Matrix<f64>> = pairs
-            .iter()
-            .map(|(a, b)| exec.gemm(a, b, &Decomposition::stream_k(shape, tile, 4)))
-            .collect();
+        let sequentials: Vec<Matrix<f64>> =
+            pairs.iter().map(|(a, b)| exec.gemm(a, b, &decomp)).collect();
 
         let service = GemmService::<f64, f64>::start(&exec, ServeConfig::default());
+        // One member loses a partial mid-burst: owner-side recovery
+        // masks it and the group still resolves bit-exactly.
+        let lost = FaultPlan::single(FaultPlan::contributors(&decomp)[0], FaultKind::Lose);
         let requests = pairs
             .iter()
-            .map(|(a, b)| {
-                LaunchRequest::new(a.clone(), b.clone(), Decomposition::stream_k(shape, tile, 4))
+            .enumerate()
+            .map(|(g, (a, b))| {
+                let request = LaunchRequest::new(a.clone(), b.clone(), decomp.clone());
+                if g == 3 { request.with_cta_faults(lost.clone()) } else { request }
             })
             .collect();
         let group = service.submit_group(requests).unwrap();
@@ -1821,6 +1828,7 @@ mod tests {
             assert_eq!(c.max_abs_diff(sequential), 0.0);
             assert_eq!(stats.ctas, 4);
         }
+        assert!(results[3].1.recoveries >= 1, "the lost partial must be recovered");
 
         // The empty burst is legal and resolves trivially.
         let empty = service.submit_group(Vec::new()).unwrap();

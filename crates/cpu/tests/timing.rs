@@ -71,8 +71,14 @@ fn four_workers_keep_seventy_percent_parallel_efficiency() {
     );
 }
 
-/// Wall time of one fault-free burst of twelve requests through a fresh
-/// service; `traced` toggles per-request span rings and nothing else.
+/// Requests per serve burst: enough that a burst lasts several
+/// milliseconds even on two cores, so the per-request tracing cost, not
+/// the service's start-up or the scheduler's noise, decides the gate.
+const BURST: usize = 96;
+
+/// Wall time of one fault-free burst of [`BURST`] requests through a
+/// fresh service; `traced` toggles per-request span rings and nothing
+/// else.
 fn serve_burst_s(threads: usize, traced: bool) -> f64 {
     // Heavy enough that each request's MAC work dwarfs per-span
     // bookkeeping: the tracing tax on real requests, not on ring set-up.
@@ -83,12 +89,12 @@ fn serve_burst_s(threads: usize, traced: bool) -> f64 {
     let exec = CpuExecutor::with_threads(threads);
     let config = ServeConfig::default()
         .with_window(4)
-        .with_capacity(64)
+        .with_capacity(BURST)
         .with_trace(traced)
         .with_trace_capacity(512);
     let service = GemmService::<f64, f64>::start(&exec, config);
     let t0 = Instant::now();
-    let handles: Vec<_> = (0..12)
+    let handles: Vec<_> = (0..BURST)
         .map(|_| {
             service
                 .submit(LaunchRequest::new(a.clone(), b.clone(), decomp.clone()))

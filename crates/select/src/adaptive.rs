@@ -20,7 +20,7 @@ use std::time::Instant;
 use streamk_core::{
     BatchedDecomposition, BatchedSpace, GroupedDecomposition, GroupedSpace, Strategy,
 };
-use streamk_cpu::{CpuExecutor, LaunchRequest, RequestStats, StrassenConfig};
+use streamk_cpu::{CpuExecutor, LaunchRequest, RequestStats};
 use streamk_matrix::{Matrix, Promote, Scalar};
 use streamk_types::GemmShape;
 
@@ -55,36 +55,13 @@ impl SelectingExecutor {
     /// Adaptive `C = A · B`: select a schedule for the launch's shape
     /// class, execute it, and feed the measured time and `ExecStats`
     /// back. Returns the product and the selection that produced it.
-    ///
-    /// When the selector was built with
-    /// [`SelectorConfig::with_strassen`] and picks a hybrid
-    /// candidate (`strassen_depth > 0`), the launch routes through
-    /// [`CpuExecutor::gemm_strassen`] at that depth; the measured
-    /// time competes in the same epsilon-greedy table as the
-    /// classical candidates, so the crossover is learned online
-    /// per shape class.
     pub fn gemm_adaptive<In, Acc>(&self, a: &Matrix<In>, b: &Matrix<In>) -> (Matrix<Acc>, Selection)
     where
-        In: Promote<Acc> + Scalar,
+        In: Promote<Acc>,
         Acc: Scalar,
     {
         let shape = GemmShape::new(a.rows(), b.cols(), a.cols());
-        let selection = self
-            .with_selector(|s| s.select(shape, a.layout()));
-        let depth = selection.candidate.strassen_depth;
-        if depth > 0 {
-            let base = self
-                .with_selector(|s| s.config().strassen)
-                .unwrap_or_else(StrassenConfig::enabled);
-            let config = StrassenConfig { enabled: true, max_depth: depth as usize, ..base };
-            let start = Instant::now();
-            let (c, _report) =
-                self.executor.gemm_strassen(a, b, selection.candidate.tile, &config);
-            let secs = start.elapsed().as_secs_f64();
-            let stats = self.executor.last_stats();
-            self.with_selector(|s| s.feedback(&selection, secs, &stats));
-            return (c, selection);
-        }
+        let selection = self.with_selector(|s| s.select(shape, a.layout()));
         let decomp = selection.candidate.decompose(shape);
         let start = Instant::now();
         let c = self.executor.gemm(a, b, &decomp);
@@ -193,11 +170,7 @@ impl SelectingExecutor {
     /// request carries the decomposition the selector chose for its
     /// shape class. Pair with
     /// [`feedback_request`](Self::feedback_request) once the
-    /// completion handle resolves. Hybrid candidates degrade to
-    /// their classical base schedule here — a single service request
-    /// carries one decomposition, not a recursion; use
-    /// [`streamk_cpu::GemmService::gemm_strassen`] to put a hybrid
-    /// burst through the service.
+    /// completion handle resolves.
     pub fn request_for<In>(&self, a: Matrix<In>, b: Matrix<In>) -> (LaunchRequest<In>, Selection) {
         let shape = GemmShape::new(a.rows(), b.cols(), a.cols());
         let selection = self.with_selector(|s| s.select(shape, a.layout()));
@@ -303,39 +276,6 @@ mod tests {
         gs[0].assert_close(&single, 1e-10);
         // Dominant-member keying: the class is the big shape's.
         assert_eq!(sel.class, e.with_selector(|s| s.class_of(big, Layout::RowMajor)));
-    }
-
-    #[test]
-    fn strassen_candidate_is_routed_and_measured_when_opted_in() {
-        use streamk_cpu::StrassenConfig;
-        let threads = 2;
-        let e = SelectingExecutor::new(
-            CpuExecutor::with_threads(threads),
-            SelectorConfig::new(Precision::Fp64, threads)
-                .with_top_k(3)
-                .with_strassen(StrassenConfig::enabled().with_cutoff(32).with_max_depth(1)),
-        );
-        let shape = GemmShape::new(96, 96, 96);
-        let (a, b) = operands(shape);
-        let reference: Matrix<f64> = e.executor().gemm(
-            &a,
-            &b,
-            &Decomposition::data_parallel(shape, streamk_types::TileShape::new(32, 32, 16)),
-        );
-
-        let (_, slate) = e.with_selector(|s| s.slate(shape, Layout::RowMajor));
-        assert_eq!(slate.last().map(|c| c.strassen_depth), Some(1), "hybrid joins the slate");
-
-        // Warm the whole slate: the hybrid candidate gets routed
-        // through gemm_strassen and measured like any other.
-        let mut saw_hybrid = false;
-        for _ in 0..slate.len() + 1 {
-            let (c, sel): (Matrix<f64>, _) = e.gemm_adaptive(&a, &b);
-            c.assert_close(&reference, 1e-9);
-            saw_hybrid |= sel.candidate.strassen_depth > 0;
-        }
-        assert!(saw_hybrid, "warming must explore the hybrid candidate");
-        assert_eq!(e.with_selector(|s| s.total_trials()), slate.len() as u64 + 1);
     }
 
     #[test]

@@ -24,8 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Format magic; bump [`CACHE_VERSION`] on any layout change.
 const CACHE_MAGIC: &str = "streamk-select-cache";
 /// Current format version. Version 1 carried a kernel token in every
-/// candidate; its images load as a cold start.
-pub const CACHE_VERSION: u32 = 2;
+/// candidate, version 2 an optional `sw.N` recursion-depth token; their
+/// images load as a cold start.
+pub const CACHE_VERSION: u32 = 3;
 
 /// Running measurement statistics for one candidate of one class.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -178,8 +179,8 @@ impl SelectionCache {
             let mut entry = ClassEntry::default();
             for _ in 0..count {
                 let cand_line = lines.next()?.strip_prefix("cand ")?;
-                // The candidate's encoding (strategy, tile, an optional
-                // Strassen token), then three stat fields.
+                // The candidate's encoding (strategy, tile), then three
+                // stat fields.
                 let fields: Vec<&str> = cand_line.split(' ').collect();
                 let (encoded, stats) = fields.split_at(fields.len().checked_sub(3)?);
                 let candidate = Candidate::decode(&encoded.join(" "))?;
@@ -259,12 +260,10 @@ mod tests {
                 Candidate {
                     strategy: Strategy::DataParallel,
                     tile: TileShape::new(64, 64, 16),
-                    strassen_depth: 0,
                 },
                 Candidate {
                     strategy: Strategy::StreamK { grid: 4 },
                     tile: TileShape::new(32, 32, 16),
-                    strassen_depth: 2,
                 },
             ]);
             entry.stats[0].record(1e-3 * (i + 1) as f64, 1e-5);
@@ -298,6 +297,16 @@ mod tests {
         let text = sample_cache().serialize();
         let bumped = text.replace(&format!("v{CACHE_VERSION}"), "v999");
         assert!(SelectionCache::deserialize(&bumped).is_none());
+        // A version-2 image is refused by its header, both with a line
+        // carrying that format's `sw.1` depth token and with every line
+        // still parseable today.
+        let payload = sample_cache().payload();
+        let with_depth = payload.replacen("cand dp 64x64x16 ", "cand dp 64x64x16 sw.1 ", 1);
+        assert_ne!(with_depth, payload);
+        for body in [payload, with_depth] {
+            let v2 = format!("{CACHE_MAGIC} v2\nchecksum {:016x}\n{body}", fnv1a(body.as_bytes()));
+            assert!(SelectionCache::deserialize(&v2).is_none(), "{v2}");
+        }
     }
 
     #[test]
@@ -320,12 +329,10 @@ mod tests {
             Candidate {
                 strategy: Strategy::DataParallel,
                 tile: TileShape::new(64, 64, 16),
-                strassen_depth: 0,
             },
             Candidate {
                 strategy: Strategy::StreamK { grid: 4 },
                 tile: TileShape::new(64, 64, 16),
-                strassen_depth: 0,
             },
         ]);
         assert_eq!(entry.winner(), None);

@@ -9,24 +9,17 @@
 //! on it.
 
 use streamk_core::{Decomposition, Strategy};
-use streamk_cpu::StrassenConfig;
 use streamk_ensemble::HeuristicSelector;
 use streamk_tune::{candidate_tiles, estimated_efficiency};
 use streamk_types::{GemmShape, Precision, TileShape};
 
-/// One selectable schedule: strategy × tile, plus an optional
-/// Strassen–Winograd recursion depth on top.
+/// One selectable schedule: strategy × tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// The decomposition strategy.
     pub strategy: Strategy,
     /// The blocking factor.
     pub tile: TileShape,
-    /// Strassen–Winograd recursion depth; `0` is the classical
-    /// (bit-exact) path. Non-zero candidates only enter slates when
-    /// the selector was built with an enabled
-    /// [`StrassenConfig`] — opt-in stays explicit end to end.
-    pub strassen_depth: u8,
 }
 
 impl Candidate {
@@ -46,12 +39,7 @@ impl Candidate {
             Strategy::DpOneTileStreamK { sms } => format!("dp1.{sms}"),
             Strategy::TwoTileStreamKDp { sms } => format!("sk2.{sms}"),
         };
-        // The Strassen token is appended only when present.
-        if self.strassen_depth > 0 {
-            format!("{strategy} {} sw.{}", self.tile, self.strassen_depth)
-        } else {
-            format!("{strategy} {}", self.tile)
-        }
+        format!("{strategy} {}", self.tile)
     }
 
     /// Parses an [`encode`](Self::encode)d candidate.
@@ -60,16 +48,6 @@ impl Candidate {
         let mut parts = s.split(' ');
         let strat = parts.next()?;
         let tile: TileShape = parts.next()?.parse().ok()?;
-        let strassen_depth = match parts.next() {
-            None => 0,
-            Some(token) => {
-                let depth: u8 = token.strip_prefix("sw.")?.parse().ok()?;
-                if depth == 0 {
-                    return None;
-                }
-                depth
-            }
-        };
         if parts.next().is_some() {
             return None;
         }
@@ -81,17 +59,13 @@ impl Candidate {
             Some(("sk2", v)) => Strategy::TwoTileStreamKDp { sms: v.parse().ok()? },
             _ => return None,
         };
-        Some(Self { strategy, tile, strassen_depth })
+        Some(Self { strategy, tile })
     }
 }
 
 impl std::fmt::Display for Candidate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} @ {}", self.strategy, self.tile)?;
-        if self.strassen_depth > 0 {
-            write!(f, " sw.{}", self.strassen_depth)?;
-        }
-        Ok(())
+        write!(f, "{} @ {}", self.strategy, self.tile)
     }
 }
 
@@ -143,36 +117,13 @@ pub fn candidates_for(
     workers: usize,
     top_k: usize,
 ) -> Vec<Candidate> {
-    candidates_for_with(shape, precision, workers, top_k, None)
-}
-
-/// [`candidates_for`] plus the opt-in Strassen–Winograd hybrid: when
-/// `strassen` is enabled and the shape class is large enough to
-/// recurse (its [`StrassenConfig::effective_depth`] is non-zero),
-/// one hybrid candidate — the slate seed's tile at that depth — is
-/// appended after the classical slate. It rides outside
-/// `top_k` like the heuristic seed does, so enabling the hybrid
-/// never evicts a classical candidate; the epsilon-greedy loop then
-/// measures whether sub-cubic actually wins on this machine.
-///
-/// # Panics
-///
-/// Panics if `workers == 0` or `top_k == 0`.
-#[must_use]
-pub fn candidates_for_with(
-    shape: GemmShape,
-    precision: Precision,
-    workers: usize,
-    top_k: usize,
-    strassen: Option<&StrassenConfig>,
-) -> Vec<Candidate> {
     assert!(workers > 0, "workers must be at least 1");
     assert!(top_k > 0, "top_k must be at least 1");
 
     let heuristic =
         HeuristicSelector::new(streamk_ensemble::TileEnsemble::for_precision(precision), workers);
     let (config, strategy) = heuristic.select(shape);
-    let seed = Candidate { strategy, tile: config.tile, strassen_depth: 0 };
+    let seed = Candidate { strategy, tile: config.tile };
 
     let mut strategies = vec![
         Strategy::DataParallel,
@@ -187,7 +138,7 @@ pub fn candidates_for_with(
     let mut scored: Vec<(f64, Candidate)> = Vec::new();
     for tile in candidate_tiles(precision) {
         for &strategy in &strategies {
-            let candidate = Candidate { strategy, tile, strassen_depth: 0 };
+            let candidate = Candidate { strategy, tile };
             if candidate == seed || !feasible(&candidate, shape, workers) {
                 continue;
             }
@@ -202,18 +153,6 @@ pub fn candidates_for_with(
             break;
         }
         slate.push(candidate);
-    }
-
-    if let Some(cfg) = strassen {
-        let depth = cfg.effective_depth(shape);
-        if depth > 0 {
-            // The hybrid reuses the seed's tile for its leaf launches; its own residency guard degrades the
-            // grouped burst to data-parallel when Stream-K would
-            // oversubscribe the workers, so the candidate is always
-            // runnable.
-            let depth = u8::try_from(depth).unwrap_or(u8::MAX);
-            slate.push(Candidate { strassen_depth: depth, ..seed });
-        }
     }
     slate
 }
@@ -232,53 +171,18 @@ mod tests {
             Strategy::DpOneTileStreamK { sms: 3 },
             Strategy::TwoTileStreamKDp { sms: 8 },
         ] {
-            for strassen_depth in [0u8, 1, 2] {
-                let c = Candidate { strategy, tile: TileShape::new(32, 64, 8), strassen_depth };
-                assert_eq!(Candidate::decode(&c.encode()), Some(c), "{c}");
-            }
+            let c = Candidate { strategy, tile: TileShape::new(32, 64, 8) };
+            assert_eq!(Candidate::decode(&c.encode()), Some(c), "{c}");
         }
+        let dp = Candidate { strategy: Strategy::DataParallel, tile: TileShape::new(64, 64, 16) };
+        assert_eq!(dp.encode(), "dp 64x64x16");
         assert_eq!(Candidate::decode("nope 32x32x8"), None);
         assert_eq!(Candidate::decode("dp"), None);
         assert_eq!(Candidate::decode("dp 32x32x8 extra"), None);
-        // The Strassen token must be well-formed and non-zero.
-        assert_eq!(Candidate::decode("dp 32x32x8 sw.0"), None);
-        assert_eq!(Candidate::decode("dp 32x32x8 sw.x"), None);
-        assert_eq!(Candidate::decode("dp 32x32x8 sw.1 extra"), None);
-        // Nor does a kernel token (the version-1 cache format).
+        // Neither a kernel token (the version-1 cache format) nor an
+        // `sw.N` recursion-depth token (version 2) is part of one.
         assert_eq!(Candidate::decode("dp 64x64x16 simd8x32"), None);
-    }
-
-    #[test]
-    fn classical_encoding_has_no_strassen_token() {
-        let c = Candidate {
-            strategy: Strategy::DataParallel,
-            tile: TileShape::new(64, 64, 16),
-            strassen_depth: 0,
-        };
-        assert_eq!(c.encode(), "dp 64x64x16");
-        assert_eq!(Candidate { strassen_depth: 2, ..c }.encode(), "dp 64x64x16 sw.2");
-    }
-
-    #[test]
-    fn strassen_candidate_joins_large_slates_only_when_opted_in() {
-        use streamk_cpu::StrassenConfig;
-        let big = GemmShape::new(2048, 2048, 2048);
-        let small = GemmShape::new(256, 256, 256);
-        let cfg = StrassenConfig::enabled();
-
-        let plain = candidates_for(big, Precision::Fp64, 4, 8);
-        assert!(plain.iter().all(|c| c.strassen_depth == 0));
-
-        let hybrid = candidates_for_with(big, Precision::Fp64, 4, 8, Some(&cfg));
-        assert_eq!(hybrid.len(), plain.len() + 1, "hybrid must not evict classicals");
-        assert_eq!(hybrid[..plain.len()], plain[..]);
-        let last = hybrid.last().unwrap();
-        assert_eq!(last.strassen_depth, 1);
-        assert_eq!(last.tile, hybrid[0].tile);
-
-        // Below the cutoff the slate stays purely classical.
-        let below = candidates_for_with(small, Precision::Fp64, 4, 8, Some(&cfg));
-        assert!(below.iter().all(|c| c.strassen_depth == 0));
+        assert_eq!(Candidate::decode("dp 32x32x8 sw.1"), None);
     }
 
     #[test]

@@ -38,6 +38,6 @@ pub mod selector;
 
 pub use adaptive::SelectingExecutor;
 pub use cache::{CandidateStats, ClassEntry, SelectionCache};
-pub use candidates::{candidates_for, candidates_for_with, Candidate};
+pub use candidates::{candidates_for, Candidate};
 pub use class::ShapeClass;
 pub use selector::{AdaptiveSelector, Selection, SelectionSource, SelectorConfig};

@@ -16,11 +16,11 @@
 //!    winner (near-ties broken by fixup wait stall from `ExecStats`).
 
 use crate::cache::{ClassEntry, SelectionCache};
-use crate::candidates::{candidates_for_with, Candidate};
+use crate::candidates::{candidates_for, Candidate};
 use crate::class::ShapeClass;
 use std::path::PathBuf;
 use std::sync::Arc;
-use streamk_cpu::{ExecStats, RequestStats, SelectOutcome, StrassenConfig, TelemetryRegistry};
+use streamk_cpu::{ExecStats, RequestStats, SelectOutcome, TelemetryRegistry};
 use streamk_ensemble::{HeuristicSelector, TileEnsemble};
 use streamk_tune::DecisionTree;
 use streamk_types::{GemmShape, Layout, Precision};
@@ -40,12 +40,6 @@ pub struct SelectorConfig {
     pub seed: u64,
     /// Cache file; `None` keeps the table in memory only.
     pub cache_path: Option<PathBuf>,
-    /// Opt-in Strassen–Winograd hybrid: when set (and enabled),
-    /// shape classes large enough to recurse gain one hybrid
-    /// candidate and [`SelectingExecutor`](crate::SelectingExecutor)
-    /// routes it through `gemm_strassen`. `None` keeps every slate
-    /// purely classical.
-    pub strassen: Option<StrassenConfig>,
 }
 
 impl SelectorConfig {
@@ -60,7 +54,6 @@ impl SelectorConfig {
             epsilon: 0.1,
             seed: 0x5eed_cafe,
             cache_path: None,
-            strassen: None,
         }
     }
 
@@ -89,13 +82,6 @@ impl SelectorConfig {
     #[must_use]
     pub fn with_cache_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.cache_path = Some(path.into());
-        self
-    }
-
-    /// Opts the Strassen–Winograd hybrid into the candidate slates.
-    #[must_use]
-    pub fn with_strassen(mut self, strassen: StrassenConfig) -> Self {
-        self.strassen = Some(strassen);
         self
     }
 }
@@ -254,13 +240,7 @@ impl AdaptiveSelector {
     fn entry_mut(&mut self, class: ShapeClass, shape: GemmShape) -> &mut ClassEntry {
         let config = &self.config;
         self.cache.entries.entry(class).or_insert_with(|| {
-            ClassEntry::new(candidates_for_with(
-                shape,
-                config.precision,
-                config.workers,
-                config.top_k,
-                config.strassen.as_ref(),
-            ))
+            ClassEntry::new(candidates_for(shape, config.precision, config.workers, config.top_k))
         })
     }
 
