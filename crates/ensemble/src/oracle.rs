@@ -2,13 +2,17 @@
 
 use crate::tiles::{TileConfig, TileEnsemble};
 use streamk_core::Decomposition;
-use streamk_sim::{simulate_with_efficiency, GpuSpec, SimReport};
+use streamk_sim::{data_parallel_makespan, simulate_with_efficiency, GpuSpec, SimReport};
 use streamk_types::GemmShape;
 
 /// An oracle that "will always select the highest performing
 /// *data-parallel* CUTLASS blocking factor to execute for a given
-/// GEMM instance" (§6 "Methodology") — implemented literally: run
-/// every ensemble member, keep the fastest.
+/// GEMM instance" (§6 "Methodology") — implemented literally: time
+/// every ensemble member, keep the fastest. Every member is a grid of
+/// identical whole-tile CTAs, so its simulated makespan is the
+/// engine's wave replay under the memory roofline
+/// ([`data_parallel_makespan`]), bit for bit what a full simulation
+/// would report; only the winner is simulated into a report.
 ///
 /// This is the strongest possible tile-centric baseline; anything the
 /// oracle still loses to Stream-K is a utilization level "simply not
@@ -36,20 +40,21 @@ impl Oracle {
         &self.ensemble
     }
 
-    /// Simulates every member on `shape` and returns the fastest
-    /// (configuration, report) pair.
+    /// Ranks every member on `shape` by the makespan its
+    /// data-parallel grid would simulate to, and simulates the fastest
+    /// (the first of equals, in ensemble order) into its report.
     #[must_use]
     pub fn select(&self, shape: GemmShape, gpu: &GpuSpec) -> (TileConfig, SimReport) {
-        self.ensemble
+        let precision = self.ensemble.precision;
+        let (config, _) = self
+            .ensemble
             .configs
             .iter()
-            .map(|&config| {
-                let d = Decomposition::data_parallel(shape, config.tile);
-                let report = simulate_with_efficiency(&d, gpu, self.ensemble.precision, config.mac_efficiency);
-                (config, report)
-            })
-            .min_by(|a, b| a.1.makespan.total_cmp(&b.1.makespan))
-            .expect("non-empty ensemble")
+            .map(|&config| (config, data_parallel_makespan(shape, config.tile, gpu, precision, config.mac_efficiency)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("non-empty ensemble");
+        let d = Decomposition::data_parallel(shape, config.tile);
+        (config, simulate_with_efficiency(&d, gpu, precision, config.mac_efficiency))
     }
 }
 

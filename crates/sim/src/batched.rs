@@ -1,13 +1,13 @@
 //! Simulating batched decompositions.
 //!
-//! A [`BatchedDecomposition`] runs through the same event-driven core
-//! as a single GEMM — its global tile ids behave exactly like tile
-//! ids, so the `GridDesc` machinery carries over. Only the roofline
-//! bookkeeping differs: compulsory input traffic and useful FLOPs
-//! scale with the batch.
+//! A [`BatchedDecomposition`] runs through the same dispatch as a
+//! single GEMM — its global tile ids behave exactly like tile ids, so a
+//! data-parallel batch replays by waves and a Stream-K batch goes
+//! through the event queue. Only the roofline bookkeeping differs:
+//! compulsory input traffic and useful FLOPs scale with the batch.
 
 use crate::cost::{CtaCosts, DEFAULT_MAC_EFFICIENCY};
-use crate::engine::{finish_report, run_des, GridDesc};
+use crate::engine::{dispatch, finish_report, Volume};
 use crate::gpu::GpuSpec;
 use crate::report::SimReport;
 use streamk_core::BatchedDecomposition;
@@ -39,25 +39,9 @@ pub fn simulate_batched_with_efficiency(
     decomp.validate().expect("invalid batched decomposition");
     let space = decomp.space();
     let instance = space.instance();
-    let tile = instance.tile();
-    let shape = instance.shape();
-    let costs = CtaCosts::derive(gpu, precision, tile, mac_efficiency);
-
-    let grid = GridDesc::from_parts(decomp.ctas(), space.iters_per_tile(), decomp.fixups());
-    let des = run_des(&grid, gpu, &costs);
-
-    let batch = space.batch() as f64;
-    finish_report(
-        des,
-        &grid,
-        gpu,
-        precision,
-        tile,
-        space.total_iters(),
-        space.tiles(),
-        batch * ((shape.m * shape.k + shape.k * shape.n) * precision.input_bytes()) as f64,
-        batch * shape.flops() as f64,
-    )
+    let costs = CtaCosts::derive(gpu, precision, instance.tile(), mac_efficiency);
+    let (des, partial_records) = dispatch(decomp.ctas(), space.iters_per_tile(), || decomp.fixups(), gpu, &costs);
+    finish_report(des, partial_records, &Volume::of(instance, precision, space.batch()), gpu)
 }
 
 #[cfg(test)]

@@ -17,14 +17,30 @@
 //! A waiting owner occupies its SM (GPUs cannot preempt a resident
 //! CTA), so fixup stalls genuinely consume processor time — the effect
 //! the two-tile hybrid exists to hide (§5.2).
+//!
+//! A grid with no seam — every CTA exactly one whole tile, as in every
+//! data-parallel grid — skips the queue and is replayed by waves
+//! (`UniformGrid`). Its CTAs store no partial and wait for none, so
+//! each takes `a + c·iters`, the same for all. The queue starts with
+//! every SM free at 0 and breaks ties by SM id, so CTAs `0..sms` land
+//! on SMs `0..sms` and end together, and the next `sms` pop in SM
+//! order again: CTA `i` runs on SM `i mod sms` in wave `⌊i / sms⌋`,
+//! which starts where the previous wave ended. The replay computes
+//! each end with the queue's own `(start + a) + c·iters` and sums
+//! `mac_busy` in CTA order, so its report is `==` to the queue's,
+//! spans included — the paper's tile-wave term `⌈t / p⌉` (Figure 1),
+//! walked in `⌈t / p⌉` steps instead of `t` heap operations. Every
+//! grid with a seam (Stream-K, fixed-split, the hybrids) and every
+//! ragged group goes through the queue, `run_des`.
 
 use crate::cost::{CtaCosts, DEFAULT_MAC_EFFICIENCY};
 use crate::gpu::GpuSpec;
 use crate::report::{CtaSpan, SimReport};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use streamk_core::{CtaWork, Decomposition, TileFixup};
-use streamk_types::Precision;
+use std::ops::Range;
+use streamk_core::{CtaWork, Decomposition, IterSpace, TileFixup};
+use streamk_types::{waves, GemmShape, Precision, TileShape};
 
 /// Simulates `decomp` on `gpu` at `precision`, with the blocking
 /// factor running at the default 99%-of-peak MAC efficiency.
@@ -62,25 +78,102 @@ pub fn simulate_with_efficiency(
 ) -> SimReport {
     debug_assert!(decomp.validate().is_ok(), "invalid decomposition: {:?}", decomp.validate());
     let space = decomp.space();
-    let tile = space.tile();
+    let costs = CtaCosts::derive(gpu, precision, space.tile(), mac_efficiency);
+    let (des, partial_records) = dispatch(decomp.ctas(), space.iters_per_tile(), || decomp.fixups(), gpu, &costs);
+    finish_report(des, partial_records, &Volume::of(space, precision, 1), gpu)
+}
+
+/// The makespan [`simulate_with_efficiency`] reports for
+/// `Decomposition::data_parallel(shape, tile)`, bit for bit, without
+/// building the decomposition or its spans: the wave replay's last
+/// wave under the memory roofline. What the data-parallel oracle ranks
+/// its ensemble by.
+#[must_use]
+pub fn data_parallel_makespan(
+    shape: GemmShape,
+    tile: TileShape,
+    gpu: &GpuSpec,
+    precision: Precision,
+    mac_efficiency: f64,
+) -> f64 {
+    let space = IterSpace::new(shape, tile);
     let costs = CtaCosts::derive(gpu, precision, tile, mac_efficiency);
+    let grid = UniformGrid { ctas: space.tiles(), iters: space.iters_per_tile() };
+    Volume::of(&space, precision, 1).roofline(grid.compute_makespan(gpu.sms, &costs), 0, gpu).makespan
+}
 
-    let grid = GridDesc::from_parts(decomp.ctas(), space.iters_per_tile(), decomp.fixups());
-    let des = run_des(&grid, gpu, &costs);
+/// Dispatches a grid of `ctas`: by waves when it is a [`UniformGrid`],
+/// through [`run_des`] otherwise. `fixups` is only called in the
+/// second case. Returns the outcome and the number of partial records
+/// the grid stores.
+pub(crate) fn dispatch(
+    ctas: &[CtaWork],
+    iters_per_tile: usize,
+    fixups: impl FnOnce() -> Vec<TileFixup>,
+    gpu: &GpuSpec,
+    costs: &CtaCosts,
+) -> (DesOutcome, usize) {
+    if let Some(uniform) = UniformGrid::of(ctas, iters_per_tile) {
+        return (uniform.replay(gpu.sms, costs), 0);
+    }
+    let grid = GridDesc::from_parts(ctas, iters_per_tile, fixups());
+    (run_des(&grid, gpu, costs), grid.partial_records)
+}
 
-    let shape = space.shape();
-    finish_report(
-        des,
-        &grid,
-        gpu,
-        precision,
-        tile,
-        space.total_iters(),
-        space.tiles(),
-        // Compulsory floor: each input element read at least once.
-        ((shape.m * shape.k + shape.k * shape.n) * precision.input_bytes()) as f64,
-        shape.flops() as f64,
-    )
+/// A grid with no seam: `ctas` CTAs of exactly one whole tile each,
+/// `iters` MAC iterations apiece. None stores a partial, none waits,
+/// and all take the same time, so the event queue dispatches it in
+/// waves (see the module doc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct UniformGrid {
+    ctas: usize,
+    iters: usize,
+}
+
+impl UniformGrid {
+    /// `Some` when every CTA of `ctas` covers exactly one whole tile
+    /// of an `iters_per_tile`-iteration space (an empty CTA does not).
+    /// Looks at the CTA list alone and allocates nothing.
+    fn of(ctas: &[CtaWork], iters_per_tile: usize) -> Option<Self> {
+        let whole_tile = |cta: &CtaWork| cta.len() == iters_per_tile && cta.iter_begin.is_multiple_of(iters_per_tile);
+        (iters_per_tile > 0 && ctas.iter().all(whole_tile)).then_some(Self { ctas: ctas.len(), iters: iters_per_tile })
+    }
+
+    /// The waves the event queue dispatches on `sms` SMs: each wave's
+    /// CTA ids, start and end. Wave `w` holds CTAs `w·sms ..` on SMs
+    /// `0 ..` and ends at `(start + a) + c·iters`, [`run_des`]'s own
+    /// arithmetic; the next wave starts there.
+    fn waves(self, sms: usize, costs: &CtaCosts) -> impl Iterator<Item = (Range<usize>, f64, f64)> {
+        let CtaCosts { a, c, .. } = *costs;
+        let mut start = 0.0f64;
+        (0..waves(self.ctas, sms)).map(move |w| {
+            let end = start + a + c * self.iters as f64;
+            let wave = (w * sms..((w + 1) * sms).min(self.ctas), start, end);
+            start = end;
+            wave
+        })
+    }
+
+    /// The end of the last wave (0 for an empty grid).
+    fn compute_makespan(self, sms: usize, costs: &CtaCosts) -> f64 {
+        self.waves(sms, costs).last().map_or(0.0, |(_, _, end)| end)
+    }
+
+    /// What [`run_des`] returns for this grid, `==` to the last bit:
+    /// CTA `i` on SM `i mod sms`, `mac_busy` summed in CTA order, no
+    /// waits.
+    fn replay(self, sms: usize, costs: &CtaCosts) -> DesOutcome {
+        let mut spans = Vec::with_capacity(self.ctas);
+        let mut mac_busy = 0.0f64;
+        for (ctas, start, end) in self.waves(sms, costs) {
+            for cta_id in ctas {
+                mac_busy += costs.c * self.iters as f64;
+                spans.push(CtaSpan { cta_id, sm: cta_id % sms, start, end, iters: self.iters, waited: 0.0 });
+            }
+        }
+        let compute_makespan = spans.last().map_or(0.0, |s| s.end);
+        DesOutcome { spans, compute_makespan, mac_busy, total_wait: 0.0 }
+    }
 }
 
 /// A simulator-facing description of a grid: per-CTA iteration
@@ -131,6 +224,7 @@ impl GridDesc {
 }
 
 /// The raw outcome of the event-driven dispatch.
+#[derive(Debug, PartialEq)]
 pub(crate) struct DesOutcome {
     pub(crate) spans: Vec<CtaSpan>,
     pub(crate) compute_makespan: f64,
@@ -229,43 +323,74 @@ pub(crate) fn run_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts) -> DesOu
     DesOutcome { spans, compute_makespan, mac_busy, total_wait }
 }
 
+/// What a launch computes and moves whatever its schedule: everything
+/// the memory roofline needs besides the GPU and the partial records.
+pub(crate) struct Volume {
+    pub(crate) precision: Precision,
+    pub(crate) tile: TileShape,
+    pub(crate) total_iters: usize,
+    pub(crate) tiles: usize,
+    /// Compulsory floor: each input element read at least once.
+    pub(crate) compulsory_input_bytes: f64,
+    pub(crate) useful_flops: f64,
+}
+
+/// The memory roofline applied to a compute schedule.
+pub(crate) struct Roofline {
+    /// `max(compute makespan, memory floor)` plus the launch latency.
+    pub(crate) makespan: f64,
+    pub(crate) memory_time: f64,
+    pub(crate) traffic_bytes: f64,
+}
+
+impl Volume {
+    /// `batch` instances of `instance`'s GEMM in one launch.
+    pub(crate) fn of(instance: &IterSpace, precision: Precision, batch: usize) -> Self {
+        let shape = instance.shape();
+        let instances = batch as f64;
+        Self {
+            precision,
+            tile: instance.tile(),
+            total_iters: batch * instance.total_iters(),
+            tiles: batch * instance.tiles(),
+            compulsory_input_bytes: instances
+                * ((shape.m * shape.k + shape.k * shape.n) * precision.input_bytes()) as f64,
+            useful_flops: instances * shape.flops() as f64,
+        }
+    }
+
+    /// The roofline over a schedule whose compute takes
+    /// `compute_makespan` and which stores `partial_records` partials.
+    pub(crate) fn roofline(&self, compute_makespan: f64, partial_records: usize, gpu: &GpuSpec) -> Roofline {
+        let (tile, precision) = (self.tile, self.precision);
+        let fragment_traffic = self.total_iters as f64 * tile.fragment_bytes(precision) as f64 / gpu.l2_reuse;
+        let input_traffic = fragment_traffic.max(self.compulsory_input_bytes);
+        let output_traffic = (self.tiles * tile.tile_output_bytes(precision) as usize) as f64;
+        // Each partial record is written once and read once, at
+        // accumulator width. Partials are produced and consumed within
+        // the launch and fit comfortably in L2 (O(g) tile-sized buffers),
+        // so they ride the L2 bandwidth lane, not DRAM.
+        let partial_traffic = 2.0 * partial_records as f64 * tile.tile_output_bytes(precision) as f64;
+        let traffic_bytes = input_traffic + output_traffic + partial_traffic;
+        let dram_time = if gpu.mem_bw.is_finite() { (input_traffic + output_traffic) / gpu.mem_bw } else { 0.0 };
+        let l2_time = if gpu.l2_bw.is_finite() { traffic_bytes / gpu.l2_bw } else { 0.0 };
+        let memory_time = dram_time.max(l2_time);
+        Roofline { makespan: compute_makespan.max(memory_time) + gpu.grid_launch_s, memory_time, traffic_bytes }
+    }
+}
+
 /// Applies the memory roofline and assembles the report.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_report(
-    des: DesOutcome,
-    grid: &GridDesc,
-    gpu: &GpuSpec,
-    precision: Precision,
-    tile: streamk_types::TileShape,
-    total_iters: usize,
-    tiles: usize,
-    compulsory_input_bytes: f64,
-    useful_flops: f64,
-) -> SimReport {
-    let fragment_traffic = total_iters as f64 * tile.fragment_bytes(precision) as f64 / gpu.l2_reuse;
-    let input_traffic = fragment_traffic.max(compulsory_input_bytes);
-    let output_traffic = (tiles * tile.tile_output_bytes(precision) as usize) as f64;
-    // Each partial record is written once and read once, at
-    // accumulator width. Partials are produced and consumed within
-    // the launch and fit comfortably in L2 (O(g) tile-sized buffers),
-    // so they ride the L2 bandwidth lane, not DRAM.
-    let partial_traffic = 2.0 * grid.partial_records as f64 * tile.tile_output_bytes(precision) as f64;
-    let traffic_bytes = input_traffic + output_traffic + partial_traffic;
-    let dram_time = if gpu.mem_bw.is_finite() { (input_traffic + output_traffic) / gpu.mem_bw } else { 0.0 };
-    let l2_time = if gpu.l2_bw.is_finite() { traffic_bytes / gpu.l2_bw } else { 0.0 };
-    let memory_time = dram_time.max(l2_time);
-
-    let makespan = des.compute_makespan.max(memory_time) + gpu.grid_launch_s;
-
+pub(crate) fn finish_report(des: DesOutcome, partial_records: usize, volume: &Volume, gpu: &GpuSpec) -> SimReport {
+    let roofline = volume.roofline(des.compute_makespan, partial_records, gpu);
     SimReport {
-        precision,
+        precision: volume.precision,
         sms: gpu.sms,
-        peak_flops: gpu.peak_flops(precision),
-        makespan,
+        peak_flops: gpu.peak_flops(volume.precision),
+        makespan: roofline.makespan,
         compute_makespan: des.compute_makespan,
-        memory_time,
-        useful_flops,
-        traffic_bytes,
+        memory_time: roofline.memory_time,
+        useful_flops: volume.useful_flops,
+        traffic_bytes: roofline.traffic_bytes,
         mac_busy: des.mac_busy,
         total_wait: des.total_wait,
         spans: des.spans,
@@ -406,6 +531,101 @@ mod tests {
         let d = Decomposition::two_tile_stream_k_dp(shape, TileShape::FP16_STREAMK, gpu.sms);
         let r = simulate(&d, &gpu, Precision::Fp16To32);
         assert!(r.is_memory_bound());
+    }
+
+    /// The queue's outcome on `ctas`, and the wave replay's when the
+    /// grid passes the uniform check.
+    fn both_ways(
+        ctas: &[CtaWork],
+        ipt: usize,
+        fixups: Vec<TileFixup>,
+        gpu: &GpuSpec,
+        costs: &CtaCosts,
+    ) -> (DesOutcome, Option<DesOutcome>) {
+        let queue = run_des(&GridDesc::from_parts(ctas, ipt, fixups), gpu, costs);
+        (queue, UniformGrid::of(ctas, ipt).map(|uniform| uniform.replay(gpu.sms, costs)))
+    }
+
+    /// A grid of identical whole-tile CTAs replays by waves to exactly
+    /// what the event queue computes: spans, compute makespan,
+    /// `mac_busy` and `total_wait`, `==`. Every grid with a seam or an
+    /// empty CTA fails the uniform check, and so stays with the queue.
+    #[test]
+    fn wave_replay_is_the_event_queue_on_uniform_grids() {
+        use streamk_core::{BatchedDecomposition, BatchedSpace, TileOrder};
+        let a100 = GpuSpec::a100();
+        let four = GpuSpec::hypothetical_4sm();
+        let one = GpuSpec { sms: 1, ..GpuSpec::a100() };
+        let uniform = |d: &Decomposition, gpu: &GpuSpec, precision: Precision, eff: f64| {
+            let costs = CtaCosts::derive(gpu, precision, d.space().tile(), eff);
+            let (queue, waves) = both_ways(d.ctas(), d.space().iters_per_tile(), d.fixups(), gpu, &costs);
+            assert_eq!(waves.as_ref(), Some(&queue), "{:?} on {} SMs", d.strategy(), gpu.sms);
+            let (shape, tile) = (d.space().shape(), d.space().tile());
+            let volume = Volume::of(d.space(), precision, 1);
+            assert_eq!(
+                data_parallel_makespan(shape, tile, gpu, precision, eff).to_bits(),
+                volume.roofline(queue.compute_makespan, 0, gpu).makespan.to_bits(),
+                "{shape} at {tile} on {} SMs",
+                gpu.sms
+            );
+        };
+
+        // Data-parallel at several tiles, both precisions, and swizzled.
+        for (m, n, k) in [(384, 384, 128), (1000, 700, 300), (130, 130, 8000), (4096, 4096, 1024), (8192, 8192, 64)] {
+            for tile in [
+                TileShape::new(128, 128, 32),
+                TileShape::new(64, 64, 16),
+                TileShape::new(256, 128, 32),
+                TileShape::new(32, 32, 8),
+            ] {
+                for precision in Precision::ALL {
+                    let d = Decomposition::data_parallel(GemmShape::new(m, n, k), tile);
+                    uniform(&d, &a100, precision, 0.9);
+                    uniform(&d.clone().with_tile_order(TileOrder::ColumnGrouped(8)), &a100, precision, 0.9);
+                    uniform(&d.with_tile_order(TileOrder::Morton), &a100, precision, 0.9);
+                }
+            }
+        }
+        // n < sms, n = k·sms, n = k·sms + 1, on four SMs and on one.
+        for tiles in [1, 3, 4, 5, 8, 9, 12, 13] {
+            let d = Decomposition::data_parallel(GemmShape::new(128 * tiles, 128, 256), TileShape::new(128, 128, 32));
+            assert_eq!(d.grid_size(), tiles);
+            uniform(&d, &four, Precision::Fp64, 1.0);
+            uniform(&d, &one, Precision::Fp16To32, 0.99);
+        }
+        // Figures 1a and 1b.
+        for tile in [TileShape::new(128, 128, 128), TileShape::new(128, 64, 128)] {
+            uniform(&Decomposition::data_parallel(FIG1_SHAPE, tile), &four, Precision::Fp64, 1.0);
+        }
+        // A batched data-parallel grid: 13 instances × 9 tiles on 108 SMs.
+        let batched = BatchedDecomposition::data_parallel(BatchedSpace::new(
+            13,
+            GemmShape::new(384, 384, 4096),
+            TileShape::FP16_STREAMK,
+        ));
+        let costs = CtaCosts::default_for(&a100, Precision::Fp16To32, TileShape::FP16_STREAMK);
+        let ipt = batched.space().iters_per_tile();
+        let (queue, waves) = both_ways(batched.ctas(), ipt, batched.fixups(), &a100, &costs);
+        assert_eq!(waves, Some(queue));
+
+        // Seams: fixed-split, Stream-K and both hybrids.
+        let shape = GemmShape::new(896, 384, 1024);
+        let tile = TileShape::new(128, 128, 32);
+        for d in [
+            Decomposition::fixed_split(shape, tile, 2),
+            Decomposition::stream_k(shape, tile, 4),
+            Decomposition::stream_k(shape, tile, 108),
+            Decomposition::two_tile_stream_k_dp(shape, tile, 4),
+            Decomposition::dp_one_tile_stream_k(shape, tile, 4),
+        ] {
+            assert_eq!(UniformGrid::of(d.ctas(), d.space().iters_per_tile()), None, "{:?}", d.strategy());
+        }
+        // An empty CTA: four one-iteration tiles on five CTAs, every
+        // non-empty CTA a whole tile.
+        let d = Decomposition::stream_k(GemmShape::new(128, 128, 16), TileShape::new(64, 64, 16), 5);
+        assert!(d.ctas().iter().any(CtaWork::is_empty));
+        assert!(d.ctas().iter().filter(|c| !c.is_empty()).all(|c| c.len() == d.space().iters_per_tile()));
+        assert_eq!(UniformGrid::of(d.ctas(), d.space().iters_per_tile()), None);
     }
 
     /// Empty CTAs (grid larger than the iteration space) simulate

@@ -23,7 +23,7 @@
 //! one method call away.
 
 use crate::cost::{CtaCosts, DEFAULT_MAC_EFFICIENCY};
-use crate::engine::{finish_report, DesOutcome, GridDesc};
+use crate::engine::{finish_report, DesOutcome, GridDesc, Volume};
 use crate::gpu::GpuSpec;
 use crate::report::{CtaSpan, SimReport};
 use crate::simulate;
@@ -180,18 +180,7 @@ pub fn simulate_with_faults(
     let grid = GridDesc::from_parts(decomp.ctas(), space.iters_per_tile(), decomp.fixups());
 
     let (des, stats) = run_faulty_des(&grid, gpu, &costs, plan);
-    let shape = space.shape();
-    let faulty = finish_report(
-        des,
-        &grid,
-        gpu,
-        precision,
-        tile,
-        space.total_iters(),
-        space.tiles(),
-        ((shape.m * shape.k + shape.k * shape.n) * precision.input_bytes()) as f64,
-        shape.flops() as f64,
-    );
+    let faulty = finish_report(des, grid.partial_records, &Volume::of(space, precision, 1), gpu);
 
     FaultSimReport {
         faulty,

@@ -1,7 +1,7 @@
 //! Simulating grouped decompositions.
 
 use crate::cost::{CtaCosts, DEFAULT_MAC_EFFICIENCY};
-use crate::engine::{finish_report, run_des, CtaFacts, GridDesc};
+use crate::engine::{finish_report, run_des, CtaFacts, GridDesc, Volume};
 use crate::gpu::GpuSpec;
 use crate::report::SimReport;
 use streamk_core::GroupedDecomposition;
@@ -64,7 +64,7 @@ pub fn simulate_grouped_with_efficiency(
     let grid = GridDesc { facts, owner_peers, partial_records };
     let des = run_des(&grid, gpu, &costs);
 
-    let compulsory: f64 = space
+    let compulsory_input_bytes: f64 = space
         .instances()
         .iter()
         .map(|inst| {
@@ -74,7 +74,15 @@ pub fn simulate_grouped_with_efficiency(
         .sum();
     let useful_flops: f64 = space.instances().iter().map(|inst| inst.shape().flops() as f64).sum();
 
-    finish_report(des, &grid, gpu, precision, tile, space.total_iters(), space.tiles(), compulsory, useful_flops)
+    let volume = Volume {
+        precision,
+        tile,
+        total_iters: space.total_iters(),
+        tiles: space.tiles(),
+        compulsory_input_bytes,
+        useful_flops,
+    };
+    finish_report(des, grid.partial_records, &volume, gpu)
 }
 
 #[cfg(test)]

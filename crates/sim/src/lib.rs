@@ -42,7 +42,7 @@ pub mod trace;
 
 pub use batched::{simulate_batched, simulate_batched_with_efficiency};
 pub use cost::CtaCosts;
-pub use engine::{simulate, simulate_with_efficiency};
+pub use engine::{data_parallel_makespan, simulate, simulate_with_efficiency};
 pub use fault::{simulate_with_faults, FaultSimReport, Preemption, SimFaultPlan};
 pub use gpu::GpuSpec;
 pub use grouped::{simulate_grouped, simulate_grouped_with_efficiency};
