@@ -1,6 +1,7 @@
 //! Command implementations.
 
 use crate::args::{Cli, Command, StrategyArg, USAGE};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt::Write as _;
 use std::time::Duration;
 use streamk_core::{
@@ -10,7 +11,7 @@ use streamk_core::{
 use streamk_corpus::{Corpus, CorpusConfig};
 use streamk_cpu::trace::ring_allocations;
 use streamk_cpu::{
-    CpuExecutor, FaultKind, FaultPlan, GemmService, LaunchRequest, Priority, RecoveryReport,
+    CpuExecutor, ExecTrace, FaultKind, FaultPlan, GemmService, LaunchRequest, Priority, RecoveryReport,
     ServeConfig, ServeError, ServeFaultKind, ServeFaultPlan,
 };
 use streamk_ensemble::runners;
@@ -187,6 +188,48 @@ fn wave_skews(mut spans: Vec<(f64, f64)>, width: usize) -> Vec<f64> {
         .collect()
 }
 
+/// A traced launch's CTAs as the simulator reports them. The executor
+/// dispatches one tile segment at a time, so a CTA leaves one `Cta`
+/// span per segment (its `arg` the CTA id), possibly on several
+/// workers when one stole the tail of another's CTA. Each CTA's spans
+/// merge into one, from its first segment's start to its last one's
+/// end, on the worker that started it, with its segments' MAC
+/// iterations and waits summed — so the residuals compare CTAs to
+/// simulated CTAs, not tiles.
+fn measured_ctas(trace: &ExecTrace) -> Vec<CtaSpan> {
+    let mut ctas: BTreeMap<usize, CtaSpan> = BTreeMap::new();
+    for (wid, worker) in trace.workers.iter().enumerate() {
+        for s in worker.spans.iter().filter(|s| s.kind == SpanKind::Cta) {
+            let nested = |kind: SpanKind| {
+                worker.spans.iter().filter(move |m| m.kind == kind && m.start_ns >= s.start_ns && m.end_ns <= s.end_ns)
+            };
+            let unit = CtaSpan {
+                cta_id: s.arg as usize,
+                sm: wid,
+                start: s.start_ns as f64 / 1e9,
+                end: s.end_ns as f64 / 1e9,
+                iters: nested(SpanKind::Mac).map(|m| m.arg2 as usize).sum(),
+                waited: nested(SpanKind::Wait).map(|m| m.dur_ns() as f64 / 1e9).sum(),
+            };
+            match ctas.entry(unit.cta_id) {
+                Entry::Vacant(slot) => {
+                    slot.insert(unit);
+                }
+                Entry::Occupied(mut slot) => {
+                    let cta = slot.get_mut();
+                    if unit.start < cta.start {
+                        (cta.sm, cta.start) = (unit.sm, unit.start);
+                    }
+                    cta.end = cta.end.max(unit.end);
+                    cta.iters += unit.iters;
+                    cta.waited += unit.waited;
+                }
+            }
+        }
+    }
+    ctas.into_values().collect()
+}
+
 /// The measured-vs-modeled study behind `streamk profile`: one
 /// untraced executor run (the reference result, and proof that
 /// tracing-off allocates nothing), one traced run (bit-exactness
@@ -260,7 +303,7 @@ fn run_profile(
     }
     let _ = writeln!(
         out,
-        "cta duration: n={} mean {:.3e}s max {:.3e}s; fixup latency: n={} mean {:.3e}s",
+        "unit duration: n={} mean {:.3e}s max {:.3e}s; fixup latency: n={} mean {:.3e}s",
         metrics.cta_duration.count(),
         metrics.cta_duration.mean_ns() as f64 / 1e9,
         metrics.cta_duration.max_ns() as f64 / 1e9,
@@ -328,13 +371,9 @@ fn run_profile(
         measured_stall * 100.0,
         predicted_stall * 100.0
     );
-    let measured_ctas: Vec<(f64, f64)> = trace
-        .iter()
-        .filter(|(_, s)| s.kind == SpanKind::Cta)
-        .map(|(_, s)| (s.start_ns as f64 / 1e9, s.end_ns as f64 / 1e9))
-        .collect();
+    let measured = measured_ctas(&trace);
     let predicted_ctas: Vec<(f64, f64)> = report.spans.iter().map(|s| (s.start, s.end)).collect();
-    let measured_skews = wave_skews(measured_ctas, threads);
+    let measured_skews = wave_skews(measured.iter().map(|s| (s.start, s.end)).collect(), threads);
     let predicted_skews = wave_skews(predicted_ctas, report.sms);
     let _ = writeln!(out, "  per-wave finish skew (measured vs predicted):");
     for (i, skew) in measured_skews.iter().take(8).enumerate() {
@@ -405,32 +444,8 @@ fn run_profile(
     }
 
     // Optional SVG of the measured timeline: reuse the simulator's
-    // renderer by expressing the measured CTA spans as a SimReport.
+    // renderer by expressing the measured CTAs as a SimReport.
     if let Some(svg_path) = svg_path {
-        let mut spans: Vec<CtaSpan> = Vec::new();
-        for (wid, worker) in trace.workers.iter().enumerate() {
-            for s in &worker.spans {
-                if s.kind != SpanKind::Cta {
-                    continue;
-                }
-                let nested = |kind: SpanKind| {
-                    worker
-                        .spans
-                        .iter()
-                        .filter(move |m| {
-                            m.kind == kind && m.start_ns >= s.start_ns && m.end_ns <= s.end_ns
-                        })
-                };
-                spans.push(CtaSpan {
-                    cta_id: s.arg as usize,
-                    sm: wid,
-                    start: s.start_ns as f64 / 1e9,
-                    end: s.end_ns as f64 / 1e9,
-                    iters: nested(SpanKind::Mac).map(|m| m.arg2 as usize).sum(),
-                    waited: nested(SpanKind::Wait).map(|m| m.dur_ns() as f64 / 1e9).sum(),
-                });
-            }
-        }
         let measured_report = SimReport {
             precision: Precision::Fp64,
             sms: trace.workers.len(),
@@ -442,7 +457,7 @@ fn run_profile(
             traffic_bytes: 0.0,
             mac_busy: mac_ns as f64 / 1e9,
             total_wait: stats.wait_stall.as_secs_f64(),
-            spans,
+            spans: measured,
         };
         let svg = render_svg(&measured_report, &SvgOptions::default());
         match std::fs::write(svg_path, svg) {
@@ -684,6 +699,34 @@ mod tests {
     fn run(s: &str) -> String {
         let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
         execute(&Cli::parse(&argv).unwrap())
+    }
+
+    /// CTA 1 ran its first segment on worker 1 while worker 0, done
+    /// with CTA 0, stole its last two: one measured CTA per CTA id, on
+    /// the worker that started it, from its first segment's start to
+    /// its last one's end, with every segment's iterations and waits.
+    #[test]
+    fn measured_ctas_merge_a_split_cta_by_id() {
+        use streamk_cpu::{Span, WorkerTrace};
+        let span = |kind, start_ns, end_ns, arg, arg2| Span { kind, start_ns, end_ns, arg, arg2 };
+        let worker0 = vec![
+            span(SpanKind::Mac, 0, 90, 0, 4),
+            span(SpanKind::Cta, 0, 100, 0, 0),
+            span(SpanKind::Mac, 110, 190, 2, 4),
+            span(SpanKind::Cta, 105, 200, 1, 0),
+            span(SpanKind::Wait, 210, 240, 1, 3),
+            span(SpanKind::Mac, 200, 290, 3, 2),
+            span(SpanKind::Cta, 200, 300, 1, 0),
+        ];
+        let worker1 = vec![span(SpanKind::Mac, 60, 140, 1, 4), span(SpanKind::Cta, 50, 150, 1, 1)];
+        let trace = ExecTrace {
+            workers: vec![WorkerTrace { spans: worker0, dropped: 0 }, WorkerTrace { spans: worker1, dropped: 0 }],
+            wall_ns: 300,
+        };
+        let ctas = measured_ctas(&trace);
+        let key: Vec<_> = ctas.iter().map(|c| (c.cta_id, c.sm, c.start, c.end, c.iters)).collect();
+        assert_eq!(key, vec![(0, 0, 0.0, 100e-9, 4), (1, 1, 50e-9, 300e-9, 10)]);
+        assert!((ctas[1].waited - 30e-9).abs() < 1e-15, "{:?}", ctas[1]);
     }
 
     #[test]

@@ -16,11 +16,15 @@
 /// mechanisms (deferral, range stealing, fault recovery).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SpanKind {
-    /// Claiming the next CTA from the worker's own range queue.
+    /// Claiming the next unit from the worker's own range queue (`arg`:
+    /// its CTA).
     Claim,
-    /// Claiming a CTA stolen from another worker's range queue.
+    /// Claiming a unit stolen from another worker's range queue (`arg`:
+    /// its CTA).
     Steal,
-    /// One whole CTA execution (container for the spans below).
+    /// One claimed unit's execution — a tile segment of a CTA in a
+    /// launch, a whole CTA in a service request — under its CTA's id
+    /// (container for the spans below).
     Cta,
     /// A contiguous run of MAC-loop iterations on one tile segment.
     Mac,
@@ -114,7 +118,7 @@ impl SpanKind {
     }
 
     /// Whether spans of this kind *contain* other spans on the same
-    /// worker ([`Cta`](Self::Cta) wraps a whole CTA;
+    /// worker ([`Cta`](Self::Cta) wraps a claimed unit of a CTA;
     /// [`DeferResume`](Self::DeferResume) wraps the waits and folds of
     /// a resumed consolidation). Container durations overlap their
     /// children, so per-phase time breakdowns must sum leaf kinds only.

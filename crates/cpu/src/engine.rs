@@ -3,8 +3,9 @@
 //! a [`GemmService`](crate::serve::GemmService) request — executes its
 //! CTAs through.
 //!
-//! [`Worker::run_cta`] walks a CTA's iteration range one tile segment
-//! at a time and runs the MAC loop over each. A segment that did not
+//! [`Worker::run_unit`] walks a *unit* — a CTA's whole iteration
+//! range, or one tile segment of it — one tile segment at a time and
+//! runs the MAC loop over each. A segment that did not
 //! start its tile **contributes**: it publishes its partial sums for
 //! the tile's owner (`StorePartials` / `Signal`) — or, under a
 //! [`FaultPlan`], signals late, never, or poisons its slot. A segment
@@ -27,9 +28,14 @@
 //! batch is a uniform group, a single GEMM a group of one — and over
 //! one per-launch state struct, [`Launch`], which a direct launch
 //! builds on its stack and a service request embeds. What differs
-//! between callers stays with them: where CTAs come from
-//! ([`Worker::run`]'s [`CtaScheduler`], or the service's request
-//! sweep), panic isolation, and what completing a tile means.
+//! between callers stays with them: what they claim and where from
+//! ([`Worker::run`] claims units — one tile segment of one CTA — from
+//! a [`CtaScheduler`], the service whole CTAs from its request sweep
+//! through [`Worker::run_cta`]), panic isolation, and what completing
+//! a tile means. A segment runs the same whichever worker claims it:
+//! it contributes or owns under its CTA's id, so a drained worker may
+//! steal the unstarted tail of a CTA another worker is running without
+//! moving a seam.
 //!
 //! An instance runs the caller's product `C = op(A)·op(B)` or its
 //! transpose `Cᵀ = op(B)ᵀ·op(A)ᵀ` into C's own storage, whichever
@@ -46,7 +52,7 @@ use crate::microkernel::{KernelKind, PackBuffers};
 use crate::output::{OwnedTileWriter, TileWriter};
 use crate::packcache::{mac_loop_instance_cached, transpose_pays, PackCache};
 use crate::sched::CtaScheduler;
-use crate::trace::{self, SpanKind, WorkerTrace, WorkerTracer};
+use crate::trace::{self, SpanKind, WorkerRings, WorkerTrace};
 use crate::workspace::Workspace;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -208,6 +214,24 @@ impl<In, Acc: Scalar> Grid<'_, In, Acc> {
             .map(move |(i, inst)| (first + i, inst.local(cta)))
     }
 
+    /// `units`, cleared and refilled with the launch's dispatch units:
+    /// every CTA's tile segments in dispatch order, each as the
+    /// launch-wide iteration range it covers, under its CTA's id.
+    pub(crate) fn units(&self, mut units: Vec<CtaWork>) -> Vec<CtaWork> {
+        units.clear();
+        for cta in self.ctas {
+            for (instance, part) in self.parts(cta) {
+                let inst = &self.instances[instance];
+                let ipt = inst.space().iters_per_tile();
+                units.extend(part.segments(inst.space()).map(|seg| {
+                    let iter_begin = inst.first_iter + seg.tile_idx * ipt + seg.local_begin;
+                    CtaWork { cta_id: cta.cta_id, iter_begin, iter_end: iter_begin + seg.len() }
+                }));
+            }
+        }
+        units
+    }
+
     /// `tile` of instance `instance` in the launch-wide tile numbering
     /// fixups use.
     fn global_tile(&self, instance: usize, tile: usize) -> usize {
@@ -243,10 +267,11 @@ pub(crate) struct Launch<In, Acc> {
     wait_ns: AtomicU64,
     /// Every recovery, in the order they were performed.
     events: Mutex<Vec<RecoveryEvent>>,
-    /// The launch's own span ring — a traced service request's. With
-    /// `None`, spans go to whatever tracer the executing thread has
-    /// installed (a traced direct launch's per-worker ring), if any.
-    spans: Option<Mutex<WorkerTracer>>,
+    /// The launch's own span rings, one per worker id — a traced
+    /// service request's. With `None`, spans go to whatever tracer the
+    /// executing thread has installed (a traced direct launch's
+    /// per-worker ring), if any.
+    spans: Option<WorkerRings>,
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -263,7 +288,7 @@ impl<In, Acc: Scalar> Launch<In, Acc> {
         kernel: KernelKind,
         cache: Option<PackCache<In>>,
         recover: bool,
-        spans: Option<WorkerTracer>,
+        spans: Option<WorkerRings>,
     ) -> Self {
         Self {
             peers: PeerTable::new(grid_size, fixups),
@@ -277,7 +302,7 @@ impl<In, Acc: Scalar> Launch<In, Acc> {
             deferrals: AtomicUsize::new(0),
             wait_ns: AtomicU64::new(0),
             events: Mutex::new(Vec::new()),
-            spans: spans.map(Mutex::new),
+            spans,
         }
     }
 
@@ -311,9 +336,10 @@ impl<In, Acc: Scalar> Launch<In, Acc> {
         (self.cache, self.events.into_inner().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// The launch's own span ring, drained; `None` without one.
+    /// The launch's own span rings, drained into one track; `None`
+    /// without them.
     pub(crate) fn drain_spans(&self) -> Option<WorkerTrace> {
-        self.spans.as_ref().map(|ring| lock(ring).drain())
+        self.spans.as_ref().map(WorkerRings::drain)
     }
 
     /// Opens a span: a timestamp when somebody records, `None` when
@@ -326,26 +352,35 @@ impl<In, Acc: Scalar> Launch<In, Acc> {
         }
     }
 
-    /// Closes a span opened by [`start`](Self::start) now.
-    pub(crate) fn finish(&self, kind: SpanKind, t0: Option<Instant>, arg: u32, arg2: u32) {
+    /// Closes a span worker `wid` opened by [`start`](Self::start)
+    /// now.
+    pub(crate) fn finish(&self, wid: usize, kind: SpanKind, t0: Option<Instant>, arg: u32, arg2: u32) {
         if let Some(t0) = t0 {
-            self.record(kind, t0, Instant::now(), arg, arg2);
+            self.record(wid, kind, t0, Instant::now(), arg, arg2);
         }
     }
 
-    /// Records the span `[t0, t1)` into the launch's own ring, or the
-    /// executing thread's tracer when it has none.
-    pub(crate) fn record(&self, kind: SpanKind, t0: Instant, t1: Instant, arg: u32, arg2: u32) {
+    /// Records worker `wid`'s span `[t0, t1)` into the launch's own
+    /// ring for `wid`, or the executing thread's tracer when the
+    /// launch has none.
+    pub(crate) fn record(&self, wid: usize, kind: SpanKind, t0: Instant, t1: Instant, arg: u32, arg2: u32) {
         match &self.spans {
-            Some(ring) => lock(ring).record(kind, t0, t1, arg, arg2),
+            Some(rings) => rings.record(wid, kind, t0, t1, arg, arg2),
             None => trace::record(kind, t0, t1, arg, arg2),
         }
     }
 
-    /// The contributor side: publishes `partial` as CTA `cta`'s record
-    /// for its tile's owner — or whatever the fault plan makes of it.
-    /// Partials travel *unscaled*; the epilogue is the owner's.
-    fn contribute(&self, cta: usize, partial: Vec<Acc>, ws: &mut Workspace<In, Acc>) -> Result<(), FixupError> {
+    /// The contributor side: worker `wid` publishes `partial` as CTA
+    /// `cta`'s record for its tile's owner — or whatever the fault plan
+    /// makes of it. Partials travel *unscaled*; the epilogue is the
+    /// owner's.
+    fn contribute(
+        &self,
+        wid: usize,
+        cta: usize,
+        partial: Vec<Acc>,
+        ws: &mut Workspace<In, Acc>,
+    ) -> Result<(), FixupError> {
         match self.plan.fault_for(cta) {
             // The record vanishes: no signal, ever. The owner's
             // watchdog must fire.
@@ -363,16 +398,16 @@ impl<In, Acc: Scalar> Launch<In, Acc> {
                 // The buffer's ownership passes through the board to
                 // the owner, whose pool it then feeds.
                 self.board.store_and_signal(cta, partial)?;
-                self.finish(SpanKind::Signal, t0, cta as u32, 0);
+                self.finish(wid, SpanKind::Signal, t0, cta as u32, 0);
             }
         }
         Ok(())
     }
 
-    /// Probes `peer`'s slot once (`block` false), or under the
-    /// watchdog's backoff ladder until it resolves, the launch dies or
-    /// the deadline expires.
-    fn take(&self, peer: usize, block: bool) -> Taken<Acc> {
+    /// Worker `wid` probes `peer`'s slot once (`block` false), or
+    /// under the watchdog's backoff ladder until it resolves, the
+    /// launch dies or the deadline expires.
+    fn take(&self, wid: usize, peer: usize, block: bool) -> Taken<Acc> {
         let probe = || {
             if self.is_dead() {
                 return Some(Taken::Dead);
@@ -390,7 +425,7 @@ impl<In, Acc: Scalar> Launch<In, Acc> {
         let (probed, rounds) = self.policy.wait_until_counted(probe);
         let t1 = Instant::now();
         self.wait_ns.fetch_add(t1.duration_since(t0).as_nanos() as u64, Ordering::Relaxed);
-        self.record(SpanKind::Wait, t0, t1, peer as u32, rounds);
+        self.record(wid, SpanKind::Wait, t0, t1, peer as u32, rounds);
         probed.unwrap_or_else(|waited| Taken::Lost(RecoveryCause::Timeout(waited)))
     }
 }
@@ -476,15 +511,15 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
         ws: &mut Workspace<In, Acc>,
         block: bool,
     ) -> Result<Progress, ExecutorError> {
-        let (launch, grid) = (self.launch, self.grid);
+        let (launch, grid, wid) = (self.launch, self.grid, self.wid);
         let peers = launch.peers.peers(d.owner);
         while let Some(&peer) = peers.get(d.next_peer) {
-            let cause = match launch.take(peer, block) {
+            let cause = match launch.take(wid, peer, block) {
                 Taken::Ready(partial) => {
                     let t0 = launch.start();
                     accumulate(&mut d.accum, &partial);
                     ws.recycle_partial(partial);
-                    launch.finish(SpanKind::LoadPartials, t0, peer as u32, 0);
+                    launch.finish(wid, SpanKind::LoadPartials, t0, peer as u32, 0);
                     d.next_peer += 1;
                     continue;
                 }
@@ -510,16 +545,40 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
             ws.reset_scratch();
             self.mac(d.instance, &lost, &mut ws.scratch, &mut ws.pack);
             accumulate(&mut d.accum, &ws.scratch);
-            launch.finish(SpanKind::Recovery, t0, peer as u32, lost.len() as u32);
+            launch.finish(wid, SpanKind::Recovery, t0, peer as u32, lost.len() as u32);
             lock(&launch.events).push(RecoveryEvent { peer, tile_idx, cause, recomputed_iters: lost.len() });
             d.next_peer += 1;
         }
         Ok(Progress::Done)
     }
 
-    /// Executes CTA `id`: Algorithm 5's iteration-processing outer
-    /// loop. Returns how many tiles it stored; consolidations it had to
-    /// park are handed to `park` instead, for [`resume`](Self::resume).
+    /// Executes CTA `id` whole: Algorithm 5's iteration-processing
+    /// outer loop, as [`run_unit`](Self::run_unit) over the CTA's full
+    /// range. The service's claim; a launch claims units instead.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_unit`](Self::run_unit).
+    pub(crate) fn run_cta(
+        &self,
+        id: usize,
+        ws: &mut Workspace<In, Acc>,
+        park: impl FnMut(Deferred<Acc>),
+    ) -> Result<usize, ExecutorError> {
+        self.run_unit(&self.grid.ctas[id], ws, park)
+    }
+
+    /// Executes `unit` — CTA `unit.cta_id`'s iterations
+    /// `unit.iter_begin..iter_end`, the whole CTA or some of its tile
+    /// segments — one tile segment at a time. Returns how many tiles
+    /// it stored; consolidations it had to park are handed to `park`
+    /// instead, for [`resume`](Self::resume).
+    ///
+    /// A segment is the same work whoever runs it and whatever else
+    /// its unit holds: a segment that did not start its tile
+    /// contributes under its CTA id, one that did owns the tile and
+    /// folds the CTA's peers. So splitting a CTA into units moves no
+    /// seam and changes no bit.
     ///
     /// Every tile-sized buffer — contributor partials and owner
     /// accumulators alike — is drawn from `ws`'s pool and goes back to
@@ -530,16 +589,16 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
     ///
     /// A fixup protocol violation, or — with recovery off — the first
     /// lost or poisoned peer.
-    pub(crate) fn run_cta(
+    fn run_unit(
         &self,
-        id: usize,
+        unit: &CtaWork,
         ws: &mut Workspace<In, Acc>,
         mut park: impl FnMut(Deferred<Acc>),
     ) -> Result<usize, ExecutorError> {
-        let (launch, grid) = (self.launch, self.grid);
-        let cta = &grid.ctas[id];
+        let (launch, grid, wid) = (self.launch, self.grid, self.wid);
+        let id = unit.cta_id;
         let mut stored = 0;
-        for (instance, part) in grid.parts(cta) {
+        for (instance, part) in grid.parts(unit) {
             for seg in part.segments(grid.instances[instance].space()) {
                 if launch.is_dead() {
                     return Ok(stored);
@@ -547,10 +606,10 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
                 let mut accum = ws.take_partial();
                 let t0 = launch.start();
                 self.mac(instance, &seg, &mut accum, &mut ws.pack);
-                launch.finish(SpanKind::Mac, t0, seg.tile_idx as u32, seg.len() as u32);
+                launch.finish(wid, SpanKind::Mac, t0, seg.tile_idx as u32, seg.len() as u32);
                 if !seg.starts_tile {
                     // Joined the tile mid-stream: its owner consolidates.
-                    launch.contribute(cta.cta_id, accum, ws)?;
+                    launch.contribute(wid, id, accum, ws)?;
                     continue;
                 }
                 if !seg.ends_tile {
@@ -566,7 +625,7 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
                         Progress::Parked => {
                             launch.deferrals.fetch_add(1, Ordering::Relaxed);
                             if let Some(now) = launch.start() {
-                                launch.record(SpanKind::DeferPark, now, now, d.tile as u32, d.next_peer as u32);
+                                launch.record(wid, SpanKind::DeferPark, now, now, d.tile as u32, d.next_peer as u32);
                             }
                             park(d);
                             continue;
@@ -595,7 +654,7 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
     ///
     /// # Errors
     ///
-    /// As [`run_cta`](Self::run_cta).
+    /// As [`run_unit`](Self::run_unit).
     pub(crate) fn resume(
         &self,
         d: &mut Deferred<Acc>,
@@ -608,37 +667,44 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
             self.grid.store(d.instance, d.tile, &d.accum);
             // Only a resumption that completes is a span: fruitless
             // polls (the peer still pending) would flood the ring.
-            self.launch.finish(SpanKind::DeferResume, t0, d.tile as u32, 0);
+            self.launch.finish(self.wid, SpanKind::DeferResume, t0, d.tile as u32, 0);
         }
         Ok(progress)
     }
 
     /// The worker's share of a direct launch: resume whatever it has
-    /// parked, claim the next CTA from `sched` (own range first, then
+    /// parked, claim the next unit from `sched` (own range first, then
     /// steal), and — when nothing is left to claim — finish the parked
     /// consolidations blocking.
     ///
     /// The final drain cannot deadlock: `sched` is drained, so every
-    /// CTA is claimed; a claimed contributor runs to its signal
-    /// without ever waiting (owners park instead), so every pending
-    /// peer signals in bounded time or trips the watchdog.
+    /// unit is claimed; a claimed contributor segment runs to its
+    /// signal without ever waiting (owners park instead), so every
+    /// pending peer signals in bounded time or trips the watchdog.
     ///
     /// # Errors
     ///
-    /// As [`run_cta`](Self::run_cta); the worker stops at its first
+    /// As [`run_unit`](Self::run_unit); the worker stops at its first
     /// error.
     pub(crate) fn run(&self, sched: &CtaScheduler, ws: &mut Workspace<In, Acc>) -> Result<(), ExecutorError> {
-        let launch = self.launch;
+        let (launch, wid) = (self.launch, self.wid);
         let mut deferred = Vec::new();
         loop {
             self.drain(&mut deferred, ws, false)?;
             let t0 = launch.start();
-            let Some(claim) = sched.next_claim(self.wid) else { break };
-            let kind = if claim.stolen { SpanKind::Steal } else { SpanKind::Claim };
-            launch.finish(kind, t0, claim.id as u32, 0);
-            let t0 = launch.start();
-            self.run_cta(claim.id, ws, |d| deferred.push(d))?;
-            launch.finish(SpanKind::Cta, t0, claim.id as u32, self.wid as u32);
+            let Some(claim) = sched.next_claim(wid) else { break };
+            let unit = sched.unit(claim.id, self.grid.ctas);
+            let cta = unit.cta_id as u32;
+            // The claim's end is the unit's start: one clock read less
+            // per unit when tracing.
+            let claimed = t0.map(|t0| {
+                let now = Instant::now();
+                let kind = if claim.stolen { SpanKind::Steal } else { SpanKind::Claim };
+                launch.record(wid, kind, t0, now, cta, 0);
+                now
+            });
+            self.run_unit(unit, ws, |d| deferred.push(d))?;
+            launch.finish(wid, SpanKind::Cta, claimed, cta, wid as u32);
         }
         self.drain(&mut deferred, ws, true)
     }

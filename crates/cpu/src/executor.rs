@@ -128,9 +128,11 @@ impl Default for ExecutorConfig {
 /// contributes to it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// CTA blocks stolen between workers during the most recent
-    /// launch (locality-aware scheduler rebalancing; zero when the
-    /// static ranges were already even). Per-launch.
+    /// Unit blocks stolen between workers during the most recent
+    /// launch — contiguous runs of tile segments, possibly the
+    /// unstarted tail of a CTA another worker is running
+    /// (locality-aware scheduler rebalancing; zero when the static
+    /// ranges were already even). Per-launch.
     pub steals: usize,
     /// Owner consolidations parked cooperatively during the most
     /// recent launch because a peer had not signaled yet (the worker
@@ -799,8 +801,11 @@ impl CpuExecutor {
         let error = Mutex::new(None);
 
         // Locality-aware dispatch: static contiguous per-worker ranges
-        // of the (swizzled) CTA order, rebalanced by range-stealing.
-        let sched = CtaScheduler::new(grid.ctas.len(), workers);
+        // of the (swizzled) CTA order, rebalanced by stealing ranges of
+        // tile segments. The unit table's storage outlives the launch
+        // in the pool's launch-level store.
+        let units = std::mem::take(self.worker_pool().launch_scratch().get_or_insert_with(Vec::<CtaWork>::new));
+        let sched = CtaScheduler::over_units(grid.units(units), grid.ctas.len(), workers);
         let tile_len = grid.tile_len();
         // One shared epoch so every worker's span timestamps (and the
         // wall clock below) share a zero; each worker id gets a
@@ -843,6 +848,7 @@ impl CpuExecutor {
         // `launches` accumulates.
         let stats = &self.stats;
         stats.steals.store(sched.steals(), Ordering::Relaxed);
+        *self.worker_pool().launch_scratch().get_or_insert_with(Vec::new) = sched.into_units();
         stats.deferrals.store(launch.deferrals(), Ordering::Relaxed);
         stats.wait_stall_ns.store(launch.wait_stall().as_nanos() as u64, Ordering::Relaxed);
         stats.recoveries.store(launch.recoveries(), Ordering::Relaxed);

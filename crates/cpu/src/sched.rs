@@ -1,5 +1,5 @@
-//! Locality-aware CTA scheduling: static contiguous ranges plus
-//! range-stealing.
+//! Locality-aware dispatch: static contiguous ranges plus
+//! range-stealing, over *units* — one tile segment of one CTA.
 //!
 //! The executor used to hand out CTAs from one global `AtomicUsize`
 //! every worker hammered — a single contended cache line serializing
@@ -18,14 +18,28 @@
 //! stolen work is still a swizzle-contiguous run of tiles and the
 //! victim keeps the half adjacent to what it is already executing.
 //!
+//! **Units.** A launch's scheduler ([`CtaScheduler::over_units`])
+//! dispatches the tile segments of its CTAs ([`CtaWork::segments`]),
+//! one claim per segment. A worker's static range is still its CTAs —
+//! every segment of them, in order — so a launch nobody steals from
+//! runs exactly what whole-CTA claims would. But a thief takes the
+//! back half of the victim's *unclaimed* segments, which can be the
+//! tail of the CTA the victim is running: Algorithm 5 gives every CTA
+//! the same work, and a worker on a slower core no longer holds the
+//! launch for the rest of its CTA. A segment keeps its CTA id, so it
+//! moves no seam: its tile's k-ranges, owner and peer fold order are
+//! the decomposition's whoever runs it.
+//! [`CtaScheduler::new`] dispatches whole CTAs, one unit each.
+//!
 //! Each queue is one atomic `u64` packing `(version, head, tail)`;
 //! owner pops, steals, and refills are all CAS transitions on that
 //! word. The version field (bumped on every refill) makes the CAS
 //! immune to ABA when a range migrates between queues and back.
 
 use crate::pad::CachePadded;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use streamk_core::contiguous_range;
+use streamk_core::{contiguous_range, CtaWork};
 
 const FIELD_BITS: u32 = 24;
 const FIELD_MASK: u64 = (1 << FIELD_BITS) - 1;
@@ -170,25 +184,39 @@ impl GridCursor {
     }
 }
 
-/// One claimed CTA and how it was obtained.
+/// One queue per worker, worker `w` starting on `range(w)` of `total`
+/// units.
+fn queues(total: usize, workers: usize, range: impl Fn(usize) -> Range<usize>) -> Vec<CachePadded<RangeQueue>> {
+    assert!(total as u64 <= FIELD_MASK, "grid too large for the packed queue word");
+    assert!(workers > 0, "need at least one worker");
+    (0..workers).map(range).map(|r| CachePadded::new(RangeQueue::new(r.start, r.end))).collect()
+}
+
+/// One claimed unit and how it was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Claim {
-    /// The claimed CTA id.
+    /// The claimed unit id: a CTA id under [`CtaScheduler::new`], an
+    /// index into the unit table under [`CtaScheduler::over_units`].
     pub id: usize,
     /// Whether the claim came from stealing another worker's range.
     pub stolen: bool,
 }
 
-/// The per-launch CTA dispatcher: static contiguous per-worker ranges
+/// The per-launch dispatcher: static contiguous per-worker ranges
 /// with steal-from-the-richest rebalancing (see module docs).
 #[derive(Debug)]
 pub struct CtaScheduler {
     queues: Vec<CachePadded<RangeQueue>>,
     steals: CachePadded<AtomicUsize>,
+    /// The unit table: unit `u` is CTA `units[u].cta_id`'s iterations
+    /// `units[u].iter_begin..iter_end`. Empty when the units are whole
+    /// CTAs.
+    units: Vec<CtaWork>,
 }
 
 impl CtaScheduler {
-    /// A scheduler dispatching CTAs `0..total` to `workers` workers.
+    /// A scheduler dispatching whole CTAs `0..total` to `workers`
+    /// workers.
     ///
     /// # Panics
     ///
@@ -196,16 +224,45 @@ impl CtaScheduler {
     /// per-queue field (16.7M CTAs — far beyond any real grid).
     #[must_use]
     pub fn new(total: usize, workers: usize) -> Self {
-        assert!(total as u64 <= FIELD_MASK, "grid too large for the packed queue word");
-        assert!(workers > 0, "need at least one worker");
-        let queues = (0..workers)
-            .map(|w| contiguous_range(total, workers, w))
-            .map(|r| CachePadded::new(RangeQueue::new(r.start, r.end)))
-            .collect();
-        Self { queues, steals: CachePadded::new(AtomicUsize::new(0)) }
+        let queues = queues(total, workers, |w| contiguous_range(total, workers, w));
+        Self { queues, steals: CachePadded::new(AtomicUsize::new(0)), units: Vec::new() }
     }
 
-    /// Claims the next CTA for worker `me`: own range first, then a
+    /// A scheduler dispatching `units` — the units of `ctas` CTAs in
+    /// dispatch order, each CTA's consecutive (one per tile segment,
+    /// as [`CtaWork::segments`] cuts it) — to `workers` workers. Worker
+    /// `w` starts with the units of its [`contiguous_range`] of CTAs;
+    /// a thief takes units, not CTAs. [`into_units`](Self::into_units)
+    /// hands the table back for the next launch.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new), counting units.
+    #[must_use]
+    pub fn over_units(units: Vec<CtaWork>, ctas: usize, workers: usize) -> Self {
+        let first = |cta: usize| units.partition_point(|u| u.cta_id < cta);
+        let queues = queues(units.len(), workers, |w| {
+            let own = contiguous_range(ctas, workers, w);
+            first(own.start)..first(own.end)
+        });
+        Self { queues, steals: CachePadded::new(AtomicUsize::new(0)), units }
+    }
+
+    /// The work of unit `id`: its entry in the unit table, or — for a
+    /// scheduler over whole CTAs — CTA `id` of `ctas`.
+    #[must_use]
+    pub fn unit<'a>(&'a self, id: usize, ctas: &'a [CtaWork]) -> &'a CtaWork {
+        self.units.get(id).unwrap_or_else(|| &ctas[id])
+    }
+
+    /// The unit table, for the next launch's
+    /// [`over_units`](Self::over_units) to refill.
+    #[must_use]
+    pub fn into_units(self) -> Vec<CtaWork> {
+        self.units
+    }
+
+    /// Claims the next unit for worker `me`: own range first, then a
     /// contiguous block stolen from the richest victim. `None` when
     /// every queue is drained.
     #[must_use]
@@ -247,13 +304,13 @@ impl CtaScheduler {
         }
     }
 
-    /// Total successful steals so far this launch.
+    /// Total successful steals (unit blocks taken) so far this launch.
     #[must_use]
     pub fn steals(&self) -> usize {
         self.steals.load(Ordering::Relaxed)
     }
 
-    /// CTAs not yet claimed by anyone (racy snapshot; diagnostics).
+    /// Units not yet claimed by anyone (racy snapshot; diagnostics).
     #[must_use]
     pub fn remaining(&self) -> usize {
         self.queues.iter().map(|q| q.remaining()).sum()
@@ -360,6 +417,51 @@ mod tests {
         let claim = sched.next_claim(1).unwrap();
         assert!(claim.stolen);
         assert_eq!(sched.steals(), 1);
+    }
+
+    /// `ctas` CTAs of `segments` one-iteration units each, in order.
+    fn unit_table(ctas: usize, segments: usize) -> Vec<CtaWork> {
+        (0..ctas * segments)
+            .map(|u| CtaWork { cta_id: u / segments, iter_begin: u, iter_end: u + 1 })
+            .collect()
+    }
+
+    #[test]
+    fn unit_ranges_are_each_workers_ctas() {
+        // Three CTAs of 2, 0 and 3 units over two workers: worker 0
+        // owns CTAs 0 and 1 (units 0..2), worker 1 CTA 2 (units 2..5).
+        let mut units = unit_table(1, 2);
+        units.extend((0..3).map(|i| CtaWork { cta_id: 2, iter_begin: 2 + i, iter_end: 3 + i }));
+        let sched = CtaScheduler::over_units(units, 3, 2);
+        assert_eq!(sched.next(1), Some(2));
+        assert_eq!(sched.next(0), Some(0));
+        assert_eq!(sched.next(0), Some(1));
+        assert_eq!(sched.steals(), 0);
+        assert_eq!(sched.unit(4, &[]).cta_id, 2);
+        assert_eq!(sched.remaining(), 2);
+        assert_eq!(sched.into_units().len(), 5, "the table survives for the next launch");
+    }
+
+    #[test]
+    fn mid_cta_steal_takes_the_tail_and_leaves_the_head() {
+        // Two CTAs of four tile segments, one CTA per worker.
+        let sched = CtaScheduler::over_units(unit_table(2, 4), 2, 2);
+        // Worker 0 starts its CTA: unit 0 is running, 1..4 unclaimed.
+        assert_eq!(sched.next(0), Some(0));
+        // Worker 1 drains its own CTA 1...
+        for unit in 4..8 {
+            assert_eq!(sched.next_claim(1), Some(Claim { id: unit, stolen: false }));
+        }
+        // ...then steals the back half of CTA 0's unclaimed segments,
+        // [2, 4), from the middle of the CTA worker 0 is running.
+        assert_eq!(sched.next_claim(1), Some(Claim { id: 2, stolen: true }));
+        assert_eq!(sched.unit(2, &[]).cta_id, 0, "the stolen unit belongs to CTA 0");
+        assert_eq!(sched.steals(), 1);
+        // The victim keeps its CTA's head, the thief the tail it took.
+        assert_eq!(sched.next(0), Some(1));
+        assert_eq!(sched.next(1), Some(3));
+        assert_eq!(sched.next(0), None);
+        assert_eq!(sched.next(1), None);
     }
 
     #[test]

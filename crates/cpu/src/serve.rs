@@ -82,7 +82,7 @@ use crate::sched::GridCursor;
 use crate::telemetry::{
     IncidentReport, RequestTrace, ServeTrace, ServiceCounter, ServiceEventKind, TelemetryRegistry,
 };
-use crate::trace::{SpanKind, WorkerTracer};
+use crate::trace::{SpanKind, SpareRings, WorkerRings};
 use crate::workspace::Workspace;
 use std::collections::VecDeque;
 use std::fmt;
@@ -158,9 +158,11 @@ pub struct ServeConfig {
     /// [`GemmService::take_trace`]. Off by default: when off, no span
     /// ring is allocated and every recording site is a `None` check.
     pub trace: bool,
-    /// Per-request span-ring capacity (spans) when
-    /// [`trace`](Self::trace) is on; full rings drop their oldest
-    /// span, exactly like the single-launch tracer.
+    /// Span-ring capacity (spans) of each worker that records for a
+    /// request when [`trace`](Self::trace) is on — a request keeps one
+    /// ring per worker id, allocated at that worker's first span; full
+    /// rings drop their oldest span, exactly like the single-launch
+    /// tracer.
     pub trace_capacity: usize,
 }
 
@@ -842,6 +844,8 @@ struct ServeShared<In, Acc> {
     /// Per-request span tracing on/off + ring sizing.
     trace: bool,
     trace_capacity: usize,
+    /// Span rings of finished traced requests, for the next ones.
+    spare_rings: SpareRings,
     queue: Mutex<QueueState<In, Acc>>,
     /// Workers park here when nothing is claimable; submission,
     /// completion, and cancellation notify it.
@@ -1079,9 +1083,10 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
         self.publish_depths(q);
     }
 
-    /// One claim attempt: admit, sweep the active list in admission
-    /// order, fire deadlines, and hand out the next CTA.
-    fn claim_next(&self) -> Claimed<In, Acc> {
+    /// One claim attempt by worker `wid`: admit, sweep the active
+    /// list in admission order, fire deadlines, and hand out the next
+    /// CTA.
+    fn claim_next(&self, wid: usize) -> Claimed<In, Acc> {
         let now = Instant::now();
         let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         self.admit(&mut q, now);
@@ -1131,6 +1136,7 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
                     // Queue wait is a first-class phase: submission →
                     // first claim, one span per request.
                     cell.launch.record(
+                        wid,
                         SpanKind::QueueWait,
                         cell.submitted_at,
                         now,
@@ -1223,7 +1229,7 @@ fn serve_loop<In, Acc>(
         if deferred.is_empty() && guest.is_some_and(|cell| cell.is_resolved()) {
             return;
         }
-        let drained = match shared.claim_next() {
+        let drained = match shared.claim_next(wid) {
             Claimed::Cta(cell, id) => {
                 execute_claim(shared, &cell, id, wid, scratch, &mut deferred);
                 continue;
@@ -1293,7 +1299,7 @@ fn execute_claim<In, Acc>(
         }
         cell.with_worker(wid, |worker| worker.run_cta(id, ws, |d| deferred.push((Arc::clone(cell), d))))
     }));
-    cell.launch.finish(SpanKind::Cta, t0, id as u32, wid as u32);
+    cell.launch.finish(wid, SpanKind::Cta, t0, id as u32, wid as u32);
     shared.settle(cell, outcome);
 }
 
@@ -1371,6 +1377,7 @@ where
             kernel: executor.kernel(),
             trace: config.trace,
             trace_capacity: config.trace_capacity.max(16),
+            spare_rings: SpareRings::default(),
             queue: Mutex::new(QueueState {
                 accepting: true,
                 pending: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
@@ -1571,11 +1578,12 @@ where
             Orientation::choose(kernel, &a.view(), &b.view(), a.layout(), decomp.space());
         let tile = space.tile();
         // Span timestamps are relative to the service epoch, so all
-        // request tracks share one timeline.
-        let spans = self
-            .shared
-            .trace
-            .then(|| WorkerTracer::new(self.shared.telemetry.epoch(), self.shared.trace_capacity));
+        // request tracks share one timeline. One ring per worker id,
+        // guests included, so the request's workers never share one.
+        let spans = self.shared.trace.then(|| {
+            let shared = &self.shared;
+            WorkerRings::new(shared.telemetry.epoch(), shared.trace_capacity, 2 * shared.workers, &shared.spare_rings)
+        });
         // No pack cache (a request's operands are packed privately),
         // and recovery always on: a lost peer must never wedge a
         // multi-tenant pool.

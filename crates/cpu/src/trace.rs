@@ -39,8 +39,10 @@
 //! to the simulator's predicted timeline — the `streamk profile`
 //! subcommand emits exactly that merge.
 
+use crate::pad::CachePadded;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use streamk_core::tev::{ArgValue, TraceWriter};
@@ -229,6 +231,69 @@ impl WorkerTracer {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
+    }
+}
+
+/// Span rings between recordings of one capacity: a ring drained from
+/// one recording's [`WorkerRings`] rests here until a worker of another
+/// one records, so a traced service allocates rings for its peak
+/// concurrency, not per request — a fresh ring per request and worker
+/// cost as much as the shared lock it replaced.
+pub(crate) type SpareRings = Arc<Mutex<Vec<SpanRing>>>;
+
+/// One span ring per worker id for a recording that several workers
+/// feed at once — a traced service request. Worker `wid` records into
+/// ring `wid % rings`, each on its own cache line behind its own lock,
+/// so two workers on one request never bounce a shared lock between
+/// their cores. A slot takes a ring from the shared spares the first
+/// time its worker records; [`drain`](Self::drain) merges the slots
+/// back into one track and returns their rings to the spares.
+#[derive(Debug)]
+pub(crate) struct WorkerRings {
+    epoch: Instant,
+    capacity: usize,
+    rings: Box<[CachePadded<Mutex<Option<SpanRing>>>]>,
+    spare: SpareRings,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl WorkerRings {
+    /// `rings` slots (at least one) of `capacity` spans each, their
+    /// timestamps relative to `epoch`, drawing rings from `spare`, which
+    /// holds rings of that capacity only.
+    pub(crate) fn new(epoch: Instant, capacity: usize, rings: usize, spare: &SpareRings) -> Self {
+        let rings = (0..rings).map(|_| CachePadded::new(Mutex::new(None))).collect();
+        Self { epoch, capacity, rings, spare: Arc::clone(spare) }
+    }
+
+    fn slot(&self, wid: usize) -> MutexGuard<'_, Option<SpanRing>> {
+        lock(&self.rings[wid % self.rings.len()].0)
+    }
+
+    /// Records `[start, end)` into worker `wid`'s ring.
+    pub(crate) fn record(&self, wid: usize, kind: SpanKind, start: Instant, end: Instant, arg: u32, arg2: u32) {
+        let rel = |t: Instant| t.saturating_duration_since(self.epoch).as_nanos() as u64;
+        let span = Span { kind, start_ns: rel(start), end_ns: rel(end), arg, arg2 };
+        let mut slot = self.slot(wid);
+        let ring = slot.get_or_insert_with(|| lock(&self.spare).pop().unwrap_or_else(|| SpanRing::new(self.capacity)));
+        ring.push(span);
+    }
+
+    /// Empties every ring into one track in finish order — the order
+    /// one shared ring would have kept — with their drops summed.
+    pub(crate) fn drain(&self) -> WorkerTrace {
+        let (mut spans, mut dropped) = (Vec::new(), 0);
+        for wid in 0..self.rings.len() {
+            let Some(mut ring) = self.slot(wid).take() else { continue };
+            dropped += ring.dropped();
+            spans.append(&mut ring.drain_spans());
+            lock(&self.spare).push(ring);
+        }
+        spans.sort_by_key(|s| s.end_ns);
+        WorkerTrace { spans, dropped }
     }
 }
 
@@ -551,7 +616,9 @@ pub struct Metrics {
     /// Per kind, the part of `kind_ns` covered by pack spans nested
     /// inside spans of that kind (nonzero for `Mac` and `Recovery`).
     kind_nested_pack_ns: [u64; SpanKind::ALL.len()],
-    /// Whole-CTA durations.
+    /// Durations of [`SpanKind::Cta`] spans: one per claimed unit — a
+    /// tile segment of a CTA in a launch, a whole CTA in a service
+    /// request.
     pub cta_duration: Histogram,
     /// Owner wait stalls.
     pub wait_stall: Histogram,

@@ -25,6 +25,11 @@
 //! 5. **Every launch counts**: a batched or grouped launch reports its
 //!    real steals, deferrals, recoveries and wait stall in
 //!    `ExecStats`, like a single GEMM.
+//! 6. **Steals split CTAs, not seams**: a launch dispatches one tile
+//!    segment of one CTA at a time, so a drained worker can take the
+//!    unstarted tail of a CTA that is already running. Every segment
+//!    still runs exactly once, under its own CTA, and the output is
+//!    the one-worker run's.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -32,10 +37,10 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Duration;
 use streamk_core::{
-    BatchedDecomposition, BatchedSpace, Decomposition, GroupedDecomposition, GroupedSpace, Strategy,
-    TileFixup,
+    BatchedDecomposition, BatchedSpace, CtaWork, Decomposition, GroupedDecomposition, GroupedSpace, SpanKind,
+    Strategy, TileFixup,
 };
-use streamk_cpu::{CpuExecutor, FaultKind, FaultPlan, WorkerPool};
+use streamk_cpu::{CpuExecutor, ExecTrace, FaultKind, FaultPlan, WorkerPool};
 use streamk_matrix::reference::gemm_naive;
 use streamk_matrix::Matrix;
 use streamk_types::{GemmShape, Layout, TileShape};
@@ -453,4 +458,152 @@ fn batched_launches_report_their_real_counters() {
     assert_eq!(stats.recoveries, report.recoveries(), "{stats:?}");
     assert!(stats.wait_stall >= Duration::from_millis(100), "a lost peer costs its owner a watchdog: {stats:?}");
     assert!(lost == calm, "recovery changed the output");
+}
+
+/// One tile segment as the trace and the plan both name it: its CTA,
+/// its tile (numbered within its instance) and its iteration count. A
+/// CTA's range is contiguous, so within one instance the pair (CTA,
+/// tile) fixes the segment's k-range.
+type Segment = (usize, usize, usize);
+
+/// The segments a traced launch ran: one per `Mac` span, credited to
+/// the `Cta` span that closes next on the same worker — a unit's span
+/// encloses its segment's MAC, and each worker's ring keeps finish
+/// order.
+fn traced_segments(trace: &ExecTrace) -> Vec<Segment> {
+    let mut ran = Vec::new();
+    for worker in &trace.workers {
+        assert_eq!(worker.dropped, 0, "a span ring overflowed");
+        let mut macs = Vec::new();
+        for span in &worker.spans {
+            match span.kind {
+                SpanKind::Mac => macs.push((span.arg as usize, span.arg2 as usize)),
+                SpanKind::Cta => ran.extend(macs.drain(..).map(|(tile, iters)| (span.arg as usize, tile, iters))),
+                _ => {}
+            }
+        }
+        assert!(macs.is_empty(), "a MAC span outside every unit: {macs:?}");
+    }
+    ran.sort_unstable();
+    ran
+}
+
+/// The segments `ctas` must run over `space`, each once.
+fn planned_segments(space: &GroupedSpace, ctas: &[CtaWork]) -> Vec<Segment> {
+    let mut plan: Vec<Segment> = ctas
+        .iter()
+        .flat_map(|cta| space.segments(cta).into_iter().map(|s| (cta.cta_id, s.local_tile, s.local_end - s.local_begin)))
+        .collect();
+    plan.sort_unstable();
+    plan
+}
+
+/// Runs `launch` traced on `workers` workers with one seeded worker up
+/// to 3 ms late — on time, arriving mid-launch while the others steal
+/// from its range (a CTA then runs partly on each), or after they
+/// drained it — and requires the trace to hold exactly `plan`. Returns
+/// the output.
+fn run_exactly_once<C>(workers: usize, seed: u64, plan: &[Segment], what: &str, launch: impl Fn(&CpuExecutor) -> C) -> C {
+    let exec = CpuExecutor::with_threads(workers).with_trace(true);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let late = (rng.next_u64() % workers as u64) as usize;
+    let delay = Duration::from_micros(rng.next_u64() % 3000);
+    exec.worker_pool().inject_stragglers((0..workers).map(|w| if w == late { delay } else { Duration::ZERO }).collect());
+    let c = launch(&exec);
+    exec.worker_pool().inject_stragglers(Vec::new());
+    let trace = exec.last_trace().expect("a traced launch records a trace");
+    assert_eq!(traced_segments(&trace), plan, "{what}: segments run vs planned");
+    c
+}
+
+/// [`residency_floor`] of a batched or grouped grid's `fixups`.
+fn fixup_floor(fixups: &[TileFixup]) -> usize {
+    fixups.iter().map(TileFixup::covering_ctas).max().unwrap_or(1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every strategy — a batch and a group too — on 1–4 workers, one
+    /// of them late: the `Mac` spans are exactly the decomposition's
+    /// (CTA, tile, k-range) segments, each run once whoever claimed or
+    /// stole it, and the output is bit-identical to a calm run on the
+    /// fewest workers the grid admits — one, unless a seam needs more
+    /// CTAs resident than that (the executor's residency check).
+    #[test]
+    fn mid_cta_steals_run_every_segment_exactly_once(shape in shapes(), seed in 0u64..1 << 20) {
+        let (a, b) = operands(shape, seed);
+        let param = 2 + (seed % 4) as usize;
+        let strategies = [
+            Strategy::DataParallel,
+            Strategy::FixedSplit { split: param.min(4) },
+            Strategy::StreamK { grid: param + 1 },
+            Strategy::DpOneTileStreamK { sms: param },
+            Strategy::TwoTileStreamKDp { sms: param },
+        ];
+        for strategy in strategies {
+            let decomp = Decomposition::from_strategy(shape, TILE, strategy);
+            let plan = planned_segments(&GroupedSpace::new(&[shape], TILE), decomp.ctas());
+            let floor = residency_floor(&decomp);
+            let alone = CpuExecutor::with_threads(floor).gemm::<f64, f64>(&a, &b, &decomp);
+            for workers in floor..=4 {
+                let what = format!("{strategy} on {workers}");
+                let c = run_exactly_once(workers, seed + workers as u64, &plan, &what, |e| e.gemm::<f64, f64>(&a, &b, &decomp));
+                prop_assert!(c == alone, "{}: output differs from the calm run's", what);
+            }
+        }
+
+        let shapes = [shape, GemmShape::new(shape.n, 32, shape.m), GemmShape::new(16, shape.k, 48)];
+        let (ga, gb): (Vec<_>, Vec<_>) = shapes.iter().zip(seed..).map(|(&s, i)| operands(s, 3 * i)).unzip();
+        let (ba, bb): (Vec<_>, Vec<_>) = (0..3).map(|i| operands(shape, seed + 5 * i)).unzip();
+        let batch = BatchedSpace::new(3, shape, TILE);
+        let group = GroupedSpace::new(&shapes, TILE);
+        for grid in [None, Some(param), Some(param + 3)] {
+            let batched = grid.map_or_else(|| BatchedDecomposition::data_parallel(batch.clone()), |g| BatchedDecomposition::stream_k(batch.clone(), g));
+            let grouped = grid.map_or_else(|| GroupedDecomposition::data_parallel(group.clone()), |g| GroupedDecomposition::stream_k(group.clone(), g));
+            let batch_plan = planned_segments(&GroupedSpace::new(&[shape; 3], TILE), batched.ctas());
+            let group_plan = planned_segments(&group, grouped.ctas());
+            let (batch_floor, group_floor) = (fixup_floor(&batched.fixups()), fixup_floor(&grouped.fixups()));
+            let batch_alone = CpuExecutor::with_threads(batch_floor).gemm_batched::<f64, f64>(&ba, &bb, &batched);
+            let group_alone = CpuExecutor::with_threads(group_floor).gemm_grouped::<f64, f64>(&ga, &gb, &grouped);
+            for workers in batch_floor..=4 {
+                let what = format!("batched grid {grid:?} on {workers}");
+                let c = run_exactly_once(workers, seed ^ workers as u64, &batch_plan, &what, |e| e.gemm_batched::<f64, f64>(&ba, &bb, &batched));
+                prop_assert!(c == batch_alone, "{}: output differs from the calm run's", what);
+            }
+            for workers in group_floor..=4 {
+                let what = format!("grouped grid {grid:?} on {workers}");
+                let c = run_exactly_once(workers, seed ^ (8 + workers) as u64, &group_plan, &what, |e| e.gemm_grouped::<f64, f64>(&ga, &gb, &grouped));
+                prop_assert!(c == group_alone, "{}: output differs from the calm run's", what);
+            }
+        }
+    }
+}
+
+/// Two CTAs of four whole tiles each — no seam — with the helper 40 ms
+/// late: the launcher runs CTA 0, then takes CTA 1 a block of tiles at
+/// a time. A steal of whole CTAs would show one steal; stealing units
+/// shows several, every one inside CTA 1, and the output is the calm
+/// run's.
+#[test]
+fn mid_cta_steals_split_a_late_helpers_cta() {
+    // 4 x 2 tiles of six iterations: 48 iterations, 24 per CTA.
+    let shape = GemmShape::new(64, 32, 48);
+    let decomp = Decomposition::stream_k(shape, TILE, 2);
+    assert!(decomp.fixups().iter().all(TileFixup::is_data_parallel), "every CTA holds whole tiles");
+    let (a, b) = operands(shape, 91);
+    let exec = CpuExecutor::with_threads(2).with_trace(true);
+    let calm = exec.gemm::<f64, f64>(&a, &b, &decomp);
+
+    exec.worker_pool().inject_stragglers(vec![Duration::ZERO, Duration::from_millis(40)]);
+    let late = exec.gemm::<f64, f64>(&a, &b, &decomp);
+    exec.worker_pool().inject_stragglers(Vec::new());
+    let trace = exec.last_trace().expect("a traced launch records a trace");
+    let steals: Vec<u32> = trace.workers[0].spans.iter().filter(|s| s.kind == SpanKind::Steal).map(|s| s.arg).collect();
+    assert!(steals.len() >= 2, "the launcher should take CTA 1 in blocks of tiles, got steals {steals:?}");
+    assert!(steals.iter().all(|&cta| cta == 1), "every steal is inside CTA 1: {steals:?}");
+    assert_eq!(exec.last_stats().steals, steals.len());
+    let ran = traced_segments(&trace);
+    assert_eq!(ran, planned_segments(&GroupedSpace::new(&[shape], TILE), decomp.ctas()));
+    assert!(late == calm, "the late helper changed the output");
 }
