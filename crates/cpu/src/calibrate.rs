@@ -6,7 +6,7 @@
 //! module performs that measurement against the *CPU executor* —
 //! timing single-CTA workloads across a spread of iteration counts
 //! and fixup-peer counts, then least-squares fitting
-//! [`CostModel`](streamk_core::CostModel) to the samples.
+//! [`CostModel`] to the samples.
 //!
 //! The fitted constants describe this machine's microkernel, so they
 //! feed the grid-size model when the CPU executor (rather than the

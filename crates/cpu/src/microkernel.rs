@@ -1,7 +1,7 @@
 //! Register-blocked inner kernels.
 //!
 //! The paper's `MacLoop` implementations "fully unroll the per-thread
-//! MAC-loop iteration [and] implement additional blocking at the warp
+//! MAC-loop iteration \[and\] implement additional blocking at the warp
 //! and/or thread levels" (§3.2). This module is the CPU analogue: one
 //! register block per element type. Operands are read as BLIS-style
 //! `MR`/`NR` panels ([`streamk_matrix::pack`]) and a const-generic
@@ -38,7 +38,7 @@
 //! Every path accumulates each output element in ascending-k order
 //! with the one fused MAC ([`Scalar::mac`], DESIGN.md §9), so the
 //! block — at every geometry the tests drive it at — and the scalar
-//! [`mac_loop_view`](crate::macloop::mac_loop_view) produce
+//! [`mac_loop_view`] produce
 //! bit-identical results whatever the operands' source; property tests
 //! pin that. [`mac_loop_kernel`] is the always-pack dispatch point
 //! (the reference the source rule is tested against).

@@ -9,7 +9,7 @@
 //! threads ever write the same element.
 //!
 //! Every engine (single launch, batched, grouped, service) stores
-//! through one routine, [`TileWriter::store_runs`]. It cuts the tile's
+//! through one routine, `TileWriter::store_runs`. It cuts the tile's
 //! destination into the contiguous *runs* the layout has — a row of
 //! the tile for `RowMajor`, a column for `ColMajor` — asks
 //! `Layout::index` for each run's first offset only,
@@ -34,11 +34,11 @@
 //! in every build: a per-tile flag is swapped on entry, and a second
 //! store to the same tile panics before it writes.
 //!
-//! A `β = 0` output needs no prior contents, so [`OwnedTileWriter`]
+//! A `β = 0` output needs no prior contents, so `OwnedTileWriter`
 //! does not fill the buffer it allocates: the tiles partition the
 //! storage, every element is written exactly once
 //! by the worker that computed it, and the buffer only becomes a
-//! `Matrix` in [`OwnedTileWriter::take`], which refuses unless every
+//! `Matrix` in `OwnedTileWriter::take`, which refuses unless every
 //! tile's flag says *stored*. A writer keeps the launch's [`IterSpace`]
 //! and takes a tile's extents from it, never from the caller, so a set
 //! flag means the whole tile was written. A launch that fails, is

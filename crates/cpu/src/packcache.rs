@@ -12,7 +12,7 @@
 //!
 //! **K-chunk slots.** A panel is not one slot but
 //! `⌈k / chunk_k⌉` of them, keyed `(shard, panel, chunk)`. A chunk is
-//! [`CHUNK_K`] k-steps rounded to whole MAC iterations
+//! `CHUNK_K` k-steps rounded to whole MAC iterations
 //! ([`PackCache::chunk_k`]), so chunk seams always fall *between*
 //! iterations. [`mac_loop_kernel_cached`] walks a segment chunk by
 //! chunk — fetch (or pack) the A and B chunk, run the microkernel on
@@ -92,7 +92,7 @@
 //!
 //! **Orientation.** The two operands are not read alike — A in place
 //! with any lane stride, B only with adjacent lanes — so which one is
-//! A is worth choosing. Every entry asks [`transpose_pays`] once per
+//! A is worth choosing. Every entry asks `transpose_pays` once per
 //! problem whether `Cᵀ = op(B)ᵀ·op(A)ᵀ` packs fewer operand bytes by
 //! this same rule than `C = op(A)·op(B)`, after pricing the
 //! column-major store that costs (or saves) in the epilogue, and if so

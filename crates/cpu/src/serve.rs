@@ -1,4 +1,4 @@
-//! Multi-tenant GEMM service on the shared [`WorkerPool`].
+//! Multi-tenant GEMM service on the shared [`WorkerPool`](crate::WorkerPool).
 //!
 //! Every other entry point in this crate is *launch-centric*: one
 //! caller, one decomposition, one `pool.run(..)` that owns every

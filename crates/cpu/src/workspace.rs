@@ -134,7 +134,7 @@ impl<In, Acc: Scalar> Workspace<In, Acc> {
 
     /// A zeroed tile-sized buffer, drawn from the pool when possible.
     /// The caller keeps ownership (typically handing it to the fixup
-    /// board); return buffers with [`recycle_partial`].
+    /// board); return buffers with [`recycle_partial`](Self::recycle_partial).
     #[must_use]
     pub fn take_partial(&mut self) -> Vec<Acc> {
         self.taken += 1;

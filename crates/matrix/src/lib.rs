@@ -3,7 +3,7 @@
 //! This crate provides the numerical substrate of the Stream-K
 //! reproduction:
 //!
-//! - [`f16`] — a software IEEE 754 binary16 type, because the paper's
+//! - [`f16`](struct@f16) — a software IEEE 754 binary16 type, because the paper's
 //!   FP16→32 GEMM consumes half-precision inputs and this workspace
 //!   has no hardware half support (see DESIGN.md §1) — and [`bf16`],
 //!   the brain-float sibling CUTLASS ships Stream-K kernels for.

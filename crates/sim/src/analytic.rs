@@ -1,9 +1,10 @@
 //! Closed-form schedule predictions.
 //!
 //! For schedules without cross-CTA dependencies and with
-//! near-uniform CTA durations, makespans have closed forms that both
-//! (a) cross-validate the event-driven engine and (b) let corpus-scale
-//! sweeps skip the DES when only aggregate numbers are needed.
+//! near-uniform CTA durations, makespans have closed forms. They are
+//! cross-checks of the event-driven engine now; the corpus-scale
+//! shortcut is `engine::data_parallel_makespan`, which walks the
+//! engine's own waves and matches its report bit for bit.
 
 use crate::cost::CtaCosts;
 use crate::gpu::GpuSpec;

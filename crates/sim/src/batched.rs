@@ -8,6 +8,7 @@
 
 use crate::cost::{CtaCosts, DEFAULT_MAC_EFFICIENCY};
 use crate::engine::{dispatch, finish_report, Volume};
+use crate::fault::SimFaultPlan;
 use crate::gpu::GpuSpec;
 use crate::report::SimReport;
 use streamk_core::BatchedDecomposition;
@@ -18,29 +19,18 @@ use streamk_types::Precision;
 ///
 /// # Panics
 ///
-/// Panics if the decomposition is structurally invalid.
+/// Panics if the decomposition is structurally invalid or its
+/// dependency graph deadlocks.
 #[must_use]
 pub fn simulate_batched(decomp: &BatchedDecomposition, gpu: &GpuSpec, precision: Precision) -> SimReport {
-    simulate_batched_with_efficiency(decomp, gpu, precision, DEFAULT_MAC_EFFICIENCY)
-}
-
-/// [`simulate_batched`] with an explicit MAC efficiency.
-///
-/// # Panics
-///
-/// Panics if the decomposition is structurally invalid.
-#[must_use]
-pub fn simulate_batched_with_efficiency(
-    decomp: &BatchedDecomposition,
-    gpu: &GpuSpec,
-    precision: Precision,
-    mac_efficiency: f64,
-) -> SimReport {
     decomp.validate().expect("invalid batched decomposition");
     let space = decomp.space();
     let instance = space.instance();
-    let costs = CtaCosts::derive(gpu, precision, instance.tile(), mac_efficiency);
-    let (des, partial_records) = dispatch(decomp.ctas(), space.iters_per_tile(), || decomp.fixups(), gpu, &costs);
+    let costs = CtaCosts::derive(gpu, precision, instance.tile(), DEFAULT_MAC_EFFICIENCY);
+    let none = SimFaultPlan::none();
+    let (des, unfinished, partial_records) =
+        dispatch(decomp.ctas(), space.iters_per_tile(), || decomp.fixups(), gpu, &costs, &none);
+    unfinished.assert_none();
     finish_report(des, partial_records, &Volume::of(instance, precision, space.batch()), gpu)
 }
 

@@ -9,7 +9,7 @@
 //! `c = 2·BLK_M·BLK_N·BLK_K · p / (peak · efficiency)` seconds (the
 //! whole-GPU peak divided by `p` SMs). The *ratios* `a/c`, `b/c`,
 //! `d/c` come from the calibrated
-//! [`CostModel`](streamk_core::CostModel) — the same constants the
+//! [`CostModel`] — the same constants the
 //! Appendix A.1 grid-size selector uses, so the simulator and the
 //! launch heuristic agree about the cost of splitting (exactly as the
 //! paper's microbenchmark-calibrated deployment would).

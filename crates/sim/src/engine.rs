@@ -1,4 +1,6 @@
-//! The event-driven execution engine.
+//! The event-driven execution engine: `run_des` is the simulator's
+//! one event queue. Every report comes out of it: single, batched and
+//! grouped grids, and the fault simulator's perturbed schedules.
 //!
 //! Dispatch model: CTAs launch in id order onto the
 //! earliest-available SM, one resident CTA per SM — the GPU work
@@ -18,22 +20,33 @@
 //! CTA), so fixup stalls genuinely consume processor time — the effect
 //! the two-tile hybrid exists to hide (§5.2).
 //!
+//! The queue takes a [`SimFaultPlan`] as a perturbation. A slow SM
+//! multiplies every cost term of the CTAs it hosts. A preempted CTA
+//! frees its SM part-way through its first dispatch and is queued
+//! again after its delay, behind every CTA not yet dispatched
+//! (re-dispatches in arrival order), or never. Under the empty plan
+//! every factor is exactly 1.0 and only CTAs in id order are queued,
+//! so a fault-free report keeps its bits. When every SM holds an owner
+//! whose peer never signals, the queue stops and returns what it left
+//! `Unfinished`; the `simulate*` entries assert that nothing is.
+//!
 //! A grid with no seam — every CTA exactly one whole tile, as in every
-//! data-parallel grid — skips the queue and is replayed by waves
-//! (`UniformGrid`). Its CTAs store no partial and wait for none, so
-//! each takes `a + c·iters`, the same for all. The queue starts with
-//! every SM free at 0 and breaks ties by SM id, so CTAs `0..sms` land
-//! on SMs `0..sms` and end together, and the next `sms` pop in SM
-//! order again: CTA `i` runs on SM `i mod sms` in wave `⌊i / sms⌋`,
-//! which starts where the previous wave ended. The replay computes
-//! each end with the queue's own `(start + a) + c·iters` and sums
-//! `mac_busy` in CTA order, so its report is `==` to the queue's,
+//! data-parallel grid — skips the queue under the empty plan and is
+//! replayed by waves (`UniformGrid`). Its CTAs store no partial and
+//! wait for none, so each takes `a + c·iters`, the same for all. The
+//! queue starts with every SM free at 0 and breaks ties by SM id, so
+//! CTAs `0..sms` land on SMs `0..sms` and end together, and the next
+//! `sms` pop in SM order again: CTA `i` runs on SM `i mod sms` in wave
+//! `⌊i / sms⌋`, which starts where the previous wave ended. The replay
+//! computes each end with the queue's own `(start + a) + c·iters` and
+//! sums `mac_busy` in CTA order, so its report is `==` to the queue's,
 //! spans included — the paper's tile-wave term `⌈t / p⌉` (Figure 1),
 //! walked in `⌈t / p⌉` steps instead of `t` heap operations. Every
-//! grid with a seam (Stream-K, fixed-split, the hybrids) and every
-//! ragged group goes through the queue, `run_des`.
+//! grid with a seam (Stream-K, fixed-split, the hybrids), every ragged
+//! group and every perturbed grid goes through the queue.
 
 use crate::cost::{CtaCosts, DEFAULT_MAC_EFFICIENCY};
+use crate::fault::SimFaultPlan;
 use crate::gpu::GpuSpec;
 use crate::report::{CtaSpan, SimReport};
 use std::cmp::Reverse;
@@ -79,7 +92,10 @@ pub fn simulate_with_efficiency(
     debug_assert!(decomp.validate().is_ok(), "invalid decomposition: {:?}", decomp.validate());
     let space = decomp.space();
     let costs = CtaCosts::derive(gpu, precision, space.tile(), mac_efficiency);
-    let (des, partial_records) = dispatch(decomp.ctas(), space.iters_per_tile(), || decomp.fixups(), gpu, &costs);
+    let none = SimFaultPlan::none();
+    let (des, unfinished, partial_records) =
+        dispatch(decomp.ctas(), space.iters_per_tile(), || decomp.fixups(), gpu, &costs, &none);
+    unfinished.assert_none();
     finish_report(des, partial_records, &Volume::of(space, precision, 1), gpu)
 }
 
@@ -102,9 +118,10 @@ pub fn data_parallel_makespan(
     Volume::of(&space, precision, 1).roofline(grid.compute_makespan(gpu.sms, &costs), 0, gpu).makespan
 }
 
-/// Dispatches a grid of `ctas`: by waves when it is a [`UniformGrid`],
-/// through [`run_des`] otherwise. `fixups` is only called in the
-/// second case. Returns the outcome and the number of partial records
+/// Dispatches a grid of `ctas` under `plan`: by waves when the plan is
+/// empty and the grid is a [`UniformGrid`], through [`run_des`]
+/// otherwise. `fixups` is only called in the second case. Returns the
+/// outcome, what it left unfinished and the number of partial records
 /// the grid stores.
 pub(crate) fn dispatch(
     ctas: &[CtaWork],
@@ -112,12 +129,14 @@ pub(crate) fn dispatch(
     fixups: impl FnOnce() -> Vec<TileFixup>,
     gpu: &GpuSpec,
     costs: &CtaCosts,
-) -> (DesOutcome, usize) {
-    if let Some(uniform) = UniformGrid::of(ctas, iters_per_tile) {
-        return (uniform.replay(gpu.sms, costs), 0);
+    plan: &SimFaultPlan,
+) -> (DesOutcome, Unfinished, usize) {
+    if let Some(uniform) = UniformGrid::of(ctas, iters_per_tile).filter(|_| plan.is_empty()) {
+        return (uniform.replay(gpu.sms, costs), Unfinished::default(), 0);
     }
     let grid = GridDesc::from_parts(ctas, iters_per_tile, fixups());
-    (run_des(&grid, gpu, costs), grid.partial_records)
+    let (des, unfinished) = run_des(&grid, gpu, costs, plan);
+    (des, unfinished, grid.partial_records)
 }
 
 /// A grid with no seam: `ctas` CTAs of exactly one whole tile each,
@@ -159,9 +178,9 @@ impl UniformGrid {
         self.waves(sms, costs).last().map_or(0.0, |(_, _, end)| end)
     }
 
-    /// What [`run_des`] returns for this grid, `==` to the last bit:
-    /// CTA `i` on SM `i mod sms`, `mac_busy` summed in CTA order, no
-    /// waits.
+    /// What [`run_des`] returns for this grid under the empty plan,
+    /// `==` to the last bit: CTA `i` on SM `i mod sms`, `mac_busy`
+    /// summed in CTA order, no waits.
     fn replay(self, sms: usize, costs: &CtaCosts) -> DesOutcome {
         let mut spans = Vec::with_capacity(self.ctas);
         let mut mac_busy = 0.0f64;
@@ -177,15 +196,16 @@ impl UniformGrid {
 }
 
 /// A simulator-facing description of a grid: per-CTA iteration
-/// ranges plus the derived fixup structure. Built from single-GEMM
-/// and batched decompositions alike.
+/// ranges plus the derived fixup structure. Built from single-GEMM,
+/// batched and grouped decompositions alike.
 pub(crate) struct GridDesc {
     pub(crate) facts: Vec<CtaFacts>,
     pub(crate) owner_peers: Vec<Vec<usize>>,
     pub(crate) partial_records: usize,
 }
 
-/// Per-CTA static facts the DES consumes.
+/// Per-CTA static facts the DES consumes (all zero for an empty CTA).
+#[derive(Default)]
 pub(crate) struct CtaFacts {
     pub(crate) iters: usize,
     /// First segment stores a partial (it does not start its tile).
@@ -195,8 +215,10 @@ pub(crate) struct CtaFacts {
 }
 
 impl GridDesc {
-    pub(crate) fn from_parts(ctas: &[CtaWork], iters_per_tile: usize, fixups: Vec<TileFixup>) -> Self {
-        let mut owner_peers: Vec<Vec<usize>> = vec![Vec::new(); ctas.len()];
+    /// The grid of `facts`, one per CTA in id order, whose tiles are
+    /// consolidated by `fixups`.
+    pub(crate) fn new(facts: Vec<CtaFacts>, fixups: Vec<TileFixup>) -> Self {
+        let mut owner_peers: Vec<Vec<usize>> = vec![Vec::new(); facts.len()];
         let mut partial_records = 0usize;
         for fixup in fixups {
             partial_records += fixup.peers.len();
@@ -204,11 +226,17 @@ impl GridDesc {
                 owner_peers[fixup.owner] = fixup.peers;
             }
         }
+        Self { facts, owner_peers, partial_records }
+    }
+
+    /// The grid of a single or batched decomposition, whose tiles all
+    /// take `iters_per_tile` iterations.
+    pub(crate) fn from_parts(ctas: &[CtaWork], iters_per_tile: usize, fixups: Vec<TileFixup>) -> Self {
         let facts = ctas
             .iter()
             .map(|cta| {
                 if cta.is_empty() {
-                    return CtaFacts { iters: 0, contributes: false, first_seg_iters: 0 };
+                    return CtaFacts::default();
                 }
                 let tile_first = (cta.iter_begin / iters_per_tile) * iters_per_tile;
                 let first_seg_end = cta.iter_end.min(tile_first + iters_per_tile);
@@ -219,7 +247,7 @@ impl GridDesc {
                 }
             })
             .collect();
-        Self { facts, owner_peers, partial_records }
+        Self::new(facts, fixups)
     }
 }
 
@@ -232,14 +260,44 @@ pub(crate) struct DesOutcome {
     pub(crate) total_wait: f64,
 }
 
+/// What a perturbed schedule did not finish: CTAs evicted for good,
+/// owners still blocked when the queue drained (both sorted), and how
+/// many evicted CTAs were re-dispatched. All empty under the empty
+/// plan unless the grid deadlocks.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Unfinished {
+    pub(crate) lost_ctas: Vec<usize>,
+    pub(crate) unresolved_owners: Vec<usize>,
+    pub(crate) redispatches: usize,
+}
+
+impl Unfinished {
+    /// The fault-free contract of every `simulate*`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every CTA ran once and every owner finished.
+    pub(crate) fn assert_none(&self) {
+        assert!(*self == Self::default(), "simulation deadlocked: {self:?}");
+    }
+}
+
 /// Runs the event-driven dispatch of `grid` on `gpu` at the given
-/// per-CTA costs.
-pub(crate) fn run_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts) -> DesOutcome {
+/// per-CTA costs, perturbed by `plan` (see the module doc). When every
+/// SM holds a blocked owner nothing can dispatch again: the queue
+/// stops there and reports the owners as unfinished.
+pub(crate) fn run_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts, plan: &SimFaultPlan) -> (DesOutcome, Unfinished) {
     let g = grid.facts.len();
     // Min-heap of (free_time, sm). Non-negative f64 orders correctly
     // through its bit pattern.
     let key = |t: f64, sm: usize| Reverse((t.to_bits(), sm));
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..gpu.sms).map(|sm| Reverse((0f64.to_bits(), sm))).collect();
+
+    // CTAs `next..g` have not dispatched yet. Evicted CTAs coming back
+    // wait in `arrivals` as (ready time, cta), in arrival order: sorted
+    // by ready time, ties in eviction order.
+    let mut next = 0usize;
+    let mut arrivals: Vec<(f64, usize)> = Vec::new();
 
     let mut signal_time: Vec<Option<f64>> = vec![None; g];
     let mut spans: Vec<CtaSpan> = Vec::with_capacity(g);
@@ -248,8 +306,9 @@ pub(crate) fn run_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts) -> DesOu
     let mut blocked: Vec<(usize, usize, f64, usize)> = Vec::new();
     let mut mac_busy = 0.0f64;
     let mut total_wait = 0.0f64;
+    let mut unfinished = Unfinished::default();
 
-    let finish_owner = |t_ready: f64, peers: &[usize], signals: &[Option<f64>]| -> (f64, f64) {
+    let finish_owner = |t_ready: f64, d: f64, peers: &[usize], signals: &[Option<f64>]| -> (f64, f64) {
         // Serial accumulation in peer order: each load can begin only
         // after that peer has signaled.
         let mut t = t_ready;
@@ -260,28 +319,57 @@ pub(crate) fn run_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts) -> DesOu
                 waited += sig - t;
                 t = sig;
             }
-            t += costs.d;
+            t += d;
         }
         (t, waited)
     };
 
-    for (cta_id, f) in grid.facts.iter().enumerate() {
-        let Reverse((bits, sm)) = heap.pop().unwrap_or_else(|| {
-            panic!("deadlock: all {} SMs blocked while dispatching CTA {cta_id}", gpu.sms)
-        });
-        let start = f64::from_bits(bits);
-        let mut t = start + costs.a;
+    while next < g || !arrivals.is_empty() {
+        let Some(Reverse((bits, sm))) = heap.pop() else {
+            break; // every SM holds a blocked owner
+        };
+        let t_free = f64::from_bits(bits);
+        // The undispatched CTAs in id order first, then the first
+        // arrival: at once if it is due, else when it is.
+        let (start, cta_id, first_dispatch) = if next < g {
+            next += 1;
+            (t_free, next - 1, true)
+        } else {
+            let (ready, cta) = arrivals.remove(0);
+            (ready.max(t_free), cta, false)
+        };
+        let f = &grid.facts[cta_id];
+        let slow = plan.sm_factor(sm);
 
+        if let Some(p) = plan.preemption_for(cta_id).filter(|_| first_dispatch) {
+            // Evicted mid-MAC-loop: the SM frees, the partial progress
+            // is discarded (no checkpoint), nothing signals.
+            let wasted_iters = (f.iters as f64 * p.progress) as usize;
+            let end = start + slow * (costs.a + costs.c * f.iters as f64 * p.progress);
+            spans.push(CtaSpan { cta_id, sm, start, end, iters: wasted_iters, waited: 0.0 });
+            heap.push(key(end, sm));
+            match p.redispatch_after {
+                Some(delay) => {
+                    let ready = end + delay;
+                    arrivals.insert(arrivals.partition_point(|&(r, _)| r <= ready), (ready, cta_id));
+                    unfinished.redispatches += 1;
+                }
+                None => unfinished.lost_ctas.push(cta_id),
+            }
+            continue;
+        }
+
+        let mut t = start + costs.a * slow;
         if f.contributes {
             // MACs of the first segment, then partial store + signal.
-            t += costs.c * f.first_seg_iters as f64 + costs.b;
+            t += slow * (costs.c * f.first_seg_iters as f64 + costs.b);
             signal_time[cta_id] = Some(t);
             // Remaining segments' MACs.
-            t += costs.c * (f.iters - f.first_seg_iters) as f64;
+            t += slow * costs.c * (f.iters - f.first_seg_iters) as f64;
         } else {
-            t += costs.c * f.iters as f64;
+            t += slow * costs.c * f.iters as f64;
         }
-        mac_busy += costs.c * f.iters as f64;
+        mac_busy += slow * costs.c * f.iters as f64;
 
         let span_idx = spans.len();
         spans.push(CtaSpan { cta_id, sm, start, end: t, iters: f.iters, waited: 0.0 });
@@ -290,7 +378,7 @@ pub(crate) fn run_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts) -> DesOu
         if peers.is_empty() {
             heap.push(key(t, sm));
         } else if peers.iter().all(|&p| signal_time[p].is_some()) {
-            let (end, waited) = finish_owner(t, peers, &signal_time);
+            let (end, waited) = finish_owner(t, costs.d * slow, peers, &signal_time);
             total_wait += waited;
             spans[span_idx].end = end;
             spans[span_idx].waited = waited;
@@ -305,7 +393,8 @@ pub(crate) fn run_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts) -> DesOu
             while i < blocked.len() {
                 let (owner, owner_sm, t_ready, span_idx) = blocked[i];
                 if grid.owner_peers[owner].iter().all(|&p| signal_time[p].is_some()) {
-                    let (end, waited) = finish_owner(t_ready, &grid.owner_peers[owner], &signal_time);
+                    let d = costs.d * plan.sm_factor(owner_sm);
+                    let (end, waited) = finish_owner(t_ready, d, &grid.owner_peers[owner], &signal_time);
                     total_wait += waited;
                     spans[span_idx].end = end;
                     spans[span_idx].waited = waited;
@@ -317,10 +406,16 @@ pub(crate) fn run_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts) -> DesOu
             }
         }
     }
-    assert!(blocked.is_empty(), "simulation ended with {} CTAs still blocked", blocked.len());
+
+    // Owners still blocked wait on a peer that never signals; their
+    // spans end where their own work did, and their unbounded stall
+    // stays out of `total_wait`.
+    unfinished.unresolved_owners = blocked.iter().map(|&(cta, ..)| cta).collect();
+    unfinished.unresolved_owners.sort_unstable();
+    unfinished.lost_ctas.sort_unstable();
 
     let compute_makespan = spans.iter().map(|s| s.end).fold(0.0f64, f64::max);
-    DesOutcome { spans, compute_makespan, mac_busy, total_wait }
+    (DesOutcome { spans, compute_makespan, mac_busy, total_wait }, unfinished)
 }
 
 /// What a launch computes and moves whatever its schedule: everything
@@ -542,7 +637,7 @@ mod tests {
         gpu: &GpuSpec,
         costs: &CtaCosts,
     ) -> (DesOutcome, Option<DesOutcome>) {
-        let queue = run_des(&GridDesc::from_parts(ctas, ipt, fixups), gpu, costs);
+        let (queue, _) = run_des(&GridDesc::from_parts(ctas, ipt, fixups), gpu, costs, &SimFaultPlan::none());
         (queue, UniformGrid::of(ctas, ipt).map(|uniform| uniform.replay(gpu.sms, costs)))
     }
 

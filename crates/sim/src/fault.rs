@@ -3,7 +3,9 @@
 //! Where `streamk-cpu`'s fault plan corrupts the fixup *protocol*
 //! (and proves recovery correct), this module degrades the
 //! *schedule* and quantifies what the paper's timing model predicts
-//! faults cost:
+//! faults cost. It has no event queue of its own: a [`SimFaultPlan`]
+//! is a perturbation of the engine's one queue (`engine::run_des`),
+//! the queue every fault-free report comes from too.
 //!
 //! - **per-SM straggler slowdown** — a slow SM multiplies every cost
 //!   term of the CTAs it hosts, modeling a thermally-throttled or
@@ -23,12 +25,10 @@
 //! one method call away.
 
 use crate::cost::{CtaCosts, DEFAULT_MAC_EFFICIENCY};
-use crate::engine::{finish_report, DesOutcome, GridDesc, Volume};
+use crate::engine::{dispatch, finish_report, Unfinished, Volume};
 use crate::gpu::GpuSpec;
-use crate::report::{CtaSpan, SimReport};
+use crate::report::SimReport;
 use crate::simulate;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 use streamk_core::Decomposition;
 use streamk_types::Precision;
 
@@ -75,8 +75,18 @@ impl SimFaultPlan {
     /// Preempts CTA `cta` (first dispatch only) after `progress` of
     /// its MAC work, re-dispatching it `redispatch_after` seconds
     /// later — or never, if `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `progress` is finite (it is then clamped to
+    /// `[0, 1]`) and a re-dispatch delay is finite and ≥ 0.
     #[must_use]
     pub fn with_preemption(mut self, cta: usize, progress: f64, redispatch_after: Option<f64>) -> Self {
+        assert!(progress.is_finite(), "preemption progress must be finite, got {progress}");
+        assert!(
+            redispatch_after.is_none_or(|delay| delay.is_finite() && delay >= 0.0),
+            "re-dispatch delay must be finite and >= 0, got {redispatch_after:?}"
+        );
         self.preemptions.retain(|&(c, _)| c != cta);
         self.preemptions.push((cta, Preemption { progress: progress.clamp(0.0, 1.0), redispatch_after }));
         self
@@ -172,181 +182,20 @@ pub fn simulate_with_faults(
     precision: Precision,
     plan: &SimFaultPlan,
 ) -> FaultSimReport {
-    debug_assert!(decomp.validate().is_ok(), "invalid decomposition: {:?}", decomp.validate());
     let baseline = simulate(decomp, gpu, precision);
     let space = decomp.space();
-    let tile = space.tile();
-    let costs = CtaCosts::derive(gpu, precision, tile, DEFAULT_MAC_EFFICIENCY);
-    let grid = GridDesc::from_parts(decomp.ctas(), space.iters_per_tile(), decomp.fixups());
-
-    let (des, stats) = run_faulty_des(&grid, gpu, &costs, plan);
-    let faulty = finish_report(des, grid.partial_records, &Volume::of(space, precision, 1), gpu);
-
+    let costs = CtaCosts::derive(gpu, precision, space.tile(), DEFAULT_MAC_EFFICIENCY);
+    let (des, unfinished, partial_records) =
+        dispatch(decomp.ctas(), space.iters_per_tile(), || decomp.fixups(), gpu, &costs, plan);
+    let Unfinished { lost_ctas, unresolved_owners, redispatches } = unfinished;
     FaultSimReport {
-        faulty,
+        faulty: finish_report(des, partial_records, &Volume::of(space, precision, 1), gpu),
         baseline,
-        deadlocked: !stats.unresolved_owners.is_empty(),
-        lost_ctas: stats.lost_ctas,
-        unresolved_owners: stats.unresolved_owners,
-        redispatches: stats.redispatches,
+        deadlocked: !unresolved_owners.is_empty(),
+        lost_ctas,
+        unresolved_owners,
+        redispatches,
     }
-}
-
-struct FaultStats {
-    lost_ctas: Vec<usize>,
-    unresolved_owners: Vec<usize>,
-    redispatches: usize,
-}
-
-/// The queue-based variant of the engine's dispatch loop: CTAs enter
-/// a dispatch queue (initially in id order), and a preempted CTA
-/// re-enters it at its re-dispatch time — the machinery plain
-/// [`simulate`] doesn't need because its CTAs run exactly once.
-fn run_faulty_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts, plan: &SimFaultPlan) -> (DesOutcome, FaultStats) {
-    let g = grid.facts.len();
-    let key = |t: f64, sm: usize| Reverse((t.to_bits(), sm));
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..gpu.sms).map(|sm| Reverse((0f64.to_bits(), sm))).collect();
-
-    let mut pending: VecDeque<usize> = (0..g).collect();
-    // Re-dispatch arrivals not yet in the queue: (ready_time, cta).
-    let mut arrivals: Vec<(f64, usize)> = Vec::new();
-    let mut preempted_once = vec![false; g];
-
-    let mut signal_time: Vec<Option<f64>> = vec![None; g];
-    let mut spans: Vec<CtaSpan> = Vec::with_capacity(g);
-    let mut blocked: Vec<(usize, usize, f64, usize)> = Vec::new();
-    let mut mac_busy = 0.0f64;
-    let mut total_wait = 0.0f64;
-    let mut lost_ctas = Vec::new();
-    let mut redispatches = 0usize;
-
-    let finish_owner = |t_ready: f64, d: f64, peers: &[usize], signals: &[Option<f64>]| -> (f64, f64) {
-        let mut t = t_ready;
-        let mut waited = 0.0;
-        for &p in peers {
-            let sig = signals[p].expect("peer signal resolved");
-            if sig > t {
-                waited += sig - t;
-                t = sig;
-            }
-            t += d;
-        }
-        (t, waited)
-    };
-
-    loop {
-        if pending.is_empty() && arrivals.is_empty() {
-            break;
-        }
-        let Some(Reverse((bits, sm))) = heap.pop() else {
-            // Every SM is occupied by a blocked owner: nothing can
-            // ever dispatch again. Reported, not panicked.
-            break;
-        };
-        let t_free = f64::from_bits(bits);
-
-        // Arrivals whose ready time has passed join the back of the
-        // queue in ready order.
-        arrivals.sort_by(|x, y| x.0.total_cmp(&y.0));
-        while let Some(&(ready, cta)) = arrivals.first() {
-            if ready <= t_free {
-                pending.push_back(cta);
-                arrivals.remove(0);
-            } else {
-                break;
-            }
-        }
-        let (start, cta_id) = if let Some(cta) = pending.pop_front() {
-            (t_free, cta)
-        } else if let Some((ready, cta)) = arrivals.first().copied() {
-            arrivals.remove(0);
-            (ready.max(t_free), cta)
-        } else {
-            heap.push(key(t_free, sm));
-            break;
-        };
-
-        let f = &grid.facts[cta_id];
-        let slow = plan.sm_factor(sm);
-
-        if let Some(p) = plan.preemption_for(cta_id) {
-            if !preempted_once[cta_id] {
-                preempted_once[cta_id] = true;
-                // Evicted mid-MAC-loop: the SM frees, the partial
-                // progress is discarded (no checkpoint), nothing
-                // signals.
-                let wasted_iters = (f.iters as f64 * p.progress) as usize;
-                let end = start + slow * (costs.a + costs.c * f.iters as f64 * p.progress);
-                spans.push(CtaSpan { cta_id, sm, start, end, iters: wasted_iters, waited: 0.0 });
-                heap.push(key(end, sm));
-                match p.redispatch_after {
-                    Some(delay) => {
-                        arrivals.push((end + delay, cta_id));
-                        redispatches += 1;
-                    }
-                    None => lost_ctas.push(cta_id),
-                }
-                continue;
-            }
-        }
-
-        let mut t = start + costs.a * slow;
-        if f.contributes {
-            t += slow * (costs.c * f.first_seg_iters as f64 + costs.b);
-            signal_time[cta_id] = Some(t);
-            t += slow * costs.c * (f.iters - f.first_seg_iters) as f64;
-        } else {
-            t += slow * costs.c * f.iters as f64;
-        }
-        mac_busy += slow * costs.c * f.iters as f64;
-
-        let span_idx = spans.len();
-        spans.push(CtaSpan { cta_id, sm, start, end: t, iters: f.iters, waited: 0.0 });
-
-        let peers = &grid.owner_peers[cta_id];
-        if peers.is_empty() {
-            heap.push(key(t, sm));
-        } else if peers.iter().all(|&p| signal_time[p].is_some()) {
-            let (end, waited) = finish_owner(t, costs.d * slow, peers, &signal_time);
-            total_wait += waited;
-            spans[span_idx].end = end;
-            spans[span_idx].waited = waited;
-            heap.push(key(end, sm));
-        } else {
-            blocked.push((cta_id, sm, t, span_idx));
-        }
-
-        if signal_time[cta_id].is_some() {
-            let mut i = 0;
-            while i < blocked.len() {
-                let (owner, owner_sm, t_ready, span_idx) = blocked[i];
-                if grid.owner_peers[owner].iter().all(|&p| signal_time[p].is_some()) {
-                    let d = costs.d * plan.sm_factor(owner_sm);
-                    let (end, waited) = finish_owner(t_ready, d, &grid.owner_peers[owner], &signal_time);
-                    total_wait += waited;
-                    spans[span_idx].end = end;
-                    spans[span_idx].waited = waited;
-                    heap.push(key(end, owner_sm));
-                    blocked.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    // Owners still blocked are deadlocked on a lost peer; their spans
-    // end where their own work did, and their stall is unbounded — we
-    // leave it out of total_wait (it's infinite) and report them.
-    let mut unresolved_owners: Vec<usize> = blocked.iter().map(|&(cta, ..)| cta).collect();
-    unresolved_owners.sort_unstable();
-    lost_ctas.sort_unstable();
-
-    let compute_makespan = spans.iter().map(|s| s.end).fold(0.0f64, f64::max);
-    (
-        DesOutcome { spans, compute_makespan, mac_busy, total_wait },
-        FaultStats { lost_ctas, unresolved_owners, redispatches },
-    )
 }
 
 #[cfg(test)]
@@ -403,6 +252,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "preemption progress")]
+    fn nan_progress_is_rejected() {
+        let _ = SimFaultPlan::none().with_preemption(0, f64::NAN, Some(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "re-dispatch delay")]
+    fn nan_delay_is_rejected() {
+        let _ = SimFaultPlan::none().with_preemption(0, 0.5, Some(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "re-dispatch delay")]
+    fn negative_delay_is_rejected() {
+        let _ = SimFaultPlan::none().with_preemption(0, 0.5, Some(-1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "re-dispatch delay")]
+    fn infinite_delay_is_rejected() {
+        let _ = SimFaultPlan::none().with_preemption(0, 0.5, Some(f64::INFINITY));
+    }
+
+    #[test]
     fn preempted_cta_redispatches_and_completes() {
         let d = split_decomp();
         let gpu = GpuSpec::a100();
@@ -418,6 +291,19 @@ mod tests {
         let victim_spans: Vec<_> = r.faulty.spans.iter().filter(|s| s.cta_id == victim).collect();
         assert_eq!(victim_spans.len(), 2);
         assert!(r.makespan_amplification() > 1.0);
+    }
+
+    /// Evicted CTAs rejoin the queue behind every undispatched one, in
+    /// arrival order, ties in eviction order: on the overhead-free GPU
+    /// CTAs 0 and 1 are both evicted at t = 0 and ready at once.
+    #[test]
+    fn redispatches_follow_the_grid_in_eviction_order() {
+        let d = Decomposition::data_parallel(GemmShape::new(384, 384, 128), TileShape::new(128, 128, 128));
+        let plan = SimFaultPlan::none().with_preemption(1, 0.0, Some(0.0)).with_preemption(0, 0.0, Some(0.0));
+        let r = simulate_with_faults(&d, &GpuSpec::hypothetical_4sm(), Precision::Fp64, &plan);
+        assert!(r.survived());
+        let order: Vec<usize> = r.faulty.spans.iter().map(|s| s.cta_id).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1]);
     }
 
     #[test]

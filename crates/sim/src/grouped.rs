@@ -2,6 +2,7 @@
 
 use crate::cost::{CtaCosts, DEFAULT_MAC_EFFICIENCY};
 use crate::engine::{finish_report, run_des, CtaFacts, GridDesc, Volume};
+use crate::fault::SimFaultPlan;
 use crate::gpu::GpuSpec;
 use crate::report::SimReport;
 use streamk_core::GroupedDecomposition;
@@ -12,57 +13,32 @@ use streamk_types::Precision;
 ///
 /// # Panics
 ///
-/// Panics if the decomposition is structurally invalid.
+/// Panics if the decomposition is structurally invalid or its
+/// dependency graph deadlocks.
 #[must_use]
 pub fn simulate_grouped(decomp: &GroupedDecomposition, gpu: &GpuSpec, precision: Precision) -> SimReport {
-    simulate_grouped_with_efficiency(decomp, gpu, precision, DEFAULT_MAC_EFFICIENCY)
-}
-
-/// [`simulate_grouped`] with an explicit MAC efficiency.
-///
-/// # Panics
-///
-/// Panics if the decomposition is structurally invalid.
-#[must_use]
-pub fn simulate_grouped_with_efficiency(
-    decomp: &GroupedDecomposition,
-    gpu: &GpuSpec,
-    precision: Precision,
-    mac_efficiency: f64,
-) -> SimReport {
     decomp.validate().expect("invalid grouped decomposition");
     let space = decomp.space();
     let tile = space.instances()[0].tile();
-    let costs = CtaCosts::derive(gpu, precision, tile, mac_efficiency);
+    let costs = CtaCosts::derive(gpu, precision, tile, DEFAULT_MAC_EFFICIENCY);
 
     // Per-CTA facts from the grouped segment walk (iteration depths
     // differ per instance, so the uniform-ipt shortcut doesn't apply).
     let facts: Vec<CtaFacts> = decomp
         .ctas()
         .iter()
-        .map(|cta| {
-            let segs = space.segments(cta);
-            match segs.first() {
-                None => CtaFacts { iters: 0, contributes: false, first_seg_iters: 0 },
-                Some(seg) => CtaFacts {
-                    iters: cta.len(),
-                    contributes: !seg.starts_tile,
-                    first_seg_iters: seg.local_end - seg.local_begin,
-                },
-            }
+        .map(|cta| match space.segments(cta).first() {
+            None => CtaFacts::default(),
+            Some(seg) => CtaFacts {
+                iters: cta.len(),
+                contributes: !seg.starts_tile,
+                first_seg_iters: seg.local_end - seg.local_begin,
+            },
         })
         .collect();
-
-    let mut owner_peers: Vec<Vec<usize>> = vec![Vec::new(); decomp.grid_size()];
-    let mut partial_records = 0usize;
-    for fixup in decomp.fixups() {
-        partial_records += fixup.peers.len();
-        if !fixup.peers.is_empty() {
-            owner_peers[fixup.owner] = fixup.peers;
-        }
-    }
-    let grid = GridDesc { facts, owner_peers, partial_records };
-    let des = run_des(&grid, gpu, &costs);
+    let grid = GridDesc::new(facts, decomp.fixups());
+    let (des, unfinished) = run_des(&grid, gpu, &costs, &SimFaultPlan::none());
+    unfinished.assert_none();
 
     let compulsory_input_bytes: f64 = space
         .instances()

@@ -20,6 +20,10 @@
 //!   `traffic / bandwidth`, which yields the bandwidth-bound regime of
 //!   the paper's Figures 5-7.
 //!
+//! One event queue, [`engine`]'s, produces every report: single,
+//! batched and grouped grids, and the straggler and preemption
+//! schedules of [`fault`], which has no queue of its own.
+//!
 //! What this deliberately does **not** model: warp scheduling,
 //! instruction issue, shared-memory bank conflicts — effects that are
 //! identical across the compared decompositions and therefore cancel
@@ -40,12 +44,12 @@ pub mod svg;
 pub mod timeline;
 pub mod trace;
 
-pub use batched::{simulate_batched, simulate_batched_with_efficiency};
+pub use batched::simulate_batched;
 pub use cost::CtaCosts;
 pub use engine::{data_parallel_makespan, simulate, simulate_with_efficiency};
 pub use fault::{simulate_with_faults, FaultSimReport, Preemption, SimFaultPlan};
 pub use gpu::GpuSpec;
-pub use grouped::{simulate_grouped, simulate_grouped_with_efficiency};
+pub use grouped::simulate_grouped;
 pub use report::{CtaSpan, SimReport};
 pub use svg::{render_svg, SvgOptions};
 pub use trace::{render_chrome_trace, write_chrome_trace};
