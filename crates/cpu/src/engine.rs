@@ -52,7 +52,7 @@ use crate::microkernel::{KernelKind, PackBuffers};
 use crate::output::{OwnedTileWriter, TileWriter};
 use crate::packcache::{mac_loop_instance_cached, transpose_pays, PackCache};
 use crate::sched::CtaScheduler;
-use crate::trace::{self, SpanKind, WorkerRings, WorkerTrace};
+use crate::trace::{Recorder, SpanKind, WorkerRings};
 use crate::workspace::Workspace;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -267,11 +267,10 @@ pub(crate) struct Launch<In, Acc> {
     wait_ns: AtomicU64,
     /// Every recovery, in the order they were performed.
     events: Mutex<Vec<RecoveryEvent>>,
-    /// The launch's own span rings, one per worker id — a traced
-    /// service request's. With `None`, spans go to whatever tracer the
-    /// executing thread has installed (a traced direct launch's
-    /// per-worker ring), if any.
-    spans: Option<WorkerRings>,
+    /// A traced service request's span rings, one per worker id, which
+    /// its workers check their recorders out of. `None` for a direct
+    /// launch: the executor holds those rings.
+    pub(crate) spans: Option<WorkerRings>,
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -336,47 +335,12 @@ impl<In, Acc: Scalar> Launch<In, Acc> {
         (self.cache, self.events.into_inner().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// The launch's own span rings, drained into one track; `None`
-    /// without them.
-    pub(crate) fn drain_spans(&self) -> Option<WorkerTrace> {
-        self.spans.as_ref().map(WorkerRings::drain)
-    }
-
-    /// Opens a span: a timestamp when somebody records, `None` when
-    /// not (a field check and a thread-local flag read).
-    pub(crate) fn start(&self) -> Option<Instant> {
-        if self.spans.is_some() {
-            Some(Instant::now())
-        } else {
-            trace::start()
-        }
-    }
-
-    /// Closes a span worker `wid` opened by [`start`](Self::start)
-    /// now.
-    pub(crate) fn finish(&self, wid: usize, kind: SpanKind, t0: Option<Instant>, arg: u32, arg2: u32) {
-        if let Some(t0) = t0 {
-            self.record(wid, kind, t0, Instant::now(), arg, arg2);
-        }
-    }
-
-    /// Records worker `wid`'s span `[t0, t1)` into the launch's own
-    /// ring for `wid`, or the executing thread's tracer when the
-    /// launch has none.
-    pub(crate) fn record(&self, wid: usize, kind: SpanKind, t0: Instant, t1: Instant, arg: u32, arg2: u32) {
-        match &self.spans {
-            Some(rings) => rings.record(wid, kind, t0, t1, arg, arg2),
-            None => trace::record(kind, t0, t1, arg, arg2),
-        }
-    }
-
-    /// The contributor side: worker `wid` publishes `partial` as CTA
-    /// `cta`'s record for its tile's owner — or whatever the fault plan
-    /// makes of it. Partials travel *unscaled*; the epilogue is the
-    /// owner's.
+    /// The contributor side: publishes `partial` as CTA `cta`'s record
+    /// for its tile's owner — or whatever the fault plan makes of it.
+    /// Partials travel *unscaled*; the epilogue is the owner's.
     fn contribute(
         &self,
-        wid: usize,
+        rec: &Recorder<'_>,
         cta: usize,
         partial: Vec<Acc>,
         ws: &mut Workspace<In, Acc>,
@@ -394,20 +358,20 @@ impl<In, Acc: Scalar> Launch<In, Acc> {
                 if let Some(FaultKind::Straggle(delay)) = fault {
                     std::thread::sleep(delay);
                 }
-                let t0 = self.start();
+                let t0 = rec.start();
                 // The buffer's ownership passes through the board to
                 // the owner, whose pool it then feeds.
                 self.board.store_and_signal(cta, partial)?;
-                self.finish(wid, SpanKind::Signal, t0, cta as u32, 0);
+                rec.finish(SpanKind::Signal, t0, cta as u32, 0);
             }
         }
         Ok(())
     }
 
-    /// Worker `wid` probes `peer`'s slot once (`block` false), or
-    /// under the watchdog's backoff ladder until it resolves, the
-    /// launch dies or the deadline expires.
-    fn take(&self, wid: usize, peer: usize, block: bool) -> Taken<Acc> {
+    /// Probes `peer`'s slot once (`block` false), or under the
+    /// watchdog's backoff ladder until it resolves, the launch dies or
+    /// the deadline expires.
+    fn take(&self, rec: &Recorder<'_>, peer: usize, block: bool) -> Taken<Acc> {
         let probe = || {
             if self.is_dead() {
                 return Some(Taken::Dead);
@@ -425,7 +389,7 @@ impl<In, Acc: Scalar> Launch<In, Acc> {
         let (probed, rounds) = self.policy.wait_until_counted(probe);
         let t1 = Instant::now();
         self.wait_ns.fetch_add(t1.duration_since(t0).as_nanos() as u64, Ordering::Relaxed);
-        self.record(wid, SpanKind::Wait, t0, t1, peer as u32, rounds);
+        rec.record(SpanKind::Wait, t0, t1, peer as u32, rounds);
         probed.unwrap_or_else(|waited| Taken::Lost(RecoveryCause::Timeout(waited)))
     }
 }
@@ -472,11 +436,13 @@ fn accumulate<Acc: Scalar>(accum: &mut [Acc], partial: &[Acc]) {
 }
 
 /// One worker's view of a launch: what it executes CTAs of. `wid` also
-/// selects the worker's pack-cache shard.
+/// selects the worker's pack-cache shard; `rec` is the ring it checked
+/// out for this stretch of work, which every span it records goes to.
 pub(crate) struct Worker<'a, In, Acc> {
     pub(crate) launch: &'a Launch<In, Acc>,
     pub(crate) grid: &'a Grid<'a, In, Acc>,
     pub(crate) wid: usize,
+    pub(crate) rec: &'a Recorder<'a>,
 }
 
 impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
@@ -489,6 +455,7 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
             self.launch.cache.as_ref(),
             instance,
             self.wid,
+            self.rec,
             &inst.a,
             &inst.b,
             inst.space(),
@@ -511,15 +478,15 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
         ws: &mut Workspace<In, Acc>,
         block: bool,
     ) -> Result<Progress, ExecutorError> {
-        let (launch, grid, wid) = (self.launch, self.grid, self.wid);
+        let (launch, grid, rec) = (self.launch, self.grid, self.rec);
         let peers = launch.peers.peers(d.owner);
         while let Some(&peer) = peers.get(d.next_peer) {
-            let cause = match launch.take(wid, peer, block) {
+            let cause = match launch.take(rec, peer, block) {
                 Taken::Ready(partial) => {
-                    let t0 = launch.start();
+                    let t0 = rec.start();
                     accumulate(&mut d.accum, &partial);
                     ws.recycle_partial(partial);
-                    launch.finish(wid, SpanKind::LoadPartials, t0, peer as u32, 0);
+                    rec.finish(SpanKind::LoadPartials, t0, peer as u32, 0);
                     d.next_peer += 1;
                     continue;
                 }
@@ -534,7 +501,7 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
                 }
                 .into());
             }
-            let t0 = launch.start();
+            let t0 = rec.start();
             let inst = &grid.instances[d.instance];
             let tile_idx = grid.global_tile(d.instance, d.tile);
             let lost = peer_contribution(&inst.local(&grid.ctas[peer]), inst.space(), d.tile).ok_or_else(|| {
@@ -545,7 +512,7 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
             ws.reset_scratch();
             self.mac(d.instance, &lost, &mut ws.scratch, &mut ws.pack);
             accumulate(&mut d.accum, &ws.scratch);
-            launch.finish(wid, SpanKind::Recovery, t0, peer as u32, lost.len() as u32);
+            rec.finish(SpanKind::Recovery, t0, peer as u32, lost.len() as u32);
             lock(&launch.events).push(RecoveryEvent { peer, tile_idx, cause, recomputed_iters: lost.len() });
             d.next_peer += 1;
         }
@@ -595,7 +562,7 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
         ws: &mut Workspace<In, Acc>,
         mut park: impl FnMut(Deferred<Acc>),
     ) -> Result<usize, ExecutorError> {
-        let (launch, grid, wid) = (self.launch, self.grid, self.wid);
+        let (launch, grid, rec) = (self.launch, self.grid, self.rec);
         let id = unit.cta_id;
         let mut stored = 0;
         for (instance, part) in grid.parts(unit) {
@@ -604,12 +571,12 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
                     return Ok(stored);
                 }
                 let mut accum = ws.take_partial();
-                let t0 = launch.start();
+                let t0 = rec.start();
                 self.mac(instance, &seg, &mut accum, &mut ws.pack);
-                launch.finish(wid, SpanKind::Mac, t0, seg.tile_idx as u32, seg.len() as u32);
+                rec.finish(SpanKind::Mac, t0, seg.tile_idx as u32, seg.len() as u32);
                 if !seg.starts_tile {
                     // Joined the tile mid-stream: its owner consolidates.
-                    launch.contribute(wid, id, accum, ws)?;
+                    launch.contribute(rec, id, accum, ws)?;
                     continue;
                 }
                 if !seg.ends_tile {
@@ -624,8 +591,8 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
                         Progress::Done => accum = d.accum,
                         Progress::Parked => {
                             launch.deferrals.fetch_add(1, Ordering::Relaxed);
-                            if let Some(now) = launch.start() {
-                                launch.record(wid, SpanKind::DeferPark, now, now, d.tile as u32, d.next_peer as u32);
+                            if let Some(now) = rec.start() {
+                                rec.record(SpanKind::DeferPark, now, now, d.tile as u32, d.next_peer as u32);
                             }
                             park(d);
                             continue;
@@ -661,13 +628,13 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
         ws: &mut Workspace<In, Acc>,
         block: bool,
     ) -> Result<Progress, ExecutorError> {
-        let t0 = self.launch.start();
+        let t0 = self.rec.start();
         let progress = self.fold(d, ws, block)?;
         if progress == Progress::Done {
             self.grid.store(d.instance, d.tile, &d.accum);
             // Only a resumption that completes is a span: fruitless
             // polls (the peer still pending) would flood the ring.
-            self.launch.finish(self.wid, SpanKind::DeferResume, t0, d.tile as u32, 0);
+            self.rec.finish(SpanKind::DeferResume, t0, d.tile as u32, 0);
         }
         Ok(progress)
     }
@@ -687,11 +654,11 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
     /// As [`run_unit`](Self::run_unit); the worker stops at its first
     /// error.
     pub(crate) fn run(&self, sched: &CtaScheduler, ws: &mut Workspace<In, Acc>) -> Result<(), ExecutorError> {
-        let (launch, wid) = (self.launch, self.wid);
+        let (rec, wid) = (self.rec, self.wid);
         let mut deferred = Vec::new();
         loop {
             self.drain(&mut deferred, ws, false)?;
-            let t0 = launch.start();
+            let t0 = rec.start();
             let Some(claim) = sched.next_claim(wid) else { break };
             let unit = sched.unit(claim.id, self.grid.ctas);
             let cta = unit.cta_id as u32;
@@ -700,11 +667,11 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
             let claimed = t0.map(|t0| {
                 let now = Instant::now();
                 let kind = if claim.stolen { SpanKind::Steal } else { SpanKind::Claim };
-                launch.record(wid, kind, t0, now, cta, 0);
+                rec.record(kind, t0, now, cta, 0);
                 now
             });
             self.run_unit(unit, ws, |d| deferred.push(d))?;
-            launch.finish(wid, SpanKind::Cta, claimed, cta, wid as u32);
+            rec.finish(SpanKind::Cta, claimed, cta, wid as u32);
         }
         self.drain(&mut deferred, ws, true)
     }
@@ -794,7 +761,7 @@ mod tests {
                 let (launch, grid, sched) = (&launch, &grid, &sched);
                 scope.spawn(move || {
                     let mut ws = Workspace::new(grid.tile_len());
-                    Worker { launch, grid, wid }.run(sched, &mut ws).expect("recovery masks every fault");
+                    Worker { launch, grid, wid, rec: &Recorder::off() }.run(sched, &mut ws).expect("recovery masks every fault");
                 });
             }
         });

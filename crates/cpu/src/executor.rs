@@ -26,10 +26,9 @@ use crate::fixup::WaitPolicy;
 use crate::microkernel::KernelKind;
 use crate::output::{OwnedTileWriter, TileWriter};
 use crate::packcache::{operands_pack, PackCache};
-use crate::pad::CachePadded;
 use crate::pool::WorkerPool;
 use crate::sched::CtaScheduler;
-use crate::trace::{self, ExecTrace, SpanKind, WorkerTrace, WorkerTracer};
+use crate::trace::{self, ExecTrace, Recorder, SpanKind, SpareRings, WorkerRings};
 use crate::workspace::Workspace;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -472,32 +471,25 @@ impl CpuExecutor {
         }
     }
 
-    /// One armed tracer per worker id for a launch starting at
-    /// `epoch`. The rings are the ones the previous traced launch left
-    /// in the pool's launch-level store, rebased — rings belong to
-    /// worker ids, never to threads, so worker 0 costs one ring however
-    /// many threads launch — or fresh ones on the first traced launch
-    /// (and for a clone tracing at another capacity). As with the pack
-    /// arena, a launch on a clone that overlaps this one finds the
-    /// store empty and allocates, nothing worse.
-    fn arm_tracers(&self, epoch: Instant) -> Vec<TracerSlot> {
-        let capacity = self.config.trace_capacity;
-        let rested = std::mem::take(
-            self.worker_pool().launch_scratch().get_or_insert_with(Vec::<WorkerTracer>::new),
-        );
-        let mut rested = rested.into_iter().filter(|t| t.capacity() == capacity);
-        (0..self.config.threads)
-            .map(|_| {
-                let tracer = match rested.next() {
-                    Some(mut tracer) => {
-                        tracer.reset(epoch);
-                        tracer
-                    }
-                    None => WorkerTracer::new(epoch, capacity),
-                };
-                CachePadded::new(Mutex::new(Some(tracer)))
-            })
-            .collect()
+    /// The span rings of a traced launch starting at `epoch`, one per
+    /// worker id: the ones the previous traced launch left in the
+    /// pool's launch-level store, rebased — rings belong to worker ids,
+    /// never to threads, so worker 0 costs one ring however many
+    /// threads launch — or new ones, which allocate a ring per slot at
+    /// its first check-out (on the first traced launch, and for a clone
+    /// tracing at another capacity). As with the pack arena, a launch
+    /// on a clone that overlaps this one finds the store empty and
+    /// allocates, nothing worse.
+    fn launch_rings(&self, epoch: Instant) -> WorkerRings {
+        let (capacity, workers) = (self.config.trace_capacity, self.config.threads);
+        let rested = self.worker_pool().launch_scratch().get_or_insert_with(|| None::<WorkerRings>).take();
+        match rested.filter(|rings| rings.fits(capacity, workers)) {
+            Some(mut rings) => {
+                rings.rebase(epoch);
+                rings
+            }
+            None => WorkerRings::new(epoch, capacity, workers, &SpareRings::default()),
+        }
     }
 
     /// Ends a traced launch: completes each worker's timeline with the
@@ -506,38 +498,24 @@ impl CpuExecutor {
     /// helper that recorded nothing because it arrived after the close
     /// — drains the rings into the launch's [`ExecTrace`], and rests
     /// them in the pool for the next traced launch.
-    fn retire_tracers(
+    fn retire_rings(
         &self,
-        slots: Vec<TracerSlot>,
+        mut rings: WorkerRings,
         epoch: Instant,
         share_end: Option<Instant>,
         end: Instant,
     ) -> ExecTrace {
-        let mut rested = Vec::with_capacity(slots.len());
-        let workers = slots
-            .into_iter()
-            .enumerate()
-            .map(|(wid, slot)| {
-                // An empty slot: the worker panicked with its tracer
-                // installed, and its spans went with it.
-                let Some(mut tracer) =
-                    slot.0.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
-                else {
-                    return WorkerTrace::default();
-                };
-                if wid == 0 {
-                    if let Some(share_end) = share_end {
-                        tracer.record(SpanKind::Launch, share_end, end, trace::LAUNCH_JOIN, 0);
-                    }
-                } else if tracer.is_empty() {
-                    tracer.record(SpanKind::Launch, epoch, end, trace::LAUNCH_SKIPPED, 0);
-                }
-                let trace = tracer.drain();
-                rested.push(tracer);
-                trace
-            })
-            .collect();
-        *self.worker_pool().launch_scratch().get_or_insert_with(Vec::new) = rested;
+        if let Some(share_end) = share_end {
+            rings.check_out(0).record(SpanKind::Launch, share_end, end, trace::LAUNCH_JOIN, 0);
+        }
+        for wid in 1..self.config.threads {
+            let rec = rings.check_out(wid);
+            if rec.is_empty() {
+                rec.record(SpanKind::Launch, epoch, end, trace::LAUNCH_SKIPPED, 0);
+            }
+        }
+        let workers = rings.drain_each();
+        *self.worker_pool().launch_scratch().get_or_insert_with(|| None::<WorkerRings>) = Some(rings);
         ExecTrace { workers, wall_ns: end.duration_since(epoch).as_nanos() as u64 }
     }
 
@@ -808,38 +786,34 @@ impl CpuExecutor {
         let sched = CtaScheduler::over_units(grid.units(units), grid.ctas.len(), workers);
         let tile_len = grid.tile_len();
         // One shared epoch so every worker's span timestamps (and the
-        // wall clock below) share a zero; each worker id gets a
-        // private ring through its own uncontended slot.
-        let tracing = self.config.trace;
+        // wall clock below) share a zero; each worker id checks its
+        // ring out of its own uncontended slot for its whole share.
         let epoch = Instant::now();
-        let tracers = if tracing { self.arm_tracers(epoch) } else { Vec::new() };
+        let rings = self.config.trace.then(|| self.launch_rings(epoch));
         // When worker 0 (this thread) finished its share: the start of
         // the launch's join, which only the launcher can time.
         let share_end = OnceLock::new();
         self.worker_pool().run(&|wid, scratch| {
-            if tracing {
-                if let Some(tracer) = lock_slot(&tracers[wid]).take() {
-                    trace::install(tracer);
-                }
-                trace::finish_at(SpanKind::Launch, epoch, trace::LAUNCH_WAKE, 0);
+            let rec = rings.as_ref().map_or_else(Recorder::off, |rings| rings.check_out(wid));
+            if let Some(now) = rec.start() {
+                rec.record(SpanKind::Launch, epoch, now, trace::LAUNCH_WAKE, 0);
             }
             // The workspace survives in the worker's scratch store
             // across launches: pack staging and the pool of tile-sized
             // buffers stay warm from GEMM to GEMM.
             let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(tile_len));
             ws.begin_launch(tile_len);
-            if let Err(e) = (Worker { launch: &launch, grid, wid }).run(&sched, ws) {
+            if let Err(e) = (Worker { launch: &launch, grid, wid, rec: &rec }).run(&sched, ws) {
                 // The launch has failed: the other workers stop at
                 // their next segment or fold step instead of finishing
                 // (or waiting a watchdog out for) a result nobody gets.
                 launch.kill();
                 error.lock().unwrap_or_else(std::sync::PoisonError::into_inner).get_or_insert(e);
             }
-            if tracing {
-                if wid == 0 {
-                    let _ = share_end.set(Instant::now());
+            if wid == 0 {
+                if let Some(now) = rec.start() {
+                    let _ = share_end.set(now);
                 }
-                *lock_slot(&tracers[wid]) = trace::take();
             }
         });
         let end = Instant::now();
@@ -853,8 +827,8 @@ impl CpuExecutor {
         stats.wait_stall_ns.store(launch.wait_stall().as_nanos() as u64, Ordering::Relaxed);
         stats.recoveries.store(launch.recoveries(), Ordering::Relaxed);
         stats.launches.fetch_add(1, Ordering::Relaxed);
-        if tracing {
-            let trace = self.retire_tracers(tracers, epoch, share_end.get().copied(), end);
+        if let Some(rings) = rings {
+            let trace = self.retire_rings(rings, epoch, share_end.get().copied(), end);
             let mut sink =
                 self.trace_sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             *sink = Some(trace);
@@ -867,14 +841,6 @@ impl CpuExecutor {
             None => Ok(RecoveryReport { events }),
         }
     }
-}
-
-/// Where a traced launch hands worker `id` its tracer and takes it
-/// back: locked once at each end of that worker's job, by nobody else.
-type TracerSlot = CachePadded<Mutex<Option<WorkerTracer>>>;
-
-fn lock_slot(slot: &TracerSlot) -> std::sync::MutexGuard<'_, Option<WorkerTracer>> {
-    slot.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn check_shape(

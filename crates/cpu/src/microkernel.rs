@@ -179,11 +179,13 @@ impl fmt::Display for KernelKind {
 
 /// Executes local MAC-loop iterations `[local_begin, local_end)` of
 /// `tile_idx` with `kind`'s kernel, adding into `accum` (row-major
-/// `BLK_M × BLK_N`). The one dispatch point behind every executor.
-///
-/// `bufs` is the caller's pack staging; untouched by
-/// [`KernelKind::Scalar`]. [`KernelKind::Block`] packs and runs at
-/// [`KernelKind::panel_geometry`] for `In`.
+/// `BLK_M × BLK_N`): the always-pack path. [`KernelKind::Block`] packs
+/// both operands of the segment into `bufs` whatever their strides
+/// and runs at [`KernelKind::panel_geometry`] for `In`;
+/// [`KernelKind::Scalar`] leaves `bufs` untouched. No launch calls it
+/// (launches read each operand from the cheapest source, through
+/// [`mac_loop_kernel_cached`](crate::mac_loop_kernel_cached)), and it
+/// records no span.
 ///
 /// # Panics
 ///
@@ -251,12 +253,10 @@ fn mac_loop_panels<In, Acc, const MR_: usize, const NR_: usize>(
     // contiguous k-range (the last chunk clamped to the problem's k).
     let ks = space.k_extents(local_begin).start..space.k_extents(local_end - 1).end;
 
-    let t0 = crate::trace::start();
     let a_out = stage(&mut bufs.a, packed_a_len(rows.len(), ks.len(), MR_));
     pack_a_slice(a, rows, ks.clone(), MR_, a_out);
     let b_out = stage(&mut bufs.b, packed_b_len(ks.len(), cols.len(), NR_));
     pack_b_slice(b, ks.clone(), cols, NR_, b_out);
-    crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx as u32, ks.len() as u32);
 
     mac_loop_cached::<In, Acc, MR_, NR_>(
         level,

@@ -115,6 +115,7 @@ use crate::fixup::WaitPolicy;
 use crate::macloop::mac_loop_view;
 use crate::microkernel::{at_block, mac_loop_cached, stage, KernelKind, PackBuffers, PanelSpan};
 use crate::simd::SimdLevel;
+use crate::trace::{Recorder, SpanKind};
 
 /// Target k-steps per cache chunk, fixed by the sweep in DESIGN.md
 /// §9. Every chunk seam costs a fetch per operand and a store and
@@ -378,7 +379,7 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
         chunk: usize,
         shard: usize,
     ) -> Option<PanelGuard<'c, In>> {
-        self.a_chunk_of(0, a, tm, chunk, shard)
+        self.a_chunk_of(&Recorder::off(), 0, a, tm, chunk, shard)
     }
 
     /// Chunk `chunk` of the B column-panel for tile column `tn` in
@@ -390,13 +391,15 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
         chunk: usize,
         shard: usize,
     ) -> Option<PanelGuard<'c, In>> {
-        self.b_chunk_of(0, b, tn, chunk, shard)
+        self.b_chunk_of(&Recorder::off(), 0, b, tn, chunk, shard)
     }
 
     /// [`a_chunk`](Self::a_chunk) for instance `instance` of a
-    /// batched or grouped launch, `a` being that instance's operand.
+    /// batched or grouped launch, `a` being that instance's operand; a
+    /// pack it wins is a span of `rec`.
     fn a_chunk_of<'c>(
         &'c self,
+        rec: &Recorder<'_>,
         instance: usize,
         a: &MatrixView<'_, In>,
         tm: usize,
@@ -410,13 +413,14 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
         let (ks, mr, shard) = (chunk_ks(&inst.space, chunk), self.mr, shard % self.shards);
         let slot = inst.a_base? as usize + (shard * inst.space.tiles_m() + tm) * inst.chunks + chunk;
         let len = packed_a_len(rows.len(), ks.len(), mr);
-        self.fetch(slot, shard, len, tm as u32, 0, |out| pack_a_slice(a, rows, ks, mr, out))
+        self.fetch(rec, slot, shard, len, tm as u32, 0, |out| pack_a_slice(a, rows, ks, mr, out))
     }
 
     /// [`b_chunk`](Self::b_chunk) for instance `instance`; as
     /// [`a_chunk_of`](Self::a_chunk_of).
     fn b_chunk_of<'c>(
         &'c self,
+        rec: &Recorder<'_>,
         instance: usize,
         b: &MatrixView<'_, In>,
         tn: usize,
@@ -430,13 +434,15 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
         let (ks, nr, shard) = (chunk_ks(&inst.space, chunk), self.nr, shard % self.shards);
         let slot = inst.b_base? as usize + (shard * inst.space.tiles_n() + tn) * inst.chunks + chunk;
         let len = packed_b_len(ks.len(), cols.len(), nr);
-        self.fetch(slot, shard, len, tn as u32, 1, |out| pack_b_slice(b, ks, cols, nr, out))
+        self.fetch(rec, slot, shard, len, tn as u32, 1, |out| pack_b_slice(b, ks, cols, nr, out))
     }
 
     /// The claim/publish core shared by both operand tables. `tag` and
-    /// `operand` (0 = A, 1 = B) label the pack span in traces.
+    /// `operand` (0 = A, 1 = B) label the pack span `rec` records.
+    #[allow(clippy::too_many_arguments)]
     fn fetch<'c>(
         &'c self,
+        rec: &Recorder<'_>,
         slot: usize,
         shard: usize,
         len: usize,
@@ -450,10 +456,10 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
         }
         let packed = self.table.claim_and_pack(slot, shard, len, |out| {
             // This CTA won the claim: pack, then publish.
-            let t0 = crate::trace::start();
+            let t0 = rec.start();
             pack(out);
             self.packs.fetch_add(1, Ordering::Relaxed);
-            crate::trace::finish(crate::trace::SpanKind::PackCached, t0, tag, operand);
+            rec.finish(SpanKind::PackCached, t0, tag, operand);
         });
         if let Some(chunk) = packed {
             return Some(PanelGuard(chunk));
@@ -553,8 +559,9 @@ pub(crate) fn transpose_pays<In: Copy>(
 }
 
 /// Packs `v[lanes, ks]` into the staging buffer `buf` and returns the
-/// panels.
+/// panels; the pack is a span of `rec`.
 fn pack_private<'b, In: Copy + Default>(
+    rec: &Recorder<'_>,
     v: &MatrixView<'_, In>,
     lanes: Range<usize>,
     ks: Range<usize>,
@@ -562,11 +569,11 @@ fn pack_private<'b, In: Copy + Default>(
     buf: &'b mut AlignedVec<In>,
     tile_idx: u32,
 ) -> &'b [In] {
-    let t0 = crate::trace::start();
+    let t0 = rec.start();
     let out = stage(buf, packed_a_len(lanes.len(), ks.len(), width));
     let kc = ks.len() as u32;
     pack_a_slice(v, lanes, ks, width, out);
-    crate::trace::finish(crate::trace::SpanKind::PackPrivate, t0, tile_idx, kc);
+    rec.finish(SpanKind::PackPrivate, t0, tile_idx, kc);
     out
 }
 
@@ -575,9 +582,11 @@ fn pack_private<'b, In: Copy + Default>(
 /// the k-range the segment covers inside the chunk, which is what a
 /// private pack or an in-place window spans; `cached` fetches the
 /// launch cache's copy of the whole chunk `chunk_ks`, if there is a
-/// cache and the chunk's packer did not stall.
+/// cache and the chunk's packer did not stall. Private packs are spans
+/// of `rec`.
 #[allow(clippy::too_many_arguments)]
 fn operand_span<'x, In: Copy + Default>(
+    rec: &Recorder<'_>,
     source: &Source,
     v: &MatrixView<'x, In>,
     width: usize,
@@ -596,12 +605,12 @@ fn operand_span<'x, In: Copy + Default>(
             // and only that, keeps the zero-padded packed path.
             let ragged = lanes.len() % width;
             let edge = (ragged != 0)
-                .then(|| pack_private(v, lanes.end - ragged..lanes.end, ks.clone(), width, buf, tile_idx));
+                .then(|| pack_private(rec, v, lanes.end - ragged..lanes.end, ks.clone(), width, buf, tile_idx));
             PanelSpan::in_place(&span[origin..], width, lane_stride, k_stride, ks, edge)
         }
         Source::Packed => match cached() {
             Some(chunk) => PanelSpan::packed(chunk, width, chunk_ks),
-            None => PanelSpan::packed(pack_private(v, lanes, ks.clone(), width, buf, tile_idx), width, ks),
+            None => PanelSpan::packed(pack_private(rec, v, lanes, ks.clone(), width, buf, tile_idx), width, ks),
         },
     }
 }
@@ -657,20 +666,21 @@ pub fn mac_loop_kernel_cached<In, Acc>(
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    mac_loop_instance_cached(
-        kind, cache, 0, shard, a, b, space, tile_idx, local_begin, local_end, accum, bufs,
-    );
+    let off = Recorder::off();
+    mac_loop_instance_cached(kind, cache, 0, shard, &off, a, b, space, tile_idx, local_begin, local_end, accum, bufs);
 }
 
 /// [`mac_loop_kernel_cached`] for instance `instance` of a batched or
-/// grouped launch: `a`, `b` and `space` are that instance's, and
-/// `cache` is the launch's one table spanning every instance.
+/// grouped launch: `a`, `b` and `space` are that instance's, `cache` is
+/// the launch's one table spanning every instance, and every pack the
+/// segment does is a span of `rec`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mac_loop_instance_cached<In, Acc>(
     kind: KernelKind,
     cache: Option<&PackCache<In>>,
     instance: usize,
     shard: usize,
+    rec: &Recorder<'_>,
     a: &MatrixView<'_, In>,
     b: &MatrixView<'_, In>,
     space: &IterSpace,
@@ -690,7 +700,7 @@ pub(crate) fn mac_loop_instance_cached<In, Acc>(
     macro_rules! run {
         ($mr:literal, $nr:literal) => {
             walk_chunks::<In, Acc, $mr, $nr>(
-                level, cache, instance, shard, a, b, space, tile_idx, local_begin, local_end, accum, bufs,
+                level, cache, instance, shard, rec, a, b, space, tile_idx, local_begin, local_end, accum, bufs,
             )
         };
     }
@@ -705,6 +715,7 @@ fn walk_chunks<In, Acc, const MR_: usize, const NR_: usize>(
     cache: Option<&PackCache<In>>,
     instance: usize,
     shard: usize,
+    rec: &Recorder<'_>,
     a: &MatrixView<'_, In>,
     b: &MatrixView<'_, In>,
     space: &IterSpace,
@@ -738,24 +749,26 @@ fn walk_chunks<In, Acc, const MR_: usize, const NR_: usize>(
         let whole = chunk_ks(space, chunk);
 
         let a_span = operand_span(
+            rec,
             &a_source,
             a,
             MR_,
             rows.clone(),
             ks.clone(),
             whole.clone(),
-            || cache.and_then(|c| c.a_chunk_of(instance, a, tm, chunk, shard)).map(|g| g.0),
+            || cache.and_then(|c| c.a_chunk_of(rec, instance, a, tm, chunk, shard)).map(|g| g.0),
             &mut bufs.a,
             tile_idx as u32,
         );
         let b_span = operand_span(
+            rec,
             &b_source,
             &bt,
             NR_,
             cols.clone(),
             ks,
             whole,
-            || cache.and_then(|c| c.b_chunk_of(instance, b, tn, chunk, shard)).map(|g| g.0),
+            || cache.and_then(|c| c.b_chunk_of(rec, instance, b, tn, chunk, shard)).map(|g| g.0),
             &mut bufs.b,
             tile_idx as u32,
         );

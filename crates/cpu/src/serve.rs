@@ -82,7 +82,7 @@ use crate::sched::GridCursor;
 use crate::telemetry::{
     IncidentReport, RequestTrace, ServeTrace, ServiceCounter, ServiceEventKind, TelemetryRegistry,
 };
-use crate::trace::{SpanKind, SpareRings, WorkerRings};
+use crate::trace::{Recorder, SpanKind, SpareRings, WorkerRings};
 use crate::workspace::Workspace;
 use std::collections::VecDeque;
 use std::fmt;
@@ -154,15 +154,16 @@ pub struct ServeConfig {
     /// tail latency under mixed sizes.
     pub window: usize,
     /// Record a per-request span timeline for every request (queue
-    /// wait, CTA, MAC, fixup, recovery), harvested on completion via
-    /// [`GemmService::take_trace`]. Off by default: when off, no span
-    /// ring is allocated and every recording site is a `None` check.
+    /// wait, CTA, MAC, private packing, fixup, recovery), harvested on
+    /// completion via [`GemmService::take_trace`]. Off by default: when
+    /// off, no span ring is allocated and every recording site is a
+    /// `None` check.
     pub trace: bool,
     /// Span-ring capacity (spans) of each worker that records for a
     /// request when [`trace`](Self::trace) is on — a request keeps one
-    /// ring per worker id, allocated at that worker's first span; full
-    /// rings drop their oldest span, exactly like the single-launch
-    /// tracer.
+    /// ring per worker id, drawn from the service's spare rings (or
+    /// allocated) when that worker first records for it; full rings
+    /// drop their oldest span, exactly like a launch's.
     pub trace_capacity: usize,
 }
 
@@ -470,7 +471,7 @@ struct RequestCell<In, Acc> {
     decomp: Decomposition,
     /// The engine's per-launch state, for this request's whole life:
     /// peers, fixup board, fault plan, kernel, the deferral / wait /
-    /// recovery counters, the request-scoped span ring (only when the
+    /// recovery counters, the request's span rings (only when the
     /// service was started with `ServeConfig::trace`), and the
     /// liveness flag — set by the transition into any terminal state,
     /// so workers stop spending cycles on the request.
@@ -528,12 +529,18 @@ impl<In, Acc: Scalar> RequestCell<In, Acc> {
         false
     }
 
-    /// What the request's span ring holds, drained, as its track of
+    /// What the request's span rings hold, drained, as its track of
     /// the service trace; `None` for an untraced request.
     fn drain_trace(&self) -> Option<RequestTrace> {
         let (id, lane, group) = (self.id, self.priority.lane(), self.group);
-        let trace = self.launch.drain_spans()?;
+        let trace = self.launch.spans.as_ref()?.drain();
         Some(RequestTrace { id, lane, group, spans: trace.spans, dropped: trace.dropped })
+    }
+
+    /// Worker `wid`'s ring of this request, checked out until the
+    /// recorder drops; off for an untraced request.
+    fn recorder(&self, wid: usize) -> Recorder<'_> {
+        self.launch.spans.as_ref().map_or_else(Recorder::off, |rings| rings.check_out(wid))
     }
 
     fn stats_snapshot(&self, now: Instant) -> RequestStats {
@@ -590,13 +597,13 @@ impl<In, Acc: Scalar> RequestCell<In, Acc> {
 
 impl<In: Promote<Acc>, Acc: Scalar> RequestCell<In, Acc> {
     /// Runs `f` on worker `wid`'s view of the request as the engine
-    /// sees it: a grid of one instance, stored unscaled into the
-    /// request's own buffer.
-    fn with_worker<R>(&self, wid: usize, f: impl FnOnce(Worker<'_, In, Acc>) -> R) -> R {
+    /// sees it, recording into `rec`: a grid of one instance, stored
+    /// unscaled into the request's own buffer.
+    fn with_worker<R>(&self, wid: usize, rec: &Recorder<'_>, f: impl FnOnce(Worker<'_, In, Acc>) -> R) -> R {
         let window = Output::Window(self.out.writer());
         let instance = [Instance::new(self.orientation, self.a.view(), self.b.view(), window, 0)];
         let grid = Grid { ctas: self.decomp.ctas(), instances: &instance, alpha: Acc::ONE, beta: Acc::ZERO };
-        f(Worker { launch: &self.launch, grid: &grid, wid })
+        f(Worker { launch: &self.launch, grid: &grid, wid, rec })
     }
 }
 
@@ -889,8 +896,9 @@ impl GuestSlots {
 const IDLE_PARK: Duration = Duration::from_millis(1);
 
 enum Claimed<In, Acc> {
-    /// A CTA of a running request.
-    Cta(Arc<RequestCell<In, Acc>>, usize),
+    /// A CTA of a running request, and when it was claimed if that
+    /// claim started the request (its queue wait ends there).
+    Cta(Arc<RequestCell<In, Acc>>, usize, Option<Instant>),
     /// Nothing claimable right now.
     Idle,
     /// Shutting down and fully drained: the worker may exit.
@@ -973,12 +981,13 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
         self.finish(cell, to, result);
     }
 
-    /// Harvests spans recorded *after* [`finish`](Self::finish)
-    /// drained the request's ring — the claim that completes a
-    /// request closes its own CTA span on the way out, strictly after
-    /// the resolution harvest. The leftovers become a same-id
-    /// fragment that `TelemetryRegistry::take_trace` merges back into
-    /// the request's track, so timelines stay complete.
+    /// Harvests spans whose ring was checked out when
+    /// [`finish`](Self::finish) drained the request's rings — a
+    /// straggling CTA or resumption of a dead request on another worker
+    /// returns its ring after the resolution harvest. The leftovers
+    /// become a same-id fragment that `TelemetryRegistry::take_trace`
+    /// merges back into the request's track, so timelines stay
+    /// complete.
     fn harvest_remnant(&self, cell: &Arc<RequestCell<In, Acc>>) {
         if !cell.is_dead() {
             return;
@@ -1083,10 +1092,9 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
         self.publish_depths(q);
     }
 
-    /// One claim attempt by worker `wid`: admit, sweep the active
-    /// list in admission order, fire deadlines, and hand out the next
-    /// CTA.
-    fn claim_next(&self, wid: usize) -> Claimed<In, Acc> {
+    /// One claim attempt: admit, sweep the active list in admission
+    /// order, fire deadlines, and hand out the next CTA.
+    fn claim_next(&self) -> Claimed<In, Acc> {
         let now = Instant::now();
         let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         self.admit(&mut q, now);
@@ -1125,23 +1133,14 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
                     self.admit(&mut q, now);
                     continue;
                 }
-                if cell.mark_started(now, &self.start_seq) {
+                let started = cell.mark_started(now, &self.start_seq);
+                if started {
                     let lane = cell.priority.lane();
                     self.telemetry.flight().record(
                         ServiceEventKind::Started,
                         cell.id,
                         lane,
                         id as u64,
-                    );
-                    // Queue wait is a first-class phase: submission →
-                    // first claim, one span per request.
-                    cell.launch.record(
-                        wid,
-                        SpanKind::QueueWait,
-                        cell.submitted_at,
-                        now,
-                        lane as u32,
-                        cell.id as u32,
                     );
                 }
                 if i > 0 {
@@ -1150,7 +1149,7 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
                     // layer's work-conservation steal.
                     self.telemetry.inc(ServiceCounter::Steals);
                 }
-                return Claimed::Cta(Arc::clone(cell), id);
+                return Claimed::Cta(Arc::clone(cell), id, started.then_some(now));
             }
             // Fully claimed but tiles still in flight elsewhere: keep
             // it in the window until it resolves.
@@ -1229,9 +1228,9 @@ fn serve_loop<In, Acc>(
         if deferred.is_empty() && guest.is_some_and(|cell| cell.is_resolved()) {
             return;
         }
-        let drained = match shared.claim_next(wid) {
-            Claimed::Cta(cell, id) => {
-                execute_claim(shared, &cell, id, wid, scratch, &mut deferred);
+        let drained = match shared.claim_next() {
+            Claimed::Cta(cell, id, started) => {
+                execute_claim(shared, &cell, id, started, wid, scratch, &mut deferred);
                 continue;
             }
             Claimed::Idle => false,
@@ -1268,11 +1267,13 @@ fn serve_loop<In, Acc>(
 /// Executes one claimed CTA — the engine's body — under panic
 /// isolation: a panic (injected or real) fails only this request's
 /// handle, and the worker — or the waiting caller: ids from
-/// `shared.workers` up are guests — returns to the sweep.
+/// `shared.workers` up are guests — returns to the sweep. A claim that
+/// `started` the request records its queue wait first.
 fn execute_claim<In, Acc>(
     shared: &Arc<ServeShared<In, Acc>>,
     cell: &Arc<RequestCell<In, Acc>>,
     id: usize,
+    started: Option<Instant>,
     wid: usize,
     scratch: &mut ScratchStore,
     deferred: &mut Vec<Parked<In, Acc>>,
@@ -1292,14 +1293,23 @@ fn execute_claim<In, Acc>(
     if wid >= shared.workers {
         shared.telemetry.inc(ServiceCounter::GuestCtas);
     }
-    let t0 = cell.launch.start();
+    let rec = cell.recorder(wid);
+    if let Some(started) = started {
+        // Queue wait is a first-class phase: submission → first claim,
+        // one span per request.
+        rec.record(SpanKind::QueueWait, cell.submitted_at, started, cell.priority.lane() as u32, cell.id as u32);
+    }
+    let t0 = rec.start();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if cell.panic_at_cta == Some(id) {
             panic!("injected serve fault: panic in CTA {id} of request {}", cell.id);
         }
-        cell.with_worker(wid, |worker| worker.run_cta(id, ws, |d| deferred.push((Arc::clone(cell), d))))
+        cell.with_worker(wid, &rec, |worker| worker.run_cta(id, ws, |d| deferred.push((Arc::clone(cell), d))))
     }));
-    cell.launch.finish(wid, SpanKind::Cta, t0, id as u32, wid as u32);
+    rec.finish(SpanKind::Cta, t0, id as u32, wid as u32);
+    // The ring goes back before settling, so a drain at resolution
+    // holds this CTA's spans.
+    drop(rec);
     shared.settle(cell, outcome);
 }
 
@@ -1331,8 +1341,11 @@ fn advance_deferred<In, Acc>(
         let (cell, d) = &mut deferred[i];
         let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(cell.tile_len));
         ws.ensure_tile_len(cell.tile_len);
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| cell.with_worker(wid, |worker| worker.resume(d, &mut *ws, block))));
+        let rec = cell.recorder(wid);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            cell.with_worker(wid, &rec, |worker| worker.resume(d, &mut *ws, block))
+        }));
+        drop(rec);
         if matches!(outcome, Ok(Ok(Progress::Parked))) {
             i += 1;
             continue;
@@ -1963,5 +1976,47 @@ mod tests {
         assert_eq!(err.error, ServeError::Cancelled);
         let stats = service.shutdown();
         assert_eq!(stats.cancelled, 3);
+    }
+
+    /// A request whose B is too wide to read in place (a 4 KiB row,
+    /// over the 2 KiB in-place k-stride) packs B privately per tile, and
+    /// its timeline shows that pack phase, each pack inside the `Mac`
+    /// span whose segment needed it. A request that reads both operands
+    /// in place records no pack span at all.
+    #[test]
+    fn a_request_timeline_shows_its_private_packs() {
+        use crate::trace::Span;
+        let tile = TileShape::new(32, 32, 16);
+        let exec = CpuExecutor::with_threads(2);
+        let service = GemmService::<f32, f32>::start(&exec, ServeConfig::default().with_trace(true));
+        let submit = |n: usize| {
+            let shape = GemmShape::new(64, n, 64);
+            let a = Matrix::<f32>::random::<f32>(shape.m, shape.k, Layout::RowMajor, 5);
+            let b = Matrix::<f32>::random::<f32>(shape.k, shape.n, Layout::RowMajor, 6);
+            let request = LaunchRequest::new(a, b, Decomposition::stream_k(shape, tile, 2));
+            let handle = service.submit(request).expect("admitted");
+            let id = handle.id();
+            handle.wait().expect("request should complete");
+            id
+        };
+        let (wide, narrow) = (submit(1024), submit(128));
+        let telemetry = service.telemetry();
+        service.shutdown();
+        let trace = telemetry.take_trace();
+        let track = |id: u64| &trace.requests.iter().find(|r| r.id == id).expect("a harvested track").spans;
+        let of = |spans: &[Span], kind: SpanKind| -> Vec<Span> {
+            spans.iter().filter(|s| s.kind == kind).copied().collect()
+        };
+
+        let (packs, macs) = (of(track(wide), SpanKind::PackPrivate), of(track(wide), SpanKind::Mac));
+        assert!(!packs.is_empty(), "a wide B must show its private packs");
+        for pack in &packs {
+            assert!(
+                macs.iter().any(|mac| mac.start_ns <= pack.start_ns && pack.end_ns <= mac.end_ns),
+                "{pack:?} lies inside no MAC span of its request"
+            );
+        }
+        assert!(!of(track(narrow), SpanKind::Mac).is_empty());
+        assert!(of(track(narrow), SpanKind::PackPrivate).is_empty(), "operands read in place pack nothing");
     }
 }

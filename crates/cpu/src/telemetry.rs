@@ -33,7 +33,7 @@
 //!
 //! [`GemmService`]: crate::GemmService
 
-use crate::trace::{Histogram, Span, SpanRing};
+use crate::trace::{Histogram, Span};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -342,7 +342,7 @@ struct EventSlot {
 /// An always-on, bounded, lock-free ring of recent service events:
 /// recording is a slot claim plus six relaxed stores — it never
 /// blocks, never allocates, and overwrites the oldest entry when
-/// full (drop-oldest, like [`SpanRing`]).
+/// full (drop-oldest, like [`SpanRing`](crate::trace::SpanRing)).
 #[derive(Debug)]
 pub struct FlightRecorder {
     slots: Vec<EventSlot>,
@@ -968,25 +968,16 @@ impl TelemetryRegistry {
     }
 }
 
-/// Builds a [`RequestTrace`] by draining a request's span ring.
-#[must_use]
-pub fn drain_request_trace(
-    id: u64,
-    lane: usize,
-    group: Option<u64>,
-    ring: &mut SpanRing,
-) -> RequestTrace {
-    let dropped = ring.dropped();
-    RequestTrace { id, lane, group, spans: ring.drain_spans(), dropped }
-}
-
 /// The span kinds a per-request serve timeline records — exported so
 /// tests can assert the vocabulary stays laminar (every recorded span
-/// is one of these; no single-launch-only kind leaks in).
-pub const SERVE_SPAN_KINDS: [SpanKind; 9] = [
+/// is one of these; no single-launch-only kind leaks in). A request
+/// packs privately, never through a pack cache, and has no launch
+/// handshake.
+pub const SERVE_SPAN_KINDS: [SpanKind; 10] = [
     SpanKind::QueueWait,
     SpanKind::Cta,
     SpanKind::Mac,
+    SpanKind::PackPrivate,
     SpanKind::Signal,
     SpanKind::Wait,
     SpanKind::LoadPartials,

@@ -2,33 +2,45 @@
 //!
 //! The simulator *predicts* where time goes; this module lets the
 //! executor *measure* it. When
-//! [`ExecutorConfig::trace`](crate::ExecutorConfig) is on, every pool
-//! worker records
-//! typed [`Span`]s — CTA claims and steals, panel packing, MAC-loop
-//! runs, the fixup protocol (signal / wait / load-partials), deferral
-//! parking, and fault recovery — into a worker-private, fixed-capacity
-//! [`SpanRing`].
+//! [`ExecutorConfig::trace`](crate::ExecutorConfig) (or
+//! [`ServeConfig::trace`](crate::serve::ServeConfig) for a service) is
+//! on, every worker records typed [`Span`]s — CTA claims and steals,
+//! panel packing, MAC-loop runs, the fixup protocol (signal / wait /
+//! load-partials), deferral parking, fault recovery, and the launch
+//! handshake or a request's queue wait — into a fixed-capacity
+//! [`SpanRing`] of its own.
 //!
-//! **Overhead discipline.** The recording path is lock-free and
-//! allocation-free: for the length of a launch each worker has its
-//! ring [`install`]ed in a thread-local (so no sharing, no atomics, no
-//! locks), timestamps are taken once per event boundary with
-//! [`Instant::now`], and a full ring *drops the oldest span* and
-//! counts it — it never blocks and never grows. When tracing is off,
-//! [`start`] is a thread-local flag check returning `None`, and
-//! [`finish`] on `None` is a no-op; nothing is allocated
+//! **One recorder.** Every span of every entry — a direct, batched or
+//! grouped launch, or a service request — goes the same way: a
+//! recording keeps one ring per worker id (`WorkerRings`), a worker
+//! checks its ring out for the stretch of work it does there (a
+//! launch's whole share; one claimed CTA or one resumed consolidation
+//! of a request) and records into the checked-out `Recorder`, which
+//! every recording site takes — the engine, the pack sites, the
+//! launcher and the service.
+//!
+//! **Overhead discipline.** Recording a span takes no lock and
+//! allocates nothing: the ring is the worker's alone while it is
+//! checked out, timestamps are taken once per event boundary with
+//! [`Instant::now`], and a full ring *drops the oldest span* and counts
+//! it — it never blocks and never grows. Checking a ring out and in
+//! locks its worker's slot, which nobody else touches meanwhile. When
+//! tracing is off every site holds a recorder that is off, whose
+//! `start` is a field check returning `None`; nothing is allocated
 //! ([`ring_allocations`] lets tests and CI pin that to exactly zero).
 //! Tracing never changes results: spans observe the computation,
 //! bit-exactness is pinned by tests.
 //!
-//! **Where rings live.** Between launches the rings belong to worker
-//! *ids*, not to threads: the executor keeps one [`WorkerTracer`] per
-//! worker in the pool's launch-level store and hands each to whichever
-//! thread runs that id, for that launch only. Worker 0 is the calling
-//! thread — any thread — so a ring left behind in a thread-local
-//! would cost one allocation per launcher thread; this way a warm
-//! executor allocates exactly `workers` rings however many threads
-//! launch on it.
+//! **Where rings rest.** Rings belong to worker *ids*, not to threads.
+//! Between traced launches an executor keeps its rings in the pool's
+//! launch-level store, each in its worker id's slot, and rebases them
+//! on the next launch's epoch. Worker 0 is the calling thread — any
+//! thread — so a ring left with a thread would cost one allocation
+//! per launcher thread; this way a warm executor allocates exactly
+//! `workers` rings however many threads launch on it. A service
+//! request draws its rings from the service's spares and returns them
+//! there when its track is harvested, so a traced service allocates
+//! rings for its concurrency, not per request.
 //!
 //! After a traced launch the executor drains each worker's ring into
 //! an [`ExecTrace`] (see
@@ -40,7 +52,7 @@
 //! subcommand emits exactly that merge.
 
 use crate::pad::CachePadded;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -176,64 +188,6 @@ impl SpanRing {
     }
 }
 
-/// A worker's tracer for one launch: the launch epoch plus its ring.
-#[derive(Debug)]
-pub struct WorkerTracer {
-    epoch: Instant,
-    ring: SpanRing,
-}
-
-impl WorkerTracer {
-    /// A tracer whose span timestamps are relative to `epoch` (the
-    /// launch start, shared by every worker so timelines align).
-    #[must_use]
-    pub fn new(epoch: Instant, capacity: usize) -> Self {
-        Self { epoch, ring: SpanRing::new(capacity) }
-    }
-
-    /// Records one span directly (no thread-local involved): how the
-    /// launcher adds the [`SpanKind::Launch`] spans it alone can time.
-    pub fn record(&mut self, kind: SpanKind, start: Instant, end: Instant, arg: u32, arg2: u32) {
-        let rel = |t: Instant| t.saturating_duration_since(self.epoch).as_nanos() as u64;
-        self.ring.push(Span { kind, start_ns: rel(start), end_ns: rel(end), arg, arg2 });
-    }
-
-    /// Consumes the tracer into its recorded spans.
-    #[must_use]
-    pub fn into_trace(self) -> WorkerTrace {
-        let dropped = self.ring.dropped();
-        WorkerTrace { spans: self.ring.into_spans(), dropped }
-    }
-
-    /// Copies the recorded spans out and empties the ring, keeping its
-    /// allocation for the next launch.
-    #[must_use]
-    pub fn drain(&mut self) -> WorkerTrace {
-        let dropped = self.ring.dropped();
-        WorkerTrace { spans: self.ring.drain_spans(), dropped }
-    }
-
-    /// Rebases the tracer on a new launch epoch, discarding any spans
-    /// left from the previous launch but keeping the ring allocation.
-    pub fn reset(&mut self, epoch: Instant) {
-        self.epoch = epoch;
-        self.ring.clear();
-    }
-
-    /// The ring's capacity in spans.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    /// Whether nothing has been recorded since the last
-    /// [`reset`](Self::reset) or [`drain`](Self::drain).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-}
-
 /// Span rings between recordings of one capacity: a ring drained from
 /// one recording's [`WorkerRings`] rests here until a worker of another
 /// one records, so a traced service allocates rings for its peak
@@ -241,13 +195,15 @@ impl WorkerTracer {
 /// cost as much as the shared lock it replaced.
 pub(crate) type SpareRings = Arc<Mutex<Vec<SpanRing>>>;
 
-/// One span ring per worker id for a recording that several workers
-/// feed at once — a traced service request. Worker `wid` records into
-/// ring `wid % rings`, each on its own cache line behind its own lock,
-/// so two workers on one request never bounce a shared lock between
-/// their cores. A slot takes a ring from the shared spares the first
-/// time its worker records; [`drain`](Self::drain) merges the slots
-/// back into one track and returns their rings to the spares.
+/// One span ring per worker id for one recording: a traced launch, or
+/// a traced service request. Worker `wid` owns slot `wid % rings`, on
+/// its own cache line. It [checks the ring out](Self::check_out) for a
+/// stretch of work, records into the [`Recorder`] without a lock, and
+/// the ring goes back to its slot when the recorder drops. A slot
+/// takes a ring from the shared spares the first time its worker
+/// checks out. [`drain`](Self::drain) merges the slots back into one
+/// track and returns their rings to the spares;
+/// [`drain_each`](Self::drain_each) empties each ring where it rests.
 #[derive(Debug)]
 pub(crate) struct WorkerRings {
     epoch: Instant,
@@ -269,25 +225,35 @@ impl WorkerRings {
         Self { epoch, capacity, rings, spare: Arc::clone(spare) }
     }
 
-    fn slot(&self, wid: usize) -> MutexGuard<'_, Option<SpanRing>> {
-        lock(&self.rings[wid % self.rings.len()].0)
+    /// Whether these are `rings` slots of `capacity`-span rings.
+    pub(crate) fn fits(&self, capacity: usize, rings: usize) -> bool {
+        (self.capacity, self.rings.len()) == (capacity, rings)
     }
 
-    /// Records `[start, end)` into worker `wid`'s ring.
-    pub(crate) fn record(&self, wid: usize, kind: SpanKind, start: Instant, end: Instant, arg: u32, arg2: u32) {
-        let rel = |t: Instant| t.saturating_duration_since(self.epoch).as_nanos() as u64;
-        let span = Span { kind, start_ns: rel(start), end_ns: rel(end), arg, arg2 };
-        let mut slot = self.slot(wid);
-        let ring = slot.get_or_insert_with(|| lock(&self.spare).pop().unwrap_or_else(|| SpanRing::new(self.capacity)));
-        ring.push(span);
+    /// Times the next recording from `epoch`, every ring staying where
+    /// it rests — emptied by the last recording's
+    /// [`drain_each`](Self::drain_each).
+    pub(crate) fn rebase(&mut self, epoch: Instant) {
+        self.epoch = epoch;
     }
 
-    /// Empties every ring into one track in finish order — the order
-    /// one shared ring would have kept — with their drops summed.
+    /// Worker `wid`'s ring, out of its slot until the recorder drops.
+    /// One thread at a time runs a worker id, so the slot is its own.
+    pub(crate) fn check_out(&self, wid: usize) -> Recorder<'_> {
+        let slot = wid % self.rings.len();
+        let ring = lock(&self.rings[slot].0)
+            .take()
+            .unwrap_or_else(|| lock(&self.spare).pop().unwrap_or_else(|| SpanRing::new(self.capacity)));
+        Recorder { out: Some((self, slot, RefCell::new(ring))) }
+    }
+
+    /// Empties every ring resting in its slot into one track in finish
+    /// order, with their drops summed, and returns the rings to the
+    /// spares.
     pub(crate) fn drain(&self) -> WorkerTrace {
         let (mut spans, mut dropped) = (Vec::new(), 0);
-        for wid in 0..self.rings.len() {
-            let Some(mut ring) = self.slot(wid).take() else { continue };
+        for slot in &self.rings {
+            let Some(mut ring) = lock(&slot.0).take() else { continue };
             dropped += ring.dropped();
             spans.append(&mut ring.drain_spans());
             lock(&self.spare).push(ring);
@@ -295,85 +261,70 @@ impl WorkerRings {
         spans.sort_by_key(|s| s.end_ns);
         WorkerTrace { spans, dropped }
     }
-}
 
-thread_local! {
-    /// Fast-path flag: `true` only between [`install`] and [`take`].
-    static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static TRACER: RefCell<Option<WorkerTracer>> = const { RefCell::new(None) };
-}
-
-/// Installs `tracer` on the current thread; subsequent [`start`] /
-/// [`finish`] calls record into it until [`take`].
-pub fn install(tracer: WorkerTracer) {
-    TRACER.with(|t| *t.borrow_mut() = Some(tracer));
-    ACTIVE.with(|a| a.set(true));
-}
-
-/// Removes and returns the current thread's tracer, disabling
-/// recording. `None` when none was installed.
-pub fn take() -> Option<WorkerTracer> {
-    ACTIVE.with(|a| a.set(false));
-    TRACER.with(|t| t.borrow_mut().take())
-}
-
-/// Whether a tracer is installed on the current thread.
-#[must_use]
-pub fn active() -> bool {
-    ACTIVE.with(Cell::get)
-}
-
-/// Opens a span: one timestamp when tracing, `None` (no syscall, no
-/// allocation — a thread-local flag read) when not.
-#[inline]
-#[must_use]
-pub fn start() -> Option<Instant> {
-    if active() {
-        Some(Instant::now())
-    } else {
-        None
+    /// Empties each slot's ring in place: one track per worker id.
+    pub(crate) fn drain_each(&mut self) -> Vec<WorkerTrace> {
+        self.rings
+            .iter_mut()
+            .map(|slot| match slot.0.get_mut().unwrap_or_else(PoisonError::into_inner) {
+                Some(ring) => WorkerTrace { dropped: ring.dropped(), spans: ring.drain_spans() },
+                None => WorkerTrace::default(),
+            })
+            .collect()
     }
 }
 
-/// Closes a span opened by [`start`]; a no-op when `t0` is `None`.
-#[inline]
-pub fn finish(kind: SpanKind, t0: Option<Instant>, arg: u32, arg2: u32) {
-    if let Some(t0) = t0 {
-        finish_at(kind, t0, arg, arg2);
-    }
+/// A worker's ring, checked out of its [`WorkerRings`] slot for a
+/// stretch of work: recording a span is a clock read and a push, with
+/// no lock and no atomic. The ring goes back to its slot when the
+/// recorder drops, on unwinding too. [`Recorder::off`] records nothing,
+/// and its [`start`](Self::start) reads no clock.
+pub(crate) struct Recorder<'r> {
+    out: Option<(&'r WorkerRings, usize, RefCell<SpanRing>)>,
 }
 
-/// Closes a span that began at `t0` (for sites that need the
-/// timestamp regardless of tracing, e.g. wait-stall accounting);
-/// records only when tracing is on.
-#[inline]
-pub fn finish_at(kind: SpanKind, t0: Instant, arg: u32, arg2: u32) {
-    if active() {
-        record(kind, t0, Instant::now(), arg, arg2);
+impl Recorder<'_> {
+    /// A recorder that records nothing.
+    pub(crate) const fn off() -> Self {
+        Self { out: None }
     }
-}
 
-/// Records a zero-duration marker span at "now".
-#[inline]
-pub fn instant(kind: SpanKind, arg: u32, arg2: u32) {
-    if active() {
-        let now = Instant::now();
-        record(kind, now, now, arg, arg2);
+    /// Opens a span: a timestamp when recording, `None` when not.
+    #[inline]
+    pub(crate) fn start(&self) -> Option<Instant> {
+        self.out.as_ref().map(|_| Instant::now())
     }
-}
 
-/// Records the span `[t0, t1)` into the current thread's tracer; a
-/// no-op when none is installed.
-#[inline]
-pub(crate) fn record(kind: SpanKind, t0: Instant, t1: Instant, arg: u32, arg2: u32) {
-    if !active() {
-        return;
-    }
-    TRACER.with(|t| {
-        if let Some(tracer) = t.borrow_mut().as_mut() {
-            tracer.record(kind, t0, t1, arg, arg2);
+    /// Closes a span opened by [`start`](Self::start) now; a no-op
+    /// when `t0` is `None`.
+    #[inline]
+    pub(crate) fn finish(&self, kind: SpanKind, t0: Option<Instant>, arg: u32, arg2: u32) {
+        if let Some(t0) = t0 {
+            self.record(kind, t0, Instant::now(), arg, arg2);
         }
-    });
+    }
+
+    /// Records the span `[t0, t1)`.
+    #[inline]
+    pub(crate) fn record(&self, kind: SpanKind, t0: Instant, t1: Instant, arg: u32, arg2: u32) {
+        if let Some((rings, _, ring)) = &self.out {
+            let rel = |t: Instant| t.saturating_duration_since(rings.epoch).as_nanos() as u64;
+            ring.borrow_mut().push(Span { kind, start_ns: rel(t0), end_ns: rel(t1), arg, arg2 });
+        }
+    }
+
+    /// Whether the ring holds no span of this recording.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.out.as_ref().is_none_or(|(_, _, ring)| ring.borrow().is_empty())
+    }
+}
+
+impl Drop for Recorder<'_> {
+    fn drop(&mut self) {
+        if let Some((rings, slot, ring)) = self.out.take() {
+            *lock(&rings.rings[slot].0) = Some(ring.into_inner());
+        }
+    }
 }
 
 /// One worker's spans from one launch, oldest-first, plus how many
@@ -425,10 +376,6 @@ impl ExecTrace {
                 m.kind_ns[i] += span.dur_ns();
                 match span.kind {
                     SpanKind::Cta => m.cta_duration.record(span.dur_ns()),
-                    SpanKind::Wait => m.wait_stall.record(span.dur_ns()),
-                    SpanKind::PackPrivate | SpanKind::PackCached => {
-                        m.pack_time.record(span.dur_ns());
-                    }
                     SpanKind::Signal | SpanKind::LoadPartials => {
                         m.fixup_latency.record(span.dur_ns());
                     }
@@ -606,9 +553,8 @@ impl Histogram {
 }
 
 /// The metrics registry distilled from one [`ExecTrace`]: per-kind
-/// counters and busy time, plus the four headline histograms the
-/// issue's observability story needs (CTA duration, wait stall, pack
-/// time, fixup latency).
+/// counters and busy time, plus the two headline histograms
+/// `streamk profile` prints (CTA duration, fixup latency).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Metrics {
     kind_count: [u64; SpanKind::ALL.len()],
@@ -620,10 +566,6 @@ pub struct Metrics {
     /// tile segment of a CTA in a launch, a whole CTA in a service
     /// request.
     pub cta_duration: Histogram,
-    /// Owner wait stalls.
-    pub wait_stall: Histogram,
-    /// Panel packing (private + cached).
-    pub pack_time: Histogram,
     /// Fixup signal/fold latencies.
     pub fixup_latency: Histogram,
     /// Spans lost to ring overflow (they are *not* in the counters).
@@ -712,30 +654,59 @@ mod tests {
     }
 
     #[test]
-    fn start_is_none_and_finish_is_noop_without_tracer() {
-        assert!(!active());
-        assert!(start().is_none());
-        finish(SpanKind::Mac, None, 0, 0); // must not panic
-        instant(SpanKind::DeferPark, 0, 0);
-        assert!(take().is_none());
+    fn recorders_check_rings_out_and_back_in() {
+        assert!(Recorder::off().start().is_none());
+        Recorder::off().record(SpanKind::Mac, Instant::now(), Instant::now(), 0, 0); // must not panic
+
+        let epoch = Instant::now();
+        let mut rings = WorkerRings::new(epoch, 16, 2, &SpareRings::default());
+        {
+            let rec = rings.check_out(1);
+            assert!(rec.is_empty());
+            let t0 = rec.start();
+            assert!(t0.is_some());
+            rec.finish(SpanKind::Mac, t0, 7, 3);
+            rec.record(SpanKind::DeferPark, epoch, epoch, 1, 2);
+            assert!(!rec.is_empty());
+        }
+        // Worker 3 is slot 1's too: the ring came back with its spans.
+        assert!(!rings.check_out(3).is_empty());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let rec = rings.check_out(0);
+            rec.record(SpanKind::Wait, epoch, epoch, 0, 0);
+            panic!("a worker dies holding its ring");
+        }));
+        assert!(unwound.is_err());
+
+        let traces = rings.drain_each();
+        assert_eq!(traces.len(), 2);
+        assert_eq!(traces[0].spans.len(), 1, "the ring went back on unwinding");
+        let kinds: Vec<SpanKind> = traces[1].spans.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, [SpanKind::Mac, SpanKind::DeferPark]);
+        assert_eq!((traces[1].spans[0].arg, traces[1].spans[0].arg2), (7, 3));
+        assert_eq!(traces[1].spans[1].dur_ns(), 0);
+
+        // Drained in place and rebased: every ring empty again.
+        rings.rebase(Instant::now());
+        assert!(rings.check_out(0).is_empty() && rings.check_out(1).is_empty());
+        assert!(rings.fits(16, 2) && !rings.fits(32, 2));
     }
 
     #[test]
-    fn install_record_take_roundtrip() {
+    fn drain_merges_slots_in_finish_order_and_spares_the_rings() {
+        let spare = SpareRings::default();
         let epoch = Instant::now();
-        install(WorkerTracer::new(epoch, 16));
-        assert!(active());
-        let t0 = start();
-        assert!(t0.is_some());
-        finish(SpanKind::Mac, t0, 7, 3);
-        instant(SpanKind::DeferPark, 1, 2);
-        let trace = take().expect("tracer installed").into_trace();
-        assert!(!active());
-        assert_eq!(trace.spans.len(), 2);
-        assert_eq!(trace.spans[0].kind, SpanKind::Mac);
-        assert_eq!((trace.spans[0].arg, trace.spans[0].arg2), (7, 3));
-        assert_eq!(trace.spans[1].dur_ns(), 0);
-        assert_eq!(trace.dropped, 0);
+        let rings = WorkerRings::new(epoch, 8, 2, &spare);
+        let at = |ns| epoch + std::time::Duration::from_nanos(ns);
+        rings.check_out(0).record(SpanKind::Mac, at(0), at(30), 0, 0);
+        rings.check_out(1).record(SpanKind::Mac, at(0), at(20), 1, 0);
+        let trace = rings.drain();
+        let ends: Vec<u64> = trace.spans.iter().map(|s| s.end_ns).collect();
+        assert_eq!(ends, [20, 30]);
+        assert_eq!(lock(&spare).len(), 2, "both rings rest in the spares");
+        let next = WorkerRings::new(epoch, 8, 2, &spare);
+        drop(next.check_out(0));
+        assert_eq!(lock(&spare).len(), 1, "the next recording draws from them");
     }
 
     #[test]
@@ -793,7 +764,6 @@ mod tests {
         assert_eq!(m.leaf_total_ns(), 95);
         assert_eq!(m.dropped_spans, 1);
         assert_eq!(m.cta_duration.count(), 1);
-        assert_eq!(m.wait_stall.mean_ns(), 30);
     }
 
     /// `Mac` spans enclose their segment's pack spans; the phase fold
