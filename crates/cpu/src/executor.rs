@@ -72,12 +72,13 @@ pub struct ExecutorConfig {
     /// a pure speed knob. Ignored by the scalar kernel, which consumes
     /// no panels.
     pub pack_cache: bool,
-    /// Shard count for the pack cache: `0` (the default) means one
-    /// shard per worker, so each worker packs into — and reads from —
-    /// its own slot table and published panels never migrate between
-    /// cores; `1` restores the single grid-shared table. An operand
-    /// read in place (DESIGN.md §8) gets no slots, whatever the
-    /// sharding.
+    /// Shard count for the pack cache of a single-instance launch
+    /// (`gemm*`): `0` (the default) means one shard per worker, so each
+    /// worker packs into — and reads from — its own slot table and
+    /// published panels never migrate between cores; `1` restores the
+    /// single grid-shared table. Batched and grouped launches always
+    /// use one shard, whatever this says. An operand read in place
+    /// (DESIGN.md §8) gets no slots, whatever the sharding.
     pub pack_shards: usize,
     /// Record per-worker event spans during each launch (see
     /// [`crate::trace`]); collect them with
@@ -310,9 +311,10 @@ impl CpuExecutor {
         self
     }
 
-    /// Returns this executor with the pack-cache shard count set to
-    /// `shards`; `0` (the default) shards one table per worker. See
-    /// [`ExecutorConfig::pack_shards`].
+    /// Returns this executor with the pack-cache shard count of its
+    /// single-instance launches set to `shards`; `0` (the default)
+    /// shards one table per worker, and batched and grouped launches
+    /// keep one shard. See [`ExecutorConfig::pack_shards`].
     #[must_use]
     pub fn with_pack_shards(mut self, shards: usize) -> Self {
         self.config.pack_shards = shards;
@@ -364,8 +366,9 @@ impl CpuExecutor {
         self.config.pack_cache
     }
 
-    /// The pack-cache shard count a launch will use: the configured
-    /// value, with `0` resolving to one shard per worker.
+    /// The pack-cache shard count a single-instance launch (`gemm*`)
+    /// will use: the configured value, with `0` resolving to one shard
+    /// per worker. Batched and grouped launches use one shard.
     #[must_use]
     pub fn pack_shards(&self) -> usize {
         if self.config.pack_shards == 0 { self.config.threads.max(1) } else { self.config.pack_shards }

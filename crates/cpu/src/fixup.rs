@@ -12,9 +12,9 @@
 //! sticky: a double signal or a signal landing on a poisoned slot is
 //! a typed [`FixupError`], never a panic mid-pool. Waiting is bounded:
 //! the owner descends a spin → yield → park backoff ladder under a
-//! configurable watchdog deadline ([`WaitPolicy`]), so a lost peer
-//! produces a [`WaitOutcome::TimedOut`] the executor can recover from
-//! instead of an unbounded spin.
+//! configurable watchdog deadline ([`WaitPolicy`]) while it probes the
+//! slot with [`FixupBoard::try_take`], so a lost peer ends in a timeout
+//! the executor can recover from instead of an unbounded spin.
 //!
 //! Synchronization: writers (store/poison) mutate the flag only while
 //! holding the slot's mutex, writing the partial record *before* the
@@ -44,23 +44,6 @@ pub enum FlagState {
     Poisoned,
 }
 
-/// What a bounded wait on a peer's slot produced.
-#[derive(Debug, PartialEq, Eq)]
-pub enum WaitOutcome<Acc> {
-    /// The peer signaled; here is its partial record.
-    Signaled(
-        /// The peer's partial accumulator.
-        Vec<Acc>,
-    ),
-    /// The peer's record was poisoned — recompute its contribution.
-    Poisoned,
-    /// The watchdog deadline expired with the slot still pending.
-    TimedOut {
-        /// How long the owner waited.
-        waited: Duration,
-    },
-}
-
 /// Bounded-wait configuration: the backoff ladder plus the watchdog
 /// deadline.
 ///
@@ -80,8 +63,8 @@ pub struct WaitPolicy {
     pub initial_park: Duration,
     /// Ceiling on the park interval.
     pub max_park: Duration,
-    /// Total deadline: waiting longer than this returns
-    /// [`WaitOutcome::TimedOut`].
+    /// Total deadline: a wait that outlasts it returns the elapsed
+    /// time as `Err` (see [`wait_until`](Self::wait_until)).
     pub watchdog: Duration,
 }
 
@@ -280,9 +263,10 @@ impl<Acc: Send> FixupBoard<Acc> {
     /// Non-blocking probe of `peer`'s slot: takes the record if
     /// signaled, reports poison, or says *pending* without waiting.
     ///
-    /// This is the cooperative-wait primitive: an owner that sees
-    /// [`TryTake::Pending`] parks the consolidation and claims other
-    /// work instead of descending the backoff ladder on a core.
+    /// This is the only way to read a peer's slot: a cooperative owner
+    /// that sees [`TryTake::Pending`] parks the consolidation and claims
+    /// other work, a blocking one repeats the probe under
+    /// [`WaitPolicy::wait_until_counted`].
     #[must_use]
     pub fn try_take(&self, peer: usize) -> TryTake<Acc> {
         let slot = &self.slots[peer];
@@ -297,37 +281,6 @@ impl<Acc: Send> FixupBoard<Acc> {
         }
     }
 
-    /// `Wait(flags[peer]); LoadPartials(partials[peer])` with bounded
-    /// backoff: spins, then yields, then parks in doubling intervals,
-    /// giving up when `policy.watchdog` expires.
-    #[must_use]
-    pub fn wait_with(&self, peer: usize, policy: &WaitPolicy) -> WaitOutcome<Acc> {
-        self.wait_with_rounds(peer, policy).0
-    }
-
-    /// [`wait_with`](Self::wait_with), additionally reporting the
-    /// backoff rounds spent (see [`WaitPolicy::wait_until_counted`]).
-    #[must_use]
-    pub fn wait_with_rounds(&self, peer: usize, policy: &WaitPolicy) -> (WaitOutcome<Acc>, u32) {
-        let slot = &self.slots[peer];
-        let (probed, rounds) = policy.wait_until_counted(|| {
-            match slot.flag.load(Ordering::Acquire) {
-                SIGNALED => {
-                    let mut guard =
-                        slot.partial.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    Some(WaitOutcome::Signaled(std::mem::take(&mut *guard)))
-                }
-                POISONED => Some(WaitOutcome::Poisoned),
-                _ => None,
-            }
-        });
-        let outcome = match probed {
-            Ok(outcome) => outcome,
-            Err(waited) => WaitOutcome::TimedOut { waited },
-        };
-        (outcome, rounds)
-    }
-
     /// The current state of `cta`'s flag (non-blocking).
     ///
     /// # Panics
@@ -340,13 +293,6 @@ impl<Acc: Send> FixupBoard<Acc> {
             SIGNALED => FlagState::Signaled,
             _ => FlagState::Poisoned,
         }
-    }
-
-    /// Whether `cta` has signaled a valid record (non-blocking;
-    /// test/diagnostic use).
-    #[must_use]
-    pub fn has_signaled(&self, cta: usize) -> bool {
-        self.state(cta) == FlagState::Signaled
     }
 
     /// The grid size this board was built for.
@@ -368,10 +314,20 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Probes `peer`'s slot under `policy` until it is no longer
+    /// pending: the probe and the backoff rounds it took, or the
+    /// elapsed wait once the watchdog fired.
+    fn wait(board: &FixupBoard<f64>, peer: usize, policy: &WaitPolicy) -> (Result<TryTake<f64>, Duration>, u32) {
+        policy.wait_until_counted(|| match board.try_take(peer) {
+            TryTake::Pending => None,
+            probed => Some(probed),
+        })
+    }
+
     /// Waits for `peer`'s record under the default policy.
     fn take(board: &FixupBoard<f64>, peer: usize) -> Vec<f64> {
-        match board.wait_with(peer, &WaitPolicy::default()) {
-            WaitOutcome::Signaled(partial) => partial,
+        match wait(board, peer, &WaitPolicy::default()).0 {
+            Ok(TryTake::Ready(partial)) => partial,
             other => panic!("CTA {peer} did not signal: {other:?}"),
         }
     }
@@ -381,7 +337,7 @@ mod tests {
         let board = FixupBoard::<f64>::new(4);
         assert_eq!(board.state(2), FlagState::Pending);
         board.store_and_signal(2, vec![1.0, 2.0]).unwrap();
-        assert!(board.has_signaled(2));
+        assert_eq!(board.state(2), FlagState::Signaled);
         assert_eq!(take(&board, 2), vec![1.0, 2.0]);
     }
 
@@ -414,7 +370,7 @@ mod tests {
             board.store_and_signal(1, vec![3.0]),
             Err(FixupError::SignalAfterPoison { cta: 1 })
         );
-        assert_eq!(board.wait_with(1, &WaitPolicy::default()), WaitOutcome::Poisoned);
+        assert_eq!(wait(&board, 1, &WaitPolicy::default()).0, Ok(TryTake::Poisoned));
     }
 
     #[test]
@@ -422,7 +378,7 @@ mod tests {
         let board = FixupBoard::<f64>::new(1);
         board.store_and_signal(0, vec![1.0]).unwrap();
         board.poison(0).unwrap();
-        assert_eq!(board.wait_with(0, &WaitPolicy::default()), WaitOutcome::Poisoned);
+        assert_eq!(wait(&board, 0, &WaitPolicy::default()).0, Ok(TryTake::Poisoned));
     }
 
     #[test]
@@ -430,11 +386,9 @@ mod tests {
         let board = FixupBoard::<f64>::new(1);
         let policy = WaitPolicy::with_watchdog(Duration::from_millis(20));
         let start = Instant::now();
-        match board.wait_with(0, &policy) {
-            WaitOutcome::TimedOut { waited } => {
-                assert!(waited >= Duration::from_millis(20));
-            }
-            other => panic!("expected timeout, got {other:?}"),
+        match wait(&board, 0, &policy).0 {
+            Err(waited) => assert!(waited >= Duration::from_millis(20)),
+            Ok(other) => panic!("expected timeout, got {other:?}"),
         }
         // Bounded: nowhere near the old unbounded spin. Generous
         // ceiling for loaded CI machines.
@@ -445,14 +399,14 @@ mod tests {
     fn wait_rounds_distinguish_hits_from_stalls() {
         let board = FixupBoard::<f64>::new(1);
         board.store_and_signal(0, vec![1.0]).unwrap();
-        let (outcome, rounds) = board.wait_with_rounds(0, &WaitPolicy::default());
-        assert_eq!(outcome, WaitOutcome::Signaled(vec![1.0]));
+        let (outcome, rounds) = wait(&board, 0, &WaitPolicy::default());
+        assert_eq!(outcome, Ok(TryTake::Ready(vec![1.0])));
         assert_eq!(rounds, 0, "an already-signaled slot costs zero backoff rounds");
 
         let board = FixupBoard::<f64>::new(1);
         let policy = WaitPolicy::with_watchdog(Duration::from_millis(10));
-        let (outcome, rounds) = board.wait_with_rounds(0, &policy);
-        assert!(matches!(outcome, WaitOutcome::TimedOut { .. }));
+        let (outcome, rounds) = wait(&board, 0, &policy);
+        assert!(outcome.is_err(), "{outcome:?}");
         assert!(
             rounds > policy.spin_iters + policy.yield_iters,
             "a timed-out wait descended past the spin and yield phases ({rounds} rounds)"
@@ -517,10 +471,10 @@ mod tests {
         };
         // First wait times out before the straggler signals.
         let fast = WaitPolicy::with_watchdog(Duration::from_millis(5));
-        assert!(matches!(board.wait_with(0, &fast), WaitOutcome::TimedOut { .. }));
+        assert!(wait(&board, 0, &fast).0.is_err());
         // A patient retry sees the late signal.
         let patient = WaitPolicy::with_watchdog(Duration::from_secs(10));
-        assert_eq!(board.wait_with(0, &patient), WaitOutcome::Signaled(vec![7.0]));
+        assert_eq!(wait(&board, 0, &patient).0, Ok(TryTake::Ready(vec![7.0])));
         producer.join().unwrap();
     }
 

@@ -80,14 +80,14 @@ pub use executor::{
     CpuExecutor, ExecStats, ExecutorConfig, RecoveryCause, RecoveryEvent, RecoveryReport,
 };
 pub use fault::{Fault, FaultKind, FaultPlan, ServeFault, ServeFaultKind, ServeFaultPlan};
-pub use fixup::{FixupBoard, FlagState, TryTake, WaitOutcome, WaitPolicy};
+pub use fixup::{FixupBoard, FlagState, TryTake, WaitPolicy};
 pub use macloop::mac_loop;
 pub use pad::CachePadded;
 pub use pool::{ScratchStore, WorkerPool};
 pub use sched::{Claim, CtaScheduler, GridCursor};
 pub use serve::{
-    AdmissionError, CompletionHandle, GemmService, GroupError, GroupHandle, LaunchRequest,
-    Priority, RequestStats, ServeConfig, ServeError, ServiceStats,
+    AdmissionError, CompletionHandle, GemmService, LaunchRequest, Priority, RequestStats,
+    ServeConfig, ServeError, ServiceStats,
 };
 pub use microkernel::{mac_loop_cached, mac_loop_kernel, KernelKind, PackBuffers, PanelSpan};
 pub use packcache::{mac_loop_kernel_cached, PackCache, PanelGuard};

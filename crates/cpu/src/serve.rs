@@ -346,35 +346,6 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Why a [`GroupHandle::wait_all`] did not produce every member's
-/// result. The first member failure wins; every sibling still in
-/// flight is cancelled (cancellation propagates through the group)
-/// and drained to a terminal state before this is returned.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupError {
-    /// Index of the failing member within the submitted group.
-    pub member: usize,
-    /// Service-assigned id of the failing request.
-    pub id: u64,
-    /// Why that member failed.
-    pub error: ServeError,
-    /// Siblings this wait cancelled when the failure surfaced (they
-    /// had not yet reached a terminal state on their own).
-    pub cancelled_siblings: usize,
-}
-
-impl fmt::Display for GroupError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "group member {} (request {}) failed: {} ({} sibling(s) cancelled)",
-            self.member, self.id, self.error, self.cancelled_siblings
-        )
-    }
-}
-
-impl std::error::Error for GroupError {}
-
 /// Per-request execution statistics, reported on the request's own
 /// [`CompletionHandle`] — never aggregated into (or clobbering) the
 /// shared executor's [`ExecStats`](crate::ExecStats), which remains
@@ -464,8 +435,6 @@ type Outcome<Acc> = Result<(Matrix<Acc>, RequestStats), ServeError>;
 struct RequestCell<In, Acc> {
     id: u64,
     priority: Priority,
-    /// Group id when submitted via `submit_group`.
-    group: Option<u64>,
     a: Matrix<In>,
     b: Matrix<In>,
     decomp: Decomposition,
@@ -532,9 +501,9 @@ impl<In, Acc: Scalar> RequestCell<In, Acc> {
     /// What the request's span rings hold, drained, as its track of
     /// the service trace; `None` for an untraced request.
     fn drain_trace(&self) -> Option<RequestTrace> {
-        let (id, lane, group) = (self.id, self.priority.lane(), self.group);
+        let (id, lane) = (self.id, self.priority.lane());
         let trace = self.launch.spans.as_ref()?.drain();
-        Some(RequestTrace { id, lane, group, spans: trace.spans, dropped: trace.dropped })
+        Some(RequestTrace { id, lane, spans: trace.spans, dropped: trace.dropped })
     }
 
     /// Worker `wid`'s ring of this request, checked out until the
@@ -701,108 +670,6 @@ impl<In: Promote<Acc>, Acc: Scalar> CompletionHandle<In, Acc> {
     }
 }
 
-/// The caller's end of a [`GemmService::submit_group`] burst: a set
-/// of related requests that completes (or fails) as a unit.
-///
-/// The group is an atomically-admitted batch — either every member
-/// was queued or none were — and the members run under the service's
-/// normal admission/claiming discipline (they interleave with
-/// unrelated traffic; the group is a *completion* unit, not a
-/// scheduling gang). Cancellation propagates:
-/// [`cancel_all`](Self::cancel_all) cancels every member, and
-/// [`wait_all`](Self::wait_all) cancels the survivors the moment one
-/// member fails. Dropping the handle cancels nothing — members run
-/// to their own terminal states.
-pub struct GroupHandle<In, Acc> {
-    members: Vec<CompletionHandle<In, Acc>>,
-}
-
-impl<In, Acc: Scalar> fmt::Debug for GroupHandle<In, Acc> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GroupHandle")
-            .field("members", &self.members.len())
-            .field("finished", &self.members.iter().filter(|m| m.is_finished()).count())
-            .finish()
-    }
-}
-
-impl<In, Acc: Scalar> GroupHandle<In, Acc> {
-    /// Number of members in the group.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` for a zero-member group (submitting an empty burst is
-    /// allowed and resolves trivially).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The members' service-assigned ids, in submission order.
-    #[must_use]
-    pub fn ids(&self) -> Vec<u64> {
-        self.members.iter().map(CompletionHandle::id).collect()
-    }
-
-    /// The per-member handles, for inspection (`is_finished`, racy
-    /// `stats`) without consuming the group.
-    #[must_use]
-    pub fn members(&self) -> &[CompletionHandle<In, Acc>] {
-        &self.members
-    }
-
-    /// Cancels every member that has not yet reached a terminal
-    /// state. Returns how many cancellations this call performed.
-    pub fn cancel_all(&self) -> usize {
-        self.members.iter().filter(|m| m.cancel()).count()
-    }
-}
-
-impl<In: Promote<Acc>, Acc: Scalar> GroupHandle<In, Acc> {
-    /// Waits until every member resolves, returning the outputs and
-    /// per-member statistics in submission order. Each member is
-    /// awaited with [`CompletionHandle::wait`], so the calling thread
-    /// computes CTAs — the group's and anyone else's, in admission
-    /// order — while members are outstanding, and never unwinds on a
-    /// member's panic.
-    ///
-    /// On the first member failure the remaining members are
-    /// cancelled (deadline expiry, cancellation, and panics thereby
-    /// propagate through the whole group), drained to their terminal
-    /// states, and the failure is reported as a [`GroupError`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing member's index, id, and
-    /// [`ServeError`], plus how many siblings the failure cancelled.
-    pub fn wait_all(self) -> Result<Vec<(Matrix<Acc>, RequestStats)>, GroupError> {
-        let mut results = Vec::with_capacity(self.members.len());
-        let mut members = self.members.into_iter().enumerate();
-        for (index, handle) in members.by_ref() {
-            let id = handle.id();
-            match handle.wait() {
-                Ok(out) => results.push(out),
-                Err(error) => {
-                    let mut cancelled = 0usize;
-                    let rest: Vec<_> = members.map(|(_, h)| h).collect();
-                    for sibling in &rest {
-                        if sibling.cancel() {
-                            cancelled += 1;
-                        }
-                    }
-                    for sibling in rest {
-                        let _ = sibling.wait();
-                    }
-                    return Err(GroupError { member: index, id, error, cancelled_siblings: cancelled });
-                }
-            }
-        }
-        Ok(results)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Shared service state
 // ---------------------------------------------------------------------------
@@ -860,7 +727,6 @@ struct ServeShared<In, Acc> {
     guests: Mutex<GuestSlots>,
     start_seq: AtomicU64,
     next_id: AtomicU64,
-    next_group: AtomicU64,
     telemetry: Arc<TelemetryRegistry>,
 }
 
@@ -1402,7 +1268,6 @@ where
             guests: Mutex::default(),
             start_seq: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
-            next_group: AtomicU64::new(0),
             telemetry: Arc::new(TelemetryRegistry::new()),
         });
         let executor = executor.clone();
@@ -1436,7 +1301,7 @@ where
     ) -> Result<CompletionHandle<In, Acc>, AdmissionError> {
         let lane = request.priority.lane();
         let t = Arc::clone(&self.shared.telemetry);
-        let cell = match self.build_cell(request, None) {
+        let cell = match self.build_cell(request) {
             Ok(cell) => cell,
             Err(e) => {
                 t.inc(ServiceCounter::Rejected);
@@ -1466,85 +1331,6 @@ where
         Ok(CompletionHandle { cell, shared: Arc::clone(&self.shared) })
     }
 
-    /// Submits a burst of related requests as one atomically-admitted
-    /// group (a layer's batched projections, …). Either **every**
-    /// request is queued — and a [`GroupHandle`] tracks them as a
-    /// completion unit — or **none** are: the first structural
-    /// rejection, a full queue (the whole burst must fit), or shutdown
-    /// refuses the entire group, so a caller never ends up with half a
-    /// burst in flight.
-    ///
-    /// Members are queued back-to-back in submission order and then
-    /// scheduled under the service's normal admission and claiming
-    /// discipline — the group completes as a unit but does not gang-
-    /// schedule.
-    ///
-    /// # Errors
-    ///
-    /// The first member's [`AdmissionError`], with no member queued.
-    pub fn submit_group(
-        &self,
-        requests: Vec<LaunchRequest<In>>,
-    ) -> Result<GroupHandle<In, Acc>, AdmissionError> {
-        let count = requests.len();
-        let t = Arc::clone(&self.shared.telemetry);
-        let group = self.shared.next_group.fetch_add(1, Ordering::Relaxed);
-        let mut cells = Vec::with_capacity(count);
-        for request in requests {
-            match self.build_cell(request, Some(group)) {
-                Ok(cell) => cells.push(Arc::new(cell)),
-                Err(e) => {
-                    t.add(ServiceCounter::Rejected, count as u64);
-                    t.flight().record(ServiceEventKind::Rejected, u64::MAX, 0, count as u64);
-                    return Err(e);
-                }
-            }
-        }
-        {
-            let mut q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            if !q.accepting {
-                t.add(ServiceCounter::Rejected, count as u64);
-                t.flight().record(ServiceEventKind::Rejected, u64::MAX, 0, count as u64);
-                return Err(AdmissionError::ShuttingDown);
-            }
-            if q.pending_len + cells.len() > self.shared.capacity {
-                t.add(ServiceCounter::Rejected, count as u64);
-                t.flight().record(ServiceEventKind::Rejected, u64::MAX, 0, count as u64);
-                return Err(AdmissionError::QueueFull { capacity: self.shared.capacity });
-            }
-            for cell in &cells {
-                let lane = cell.priority.lane();
-                q.pending[lane].push_back(Arc::clone(cell));
-                q.pending_len += 1;
-                t.inc(ServiceCounter::Submitted);
-                t.flight().record(ServiceEventKind::Submitted, cell.id, lane, group);
-            }
-            self.shared.publish_depths(&q);
-        }
-        self.shared.work_cv.notify_all();
-        let members = cells
-            .into_iter()
-            .map(|cell| CompletionHandle { cell, shared: Arc::clone(&self.shared) })
-            .collect();
-        Ok(GroupHandle { members })
-    }
-
-    /// Submits a group with one shared deadline applied to every
-    /// member — the whole burst must finish within `deadline`, and a
-    /// single member's expiry fails the group on
-    /// [`GroupHandle::wait_all`] (which then cancels the rest).
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_group`](Self::submit_group).
-    pub fn submit_group_with_deadline(
-        &self,
-        requests: Vec<LaunchRequest<In>>,
-        deadline: Duration,
-    ) -> Result<GroupHandle<In, Acc>, AdmissionError> {
-        self.submit_group(requests.into_iter().map(|r| r.with_deadline(deadline)).collect())
-    }
-
     /// Worker threads backing the service's pool — the residency
     /// budget a submitted decomposition's fixup structure must fit.
     #[must_use]
@@ -1558,7 +1344,6 @@ where
     fn build_cell(
         &self,
         request: LaunchRequest<In>,
-        group: Option<u64>,
     ) -> Result<RequestCell<In, Acc>, AdmissionError> {
         let LaunchRequest { a, b, decomp, priority, deadline, mut cta_faults, serve_fault } = request;
         check_single(&a.view(), &b.view(), &decomp).map_err(AdmissionError::Rejected)?;
@@ -1613,7 +1398,6 @@ where
         Ok(RequestCell {
             id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
             priority,
-            group,
             launch,
             out: OwnedTileWriter::new(layout, &space),
             orientation,
@@ -1685,31 +1469,22 @@ where
         self.shutdown_inner();
         stats_from_registry(&self.shared.telemetry)
     }
+}
 
+impl<In, Acc> GemmService<In, Acc> {
+    /// Stops admission and joins the coordinator once the pool has
+    /// drained every request; a no-op once the coordinator is joined.
     fn shutdown_inner(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            q.accepting = false;
-        }
+        let Some(coordinator) = self.coordinator.take() else { return };
+        self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner).accepting = false;
         self.shared.work_cv.notify_all();
-        if let Some(coordinator) = self.coordinator.take() {
-            let _ = coordinator.join();
-        }
+        let _ = coordinator.join();
     }
 }
 
 impl<In, Acc> Drop for GemmService<In, Acc> {
     fn drop(&mut self) {
-        if self.coordinator.is_some() {
-            {
-                let mut q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                q.accepting = false;
-            }
-            self.shared.work_cv.notify_all();
-            if let Some(coordinator) = self.coordinator.take() {
-                let _ = coordinator.join();
-            }
-        }
+        self.shutdown_inner();
     }
 }
 
@@ -1807,175 +1582,27 @@ mod tests {
             let (c, _) = handle.wait().unwrap();
             c.assert_close(&reference, 1e-11);
         }
-    }
 
-    #[test]
-    fn group_completes_as_a_unit_in_submission_order() {
-        use crate::fault::{FaultKind, FaultPlan};
-        // Six tiles over four CTAs: the grid has split seams, so a
-        // member can lose a partial.
-        let shape = GemmShape::new(96, 64, 48);
-        let tile = TileShape::new(32, 32, 16);
-        let decomp = Decomposition::stream_k(shape, tile, 4);
-        let exec = CpuExecutor::with_threads(4).with_watchdog(Duration::from_millis(200));
-        let pairs: Vec<_> = (0..5).map(|g| operands(shape, 10 + g)).collect();
-        let sequentials: Vec<Matrix<f64>> =
-            pairs.iter().map(|(a, b)| exec.gemm(a, b, &decomp)).collect();
-
-        let service = GemmService::<f64, f64>::start(&exec, ServeConfig::default());
-        // One member loses a partial mid-burst: owner-side recovery
-        // masks it and the group still resolves bit-exactly.
-        let lost = FaultPlan::single(FaultPlan::contributors(&decomp)[0], FaultKind::Lose);
-        let requests = pairs
-            .iter()
-            .enumerate()
-            .map(|(g, (a, b))| {
-                let request = LaunchRequest::new(a.clone(), b.clone(), decomp.clone());
-                if g == 3 { request.with_cta_faults(lost.clone()) } else { request }
+        // Dropping a service without `shutdown` drains the same way,
+        // even with every request still held in the queue.
+        let service = GemmService::<f64, f64>::start(&exec, ServeConfig::default().with_window(2));
+        let handles: Vec<_> = (0..6)
+            .map(|g| {
+                let decomp = Decomposition::stream_k(shape, tile, 3 + (g % 2));
+                let request = LaunchRequest::new(a.clone(), b.clone(), decomp)
+                    .with_serve_fault(ServeFaultKind::AdmitDelay(Duration::from_millis(200)));
+                service.submit(request).unwrap()
             })
             .collect();
-        let group = service.submit_group(requests).unwrap();
-        assert_eq!(group.len(), 5);
-        assert!(!group.is_empty());
-        let ids = group.ids();
-        assert_eq!(ids.len(), 5);
-        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids issued in submission order");
-
-        let results = group.wait_all().expect("burst completes as a unit");
-        assert_eq!(results.len(), 5);
-        for ((c, stats), sequential) in results.iter().zip(&sequentials) {
-            // Each member resolves to its *own* product (no cross-talk)
-            // and carries its own execution statistics.
-            assert_eq!(c.max_abs_diff(sequential), 0.0);
-            assert_eq!(stats.ctas, 4);
+        assert!(service.queue_depth().0 > 0, "requests must still be queued at the drop");
+        drop(service);
+        for handle in handles {
+            let (c, _) = handle.wait().unwrap();
+            c.assert_close(&reference, 1e-11);
         }
-        assert!(results[3].1.recoveries >= 1, "the lost partial must be recovered");
-
-        // The empty burst is legal and resolves trivially.
-        let empty = service.submit_group(Vec::new()).unwrap();
-        assert!(empty.is_empty());
-        assert!(empty.wait_all().unwrap().is_empty());
-
-        let final_stats = service.shutdown();
-        assert_eq!(final_stats.completed, 5);
-        assert_eq!(final_stats.rejected, 0);
-    }
-
-    #[test]
-    fn group_admission_is_all_or_nothing() {
-        let shape = GemmShape::new(48, 48, 32);
-        let tile = TileShape::new(16, 16, 8);
-        let (a, b) = operands(shape, 7);
-        let exec = CpuExecutor::with_threads(2);
-        let service =
-            GemmService::<f64, f64>::start(&exec, ServeConfig::default().with_capacity(3));
-
-        // A burst wider than the whole queue can never fit — the group
-        // is refused atomically, with no member enqueued.
-        let make = || LaunchRequest::new(a.clone(), b.clone(), Decomposition::stream_k(shape, tile, 2));
-        let err = service.submit_group((0..4).map(|_| make()).collect()).unwrap_err();
-        assert!(matches!(err, AdmissionError::QueueFull { capacity: 3 }));
-
-        // A structurally-invalid member anywhere in the burst rejects
-        // the whole burst before queue space is consumed.
-        let wrong = Matrix::<f64>::zeros(8, 8, Layout::RowMajor);
-        let bad = LaunchRequest::new(wrong, b.clone(), Decomposition::stream_k(shape, tile, 2));
-        let err = service.submit_group(vec![make(), make(), bad]).unwrap_err();
-        assert!(matches!(err, AdmissionError::Rejected(ExecutorError::ShapeMismatch { .. })));
-
-        // A burst that fits still flows.
-        let group = service.submit_group(vec![make(), make()]).unwrap();
-        assert_eq!(group.wait_all().unwrap().len(), 2);
-
-        let stats = service.shutdown();
-        assert_eq!(stats.completed, 2);
-        assert_eq!(stats.rejected, 4 + 3, "both refused bursts count every member");
-    }
-
-    #[test]
-    fn group_failure_cancels_the_surviving_siblings() {
-        let shape = GemmShape::new(48, 48, 32);
-        let tile = TileShape::new(16, 16, 8);
-        let (a, b) = operands(shape, 11);
-        let exec = CpuExecutor::with_threads(2);
-        let service = GemmService::<f64, f64>::start(&exec, ServeConfig::default());
-
-        // Member 0 panics mid-grid; the siblings are held in admission
-        // delay so they are demonstrably still alive when the failure
-        // surfaces — wait_all must cancel them, not leave them queued.
-        let make = |fault: ServeFaultKind| {
-            LaunchRequest::new(a.clone(), b.clone(), Decomposition::stream_k(shape, tile, 2))
-                .with_serve_fault(fault)
-        };
-        let group = service
-            .submit_group(vec![
-                make(ServeFaultKind::PanicCta),
-                make(ServeFaultKind::AdmitDelay(Duration::from_secs(2))),
-                make(ServeFaultKind::AdmitDelay(Duration::from_secs(2))),
-            ])
-            .unwrap();
-        let err = group.wait_all().unwrap_err();
-        assert_eq!(err.member, 0);
-        assert!(matches!(err.error, ServeError::Panicked { .. }), "{err}");
-        assert_eq!(err.cancelled_siblings, 2, "both delayed siblings must be cancelled");
-
-        // The pool recovered from the panic and the service still works.
-        let handle = service
-            .submit(LaunchRequest::new(a.clone(), b.clone(), Decomposition::stream_k(shape, tile, 2)))
-            .unwrap();
-        let (c, _) = handle.wait().unwrap();
-        c.assert_close(&gemm_naive::<f64, f64>(&a, &b), 1e-12);
-        service.shutdown();
-    }
-
-    #[test]
-    fn group_deadline_applies_to_every_member() {
-        let shape = GemmShape::new(48, 48, 32);
-        let tile = TileShape::new(16, 16, 8);
-        let (a, b) = operands(shape, 13);
-        let exec = CpuExecutor::with_threads(2);
-        let service = GemmService::<f64, f64>::start(&exec, ServeConfig::default());
-
-        // A generous shared deadline: the burst completes normally.
-        let make = || LaunchRequest::new(a.clone(), b.clone(), Decomposition::stream_k(shape, tile, 2));
-        let group = service
-            .submit_group_with_deadline((0..3).map(|_| make()).collect(), Duration::from_secs(30))
-            .unwrap();
-        assert_eq!(group.wait_all().unwrap().len(), 3);
-
-        // An unmeetable one: members held past the deadline by an
-        // admission delay expire, and the expiry propagates through
-        // wait_all as the group failure.
-        let held = |_: usize| {
-            make().with_serve_fault(ServeFaultKind::AdmitDelay(Duration::from_millis(200)))
-        };
-        let group = service
-            .submit_group_with_deadline((0..2).map(held).collect(), Duration::from_millis(20))
-            .unwrap();
-        let err = group.wait_all().unwrap_err();
-        assert!(matches!(err.error, ServeError::Timeout { .. }), "{err}");
-        service.shutdown();
-    }
-
-    #[test]
-    fn cancel_all_reaches_every_unfinished_member() {
-        let shape = GemmShape::new(48, 48, 32);
-        let tile = TileShape::new(16, 16, 8);
-        let (a, b) = operands(shape, 17);
-        let exec = CpuExecutor::with_threads(2);
-        let service = GemmService::<f64, f64>::start(&exec, ServeConfig::default());
-
-        let make = || {
-            LaunchRequest::new(a.clone(), b.clone(), Decomposition::stream_k(shape, tile, 2))
-                .with_serve_fault(ServeFaultKind::AdmitDelay(Duration::from_secs(2)))
-        };
-        let group = service.submit_group((0..3).map(|_| make()).collect()).unwrap();
-        assert_eq!(group.cancel_all(), 3);
-        assert_eq!(group.cancel_all(), 0, "second sweep finds nothing left to cancel");
-        let err = group.wait_all().unwrap_err();
-        assert_eq!(err.error, ServeError::Cancelled);
-        let stats = service.shutdown();
-        assert_eq!(stats.cancelled, 3);
+        // The drop released the pool: the executor launches again.
+        let c: Matrix<f64> = exec.gemm(&a, &b, &Decomposition::stream_k(shape, tile, 3));
+        c.assert_close(&reference, 1e-11);
     }
 
     /// A request whose B is too wide to read in place (a 4 KiB row,

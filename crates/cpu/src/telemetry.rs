@@ -33,13 +33,13 @@
 //!
 //! [`GemmService`]: crate::GemmService
 
-use crate::trace::{Histogram, Span};
+use crate::trace::{write_span, Histogram, Span};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
-use streamk_core::tev::{ArgValue, TraceWriter};
+use streamk_core::tev::{escape_json, TraceWriter};
 use streamk_core::SpanKind;
 
 /// Admission lanes the serve layer exposes (High / Normal / Bulk).
@@ -490,22 +490,6 @@ pub struct IncidentReport {
     pub spans: Vec<Span>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl IncidentReport {
     /// Serializes the report as a self-contained JSON document.
     #[must_use]
@@ -513,7 +497,7 @@ impl IncidentReport {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
         s.push_str(&format!("  \"seq\": {},\n", self.seq));
-        s.push_str(&format!("  \"reason\": \"{}\",\n", json_escape(&self.reason)));
+        s.push_str(&format!("  \"reason\": \"{}\",\n", escape_json(&self.reason)));
         if self.request == u64::MAX {
             s.push_str("  \"request\": null,\n");
         } else {
@@ -574,9 +558,6 @@ pub struct RequestTrace {
     pub id: u64,
     /// Admission lane (index into [`LANE_NAMES`]).
     pub lane: usize,
-    /// Group id when the request was part of a
-    /// `submit_group` burst.
-    pub group: Option<u64>,
     /// The request's spans, in recording order. Timestamps are
     /// relative to the service (registry) epoch, so tracks from
     /// different requests align on one timeline. A `Cta` span's `arg2`
@@ -609,22 +590,15 @@ impl ServeTrace {
 
     /// Writes the trace into `w` as process `pid`: one thread per
     /// request (named `req<id> (<lane>)`), one complete event per
-    /// span — queue wait renders as a first-class phase at the start
-    /// of each track.
+    /// span with kind-specific args, as in `ExecTrace` — queue wait
+    /// renders as a first-class phase at the start of each track.
     pub fn write_chrome_trace(&self, w: &mut TraceWriter, pid: usize, process_name: &str) {
         w.process_name(pid, process_name);
         for r in &self.requests {
             let tid = r.id as usize;
-            let group = r.group.map(|g| format!(" g{g}")).unwrap_or_default();
-            w.thread_name(pid, tid, &format!("req{} ({}{})", r.id, LANE_NAMES[r.lane], group));
+            w.thread_name(pid, tid, &format!("req{} ({})", r.id, LANE_NAMES[r.lane]));
             for span in &r.spans {
-                let ts = span.start_ns as f64 / 1e3;
-                let dur = span.dur_ns() as f64 / 1e3;
-                let args: Vec<(&str, ArgValue)> = vec![
-                    ("arg", ArgValue::U64(u64::from(span.arg))),
-                    ("arg2", ArgValue::U64(u64::from(span.arg2))),
-                ];
-                w.complete(pid, tid, span.kind.name(), ts, dur, &args);
+                write_span(w, pid, tid, span);
             }
         }
     }
@@ -663,19 +637,10 @@ impl Default for TelemetryRegistry {
 }
 
 impl TelemetryRegistry {
-    /// A fresh registry with the default flight-recorder capacity.
+    /// A fresh registry whose flight recorder holds
+    /// [`DEFAULT_FLIGHT_CAPACITY`] events.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_flight_capacity(DEFAULT_FLIGHT_CAPACITY)
-    }
-
-    /// A fresh registry whose flight recorder holds `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_flight_capacity(capacity: usize) -> Self {
         let epoch = Instant::now();
         Self {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -686,7 +651,7 @@ impl TelemetryRegistry {
             select_decisions: std::array::from_fn(|_| AtomicU64::new(0)),
             select_regret_ns: AtomicU64::new(0),
             select_events: Mutex::new(VecDeque::new()),
-            flight: FlightRecorder::new(capacity, epoch),
+            flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY, epoch),
             incidents: Mutex::new(Vec::new()),
             incident_seq: AtomicU64::new(0),
             incident_dir: Mutex::new(None),
@@ -853,11 +818,12 @@ impl TelemetryRegistry {
 
     /// Takes (and clears) every harvested request timeline.
     ///
-    /// Same-id fragments merge into one track: the claim that
-    /// completes a request closes its own CTA span *after* the
-    /// resolution harvest drained the ring, so the serve loop
-    /// re-harvests the leftovers as a second fragment for the same
-    /// request id.
+    /// Same-id fragments merge into one track. The claim that
+    /// completes a request returns its ring before the resolution
+    /// harvest drains it, so a second fragment comes only from a
+    /// straggler of a dead request: a CTA or resumption still running
+    /// on another thread returns its ring after the harvest, and the
+    /// serve loop re-harvests the leftovers under the same id.
     #[must_use]
     pub fn take_trace(&self) -> ServeTrace {
         let mut raw =
@@ -1087,7 +1053,6 @@ mod tests {
                 RequestTrace {
                     id: 0,
                     lane: 0,
-                    group: None,
                     spans: vec![Span {
                         kind: SpanKind::QueueWait,
                         start_ns: 0,
@@ -1100,7 +1065,6 @@ mod tests {
                 RequestTrace {
                     id: 1,
                     lane: 2,
-                    group: Some(4),
                     spans: vec![Span {
                         kind: SpanKind::Cta,
                         start_ns: 500,
@@ -1118,7 +1082,11 @@ mod tests {
         let json = w.finish();
         validate_json(&json).unwrap();
         assert!(json.contains("req0 (high)"));
-        assert!(json.contains("req1 (bulk g4)"));
+        assert!(json.contains("req1 (bulk)"));
         assert!(json.contains(r#""name": "queue_wait""#));
+        // Spans carry their kind's arg names: the worker that ran a CTA
+        // is on the request's track.
+        assert!(json.contains(r#""args": {"lane": 0, "request": 0}"#), "{json}");
+        assert!(json.contains(r#""args": {"cta": 3, "worker": 1}"#), "{json}");
     }
 }

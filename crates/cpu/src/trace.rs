@@ -408,27 +408,30 @@ impl ExecTrace {
             w.thread_name(pid, wid, &format!("worker{wid}"));
         }
         for (wid, span) in self.iter() {
-            let ts = span.start_ns as f64 / 1e3;
-            let dur = span.dur_ns() as f64 / 1e3;
-            let (k1, k2) = arg_names(span.kind);
-            let mut args: Vec<(&str, ArgValue)> = Vec::with_capacity(2);
-            if let Some(k1) = k1 {
-                args.push((k1, ArgValue::U64(u64::from(span.arg))));
-            }
-            if let Some(k2) = k2 {
-                args.push((k2, ArgValue::U64(u64::from(span.arg2))));
-            }
-            w.complete(pid, wid, span.kind.name(), ts, dur, &args);
+            write_span(w, pid, wid, span);
         }
     }
+}
+
+/// Writes `span` into `w` as one complete event on thread `tid` of
+/// process `pid`, its args named per kind.
+pub(crate) fn write_span(w: &mut TraceWriter, pid: usize, tid: usize, span: &Span) {
+    let (k1, k2) = arg_names(span.kind);
+    let mut args: Vec<(&str, ArgValue)> = Vec::with_capacity(2);
+    if let Some(k1) = k1 {
+        args.push((k1, ArgValue::U64(u64::from(span.arg))));
+    }
+    if let Some(k2) = k2 {
+        args.push((k2, ArgValue::U64(u64::from(span.arg2))));
+    }
+    w.complete(pid, tid, span.kind.name(), span.start_ns as f64 / 1e3, span.dur_ns() as f64 / 1e3, &args);
 }
 
 /// What `arg`/`arg2` mean for each span kind in trace exports.
 fn arg_names(kind: SpanKind) -> (Option<&'static str>, Option<&'static str>) {
     match kind {
-        SpanKind::Claim | SpanKind::Steal | SpanKind::Cta | SpanKind::Signal => {
-            (Some("cta"), None)
-        }
+        SpanKind::Claim | SpanKind::Steal | SpanKind::Signal => (Some("cta"), None),
+        SpanKind::Cta => (Some("cta"), Some("worker")),
         SpanKind::Mac => (Some("tile"), Some("iters")),
         SpanKind::PackPrivate => (Some("tile"), Some("kc")),
         SpanKind::PackCached => (Some("slot"), Some("operand")),

@@ -476,11 +476,11 @@ fn a_panic_in_a_cta_the_caller_runs_fails_only_that_request() {
     assert_eq!(final_stats.pool_poisonings, 0);
 }
 
-/// `wait_all` on a burst with more members than there are guest
-/// slots: the one waiting thread takes a slot per member and hands it
-/// back, so with the pool held back it computes the whole burst.
+/// One `wait` per handle on a burst with more requests than there are
+/// guest slots: the one waiting thread takes a slot per wait and hands
+/// it back, so with the pool held back it computes the whole burst.
 #[test]
-fn wait_all_computes_a_burst_larger_than_the_guest_stack() {
+fn waits_compute_a_burst_larger_than_the_guest_stack() {
     let shape = GemmShape::new(48, 40, 32);
     let e = exec(1);
     let decomp = Decomposition::stream_k(shape, TileShape::new(16, 16, 8), 3);
@@ -491,14 +491,14 @@ fn wait_all_computes_a_burst_larger_than_the_guest_stack() {
     let service = GemmService::<f64, f64>::start(&e, ServeConfig::default().with_window(2));
     assert!(pairs.len() > service.workers());
     let t0 = Instant::now();
-    let group = service
-        .submit_group(
-            pairs.iter().map(|(a, b)| LaunchRequest::new(a.clone(), b.clone(), decomp.clone())).collect(),
-        )
-        .unwrap();
-    let results = group.wait_all().expect("the burst completes");
+    let handles: Vec<_> = pairs
+        .iter()
+        .map(|(a, b)| service.submit(LaunchRequest::new(a.clone(), b.clone(), decomp.clone())).unwrap())
+        .collect();
+    assert!(handles.windows(2).all(|w| w[0].id() < w[1].id()), "ids are issued in submission order");
+    let results: Vec<_> = handles.into_iter().map(|h| h.wait().expect("the burst completes")).collect();
     let took = t0.elapsed();
-    assert!(took < HELD_BACK / 2, "wait_all took {took:?}: some member waited for the pool");
+    assert!(took < HELD_BACK / 2, "the waits took {took:?}: some request waited for the pool");
     for ((c, _), baseline) in results.iter().zip(&baselines) {
         assert_eq!(c.max_abs_diff(baseline), 0.0);
     }
