@@ -146,3 +146,43 @@ proptest! {
         }
     }
 }
+
+/// A batch is the group of its equal shapes: for every batch size,
+/// instance shape, tile and grid — data-parallel grids and grids with
+/// more CTAs than iterations included — the batched decomposition's
+/// CTAs and fixups are `==` those of the grouped decomposition of
+/// `batch` copies of the instance shape.
+#[test]
+fn a_batch_decomposes_as_the_group_of_its_equal_shapes() {
+    use streamk_core::{BatchedDecomposition, BatchedSpace, CtaWork, GroupedDecomposition, GroupedSpace};
+    let mut empty_ctas_seen = false;
+    for batch in [1usize, 2, 3, 5, 8] {
+        for (m, n, k) in [(64, 64, 32), (19, 23, 31), (96, 80, 64), (16, 16, 48), (1, 1, 1)] {
+            let shape = GemmShape::new(m, n, k);
+            for tile in [TileShape::new(32, 32, 8), TileShape::new(16, 16, 8), TileShape::new(8, 8, 8), TileShape::new(64, 16, 32)] {
+                let batched = BatchedSpace::new(batch, shape, tile);
+                let grouped = GroupedSpace::new(&vec![shape; batch], tile);
+                assert_eq!(batched.tiles(), grouped.tiles());
+                assert_eq!(batched.total_iters(), grouped.total_iters());
+                let what = format!("{batch} x {shape} at {tile}");
+                let (b, g) =
+                    (BatchedDecomposition::data_parallel(batched.clone()), GroupedDecomposition::data_parallel(grouped.clone()));
+                assert_eq!(b.grid_size(), g.grid_size(), "{what}, data-parallel");
+                assert_eq!(b.ctas(), g.ctas(), "{what}, data-parallel");
+                assert_eq!(b.fixups(), g.fixups(), "{what}, data-parallel");
+                let total = batched.total_iters();
+                for grid in [1, 2, 3, 4, 7, 13, batched.tiles(), total, total + 5] {
+                    let b = BatchedDecomposition::stream_k(batched.clone(), grid);
+                    let g = GroupedDecomposition::stream_k(grouped.clone(), grid);
+                    assert_eq!(b.grid_size(), g.grid_size(), "{what}, grid {grid}");
+                    assert_eq!(b.ctas(), g.ctas(), "{what}, grid {grid}");
+                    assert_eq!(b.fixups(), g.fixups(), "{what}, grid {grid}");
+                    assert_eq!(b.validate(), g.validate(), "{what}, grid {grid}");
+                    assert_eq!(b.iter_imbalance(), g.iter_imbalance(), "{what}, grid {grid}");
+                    empty_ctas_seen |= b.ctas().iter().any(CtaWork::is_empty);
+                }
+            }
+        }
+    }
+    assert!(empty_ctas_seen, "some grid has more CTAs than iterations");
+}

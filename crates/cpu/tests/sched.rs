@@ -460,6 +460,53 @@ fn batched_launches_report_their_real_counters() {
     assert!(lost == calm, "recovery changed the output");
 }
 
+/// A batch is the group of its equal shapes: `gemm_batched` returns,
+/// bit for bit, what `gemm_grouped` returns on the group of `batch`
+/// copies of the instance shape. Both batch strategies — data-parallel
+/// and Stream-K, at grids with seams, with whole-tile CTAs and with
+/// empty CTAs — on every worker count from the residency floor to 4;
+/// and a lost and a poisoned contributor of the group, recovered,
+/// leave the batch's output unchanged.
+#[test]
+fn a_batch_computes_what_the_group_of_its_equal_shapes_computes() {
+    // 3 x 2 tiles of seven iterations (a ragged last row and k-step),
+    // and 2 x 1 tiles of two iterations, whose 12-iteration batch
+    // leaves two of 14 CTAs empty.
+    let cases = [
+        (GemmShape::new(40, 24, 53), vec![None, Some(1), Some(2), Some(3), Some(4), Some(5), Some(7), Some(18)]),
+        (GemmShape::new(32, 16, 16), vec![None, Some(3), Some(6), Some(14)]),
+    ];
+    let batch = 3;
+    for (shape, grids) in cases {
+        let (a, b): (Vec<_>, Vec<_>) = (0..batch).map(|i| operands(shape, 301 + 2 * i as u64)).unzip();
+        let batched = BatchedSpace::new(batch, shape, TILE);
+        let grouped = GroupedSpace::new(&[shape; 3], TILE);
+        for grid in grids {
+            let (bd, gd) = match grid {
+                None => (BatchedDecomposition::data_parallel(batched.clone()), GroupedDecomposition::data_parallel(grouped.clone())),
+                Some(g) => (BatchedDecomposition::stream_k(batched.clone(), g), GroupedDecomposition::stream_k(grouped.clone(), g)),
+            };
+            let floor = fixup_floor(&gd.fixups());
+            for workers in floor..=4 {
+                let what = format!("{batch} x {shape}, grid {grid:?} on {workers}");
+                let exec = CpuExecutor::with_threads(workers).with_watchdog(Duration::from_millis(50));
+                let want = exec.gemm_grouped::<f64, f64>(&a, &b, &gd);
+                let got = exec.gemm_batched::<f64, f64>(&a, &b, &bd);
+                assert!(got == want, "{what}: the batch differs from its group");
+                if let Some(&victim) = contributors(&gd.fixups()).first() {
+                    for kind in [FaultKind::Lose, FaultKind::Poison] {
+                        let plan = FaultPlan::single(victim, kind);
+                        let (faulty, report) =
+                            exec.gemm_grouped_with_faults::<f64, f64>(&a, &b, &gd, &plan).expect("recovery masks the fault");
+                        assert_eq!(report.recoveries(), 1, "{what}, {}", kind.name());
+                        assert!(faulty == got, "{what}: a recovered {} contributor moved the group off the batch", kind.name());
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// One tile segment as the trace and the plan both name it: its CTA,
 /// its tile (numbered within its instance) and its iteration count. A
 /// CTA's range is contiguous, so within one instance the pair (CTA,

@@ -10,63 +10,26 @@
 //! A change to the event queue that moves any bit of any of them,
 //! deadlocks and re-dispatches included, fails here.
 
+mod fingerprint;
+
+use fingerprint::Fingerprint;
 use streamk_core::Decomposition;
-use streamk_sim::{simulate, simulate_with_faults, FaultSimReport, GpuSpec, SimFaultPlan, SimReport};
+use streamk_sim::{simulate, simulate_with_faults, FaultSimReport, GpuSpec, SimFaultPlan};
 use streamk_types::{GemmShape, Precision, TileShape};
 
 const SHAPES: [(usize, usize, usize); 5] =
     [(128, 128, 4096), (896, 384, 1024), (1000, 700, 900), (384, 384, 128), (4096, 4096, 1024)];
 
-/// FNV-1a over 64-bit words: stable across platforms and toolchains.
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn float(&mut self, x: f64) {
-        self.word(x.to_bits());
-    }
-
-    fn usizes(&mut self, xs: &[usize]) {
-        self.word(xs.len() as u64);
-        xs.iter().for_each(|&x| self.word(x as u64));
-    }
-
-    fn report(&mut self, r: &SimReport) {
-        self.word(r.precision as u64);
-        self.word(r.sms as u64);
-        for x in [r.peak_flops, r.makespan, r.compute_makespan, r.memory_time, r.useful_flops, r.traffic_bytes] {
-            self.float(x);
-        }
-        self.float(r.mac_busy);
-        self.float(r.total_wait);
-        self.word(r.spans.len() as u64);
-        for s in &r.spans {
-            self.usizes(&[s.cta_id, s.sm, s.iters]);
-            self.float(s.start);
-            self.float(s.end);
-            self.float(s.waited);
-        }
-    }
-
-    fn fault_report(mut self, r: &FaultSimReport) -> u64 {
-        self.report(&r.faulty);
-        self.report(&r.baseline);
-        self.word(u64::from(r.deadlocked));
-        self.usizes(&r.lost_ctas);
-        self.usizes(&r.unresolved_owners);
-        self.word(r.redispatches as u64);
-        self.0
-    }
+/// Every field of both reports and of the fault outcome.
+fn fault_fingerprint(r: &FaultSimReport) -> u64 {
+    let mut print = Fingerprint::new();
+    print.report(&r.faulty);
+    print.report(&r.baseline);
+    print.word(u64::from(r.deadlocked));
+    print.usizes(&r.lost_ctas);
+    print.usizes(&r.unresolved_owners);
+    print.word(r.redispatches as u64);
+    print.0
 }
 
 /// The seven plans, named, for a decomposition whose fault-free
@@ -107,7 +70,7 @@ fn cases() -> Vec<String> {
                             "{m}x{n}x{k} {}sm {:?} {precision:?} {name} {:016x}",
                             gpu.sms,
                             d.strategy(),
-                            Fingerprint::new().fault_report(&r)
+                            fault_fingerprint(&r)
                         ));
                     }
                 }
