@@ -7,7 +7,7 @@
 //! Stream-K pays one launch and balances globally).
 
 use streamk_core::{BatchedDecomposition, BatchedSpace, Decomposition};
-use streamk_sim::{simulate, simulate_batched, GpuSpec};
+use streamk_sim::{simulate, simulate_grouped, GpuSpec};
 use streamk_types::{GemmShape, Precision, TileShape};
 
 fn main() {
@@ -26,8 +26,8 @@ fn main() {
 
         let space = BatchedSpace::new(batch, shape, tile);
         let global_tiles = space.tiles();
-        let bdp = simulate_batched(&BatchedDecomposition::data_parallel(space.clone()), &gpu, precision);
-        let bsk = simulate_batched(&BatchedDecomposition::stream_k(space, gpu.sms), &gpu, precision);
+        let bdp = simulate_grouped(BatchedDecomposition::data_parallel(space.clone()).group(), &gpu, precision);
+        let bsk = simulate_grouped(BatchedDecomposition::stream_k(space, gpu.sms).group(), &gpu, precision);
 
         println!(
             "{batch},{global_tiles},{per_instance:.4e},{:.4e},{:.4e},{:.2},{:.2},{:.3}",

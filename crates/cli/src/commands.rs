@@ -541,7 +541,7 @@ fn run_chaos(shape: GemmShape, tile: TileShape, seeds: u64, threads: usize, watc
         })));
     }
     cells.push(("batched", peers(batched.fixups()), Box::new(|plan| {
-        exec.gemm_batched_with_faults::<f64, f64>(&batch_a, &batch_b, &batched, plan)
+        exec.gemm_grouped_with_faults::<f64, f64>(&batch_a, &batch_b, batched.group(), plan)
     })));
     cells.push(("grouped", peers(grouped.fixups()), Box::new(|plan| {
         exec.gemm_grouped_with_faults::<f64, f64>(&group_a, &group_b, &grouped, plan)

@@ -8,15 +8,18 @@
 //! instance's few output tiles quantize badly on a wide processor,
 //! and per-instance kernel launches serialize.
 //!
-//! Stream-K generalizes directly: extend the m→n→k linearization with
-//! an outermost batch axis — `batch → m → n → k` — and split the
-//! aggregate iteration count evenly across one grid of CTAs that
-//! crosses instance boundaries as freely as tile boundaries. All the
-//! machinery (contiguous ranges, unique tile ownership, consecutive
-//! fixup peers) carries over with *global* tile ids
-//! `b · tiles_per_instance + tile`.
+//! Stream-K generalizes directly: concatenate the instances' iteration
+//! spaces — `batch → m → n → k` — and split the aggregate iteration
+//! count evenly across one grid of CTAs that crosses instance
+//! boundaries as freely as tile boundaries. That is exactly what a
+//! [`grouped`](crate::grouped) GEMM does, so a batch *is* the group of
+//! `batch` copies of its shape: [`BatchedDecomposition`] builds that
+//! [`GroupedDecomposition`] and hands it out through
+//! [`group`](BatchedDecomposition::group), and every simulator,
+//! executor and selector path runs the group. Global tile ids are
+//! `b · tiles per instance + tile`.
 
-use crate::decomposition::balanced_ranges;
+use crate::grouped::{GroupedDecomposition, GroupedSpace};
 use crate::space::IterSpace;
 use crate::work::{CtaWork, TileFixup};
 use streamk_types::{GemmShape, TileShape};
@@ -53,22 +56,10 @@ impl BatchedSpace {
         self.batch
     }
 
-    /// Output tiles per instance.
-    #[must_use]
-    pub fn tiles_per_instance(&self) -> usize {
-        self.instance.tiles()
-    }
-
-    /// Global output tiles: `batch · tiles_per_instance`.
+    /// Global output tiles: `batch` times the instance's.
     #[must_use]
     pub fn tiles(&self) -> usize {
         self.batch * self.instance.tiles()
-    }
-
-    /// MAC-loop iterations per tile (same for every instance).
-    #[must_use]
-    pub fn iters_per_tile(&self) -> usize {
-        self.instance.iters_per_tile()
     }
 
     /// Aggregate MAC-loop iterations across the batch.
@@ -77,26 +68,19 @@ impl BatchedSpace {
         self.batch * self.instance.total_iters()
     }
 
-    /// Splits a global tile id into `(instance, local tile)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `global_tile` is out of range.
-    #[inline]
-    #[must_use]
-    pub fn locate(&self, global_tile: usize) -> (usize, usize) {
-        assert!(global_tile < self.tiles(), "tile {global_tile} out of range");
-        (global_tile / self.instance.tiles(), global_tile % self.instance.tiles())
+    /// The group of `batch` copies of the instance shape.
+    fn group(&self) -> GroupedSpace {
+        GroupedSpace::new(&vec![self.instance.shape(); self.batch], self.instance.tile())
     }
 }
 
 /// A Stream-K (or degenerate data-parallel) decomposition of a
-/// batched GEMM.
+/// batched GEMM: a view of the [`GroupedDecomposition`] of the batch's
+/// group of equal shapes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchedDecomposition {
     space: BatchedSpace,
-    ctas: Vec<CtaWork>,
-    grid: usize,
+    group: GroupedDecomposition,
 }
 
 impl BatchedDecomposition {
@@ -109,16 +93,16 @@ impl BatchedDecomposition {
     /// Panics if `grid == 0`.
     #[must_use]
     pub fn stream_k(space: BatchedSpace, grid: usize) -> Self {
-        let ctas = balanced_ranges(space.total_iters(), grid, 0, 0);
-        Self { space, ctas, grid }
+        let group = GroupedDecomposition::stream_k(space.group(), grid);
+        Self { space, group }
     }
 
     /// One CTA per global output tile — the batched data-parallel
     /// baseline (equivalent to Stream-K at `g = batch · t`).
     #[must_use]
     pub fn data_parallel(space: BatchedSpace) -> Self {
-        let tiles = space.tiles();
-        Self::stream_k(space, tiles)
+        let group = GroupedDecomposition::data_parallel(space.group());
+        Self { space, group }
     }
 
     /// The batched space.
@@ -127,48 +111,29 @@ impl BatchedDecomposition {
         &self.space
     }
 
+    /// The same schedule as a group of `batch` equal shapes: what the
+    /// simulator, the executor and the selector run.
+    #[must_use]
+    pub fn group(&self) -> &GroupedDecomposition {
+        &self.group
+    }
+
     /// Grid size.
     #[must_use]
     pub fn grid_size(&self) -> usize {
-        self.grid
+        self.group.grid_size()
     }
 
     /// Per-CTA assignments over the global iteration space.
     #[must_use]
     pub fn ctas(&self) -> &[CtaWork] {
-        &self.ctas
+        self.group.ctas()
     }
 
-    /// Consolidation structure over *global* tile ids, computed the
-    /// same way as the single-instance
-    /// [`Decomposition::fixups`](crate::Decomposition::fixups).
+    /// Consolidation structure over *global* tile ids.
     #[must_use]
     pub fn fixups(&self) -> Vec<TileFixup> {
-        let ipt = self.space.iters_per_tile();
-        let mut by_tile: Vec<(Option<usize>, Vec<usize>)> = vec![(None, Vec::new()); self.space.tiles()];
-        for cta in &self.ctas {
-            let mut iter = cta.iter_begin;
-            while iter < cta.iter_end {
-                let tile = iter / ipt;
-                let tile_first = tile * ipt;
-                let seg_end = cta.iter_end.min(tile_first + ipt);
-                if iter == tile_first {
-                    by_tile[tile].0 = Some(cta.cta_id);
-                } else {
-                    by_tile[tile].1.push(cta.cta_id);
-                }
-                iter = seg_end;
-            }
-        }
-        by_tile
-            .into_iter()
-            .enumerate()
-            .map(|(tile_idx, (owner, peers))| TileFixup {
-                tile_idx,
-                owner: owner.unwrap_or_else(|| panic!("tile {tile_idx} has no owner")),
-                peers,
-            })
-            .collect()
+        self.group.fixups()
     }
 
     /// Structural validation: contiguous exact cover and dense ids.
@@ -177,29 +142,14 @@ impl BatchedDecomposition {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        let mut cursor = 0;
-        for (i, cta) in self.ctas.iter().enumerate() {
-            if cta.cta_id != i {
-                return Err(format!("cta at position {i} has id {}", cta.cta_id));
-            }
-            if cta.iter_begin != cursor {
-                return Err(format!("cta {i} begins at {} but coverage ended at {cursor}", cta.iter_begin));
-            }
-            cursor = cta.iter_end;
-        }
-        if cursor != self.space.total_iters() {
-            return Err(format!("coverage ends at {cursor}, expected {}", self.space.total_iters()));
-        }
-        Ok(())
+        self.group.validate()
     }
 
     /// Iteration imbalance across non-empty CTAs (≤ 1 by
     /// construction).
     #[must_use]
     pub fn iter_imbalance(&self) -> usize {
-        let max = self.ctas.iter().map(CtaWork::len).max().unwrap_or(0);
-        let min = self.ctas.iter().map(CtaWork::len).filter(|&l| l > 0).min().unwrap_or(0);
-        max - min
+        self.group.iter_imbalance()
     }
 }
 
@@ -216,19 +166,13 @@ mod tests {
     #[test]
     fn space_accounting() {
         let s = space();
-        assert_eq!(s.tiles_per_instance(), 4);
+        assert_eq!(s.instance().tiles(), 4);
         assert_eq!(s.tiles(), 32);
-        assert_eq!(s.iters_per_tile(), 4);
+        assert_eq!(s.instance().iters_per_tile(), 4);
         assert_eq!(s.total_iters(), 128);
-    }
-
-    #[test]
-    fn locate_splits_global_ids() {
-        let s = space();
-        assert_eq!(s.locate(0), (0, 0));
-        assert_eq!(s.locate(3), (0, 3));
-        assert_eq!(s.locate(4), (1, 0));
-        assert_eq!(s.locate(31), (7, 3));
+        let group = BatchedDecomposition::stream_k(s, 6);
+        let group = group.group().space();
+        assert_eq!((group.groups(), group.tiles(), group.total_iters()), (8, 32, 128));
     }
 
     #[test]

@@ -304,26 +304,9 @@ impl Decomposition {
     /// order. Tiles wholly produced by one CTA have no peers.
     #[must_use]
     pub fn fixups(&self) -> Vec<TileFixup> {
-        let mut by_tile: Vec<(Option<usize>, Vec<usize>)> = vec![(None, Vec::new()); self.space.tiles()];
-        for cta in &self.ctas {
-            for seg in cta.segments(&self.space) {
-                let entry = &mut by_tile[seg.tile_idx];
-                if seg.starts_tile {
-                    entry.0 = Some(cta.cta_id);
-                } else {
-                    entry.1.push(cta.cta_id);
-                }
-            }
-        }
-        by_tile
-            .into_iter()
-            .enumerate()
-            .map(|(tile_idx, (owner, peers))| TileFixup {
-                tile_idx,
-                owner: owner.unwrap_or_else(|| panic!("tile {tile_idx} has no owner — invalid decomposition")),
-                peers,
-            })
-            .collect()
+        let segments =
+            self.ctas.iter().flat_map(|cta| cta.segments(&self.space).map(|seg| (cta.cta_id, seg.tile_idx, seg.starts_tile)));
+        fold_fixups(self.space.tiles(), segments)
     }
 
     /// Number of tiles that require cross-CTA consolidation — the
@@ -343,31 +326,9 @@ impl Decomposition {
     /// Returns `Err` with a human-readable description if any invariant
     /// fails.
     pub fn validate(&self) -> Result<(), String> {
-        let total = self.space.total_iters();
-        // 1. CTA ids are dense and ordered.
-        for (i, cta) in self.ctas.iter().enumerate() {
-            if cta.cta_id != i {
-                return Err(format!("cta at position {i} has id {}", cta.cta_id));
-            }
-            if cta.iter_begin > cta.iter_end {
-                return Err(format!("cta {i} has inverted range [{}, {})", cta.iter_begin, cta.iter_end));
-            }
-        }
-        // 2. Ranges form a contiguous ascending cover of [0, total).
-        let mut cursor = 0;
-        for cta in &self.ctas {
-            if cta.iter_begin != cursor {
-                return Err(format!(
-                    "cta {} begins at {} but previous coverage ended at {cursor}",
-                    cta.cta_id, cta.iter_begin
-                ));
-            }
-            cursor = cta.iter_end;
-        }
-        if cursor != total {
-            return Err(format!("coverage ends at {cursor}, expected {total}"));
-        }
-        // 3. Every CTA stores at most one partial record: only its
+        // 1. Dense ids, ranges forming a contiguous ascending cover.
+        check_cover(&self.ctas, self.space.total_iters())?;
+        // 2. Every CTA stores at most one partial record: only its
         //    first segment may be a non-starting contribution.
         for cta in &self.ctas {
             for (i, seg) in cta.segments(&self.space).enumerate() {
@@ -376,7 +337,7 @@ impl Decomposition {
                 }
             }
         }
-        // 4. Tile ownership and peer consecutiveness.
+        // 3. Tile ownership and peer consecutiveness.
         for fixup in self.fixups() {
             for (i, &peer) in fixup.peers.iter().enumerate() {
                 if peer != fixup.owner + i + 1 {
@@ -388,6 +349,55 @@ impl Decomposition {
             }
         }
         Ok(())
+    }
+}
+
+/// Folds a grid's tile segments — `(cta, tile, starts_tile)`, in CTA
+/// order — into the consolidation structure of each of its `tiles`
+/// tiles: the CTA that starts a tile owns it, every other CTA touching
+/// it is a peer, in ascending id order.
+///
+/// # Panics
+///
+/// Panics if a tile has no owner (the grid does not cover it).
+pub(crate) fn fold_fixups(tiles: usize, segments: impl Iterator<Item = (usize, usize, bool)>) -> Vec<TileFixup> {
+    let mut fixups: Vec<TileFixup> =
+        (0..tiles).map(|tile_idx| TileFixup { tile_idx, owner: usize::MAX, peers: Vec::new() }).collect();
+    for (cta, tile, starts_tile) in segments {
+        let fixup = &mut fixups[tile];
+        if starts_tile {
+            fixup.owner = cta;
+        } else {
+            fixup.peers.push(cta);
+        }
+    }
+    if let Some(orphan) = fixups.iter().find(|f| f.owner == usize::MAX) {
+        panic!("tile {} has no owner — invalid decomposition", orphan.tile_idx);
+    }
+    fixups
+}
+
+/// Checks that `ctas` have dense ids in order and ranges forming a
+/// contiguous ascending cover of `[0, total)`, returning the first
+/// violation.
+pub(crate) fn check_cover(ctas: &[CtaWork], total: usize) -> Result<(), String> {
+    let mut cursor = 0;
+    for (i, cta) in ctas.iter().enumerate() {
+        if cta.cta_id != i {
+            return Err(format!("cta at position {i} has id {}", cta.cta_id));
+        }
+        if cta.iter_begin > cta.iter_end {
+            return Err(format!("cta {i} has inverted range [{}, {})", cta.iter_begin, cta.iter_end));
+        }
+        if cta.iter_begin != cursor {
+            return Err(format!("cta {i} begins at {} but previous coverage ended at {cursor}", cta.iter_begin));
+        }
+        cursor = cta.iter_end;
+    }
+    if cursor == total {
+        Ok(())
+    } else {
+        Err(format!("coverage ends at {cursor}, expected {total}"))
     }
 }
 

@@ -1,8 +1,7 @@
 //! Grouped GEMM — one Stream-K grid over instances of *different*
 //! shapes.
 //!
-//! Where [`batched`](crate::batched) covers a uniform batch, grouped
-//! GEMM schedules a set of problems with unrelated extents (the
+//! Grouped GEMM schedules a set of problems with unrelated extents (the
 //! mixture a transformer layer or a multi-tenant serving batch
 //! produces) as **one** launch: the per-instance iteration spaces are
 //! concatenated — `group₀ → group₁ → …`, each internally m→n→k — and
@@ -12,9 +11,11 @@
 //! quantizes perfectly.
 //!
 //! All instances share one blocking factor (one kernel — the paper's
-//! single-kernel story), but may differ in every problem extent.
+//! single-kernel story), but may differ in every problem extent. A
+//! uniform [`batch`](crate::batched) is the group whose members share
+//! one shape.
 
-use crate::decomposition::balanced_ranges;
+use crate::decomposition::{balanced_ranges, check_cover, fold_fixups};
 use crate::space::IterSpace;
 use crate::work::{CtaWork, TileFixup};
 use streamk_types::{GemmShape, TileShape};
@@ -112,22 +113,26 @@ impl GroupedSpace {
     }
 
     /// Splits a CTA's contiguous global range into
-    /// [`GroupedSegment`]s, crossing tile and instance boundaries.
-    #[must_use]
-    pub fn segments(&self, cta: &CtaWork) -> Vec<GroupedSegment> {
-        let mut out = Vec::new();
-        let mut iter = cta.iter_begin;
-        while iter < cta.iter_end {
-            let instance = self.instance_of(iter);
-            let space = &self.instances[instance];
+    /// [`GroupedSegment`]s, crossing tile and instance boundaries. Finds
+    /// the first segment's instance by binary search and steps to the
+    /// next instances from there.
+    pub fn segments(&self, cta: &CtaWork) -> impl Iterator<Item = GroupedSegment> + '_ {
+        let (mut iter, end) = (cta.iter_begin, cta.iter_end);
+        let mut instance = if iter < end { self.instance_of(iter) } else { 0 };
+        std::iter::from_fn(move || {
+            if iter >= end {
+                return None;
+            }
+            while self.iter_offsets[instance + 1] <= iter {
+                instance += 1;
+            }
             let base = self.iter_offsets[instance];
-            let local_iter = iter - base;
-            let ipt = space.iters_per_tile();
-            let local_tile = local_iter / ipt;
+            let ipt = self.instances[instance].iters_per_tile();
+            let local_tile = (iter - base) / ipt;
             let tile_first = base + local_tile * ipt;
             let tile_end = tile_first + ipt;
-            let seg_end = cta.iter_end.min(tile_end);
-            out.push(GroupedSegment {
+            let seg_end = end.min(tile_end);
+            let seg = GroupedSegment {
                 instance,
                 local_tile,
                 global_tile: self.tile_offsets[instance] + local_tile,
@@ -135,10 +140,10 @@ impl GroupedSpace {
                 local_end: seg_end - tile_first,
                 starts_tile: iter == tile_first,
                 ends_tile: seg_end == tile_end,
-            });
+            };
             iter = seg_end;
-        }
-        out
+            Some(seg)
+        })
     }
 }
 
@@ -166,8 +171,8 @@ impl GroupedDecomposition {
     }
 
     /// One CTA per global tile — the grouped data-parallel baseline.
-    /// (Unlike uniform batches this is *not* a degenerate Stream-K
-    /// grid, because per-instance tile iteration counts differ.)
+    /// (Only when every instance takes the same iterations per tile, as
+    /// a uniform batch's do, is this Stream-K at one CTA per tile.)
     #[must_use]
     pub fn data_parallel(space: GroupedSpace) -> Self {
         let mut ctas = Vec::with_capacity(space.tiles());
@@ -202,29 +207,15 @@ impl GroupedDecomposition {
         &self.ctas
     }
 
-    /// Consolidation structure over global tile ids.
+    /// Consolidation structure over global tile ids, folded as
+    /// [`Decomposition::fixups`](crate::Decomposition::fixups) folds a
+    /// single GEMM's.
     #[must_use]
     pub fn fixups(&self) -> Vec<TileFixup> {
-        let mut by_tile: Vec<(Option<usize>, Vec<usize>)> = vec![(None, Vec::new()); self.space.tiles()];
-        for cta in &self.ctas {
-            for seg in self.space.segments(cta) {
-                let entry = &mut by_tile[seg.global_tile];
-                if seg.starts_tile {
-                    entry.0 = Some(cta.cta_id);
-                } else {
-                    entry.1.push(cta.cta_id);
-                }
-            }
-        }
-        by_tile
-            .into_iter()
-            .enumerate()
-            .map(|(tile_idx, (owner, peers))| TileFixup {
-                tile_idx,
-                owner: owner.unwrap_or_else(|| panic!("tile {tile_idx} has no owner")),
-                peers,
-            })
-            .collect()
+        let segments = self.ctas.iter().flat_map(|cta| {
+            self.space.segments(cta).map(|seg| (cta.cta_id, seg.global_tile, seg.starts_tile))
+        });
+        fold_fixups(self.space.tiles(), segments)
     }
 
     /// Structural validation: contiguous exact cover, dense ids, and
@@ -234,39 +225,27 @@ impl GroupedDecomposition {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        let mut cursor = 0;
-        for (i, cta) in self.ctas.iter().enumerate() {
-            if cta.cta_id != i {
-                return Err(format!("cta at position {i} has id {}", cta.cta_id));
+        check_cover(&self.ctas, self.space.total_iters())?;
+        // Every tile's segments, met in CTA order, cover its iterations
+        // once each and in order, and the tiles follow one another.
+        let (mut tile, mut next) = (0, 0);
+        for seg in self.ctas.iter().flat_map(|cta| self.space.segments(cta)) {
+            if (seg.global_tile, seg.local_begin) != (tile, next) {
+                return Err(format!(
+                    "global tile {} resumes at {} where tile {tile} was covered to {next}",
+                    seg.global_tile, seg.local_begin
+                ));
             }
-            if cta.iter_begin != cursor {
-                return Err(format!("cta {i} begins at {} but coverage ended at {cursor}", cta.iter_begin));
-            }
-            cursor = cta.iter_end;
-        }
-        if cursor != self.space.total_iters() {
-            return Err(format!("coverage ends at {cursor}, expected {}", self.space.total_iters()));
-        }
-        // Every tile's segments partition its iteration count.
-        let mut covered = vec![0usize; self.space.tiles()];
-        for cta in &self.ctas {
-            for seg in self.space.segments(cta) {
-                covered[seg.global_tile] += seg.local_end - seg.local_begin;
+            next = seg.local_end;
+            if seg.ends_tile {
+                (tile, next) = (tile + 1, 0);
             }
         }
-        for (i, inst) in self.space.instances.iter().enumerate() {
-            for t in 0..inst.tiles() {
-                let g = self.space.tile_offsets[i] + t;
-                if covered[g] != inst.iters_per_tile() {
-                    return Err(format!(
-                        "global tile {g} covered {} of {}",
-                        covered[g],
-                        inst.iters_per_tile()
-                    ));
-                }
-            }
+        if tile == self.space.tiles() {
+            Ok(())
+        } else {
+            Err(format!("segments end in global tile {tile} of {}", self.space.tiles()))
         }
-        Ok(())
     }
 
     /// Iteration imbalance across non-empty CTAs.
@@ -311,7 +290,7 @@ mod tests {
         let s = mixed_space();
         // A CTA spanning the end of instance 0 and start of instance 1.
         let cta = CtaWork { cta_id: 0, iter_begin: 14, iter_end: 30 };
-        let segs = s.segments(&cta);
+        let segs: Vec<GroupedSegment> = s.segments(&cta).collect();
         // [14,16): tail of instance 0 tile 3; [16,24): instance 1 tile
         // 0 iters 0..8 (whole); [24,30): instance 1 tile 1 iters 0..6.
         assert_eq!(segs.len(), 3);

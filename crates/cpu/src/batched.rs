@@ -1,17 +1,19 @@
 //! Batched GEMM execution — one Stream-K grid across many instances.
 //!
-//! Executes a [`BatchedDecomposition`]: a single pool of workers
-//! processes the batch's aggregate iteration space, crossing instance
-//! boundaries exactly as single-GEMM Stream-K crosses tile
-//! boundaries. One launch, one consolidation board, regardless of
-//! batch size — and the same launch as any other: to the executor's
-//! grid loop a batch is a uniform group of instances, so it schedules,
-//! defers, recovers from faults and traces exactly as a single GEMM
-//! does.
+//! A uniform batch is the group of its equal shapes
+//! ([`BatchedDecomposition::group`]), so [`gemm_batched`] runs it
+//! through [`gemm_grouped`]: one launch, one consolidation board,
+//! regardless of batch size, crossing instance boundaries exactly as
+//! single-GEMM Stream-K crosses tile boundaries. It schedules, defers,
+//! traces and reports stats exactly as a single GEMM does; to inject
+//! faults into a batch, pass its group to
+//! [`gemm_grouped_with_faults`](CpuExecutor::gemm_grouped_with_faults).
+//!
+//! [`gemm_batched`]: CpuExecutor::gemm_batched
+//! [`gemm_grouped`]: CpuExecutor::gemm_grouped
 
-use crate::executor::{CpuExecutor, RecoveryReport};
-use crate::fault::FaultPlan;
-use streamk_core::{BatchedDecomposition, ExecutorError};
+use crate::executor::CpuExecutor;
+use streamk_core::BatchedDecomposition;
 use streamk_matrix::{Matrix, Promote, Scalar};
 
 impl CpuExecutor {
@@ -34,49 +36,7 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        self.batched_fresh(a, b, decomp, &FaultPlan::none(), false).map_or_else(|e| panic!("{e}"), |(c, _)| c)
-    }
-
-    /// [`gemm_batched`](Self::gemm_batched) while injecting `plan`'s
-    /// faults into the fixup protocol and recovering from each, exactly
-    /// as [`gemm_with_faults`](Self::gemm_with_faults) does for a
-    /// single GEMM: outputs bit-identical to the fault-free launch's,
-    /// and a [`RecoveryReport`] of what recovery had to do.
-    ///
-    /// # Errors
-    ///
-    /// As [`gemm_with_faults`](Self::gemm_with_faults), except that
-    /// operand counts or shapes that don't match the decomposition
-    /// panic.
-    pub fn gemm_batched_with_faults<In, Acc>(
-        &self,
-        a: &[Matrix<In>],
-        b: &[Matrix<In>],
-        decomp: &BatchedDecomposition,
-        plan: &FaultPlan,
-    ) -> Result<(Vec<Matrix<Acc>>, RecoveryReport), ExecutorError>
-    where
-        In: Promote<Acc>,
-        Acc: Scalar,
-    {
-        self.batched_fresh(a, b, decomp, plan, true)
-    }
-
-    fn batched_fresh<In, Acc>(
-        &self,
-        a: &[Matrix<In>],
-        b: &[Matrix<In>],
-        decomp: &BatchedDecomposition,
-        plan: &FaultPlan,
-        recover: bool,
-    ) -> Result<(Vec<Matrix<Acc>>, RecoveryReport), ExecutorError>
-    where
-        In: Promote<Acc>,
-        Acc: Scalar,
-    {
-        decomp.validate().map_err(ExecutorError::InvalidDecomposition)?;
-        let spaces = std::iter::repeat_n(decomp.space().instance(), decomp.space().batch());
-        self.run_group(a, b, spaces, decomp.ctas(), &decomp.fixups(), plan, recover)
+        self.gemm_grouped(a, b, decomp.group())
     }
 }
 
@@ -146,24 +106,6 @@ mod tests {
         let c = CpuExecutor::with_threads(6).gemm_batched::<f64, f64>(&a, &b, &decomp);
         for i in 0..3 {
             c[i].assert_close(&gemm_naive::<f64, f64>(&a[i], &b[i]), 1e-11);
-        }
-    }
-
-    /// With recovery off — the entry `gemm_batched` shares with
-    /// `gemm_batched_with_faults` — a lost peer is the owner's watchdog
-    /// timeout, typed, and the outputs are dropped unread.
-    #[test]
-    fn lost_peer_without_recovery_is_a_watchdog_error() {
-        use streamk_core::FixupError;
-        let shape = GemmShape::new(16, 16, 48);
-        let (a, b) = instances(5, shape, 6);
-        let decomp = BatchedDecomposition::stream_k(BatchedSpace::new(5, shape, TileShape::new(16, 16, 8)), 4);
-        let victim = decomp.fixups().iter().find_map(|f| f.peers.first().copied()).expect("a split tile");
-        let plan = FaultPlan::single(victim, crate::FaultKind::Lose);
-        let exec = CpuExecutor::with_threads(4).with_watchdog(std::time::Duration::from_millis(100));
-        match exec.batched_fresh::<f64, f64>(&a, &b, &decomp, &plan, false) {
-            Err(ExecutorError::Fixup(FixupError::WatchdogTimeout { peer, .. })) => assert_eq!(peer, victim),
-            other => panic!("expected a watchdog timeout, got {:?}", other.map(|(_, report)| report)),
         }
     }
 

@@ -33,7 +33,7 @@ use crate::workspace::Workspace;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use streamk_core::{CtaWork, Decomposition, ExecutorError, IterSpace, TileFixup};
+use streamk_core::{CtaWork, Decomposition, ExecutorError, GroupedDecomposition, IterSpace, TileFixup};
 use streamk_matrix::{Matrix, MatrixView, Promote, Scalar};
 
 /// The process-wide default worker count, resolved exactly once:
@@ -703,25 +703,27 @@ impl CpuExecutor {
         self.run_grid(&grid, &decomp.fixups(), plan, recover, self.pack_shards())
     }
 
-    /// A `β = 0` launch of one grid over many instances — a batch or a
-    /// group — under `ctas`, already validated: instance `i` computes
-    /// `a[i] · b[i]` in the `i`-th of `spaces`, the launch's iteration
-    /// space being theirs concatenated in order. Each output is born
-    /// from its tiles (reserved unfilled, every element first written
-    /// by the worker that computed its tile); one grid-shared
-    /// pack-cache table spans the instances.
+    /// A `β = 0` launch of a group's grid — a uniform batch runs as the
+    /// group of its equal shapes — with `plan`'s faults injected and,
+    /// if `recover`, recovered: instance `i` computes `a[i] · b[i]` in
+    /// the group's `i`-th space, the launch's iteration space being
+    /// theirs concatenated in order. Each output is born from its tiles
+    /// (reserved unfilled, every element first written by the worker
+    /// that computed its tile); one grid-shared pack-cache table spans
+    /// the instances.
+    ///
+    /// # Errors
+    ///
+    /// As [`gemm_with_faults`](Self::gemm_with_faults).
     ///
     /// # Panics
     ///
-    /// Panics if the operand counts or shapes don't match `spaces`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_group<'s, In, Acc>(
+    /// Panics if the operand counts or shapes don't match the group.
+    pub(crate) fn run_group<In, Acc>(
         &self,
         a: &[Matrix<In>],
         b: &[Matrix<In>],
-        spaces: impl ExactSizeIterator<Item = &'s IterSpace>,
-        ctas: &[CtaWork],
-        fixups: &[TileFixup],
+        decomp: &GroupedDecomposition,
         plan: &FaultPlan,
         recover: bool,
     ) -> Result<(Vec<Matrix<Acc>>, RecoveryReport), ExecutorError>
@@ -729,10 +731,13 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
+        decomp.validate().map_err(ExecutorError::InvalidDecomposition)?;
+        let spaces = decomp.space().instances();
         assert_eq!(a.len(), spaces.len(), "need one A per instance");
         assert_eq!(b.len(), spaces.len(), "need one B per instance");
         let mut first_iter = 0;
         let instances: Vec<Instance<'_, In, Acc>> = spaces
+            .iter()
             .zip(a.iter().zip(b))
             .enumerate()
             .map(|(i, (space, (ai, bi)))| {
@@ -748,16 +753,16 @@ impl CpuExecutor {
                 instance
             })
             .collect();
-        let grid = Grid { ctas, instances: &instances, alpha: Acc::ONE, beta: Acc::ZERO };
-        let report = self.run_grid(&grid, fixups, plan, recover, 1)?;
+        let grid = Grid { ctas: decomp.ctas(), instances: &instances, alpha: Acc::ONE, beta: Acc::ZERO };
+        let report = self.run_grid(&grid, &decomp.fixups(), plan, recover, 1)?;
         Ok((instances.iter().map(Instance::take).collect(), report))
     }
 
-    /// The one grid loop behind every launch entry — `gemm*`,
-    /// `gemm_batched`, `gemm_grouped`: residency check, the launch's
-    /// pack cache (`shards` tables) and protocol state, locality-aware
-    /// dispatch, one [`Worker::run`] per pool worker, and the
-    /// launch's counters and trace. `grid`'s CTAs are validated by the
+    /// The one grid loop behind every launch entry — `gemm*` and
+    /// `gemm_grouped` (which `gemm_batched` runs): residency check, the
+    /// launch's pack cache (`shards` tables) and protocol state,
+    /// locality-aware dispatch, one [`Worker::run`] per pool worker,
+    /// and the launch's counters and trace. `grid`'s CTAs are validated by the
     /// caller, whose decomposition type knows how; `fixups` is their
     /// consolidation structure.
     fn run_grid<In, Acc>(

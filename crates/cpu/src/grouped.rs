@@ -3,7 +3,8 @@
 //! The executor's grid loop is written over a list of instances with
 //! concatenated iteration spaces, which is exactly what a
 //! [`GroupedDecomposition`] describes: this entry validates it and
-//! hands over its instance spaces.
+//! hands over its instance spaces. It is also the batched entry's
+//! path: a uniform batch runs as the group of its equal shapes.
 
 use crate::executor::{CpuExecutor, RecoveryReport};
 use crate::fault::FaultPlan;
@@ -31,7 +32,7 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        self.grouped_fresh(a, b, decomp, &FaultPlan::none(), false).map_or_else(|e| panic!("{e}"), |(c, _)| c)
+        self.run_group(a, b, decomp, &FaultPlan::none(), false).map_or_else(|e| panic!("{e}"), |(c, _)| c)
     }
 
     /// [`gemm_grouped`](Self::gemm_grouped) while injecting `plan`'s
@@ -56,24 +57,7 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        self.grouped_fresh(a, b, decomp, plan, true)
-    }
-
-    fn grouped_fresh<In, Acc>(
-        &self,
-        a: &[Matrix<In>],
-        b: &[Matrix<In>],
-        decomp: &GroupedDecomposition,
-        plan: &FaultPlan,
-        recover: bool,
-    ) -> Result<(Vec<Matrix<Acc>>, RecoveryReport), ExecutorError>
-    where
-        In: Promote<Acc>,
-        Acc: Scalar,
-    {
-        decomp.validate().map_err(ExecutorError::InvalidDecomposition)?;
-        let spaces = decomp.space().instances().iter();
-        self.run_group(a, b, spaces, decomp.ctas(), &decomp.fixups(), plan, recover)
+        self.run_group(a, b, decomp, plan, true)
     }
 }
 
@@ -173,7 +157,7 @@ mod tests {
         let victim = decomp.fixups().iter().find_map(|f| f.peers.first().copied()).expect("a split tile");
         let plan = FaultPlan::single(victim, crate::FaultKind::Lose);
         let exec = CpuExecutor::with_threads(4).with_watchdog(std::time::Duration::from_millis(100));
-        match exec.grouped_fresh::<f64, f64>(&a, &b, &decomp, &plan, false) {
+        match exec.run_group::<f64, f64>(&a, &b, &decomp, &plan, false) {
             Err(ExecutorError::Fixup(FixupError::WatchdogTimeout { peer, .. })) => assert_eq!(peer, victim),
             other => panic!("expected a watchdog timeout, got {:?}", other.map(|(_, report)| report)),
         }

@@ -1,12 +1,12 @@
-//! Service-wide telemetry: a unified metrics registry, a lock-free
+//! Service-wide telemetry: a unified metrics registry, a bounded
 //! flight recorder, and structured incident reports.
 //!
 //! The serve layer (`serve.rs`) was observability-dark: terminal
 //! counters said *how many* requests timed out or panicked, never
 //! *why* or *when*. This module gives [`GemmService`] three
 //! instruments, all designed to the trace module's overhead
-//! discipline (bounded, allocation-free on the hot path, never
-//! blocking the computation):
+//! discipline (bounded, allocation-free on the hot path, and off the
+//! MAC loop):
 //!
 //! - [`TelemetryRegistry`] — every service counter (admissions,
 //!   rejections, timeouts, poisonings, aggregated steal/defer/
@@ -17,12 +17,10 @@
 //!   [`render`](TelemetryRegistry::render). `ServiceStats` is derived
 //!   *from* this registry, so a scrape and a stats snapshot can never
 //!   disagree.
-//! - [`FlightRecorder`] — an always-on, bounded, lock-free ring of
+//! - [`FlightRecorder`] — an always-on, bounded, drop-oldest ring of
 //!   recent [`ServiceEvent`]s (submissions, admissions, starts,
-//!   terminal transitions). Writers claim a slot with a per-slot
-//!   seqlock (version counter goes odd while the slot is written) so
-//!   recording never blocks and readers detect torn slots instead of
-//!   locking them out.
+//!   terminal transitions) behind one leaf mutex: a reader copies
+//!   whole events, never a half-written one.
 //! - [`IncidentReport`] — on a timeout, panic, unmaskable failure, or
 //!   pool poisoning the service snapshots the recorder, the registry,
 //!   and the failing request's spans into a structured JSON document
@@ -300,10 +298,6 @@ impl ServiceEventKind {
     pub fn index(self) -> usize {
         Self::ALL.iter().position(|k| *k == self).expect("every kind is in ALL")
     }
-
-    fn from_index(i: u64) -> Option<Self> {
-        Self::ALL.get(usize::try_from(i).ok()?).copied()
-    }
 }
 
 /// One stable flight-recorder entry, read back via
@@ -325,30 +319,26 @@ pub struct ServiceEvent {
     pub detail: u64,
 }
 
-/// One recorder slot: a per-slot seqlock. The version is odd while a
-/// writer owns the slot; readers copy the fields and re-check the
-/// version to detect a torn read.
-#[derive(Debug, Default)]
-struct EventSlot {
-    version: AtomicU64,
-    seq: AtomicU64,
-    kind: AtomicU64,
-    request: AtomicU64,
-    lane: AtomicU64,
-    at_ns: AtomicU64,
-    detail: AtomicU64,
-}
-
-/// An always-on, bounded, lock-free ring of recent service events:
-/// recording is a slot claim plus six relaxed stores — it never
-/// blocks, never allocates, and overwrites the oldest entry when
-/// full (drop-oldest, like [`SpanRing`](crate::trace::SpanRing)).
+/// An always-on, bounded ring of recent service events behind one
+/// mutex: recording holds the lock for a `VecDeque` push, never
+/// allocates after construction, and drops the oldest entry when full
+/// (drop-oldest, like [`SpanRing`](crate::trace::SpanRing)). A request
+/// records about four events, most of them while the service already
+/// holds its queue lock; the recorder's lock is a leaf, taken last and
+/// never held across another.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    slots: Vec<EventSlot>,
-    /// Total events ever recorded; `head % capacity` is the next slot.
-    head: AtomicU64,
+    ring: Mutex<EventRing>,
+    capacity: usize,
     epoch: Instant,
+}
+
+/// The recorder's state: the surviving events, oldest first, and how
+/// many were ever recorded (the next event's `seq`).
+#[derive(Debug)]
+struct EventRing {
+    events: VecDeque<ServiceEvent>,
+    recorded: u64,
 }
 
 impl FlightRecorder {
@@ -361,101 +351,51 @@ impl FlightRecorder {
     #[must_use]
     pub fn new(capacity: usize, epoch: Instant) -> Self {
         assert!(capacity > 0, "flight recorder needs capacity");
-        let slots = (0..capacity)
-            .map(|_| EventSlot { seq: AtomicU64::new(u64::MAX), ..EventSlot::default() })
-            .collect();
-        Self { slots, head: AtomicU64::new(0), epoch }
+        let ring = EventRing { events: VecDeque::with_capacity(capacity), recorded: 0 };
+        Self { ring: Mutex::new(ring), capacity, epoch }
     }
 
     /// Maximum events held before drop-oldest kicks in.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Total events recorded since construction (including ones the
-    /// ring has since overwritten).
+    /// ring has since dropped).
     #[must_use]
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.lock().recorded
     }
 
-    /// Records one event. Lock-free: claims the next slot with a
-    /// fetch-add, serializes same-slot writers through the slot's
-    /// version word, and never blocks readers.
+    /// Records one event, dropping the oldest when the ring is full.
+    /// `seq` and the timestamp are taken under the lock, so they
+    /// order alike.
     pub fn record(&self, kind: ServiceEventKind, request: u64, lane: usize, detail: u64) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let at_ns = self.epoch.elapsed().as_nanos() as u64;
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-        // Claim the slot: even → odd. Same-slot writers serialize
-        // here; the spin is bounded by the (tiny) write section.
-        let mut v = slot.version.load(Ordering::Acquire);
-        loop {
-            if v.is_multiple_of(2) {
-                match slot.version.compare_exchange_weak(
-                    v,
-                    v + 1,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => break,
-                    Err(cur) => v = cur,
-                }
-            } else {
-                std::hint::spin_loop();
-                v = slot.version.load(Ordering::Acquire);
-            }
+        let mut ring = self.lock();
+        let event = ServiceEvent {
+            seq: ring.recorded,
+            kind,
+            request,
+            lane: lane.min(LANES - 1),
+            at_ns: self.epoch.elapsed().as_nanos() as u64,
+            detail,
+        };
+        ring.recorded += 1;
+        if ring.events.len() == self.capacity {
+            ring.events.pop_front();
         }
-        slot.seq.store(seq, Ordering::Relaxed);
-        slot.kind.store(kind.index() as u64, Ordering::Relaxed);
-        slot.request.store(request, Ordering::Relaxed);
-        slot.lane.store(lane as u64, Ordering::Relaxed);
-        slot.at_ns.store(at_ns, Ordering::Relaxed);
-        slot.detail.store(detail, Ordering::Relaxed);
-        slot.version.fetch_add(1, Ordering::Release);
+        ring.events.push_back(event);
     }
 
-    /// The surviving events, oldest-first. Slots a writer is touching
-    /// right now (or that tear mid-read) are skipped rather than
-    /// waited on — the recorder is diagnostics, not a ledger.
+    /// The surviving events, oldest-first.
     #[must_use]
     pub fn recent(&self) -> Vec<ServiceEvent> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            // One retry absorbs the common a-writer-just-finished
-            // race; a slot torn twice is simply skipped.
-            for _ in 0..2 {
-                let v1 = slot.version.load(Ordering::Acquire);
-                if v1 % 2 == 1 {
-                    continue;
-                }
-                let seq = slot.seq.load(Ordering::Relaxed);
-                let kind = slot.kind.load(Ordering::Relaxed);
-                let request = slot.request.load(Ordering::Relaxed);
-                let lane = slot.lane.load(Ordering::Relaxed);
-                let at_ns = slot.at_ns.load(Ordering::Relaxed);
-                let detail = slot.detail.load(Ordering::Relaxed);
-                if slot.version.load(Ordering::Acquire) != v1 {
-                    continue;
-                }
-                if seq == u64::MAX {
-                    break; // never written
-                }
-                if let Some(kind) = ServiceEventKind::from_index(kind) {
-                    out.push(ServiceEvent {
-                        seq,
-                        kind,
-                        request,
-                        lane: (lane as usize).min(LANES - 1),
-                        at_ns,
-                        detail,
-                    });
-                }
-                break;
-            }
-        }
-        out.sort_unstable_by_key(|e| e.seq);
-        out
+        self.lock().events.iter().copied().collect()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, EventRing> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -558,7 +498,7 @@ pub struct RequestTrace {
     pub id: u64,
     /// Admission lane (index into [`LANE_NAMES`]).
     pub lane: usize,
-    /// The request's spans, in recording order. Timestamps are
+    /// The request's spans, in end-time order. Timestamps are
     /// relative to the service (registry) epoch, so tracks from
     /// different requests align on one timeline. A `Cta` span's `arg2`
     /// is the id of the thread that executed it: below
@@ -818,12 +758,13 @@ impl TelemetryRegistry {
 
     /// Takes (and clears) every harvested request timeline.
     ///
-    /// Same-id fragments merge into one track. The claim that
-    /// completes a request returns its ring before the resolution
-    /// harvest drains it, so a second fragment comes only from a
-    /// straggler of a dead request: a CTA or resumption still running
-    /// on another thread returns its ring after the harvest, and the
-    /// serve loop re-harvests the leftovers under the same id.
+    /// Same-id fragments merge into one track, sorted by end time like
+    /// every track a harvest drains from the worker rings. The
+    /// claim that completes a request returns its ring before the
+    /// resolution harvest drains it, so a second fragment comes only
+    /// from a straggler of a dead request: a CTA or resumption still
+    /// running on another thread returns its ring after the harvest,
+    /// and the serve loop re-harvests the leftovers under the same id.
     #[must_use]
     pub fn take_trace(&self) -> ServeTrace {
         let mut raw =
@@ -832,6 +773,7 @@ impl TelemetryRegistry {
         for fragment in raw.requests.drain(..) {
             if let Some(track) = requests.iter_mut().find(|r| r.id == fragment.id) {
                 track.spans.extend(fragment.spans);
+                track.spans.sort_by_key(|span| span.end_ns);
                 track.dropped += fragment.dropped;
             } else {
                 requests.push(fragment);
@@ -968,7 +910,6 @@ mod tests {
         }
         for (i, k) in ServiceEventKind::ALL.iter().enumerate() {
             assert_eq!(k.index(), i);
-            assert_eq!(ServiceEventKind::from_index(i as u64), Some(*k));
         }
     }
 
@@ -1043,6 +984,26 @@ mod tests {
         assert!(text.contains("streamk_serve_latency_ns_count{lane=\"high\"} 1"));
         assert!(text.contains("streamk_select_decisions_total{source=\"explore\"} 1"));
         assert!(text.contains("streamk_select_regret_ns_total 10"));
+    }
+
+    /// A straggler's fragment harvested after its request's track
+    /// merges into that track, and the merged track is in end-time
+    /// order like every other.
+    #[test]
+    fn take_trace_merges_same_id_fragments_in_end_order() {
+        let span = |end_ns| Span { kind: SpanKind::Cta, start_ns: end_ns - 10, end_ns, arg: 0, arg2: 0 };
+        let track = |id, ends: &[u64], dropped| RequestTrace { id, lane: 1, spans: ends.iter().map(|&e| span(e)).collect(), dropped };
+        let reg = TelemetryRegistry::new();
+        reg.harvest_trace(track(7, &[20, 40, 60], 1));
+        reg.harvest_trace(track(8, &[50], 0));
+        reg.harvest_trace(track(7, &[30, 50, 70], 2));
+        let trace = reg.take_trace();
+        assert_eq!(trace.requests.len(), 2);
+        let merged = &trace.requests[0];
+        assert_eq!((merged.id, merged.dropped), (7, 3));
+        let ends: Vec<u64> = merged.spans.iter().map(|s| s.end_ns).collect();
+        assert_eq!(ends, [20, 30, 40, 50, 60, 70]);
+        assert!(reg.take_trace().requests.is_empty(), "take_trace clears the buffer");
     }
 
     #[test]

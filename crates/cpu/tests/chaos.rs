@@ -128,7 +128,7 @@ impl Launch {
             Launch::Single(d, a, b) => {
                 e.gemm_with_faults::<f64, f64>(a, b, d, plan).map(|(c, report)| (vec![c], report))
             }
-            Launch::Batched(d, a, b) => e.gemm_batched_with_faults::<f64, f64>(a, b, d, plan),
+            Launch::Batched(d, a, b) => e.gemm_grouped_with_faults::<f64, f64>(a, b, d.group(), plan),
             Launch::Grouped(d, a, b) => e.gemm_grouped_with_faults::<f64, f64>(a, b, d, plan),
         }
     }

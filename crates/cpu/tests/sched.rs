@@ -452,7 +452,7 @@ fn batched_launches_report_their_real_counters() {
     }
     assert!(!plan.is_empty(), "the split tile has a contributor to lose");
     let (lost, report) =
-        exec.gemm_batched_with_faults::<f64, f64>(&a, &b, &decomp, &plan).expect("recovery masks the loss");
+        exec.gemm_grouped_with_faults::<f64, f64>(&a, &b, decomp.group(), &plan).expect("recovery masks the loss");
     let stats = exec.last_stats();
     assert_eq!(report.recoveries(), plan.len(), "{report:?}");
     assert_eq!(stats.recoveries, report.recoveries(), "{stats:?}");
@@ -539,7 +539,7 @@ fn traced_segments(trace: &ExecTrace) -> Vec<Segment> {
 fn planned_segments(space: &GroupedSpace, ctas: &[CtaWork]) -> Vec<Segment> {
     let mut plan: Vec<Segment> = ctas
         .iter()
-        .flat_map(|cta| space.segments(cta).into_iter().map(|s| (cta.cta_id, s.local_tile, s.local_end - s.local_begin)))
+        .flat_map(|cta| space.segments(cta).map(|s| (cta.cta_id, s.local_tile, s.local_end - s.local_begin)))
         .collect();
     plan.sort_unstable();
     plan

@@ -4,8 +4,9 @@
 //! measure → feed back → converge loop on every entry point:
 //!
 //! - single launches ([`gemm_adaptive`](SelectingExecutor::gemm_adaptive));
-//! - uniform batches ([`gemm_batched_adaptive`](SelectingExecutor::gemm_batched_adaptive));
-//! - ragged groups ([`gemm_grouped_adaptive`](SelectingExecutor::gemm_grouped_adaptive));
+//! - groups ([`gemm_grouped_adaptive`](SelectingExecutor::gemm_grouped_adaptive)),
+//!   uniform batches included: a batch is the group of its equal
+//!   shapes, and every member is the dominant one;
 //! - the concurrent service, via per-request selection
 //!   ([`request_for`](SelectingExecutor::request_for) /
 //!   [`feedback_request`](SelectingExecutor::feedback_request)) keyed
@@ -17,9 +18,7 @@
 use crate::selector::{AdaptiveSelector, Selection, SelectorConfig};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
-use streamk_core::{
-    BatchedDecomposition, BatchedSpace, GroupedDecomposition, GroupedSpace, Strategy,
-};
+use streamk_core::{GroupedDecomposition, GroupedSpace, Strategy};
 use streamk_cpu::{CpuExecutor, LaunchRequest, RequestStats};
 use streamk_matrix::{Matrix, Promote, Scalar};
 use streamk_types::GemmShape;
@@ -71,46 +70,13 @@ impl SelectingExecutor {
         (c, selection)
     }
 
-    /// Adaptive uniform batch. Selection is keyed by the *instance*
-    /// shape; the chosen strategy maps onto the batched decomposition
-    /// forms (`DataParallel` stays data-parallel, everything else
-    /// becomes batched Stream-K over the workers), and the tile carries
-    /// over as-is.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty batch or mismatched instance shapes.
-    pub fn gemm_batched_adaptive<In, Acc>(
-        &self,
-        a: &[Matrix<In>],
-        b: &[Matrix<In>],
-    ) -> (Vec<Matrix<Acc>>, Selection)
-    where
-        In: Promote<Acc>,
-        Acc: Scalar,
-    {
-        assert!(!a.is_empty() && a.len() == b.len(), "batch must be non-empty and aligned");
-        let shape = GemmShape::new(a[0].rows(), b[0].cols(), a[0].cols());
-        let selection = self.with_selector(|s| s.select(shape, a[0].layout()));
-        let space = BatchedSpace::new(a.len(), shape, selection.candidate.tile);
-        let workers = self.executor.threads();
-        let decomp = match selection.candidate.strategy {
-            Strategy::DataParallel => BatchedDecomposition::data_parallel(space),
-            Strategy::StreamK { grid } => BatchedDecomposition::stream_k(space, grid.max(1)),
-            _ => BatchedDecomposition::stream_k(space, workers),
-        };
-        let decomp = residency_guard_batched(decomp, shape, a.len(), selection.candidate.tile, workers);
-        let start = Instant::now();
-        let c = self.executor.gemm_batched(a, b, &decomp);
-        let secs = start.elapsed().as_secs_f64();
-        let stats = self.executor.last_stats();
-        self.with_selector(|s| s.feedback(&selection, secs, &stats));
-        (c, selection)
-    }
-
-    /// Adaptive ragged group. Selection is keyed by the group's
-    /// *dominant* member (most MAC iterations — it decides the
-    /// makespan); strategy mapping is as in the batched path.
+    /// Adaptive group. Selection is keyed by the group's *dominant*
+    /// member (most MAC iterations — it decides the makespan) — for a
+    /// uniform batch, the instance shape. The chosen strategy maps onto
+    /// the grouped forms (`DataParallel` stays data-parallel, everything
+    /// else becomes grouped Stream-K over the workers), the tile carries
+    /// over as-is, and a Stream-K grid that would need more co-resident
+    /// CTAs than the pool has workers falls back to data-parallel.
     ///
     /// # Panics
     ///
@@ -142,21 +108,10 @@ impl SelectingExecutor {
             Strategy::StreamK { grid } => GroupedDecomposition::stream_k(space, grid.max(1)),
             _ => GroupedDecomposition::stream_k(space, workers),
         };
-        let decomp = {
-            let max_cover = decomp
-                .fixups()
-                .iter()
-                .map(streamk_core::TileFixup::covering_ctas)
-                .max()
-                .unwrap_or(1);
-            if max_cover > workers {
-                GroupedDecomposition::data_parallel(GroupedSpace::new(
-                    &shapes,
-                    selection.candidate.tile,
-                ))
-            } else {
-                decomp
-            }
+        let decomp = if decomp.fixups().iter().any(|f| f.covering_ctas() > workers) {
+            GroupedDecomposition::data_parallel(decomp.space().clone())
+        } else {
+            decomp
         };
         let start = Instant::now();
         let c = self.executor.gemm_grouped(a, b, &decomp);
@@ -183,28 +138,6 @@ impl SelectingExecutor {
     /// selector (uses service time, not queue latency).
     pub fn feedback_request(&self, selection: &Selection, stats: &RequestStats) {
         self.with_selector(|s| s.feedback_request(selection, stats));
-    }
-}
-
-/// Falls back to batched data-parallel when the mapped Stream-K grid
-/// would need more co-resident CTAs than the pool has workers.
-fn residency_guard_batched(
-    decomp: BatchedDecomposition,
-    shape: GemmShape,
-    batch: usize,
-    tile: streamk_types::TileShape,
-    workers: usize,
-) -> BatchedDecomposition {
-    let max_cover = decomp
-        .fixups()
-        .iter()
-        .map(streamk_core::TileFixup::covering_ctas)
-        .max()
-        .unwrap_or(1);
-    if max_cover > workers {
-        BatchedDecomposition::data_parallel(BatchedSpace::new(batch, shape, tile))
-    } else {
-        decomp
     }
 }
 
@@ -259,7 +192,8 @@ mod tests {
             .executor()
             .gemm(&a1, &b1, &Decomposition::data_parallel(shape, streamk_types::TileShape::new(16, 16, 8)));
 
-        let (cs, _) = e.gemm_batched_adaptive::<f64, f64>(
+        // A uniform batch is a group of equal shapes.
+        let (cs, _) = e.gemm_grouped_adaptive::<f64, f64>(
             &[a1.clone(), a2.clone()],
             &[b1.clone(), b2.clone()],
         );

@@ -1,6 +1,7 @@
 //! The event-driven execution engine: `run_des` is the simulator's
-//! one event queue. Every report comes out of it: single, batched and
-//! grouped grids, and the fault simulator's perturbed schedules.
+//! one event queue. Every report comes out of it: single GEMMs,
+//! groups (a uniform batch is the group of its equal shapes) and the
+//! fault simulator's perturbed schedules.
 //!
 //! Dispatch model: CTAs launch in id order onto the
 //! earliest-available SM, one resident CTA per SM — the GPU work
@@ -41,9 +42,11 @@
 //! computes each end with the queue's own `(start + a) + c·iters` and
 //! sums `mac_busy` in CTA order, so its report is `==` to the queue's,
 //! spans included — the paper's tile-wave term `⌈t / p⌉` (Figure 1),
-//! walked in `⌈t / p⌉` steps instead of `t` heap operations. Every
-//! grid with a seam (Stream-K, fixed-split, the hybrids), every ragged
-//! group and every perturbed grid goes through the queue.
+//! walked in `⌈t / p⌉` steps instead of `t` heap operations. A group
+//! whose members take the same iterations per tile — every uniform
+//! batch — is such a grid when data-parallel. Every grid with a seam
+//! (Stream-K, fixed-split, the hybrids), every group of mixed tile
+//! depths and every perturbed grid goes through the queue.
 
 use crate::cost::{CtaCosts, DEFAULT_MAC_EFFICIENCY};
 use crate::fault::SimFaultPlan;
@@ -96,7 +99,7 @@ pub fn simulate_with_efficiency(
     let (des, unfinished, partial_records) =
         dispatch(decomp.ctas(), space.iters_per_tile(), || decomp.fixups(), gpu, &costs, &none);
     unfinished.assert_none();
-    finish_report(des, partial_records, &Volume::of(space, precision, 1), gpu)
+    finish_report(des, partial_records, &Volume::of(std::slice::from_ref(space), precision), gpu)
 }
 
 /// The makespan [`simulate_with_efficiency`] reports for
@@ -115,7 +118,7 @@ pub fn data_parallel_makespan(
     let space = IterSpace::new(shape, tile);
     let costs = CtaCosts::derive(gpu, precision, tile, mac_efficiency);
     let grid = UniformGrid { ctas: space.tiles(), iters: space.iters_per_tile() };
-    Volume::of(&space, precision, 1).roofline(grid.compute_makespan(gpu.sms, &costs), 0, gpu).makespan
+    Volume::of(std::slice::from_ref(&space), precision).roofline(grid.compute_makespan(gpu.sms, &costs), 0, gpu).makespan
 }
 
 /// Dispatches a grid of `ctas` under `plan`: by waves when the plan is
@@ -196,8 +199,8 @@ impl UniformGrid {
 }
 
 /// A simulator-facing description of a grid: per-CTA iteration
-/// ranges plus the derived fixup structure. Built from single-GEMM,
-/// batched and grouped decompositions alike.
+/// ranges plus the derived fixup structure. Built from single-GEMM
+/// and grouped decompositions alike.
 pub(crate) struct GridDesc {
     pub(crate) facts: Vec<CtaFacts>,
     pub(crate) owner_peers: Vec<Vec<usize>>,
@@ -229,8 +232,9 @@ impl GridDesc {
         Self { facts, owner_peers, partial_records }
     }
 
-    /// The grid of a single or batched decomposition, whose tiles all
-    /// take `iters_per_tile` iterations.
+    /// The grid of a decomposition whose tiles all take
+    /// `iters_per_tile` iterations: a single GEMM's, or a group's whose
+    /// members share that depth.
     pub(crate) fn from_parts(ctas: &[CtaWork], iters_per_tile: usize, fixups: Vec<TileFixup>) -> Self {
         let facts = ctas
             .iter()
@@ -439,18 +443,22 @@ pub(crate) struct Roofline {
 }
 
 impl Volume {
-    /// `batch` instances of `instance`'s GEMM in one launch.
-    pub(crate) fn of(instance: &IterSpace, precision: Precision, batch: usize) -> Self {
-        let shape = instance.shape();
-        let instances = batch as f64;
+    /// The `instances`' GEMMs, blocked alike, in one launch. Sums in
+    /// instance order; allocation-free.
+    pub(crate) fn of(instances: &[IterSpace], precision: Precision) -> Self {
         Self {
             precision,
-            tile: instance.tile(),
-            total_iters: batch * instance.total_iters(),
-            tiles: batch * instance.tiles(),
+            tile: instances[0].tile(),
+            total_iters: instances.iter().map(IterSpace::total_iters).sum(),
+            tiles: instances.iter().map(IterSpace::tiles).sum(),
             compulsory_input_bytes: instances
-                * ((shape.m * shape.k + shape.k * shape.n) * precision.input_bytes()) as f64,
-            useful_flops: instances * shape.flops() as f64,
+                .iter()
+                .map(|inst| {
+                    let s = inst.shape();
+                    ((s.m * s.k + s.k * s.n) * precision.input_bytes()) as f64
+                })
+                .sum(),
+            useful_flops: instances.iter().map(|inst| inst.shape().flops() as f64).sum(),
         }
     }
 
@@ -656,7 +664,7 @@ mod tests {
             let (queue, waves) = both_ways(d.ctas(), d.space().iters_per_tile(), d.fixups(), gpu, &costs);
             assert_eq!(waves.as_ref(), Some(&queue), "{:?} on {} SMs", d.strategy(), gpu.sms);
             let (shape, tile) = (d.space().shape(), d.space().tile());
-            let volume = Volume::of(d.space(), precision, 1);
+            let volume = Volume::of(std::slice::from_ref(d.space()), precision);
             assert_eq!(
                 data_parallel_makespan(shape, tile, gpu, precision, eff).to_bits(),
                 volume.roofline(queue.compute_makespan, 0, gpu).makespan.to_bits(),
@@ -699,7 +707,7 @@ mod tests {
             TileShape::FP16_STREAMK,
         ));
         let costs = CtaCosts::default_for(&a100, Precision::Fp16To32, TileShape::FP16_STREAMK);
-        let ipt = batched.space().iters_per_tile();
+        let ipt = batched.space().instance().iters_per_tile();
         let (queue, waves) = both_ways(batched.ctas(), ipt, batched.fixups(), &a100, &costs);
         assert_eq!(waves, Some(queue));
 

@@ -189,7 +189,7 @@ pub fn simulate_with_faults(
         dispatch(decomp.ctas(), space.iters_per_tile(), || decomp.fixups(), gpu, &costs, plan);
     let Unfinished { lost_ctas, unresolved_owners, redispatches } = unfinished;
     FaultSimReport {
-        faulty: finish_report(des, partial_records, &Volume::of(space, precision, 1), gpu),
+        faulty: finish_report(des, partial_records, &Volume::of(std::slice::from_ref(space), precision), gpu),
         baseline,
         deadlocked: !unresolved_owners.is_empty(),
         lost_ctas,

@@ -1,7 +1,17 @@
-//! Simulating grouped decompositions.
+//! Simulating grouped decompositions — and uniform batches, each the
+//! group of its equal shapes
+//! ([`BatchedDecomposition::group`](streamk_core::BatchedDecomposition::group)).
+//!
+//! A group whose members all take the same iterations per tile goes
+//! through the same dispatch as a single GEMM: its global tile ids
+//! behave exactly like tile ids, so a data-parallel batch replays by
+//! waves and a Stream-K one goes through the event queue. A group of
+//! mixed tile depths derives its per-CTA facts from the grouped
+//! segment walk and always takes the queue. Only the roofline
+//! bookkeeping sums over the members.
 
 use crate::cost::{CtaCosts, DEFAULT_MAC_EFFICIENCY};
-use crate::engine::{finish_report, run_des, CtaFacts, GridDesc, Volume};
+use crate::engine::{dispatch, finish_report, run_des, CtaFacts, GridDesc, Volume};
 use crate::fault::SimFaultPlan;
 use crate::gpu::GpuSpec;
 use crate::report::SimReport;
@@ -19,52 +29,37 @@ use streamk_types::Precision;
 pub fn simulate_grouped(decomp: &GroupedDecomposition, gpu: &GpuSpec, precision: Precision) -> SimReport {
     decomp.validate().expect("invalid grouped decomposition");
     let space = decomp.space();
-    let tile = space.instances()[0].tile();
-    let costs = CtaCosts::derive(gpu, precision, tile, DEFAULT_MAC_EFFICIENCY);
-
-    // Per-CTA facts from the grouped segment walk (iteration depths
-    // differ per instance, so the uniform-ipt shortcut doesn't apply).
-    let facts: Vec<CtaFacts> = decomp
-        .ctas()
-        .iter()
-        .map(|cta| match space.segments(cta).first() {
-            None => CtaFacts::default(),
-            Some(seg) => CtaFacts {
-                iters: cta.len(),
-                contributes: !seg.starts_tile,
-                first_seg_iters: seg.local_end - seg.local_begin,
-            },
-        })
-        .collect();
-    let grid = GridDesc::new(facts, decomp.fixups());
-    let (des, unfinished) = run_des(&grid, gpu, &costs, &SimFaultPlan::none());
-    unfinished.assert_none();
-
-    let compulsory_input_bytes: f64 = space
-        .instances()
-        .iter()
-        .map(|inst| {
-            let s = inst.shape();
-            ((s.m * s.k + s.k * s.n) * precision.input_bytes()) as f64
-        })
-        .sum();
-    let useful_flops: f64 = space.instances().iter().map(|inst| inst.shape().flops() as f64).sum();
-
-    let volume = Volume {
-        precision,
-        tile,
-        total_iters: space.total_iters(),
-        tiles: space.tiles(),
-        compulsory_input_bytes,
-        useful_flops,
+    let instances = space.instances();
+    let costs = CtaCosts::derive(gpu, precision, instances[0].tile(), DEFAULT_MAC_EFFICIENCY);
+    let none = SimFaultPlan::none();
+    let ipt = instances[0].iters_per_tile();
+    let (des, unfinished, partial_records) = if instances.iter().all(|inst| inst.iters_per_tile() == ipt) {
+        dispatch(decomp.ctas(), ipt, || decomp.fixups(), gpu, &costs, &none)
+    } else {
+        let facts: Vec<CtaFacts> = decomp
+            .ctas()
+            .iter()
+            .map(|cta| match space.segments(cta).next() {
+                None => CtaFacts::default(),
+                Some(seg) => CtaFacts {
+                    iters: cta.len(),
+                    contributes: !seg.starts_tile,
+                    first_seg_iters: seg.local_end - seg.local_begin,
+                },
+            })
+            .collect();
+        let grid = GridDesc::new(facts, decomp.fixups());
+        let (des, unfinished) = run_des(&grid, gpu, &costs, &none);
+        (des, unfinished, grid.partial_records)
     };
-    finish_report(des, grid.partial_records, &volume, gpu)
+    unfinished.assert_none();
+    finish_report(des, partial_records, &Volume::of(instances, precision), gpu)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamk_core::{Decomposition, GroupedSpace};
+    use streamk_core::{BatchedDecomposition, BatchedSpace, Decomposition, GroupedSpace};
     use streamk_types::{GemmShape, TileShape};
 
     #[test]
@@ -116,5 +111,82 @@ mod tests {
         let span_iters: usize = r.spans.iter().map(|s| s.iters).sum();
         assert_eq!(span_iters, grouped.space().total_iters());
         assert!(r.utilization() > 0.0 && r.utilization() <= 1.0);
+    }
+
+    #[test]
+    fn batch_of_one_matches_single_gemm() {
+        let shape = GemmShape::new(512, 384, 768);
+        let tile = TileShape::FP16_STREAMK;
+        let gpu = GpuSpec::a100();
+        let batched = BatchedDecomposition::stream_k(BatchedSpace::new(1, shape, tile), 64);
+        let single = Decomposition::stream_k(shape, tile, 64);
+        let rb = simulate_grouped(batched.group(), &gpu, Precision::Fp16To32);
+        let rs = crate::engine::simulate(&single, &gpu, Precision::Fp16To32);
+        assert!((rb.makespan - rs.makespan).abs() / rs.makespan < 1e-12);
+        assert_eq!(rb.useful_flops, rs.useful_flops);
+    }
+
+    /// The batched motivation: many tiny instances quantize terribly
+    /// as per-instance grids but perfectly as one Stream-K grid.
+    #[test]
+    fn batched_stream_k_beats_per_instance_dispatch() {
+        let gpu = GpuSpec::a100();
+        // 40 instances x 9 tiles = 360 global tiles; per-instance DP
+        // would run 9 CTAs on 108 SMs, 40 times (with 40 launches).
+        let shape = GemmShape::new(384, 384, 2048);
+        let tile = TileShape::FP16_STREAMK;
+
+        let per_instance_makespan: f64 = (0..40)
+            .map(|_| {
+                crate::engine::simulate(&Decomposition::data_parallel(shape, tile), &gpu, Precision::Fp16To32)
+                    .makespan
+            })
+            .sum();
+
+        let batched = BatchedDecomposition::stream_k(BatchedSpace::new(40, shape, tile), gpu.sms);
+        let r = simulate_grouped(batched.group(), &gpu, Precision::Fp16To32);
+        assert!(
+            r.makespan < per_instance_makespan / 5.0,
+            "batched {} vs per-instance {}",
+            r.makespan,
+            per_instance_makespan
+        );
+        assert!(r.utilization() > 0.8, "utilization {}", r.utilization());
+    }
+
+    #[test]
+    fn batched_dp_still_quantizes_badly() {
+        let gpu = GpuSpec::a100();
+        // 13 compute-bound instances x 9 tiles = 117 global tiles on
+        // 108 SMs: the classic partial second wave, now arising from
+        // the batch axis.
+        let shape = GemmShape::new(384, 384, 4096);
+        let tile = TileShape::FP16_STREAMK;
+        let space = BatchedSpace::new(13, shape, tile);
+        assert_eq!(space.tiles(), 117);
+        let dp = simulate_grouped(BatchedDecomposition::data_parallel(space.clone()).group(), &gpu, Precision::Fp16To32);
+        let sk = simulate_grouped(BatchedDecomposition::stream_k(space, gpu.sms).group(), &gpu, Precision::Fp16To32);
+        assert!(sk.makespan < dp.makespan);
+        assert!(dp.quantization_efficiency() < 0.60);
+        assert!(sk.quantization_efficiency() > 0.85);
+    }
+
+    #[test]
+    fn report_accounting_scales_with_batch() {
+        let gpu = GpuSpec::a100();
+        let shape = GemmShape::new(256, 256, 512);
+        let tile = TileShape::FP16_STREAMK;
+        let r1 = simulate_grouped(
+            BatchedDecomposition::stream_k(BatchedSpace::new(2, shape, tile), 16).group(),
+            &gpu,
+            Precision::Fp16To32,
+        );
+        let r2 = simulate_grouped(
+            BatchedDecomposition::stream_k(BatchedSpace::new(4, shape, tile), 16).group(),
+            &gpu,
+            Precision::Fp16To32,
+        );
+        assert!((r2.useful_flops / r1.useful_flops - 2.0).abs() < 1e-12);
+        assert!(r2.traffic_bytes > r1.traffic_bytes);
     }
 }

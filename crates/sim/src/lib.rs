@@ -20,9 +20,11 @@
 //!   `traffic / bandwidth`, which yields the bandwidth-bound regime of
 //!   the paper's Figures 5-7.
 //!
-//! One event queue, [`engine`]'s, produces every report: single,
-//! batched and grouped grids, and the straggler and preemption
-//! schedules of [`fault`], which has no queue of its own.
+//! One event queue, [`engine`]'s, produces every report: single
+//! GEMMs, groups — a uniform batch simulates as the group of its equal
+//! shapes, [`simulate_grouped`]`(batch.group(), ..)` — and the
+//! straggler and preemption schedules of [`fault`], which has no queue
+//! of its own.
 //!
 //! What this deliberately does **not** model: warp scheduling,
 //! instruction issue, shared-memory bank conflicts — effects that are
@@ -33,7 +35,6 @@
 #![deny(unsafe_code)]
 
 pub mod analytic;
-pub mod batched;
 pub mod cost;
 pub mod engine;
 pub mod fault;
@@ -44,7 +45,6 @@ pub mod svg;
 pub mod timeline;
 pub mod trace;
 
-pub use batched::simulate_batched;
 pub use cost::CtaCosts;
 pub use engine::{data_parallel_makespan, simulate, simulate_with_efficiency};
 pub use fault::{simulate_with_faults, FaultSimReport, Preemption, SimFaultPlan};

@@ -12,7 +12,7 @@ mod fingerprint;
 
 use fingerprint::Fingerprint;
 use streamk_core::{BatchedDecomposition, BatchedSpace};
-use streamk_sim::{simulate_batched, GpuSpec};
+use streamk_sim::{simulate_grouped, GpuSpec};
 use streamk_types::{GemmShape, Precision, TileShape};
 
 const SHAPES: [(usize, usize, usize); 5] =
@@ -34,7 +34,7 @@ fn cases() -> Vec<String> {
                 ];
                 for (name, b) in &schedules {
                     for precision in Precision::ALL {
-                        let r = simulate_batched(b, &gpu, precision);
+                        let r = simulate_grouped(b.group(), &gpu, precision);
                         let mut print = Fingerprint::new();
                         print.report(&r);
                         lines.push(format!("{batch}x{m}x{n}x{k} {}sm {name} {precision:?} {:016x}", gpu.sms, print.0));
