@@ -385,3 +385,61 @@ fn stats_overwrite_per_launch_and_launches_accumulate() {
     assert_eq!(second.wait_stall.as_nanos(), 0, "wait_stall must reset per launch");
     assert_eq!(second.recoveries, 0, "recoveries must reset per launch");
 }
+
+/// Tracing is per launch, the record of the last traced one is not: a
+/// launch on an untraced clone records nothing and leaves the last
+/// trace where it was, for the original and the clone alike.
+#[test]
+fn an_untraced_launch_leaves_the_last_trace_in_place() {
+    let _gate = alloc_gate();
+    let (shape, _, decomp) = split_launch();
+    let (a, b) = operands(shape, 0x7B2);
+    let exec = CpuExecutor::with_threads(4).with_trace(true);
+    let _ = exec.gemm::<f64, f64>(&a, &b, &decomp);
+    let traced = exec.last_trace().expect("traced launch yields a trace");
+    let untraced = exec.clone().with_trace(false);
+    let launches = exec.last_stats().launches;
+    let _ = untraced.gemm::<f64, f64>(&a, &b, &decomp);
+    assert_eq!(exec.last_stats().launches, launches + 1, "the untraced launch ran");
+    assert_eq!(exec.last_trace().as_ref(), Some(&traced), "an untraced launch replaced the last trace");
+    assert_eq!(untraced.last_trace().as_ref(), Some(&traced), "the clone reads the same last trace");
+}
+
+/// The last-launch record belongs to the executor and all its clones:
+/// whichever of them launches, every one reads the same stats and the
+/// same trace afterwards.
+#[test]
+fn clones_read_the_same_last_stats_and_trace() {
+    let _gate = alloc_gate();
+    let (shape, _, decomp) = split_launch();
+    let (a, b) = operands(shape, 0x7B4);
+    let exec = CpuExecutor::with_threads(4).with_trace(true);
+    let clone = exec.clone();
+    for (round, launcher) in [&clone, &exec, &clone].into_iter().enumerate() {
+        let _ = launcher.gemm::<f64, f64>(&a, &b, &decomp);
+        assert_eq!(exec.last_stats(), clone.last_stats(), "round {round}");
+        assert_eq!(exec.last_stats().launches, round + 1, "round {round}");
+        let trace = exec.last_trace().expect("traced launch yields a trace");
+        assert!(trace.total_spans() > 0, "round {round}");
+        assert_eq!(clone.last_trace(), Some(trace), "round {round}");
+    }
+}
+
+/// `launches` counts launches, whatever the entry: `gemm`, `gemm_ex`,
+/// `gemm_grouped` and `gemm_batched` each add exactly one.
+#[test]
+fn launches_count_every_entry_alike() {
+    let _gate = alloc_gate();
+    let exec = CpuExecutor::with_threads(4);
+    let mut expected = 0;
+    for entry in entries(0x7B6) {
+        let _ = (entry.launch)(&exec);
+        expected += 1;
+        assert_eq!(exec.last_stats().launches, expected, "{}", entry.name);
+    }
+    let (shape, _, decomp) = split_launch();
+    let (a, b) = operands(shape, 0x7B8);
+    let mut c = Matrix::<f64>::zeros(shape.m, shape.n, Layout::RowMajor);
+    exec.gemm_ex(1.0, &a.view(), &b.view(), 0.0, &mut c, &decomp);
+    assert_eq!(exec.last_stats().launches, expected + 1, "gemm_ex");
+}
