@@ -476,7 +476,8 @@ fn run_profile(
 /// — and a batched and a grouped launch — × every fault kind × every
 /// seed through the recovering executor, with bit-exactness checked
 /// against the fault-free run, followed by the simulator's
-/// straggler-SM injection.
+/// straggler-SM injection. A cell whose grid has no split seam has no
+/// victim to fault: its rows make no faulted run and read `n/a`.
 fn run_chaos(shape: GemmShape, tile: TileShape, seeds: u64, threads: usize, watchdog_ms: u64, serve: bool) -> String {
     let watchdog = Duration::from_millis(watchdog_ms.max(1));
     let strategies: [(&str, Decomposition); 5] = [
@@ -547,6 +548,7 @@ fn run_chaos(shape: GemmShape, tile: TileShape, seeds: u64, threads: usize, watc
         exec.gemm_grouped_with_faults::<f64, f64>(&group_a, &group_b, &grouped, plan)
     })));
 
+    let mut victimless = false;
     for (name, contributors, run) in &cells {
         let baseline = match run(&FaultPlan::none()) {
             Ok((c, _)) => c,
@@ -556,20 +558,19 @@ fn run_chaos(shape: GemmShape, tile: TileShape, seeds: u64, threads: usize, watc
             }
         };
         for (kind_name, make_kind) in &kinds {
+            if contributors.is_empty() {
+                victimless = true;
+                let _ =
+                    writeln!(out, "{name:<16} {kind_name:<10} {:>5} {:>9} {:>11} {:>12} {:>10}", 0, "n/a", 0, 0, "n/a");
+                continue;
+            }
             let mut survived = 0u64;
             let mut recoveries = 0usize;
             let mut recomputed = 0usize;
             let mut bit_exact = true;
             for seed in 0..seeds {
-                let plan = if contributors.is_empty() {
-                    // No split seams: the fault has no victim and the
-                    // run trivially survives.
-                    FaultPlan::none()
-                } else {
-                    let victim = contributors[(seed as usize) % contributors.len()];
-                    FaultPlan::single(victim, make_kind(watchdog))
-                };
-                match run(&plan) {
+                let victim = contributors[(seed as usize) % contributors.len()];
+                match run(&FaultPlan::single(victim, make_kind(watchdog))) {
                     Ok((c, report)) => {
                         survived += 1;
                         recoveries += report.recoveries();
@@ -587,6 +588,9 @@ fn run_chaos(shape: GemmShape, tile: TileShape, seeds: u64, threads: usize, watc
         }
     }
     drop(cells);
+    if victimless {
+        let _ = writeln!(out, "n/a: the grid has no split seam, so the fault has no victim to inject");
+    }
 
     let _ = writeln!(out, "\nsim straggler injection (A100 fp64, 2x slowdown on SM 1):");
     let _ = writeln!(out, "{:<16} {:>11} {:>19}", "strategy", "makespan x", "fixup-stall delta");
@@ -780,6 +784,34 @@ mod tests {
         assert!(out.contains("sim straggler injection"), "{out}");
         assert!(!out.contains("NO"), "a cell lost bit-exactness:\n{out}");
         assert!(!out.contains("skipped"), "a strategy was skipped:\n{out}");
+    }
+
+    /// 36 tiles of 64 iterations over four CTAs: Stream-K, the hybrids,
+    /// the batch and the group all land on whole tiles, so only the
+    /// fixed split has a victim to fault; the rest say so instead of
+    /// reading like cells that recovered.
+    #[test]
+    fn chaos_marks_rows_without_a_victim() {
+        let out = run("chaos 384 384 1024 --tile 64x64x16 --seeds 2 --threads 4 --watchdog-ms 100");
+        let table = out.split("sim straggler injection").next().expect("the fault table");
+        let rows =
+            |name: &str| -> Vec<&str> { table.lines().filter(|l| l.split_whitespace().next() == Some(name)).collect() };
+        for name in ["dp", "streamk", "dp+1t-streamk", "2t-streamk+dp", "batched", "grouped"] {
+            let rows = rows(name);
+            assert_eq!(rows.len(), 3, "{name}: one row per fault kind:\n{out}");
+            for row in rows {
+                let cols: Vec<&str> = row.split_whitespace().collect();
+                assert_eq!(cols[2..], ["0", "n/a", "0", "0", "n/a"], "{row}");
+            }
+        }
+        let split = rows("splitk:3");
+        assert_eq!(split.len(), 3, "{out}");
+        for row in split {
+            assert!(!row.contains("n/a"), "the fixed split has seams to fault: {row}");
+            assert_eq!(row.split_whitespace().nth(3), Some("2"), "both seeds survive: {row}");
+            assert!(row.ends_with("yes"), "{row}");
+        }
+        assert!(out.contains("n/a: the grid has no split seam"), "{out}");
     }
 
     #[test]

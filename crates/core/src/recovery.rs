@@ -21,7 +21,6 @@
 use crate::space::IterSpace;
 use crate::work::{CtaWork, TileSegment};
 use std::fmt;
-use std::time::Duration;
 
 /// A violation or failure of the `Signal`/`Wait` fixup protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,19 +44,6 @@ pub enum FixupError {
         /// The board's grid size.
         grid: usize,
     },
-    /// A watchdog deadline expired while waiting on a peer's signal.
-    WatchdogTimeout {
-        /// The peer that never signaled.
-        peer: usize,
-        /// How long the owner waited.
-        waited: Duration,
-    },
-    /// A peer's partial record was poisoned (lost or corrupted) and
-    /// recovery was not enabled.
-    PoisonedPartials {
-        /// The poisoned peer.
-        cta: usize,
-    },
 }
 
 impl fmt::Display for FixupError {
@@ -69,12 +55,6 @@ impl fmt::Display for FixupError {
             }
             FixupError::SlotOutOfRange { cta, grid } => {
                 write!(f, "fixup slot {cta} out of range for grid of {grid}")
-            }
-            FixupError::WatchdogTimeout { peer, waited } => {
-                write!(f, "watchdog expired after {waited:?} waiting for CTA {peer}")
-            }
-            FixupError::PoisonedPartials { cta } => {
-                write!(f, "CTA {cta}'s partial record was poisoned")
             }
         }
     }
@@ -233,7 +213,7 @@ mod tests {
 
     #[test]
     fn errors_display_and_chain() {
-        let e = FixupError::WatchdogTimeout { peer: 3, waited: Duration::from_millis(250) };
+        let e = FixupError::DoubleSignal { cta: 3 };
         assert!(e.to_string().contains("CTA 3"));
         let exec: ExecutorError = e.clone().into();
         assert!(exec.to_string().contains("fixup protocol failure"));
@@ -247,7 +227,6 @@ mod tests {
         assert!(FixupError::DoubleSignal { cta: 2 }.to_string().contains("twice"));
         assert!(FixupError::SlotOutOfRange { cta: 9, grid: 4 }.to_string().contains("out of range"));
         assert!(FixupError::SignalAfterPoison { cta: 1 }.to_string().contains("poisoned"));
-        assert!(FixupError::PoisonedPartials { cta: 5 }.to_string().contains("poisoned"));
         assert!(ExecutorError::InsufficientResidency { needed: 8, threads: 2 }.to_string().contains("co-resident"));
         assert!(ExecutorError::InvalidDecomposition("gap".into()).to_string().contains("gap"));
     }

@@ -18,24 +18,26 @@
 //! moves on; [`Worker::resume`] continues it, without blocking while
 //! work remains and under the [`WaitPolicy`] watchdog once none does.
 //! A peer whose record is lost (watchdog expiry) or poisoned is
-//! *recovered*: the owner recomputes the peer's exact contribution
-//! from its static work descriptor ([`peer_contribution`]) with the
-//! same kernel over the same k-range and folds it at the same point in
-//! peer order, so the output is bit-identical to the fault-free run.
+//! *recovered*, on every entry: the owner recomputes the peer's exact
+//! contribution from its static work descriptor ([`peer_contribution`])
+//! with the same kernel over the same k-range and folds it at the same
+//! point in peer order, so the output is bit-identical to the
+//! fault-free run.
 //!
 //! The cycle is written over a list of problem [`Instance`]s whose
 //! iteration spaces are concatenated — the form grouped GEMM needs; a
 //! batch is a uniform group, a single GEMM a group of one — and over
 //! one per-launch state struct, [`Launch`], which a direct launch
-//! builds on its stack and a service request embeds. What differs
-//! between callers stays with them: what they claim and where from
-//! ([`Worker::run`] claims units — one tile segment of one CTA — from
-//! a [`CtaScheduler`], the service whole CTAs from its request sweep
-//! through [`Worker::run_cta`]), panic isolation, and what completing
-//! a tile means. A segment runs the same whichever worker claims it:
-//! it contributes or owns under its CTA's id, so a drained worker may
-//! steal the unstarted tail of a CTA another worker is running without
-//! moving a seam.
+//! builds on its stack and a service request embeds — both from
+//! [`CpuExecutor::launch`](crate::CpuExecutor), so the two differ only
+//! in their pack cache. What differs between callers stays with them:
+//! what they claim and where from ([`Worker::run`] claims units — one
+//! tile segment of one CTA — from a [`CtaScheduler`], the service whole
+//! CTAs from its request sweep through [`Worker::run_cta`]), panic
+//! isolation, and what completing a tile means. A segment runs the
+//! same whichever worker claims it: it contributes or owns under its
+//! CTA's id, so a drained worker may steal the unstarted tail of a CTA
+//! another worker is running without moving a seam.
 //!
 //! An instance runs the caller's product `C = op(A)·op(B)` or its
 //! transpose `Cᵀ = op(B)ᵀ·op(A)ᵀ` into C's own storage, whichever
@@ -246,7 +248,8 @@ impl<In, Acc: Scalar> Grid<'_, In, Acc> {
 
 /// The protocol state of one launch: everything the cycle reads or
 /// counts besides the work itself. It owns what it holds, so a service
-/// request can keep one for its whole life.
+/// request can keep one for its whole life. A lost or poisoned peer is
+/// always recomputed: recovery is not a mode.
 pub(crate) struct Launch<In, Acc> {
     peers: PeerTable,
     board: FixupBoard<Acc>,
@@ -254,9 +257,6 @@ pub(crate) struct Launch<In, Acc> {
     policy: WaitPolicy,
     kernel: KernelKind,
     cache: Option<PackCache<In>>,
-    /// Recompute a lost or poisoned peer (`true`), or fail the launch
-    /// with the typed fixup error (`false`).
-    recover: bool,
     /// Set once nobody wants the result any more (a failed launch, a
     /// cancelled or expired request): workers stop spending cycles on
     /// it at the next segment, fold step or backoff round.
@@ -267,18 +267,19 @@ pub(crate) struct Launch<In, Acc> {
     wait_ns: AtomicU64,
     /// Every recovery, in the order they were performed.
     events: Mutex<Vec<RecoveryEvent>>,
-    /// A traced service request's span rings, one per worker id, which
-    /// its workers check their recorders out of. `None` for a direct
-    /// launch: the executor holds those rings.
-    pub(crate) spans: Option<WorkerRings>,
+    /// The launch's span rings, one per worker id, which its workers
+    /// check their recorders out of ([`recorder`](Self::recorder));
+    /// `None` when it is not traced.
+    spans: Option<WorkerRings>,
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<In, Acc: Scalar> Launch<In, Acc> {
-    #[allow(clippy::too_many_arguments)]
+    /// Built by [`CpuExecutor::launch`](crate::CpuExecutor), which
+    /// supplies the configured kernel and watchdog.
     pub(crate) fn new(
         grid_size: usize,
         fixups: &[TileFixup],
@@ -286,7 +287,6 @@ impl<In, Acc: Scalar> Launch<In, Acc> {
         policy: WaitPolicy,
         kernel: KernelKind,
         cache: Option<PackCache<In>>,
-        recover: bool,
         spans: Option<WorkerRings>,
     ) -> Self {
         Self {
@@ -296,7 +296,6 @@ impl<In, Acc: Scalar> Launch<In, Acc> {
             policy,
             kernel,
             cache,
-            recover,
             dead: AtomicBool::new(false),
             deferrals: AtomicUsize::new(0),
             wait_ns: AtomicU64::new(0),
@@ -329,10 +328,21 @@ impl<In, Acc: Scalar> Launch<In, Acc> {
         lock(&self.events).len()
     }
 
-    /// Ends the launch: its pack cache (for the executor to retire)
-    /// and everything recovery did.
-    pub(crate) fn into_parts(self) -> (Option<PackCache<In>>, Vec<RecoveryEvent>) {
-        (self.cache, self.events.into_inner().unwrap_or_else(PoisonError::into_inner))
+    /// Worker `wid`'s ring of this launch, checked out until the
+    /// recorder drops; off for an untraced launch.
+    pub(crate) fn recorder(&self, wid: usize) -> Recorder<'_> {
+        self.spans.as_ref().map_or_else(Recorder::off, |rings| rings.check_out(wid))
+    }
+
+    /// The launch's span rings; `None` when it is not traced.
+    pub(crate) fn spans(&self) -> Option<&WorkerRings> {
+        self.spans.as_ref()
+    }
+
+    /// Ends the launch: its pack cache and span rings (for the executor
+    /// to retire) and everything recovery did.
+    pub(crate) fn into_parts(self) -> (Option<PackCache<In>>, Option<WorkerRings>, Vec<RecoveryEvent>) {
+        (self.cache, self.spans, self.events.into_inner().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// The contributor side: publishes `partial` as CTA `cta`'s record
@@ -469,9 +479,8 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
 
     /// The owner side: folds `d`'s peers into its accumulator in
     /// ascending order from `d.next_peer`, recovering the ones whose
-    /// record is lost or poisoned (or, with recovery off, failing with
-    /// the typed error). Without `block` the first pending peer parks
-    /// the consolidation.
+    /// record is lost or poisoned. Without `block` the first pending
+    /// peer parks the consolidation.
     fn fold(
         &self,
         d: &mut Deferred<Acc>,
@@ -494,13 +503,6 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
                 Taken::Dead => return Ok(Progress::Abandoned),
                 Taken::Lost(cause) => cause,
             };
-            if !launch.recover {
-                return Err(match cause {
-                    RecoveryCause::Timeout(waited) => FixupError::WatchdogTimeout { peer, waited },
-                    RecoveryCause::Poisoned => FixupError::PoisonedPartials { cta: peer },
-                }
-                .into());
-            }
             let t0 = rec.start();
             let inst = &grid.instances[d.instance];
             let tile_idx = grid.global_tile(d.instance, d.tile);
@@ -554,8 +556,8 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
     ///
     /// # Errors
     ///
-    /// A fixup protocol violation, or — with recovery off — the first
-    /// lost or poisoned peer.
+    /// A fixup protocol violation, or a fixup listing a peer that
+    /// contributes nothing to the tile.
     fn run_unit(
         &self,
         unit: &CtaWork,
@@ -716,8 +718,7 @@ mod tests {
 
     /// The group under `ctas` Stream-K CTAs on `workers` plain threads
     /// (no pool: `Worker::run` is the whole of a worker), the register
-    /// block (portable under Miri), recovery on: the outputs and what
-    /// recovery did.
+    /// block (portable under Miri): the outputs and what recovery did.
     fn run(workers: usize, ctas: usize, plan: FaultPlan) -> (Vec<Matrix<f64>>, Vec<RecoveryEvent>) {
         run_oriented(workers, ctas, plan, [false; 2])
     }
@@ -752,9 +753,10 @@ mod tests {
             })
             .collect();
         let grid = Grid { ctas: decomp.ctas(), instances: &instances, alpha: 1.0, beta: 0.0 };
-        let policy = WaitPolicy::with_watchdog(Duration::from_millis(50));
-        let launch =
-            Launch::new(ctas, &decomp.fixups(), plan, policy, KernelKind::Block, None, true, None);
+        let exec = crate::CpuExecutor::with_threads(workers)
+            .with_kernel(KernelKind::Block)
+            .with_watchdog(Duration::from_millis(50));
+        let launch = exec.launch(ctas, &decomp.fixups(), plan, None, None);
         let sched = CtaScheduler::new(ctas, workers);
         std::thread::scope(|scope| {
             for wid in 0..workers {
@@ -765,7 +767,7 @@ mod tests {
                 });
             }
         });
-        let (_, events) = launch.into_parts();
+        let (_, _, events) = launch.into_parts();
         (instances.iter().map(Instance::take).collect(), events)
     }
 

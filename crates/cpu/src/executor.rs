@@ -9,18 +9,22 @@
 //!   panicking surface (validation bugs are programmer errors);
 //! - [`CpuExecutor::try_gemm`] / [`CpuExecutor::try_gemm_ex`] — the
 //!   same execution with typed [`ExecutorError`]s instead of panics;
-//! - [`CpuExecutor::gemm_with_faults`] — runs a [`FaultPlan`] against
-//!   the fixup protocol and *recovers*: when a peer's signal times out
-//!   under the watchdog or its record is poisoned, the tile owner
-//!   recomputes the peer's exact contribution from its static
-//!   [`CtaWork`] descriptor ([`streamk_core::peer_contribution`]) and
-//!   carries on. The recomputation runs the same MAC kernel over the
-//!   same local range and is accumulated at the same point in peer
-//!   order, so the recovered output is bit-identical to the
-//!   fault-free run.
+//! - [`CpuExecutor::gemm_with_faults`] — the same launch with a
+//!   [`FaultPlan`] run against the fixup protocol, and a
+//!   [`RecoveryReport`] of what recovery did.
+//!
+//! Every entry *recovers*: when a peer's signal times out under the
+//! watchdog or its record is poisoned, the tile owner recomputes the
+//! peer's exact contribution from its static [`CtaWork`] descriptor
+//! ([`streamk_core::peer_contribution`]) and carries on. The
+//! recomputation runs the same MAC kernel over the same local range and
+//! is accumulated at the same point in peer order, so the recovered
+//! output is bit-identical to the fault-free run; `try_gemm` is
+//! `gemm_with_faults` at [`FaultPlan::none`] without the report, and
+//! [`ExecStats::recoveries`] says what recovery did in the last launch.
 
 use crate::arena::{ArenaStats, PackArena};
-use crate::engine::{Grid, Instance, Launch, Orientation, Output, Worker};
+use crate::engine::{lock, Grid, Instance, Launch, Orientation, Output, Worker};
 use crate::fault::FaultPlan;
 use crate::fixup::WaitPolicy;
 use crate::microkernel::KernelKind;
@@ -28,12 +32,11 @@ use crate::output::{OwnedTileWriter, TileWriter};
 use crate::packcache::{operands_pack, PackCache};
 use crate::pool::WorkerPool;
 use crate::sched::CtaScheduler;
-use crate::trace::{self, ExecTrace, Recorder, SpanKind, SpareRings, WorkerRings};
+use crate::trace::{self, ExecTrace, SpanKind, SpareRings, WorkerRings};
 use crate::workspace::Workspace;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
-use streamk_core::{CtaWork, Decomposition, ExecutorError, GroupedDecomposition, IterSpace, TileFixup};
+use streamk_core::{CtaWork, Decomposition, ExecutorError, IterSpace, TileFixup};
 use streamk_matrix::{Matrix, MatrixView, Promote, Scalar};
 
 /// The process-wide default worker count, resolved exactly once:
@@ -66,12 +69,6 @@ pub struct ExecutorConfig {
     /// against each other; the scalar kernel is the reference tests
     /// compare launches with.
     pub kernel: KernelKind,
-    /// Serve packed panels from the grid-shared [`PackCache`] (each
-    /// panel packed exactly once per launch) instead of re-packing
-    /// per CTA segment. Results are bit-identical either way; this is
-    /// a pure speed knob. Ignored by the scalar kernel, which consumes
-    /// no panels.
-    pub pack_cache: bool,
     /// Shard count for the pack cache of a single-instance launch
     /// (`gemm*`): `0` (the default) means one shard per worker, so each
     /// worker packs into — and reads from — its own slot table and
@@ -98,7 +95,6 @@ impl Default for ExecutorConfig {
             threads: default_threads(),
             watchdog: WaitPolicy::DEFAULT_WATCHDOG,
             kernel: KernelKind::default(),
-            pack_cache: true,
             pack_shards: 0,
             trace: false,
             trace_capacity: trace::DEFAULT_RING_CAPACITY,
@@ -154,14 +150,13 @@ pub struct ExecStats {
     pub launches: usize,
 }
 
-/// Shared mutable stats cell behind the executor's `&self` API.
+/// The record the most recent launch leaves behind, shared by an
+/// executor and its clones under one lock: its counters, and the trace
+/// of the most recent *traced* launch.
 #[derive(Debug, Default)]
-struct StatsCell {
-    steals: AtomicUsize,
-    deferrals: AtomicUsize,
-    wait_stall_ns: AtomicU64,
-    recoveries: AtomicUsize,
-    launches: AtomicUsize,
+struct LastLaunch {
+    stats: ExecStats,
+    trace: Option<ExecTrace>,
 }
 
 /// Why a tile owner recomputed a peer's contribution.
@@ -257,10 +252,8 @@ pub struct CpuExecutor {
     /// and reused for every one after (clones share it): the "SM
     /// array" exists once, not once per GEMM.
     pool: Arc<OnceLock<WorkerPool>>,
-    stats: Arc<StatsCell>,
-    /// The most recent traced launch's spans (clones share it);
-    /// `None` until a launch runs with `config.trace` on.
-    trace_sink: Arc<Mutex<Option<ExecTrace>>>,
+    /// What the most recent launch left behind (clones share it).
+    last: Arc<Mutex<LastLaunch>>,
 }
 
 /// Runs `f` on the pack arena for input type `In` that `pool` keeps
@@ -279,7 +272,7 @@ impl CpuExecutor {
     pub fn new(config: ExecutorConfig) -> Self {
         assert!(config.threads > 0, "executor needs at least one thread");
         assert!(config.trace_capacity > 0, "trace ring needs capacity");
-        Self { config, pool: Arc::default(), stats: Arc::default(), trace_sink: Arc::default() }
+        Self { config, pool: Arc::default(), last: Arc::default() }
     }
 
     /// Creates an executor with exactly `threads` workers.
@@ -300,14 +293,6 @@ impl CpuExecutor {
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.config.kernel = kernel;
-        self
-    }
-
-    /// Returns this executor with the grid-shared pack cache enabled
-    /// or disabled (enabled by default).
-    #[must_use]
-    pub fn with_pack_cache(mut self, enabled: bool) -> Self {
-        self.config.pack_cache = enabled;
         self
     }
 
@@ -360,12 +345,6 @@ impl CpuExecutor {
         self.config.watchdog
     }
 
-    /// Whether the grid-shared pack cache is enabled.
-    #[must_use]
-    pub fn pack_cache(&self) -> bool {
-        self.config.pack_cache
-    }
-
     /// The pack-cache shard count a single-instance launch (`gemm*`)
     /// will use: the configured value, with `0` resolving to one shard
     /// per worker. Batched and grouped launches use one shard.
@@ -399,13 +378,7 @@ impl CpuExecutor {
     /// executor's lifetime. See [`ExecStats`].
     #[must_use]
     pub fn last_stats(&self) -> ExecStats {
-        ExecStats {
-            steals: self.stats.steals.load(Ordering::Relaxed),
-            deferrals: self.stats.deferrals.load(Ordering::Relaxed),
-            wait_stall: Duration::from_nanos(self.stats.wait_stall_ns.load(Ordering::Relaxed)),
-            recoveries: self.stats.recoveries.load(Ordering::Relaxed),
-            launches: self.stats.launches.load(Ordering::Relaxed),
-        }
+        lock(&self.last).stats
     }
 
     /// The span trace of the most recent *traced* launch on this
@@ -414,7 +387,7 @@ impl CpuExecutor {
     /// place (and record nothing themselves).
     #[must_use]
     pub fn last_trace(&self) -> Option<ExecTrace> {
-        self.trace_sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+        lock(&self.last).trace.clone()
     }
 
     /// What this executor's pack arena for input type `In` holds: the
@@ -435,9 +408,8 @@ impl CpuExecutor {
     /// shards, storing its chunks in the executor's arena and sized
     /// for the operands that pack. `None` — nothing built, the arena
     /// left where it is — when no tile of the launch reads a packed
-    /// operand (every view is read in place), caching
-    /// is off, or the kernel does not consume panels; the dispatcher
-    /// then packs privately whatever it still has to. Hand the cache
+    /// operand (every view is read in place) or the kernel does not
+    /// consume panels. Hand the cache
     /// back with [`retire_pack_cache`] so the next launch reuses the
     /// storage.
     ///
@@ -448,7 +420,7 @@ impl CpuExecutor {
         I: IntoIterator<Item = (&'s IterSpace, MatrixView<'s, In>, MatrixView<'s, In>)>,
         I::IntoIter: Clone,
     {
-        let block = self.config.kernel.panel_geometry::<In>().filter(|_| self.config.pack_cache)?;
+        let block = self.config.kernel.panel_geometry::<In>()?;
         let instances = instances.into_iter().map(|(space, a, b)| {
             let (a_packs, b_packs) = operands_pack(&a, &b);
             (space, a_packs, b_packs)
@@ -472,6 +444,23 @@ impl CpuExecutor {
         if let Some(cache) = cache {
             with_pack_arena(self.worker_pool(), |slot| *slot = cache.into_arena());
         }
+    }
+
+    /// The protocol state of a launch of `grid_size` CTAs consolidated
+    /// as `fixups` say, under `plan`'s faults — a direct launch's and a
+    /// service request's alike — with the configured kernel and
+    /// watchdog, its pack cache (`None`: every operand is read in place
+    /// or packed privately) and its span rings (`None`: untraced).
+    pub(crate) fn launch<In, Acc: Scalar>(
+        &self,
+        grid_size: usize,
+        fixups: &[TileFixup],
+        plan: FaultPlan,
+        cache: Option<PackCache<In>>,
+        spans: Option<WorkerRings>,
+    ) -> Launch<In, Acc> {
+        let policy = WaitPolicy::with_watchdog(self.config.watchdog);
+        Launch::new(grid_size, fixups, plan, policy, self.config.kernel, cache, spans)
     }
 
     /// The span rings of a traced launch starting at `epoch`, one per
@@ -584,8 +573,9 @@ impl CpuExecutor {
     /// [`ExecutorError::InvalidDecomposition`] if `decomp` fails
     /// structural validation, [`ExecutorError::InsufficientResidency`]
     /// if the widest owner+peers group cannot be co-resident, and
-    /// [`ExecutorError::Fixup`] if the protocol fails at run time
-    /// (e.g. a watchdog timeout with recovery disabled).
+    /// [`ExecutorError::Fixup`] if the fixup protocol is violated at
+    /// run time (a CTA signaling twice). A lost or poisoned peer is no
+    /// error: its owner recomputes it, as on every entry.
     pub fn try_gemm<In, Acc>(
         &self,
         a: &Matrix<In>,
@@ -596,7 +586,7 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        self.gemm_fresh(a, b, decomp, &FaultPlan::none(), false).map(|(c, _)| c)
+        self.gemm_with_faults(a, b, decomp, &FaultPlan::none()).map(|(c, _)| c)
     }
 
     /// Fallible [`gemm_ex`](Self::gemm_ex).
@@ -623,7 +613,7 @@ impl CpuExecutor {
         let (orientation, layout, space) = Orientation::choose(self.config.kernel, a, b, c.layout(), space);
         let writer = TileWriter::new(c.as_mut_slice(), layout, &space);
         let instance = [Instance::new(orientation, *a, *b, Output::Window(&writer), 0)];
-        self.run_single(alpha, beta, &instance, decomp, &FaultPlan::none(), false).map(|_| ())
+        self.run_single(alpha, beta, &instance, decomp, &FaultPlan::none()).map(|_| ())
     }
 
     /// Computes `C = A · B` while injecting `plan`'s faults into the
@@ -633,12 +623,15 @@ impl CpuExecutor {
     ///
     /// The returned [`RecoveryReport`] says what recovery had to do.
     /// The output matrix is bit-identical to the fault-free
-    /// [`gemm`](Self::gemm) result for every plan.
+    /// [`gemm`](Self::gemm) result for every plan. It is born from its
+    /// tiles: the buffer is reserved unfilled, each worker's tile store
+    /// is the first write its elements see, and it becomes a matrix
+    /// only once the launch succeeded and every tile is stored. A
+    /// launch that returns `Err` drops it unread.
     ///
     /// # Errors
     ///
-    /// As [`try_gemm`](Self::try_gemm); with recovery active, runtime
-    /// fixup errors only surface for unmaskable protocol violations.
+    /// As [`try_gemm`](Self::try_gemm).
     pub fn gemm_with_faults<In, Acc>(
         &self,
         a: &Matrix<In>,
@@ -650,33 +643,13 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        self.gemm_fresh(a, b, decomp, plan, true)
-    }
-
-    /// `C = A · B` into an output born from its tiles: the buffer is
-    /// reserved unfilled, each worker's tile store is the first write
-    /// its elements see, and it becomes a matrix only once the launch
-    /// succeeded and every tile is stored. A launch that returns `Err`
-    /// drops it unread.
-    fn gemm_fresh<In, Acc>(
-        &self,
-        a: &Matrix<In>,
-        b: &Matrix<In>,
-        decomp: &Decomposition,
-        plan: &FaultPlan,
-        recover: bool,
-    ) -> Result<(Matrix<Acc>, RecoveryReport), ExecutorError>
-    where
-        In: Promote<Acc>,
-        Acc: Scalar,
-    {
         let (av, bv) = (a.view(), b.view());
         check_single(&av, &bv, decomp)?;
         let (orientation, layout, space) =
             Orientation::choose(self.config.kernel, &av, &bv, a.layout(), decomp.space());
         let out = Output::Owned(OwnedTileWriter::new(layout, &space));
         let instance = [Instance::new(orientation, av, bv, out, 0)];
-        let report = self.run_single(Acc::ONE, Acc::ZERO, &instance, decomp, plan, recover)?;
+        let report = self.run_single(Acc::ONE, Acc::ZERO, &instance, decomp, plan)?;
         Ok((instance[0].take(), report))
     }
 
@@ -689,7 +662,6 @@ impl CpuExecutor {
         instance: &[Instance<'_, In, Acc>; 1],
         decomp: &Decomposition,
         plan: &FaultPlan,
-        recover: bool,
     ) -> Result<RecoveryReport, ExecutorError>
     where
         In: Promote<Acc>,
@@ -700,77 +672,21 @@ impl CpuExecutor {
         // touching a tile row/column reuses its own shard's packing
         // work, and published panels stay cache-resident on the core
         // that packed them.
-        self.run_grid(&grid, &decomp.fixups(), plan, recover, self.pack_shards())
-    }
-
-    /// A `β = 0` launch of a group's grid — a uniform batch runs as the
-    /// group of its equal shapes — with `plan`'s faults injected and,
-    /// if `recover`, recovered: instance `i` computes `a[i] · b[i]` in
-    /// the group's `i`-th space, the launch's iteration space being
-    /// theirs concatenated in order. Each output is born from its tiles
-    /// (reserved unfilled, every element first written by the worker
-    /// that computed its tile); one grid-shared pack-cache table spans
-    /// the instances.
-    ///
-    /// # Errors
-    ///
-    /// As [`gemm_with_faults`](Self::gemm_with_faults).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operand counts or shapes don't match the group.
-    pub(crate) fn run_group<In, Acc>(
-        &self,
-        a: &[Matrix<In>],
-        b: &[Matrix<In>],
-        decomp: &GroupedDecomposition,
-        plan: &FaultPlan,
-        recover: bool,
-    ) -> Result<(Vec<Matrix<Acc>>, RecoveryReport), ExecutorError>
-    where
-        In: Promote<Acc>,
-        Acc: Scalar,
-    {
-        decomp.validate().map_err(ExecutorError::InvalidDecomposition)?;
-        let spaces = decomp.space().instances();
-        assert_eq!(a.len(), spaces.len(), "need one A per instance");
-        assert_eq!(b.len(), spaces.len(), "need one B per instance");
-        let mut first_iter = 0;
-        let instances: Vec<Instance<'_, In, Acc>> = spaces
-            .iter()
-            .zip(a.iter().zip(b))
-            .enumerate()
-            .map(|(i, (space, (ai, bi)))| {
-                let shape = space.shape();
-                assert_eq!((ai.rows(), ai.cols()), (shape.m, shape.k), "A[{i}] must be m x k");
-                assert_eq!((bi.rows(), bi.cols()), (shape.k, shape.n), "B[{i}] must be k x n");
-                let (av, bv) = (ai.view(), bi.view());
-                let (orientation, layout, space) =
-                    Orientation::choose(self.config.kernel, &av, &bv, ai.layout(), space);
-                let out = Output::Owned(OwnedTileWriter::new(layout, &space));
-                let instance = Instance::new(orientation, av, bv, out, first_iter);
-                first_iter += space.total_iters();
-                instance
-            })
-            .collect();
-        let grid = Grid { ctas: decomp.ctas(), instances: &instances, alpha: Acc::ONE, beta: Acc::ZERO };
-        let report = self.run_grid(&grid, &decomp.fixups(), plan, recover, 1)?;
-        Ok((instances.iter().map(Instance::take).collect(), report))
+        self.run_grid(&grid, &decomp.fixups(), plan, self.pack_shards())
     }
 
     /// The one grid loop behind every launch entry — `gemm*` and
     /// `gemm_grouped` (which `gemm_batched` runs): residency check, the
-    /// launch's pack cache (`shards` tables) and protocol state,
-    /// locality-aware dispatch, one [`Worker::run`] per pool worker,
-    /// and the launch's counters and trace. `grid`'s CTAs are validated by the
-    /// caller, whose decomposition type knows how; `fixups` is their
-    /// consolidation structure.
-    fn run_grid<In, Acc>(
+    /// launch's pack cache (`shards` tables), span rings and protocol
+    /// state, locality-aware dispatch, one [`Worker::run`] per pool
+    /// worker, and the launch's record. `grid`'s CTAs are validated by
+    /// the caller, whose decomposition type knows how; `fixups` is
+    /// their consolidation structure.
+    pub(crate) fn run_grid<In, Acc>(
         &self,
         grid: &Grid<'_, In, Acc>,
         fixups: &[TileFixup],
         plan: &FaultPlan,
-        recover: bool,
         shards: usize,
     ) -> Result<RecoveryReport, ExecutorError>
     where
@@ -780,12 +696,7 @@ impl CpuExecutor {
         let workers = self.config.threads;
         check_residency(fixups, workers)?;
 
-        let policy = WaitPolicy::with_watchdog(self.config.watchdog);
         let cache = self.launch_pack_cache(grid.instances.iter().map(|i| (i.space(), i.a, i.b)), shards);
-        let launch =
-            Launch::new(grid.ctas.len(), fixups, plan.clone(), policy, self.config.kernel, cache, recover, None);
-        let error = Mutex::new(None);
-
         // Locality-aware dispatch: static contiguous per-worker ranges
         // of the (swizzled) CTA order, rebalanced by stealing ranges of
         // tile segments. The unit table's storage outlives the launch
@@ -798,11 +709,13 @@ impl CpuExecutor {
         // ring out of its own uncontended slot for its whole share.
         let epoch = Instant::now();
         let rings = self.config.trace.then(|| self.launch_rings(epoch));
+        let launch = self.launch(grid.ctas.len(), fixups, plan.clone(), cache, rings);
+        let error = Mutex::new(None);
         // When worker 0 (this thread) finished its share: the start of
         // the launch's join, which only the launcher can time.
         let share_end = OnceLock::new();
         self.worker_pool().run(&|wid, scratch| {
-            let rec = rings.as_ref().map_or_else(Recorder::off, |rings| rings.check_out(wid));
+            let rec = launch.recorder(wid);
             if let Some(now) = rec.start() {
                 rec.record(SpanKind::Launch, epoch, now, trace::LAUNCH_WAKE, 0);
             }
@@ -816,7 +729,7 @@ impl CpuExecutor {
                 // their next segment or fold step instead of finishing
                 // (or waiting a watchdog out for) a result nobody gets.
                 launch.kill();
-                error.lock().unwrap_or_else(std::sync::PoisonError::into_inner).get_or_insert(e);
+                lock(&error).get_or_insert(e);
             }
             if wid == 0 {
                 if let Some(now) = rec.start() {
@@ -826,25 +739,28 @@ impl CpuExecutor {
         });
         let end = Instant::now();
 
-        // The launch's counters: the per-launch fields are overwritten,
-        // `launches` accumulates.
-        let stats = &self.stats;
-        stats.steals.store(sched.steals(), Ordering::Relaxed);
+        let stats = ExecStats {
+            steals: sched.steals(),
+            deferrals: launch.deferrals(),
+            wait_stall: launch.wait_stall(),
+            recoveries: launch.recoveries(),
+            launches: 0,
+        };
         *self.worker_pool().launch_scratch().get_or_insert_with(Vec::new) = sched.into_units();
-        stats.deferrals.store(launch.deferrals(), Ordering::Relaxed);
-        stats.wait_stall_ns.store(launch.wait_stall().as_nanos() as u64, Ordering::Relaxed);
-        stats.recoveries.store(launch.recoveries(), Ordering::Relaxed);
-        stats.launches.fetch_add(1, Ordering::Relaxed);
-        if let Some(rings) = rings {
-            let trace = self.retire_rings(rings, epoch, share_end.get().copied(), end);
-            let mut sink =
-                self.trace_sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            *sink = Some(trace);
-        }
-
-        let (cache, events) = launch.into_parts();
+        let (cache, rings, events) = launch.into_parts();
         self.retire_pack_cache(cache);
-        match error.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
+        let trace = rings.map(|rings| self.retire_rings(rings, epoch, share_end.get().copied(), end));
+        // The launch's record: the per-launch fields are overwritten,
+        // `launches` accumulates, and an untraced launch leaves the
+        // last trace in place.
+        {
+            let mut last = lock(&self.last);
+            last.stats = ExecStats { launches: last.stats.launches + 1, ..stats };
+            if trace.is_some() {
+                last.trace = trace;
+            }
+        }
+        match error.into_inner().unwrap_or_else(PoisonError::into_inner) {
             Some(e) => Err(e),
             None => Ok(RecoveryReport { events }),
         }
@@ -895,7 +811,7 @@ pub(crate) fn check_residency(fixups: &[TileFixup], workers: usize) -> Result<()
 mod tests {
     use super::*;
     use crate::fault::FaultKind;
-    use streamk_core::{FixupError, Strategy};
+    use streamk_core::Strategy;
     use streamk_matrix::f16;
     use streamk_matrix::reference::gemm_naive;
     use streamk_types::{GemmShape, Layout, TileShape};
@@ -1182,23 +1098,6 @@ mod tests {
         let (c, report) = exec.gemm_with_faults::<f64, f64>(&a, &b, &decomp, &plan).unwrap();
         assert!(report.is_clean(), "a straggler inside the watchdog is absorbed: {report:?}");
         assert_eq!(c.max_abs_diff(&baseline), 0.0);
-    }
-
-    #[test]
-    fn lost_peer_without_recovery_is_a_watchdog_error() {
-        // try_gemm has no fault injection, so go through the entry it
-        // shares with gemm_with_faults, recovery off: the lost peer
-        // surfaces as the owner's watchdog timeout, and the output —
-        // whose split tile was never stored — is dropped unread (the
-        // `Err` carries no matrix; `take` would have refused it).
-        let (a, b, decomp, exec) = chaos_fixture();
-        let victim = FaultPlan::contributors(&decomp)[0];
-        let plan = FaultPlan::single(victim, FaultKind::Lose);
-        let err = exec.gemm_fresh::<f64, f64>(&a, &b, &decomp, &plan, false).unwrap_err();
-        match err {
-            ExecutorError::Fixup(FixupError::WatchdogTimeout { peer, .. }) => assert_eq!(peer, victim),
-            other => panic!("expected watchdog timeout, got {other:?}"),
-        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! hands over its instance spaces. It is also the batched entry's
 //! path: a uniform batch runs as the group of its equal shapes.
 
+use crate::engine::{Grid, Instance, Orientation, Output};
 use crate::executor::{CpuExecutor, RecoveryReport};
 use crate::fault::FaultPlan;
+use crate::output::OwnedTileWriter;
 use streamk_core::{ExecutorError, GroupedDecomposition};
 use streamk_matrix::{Matrix, Promote, Scalar};
 
@@ -32,7 +34,7 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        self.run_group(a, b, decomp, &FaultPlan::none(), false).map_or_else(|e| panic!("{e}"), |(c, _)| c)
+        self.gemm_grouped_with_faults(a, b, decomp, &FaultPlan::none()).map_or_else(|e| panic!("{e}"), |(c, _)| c)
     }
 
     /// [`gemm_grouped`](Self::gemm_grouped) while injecting `plan`'s
@@ -40,6 +42,12 @@ impl CpuExecutor {
     /// as [`gemm_with_faults`](Self::gemm_with_faults) does for a
     /// single GEMM: outputs bit-identical to the fault-free launch's,
     /// and a [`RecoveryReport`] of what recovery had to do.
+    ///
+    /// Instance `i` computes `a[i] · b[i]` in the group's `i`-th space,
+    /// the launch's iteration space being theirs concatenated in order.
+    /// Each output is born from its tiles (reserved unfilled, every
+    /// element first written by the worker that computed its tile); one
+    /// grid-shared pack-cache table spans the instances.
     ///
     /// # Errors
     ///
@@ -57,7 +65,30 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        self.run_group(a, b, decomp, plan, true)
+        decomp.validate().map_err(ExecutorError::InvalidDecomposition)?;
+        let spaces = decomp.space().instances();
+        assert_eq!(a.len(), spaces.len(), "need one A per instance");
+        assert_eq!(b.len(), spaces.len(), "need one B per instance");
+        let mut first_iter = 0;
+        let instances: Vec<Instance<'_, In, Acc>> = spaces
+            .iter()
+            .zip(a.iter().zip(b))
+            .enumerate()
+            .map(|(i, (space, (ai, bi)))| {
+                let shape = space.shape();
+                assert_eq!((ai.rows(), ai.cols()), (shape.m, shape.k), "A[{i}] must be m x k");
+                assert_eq!((bi.rows(), bi.cols()), (shape.k, shape.n), "B[{i}] must be k x n");
+                let (av, bv) = (ai.view(), bi.view());
+                let (orientation, layout, space) = Orientation::choose(self.kernel(), &av, &bv, ai.layout(), space);
+                let out = Output::Owned(OwnedTileWriter::new(layout, &space));
+                let instance = Instance::new(orientation, av, bv, out, first_iter);
+                first_iter += space.total_iters();
+                instance
+            })
+            .collect();
+        let grid = Grid { ctas: decomp.ctas(), instances: &instances, alpha: Acc::ONE, beta: Acc::ZERO };
+        let report = self.run_grid(&grid, &decomp.fixups(), plan, 1)?;
+        Ok((instances.iter().map(Instance::take).collect(), report))
     }
 }
 
@@ -142,24 +173,6 @@ mod tests {
         let c = CpuExecutor::with_threads(4).gemm_grouped::<f64, f64>(&a, &b, &decomp);
         for i in 0..2 {
             c[i].assert_close(&gemm_naive::<f64, f64>(&a[i], &b[i]), 1e-12);
-        }
-    }
-
-    /// With recovery off — the entry `gemm_grouped` shares with
-    /// `gemm_grouped_with_faults` — a lost peer is the owner's watchdog
-    /// timeout, typed, and the outputs are dropped unread.
-    #[test]
-    fn lost_peer_without_recovery_is_a_watchdog_error() {
-        use streamk_core::FixupError;
-        let shapes = [GemmShape::new(32, 32, 48), GemmShape::new(48, 16, 96), GemmShape::new(16, 64, 16)];
-        let (a, b) = operands(&shapes, 6);
-        let decomp = GroupedDecomposition::stream_k(GroupedSpace::new(&shapes, TileShape::new(16, 16, 8)), 4);
-        let victim = decomp.fixups().iter().find_map(|f| f.peers.first().copied()).expect("a split tile");
-        let plan = FaultPlan::single(victim, crate::FaultKind::Lose);
-        let exec = CpuExecutor::with_threads(4).with_watchdog(std::time::Duration::from_millis(100));
-        match exec.run_group::<f64, f64>(&a, &b, &decomp, &plan, false) {
-            Err(ExecutorError::Fixup(FixupError::WatchdogTimeout { peer, .. })) => assert_eq!(peer, victim),
-            other => panic!("expected a watchdog timeout, got {:?}", other.map(|(_, report)| report)),
         }
     }
 

@@ -351,17 +351,6 @@ impl<In: Copy + Default + Send + Sync> PackCache<In> {
         self.a_chunk(a, tm, 0, shard)
     }
 
-    /// Chunk 0 of the B column-panel for tile column `tn`; as
-    /// [`a_panel`](Self::a_panel).
-    pub fn b_panel<'c>(
-        &'c self,
-        b: &MatrixView<'_, In>,
-        tn: usize,
-        shard: usize,
-    ) -> Option<PanelGuard<'c, In>> {
-        self.b_chunk(b, tn, 0, shard)
-    }
-
     /// Chunk `chunk` of the A row-panel for tile row `tm` in `shard`'s
     /// table (`MR`-row sub-panels over that chunk's k-range), packing
     /// it first if this caller wins the claim. `shard` wraps modulo

@@ -74,8 +74,6 @@
 use crate::engine::{Deferred, Grid, Instance, Launch, Orientation, Output, Progress, Worker};
 use crate::executor::{check_residency, check_single, CpuExecutor};
 use crate::fault::{FaultPlan, ServeFaultKind};
-use crate::fixup::WaitPolicy;
-use crate::microkernel::KernelKind;
 use crate::output::OwnedTileWriter;
 use crate::pool::ScratchStore;
 use crate::sched::GridCursor;
@@ -438,12 +436,13 @@ struct RequestCell<In, Acc> {
     a: Matrix<In>,
     b: Matrix<In>,
     decomp: Decomposition,
-    /// The engine's per-launch state, for this request's whole life:
-    /// peers, fixup board, fault plan, kernel, the deferral / wait /
-    /// recovery counters, the request's span rings (only when the
-    /// service was started with `ServeConfig::trace`), and the
-    /// liveness flag — set by the transition into any terminal state,
-    /// so workers stop spending cycles on the request.
+    /// The engine's per-launch state, for this request's whole life,
+    /// built as a direct launch's is: peers, fixup board, fault plan,
+    /// kernel, the deferral / wait / recovery counters, the request's
+    /// span rings (only when the service was started with
+    /// `ServeConfig::trace`), and the liveness flag — set by the
+    /// transition into any terminal state, so workers stop spending
+    /// cycles on the request.
     launch: Launch<In, Acc>,
     out: OwnedTileWriter<Acc>,
     /// Which way round the request runs; `out` is tiled accordingly.
@@ -502,14 +501,8 @@ impl<In, Acc: Scalar> RequestCell<In, Acc> {
     /// the service trace; `None` for an untraced request.
     fn drain_trace(&self) -> Option<RequestTrace> {
         let (id, lane) = (self.id, self.priority.lane());
-        let trace = self.launch.spans.as_ref()?.drain();
+        let trace = self.launch.spans()?.drain();
         Some(RequestTrace { id, lane, spans: trace.spans, dropped: trace.dropped })
-    }
-
-    /// Worker `wid`'s ring of this request, checked out until the
-    /// recorder drops; off for an untraced request.
-    fn recorder(&self, wid: usize) -> Recorder<'_> {
-        self.launch.spans.as_ref().map_or_else(Recorder::off, |rings| rings.check_out(wid))
     }
 
     fn stats_snapshot(&self, now: Instant) -> RequestStats {
@@ -660,9 +653,10 @@ impl<In: Promote<Acc>, Acc: Scalar> CompletionHandle<In, Acc> {
         let (cell, shared) = (&self.cell, &self.shared);
         let lock = || shared.guests.lock().unwrap_or_else(PoisonError::into_inner);
         if !cell.is_resolved() {
-            let slot = lock().take(shared.workers);
+            let workers = shared.executor.threads();
+            let slot = lock().take(workers);
             if let Some((slot, mut scratch)) = slot {
-                serve_loop(shared.workers + slot, shared, &mut scratch, Some(cell));
+                serve_loop(workers + slot, shared, &mut scratch, Some(cell));
                 lock().free.push((slot, scratch));
             }
         }
@@ -712,9 +706,10 @@ struct QueueState<In, Acc> {
 struct ServeShared<In, Acc> {
     capacity: usize,
     window: usize,
-    workers: usize,
-    watchdog: Duration,
-    kernel: KernelKind,
+    /// A clone of the executor the service was started on: its pool,
+    /// its worker count, and what every request's launch is built
+    /// with.
+    executor: CpuExecutor,
     /// Per-request span tracing on/off + ring sizing.
     trace: bool,
     trace_capacity: usize,
@@ -1133,8 +1128,8 @@ fn serve_loop<In, Acc>(
 /// Executes one claimed CTA — the engine's body — under panic
 /// isolation: a panic (injected or real) fails only this request's
 /// handle, and the worker — or the waiting caller: ids from
-/// `shared.workers` up are guests — returns to the sweep. A claim that
-/// `started` the request records its queue wait first.
+/// `shared.executor.threads()` up are guests — returns to the sweep. A
+/// claim that `started` the request records its queue wait first.
 fn execute_claim<In, Acc>(
     shared: &Arc<ServeShared<In, Acc>>,
     cell: &Arc<RequestCell<In, Acc>>,
@@ -1156,10 +1151,10 @@ fn execute_claim<In, Acc>(
     // a straggling increment.
     cell.ctas_run.fetch_add(1, Ordering::Relaxed);
     shared.telemetry.inc(ServiceCounter::Ctas);
-    if wid >= shared.workers {
+    if wid >= shared.executor.threads() {
         shared.telemetry.inc(ServiceCounter::GuestCtas);
     }
-    let rec = cell.recorder(wid);
+    let rec = cell.launch.recorder(wid);
     if let Some(started) = started {
         // Queue wait is a first-class phase: submission → first claim,
         // one span per request.
@@ -1207,7 +1202,7 @@ fn advance_deferred<In, Acc>(
         let (cell, d) = &mut deferred[i];
         let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(cell.tile_len));
         ws.ensure_tile_len(cell.tile_len);
-        let rec = cell.recorder(wid);
+        let rec = cell.launch.recorder(wid);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             cell.with_worker(wid, &rec, |worker| worker.resume(d, &mut *ws, block))
         }));
@@ -1251,9 +1246,7 @@ where
         let shared = Arc::new(ServeShared {
             capacity: config.capacity.max(1),
             window: config.window.max(1),
-            workers: executor.threads(),
-            watchdog: executor.watchdog(),
-            kernel: executor.kernel(),
+            executor: executor.clone(),
             trace: config.trace,
             trace_capacity: config.trace_capacity.max(16),
             spare_rings: SpareRings::default(),
@@ -1270,7 +1263,6 @@ where
             next_id: AtomicU64::new(0),
             telemetry: Arc::new(TelemetryRegistry::new()),
         });
-        let executor = executor.clone();
         let shared_for_pool = Arc::clone(&shared);
         let coordinator = std::thread::spawn(move || {
             let job = |wid: usize, scratch: &mut ScratchStore| {
@@ -1280,7 +1272,8 @@ where
             // service drains. Per-CTA catch_unwind means no panic
             // should reach the pool; this catch is the backstop that
             // keeps the coordinator from dying silently if one does.
-            if catch_unwind(AssertUnwindSafe(|| executor.worker_pool().run(&job))).is_err() {
+            let pool = shared_for_pool.executor.worker_pool();
+            if catch_unwind(AssertUnwindSafe(|| pool.run(&job))).is_err() {
                 let t = &shared_for_pool.telemetry;
                 t.inc(ServiceCounter::PoolPoisonings);
                 t.flight().record(ServiceEventKind::Poisoned, u64::MAX, 0, 0);
@@ -1335,7 +1328,7 @@ where
     /// budget a submitted decomposition's fixup structure must fit.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.shared.workers
+        self.shared.executor.threads()
     }
 
     /// Validates a request and builds its cell — every structural
@@ -1348,7 +1341,8 @@ where
         let LaunchRequest { a, b, decomp, priority, deadline, mut cta_faults, serve_fault } = request;
         check_single(&a.view(), &b.view(), &decomp).map_err(AdmissionError::Rejected)?;
         let fixups = decomp.fixups();
-        check_residency(&fixups, self.shared.workers).map_err(AdmissionError::Rejected)?;
+        let executor = &self.shared.executor;
+        check_residency(&fixups, executor.threads()).map_err(AdmissionError::Rejected)?;
 
         let now = Instant::now();
         let grid = decomp.grid_size();
@@ -1371,30 +1365,24 @@ where
             None => {}
         }
 
-        let kernel = self.shared.kernel;
         let (orientation, layout, space) =
-            Orientation::choose(kernel, &a.view(), &b.view(), a.layout(), decomp.space());
+            Orientation::choose(executor.kernel(), &a.view(), &b.view(), a.layout(), decomp.space());
         let tile = space.tile();
         // Span timestamps are relative to the service epoch, so all
         // request tracks share one timeline. One ring per worker id,
         // guests included, so the request's workers never share one.
         let spans = self.shared.trace.then(|| {
             let shared = &self.shared;
-            WorkerRings::new(shared.telemetry.epoch(), shared.trace_capacity, 2 * shared.workers, &shared.spare_rings)
+            WorkerRings::new(
+                shared.telemetry.epoch(),
+                shared.trace_capacity,
+                2 * executor.threads(),
+                &shared.spare_rings,
+            )
         });
-        // No pack cache (a request's operands are packed privately),
-        // and recovery always on: a lost peer must never wedge a
-        // multi-tenant pool.
-        let launch = Launch::new(
-            grid,
-            &fixups,
-            cta_faults,
-            WaitPolicy::with_watchdog(self.shared.watchdog),
-            kernel,
-            None,
-            true,
-            spans,
-        );
+        // No pack cache: a request's operands are read in place or
+        // packed privately.
+        let launch = executor.launch(grid, &fixups, cta_faults, None, spans);
         Ok(RequestCell {
             id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
             priority,

@@ -645,14 +645,6 @@ impl TelemetryRegistry {
         lat[lane.min(LANES - 1)].record(latency_ns);
     }
 
-    /// A lane's latency quantile estimate in nanoseconds (0 when that
-    /// lane has served nothing).
-    #[must_use]
-    pub fn lane_latency_quantile_ns(&self, lane: usize, q: f64) -> u64 {
-        let lat = self.lane_latency.lock().unwrap_or_else(PoisonError::into_inner);
-        lat[lane.min(LANES - 1)].quantile_ns(q)
-    }
-
     /// Records one adaptive-selector decision (and its measured
     /// regret, once known — pass 0 before feedback).
     pub fn record_selection(
@@ -701,8 +693,7 @@ impl TelemetryRegistry {
     }
 
     /// Counter snapshot in [`ServiceCounter::ALL`] order.
-    #[must_use]
-    pub fn counter_snapshot(&self) -> Vec<(&'static str, u64)> {
+    fn counter_snapshot(&self) -> Vec<(&'static str, u64)> {
         ServiceCounter::ALL.iter().map(|c| (c.metric_name(), self.get(*c))).collect()
     }
 

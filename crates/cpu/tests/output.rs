@@ -15,9 +15,11 @@
 //!    strategy or operand layout, the result must be the one the
 //!    borrowed path (`gemm_ex` into a caller's zeroed **C**) produces,
 //!    fault recovery included. (That an output missing a tile is
-//!    withheld, and that a failed launch drops its buffer unread, is
-//!    pinned next to the private types: `output::tests` and
-//!    `executor::tests::lost_peer_without_recovery_is_a_watchdog_error`.)
+//!    withheld is pinned next to the private types, in `output::tests`;
+//!    that a failed launch drops its buffer unread, by
+//!    `executor::tests::try_gemm_returns_typed_errors` and, for a
+//!    request failed mid-grid,
+//!    `tests/serve.rs::panic_is_isolated_to_its_request_and_pool_survives`.)
 //!    And it starts on a cache line, from every entry.
 
 use proptest::prelude::*;

@@ -115,11 +115,11 @@ proptest! {
         prop_assert!(baseline.is_some(), "at least one worker count must be admissible");
     }
 
-    /// The layout matrix: worker count × operand layout × pack-cache
-    /// mode must never change a single output bit. `RowMajor` operands
-    /// are read in place; `ColMajor` ones run transposed (DESIGN.md
-    /// §9, "Orientation") and store a column-major C, through the
-    /// private-pack and shared-cache paths whenever an operand packs.
+    /// The layout matrix: worker count × operand layout must never
+    /// change a single output bit. `RowMajor` operands are read in
+    /// place; `ColMajor` ones run transposed (DESIGN.md §9,
+    /// "Orientation") and store a column-major C, through the shared
+    /// pack cache whenever an operand packs.
     #[test]
     fn output_is_bit_exact_across_layout_matrix(
         shape in shapes(),
@@ -135,21 +135,18 @@ proptest! {
             }
             for layout in [Layout::RowMajor, Layout::ColMajor] {
                 let (al, bl) = (a.to_layout(layout), b.to_layout(layout));
-                for cache in [true, false] {
-                    let exec = CpuExecutor::with_threads(threads).with_pack_cache(cache);
-                    let c = exec.gemm::<f64, f64>(&al, &bl, &decomp);
-                    match &baseline {
-                        None => {
-                            c.assert_close(&gemm_naive::<f64, f64>(&a, &b), 1e-10);
-                            baseline = Some(c.to_layout(Layout::RowMajor));
-                        }
-                        Some(base) => prop_assert_eq!(
-                            c.to_layout(Layout::RowMajor).max_abs_diff(base),
-                            0.0,
-                            "threads={} layout={} cache={} diverged ({:?})",
-                            threads, layout, cache, strategy
-                        ),
+                let c = CpuExecutor::with_threads(threads).gemm::<f64, f64>(&al, &bl, &decomp);
+                match &baseline {
+                    None => {
+                        c.assert_close(&gemm_naive::<f64, f64>(&a, &b), 1e-10);
+                        baseline = Some(c.to_layout(Layout::RowMajor));
                     }
+                    Some(base) => prop_assert_eq!(
+                        c.to_layout(Layout::RowMajor).max_abs_diff(base),
+                        0.0,
+                        "threads={} layout={} diverged ({:?})",
+                        threads, layout, strategy
+                    ),
                 }
             }
         }

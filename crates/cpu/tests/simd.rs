@@ -337,9 +337,7 @@ proptest! {
         prop_assume!(max_cover <= THREADS);
 
         let (a, b) = operands64(shape, layout);
-        let e = CpuExecutor::with_threads(THREADS)
-            .with_pack_cache(true)
-            .with_watchdog(Duration::from_millis(150));
+        let e = CpuExecutor::with_threads(THREADS).with_watchdog(Duration::from_millis(150));
         let baseline = e.try_gemm::<f64, f64>(&a, &b, &decomp).expect("fault-free run");
 
         let contributors = FaultPlan::contributors(&decomp);
@@ -506,10 +504,10 @@ fn pack_cache_packs_each_chunk_exactly_once_under_contention() {
     assert_eq!(cache.fallbacks(), 0, "no watchdog fallbacks under healthy contention");
 }
 
-/// Executor level: with the shared pack cache on, the launch output
-/// is identical across every worker count (and to the cache-off
-/// run) — scheduling nondeterminism never changes who packs what
-/// *into*, only who packs first.
+/// Executor level: through the shared pack cache, the launch output
+/// is identical across every worker count (and to the scalar oracle,
+/// which packs nothing) — scheduling nondeterminism never changes who
+/// packs what *into*, only who packs first.
 #[test]
 fn executor_with_cache_is_bit_exact_across_thread_counts() {
     let tile = TileShape::new(16, 16, 8);
@@ -521,34 +519,20 @@ fn executor_with_cache_is_bit_exact_across_thread_counts() {
     // Stream-K with fixups needs co-resident peers: sweep 2..=8.
     let decomp = Decomposition::stream_k(shape, tile, 6);
     let reference = CpuExecutor::with_threads(THREADS)
-        .with_kernel(kind)
-        .with_pack_cache(false)
+        .with_kernel(KernelKind::Scalar)
         .gemm::<f64, f64>(&a, &b, &decomp);
     for threads in [2, 3, 4, THREADS] {
-        for cache in [false, true] {
-            let c = CpuExecutor::with_threads(threads)
-                .with_kernel(kind)
-                .with_pack_cache(cache)
-                .gemm::<f64, f64>(&a, &b, &decomp);
-            assert_eq!(
-                c.max_abs_diff(&reference),
-                0.0,
-                "threads={threads} cache={cache} diverged"
-            );
-        }
+        let c = CpuExecutor::with_threads(threads).with_kernel(kind).gemm::<f64, f64>(&a, &b, &decomp);
+        assert_eq!(c.max_abs_diff(&reference), 0.0, "threads={threads} diverged");
     }
 
     // Data-parallel has no cross-CTA waits, so one thread is legal.
     let dp = Decomposition::data_parallel(shape, tile);
     let dp_ref = CpuExecutor::with_threads(1)
-        .with_kernel(kind)
-        .with_pack_cache(false)
+        .with_kernel(KernelKind::Scalar)
         .gemm::<f64, f64>(&a, &b, &dp);
     for threads in 1..=4 {
-        let c = CpuExecutor::with_threads(threads)
-            .with_kernel(kind)
-            .with_pack_cache(true)
-            .gemm::<f64, f64>(&a, &b, &dp);
+        let c = CpuExecutor::with_threads(threads).with_kernel(kind).gemm::<f64, f64>(&a, &b, &dp);
         assert_eq!(c.max_abs_diff(&dp_ref), 0.0, "data-parallel threads={threads} diverged");
     }
 }

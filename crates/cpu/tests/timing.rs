@@ -32,13 +32,13 @@ fn nproc() -> usize {
 }
 
 /// Median wall time of five launches of a 128³ f32 Stream-K GEMM
-/// (grid = workers, pack cache on) through one warm executor.
+/// (grid = workers) through one warm executor.
 fn launch_median_s(threads: usize) -> f64 {
     let shape = GemmShape::new(128, 128, 128);
     let decomp = Decomposition::stream_k(shape, TileShape::new(64, 64, 16), threads);
     let a = Matrix::<f32>::random::<f32>(shape.m, shape.k, Layout::RowMajor, 1);
     let b = Matrix::<f32>::random::<f32>(shape.k, shape.n, Layout::RowMajor, 2);
-    let exec = CpuExecutor::with_threads(threads).with_pack_cache(true);
+    let exec = CpuExecutor::with_threads(threads);
     let _ = exec.gemm::<f32, f32>(&a, &b, &decomp); // warm-up: pool, arenas, pages
     let mut times: Vec<f64> = (0..5)
         .map(|_| {
