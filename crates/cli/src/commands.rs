@@ -613,6 +613,11 @@ fn run_chaos(shape: GemmShape, tile: TileShape, seeds: u64, threads: usize, watc
     if serve {
         let n_requests = 24usize;
         let decomp = &strategies[2].1;
+        // A protocol fault lands on the grid's first contributor; on a
+        // grid with no split seam there is none and the fault is a
+        // no-op, so a seed that planned one has no recoveries to count.
+        let seamless = FaultPlan::contributors(decomp).is_empty();
+        let mut victimless = false;
         let baseline = match exec.try_gemm::<f64, f64>(&a, &b, decomp) {
             Ok(c) => c,
             Err(e) => {
@@ -679,6 +684,9 @@ fn run_chaos(shape: GemmShape, tile: TileShape, seeds: u64, threads: usize, watc
             if let Some(prev) = prev_hook {
                 std::panic::set_hook(prev);
             }
+            let protocol = plan.faults().iter().any(|f| matches!(f.kind, ServeFaultKind::Protocol(_)));
+            let recoveries = if seamless && protocol { "n/a".to_string() } else { recoveries.to_string() };
+            victimless |= seamless && protocol;
             let _ = writeln!(
                 out,
                 "{seed:<6} {:>9} {:>9} {:>9} {:>8} {:>9} {recoveries:>11} {:>10} {:>11}",
@@ -690,6 +698,9 @@ fn run_chaos(shape: GemmShape, tile: TileShape, seeds: u64, threads: usize, watc
                 if bit_exact { "yes" } else { "NO" },
                 s.pool_poisonings
             );
+        }
+        if victimless {
+            let _ = writeln!(out, "n/a: the grid has no split seam, so the protocol faults had no victim to inject");
         }
     }
     out
@@ -812,6 +823,25 @@ mod tests {
             assert!(row.ends_with("yes"), "{row}");
         }
         assert!(out.contains("n/a: the grid has no split seam"), "{out}");
+    }
+
+    /// The serve campaign runs the Stream-K grid, which here splits no
+    /// tile (36 tiles over 4 CTAs): its protocol faults have no victim,
+    /// and the seeds that planned one read `n/a`, not a fault-free 0.
+    #[test]
+    fn chaos_serve_marks_seeds_without_a_victim() {
+        let out = run("chaos 384 384 1024 --tile 64x64x16 --seeds 2 --threads 4 --watchdog-ms 100 --serve");
+        let campaign = out.split("serve campaign").nth(1).expect("the serve campaign");
+        let rows: Vec<Vec<&str>> = campaign
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .filter(|cols| cols.first().is_some_and(|c| c.parse::<u64>().is_ok()))
+            .collect();
+        assert_eq!(rows.len(), 2, "one row per seed:\n{out}");
+        for cols in rows {
+            assert_eq!(cols[6..8], ["n/a", "yes"], "{cols:?}");
+        }
+        assert!(campaign.contains("n/a: the grid has no split seam"), "{out}");
     }
 
     #[test]

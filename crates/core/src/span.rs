@@ -26,7 +26,11 @@ pub enum SpanKind {
     /// launch, a whole CTA in a service request — under its CTA's id
     /// (container for the spans below).
     Cta,
-    /// A contiguous run of MAC-loop iterations on one tile segment.
+    /// A contiguous run of MAC-loop iterations on one tile segment
+    /// (`arg`: the tile, `arg2`: the iterations). A whole tile stored
+    /// from the register block — its sums kept in C and scaled by `α`
+    /// as the last k-chunk is stored — has its store inside this span;
+    /// a segment computed into a workspace tile is the MAC loop alone.
     Mac,
     /// Packing operand panels into worker-private buffers.
     PackPrivate,

@@ -13,6 +13,24 @@
 //! in ascending peer order (`Wait` / `LoadPartials`) and stores the
 //! tile, the epilogue applied exactly once.
 //!
+//! A segment that starts *and* ends its tile has no peers, and when its
+//! instance's output is stored by rows in the engine's orientation at
+//! `β = 0` — every `gemm`, batched, grouped and service output, and a
+//! `β = 0` `gemm_ex` into a row-major C — it is Algorithm 5's
+//! `StoreTile` from the accumulators: the worker claims the tile's own
+//! elements of C ([`TileWriter::claim`]) and the register blocks keep
+//! their sums there, starting at +0.0 on the first k-chunk (C is never
+//! read before it is written), accumulating in C at C's row stride
+//! across chunk seams, and taking `α` in registers as the last chunk is
+//! stored. No workspace tile, no fill, no copy. Every other segment — a
+//! split tile's, one whose output is stored by columns (a launch run
+//! transposed into a row-major C), one at `β ≠ 0`, or the scalar
+//! oracle's — computes into a workspace tile, also starting at zero,
+//! which the owner stores through [`TileWriter::store_tile_ex`]. The
+//! two are the same bits: an element's sum is the same ascending-k
+//! chain of fused multiply-adds from +0.0 whichever storage holds it
+//! between chunks, and `α·acc` is the same one multiply.
+//!
 //! An owner never blocks while there may be other work: a pending peer
 //! *parks* the consolidation as a [`Deferred`] record and the worker
 //! moves on; [`Worker::resume`] continues it, without blocking while
@@ -52,7 +70,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::fixup::{FixupBoard, TryTake, WaitPolicy};
 use crate::microkernel::{KernelKind, PackBuffers};
 use crate::output::{OwnedTileWriter, TileWriter};
-use crate::packcache::{mac_loop_instance_cached, transpose_pays, PackCache};
+use crate::packcache::{mac_loop_instance_cached, mac_loop_window, transpose_pays, PackCache};
 use crate::sched::CtaScheduler;
 use crate::trace::{Recorder, SpanKind, WorkerRings};
 use crate::workspace::Workspace;
@@ -243,6 +261,13 @@ impl<In, Acc: Scalar> Grid<'_, In, Acc> {
     fn store(&self, instance: usize, tile: usize, accum: &[Acc]) {
         let inst = &self.instances[instance];
         inst.writer().store_tile_ex(tile, inst.space().tile().blk_n, accum, self.alpha, self.beta);
+    }
+
+    /// Whether `instance`'s whole tiles are stored from the register
+    /// block: its output is stored by rows, as the blocks hold them,
+    /// and `β = 0` reads nothing of it.
+    fn stores_from_registers(&self, instance: usize) -> bool {
+        self.beta == Acc::ZERO && self.instances[instance].writer().layout() == Layout::RowMajor
     }
 }
 
@@ -456,8 +481,8 @@ pub(crate) struct Worker<'a, In, Acc> {
 }
 
 impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
-    /// The MAC loop over `seg` of instance `instance`, added into
-    /// `accum`.
+    /// The MAC loop over `seg` of instance `instance` into `accum`, a
+    /// workspace tile it overwrites: the sums start at zero.
     fn mac(&self, instance: usize, seg: &TileSegment, accum: &mut [Acc], bufs: &mut PackBuffers<In>) {
         let inst = &self.grid.instances[instance];
         mac_loop_instance_cached(
@@ -475,6 +500,33 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
             accum,
             bufs,
         );
+    }
+
+    /// Runs `seg`, a whole tile of instance `instance`, with register
+    /// block `block` straight into the tile's elements of C — Algorithm
+    /// 5's `StoreTile` from the accumulators: the sums start at zero,
+    /// stay in C across k-chunk seams, and take `α` in registers as the
+    /// last chunk is stored. The tile is stored when this returns.
+    fn mac_and_store(&self, block: (usize, usize), instance: usize, seg: &TileSegment, bufs: &mut PackBuffers<In>) {
+        let inst = &self.grid.instances[instance];
+        let mut tile = inst.writer().claim(seg.tile_idx);
+        mac_loop_window(
+            block,
+            self.launch.cache.as_ref(),
+            instance,
+            self.wid,
+            self.rec,
+            &inst.a,
+            &inst.b,
+            inst.space(),
+            seg.tile_idx,
+            seg.local_begin,
+            seg.local_end,
+            tile.window(),
+            Some(self.grid.alpha),
+            bufs,
+        );
+        tile.store();
     }
 
     /// The owner side: folds `d`'s peers into its accumulator in
@@ -511,7 +563,6 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
                     "fixup lists CTA {peer} as a peer of tile {tile_idx} but it contributes nothing",
                 ))
             })?;
-            ws.reset_scratch();
             self.mac(d.instance, &lost, &mut ws.scratch, &mut ws.pack);
             accumulate(&mut d.accum, &ws.scratch);
             rec.finish(SpanKind::Recovery, t0, peer as u32, lost.len() as u32);
@@ -549,7 +600,9 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
     /// folds the CTA's peers. So splitting a CTA into units moves no
     /// seam and changes no bit.
     ///
-    /// Every tile-sized buffer — contributor partials and owner
+    /// A whole tile whose output the register block can store goes
+    /// straight into C ([`Grid::stores_from_registers`]); every other
+    /// segment's tile-sized buffer — contributor partials and owner
     /// accumulators alike — is drawn from `ws`'s pool and goes back to
     /// a pool, so the steady state allocates nothing and a panic
     /// part-way leaves the workspace whole.
@@ -568,9 +621,21 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
         let id = unit.cta_id;
         let mut stored = 0;
         for (instance, part) in grid.parts(unit) {
+            // Whole tiles skip the workspace when the register block can
+            // store them; the scalar oracle consumes no panels and
+            // always goes through a workspace tile.
+            let direct = launch.kernel.panel_geometry::<In>().filter(|_| grid.stores_from_registers(instance));
             for seg in part.segments(grid.instances[instance].space()) {
                 if launch.is_dead() {
                     return Ok(stored);
+                }
+                if let Some(block) = direct.filter(|_| seg.starts_tile && seg.ends_tile) {
+                    // The store is part of the MAC span.
+                    let t0 = rec.start();
+                    self.mac_and_store(block, instance, &seg, &mut ws.pack);
+                    rec.finish(SpanKind::Mac, t0, seg.tile_idx as u32, seg.len() as u32);
+                    stored += 1;
+                    continue;
                 }
                 let mut accum = ws.take_partial();
                 let t0 = rec.start();

@@ -90,6 +90,7 @@ pub use serve::{
     ServeConfig, ServeError, ServiceStats,
 };
 pub use microkernel::{mac_loop_cached, mac_loop_kernel, KernelKind, PackBuffers, PanelSpan};
+pub use output::AccWindow;
 pub use packcache::{mac_loop_kernel_cached, PackCache, PanelGuard};
 pub use simd::SimdLevel;
 pub use telemetry::{

@@ -27,10 +27,12 @@
 //! it lies* and never copied, the way the paper's `MacLoop` streams
 //! fragments straight from the operands. [`PanelSpan`] describes
 //! either source for a whole tile, and [`mac_loop_cached`] walks a
-//! tile's register blocks over two of them at any `MR × NR`: full
-//! blocks accumulate directly in the tile's accumulator, ragged
-//! corners through a zero-padded stack tile. Which source serves an
-//! operand — in place, the grid-shared
+//! tile's register blocks over two of them at any `MR × NR` into an
+//! [`AccWindow`] — a workspace tile, or the tile's own elements of C:
+//! full blocks accumulate directly in the window, ragged corners
+//! through a zero-padded stack tile; over a blank window they start at
+//! zero, and on a tile's last chunk they may store `α·acc`. Which
+//! source serves an operand — in place, the grid-shared
 //! [`crate::packcache::PackCache`], a private pack — is decided in
 //! [`crate::packcache::mac_loop_kernel_cached`], per operand per
 //! k-chunk.
@@ -52,7 +54,8 @@ use streamk_matrix::{
 };
 
 use crate::macloop::mac_loop_view;
-use crate::simd::{assert_block_bounds, simd_block, SimdLevel, Strided};
+use crate::output::AccWindow;
+use crate::simd::{assert_block_bounds, vector_block, AccBlock, SimdLevel, Strided};
 
 /// The most packed operand one k-step of a register block may span:
 /// two 512-bit vectors. Past it the block's `MR · NR` accumulators no
@@ -253,9 +256,10 @@ fn mac_loop_panels<In, Acc, const MR_: usize, const NR_: usize>(
     // contiguous k-range (the last chunk clamped to the problem's k).
     let ks = space.k_extents(local_begin).start..space.k_extents(local_end - 1).end;
 
-    let a_out = stage(&mut bufs.a, packed_a_len(rows.len(), ks.len(), MR_));
+    let (m_extent, n_extent) = (rows.len(), cols.len());
+    let a_out = stage(&mut bufs.a, packed_a_len(m_extent, ks.len(), MR_));
     pack_a_slice(a, rows, ks.clone(), MR_, a_out);
-    let b_out = stage(&mut bufs.b, packed_b_len(ks.len(), cols.len(), NR_));
+    let b_out = stage(&mut bufs.b, packed_b_len(ks.len(), n_extent, NR_));
     pack_b_slice(b, ks.clone(), cols, NR_, b_out);
 
     mac_loop_cached::<In, Acc, MR_, NR_>(
@@ -266,7 +270,8 @@ fn mac_loop_panels<In, Acc, const MR_: usize, const NR_: usize>(
         tile_idx,
         local_begin,
         local_end,
-        accum,
+        &mut AccWindow::new(accum, m_extent, n_extent, tile.blk_n),
+        None,
     );
 }
 
@@ -340,17 +345,22 @@ impl<'a, In> PanelSpan<'a, In> {
 /// Runs local MAC-loop iterations `[local_begin, local_end)` of
 /// `tile_idx` against the operand sources `a` and `b` — packed tables
 /// from the [`crate::packcache::PackCache`] or a private pack, or the
-/// operands' own storage ([`PanelSpan`]). The
-/// segment's k-sub-range must lie inside both spans' k-windows. No
-/// packing happens here — that is the point.
+/// operands' own storage ([`PanelSpan`]) — into `c`, the window over
+/// the tile's sums (a workspace tile, or the tile's elements of **C**
+/// at C's row stride). The segment's k-sub-range must lie inside both
+/// spans' k-windows. No packing happens here — that is the point.
 ///
-/// Each register block accumulates its output elements in ascending-k
-/// order whatever the source, so the choice of source never changes
-/// results.
+/// Over a full window every register block adds into what it holds;
+/// over a blank one (the first k-chunk of a segment) it starts at +0.0
+/// and reads nothing, and the walk fills the window. With `alpha` each
+/// block stores `α·acc` (the last k-chunk of a tile stored from the
+/// register block). Each register block accumulates its output
+/// elements in ascending-k order whatever the source, so the choice of
+/// source never changes results.
 ///
 /// # Panics
 ///
-/// Panics if `accum` has the wrong size, the local range is out of
+/// Panics if `c` is not the tile's extent, the local range is out of
 /// bounds, the segment's k-range leaves a span, or a span is too short
 /// for the tile.
 #[allow(clippy::too_many_arguments)]
@@ -362,19 +372,19 @@ pub fn mac_loop_cached<In, Acc, const MR_: usize, const NR_: usize>(
     tile_idx: usize,
     local_begin: usize,
     local_end: usize,
-    accum: &mut [Acc],
+    c: &mut AccWindow<'_, Acc>,
+    alpha: Option<Acc>,
 ) where
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    let tile = space.tile();
-    assert_eq!(accum.len(), tile.blk_m * tile.blk_n, "accumulator must be BLK_M x BLK_N");
     assert!(local_end <= space.iters_per_tile(), "local range out of bounds");
     if local_begin >= local_end {
         return;
     }
     let (rows, cols) = space.tile_extents(tile_idx);
     let (m_extent, n_extent) = (rows.len(), cols.len());
+    assert_eq!((c.rows(), c.cols()), (m_extent, n_extent), "the window must be the tile's extent");
     let k_begin = space.k_extents(local_begin).start;
     let k_end = space.k_extents(local_end - 1).end;
     let kc = k_end - k_begin;
@@ -389,103 +399,89 @@ pub fn mac_loop_cached<In, Acc, const MR_: usize, const NR_: usize>(
     // loads a fresh vector from) stays hot in L1 across the whole
     // column of register blocks; only the narrower A sub-panels
     // stream. Block order does not affect results — each output
-    // element's k-accumulation happens inside a single block call.
+    // element's k-accumulation happens inside a single block call —
+    // and it is the order a blank window's first pass fills it in.
     for q in 0..n_extent.div_ceil(NR_) {
         let jw = NR_.min(n_extent - q * NR_);
         let bq = b.block(q, jw < NR_, NR_, k_begin, kc);
         for p in 0..m_extent.div_ceil(MR_) {
             let ih = MR_.min(m_extent - p * MR_);
             let ap = a.block(p, ih < MR_, MR_, k_begin, kc);
-            let origin = p * MR_ * tile.blk_n + q * NR_;
+            let block = c.block(p * MR_, q * NR_, ih, jw, alpha);
             if ih == MR_ && jw == NR_ {
                 // A full block accumulates where the tile keeps it.
-                let c = &mut accum[origin..origin + (MR_ - 1) * tile.blk_n + NR_];
-                register_block::<In, Acc, MR_, NR_>(level, ap, bq, kc, c, tile.blk_n);
+                register_block::<In, Acc, MR_, NR_>(level, ap, bq, kc, block);
             } else {
-                edge_block::<In, Acc, MR_, NR_>(level, ap, bq, kc, ih, jw, tile.blk_n, &mut accum[origin..]);
+                edge_block::<In, Acc, MR_, NR_>(level, ap, bq, kc, block);
             }
         }
     }
 }
 
-/// A ragged `ih × jw` corner of the tile: its live window goes through
-/// a full `MR × NR` stack tile, because the operands' padded lanes
-/// compute into lanes `accum` has no room for. Padded lanes start at
-/// zero and are never stored.
-#[allow(clippy::too_many_arguments)]
+/// A ragged `ih × jw` corner of the tile: it goes through a full
+/// `MR × NR` stack tile, because the operands' padded lanes compute
+/// into lanes `c` has no room for. Padded lanes start at zero and are
+/// never stored; `c`'s own start and scale apply on the way in and out.
 #[inline]
 fn edge_block<In, Acc, const MR_: usize, const NR_: usize>(
     level: Option<SimdLevel>,
     a: Strided<'_, In>,
     b: Strided<'_, In>,
     kc: usize,
-    ih: usize,
-    jw: usize,
-    blk_n: usize,
-    accum: &mut [Acc],
+    c: AccBlock<'_, Acc>,
 ) where
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    let mut c = [[Acc::ZERO; NR_]; MR_];
-    for (crow, arow) in c.iter_mut().zip(accum.chunks(blk_n)).take(ih) {
-        crow[..jw].copy_from_slice(&arow[..jw]);
-    }
-    register_block::<In, Acc, MR_, NR_>(level, a, b, kc, c.as_flattened_mut(), NR_);
-    for (crow, arow) in c.iter().zip(accum.chunks_mut(blk_n)).take(ih) {
-        arow[..jw].copy_from_slice(&crow[..jw]);
-    }
+    let mut tile: [[Acc; NR_]; MR_] = c.start();
+    register_block::<In, Acc, MR_, NR_>(level, a, b, kc, AccBlock::over(tile.as_flattened_mut(), MR_, NR_, NR_));
+    c.finish(&tile);
 }
 
-/// One `MR × NR` block over `kc` k-steps, added into the `MR` rows of
-/// `c` that start `c_stride` apart: the host's vector kernel when
-/// `level` names one for this shape and element type, the portable
-/// scalar block otherwise.
+/// One `MR × NR` block over `kc` k-steps into `c`: the host's vector
+/// kernel when `level` names one for this shape and element type, the
+/// portable scalar block otherwise.
 #[inline]
 fn register_block<In, Acc, const MR_: usize, const NR_: usize>(
     level: Option<SimdLevel>,
     a: Strided<'_, In>,
     b: Strided<'_, In>,
     kc: usize,
-    c: &mut [Acc],
-    c_stride: usize,
+    c: AccBlock<'_, Acc>,
 ) where
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    let vectorized = level.is_some_and(|lv| simd_block::<In, Acc, MR_, NR_>(lv, a, b, kc, c, c_stride));
-    if !vectorized {
-        packed_block::<In, Acc, MR_, NR_>(a, b, kc, c, c_stride);
+    let c = match level {
+        Some(level) => vector_block::<In, Acc, MR_, NR_>(level, a, b, kc, c),
+        None => Err(c),
+    };
+    if let Err(c) = c {
+        packed_block::<In, Acc, MR_, NR_>(a, b, kc, c);
     }
 }
 
 /// The portable register block: the strided walk of
 /// [`crate::simd`]'s kernels in safe scalar code, with the same bounds
-/// asserted before the k-loop. The block's `MR × NR` accumulators live
-/// in a stack tile across the loop so the `NR`-wide update vectorizes.
+/// asserted before the k-loop, started and stored as `c` says. The
+/// block's `MR × NR` accumulators live in a stack tile across the loop
+/// so the `NR`-wide update vectorizes.
 #[inline]
 pub(crate) fn packed_block<In, Acc, const MR_: usize, const NR_: usize>(
     a: Strided<'_, In>,
     b: Strided<'_, In>,
     kc: usize,
-    c: &mut [Acc],
-    c_stride: usize,
+    c: AccBlock<'_, Acc>,
 ) where
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    assert_block_bounds(&a, &b, kc, MR_, NR_, c, c_stride);
-    if kc == 0 {
-        return;
-    }
+    assert_block_bounds(&a, &b, kc, MR_, NR_, &c);
     // Loaded a row at a time, as they are stored below: element-wise
     // loads leave LLVM with accumulators it vectorizes only in part
     // once the update is an `fma` call (half of an 8 × 8 block's MACs
     // stayed scalar, 2× slower).
-    let mut acc = [[Acc::ZERO; NR_]; MR_];
-    for (i, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&c[i * c_stride..i * c_stride + NR_]);
-    }
+    let mut acc: [[Acc; NR_]; MR_] = c.start();
     // The k-loop over `$steps`, which yields each k-step's A lanes
     // (promoted) and B row. Safe indexing checks every access against
     // its slice, and in this loop a check per element doubles the
@@ -506,6 +502,7 @@ pub(crate) fn packed_block<In, Acc, const MR_: usize, const NR_: usize>(
     }
     let b_row = |k: usize| &b.data[k * b.k_stride..][..NR_];
     match (a.lane_stride, a.k_stride) {
+        _ if kc == 0 => {}
         // Packed panels: chunks_exact tells LLVM each k-step's operand
         // slices are exactly MR/NR long, and no check survives.
         (1, ks) if ks == MR_ && b.k_stride == NR_ => walk!(a
@@ -523,9 +520,7 @@ pub(crate) fn packed_block<In, Acc, const MR_: usize, const NR_: usize>(
             (0..kc).map(|k| (std::array::from_fn(|i| a.data[i * ls + k * ks].promote()), b_row(k)))
         ),
     }
-    for (i, row) in acc.iter().enumerate() {
-        c[i * c_stride..i * c_stride + NR_].copy_from_slice(row);
-    }
+    c.finish(&acc);
 }
 
 #[cfg(test)]

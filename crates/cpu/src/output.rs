@@ -8,8 +8,15 @@
 //! `Decomposition::validate` before execution) guarantees no two
 //! threads ever write the same element.
 //!
-//! Every engine (single launch, batched, grouped, service) stores
-//! through one routine, `TileWriter::store_runs`. It cuts the tile's
+//! A whole tile of a row-major output at `β = 0` is stored from the
+//! register block: `TileWriter::claim` hands the MAC loop a raw
+//! [`AccWindow`] over the tile's own elements of C, the register blocks
+//! keep their sums there — starting at zero, so C is never read before
+//! it is written — and apply `α` as they store the last k-chunk, and
+//! `ClaimedTile::store` marks the tile stored once the window is full.
+//! Every other tile — split, column-major, `β ≠ 0` — is computed into a
+//! workspace tile and stored through one routine,
+//! `TileWriter::store_runs`. It cuts the tile's
 //! destination into the contiguous *runs* the layout has — a row of
 //! the tile for `RowMajor`, a column for `ColMajor` — asks
 //! `Layout::index` for each run's first offset only,
@@ -27,12 +34,17 @@
 //! the other way round. Nothing here is special to it.
 //!
 //! Rust cannot prove the tiles' disjointness through types, so this
-//! module holds the raw-pointer window into **C** and its `unsafe`
+//! module holds the raw-pointer windows into **C** and their `unsafe`
 //! (the crate's other exemptions from `deny(unsafe_code)` — `arena`,
 //! `pool`, `simd` — are listed in `lib.rs`; none of them touches an
 //! output). The one-writer-per-tile invariant is asserted at run time
 //! in every build: a per-tile flag is swapped on entry, and a second
-//! store to the same tile panics before it writes.
+//! store to the same tile panics before it writes. A claimed window
+//! never becomes a slice of **C** — a slice from a tile's first element
+//! to its last would span other workers' tiles — but hands out one
+//! register block at a time, each proved inside the tile, and its
+//! `Fill` lets a block read only after the first pass wrote the whole
+//! tile.
 //!
 //! A `β = 0` output needs no prior contents, so `OwnedTileWriter`
 //! does not fill the buffer it allocates: the tiles partition the
@@ -57,6 +69,8 @@ use streamk_core::IterSpace;
 use streamk_matrix::aligned::{line_offset, slack};
 use streamk_matrix::{AlignedVec, Matrix, Scalar};
 use streamk_types::Layout;
+
+use crate::simd::AccBlock;
 
 /// Tile flag states. `CLAIMED` is swapped in (relaxed: it publishes
 /// nothing, it only elects the tile's one writer) before the first
@@ -118,6 +132,48 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
     /// The tiling of the output this writer stores by.
     pub(crate) fn space(&self) -> &IterSpace {
         &self.space
+    }
+
+    /// The order the output is stored in.
+    pub(crate) fn layout(&self) -> Layout {
+        self.layout
+    }
+
+    /// Claims tile `tile_idx` for a store from the register block: the
+    /// raw window over the tile's own elements of a row-major output,
+    /// blank until the MAC loop's first pass writes it. The tile is
+    /// stored once [`ClaimedTile::store`] finds the window full; a
+    /// claim dropped before that (a panic mid-tile) leaves the tile
+    /// claimed and never stored, so an owned output is withheld.
+    ///
+    /// # Panics
+    ///
+    /// Panics — before anything is written — if the output is not
+    /// row-major, `tile_idx` is not a tile of the space, or the tile is
+    /// claimed or stored twice.
+    pub(crate) fn claim(&self, tile_idx: usize) -> ClaimedTile<'_, Acc> {
+        assert_eq!(self.layout, Layout::RowMajor, "only a row-major output is stored from the register block");
+        let (row_range, col_range) = self.space.tile_extents(tile_idx);
+        let shape = self.space.shape();
+        let (rows, cols) = (row_range.len(), col_range.len());
+        let first = self.layout.index(row_range.start, col_range.start, shape.m, shape.n);
+        // The tile's last element, (rows − 1, cols − 1) from `first`:
+        // with it inside the storage so is every row of the window.
+        let last = (rows - 1).checked_mul(shape.n).and_then(|o| o.checked_add(first)?.checked_add(cols - 1));
+        assert!(last.is_some_and(|last| last < self.len), "tile {tile_idx} leaves the output storage");
+        let prev = self.written[tile_idx].swap(CLAIMED, Ordering::Relaxed);
+        assert_eq!(prev, UNTOUCHED, "tile {tile_idx} stored twice");
+        // SAFETY: `ptr` is valid for `len` elements while `self` lives,
+        // and the tile's last element lies inside them (asserted
+        // above), so each of its `rows` rows — `cols ≤ n` elements
+        // from `first + i·n` — does too; they are row `row_range.start
+        // + i` of C at columns `col_range`, this tile's elements only,
+        // and rows `n` apart do not overlap. This thread swapped the
+        // tile's flag from `UNTOUCHED`, and tiles are disjoint, so
+        // nothing else accesses them while the claim lives. The window
+        // is blank: nothing is read before its first pass writes it.
+        let window = unsafe { AccWindow::raw(self.ptr.add(first), rows, cols, shape.n) };
+        ClaimedTile { flag: &self.written[tile_idx], tile_idx, window }
     }
 
     /// Stores a finished tile unscaled: `C_tile = accum`. `accum` is a
@@ -241,6 +297,204 @@ impl<'a, Acc: Scalar> TileWriter<'a, Acc> {
                 d.write(alpha * s + beta * old);
             }
         }
+    }
+}
+
+/// A tile of an output claimed for a store from the register block
+/// ([`TileWriter::claim`]): the MAC loop writes its accumulators
+/// straight into [`window`](Self::window) and applies `α` as it stores
+/// the last k-chunk.
+pub(crate) struct ClaimedTile<'w, Acc> {
+    flag: &'w AtomicU8,
+    tile_idx: usize,
+    window: AccWindow<'w, Acc>,
+}
+
+impl<'w, Acc> ClaimedTile<'w, Acc> {
+    /// The window over the tile's elements of C.
+    pub(crate) fn window(&mut self) -> &mut AccWindow<'w, Acc> {
+        &mut self.window
+    }
+
+    /// Marks the tile stored: what [`OwnedTileWriter::take`] waits for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is not full — some element of the tile was
+    /// never written — leaving the tile claimed, not stored.
+    pub(crate) fn store(self) {
+        assert!(self.window.is_full(), "tile {} claimed but not every element written", self.tile_idx);
+        self.flag.store(STORED, Ordering::Release);
+    }
+}
+
+/// How far the first pass over a blank [`AccWindow`] has got. The pass
+/// writes the window block by block down column bands, left to right —
+/// the order `mac_loop_cached` walks a tile in — and a blank block is
+/// handed out only where the pass stands, one at a time; it counts as
+/// written when its holder [`stored`](Self::stored) it. So once the
+/// last band reaches the right edge, finished blocks have covered
+/// every element, and only then is anything read.
+#[derive(Debug)]
+pub(crate) struct Fill {
+    rows: usize,
+    cols: usize,
+    /// The first row of the band the pass stands in not yet written.
+    row: usize,
+    /// The band's first column and width (0 until its first block).
+    col: usize,
+    width: usize,
+    /// The block handed out and not yet stored.
+    pending: (usize, usize),
+    full: bool,
+}
+
+impl Fill {
+    fn blank(rows: usize, cols: usize) -> Self {
+        Self { rows, cols, row: 0, col: 0, width: 0, pending: (0, 0), full: false }
+    }
+
+    fn full(rows: usize, cols: usize) -> Self {
+        Self { full: true, ..Self::blank(rows, cols) }
+    }
+
+    /// Admits the `h × w` block at `(r0, c0)` as the pass's next one.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless it starts where the pass stands and, inside a
+    /// band, is as wide as the band.
+    fn admit(&mut self, r0: usize, c0: usize, h: usize, w: usize) {
+        let next = r0 == self.row && c0 == self.col && (self.row == 0 || w == self.width);
+        assert!(next, "block {h}x{w} at ({r0},{c0}) is not the next of a first pass at ({},{})", self.row, self.col);
+        self.pending = (h, w);
+    }
+
+    /// Records that the block last admitted has had every element
+    /// written. Only the block itself reaches a window's `Fill`, and
+    /// calls this from `AccBlock::stored` — an `unsafe fn` whose caller
+    /// vouches for those writes — or after writing the block in safe
+    /// code (`AccBlock::finish`).
+    pub(crate) fn stored(&mut self) {
+        let (h, w) = self.pending;
+        self.row += h;
+        self.width = w;
+        if self.row == self.rows {
+            (self.row, self.col, self.width) = (0, self.col + w, 0);
+            self.full = self.col == self.cols;
+        }
+    }
+}
+
+/// A `rows × cols` window of accumulators, rows `stride` elements
+/// apart: a tile's sums where the MAC loop keeps them between k-chunks
+/// — a `blk_m × blk_n` workspace tile, or the tile's own elements of C
+/// (`TileWriter::claim`).
+///
+/// A window is *full* (every element holds a value) or *blank* (its
+/// contents are not values the sums start from, or not values at all:
+/// an unfilled output). The register blocks of a blank window start at
+/// +0.0 and read nothing; the first pass over it fills it (`Fill`),
+/// and only a full window's blocks load what they add to.
+pub struct AccWindow<'a, T> {
+    ptr: *mut T,
+    rows: usize,
+    cols: usize,
+    stride: usize,
+    fill: Fill,
+    _marker: PhantomData<&'a mut [MaybeUninit<T>]>,
+}
+
+impl<'a, T> AccWindow<'a, T> {
+    /// A full window over `accum`: the MAC loop adds into what it
+    /// holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty, wider than `stride`, or its last
+    /// row ends past `accum`.
+    pub fn new(accum: &'a mut [T], rows: usize, cols: usize, stride: usize) -> Self {
+        Self { fill: Fill::full(rows, cols), ..Self::blank(accum, rows, cols, stride) }
+    }
+
+    /// A blank window over `accum`: the MAC loop overwrites it, its
+    /// sums starting at zero whatever `accum` held.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn blank(accum: &'a mut [T], rows: usize, cols: usize, stride: usize) -> Self {
+        let end = rows.checked_sub(1).and_then(|r| r.checked_mul(stride)?.checked_add(cols));
+        assert!(
+            rows > 0 && cols > 0 && cols <= stride && end.is_some_and(|end| end <= accum.len()),
+            "a {rows}x{cols} window at stride {stride} does not fit {} elements",
+            accum.len()
+        );
+        // SAFETY: every row of the window lies inside `accum` (asserted
+        // above), which `'a` borrows exclusively and holds values.
+        unsafe { Self::raw(accum.as_mut_ptr(), rows, cols, stride) }
+    }
+
+    /// A blank window over raw storage.
+    ///
+    /// # Safety
+    ///
+    /// `rows, cols ≥ 1`, `cols ≤ stride`, and for every row `i < rows`
+    /// the `cols` elements from `ptr + i·stride` must be valid for
+    /// writes and accessed through nothing else for `'a`. They need not
+    /// be initialised.
+    pub(crate) unsafe fn raw(ptr: *mut T, rows: usize, cols: usize, stride: usize) -> Self {
+        Self { ptr, rows, cols, stride, fill: Fill::blank(rows, cols), _marker: PhantomData }
+    }
+
+    /// Rows of the window.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of the window.
+    #[must_use]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Whether every element holds a value.
+    #[must_use]
+    pub fn is_full(&self) -> bool {
+        self.fill.full
+    }
+
+    /// The `h × w` block at `(r0, c0)`, stored as `scale · acc` when
+    /// `scale` is given: loaded when the window is full, blank and the
+    /// next block of the first pass otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is empty or leaves the window, or — on a
+    /// blank window — is not the pass's next block.
+    pub(crate) fn block(&mut self, r0: usize, c0: usize, h: usize, w: usize, scale: Option<T>) -> AccBlock<'_, T> {
+        let inside = |at: usize, len: usize, extent: usize| len > 0 && at.checked_add(len).is_some_and(|e| e <= extent);
+        assert!(
+            inside(r0, h, self.rows) && inside(c0, w, self.cols),
+            "block {h}x{w} at ({r0},{c0}) leaves a {}x{} window",
+            self.rows,
+            self.cols
+        );
+        let fill = if self.fill.full {
+            None
+        } else {
+            self.fill.admit(r0, c0, h, w);
+            Some(&mut self.fill)
+        };
+        // SAFETY: rows `r0..r0 + h` and columns `c0..c0 + w` lie inside
+        // the window (asserted above), whose rows are valid for writes
+        // and exclusively ours by its constructor's contract, so the
+        // block's rows are too, reachable only through the block while
+        // it borrows the window. They hold values when the window is
+        // full; a blank window hands out `fill`, which makes the block
+        // write before it reads.
+        unsafe { AccBlock::from_raw(self.ptr.add(r0 * self.stride + c0), h, w, self.stride, fill, scale) }
     }
 }
 
@@ -579,6 +833,101 @@ mod tests {
         w.writer().store_tile(0, 2, &[1.0; 4]);
         let _ = w.take();
         w.writer().store_tile(0, 2, &[2.0; 4]);
+    }
+
+    /// The register-block store: two threads compute disjoint tiles of
+    /// one unfilled buffer straight into claimed windows over it —
+    /// ragged edge tiles among them — each in two k-passes (the first
+    /// writes the blank window, the second loads it and stores
+    /// `α·acc`), and the buffer is then read back whole. Under Miri a
+    /// kernel that read an element before its first write, or wrote
+    /// outside its tile, is an error here.
+    #[test]
+    fn claimed_windows_compute_disjoint_tiles_of_an_unfilled_buffer() {
+        use crate::macloop::mac_loop_view;
+        use crate::microkernel::{mac_loop_cached, PanelSpan};
+        use streamk_matrix::{pack_a_into, pack_b_into};
+        // A 6 × 7 output in 4 × 4 tiles, ragged below and to the right;
+        // three iterations of two k-steps.
+        let space = IterSpace::new(GemmShape::new(6, 7, 6), TileShape::new(4, 4, 2));
+        let a = Matrix::<f64>::random::<f64>(6, 6, Layout::RowMajor, 1);
+        let b = Matrix::<f64>::random::<f64>(6, 7, Layout::RowMajor, 2);
+        let (alpha, ks, ipt) = (1.5, 0..6, space.iters_per_tile());
+        let out = OwnedTileWriter::<f64>::new(Layout::RowMajor, &space);
+        std::thread::scope(|scope| {
+            for first in 0..2 {
+                let (out, space, a, b, ks) = (&out, &space, &a, &b, ks.clone());
+                scope.spawn(move || {
+                    for t in [first, first + 2] {
+                        let (rows, cols) = space.tile_extents(t);
+                        let (mut ap, mut bp) = (Vec::new(), Vec::new());
+                        pack_a_into(&a.view(), rows, ks.clone(), 4, &mut ap);
+                        pack_b_into(&b.view(), ks.clone(), cols, 4, &mut bp);
+                        let mut tile = out.writer().claim(t);
+                        for (lo, hi, scale) in [(0, 1, None), (1, ipt, Some(alpha))] {
+                            let (a, b) = (PanelSpan::packed(&ap, 4, ks.clone()), PanelSpan::packed(&bp, 4, ks.clone()));
+                            mac_loop_cached::<f64, f64, 4, 4>(None, a, b, space, t, lo, hi, tile.window(), scale);
+                        }
+                        tile.store();
+                    }
+                });
+            }
+        });
+        let c = out.take();
+        let mut want = Matrix::from_fn(6, 7, Layout::RowMajor, |_, _| 0.0);
+        for t in 0..space.tiles() {
+            let mut acc = vec![0.0; 16];
+            mac_loop_view(&a.view(), &b.view(), &space, t, 0, ipt, &mut acc);
+            let (rows, cols) = space.tile_extents(t);
+            for (i, r) in rows.enumerate() {
+                for (j, col) in cols.clone().enumerate() {
+                    want.set(r, col, alpha * acc[i * 4 + j]);
+                }
+            }
+        }
+        assert_eq!(c, want);
+    }
+
+    /// A blank window hands out its blocks only in the order of its
+    /// first pass, down column bands left to right, one band width at a
+    /// time: anything else could leave an element unwritten when it
+    /// says full.
+    #[test]
+    fn a_blank_window_admits_only_the_next_block_of_its_pass() {
+        // Whether the window is full after `blocks`; `None` if one is refused.
+        let pass = |blocks: &[(usize, usize, usize, usize)]| {
+            let blocks = blocks.to_vec();
+            std::panic::catch_unwind(move || {
+                let mut buf = vec![0.0f64; 5 * 7];
+                let mut w = AccWindow::blank(&mut buf, 5, 6, 7);
+                for (r0, c0, h, w_) in blocks {
+                    w.block(r0, c0, h, w_, None).finish(&[[1.0; 4]; 4]);
+                }
+                w.is_full()
+            })
+            .ok()
+        };
+        // Two bands of 4 then 2 columns, each 4 rows then 1.
+        assert_eq!(pass(&[(0, 0, 4, 4), (4, 0, 1, 4), (0, 4, 4, 2), (4, 4, 1, 2)]), Some(true));
+        assert_eq!(pass(&[(0, 0, 4, 4), (4, 0, 1, 4), (0, 4, 4, 2)]), Some(false), "a band short");
+        assert_eq!(pass(&[(0, 0, 4, 4), (0, 4, 4, 2)]), None, "a band left before its last row");
+        assert_eq!(pass(&[(0, 0, 4, 4), (4, 0, 1, 2)]), None, "a band narrowed midway");
+        assert_eq!(pass(&[(4, 0, 1, 4)]), None, "a pass that does not start at the corner");
+        assert_eq!(pass(&[(0, 0, 4, 4), (4, 0, 2, 4)]), None, "a block leaving the window");
+    }
+
+    #[test]
+    #[should_panic(expected = "tile 0 claimed but not every element written")]
+    fn a_claim_is_not_stored_before_its_window_is_full() {
+        let w = OwnedTileWriter::<f64>::new(Layout::RowMajor, &space(2, 2, 2, 2));
+        w.writer().claim(0).store();
+    }
+
+    #[test]
+    #[should_panic(expected = "only a row-major output")]
+    fn a_column_major_output_is_not_claimed() {
+        let w = OwnedTileWriter::<f64>::new(Layout::ColMajor, &space(2, 2, 2, 2));
+        let _ = w.writer().claim(0);
     }
 
     #[test]

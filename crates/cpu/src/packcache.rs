@@ -114,6 +114,7 @@ use crate::arena::{PackArena, SlotTable};
 use crate::fixup::WaitPolicy;
 use crate::macloop::mac_loop_view;
 use crate::microkernel::{at_block, mac_loop_cached, stage, KernelKind, PackBuffers, PanelSpan};
+use crate::output::AccWindow;
 use crate::simd::SimdLevel;
 use crate::trace::{Recorder, SpanKind};
 
@@ -655,14 +656,22 @@ pub fn mac_loop_kernel_cached<In, Acc>(
     In: Promote<Acc>,
     Acc: Scalar,
 {
+    let Some(block) = kind.panel_geometry::<In>() else {
+        return mac_loop_view(a, b, space, tile_idx, local_begin, local_end, accum);
+    };
+    let tile = space.tile();
+    assert_eq!(accum.len(), tile.blk_m * tile.blk_n, "accumulator must be BLK_M x BLK_N");
+    let (rows, cols) = space.tile_extents(tile_idx);
+    let mut c = AccWindow::new(accum, rows.len(), cols.len(), tile.blk_n);
     let off = Recorder::off();
-    mac_loop_instance_cached(kind, cache, 0, shard, &off, a, b, space, tile_idx, local_begin, local_end, accum, bufs);
+    mac_loop_window(block, cache, 0, shard, &off, a, b, space, tile_idx, local_begin, local_end, &mut c, None, bufs);
 }
 
-/// [`mac_loop_kernel_cached`] for instance `instance` of a batched or
-/// grouped launch: `a`, `b` and `space` are that instance's, `cache` is
-/// the launch's one table spanning every instance, and every pack the
-/// segment does is a span of `rec`.
+/// [`mac_loop_kernel_cached`] for instance `instance` of a launch into
+/// `accum`, a `blk_m × blk_n` workspace tile whose contents it ignores:
+/// the sums start at zero. `a`, `b` and `space` are the instance's,
+/// `cache` is the launch's one table spanning every instance, and every
+/// pack the segment does is a span of `rec`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mac_loop_instance_cached<In, Acc>(
     kind: KernelKind,
@@ -683,21 +692,81 @@ pub(crate) fn mac_loop_instance_cached<In, Acc>(
     Acc: Scalar,
 {
     let Some(block) = kind.panel_geometry::<In>() else {
+        accum.fill(Acc::ZERO);
         return mac_loop_view(a, b, space, tile_idx, local_begin, local_end, accum);
     };
+    let (rows, cols) = space.tile_extents(tile_idx);
+    let mut c = AccWindow::blank(accum, rows.len(), cols.len(), space.tile().blk_n);
+    mac_loop_window(
+        block,
+        cache,
+        instance,
+        shard,
+        rec,
+        a,
+        b,
+        space,
+        tile_idx,
+        local_begin,
+        local_end,
+        &mut c,
+        None,
+        bufs,
+    );
+}
+
+/// The register block `block` over a segment of instance `instance`,
+/// into the window `c` over the tile's sums, with `α` applied as the
+/// last k-chunk is stored when `alpha` is given: the one entry to the
+/// chunk walk. A blank `c` starts at zero on the first chunk.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mac_loop_window<In, Acc>(
+    block: (usize, usize),
+    cache: Option<&PackCache<In>>,
+    instance: usize,
+    shard: usize,
+    rec: &Recorder<'_>,
+    a: &MatrixView<'_, In>,
+    b: &MatrixView<'_, In>,
+    space: &IterSpace,
+    tile_idx: usize,
+    local_begin: usize,
+    local_end: usize,
+    c: &mut AccWindow<'_, Acc>,
+    alpha: Option<Acc>,
+    bufs: &mut PackBuffers<In>,
+) where
+    In: Promote<Acc>,
+    Acc: Scalar,
+{
     let level = Some(SimdLevel::detect());
     macro_rules! run {
         ($mr:literal, $nr:literal) => {
             walk_chunks::<In, Acc, $mr, $nr>(
-                level, cache, instance, shard, rec, a, b, space, tile_idx, local_begin, local_end, accum, bufs,
+                level,
+                cache,
+                instance,
+                shard,
+                rec,
+                a,
+                b,
+                space,
+                tile_idx,
+                local_begin,
+                local_end,
+                c,
+                alpha,
+                bufs,
             )
         };
     }
     at_block!(block, run)
 }
 
-/// The chunk walk behind [`mac_loop_instance_cached`] at register block
+/// The chunk walk behind [`mac_loop_window`] at register block
 /// `MR × NR`, vectorized when `level` names a kernel for that shape.
+/// The sums stay in `c` across chunk seams; `alpha` goes to the last
+/// chunk only.
 #[allow(clippy::too_many_arguments)]
 fn walk_chunks<In, Acc, const MR_: usize, const NR_: usize>(
     level: Option<SimdLevel>,
@@ -711,7 +780,8 @@ fn walk_chunks<In, Acc, const MR_: usize, const NR_: usize>(
     tile_idx: usize,
     local_begin: usize,
     local_end: usize,
-    accum: &mut [Acc],
+    c: &mut AccWindow<'_, Acc>,
+    alpha: Option<Acc>,
     bufs: &mut PackBuffers<In>,
 ) where
     In: Promote<Acc>,
@@ -729,7 +799,9 @@ fn walk_chunks<In, Acc, const MR_: usize, const NR_: usize>(
     let cache = cache.filter(|c| c.register_block() == (MR_, NR_));
 
     let per_chunk = chunk_iters(space);
-    for chunk in local_begin / per_chunk..local_end.div_ceil(per_chunk) {
+    let chunks = local_begin / per_chunk..local_end.div_ceil(per_chunk);
+    let last = chunks.end - 1;
+    for chunk in chunks {
         // The part of this chunk the segment covers, in iterations
         // and in k-steps. A cached chunk always spans the whole chunk.
         let lb = local_begin.max(chunk * per_chunk);
@@ -762,7 +834,8 @@ fn walk_chunks<In, Acc, const MR_: usize, const NR_: usize>(
             tile_idx as u32,
         );
 
-        mac_loop_cached::<In, Acc, MR_, NR_>(level, a_span, b_span, space, tile_idx, lb, le, accum);
+        let scale = if chunk == last { alpha } else { None };
+        mac_loop_cached::<In, Acc, MR_, NR_>(level, a_span, b_span, space, tile_idx, lb, le, c, scale);
     }
 }
 

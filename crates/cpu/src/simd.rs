@@ -41,18 +41,32 @@
 //! either. The k-order and the fused multiply-add do not depend on the
 //! strides, so neither does a single result bit.
 //!
-//! **Bounds.** All pointer arithmetic is in the macro-generated
-//! kernels, each of which first runs `assert_block_bounds`:
-//! `(MR−1)·rs + (kc−1)·ks < a.len()`, `(kc−1)·ks + NR ≤ b.len()` and
-//! `(MR−1)·c_stride + NR ≤ c.len()`, in checked arithmetic. The slices
-//! themselves are cut in safe code (`MatrixView::strided_span`,
-//! `PanelSpan`) to exactly the elements a block may touch, so a kernel
-//! that would read a lane outside a view's window fails the assert
-//! instead of reading it.
+//! **Accumulators.** A kernel's `MR × NR` accumulators come from and
+//! go back to an `AccBlock`: `MR` rows of `NR` elements a row stride
+//! apart, in a workspace tile, a stack tile or **C** itself. A blank
+//! block (the first k-chunk of a segment) starts them at +0.0 without
+//! reading anything, a full one loads them; a scaled block stores
+//! `α·acc` — one multiply per element, the epilogue's own rounding.
+//!
+//! **Bounds.** All pointer arithmetic on operands is in the
+//! macro-generated kernels, each of which first runs
+//! `assert_block_bounds`: `(MR−1)·rs + (kc−1)·ks < a.len()`,
+//! `(kc−1)·ks + NR ≤ b.len()`, in checked arithmetic, and `c` is an
+//! `MR × NR` block — whose rows its constructor proved valid
+//! (`AccBlock::over` against a slice, `output::AccWindow::block`
+//! against a window proved against C). The operand slices themselves
+//! are cut in safe code (`MatrixView::strided_span`, `PanelSpan`) to
+//! exactly the elements a block may touch, so a kernel that would read
+//! a lane outside a view's window fails the assert instead of reading
+//! it.
 
 use std::any::TypeId;
+use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 
 use streamk_matrix::{Promote, Scalar};
+
+use crate::output::Fill;
 
 /// The widest SIMD instruction set the dispatcher may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,16 +134,6 @@ unsafe fn cast_slice<T, U>(s: &[T]) -> &[U] {
     std::slice::from_raw_parts(s.as_ptr().cast::<U>(), s.len())
 }
 
-/// [`cast_slice`] for an exclusive borrow.
-///
-/// # Safety
-///
-/// As [`cast_slice`].
-#[cfg(target_arch = "x86_64")]
-unsafe fn cast_slice_mut<T, U>(s: &mut [T]) -> &mut [U] {
-    std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<U>(), s.len())
-}
-
 /// One operand of a register block, addressed by strides: lane `i` at
 /// k-step `k` is `data[i · lane_stride + k · k_stride]`. A is read as
 /// `MR` lanes (its rows), B as `NR` lanes of unit stride (its
@@ -164,13 +168,148 @@ impl<'a, T> Strided<'a, T> {
     }
 }
 
+/// The accumulators of one register block where they live between
+/// k-chunks: `rows` rows of `cols` elements, `stride` apart, from `ptr`
+/// — a block of an [`AccWindow`] over a workspace tile or over **C**
+/// itself, or a stack tile. How they start and end goes with them:
+///
+/// - `fill` is `Some` while the window is blank: the block's
+///   accumulators start at +0.0 and nothing is read, and storing every
+///   element advances the window's first pass ([`Fill::stored`]). Once
+///   the window is full (`None`) the block loads what it adds to.
+/// - `scale` is `Some(α)` on the last k-chunk of a tile stored from the
+///   register block: the block stores `α·acc`, the epilogue, in
+///   registers. `None` stores the sums as they are.
+///
+/// [`AccWindow`]: crate::output::AccWindow
+/// [`Fill::stored`]: crate::output::Fill::stored
+pub(crate) struct AccBlock<'a, T> {
+    ptr: *mut T,
+    rows: usize,
+    cols: usize,
+    stride: usize,
+    fill: Option<&'a mut Fill>,
+    scale: Option<T>,
+    _marker: PhantomData<&'a mut [MaybeUninit<T>]>,
+}
+
+impl<'a, T> AccBlock<'a, T> {
+    /// A block over raw storage.
+    ///
+    /// # Safety
+    ///
+    /// For every row `i < rows`, the `cols` elements from `ptr +
+    /// i·stride` must be valid for writes, accessed through nothing
+    /// else for `'a`, and — when `fill` is `None` — initialised; rows
+    /// must not overlap (`cols ≤ stride` when `rows > 1`).
+    pub(crate) unsafe fn from_raw(
+        ptr: *mut T,
+        rows: usize,
+        cols: usize,
+        stride: usize,
+        fill: Option<&'a mut Fill>,
+        scale: Option<T>,
+    ) -> Self {
+        Self { ptr, rows, cols, stride, fill, scale, _marker: PhantomData }
+    }
+
+    /// A full `rows × cols` block over `c`, rows `stride` apart, stored
+    /// as accumulated: a register block adds into what `c` holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is empty, its rows overlap, or its last row
+    /// ends past `c`.
+    pub(crate) fn over(c: &'a mut [T], rows: usize, cols: usize, stride: usize) -> Self {
+        let end = rows.checked_sub(1).and_then(|r| r.checked_mul(stride)?.checked_add(cols));
+        assert!(
+            cols > 0 && (rows == 1 || cols <= stride) && end.is_some_and(|end| end <= c.len()),
+            "c is shorter than {rows} rows of {cols} at stride {stride}"
+        );
+        // SAFETY: every row lies inside `c` (asserted above), which `'a`
+        // borrows exclusively and which holds values.
+        unsafe { Self::from_raw(c.as_mut_ptr(), rows, cols, stride, None, None) }
+    }
+
+    /// The same block with its element type renamed.
+    ///
+    /// # Safety
+    ///
+    /// As [`cast_slice`]: `T` and `U` must be the same type.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn cast<U>(self) -> AccBlock<'a, U> {
+        let scale = self.scale.map(|s| std::mem::transmute_copy::<T, U>(&s));
+        AccBlock::from_raw(self.ptr.cast::<U>(), self.rows, self.cols, self.stride, self.fill, scale)
+    }
+
+    /// Records that every element of the block has been written: the
+    /// next block of a first pass may be handed out.
+    ///
+    /// # Safety
+    ///
+    /// Every element of the block must have been written.
+    unsafe fn stored(self) {
+        if let Some(fill) = self.fill {
+            fill.stored();
+        }
+    }
+}
+
+impl<T: Scalar> AccBlock<'_, T> {
+    /// The block's accumulators in an `R × C` stack tile (`R ≥ rows`,
+    /// `C ≥ cols`): zero throughout on a blank block, its values loaded
+    /// with the padding zero otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block does not fit the stack tile.
+    pub(crate) fn start<const R: usize, const C: usize>(&self) -> [[T; C]; R] {
+        assert!(self.rows <= R && self.cols <= C, "a {}x{} block in a {R}x{C} tile", self.rows, self.cols);
+        let mut acc = [[T::ZERO; C]; R];
+        if self.fill.is_none() {
+            for (i, row) in acc.iter_mut().enumerate().take(self.rows) {
+                // SAFETY: row `i < rows` of the block: `cols` elements
+                // valid for reads, initialised (the block is full), and
+                // written by nothing else while `self` lives.
+                let src = unsafe { std::slice::from_raw_parts(self.ptr.add(i * self.stride), self.cols) };
+                row[..self.cols].copy_from_slice(src);
+            }
+        }
+        acc
+    }
+
+    /// Stores the block's part of `acc` — scaled when the block says so —
+    /// and marks it written.
+    ///
+    /// # Panics
+    ///
+    /// As [`start`](Self::start).
+    pub(crate) fn finish<const R: usize, const C: usize>(self, acc: &[[T; C]; R]) {
+        assert!(self.rows <= R && self.cols <= C, "a {}x{} block in a {R}x{C} tile", self.rows, self.cols);
+        for (i, row) in acc.iter().enumerate().take(self.rows) {
+            // SAFETY: row `i < rows` of the block: `cols` elements valid
+            // for writes and accessed only through `self`. As
+            // `MaybeUninit`, because a blank block over an unfilled
+            // output holds no values yet.
+            let dst = unsafe {
+                std::slice::from_raw_parts_mut(self.ptr.add(i * self.stride).cast::<MaybeUninit<T>>(), self.cols)
+            };
+            for (d, &s) in dst.iter_mut().zip(row) {
+                d.write(self.scale.map_or(s, |alpha| alpha * s));
+            }
+        }
+        // SAFETY: the loop above wrote all `rows × cols` elements.
+        unsafe { self.stored() }
+    }
+}
+
 /// The bounds every register block — vector or scalar — asserts before
-/// its k-loop, so that no k-step can read or write outside the slices
-/// it was handed: the last A element `(MR−1)·rs + (kc−1)·ks` lies
-/// inside `a`, the last B vector ends at `(kc−1)·ks + NR ≤ b.len()`,
-/// and the last C row ends inside `c`. Offsets are computed with
-/// checked arithmetic: a stride large enough to wrap is out of bounds,
-/// not in.
+/// its k-loop, so that no k-step can read or write outside what it was
+/// handed: the last A element `(MR−1)·rs + (kc−1)·ks` lies inside `a`,
+/// the last B vector ends at `(kc−1)·ks + NR ≤ b.len()`, and `c` is an
+/// `MR × NR` block (whose rows its constructor proved in bounds).
+/// Offsets are computed with checked arithmetic: a stride large enough
+/// to wrap is out of bounds, not in.
 ///
 /// # Panics
 ///
@@ -182,14 +321,12 @@ pub(crate) fn assert_block_bounds<T, U>(
     kc: usize,
     mr: usize,
     nr: usize,
-    c: &[U],
-    c_stride: usize,
+    c: &AccBlock<'_, U>,
 ) {
     let offset = |lanes: usize, ls: usize, steps: usize, ks: usize| {
         lanes.checked_mul(ls)?.checked_add(steps.checked_mul(ks)?)
     };
-    let c_end = offset(mr - 1, c_stride, 1, nr);
-    assert!(c_end.is_some_and(|end| end <= c.len()), "c is shorter than MR rows of NR at stride {c_stride}");
+    assert!((c.rows, c.cols) == (mr, nr), "c is a {}x{} block, not {mr}x{nr}", c.rows, c.cols);
     let Some(steps) = kc.checked_sub(1) else { return };
     let a_last = offset(mr - 1, a.lane_stride, steps, a.k_stride);
     assert!(
@@ -209,11 +346,11 @@ pub(crate) fn assert_block_bounds<T, U>(
 }
 
 /// Attempts one `MR × NR` register block over `kc` k-steps with the
-/// host's vector unit, accumulating into the `MR` rows of `c` that
-/// start `c_stride` elements apart. Returns `false` when no
-/// specialized kernel exists for this `(level, element type, MR, NR)`
-/// combination — the caller must then run the portable scalar block on
-/// the *unmodified* `c` (the dispatcher never partially updates it).
+/// host's vector unit, adding into the `MR` rows of `c` that start
+/// `c_stride` elements apart. Returns `false` when no specialized
+/// kernel exists for this `(level, element type, MR, NR)` combination
+/// — the caller must then run the portable scalar block on the
+/// *unmodified* `c` (the dispatcher never partially updates it).
 ///
 /// # Panics
 ///
@@ -231,55 +368,74 @@ where
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    if level == SimdLevel::None {
-        return false;
-    }
+    vector_block::<In, Acc, MR_, NR_>(level, a, b, kc, AccBlock::over(c, MR_, NR_, c_stride)).is_ok()
+}
+
+/// One `MR × NR` register block over `kc` k-steps into `c` — started
+/// and stored as `c` says ([`AccBlock`]) — on the host's vector unit.
+/// Hands `c` back untouched when no kernel exists for this `(level,
+/// element type, MR, NR)`, for the portable block to run.
+///
+/// # Panics
+///
+/// As [`simd_block`].
+pub(crate) fn vector_block<'c, In, Acc, const MR_: usize, const NR_: usize>(
+    level: SimdLevel,
+    a: Strided<'_, In>,
+    b: Strided<'_, In>,
+    kc: usize,
+    c: AccBlock<'c, Acc>,
+) -> Result<(), AccBlock<'c, Acc>>
+where
+    In: Promote<Acc>,
+    Acc: Scalar,
+{
     #[cfg(target_arch = "x86_64")]
     {
+        // SAFETY (both arms): the TypeId check names the one element
+        // type `In` and `Acc` both are, so the casts only rename it;
+        // each kernel runs only at the level `detect` confirmed the
+        // host supports, NVEC · lanes equals NR, and the kernels
+        // assert every bound themselves.
         if same::<In, f32>() && same::<Acc, f32>() {
-            // SAFETY: In = f32 and Acc = f32 (TypeId equality just
-            // checked), so these casts only rename the element type.
-            let (a, b, c) = unsafe {
-                (
-                    a.cast::<f32>(),
-                    b.cast::<f32>(),
-                    cast_slice_mut::<Acc, f32>(c),
-                )
-            };
-            return dispatch_f32::<MR_, NR_>(level, a, b, kc, c, c_stride);
+            unsafe {
+                match (level, MR_, NR_) {
+                    (SimdLevel::Avx512, 8, 32) => avx512_f32::<8, 2>(a.cast(), b.cast(), kc, c.cast()),
+                    (SimdLevel::Avx2, 8, 32) => avx2_f32::<8, 4>(a.cast(), b.cast(), kc, c.cast()),
+                    _ => return Err(c),
+                }
+            }
+            return Ok(());
         }
         if same::<In, f64>() && same::<Acc, f64>() {
-            // SAFETY: as above with In = Acc = f64.
-            let (a, b, c) = unsafe {
-                (
-                    a.cast::<f64>(),
-                    b.cast::<f64>(),
-                    cast_slice_mut::<Acc, f64>(c),
-                )
-            };
-            return dispatch_f64::<MR_, NR_>(level, a, b, kc, c, c_stride);
+            unsafe {
+                match (level, MR_, NR_) {
+                    (SimdLevel::Avx512, 8, 16) => avx512_f64::<8, 2>(a.cast(), b.cast(), kc, c.cast()),
+                    (SimdLevel::Avx2, 8, 16) => avx2_f64::<8, 4>(a.cast(), b.cast(), kc, c.cast()),
+                    _ => return Err(c),
+                }
+            }
+            return Ok(());
         }
-        false
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (a, b, kc, c, c_stride);
-        false
-    }
+    let _ = (level, a, b, kc);
+    Err(c)
 }
 
 /// Expands to one `#[target_feature]` block kernel: `MR` rows by
 /// `NVEC` vector registers of output, accumulators held in registers
-/// across the whole k-loop, loads/stores of `c` only at the block
-/// boundaries. Each k-step broadcasts one A element per row and
-/// issues one fused multiply-add per accumulator — the single
-/// rounding the scalar `mac` performs. Operands
-/// are addressed by their strides; the walk over a packed panel is
-/// this walk with strides `(1, MR)` / `NR`.
+/// across the whole k-loop — started at zero or loaded from `c`, and
+/// stored to `c`, scaled by `α` when `c` asks, only at the block
+/// boundaries. Each k-step broadcasts one A element per row and issues
+/// one fused multiply-add per accumulator — the single rounding the
+/// scalar `mac` performs — and `α` is one multiply per element, the
+/// single rounding of the epilogue's `α·acc`. Operands are addressed by
+/// their strides; the walk over a packed panel is this walk with
+/// strides `(1, MR)` / `NR`.
 #[cfg(target_arch = "x86_64")]
 macro_rules! simd_block_kernel {
     ($name:ident, $feature:literal, $elem:ty, $lanes:expr,
-     $setzero:ident, $loadu:ident, $storeu:ident, $set1:ident, $fmadd:ident) => {
+     $setzero:ident, $loadu:ident, $storeu:ident, $set1:ident, $fmadd:ident, $mul:ident) => {
         /// # Safety
         ///
         /// The host must support the enabled target feature.
@@ -288,24 +444,28 @@ macro_rules! simd_block_kernel {
             a: Strided<'_, $elem>,
             b: Strided<'_, $elem>,
             kc: usize,
-            c: &mut [$elem],
-            c_stride: usize,
+            c: AccBlock<'_, $elem>,
         ) {
             use std::arch::x86_64::*;
             let nr = NVEC * $lanes;
-            assert_block_bounds(&a, &b, kc, MR_, nr, c, c_stride);
+            assert_block_bounds(&a, &b, kc, MR_, nr, &c);
             let (ap, a_ls, a_ks) = (a.data.as_ptr(), a.lane_stride, a.k_stride);
             let (bp, b_ks) = (b.data.as_ptr(), b.k_stride);
+            let (cp, cs) = (c.ptr, c.stride);
             // SAFETY (every pointer access below): `assert_block_bounds`
-            // just proved that row `i < MR_` of `c` holds `nr` elements
-            // from `i · c_stride`, and that for every `k < kc` the A
-            // element `i · a_ls + k · a_ks` and the `nr` B elements from
-            // `k · b_ks` lie inside their slices (offsets grow with `i`
-            // and `k`, so the checked last one bounds them all).
+            // just proved that `c` is `MR_` rows of `nr`, each valid for
+            // writes from `i · cs` (and for reads when the block is
+            // full, which is when it is loaded), and that for every
+            // `k < kc` the A element `i · a_ls + k · a_ks` and the `nr`
+            // B elements from `k · b_ks` lie inside their slices
+            // (offsets grow with `i` and `k`, so the checked last one
+            // bounds them all).
             let mut acc = [[$setzero(); NVEC]; MR_];
-            for (i, row) in acc.iter_mut().enumerate() {
-                for (v, reg) in row.iter_mut().enumerate() {
-                    *reg = $loadu(c.as_ptr().add(i * c_stride + v * $lanes));
+            if c.fill.is_none() {
+                for (i, row) in acc.iter_mut().enumerate() {
+                    for (v, reg) in row.iter_mut().enumerate() {
+                        *reg = $loadu(cp.add(i * cs + v * $lanes));
+                    }
                 }
             }
             // The one k-loop, expanded twice: over packed panels the
@@ -338,70 +498,83 @@ macro_rules! simd_block_kernel {
             } else {
                 walk!(a_ls, a_ks, b_ks);
             }
-            for (i, row) in acc.iter().enumerate() {
-                for (v, &reg) in row.iter().enumerate() {
-                    $storeu(c.as_mut_ptr().add(i * c_stride + v * $lanes), reg);
+            if let Some(alpha) = c.scale {
+                let alpha = $set1(alpha);
+                for row in acc.iter_mut() {
+                    for reg in row.iter_mut() {
+                        *reg = $mul(alpha, *reg);
+                    }
                 }
             }
+            for (i, row) in acc.iter().enumerate() {
+                for (v, &reg) in row.iter().enumerate() {
+                    $storeu(cp.add(i * cs + v * $lanes), reg);
+                }
+            }
+            // SAFETY: the loop above wrote all `MR_ × nr` elements.
+            c.stored();
         }
     };
 }
 
 #[cfg(target_arch = "x86_64")]
-simd_block_kernel!(avx2_f32, "avx2,fma", f32, 8, _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_fmadd_ps);
+simd_block_kernel!(
+    avx2_f32,
+    "avx2,fma",
+    f32,
+    8,
+    _mm256_setzero_ps,
+    _mm256_loadu_ps,
+    _mm256_storeu_ps,
+    _mm256_set1_ps,
+    _mm256_fmadd_ps,
+    _mm256_mul_ps
+);
 #[cfg(target_arch = "x86_64")]
-simd_block_kernel!(avx2_f64, "avx2,fma", f64, 4, _mm256_setzero_pd, _mm256_loadu_pd, _mm256_storeu_pd, _mm256_set1_pd, _mm256_fmadd_pd);
+simd_block_kernel!(
+    avx2_f64,
+    "avx2,fma",
+    f64,
+    4,
+    _mm256_setzero_pd,
+    _mm256_loadu_pd,
+    _mm256_storeu_pd,
+    _mm256_set1_pd,
+    _mm256_fmadd_pd,
+    _mm256_mul_pd
+);
 #[cfg(target_arch = "x86_64")]
-simd_block_kernel!(avx512_f32, "avx512f", f32, 16, _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_fmadd_ps);
+simd_block_kernel!(
+    avx512_f32,
+    "avx512f",
+    f32,
+    16,
+    _mm512_setzero_ps,
+    _mm512_loadu_ps,
+    _mm512_storeu_ps,
+    _mm512_set1_ps,
+    _mm512_fmadd_ps,
+    _mm512_mul_ps
+);
 #[cfg(target_arch = "x86_64")]
-simd_block_kernel!(avx512_f64, "avx512f", f64, 8, _mm512_setzero_pd, _mm512_loadu_pd, _mm512_storeu_pd, _mm512_set1_pd, _mm512_fmadd_pd);
-
-#[cfg(target_arch = "x86_64")]
-fn dispatch_f32<const MR_: usize, const NR_: usize>(
-    level: SimdLevel,
-    a: Strided<'_, f32>,
-    b: Strided<'_, f32>,
-    kc: usize,
-    c: &mut [f32],
-    cs: usize,
-) -> bool {
-    // SAFETY: each arm runs only at the level `detect` confirmed the
-    // host supports; NVEC · lanes always equals NR, and the kernels
-    // assert every slice bound themselves.
-    unsafe {
-        match (level, MR_, NR_) {
-            (SimdLevel::Avx512, 8, 32) => avx512_f32::<8, 2>(a, b, kc, c, cs),
-            (SimdLevel::Avx2, 8, 32) => avx2_f32::<8, 4>(a, b, kc, c, cs),
-            _ => return false,
-        }
-    }
-    true
-}
-
-#[cfg(target_arch = "x86_64")]
-fn dispatch_f64<const MR_: usize, const NR_: usize>(
-    level: SimdLevel,
-    a: Strided<'_, f64>,
-    b: Strided<'_, f64>,
-    kc: usize,
-    c: &mut [f64],
-    cs: usize,
-) -> bool {
-    // SAFETY: see dispatch_f32.
-    unsafe {
-        match (level, MR_, NR_) {
-            (SimdLevel::Avx512, 8, 16) => avx512_f64::<8, 2>(a, b, kc, c, cs),
-            (SimdLevel::Avx2, 8, 16) => avx2_f64::<8, 4>(a, b, kc, c, cs),
-            _ => return false,
-        }
-    }
-    true
-}
+simd_block_kernel!(
+    avx512_f64,
+    "avx512f",
+    f64,
+    8,
+    _mm512_setzero_pd,
+    _mm512_loadu_pd,
+    _mm512_storeu_pd,
+    _mm512_set1_pd,
+    _mm512_fmadd_pd,
+    _mm512_mul_pd
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::microkernel::packed_block;
+    use crate::output::AccWindow;
 
     fn values(len: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -482,13 +655,36 @@ mod tests {
         let mut oracle = c0.to_vec();
         oracle_block(a, b, kc, (MR_, NR_), &mut oracle, c_stride, true);
         let mut portable = c0.to_vec();
-        packed_block::<T, T, MR_, NR_>(a, b, kc, &mut portable, c_stride);
+        packed_block::<T, T, MR_, NR_>(a, b, kc, AccBlock::over(&mut portable, MR_, NR_, c_stride));
         assert_eq!(portable, oracle, "portable block is not the mul_add chain: {what}");
         let mut got = c0.to_vec();
         if simd_block::<T, T, MR_, NR_>(level, a, b, kc, &mut got, c_stride) {
             assert_eq!(got, oracle, "vector block is not the mul_add chain: {what}");
         } else {
             assert_eq!(got, c0, "failed dispatch must leave c untouched");
+        }
+
+        // A blank block — a segment's first k-chunk — starts at zero
+        // whatever `c` holds and reads none of it; a scaled one stores
+        // `α·acc`, one rounding after the chain. Only the block's own
+        // elements are written.
+        let (stale, alpha) = (T::from_f64(7.0), T::from_f64(1.5));
+        let mut want = vec![stale; c0.len()];
+        let block = |i: usize| i * c_stride..i * c_stride + NR_;
+        (0..MR_).for_each(|i| want[block(i)].fill(T::ZERO));
+        oracle_block(a, b, kc, (MR_, NR_), &mut want, c_stride, true);
+        (0..MR_).for_each(|i| want[block(i)].iter_mut().for_each(|v| *v = alpha * *v));
+        for portable in [true, false] {
+            let mut got = vec![stale; c0.len()];
+            let mut window = AccWindow::blank(&mut got, MR_, NR_, c_stride);
+            let c = window.block(0, 0, MR_, NR_, Some(alpha));
+            if portable {
+                packed_block::<T, T, MR_, NR_>(a, b, kc, c);
+            } else if vector_block::<T, T, MR_, NR_>(level, a, b, kc, c).is_err() {
+                continue;
+            }
+            assert!(window.is_full(), "a stored block fills its window: {what}");
+            assert_eq!(got, want, "blank scaled block (portable: {portable}): {what}");
         }
         let mut unfused = c0.to_vec();
         oracle_block(a, b, kc, (MR_, NR_), &mut unfused, c_stride, false);
@@ -575,7 +771,7 @@ mod tests {
             let mut c = c.to_vec();
             std::panic::catch_unwind(move || {
                 if scalar || !simd_block::<f32, f32, MR_, NR_>(SimdLevel::detect(), a, b, kc, &mut c, c_stride) {
-                    packed_block::<f32, f32, MR_, NR_>(a, b, kc, &mut c, c_stride);
+                    packed_block::<f32, f32, MR_, NR_>(a, b, kc, AccBlock::over(&mut c, MR_, NR_, c_stride));
                 }
             })
             .is_ok()
@@ -589,7 +785,9 @@ mod tests {
         // A stride that wraps the offset arithmetic is out of bounds.
         let huge = Strided { data: &a[..], lane_stride: usize::MAX / 2, k_stride: 1 };
         let b = Strided { data: &b[..], lane_stride: 1, k_stride: b_ks };
-        let refused = std::panic::catch_unwind(|| assert_block_bounds(&huge, &b, kc, MR_, NR_, &c, c_stride));
+        let mut c = c;
+        let c = AccBlock::over(&mut c, MR_, NR_, c_stride);
+        let refused = std::panic::catch_unwind(|| assert_block_bounds(&huge, &b, kc, MR_, NR_, &c));
         assert!(refused.is_err(), "wrapping offsets must not pass");
     }
 

@@ -16,11 +16,16 @@
 //! 1. [`Workspace::new`] once, sized to the decomposition's tile;
 //!    [`begin_launch`](Workspace::begin_launch) at the start of every
 //!    launch after that.
-//! 2. Per segment: the engine's kernels write into a pooled tile from
+//! 2. Per segment that does not store its tile from the register
+//!    block (a split tile, a column-major output, `β ≠ 0`, the scalar
+//!    oracle): the engine's kernels write into a pooled tile from
 //!    [`take_partial`](Workspace::take_partial) — a buffer that can be
 //!    parked with a deferred consolidation or handed to another worker
 //!    without leaving the workspace short of one — and packing goes
-//!    through [`pack`](Workspace::pack).
+//!    through [`pack`](Workspace::pack). The kernels overwrite the
+//!    tile, their sums starting at zero on the first k-chunk, so no
+//!    buffer here is zeroed before use, a pooled partial or the
+//!    recovery scratch.
 //! 3. A contributor CTA hands its tile to the fixup board (ownership
 //!    transfers to the waiting owner).
 //! 4. An owner CTA receives peers' partial vectors from the board,
@@ -59,7 +64,8 @@ pub struct Workspace<In, Acc> {
     /// mismatch, or a watchdog-expired panel wait) — the steady state reads the cache's shared panels and
     /// never touches this staging at all.
     pub pack: PackBuffers<In>,
-    /// Recovery scratch for recomputing a lost peer's contribution.
+    /// Recovery scratch for recomputing a lost peer's contribution,
+    /// overwritten by each recomputation.
     pub scratch: Vec<Acc>,
     pool: Vec<Vec<Acc>>,
     /// Buffers taken this launch and not (yet) given back: takes minus
@@ -127,28 +133,21 @@ impl<In, Acc: Scalar> Workspace<In, Acc> {
         self.taken = 0;
     }
 
-    /// Zeroes the recovery scratch tile.
-    pub fn reset_scratch(&mut self) {
-        self.scratch.fill(Acc::ZERO);
-    }
-
-    /// A zeroed tile-sized buffer, drawn from the pool when possible.
-    /// The caller keeps ownership (typically handing it to the fixup
-    /// board); return buffers with [`recycle_partial`](Self::recycle_partial).
+    /// A tile-sized buffer, drawn from the pool when possible. A pooled
+    /// buffer comes back as its last user left it, not zeroed: the
+    /// engine's MAC loop overwrites a workspace tile, its sums starting
+    /// at zero on the first k-chunk, so a fill here would be a second
+    /// pass over the tile for nothing. The caller keeps ownership
+    /// (typically handing it to the fixup board); return buffers with
+    /// [`recycle_partial`](Self::recycle_partial).
     #[must_use]
     pub fn take_partial(&mut self) -> Vec<Acc> {
         self.taken += 1;
         self.peak_taken = self.peak_taken.max(self.taken);
-        match self.pool.pop() {
-            Some(mut buf) => {
-                buf.fill(Acc::ZERO);
-                buf
-            }
-            None => {
-                self.fresh_allocs += 1;
-                vec![Acc::ZERO; self.tile_len]
-            }
-        }
+        self.pool.pop().unwrap_or_else(|| {
+            self.fresh_allocs += 1;
+            vec![Acc::ZERO; self.tile_len]
+        })
     }
 
     /// Returns a tile-sized buffer (ours or one received from a peer
@@ -207,13 +206,16 @@ mod tests {
         assert_eq!(ws.pooled(), 2);
     }
 
+    /// No fill on the way out: the MAC loop overwrites a workspace tile.
     #[test]
-    fn recycled_buffers_are_zeroed_on_reuse() {
+    fn recycled_buffers_come_back_as_left() {
         let mut ws = Ws::new(4);
         let mut buf = ws.take_partial();
         buf.fill(3.5);
+        let ptr = buf.as_ptr();
         ws.recycle_partial(buf);
-        assert_eq!(ws.take_partial(), vec![0.0; 4]);
+        let again = ws.take_partial();
+        assert_eq!((again.as_ptr(), again), (ptr, vec![3.5; 4]));
     }
 
     /// The benchmark's finding: a worker that is owner launch after
@@ -301,16 +303,5 @@ mod tests {
         assert_eq!(ws.scratch.len(), 9);
         assert_eq!(ws.pooled(), 0, "stale-length pool buffers must be dropped");
         assert_eq!(ws.take_partial().len(), 9);
-    }
-
-    #[test]
-    fn reset_helpers_zero_in_place() {
-        let mut ws = Ws::new(4);
-        ws.scratch.fill(2.0);
-        let sp = ws.scratch.as_ptr();
-        ws.reset_scratch();
-        assert_eq!(ws.scratch, vec![0.0; 4]);
-        assert_eq!(ws.scratch.as_ptr(), sp);
-        assert_eq!(ws.tile_len(), 4);
     }
 }

@@ -3,7 +3,8 @@
 //! the block is tested at — not only the two the library runs — over
 //! packed and in-place `PanelSpan`s, with no vector level and with the
 //! host's, each result `==` the scalar `mac_loop_view` the caller
-//! computed.
+//! computed — added into zeros, and written over stale sums from a blank
+//! window with `α` applied as it is stored.
 //!
 //! The in-place spans carry the view's own strides, whatever they are
 //! (column-major, transposed, a window of a wider parent): the block
@@ -12,7 +13,7 @@
 
 use std::ops::Range;
 use streamk_core::IterSpace;
-use streamk_cpu::{mac_loop_cached, PanelSpan, SimdLevel};
+use streamk_cpu::{mac_loop_cached, AccWindow, PanelSpan, SimdLevel};
 use streamk_matrix::{pack_a_into, pack_b_into, MatrixView, Promote, Scalar};
 
 /// `v`'s lanes `lanes` over `ks`, packed `width` wide. `v` is A, or
@@ -87,17 +88,43 @@ where
     let b_in_place = in_place(&bt, &cols, &ks, NR, true);
 
     let (a_spans, b_spans) = (spans(&a_packed, MR, &ks, &a_in_place), spans(&b_packed, NR, &ks, &b_in_place));
+    // Added into zeros, and — on a non-empty range — into a blank window
+    // over stale sums, stored scaled: α·reference over the tile, every
+    // other element as it was.
+    let blk_n = space.tile().blk_n;
+    let (stale, alpha) = (Acc::from_f64(7.0), Acc::from_f64(1.5));
+    let in_tile = |i: usize| i / blk_n < rows.len() && i % blk_n < cols.len();
+    let scaled: Vec<Acc> =
+        reference.iter().enumerate().map(|(i, &r)| if in_tile(i) { alpha * r } else { stale }).collect();
     for level in [None, Some(SimdLevel::detect())] {
         for (a_from, a_span) in &a_spans {
             for (b_from, b_span) in &b_spans {
-                let mut got = vec![Acc::ZERO; reference.len()];
-                mac_loop_cached::<In, Acc, MR, NR>(level, a_span.clone(), b_span.clone(), space, tile_idx, lo, hi, &mut got);
-                if got != reference {
-                    return Err(format!(
-                        "{MR}x{NR} at {level:?}, A {a_from}, B {b_from}: tile {tile_idx} [{lo},{hi}) of {} at {}",
-                        space.shape(),
-                        space.tile()
-                    ));
+                let modes: &[bool] = if lo < hi { &[false, true] } else { &[false] };
+                for &blank in modes {
+                    let mut got = vec![if blank { stale } else { Acc::ZERO }; reference.len()];
+                    let (mut window, scale, want) = if blank {
+                        (AccWindow::blank(&mut got, rows.len(), cols.len(), blk_n), Some(alpha), &scaled[..])
+                    } else {
+                        (AccWindow::new(&mut got, rows.len(), cols.len(), blk_n), None, reference)
+                    };
+                    mac_loop_cached::<In, Acc, MR, NR>(
+                        level,
+                        a_span.clone(),
+                        b_span.clone(),
+                        space,
+                        tile_idx,
+                        lo,
+                        hi,
+                        &mut window,
+                        scale,
+                    );
+                    if got != want {
+                        return Err(format!(
+                            "{MR}x{NR} at {level:?}, A {a_from}, B {b_from}, blank {blank}: tile {tile_idx} [{lo},{hi}) of {} at {}",
+                            space.shape(),
+                            space.tile()
+                        ));
+                    }
                 }
             }
         }
