@@ -33,14 +33,12 @@
 //!
 //! An owner never blocks while there may be other work: a pending peer
 //! *parks* the consolidation as a [`Deferred`] record and the worker
-//! moves on; [`Worker::resume`] continues it, without blocking while
-//! work remains and under the [`WaitPolicy`] watchdog once none does.
-//! A peer whose record is lost (watchdog expiry) or poisoned is
-//! *recovered*, on every entry: the owner recomputes the peer's exact
-//! contribution from its static work descriptor ([`peer_contribution`])
-//! with the same kernel over the same k-range and folds it at the same
-//! point in peer order, so the output is bit-identical to the
-//! fault-free run.
+//! moves on. A peer whose record is lost (watchdog expiry) or poisoned
+//! is *recovered*, on every entry: the owner recomputes the peer's
+//! exact contribution from its static work descriptor
+//! ([`peer_contribution`]) with the same kernel over the same k-range
+//! and folds it at the same point in peer order, so the output is
+//! bit-identical to the fault-free run.
 //!
 //! The cycle is written over a list of problem [`Instance`]s whose
 //! iteration spaces are concatenated — the form grouped GEMM needs; a
@@ -48,14 +46,16 @@
 //! one per-launch state struct, [`Launch`], which a direct launch
 //! builds on its stack and a service request embeds — both from
 //! [`CpuExecutor::launch`](crate::CpuExecutor), so the two differ only
-//! in their pack cache. What differs between callers stays with them:
-//! what they claim and where from ([`Worker::run`] claims units — one
-//! tile segment of one CTA — from a [`CtaScheduler`], the service whole
-//! CTAs from its request sweep through [`Worker::run_cta`]), panic
-//! isolation, and what completing a tile means. A segment runs the
-//! same whichever worker claims it: it contributes or owns under its
-//! CTA's id, so a drained worker may steal the unstarted tail of a CTA
-//! another worker is running without moving a seam.
+//! in their pack cache. Around it runs one worker loop, [`work`]:
+//! resume what is parked without blocking, claim, run, and once
+//! nothing is claimable finish what is parked under the [`WaitPolicy`]
+//! watchdog. Only its [`WorkSource`] differs: a direct launch's units —
+//! one tile segment of one CTA — from a [`CtaScheduler`]
+//! ([`GridUnits`]), or the service's requests, a whole CTA per claim
+//! under panic isolation. A segment runs the same whichever worker
+//! claims it: it contributes or owns under its CTA's id, so a drained
+//! worker may steal the unstarted tail of a CTA another worker is
+//! running without moving a seam.
 //!
 //! An instance runs the caller's product `C = op(A)·op(B)` or its
 //! transpose `Cᵀ = op(B)ᵀ·op(A)ᵀ` into C's own storage, whichever
@@ -71,6 +71,7 @@ use crate::fixup::{FixupBoard, TryTake, WaitPolicy};
 use crate::microkernel::{KernelKind, PackBuffers};
 use crate::output::{OwnedTileWriter, TileWriter};
 use crate::packcache::{mac_loop_instance_cached, mac_loop_window, transpose_pays, PackCache};
+use crate::pool::ScratchStore;
 use crate::sched::CtaScheduler;
 use crate::trace::{Recorder, SpanKind, WorkerRings};
 use crate::workspace::Workspace;
@@ -447,7 +448,7 @@ pub(crate) struct Deferred<Acc> {
     instance: usize,
     /// The tile, in its instance's numbering.
     tile: usize,
-    pub(crate) accum: Vec<Acc>,
+    accum: Vec<Acc>,
     next_peer: usize,
 }
 
@@ -572,22 +573,6 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
         Ok(Progress::Done)
     }
 
-    /// Executes CTA `id` whole: Algorithm 5's iteration-processing
-    /// outer loop, as [`run_unit`](Self::run_unit) over the CTA's full
-    /// range. The service's claim; a launch claims units instead.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_unit`](Self::run_unit).
-    pub(crate) fn run_cta(
-        &self,
-        id: usize,
-        ws: &mut Workspace<In, Acc>,
-        park: impl FnMut(Deferred<Acc>),
-    ) -> Result<usize, ExecutorError> {
-        self.run_unit(&self.grid.ctas[id], ws, park)
-    }
-
     /// Executes `unit` — CTA `unit.cta_id`'s iterations
     /// `unit.iter_begin..iter_end`, the whole CTA or some of its tile
     /// segments — one tile segment at a time. Returns how many tiles
@@ -611,7 +596,7 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
     ///
     /// A fixup protocol violation, or a fixup listing a peer that
     /// contributes nothing to the tile.
-    fn run_unit(
+    pub(crate) fn run_unit(
         &self,
         unit: &CtaWork,
         ws: &mut Workspace<In, Acc>,
@@ -680,11 +665,8 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
 
     /// Advances a parked consolidation as far as its peers allow, and
     /// stores its tile once they are all folded ([`Progress::Done`]).
-    /// With `block` it waits for each pending peer under the watchdog
-    /// — safe only once no claimable work is left, when every pending
-    /// peer is held by a worker that signals before it can wait. On
-    /// anything but [`Progress::Parked`] the caller drops `d` (its
-    /// accumulator back to a pool).
+    /// With `block` it waits for each pending peer under the watchdog,
+    /// which [`work`] does only once nothing is claimable.
     ///
     /// # Errors
     ///
@@ -705,60 +687,170 @@ impl<In: Promote<Acc>, Acc: Scalar> Worker<'_, In, Acc> {
         }
         Ok(progress)
     }
+}
 
-    /// The worker's share of a direct launch: resume whatever it has
-    /// parked, claim the next unit from `sched` (own range first, then
-    /// steal), and — when nothing is left to claim — finish the parked
-    /// consolidations blocking.
-    ///
-    /// The final drain cannot deadlock: `sched` is drained, so every
-    /// unit is claimed; a claimed contributor segment runs to its
-    /// signal without ever waiting (owners park instead), so every
-    /// pending peer signals in bounded time or trips the watchdog.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_unit`](Self::run_unit); the worker stops at its first
-    /// error.
-    pub(crate) fn run(&self, sched: &CtaScheduler, ws: &mut Workspace<In, Acc>) -> Result<(), ExecutorError> {
-        let (rec, wid) = (self.rec, self.wid);
-        let mut deferred = Vec::new();
-        loop {
-            self.drain(&mut deferred, ws, false)?;
-            let t0 = rec.start();
-            let Some(claim) = sched.next_claim(wid) else { break };
-            let unit = sched.unit(claim.id, self.grid.ctas);
-            let cta = unit.cta_id as u32;
-            // The claim's end is the unit's start: one clock read less
-            // per unit when tracing.
-            let claimed = t0.map(|t0| {
-                let now = Instant::now();
-                let kind = if claim.stolen { SpanKind::Steal } else { SpanKind::Claim };
-                rec.record(kind, t0, now, cta, 0);
-                now
-            });
-            self.run_unit(unit, ws, |d| deferred.push(d))?;
-            rec.finish(SpanKind::Cta, claimed, cta, wid as u32);
-        }
-        self.drain(&mut deferred, ws, true)
-    }
+/// Where a thread running [`work`] claims its units and what running
+/// one means: a direct launch's grid ([`GridUnits`]) or the service's
+/// admission window (`serve::Sweep`).
+pub(crate) trait WorkSource<In, Acc> {
+    /// What a parked consolidation keeps of its launch: nothing when
+    /// the source holds a single launch.
+    type Handle: Send + 'static;
+    type Unit;
 
-    /// Resumes every consolidation in `deferred`, dropping the ones
-    /// that finished (or died with the launch).
-    fn drain(
+    fn claim(&self) -> Option<Self::Unit>;
+
+    /// Runs `unit` through [`Worker::run_unit`], parking onto `parked`.
+    fn run(
         &self,
-        deferred: &mut Vec<Deferred<Acc>>,
+        unit: Self::Unit,
+        ws: &mut Workspace<In, Acc>,
+        parked: &mut Vec<(Self::Handle, Deferred<Acc>)>,
+    ) -> Result<(), ExecutorError>;
+
+    /// [`Worker::resume`] on `d`, parked under `handle`.
+    fn resume(
+        &self,
+        handle: &Self::Handle,
+        d: &mut Deferred<Acc>,
         ws: &mut Workspace<In, Acc>,
         block: bool,
-    ) -> Result<(), ExecutorError> {
-        let mut i = 0;
-        while i < deferred.len() {
-            match self.resume(&mut deferred[i], ws, block)? {
-                Progress::Parked => i += 1,
-                Progress::Done | Progress::Abandoned => ws.recycle_partial(deferred.swap_remove(i).accum),
-            }
+    ) -> Result<Progress, ExecutorError>;
+
+    /// Readies the worker's workspace before the loop starts.
+    fn begin(&self, _ws: &mut Workspace<In, Acc>) {}
+
+    /// Whether the thread may leave as soon as it holds nothing parked.
+    fn done(&self) -> bool {
+        false
+    }
+
+    /// Nothing is claimable and nothing parked: sleeps if the thread
+    /// stays, and says whether it does.
+    fn idle(&self) -> bool {
+        false
+    }
+}
+
+/// The worker loop, every entry's — Algorithm 5's persistent CTA:
+/// resume parked consolidations without blocking, claim a unit, run it
+/// (parking a consolidation whose peer is pending), and once nothing is
+/// claimable finish what is parked, blocking under the watchdog. The
+/// workspace and the parked list keep their storage in `scratch`, so
+/// they stay warm from launch to launch.
+///
+/// The blocking drain cannot deadlock: it starts only when nothing is
+/// claimable, so every unit a parked owner awaits is claimed; a claimed
+/// contributor segment runs to its signal without ever waiting (owners
+/// park instead), so every pending peer signals in bounded time or
+/// trips the watchdog and is recomputed. A thread sleeps only when it
+/// holds nothing parked, so no sleeper stands between an owner and its
+/// tile.
+///
+/// # Errors
+///
+/// The first error the source's `run` or `resume` returns.
+pub(crate) fn work<In, Acc, S>(source: &S, scratch: &mut ScratchStore) -> Result<(), ExecutorError>
+where
+    In: Send + 'static,
+    Acc: Scalar,
+    S: WorkSource<In, Acc>,
+{
+    let mut parked = std::mem::take(scratch.get_or_insert_with(Vec::<(S::Handle, Deferred<Acc>)>::new));
+    let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(0));
+    source.begin(ws);
+    loop {
+        drain(source, &mut parked, ws, false)?;
+        if parked.is_empty() && source.done() {
+            break;
         }
+        if let Some(unit) = source.claim() {
+            source.run(unit, ws, &mut parked)?;
+        } else if !parked.is_empty() {
+            drain(source, &mut parked, ws, true)?;
+        } else if !source.idle() {
+            break;
+        }
+    }
+    // Empty, it goes back for the next launch; an error drops it with
+    // whatever it held.
+    *scratch.get_or_insert_with(Vec::new) = parked;
+    Ok(())
+}
+
+/// Resumes every parked consolidation; the ones no longer parked leave.
+fn drain<In, Acc: Scalar, S: WorkSource<In, Acc>>(
+    source: &S,
+    parked: &mut Vec<(S::Handle, Deferred<Acc>)>,
+    ws: &mut Workspace<In, Acc>,
+    block: bool,
+) -> Result<(), ExecutorError> {
+    let mut i = 0;
+    while i < parked.len() {
+        let (handle, d) = &mut parked[i];
+        if source.resume(handle, d, ws, block)? == Progress::Parked {
+            i += 1;
+        } else {
+            ws.recycle_partial(parked.swap_remove(i).1.accum);
+        }
+    }
+    Ok(())
+}
+
+/// A direct launch's grid as one worker's work source: units from the
+/// launch's scheduler, its own range first, then stolen, each claim a
+/// `Claim` or `Steal` span.
+pub(crate) struct GridUnits<'a, In, Acc> {
+    pub(crate) worker: Worker<'a, In, Acc>,
+    pub(crate) sched: &'a CtaScheduler,
+}
+
+impl<'a, In: Promote<Acc>, Acc: Scalar> WorkSource<In, Acc> for GridUnits<'a, In, Acc> {
+    type Handle = ();
+    /// A unit, and when its claim ended if traced.
+    type Unit = (&'a CtaWork, Option<Instant>);
+
+    fn claim(&self) -> Option<Self::Unit> {
+        let (sched, rec) = (self.sched, self.worker.rec);
+        let t0 = rec.start();
+        let claim = sched.next_claim(self.worker.wid)?;
+        let unit = sched.unit(claim.id, self.worker.grid.ctas);
+        // The claim's end is the unit's start: one clock read less per
+        // unit when tracing.
+        let claimed = t0.map(|t0| {
+            let now = Instant::now();
+            let kind = if claim.stolen { SpanKind::Steal } else { SpanKind::Claim };
+            rec.record(kind, t0, now, unit.cta_id as u32, 0);
+            now
+        });
+        Some((unit, claimed))
+    }
+
+    fn run(
+        &self,
+        (unit, claimed): Self::Unit,
+        ws: &mut Workspace<In, Acc>,
+        parked: &mut Vec<((), Deferred<Acc>)>,
+    ) -> Result<(), ExecutorError> {
+        let worker = &self.worker;
+        worker.run_unit(unit, ws, |d| parked.push(((), d)))?;
+        worker.rec.finish(SpanKind::Cta, claimed, unit.cta_id as u32, worker.wid as u32);
         Ok(())
+    }
+
+    fn resume(
+        &self,
+        (): &(),
+        d: &mut Deferred<Acc>,
+        ws: &mut Workspace<In, Acc>,
+        block: bool,
+    ) -> Result<Progress, ExecutorError> {
+        self.worker.resume(d, ws, block)
+    }
+
+    /// Starts the launch's count of outstanding partials over.
+    fn begin(&self, ws: &mut Workspace<In, Acc>) {
+        ws.begin_launch(self.worker.grid.tile_len());
     }
 }
 
@@ -782,7 +874,7 @@ mod tests {
     }
 
     /// The group under `ctas` Stream-K CTAs on `workers` plain threads
-    /// (no pool: `Worker::run` is the whole of a worker), the register
+    /// (no pool: [`work`] over [`GridUnits`] is the whole of a worker), the register
     /// block (portable under Miri): the outputs and what recovery did.
     fn run(workers: usize, ctas: usize, plan: FaultPlan) -> (Vec<Matrix<f64>>, Vec<RecoveryEvent>) {
         run_oriented(workers, ctas, plan, [false; 2])
@@ -827,8 +919,8 @@ mod tests {
             for wid in 0..workers {
                 let (launch, grid, sched) = (&launch, &grid, &sched);
                 scope.spawn(move || {
-                    let mut ws = Workspace::new(grid.tile_len());
-                    Worker { launch, grid, wid, rec: &Recorder::off() }.run(sched, &mut ws).expect("recovery masks every fault");
+                    let worker = Worker { launch, grid, wid, rec: &Recorder::off() };
+                    work(&GridUnits { worker, sched }, &mut ScratchStore::new()).expect("recovery masks every fault");
                 });
             }
         });

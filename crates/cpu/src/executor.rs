@@ -24,7 +24,7 @@
 //! [`ExecStats::recoveries`] says what recovery did in the last launch.
 
 use crate::arena::{ArenaStats, PackArena};
-use crate::engine::{lock, Grid, Instance, Launch, Orientation, Output, Worker};
+use crate::engine::{self, lock, Grid, GridUnits, Instance, Launch, Orientation, Output, Worker};
 use crate::fault::FaultPlan;
 use crate::fixup::WaitPolicy;
 use crate::microkernel::KernelKind;
@@ -33,7 +33,6 @@ use crate::packcache::{operands_pack, PackCache};
 use crate::pool::WorkerPool;
 use crate::sched::CtaScheduler;
 use crate::trace::{self, ExecTrace, SpanKind, SpareRings, WorkerRings};
-use crate::workspace::Workspace;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 use streamk_core::{CtaWork, Decomposition, ExecutorError, IterSpace, TileFixup};
@@ -678,8 +677,9 @@ impl CpuExecutor {
     /// The one grid loop behind every launch entry — `gemm*` and
     /// `gemm_grouped` (which `gemm_batched` runs): residency check, the
     /// launch's pack cache (`shards` tables), span rings and protocol
-    /// state, locality-aware dispatch, one [`Worker::run`] per pool
-    /// worker, and the launch's record. `grid`'s CTAs are validated by
+    /// state, locality-aware dispatch, the engine's worker loop
+    /// ([`engine::work`] over [`GridUnits`]) on every pool worker, and
+    /// the launch's record. `grid`'s CTAs are validated by
     /// the caller, whose decomposition type knows how; `fixups` is
     /// their consolidation structure.
     pub(crate) fn run_grid<In, Acc>(
@@ -703,7 +703,6 @@ impl CpuExecutor {
         // in the pool's launch-level store.
         let units = std::mem::take(self.worker_pool().launch_scratch().get_or_insert_with(Vec::<CtaWork>::new));
         let sched = CtaScheduler::over_units(grid.units(units), grid.ctas.len(), workers);
-        let tile_len = grid.tile_len();
         // One shared epoch so every worker's span timestamps (and the
         // wall clock below) share a zero; each worker id checks its
         // ring out of its own uncontended slot for its whole share.
@@ -719,12 +718,8 @@ impl CpuExecutor {
             if let Some(now) = rec.start() {
                 rec.record(SpanKind::Launch, epoch, now, trace::LAUNCH_WAKE, 0);
             }
-            // The workspace survives in the worker's scratch store
-            // across launches: pack staging and the pool of tile-sized
-            // buffers stay warm from GEMM to GEMM.
-            let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(tile_len));
-            ws.begin_launch(tile_len);
-            if let Err(e) = (Worker { launch: &launch, grid, wid, rec: &rec }).run(&sched, ws) {
+            let worker = Worker { launch: &launch, grid, wid, rec: &rec };
+            if let Err(e) = engine::work(&GridUnits { worker, sched: &sched }, scratch) {
                 // The launch has failed: the other workers stop at
                 // their next segment or fold step instead of finishing
                 // (or waiting a watchdog out for) a result nobody gets.

@@ -17,30 +17,26 @@
 //!   under weighted round-robin over [`Priority`] classes (4:2:1),
 //!   so small latency-sensitive requests are not starved behind bulk
 //!   work.
-//! - **Claiming** runs one worker sweep over *all* active requests:
-//!   each request carries its own [`GridCursor`], and an idle worker
-//!   takes the next CTA from the first running request that still
-//!   has unclaimed work — exactly the single-launch claim loop with
-//!   the request list as an outer dimension.
+//! - **Claiming** sweeps *all* active requests: each carries its own
+//!   [`GridCursor`], and an idle thread takes the next CTA from the
+//!   first running request that still has unclaimed work.
+//! - **Execution** is a direct launch's: the service is one more work
+//!   source of the engine's one worker loop (`engine::work`), which
+//!   resumes parked consolidations, claims, runs each CTA through the
+//!   Algorithm 5 cycle on its request's per-launch state, and blocks —
+//!   under the watchdog, owner-side recovery
+//!   ([`streamk_core::peer_contribution`]) recomputing lost or poisoned
+//!   partials bit-exactly — only once nothing is claimable *anywhere*.
+//!   (An owner that blocked with work outstanding would deadlock here:
+//!   two workers blocked as owners of *different* requests can each
+//!   hold the worker the other's peer needs.)
 //! - **Waiting is working.** A caller inside
 //!   [`CompletionHandle::wait`] is a free core, so it runs the same
-//!   sweep as a *guest* until its own request has resolved: same
-//!   claiming policy (admission order — never "my request first"),
-//!   same isolated execution, and it sleeps only when the sweep finds
-//!   nothing claimable. At most as many callers as the pool has
-//!   workers compute at once; the rest sleep until their request
-//!   resolves.
-//! - **Execution** is the single-launch executor's: every claimed CTA
-//!   runs through the one Algorithm 5 cycle in `engine.rs`, each
-//!   request carrying the cycle's per-launch state. Owners never block
-//!   while claimable work exists *anywhere*, parked consolidations are
-//!   resumed opportunistically, and blocking waits are bounded by the
-//!   watchdog with owner-side recovery
-//!   ([`streamk_core::peer_contribution`]) recomputing lost or
-//!   poisoned partials bit-exactly. (An owner that blocked with work
-//!   outstanding would deadlock here: two workers blocked as owners of
-//!   *different* requests can each hold the worker the other's peer
-//!   needs.)
+//!   loop as a *guest* until its own request has resolved: the same
+//!   claims (admission order — never "my request first"), the same
+//!   isolated execution, and it sleeps only when nothing is claimable.
+//!   At most as many callers as the pool has workers compute at once;
+//!   the rest sleep until their request resolves.
 //! - **Isolation**: every CTA executes under `catch_unwind`. A panic
 //!   (or an unmaskable protocol failure) fails *that request's*
 //!   [`CompletionHandle`] and nothing else — the pool stays up, the
@@ -71,7 +67,7 @@
 //! executor block until [`GemmService::shutdown`] — by design: the
 //! pool's launch lock is the tenancy boundary.
 
-use crate::engine::{Deferred, Grid, Instance, Launch, Orientation, Output, Progress, Worker};
+use crate::engine::{self, Deferred, Grid, Instance, Launch, Orientation, Output, Progress, WorkSource, Worker};
 use crate::executor::{check_residency, check_single, CpuExecutor};
 use crate::fault::{FaultPlan, ServeFaultKind};
 use crate::output::OwnedTileWriter;
@@ -436,13 +432,10 @@ struct RequestCell<In, Acc> {
     a: Matrix<In>,
     b: Matrix<In>,
     decomp: Decomposition,
-    /// The engine's per-launch state, for this request's whole life,
-    /// built as a direct launch's is: peers, fixup board, fault plan,
-    /// kernel, the deferral / wait / recovery counters, the request's
-    /// span rings (only when the service was started with
-    /// `ServeConfig::trace`), and the liveness flag — set by the
-    /// transition into any terminal state, so workers stop spending
-    /// cycles on the request.
+    /// The engine's per-launch state for the request's whole life,
+    /// built as a direct launch's is (span rings only under
+    /// `ServeConfig::trace`). The transition into any terminal state
+    /// kills it, so workers stop spending cycles on the request.
     launch: Launch<In, Acc>,
     out: OwnedTileWriter<Acc>,
     /// Which way round the request runs; `out` is tiled accordingly.
@@ -478,12 +471,6 @@ impl<In, Acc: Scalar> RequestCell<In, Acc> {
             self.launch.kill();
         }
         won
-    }
-
-    /// `true` once the request is in a terminal state — workers must
-    /// stop spending cycles on it.
-    fn is_dead(&self) -> bool {
-        self.launch.is_dead()
     }
 
     /// Records the first-claim instant; `true` only for the call that
@@ -537,11 +524,11 @@ impl<In, Acc: Scalar> RequestCell<In, Acc> {
         }
     }
 
-    /// `true` once the handle holds its outcome. Later than
-    /// [`is_dead`](Self::is_dead): the terminal CAS comes first, the
-    /// outcome when the winner has booked it.
+    /// `true` once the handle holds its outcome: later than the
+    /// terminal CAS, which kills the launch first; the outcome comes
+    /// when the winner has booked it.
     fn is_resolved(&self) -> bool {
-        self.is_dead() && self.outcome.lock().unwrap_or_else(PoisonError::into_inner).is_some()
+        self.launch.is_dead() && self.outcome.lock().unwrap_or_else(PoisonError::into_inner).is_some()
     }
 
     /// Sleeps until the handle is resolved and returns its slot.
@@ -604,7 +591,7 @@ impl<In, Acc: Scalar> CompletionHandle<In, Acc> {
     /// `true` once the request reached a terminal state.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.cell.is_dead()
+        self.cell.launch.is_dead()
     }
 
     /// A racy snapshot of the request's execution statistics (final
@@ -620,8 +607,7 @@ impl<In, Acc: Scalar> CompletionHandle<In, Acc> {
     /// cancellation, `false` if the request already reached a
     /// terminal state.
     pub fn cancel(&self) -> bool {
-        let won =
-            self.cell.transition(QUEUED, CANCELLED) || self.cell.transition(RUNNING, CANCELLED);
+        let won = self.cell.transition(QUEUED, CANCELLED) || self.cell.transition(RUNNING, CANCELLED);
         if won {
             self.shared.resolve(&self.cell, CANCELLED, Err(ServeError::Cancelled));
         }
@@ -634,9 +620,9 @@ impl<In: Promote<Acc>, Acc: Scalar> CompletionHandle<In, Acc> {
     /// and its per-request statistics, or the typed failure.
     ///
     /// The wait **computes**: a blocked caller is a free core, so until
-    /// its request resolves the calling thread runs the service's own
-    /// claim loop as a guest — the same sweep (admission order, not
-    /// "my request first"), the same isolated CTA execution — and
+    /// its request resolves the calling thread runs the engine's worker
+    /// loop as a guest of the service — the same sweep (admission order,
+    /// not "my request first"), the same isolated CTA execution — and
     /// sleeps only when nothing is claimable. At most
     /// [`workers`](GemmService::workers) callers compute at a time; one
     /// more simply sleeps until its request resolves.
@@ -656,7 +642,9 @@ impl<In: Promote<Acc>, Acc: Scalar> CompletionHandle<In, Acc> {
             let workers = shared.executor.threads();
             let slot = lock().take(workers);
             if let Some((slot, mut scratch)) = slot {
-                serve_loop(workers + slot, shared, &mut scratch, Some(cell));
+                let guest = Sweep { shared, wid: workers + slot, guest: Some(cell) };
+                // A request's errors are settled on its handle.
+                let _ = engine::work(&guest, &mut scratch);
                 lock().free.push((slot, scratch));
             }
         }
@@ -756,16 +744,6 @@ impl GuestSlots {
 /// deadlines firing) when no submission wakes the pool sooner.
 const IDLE_PARK: Duration = Duration::from_millis(1);
 
-enum Claimed<In, Acc> {
-    /// A CTA of a running request, and when it was claimed if that
-    /// claim started the request (its queue wait ends there).
-    Cta(Arc<RequestCell<In, Acc>>, usize, Option<Instant>),
-    /// Nothing claimable right now.
-    Idle,
-    /// Shutting down and fully drained: the worker may exit.
-    Drained,
-}
-
 impl<In, Acc: Scalar> ServeShared<In, Acc> {
     /// Post-CAS bookkeeping for a request reaching terminal state
     /// `to` — the single funnel every terminal transition goes
@@ -842,22 +820,6 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
         self.finish(cell, to, result);
     }
 
-    /// Harvests spans whose ring was checked out when
-    /// [`finish`](Self::finish) drained the request's rings — a
-    /// straggling CTA or resumption of a dead request on another worker
-    /// returns its ring after the resolution harvest. The leftovers
-    /// become a same-id fragment that `TelemetryRegistry::take_trace`
-    /// merges back into the request's track, so timelines stay
-    /// complete.
-    fn harvest_remnant(&self, cell: &Arc<RequestCell<In, Acc>>) {
-        if !cell.is_dead() {
-            return;
-        }
-        if let Some(trace) = cell.drain_trace().filter(|t| !t.spans.is_empty() || t.dropped > 0) {
-            self.telemetry.harvest_trace(trace);
-        }
-    }
-
     /// Books what one engine call, run under `catch_unwind`, did for
     /// `cell`: tiles stored count toward completion — the `AcqRel`
     /// counter gives the finalizer happens-before with every store,
@@ -865,11 +827,7 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
     /// buffer becomes the caller's output matrix without a copy — a
     /// protocol failure recovery could not mask fails the request, and
     /// so does a panic: this request's handle, nothing else.
-    fn settle(
-        &self,
-        cell: &Arc<RequestCell<In, Acc>>,
-        outcome: std::thread::Result<Result<usize, ExecutorError>>,
-    ) {
+    fn settle(&self, cell: &Arc<RequestCell<In, Acc>>, outcome: std::thread::Result<Result<usize, ExecutorError>>) {
         match outcome {
             Ok(Ok(0)) => {}
             Ok(Ok(stored)) => {
@@ -890,7 +848,14 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
                 }
             }
         }
-        self.harvest_remnant(cell);
+        // A straggling CTA or resumption of a dead request returns its
+        // ring after the resolution drained the request's rings: the
+        // leftovers become a same-id fragment, which
+        // `TelemetryRegistry::take_trace` merges back into its track.
+        let remnant = if cell.launch.is_dead() { cell.drain_trace() } else { None };
+        if let Some(trace) = remnant.filter(|t| !t.spans.is_empty() || t.dropped > 0) {
+            self.telemetry.harvest_trace(trace);
+        }
     }
 
     /// Publishes the queue-depth gauges from the current queue state.
@@ -955,7 +920,7 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
 
     /// One claim attempt: admit, sweep the active list in admission
     /// order, fire deadlines, and hand out the next CTA.
-    fn claim_next(&self) -> Claimed<In, Acc> {
+    fn claim_next(&self) -> Option<SweepUnit<In, Acc>> {
         let now = Instant::now();
         let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         self.admit(&mut q, now);
@@ -996,13 +961,7 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
                 }
                 let started = cell.mark_started(now, &self.start_seq);
                 if started {
-                    let lane = cell.priority.lane();
-                    self.telemetry.flight().record(
-                        ServiceEventKind::Started,
-                        cell.id,
-                        lane,
-                        id as u64,
-                    );
+                    self.telemetry.flight().record(ServiceEventKind::Started, cell.id, cell.priority.lane(), id as u64);
                 }
                 if i > 0 {
                     // The sweep passed i exhausted-or-dead requests to
@@ -1010,21 +969,13 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
                     // layer's work-conservation steal.
                     self.telemetry.inc(ServiceCounter::Steals);
                 }
-                return Claimed::Cta(Arc::clone(cell), id, started.then_some(now));
+                return Some((Arc::clone(cell), id, started.then_some(now)));
             }
             // Fully claimed but tiles still in flight elsewhere: keep
             // it in the window until it resolves.
             i += 1;
         }
-        // Requests retire at resolution, so `Drained` can be observed
-        // while a straggling CTA of a dead request is still running on
-        // another thread. That thread holds its own `Arc`s, a pool
-        // worker among them is joined by the pool regardless, and
-        // nothing it does from here on is claimable.
-        if !q.accepting && q.pending_len == 0 && q.active.is_empty() {
-            return Claimed::Drained;
-        }
-        Claimed::Idle
+        None
     }
 
     /// Fails every queued and active request — the coordinator's
@@ -1047,131 +998,122 @@ impl<In, Acc: Scalar> ServeShared<In, Acc> {
 }
 
 // ---------------------------------------------------------------------------
-// Worker loop
+// The admission window as a work source
 // ---------------------------------------------------------------------------
 
-/// A consolidation this worker parked, with the request it belongs
-/// to: one worker's list spans every request it has owned a tile of.
-type Parked<In, Acc> = (Arc<RequestCell<In, Acc>>, Deferred<Acc>);
+/// A claimed CTA of a running request, and when it was claimed if that
+/// claim started the request (its queue wait ends there).
+type SweepUnit<In, Acc> = (Arc<RequestCell<In, Acc>>, usize, Option<Instant>);
 
-/// The serve loop, written once over *when may this thread leave*:
-/// resume parked consolidations, claim, execute, and — when the sweep
-/// finds nothing — finish what is parked blocking, or sleep.
-///
-/// A pool worker (`guest` is `None`) leaves when the service has been
-/// told to shut down *and* every request has resolved. A caller inside
-/// [`CompletionHandle::wait`] runs it as a guest of `guest`'s request
-/// and leaves once that request has resolved **and** it holds no
-/// parked consolidation — a guest never walks away with a tile only it
-/// can finish. Nothing else differs: one claiming policy, one
-/// execution path.
-///
-/// Both kinds sleep only when the sweep is idle and they hold nothing
-/// parked, so a sleeping thread never stands between a request and its
-/// completion: a worker on `work_cv` (bounded by [`IDLE_PARK`], which
-/// is what fires time-driven transitions), a guest on its request's
-/// `done_cv` until it resolves — by then the request is in the hands
-/// of threads that are awake, or queued for the pool's workers.
-fn serve_loop<In, Acc>(
+/// The admission window as thread `wid`'s work source: a pool
+/// worker's, or — `guest` set — a caller's inside
+/// [`CompletionHandle::wait`] on that request. Each claimed CTA and
+/// each resumption runs under `catch_unwind` and is then settled
+/// ([`ServeShared::settle`]): a panic or an unmaskable protocol failure
+/// fails *that* request's handle and the thread goes on. A pool worker
+/// leaves once the service is drained; a guest once its request has
+/// resolved and it holds nothing parked, so it never walks away with a
+/// tile only it can finish. An idle worker sleeps on `work_cv` (bounded
+/// by [`IDLE_PARK`], which fires time-driven transitions), a guest on
+/// its request's `done_cv`: by then the request is in the hands of
+/// threads that are awake, or queued for the pool's workers.
+struct Sweep<'a, In, Acc> {
+    shared: &'a ServeShared<In, Acc>,
     wid: usize,
-    shared: &Arc<ServeShared<In, Acc>>,
-    scratch: &mut ScratchStore,
-    guest: Option<&Arc<RequestCell<In, Acc>>>,
-) where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    let mut deferred: Vec<Parked<In, Acc>> = Vec::new();
-    loop {
-        // Opportunistic pass: resume any parked consolidation whose
-        // peers have signaled since, without blocking.
-        advance_deferred(shared, &mut deferred, wid, scratch, false);
-        if deferred.is_empty() && guest.is_some_and(|cell| cell.is_resolved()) {
-            return;
-        }
-        let drained = match shared.claim_next() {
-            Claimed::Cta(cell, id, started) => {
-                execute_claim(shared, &cell, id, started, wid, scratch, &mut deferred);
-                continue;
-            }
-            Claimed::Idle => false,
-            Claimed::Drained => true,
-        };
-        if !deferred.is_empty() {
-            // No claimable work anywhere: every CTA of the parked
-            // requests is claimed and being executed — or, past
-            // `Drained`, the requests are dead — so a bounded blocking
-            // drain cannot deadlock, and the watchdog + recovery bound
-            // it even if a peer's thread died.
-            advance_deferred(shared, &mut deferred, wid, scratch, true);
-            continue;
-        }
-        match guest {
-            // Not resolved a moment ago, and nothing to do for anyone:
-            // sleep until it is. (Past `Drained` too — its finisher
-            // has retired it and is about to resolve it.)
-            Some(cell) => drop(cell.resolved_slot()),
-            None if drained => return,
-            None => {
-                let q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                drop(
-                    shared
-                        .work_cv
-                        .wait_timeout(q, IDLE_PARK)
-                        .unwrap_or_else(PoisonError::into_inner),
-                );
-            }
-        }
-    }
+    guest: Option<&'a RequestCell<In, Acc>>,
 }
 
-/// Executes one claimed CTA — the engine's body — under panic
-/// isolation: a panic (injected or real) fails only this request's
-/// handle, and the worker — or the waiting caller: ids from
-/// `shared.executor.threads()` up are guests — returns to the sweep. A
-/// claim that `started` the request records its queue wait first.
-fn execute_claim<In, Acc>(
-    shared: &Arc<ServeShared<In, Acc>>,
-    cell: &Arc<RequestCell<In, Acc>>,
-    id: usize,
-    started: Option<Instant>,
-    wid: usize,
-    scratch: &mut ScratchStore,
-    deferred: &mut Vec<Parked<In, Acc>>,
-) where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(cell.tile_len));
-    ws.ensure_tile_len(cell.tile_len);
-    // Counted before the body runs: every peer's claim happens-before
-    // the signals the owner consumes, and the request completes only
-    // after the owner's body, so counting at claim time is the only
-    // order under which the completion-time stats snapshot cannot miss
-    // a straggling increment.
-    cell.ctas_run.fetch_add(1, Ordering::Relaxed);
-    shared.telemetry.inc(ServiceCounter::Ctas);
-    if wid >= shared.executor.threads() {
-        shared.telemetry.inc(ServiceCounter::GuestCtas);
+impl<In: Promote<Acc>, Acc: Scalar> WorkSource<In, Acc> for Sweep<'_, In, Acc> {
+    type Handle = Arc<RequestCell<In, Acc>>;
+    type Unit = SweepUnit<In, Acc>;
+
+    fn claim(&self) -> Option<Self::Unit> {
+        self.shared.claim_next()
     }
-    let rec = cell.launch.recorder(wid);
-    if let Some(started) = started {
-        // Queue wait is a first-class phase: submission → first claim,
-        // one span per request.
-        rec.record(SpanKind::QueueWait, cell.submitted_at, started, cell.priority.lane() as u32, cell.id as u32);
-    }
-    let t0 = rec.start();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if cell.panic_at_cta == Some(id) {
-            panic!("injected serve fault: panic in CTA {id} of request {}", cell.id);
+
+    fn run(
+        &self,
+        (cell, id, started): Self::Unit,
+        ws: &mut Workspace<In, Acc>,
+        parked: &mut Vec<(Self::Handle, Deferred<Acc>)>,
+    ) -> Result<(), ExecutorError> {
+        // Sized per claim: requests differ in tile shape.
+        ws.ensure_tile_len(cell.tile_len);
+        // Counted before the body runs: every peer's claim happens-before
+        // the signals the owner consumes, and the request completes only
+        // after the owner's body, so counting at claim time is the only
+        // order under which the completion-time stats snapshot cannot
+        // miss a straggling increment.
+        cell.ctas_run.fetch_add(1, Ordering::Relaxed);
+        self.shared.telemetry.inc(ServiceCounter::Ctas);
+        if self.guest.is_some() {
+            self.shared.telemetry.inc(ServiceCounter::GuestCtas);
         }
-        cell.with_worker(wid, &rec, |worker| worker.run_cta(id, ws, |d| deferred.push((Arc::clone(cell), d))))
-    }));
-    rec.finish(SpanKind::Cta, t0, id as u32, wid as u32);
-    // The ring goes back before settling, so a drain at resolution
-    // holds this CTA's spans.
-    drop(rec);
-    shared.settle(cell, outcome);
+        let rec = cell.launch.recorder(self.wid);
+        if let Some(started) = started {
+            // Queue wait is a first-class phase: submission → first
+            // claim, one span per request.
+            rec.record(SpanKind::QueueWait, cell.submitted_at, started, cell.priority.lane() as u32, cell.id as u32);
+        }
+        let t0 = rec.start();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if cell.panic_at_cta == Some(id) {
+                panic!("injected serve fault: panic in CTA {id} of request {}", cell.id);
+            }
+            let unit = &cell.decomp.ctas()[id];
+            cell.with_worker(self.wid, &rec, |worker| worker.run_unit(unit, ws, |d| parked.push((Arc::clone(&cell), d))))
+        }));
+        rec.finish(SpanKind::Cta, t0, id as u32, self.wid as u32);
+        // The ring goes back before settling, so a drain at resolution
+        // holds this CTA's spans.
+        drop(rec);
+        self.shared.settle(&cell, outcome);
+        Ok(())
+    }
+
+    /// Settles the request once the consolidation is no longer parked.
+    fn resume(
+        &self,
+        cell: &Self::Handle,
+        d: &mut Deferred<Acc>,
+        ws: &mut Workspace<In, Acc>,
+        block: bool,
+    ) -> Result<Progress, ExecutorError> {
+        ws.ensure_tile_len(cell.tile_len);
+        let rec = cell.launch.recorder(self.wid);
+        let outcome = catch_unwind(AssertUnwindSafe(|| cell.with_worker(self.wid, &rec, |w| w.resume(d, ws, block))));
+        drop(rec);
+        if matches!(outcome, Ok(Ok(Progress::Parked))) {
+            return Ok(Progress::Parked);
+        }
+        self.shared.settle(cell, outcome.map(|r| r.map(|progress| usize::from(progress == Progress::Done))));
+        Ok(Progress::Done)
+    }
+
+    fn done(&self) -> bool {
+        self.guest.is_some_and(RequestCell::is_resolved)
+    }
+
+    fn idle(&self) -> bool {
+        let Some(cell) = self.guest else {
+            let q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            // Drained: told to shut down, and every request resolved.
+            // Requests retire at resolution, so this can be observed
+            // while a straggling CTA of a dead request still runs on
+            // another thread; that thread holds its own `Arc`s, the pool
+            // joins it regardless, and nothing it does is claimable.
+            if !q.accepting && q.pending_len == 0 && q.active.is_empty() {
+                return false;
+            }
+            drop(self.shared.work_cv.wait_timeout(q, IDLE_PARK).unwrap_or_else(PoisonError::into_inner));
+            return true;
+        };
+        // Not resolved a moment ago, and nothing to do for anyone: sleep
+        // until it is. (Even once drained: its finisher has retired it
+        // and is about to resolve it.)
+        drop(cell.resolved_slot());
+        true
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1181,39 +1123,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "worker panicked".to_string()
-    }
-}
-
-/// Advances every parked consolidation this worker holds, each under
-/// the same isolation as a claimed CTA; entries that finished, failed
-/// or belong to a dead request leave the list.
-fn advance_deferred<In, Acc>(
-    shared: &Arc<ServeShared<In, Acc>>,
-    deferred: &mut Vec<Parked<In, Acc>>,
-    wid: usize,
-    scratch: &mut ScratchStore,
-    block: bool,
-) where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    let mut i = 0;
-    while i < deferred.len() {
-        let (cell, d) = &mut deferred[i];
-        let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(cell.tile_len));
-        ws.ensure_tile_len(cell.tile_len);
-        let rec = cell.launch.recorder(wid);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            cell.with_worker(wid, &rec, |worker| worker.resume(d, &mut *ws, block))
-        }));
-        drop(rec);
-        if matches!(outcome, Ok(Ok(Progress::Parked))) {
-            i += 1;
-            continue;
-        }
-        let (cell, d) = deferred.swap_remove(i);
-        ws.recycle_partial(d.accum);
-        shared.settle(&cell, outcome.map(|r| r.map(|progress| usize::from(progress == Progress::Done))));
     }
 }
 
@@ -1266,7 +1175,7 @@ where
         let shared_for_pool = Arc::clone(&shared);
         let coordinator = std::thread::spawn(move || {
             let job = |wid: usize, scratch: &mut ScratchStore| {
-                serve_loop::<In, Acc>(wid, &shared_for_pool, scratch, None);
+                let _ = engine::work(&Sweep { shared: &shared_for_pool, wid, guest: None }, scratch);
             };
             // This thread launches, so it serves as worker 0 until the
             // service drains. Per-CTA catch_unwind means no panic
