@@ -607,7 +607,8 @@ impl<In, Acc: Scalar> CompletionHandle<In, Acc> {
     /// cancellation, `false` if the request already reached a
     /// terminal state.
     pub fn cancel(&self) -> bool {
-        let won = self.cell.transition(QUEUED, CANCELLED) || self.cell.transition(RUNNING, CANCELLED);
+        let won =
+            self.cell.transition(QUEUED, CANCELLED) || self.cell.transition(RUNNING, CANCELLED);
         if won {
             self.shared.resolve(&self.cell, CANCELLED, Err(ServeError::Cancelled));
         }
