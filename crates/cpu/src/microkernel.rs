@@ -395,10 +395,13 @@ pub fn mac_loop_cached<In, Acc, const MR_: usize, const NR_: usize>(
         );
     }
 
-    // q-outer / p-inner: the B sub-panel (the operand every k-step
-    // loads a fresh vector from) stays hot in L1 across the whole
-    // column of register blocks; only the narrower A sub-panels
-    // stream. Block order does not affect results — each output
+    // q-outer / p-inner: the column of register blocks re-reads one B
+    // sub-panel (the operand every k-step loads a fresh row from)
+    // while only the narrower A sub-panels stream. At `CHUNK_K = 1024`
+    // that sub-panel is 128 KiB of f32 against a 48 KiB L1d, so it is
+    // re-read from L2, not L1 (DESIGN.md §9); the vector block
+    // prefetches each of its rows `PF` k-steps ahead of the k-step
+    // that loads it. Block order does not affect results — each output
     // element's k-accumulation happens inside a single block call —
     // and it is the order a blank window's first pass fills it in.
     for q in 0..n_extent.div_ceil(NR_) {

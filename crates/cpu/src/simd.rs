@@ -64,6 +64,8 @@ use std::any::TypeId;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 
+#[cfg(target_arch = "x86_64")]
+use streamk_matrix::LINE;
 use streamk_matrix::{Promote, Scalar};
 
 use crate::output::Fill;
@@ -422,6 +424,16 @@ where
     Err(c)
 }
 
+/// How far ahead, in k-steps, a vector block prefetches B's row
+/// (DESIGN.md §9, "Prefetching the streamed operand"). A B read in
+/// place starts every k-step a row of its view further on — up to
+/// 2 KiB, where a packed panel moves 128 B — and the hardware
+/// prefetcher does not stay ahead of that. 16 k-steps is 2 KiB ahead on
+/// a packed panel and 28 KiB at a 1,792 B stride. Fixed by a sweep over
+/// 8–32 (EXPERIMENTS.md); not a setting.
+#[cfg(target_arch = "x86_64")]
+const PF: usize = 16;
+
 /// Expands to one `#[target_feature]` block kernel: `MR` rows by
 /// `NVEC` vector registers of output, accumulators held in registers
 /// across the whole k-loop — started at zero or loaded from `c`, and
@@ -431,7 +443,9 @@ where
 /// scalar `mac` performs — and `α` is one multiply per element, the
 /// single rounding of the epilogue's `α·acc`. Operands are addressed by
 /// their strides; the walk over a packed panel is this walk with
-/// strides `(1, MR)` / `NR`.
+/// strides `(1, MR)` / `NR`. Each k-step also prefetches the lines of
+/// B's row `PF` k-steps on — a hint, never a read, so the arithmetic
+/// and every result bit are what they were without it.
 #[cfg(target_arch = "x86_64")]
 macro_rules! simd_block_kernel {
     ($name:ident, $feature:literal, $elem:ty, $lanes:expr,
@@ -472,12 +486,24 @@ macro_rules! simd_block_kernel {
             // three strides are the constants `(1, MR, NR)`, which the
             // narrow blocks need folded into their addressing (4×16
             // ran a tenth slower on runtime strides); anything else
-            // walks the strides it was given.
+            // walks the strides it was given. Both prefetch B's row
+            // `PF` k-steps ahead, one hint per line of it.
+            //
+            // SAFETY (the prefetch): in the block's last `PF` k-steps
+            // that address lies past `b`, which the bounds above do not
+            // cover. It is formed with `wrapping_add`, because an `add`
+            // past the allocation is undefined, and only prefetched: a
+            // prefetch never faults and loads nothing into a register.
+            let b_lines = (nr * std::mem::size_of::<$elem>()).div_ceil(LINE);
             macro_rules! walk {
                 ($a_ls:expr, $a_ks:expr, $b_ks:expr) => {
                     for k in 0..kc {
                         let acol = ap.add(k * $a_ks);
                         let brow = bp.add(k * $b_ks);
+                        let ahead = brow.wrapping_add(PF.wrapping_mul($b_ks)).cast::<i8>();
+                        for line in 0..b_lines {
+                            _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(line * LINE));
+                        }
                         let mut bv = [$setzero(); NVEC];
                         for (v, reg) in bv.iter_mut().enumerate() {
                             *reg = $loadu(brow.add(v * $lanes));
@@ -725,16 +751,9 @@ mod tests {
         assert_eq!(told_apart, [true; 2], "this data cannot tell a fused MAC from an unfused one (f64, f32)");
     }
 
-    #[test]
-    fn every_block_shape_matches_scalar_at_every_level_and_stride() {
-        // Exercise every level the host supports (an AVX-512 host can
-        // and should also run the AVX2 kernels: AVX-512F implies FMA3).
-        // Every operand slice ends at the last element the block may
-        // read, so a kernel that reads one lane further fails its own
-        // bounds assert. The expected bits come from `oracle_block`,
-        // which never calls `Scalar::mac`: the portable block (all
-        // Miri runs) and every vector block must *be* the `mul_add`
-        // chain, on data where the `c + a * b` chain is not.
+    /// Every level the host supports: an AVX-512 host can and should
+    /// also run the AVX2 kernels (AVX-512F implies FMA3).
+    fn host_levels() -> Vec<SimdLevel> {
         let host = SimdLevel::detect();
         let mut levels = vec![SimdLevel::None];
         if matches!(host, SimdLevel::Avx2 | SimdLevel::Avx512) {
@@ -743,7 +762,18 @@ mod tests {
         if host == SimdLevel::Avx512 {
             levels.push(SimdLevel::Avx512);
         }
-        for level in levels {
+        levels
+    }
+
+    #[test]
+    fn every_block_shape_matches_scalar_at_every_level_and_stride() {
+        // Every operand slice ends at the last element the block may
+        // read, so a kernel that reads one lane further fails its own
+        // bounds assert. The expected bits come from `oracle_block`,
+        // which never calls `Scalar::mac`: the portable block (all
+        // Miri runs) and every vector block must *be* the `mul_add`
+        // chain, on data where the `c + a * b` chain is not.
+        for level in host_levels() {
             check_level::<4, 4>(level);
             check_level::<8, 4>(level);
             check_level::<4, 8>(level);
@@ -789,6 +819,46 @@ mod tests {
         let c = AccBlock::over(&mut c, MR_, NR_, c_stride);
         let refused = std::panic::catch_unwind(|| assert_block_bounds(&huge, &b, kc, MR_, NR_, &c));
         assert!(refused.is_err(), "wrapping offsets must not pass");
+    }
+
+    /// The vector blocks prefetch B's row `PF` k-steps ahead, so the
+    /// last `PF` k-steps of every block name rows past the end of B's
+    /// slice. A prefetch is a hint, not a load: on slices cut to the
+    /// last element the block reads, blocks shorter than, as long as
+    /// and longer than `PF` pass their bounds assert and equal the
+    /// `mul_add` chain at every level — over a packed B and a B read in
+    /// place at 256 B, 1 KiB and 2 KiB k-strides (from `direct-deepk`'s
+    /// narrowest B to `IN_PLACE_K_STRIDE`), beside a packed and an
+    /// in-place row-major A.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn a_prefetch_past_the_end_of_b_stays_in_bounds() {
+        fn at<T, const MR_: usize, const NR_: usize>(level: SimdLevel, kc: usize, b_bytes: usize, a_rows: bool)
+        where
+            T: Chain + Promote<T> + Scalar,
+        {
+            let b_ks = if b_bytes == 0 { NR_ } else { b_bytes / std::mem::size_of::<T>() };
+            let (a_ls, a_ks) = if a_rows { (kc + 3, 1) } else { (1, MR_) };
+            let a: Vec<T> = operand(MR_, a_ls, kc, a_ks, kc as u64).into_iter().map(T::from_f64).collect();
+            let b: Vec<T> = operand(NR_, 1, kc, b_ks, b_bytes as u64).into_iter().map(T::from_f64).collect();
+            let c: Vec<T> = values(MR_ * NR_, 5).into_iter().map(T::from_f64).collect();
+            let what = format!("{level} {MR_}x{NR_} kc={kc} a=({a_ls},{a_ks}) b={b_ks}");
+            let (a, b) = (
+                Strided { data: &a[..], lane_stride: a_ls, k_stride: a_ks },
+                Strided { data: &b[..], lane_stride: 1, k_stride: b_ks },
+            );
+            check_block::<T, MR_, NR_>(level, a, b, kc, &c, NR_, &what);
+        }
+        for level in host_levels() {
+            for kc in [1, PF - 1, PF, PF + 1, 3 * PF + 5] {
+                for b_bytes in [0, 256, 1024, 2048] {
+                    for a_rows in [false, true] {
+                        at::<f32, 8, 32>(level, kc, b_bytes, a_rows);
+                        at::<f64, 8, 16>(level, kc, b_bytes, a_rows);
+                    }
+                }
+            }
+        }
     }
 
     /// Only the register block's own shapes have a vector kernel:
