@@ -9,11 +9,16 @@
 //! This module provides three orders — row-major (the default
 //! m→n→k linearization), a CUTLASS-style column-grouped swizzle, and
 //! Morton (Z-curve) — plus the *wave footprint* metric that
-//! quantifies their cache friendliness. Orders plug into
-//! [`IterSpace`](crate::IterSpace) via
-//! [`Decomposition::with_tile_order`](crate::Decomposition::with_tile_order):
-//! the schedule keeps its iteration ranges, and only the mapping from
-//! schedule-tile to output-tile coordinates changes.
+//! quantifies their cache friendliness. An order plugs into
+//! [`IterSpace`](crate::IterSpace) in one of two ways: a caller pins
+//! one with
+//! [`Decomposition::with_tile_order`](crate::Decomposition::with_tile_order),
+//! or leaves it open and the launch picks [`TileOrder::band`] — column
+//! groups when only the operand whose panels run along C's tile
+//! columns is packed and no tile is split, row-major otherwise
+//! ([`IterSpace::launch_order`](crate::IterSpace::launch_order)). Either
+//! way the schedule keeps its iteration ranges, and only the mapping
+//! from schedule-tile to output-tile coordinates changes.
 
 use std::sync::Arc;
 
@@ -34,6 +39,61 @@ pub enum TileOrder {
     /// coordinates, giving quadrant-recursive locality in both
     /// operands.
     Morton,
+}
+
+/// The width, in tile columns, of the groups [`TileOrder::band`] walks:
+/// two packed panels of the operand plus the row panel they meet stay
+/// in a core's L2 at the benchmark's 1024³ and 2048³ f32 launches
+/// (EXPERIMENTS.md, "Bands along the packed operand").
+pub const BAND_GROUP: usize = 2;
+
+impl TileOrder {
+    /// The order a launch walks an unsplit grid in when the caller left
+    /// the order open: the one whose contiguous runs stay within few
+    /// panels of the operand that is packed.
+    ///
+    /// Every worker claims a contiguous run of schedule tiles and packs
+    /// into its own shard, so the order decides how many packed panels
+    /// a worker touches. Panels that run along C's tile rows (A's) are
+    /// banded by row-major; panels that run along C's tile columns
+    /// (B's) need column groups of [`BAND_GROUP`], each walked
+    /// row-major, so that a run of `⌈t / W⌉` tiles touches at most
+    /// `⌈groups / W⌉ + 1` groups. With both packed, or neither, no
+    /// order saves a pack and row-major stays.
+    #[must_use]
+    pub fn band(rows_pack: bool, columns_pack: bool) -> Self {
+        if columns_pack && !rows_pack {
+            TileOrder::ColumnGrouped(BAND_GROUP)
+        } else {
+            TileOrder::RowMajor
+        }
+    }
+
+    /// Coordinates `(tile_m, tile_n)` of schedule tile `s` over a
+    /// `tiles_m × tiles_n` grid, in closed form — `None` for Morton,
+    /// whose walk is a sorted table ([`tile_permutation`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero group width.
+    #[inline]
+    #[must_use]
+    pub fn coords(self, s: usize, tiles_m: usize, tiles_n: usize) -> Option<(usize, usize)> {
+        match self {
+            TileOrder::RowMajor => Some((s / tiles_n, s % tiles_n)),
+            TileOrder::ColumnGrouped(group) => {
+                assert!(group > 0, "group width must be at least 1");
+                // Every group but the last is `group` columns wide, so
+                // the group of `s` is a division; the last one may be
+                // narrower.
+                let first_col = s / (tiles_m * group) * group;
+                let width = group.min(tiles_n - first_col);
+                let within = s - first_col * tiles_m;
+                Some((within / width, first_col + within % width))
+            }
+            TileOrder::Morton => None,
+        }
+    }
 }
 
 /// Interleaves the low 32 bits of `x` (even positions) and `y` (odd
@@ -61,37 +121,17 @@ pub fn morton_code(x: u32, y: u32) -> u64 {
 #[must_use]
 pub fn tile_permutation(order: TileOrder, tiles_m: usize, tiles_n: usize) -> Vec<(usize, usize)> {
     assert!(tiles_m > 0 && tiles_n > 0, "empty tile grid");
-    match order {
-        TileOrder::RowMajor => {
-            (0..tiles_m * tiles_n).map(|s| (s / tiles_n, s % tiles_n)).collect()
-        }
-        TileOrder::ColumnGrouped(group) => {
-            assert!(group > 0, "group width must be at least 1");
-            let mut out = Vec::with_capacity(tiles_m * tiles_n);
-            let mut g0 = 0;
-            while g0 < tiles_n {
-                let g1 = (g0 + group).min(tiles_n);
-                for tm in 0..tiles_m {
-                    for tn in g0..g1 {
-                        out.push((tm, tn));
-                    }
-                }
-                g0 = g1;
-            }
-            out
-        }
-        TileOrder::Morton => {
-            let mut coords: Vec<(usize, usize)> = (0..tiles_m)
-                .flat_map(|tm| (0..tiles_n).map(move |tn| (tm, tn)))
-                .collect();
-            coords.sort_by_key(|&(tm, tn)| morton_code(tm as u32, tn as u32));
-            coords
-        }
+    if order == TileOrder::Morton {
+        let mut coords: Vec<(usize, usize)> =
+            (0..tiles_m).flat_map(|tm| (0..tiles_n).map(move |tn| (tm, tn))).collect();
+        coords.sort_by_key(|&(tm, tn)| morton_code(tm as u32, tn as u32));
+        return coords;
     }
+    (0..tiles_m * tiles_n).map(|s| order.coords(s, tiles_m, tiles_n).expect("a closed-form order")).collect()
 }
 
 /// [`tile_permutation`] shared behind an `Arc` (the form `IterSpace`
-/// stores).
+/// stores for Morton, the one order without closed-form coordinates).
 #[must_use]
 pub fn shared_permutation(order: TileOrder, tiles_m: usize, tiles_n: usize) -> Arc<[(usize, usize)]> {
     tile_permutation(order, tiles_m, tiles_n).into()
@@ -147,6 +187,77 @@ mod tests {
             seen[i] = true;
         }
         seen.iter().all(|&s| s)
+    }
+
+    /// The column-grouped walk by its definition: groups of `group`
+    /// columns left to right (the last one narrower), row-major inside.
+    fn walk_column_groups(group: usize, tiles_m: usize, tiles_n: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for g0 in (0..tiles_n).step_by(group) {
+            for tm in 0..tiles_m {
+                out.extend((g0..(g0 + group).min(tiles_n)).map(|tn| (tm, tn)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn closed_form_column_groups_are_the_walk() {
+        for (tm, tn) in [(1, 1), (4, 4), (7, 3), (3, 13), (16, 16), (5, 1), (1, 9), (11, 37)] {
+            for group in 1..=tn + 1 {
+                let closed = tile_permutation(TileOrder::ColumnGrouped(group), tm, tn);
+                assert_eq!(closed, walk_column_groups(group, tm, tn), "group {group} over {tm}x{tn}");
+            }
+        }
+        assert_eq!(TileOrder::Morton.coords(0, 2, 2), None);
+    }
+
+    #[test]
+    fn the_band_rule_follows_the_packed_panels() {
+        assert_eq!(TileOrder::band(false, true), TileOrder::ColumnGrouped(BAND_GROUP));
+        for (rows_pack, columns_pack) in [(false, false), (true, false), (true, true)] {
+            assert_eq!(TileOrder::band(rows_pack, columns_pack), TileOrder::RowMajor, "{rows_pack} {columns_pack}");
+        }
+    }
+
+    /// Distinct tile columns — packed column panels — in each worker's
+    /// contiguous share of `perm`.
+    fn columns_per_share(perm: &[(usize, usize)], workers: usize) -> Vec<usize> {
+        (0..workers)
+            .map(|w| {
+                let mut cols: Vec<usize> =
+                    perm[crate::contiguous_range(perm.len(), workers, w)].iter().map(|&(_, tn)| tn).collect();
+                cols.sort_unstable();
+                cols.dedup();
+                cols.len()
+            })
+            .collect()
+    }
+
+    /// A worker's share of a one-tile-per-CTA grid in the band order
+    /// covers at most `⌈groups / W⌉ + 1` column groups, so about
+    /// `1/W` of the packed panels, where row-major hands every worker
+    /// every column. A share boundary can fall inside a group, hence
+    /// the `+ 1` group (at most [`BAND_GROUP`] panels).
+    #[test]
+    fn each_share_of_the_band_order_packs_its_own_band() {
+        let band = TileOrder::band(false, true);
+        for tm in 1..20 {
+            for tn in 1..40 {
+                let perm = tile_permutation(band, tm, tn);
+                let groups = tn.div_ceil(BAND_GROUP);
+                for workers in 1..9 {
+                    for (w, cols) in columns_per_share(&perm, workers).into_iter().enumerate() {
+                        let bound = BAND_GROUP * (groups.div_ceil(workers) + 1);
+                        assert!(cols <= bound.min(tn), "{tm}x{tn} W={workers}: worker {w} covers {cols} > {bound}");
+                    }
+                }
+            }
+        }
+        // The benchmark's 1024³ grid at 64×64 tiles, two workers: 8
+        // panels each, against all 16 under row-major.
+        assert_eq!(columns_per_share(&tile_permutation(band, 16, 16), 2), [8, 8]);
+        assert_eq!(columns_per_share(&tile_permutation(TileOrder::RowMajor, 16, 16), 2), [16, 16]);
     }
 
     #[test]

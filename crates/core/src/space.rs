@@ -28,8 +28,12 @@ pub struct IterSpace {
     tiles_n: usize,
     iters_per_tile: usize,
     order: TileOrder,
-    /// Schedule-tile → output-tile coordinates, present for non
-    /// row-major orders (shared so clones stay cheap).
+    /// The caller chose `order` ([`with_order`](Self::with_order));
+    /// otherwise a launch may pick one ([`launch_order`](Self::launch_order)).
+    pinned: bool,
+    /// Schedule-tile → output-tile coordinates, present for the one
+    /// order without closed-form coordinates, Morton (shared so clones
+    /// stay cheap).
     perm: Option<Arc<[(usize, usize)]>>,
     /// This is the transpose of the space `order` and `perm` were
     /// built for: schedule tile `s` lands on the swap of that space's
@@ -39,25 +43,29 @@ pub struct IterSpace {
 
 impl IterSpace {
     /// Builds the iteration space for `shape` blocked by `tile`, in
-    /// the default row-major tile order.
+    /// the default row-major tile order, which a launch may relabel
+    /// ([`launch_order`](Self::launch_order)).
     #[must_use]
     pub fn new(shape: GemmShape, tile: TileShape) -> Self {
-        Self::with_order(shape, tile, TileOrder::RowMajor)
+        Self { pinned: false, ..Self::with_order(shape, tile, TileOrder::RowMajor) }
     }
 
     /// Builds the iteration space with a cache-aware tile traversal
     /// order (§7 future work): schedule tile `s` maps to the `s`-th
     /// coordinate of the order's permutation. Iteration ranges,
     /// ownership and fixup structure are all unaffected — only the
-    /// output coordinates a schedule tile lands on change.
+    /// output coordinates a schedule tile lands on change. The order is
+    /// pinned: a launch walks it as given, row-major included.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero group width.
     #[must_use]
     pub fn with_order(shape: GemmShape, tile: TileShape, order: TileOrder) -> Self {
+        assert!(order != TileOrder::ColumnGrouped(0), "group width must be at least 1");
         let tiles_m = tile.tiles_m(shape);
         let tiles_n = tile.tiles_n(shape);
-        let perm = match order {
-            TileOrder::RowMajor => None,
-            other => Some(shared_permutation(other, tiles_m, tiles_n)),
-        };
+        let perm = (order == TileOrder::Morton).then(|| shared_permutation(order, tiles_m, tiles_n));
         Self {
             shape,
             tile,
@@ -65,9 +73,30 @@ impl IterSpace {
             tiles_n,
             iters_per_tile: tile.iters_per_tile(shape),
             order,
+            pinned: true,
             perm,
             transposed: false,
         }
+    }
+
+    /// The space a launch of this one walks. A pinned order is kept, and
+    /// so is the order of a grid that splits a tile (`splits_a_tile`):
+    /// relabelling its tiles would move its seams. Otherwise the same
+    /// tiles in [`TileOrder::band`]`(rows_pack, columns_pack)`, where
+    /// `rows_pack` and `columns_pack` say whether the operand whose
+    /// panels run along C's tile rows, and the one whose panels run
+    /// along its columns, is packed — C being the grid the order walks,
+    /// so a launch asks before it [transposes](Self::transposed). Each
+    /// tile keeps its k-ranges and its one CTA, so the output keeps its
+    /// bits. Allocates nothing: the band orders have closed-form
+    /// coordinates.
+    #[must_use]
+    pub fn launch_order(&self, rows_pack: bool, columns_pack: bool, splits_a_tile: bool) -> Self {
+        let order = TileOrder::band(rows_pack, columns_pack);
+        if self.pinned || splits_a_tile || order == self.order {
+            return self.clone();
+        }
+        Self { order, perm: None, ..self.clone() }
     }
 
     /// The space of the transposed product `Cᵀ = Bᵀ·Aᵀ`: shape
@@ -88,6 +117,7 @@ impl IterSpace {
             tiles_n: self.tiles_m,
             iters_per_tile: self.iters_per_tile,
             order: self.order,
+            pinned: self.pinned,
             perm: self.perm.clone(),
             transposed: !self.transposed,
         }
@@ -172,9 +202,9 @@ impl IterSpace {
     pub fn tile_coords(&self, tile_idx: usize) -> (usize, usize) {
         assert!(tile_idx < self.tiles(), "tile {tile_idx} out of range");
         // The order walks the untransposed grid.
-        let across = if self.transposed { self.tiles_m } else { self.tiles_n };
+        let (down, across) = if self.transposed { (self.tiles_n, self.tiles_m) } else { (self.tiles_m, self.tiles_n) };
         let (tm, tn) = match &self.perm {
-            None => (tile_idx / across, tile_idx % across),
+            None => self.order.coords(tile_idx, down, across).expect("an order without a table is closed-form"),
             Some(perm) => perm[tile_idx],
         };
         if self.transposed { (tn, tm) } else { (tm, tn) }
@@ -191,7 +221,7 @@ impl IterSpace {
     #[inline]
     #[must_use]
     pub fn tile_index(&self, tile_m: usize, tile_n: usize) -> usize {
-        assert!(self.perm.is_none(), "tile_index requires the row-major order");
+        assert!(self.order == TileOrder::RowMajor, "tile_index requires the row-major order");
         assert!(tile_m < self.tiles_m && tile_n < self.tiles_n, "tile coords ({tile_m},{tile_n}) out of range");
         if self.transposed { tile_n * self.tiles_m + tile_m } else { tile_m * self.tiles_n + tile_n }
     }
@@ -347,17 +377,43 @@ mod tests {
         }
     }
 
-    /// `transposed()` shares the permutation of a non-row-major order
-    /// instead of building one: no allocation.
+    /// `transposed()` shares Morton's permutation instead of building
+    /// one, and the closed-form orders have none to share: no
+    /// allocation either way.
     #[test]
     fn transposing_shares_the_permutation() {
         for order in orders().filter(|&o| o != TileOrder::RowMajor) {
             let s = IterSpace::with_order(GemmShape::new(40, 72, 8), TileShape::new(8, 16, 4), order);
             let t = s.transposed();
-            let (Some(a), Some(b)) = (&s.perm, &t.perm) else { panic!("{order:?} keeps a permutation") };
-            assert!(Arc::ptr_eq(a, b), "{order:?}");
+            match (&s.perm, &t.perm) {
+                (Some(a), Some(b)) => assert!(order == TileOrder::Morton && Arc::ptr_eq(a, b), "{order:?}"),
+                (None, None) => assert!(order != TileOrder::Morton),
+                _ => panic!("{order:?}: transposing changed the table"),
+            }
         }
         assert!(space().transposed().perm.is_none());
+    }
+
+    /// The launch's relabelling: column groups only for an open order
+    /// over an unsplit grid whose column panels alone pack, built
+    /// without a table; every other case keeps the space as it is.
+    #[test]
+    fn a_launch_bands_only_an_open_unsplit_grid() {
+        let (shape, tile) = (GemmShape::new(1024, 1024, 1024), TileShape::new(64, 64, 16));
+        let open = IterSpace::new(shape, tile);
+        let banded = open.launch_order(false, true, false);
+        assert_eq!(banded.order(), TileOrder::ColumnGrouped(crate::order::BAND_GROUP));
+        assert!(banded.perm.is_none());
+        assert_eq!((banded.tiles(), banded.iters_per_tile()), (open.tiles(), open.iters_per_tile()));
+        let kept = [(false, true, true), (true, true, false), (false, false, false), (true, false, false)];
+        for (rows_pack, columns_pack, splits) in kept {
+            assert_eq!(open.launch_order(rows_pack, columns_pack, splits), open, "{rows_pack} {columns_pack} {splits}");
+        }
+        for order in orders() {
+            let pinned = IterSpace::with_order(shape, tile, order);
+            assert_eq!(pinned.launch_order(false, true, false), pinned, "{order:?} is pinned");
+        }
+        assert_eq!(open.transposed().launch_order(false, true, false).order(), banded.order());
     }
 
     #[test]

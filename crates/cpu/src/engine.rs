@@ -70,7 +70,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::fixup::{FixupBoard, TryTake, WaitPolicy};
 use crate::microkernel::{KernelKind, PackBuffers};
 use crate::output::{OwnedTileWriter, TileWriter};
-use crate::packcache::{mac_loop_instance_cached, mac_loop_window, transpose_pays, PackCache};
+use crate::packcache::{mac_loop_instance_cached, mac_loop_window, operands_pack, transpose_pays, PackCache};
 use crate::pool::ScratchStore;
 use crate::sched::CtaScheduler;
 use crate::trace::{Recorder, SpanKind, WorkerRings};
@@ -113,17 +113,37 @@ impl Orientation {
     /// `space` under `kernel`, with the layout and the tiling the
     /// output is then stored by: C's own, or `Cᵀ`'s — `c.flipped()`
     /// over the same storage, tiled by `space.transposed()`.
+    ///
+    /// The tiling also fixes the order the launch walks C's tiles in
+    /// (DESIGN.md §9, "Bands along the packed operand"): unless the
+    /// caller pinned one or the grid splits a tile (`splits_a_tile`),
+    /// [`IterSpace::launch_order`] bands it along whichever of C's
+    /// axes the panels the launch packs run along.
     pub(crate) fn choose<In: Copy>(
         kernel: KernelKind,
         a: &MatrixView<'_, In>,
         b: &MatrixView<'_, In>,
         c: Layout,
         space: &IterSpace,
+        splits_a_tile: bool,
     ) -> (Self, Layout, IterSpace) {
-        if transpose_pays(kernel.panel_geometry::<In>(), a, b, c) {
-            (Self { transposed: true }, c.flipped(), space.transposed())
+        let block = kernel.panel_geometry::<In>();
+        let transposed = transpose_pays(block, a, b, c);
+        // A's panels run along C's tile rows and B's along its columns,
+        // as called; run transposed, the left operand is `op(B)ᵀ`.
+        let (rows_pack, columns_pack) = match (block, transposed) {
+            (None, _) => (false, false),
+            (Some(_), false) => operands_pack(a, b),
+            (Some(_), true) => {
+                let (left_packs, right_packs) = operands_pack(&b.t(), &a.t());
+                (right_packs, left_packs)
+            }
+        };
+        let space = space.launch_order(rows_pack, columns_pack, splits_a_tile);
+        if transposed {
+            (Self { transposed }, c.flipped(), space.transposed())
         } else {
-            (Self::default(), c, space.clone())
+            (Self::default(), c, space)
         }
     }
 
@@ -136,6 +156,12 @@ impl Orientation {
         let (rows, cols, layout) = (c.cols(), c.rows(), c.layout().flipped());
         Matrix::from_storage(rows, cols, layout, c.into_storage())
     }
+}
+
+/// Whether a grid consolidated as `fixups` splits any tile between CTAs
+/// — what keeps [`Orientation::choose`] from relabelling its tiles.
+pub(crate) fn splits_a_tile(fixups: &[TileFixup]) -> bool {
+    fixups.iter().any(|fixup| !fixup.is_data_parallel())
 }
 
 /// One problem of a launch: its operands, its output, and where its
@@ -998,5 +1024,40 @@ mod tests {
                 assert_eq!(key(&events), key(&calm_events), "{transposed:?} under {plan:?}");
             }
         }
+    }
+
+    /// The launch's tile order on the benchmark's shapes. `direct-square`
+    /// packs B as called and walks column groups. `direct-f64-tt` runs
+    /// transposed and packs its right operand `Aᵀ`, whose panels run
+    /// along C's tile rows: it keeps the caller's row-major walk, which
+    /// is `Cᵀ`'s column walk. A split grid, a pinned order, the scalar
+    /// kernel and operands read in place stay row-major.
+    #[test]
+    fn the_band_rule_on_the_benchmark_shapes() {
+        use streamk_core::order::BAND_GROUP;
+        use streamk_core::TileOrder;
+        let tile = TileShape::new(64, 64, 16);
+        let block = KernelKind::default();
+        let choose = |kernel, a: &MatrixView<'_, f32>, b: &MatrixView<'_, f32>, space: &IterSpace, splits| {
+            Orientation::choose(kernel, a, b, Layout::RowMajor, space, splits)
+        };
+
+        let square = Matrix::<f32>::zeros(1024, 1024, Layout::RowMajor);
+        let space = IterSpace::new(GemmShape::new(1024, 1024, 1024), tile);
+        let (orientation, _, banded) = choose(block, &square.view(), &square.view(), &space, false);
+        assert_eq!((orientation, banded.order()), (Orientation::default(), TileOrder::ColumnGrouped(BAND_GROUP)));
+        assert_eq!(choose(block, &square.view(), &square.view(), &space, true).2, space, "a split grid");
+        assert_eq!(choose(KernelKind::Scalar, &square.view(), &square.view(), &space, false).2, space, "scalar");
+        let pinned = IterSpace::with_order(space.shape(), tile, TileOrder::RowMajor);
+        assert_eq!(choose(block, &square.view(), &square.view(), &pinned, false).2, pinned, "a pinned order");
+        let small = Matrix::<f32>::zeros(128, 128, Layout::RowMajor);
+        let space = IterSpace::new(GemmShape::new(128, 128, 128), tile);
+        assert_eq!(choose(block, &small.view(), &small.view(), &space, false).2, space, "read in place");
+
+        let stored = Matrix::<f64>::zeros(768, 768, Layout::RowMajor);
+        let space = IterSpace::new(GemmShape::new(768, 768, 768), tile);
+        let (orientation, layout, walked) =
+            Orientation::choose(block, &stored.t(), &stored.t(), Layout::RowMajor, &space, false);
+        assert_eq!((orientation.transposed, layout, walked), (true, Layout::ColMajor, space.transposed()));
     }
 }

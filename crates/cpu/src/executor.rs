@@ -609,10 +609,12 @@ impl CpuExecutor {
         let space = decomp.space();
         check_shape("C", (space.shape().m, space.shape().n), (c.rows(), c.cols()))?;
         check_single(a, b, decomp)?;
-        let (orientation, layout, space) = Orientation::choose(self.config.kernel, a, b, c.layout(), space);
+        let fixups = decomp.fixups();
+        let (orientation, layout, space) =
+            Orientation::choose(self.config.kernel, a, b, c.layout(), space, engine::splits_a_tile(&fixups));
         let writer = TileWriter::new(c.as_mut_slice(), layout, &space);
         let instance = [Instance::new(orientation, *a, *b, Output::Window(&writer), 0)];
-        self.run_single(alpha, beta, &instance, decomp, &FaultPlan::none()).map(|_| ())
+        self.run_single(alpha, beta, &instance, decomp, &fixups, &FaultPlan::none()).map(|_| ())
     }
 
     /// Computes `C = A · B` while injecting `plan`'s faults into the
@@ -644,22 +646,25 @@ impl CpuExecutor {
     {
         let (av, bv) = (a.view(), b.view());
         check_single(&av, &bv, decomp)?;
+        let fixups = decomp.fixups();
+        let splits = engine::splits_a_tile(&fixups);
         let (orientation, layout, space) =
-            Orientation::choose(self.config.kernel, &av, &bv, a.layout(), decomp.space());
+            Orientation::choose(self.config.kernel, &av, &bv, a.layout(), decomp.space(), splits);
         let out = Output::Owned(OwnedTileWriter::new(layout, &space));
         let instance = [Instance::new(orientation, av, bv, out, 0)];
-        let report = self.run_single(Acc::ONE, Acc::ZERO, &instance, decomp, plan)?;
+        let report = self.run_single(Acc::ONE, Acc::ZERO, &instance, decomp, &fixups, plan)?;
         Ok((instance[0].take(), report))
     }
 
     /// A single-GEMM launch: a group of one, whose operands the caller
-    /// checked against `decomp`.
+    /// checked against `decomp`, consolidated as `fixups` (`decomp`'s).
     fn run_single<In, Acc>(
         &self,
         alpha: Acc,
         beta: Acc,
         instance: &[Instance<'_, In, Acc>; 1],
         decomp: &Decomposition,
+        fixups: &[TileFixup],
         plan: &FaultPlan,
     ) -> Result<RecoveryReport, ExecutorError>
     where
@@ -671,7 +676,7 @@ impl CpuExecutor {
         // touching a tile row/column reuses its own shard's packing
         // work, and published panels stay cache-resident on the core
         // that packed them.
-        self.run_grid(&grid, &decomp.fixups(), plan, self.pack_shards())
+        self.run_grid(&grid, fixups, plan, self.pack_shards())
     }
 
     /// The one grid loop behind every launch entry — `gemm*` and

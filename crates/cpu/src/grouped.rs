@@ -6,7 +6,7 @@
 //! hands over its instance spaces. It is also the batched entry's
 //! path: a uniform batch runs as the group of its equal shapes.
 
-use crate::engine::{Grid, Instance, Orientation, Output};
+use crate::engine::{splits_a_tile, Grid, Instance, Orientation, Output};
 use crate::executor::{CpuExecutor, RecoveryReport};
 use crate::fault::FaultPlan;
 use crate::output::OwnedTileWriter;
@@ -69,6 +69,8 @@ impl CpuExecutor {
         let spaces = decomp.space().instances();
         assert_eq!(a.len(), spaces.len(), "need one A per instance");
         assert_eq!(b.len(), spaces.len(), "need one B per instance");
+        let fixups = decomp.fixups();
+        let splits = splits_a_tile(&fixups);
         let mut first_iter = 0;
         let instances: Vec<Instance<'_, In, Acc>> = spaces
             .iter()
@@ -79,7 +81,8 @@ impl CpuExecutor {
                 assert_eq!((ai.rows(), ai.cols()), (shape.m, shape.k), "A[{i}] must be m x k");
                 assert_eq!((bi.rows(), bi.cols()), (shape.k, shape.n), "B[{i}] must be k x n");
                 let (av, bv) = (ai.view(), bi.view());
-                let (orientation, layout, space) = Orientation::choose(self.kernel(), &av, &bv, ai.layout(), space);
+                let (orientation, layout, space) =
+                    Orientation::choose(self.kernel(), &av, &bv, ai.layout(), space, splits);
                 let out = Output::Owned(OwnedTileWriter::new(layout, &space));
                 let instance = Instance::new(orientation, av, bv, out, first_iter);
                 first_iter += space.total_iters();
@@ -87,7 +90,7 @@ impl CpuExecutor {
             })
             .collect();
         let grid = Grid { ctas: decomp.ctas(), instances: &instances, alpha: Acc::ONE, beta: Acc::ZERO };
-        let report = self.run_grid(&grid, &decomp.fixups(), plan, 1)?;
+        let report = self.run_grid(&grid, &fixups, plan, 1)?;
         Ok((instances.iter().map(Instance::take).collect(), report))
     }
 }

@@ -67,7 +67,9 @@
 //! executor block until [`GemmService::shutdown`] — by design: the
 //! pool's launch lock is the tenancy boundary.
 
-use crate::engine::{self, Deferred, Grid, Instance, Launch, Orientation, Output, Progress, WorkSource, Worker};
+use crate::engine::{
+    self, splits_a_tile, Deferred, Grid, Instance, Launch, Orientation, Output, Progress, WorkSource, Worker,
+};
 use crate::executor::{check_residency, check_single, CpuExecutor};
 use crate::fault::{FaultPlan, ServeFaultKind};
 use crate::output::OwnedTileWriter;
@@ -1275,8 +1277,9 @@ where
             None => {}
         }
 
+        let splits = splits_a_tile(&fixups);
         let (orientation, layout, space) =
-            Orientation::choose(executor.kernel(), &a.view(), &b.view(), a.layout(), decomp.space());
+            Orientation::choose(executor.kernel(), &a.view(), &b.view(), a.layout(), decomp.space(), splits);
         let tile = space.tile();
         // Span timestamps are relative to the service epoch, so all
         // request tracks share one timeline. One ring per worker id,

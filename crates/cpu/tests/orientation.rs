@@ -27,7 +27,7 @@ use proptest::strategy::Strategy as _;
 use std::time::Duration;
 use streamk_core::{
     BatchedDecomposition, BatchedSpace, Decomposition, GroupedDecomposition, GroupedSpace, Strategy,
-    TileFixup,
+    TileFixup, TileOrder,
 };
 use streamk_cpu::{
     CpuExecutor, FaultKind, FaultPlan, GemmService, LaunchRequest, RecoveryReport, ServeConfig,
@@ -245,6 +245,89 @@ proptest! {
         check::<f64, f64>(shape, tile, strategy, workers, forms, c_layout, seed)?;
         check::<f32, f32>(shape, tile, strategy, workers, forms, c_layout, seed)?;
         check::<f16, f32>(shape, tile, strategy, workers, forms, c_layout, seed)?;
+    }
+}
+
+/// Past the in-place k-stride limit for f32 and f64 alike: a row-major
+/// B this wide, or a column-major A this tall, packs.
+const PACKS: usize = 520;
+
+/// One unsplit grid, banded by the launch and pinned row-major: `gemm`
+/// and `gemm_ex` into a row- and a column-major C at `β = 0` and
+/// `β = 1` must agree bit for bit. With `held`, every helper sleeps
+/// before entering, so worker 0 starts alone and the helpers steal.
+#[allow(clippy::too_many_arguments)]
+fn check_banded<In: Promote<Acc>, Acc: Scalar + Promote<Acc>>(
+    shape: GemmShape,
+    tile: TileShape,
+    tiles_per_cta: usize,
+    workers: usize,
+    (a_layout, b_layout): (Layout, Layout),
+    held: bool,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let GemmShape { m, n, k } = shape;
+    let tiles = tile.tiles_m(shape) * tile.tiles_n(shape);
+    let decomp = if tiles.is_multiple_of(tiles_per_cta) {
+        Decomposition::stream_k(shape, tile, tiles / tiles_per_cta)
+    } else {
+        Decomposition::data_parallel(shape, tile)
+    };
+    prop_assert_eq!(decomp.split_tiles(), 0);
+    let pinned = decomp.clone().with_tile_order(TileOrder::RowMajor);
+    let exec = CpuExecutor::with_threads(workers);
+    if held {
+        let delays = (0..workers).map(|w| Duration::from_millis(if w == 0 { 0 } else { 2 })).collect();
+        exec.worker_pool().inject_stragglers(delays);
+    }
+    let what = |entry: &str| {
+        format!("{entry}: {shape:?} {tile} {} W={workers} A {a_layout} B {b_layout} held={held}", decomp.strategy())
+    };
+
+    let a = Matrix::<In>::random::<Acc>(m, k, a_layout, seed);
+    let b = Matrix::<In>::random::<Acc>(k, n, b_layout, seed + 1);
+    let want = exec.gemm::<In, Acc>(&a, &b, &pinned);
+    prop_assert_eq!(bits(&exec.gemm::<In, Acc>(&a, &b, &decomp)), bits(&want), "{}", what("gemm"));
+
+    let c0 = Matrix::<Acc>::random::<Acc>(m, n, Layout::RowMajor, seed + 2);
+    let alpha = Acc::from_f64(-0.75);
+    for c_layout in [Layout::RowMajor, Layout::ColMajor] {
+        for beta in [Acc::ZERO, Acc::ONE] {
+            let mut want = c0.to_layout(c_layout);
+            exec.gemm_ex(alpha, &a.view(), &b.view(), beta, &mut want, &pinned);
+            let mut c = c0.to_layout(c_layout);
+            exec.gemm_ex(alpha, &a.view(), &b.view(), beta, &mut c, &decomp);
+            prop_assert_eq!(bits(&c), bits(&want), "{}", what(&format!("gemm_ex into {c_layout} at β = {beta:?}")));
+        }
+    }
+    exec.worker_pool().inject_stragglers(Vec::new());
+    Ok(())
+}
+
+/// An extent that is small, or past [`PACKS`] so its operand packs.
+fn extent(packs: bool, small: usize) -> usize {
+    if packs { PACKS + small } else { small }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn an_unsplit_grid_gives_the_same_bits_in_any_tile_order(
+        (tall, wide) in prop_oneof![Just((false, true)), Just((true, false)), Just((true, true))],
+        (m, n, k) in (3usize..40, 3usize..40, 8usize..40),
+        tile in tiles(),
+        tiles_per_cta in 1usize..4,
+        workers in 1usize..5,
+        // Bit 0: A column-major, bit 1: B column-major, bit 2: helpers held back.
+        flags in 0usize..8,
+        seed in 0u64..1_000_000,
+    ) {
+        let shape = GemmShape::new(extent(tall, m), extent(wide, n), k);
+        let layout = |bit: usize| if flags >> bit & 1 == 1 { Layout::ColMajor } else { Layout::RowMajor };
+        let (layouts, held) = ((layout(0), layout(1)), flags & 4 != 0);
+        check_banded::<f64, f64>(shape, tile, tiles_per_cta, workers, layouts, held, seed)?;
+        check_banded::<f32, f32>(shape, tile, tiles_per_cta, workers, layouts, held, seed)?;
     }
 }
 

@@ -15,12 +15,19 @@
 //!    fault-free burst through `GemmService`, as min-of-reps over
 //!    interleaved untraced/traced bursts (a slow window hits both arms
 //!    alike; the fastest rep is the least-perturbed observation).
+//! 3. **Bands**: a 1024³ f32 launch on 2 workers whose grid splits no
+//!    tile, walked in the bands the launch picks along its packed B
+//!    (DESIGN.md §9, "Bands along the packed operand"), beats the same
+//!    launch pinned row-major in at least 6 of 10 interleaved rounds —
+//!    it does by 3–7 % in the median round; a round is too short to win
+//!    all ten against a shared host's swings. Enforced only when the
+//!    machine has at least 2 cores.
 //!
-//! The two hold one lock, so neither times the other's workers.
+//! The three hold one lock, so none times another's workers.
 
 use std::sync::Mutex;
 use std::time::Instant;
-use streamk_core::Decomposition;
+use streamk_core::{Decomposition, TileOrder};
 use streamk_cpu::{CpuExecutor, GemmService, LaunchRequest, ServeConfig};
 use streamk_matrix::Matrix;
 use streamk_types::{GemmShape, Layout, TileShape};
@@ -132,4 +139,64 @@ fn serve_tracing_costs_at_most_five_percent() {
         overhead_pct <= 5.0,
         "serve tracing costs {overhead_pct:.2}% > 5%"
     );
+}
+
+/// One round of the bands gate: `LAUNCHES` launches of each of `pair`
+/// through `exec` into `c`, alternating launch by launch so that a slow
+/// stretch of the host hits both, and each side's median wall time. A
+/// held output keeps a launch from paying page faults for the one
+/// before it.
+fn round_medians_s(
+    exec: &CpuExecutor,
+    a: &Matrix<f32>,
+    b: &Matrix<f32>,
+    c: &mut Matrix<f32>,
+    pair: [&Decomposition; 2],
+) -> [f64; 2] {
+    const LAUNCHES: usize = 7;
+    let mut times = [Vec::with_capacity(LAUNCHES), Vec::with_capacity(LAUNCHES)];
+    for launch in 0..LAUNCHES {
+        for side in [launch % 2, 1 - launch % 2] {
+            let t0 = Instant::now();
+            exec.gemm_ex(1.0, &a.view(), &b.view(), 0.0, c, pair[side]);
+            times[side].push(t0.elapsed().as_secs_f64());
+        }
+    }
+    times.map(|mut side| {
+        side.sort_by(f64::total_cmp);
+        side[LAUNCHES / 2]
+    })
+}
+
+#[test]
+#[ignore = "timing gate: run by name with --ignored"]
+fn banded_launches_beat_row_major_in_most_rounds() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // `direct-square`'s launch: one tile per CTA, A read in place, B's
+    // 4 KiB rows packed.
+    let shape = GemmShape::new(1024, 1024, 1024);
+    let banded = Decomposition::data_parallel(shape, TileShape::new(64, 64, 16));
+    let row_major = banded.clone().with_tile_order(TileOrder::RowMajor);
+    let a = Matrix::<f32>::random::<f32>(shape.m, shape.k, Layout::RowMajor, 1);
+    let b = Matrix::<f32>::random::<f32>(shape.k, shape.n, Layout::RowMajor, 2);
+    let mut c = Matrix::<f32>::zeros(shape.m, shape.n, Layout::RowMajor);
+    let exec = CpuExecutor::with_threads(2);
+    let _ = round_medians_s(&exec, &a, &b, &mut c, [&banded, &row_major]); // warm-up: pool, arena
+    let rounds: Vec<[f64; 2]> =
+        (0..10).map(|_| round_medians_s(&exec, &a, &b, &mut c, [&banded, &row_major])).collect();
+    let wins = rounds.iter().filter(|[bd, rm]| bd < rm).count();
+    let mut ratios: Vec<f64> = rounds.iter().map(|[bd, rm]| bd / rm).collect();
+    ratios.sort_by(f64::total_cmp);
+    let cores = nproc();
+    println!(
+        "banded vs row-major: faster in {wins} of 10 rounds, median ratio {:.3} (range {:.3}..{:.3}; {cores} cores)",
+        ratios[5], ratios[0], ratios[9]
+    );
+    if cores < 2 {
+        println!("report-only: 2 workers oversubscribe this {cores}-core machine");
+        return;
+    }
+    assert!(wins >= 6, "the banded launch lost {} of 10 rounds to row-major", 10 - wins);
 }
