@@ -45,7 +45,7 @@ pub enum TileOrder {
 /// two packed panels of the operand plus the row panel they meet stay
 /// in a core's L2 at the benchmark's 1024³ and 2048³ f32 launches
 /// (EXPERIMENTS.md, "Bands along the packed operand").
-pub const BAND_GROUP: usize = 2;
+pub(crate) const BAND_GROUP: usize = 2;
 
 impl TileOrder {
     /// The order a launch walks an unsplit grid in when the caller left
@@ -56,7 +56,7 @@ impl TileOrder {
     /// into its own shard, so the order decides how many packed panels
     /// a worker touches. Panels that run along C's tile rows (A's) are
     /// banded by row-major; panels that run along C's tile columns
-    /// (B's) need column groups of [`BAND_GROUP`], each walked
+    /// (B's) need column groups of two (`BAND_GROUP`), each walked
     /// row-major, so that a run of `⌈t / W⌉` tiles touches at most
     /// `⌈groups / W⌉ + 1` groups. With both packed, or neither, no
     /// order saves a pack and row-major stays.
@@ -78,7 +78,7 @@ impl TileOrder {
     /// Panics on a zero group width.
     #[inline]
     #[must_use]
-    pub fn coords(self, s: usize, tiles_m: usize, tiles_n: usize) -> Option<(usize, usize)> {
+    pub(crate) fn coords(self, s: usize, tiles_m: usize, tiles_n: usize) -> Option<(usize, usize)> {
         match self {
             TileOrder::RowMajor => Some((s / tiles_n, s % tiles_n)),
             TileOrder::ColumnGrouped(group) => {
