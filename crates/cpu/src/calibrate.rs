@@ -15,7 +15,7 @@
 
 use crate::executor::CpuExecutor;
 use std::time::Instant;
-use streamk_core::{CostModel, Decomposition, GridSizeModel};
+use streamk_core::{CostModel, Decomposition};
 use streamk_matrix::Matrix;
 use streamk_types::{GemmShape, Layout, TileShape};
 
@@ -86,16 +86,10 @@ pub fn calibrate(config: &CalibrationConfig) -> Option<CostModel> {
     CostModel::fit(&samples)
 }
 
-/// Convenience: calibrates with defaults and builds a
-/// [`GridSizeModel`] for a `threads`-worker executor.
-#[must_use]
-pub fn calibrated_grid_model(threads: usize) -> Option<GridSizeModel> {
-    calibrate(&CalibrationConfig::default()).map(|cost| GridSizeModel::new(cost, threads))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamk_core::GridSizeModel;
 
     /// Calibration must produce a usable model on any machine: a
     /// positive per-iteration cost, and it must feed the grid-size

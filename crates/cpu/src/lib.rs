@@ -81,7 +81,6 @@ pub use executor::{
 };
 pub use fault::{Fault, FaultKind, FaultPlan, ServeFault, ServeFaultKind, ServeFaultPlan};
 pub use fixup::{FixupBoard, FlagState, TryTake, WaitPolicy};
-pub use macloop::mac_loop;
 pub use pad::CachePadded;
 pub use pool::{ScratchStore, WorkerPool};
 pub use sched::{Claim, CtaScheduler, GridCursor};
@@ -94,7 +93,7 @@ pub use output::AccWindow;
 pub use packcache::{mac_loop_kernel_cached, PackCache, PanelGuard};
 pub use simd::SimdLevel;
 pub use telemetry::{
-    FlightRecorder, IncidentReport, RequestTrace, SelectEvent, SelectOutcome, ServeTrace,
+    FlightRecorder, IncidentReport, RequestTrace, ServeTrace,
     ServiceCounter, ServiceEvent, ServiceEventKind, TelemetryRegistry,
 };
 pub use trace::{ExecTrace, Histogram, Metrics, Span, SpanRing, WorkerTrace};

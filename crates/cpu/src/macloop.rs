@@ -11,7 +11,7 @@
 //! kernel; a fast path covers the row-contiguous case.
 
 use streamk_core::IterSpace;
-use streamk_matrix::{Matrix, MatrixView, Promote, Scalar};
+use streamk_matrix::{MatrixView, Promote, Scalar};
 
 /// Executes local MAC-loop iterations `[local_begin, local_end)` of
 /// `tile_idx`, adding into `accum` (a row-major `BLK_M × BLK_N`
@@ -77,31 +77,11 @@ pub fn mac_loop_view<In, Acc>(
     }
 }
 
-/// [`mac_loop_view`] over owned matrices — the original Algorithm 3
-/// signature, kept for the common non-transposed case.
-///
-/// # Panics
-///
-/// As [`mac_loop_view`].
-pub fn mac_loop<In, Acc>(
-    a: &Matrix<In>,
-    b: &Matrix<In>,
-    space: &IterSpace,
-    tile_idx: usize,
-    local_begin: usize,
-    local_end: usize,
-    accum: &mut [Acc],
-) where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    mac_loop_view(&a.view(), &b.view(), space, tile_idx, local_begin, local_end, accum);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use streamk_matrix::reference::gemm_naive;
+    use streamk_matrix::Matrix;
     use streamk_types::{GemmShape, Layout, TileShape};
 
     fn space(shape: GemmShape, tile: TileShape) -> IterSpace {
@@ -116,7 +96,7 @@ mod tests {
         let a = Matrix::<f64>::random::<f64>(8, 12, Layout::RowMajor, 1);
         let b = Matrix::<f64>::random::<f64>(12, 8, Layout::RowMajor, 2);
         let mut accum = vec![0.0f64; 64];
-        mac_loop(&a, &b, &s, 0, 0, s.iters_per_tile(), &mut accum);
+        mac_loop_view(&a.view(), &b.view(), &s, 0, 0, s.iters_per_tile(), &mut accum);
         let reference = gemm_naive::<f64, f64>(&a, &b);
         for i in 0..8 {
             for j in 0..8 {
@@ -135,10 +115,10 @@ mod tests {
         let a = Matrix::<f64>::random::<f64>(4, 20, Layout::RowMajor, 3);
         let b = Matrix::<f64>::random::<f64>(20, 4, Layout::RowMajor, 4);
         let mut whole = vec![0.0f64; 16];
-        mac_loop(&a, &b, &s, 0, 0, 5, &mut whole);
+        mac_loop_view(&a.view(), &b.view(), &s, 0, 0, 5, &mut whole);
         let mut parts = vec![0.0f64; 16];
-        mac_loop(&a, &b, &s, 0, 0, 2, &mut parts);
-        mac_loop(&a, &b, &s, 0, 2, 5, &mut parts);
+        mac_loop_view(&a.view(), &b.view(), &s, 0, 0, 2, &mut parts);
+        mac_loop_view(&a.view(), &b.view(), &s, 0, 2, 5, &mut parts);
         assert_eq!(whole, parts);
     }
 
@@ -153,7 +133,7 @@ mod tests {
         let a = Matrix::<f64>::random::<f64>(10, 4, Layout::RowMajor, 5);
         let b = Matrix::<f64>::random::<f64>(4, 6, Layout::RowMajor, 6);
         let mut accum = vec![0.0f64; 64];
-        mac_loop(&a, &b, &s, 1, 0, 1, &mut accum);
+        mac_loop_view(&a.view(), &b.view(), &s, 1, 0, 1, &mut accum);
         let reference = gemm_naive::<f64, f64>(&a, &b);
         for i in 0..2 {
             for j in 0..6 {
@@ -177,8 +157,8 @@ mod tests {
         for tile_idx in 0..s.tiles() {
             let mut fast = vec![0.0f64; 64];
             let mut generic = vec![0.0f64; 64];
-            mac_loop(&a_r, &b_r, &s, tile_idx, 0, s.iters_per_tile(), &mut fast);
-            mac_loop(&a_c, &b_c, &s, tile_idx, 0, s.iters_per_tile(), &mut generic);
+            mac_loop_view(&a_r.view(), &b_r.view(), &s, tile_idx, 0, s.iters_per_tile(), &mut fast);
+            mac_loop_view(&a_c.view(), &b_c.view(), &s, tile_idx, 0, s.iters_per_tile(), &mut generic);
             assert_eq!(fast, generic, "tile {tile_idx}");
         }
     }
@@ -197,7 +177,7 @@ mod tests {
             let mut via_views = vec![0.0f64; 64];
             let mut via_copies = vec![0.0f64; 64];
             mac_loop_view(&a_store.t(), &b_store.t(), &s, tile_idx, 0, s.iters_per_tile(), &mut via_views);
-            mac_loop(&a_mat, &b_mat, &s, tile_idx, 0, s.iters_per_tile(), &mut via_copies);
+            mac_loop_view(&a_mat.view(), &b_mat.view(), &s, tile_idx, 0, s.iters_per_tile(), &mut via_copies);
             assert_eq!(via_views, via_copies, "tile {tile_idx}");
         }
     }
@@ -211,7 +191,7 @@ mod tests {
         let a = Matrix::<f16>::patterned::<f32>(4, 8, Layout::RowMajor);
         let b = Matrix::<f16>::patterned::<f32>(8, 4, Layout::RowMajor);
         let mut accum = vec![0.0f32; 16];
-        mac_loop(&a, &b, &s, 0, 0, 2, &mut accum);
+        mac_loop_view(&a.view(), &b.view(), &s, 0, 0, 2, &mut accum);
         let reference = gemm_naive::<f16, f32>(&a, &b);
         for i in 0..4 {
             for j in 0..4 {
@@ -229,6 +209,6 @@ mod tests {
         let a = Matrix::<f64>::zeros(8, 8, Layout::RowMajor);
         let b = Matrix::<f64>::zeros(8, 8, Layout::RowMajor);
         let mut accum = vec![0.0f64; 10];
-        mac_loop(&a, &b, &s, 0, 0, 1, &mut accum);
+        mac_loop_view(&a.view(), &b.view(), &s, 0, 0, 1, &mut accum);
     }
 }

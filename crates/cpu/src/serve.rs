@@ -1331,9 +1331,7 @@ where
     /// The service's telemetry registry — counters, lane gauges and
     /// latency histograms, the flight recorder, and incident reports.
     /// Cloneable and alive past [`shutdown`](Self::shutdown); pass it
-    /// to exporters or an [`AdaptiveSelector`] feedback loop.
-    ///
-    /// [`AdaptiveSelector`]: https://docs.rs/streamk-select
+    /// to an exporter.
     #[must_use]
     pub fn telemetry(&self) -> Arc<TelemetryRegistry> {
         Arc::clone(&self.shared.telemetry)

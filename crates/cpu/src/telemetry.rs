@@ -12,8 +12,7 @@
 //!   rejections, timeouts, poisonings, aggregated steal/defer/
 //!   recovery/wait-stall work), per-lane queue-depth gauges, per-lane
 //!   latency histograms (reusing the trace module's log-decade
-//!   [`Histogram`]), and adaptive-selector decision events, exported
-//!   in Prometheus text exposition format by
+//!   [`Histogram`]), exported in Prometheus text exposition format by
 //!   [`render`](TelemetryRegistry::render). `ServiceStats` is derived
 //!   *from* this registry, so a scrape and a stats snapshot can never
 //!   disagree.
@@ -53,9 +52,6 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
 /// Incident reports kept in memory (oldest dropped beyond this).
 const MAX_INCIDENTS: usize = 64;
-
-/// Selector decision events kept in memory (oldest dropped).
-const MAX_SELECT_EVENTS: usize = 256;
 
 /// Finished request traces kept before harvesting drops the oldest.
 const MAX_REQUEST_TRACES: usize = 1024;
@@ -174,62 +170,6 @@ impl ServiceCounter {
             Self::Incidents => "Incident reports produced by the anomaly path",
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Selector decisions
-// ---------------------------------------------------------------------------
-
-/// How the adaptive selector arrived at a decision — the registry's
-/// crate-neutral mirror of `streamk-select`'s `SelectionSource`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectOutcome {
-    /// Cold class: the static heuristic decided.
-    ColdHeuristic,
-    /// Cold class under a distilled tree: zero-lookup prediction.
-    Distilled,
-    /// Warming or epsilon re-exploration.
-    Explore,
-    /// Warm class: the measured winner.
-    Exploit,
-}
-
-impl SelectOutcome {
-    /// Every outcome, in dense-index order.
-    pub const ALL: [Self; 4] =
-        [Self::ColdHeuristic, Self::Distilled, Self::Explore, Self::Exploit];
-
-    /// Stable label value for the `source` dimension.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::ColdHeuristic => "cold_heuristic",
-            Self::Distilled => "distilled",
-            Self::Explore => "explore",
-            Self::Exploit => "exploit",
-        }
-    }
-
-    /// Position of `self` in [`SelectOutcome::ALL`].
-    #[must_use]
-    pub fn index(self) -> usize {
-        Self::ALL.iter().position(|o| *o == self).expect("every outcome is in ALL")
-    }
-}
-
-/// One recorded selector decision, kept in a bounded in-memory log
-/// (the counters aggregate; the log answers "what did it pick?").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SelectEvent {
-    /// The shape class the launch keyed to, stringified.
-    pub class: String,
-    /// The chosen candidate, stringified.
-    pub candidate: String,
-    /// Decision provenance.
-    pub outcome: SelectOutcome,
-    /// Measured regret vs the class's best-known mean, nanoseconds
-    /// (0 until feedback arrives or when the decision *was* the best).
-    pub regret_ns: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -559,9 +499,6 @@ pub struct TelemetryRegistry {
     active_depth: AtomicUsize,
     lane_admitted: [AtomicU64; LANES],
     lane_latency: Mutex<[Histogram; LANES]>,
-    select_decisions: [AtomicU64; SelectOutcome::ALL.len()],
-    select_regret_ns: AtomicU64,
-    select_events: Mutex<VecDeque<SelectEvent>>,
     flight: FlightRecorder,
     incidents: Mutex<Vec<IncidentReport>>,
     incident_seq: AtomicU64,
@@ -588,9 +525,6 @@ impl TelemetryRegistry {
             active_depth: AtomicUsize::new(0),
             lane_admitted: std::array::from_fn(|_| AtomicU64::new(0)),
             lane_latency: Mutex::new([Histogram::default(); LANES]),
-            select_decisions: std::array::from_fn(|_| AtomicU64::new(0)),
-            select_regret_ns: AtomicU64::new(0),
-            select_events: Mutex::new(VecDeque::new()),
             flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY, epoch),
             incidents: Mutex::new(Vec::new()),
             incident_seq: AtomicU64::new(0),
@@ -643,41 +577,6 @@ impl TelemetryRegistry {
     pub fn record_latency(&self, lane: usize, latency_ns: u64) {
         let mut lat = self.lane_latency.lock().unwrap_or_else(PoisonError::into_inner);
         lat[lane.min(LANES - 1)].record(latency_ns);
-    }
-
-    /// Records one adaptive-selector decision (and its measured
-    /// regret, once known — pass 0 before feedback).
-    pub fn record_selection(
-        &self,
-        outcome: SelectOutcome,
-        class: String,
-        candidate: String,
-        regret_ns: u64,
-    ) {
-        self.select_decisions[outcome.index()].fetch_add(1, Ordering::Relaxed);
-        self.select_regret_ns.fetch_add(regret_ns, Ordering::Relaxed);
-        let mut log = self.select_events.lock().unwrap_or_else(PoisonError::into_inner);
-        if log.len() >= MAX_SELECT_EVENTS {
-            log.pop_front();
-        }
-        log.push_back(SelectEvent { class, candidate, outcome, regret_ns });
-    }
-
-    /// The recent selector decisions, oldest-first (bounded log).
-    #[must_use]
-    pub fn recent_selections(&self) -> Vec<SelectEvent> {
-        self.select_events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Selector decisions recorded for `outcome`.
-    #[must_use]
-    pub fn select_decisions(&self, outcome: SelectOutcome) -> u64 {
-        self.select_decisions[outcome.index()].load(Ordering::Relaxed)
     }
 
     /// The always-on flight recorder.
@@ -774,9 +673,8 @@ impl TelemetryRegistry {
     }
 
     /// Renders the whole registry in Prometheus text exposition
-    /// format: every [`ServiceCounter`], the lane gauges, per-lane
-    /// latency histograms with p50/p99 estimate gauges, and the
-    /// selector decision counters.
+    /// format: every [`ServiceCounter`], the lane gauges, and per-lane
+    /// latency histograms with p50/p99 estimate gauges.
     #[must_use]
     pub fn render(&self) -> String {
         use crate::trace::BUCKET_LIMITS_NS;
@@ -848,21 +746,6 @@ impl TelemetryRegistry {
                 lat[lane].quantile_ns(0.99)
             ));
         }
-        s.push_str("# HELP streamk_select_decisions_total Adaptive-selector decisions by provenance\n");
-        s.push_str("# TYPE streamk_select_decisions_total counter\n");
-        for outcome in SelectOutcome::ALL {
-            s.push_str(&format!(
-                "streamk_select_decisions_total{{source=\"{}\"}} {}\n",
-                outcome.name(),
-                self.select_decisions(outcome)
-            ));
-        }
-        s.push_str("# HELP streamk_select_regret_ns_total Measured regret vs the class best\n");
-        s.push_str("# TYPE streamk_select_regret_ns_total counter\n");
-        s.push_str(&format!(
-            "streamk_select_regret_ns_total {}\n",
-            self.select_regret_ns.load(Ordering::Relaxed)
-        ));
         s
     }
 }
@@ -966,15 +849,52 @@ mod tests {
         let reg = TelemetryRegistry::new();
         reg.add(ServiceCounter::Completed, 3);
         reg.record_latency(0, 5_000);
-        reg.record_selection(SelectOutcome::Explore, "c".into(), "x".into(), 10);
         let text = reg.render();
         for c in ServiceCounter::ALL {
             assert!(text.contains(c.metric_name()), "missing {}", c.metric_name());
         }
         assert!(text.contains("streamk_serve_completed_total 3"));
         assert!(text.contains("streamk_serve_latency_ns_count{lane=\"high\"} 1"));
-        assert!(text.contains("streamk_select_decisions_total{source=\"explore\"} 1"));
-        assert!(text.contains("streamk_select_regret_ns_total 10"));
+    }
+
+    /// The converse of `render_reports_every_declared_counter`: every
+    /// family the export emits is a [`ServiceCounter`] or one of the
+    /// lane and latency families, each typed once.
+    #[test]
+    fn render_emits_only_declared_families() {
+        const LANE_AND_LATENCY: [&str; 6] = [
+            "streamk_serve_queue_depth",
+            "streamk_serve_active_requests",
+            "streamk_serve_admitted_total",
+            "streamk_serve_latency_ns",
+            "streamk_serve_latency_p50_ns",
+            "streamk_serve_latency_p99_ns",
+        ];
+        let mut declared: Vec<&str> =
+            ServiceCounter::ALL.iter().map(|c| c.metric_name()).chain(LANE_AND_LATENCY).collect();
+        let reg = TelemetryRegistry::new();
+        reg.record_latency(0, 5_000);
+        let text = reg.render();
+        let mut typed = Vec::new();
+        for line in text.lines() {
+            let family = if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let name = rest.split(' ').next().unwrap_or_default();
+                typed.push(name);
+                name
+            } else if let Some(rest) = line.strip_prefix("# HELP ") {
+                rest.split(' ').next().unwrap_or_default()
+            } else {
+                let sample = line.split(['{', ' ']).next().unwrap_or_default();
+                ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .find_map(|suffix| sample.strip_suffix(suffix))
+                    .unwrap_or(sample)
+            };
+            assert!(declared.contains(&family), "undeclared family {family:?} in {line:?}");
+        }
+        typed.sort_unstable();
+        declared.sort_unstable();
+        assert_eq!(typed, declared, "every declared family is typed once");
     }
 
     /// A straggler's fragment harvested after its request's track

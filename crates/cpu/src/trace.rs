@@ -469,10 +469,6 @@ pub const BUCKET_LIMITS_NS: [u64; 9] = [
     u64::MAX,
 ];
 
-/// Human-readable labels matching [`BUCKET_LIMITS_NS`].
-pub const BUCKET_LABELS: [&str; 9] =
-    ["<1us", "<10us", "<100us", "<1ms", "<10ms", "<100ms", "<1s", "<10s", ">=10s"];
-
 /// A fixed-bucket (log-decade) duration histogram. No allocation, no
 /// configuration: every histogram in the registry shares
 /// [`BUCKET_LIMITS_NS`], so they aggregate across workers and runs.

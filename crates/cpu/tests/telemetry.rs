@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use streamk_core::{Decomposition, SpanKind};
 use streamk_cpu::telemetry::SERVE_SPAN_KINDS;
 use streamk_cpu::{
-    CpuExecutor, FlightRecorder, GemmService, LaunchRequest, Priority, SelectOutcome, ServeConfig,
+    CpuExecutor, FlightRecorder, GemmService, LaunchRequest, Priority, ServeConfig,
     ServeError, ServeFaultKind, ServeFaultPlan, ServiceCounter, ServiceEventKind, ServiceStats,
 };
 use streamk_matrix::Matrix;
@@ -170,12 +170,6 @@ fn prometheus_export_reconciles_exactly_with_service_stats() {
     for lane in ["high", "normal", "bulk"] {
         assert!(text.contains(&format!("streamk_serve_latency_p50_ns{{lane=\"{lane}\"}}")));
         assert!(text.contains(&format!("streamk_serve_latency_p99_ns{{lane=\"{lane}\"}}")));
-    }
-    // A service's registry carries the selector's decision counters
-    // too, zero until a selector reports into it.
-    for outcome in SelectOutcome::ALL {
-        let sample = format!("streamk_select_decisions_total{{source=\"{}\"}} 0", outcome.name());
-        assert!(text.contains(&sample), "missing {sample}");
     }
 
     // The timeout and the panic each dumped an incident.

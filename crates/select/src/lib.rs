@@ -22,21 +22,23 @@
 //!   App. A.1 heuristic, warm classes run epsilon-greedy over the
 //!   slate fed by measured launch times and [`streamk_cpu::ExecStats`],
 //!   and a converged table distills through
-//!   [`streamk_tune::DecisionTree`] into zero-lookup dispatch;
-//! - [`adaptive::SelectingExecutor`] — the loop threaded through
-//!   [`streamk_cpu::CpuExecutor`], its batched/grouped entry points,
-//!   and per-request selection for [`streamk_cpu::GemmService`].
+//!   [`streamk_tune::DecisionTree`] into zero-lookup dispatch.
+//!
+//! The selector is a library, not an executor: the caller selects,
+//! launches the chosen [`Candidate`]'s decomposition on whatever entry
+//! it uses, and hands the measurement back through
+//! [`AdaptiveSelector::feedback`] (or
+//! [`feedback_raw`](AdaptiveSelector::feedback_raw) when it times the
+//! launch itself).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod adaptive;
 pub mod cache;
 pub mod candidates;
 pub mod class;
 pub mod selector;
 
-pub use adaptive::SelectingExecutor;
 pub use cache::{CandidateStats, ClassEntry, SelectionCache};
 pub use candidates::{candidates_for, Candidate};
 pub use class::ShapeClass;

@@ -19,8 +19,7 @@ use crate::cache::{ClassEntry, SelectionCache};
 use crate::candidates::{candidates_for, Candidate};
 use crate::class::ShapeClass;
 use std::path::PathBuf;
-use std::sync::Arc;
-use streamk_cpu::{ExecStats, RequestStats, SelectOutcome, TelemetryRegistry};
+use streamk_cpu::ExecStats;
 use streamk_ensemble::{HeuristicSelector, TileEnsemble};
 use streamk_tune::DecisionTree;
 use streamk_types::{GemmShape, Layout, Precision};
@@ -114,19 +113,6 @@ pub struct Selection {
     pub source: SelectionSource,
 }
 
-impl SelectionSource {
-    /// The telemetry outcome tag this provenance exports as.
-    #[must_use]
-    pub fn outcome(self) -> SelectOutcome {
-        match self {
-            Self::ColdHeuristic => SelectOutcome::ColdHeuristic,
-            Self::Distilled => SelectOutcome::Distilled,
-            Self::Explore => SelectOutcome::Explore,
-            Self::Exploit => SelectOutcome::Exploit,
-        }
-    }
-}
-
 /// The distilled model: a decision tree over class features plus the
 /// label → candidate mapping it predicts into.
 #[derive(Debug, Clone)]
@@ -145,7 +131,6 @@ pub struct AdaptiveSelector {
     /// Whether construction found and accepted a persisted table.
     loaded_from_disk: bool,
     distilled: Option<DistilledModel>,
-    telemetry: Option<Arc<TelemetryRegistry>>,
     rng: u64,
 }
 
@@ -176,28 +161,9 @@ impl AdaptiveSelector {
             cache: cache.unwrap_or_default(),
             loaded_from_disk,
             distilled: None,
-            telemetry: None,
             rng,
             config,
         }
-    }
-
-    /// Mirrors every measured decision into `registry` — the class,
-    /// the chosen candidate, its explore/exploit provenance, and the
-    /// measured regret against the class's best-known mean. Pass a
-    /// [`GemmService`](streamk_cpu::GemmService)'s registry to fold
-    /// selection quality into the same Prometheus scrape as the
-    /// service counters.
-    #[must_use]
-    pub fn with_telemetry(mut self, registry: Arc<TelemetryRegistry>) -> Self {
-        self.telemetry = Some(registry);
-        self
-    }
-
-    /// As [`with_telemetry`](Self::with_telemetry), for an already-
-    /// built selector.
-    pub fn attach_telemetry(&mut self, registry: Arc<TelemetryRegistry>) {
-        self.telemetry = Some(registry);
     }
 
     /// The configuration this selector was built with.
@@ -322,14 +288,6 @@ impl AdaptiveSelector {
         self.feedback_raw(selection, secs, stats.wait_stall.as_secs_f64());
     }
 
-    /// Serve-path feedback: per-request stats from [`streamk_cpu::GemmService`].
-    /// Uses the request's service time (first claim → completion), not
-    /// its queue latency — queueing is the service's doing, not the
-    /// schedule's.
-    pub fn feedback_request(&mut self, selection: &Selection, stats: &RequestStats) {
-        self.feedback_raw(selection, stats.service.as_secs_f64(), stats.wait_stall.as_secs_f64());
-    }
-
     /// Feedback with an explicit wait-stall figure (the common core;
     /// also the entry point for a replay that measures outside the
     /// executor).
@@ -348,22 +306,7 @@ impl AdaptiveSelector {
             entry.stats.push(Default::default());
             entry.candidates.len() - 1
         };
-        // Regret against the best mean known *before* this sample
-        // folds in — a first-contact class has no baseline (regret 0).
-        let best_s = entry
-            .winner()
-            .map(|w| entry.stats[w].mean_s)
-            .filter(|m| m.is_finite() && *m > 0.0);
         entry.stats[index].record(secs, wait_s.max(0.0));
-        if let Some(t) = &self.telemetry {
-            let regret_ns = best_s.map_or(0.0, |b| (secs - b).max(0.0)) * 1e9;
-            t.record_selection(
-                selection.source.outcome(),
-                selection.class.encode(),
-                selection.candidate.to_string(),
-                regret_ns.round() as u64,
-            );
-        }
     }
 
     /// Persists the table to the configured cache path. Returns
@@ -536,37 +479,6 @@ mod tests {
         let entry = &s.cache().entries[&class];
         assert_eq!(entry.stats[1].trials, 1);
         assert_eq!(entry.stats[0].trials, 0);
-    }
-
-    #[test]
-    fn telemetry_mirrors_decisions_and_accumulates_regret() {
-        let registry = Arc::new(TelemetryRegistry::new());
-        let mut s = AdaptiveSelector::new(SelectorConfig::new(Precision::Fp64, 4).with_top_k(3))
-            .with_telemetry(Arc::clone(&registry));
-        let shape = GemmShape::new(256, 256, 256);
-        let (_, slate) = s.slate(shape, Layout::RowMajor);
-
-        for _ in 0..slate.len() {
-            let sel = s.select(shape, Layout::RowMajor);
-            let secs = if sel.candidate == slate[0] { 1e-4 } else { 2e-3 };
-            s.feedback(&sel, secs, &STATS);
-        }
-        let sel = s.select_frozen(shape, Layout::RowMajor);
-        s.feedback(&sel, 1e-4, &STATS);
-
-        let events = registry.recent_selections();
-        assert_eq!(events.len(), slate.len() + 1, "one event per measured launch");
-        let exploits = registry.select_decisions(SelectOutcome::Exploit);
-        assert!(exploits >= 1, "the frozen pick is an exploit event");
-        // The slower candidates measured against the 1e-4 baseline
-        // must have booked positive regret.
-        assert!(events.iter().any(|e| e.regret_ns > 0), "slow picks accumulate regret");
-        assert!(
-            events.iter().all(|e| !e.class.is_empty() && !e.candidate.is_empty()),
-            "events carry class and candidate labels"
-        );
-        let text = registry.render();
-        assert!(text.contains("streamk_select_decisions_total"));
     }
 
     #[test]
