@@ -197,12 +197,27 @@ impl GridSizeModel {
     /// and therefore of the whole single-wave Stream-K schedule.
     #[must_use]
     pub fn time_cta(&self, shape: GemmShape, tile: TileShape, g: usize) -> f64 {
-        let peers = self.fixup_peers(shape, tile, g);
-        let iters = self.iters_per_cta(shape, tile, g);
+        self.time_of(tile.total_iters(shape), tile.iters_per_tile(shape), g)
+    }
+
+    /// `time_cta(g)` from the problem's total and per-tile iteration
+    /// counts: `ItersPerCta(g)`, then `FixupPeers(g)` from it.
+    fn time_of(&self, total_iters: usize, iters_per_tile: usize, g: usize) -> f64 {
+        let iters = ceil_div(total_iters, g);
+        let peers = ceil_div(iters_per_tile, iters);
         self.cost.a
             + self.cost.b * f64::from(u8::from(peers > 1))
             + self.cost.c * iters as f64
             + self.cost.d * (peers - 1) as f64
+    }
+
+    /// `(g, time_cta(g))` for every candidate `g ∈ [1, min(p,
+    /// total_iters)]` in ascending order, each evaluated once, with the
+    /// problem's iteration counts computed once for the sweep.
+    fn sweep(&self, shape: GemmShape, tile: TileShape) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (total_iters, iters_per_tile) = (tile.total_iters(shape), tile.iters_per_tile(shape));
+        let max_g = self.sms.min(total_iters).max(1);
+        (1..=max_g).map(move |g| (g, self.time_of(total_iters, iters_per_tile, g)))
     }
 
     /// The modeled-best grid size: the `g ∈ [1, min(p, total_iters)]`
@@ -214,19 +229,14 @@ impl GridSizeModel {
     /// strong-scaling sweet spot in between (Figure 8).
     #[must_use]
     pub fn best_grid(&self, shape: GemmShape, tile: TileShape) -> usize {
-        let max_g = self.sms.min(tile.total_iters(shape)).max(1);
-        (1..=max_g)
-            .min_by(|&g1, &g2| {
-                self.time_cta(shape, tile, g1).total_cmp(&self.time_cta(shape, tile, g2))
-            })
-            .expect("candidate range is non-empty")
+        // `min_by` keeps the first of equal minima: the smallest grid.
+        self.sweep(shape, tile).min_by(|a, b| a.1.total_cmp(&b.1)).expect("candidate range is non-empty").0
     }
 
     /// The full `(g, time_cta(g))` curve for plotting (Figure 8).
     #[must_use]
     pub fn curve(&self, shape: GemmShape, tile: TileShape) -> Vec<(usize, f64)> {
-        let max_g = self.sms.min(tile.total_iters(shape)).max(1);
-        (1..=max_g).map(|g| (g, self.time_cta(shape, tile, g))).collect()
+        self.sweep(shape, tile).collect()
     }
 
     /// Builds the launch-ready decomposition for `shape`: the two-tile
@@ -306,6 +316,31 @@ mod tests {
         assert_eq!(curve.len(), 108);
         assert_eq!(curve[0].0, 1);
         assert_eq!(curve[107].0, 108);
+    }
+
+    /// `best_grid` is the first argmin of `curve()`, and `curve()` is
+    /// `time_cta` at every candidate, over shapes, tiles and widths.
+    #[test]
+    fn best_grid_is_the_first_argmin_of_the_curve() {
+        let tiles = [TILE, TileShape::new(64, 64, 16), TileShape::new(128, 256, 64), TileShape::new(32, 32, 8)];
+        let extents = [1, 128, 129, 1000, 4096, 16384];
+        let shapes = extents.iter().flat_map(|&m| extents.iter().flat_map(move |&n| extents.map(|k| GemmShape::new(m, n, k))));
+        for cost in [CostModel::a100_fp16(), CostModel::a100_fp64(), CostModel { a: 1.0, b: 0.0, c: 1.0, d: 0.0 }] {
+            for sms in [1, 4, 7, 108, 132] {
+                let model = GridSizeModel::new(cost, sms);
+                for tile in tiles {
+                    for shape in shapes.clone() {
+                        let curve = model.curve(shape, tile);
+                        for &(g, t) in &curve {
+                            assert_eq!(t.to_bits(), model.time_cta(shape, tile, g).to_bits(), "{shape} {tile:?} g={g}");
+                        }
+                        let min = curve.iter().map(|&(_, t)| t).fold(f64::INFINITY, f64::min);
+                        let first = curve.iter().find(|&&(_, t)| t == min).expect("non-empty curve").0;
+                        assert_eq!(model.best_grid(shape, tile), first, "{shape} {tile:?} on {sms}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,18 @@
 //! CTA), so fixup stalls genuinely consume processor time — the effect
 //! the two-tile hybrid exists to hide (§5.2).
 //!
+//! The queue holds per CTA only what the report needs (`CtaFacts`): its
+//! iterations, whether its first segment contributes and how long that
+//! segment is, and, for an owner, its peers as the range
+//! `id + 1 ..= id + k` — peers always follow their owner (`TileFixup`'s
+//! invariant, `validate` rule 3). `GridDesc` derives all of it, and the
+//! grid's partial records, in one pass over the CTA list; no per-tile
+//! fixup table is built. An SM that has never run a CTA is free at 0
+//! and has a higher id than every SM that has, so such SMs are handed
+//! out in id order and stay off the heap: the heap holds only SMs that
+//! ran a CTA, and a grid of at most `p` CTAs — every Stream-K grid the
+//! model picks — pops nothing from it.
+//!
 //! The queue takes a [`SimFaultPlan`] as a perturbation. A slow SM
 //! multiplies every cost term of the CTAs it hosts. A preempted CTA
 //! frees its SM part-way through its first dispatch and is queued
@@ -55,7 +67,7 @@ use crate::report::{CtaSpan, SimReport};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
-use streamk_core::{CtaWork, Decomposition, IterSpace, TileFixup};
+use streamk_core::{CtaWork, Decomposition, IterSpace};
 use streamk_types::{waves, GemmShape, Precision, TileShape};
 
 /// Simulates `decomp` on `gpu` at `precision`, with the blocking
@@ -96,8 +108,7 @@ pub fn simulate_with_efficiency(
     let space = decomp.space();
     let costs = CtaCosts::derive(gpu, precision, space.tile(), mac_efficiency);
     let none = SimFaultPlan::none();
-    let (des, unfinished, partial_records) =
-        dispatch(decomp.ctas(), space.iters_per_tile(), || decomp.fixups(), gpu, &costs, &none);
+    let (des, unfinished, partial_records) = dispatch(decomp.ctas(), space.iters_per_tile(), gpu, &costs, &none);
     unfinished.assert_none();
     finish_report(des, partial_records, &Volume::of(std::slice::from_ref(space), precision), gpu)
 }
@@ -121,15 +132,14 @@ pub fn data_parallel_makespan(
     Volume::of(std::slice::from_ref(&space), precision).roofline(grid.compute_makespan(gpu.sms, &costs), 0, gpu).makespan
 }
 
-/// Dispatches a grid of `ctas` under `plan`: by waves when the plan is
-/// empty and the grid is a [`UniformGrid`], through [`run_des`]
-/// otherwise. `fixups` is only called in the second case. Returns the
-/// outcome, what it left unfinished and the number of partial records
-/// the grid stores.
+/// Dispatches a grid of `ctas`, whose tiles all take `iters_per_tile`
+/// iterations, under `plan`: by waves when the plan is empty and the
+/// grid is a [`UniformGrid`], through [`run_des`] otherwise. Returns
+/// the outcome, what it left unfinished and the number of partial
+/// records the grid stores.
 pub(crate) fn dispatch(
     ctas: &[CtaWork],
     iters_per_tile: usize,
-    fixups: impl FnOnce() -> Vec<TileFixup>,
     gpu: &GpuSpec,
     costs: &CtaCosts,
     plan: &SimFaultPlan,
@@ -137,7 +147,7 @@ pub(crate) fn dispatch(
     if let Some(uniform) = UniformGrid::of(ctas, iters_per_tile).filter(|_| plan.is_empty()) {
         return (uniform.replay(gpu.sms, costs), Unfinished::default(), 0);
     }
-    let grid = GridDesc::from_parts(ctas, iters_per_tile, fixups());
+    let grid = GridDesc::from_parts(ctas, iters_per_tile);
     let (des, unfinished) = run_des(&grid, gpu, costs, plan);
     (des, unfinished, grid.partial_records)
 }
@@ -198,60 +208,79 @@ impl UniformGrid {
     }
 }
 
-/// A simulator-facing description of a grid: per-CTA iteration
-/// ranges plus the derived fixup structure. Built from single-GEMM
-/// and grouped decompositions alike.
+/// A simulator-facing description of a grid: what each CTA does, in
+/// id order, and how many partial records the grid stores. Built from
+/// single-GEMM and grouped decompositions alike, in one pass over the
+/// CTAs and without a per-tile table.
 pub(crate) struct GridDesc {
     pub(crate) facts: Vec<CtaFacts>,
-    pub(crate) owner_peers: Vec<Vec<usize>>,
     pub(crate) partial_records: usize,
 }
 
 /// Per-CTA static facts the DES consumes (all zero for an empty CTA).
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct CtaFacts {
     pub(crate) iters: usize,
     /// First segment stores a partial (it does not start its tile).
     pub(crate) contributes: bool,
     /// Length of that first segment.
     pub(crate) first_seg_iters: usize,
+    /// The peers whose partials this CTA accumulates as the owner of
+    /// the tile its last segment starts but does not finish: always
+    /// `id + 1 ..= id + k` (`TileFixup`'s invariant, `validate` rule
+    /// 3). Empty for every other CTA.
+    pub(crate) peers: Range<usize>,
 }
 
 impl GridDesc {
-    /// The grid of `facts`, one per CTA in id order, whose tiles are
-    /// consolidated by `fixups`.
-    pub(crate) fn new(facts: Vec<CtaFacts>, fixups: Vec<TileFixup>) -> Self {
-        let mut owner_peers: Vec<Vec<usize>> = vec![Vec::new(); facts.len()];
+    /// Folds per-CTA facts in id order into a grid. Each CTA comes with
+    /// `opens`: whether its last segment starts a tile that a later CTA
+    /// finishes. A contributor is a peer of the latest CTA that opened
+    /// a tile, since the CTAs cover the iterations in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a contributor comes before any CTA opened a tile (the
+    /// grid does not cover the tile's start).
+    pub(crate) fn fold(ctas: impl ExactSizeIterator<Item = (CtaFacts, bool)>) -> Self {
+        let mut facts: Vec<CtaFacts> = Vec::with_capacity(ctas.len());
+        let mut open: Option<usize> = None;
         let mut partial_records = 0usize;
-        for fixup in fixups {
-            partial_records += fixup.peers.len();
-            if !fixup.peers.is_empty() {
-                owner_peers[fixup.owner] = fixup.peers;
+        for (id, (mut f, opens)) in ctas.enumerate() {
+            if f.contributes {
+                let owner = open.expect("a contributor's tile has no owner: invalid decomposition");
+                facts[owner].peers.end = id + 1;
+                partial_records += 1;
             }
+            if opens {
+                f.peers = id + 1..id + 1;
+                open = Some(id);
+            }
+            facts.push(f);
         }
-        Self { facts, owner_peers, partial_records }
+        Self { facts, partial_records }
     }
 
     /// The grid of a decomposition whose tiles all take
     /// `iters_per_tile` iterations: a single GEMM's, or a group's whose
     /// members share that depth.
-    pub(crate) fn from_parts(ctas: &[CtaWork], iters_per_tile: usize, fixups: Vec<TileFixup>) -> Self {
-        let facts = ctas
-            .iter()
-            .map(|cta| {
-                if cta.is_empty() {
-                    return CtaFacts::default();
-                }
-                let tile_first = (cta.iter_begin / iters_per_tile) * iters_per_tile;
-                let first_seg_end = cta.iter_end.min(tile_first + iters_per_tile);
-                CtaFacts {
-                    iters: cta.len(),
-                    contributes: cta.iter_begin != tile_first,
-                    first_seg_iters: first_seg_end - cta.iter_begin,
-                }
-            })
-            .collect();
-        Self::new(facts, fixups)
+    pub(crate) fn from_parts(ctas: &[CtaWork], iters_per_tile: usize) -> Self {
+        Self::fold(ctas.iter().map(|cta| {
+            if cta.is_empty() {
+                return (CtaFacts::default(), false);
+            }
+            let tile_first = (cta.iter_begin / iters_per_tile) * iters_per_tile;
+            let first_seg_end = cta.iter_end.min(tile_first + iters_per_tile);
+            let last_tile_first = ((cta.iter_end - 1) / iters_per_tile) * iters_per_tile;
+            let opens = last_tile_first >= cta.iter_begin && cta.iter_end != last_tile_first + iters_per_tile;
+            let facts = CtaFacts {
+                iters: cta.len(),
+                contributes: cta.iter_begin != tile_first,
+                first_seg_iters: first_seg_end - cta.iter_begin,
+                peers: 0..0,
+            };
+            (facts, opens)
+        }))
     }
 }
 
@@ -292,10 +321,13 @@ impl Unfinished {
 /// stops there and reports the owners as unfinished.
 pub(crate) fn run_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts, plan: &SimFaultPlan) -> (DesOutcome, Unfinished) {
     let g = grid.facts.len();
-    // Min-heap of (free_time, sm). Non-negative f64 orders correctly
-    // through its bit pattern.
+    // Min-heap of (free_time, sm) over the SMs that have run a CTA.
+    // Non-negative f64 orders correctly through its bit pattern. SMs
+    // `fresh..gpu.sms` have never run one: each is free at 0, so they
+    // stay off the heap and are handed out in id order.
     let key = |t: f64, sm: usize| Reverse((t.to_bits(), sm));
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..gpu.sms).map(|sm| Reverse((0f64.to_bits(), sm))).collect();
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(gpu.sms.min(g));
+    let mut fresh = 0usize;
 
     // CTAs `next..g` have not dispatched yet. Evicted CTAs coming back
     // wait in `arrivals` as (ready time, cta), in arrival order: sorted
@@ -312,27 +344,35 @@ pub(crate) fn run_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts, plan: &S
     let mut total_wait = 0.0f64;
     let mut unfinished = Unfinished::default();
 
-    let finish_owner = |t_ready: f64, d: f64, peers: &[usize], signals: &[Option<f64>]| -> (f64, f64) {
+    // An owner's finish once all its peers signaled, from the peers'
+    // signal times in order.
+    let finish_owner = |t_ready: f64, d: f64, signals: &[Option<f64>]| -> Option<(f64, f64)> {
         // Serial accumulation in peer order: each load can begin only
         // after that peer has signaled.
         let mut t = t_ready;
         let mut waited = 0.0;
-        for &p in peers {
-            let sig = signals[p].expect("peer signal resolved");
+        for &sig in signals {
+            let sig = sig?;
             if sig > t {
                 waited += sig - t;
                 t = sig;
             }
             t += d;
         }
-        (t, waited)
+        Some((t, waited))
     };
 
     while next < g || !arrivals.is_empty() {
-        let Some(Reverse((bits, sm))) = heap.pop() else {
+        // The earliest free SM, ties by id: a fresh SM is free at 0 and
+        // has a higher id than every SM on the heap.
+        let (t_free, sm) = if fresh < gpu.sms && heap.peek().is_none_or(|&Reverse(top)| (0f64.to_bits(), fresh) < top) {
+            fresh += 1;
+            (0.0, fresh - 1)
+        } else if let Some(Reverse((bits, sm))) = heap.pop() {
+            (f64::from_bits(bits), sm)
+        } else {
             break; // every SM holds a blocked owner
         };
-        let t_free = f64::from_bits(bits);
         // The undispatched CTAs in id order first, then the first
         // arrival: at once if it is due, else when it is.
         let (start, cta_id, first_dispatch) = if next < g {
@@ -378,11 +418,9 @@ pub(crate) fn run_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts, plan: &S
         let span_idx = spans.len();
         spans.push(CtaSpan { cta_id, sm, start, end: t, iters: f.iters, waited: 0.0 });
 
-        let peers = &grid.owner_peers[cta_id];
-        if peers.is_empty() {
+        if f.peers.is_empty() {
             heap.push(key(t, sm));
-        } else if peers.iter().all(|&p| signal_time[p].is_some()) {
-            let (end, waited) = finish_owner(t, costs.d * slow, peers, &signal_time);
+        } else if let Some((end, waited)) = finish_owner(t, costs.d * slow, &signal_time[f.peers.clone()]) {
             total_wait += waited;
             spans[span_idx].end = end;
             spans[span_idx].waited = waited;
@@ -396,9 +434,8 @@ pub(crate) fn run_des(grid: &GridDesc, gpu: &GpuSpec, costs: &CtaCosts, plan: &S
             let mut i = 0;
             while i < blocked.len() {
                 let (owner, owner_sm, t_ready, span_idx) = blocked[i];
-                if grid.owner_peers[owner].iter().all(|&p| signal_time[p].is_some()) {
-                    let d = costs.d * plan.sm_factor(owner_sm);
-                    let (end, waited) = finish_owner(t_ready, d, &grid.owner_peers[owner], &signal_time);
+                let d = costs.d * plan.sm_factor(owner_sm);
+                if let Some((end, waited)) = finish_owner(t_ready, d, &signal_time[grid.facts[owner].peers.clone()]) {
                     total_wait += waited;
                     spans[span_idx].end = end;
                     spans[span_idx].waited = waited;
@@ -501,8 +538,9 @@ pub(crate) fn finish_report(des: DesOutcome, partial_records: usize, volume: &Vo
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use streamk_core::TileFixup;
     use streamk_types::{GemmShape, TileShape};
 
     const FIG1_SHAPE: GemmShape = GemmShape { m: 384, n: 384, k: 128 };
@@ -638,14 +676,8 @@ mod tests {
 
     /// The queue's outcome on `ctas`, and the wave replay's when the
     /// grid passes the uniform check.
-    fn both_ways(
-        ctas: &[CtaWork],
-        ipt: usize,
-        fixups: Vec<TileFixup>,
-        gpu: &GpuSpec,
-        costs: &CtaCosts,
-    ) -> (DesOutcome, Option<DesOutcome>) {
-        let (queue, _) = run_des(&GridDesc::from_parts(ctas, ipt, fixups), gpu, costs, &SimFaultPlan::none());
+    fn both_ways(ctas: &[CtaWork], ipt: usize, gpu: &GpuSpec, costs: &CtaCosts) -> (DesOutcome, Option<DesOutcome>) {
+        let (queue, _) = run_des(&GridDesc::from_parts(ctas, ipt), gpu, costs, &SimFaultPlan::none());
         (queue, UniformGrid::of(ctas, ipt).map(|uniform| uniform.replay(gpu.sms, costs)))
     }
 
@@ -661,7 +693,7 @@ mod tests {
         let one = GpuSpec { sms: 1, ..GpuSpec::a100() };
         let uniform = |d: &Decomposition, gpu: &GpuSpec, precision: Precision, eff: f64| {
             let costs = CtaCosts::derive(gpu, precision, d.space().tile(), eff);
-            let (queue, waves) = both_ways(d.ctas(), d.space().iters_per_tile(), d.fixups(), gpu, &costs);
+            let (queue, waves) = both_ways(d.ctas(), d.space().iters_per_tile(), gpu, &costs);
             assert_eq!(waves.as_ref(), Some(&queue), "{:?} on {} SMs", d.strategy(), gpu.sms);
             let (shape, tile) = (d.space().shape(), d.space().tile());
             let volume = Volume::of(std::slice::from_ref(d.space()), precision);
@@ -708,7 +740,7 @@ mod tests {
         ));
         let costs = CtaCosts::default_for(&a100, Precision::Fp16To32, TileShape::FP16_STREAMK);
         let ipt = batched.space().instance().iters_per_tile();
-        let (queue, waves) = both_ways(batched.ctas(), ipt, batched.fixups(), &a100, &costs);
+        let (queue, waves) = both_ways(batched.ctas(), ipt, &a100, &costs);
         assert_eq!(waves, Some(queue));
 
         // Seams: fixed-split, Stream-K and both hybrids.
@@ -729,6 +761,84 @@ mod tests {
         assert!(d.ctas().iter().any(CtaWork::is_empty));
         assert!(d.ctas().iter().filter(|c| !c.is_empty()).all(|c| c.len() == d.space().iters_per_tile()));
         assert_eq!(UniformGrid::of(d.ctas(), d.space().iters_per_tile()), None);
+    }
+
+    /// Each owner's peers as `fixups()` list them, as ranges indexed by
+    /// CTA id, and the grid's partial records, one per peer.
+    pub(crate) fn fixup_ranges(ctas: usize, fixups: &[TileFixup]) -> (Vec<Range<usize>>, usize) {
+        let mut peers = vec![0..0; ctas];
+        for f in fixups.iter().filter(|f| !f.peers.is_empty()) {
+            let range = f.owner + 1..f.owner + 1 + f.peers.len();
+            assert!(f.peers.iter().copied().eq(range.clone()), "tile {} peers {:?}", f.tile_idx, f.peers);
+            peers[f.owner] = range;
+        }
+        (peers, fixups.iter().map(|f| f.peers.len()).sum())
+    }
+
+    /// `grid`'s peers and partial records against [`fixup_ranges`].
+    pub(crate) fn assert_matches_fixups(grid: &GridDesc, fixups: &[TileFixup], what: &str) {
+        let derived: Vec<Range<usize>> = grid.facts.iter().map(|f| f.peers.clone()).collect();
+        assert_eq!((derived, grid.partial_records), fixup_ranges(grid.facts.len(), fixups), "{what}");
+    }
+
+    /// The one-pass derivation gives every owner the peers, and every
+    /// grid the partial records, that `fixups()` does: data-parallel,
+    /// fixed-split (with empty CTAs once the split exceeds the tile's
+    /// iterations), Stream-K at every grid size up to past the
+    /// iteration count, both hybrids, and uniform batches and groups.
+    #[test]
+    fn peers_and_partial_records_are_the_fixups() {
+        use streamk_core::{BatchedDecomposition, BatchedSpace, GroupedDecomposition, GroupedSpace, TileOrder};
+        let single = |d: &Decomposition| {
+            let grid = GridDesc::from_parts(d.ctas(), d.space().iters_per_tile());
+            assert_matches_fixups(&grid, &d.fixups(), &format!("{:?} {}", d.strategy(), d.space().shape()));
+        };
+        let shapes =
+            [(384, 384, 128), (896, 384, 1024), (1000, 700, 300), (128, 128, 16384), (64, 64, 32), (130, 130, 200)];
+        for (m, n, k) in shapes {
+            for tile in [TileShape::new(128, 128, 32), TileShape::new(64, 64, 16), TileShape::new(128, 128, 4)] {
+                let shape = GemmShape::new(m, n, k);
+                let (total, ipt) = (tile.total_iters(shape), tile.iters_per_tile(shape));
+                single(&Decomposition::data_parallel(shape, tile));
+                for split in (1..=ipt.min(40) + 2).chain([ipt, ipt + 1, 2 * ipt + 3]) {
+                    single(&Decomposition::fixed_split(shape, tile, split));
+                }
+                for g in (1..=total.min(300) + 3).chain(total.saturating_sub(2).max(1)..=total + 5) {
+                    single(&Decomposition::stream_k(shape, tile, g));
+                }
+                for sms in (1..=20).chain([64, 107, 108, 132]) {
+                    single(&Decomposition::two_tile_stream_k_dp(shape, tile, sms));
+                    single(&Decomposition::dp_one_tile_stream_k(shape, tile, sms));
+                }
+                single(&Decomposition::stream_k(shape, tile, 7).with_tile_order(TileOrder::Morton));
+            }
+        }
+        let tile = TileShape::new(128, 128, 32);
+        for (m, n, k) in [(384, 384, 4096), (256, 256, 512), (1000, 700, 900)] {
+            let shape = GemmShape::new(m, n, k);
+            for batch in [1, 3, 13] {
+                let space = BatchedSpace::new(batch, shape, tile);
+                let ipt = space.instance().iters_per_tile();
+                for g in [1, 2, 4, 5, 64, 108, 1000, space.total_iters() + 1] {
+                    let b = BatchedDecomposition::stream_k(space.clone(), g);
+                    let what = format!("batch {batch} g={g}");
+                    assert_matches_fixups(&GridDesc::from_parts(b.ctas(), ipt), &b.fixups(), &what);
+                }
+                let b = BatchedDecomposition::data_parallel(space);
+                assert_matches_fixups(&GridDesc::from_parts(b.ctas(), ipt), &b.fixups(), &format!("batch {batch} dp"));
+            }
+        }
+        // A group of ragged shapes that share their depth.
+        let shapes = [GemmShape::new(300, 200, 1024), GemmShape::new(128, 900, 1000), GemmShape::new(77, 33, 1024)];
+        let space = GroupedSpace::new(&shapes, tile);
+        let ipt = space.instances()[0].iters_per_tile();
+        assert!(space.instances().iter().all(|inst| inst.iters_per_tile() == ipt));
+        for g in [1, 3, 8, 31, 108, space.total_iters(), space.total_iters() + 2] {
+            let d = GroupedDecomposition::stream_k(space.clone(), g);
+            assert_matches_fixups(&GridDesc::from_parts(d.ctas(), ipt), &d.fixups(), &format!("group g={g}"));
+        }
+        let d = GroupedDecomposition::data_parallel(space);
+        assert_matches_fixups(&GridDesc::from_parts(d.ctas(), ipt), &d.fixups(), "group dp");
     }
 
     /// Empty CTAs (grid larger than the iteration space) simulate

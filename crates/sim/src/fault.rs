@@ -185,8 +185,7 @@ pub fn simulate_with_faults(
     let baseline = simulate(decomp, gpu, precision);
     let space = decomp.space();
     let costs = CtaCosts::derive(gpu, precision, space.tile(), DEFAULT_MAC_EFFICIENCY);
-    let (des, unfinished, partial_records) =
-        dispatch(decomp.ctas(), space.iters_per_tile(), || decomp.fixups(), gpu, &costs, plan);
+    let (des, unfinished, partial_records) = dispatch(decomp.ctas(), space.iters_per_tile(), gpu, &costs, plan);
     let Unfinished { lost_ctas, unresolved_owners, redispatches } = unfinished;
     FaultSimReport {
         faulty: finish_report(des, partial_records, &Volume::of(std::slice::from_ref(space), precision), gpu),

@@ -6,8 +6,8 @@
 //! through the same dispatch as a single GEMM: its global tile ids
 //! behave exactly like tile ids, so a data-parallel batch replays by
 //! waves and a Stream-K one goes through the event queue. A group of
-//! mixed tile depths derives its per-CTA facts from the grouped
-//! segment walk and always takes the queue. Only the roofline
+//! mixed tile depths derives its per-CTA facts, peers included, from
+//! the grouped segment walk and always takes the queue. Only the roofline
 //! bookkeeping sums over the members.
 
 use crate::cost::{CtaCosts, DEFAULT_MAC_EFFICIENCY};
@@ -34,21 +34,9 @@ pub fn simulate_grouped(decomp: &GroupedDecomposition, gpu: &GpuSpec, precision:
     let none = SimFaultPlan::none();
     let ipt = instances[0].iters_per_tile();
     let (des, unfinished, partial_records) = if instances.iter().all(|inst| inst.iters_per_tile() == ipt) {
-        dispatch(decomp.ctas(), ipt, || decomp.fixups(), gpu, &costs, &none)
+        dispatch(decomp.ctas(), ipt, gpu, &costs, &none)
     } else {
-        let facts: Vec<CtaFacts> = decomp
-            .ctas()
-            .iter()
-            .map(|cta| match space.segments(cta).next() {
-                None => CtaFacts::default(),
-                Some(seg) => CtaFacts {
-                    iters: cta.len(),
-                    contributes: !seg.starts_tile,
-                    first_seg_iters: seg.local_end - seg.local_begin,
-                },
-            })
-            .collect();
-        let grid = GridDesc::new(facts, decomp.fixups());
+        let grid = segment_grid(decomp);
         let (des, unfinished) = run_des(&grid, gpu, &costs, &none);
         (des, unfinished, grid.partial_records)
     };
@@ -56,11 +44,64 @@ pub fn simulate_grouped(decomp: &GroupedDecomposition, gpu: &GpuSpec, precision:
     finish_report(des, partial_records, &Volume::of(instances, precision), gpu)
 }
 
+/// The grid of a group of any tile depths, from its segment walk: a
+/// CTA contributes when its first segment does not start its tile, and
+/// opens a tile when its last segment starts one it does not finish.
+fn segment_grid(decomp: &GroupedDecomposition) -> GridDesc {
+    let space = decomp.space();
+    GridDesc::fold(decomp.ctas().iter().map(|cta| {
+        let mut segments = space.segments(cta);
+        let Some(first) = segments.next() else {
+            return (CtaFacts::default(), false);
+        };
+        let last = segments.last().unwrap_or(first);
+        let facts = CtaFacts {
+            iters: cta.len(),
+            contributes: !first.starts_tile,
+            first_seg_iters: first.local_end - first.local_begin,
+            peers: 0..0,
+        };
+        (facts, last.starts_tile && !last.ends_tile)
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use streamk_core::{BatchedDecomposition, BatchedSpace, Decomposition, GroupedSpace};
     use streamk_types::{GemmShape, TileShape};
+
+    /// The segment walk gives every owner the peers, and the grid the
+    /// partial records, that `fixups()` does on groups of mixed tile
+    /// depths, empty CTAs included; and it agrees with the uniform-depth
+    /// derivation where both apply.
+    #[test]
+    fn segment_grid_is_the_fixups() {
+        use crate::engine::tests::assert_matches_fixups;
+        let tile = TileShape::new(64, 64, 16);
+        let mixed = [
+            GemmShape::new(100, 200, 300),
+            GemmShape::new(77, 33, 999),
+            GemmShape::new(64, 64, 16),
+            GemmShape::new(300, 64, 64),
+        ];
+        let space = GroupedSpace::new(&mixed, tile);
+        for g in (1..=80).chain([space.total_iters() - 1, space.total_iters(), space.total_iters() + 3]) {
+            let d = GroupedDecomposition::stream_k(space.clone(), g);
+            assert_matches_fixups(&segment_grid(&d), &d.fixups(), &format!("mixed g={g}"));
+        }
+        let d = GroupedDecomposition::data_parallel(space);
+        assert_matches_fixups(&segment_grid(&d), &d.fixups(), "mixed dp");
+
+        let uniform = GroupedSpace::new(&[GemmShape::new(300, 200, 1024), GemmShape::new(128, 900, 1020)], tile);
+        let ipt = uniform.instances()[0].iters_per_tile();
+        assert!(uniform.instances().iter().all(|inst| inst.iters_per_tile() == ipt));
+        for g in [1, 5, 64, 108, uniform.total_iters() + 1] {
+            let d = GroupedDecomposition::stream_k(uniform.clone(), g);
+            let (walked, derived) = (segment_grid(&d), GridDesc::from_parts(d.ctas(), ipt));
+            assert_eq!((walked.facts, walked.partial_records), (derived.facts, derived.partial_records), "g={g}");
+        }
+    }
 
     #[test]
     fn single_group_matches_plain_simulation() {
