@@ -203,14 +203,16 @@ pub fn roofline_series(points: &[(f64, f64)], bins: usize) -> Vec<(f64, f64, f64
 #[must_use]
 pub fn corpus_from_args(default_count: usize) -> Corpus {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = if args.iter().any(|a| a == "--full") {
+    let full = args.iter().any(|a| a == "--full");
+    let config = if full {
         CorpusConfig::paper()
     } else if let Some(n) = args.iter().find_map(|a| a.parse::<usize>().ok()) {
         CorpusConfig::smoke(n)
     } else {
         CorpusConfig::smoke(default_count)
     };
-    eprintln!("# corpus: {} shapes (use --full for the paper's 32,824)", config.count);
+    let hint = if full { "" } else { " (use --full for the paper's 32,824)" };
+    eprintln!("# corpus: {} shapes{hint}", config.count);
     Corpus::generate(config)
 }
 
